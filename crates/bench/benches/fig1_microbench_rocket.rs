@@ -3,10 +3,8 @@
 
 fn main() {
     bsim_bench::with_timer("fig1", || {
-        let fig = bsim_core::experiments::fig1_microbench_rocket_par(
-            bsim_bench::micro_scale(),
-            bsim_bench::parallelism(),
-        );
+        let fig = bsim_core::experiments::figure("fig1")
+            .run(bsim_bench::sizes(), bsim_bench::parallelism());
         bsim_bench::emit(&fig);
     });
 }

@@ -3,10 +3,8 @@
 
 fn main() {
     bsim_bench::with_timer("fig2", || {
-        let fig = bsim_core::experiments::fig2_microbench_boom_par(
-            bsim_bench::micro_scale(),
-            bsim_bench::parallelism(),
-        );
+        let fig = bsim_core::experiments::figure("fig2")
+            .run(bsim_bench::sizes(), bsim_bench::parallelism());
         bsim_bench::emit(&fig);
     });
 }

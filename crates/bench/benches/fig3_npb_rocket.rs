@@ -3,13 +3,9 @@
 
 fn main() {
     bsim_bench::with_timer("fig3", || {
-        let sizes = bsim_bench::sizes();
-        for ranks in [1usize, 4] {
-            let fig = bsim_core::experiments::fig3_npb_rocket_par(
-                ranks,
-                sizes,
-                bsim_bench::parallelism(),
-            );
+        for key in ["fig3a", "fig3b"] {
+            let fig = bsim_core::experiments::figure(key)
+                .run(bsim_bench::sizes(), bsim_bench::parallelism());
             bsim_bench::emit(&fig);
         }
     });

@@ -3,12 +3,9 @@
 
 fn main() {
     bsim_bench::with_timer("fig4", || {
-        let sizes = bsim_bench::sizes();
-        let fig = bsim_core::experiments::fig4a_npb_boom_par(1, sizes, bsim_bench::parallelism());
-        bsim_bench::emit(&fig);
-        for ranks in [1usize, 4] {
-            let fig =
-                bsim_core::experiments::fig4b_npb_boom_par(ranks, sizes, bsim_bench::parallelism());
+        for key in ["fig4a", "fig4b1", "fig4b4"] {
+            let fig = bsim_core::experiments::figure(key)
+                .run(bsim_bench::sizes(), bsim_bench::parallelism());
             bsim_bench::emit(&fig);
         }
     });

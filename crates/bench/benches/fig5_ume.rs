@@ -3,8 +3,8 @@
 
 fn main() {
     bsim_bench::with_timer("fig5", || {
-        let fig =
-            bsim_core::experiments::fig5_ume_par(bsim_bench::sizes(), bsim_bench::parallelism());
+        let fig = bsim_core::experiments::figure("fig5")
+            .run(bsim_bench::sizes(), bsim_bench::parallelism());
         bsim_bench::emit(&fig);
     });
 }

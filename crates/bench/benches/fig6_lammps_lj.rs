@@ -3,10 +3,8 @@
 
 fn main() {
     bsim_bench::with_timer("fig6", || {
-        let fig = bsim_core::experiments::fig6_lammps_lj_par(
-            bsim_bench::sizes(),
-            bsim_bench::parallelism(),
-        );
+        let fig = bsim_core::experiments::figure("fig6")
+            .run(bsim_bench::sizes(), bsim_bench::parallelism());
         bsim_bench::emit(&fig);
     });
 }

@@ -3,10 +3,8 @@
 
 fn main() {
     bsim_bench::with_timer("fig7", || {
-        let fig = bsim_core::experiments::fig7_lammps_chain_par(
-            bsim_bench::sizes(),
-            bsim_bench::parallelism(),
-        );
+        let fig = bsim_core::experiments::figure("fig7")
+            .run(bsim_bench::sizes(), bsim_bench::parallelism());
         bsim_bench::emit(&fig);
     });
 }

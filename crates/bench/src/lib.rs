@@ -35,11 +35,6 @@ pub fn sizes() -> Sizes {
     }
 }
 
-/// MicroBench iteration scale from the same preset.
-pub fn micro_scale() -> u32 {
-    sizes().micro_scale
-}
-
 /// Host-side sweep parallelism from `BSIM_PAR` (default: one worker per
 /// host core, capped at the grid size). Results are bit-identical for
 /// every setting; only the host wall clock changes.

@@ -10,6 +10,7 @@
 //! | AU002 | warning  | `.expect(..)` in a designated hot-path file (token channel, wire framing, daemon dispatch) |
 //! | AU003 | warning  | iteration over a `HashMap` binding: order is nondeterministic and must not feed results or wire frames |
 //! | AU004 | warning  | `Instant`/`SystemTime` in a virtual-time crate: host clocks break determinism |
+//! | AU005 | note     | a `pub fn` of `core`/`sweepx`/`svc`/`dist` that nothing outside its crate mentions: surface to shrink |
 //!
 //! Findings are waived inline with a `// bsim: allow(AU001)` comment on the
 //! same line or on the line directly above; several codes may be listed,
@@ -21,7 +22,9 @@
 //! over the whole workspace, has no parser to keep in sync with the
 //! language, and the waiver escape hatch keeps the false-positive cost at
 //! one comment. `bsim check --source` runs it over every `crates/*/src` and
-//! the root `src/`.
+//! the root `src/`; AU005 additionally reads every other `.rs` file of the
+//! repository (tests, benches, examples, `benchmark/src`) as potential
+//! callers.
 
 use crate::diag::{Diagnostic, Report};
 use std::fs;
@@ -37,6 +40,11 @@ const HASHMAP_TY: &str = concat!("Hash", "Map<");
 const HASHMAP_NEW: &str = concat!("Hash", "Map::new");
 const ALLOW: &str = concat!("bsim: ", "allow(");
 const CFG_TEST: &str = concat!("#[cfg(", "test)]");
+const PUB_FN: &str = concat!("pub ", "fn ");
+
+/// Crates whose `pub fn` surface AU005 audits: the layers that grew a
+/// parallel mechanism per feature PR (ROADMAP item 3).
+const SURFACE_CRATES: &[&str] = &["core", "sweepx", "svc", "dist"];
 
 /// Files whose failure modes reach the per-token or per-frame path: a panic
 /// here kills a quantum mid-flight, so even `.expect` needs a waiver arguing
@@ -103,6 +111,18 @@ fn waivers_in(raw: &str) -> Vec<String> {
     out
 }
 
+/// Waivers in force on `raw`: its own plus those of a comment line
+/// directly above, which `above` carries from line to line.
+fn waivers_for(raw: &str, above: &mut Vec<String>) -> Vec<String> {
+    let own = waivers_in(raw);
+    let mut allowed = own.clone();
+    allowed.append(above);
+    if raw.trim_start().starts_with("//") {
+        *above = own;
+    }
+    allowed
+}
+
 /// Binding or field name a `HashMap` is stored under on this line, if any.
 fn hashmap_binding(code: &str) -> Option<String> {
     if !(code.contains(HASHMAP_TY) || code.contains(HASHMAP_NEW)) {
@@ -146,6 +166,46 @@ fn iterates_map(code: &str, name: &str) -> bool {
     code.contains(&format!("in &{name}")) || code.contains(&format!("in &mut {name}"))
 }
 
+/// Tracks `#[cfg(test)]` regions by brace depth, one line at a time.
+#[derive(Default)]
+struct TestRegions {
+    depth: i32,
+    in_test: bool,
+    exit_depth: i32,
+    armed: bool,
+}
+
+impl TestRegions {
+    /// Feeds one comment-stripped line; true when the line began inside
+    /// a test region.
+    fn step(&mut self, code: &str) -> bool {
+        let began_in_test = self.in_test;
+        if code.contains(CFG_TEST) {
+            self.armed = true;
+        }
+        for ch in code.chars() {
+            match ch {
+                '{' => {
+                    if self.armed && !self.in_test {
+                        self.in_test = true;
+                        self.exit_depth = self.depth;
+                        self.armed = false;
+                    }
+                    self.depth += 1;
+                }
+                '}' => {
+                    self.depth -= 1;
+                    if self.in_test && self.depth <= self.exit_depth {
+                        self.in_test = false;
+                    }
+                }
+                _ => {}
+            }
+        }
+        began_in_test
+    }
+}
+
 /// Crate a repo-relative source path belongs to (`crates/<name>/src/..`).
 fn crate_of(path: &str) -> Option<&str> {
     path.strip_prefix("crates/")?.split('/').next()
@@ -170,47 +230,14 @@ pub fn scan_source(path: &str, text: &str, report: &mut Report, waived: &mut usi
     }
 
     // Pass 2: findings, with `#[cfg(test)]` regions skipped via brace depth.
-    let mut depth: i32 = 0;
-    let mut in_test = false;
-    let mut exit_depth: i32 = 0;
-    let mut armed = false;
+    let mut regions = TestRegions::default();
     let mut prev_waivers: Vec<String> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let code = raw.split("//").next().unwrap_or(raw);
-        let mut allowed = waivers_in(raw);
-        allowed.extend(prev_waivers.iter().cloned());
-        let in_test_here = in_test;
-
-        if code.contains(CFG_TEST) {
-            armed = true;
-        }
-        for ch in code.chars() {
-            match ch {
-                '{' => {
-                    if armed && !in_test {
-                        in_test = true;
-                        exit_depth = depth;
-                        armed = false;
-                    }
-                    depth += 1;
-                }
-                '}' => {
-                    depth -= 1;
-                    if in_test && depth <= exit_depth {
-                        in_test = false;
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        prev_waivers = if raw.trim_start().starts_with("//") {
-            waivers_in(raw)
-        } else {
-            Vec::new()
-        };
+        let allowed = waivers_for(raw, &mut prev_waivers);
+        let in_test_here = regions.step(code);
 
         if in_test_here {
             continue;
@@ -280,6 +307,60 @@ pub fn scan_source(path: &str, text: &str, report: &mut Report, waived: &mut usi
     }
 }
 
+/// True when `text` mentions `name` as a whole identifier.
+fn mentions(text: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(name)
+        .any(|(i, _)| !text[..i].ends_with(ident) && !text[i + name.len()..].starts_with(ident))
+}
+
+/// AU005 over one crate: a note for every non-test `pub fn` in `own`
+/// (repo-relative path, source text) whose name no text of `outside` —
+/// every `.rs` file of the repository that is not the crate's own —
+/// mentions. Textual like the rest of the audit: a name shared with any
+/// outside identifier (`new`, `run`) is never reported.
+pub fn scan_surface(
+    krate: &str,
+    own: &[(&str, &str)],
+    outside: &[&str],
+    report: &mut Report,
+    waived: &mut usize,
+) {
+    for &(path, text) in own {
+        let mut regions = TestRegions::default();
+        let mut prev_waivers: Vec<String> = Vec::new();
+        for (idx, raw) in text.lines().enumerate() {
+            let code = raw.split("//").next().unwrap_or(raw);
+            let allowed = waivers_for(raw, &mut prev_waivers);
+            if regions.step(code) {
+                continue;
+            }
+            let Some(rest) = code.trim_start().strip_prefix(PUB_FN) else {
+                continue;
+            };
+            let name: &str = rest
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .next()
+                .unwrap_or("");
+            if name.is_empty() || outside.iter().any(|t| mentions(t, name)) {
+                continue;
+            }
+            if allowed.iter().any(|c| c == "AU005") {
+                *waived += 1;
+                continue;
+            }
+            report.push(
+                Diagnostic::note(
+                    "AU005",
+                    format!("{path}:{}", idx + 1),
+                    format!("{PUB_FN}{name} has no caller outside crate `{krate}`"),
+                )
+                .with_help("make it pub(crate) or delete it, or waive stating who needs it"),
+            );
+        }
+    }
+}
+
 /// Locate the workspace root: the nearest ancestor (of the check crate's
 /// manifest dir, or of the current directory) whose `Cargo.toml` declares
 /// `[workspace]`.
@@ -302,8 +383,7 @@ fn workspace_root() -> Option<PathBuf> {
 }
 
 /// Collect `.rs` files under `dir`, recursively, sorted by path for
-/// deterministic diagnostic order. Test/bench/example trees are skipped —
-/// the audit is about shipped simulation code.
+/// deterministic diagnostic order. Build output is skipped.
 fn collect_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
@@ -313,7 +393,7 @@ fn collect_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     for p in paths {
         if p.is_dir() {
             let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if matches!(name, "tests" | "benches" | "examples") {
+            if name == "target" {
                 continue;
             }
             collect_sources(&p, out);
@@ -344,28 +424,48 @@ pub fn audit_workspace() -> Audit {
         };
     };
 
-    let mut files: Vec<PathBuf> = Vec::new();
-    if let Ok(entries) = fs::read_dir(root.join("crates")) {
-        let mut crates: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
-        crates.sort();
-        for c in crates {
-            collect_sources(&c.join("src"), &mut files);
-        }
+    // Every `.rs` file of the repository, read once: AU005 counts all of
+    // them as potential callers.
+    let mut paths: Vec<PathBuf> = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        collect_sources(&root.join(dir), &mut paths);
     }
-    collect_sources(&root.join("src"), &mut files);
+    let sources: Vec<(String, String)> = paths
+        .iter()
+        .filter_map(|path| {
+            let rel = path.strip_prefix(&root).unwrap_or(path);
+            let rel = rel.to_string_lossy().replace('\\', "/");
+            Some((rel, fs::read_to_string(path).ok()?))
+        })
+        .collect();
 
+    // AU001–AU004 are about shipped simulation code: `crates/*/src` and
+    // the root `src/`, not tests, benches, examples or the benchmark.
+    let shipped = |rel: &str| {
+        rel.starts_with("src/")
+            || crate_of(rel).is_some_and(|c| rel.starts_with(&format!("crates/{c}/src/")))
+    };
     let mut waived = 0usize;
-    let scanned = files.len();
-    for path in &files {
-        let Ok(text) = fs::read_to_string(path) else {
-            continue;
-        };
-        let rel = path
-            .strip_prefix(&root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        scan_source(&rel, &text, &mut report, &mut waived);
+    let mut scanned = 0usize;
+    for (rel, text) in sources.iter().filter(|(rel, _)| shipped(rel)) {
+        scanned += 1;
+        scan_source(rel, text, &mut report, &mut waived);
+    }
+
+    for krate in SURFACE_CRATES {
+        let prefix = format!("crates/{krate}/");
+        let src = format!("{prefix}src/");
+        let own: Vec<(&str, &str)> = sources
+            .iter()
+            .filter(|(rel, _)| rel.starts_with(&src))
+            .map(|(rel, text)| (rel.as_str(), text.as_str()))
+            .collect();
+        let outside: Vec<&str> = sources
+            .iter()
+            .filter(|(rel, _)| !rel.starts_with(&prefix))
+            .map(|(_, text)| text.as_str())
+            .collect();
+        scan_surface(krate, &own, &outside, &mut report, &mut waived);
     }
     if waived > 0 {
         report.push(Diagnostic::note(
@@ -469,6 +569,26 @@ mod tests {
         assert!(r.has_code("AU004"), "{}", r.render());
         let (r, _) = scan("crates/svc/src/x.rs", &text);
         assert!(r.is_clean(), "{}", r.render());
+    }
+
+    #[test]
+    fn uncalled_pub_fns_are_noted_and_waivable() {
+        let text = format!(
+            "{PUB_FN}used() {{}}\n{PUB_FN}orphan() {{}}\npub(crate) fn inner() {{}}\n\
+             // {ALLOW}AU005) kept for the ledger\n{PUB_FN}kept() {{}}\n\
+             {CFG_TEST}\nmod tests {{\n    {PUB_FN}helper() {{}}\n}}\n"
+        );
+        let own = [("crates/core/src/x.rs", text.as_str())];
+        let outside = ["fn main() { used(); orphan_like(); }"];
+        let mut r = Report::new();
+        let mut w = 0;
+        scan_surface("core", &own, &outside, &mut r, &mut w);
+        let notes: Vec<_> = r.with_code("AU005").collect();
+        assert_eq!(notes.len(), 1, "{}", r.render());
+        assert!(notes[0].message.contains("orphan"), "{}", r.render());
+        assert_eq!(notes[0].span, "crates/core/src/x.rs:2");
+        assert!(!r.has_errors() && r.warning_count() == 0, "AU005 is a note");
+        assert_eq!(w, 1, "`kept` is waived");
     }
 
     #[test]

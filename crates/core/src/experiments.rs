@@ -1,20 +1,20 @@
-//! One generator per paper table/figure.
+//! The paper's tables and figures.
 //!
-//! Every generator returns [`FigureData`]: labeled points per series,
-//! directly renderable with [`crate::table::render`] and serializable to
-//! JSON. The bench harnesses in `bsim-bench` call these and print the
-//! same rows/series the paper plots; EXPERIMENTS.md records the
-//! paper-vs-measured comparison.
+//! [`FIGURES`] defines every subfigure once, as data; [`FigureSpec::run`]
+//! turns one into [`FigureData`]: labeled points per series, directly
+//! renderable with [`crate::table::render`] and serializable to JSON.
+//! The bench harnesses in `bsim-bench` print the same rows/series the
+//! paper plots; EXPERIMENTS.md records the paper-vs-measured comparison.
 
 use crate::metrics::relative_speedup;
 use bsim_engine::{SimRate, SimRateMeter};
-use bsim_mpi::NetConfig;
+use bsim_mpi::{NetConfig, WorldTrace};
 use bsim_resilience::snapshot::{restore_field, CkptError, Snapshot};
 use bsim_soc::{configs, RunReport, Soc, SocConfig};
 use bsim_telemetry::{CounterBlock, TelemetryConfig, TelemetrySnapshot};
 use bsim_workloads::md::chain::{self, ChainConfig};
 use bsim_workloads::md::lj::{self, LjConfig};
-use bsim_workloads::microbench;
+use bsim_workloads::microbench::{self, MicroKernel};
 use bsim_workloads::npb::{cg, ep, is, mg};
 use bsim_workloads::ume::{self, UmeConfig};
 use serde::{Deserialize, Serialize, Value};
@@ -286,7 +286,7 @@ where
 /// drained. Callers that want the completed cells *back* instead of a
 /// panic use [`crate::resilient::run_grid_resilient`], which degrades
 /// poisoned cells to [`bsim_resilience::CellOutcome::Failed`].
-pub fn run_grid<T, F>(jobs: usize, par: Parallelism, f: F) -> Vec<T>
+pub(crate) fn run_grid<T, F>(jobs: usize, par: Parallelism, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -335,11 +335,13 @@ pub struct SweepRun<T> {
     pub rate: SimRate,
     /// Worker threads the sweep actually used.
     pub workers: usize,
-    /// Maximum configs ticked through one shared trace pass (0 when the
-    /// sweep ran scalar cells; set by the `bsim-sweepx` lane runners).
+    /// Maximum cells scheduled as one chunk — the configs ticked through
+    /// one shared trace pass on a lane sweep, 1 when every cell ran
+    /// alone. Stamped by the grid runner.
     pub lanes: u64,
     /// Trace segments fast-forwarded by sampled simulation across the
-    /// whole grid (0 when every cell ran in full detail).
+    /// whole grid. The runner cannot see inside `T`, so it leaves 0 and
+    /// a caller whose cells carry sampling reports fills this in.
     pub sampled_segments: u64,
 }
 
@@ -366,63 +368,58 @@ impl<T> SweepRun<T> {
 }
 
 /// [`run_grid`] for cells that also report their simulated target
-/// cycles; aggregates a [`SimRateMeter`] across the workers.
+/// cycles; aggregates a [`SimRateMeter`] across the workers. This is
+/// [`run_grid_chunks_metered`] with every cell its own chunk.
 pub fn run_grid_metered<T, F>(jobs: usize, par: Parallelism, f: F) -> SweepRun<T>
 where
     T: Send,
     F: Fn(usize) -> (T, u64) + Sync,
 {
-    let workers = par.workers(jobs);
-    let mut meter = SimRateMeter::start();
-    let cells = run_grid(jobs, par, f);
-    let mut results = Vec::with_capacity(cells.len());
-    let mut cycles = 0u64;
-    for (t, c) in cells {
-        results.push(t);
-        cycles += c;
-    }
-    meter.add_cycles(cycles);
-    SweepRun {
-        results,
-        rate: meter.finish(),
-        workers,
-        lanes: 0,
-        sampled_segments: 0,
-    }
+    run_grid_chunks_metered(&singleton_chunks(jobs), par, |_, cell| [f(cell[0])])
 }
 
-/// [`run_grid_metered`] for sweeps whose natural scheduling unit is a
-/// *chunk* of grid cells rather than a single cell — the lane runner's
-/// unit is a [`bsim_sweepx`-style] lane group, which must stay together
-/// on one worker because its cells share a recorded trace and one SoA
-/// timing pass. `f(g, cells)` runs chunk `g` and returns one
-/// `(result, cycles)` per cell of `chunks[g]`, in chunk order; results
-/// come back **ordered by grid index**, so figures remain bit-identical
-/// however the cells were chunked.
-pub fn run_grid_chunks_metered<T, F>(chunks: &[Vec<usize>], par: Parallelism, f: F) -> SweepRun<T>
+/// The chunking of a `jobs`-cell grid that schedules every cell alone.
+fn singleton_chunks(jobs: usize) -> Vec<[usize; 1]> {
+    (0..jobs).map(|i| [i]).collect()
+}
+
+/// The metered grid runner. The scheduling unit is a *chunk* of grid
+/// cells: a scalar sweep's chunks are single cells, a lane sweep's are
+/// lane groups, which must stay together on one worker because their
+/// cells share a recorded trace and one SoA timing pass. `f(g, cells)`
+/// runs chunk `g` and yields one `(result, cycles)` per cell of
+/// `chunks[g]`, in chunk order; results come back **ordered by grid
+/// index**, so figures remain bit-identical however the cells were
+/// chunked. The largest chunk is stamped on [`SweepRun::lanes`].
+pub fn run_grid_chunks_metered<T, C, O, F>(chunks: &[C], par: Parallelism, f: F) -> SweepRun<T>
 where
     T: Send,
-    F: Fn(usize, &[usize]) -> Vec<(T, u64)> + Sync,
+    C: AsRef<[usize]> + Sync,
+    O: IntoIterator<Item = (T, u64)> + Send,
+    F: Fn(usize, &[usize]) -> O + Sync,
 {
     let workers = par.workers(chunks.len());
     let mut meter = SimRateMeter::start();
-    let per_chunk = run_grid(chunks.len(), par, |g| f(g, &chunks[g]));
-    let total: usize = chunks.iter().map(Vec::len).sum();
+    let per_chunk = run_grid(chunks.len(), par, |g| f(g, chunks[g].as_ref()));
+    let total: usize = chunks.iter().map(|c| c.as_ref().len()).sum();
     let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
     let mut cycles = 0u64;
     for (g, outs) in per_chunk.into_iter().enumerate() {
-        assert_eq!(
-            outs.len(),
-            chunks[g].len(),
-            "chunk {g} must yield one result per cell"
-        );
-        for (&cell, (t, c)) in chunks[g].iter().zip(outs) {
+        let mut outs = outs.into_iter();
+        for &cell in chunks[g].as_ref() {
+            let (t, c) = outs
+                .next()
+                .unwrap_or_else(|| panic!("chunk {g} must yield one result per cell"));
             cycles += c;
             assert!(
                 slots[cell].replace(t).is_none(),
                 "cell {cell} appears in more than one chunk"
             );
         }
+        assert!(
+            outs.next().is_none(),
+            "chunk {g} must yield one result per cell"
+        );
     }
     meter.add_cycles(cycles);
     let results = slots
@@ -434,7 +431,7 @@ where
         results,
         rate: meter.finish(),
         workers,
-        lanes: 0,
+        lanes: chunks.iter().map(|c| c.as_ref().len()).max().unwrap_or(0) as u64,
         sampled_segments: 0,
     }
 }
@@ -450,158 +447,141 @@ pub fn microbench_cell(cfg: SocConfig, kernel: &str, scale: u32) -> Option<RunRe
     Some(Soc::new(cfg).run_program(0, &prog, u64::MAX))
 }
 
-fn microbench_figure(
-    title: &str,
-    sim_models: Vec<SocConfig>,
-    hw: SocConfig,
-    scale: u32,
-    par: Parallelism,
-) -> FigureData {
-    let kernels = microbench::evaluated();
-    // Grid: kernel-major over [hw, sim_models...]; one cell = one
-    // (kernel, platform) simulation.
-    let mut platforms = vec![hw.clone()];
-    platforms.extend(sim_models.iter().cloned());
-    preflight_platforms(&platforms);
-    let np = platforms.len();
-    let sweep = run_grid_metered(kernels.len() * np, par, |i| {
-        let prog = kernels[i / np].build(scale);
-        let mut soc = Soc::new(platforms[i % np].clone());
-        let rep = soc.run_program(0, &prog, u64::MAX);
-        assert_eq!(rep.exit_code, Some(0), "microbenchmark must exit cleanly");
-        (rep.seconds, rep.cycles)
-    });
-    let mut series: Vec<Series> = sim_models
-        .iter()
-        .map(|m| Series {
-            name: m.name.clone(),
-            points: Vec::new(),
-        })
-        .collect();
-    for (ki, k) in kernels.iter().enumerate() {
-        let t_hw = sweep.results[ki * np];
-        for (si, s) in series.iter_mut().enumerate() {
-            let t_sim = sweep.results[ki * np + 1 + si];
-            s.points
-                .push((k.name.to_string(), relative_speedup(t_hw, t_sim)));
+/// The MPI workloads the figures time, sized by [`Sizes`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MpiWork {
+    Cg,
+    Ep,
+    Is,
+    Mg,
+    Ume,
+    Lj,
+    Chain,
+}
+
+/// The one `Sizes` → workload-config mapping: every figure cell, scalar
+/// run or lane recording, sizes its workload here.
+impl Sizes {
+    fn cg(&self) -> cg::CgConfig {
+        cg::CgConfig {
+            n: self.cg_n,
+            nnz_per_row: 11,
+            iters: self.cg_iters,
         }
     }
-    FigureData {
-        title: title.to_string(),
-        note: Some(format!(
-            "39 kernels (CRm excluded, as in the paper); relative speedup vs {} (1.0 = match); scale {scale}; {}",
-            hw.name,
-            sweep.describe()
-        )),
-        series,
+
+    fn ep(&self, ranks: usize) -> ep::EpConfig {
+        ep::EpConfig {
+            pairs_per_rank: self.ep_pairs / ranks as u64,
+        }
+    }
+
+    fn is(&self, ranks: usize) -> is::IsConfig {
+        is::IsConfig {
+            keys_per_rank: self.is_keys / ranks,
+            max_key: (self.is_keys as u32 / 2).max(1024),
+            iterations: 1,
+        }
+    }
+
+    fn mg(&self) -> mg::MgConfig {
+        mg::MgConfig {
+            n: self.mg_n,
+            levels: 3,
+            cycles: self.mg_cycles,
+        }
+    }
+
+    fn ume(&self) -> UmeConfig {
+        UmeConfig {
+            n: self.ume_n,
+            passes: 2,
+        }
+    }
+
+    fn lj(&self) -> LjConfig {
+        LjConfig {
+            cells: self.lj_cells,
+            steps: self.md_steps,
+            ..LjConfig::default()
+        }
+    }
+
+    fn chain(&self) -> ChainConfig {
+        ChainConfig {
+            cells: self.chain_cells,
+            chain_len: self.chain_cells,
+            steps: self.md_steps,
+            ..ChainConfig::default()
+        }
     }
 }
 
-/// **Figure 1**: MicroBench relative performance of the Banana Pi Sim
-/// Model and Fast Banana Pi Sim Model, normalized by Banana Pi hardware.
-pub fn fig1_microbench_rocket(scale: u32) -> FigureData {
-    fig1_microbench_rocket_par(scale, Parallelism::Sequential)
-}
+impl MpiWork {
+    /// The NPB kernels of Figures 3–4, in plotted order.
+    pub const NPB: [MpiWork; 4] = [MpiWork::Cg, MpiWork::Ep, MpiWork::Is, MpiWork::Mg];
 
-/// [`fig1_microbench_rocket`] with an explicit sweep-parallelism knob.
-pub fn fig1_microbench_rocket_par(scale: u32, par: Parallelism) -> FigureData {
-    microbench_figure(
-        "Figure 1: MicroBench — Rocket models vs Banana Pi hardware",
-        vec![configs::banana_pi_sim(1), configs::fast_banana_pi_sim(1)],
-        configs::banana_pi_hw(1),
-        scale,
-        par,
-    )
-}
+    /// Point label on NPB figures; also what tells two workloads of one
+    /// grid apart when cells are grouped onto shared recordings.
+    pub fn label(self) -> &'static str {
+        match self {
+            MpiWork::Cg => "CG",
+            MpiWork::Ep => "EP",
+            MpiWork::Is => "IS",
+            MpiWork::Mg => "MG",
+            MpiWork::Ume => "UME",
+            MpiWork::Lj => "LJ",
+            MpiWork::Chain => "Chain",
+        }
+    }
 
-/// **Figure 2**: MicroBench relative performance of Small/Medium/Large
-/// BOOM and the tuned MILK-V Sim Model, normalized by MILK-V hardware.
-pub fn fig2_microbench_boom(scale: u32) -> FigureData {
-    fig2_microbench_boom_par(scale, Parallelism::Sequential)
-}
+    /// One full timing run on `cfg`, returning the simulated cycles.
+    /// This is the scalar reference every lane replay of
+    /// [`MpiWork::record`]'s trace must match bit for bit.
+    pub fn run(self, sizes: &Sizes, cfg: SocConfig, ranks: usize) -> u64 {
+        let net = NetConfig::shared_memory();
+        let report = match self {
+            MpiWork::Cg => cg::run(cfg, ranks, sizes.cg(), net).report,
+            MpiWork::Ep => ep::run(cfg, ranks, sizes.ep(ranks), net).report,
+            MpiWork::Is => {
+                let platform = cfg.name.clone();
+                let r = is::run(cfg, ranks, sizes.is(ranks), net);
+                assert!(r.sorted, "IS must verify on {platform}");
+                r.report
+            }
+            MpiWork::Mg => mg::run(cfg, ranks, sizes.mg(), net).report,
+            MpiWork::Ume => ume::run(cfg, ranks, sizes.ume(), net).report,
+            MpiWork::Lj => lj::run(cfg, ranks, sizes.lj(), net).report,
+            MpiWork::Chain => chain::run(cfg, ranks, sizes.chain(), net).report,
+        };
+        report.run.cycles
+    }
 
-/// [`fig2_microbench_boom`] with an explicit sweep-parallelism knob.
-pub fn fig2_microbench_boom_par(scale: u32, par: Parallelism) -> FigureData {
-    microbench_figure(
-        "Figure 2: MicroBench — BOOM models vs MILK-V hardware",
-        vec![
-            configs::small_boom(1),
-            configs::medium_boom(1),
-            configs::large_boom(1),
-            configs::milkv_sim(1),
-        ],
-        configs::milkv_hw(1),
-        scale,
-        par,
-    )
+    /// The timing-free recording of the same problem [`MpiWork::run`]
+    /// times, shareable by every config with `cfg`'s trace-shaping knobs.
+    pub fn record(self, sizes: &Sizes, cfg: SocConfig, ranks: usize) -> WorldTrace {
+        let net = NetConfig::shared_memory();
+        match self {
+            MpiWork::Cg => cg::record(cfg, ranks, sizes.cg(), net).1,
+            MpiWork::Ep => ep::record(cfg, ranks, sizes.ep(ranks), net).1,
+            MpiWork::Is => {
+                let platform = cfg.name.clone();
+                let (r, trace) = is::record(cfg, ranks, sizes.is(ranks), net);
+                assert!(r.sorted, "IS must verify on {platform}");
+                trace
+            }
+            MpiWork::Mg => mg::record(cfg, ranks, sizes.mg(), net).1,
+            MpiWork::Ume => ume::record(cfg, ranks, sizes.ume(), net).1,
+            MpiWork::Lj => lj::record(cfg, ranks, sizes.lj(), net).1,
+            MpiWork::Chain => chain::record(cfg, ranks, sizes.chain(), net).1,
+        }
+    }
 }
 
 /// Runs the four NPB kernels on one platform, returning seconds per
 /// benchmark in `[CG, EP, IS, MG]` order.
 pub fn npb_seconds(cfg: SocConfig, ranks: usize, sizes: Sizes) -> [f64; 4] {
-    npb_run(cfg, ranks, sizes).0
-}
-
-/// [`npb_seconds`] plus the total simulated cycles across the four
-/// kernels, for sweep-rate aggregation.
-fn npb_run(cfg: SocConfig, ranks: usize, sizes: Sizes) -> ([f64; 4], u64) {
-    let net = NetConfig::shared_memory();
-    let freq = cfg.freq_ghz;
-    let sec = |cycles: u64| cycles as f64 / (freq * 1e9);
-    let cg_r = cg::run(
-        cfg.clone(),
-        ranks,
-        cg::CgConfig {
-            n: sizes.cg_n,
-            nnz_per_row: 11,
-            iters: sizes.cg_iters,
-        },
-        net,
-    );
-    let ep_r = ep::run(
-        cfg.clone(),
-        ranks,
-        ep::EpConfig {
-            pairs_per_rank: sizes.ep_pairs / ranks as u64,
-        },
-        net,
-    );
-    let is_r = is::run(
-        cfg.clone(),
-        ranks,
-        is::IsConfig {
-            keys_per_rank: sizes.is_keys / ranks,
-            max_key: (sizes.is_keys as u32 / 2).max(1024),
-            iterations: 1,
-        },
-        net,
-    );
-    assert!(is_r.sorted, "IS must verify on {}", cfg.name);
-    let mg_r = mg::run(
-        cfg.clone(),
-        ranks,
-        mg::MgConfig {
-            n: sizes.mg_n,
-            levels: 3,
-            cycles: sizes.mg_cycles,
-        },
-        net,
-    );
-    let cycles = [
-        cg_r.report.run.cycles,
-        ep_r.report.run.cycles,
-        is_r.report.run.cycles,
-        mg_r.report.run.cycles,
-    ];
-    (
-        [
-            sec(cycles[0]),
-            sec(cycles[1]),
-            sec(cycles[2]),
-            sec(cycles[3]),
-        ],
-        cycles.iter().sum(),
-    )
+    MpiWork::NPB.map(|w| cfg.seconds(w.run(&sizes, cfg.clone(), ranks)))
 }
 
 /// **E8 (Figure 4), instrumented**: runs NPB CG on `cfg` with telemetry
@@ -610,292 +590,449 @@ fn npb_run(cfg: SocConfig, ranks: usize, sizes: Sizes) -> ([f64; 4], u64) {
 /// is the observability path behind `examples/telemetry_gap.rs`.
 pub fn cg_telemetry(cfg: SocConfig, ranks: usize, sizes: Sizes) -> TelemetrySnapshot {
     let cfg = cfg.with_telemetry(TelemetryConfig::counters());
-    let r = cg::run(
-        cfg,
-        ranks,
-        cg::CgConfig {
-            n: sizes.cg_n,
-            nnz_per_row: 11,
-            iters: sizes.cg_iters,
-        },
-        NetConfig::shared_memory(),
-    );
+    let r = cg::run(cfg, ranks, sizes.cg(), NetConfig::shared_memory());
     r.report
         .run
         .telemetry
         .expect("telemetry enabled on the SoC config")
 }
 
-const NPB_NAMES: [&str; 4] = ["CG", "EP", "IS", "MG"];
+/// A catalog platform constructor (`configs::rocket1`, …), applied to a
+/// cell's MPI rank count.
+pub type Platform = fn(usize) -> SocConfig;
 
-fn npb_figure(
-    title: &str,
-    sim_models: Vec<SocConfig>,
-    hw: SocConfig,
-    ranks: usize,
-    sizes: Sizes,
-    par: Parallelism,
-) -> FigureData {
-    // Grid: one cell per platform, hardware reference first.
-    let mut platforms = vec![hw.clone()];
-    platforms.extend(sim_models.iter().cloned());
-    preflight_platforms(&platforms);
-    let sweep = run_grid_metered(platforms.len(), par, |i| {
-        npb_run(platforms[i].clone(), ranks, sizes)
-    });
-    let hw_secs = sweep.results[0];
-    let series = sim_models
+/// What a subfigure sweeps and how its seconds become series.
+enum Family {
+    /// Figures 1–2: every evaluated MicroBench kernel on one core; one
+    /// series per sim model, relative to `hw`.
+    Micro {
+        hw: Platform,
+        sims: &'static [Platform],
+    },
+    /// Figures 3–4: the four NPB kernels at one rank count; one series
+    /// per sim model, relative to `hw`.
+    Npb {
+        hw: Platform,
+        sims: &'static [Platform],
+        ranks: usize,
+    },
+    /// Figures 5–7: one application on [`APP_PLATFORMS`] ×
+    /// [`APP_RANKS`]; `note` describes the problem size.
+    App {
+        work: MpiWork,
+        note: fn(&Sizes) -> String,
+    },
+}
+
+/// One paper subfigure, as data. [`FIGURES`] is the only place that
+/// names a figure's key, title and platforms; scalar and lane sweeps,
+/// the service and the dist workers all read it.
+pub struct FigureSpec {
+    /// The `bsim fig <id>` this subfigure belongs to.
+    pub id: &'static str,
+    /// Stable key (`fig3a`, `fig4b4`, …): the `CkptStore` cell name a
+    /// resumed run looks up and part of the service's store keys, so
+    /// renaming one invalidates old checkpoints.
+    pub key: &'static str,
+    /// Title (e.g. "Figure 1: MicroBench — Rocket models vs Banana Pi hardware").
+    pub title: &'static str,
+    family: Family,
+}
+
+/// Figures 5–7 run on both hardware/model pairs at these rank counts.
+const APP_RANKS: [usize; 3] = [1, 2, 4];
+const APP_PLATFORMS: [(&str, Platform); 4] = [
+    ("Banana Pi (hw)", configs::banana_pi_hw),
+    ("Banana Pi Sim Model", configs::banana_pi_sim),
+    ("MILK-V (hw)", configs::milkv_hw),
+    ("MILK-V Sim Model", configs::milkv_sim),
+];
+/// `(hw, sim, label)` rows of [`APP_PLATFORMS`] behind each
+/// relative-speedup series.
+const APP_PAIRS: [(usize, usize, &str); 2] = [(0, 1, "Banana Pi"), (2, 3, "MILK-V")];
+
+const ROCKET_SIMS: &[Platform] = &[
+    configs::rocket1,
+    configs::rocket2,
+    configs::banana_pi_sim,
+    configs::fast_banana_pi_sim,
+];
+const TUNED_BOOM_SIMS: &[Platform] = &[configs::large_boom, configs::milkv_sim];
+
+/// Every subfigure of the paper's evaluation, in plan order.
+pub static FIGURES: [FigureSpec; 10] = [
+    FigureSpec {
+        id: "1",
+        key: "fig1",
+        title: "Figure 1: MicroBench — Rocket models vs Banana Pi hardware",
+        family: Family::Micro {
+            hw: configs::banana_pi_hw,
+            sims: &[configs::banana_pi_sim, configs::fast_banana_pi_sim],
+        },
+    },
+    FigureSpec {
+        id: "2",
+        key: "fig2",
+        title: "Figure 2: MicroBench — BOOM models vs MILK-V hardware",
+        family: Family::Micro {
+            hw: configs::milkv_hw,
+            sims: &[
+                configs::small_boom,
+                configs::medium_boom,
+                configs::large_boom,
+                configs::milkv_sim,
+            ],
+        },
+    },
+    FigureSpec {
+        id: "3",
+        key: "fig3a",
+        title: "Figure 3a: NPB — Rocket models vs Banana Pi (1 ranks)",
+        family: Family::Npb {
+            hw: configs::banana_pi_hw,
+            sims: ROCKET_SIMS,
+            ranks: 1,
+        },
+    },
+    FigureSpec {
+        id: "3",
+        key: "fig3b",
+        title: "Figure 3b: NPB — Rocket models vs Banana Pi (4 ranks)",
+        family: Family::Npb {
+            hw: configs::banana_pi_hw,
+            sims: ROCKET_SIMS,
+            ranks: 4,
+        },
+    },
+    FigureSpec {
+        id: "4",
+        key: "fig4a",
+        title: "Figure 4a: NPB — stock BOOM configs vs MILK-V (1 ranks)",
+        family: Family::Npb {
+            hw: configs::milkv_hw,
+            sims: &[
+                configs::small_boom,
+                configs::medium_boom,
+                configs::large_boom,
+            ],
+            ranks: 1,
+        },
+    },
+    FigureSpec {
+        id: "4",
+        key: "fig4b1",
+        title: "Figure 4b: NPB — tuned MILK-V Sim Model vs MILK-V (1 ranks)",
+        family: Family::Npb {
+            hw: configs::milkv_hw,
+            sims: TUNED_BOOM_SIMS,
+            ranks: 1,
+        },
+    },
+    FigureSpec {
+        id: "4",
+        key: "fig4b4",
+        title: "Figure 4b: NPB — tuned MILK-V Sim Model vs MILK-V (4 ranks)",
+        family: Family::Npb {
+            hw: configs::milkv_hw,
+            sims: TUNED_BOOM_SIMS,
+            ranks: 4,
+        },
+    },
+    FigureSpec {
+        id: "5",
+        key: "fig5",
+        title: "Figure 5: UME — simulation models vs hardware",
+        family: Family::App {
+            work: MpiWork::Ume,
+            note: |s| {
+                format!(
+                    "{0}^3-zone mesh (paper: 32^3), kernels: gather + inverted + face-area",
+                    s.ume_n
+                )
+            },
+        },
+    },
+    FigureSpec {
+        id: "6",
+        key: "fig6",
+        title: "Figure 6: LAMMPS LJ melt — simulation models vs hardware",
+        family: Family::App {
+            work: MpiWork::Lj,
+            note: |s| {
+                format!(
+                    "{} atoms, {} steps (paper: 32,000 atoms, 100 steps)",
+                    4 * s.lj_cells.pow(3),
+                    s.md_steps
+                )
+            },
+        },
+    },
+    FigureSpec {
+        id: "7",
+        key: "fig7",
+        title: "Figure 7: LAMMPS Chain — simulation models vs hardware",
+        family: Family::App {
+            work: MpiWork::Chain,
+            note: |s| {
+                format!(
+                    "{} beads, {} steps (paper: 32,000 atoms, 100 steps)",
+                    s.chain_cells.pow(3),
+                    s.md_steps
+                )
+            },
+        },
+    },
+];
+
+/// The figure ids `bsim fig` and the service accept, in CLI order.
+pub const FIGURE_IDS: [&str; 7] = ["1", "2", "3", "4", "5", "6", "7"];
+
+/// The subfigures of figure `id` in plan order; empty for an unknown id.
+pub fn subfigures(id: &str) -> impl Iterator<Item = &'static FigureSpec> + '_ {
+    FIGURES.iter().filter(move |f| f.id == id)
+}
+
+/// The subfigure with stable key `key` (`fig3a`, …). Panics on a key
+/// that is not in [`FIGURES`].
+pub fn figure(key: &str) -> &'static FigureSpec {
+    FIGURES
         .iter()
-        .enumerate()
-        .map(|(si, m)| Series {
-            name: m.name.clone(),
-            points: NPB_NAMES
-                .iter()
-                .zip(sweep.results[si + 1].iter().zip(hw_secs.iter()))
-                .map(|(n, (sim, hw))| (n.to_string(), relative_speedup(*hw, *sim)))
-                .collect(),
-        })
-        .collect();
-    FigureData {
-        title: title.to_string(),
-        note: Some(format!(
-            "{ranks} MPI rank(s); relative speedup vs {} (1.0 = match); {}",
-            hw.name,
-            sweep.describe()
-        )),
-        series,
-    }
+        .find(|f| f.key == key)
+        .unwrap_or_else(|| panic!("unknown subfigure key {key}"))
 }
 
-/// **Figure 3** (a: 1 rank, b: 4 ranks): NPB on the Rocket-family
-/// models vs Banana Pi hardware.
-pub fn fig3_npb_rocket(ranks: usize, sizes: Sizes) -> FigureData {
-    fig3_npb_rocket_par(ranks, sizes, Parallelism::Sequential)
+/// What one grid cell simulates.
+#[derive(Clone, Copy)]
+pub enum Work {
+    /// A single-core MicroBench program.
+    Micro(MicroKernel),
+    /// An MPI workload over as many ranks as the cell's platform has cores.
+    Mpi(MpiWork),
 }
 
-/// [`fig3_npb_rocket`] with an explicit sweep-parallelism knob.
-pub fn fig3_npb_rocket_par(ranks: usize, sizes: Sizes, par: Parallelism) -> FigureData {
-    npb_figure(
-        &format!(
-            "Figure 3{}: NPB — Rocket models vs Banana Pi ({ranks} ranks)",
-            if ranks == 1 { "a" } else { "b" }
-        ),
-        vec![
-            configs::rocket1(ranks),
-            configs::rocket2(ranks),
-            configs::banana_pi_sim(ranks),
-            configs::fast_banana_pi_sim(ranks),
-        ],
-        configs::banana_pi_hw(ranks),
-        ranks,
-        sizes,
-        par,
-    )
-}
-
-/// **Figure 4a**: NPB on stock Small/Medium/Large BOOM vs MILK-V.
-pub fn fig4a_npb_boom(ranks: usize, sizes: Sizes) -> FigureData {
-    fig4a_npb_boom_par(ranks, sizes, Parallelism::Sequential)
-}
-
-/// [`fig4a_npb_boom`] with an explicit sweep-parallelism knob.
-pub fn fig4a_npb_boom_par(ranks: usize, sizes: Sizes, par: Parallelism) -> FigureData {
-    npb_figure(
-        &format!("Figure 4a: NPB — stock BOOM configs vs MILK-V ({ranks} ranks)"),
-        vec![
-            configs::small_boom(ranks),
-            configs::medium_boom(ranks),
-            configs::large_boom(ranks),
-        ],
-        configs::milkv_hw(ranks),
-        ranks,
-        sizes,
-        par,
-    )
-}
-
-/// **Figure 4b**: NPB on the tuned MILK-V Sim Model vs MILK-V.
-pub fn fig4b_npb_boom(ranks: usize, sizes: Sizes) -> FigureData {
-    fig4b_npb_boom_par(ranks, sizes, Parallelism::Sequential)
-}
-
-/// [`fig4b_npb_boom`] with an explicit sweep-parallelism knob.
-pub fn fig4b_npb_boom_par(ranks: usize, sizes: Sizes, par: Parallelism) -> FigureData {
-    npb_figure(
-        &format!("Figure 4b: NPB — tuned MILK-V Sim Model vs MILK-V ({ranks} ranks)"),
-        vec![configs::large_boom(ranks), configs::milkv_sim(ranks)],
-        configs::milkv_hw(ranks),
-        ranks,
-        sizes,
-        par,
-    )
-}
-
-/// Runtime matrix for an app benchmark over 1/2/4 ranks on the two
-/// platform pairs, as Figures 5–7 report. `run_on` returns the target
-/// runtime in seconds plus the simulated cycles (for rate aggregation).
-fn app_figure(
-    title: &str,
-    note: &str,
-    par: Parallelism,
-    run_on: impl Fn(SocConfig, usize) -> (f64, u64) + Sync,
-) -> FigureData {
-    let rank_counts = [1usize, 2, 4];
-    let mut series = Vec::new();
-    type PlatformMaker = (&'static str, fn(usize) -> SocConfig);
-    let platforms: [PlatformMaker; 4] = [
-        ("Banana Pi (hw)", configs::banana_pi_hw),
-        ("Banana Pi Sim Model", configs::banana_pi_sim),
-        ("MILK-V (hw)", configs::milkv_hw),
-        ("MILK-V Sim Model", configs::milkv_sim),
-    ];
-    // Preflight every (platform, rank) config the grid will build.
-    let grid_cfgs: Vec<SocConfig> = platforms
-        .iter()
-        .flat_map(|(_, make)| rank_counts.iter().map(move |&r| make(r)))
-        .collect();
-    preflight_platforms(&grid_cfgs);
-    // Grid: platform-major × rank-count, 12 independent cells.
-    let sweep = run_grid_metered(platforms.len() * rank_counts.len(), par, |i| {
-        let (_, make) = platforms[i / rank_counts.len()];
-        let r = rank_counts[i % rank_counts.len()];
-        run_on(make(r), r)
-    });
-    let mut seconds = vec![Vec::new(); 4];
-    for (pi, (name, _)) in platforms.iter().enumerate() {
-        let mut points = Vec::new();
-        for (k, &r) in rank_counts.iter().enumerate() {
-            let s = sweep.results[pi * rank_counts.len() + k];
-            seconds[pi].push(s);
-            points.push((format!("{r} ranks"), s));
+impl Work {
+    /// The cell's point label (kernel or benchmark name), unique per
+    /// workload within one grid.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Work::Micro(k) => k.name,
+            Work::Mpi(w) => w.label(),
         }
-        series.push(Series {
-            name: format!("{name} runtime [s]"),
-            points,
-        });
     }
-    // Relative-speedup series per platform pair (the figures' y-axis).
-    for (hw_i, sim_i, pair) in [(0usize, 1usize, "Banana Pi"), (2, 3, "MILK-V")] {
-        let points = rank_counts
+}
+
+/// One simulation of a subfigure's grid.
+#[derive(Clone, Copy)]
+pub struct GridCell {
+    /// Index into [`FigureGrid::platforms`]; the platform's core count
+    /// is the cell's MPI rank count.
+    pub platform: usize,
+    /// The workload.
+    pub work: Work,
+}
+
+/// A subfigure instantiated at concrete [`Sizes`]: the platform configs
+/// it builds and its cells in result order. How the cells get their
+/// cycles is the executor's business ([`FigureGrid::run`] for scalar
+/// cells, `bsim_sweepx::run_lanes` for record-once/replay-N lane
+/// groups); the grid layout, the note and the series assembly are not.
+pub struct FigureGrid {
+    spec: &'static FigureSpec,
+    /// The workload sizes every cell runs at.
+    pub sizes: Sizes,
+    /// Every platform config the grid instantiates, hardware reference
+    /// first for Figures 1–4.
+    pub platforms: Vec<SocConfig>,
+    /// The cells, in result order.
+    pub cells: Vec<GridCell>,
+}
+
+impl FigureSpec {
+    /// Lays the subfigure's grid out at `sizes`.
+    pub fn grid(&'static self, sizes: Sizes) -> FigureGrid {
+        // Figures 1–4, workload-major over [hw, sims...]: row `w` of the
+        // results is workload `w` on every platform, hardware first.
+        let vs_hw = |hw: Platform, sims: &[Platform], ranks: usize, works: Vec<Work>| {
+            let mut platforms = vec![hw(ranks)];
+            platforms.extend(sims.iter().map(|make| make(ranks)));
+            let cells = works
+                .iter()
+                .flat_map(|&work| {
+                    (0..platforms.len()).map(move |platform| GridCell { platform, work })
+                })
+                .collect();
+            (platforms, cells)
+        };
+        let (platforms, cells) = match self.family {
+            Family::Micro { hw, sims } => {
+                let kernels = microbench::evaluated().into_iter().map(Work::Micro);
+                vs_hw(hw, sims, 1, kernels.collect())
+            }
+            Family::Npb { hw, sims, ranks } => {
+                vs_hw(hw, sims, ranks, MpiWork::NPB.map(Work::Mpi).to_vec())
+            }
+            // Figures 5–7, platform-major × rank count: one config and
+            // one cell per (platform, ranks).
+            Family::App { work, .. } => {
+                let platforms: Vec<SocConfig> = APP_PLATFORMS
+                    .iter()
+                    .flat_map(|(_, make)| APP_RANKS.map(make))
+                    .collect();
+                let work = Work::Mpi(work);
+                let cells = (0..platforms.len())
+                    .map(|platform| GridCell { platform, work })
+                    .collect();
+                (platforms, cells)
+            }
+        };
+        FigureGrid {
+            spec: self,
+            sizes,
+            platforms,
+            cells,
+        }
+    }
+
+    /// The subfigure at `sizes`, one scalar simulation per cell.
+    pub fn run(&'static self, sizes: Sizes, par: Parallelism) -> FigureData {
+        self.grid(sizes).run(par)
+    }
+}
+
+impl FigureGrid {
+    /// The platform config cell `i` runs on.
+    pub fn cfg(&self, i: usize) -> &SocConfig {
+        &self.platforms[self.cells[i].platform]
+    }
+
+    /// Simulates cell `i` on its own, returning the simulated cycles —
+    /// the scalar reference lane replays are bit-identical to.
+    fn run_cell(&self, i: usize) -> u64 {
+        let cfg = self.cfg(i).clone();
+        match self.cells[i].work {
+            Work::Micro(kernel) => {
+                let prog = kernel.build(self.sizes.micro_scale);
+                let rep = Soc::new(cfg).run_program(0, &prog, u64::MAX);
+                assert_eq!(rep.exit_code, Some(0), "microbenchmark must exit cleanly");
+                rep.cycles
+            }
+            Work::Mpi(work) => {
+                let ranks = cfg.cores;
+                work.run(&self.sizes, cfg, ranks)
+            }
+        }
+    }
+
+    /// The figure with every cell simulated on its own.
+    pub fn run(&self, par: Parallelism) -> FigureData {
+        self.run_chunked(
+            par,
+            &singleton_chunks(self.cells.len()),
+            |cell| vec![(self.run_cell(cell[0]), ())],
+            |_| String::new(),
+        )
+    }
+
+    /// Runs the grid `chunks` at a time and assembles the figure. `exec`
+    /// gets one chunk's cell indices and returns, per cell and in chunk
+    /// order, its simulated cycles plus whatever else the executor
+    /// tracks; `tail` turns the finished sweep into the executor's
+    /// suffix of the figure note.
+    pub fn run_chunked<C, S>(
+        &self,
+        par: Parallelism,
+        chunks: &[C],
+        exec: impl Fn(&[usize]) -> Vec<(u64, S)> + Sync,
+        tail: impl FnOnce(&SweepRun<(f64, S)>) -> String,
+    ) -> FigureData
+    where
+        C: AsRef<[usize]> + Sync,
+        S: Send,
+    {
+        preflight_platforms(&self.platforms);
+        let sweep = run_grid_chunks_metered(chunks, par, |_, cells| {
+            cells
+                .iter()
+                .zip(exec(cells))
+                .map(|(&i, (cycles, extra))| ((self.cfg(i).seconds(cycles), extra), cycles))
+                .collect::<Vec<_>>()
+        });
+        let secs: Vec<f64> = sweep.results.iter().map(|(s, _)| *s).collect();
+        FigureData {
+            title: self.spec.title.to_string(),
+            note: Some(format!(
+                "{}; {}{}",
+                self.note_head(),
+                sweep.describe(),
+                tail(&sweep)
+            )),
+            series: self.series(&secs),
+        }
+    }
+
+    fn note_head(&self) -> String {
+        match self.spec.family {
+            Family::Micro { .. } => format!(
+                "39 kernels (CRm excluded, as in the paper); relative speedup vs {} (1.0 = match); scale {}",
+                self.platforms[0].name, self.sizes.micro_scale
+            ),
+            Family::Npb { ranks, .. } => format!(
+                "{ranks} MPI rank(s); relative speedup vs {} (1.0 = match)",
+                self.platforms[0].name
+            ),
+            Family::App { note, .. } => note(&self.sizes),
+        }
+    }
+
+    /// Per-cell seconds (grid order) → the plotted series.
+    fn series(&self, secs: &[f64]) -> Vec<Series> {
+        if let Family::App { .. } = self.spec.family {
+            return app_series(secs);
+        }
+        // One series per sim model; one point per workload row, relative
+        // to the row's hardware cell.
+        let np = self.platforms.len();
+        self.platforms[1..]
             .iter()
             .enumerate()
-            .map(|(k, r)| {
-                (
-                    format!("{r} ranks"),
-                    relative_speedup(seconds[hw_i][k], seconds[sim_i][k]),
-                )
+            .map(|(si, model)| Series {
+                name: model.name.clone(),
+                points: secs
+                    .chunks(np)
+                    .zip(self.cells.iter().step_by(np))
+                    .map(|(row, cell)| {
+                        let rel = relative_speedup(row[0], row[1 + si]);
+                        (cell.work.label().to_string(), rel)
+                    })
+                    .collect(),
             })
-            .collect();
-        series.push(Series {
-            name: format!("{pair} rel. speedup"),
-            points,
+            .collect()
+    }
+}
+
+/// Figures 5–7: a runtime series per platform over 1/2/4 ranks, then a
+/// relative-speedup series per hardware/model pair (the figures' y-axis).
+fn app_series(secs: &[f64]) -> Vec<Series> {
+    let per_platform: Vec<&[f64]> = secs.chunks(APP_RANKS.len()).collect();
+    let points = |value: &dyn Fn(usize) -> f64| -> Vec<(String, f64)> {
+        APP_RANKS
+            .iter()
+            .enumerate()
+            .map(|(k, r)| (format!("{r} ranks"), value(k)))
+            .collect()
+    };
+    let runtimes = APP_PLATFORMS
+        .iter()
+        .zip(&per_platform)
+        .map(|((name, _), row)| Series {
+            name: format!("{name} runtime [s]"),
+            points: points(&|k| row[k]),
         });
-    }
-    FigureData {
-        title: title.to_string(),
-        note: Some(format!("{note}; {}", sweep.describe())),
-        series,
-    }
-}
-
-/// **Figure 5**: UME runtimes and relative speedups, 1/2/4 ranks.
-pub fn fig5_ume(sizes: Sizes) -> FigureData {
-    fig5_ume_par(sizes, Parallelism::Sequential)
-}
-
-/// [`fig5_ume`] with an explicit sweep-parallelism knob.
-pub fn fig5_ume_par(sizes: Sizes, par: Parallelism) -> FigureData {
-    app_figure(
-        "Figure 5: UME — simulation models vs hardware",
-        &format!(
-            "{0}^3-zone mesh (paper: 32^3), kernels: gather + inverted + face-area",
-            sizes.ume_n
-        ),
-        par,
-        |cfg, ranks| {
-            let freq = cfg.freq_ghz;
-            let r = ume::run(
-                cfg,
-                ranks,
-                UmeConfig {
-                    n: sizes.ume_n,
-                    passes: 2,
-                },
-                NetConfig::shared_memory(),
-            );
-            let cycles = r.report.run.cycles;
-            (cycles as f64 / (freq * 1e9), cycles)
-        },
-    )
-}
-
-/// **Figure 6**: LAMMPS Lennard-Jones melt runtimes and relative
-/// speedups, 1/2/4 ranks.
-pub fn fig6_lammps_lj(sizes: Sizes) -> FigureData {
-    fig6_lammps_lj_par(sizes, Parallelism::Sequential)
-}
-
-/// [`fig6_lammps_lj`] with an explicit sweep-parallelism knob.
-pub fn fig6_lammps_lj_par(sizes: Sizes, par: Parallelism) -> FigureData {
-    app_figure(
-        "Figure 6: LAMMPS LJ melt — simulation models vs hardware",
-        &format!(
-            "{} atoms, {} steps (paper: 32,000 atoms, 100 steps)",
-            4 * sizes.lj_cells.pow(3),
-            sizes.md_steps
-        ),
-        par,
-        |cfg, ranks| {
-            let freq = cfg.freq_ghz;
-            let r = lj::run(
-                cfg,
-                ranks,
-                LjConfig {
-                    cells: sizes.lj_cells,
-                    steps: sizes.md_steps,
-                    ..LjConfig::default()
-                },
-                NetConfig::shared_memory(),
-            );
-            let cycles = r.report.run.cycles;
-            (cycles as f64 / (freq * 1e9), cycles)
-        },
-    )
-}
-
-/// **Figure 7**: LAMMPS polymer Chain runtimes and relative speedups,
-/// 1/2/4 ranks.
-pub fn fig7_lammps_chain(sizes: Sizes) -> FigureData {
-    fig7_lammps_chain_par(sizes, Parallelism::Sequential)
-}
-
-/// [`fig7_lammps_chain`] with an explicit sweep-parallelism knob.
-pub fn fig7_lammps_chain_par(sizes: Sizes, par: Parallelism) -> FigureData {
-    app_figure(
-        "Figure 7: LAMMPS Chain — simulation models vs hardware",
-        &format!(
-            "{} beads, {} steps (paper: 32,000 atoms, 100 steps)",
-            sizes.chain_cells.pow(3),
-            sizes.md_steps
-        ),
-        par,
-        |cfg, ranks| {
-            let freq = cfg.freq_ghz;
-            let r = chain::run(
-                cfg,
-                ranks,
-                ChainConfig {
-                    cells: sizes.chain_cells,
-                    chain_len: sizes.chain_cells,
-                    steps: sizes.md_steps,
-                    ..ChainConfig::default()
-                },
-                NetConfig::shared_memory(),
-            );
-            let cycles = r.report.run.cycles;
-            (cycles as f64 / (freq * 1e9), cycles)
-        },
-    )
+    let speedups = APP_PAIRS.iter().map(|&(hw, sim, pair)| Series {
+        name: format!("{pair} rel. speedup"),
+        points: points(&|k| relative_speedup(per_platform[hw][k], per_platform[sim][k])),
+    });
+    runtimes.chain(speedups).collect()
 }
 
 /// **Table 4**: the FireSim model catalog as a text table.
@@ -964,45 +1101,6 @@ pub fn table5() -> String {
         ));
     }
     out
-}
-
-/// A keyed subfigure generator: the checkpoint key (`fig3a`, `fig4b4`,
-/// …) plus the deferred computation producing that subfigure.
-pub type Subfigure = (&'static str, Box<dyn Fn() -> FigureData + Send + Sync>);
-
-/// The figure ids `figure_plan` accepts, in CLI order.
-pub const FIGURE_IDS: [&str; 7] = ["1", "2", "3", "4", "5", "6", "7"];
-
-/// The subfigures one `bsim fig <id>` invocation computes, keyed for
-/// checkpoint storage. Returns `None` for an unknown id. Keys are
-/// stable across releases — they are the `CkptStore` cell names a
-/// resumed run looks up — so renaming one invalidates old checkpoints.
-pub fn figure_plan(id: &str, sizes: Sizes, par: Parallelism) -> Option<Vec<Subfigure>> {
-    fn sub(key: &'static str, f: impl Fn() -> FigureData + Send + Sync + 'static) -> Subfigure {
-        (key, Box::new(f))
-    }
-    let plan = match id {
-        "1" => vec![sub("fig1", move || {
-            fig1_microbench_rocket_par(sizes.micro_scale, par)
-        })],
-        "2" => vec![sub("fig2", move || {
-            fig2_microbench_boom_par(sizes.micro_scale, par)
-        })],
-        "3" => vec![
-            sub("fig3a", move || fig3_npb_rocket_par(1, sizes, par)),
-            sub("fig3b", move || fig3_npb_rocket_par(4, sizes, par)),
-        ],
-        "4" => vec![
-            sub("fig4a", move || fig4a_npb_boom_par(1, sizes, par)),
-            sub("fig4b1", move || fig4b_npb_boom_par(1, sizes, par)),
-            sub("fig4b4", move || fig4b_npb_boom_par(4, sizes, par)),
-        ],
-        "5" => vec![sub("fig5", move || fig5_ume_par(sizes, par))],
-        "6" => vec![sub("fig6", move || fig6_lammps_lj_par(sizes, par))],
-        "7" => vec![sub("fig7", move || fig7_lammps_chain_par(sizes, par))],
-        _ => return None,
-    };
-    Some(plan)
 }
 
 /// Assigns `cells` sweep cells to `ranks` workers, round-robin. Unlike
@@ -1147,14 +1245,11 @@ mod tests {
     }
 
     #[test]
-    fn figure_plan_covers_every_figure_with_stable_keys() {
-        let mut keys = Vec::new();
-        for id in FIGURE_IDS {
-            let plan = figure_plan(id, Sizes::smoke(), Parallelism::Sequential)
-                .unwrap_or_else(|| panic!("figure {id} missing from the plan"));
-            assert!(!plan.is_empty());
-            keys.extend(plan.iter().map(|(k, _)| *k));
-        }
+    fn figure_table_covers_every_id_with_stable_keys() {
+        let keys: Vec<&str> = FIGURE_IDS
+            .iter()
+            .flat_map(|id| subfigures(id).map(|f| f.key))
+            .collect();
         assert_eq!(
             keys,
             [
@@ -1163,7 +1258,24 @@ mod tests {
             ],
             "checkpoint keys are a stable on-disk contract"
         );
-        assert!(figure_plan("9", Sizes::smoke(), Parallelism::Sequential).is_none());
+        assert_eq!(keys.len(), FIGURES.len(), "every row belongs to a CLI id");
+        assert_eq!(subfigures("9").count(), 0);
+        assert_eq!(figure("fig4b4").id, "4");
+    }
+
+    #[test]
+    fn chunked_grid_orders_by_cell_and_stamps_the_largest_chunk() {
+        let chunks = vec![vec![3, 0], vec![2], vec![1, 4]];
+        let sweep = run_grid_chunks_metered(&chunks, Parallelism::Workers(2), |g, cells| {
+            cells.iter().map(|&c| ((g, c), 10)).collect::<Vec<_>>()
+        });
+        assert_eq!(sweep.results, [(0, 0), (2, 1), (1, 2), (0, 3), (2, 4)]);
+        assert_eq!(sweep.rate.target_cycles, 50);
+        assert_eq!(sweep.lanes, 2);
+        assert_eq!(
+            run_grid_metered(3, Parallelism::Sequential, |i| (i, 1)).lanes,
+            1
+        );
     }
 
     #[test]
@@ -1192,8 +1304,8 @@ mod tests {
             md_steps: 2,
             ..Sizes::smoke()
         };
-        let seq = fig6_lammps_lj_par(tiny, Parallelism::Sequential);
-        let par = fig6_lammps_lj_par(tiny, Parallelism::Auto);
+        let seq = figure("fig6").run(tiny, Parallelism::Sequential);
+        let par = figure("fig6").run(tiny, Parallelism::Auto);
         assert_eq!(seq.title, par.title);
         assert_eq!(seq.series.len(), par.series.len());
         for (a, b) in seq.series.iter().zip(par.series.iter()) {
@@ -1257,7 +1369,7 @@ mod tests {
     fn fig4b_shape_ep_is_closest_to_parity() {
         // §5.2.2: "the EP benchmark demonstrated near performance parity"
         // while CG/IS/MG run slower on the simulation model.
-        let fig = fig4b_npb_boom(1, Sizes::smoke());
+        let fig = figure("fig4b1").run(Sizes::smoke(), Parallelism::Sequential);
         let milkv = fig
             .series
             .iter()

@@ -48,14 +48,11 @@ pub mod tuning;
 
 pub use campaign::{run_campaign, Scenario, SurvivalMatrix};
 pub use experiments::{
-    partition_cells, run_grid, run_grid_chunks_metered, run_grid_metered, FigureData, Parallelism,
-    Series, SweepRun,
+    partition_cells, run_grid_chunks_metered, run_grid_metered, FigureData, Parallelism, Series,
+    SweepRun,
 };
 pub use metrics::relative_speedup;
-pub use resilient::{
-    run_figure, run_figure_with, run_grid_checkpointed, run_grid_resilient, run_plan_with,
-    ResilientSweep,
-};
+pub use resilient::{run_grid_checkpointed, run_grid_resilient, run_plan_with, ResilientSweep};
 
 // The resilience vocabulary the runners above speak, re-exported so
 // `bsim-core` users don't need a separate `bsim-resilience` import.

@@ -10,17 +10,9 @@ pub fn relative_speedup(hardware_seconds: f64, simulation_seconds: f64) -> f64 {
     hardware_seconds / simulation_seconds
 }
 
-/// Geometric mean (the conventional summary for speedup vectors).
-pub fn geomean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = values.iter().map(|v| v.max(1e-300).ln()).sum();
-    (log_sum / values.len() as f64).exp()
-}
-
 /// Mean absolute deviation from 1.0 — the "how far from a perfect
 /// match" score used by the tuning loop.
+// bsim: allow(AU005) property-tested from tests/proptest_metrics.rs
 pub fn deviation_from_parity(rels: &[f64]) -> f64 {
     if rels.is_empty() {
         return 0.0;
@@ -44,12 +36,6 @@ mod tests {
     #[test]
     fn parity_is_one() {
         assert_eq!(relative_speedup(3.5, 3.5), 1.0);
-    }
-
-    #[test]
-    fn geomean_basics() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
     }
 
     #[test]

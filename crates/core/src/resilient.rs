@@ -1,6 +1,6 @@
 //! Resilient sweep runners: retry, degrade, checkpoint, resume.
 //!
-//! [`crate::run_grid`] keeps the legacy contract — a poisoned cell
+//! [`crate::run_grid_metered`] keeps the legacy contract — a poisoned cell
 //! re-raises its panic after the grid drains. Long sweeps want the
 //! opposite: keep every completed cell, retry the poisoned one with
 //! backoff, and degrade it to a diagnosed failure row instead of
@@ -8,7 +8,7 @@
 //! figure-granular checkpointing so `bsim fig --resume` replays
 //! completed subfigures from disk byte-for-byte.
 
-use crate::experiments::{drain_grid, figure_plan, FigureData, Parallelism, Sizes};
+use crate::experiments::{drain_grid, FigureData, FigureSpec, Parallelism};
 use bsim_resilience::ckpt::CkptStore;
 use bsim_resilience::retry::{CellOutcome, RetryPolicy};
 use bsim_resilience::snapshot::{CkptError, Snapshot};
@@ -55,7 +55,7 @@ impl<T> ResilientSweep<T> {
     }
 }
 
-/// [`crate::run_grid`] that survives poisoned cells: each cell runs
+/// [`crate::run_grid_metered`] that survives poisoned cells: each cell runs
 /// under `policy` (catch + exponential backoff between attempts), and a
 /// cell that fails every attempt degrades to
 /// [`CellOutcome::Failed`] with the panic message as its diagnostic —
@@ -130,59 +130,33 @@ where
     })
 }
 
-/// Runs one `bsim fig <id>` invocation with retry and (optionally)
-/// figure-granular checkpoint/resume. Each subfigure runs under
-/// `policy`; a subfigure that fails every attempt degrades to a
-/// [`CellOutcome::Failed`] row so the remaining subfigures still print.
-/// With a store, completed subfigures are written under their stable
-/// keys (`fig3a`, …) and a resumed run replays them from disk.
-///
-/// Panics on an unknown figure id — callers validate against
-/// [`crate::experiments::FIGURE_IDS`] first (the CLI does).
-pub fn run_figure(
-    id: &str,
-    sizes: Sizes,
-    par: Parallelism,
-    policy: &RetryPolicy,
-    store: Option<&mut CkptStore>,
-) -> Result<Vec<(String, CellOutcome<FigureData>)>, CkptError> {
-    run_figure_with(id, sizes, par, policy, store, |_| {})
-}
-
-/// [`run_figure`] with an `on_ckpt` hook invoked after each newly
-/// completed subfigure is written to the store — the CLI persists the
-/// store to disk there, so a run killed mid-figure still leaves every
-/// finished subfigure resumable.
-pub fn run_figure_with(
-    id: &str,
-    sizes: Sizes,
-    par: Parallelism,
-    policy: &RetryPolicy,
-    store: Option<&mut CkptStore>,
-    on_ckpt: impl FnMut(&CkptStore),
-) -> Result<Vec<(String, CellOutcome<FigureData>)>, CkptError> {
-    let plan = figure_plan(id, sizes, par)
-        .unwrap_or_else(|| panic!("unknown figure id {id}; valid: 1..7"));
-    run_plan_with(plan, policy, store, on_ckpt)
-}
-
-/// Runs an already-built subfigure plan through the retry/checkpoint
-/// machinery. Alternate planners — `bsim-sweepx` builds lane-grouped
-/// plans with the same stable `fig*` keys — share this path, so
-/// `--ckpt`/`--resume` behave identically whether a figure was produced
-/// by scalar cells or multi-lane replay.
+/// Runs a plan of subfigures — `bsim fig <id>` passes
+/// [`crate::experiments::subfigures`]`(id)` — with retry and
+/// (optionally) figure-granular checkpoint/resume. `run` computes one
+/// subfigure: [`FigureSpec::run`] for scalar cells, or a lane-sweep
+/// executor over [`FigureSpec::grid`]; the keys and the store are the
+/// same either way, so `--ckpt`/`--resume` interoperate between them.
+/// Each subfigure runs under `policy`; one that fails every attempt
+/// degrades to a [`CellOutcome::Failed`] row so the remaining
+/// subfigures still print. With a store, completed subfigures are
+/// written under their stable keys (`fig3a`, …) and `on_ckpt` fires
+/// after each write — the CLI persists the store to disk there, so a
+/// run killed mid-figure still leaves every finished subfigure
+/// resumable — while subfigures already in the store are replayed from
+/// it instead of simulated.
 pub fn run_plan_with(
-    plan: Vec<crate::experiments::Subfigure>,
+    plan: impl IntoIterator<Item = &'static FigureSpec>,
+    run: impl Fn(&'static FigureSpec) -> FigureData,
     policy: &RetryPolicy,
     mut store: Option<&mut CkptStore>,
     mut on_ckpt: impl FnMut(&CkptStore),
 ) -> Result<Vec<(String, CellOutcome<FigureData>)>, CkptError> {
-    let mut out = Vec::with_capacity(plan.len());
-    for (fig_key, gen) in plan {
+    let mut out = Vec::new();
+    for spec in plan {
         if let Some(store) = store.as_deref_mut() {
-            if let Some(fig) = store.get::<FigureData>(fig_key)? {
+            if let Some(fig) = store.get::<FigureData>(spec.key)? {
                 out.push((
-                    fig_key.to_string(),
+                    spec.key.to_string(),
                     CellOutcome::Ok {
                         value: fig,
                         attempts: 0,
@@ -191,12 +165,12 @@ pub fn run_plan_with(
                 continue;
             }
         }
-        let outcome = policy.run(&gen);
+        let outcome = policy.run(|| run(spec));
         if let (Some(store), CellOutcome::Ok { value, .. }) = (store.as_deref_mut(), &outcome) {
-            store.put(fig_key, value);
+            store.put(spec.key, value);
             on_ckpt(store);
         }
-        out.push((fig_key.to_string(), outcome));
+        out.push((spec.key.to_string(), outcome));
     }
     Ok(out)
 }
@@ -204,6 +178,7 @@ pub fn run_plan_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{subfigures, Sizes};
     use bsim_telemetry::{Telemetry, TelemetryConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -356,10 +331,10 @@ mod tests {
         };
         let mut store = CkptStore::new();
         let mut saves = 0usize;
-        let first = run_figure_with(
-            "6",
-            tiny,
-            Parallelism::Sequential,
+        let run = |spec: &'static FigureSpec| spec.run(tiny, Parallelism::Sequential);
+        let first = run_plan_with(
+            subfigures("6"),
+            run,
             &RetryPolicy::once(),
             Some(&mut store),
             |_| saves += 1,
@@ -373,12 +348,12 @@ mod tests {
         // from the store (attempts == 0), not re-simulated, and is
         // byte-identical to the first run's.
         let mut reloaded = CkptStore::from_json(&store.to_json()).unwrap();
-        let second = run_figure(
-            "6",
-            tiny,
-            Parallelism::Sequential,
+        let second = run_plan_with(
+            subfigures("6"),
+            run,
             &RetryPolicy::once(),
             Some(&mut reloaded),
+            |_| {},
         )
         .unwrap();
         match (&first[0].1, &second[0].1) {

@@ -12,9 +12,9 @@
 //! tuning Large into the MILK-V Simulation Model.
 
 use crate::metrics::{deviation_from_parity, relative_speedup};
-use bsim_soc::{Soc, SocConfig};
+use bsim_soc::{configs, Soc, SocConfig};
 use bsim_telemetry::{GapReport, TelemetryConfig, TelemetrySnapshot};
-use bsim_workloads::microbench::MicroKernel;
+use bsim_workloads::microbench::{self, MicroKernel};
 use serde::{Deserialize, Serialize};
 
 /// Ranked outcome of a model-selection run.
@@ -51,11 +51,7 @@ impl TuningOutcome {
 
 /// Runs `kernels` back-to-back on a single telemetry-enabled instance of
 /// `cfg` and returns the accumulated counter export.
-pub fn telemetry_profile(
-    cfg: &SocConfig,
-    kernels: &[MicroKernel],
-    scale: u32,
-) -> TelemetrySnapshot {
+fn telemetry_profile(cfg: &SocConfig, kernels: &[MicroKernel], scale: u32) -> TelemetrySnapshot {
     assert!(!kernels.is_empty());
     let mut soc = Soc::new(cfg.clone().with_telemetry(TelemetryConfig::counters()));
     let mut last = None;
@@ -69,12 +65,7 @@ pub fn telemetry_profile(
 
 /// The "which counter moved" step of the §4 loop: profiles both platforms
 /// over the same kernels and ranks every counter by its relative delta.
-pub fn attribute_gap(
-    a: &SocConfig,
-    b: &SocConfig,
-    kernels: &[MicroKernel],
-    scale: u32,
-) -> GapReport {
+fn attribute_gap(a: &SocConfig, b: &SocConfig, kernels: &[MicroKernel], scale: u32) -> GapReport {
     GapReport::between(
         &a.name,
         &telemetry_profile(a, kernels, scale),
@@ -125,11 +116,30 @@ pub fn choose_best_model(
     }
 }
 
+/// The paper's own §4 selection, as `bsim tune`, the service's `tune`
+/// request and the dist workers all run it: eight probe kernels
+/// spanning the MicroBench categories rank the stock Small/Medium/Large
+/// BOOM against the MILK-V hardware.
+pub fn tune_milkv(scale: u32) -> TuningOutcome {
+    let probes: Vec<_> = microbench::evaluated()
+        .into_iter()
+        .filter(|k| ["Cca", "CCh", "ED1", "EI", "EM5", "MD", "ML2", "DP1d"].contains(&k.name))
+        .collect();
+    choose_best_model(
+        &[
+            configs::small_boom(1),
+            configs::medium_boom(1),
+            configs::large_boom(1),
+        ],
+        &configs::milkv_hw(1),
+        &probes,
+        scale,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsim_soc::configs;
-    use bsim_workloads::microbench;
 
     /// A small, fast kernel subset spanning the categories.
     fn probe_kernels() -> Vec<MicroKernel> {

@@ -4,8 +4,8 @@
 //! the figure pipeline's checkpoint JSON for the fig1…fig7 keys, and
 //! harness run results under seeded fault plans and checkpoint/resume.
 
-use bsim_core::experiments::{FigureData, Sizes, FIGURE_IDS};
-use bsim_core::{run_figure, CellOutcome, Parallelism, RetryPolicy};
+use bsim_core::experiments::{subfigures, FigureData, Sizes, FIGURE_IDS};
+use bsim_core::{run_plan_with, CellOutcome, Parallelism, RetryPolicy};
 use bsim_engine::{
     CounterBlock, FaultKind, FaultPlan, Harness, HarnessCkpt, Snapshot, TickModel, WatchdogConfig,
     Wire,
@@ -30,12 +30,12 @@ fn tiny() -> Sizes {
 fn sweep(ids: &[&str], mut store: Option<&mut CkptStore>) -> Vec<(String, FigureData)> {
     let mut out = Vec::new();
     for id in ids {
-        let cells = run_figure(
-            id,
-            tiny(),
-            Parallelism::Sequential,
+        let cells = run_plan_with(
+            subfigures(id),
+            |spec| spec.run(tiny(), Parallelism::Sequential),
             &RetryPolicy::once(),
             store.as_deref_mut(),
+            |_| {},
         )
         .expect("checkpoint store is well-formed");
         for (key, outcome) in cells {

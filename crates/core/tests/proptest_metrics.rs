@@ -1,6 +1,6 @@
 //! Property tests for the metrics module.
 
-use bsim_core::metrics::{deviation_from_parity, geomean, relative_speedup};
+use bsim_core::metrics::{deviation_from_parity, relative_speedup};
 use proptest::prelude::*;
 
 proptest! {
@@ -16,14 +16,6 @@ proptest! {
         let a = relative_speedup(hw, sim);
         let b = relative_speedup(sim, hw);
         prop_assert!((a * b - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn geomean_bounded_by_extremes(vals in prop::collection::vec(1e-6f64..1e6, 1..20)) {
-        let g = geomean(&vals);
-        let lo = vals.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = vals.iter().cloned().fold(0.0, f64::max);
-        prop_assert!(g >= lo * 0.999999 && g <= hi * 1.000001, "{lo} <= {g} <= {hi}");
     }
 
     #[test]

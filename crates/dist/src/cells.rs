@@ -1,30 +1,28 @@
 //! The serializable unit of sweep work a worker process executes.
 //!
-//! `bsim-svc` schedules [`CellSpec`](../../svc/request/enum.CellSpec.html)s
-//! inside one process; a worker on the far side of a socket needs the
-//! same thing as *data*. [`WireCell`] is that wire form: it names the
-//! work (platform by catalog name, figure by id/sizes/index) instead of
-//! carrying live config structs, travels as a JSON tree inside a
+//! [`WireCell`] is the one cell type of the tree: `bsim-svc` schedules
+//! it inside one process and a worker on the far side of a socket
+//! receives the same thing as *data*. It names the work (platform by
+//! catalog name, figure by id/sizes/index) instead of carrying live
+//! config structs, travels as a JSON tree inside a
 //! [`crate::frame::Frame::Plan`], and [`WireCell::run`] reconstructs
-//! the real objects on the worker.
+//! the real objects wherever it executes.
 //!
-//! Every cell runs with [`Parallelism::Sequential`] internals: results
-//! are bit-identical across worker counts by construction (the same
-//! argument `bsim-svc` makes for its cell keys), which is what lets the
-//! launcher compare a 2-process sweep byte-for-byte against the
-//! in-process schedule.
+//! Results are bit-identical across host worker counts by construction
+//! (the same argument `bsim-svc` makes for its cell keys), which is
+//! what lets the launcher compare a 2-process sweep byte-for-byte
+//! against the in-process schedule.
 
-use bsim_core::experiments::{self, figure_plan, Parallelism, Sizes};
-use bsim_core::tuning::choose_best_model;
+use bsim_core::experiments::{self, subfigures, Parallelism, Sizes};
+use bsim_core::tuning::tune_milkv;
 use bsim_resilience::snapshot::Snapshot;
 use bsim_soc::configs;
-use bsim_workloads::microbench;
 use serde::Value;
 
 /// One schedulable, serializable cell of sweep work.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireCell {
-    /// One subfigure of a paper figure: `figure_plan(id, sizes)[index]`.
+    /// One subfigure of a paper figure: `subfigures(id).nth(index)`.
     Fig {
         id: String,
         sizes: String,
@@ -111,19 +109,18 @@ impl WireCell {
     }
 
     /// Runs the cell and returns the result tree, or a description of
-    /// why the spec names something this binary doesn't have. Internals
-    /// are sequential — see the module docs for why.
-    pub fn run(&self) -> Result<Value, String> {
+    /// why the spec names something this binary doesn't have. `par` is
+    /// the host parallelism a figure cell fans its *internal* grid
+    /// across; it never changes the result.
+    pub fn run(&self, par: Parallelism) -> Result<Value, String> {
         match self {
             WireCell::Fig { id, sizes, index } => {
                 let sizes =
                     Sizes::parse(sizes).ok_or_else(|| format!("unknown sizes {sizes:?}"))?;
-                let plan = figure_plan(id, sizes, Parallelism::Sequential)
-                    .ok_or_else(|| format!("unknown figure {id:?}"))?;
-                let sub = plan
-                    .get(*index)
+                let spec = subfigures(id)
+                    .nth(*index)
                     .ok_or_else(|| format!("figure {id} has no subfigure {index}"))?;
-                Ok((sub.1)().save())
+                Ok(spec.run(sizes, par).save())
             }
             WireCell::Micro {
                 platform,
@@ -137,22 +134,7 @@ impl WireCell {
                     .ok_or_else(|| format!("unknown kernel {kernel:?}"))
             }
             WireCell::Tune { scale } => {
-                let probes: Vec<_> = microbench::evaluated()
-                    .into_iter()
-                    .filter(|k| {
-                        ["Cca", "CCh", "ED1", "EI", "EM5", "MD", "ML2", "DP1d"].contains(&k.name)
-                    })
-                    .collect();
-                let out = choose_best_model(
-                    &[
-                        configs::small_boom(1),
-                        configs::medium_boom(1),
-                        configs::large_boom(1),
-                    ],
-                    &configs::milkv_hw(1),
-                    &probes,
-                    *scale,
-                );
+                let out = tune_milkv(*scale);
                 Ok(Value::Map(vec![
                     ("best".into(), Value::Str(out.best().to_string())),
                     ("explanation".into(), Value::Str(out.explanation(10))),
@@ -161,21 +143,19 @@ impl WireCell {
         }
     }
 
-    /// The subfigure cells of one figure, in plan order.
+    /// The subfigure cells of one figure, in plan order; empty for an
+    /// unknown figure or size preset.
     pub fn figure_cells(id: &str, sizes: &str) -> Vec<WireCell> {
-        let Some(parsed) = Sizes::parse(sizes) else {
+        if Sizes::parse(sizes).is_none() {
             return Vec::new();
-        };
-        match figure_plan(id, parsed, Parallelism::Sequential) {
-            Some(plan) => (0..plan.len())
-                .map(|index| WireCell::Fig {
-                    id: id.to_string(),
-                    sizes: sizes.to_string(),
-                    index,
-                })
-                .collect(),
-            None => Vec::new(),
         }
+        (0..subfigures(id).count())
+            .map(|index| WireCell::Fig {
+                id: id.to_string(),
+                sizes: sizes.to_string(),
+                index,
+            })
+            .collect()
     }
 }
 
@@ -238,7 +218,7 @@ mod tests {
             scale: 1,
         };
         assert!(bad
-            .run()
+            .run(Parallelism::Sequential)
             .expect_err("unknown platform")
             .contains("platform"));
         let bad = WireCell::Fig {
@@ -246,6 +226,7 @@ mod tests {
             sizes: "smoke".into(),
             index: 99,
         };
-        assert!(bad.run().expect_err("index range").contains("subfigure"));
+        let err = bad.run(Parallelism::Sequential).expect_err("index range");
+        assert!(err.contains("subfigure"));
     }
 }

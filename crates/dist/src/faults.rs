@@ -25,6 +25,7 @@ use crate::frame;
 use crate::launcher::{run_sweep, KillSpec, LaunchOpts, WireFaultSpec, WorkerSpawn};
 use crate::worker;
 use bsim_core::campaign::Scenario;
+use bsim_core::Parallelism;
 use bsim_resilience::CkptStore;
 use std::io;
 use std::net::TcpListener;
@@ -58,7 +59,7 @@ pub fn process_kill_scenario(seed: u64, worker_cmd: Vec<String>) -> Scenario {
     // is sequential inside, so this is the bit-identical reference.
     let reference: Vec<String> = cells
         .iter()
-        .map(|cell| match cell.run() {
+        .map(|cell| match cell.run(Parallelism::Sequential) {
             Ok(tree) => serde_json::to_string(&tree).expect("shim renderer is total"),
             Err(why) => format!("error: {why}"),
         })
@@ -114,7 +115,7 @@ pub fn wire_bitflip_scenario(seed: u64) -> Scenario {
     let cells = kill_sweep_cells();
     let reference: Vec<String> = cells
         .iter()
-        .map(|cell| match cell.run() {
+        .map(|cell| match cell.run(Parallelism::Sequential) {
             Ok(tree) => serde_json::to_string(&tree).expect("shim renderer is total"),
             Err(why) => format!("error: {why}"),
         })
@@ -216,7 +217,11 @@ mod tests {
         let cells = kill_sweep_cells();
         assert!(cells.len() >= 6, "enough cells to survive a kill mid-rank");
         for cell in &cells {
-            assert!(cell.run().is_ok(), "{} must be runnable", cell.label());
+            assert!(
+                cell.run(Parallelism::Sequential).is_ok(),
+                "{} must be runnable",
+                cell.label()
+            );
         }
     }
 

@@ -799,6 +799,7 @@ pub fn run_graph_demo(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsim_core::Parallelism;
 
     fn micro_cells() -> Vec<WireCell> {
         // Two cheap kernels × two platforms: enough cells for two ranks
@@ -821,7 +822,7 @@ mod tests {
         let local: Vec<String> = cells
             .iter()
             .map(|c| {
-                serde_json::to_string(&c.run().expect("cells are valid"))
+                serde_json::to_string(&c.run(Parallelism::Sequential).expect("cells are valid"))
                     .expect("shim renderer is total")
             })
             .collect();

@@ -17,7 +17,8 @@
 //!   graph, bit-identical to the in-process [`bsim_engine::Harness`],
 //!   with partition checkpoints for restart-after-loss,
 //! * [`cells`] — [`cells::WireCell`], the serializable unit of sweep
-//!   work a worker process executes,
+//!   work: what a worker process executes and what `bsim-svc` schedules
+//!   and keys in-process,
 //! * [`plan`] — the partition plan a coordinator distributes, validated
 //!   by the `DL`-series lints in `bsim-check`,
 //! * [`launcher`] — spawns workers, distributes the plan, collects

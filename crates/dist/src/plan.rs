@@ -123,7 +123,7 @@ impl PlanSpec {
 /// deadlock analysis over a graph-mode plan shape. Graph mode always
 /// runs with fast-forward enabled ([`crate::graph::RankGraph::new`] is
 /// called with `ff = true`), so the DD pass licenses accordingly.
-pub fn lint_graph_plan(
+pub(crate) fn lint_graph_plan(
     ranks: usize,
     assignment: &[usize],
     wires: &[Wire],

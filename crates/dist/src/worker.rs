@@ -16,6 +16,7 @@ use crate::frame::{read_frame, write_frame, Frame};
 use crate::graph::{demo_ring, rank_view, RankGraph};
 use crate::plan::PlanSpec;
 use bsim_check::proto::{dist_cached, Tracker, Violation};
+use bsim_core::Parallelism;
 use bsim_resilience::snapshot::Snapshot;
 use serde::Value;
 use std::io::{self, Read, Write};
@@ -59,7 +60,7 @@ pub const RANK_ENV: &str = "BSIM_DIST_RANK";
 
 /// The coordinator address and rank, if this process was spawned as a
 /// worker.
-pub fn from_env() -> Option<(String, usize)> {
+fn from_env() -> Option<(String, usize)> {
     let addr = std::env::var(ADDR_ENV).ok()?;
     let rank = std::env::var(RANK_ENV).ok()?.parse().ok()?;
     Some((addr, rank))
@@ -90,7 +91,7 @@ pub fn run(addr: &str, rank: usize) -> io::Result<()> {
 
 /// [`run`] with an explicit socket timeout (the fault campaign shrinks
 /// it to prove a silent coordinator cannot hang a worker).
-pub fn run_with(addr: &str, rank: usize, io_timeout: Duration) -> io::Result<()> {
+pub(crate) fn run_with(addr: &str, rank: usize, io_timeout: Duration) -> io::Result<()> {
     let mut tracker = worker_tracker()?;
     let control = TcpStream::connect(addr)?;
     arm_io(&control, io_timeout);
@@ -163,7 +164,7 @@ fn run_sweep(
     cells: &[(u32, WireCell)],
 ) -> io::Result<()> {
     for (index, cell) in cells {
-        match cell.run() {
+        match cell.run(Parallelism::Sequential) {
             Ok(tree) => {
                 tracker.local("cell").map_err(drift)?;
                 write_frame(

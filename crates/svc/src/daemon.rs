@@ -53,7 +53,7 @@
 //! is visible as `host.guard.*` counters in `/metrics`.
 
 use crate::proto;
-use crate::request::{Cell, CellSpec, SvcRequest};
+use crate::request::{Cell, SvcRequest};
 use crate::store::ResultStore;
 use bsim_check::proto::Tracker;
 use bsim_check::Report;
@@ -61,7 +61,6 @@ use bsim_core::{run_grid_resilient, CellOutcome, Parallelism, RetryPolicy};
 use bsim_dist::launcher::{run_sweep as dist_sweep, LaunchOpts, WorkerSpawn};
 use bsim_dist::WireCell;
 use bsim_resilience::CkptStore;
-use bsim_soc::configs;
 use bsim_telemetry::CounterBlock;
 use serde::Value;
 use std::collections::{HashSet, VecDeque};
@@ -536,28 +535,6 @@ fn run_job(shared: &Arc<Shared>, idx: usize) {
     shared.jobs_cv.notify_all();
 }
 
-/// The wire form of a cell spec, when it has one. `Fig` and `Tune` name
-/// their work directly; a `Micro` cell travels by catalog name, so only
-/// a config that *is* its catalog entry (which is how the preflight
-/// builds them) can be dispatched — anything custom stays local.
-fn to_wire(spec: &CellSpec) -> Option<WireCell> {
-    match spec {
-        CellSpec::Micro { cfg, kernel, scale } => {
-            (configs::by_name(&cfg.name, 1).as_ref() == Some(&**cfg)).then(|| WireCell::Micro {
-                platform: cfg.name.clone(),
-                kernel: kernel.clone(),
-                scale: *scale,
-            })
-        }
-        CellSpec::Fig { id, sizes, index } => Some(WireCell::Fig {
-            id: id.clone(),
-            sizes: sizes.clone(),
-            index: *index,
-        }),
-        CellSpec::Tune { scale } => Some(WireCell::Tune { scale: *scale }),
-    }
-}
-
 /// Scale-out dispatch: ship the job's not-yet-cached cells to the dist
 /// worker ranks and seed the result store with what comes back, so the
 /// in-process sweep below sees them as plain cache hits. Cell results
@@ -570,7 +547,7 @@ fn prewarm_dist(shared: &Shared, cells: &[Cell]) {
         .iter()
         .enumerate()
         .filter(|(_, c)| lock(&shared.store).get(&c.key).is_none())
-        .filter_map(|(i, c)| to_wire(&c.spec).map(|w| (i, w)))
+        .map(|(i, c)| (i, c.spec.clone()))
         .collect();
     if todo.is_empty() {
         return;
@@ -672,7 +649,12 @@ fn exec_cell(shared: &Shared, job: &JobStats, cell: &Cell, deadline: Option<Inst
         shared,
         key: &cell.key,
     };
-    let tree = cell.spec.run(shared.cfg.par);
+    // A preflight-clean request names only things this binary has; a
+    // cell that still cannot run fails like any other poisoned cell.
+    let tree = cell
+        .spec
+        .run(shared.cfg.par)
+        .unwrap_or_else(|e| panic!("cell {}: {e}", cell.label));
     lock(&shared.store).put(&cell.key, &tree);
     shared.stats.cells_simulated.fetch_add(1, Ordering::SeqCst);
     job.simulated.fetch_add(1, Ordering::SeqCst);

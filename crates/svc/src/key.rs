@@ -42,7 +42,7 @@ pub const STORE_SCHEMA: &str = "bsim-bench-v1";
 pub const CODE_VERSION: u64 = 1;
 
 /// Canonicalizes a value tree for hashing (see module docs).
-pub fn canonicalize(v: &Value) -> Value {
+pub(crate) fn canonicalize(v: &Value) -> Value {
     match v {
         Value::Map(entries) => {
             let mut es: Vec<(String, Value)> = entries
@@ -67,7 +67,7 @@ pub fn canonicalize(v: &Value) -> Value {
 /// collision-resistant against adversaries, but cache keys here only
 /// ever face honest configs, and 64 bits over a handful of entries is
 /// far below birthday territory.
-pub fn content_hash(v: &Value) -> u64 {
+pub(crate) fn content_hash(v: &Value) -> u64 {
     let text = serde_json::to_string(&canonicalize(v)).expect("shim renderer is total");
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in text.as_bytes() {
@@ -78,7 +78,7 @@ pub fn content_hash(v: &Value) -> u64 {
 }
 
 /// Renders a canonical tree's hash as the 16-hex-digit store key.
-pub fn key_of(v: &Value) -> String {
+pub(crate) fn key_of(v: &Value) -> String {
     format!("{:016x}", content_hash(v))
 }
 
@@ -106,7 +106,7 @@ pub fn micro_cell_key(cfg: &bsim_soc::SocConfig, kernel: &str, scale: u32, seed:
 /// Key for one figure subcell (e.g. `fig3a`) at a named size preset.
 /// Host parallelism is deliberately absent: figures are bit-identical
 /// across worker counts, so `--par` must not fragment the cache.
-pub fn fig_cell_key(figure: &str, subkey: &str, sizes: &str, seed: u64) -> String {
+pub(crate) fn fig_cell_key(figure: &str, subkey: &str, sizes: &str, seed: u64) -> String {
     key_of(&versioned(
         "fig",
         vec![
@@ -119,7 +119,7 @@ pub fn fig_cell_key(figure: &str, subkey: &str, sizes: &str, seed: u64) -> Strin
 }
 
 /// Key for the §4 model-selection loop at a given probe scale.
-pub fn tune_cell_key(scale: u32, seed: u64) -> String {
+pub(crate) fn tune_cell_key(scale: u32, seed: u64) -> String {
     key_of(&versioned(
         "tune",
         vec![

@@ -17,7 +17,7 @@
 //! | [`key`] | canonical config hashing → 16-hex cell keys |
 //! | [`store`] | content-addressed result store (CkptStore-backed, quarantine on SV003/SV004) |
 //! | [`proto`] | hand-rolled HTTP-lite framing (`curl`-compatible, no network deps) |
-//! | [`request`] | wire shapes, SV000–SV002 preflight, cell decomposition |
+//! | [`request`] | wire shapes, SV000–SV002 preflight, decomposition into keyed `bsim_dist::WireCell`s |
 //! | [`daemon`] | job queue, worker pool, exactly-once cell execution, `/shutdown` drain |
 //! | [`client`] | one-call helpers for the CLI and tests |
 //! | [`faults`] | the store-corruption row for the `bsim faults` matrix |

@@ -42,7 +42,7 @@ fn classify(method: &str, path: &str) -> &'static str {
 /// The protocol-table message class of a response status: 2xx is `Ok`,
 /// 429/503 are `Busy` (shed/drain/overload — retry later), everything
 /// else is `Reject`.
-pub fn response_event(status: u16) -> &'static str {
+pub(crate) fn response_event(status: u16) -> &'static str {
     match status {
         200..=299 => "Ok",
         429 | 503 => "Busy",
@@ -101,7 +101,7 @@ fn bad(detail: impl Into<String>) -> io::Error {
 
 /// Reads one request from the stream: request line, headers (only
 /// `Content-Length` is interpreted), then exactly that many body bytes.
-pub fn read_request(reader: &mut impl BufRead) -> io::Result<Request> {
+pub(crate) fn read_request(reader: &mut impl BufRead) -> io::Result<Request> {
     let mut line = String::new();
     reader.read_line(&mut line)?;
     let mut parts = line.split_whitespace();
@@ -142,7 +142,7 @@ pub fn read_request(reader: &mut impl BufRead) -> io::Result<Request> {
 }
 
 /// Writes one response: status line, framing headers, JSON body.
-pub fn write_response(
+pub(crate) fn write_response(
     writer: &mut impl Write,
     status: u16,
     reason: &str,
@@ -160,7 +160,7 @@ pub fn write_response(
 /// Writes one shed response (`429`/`503`) carrying a `Retry-After`
 /// header, so clients under admission control know when to come back
 /// instead of hot-looping.
-pub fn write_response_retry(
+pub(crate) fn write_response_retry(
     writer: &mut impl Write,
     status: u16,
     reason: &str,
@@ -176,24 +176,18 @@ pub fn write_response_retry(
     writer.flush()
 }
 
-/// Reads one framed response: status line, headers, body. A malformed
-/// `Content-Length` is a typed error (same contract as the server-side
-/// [`read_request`]), and a response that carries body bytes without
-/// declaring `Content-Length` is rejected rather than silently
-/// reinterpreted — the daemon always frames, so an unframed non-empty
-/// body means the wire is not speaking this protocol.
-pub fn read_response(reader: &mut impl BufRead) -> io::Result<(u16, String)> {
-    let (status, _, body) = read_response_full(reader)?;
-    Ok((status, body))
-}
-
 /// A parsed response: status code, `(lowercased-name, value)` header
 /// pairs, and the body.
 pub type FullResponse = (u16, Vec<(String, String)>, String);
 
-/// Like [`read_response`], but also returns the response headers as
-/// `(lowercased-name, value)` pairs — the shed path's `Retry-After`
-/// rides here.
+/// Reads one framed response: status line, headers — returned as
+/// `(lowercased-name, value)` pairs; the shed path's `Retry-After`
+/// rides there — and body. A malformed `Content-Length` is a typed
+/// error (same contract as the server-side [`read_request`]), and a
+/// response that carries body bytes without declaring `Content-Length`
+/// is rejected rather than silently reinterpreted — the daemon always
+/// frames, so an unframed non-empty body means the wire is not speaking
+/// this protocol.
 pub fn read_response_full(reader: &mut impl BufRead) -> io::Result<FullResponse> {
     let mut status_line = String::new();
     reader.read_line(&mut status_line)?;
@@ -353,14 +347,14 @@ mod tests {
         // a garbage Content-Length used to be silently dropped and the
         // body reinterpreted under EOF framing.
         let wire = "HTTP/1.1 200 OK\r\nContent-Length: nope\r\n\r\n{\"ok\":true}";
-        let err = read_response(&mut Cursor::new(wire.as_bytes())).unwrap_err();
+        let err = read_response_full(&mut Cursor::new(wire.as_bytes())).unwrap_err();
         assert!(err.to_string().contains("Content-Length"), "{err}");
     }
 
     #[test]
     fn unframed_nonempty_response_body_is_an_error() {
         let wire = "HTTP/1.1 200 OK\r\n\r\n{\"ok\":true}";
-        let err = read_response(&mut Cursor::new(wire.as_bytes())).unwrap_err();
+        let err = read_response_full(&mut Cursor::new(wire.as_bytes())).unwrap_err();
         assert!(err.to_string().contains("without Content-Length"), "{err}");
     }
 
@@ -369,7 +363,7 @@ mod tests {
         // A bodyless response (our 404s before a body was added, plain
         // probes) needs no framing header.
         let wire = "HTTP/1.1 204 No Content\r\n\r\n";
-        let (status, body) = read_response(&mut Cursor::new(wire.as_bytes())).unwrap();
+        let (status, _, body) = read_response_full(&mut Cursor::new(wire.as_bytes())).unwrap();
         assert_eq!(status, 204);
         assert_eq!(body, "");
     }
@@ -378,7 +372,7 @@ mod tests {
     fn framed_response_roundtrips() {
         let mut out = Vec::new();
         write_response(&mut out, 200, "OK", "{\"job\":\"job-1\"}").unwrap();
-        let (status, body) = read_response(&mut Cursor::new(&out[..])).unwrap();
+        let (status, _, body) = read_response_full(&mut Cursor::new(&out[..])).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, "{\"job\":\"job-1\"}");
     }

@@ -25,11 +25,9 @@
 
 use crate::key;
 use bsim_check::{Diagnostic, Report};
-use bsim_core::experiments::{self, figure_plan, Sizes, FIGURE_IDS};
-use bsim_core::tuning::choose_best_model;
-use bsim_core::Parallelism;
-use bsim_resilience::Snapshot;
-use bsim_soc::{configs, preflight, SocConfig};
+use bsim_core::experiments::{subfigures, Sizes, FIGURE_IDS};
+use bsim_dist::WireCell;
+use bsim_soc::{configs, preflight};
 use bsim_workloads::microbench;
 use serde::Value;
 
@@ -54,74 +52,13 @@ pub enum SvcRequest {
 }
 
 /// One schedulable unit of work: a stable content-addressed key, a
-/// human-readable label for responses, and the spec to (re)compute it.
+/// human-readable label for responses, and the [`WireCell`] that
+/// (re)computes it — the same cell a dist worker would be shipped.
 #[derive(Clone, Debug)]
 pub struct Cell {
     pub key: String,
     pub label: String,
-    pub spec: CellSpec,
-}
-
-/// What a cell computes. Specs are plain data (`Send + Sync`) so the
-/// scheduler can fan them across `run_grid_resilient` workers.
-#[derive(Clone, Debug)]
-pub enum CellSpec {
-    Micro {
-        cfg: Box<SocConfig>,
-        kernel: String,
-        scale: u32,
-    },
-    Fig {
-        id: String,
-        sizes: String,
-        index: usize,
-    },
-    Tune {
-        scale: u32,
-    },
-}
-
-impl CellSpec {
-    /// Runs the cell and returns the tree the store persists. `par` is
-    /// the host parallelism figure subcells fan their *internal* grids
-    /// across; it never participates in the cell key (results are
-    /// bit-identical across worker counts).
-    pub fn run(&self, par: Parallelism) -> Value {
-        match self {
-            CellSpec::Micro { cfg, kernel, scale } => {
-                experiments::microbench_cell((**cfg).clone(), kernel, *scale)
-                    .expect("kernel name was preflighted")
-                    .save()
-            }
-            CellSpec::Fig { id, sizes, index } => {
-                let sizes = Sizes::parse(sizes).expect("sizes preset was preflighted");
-                let plan = figure_plan(id, sizes, par).expect("figure id was preflighted");
-                (plan[*index].1)().save()
-            }
-            CellSpec::Tune { scale } => {
-                let probes: Vec<_> = microbench::evaluated()
-                    .into_iter()
-                    .filter(|k| {
-                        ["Cca", "CCh", "ED1", "EI", "EM5", "MD", "ML2", "DP1d"].contains(&k.name)
-                    })
-                    .collect();
-                let out = choose_best_model(
-                    &[
-                        configs::small_boom(1),
-                        configs::medium_boom(1),
-                        configs::large_boom(1),
-                    ],
-                    &configs::milkv_hw(1),
-                    &probes,
-                    *scale,
-                );
-                Value::Map(vec![
-                    ("best".into(), Value::Str(out.best().to_string())),
-                    ("explanation".into(), Value::Str(out.explanation(10))),
-                ])
-            }
-        }
-    }
+    pub spec: WireCell,
 }
 
 fn str_field(map: &Value, name: &str) -> Option<String> {
@@ -283,19 +220,12 @@ impl SvcRequest {
 
     /// How many cells [`SvcRequest::cells`] will produce. Only valid on
     /// a preflight-clean request.
-    pub fn cell_count(&self) -> usize {
+    fn cell_count(&self) -> usize {
         match self {
             SvcRequest::Sweep {
                 platforms, kernels, ..
             } => platforms.len() * kernels.len(),
-            SvcRequest::Fig { id, sizes, .. } => {
-                match (Sizes::parse(sizes), FIGURE_IDS.contains(&id.as_str())) {
-                    (Some(s), true) => figure_plan(id, s, Parallelism::Sequential)
-                        .map(|p| p.len())
-                        .unwrap_or(0),
-                    _ => 0,
-                }
-            }
+            SvcRequest::Fig { id, .. } => subfigures(id).count(),
             SvcRequest::Tune { .. } => 1,
         }
     }
@@ -318,8 +248,8 @@ impl SvcRequest {
                         out.push(Cell {
                             key: key::micro_cell_key(&cfg, kernel, *scale, *seed),
                             label: format!("{}/{kernel}", cfg.name),
-                            spec: CellSpec::Micro {
-                                cfg: Box::new(cfg.clone()),
+                            spec: WireCell::Micro {
+                                platform: cfg.name.clone(),
                                 kernel: kernel.clone(),
                                 scale: *scale,
                             },
@@ -328,27 +258,22 @@ impl SvcRequest {
                 }
                 out
             }
-            SvcRequest::Fig { id, sizes, seed } => {
-                let parsed = Sizes::parse(sizes).expect("sizes preset was preflighted");
-                figure_plan(id, parsed, Parallelism::Sequential)
-                    .expect("figure id was preflighted")
-                    .iter()
-                    .enumerate()
-                    .map(|(index, (subkey, _))| Cell {
-                        key: key::fig_cell_key(id, subkey, sizes, *seed),
-                        label: (*subkey).to_string(),
-                        spec: CellSpec::Fig {
-                            id: id.clone(),
-                            sizes: sizes.clone(),
-                            index,
-                        },
-                    })
-                    .collect()
-            }
+            SvcRequest::Fig { id, sizes, seed } => subfigures(id)
+                .enumerate()
+                .map(|(index, fig)| Cell {
+                    key: key::fig_cell_key(id, fig.key, sizes, *seed),
+                    label: fig.key.to_string(),
+                    spec: WireCell::Fig {
+                        id: id.clone(),
+                        sizes: sizes.clone(),
+                        index,
+                    },
+                })
+                .collect(),
             SvcRequest::Tune { scale, seed } => vec![Cell {
                 key: key::tune_cell_key(*scale, *seed),
                 label: "tune".into(),
-                spec: CellSpec::Tune { scale: *scale },
+                spec: WireCell::Tune { scale: *scale },
             }],
         }
     }

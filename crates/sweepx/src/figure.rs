@@ -1,30 +1,24 @@
-//! Lane-grouped figure plans: the paper's figures, rebuilt on the
-//! record-once/replay-N sweep kernel.
+//! The lane executor for the paper's figures.
 //!
-//! [`figure_plan_lanes`] mirrors `bsim_core::experiments::figure_plan`
-//! — same figure ids, same stable subfigure keys (`fig1`, `fig3a`, …),
-//! same series names and point labels — but schedules each grid in
-//! [`LaneGroup`] chunks instead of single cells: one worker records a
-//! group's shared trace once and ticks every member config through the
-//! multi-lane replay kernel. Full (unsampled) replay is bit-identical
-//! to the scalar cells, so the figures' series match the scalar plan
-//! point for point; only the host-rate notes differ. Because the keys
-//! match, `bsim fig --ckpt/--resume` interoperate freely between scalar
-//! and lane plans through `bsim_core::run_plan_with`.
+//! `bsim_core::experiments::FIGURES` defines every subfigure once — its
+//! grid, its note, its series. A scalar run gives each cell of that
+//! grid its own full simulation; [`run_lanes`] instead chunks the grid
+//! into lane groups (cells that time the same workload and share its
+//! trace-shaping knobs), records each group's trace once and ticks
+//! every member config through the multi-lane replay kernel. Both go
+//! through `FigureGrid::run_chunked`, so they differ only in where a
+//! cell's cycles come from. Full (unsampled) replay is bit-identical to
+//! the scalar cells, so the series match point for point and only the
+//! host-rate notes differ; the subfigure keys are the table's either
+//! way, so `bsim fig --ckpt/--resume` interoperate freely.
 
-use crate::lane::partition;
+use crate::lane::{group_by_key, TraceKey};
 use crate::prog::{record_program, replay_program};
 use crate::replay::replay_world;
 use crate::sample::{SampleCfg, SampleReport};
-use bsim_core::experiments::{FigureData, Parallelism, Series, Sizes, Subfigure};
-use bsim_core::{relative_speedup, run_grid_chunks_metered, SweepRun};
-use bsim_mpi::{NetConfig, WorldTrace};
-use bsim_soc::{configs, SocConfig};
-use bsim_workloads::md::chain::{self, ChainConfig};
-use bsim_workloads::md::lj::{self, LjConfig};
-use bsim_workloads::microbench;
-use bsim_workloads::npb::{cg, ep, is, mg};
-use bsim_workloads::ume::{self, UmeConfig};
+use bsim_core::experiments::{FigureData, FigureGrid, Parallelism, Work};
+use bsim_mpi::NetConfig;
+use bsim_soc::SocConfig;
 
 /// Lane-sweep knobs threaded from `bsim fig --lanes N [--sample]`.
 #[derive(Clone, Debug)]
@@ -91,532 +85,69 @@ impl SampleAgg {
     }
 }
 
-fn preflight(cfgs: &[SocConfig]) {
-    let report = bsim_soc::preflight_all(cfgs.iter());
-    if report.has_errors() {
-        panic!(
-            "platform preflight failed before lane sweep fan-out:\n{}",
-            report.render()
-        );
-    }
-}
-
-/// Stamps the lane/sampling counters onto a finished sweep and folds
-/// the per-cell sample reports into the aggregate.
-fn finish_sweep<T>(
-    sweep: &mut SweepRun<(T, Option<SampleReport>)>,
-    chunks: &[Vec<usize>],
-) -> SampleAgg {
-    sweep.lanes = chunks.iter().map(Vec::len).max().unwrap_or(0) as u64;
-    let mut agg = SampleAgg::default();
-    for (_, rep) in &sweep.results {
-        if let Some(rep) = rep {
-            agg.absorb(rep);
-        }
-    }
-    sweep.sampled_segments = agg.skipped;
-    agg
-}
-
-/// MicroBench figures (1, 2) on lanes. Program traces carry no
-/// trace-shaping knobs at all — the functional ISA run never observes
-/// `simd_lanes` or compiler overhead — so *every* platform, silicon
-/// included, lanes onto one recorded trace per kernel.
-fn microbench_figure_lanes(
-    title: &str,
-    sim_models: Vec<SocConfig>,
-    hw: SocConfig,
-    scale: u32,
-    par: Parallelism,
-    opts: &LaneOpts,
-) -> FigureData {
+/// The subfigure `grid` on the lane kernel: one recording per lane
+/// group, every member config replayed through it.
+pub fn run_lanes(grid: &FigureGrid, par: Parallelism, opts: &LaneOpts) -> FigureData {
     opts.gate();
-    let kernels = microbench::evaluated();
-    let mut platforms = vec![hw.clone()];
-    platforms.extend(sim_models.iter().cloned());
-    preflight(&platforms);
-    let np = platforms.len();
-    // Kernel-major cells, chunked into per-kernel lane batches.
-    let cap = opts.lanes.max(1);
-    let batches: Vec<Vec<usize>> = (0..np)
-        .collect::<Vec<_>>()
-        .chunks(cap)
-        .map(<[usize]>::to_vec)
-        .collect();
-    let chunks: Vec<Vec<usize>> = (0..kernels.len())
-        .flat_map(|k| {
-            batches
-                .iter()
-                .map(move |b| b.iter().map(|pi| k * np + pi).collect())
-        })
-        .collect();
-    let mut sweep = run_grid_chunks_metered(&chunks, par, |_, cells| {
-        let k = cells[0] / np;
-        let trace = record_program(&kernels[k].build(scale), u64::MAX);
-        assert_eq!(trace.exit_code, Some(0), "microbenchmark must exit cleanly");
-        let cfgs: Vec<SocConfig> = cells.iter().map(|&c| platforms[c % np].clone()).collect();
-        replay_program(&trace, &cfgs, opts.sample.as_ref())
-            .into_iter()
-            .map(|(rep, samp)| ((rep.seconds, samp), rep.cycles))
-            .collect()
+    let sample = opts.sample.as_ref();
+    // Cells share a recording when they time the same workload at the
+    // same trace-shaping knobs. Program traces carry none — the
+    // functional ISA run never observes `simd_lanes` or compiler
+    // overhead — so every platform, silicon included, lanes onto one
+    // recording per MicroBench kernel.
+    let keys = grid.cells.iter().enumerate().map(|(i, cell)| {
+        let shaping = match cell.work {
+            Work::Micro(_) => None,
+            Work::Mpi(_) => Some(TraceKey::of(grid.cfg(i), grid.cfg(i).cores)),
+        };
+        (cell.work.label(), shaping)
     });
-    let agg = finish_sweep(&mut sweep, &chunks);
-    let mut series: Vec<Series> = sim_models
-        .iter()
-        .map(|m| Series {
-            name: m.name.clone(),
-            points: Vec::new(),
-        })
+    let chunks: Vec<Vec<usize>> = group_by_key(keys, opts.lanes)
+        .into_iter()
+        .map(|(_, cells)| cells)
         .collect();
-    for (ki, k) in kernels.iter().enumerate() {
-        let t_hw = sweep.results[ki * np].0;
-        for (si, s) in series.iter_mut().enumerate() {
-            let t_sim = sweep.results[ki * np + 1 + si].0;
-            s.points
-                .push((k.name.to_string(), relative_speedup(t_hw, t_sim)));
-        }
-    }
-    FigureData {
-        title: title.to_string(),
-        note: Some(format!(
-            "39 kernels (CRm excluded, as in the paper); relative speedup vs {} (1.0 = match); scale {scale}; {}; lane groups of {}{}",
-            hw.name,
-            sweep.describe(),
-            sweep.lanes,
-            agg.note(opts.sample.is_some())
-        )),
-        series,
-    }
-}
-
-/// Records the four NPB kernels once on `cfg` (functional pass only)
-/// and returns their shareable traces in `[CG, EP, IS, MG]` order, with
-/// the same problem sizes as the scalar `npb_run`.
-fn npb_record(cfg: &SocConfig, ranks: usize, sizes: Sizes) -> [WorldTrace; 4] {
-    let net = NetConfig::shared_memory();
-    let (_, cg_t) = cg::record(
-        cfg.clone(),
-        ranks,
-        cg::CgConfig {
-            n: sizes.cg_n,
-            nnz_per_row: 11,
-            iters: sizes.cg_iters,
-        },
-        net,
-    );
-    let (_, ep_t) = ep::record(
-        cfg.clone(),
-        ranks,
-        ep::EpConfig {
-            pairs_per_rank: sizes.ep_pairs / ranks as u64,
-        },
-        net,
-    );
-    let (is_r, is_t) = is::record(
-        cfg.clone(),
-        ranks,
-        is::IsConfig {
-            keys_per_rank: sizes.is_keys / ranks,
-            max_key: (sizes.is_keys as u32 / 2).max(1024),
-            iterations: 1,
-        },
-        net,
-    );
-    assert!(is_r.sorted, "IS must verify on {}", cfg.name);
-    let (_, mg_t) = mg::record(
-        cfg.clone(),
-        ranks,
-        mg::MgConfig {
-            n: sizes.mg_n,
-            levels: 3,
-            cycles: sizes.mg_cycles,
-        },
-        net,
-    );
-    [cg_t, ep_t, is_t, mg_t]
-}
-
-const NPB_NAMES: [&str; 4] = ["CG", "EP", "IS", "MG"];
-
-/// NPB figures (3, 4) on lanes: platform grid partitioned by trace key,
-/// one recording + four multi-lane replays per group.
-fn npb_figure_lanes(
-    title: &str,
-    sim_models: Vec<SocConfig>,
-    hw: SocConfig,
-    ranks: usize,
-    sizes: Sizes,
-    par: Parallelism,
-    opts: &LaneOpts,
-) -> FigureData {
-    opts.gate();
-    let mut platforms = vec![hw.clone()];
-    platforms.extend(sim_models.iter().cloned());
-    preflight(&platforms);
-    let groups = partition(&platforms, ranks, opts.lanes);
-    let chunks: Vec<Vec<usize>> = groups.iter().map(|g| g.cells.clone()).collect();
-    let net = NetConfig::shared_memory();
-    let mut sweep = run_grid_chunks_metered(&chunks, par, |_, cells| {
-        let cfgs: Vec<SocConfig> = cells.iter().map(|&c| platforms[c].clone()).collect();
-        let traces = npb_record(&cfgs[0], ranks, sizes);
-        // Per cell: seconds per benchmark, summed cycles, worst bound.
-        let mut secs = vec![[0.0f64; 4]; cells.len()];
-        let mut cycles = vec![0u64; cells.len()];
-        let mut samp: Vec<Option<SampleReport>> = vec![None; cells.len()];
-        for (bi, trace) in traces.iter().enumerate() {
-            let outcomes = replay_world(trace, &cfgs, net, opts.sample.as_ref());
-            for (lane, o) in outcomes.into_iter().enumerate() {
-                secs[lane][bi] = cfgs[lane].seconds(o.report.run.cycles);
-                cycles[lane] += o.report.run.cycles;
-                if let Some(rep) = o.sample {
-                    // Merge the four benchmarks' reports per lane:
-                    // segment counts accumulate, the loosest cycles
-                    // bound wins.
-                    samp[lane] = Some(match samp[lane].take() {
-                        None => rep,
-                        Some(mut acc) => {
-                            acc.segments += rep.segments;
-                            acc.measured_segments += rep.measured_segments;
-                            acc.measured_uops += rep.measured_uops;
-                            acc.total_uops += rep.total_uops;
-                            acc.clusters = acc.clusters.max(rep.clusters);
-                            if rep.rel_stderr("cycles") > acc.rel_stderr("cycles") {
-                                acc.metrics = rep.metrics.clone();
-                            }
-                            acc
-                        }
-                    });
-                }
+    grid.run_chunked(
+        par,
+        &chunks,
+        |cells| replay_chunk(grid, cells, sample),
+        |sweep| {
+            let mut agg = SampleAgg::default();
+            for rep in sweep.results.iter().filter_map(|(_, rep)| rep.as_ref()) {
+                agg.absorb(rep);
             }
-        }
-        (0..cells.len())
-            .map(|lane| ((secs[lane], samp[lane].take()), cycles[lane]))
-            .collect()
-    });
-    let agg = finish_sweep(&mut sweep, &chunks);
-    let hw_secs = sweep.results[0].0;
-    let series = sim_models
-        .iter()
-        .enumerate()
-        .map(|(si, m)| Series {
-            name: m.name.clone(),
-            points: NPB_NAMES
-                .iter()
-                .zip(sweep.results[si + 1].0.iter().zip(hw_secs.iter()))
-                .map(|(n, (sim, hw))| (n.to_string(), relative_speedup(*hw, *sim)))
-                .collect(),
-        })
-        .collect();
-    FigureData {
-        title: title.to_string(),
-        note: Some(format!(
-            "{ranks} MPI rank(s); relative speedup vs {} (1.0 = match); {}; lane groups of {}{}",
-            hw.name,
-            sweep.describe(),
-            sweep.lanes,
-            agg.note(opts.sample.is_some())
-        )),
-        series,
-    }
+            format!(
+                "; lane groups of {}{}",
+                sweep.lanes,
+                agg.note(sample.is_some())
+            )
+        },
+    )
 }
 
-/// App figures (5–7) on lanes: the 4-platform × 3-rank-count matrix,
-/// chunked per rank count by trace key. `record_on` records the
-/// workload once for a group's representative config.
-fn app_figure_lanes(
-    title: &str,
-    note: &str,
-    par: Parallelism,
-    opts: &LaneOpts,
-    record_on: impl Fn(SocConfig, usize) -> WorldTrace + Sync,
-) -> FigureData {
-    opts.gate();
-    let rank_counts = [1usize, 2, 4];
-    type PlatformMaker = (&'static str, fn(usize) -> SocConfig);
-    let platforms: [PlatformMaker; 4] = [
-        ("Banana Pi (hw)", configs::banana_pi_hw),
-        ("Banana Pi Sim Model", configs::banana_pi_sim),
-        ("MILK-V (hw)", configs::milkv_hw),
-        ("MILK-V Sim Model", configs::milkv_sim),
-    ];
-    let grid_cfgs: Vec<SocConfig> = platforms
-        .iter()
-        .flat_map(|(_, make)| rank_counts.iter().map(move |&r| make(r)))
-        .collect();
-    preflight(&grid_cfgs);
-    // Cells are platform-major (pi * 3 + k); lane groups form *within*
-    // one rank count across platforms.
-    let mut chunks: Vec<Vec<usize>> = Vec::new();
-    for (k, &r) in rank_counts.iter().enumerate() {
-        let rank_cfgs: Vec<SocConfig> = platforms.iter().map(|(_, make)| make(r)).collect();
-        for g in partition(&rank_cfgs, r, opts.lanes) {
-            chunks.push(
-                g.cells
-                    .iter()
-                    .map(|pi| pi * rank_counts.len() + k)
-                    .collect(),
-            );
+/// Records the workload the cells of one lane group share and replays
+/// it on every cell's config: per cell, the simulated cycles and the
+/// sampling report.
+fn replay_chunk(
+    grid: &FigureGrid,
+    cells: &[usize],
+    sample: Option<&SampleCfg>,
+) -> Vec<(u64, Option<SampleReport>)> {
+    let cfgs: Vec<SocConfig> = cells.iter().map(|&i| grid.cfg(i).clone()).collect();
+    match grid.cells[cells[0]].work {
+        Work::Micro(kernel) => {
+            let trace = record_program(&kernel.build(grid.sizes.micro_scale), u64::MAX);
+            assert_eq!(trace.exit_code, Some(0), "microbenchmark must exit cleanly");
+            replay_program(&trace, &cfgs, sample)
+                .into_iter()
+                .map(|(rep, samp)| (rep.cycles, samp))
+                .collect()
+        }
+        Work::Mpi(work) => {
+            let trace = work.record(&grid.sizes, cfgs[0].clone(), cfgs[0].cores);
+            replay_world(&trace, &cfgs, NetConfig::shared_memory(), sample)
+                .into_iter()
+                .map(|o| (o.report.run.cycles, o.sample))
+                .collect()
         }
     }
-    let net = NetConfig::shared_memory();
-    let mut sweep = run_grid_chunks_metered(&chunks, par, |_, cells| {
-        let r = rank_counts[cells[0] % rank_counts.len()];
-        let cfgs: Vec<SocConfig> = cells
-            .iter()
-            .map(|&c| platforms[c / rank_counts.len()].1(r))
-            .collect();
-        let trace = record_on(cfgs[0].clone(), r);
-        replay_world(&trace, &cfgs, net, opts.sample.as_ref())
-            .into_iter()
-            .zip(&cfgs)
-            .map(|(o, cfg)| {
-                let cycles = o.report.run.cycles;
-                ((cfg.seconds(cycles), o.sample), cycles)
-            })
-            .collect()
-    });
-    let agg = finish_sweep(&mut sweep, &chunks);
-    let mut series = Vec::new();
-    let mut seconds = vec![Vec::new(); 4];
-    for (pi, (name, _)) in platforms.iter().enumerate() {
-        let mut points = Vec::new();
-        for (k, &r) in rank_counts.iter().enumerate() {
-            let s = sweep.results[pi * rank_counts.len() + k].0;
-            seconds[pi].push(s);
-            points.push((format!("{r} ranks"), s));
-        }
-        series.push(Series {
-            name: format!("{name} runtime [s]"),
-            points,
-        });
-    }
-    for (hw_i, sim_i, pair) in [(0usize, 1usize, "Banana Pi"), (2, 3, "MILK-V")] {
-        let points = rank_counts
-            .iter()
-            .enumerate()
-            .map(|(k, r)| {
-                (
-                    format!("{r} ranks"),
-                    relative_speedup(seconds[hw_i][k], seconds[sim_i][k]),
-                )
-            })
-            .collect();
-        series.push(Series {
-            name: format!("{pair} rel. speedup"),
-            points,
-        });
-    }
-    FigureData {
-        title: title.to_string(),
-        note: Some(format!(
-            "{note}; {}; lane groups of {}{}",
-            sweep.describe(),
-            sweep.lanes,
-            agg.note(opts.sample.is_some())
-        )),
-        series,
-    }
-}
-
-/// The lane-grouped analog of `bsim_core::experiments::figure_plan`:
-/// same ids, same stable subfigure keys, lane-chunked scheduling.
-/// Returns `None` for an unknown id.
-pub fn figure_plan_lanes(
-    id: &str,
-    sizes: Sizes,
-    par: Parallelism,
-    opts: LaneOpts,
-) -> Option<Vec<Subfigure>> {
-    fn sub(key: &'static str, f: impl Fn() -> FigureData + Send + Sync + 'static) -> Subfigure {
-        (key, Box::new(f))
-    }
-    let o = opts;
-    let plan = match id {
-        "1" => {
-            let o = o.clone();
-            vec![sub("fig1", move || {
-                microbench_figure_lanes(
-                    "Figure 1: MicroBench — Rocket models vs Banana Pi hardware",
-                    vec![configs::banana_pi_sim(1), configs::fast_banana_pi_sim(1)],
-                    configs::banana_pi_hw(1),
-                    sizes.micro_scale,
-                    par,
-                    &o,
-                )
-            })]
-        }
-        "2" => {
-            let o = o.clone();
-            vec![sub("fig2", move || {
-                microbench_figure_lanes(
-                    "Figure 2: MicroBench — BOOM models vs MILK-V hardware",
-                    vec![
-                        configs::small_boom(1),
-                        configs::medium_boom(1),
-                        configs::large_boom(1),
-                        configs::milkv_sim(1),
-                    ],
-                    configs::milkv_hw(1),
-                    sizes.micro_scale,
-                    par,
-                    &o,
-                )
-            })]
-        }
-        "3" => {
-            let rocket_fig = move |ranks: usize, o: LaneOpts| {
-                npb_figure_lanes(
-                    &format!(
-                        "Figure 3{}: NPB — Rocket models vs Banana Pi ({ranks} ranks)",
-                        if ranks == 1 { "a" } else { "b" }
-                    ),
-                    vec![
-                        configs::rocket1(ranks),
-                        configs::rocket2(ranks),
-                        configs::banana_pi_sim(ranks),
-                        configs::fast_banana_pi_sim(ranks),
-                    ],
-                    configs::banana_pi_hw(ranks),
-                    ranks,
-                    sizes,
-                    par,
-                    &o,
-                )
-            };
-            let (oa, ob) = (o.clone(), o);
-            vec![
-                sub("fig3a", move || rocket_fig(1, oa.clone())),
-                sub("fig3b", move || rocket_fig(4, ob.clone())),
-            ]
-        }
-        "4" => {
-            let a = o.clone();
-            let b1 = o.clone();
-            let b4 = o;
-            vec![
-                sub("fig4a", move || {
-                    npb_figure_lanes(
-                        "Figure 4a: NPB — stock BOOM configs vs MILK-V (1 ranks)",
-                        vec![
-                            configs::small_boom(1),
-                            configs::medium_boom(1),
-                            configs::large_boom(1),
-                        ],
-                        configs::milkv_hw(1),
-                        1,
-                        sizes,
-                        par,
-                        &a,
-                    )
-                }),
-                sub("fig4b1", move || {
-                    npb_figure_lanes(
-                        "Figure 4b: NPB — tuned MILK-V Sim Model vs MILK-V (1 ranks)",
-                        vec![configs::large_boom(1), configs::milkv_sim(1)],
-                        configs::milkv_hw(1),
-                        1,
-                        sizes,
-                        par,
-                        &b1,
-                    )
-                }),
-                sub("fig4b4", move || {
-                    npb_figure_lanes(
-                        "Figure 4b: NPB — tuned MILK-V Sim Model vs MILK-V (4 ranks)",
-                        vec![configs::large_boom(4), configs::milkv_sim(4)],
-                        configs::milkv_hw(4),
-                        4,
-                        sizes,
-                        par,
-                        &b4,
-                    )
-                }),
-            ]
-        }
-        "5" => {
-            let o = o.clone();
-            vec![sub("fig5", move || {
-                app_figure_lanes(
-                    "Figure 5: UME — simulation models vs hardware",
-                    &format!(
-                        "{0}^3-zone mesh (paper: 32^3), kernels: gather + inverted + face-area",
-                        sizes.ume_n
-                    ),
-                    par,
-                    &o,
-                    |cfg, ranks| {
-                        ume::record(
-                            cfg,
-                            ranks,
-                            UmeConfig {
-                                n: sizes.ume_n,
-                                passes: 2,
-                            },
-                            NetConfig::shared_memory(),
-                        )
-                        .1
-                    },
-                )
-            })]
-        }
-        "6" => {
-            let o = o.clone();
-            vec![sub("fig6", move || {
-                app_figure_lanes(
-                    "Figure 6: LAMMPS LJ melt — simulation models vs hardware",
-                    &format!(
-                        "{} atoms, {} steps (paper: 32,000 atoms, 100 steps)",
-                        4 * sizes.lj_cells.pow(3),
-                        sizes.md_steps
-                    ),
-                    par,
-                    &o,
-                    |cfg, ranks| {
-                        lj::record(
-                            cfg,
-                            ranks,
-                            LjConfig {
-                                cells: sizes.lj_cells,
-                                steps: sizes.md_steps,
-                                ..LjConfig::default()
-                            },
-                            NetConfig::shared_memory(),
-                        )
-                        .1
-                    },
-                )
-            })]
-        }
-        "7" => {
-            let o = o.clone();
-            vec![sub("fig7", move || {
-                app_figure_lanes(
-                    "Figure 7: LAMMPS Chain — simulation models vs hardware",
-                    &format!(
-                        "{} beads, {} steps (paper: 32,000 atoms, 100 steps)",
-                        sizes.chain_cells.pow(3),
-                        sizes.md_steps
-                    ),
-                    par,
-                    &o,
-                    |cfg, ranks| {
-                        chain::record(
-                            cfg,
-                            ranks,
-                            ChainConfig {
-                                cells: sizes.chain_cells,
-                                chain_len: sizes.chain_cells,
-                                steps: sizes.md_steps,
-                                ..ChainConfig::default()
-                            },
-                            NetConfig::shared_memory(),
-                        )
-                        .1
-                    },
-                )
-            })]
-        }
-        _ => return None,
-    };
-    Some(plan)
 }

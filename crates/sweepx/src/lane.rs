@@ -48,85 +48,38 @@ pub struct LaneGroup {
     pub cells: Vec<usize>,
 }
 
-/// Partitions a config grid into lane groups of at most `max_lanes`
-/// configs each. Groups appear in first-appearance order of their key
-/// and cells keep grid order within a group, so the partition is a
+/// Groups grid cells (by index) under equal keys, at most `max_lanes`
+/// cells per group. Groups appear in first-appearance order of their
+/// key and cells keep grid order within a group, so the grouping is a
 /// deterministic function of the grid — every worker, checkpoint
 /// restore, and A/B rerun computes the same chunking. (A linear scan
 /// over a `Vec` rather than a hash map: group count is tiny and the
 /// order must not depend on hasher state.)
-pub fn partition(cfgs: &[SocConfig], ranks: usize, max_lanes: usize) -> Vec<LaneGroup> {
+pub(crate) fn group_by_key<K: PartialEq>(
+    keys: impl IntoIterator<Item = K>,
+    max_lanes: usize,
+) -> Vec<(K, Vec<usize>)> {
     let cap = max_lanes.max(1);
-    let mut groups: Vec<LaneGroup> = Vec::new();
-    for (i, cfg) in cfgs.iter().enumerate() {
-        let key = TraceKey::of(cfg, ranks);
+    let mut groups: Vec<(K, Vec<usize>)> = Vec::new();
+    for (i, key) in keys.into_iter().enumerate() {
         match groups
             .iter_mut()
-            .find(|g| g.key == key && g.cells.len() < cap)
+            .find(|(k, cells)| *k == key && cells.len() < cap)
         {
-            Some(g) => g.cells.push(i),
-            None => groups.push(LaneGroup {
-                key,
-                cells: vec![i],
-            }),
+            Some((_, cells)) => cells.push(i),
+            None => groups.push((key, vec![i])),
         }
     }
     groups
 }
 
-/// CL080: every config in a lane group must share the trace-shaping key
-/// and have enough cores to host every rank. Violations are errors: a
-/// mismatched lane would replay a trace its own compiler/vector settings
-/// would never have produced, and a core-starved lane would index a
-/// nonexistent tile.
-pub fn lint_lane_group(cfgs: &[SocConfig], ranks: usize, span: &str) -> Report {
-    let mut report = Report::new();
-    let Some(first) = cfgs.first() else {
-        report.push(
-            Diagnostic::error("CL080", span, "lane group is empty")
-                .with_help("a lane group needs at least one platform config"),
-        );
-        return report;
-    };
-    let key = TraceKey::of(first, ranks);
-    for cfg in cfgs {
-        let k = TraceKey::of(cfg, ranks);
-        if k != key {
-            report.push(
-                Diagnostic::error(
-                    "CL080",
-                    span,
-                    format!(
-                        "config '{}' (simd_lanes {}, compiler overhead {}‰) cannot share a lane \
-                         group keyed (simd_lanes {}, compiler overhead {}‰)",
-                        cfg.name,
-                        k.simd_lanes,
-                        k.compiler_overhead_per_mille,
-                        key.simd_lanes,
-                        key.compiler_overhead_per_mille
-                    ),
-                )
-                .with_help(
-                    "simd_lanes and compiler_overhead_per_mille shape the operation trace; \
-                     only timing knobs (core model, caches, DRAM, clock) may differ per lane",
-                ),
-            );
-        }
-        if cfg.cores < ranks {
-            report.push(
-                Diagnostic::error(
-                    "CL080",
-                    span,
-                    format!(
-                        "config '{}' has {} core(s) but the trace was recorded over {ranks} ranks",
-                        cfg.name, cfg.cores
-                    ),
-                )
-                .with_help("every lane must instantiate one tile per MPI rank"),
-            );
-        }
-    }
-    report
+/// Partitions a config grid into lane groups of at most `max_lanes`
+/// configs each, by [`TraceKey`].
+pub fn partition(cfgs: &[SocConfig], ranks: usize, max_lanes: usize) -> Vec<LaneGroup> {
+    group_by_key(cfgs.iter().map(|cfg| TraceKey::of(cfg, ranks)), max_lanes)
+        .into_iter()
+        .map(|(key, cells)| LaneGroup { key, cells })
+        .collect()
 }
 
 /// CL081: warns when a lane plan degenerates to scalar execution —
@@ -183,7 +136,6 @@ mod tests {
         assert_eq!(groups.len(), 2, "{groups:?}");
         assert_eq!(groups[0].cells, vec![0], "silicon records its own trace");
         assert_eq!(groups[1].cells, vec![1, 2, 3], "sims share one trace");
-        assert!(lint_lane_group(&[configs::rocket1(2), configs::large_boom(2)], 2, "g").is_clean());
     }
 
     #[test]
@@ -192,16 +144,6 @@ mod tests {
         let groups = partition(&cfgs, 1, 2);
         let cells: Vec<_> = groups.iter().map(|g| g.cells.clone()).collect();
         assert_eq!(cells, vec![vec![0, 1], vec![2, 3], vec![4]]);
-    }
-
-    #[test]
-    fn cl080_flags_trace_shaping_mismatch_and_core_starvation() {
-        let r = lint_lane_group(&[configs::rocket1(4), configs::banana_pi_hw(4)], 4, "g");
-        assert!(r.has_errors());
-        assert!(r.has_code("CL080"));
-        let starved = lint_lane_group(&[configs::rocket1(1)], 4, "g");
-        assert!(starved.has_errors(), "1 core cannot host 4 ranks");
-        assert!(lint_lane_group(&[], 1, "g").has_errors(), "empty group");
     }
 
     #[test]

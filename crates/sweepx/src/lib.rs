@@ -6,11 +6,11 @@
 //! decode, workload segment iteration — once per cell. This crate
 //! splits that work out:
 //!
-//! * **Recording** (`bsim_mpi::MpiWorld::record`, [`record_program`])
-//!   runs a workload once with timing bypassed, capturing the retired
-//!   micro-op stream and the communication event schedule as a
-//!   [`bsim_mpi::WorldTrace`] / [`ProgTrace`].
-//! * **Multi-lane replay** ([`replay_world`], [`replay_program`])
+//! * **Recording** (`bsim_mpi::MpiWorld::record`; `prog::record_program`
+//!   for MicroBench programs) runs a workload once with timing
+//!   bypassed, capturing the retired micro-op stream and the
+//!   communication event schedule as a [`bsim_mpi::WorldTrace`].
+//! * **Multi-lane replay** ([`replay_world`]; `prog::replay_program`)
 //!   ticks N compatible configs ("lanes") through one struct-of-lanes
 //!   pass over the shared trace: the decode/iteration happens once per
 //!   quantum while per-lane cache tags, LRU state, DRAM bank/row
@@ -20,18 +20,18 @@
 //! * **Lane grouping** ([`TraceKey`], [`partition`]) decides which
 //!   grid cells may share a recording: configs agree on rank count and
 //!   on everything the *functional* side observes (SIMD lanes,
-//!   compiler overhead). CL080/CL081 lints reject or flag unsound
-//!   plans.
+//!   compiler overhead); [`replay_world`] refuses a lane that does not,
+//!   and the CL081 lint flags plans that degenerate to singletons.
 //! * **SimPoint-style sampling** ([`SampleCfg`], [`SamplePlan`]) cuts
 //!   the trace into segments, clusters their op-mix/stride signatures
 //!   with a k-means-lite pass, runs detailed timing only on cluster
 //!   representatives, fast-forwards the rest, and reports stratified
 //!   error bounds in a [`SampleReport`] (CL085–CL087 lint the budget).
 //!
-//! [`figure_plan_lanes`] mirrors `bsim_core`'s figure plan on top of
-//! the lane kernel (`bsim fig --lanes N [--sample]`), and
-//! [`run_ablation`] is the `bsim bench --sweepx` harness proving the
-//! ≥10x grid speedup with the correctness evidence attached.
+//! [`run_lanes`] is the lane executor for `bsim_core`'s figure table
+//! (`bsim fig --lanes N [--sample]`), and [`run_ablation`] is the
+//! `bsim bench --sweepx` harness proving the ≥10x grid speedup with
+//! the correctness evidence attached.
 
 pub mod bench;
 pub mod figure;
@@ -41,8 +41,7 @@ pub mod replay;
 pub mod sample;
 
 pub use bench::{cache_tuning_grid, run_ablation, Ablation, AblationRow};
-pub use figure::{figure_plan_lanes, LaneOpts, SampleAgg};
-pub use lane::{lint_lane_group, lint_lane_plan, partition, LaneGroup, TraceKey};
-pub use prog::{record_program, replay_program, ProgTrace};
-pub use replay::{replay_world, replay_world_isolated, LaneOutcome};
+pub use figure::{run_lanes, LaneOpts, SampleAgg};
+pub use lane::{lint_lane_plan, partition, LaneGroup, TraceKey};
+pub use replay::{replay_world, LaneOutcome};
 pub use sample::{SampleCfg, SampleMetric, SamplePlan, SampleReport};

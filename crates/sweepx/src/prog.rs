@@ -32,7 +32,7 @@ pub struct ProgTrace {
 
 /// Runs `prog` functionally once and captures its micro-op trace.
 /// Panics on a trapped program, exactly like `Soc::run_program`.
-pub fn record_program(prog: &Program, fuel: u64) -> ProgTrace {
+pub(crate) fn record_program(prog: &Program, fuel: u64) -> ProgTrace {
     let mut uops = Vec::new();
     let mut cpu = Cpu::new(prog);
     let result = cpu.run_traced(fuel, |ret| uops.push(MicroOp::from_retired(ret)));
@@ -48,7 +48,7 @@ pub fn record_program(prog: &Program, fuel: u64) -> ProgTrace {
 /// lanes, on core 0 of each. With a [`SampleCfg`], the stream is cut
 /// into fixed-size segments and non-representative segments
 /// fast-forward each lane's clock by its stratum estimate.
-pub fn replay_program(
+pub(crate) fn replay_program(
     trace: &ProgTrace,
     cfgs: &[SocConfig],
     sample: Option<&SampleCfg>,

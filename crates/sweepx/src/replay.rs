@@ -67,8 +67,7 @@ struct CollGen {
 /// Replays `trace` over every config in `cfgs` as parallel lanes.
 ///
 /// Panics when a lane's trace-shaping knobs disagree with the trace
-/// (callers lint with CL080 first) and on malformed traces; see
-/// [`replay_world_isolated`] for the degrading wrapper.
+/// and on malformed traces.
 pub fn replay_world(
     trace: &WorldTrace,
     cfgs: &[SocConfig],
@@ -80,7 +79,7 @@ pub fn replay_world(
     for cfg in cfgs {
         assert!(
             trace.compatible(cfg.simd_lanes, cfg.compiler_overhead_per_mille),
-            "config '{}' does not match the trace key {:?} (lint CL080)",
+            "config '{}' does not match the trace key {:?}",
             cfg.name,
             TraceKey {
                 ranks,
@@ -317,37 +316,6 @@ pub fn replay_world(
         .collect()
 }
 
-/// [`replay_world`] with per-lane fault isolation: when the grouped
-/// replay panics (a poisoned config, a core-starved lane), every lane
-/// is retried as a singleton group and only the faulty lanes degrade to
-/// `None` — the sweep analog of `run_grid_resilient`'s cell degradation.
-/// Healthy siblings still produce bit-identical reports, because lane
-/// state never crosses lanes: a singleton replay walks the exact same
-/// event sequence with the exact same per-lane state.
-pub fn replay_world_isolated(
-    trace: &WorldTrace,
-    cfgs: &[SocConfig],
-    net: NetConfig,
-    sample: Option<&SampleCfg>,
-) -> Vec<Option<LaneOutcome>> {
-    let grouped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        replay_world(trace, cfgs, net, sample)
-    }));
-    match grouped {
-        Ok(outcomes) => outcomes.into_iter().map(Some).collect(),
-        Err(_) => cfgs
-            .iter()
-            .map(|cfg| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    replay_world(trace, std::slice::from_ref(cfg), net, sample)
-                }))
-                .ok()
-                .and_then(|mut v| v.pop())
-            })
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -356,11 +324,7 @@ mod tests {
         use super::*;
         let cfgs = crate::bench::cache_tuning_grid(2, 1);
         let net = bsim_mpi::NetConfig::shared_memory();
-        let wl = bsim_workloads::npb::cg::CgConfig {
-            n: 1024,
-            nnz_per_row: 11,
-            iters: 15,
-        };
+        let wl = bsim_workloads::npb::cg::CgConfig::default();
         let (_, trace) = bsim_workloads::npb::cg::record(cfgs[0].clone(), 2, wl, net);
         let scfg = SampleCfg {
             quiesce_tol: 0.15,
@@ -398,29 +362,6 @@ mod tests {
             nnz_per_row: 7,
             iters: 2,
         }
-    }
-
-    #[test]
-    fn poisoned_lane_degrades_without_hurting_siblings() {
-        let net = NetConfig::shared_memory();
-        let (_, trace) = cg::record(configs::rocket1(2), 2, cg_cfg(), net);
-        // Lane 1 has one core for a two-rank trace: consume on tile 1
-        // panics. CL080 would reject this grid; the isolated runner
-        // degrades it instead.
-        let cfgs = [
-            configs::rocket1(2),
-            configs::rocket1(1),
-            configs::rocket2(2),
-        ];
-        let out = replay_world_isolated(&trace, &cfgs, net, None);
-        assert!(out[0].is_some() && out[2].is_some());
-        assert!(out[1].is_none(), "the core-starved lane must degrade");
-        let healthy = replay_world(&trace, &[configs::rocket1(2)], net, None);
-        assert_eq!(
-            out[0].as_ref().map(|o| o.report.run.cycles),
-            healthy.first().map(|o| o.report.run.cycles),
-            "sibling lanes are unaffected by the poisoned one"
-        );
     }
 
     #[test]

@@ -347,7 +347,7 @@ impl SamplePlan {
 
     /// Builds a plan for a program-path micro-op stream cut into
     /// `cfg.prog_segment_uops`-sized chunks.
-    pub fn for_uops(uops: &[MicroOp], cfg: &SampleCfg) -> SamplePlan {
+    pub(crate) fn for_uops(uops: &[MicroOp], cfg: &SampleCfg) -> SamplePlan {
         let step = cfg.prog_segment_uops.max(1);
         let mut sigs = Vec::new();
         let mut lens = Vec::new();
@@ -359,7 +359,7 @@ impl SamplePlan {
     }
 
     /// Number of measured segments.
-    pub fn measured_count(&self) -> usize {
+    pub(crate) fn measured_count(&self) -> usize {
         self.measured.iter().filter(|&&m| m).count()
     }
 

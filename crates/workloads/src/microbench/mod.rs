@@ -48,6 +48,7 @@ impl Category {
 }
 
 /// One MicroBench kernel.
+#[derive(Clone, Copy)]
 pub struct MicroKernel {
     /// Table 1 name (e.g. "ML2_BW_ld").
     pub name: &'static str,

@@ -17,7 +17,7 @@
 //! cargo run --release --example parallel_sweep
 //! ```
 
-use silicon_bridge::core::experiments::{fig6_lammps_lj_par, run_grid_metered, Sizes};
+use silicon_bridge::core::experiments::{figure, run_grid_metered, Sizes};
 use silicon_bridge::core::Parallelism;
 use silicon_bridge::soc::{configs, Soc};
 use silicon_bridge::telemetry::CounterBlock;
@@ -72,10 +72,10 @@ fn main() {
         ..Sizes::smoke()
     };
     let t0 = std::time::Instant::now();
-    let seq = fig6_lammps_lj_par(sizes, Parallelism::Sequential);
+    let seq = figure("fig6").run(sizes, Parallelism::Sequential);
     let t_seq = t0.elapsed();
     let t0 = std::time::Instant::now();
-    let auto = fig6_lammps_lj_par(sizes, Parallelism::Auto);
+    let auto = figure("fig6").run(sizes, Parallelism::Auto);
     let t_auto = t0.elapsed();
 
     let identical = seq.series == auto.series;

@@ -3,7 +3,7 @@
 //! ```text
 //! bsim list                         # platforms + experiments
 //! bsim table 1|2|4|5                # print a paper table
-//! bsim fig 1|2|3|4|5|6|7 [--smoke] [--par seq|auto|N]
+//! bsim fig 1|2|3|4|5|6|7|all [--smoke] [--par seq|auto|N]
 //!          [--ckpt FILE] [--resume FILE] [--retries N]
 //!          [--lanes N] [--sample]
 //!                                   # regenerate a paper figure; --par
@@ -68,10 +68,10 @@
 //! ```
 
 use silicon_bridge::check;
-use silicon_bridge::core::experiments::{self, Sizes};
+use silicon_bridge::core::experiments::{self, FigureSpec, Sizes};
 use silicon_bridge::core::table;
-use silicon_bridge::core::tuning::choose_best_model;
-use silicon_bridge::core::{run_campaign, run_figure_with, CkptStore, Parallelism, RetryPolicy};
+use silicon_bridge::core::tuning::tune_milkv;
+use silicon_bridge::core::{run_campaign, run_plan_with, CkptStore, Parallelism, RetryPolicy};
 use silicon_bridge::dist::launcher::{run_graph_demo, run_sweep, KillSpec, LaunchOpts};
 use silicon_bridge::dist::{faults as dist_faults, worker as dist_worker, WireCell};
 use silicon_bridge::engine::{Harness, TickModel, Wire};
@@ -79,6 +79,7 @@ use silicon_bridge::mpi::NetConfig;
 use silicon_bridge::resilience::CellOutcome;
 use silicon_bridge::soc::{configs, Soc, SocConfig};
 use silicon_bridge::svc::{client, faults as svc_faults, Daemon, DaemonConfig};
+use silicon_bridge::sweepx::{run_lanes, LaneOpts, SampleCfg};
 use silicon_bridge::workloads::microbench;
 
 fn platforms() -> Vec<SocConfig> {
@@ -92,7 +93,7 @@ fn platform_by_name(name: &str) -> Option<SocConfig> {
 fn usage() -> ! {
     eprintln!(
         "usage:\n  bsim list\n  bsim table <1|2|4|5>\n  \
-         bsim fig <1..7> [--smoke] [--par seq|auto|N] [--ckpt FILE] [--resume FILE] [--retries N]\n       \
+         bsim fig <1..7|all> [--smoke] [--par seq|auto|N] [--ckpt FILE] [--resume FILE] [--retries N]\n       \
          [--lanes N] [--sample]\n  \
          bsim micro <kernel> [platform]\n  bsim tune\n  \
          bsim faults [--seed N] [--deny-unsurvived] [--in-process] [--guard]\n  \
@@ -178,10 +179,9 @@ fn run_check(args: &[String]) -> ! {
              handling, state-space truncation (--proto)\n  \
              DD001-DD004 [distributed deadlock] cross-rank token cycles, sub-quantum cycle\n          \
              slack, missing return path, fast-forward licensing holes (--plans)\n  \
-             AU001-AU004 [source audit] panicking unwraps, expect on hot paths, HashMap-order\n          \
-             results, host clocks in virtual-time crates (--source; AU000 notes waivers)\n  \
-             CL080   [lane sweep] lane group mixes trace-incompatible configs (ranks/SIMD/\n          \
-             compiler overhead) or starves a rank of cores\n  \
+             AU001-AU005 [source audit] panicking unwraps, expect on hot paths, HashMap-order\n          \
+             results, host clocks in virtual-time crates, pub fns of core/sweepx/svc/dist\n          \
+             nothing outside their crate calls (--source; AU000 notes waivers)\n  \
              CL081   [lane sweep] degenerate lane plan: every group is a singleton, sweep\n          \
              degrades to scalar\n  \
              CL085-CL087 [sampling] degenerate sampling budget, under-measured clusters,\n          \
@@ -421,9 +421,8 @@ fn run_bench_sweepx(args: &[String], json: bool) -> ! {
     // the gate floors below are deliberately conservative so CI noise
     // does not flake the job.
     let wl = CgConfig {
-        n: 1024,
-        nnz_per_row: 11,
         iters: 240,
+        ..CgConfig::default()
     };
     let ab = silicon_bridge::sweepx::run_ablation(2, 16, wl);
     eprint!("{}", ab.render());
@@ -673,7 +672,12 @@ fn main() {
             let Some(id) = args.get(1).map(String::as_str) else {
                 usage()
             };
-            if !experiments::FIGURE_IDS.contains(&id) {
+            // `all` is every subfigure of the table, in plan order.
+            let plan: Vec<&'static FigureSpec> = experiments::FIGURES
+                .iter()
+                .filter(|f| id == "all" || f.id == id)
+                .collect();
+            if plan.is_empty() {
                 usage()
             }
             let policy = match flag_value(&args, "--retries") {
@@ -715,9 +719,10 @@ fn main() {
                     }
                 }
             };
-            // --lanes / --sample route the same subfigure plan through
-            // the bsim-sweepx record-once/replay-many kernel; checkpoint
-            // keys are shared with the scalar path, so --ckpt/--resume
+            // --lanes / --sample hand each subfigure's grid to the
+            // bsim-sweepx record-once/replay-many executor instead of
+            // simulating every cell on its own; the plan and its
+            // checkpoint keys are the same, so --ckpt/--resume
             // interoperate across both.
             let lanes = flag_value(&args, "--lanes").map(|v| {
                 v.parse::<usize>()
@@ -729,21 +734,19 @@ fn main() {
                     })
             });
             let want_sample = args.iter().any(|a| a == "--sample");
-            let results = if lanes.is_some() || want_sample {
-                let opts = silicon_bridge::sweepx::LaneOpts {
-                    lanes: lanes.unwrap_or(8),
-                    sample: want_sample.then(silicon_bridge::sweepx::SampleCfg::default),
-                };
-                let plan = silicon_bridge::sweepx::figure_plan_lanes(id, sizes, par, opts)
-                    .unwrap_or_else(|| usage());
-                silicon_bridge::core::run_plan_with(plan, &policy, store.as_mut(), save)
-            } else {
-                run_figure_with(id, sizes, par, &policy, store.as_mut(), save)
-            }
-            .unwrap_or_else(|e| {
-                eprintln!("checkpoint error: {e}");
-                std::process::exit(2);
+            let lane_opts = (lanes.is_some() || want_sample).then(|| LaneOpts {
+                lanes: lanes.unwrap_or(LaneOpts::default().lanes),
+                sample: want_sample.then(SampleCfg::default),
             });
+            let run = |spec: &'static FigureSpec| match &lane_opts {
+                Some(opts) => run_lanes(&spec.grid(sizes), par, opts),
+                None => spec.run(sizes, par),
+            };
+            let results =
+                run_plan_with(plan, run, &policy, store.as_mut(), save).unwrap_or_else(|e| {
+                    eprintln!("checkpoint error: {e}");
+                    std::process::exit(2);
+                });
             let mut failed = 0usize;
             for (key, outcome) in results {
                 match outcome {
@@ -838,22 +841,7 @@ fn main() {
             }
         }
         "tune" => {
-            let probes: Vec<_> = microbench::evaluated()
-                .into_iter()
-                .filter(|k| {
-                    ["Cca", "CCh", "ED1", "EI", "EM5", "MD", "ML2", "DP1d"].contains(&k.name)
-                })
-                .collect();
-            let out = choose_best_model(
-                &[
-                    configs::small_boom(1),
-                    configs::medium_boom(1),
-                    configs::large_boom(1),
-                ],
-                &configs::milkv_hw(1),
-                &probes,
-                1,
-            );
+            let out = tune_milkv(1);
             print!("{}", out.explanation(10));
             println!("selected: {}", out.best());
         }

@@ -5,6 +5,7 @@
 
 use std::process::Command;
 
+use silicon_bridge::core::Parallelism;
 use silicon_bridge::dist::faults::{kill_sweep_cells, process_kill_scenario};
 use silicon_bridge::dist::launcher::{run_sweep, LaunchOpts};
 use silicon_bridge::resilience::CkptStore;
@@ -23,7 +24,9 @@ fn a_two_process_sweep_is_byte_identical_to_the_in_process_path() {
     let cells = kill_sweep_cells();
     let local: Vec<String> = cells
         .iter()
-        .map(|c| serde_json::to_string(&c.run().expect("cells runnable")).unwrap())
+        .map(|c| {
+            serde_json::to_string(&c.run(Parallelism::Sequential).expect("cells runnable")).unwrap()
+        })
         .collect();
 
     let opts = LaunchOpts::processes(2, worker_argv());

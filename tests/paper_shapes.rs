@@ -2,8 +2,9 @@
 //! the full pipeline, at smoke sizes. Each test names the paper section
 //! whose claim it checks.
 
-use silicon_bridge::core::experiments::{fig4b_npb_boom, npb_seconds, Sizes};
+use silicon_bridge::core::experiments::{figure, npb_seconds, Sizes};
 use silicon_bridge::core::metrics::relative_speedup;
+use silicon_bridge::core::Parallelism;
 use silicon_bridge::mpi::NetConfig;
 use silicon_bridge::soc::{configs, Soc};
 use silicon_bridge::workloads::microbench;
@@ -71,8 +72,8 @@ fn fast_model_helps_compute_not_memory() {
 /// MILK-V Simulation Model and the MILK-V hardware, on 1 and 4 ranks.
 #[test]
 fn ep_parity_on_milkv_pair() {
-    for ranks in [1usize, 4] {
-        let fig = fig4b_npb_boom(ranks, Sizes::smoke());
+    for (ranks, key) in [(1usize, "fig4b1"), (4, "fig4b4")] {
+        let fig = figure(key).run(Sizes::smoke(), Parallelism::Sequential);
         let milkv = fig
             .series
             .iter()
@@ -97,7 +98,7 @@ fn milkv_tuning_improves_cg_multicore() {
         cg_iters: 6,
         ..Sizes::smoke()
     };
-    let fig = fig4b_npb_boom(4, sizes);
+    let fig = figure("fig4b4").run(sizes, Parallelism::Sequential);
     let get = |series: &str| {
         fig.series
             .iter()

@@ -3,6 +3,7 @@
 
 use silicon_bridge::core::experiments;
 use silicon_bridge::core::tuning::choose_best_model;
+use silicon_bridge::core::Parallelism;
 use silicon_bridge::isa::reg::*;
 use silicon_bridge::isa::Asm;
 use silicon_bridge::soc::{configs, Soc};
@@ -70,7 +71,7 @@ fn suite_smoke_on_hardware_references() {
 #[test]
 fn figure_generators_produce_complete_series() {
     let sizes = experiments::Sizes::smoke();
-    let fig = experiments::fig3_npb_rocket(1, sizes);
+    let fig = experiments::figure("fig3a").run(sizes, Parallelism::Sequential);
     assert_eq!(fig.series.len(), 4);
     for s in &fig.series {
         assert_eq!(s.points.len(), 4, "series {} incomplete", s.name);
