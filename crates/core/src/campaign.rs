@@ -436,16 +436,18 @@ mod tests {
         ] {
             assert!(render.contains(label), "{label} missing:\n{render}");
         }
-        // Same seed, same verdicts and observations (host-time figures
-        // are deliberately absent from the rows).
-        let b = run_campaign(42);
+        // Same seed, same verdicts and observations, whatever the host
+        // schedule does (host-time figures are deliberately absent from
+        // the rows).
         let rows = |m: &SurvivalMatrix| -> Vec<(String, bool)> {
             m.scenarios
                 .iter()
                 .map(|s| (s.observed.clone(), s.pass))
                 .collect()
         };
-        assert_eq!(rows(&a), rows(&b));
+        for rerun in 0..8 {
+            assert_eq!(rows(&a), rows(&run_campaign(42)), "rerun {rerun}");
+        }
 
         let mut block = CounterBlock::new(true);
         a.publish(&mut block);

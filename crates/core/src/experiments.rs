@@ -3,8 +3,8 @@
 //! [`FIGURES`] defines every subfigure once, as data; [`FigureSpec::run`]
 //! turns one into [`FigureData`]: labeled points per series, directly
 //! renderable with [`crate::table::render`] and serializable to JSON.
-//! The bench harnesses in `bsim-bench` print the same rows/series the
-//! paper plots; EXPERIMENTS.md records the paper-vs-measured comparison.
+//! `bsim fig N` / `bsim table N` print the same rows/series the paper
+//! plots; EXPERIMENTS.md records the paper-vs-measured comparison.
 
 use crate::metrics::relative_speedup;
 use bsim_engine::{SimRate, SimRateMeter};
@@ -123,15 +123,9 @@ impl Default for Sizes {
 }
 
 impl Sizes {
-    /// Static lint over the workload sizes (`WL0xx` codes).
-    ///
-    /// `WL001` fires per zero-valued field: a zero size degenerates the
-    /// workload (no iterations, no keys, empty mesh) so the figure runs
-    /// instantly and reports meaningless speedups. Warnings, not errors —
-    /// a deliberately empty axis can be a valid smoke probe.
-    pub fn lint(&self, span: &str) -> bsim_check::Report {
-        let mut report = bsim_check::Report::new();
-        let fields: [(&str, u64); 11] = [
+    /// Every size as `(field name, value)`, in declaration order.
+    pub fn fields(&self) -> [(&'static str, u64); 11] {
+        [
             ("micro_scale", self.micro_scale as u64),
             ("cg_n", self.cg_n as u64),
             ("cg_iters", self.cg_iters as u64),
@@ -143,8 +137,18 @@ impl Sizes {
             ("lj_cells", self.lj_cells as u64),
             ("md_steps", self.md_steps as u64),
             ("chain_cells", self.chain_cells as u64),
-        ];
-        for (name, v) in fields {
+        ]
+    }
+
+    /// Static lint over the workload sizes (`WL0xx` codes).
+    ///
+    /// `WL001` fires per zero-valued field: a zero size degenerates the
+    /// workload (no iterations, no keys, empty mesh) so the figure runs
+    /// instantly and reports meaningless speedups. Warnings, not errors —
+    /// a deliberately empty axis can be a valid smoke probe.
+    pub fn lint(&self, span: &str) -> bsim_check::Report {
+        let mut report = bsim_check::Report::new();
+        for (name, v) in self.fields() {
             if v == 0 {
                 report.push(
                     bsim_check::Diagnostic::warning(
@@ -160,13 +164,32 @@ impl Sizes {
     }
 
     /// Parses a named preset (`default` or `smoke`), as service requests
-    /// and env knobs spell them. Unknown names are `None`, not a panic —
+    /// spell them. Unknown names are `None`, not a panic —
     /// the caller turns them into an SV001-style diagnostic.
     pub fn parse(name: &str) -> Option<Sizes> {
         match name {
             "default" => Some(Sizes::default()),
             "smoke" => Some(Sizes::smoke()),
             _ => None,
+        }
+    }
+
+    /// Larger (slower) sizes closer to the paper's inputs (`bsim fig
+    /// --paper`). Not a [`Sizes::parse`] preset: service requests and
+    /// `bsim dist` name only `default` and `smoke`.
+    pub fn paper() -> Sizes {
+        Sizes {
+            micro_scale: 4,
+            cg_n: 4096,
+            cg_iters: 15,
+            ep_pairs: 1 << 18,
+            is_keys: 1 << 17,
+            mg_n: 48,
+            mg_cycles: 2,
+            ume_n: 16,
+            lj_cells: 7,
+            md_steps: 10,
+            chain_cells: 12,
         }
     }
 

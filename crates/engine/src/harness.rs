@@ -284,17 +284,21 @@ impl<M: TickModel> Harness<M> {
         bsim_check::rules::engine_lints().run(&spec, "engine.schedule")
     }
 
+    /// One channel per wire with `slack` cycles of run-ahead, holding
+    /// the reset tokens: the first `latency` cycles read zeros.
+    fn reset_channels(&self, slack: usize) -> impl Iterator<Item = TokenChannel<u64>> + '_ {
+        self.wires.iter().map(move |w| {
+            let mut ch = TokenChannel::new(w.latency as usize + slack);
+            for c in 0..w.latency {
+                ch.push(c, 0).expect("reset tokens fit by construction"); // bsim: allow(AU002) invariant stated in the message
+            }
+            ch
+        })
+    }
+
     fn make_channels(&self, quantum: usize) -> Vec<SharedChannel> {
-        self.wires
-            .iter()
-            .map(|w| {
-                let mut ch = TokenChannel::new(w.latency as usize + quantum);
-                // Reset tokens: the first `latency` cycles read zeros.
-                for c in 0..w.latency {
-                    ch.push(c, 0).expect("reset tokens fit by construction"); // bsim: allow(AU002) invariant stated in the message
-                }
-                SharedChannel::wrap(ch)
-            })
+        self.reset_channels(quantum)
+            .map(SharedChannel::wrap)
             .collect()
     }
 
@@ -330,38 +334,9 @@ impl<M: TickModel> Harness<M> {
         // and per-model wire lists, so the hot loop indexes its channels
         // directly instead of scanning every wire twice per model per
         // cycle.
-        let mut channels: Vec<TokenChannel<u64>> = self
-            .wires
-            .iter()
-            .map(|w| {
-                let mut ch = TokenChannel::new(w.latency as usize + 1);
-                for c in 0..w.latency {
-                    ch.push(c, 0).expect("reset tokens fit by construction"); // bsim: allow(AU002) invariant stated in the message
-                }
-                ch
-            })
-            .collect();
+        let mut channels: Vec<TokenChannel<u64>> = self.reset_channels(1).collect();
         let n = self.models.len();
-        let ins: Vec<Vec<(usize, usize)>> = (0..n)
-            .map(|mi| {
-                self.wires
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, w)| w.to_model == mi)
-                    .map(|(wi, w)| (wi, w.to_port))
-                    .collect()
-            })
-            .collect();
-        let outs: Vec<Vec<(usize, usize, u64)>> = (0..n)
-            .map(|mi| {
-                self.wires
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, w)| w.from_model == mi)
-                    .map(|(wi, w)| (wi, w.from_port, w.latency))
-                    .collect()
-            })
-            .collect();
+        let (ins, outs): (Vec<_>, Vec<_>) = (0..n).map(|mi| model_wires(&self.wires, mi)).unzip();
         let mut tokens = vec![0u64; self.wires.len()];
         let mut inputs: Vec<Vec<u64>> = self
             .models
@@ -476,31 +451,65 @@ impl<M: TickModel> Harness<M> {
         tel: &mut CounterBlock,
     ) -> Vec<M> {
         let quantum = quantum.max(1);
-        let channels: Arc<Vec<SharedChannel>> = Arc::new(self.make_channels(quantum));
-        let wires = self.wires.clone();
-        let mut models = std::mem::take(&mut self.models);
-        let mut stats = SpanStats::new(wires.len());
-        let mut bufs: Vec<DriveBufs> = models.iter().map(|_| DriveBufs::empty()).collect();
-        let outcome = run_span(
-            &mut models,
-            &wires,
-            &channels,
-            (0, cycles),
-            quantum,
-            self.fast_forward,
-            &FaultPlan::default(),
-            None,
-            &mut bufs,
-            &mut stats,
-        );
-        match outcome {
-            Ok(()) => {}
-            Err(RunFailure::Panicked(payload)) => resume_unwind(payload),
-            Err(RunFailure::Stalled(_)) => unreachable!("no watchdog was armed"),
-        }
+        let channels = self.make_channels(quantum);
+        let (models, stats) = self
+            .drive_segments(channels, [(0, cycles)], quantum, None, |_, _, _| {})
+            .unwrap_or_else(|failure| failure.unwind());
         self.publish_target_counters(tel, cycles, &stats.tokens, models.len() as u64);
         self.publish_host_counters(tel, models.len() as u64, quantum, &stats);
         models
+    }
+
+    /// The one parallel driver behind every `run_parallel*`,
+    /// [`Harness::run_guarded`] and [`Harness::resume_parallel`]: takes
+    /// the models through consecutive `(from, to)` segments over
+    /// `channels`, calling `at_boundary(cycle, models, channels)`
+    /// between segments (all threads joined, channels quiescent).
+    /// `guard` arms fault injection and the watchdog; without it a
+    /// failure can only be a panic.
+    fn drive_segments(
+        &mut self,
+        channels: Vec<SharedChannel>,
+        segments: impl IntoIterator<Item = (u64, u64)>,
+        quantum: usize,
+        guard: Option<(&FaultPlan, WatchdogConfig)>,
+        mut at_boundary: impl FnMut(u64, &[M], &[SharedChannel]),
+    ) -> Result<(Vec<M>, SpanStats), RunFailure> {
+        let no_faults = FaultPlan::default();
+        let (faults, watchdog) = match guard {
+            Some((faults, watchdog)) => (faults, Some(watchdog)),
+            None => (&no_faults, None),
+        };
+        let channels = Arc::new(channels);
+        let mut models = std::mem::take(&mut self.models);
+        let mut stats = SpanStats::new(self.wires.len());
+        // Allocated once, reused across every segment: the drive loop
+        // performs no steady-state allocations between checkpoints.
+        let mut bufs: Vec<DriveBufs> = models.iter().map(|_| DriveBufs::empty()).collect();
+        let mut segments = segments.into_iter().peekable();
+        while let Some(span) = segments.next() {
+            run_span(
+                &mut models,
+                &self.wires,
+                &channels,
+                span,
+                quantum,
+                self.fast_forward,
+                faults,
+                watchdog,
+                &mut bufs,
+                &mut stats,
+            )?;
+            if segments.peek().is_some() {
+                at_boundary(span.1, &models, &channels);
+            }
+        }
+        #[cfg(debug_assertions)]
+        assert!(
+            bufs.iter().all(|b| b.grows <= 1),
+            "segments must reuse their drive buffers, not regrow them"
+        );
+        Ok((models, stats))
     }
 
     /// [`Harness::run_parallel`] with fault injection and a watchdog:
@@ -530,28 +539,13 @@ impl<M: TickModel> Harness<M> {
         tel: &mut CounterBlock,
     ) -> Result<Vec<M>, SimError> {
         let quantum = quantum.max(1);
-        let channels: Arc<Vec<SharedChannel>> = Arc::new(self.make_channels(quantum));
-        let wires = self.wires.clone();
-        let mut models = std::mem::take(&mut self.models);
-        let mut stats = SpanStats::new(wires.len());
+        let channels = self.make_channels(quantum);
         for (label, n) in faults.count_by_kind() {
             tel.set_named(&format!("fault.injected.{label}"), n);
         }
-        let mut bufs: Vec<DriveBufs> = models.iter().map(|_| DriveBufs::empty()).collect();
-        let outcome = run_span(
-            &mut models,
-            &wires,
-            &channels,
-            (0, cycles),
-            quantum,
-            self.fast_forward,
-            faults,
-            Some(watchdog),
-            &mut bufs,
-            &mut stats,
-        );
-        match outcome {
-            Ok(()) => {
+        let guard = Some((faults, watchdog));
+        match self.drive_segments(channels, [(0, cycles)], quantum, guard, |_, _, _| {}) {
+            Ok((models, stats)) => {
                 tel.set_named("host.resilience.watchdog_trips", 0);
                 self.publish_target_counters(tel, cycles, &stats.tokens, models.len() as u64);
                 self.publish_host_counters(tel, models.len() as u64, quantum, &stats);
@@ -610,43 +604,15 @@ impl<M: TickModel + Snapshot> Harness<M> {
     ) -> Vec<M> {
         let quantum = quantum.max(1);
         let interval = interval.max(1);
-        let channels: Arc<Vec<SharedChannel>> = Arc::new(self.make_channels(quantum));
-        let wires = self.wires.clone();
-        let mut models = std::mem::take(&mut self.models);
-        let mut stats = SpanStats::new(wires.len());
-        // Allocated once, reused across every segment: the drive loop
-        // performs no steady-state allocations between checkpoints.
-        let mut bufs: Vec<DriveBufs> = models.iter().map(|_| DriveBufs::empty()).collect();
-        let mut at = 0u64;
-        while at < cycles {
-            let seg_end = at.saturating_add(interval).min(cycles);
-            let outcome = run_span(
-                &mut models,
-                &wires,
-                &channels,
-                (at, seg_end),
-                quantum,
-                self.fast_forward,
-                &FaultPlan::default(),
-                None,
-                &mut bufs,
-                &mut stats,
-            );
-            match outcome {
-                Ok(()) => {}
-                Err(RunFailure::Panicked(payload)) => resume_unwind(payload),
-                Err(RunFailure::Stalled(_)) => unreachable!("no watchdog was armed"),
-            }
-            at = seg_end;
-            if at < cycles {
-                on_ckpt(&snapshot_state(at, &models, &channels));
-            }
-        }
-        #[cfg(debug_assertions)]
-        assert!(
-            bufs.iter().all(|b| b.grows <= 1),
-            "segments must reuse their drive buffers, not regrow them"
-        );
+        let channels = self.make_channels(quantum);
+        let segments = std::iter::successors(Some(0u64), |at| Some(at.saturating_add(interval)))
+            .take_while(|&at| at < cycles)
+            .map(|at| (at, at.saturating_add(interval).min(cycles)));
+        let (models, _) = self
+            .drive_segments(channels, segments, quantum, None, |at, models, channels| {
+                on_ckpt(&snapshot_state(at, models, channels))
+            })
+            .unwrap_or_else(|failure| failure.unwind());
         models
     }
 
@@ -697,52 +663,38 @@ impl<M: TickModel + Snapshot> Harness<M> {
                     .join(", ")
             ),
         })?;
-        let channels: Arc<Vec<SharedChannel>> = Arc::new(
-            harness
-                .wires
-                .iter()
-                .zip(&ckpt.channels)
-                .map(|(w, ck)| {
-                    if ck.tokens.len() as u64 != w.latency {
-                        return Err(CkptError::Corrupt {
-                            detail: format!(
-                                "channel checkpoint holds {} token(s) on a latency-{} wire",
-                                ck.tokens.len(),
-                                w.latency
-                            ),
-                        });
-                    }
-                    Ok(SharedChannel::wrap(TokenChannel::restore(
-                        w.latency as usize + quantum,
-                        ck.next_push,
-                        ck.next_pop,
-                        ck.tokens.clone(),
-                    )))
-                })
-                .collect::<Result<_, _>>()?,
-        );
-        let wires = harness.wires.clone();
-        let fast_forward = harness.fast_forward;
-        let mut models = std::mem::take(&mut harness.models);
-        let mut stats = SpanStats::new(wires.len());
-        let mut bufs: Vec<DriveBufs> = models.iter().map(|_| DriveBufs::empty()).collect();
-        let outcome = run_span(
-            &mut models,
-            &wires,
-            &channels,
-            (ckpt.cycle, cycles),
-            quantum,
-            fast_forward,
-            &FaultPlan::default(),
-            None,
-            &mut bufs,
-            &mut stats,
-        );
-        match outcome {
-            Ok(()) => Ok(models),
-            Err(RunFailure::Panicked(payload)) => resume_unwind(payload),
-            Err(RunFailure::Stalled(_)) => unreachable!("no watchdog was armed"),
-        }
+        let channels: Vec<SharedChannel> = harness
+            .wires
+            .iter()
+            .zip(&ckpt.channels)
+            .map(|(w, ck)| {
+                if ck.tokens.len() as u64 != w.latency {
+                    return Err(CkptError::Corrupt {
+                        detail: format!(
+                            "channel checkpoint holds {} token(s) on a latency-{} wire",
+                            ck.tokens.len(),
+                            w.latency
+                        ),
+                    });
+                }
+                Ok(SharedChannel::wrap(TokenChannel::restore(
+                    w.latency as usize + quantum,
+                    ck.next_push,
+                    ck.next_pop,
+                    ck.tokens.clone(),
+                )))
+            })
+            .collect::<Result<_, _>>()?;
+        let (models, _) = harness
+            .drive_segments(
+                channels,
+                [(ckpt.cycle, cycles)],
+                quantum,
+                None,
+                |_, _, _| {},
+            )
+            .unwrap_or_else(|failure| failure.unwind());
+        Ok(models)
     }
 }
 
@@ -851,6 +803,16 @@ enum RunFailure {
     Stalled(StallReport),
 }
 
+impl RunFailure {
+    /// For runs that armed no watchdog: re-raises the model's panic.
+    fn unwind(self) -> ! {
+        match self {
+            RunFailure::Panicked(payload) => resume_unwind(payload),
+            RunFailure::Stalled(_) => unreachable!("no watchdog was armed"),
+        }
+    }
+}
+
 /// Poison payload the watchdog uses to distinguish its own teardown
 /// from a real model panic.
 struct StallMarker;
@@ -937,6 +899,25 @@ impl DriveBufs {
     }
 }
 
+/// `(wire, input port)` of every wire into a model, in wire order.
+type InWires = Vec<(usize, usize)>;
+/// `(wire, output port, latency)` of every wire out of a model.
+type OutWires = Vec<(usize, usize, u64)>;
+
+fn model_wires(wires: &[Wire], mi: usize) -> (InWires, OutWires) {
+    let wires = || wires.iter().enumerate();
+    (
+        wires()
+            .filter(|(_, w)| w.to_model == mi)
+            .map(|(wi, w)| (wi, w.to_port))
+            .collect(),
+        wires()
+            .filter(|(_, w)| w.from_model == mi)
+            .map(|(wi, w)| (wi, w.from_port, w.latency))
+            .collect(),
+    )
+}
+
 /// Runs all models from target cycle `span.0` to `span.1` on one host
 /// thread each, with optional fault injection and watchdog. The shared
 /// core of every parallel entry point.
@@ -968,18 +949,7 @@ fn run_span<M: TickModel>(
             let abort = Arc::clone(&abort);
             let progress = Arc::clone(&progress);
             let epoch = Arc::clone(&epoch);
-            let my_in: Vec<(usize, usize)> = wires
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| w.to_model == mi)
-                .map(|(wi, w)| (wi, w.to_port))
-                .collect();
-            let my_out: Vec<(usize, usize, u64)> = wires
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| w.from_model == mi)
-                .map(|(wi, w)| (wi, w.from_port, w.latency))
-                .collect();
+            let (my_in, my_out) = model_wires(wires, mi);
             let thread_faults = ThreadFaults::for_model(faults, mi, wires, &my_out);
             handles.push(scope.spawn(move |_| {
                 // Catch the panic here, not at the scope join: peers
@@ -1410,10 +1380,15 @@ fn drive_model<M: TickModel>(
                     // the cycle-stamped protocol must reject this, and
                     // the rejection is the loud failure the duplicate
                     // fault class asserts.
+                    // Which stamp is stale depends on how much of
+                    // `pending` the host schedule has flushed, so the
+                    // report names only the planned (cycle, wire).
                     let mut ch = channels[wi].chan.lock();
                     let stale = ch.producer_cycle().saturating_sub(1);
-                    if let Err(e) = ch.push(stale, token) {
-                        panic!("token protocol violation (injected duplicate): {e}");
+                    if ch.push(stale, token).is_err() {
+                        panic!(
+                            "token protocol violation (injected duplicate of cycle {t} on wire {wi})"
+                        );
                     }
                 }
                 // A severed wire delivers nothing from the drop cycle
@@ -1889,9 +1864,9 @@ mod tests {
         let SimError::Panicked { message } = err else {
             panic!("expected Panicked, got {err}");
         };
-        assert!(
-            message.contains("token protocol violation"),
-            "unexpected message: {message}"
+        assert_eq!(
+            message,
+            "token protocol violation (injected duplicate of cycle 50 on wire 0)"
         );
     }
 

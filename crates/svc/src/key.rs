@@ -31,9 +31,10 @@
 
 use serde::{Serialize, Value};
 
-/// Result-store schema the daemon persists: the same versioned-JSON
-/// lineage as the bench export. Folded into every cell key so a schema
-/// migration invalidates old entries by construction.
+/// Result-store schema the daemon persists and stamps on every result
+/// document. Folded into every cell key so a schema migration
+/// invalidates old entries by construction. (The id predates the perf
+/// ledger; renaming it would orphan every stored entry.)
 pub const STORE_SCHEMA: &str = "bsim-bench-v1";
 
 /// Simulation code version folded into every cell key. Bump when a

@@ -11,7 +11,7 @@
 //! by it so the sweep kernel ticks each group through one trace pass.
 
 use bsim_check::{Diagnostic, Report};
-use bsim_soc::SocConfig;
+use bsim_soc::{configs, SocConfig};
 
 /// The trace-shaping knobs: two configs with equal keys (for a given
 /// rank count) produce byte-identical operation traces and may ride the
@@ -82,6 +82,30 @@ pub fn partition(cfgs: &[SocConfig], ranks: usize, max_lanes: usize) -> Vec<Lane
         .collect()
 }
 
+/// The cache-tuning config grid: Large BOOM variants sweeping L1 sets,
+/// L2 sets, and prefetch degree. All variants share one [`TraceKey`],
+/// so the whole grid lanes onto a single recording.
+pub fn cache_tuning_grid(ranks: usize, n: usize) -> Vec<SocConfig> {
+    let mut grid = Vec::new();
+    for &l1_sets in &[64u32, 128, 256, 512] {
+        for &l2_sets in &[1024u32, 2048] {
+            for &pf in &[0u32, 2] {
+                let mut cfg = configs::large_boom(ranks);
+                cfg.hierarchy.l1d.sets = l1_sets;
+                cfg.hierarchy.l1i.sets = l1_sets;
+                cfg.hierarchy.l2.sets = l2_sets;
+                cfg.hierarchy.prefetch_degree = pf;
+                cfg.name = format!("Large BOOM L1s{l1_sets} L2s{l2_sets} pf{pf}");
+                grid.push(cfg);
+                if grid.len() == n {
+                    return grid;
+                }
+            }
+        }
+    }
+    grid
+}
+
 /// CL081: warns when a lane plan degenerates to scalar execution —
 /// either the lane cap disables grouping or the grid's keys are all
 /// distinct, so every group is a singleton and the sweep pays recording
@@ -122,7 +146,6 @@ pub fn lint_lane_plan(cfgs: &[SocConfig], ranks: usize, max_lanes: usize, span: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsim_soc::configs;
 
     #[test]
     fn sim_models_share_a_group_and_hw_is_singleton() {
@@ -144,6 +167,16 @@ mod tests {
         let groups = partition(&cfgs, 1, 2);
         let cells: Vec<_> = groups.iter().map(|g| g.cells.clone()).collect();
         assert_eq!(cells, vec![vec![0, 1], vec![2, 3], vec![4]]);
+    }
+
+    #[test]
+    fn grid_shares_one_trace_key_and_caps_at_n() {
+        let g = cache_tuning_grid(2, 6);
+        assert_eq!(g.len(), 6);
+        let groups = partition(&g, 2, 16);
+        assert_eq!(groups.len(), 1, "whole grid must lane together");
+        let names: std::collections::BTreeSet<_> = g.iter().map(|c| c.name.clone()).collect();
+        assert_eq!(names.len(), 6, "variant names must be distinct");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # bsim-sweepx — vectorized multi-lane sweeps and sampled simulation
 //!
 //! The scalar pipeline simulates one platform config per run, so a
-//! config-grid sweep (`bsim fig`, `ablation_cache_tuning`) repeats the
+//! config-grid sweep (`bsim fig`, `examples/cache_tuning.rs`) repeats the
 //! expensive, config-*independent* work — functional execution, trace
 //! decode, workload segment iteration — once per cell. This crate
 //! splits that work out:
@@ -16,7 +16,8 @@
 //!   quantum while per-lane cache tags, LRU state, DRAM bank/row
 //!   state, and stat counters live in each lane's own `Soc`. Full
 //!   replay is **bit-identical** to the scalar path, A/B-checked in
-//!   tests and in `bsim bench --sweepx`.
+//!   tests (`tests/lane_ab.rs`) and held by the ledger's
+//!   `sweep-lanes` goldens.
 //! * **Lane grouping** ([`TraceKey`], [`partition`]) decides which
 //!   grid cells may share a recording: configs agree on rank count and
 //!   on everything the *functional* side observes (SIMD lanes,
@@ -29,19 +30,19 @@
 //!   error bounds in a [`SampleReport`] (CL085–CL087 lint the budget).
 //!
 //! [`run_lanes`] is the lane executor for `bsim_core`'s figure table
-//! (`bsim fig --lanes N [--sample]`), and [`run_ablation`] is the
-//! `bsim bench --sweepx` harness proving the ≥10x grid speedup with
-//! the correctness evidence attached.
+//! (`bsim fig --lanes N [--sample]`). Wall-clock for the lane and
+//! sampled paths is measured by the ledger (`benchmark/`, metrics
+//! `sweepx.lane_vs_scalar`, `sweepx.replay_{full,sampled}_ms`); the
+//! sampled error and its reported bound are gated at calibrated scale
+//! by the release-only test in `tests/lane_ab.rs`.
 
-pub mod bench;
 pub mod figure;
 pub mod lane;
 pub mod prog;
 pub mod replay;
 pub mod sample;
 
-pub use bench::{cache_tuning_grid, run_ablation, Ablation, AblationRow};
 pub use figure::{run_lanes, LaneOpts, SampleAgg};
-pub use lane::{lint_lane_plan, partition, LaneGroup, TraceKey};
+pub use lane::{cache_tuning_grid, lint_lane_plan, partition, LaneGroup, TraceKey};
 pub use replay::{replay_world, LaneOutcome};
 pub use sample::{SampleCfg, SampleMetric, SamplePlan, SampleReport};

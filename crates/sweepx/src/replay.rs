@@ -322,7 +322,7 @@ mod tests {
     #[ignore = "calibration dump, run by hand with --nocapture"]
     fn dump_strata_rates() {
         use super::*;
-        let cfgs = crate::bench::cache_tuning_grid(2, 1);
+        let cfgs = crate::lane::cache_tuning_grid(2, 1);
         let net = bsim_mpi::NetConfig::shared_memory();
         let wl = bsim_workloads::npb::cg::CgConfig::default();
         let (_, trace) = bsim_workloads::npb::cg::record(cfgs[0].clone(), 2, wl, net);

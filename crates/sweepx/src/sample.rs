@@ -26,8 +26,8 @@
 //! segments; communication events are never skipped, so cross-rank
 //! orderings and all mail payloads are exact; and the per-metric
 //! standard error is the stratified-sampling bound over each stratum's
-//! stable suffix, surfaced in [`SampleReport`] and gated by tests and
-//! `bsim bench`.
+//! stable suffix, surfaced in [`SampleReport`] and gated by
+//! `tests/lane_ab.rs`.
 
 use bsim_check::{Diagnostic, Report};
 use bsim_isa::OpClass;

@@ -7,18 +7,23 @@
 //! L2/LLC steps — the end-to-end tuned-vs-stock shape of Figure 4b is
 //! reproduced, the per-knob attribution is noted as a deviation in
 //! EXPERIMENTS.md.
+//!
+//! Run with:
+//! ```text
+//! cargo run --release --example cache_tuning
+//! ```
 
-use bsim_mpi::NetConfig;
-use bsim_soc::{configs, SocConfig};
-use bsim_workloads::npb::{cg, is, mg};
+use silicon_bridge::core::experiments::Sizes;
+use silicon_bridge::mpi::NetConfig;
+use silicon_bridge::soc::{configs, SocConfig};
+use silicon_bridge::workloads::npb::{cg, is, mg};
 
 fn run_all(cfg: SocConfig, ranks: usize) -> (f64, f64, f64) {
-    let s = {
-        let mut s = bsim_bench::sizes();
+    let s = Sizes {
         // CG's gathered vector must overflow the smaller caches.
-        s.cg_n = 6144;
-        s.cg_iters = 5;
-        s
+        cg_n: 6144,
+        cg_iters: 5,
+        ..Sizes::default()
     };
     let net = NetConfig::shared_memory();
     let cg_c = cg::run(
@@ -64,33 +69,31 @@ fn run_all(cfg: SocConfig, ranks: usize) -> (f64, f64, f64) {
 }
 
 fn main() {
-    bsim_bench::with_timer("ablation_cache_tuning", || {
-        for ranks in [1usize, 4] {
-            let stock = run_all(configs::large_boom(ranks), ranks);
-            let l1_only = {
-                let mut cfg = configs::large_boom(ranks);
-                cfg.hierarchy.l1d.sets = 128;
-                cfg.hierarchy.l1i.sets = 128;
-                run_all(cfg, ranks)
-            };
-            let full = run_all(configs::milkv_sim(ranks), ranks);
-            println!("== Ablation: Large BOOM -> MILK-V tuning, {ranks} rank(s) (paper §5.2.2) ==");
+    for ranks in [1usize, 4] {
+        let stock = run_all(configs::large_boom(ranks), ranks);
+        let l1_only = {
+            let mut cfg = configs::large_boom(ranks);
+            cfg.hierarchy.l1d.sets = 128;
+            cfg.hierarchy.l1i.sets = 128;
+            run_all(cfg, ranks)
+        };
+        let full = run_all(configs::milkv_sim(ranks), ranks);
+        println!("== Ablation: Large BOOM -> MILK-V tuning, {ranks} rank(s) (paper §5.2.2) ==");
+        println!(
+            "{:6} {:>14} {:>12} {:>12}",
+            "bench", "stock cycles", "L1 64KiB", "full tuning"
+        );
+        for (name, s, l1, f) in [
+            ("CG", stock.0, l1_only.0, full.0),
+            ("IS", stock.1, l1_only.1, full.1),
+            ("MG", stock.2, l1_only.2, full.2),
+        ] {
             println!(
-                "{:6} {:>14} {:>12} {:>12}",
-                "bench", "stock cycles", "L1 64KiB", "full tuning"
+                "{name:6} {s:>14.0} {:>11.1}% {:>11.1}%",
+                (1.0 - l1 / s) * 100.0,
+                (1.0 - f / s) * 100.0
             );
-            for (name, s, l1, f) in [
-                ("CG", stock.0, l1_only.0, full.0),
-                ("IS", stock.1, l1_only.1, full.1),
-                ("MG", stock.2, l1_only.2, full.2),
-            ] {
-                println!(
-                    "{name:6} {s:>14.0} {:>11.1}% {:>11.1}%",
-                    (1.0 - l1 / s) * 100.0,
-                    (1.0 - f / s) * 100.0
-                );
-            }
-            println!("(columns 3-4: runtime reduction vs stock; paper: CG ~27.7% from L1 alone)\n");
         }
-    });
+        println!("(columns 3-4: runtime reduction vs stock; paper: CG ~27.7% from L1 alone)\n");
+    }
 }

@@ -86,6 +86,6 @@ fn main() {
     println!(
         "\nExpected shape: CG (latency-bound gathers) improves with the machine size and\n\
          the memory-side tuning, EP (compute-bound) only with core width — the §5.2.2\n\
-         trade-off. Run `cargo bench --bench ablation_cache_tuning` for the full story."
+         trade-off. Run `cargo run --release --example cache_tuning` for the full story."
     );
 }

@@ -3,10 +3,12 @@
 //! ```text
 //! bsim list                         # platforms + experiments
 //! bsim table 1|2|4|5                # print a paper table
-//! bsim fig 1|2|3|4|5|6|7|all [--smoke] [--par seq|auto|N]
+//! bsim fig 1|2|3|4|5|6|7|all [--smoke|--paper] [--par seq|auto|N]
 //!          [--ckpt FILE] [--resume FILE] [--retries N]
 //!          [--lanes N] [--sample]
-//!                                   # regenerate a paper figure; --par
+//!                                   # regenerate a paper figure at the
+//!                                   # default, CI-smoke or near-paper
+//!                                   # workload sizes; --par
 //!                                   # fans the platform×workload grid
 //!                                   # across N host threads; --ckpt
 //!                                   # writes completed subfigures to
@@ -32,14 +34,6 @@
 //!                                   # catalog of partition plans for
 //!                                   # cross-rank deadlock, --source
 //!                                   # audits the workspace sources
-//! bsim bench [--json] [--out FILE] [--baseline FILE] [--iters N]
-//!            [--sweepx]
-//!                                   # in-process engine micro-timings
-//!                                   # (host perf, not target cycles);
-//!                                   # --baseline compares cycles/sec and
-//!                                   # exits non-zero on a >20% regression;
-//!                                   # --sweepx times the scalar grid vs
-//!                                   # lane-sweep vs sampled ablation
 //! bsim dist [--ranks N] [--figs 1,2] [--smoke] [--store FILE] [--json]
 //!           [--kill-rank R --kill-after K]
 //!                                   # fan a cell sweep across N worker
@@ -74,7 +68,6 @@ use silicon_bridge::core::tuning::tune_milkv;
 use silicon_bridge::core::{run_campaign, run_plan_with, CkptStore, Parallelism, RetryPolicy};
 use silicon_bridge::dist::launcher::{run_graph_demo, run_sweep, KillSpec, LaunchOpts};
 use silicon_bridge::dist::{faults as dist_faults, worker as dist_worker, WireCell};
-use silicon_bridge::engine::{Harness, TickModel, Wire};
 use silicon_bridge::mpi::NetConfig;
 use silicon_bridge::resilience::CellOutcome;
 use silicon_bridge::soc::{configs, Soc, SocConfig};
@@ -86,20 +79,20 @@ fn platforms() -> Vec<SocConfig> {
     configs::catalog(1)
 }
 
-fn platform_by_name(name: &str) -> Option<SocConfig> {
+fn platform_or_exit(name: &str) -> SocConfig {
     configs::by_name(name, 1)
+        .unwrap_or_else(|| fail(format!("unknown platform {name}; try `bsim list`")))
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  bsim list\n  bsim table <1|2|4|5>\n  \
-         bsim fig <1..7|all> [--smoke] [--par seq|auto|N] [--ckpt FILE] [--resume FILE] [--retries N]\n       \
+         bsim fig <1..7|all> [--smoke|--paper] [--par seq|auto|N] [--ckpt FILE] [--resume FILE] [--retries N]\n       \
          [--lanes N] [--sample]\n  \
          bsim micro <kernel> [platform]\n  bsim tune\n  \
          bsim faults [--seed N] [--deny-unsurvived] [--in-process] [--guard]\n  \
          bsim check [--deny-warnings] [--json] [--list] [--proto] [--plans] [--source] [platform ...]\n  \
          bsim scrub --store FILE\n  \
-         bsim bench [--json] [--out FILE] [--baseline FILE] [--iters N] [--sweepx]\n  \
          bsim dist [--ranks N] [--figs 1,2] [--smoke] [--store FILE] [--json] [--kill-rank R --kill-after K]\n  \
          bsim dist --graph-demo CYCLES [--ranks N] [--ring N] [--latency L] [--quantum Q] [--seed N]\n  \
          bsim serve [--addr H:P] [--store FILE] [--workers N] [--budget N] [--par seq|auto|N] [--dist-ranks N]\n       \
@@ -113,12 +106,147 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// The value following `--flag`, if the flag is present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// Prints `msg` and exits 2, the code every bad invocation gets.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
+/// The flags each subcommand accepts, as `(flag, takes_value)`.
+fn flag_table(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
+    Some(match cmd {
+        "list" | "table" | "micro" | "tune" | "status" | "fetch" | "dist-worker" => &[],
+        "fig" => &[
+            ("--smoke", false),
+            ("--paper", false),
+            ("--par", true),
+            ("--ckpt", true),
+            ("--resume", true),
+            ("--retries", true),
+            ("--lanes", true),
+            ("--sample", false),
+        ],
+        "faults" => &[
+            ("--seed", true),
+            ("--deny-unsurvived", false),
+            ("--in-process", false),
+            ("--guard", false),
+        ],
+        "check" => &[
+            ("--deny-warnings", false),
+            ("--json", false),
+            ("--list", false),
+            ("--proto", false),
+            ("--plans", false),
+            ("--source", false),
+        ],
+        "scrub" => &[("--store", true)],
+        "dist" => &[
+            ("--ranks", true),
+            ("--figs", true),
+            ("--smoke", false),
+            ("--store", true),
+            ("--json", false),
+            ("--kill-rank", true),
+            ("--kill-after", true),
+            ("--graph-demo", true),
+            ("--ring", true),
+            ("--latency", true),
+            ("--quantum", true),
+            ("--seed", true),
+        ],
+        "serve" => &[
+            ("--addr", true),
+            ("--store", true),
+            ("--workers", true),
+            ("--budget", true),
+            ("--par", true),
+            ("--dist-ranks", true),
+            ("--conn-workers", true),
+            ("--conn-backlog", true),
+            ("--queue-cap", true),
+            ("--deadline-ms", true),
+            ("--io-timeout-secs", true),
+        ],
+        "submit" => &[
+            ("--smoke", false),
+            ("--seed", true),
+            ("--wait", false),
+            ("--platforms", true),
+            ("--kernels", true),
+            ("--scale", true),
+        ],
+        _ => return None,
+    })
+}
+
+/// One subcommand's argv, split by its flag table: the flags that were
+/// given (with their values) and the positionals in order.
+struct Flags<'a> {
+    given: Vec<(&'a str, &'a str)>,
+    pos: Vec<&'a str>,
+}
+
+/// Splits `args` by `table`; an unknown `--flag` or a flag missing its
+/// value exits 2 naming it, so a typo never runs with defaults.
+fn parse_flags<'a>(cmd: &str, args: &'a [String], table: &[(&str, bool)]) -> Flags<'a> {
+    let mut flags = Flags {
+        given: Vec::new(),
+        pos: Vec::new(),
+    };
+    let mut it = args.iter().map(String::as_str).peekable();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            flags.pos.push(arg);
+            continue;
+        }
+        let Some(&(_, takes_value)) = table.iter().find(|(f, _)| *f == arg) else {
+            fail(format!("bsim {cmd}: unknown flag {arg}"))
+        };
+        let value = match it.next_if(|v| takes_value && !v.starts_with("--")) {
+            Some(v) => v,
+            None if takes_value => fail(format!("bsim {cmd}: {arg} needs a value")),
+            None => "",
+        };
+        flags.given.push((arg, value));
+    }
+    flags
+}
+
+impl<'a> Flags<'a> {
+    /// The value given with `flag` (empty for a switch), if it was given.
+    fn get(&self, flag: &str) -> Option<&'a str> {
+        self.given.iter().find(|(f, _)| *f == flag).map(|(_, v)| *v)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.get(flag).is_some()
+    }
+
+    /// `flag`'s value through `parse`; a value it rejects exits 2 with
+    /// "`flag` takes `what`".
+    fn flag_with<T>(&self, flag: &str, what: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+        self.get(flag)
+            .map(|v| parse(v).unwrap_or_else(|| fail(format!("{flag} takes {what}"))))
+    }
+
+    fn flag<T: std::str::FromStr>(&self, flag: &str, what: &str) -> Option<T> {
+        self.flag_with(flag, what, |v| v.parse().ok())
+    }
+
+    /// A numeric flag's value, or `default` when the flag is absent.
+    fn num<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
+        self.flag(flag, "a non-negative integer").unwrap_or(default)
+    }
+
+    fn par(&self, default: Parallelism) -> Parallelism {
+        self.flag_with("--par", "seq, auto, or a worker count", Parallelism::parse)
+            .unwrap_or(default)
+    }
+
+    fn path(&self, flag: &str) -> Option<std::path::PathBuf> {
+        self.get(flag).map(std::path::PathBuf::from)
+    }
 }
 
 /// The argv a dist launcher spawns per rank: this very binary, re-entered
@@ -135,10 +263,8 @@ fn worker_argv() -> Vec<String> {
 /// platform (or just the ones given), the stock network links, and the
 /// workload size presets, then renders rustc-style diagnostics (or JSON)
 /// and sets the exit code like a compiler would.
-fn run_check(args: &[String]) -> ! {
-    let deny_warnings = args.iter().any(|a| a == "--deny-warnings");
-    let json = args.iter().any(|a| a == "--json");
-    if args.iter().any(|a| a == "--list") {
+fn run_check(f: &Flags) -> ! {
+    if f.has("--list") {
         println!("registered lints (see crates/check/README.md for the full taxonomy):");
         let regs: Vec<(&str, Vec<(&str, &str)>)> = vec![
             ("cache", check::rules::cache_lints().codes()),
@@ -189,30 +315,22 @@ fn run_check(args: &[String]) -> ! {
         );
         std::process::exit(0);
     }
-    let named: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let targets: Vec<SocConfig> = if named.is_empty() {
+    let targets: Vec<SocConfig> = if f.pos.is_empty() {
         platforms()
     } else {
-        named
-            .iter()
-            .map(|n| {
-                platform_by_name(n).unwrap_or_else(|| {
-                    eprintln!("unknown platform {n}; try `bsim list`");
-                    std::process::exit(2);
-                })
-            })
-            .collect()
+        f.pos.iter().map(|n| platform_or_exit(n)).collect()
     };
     let mut report = silicon_bridge::soc::preflight_all(targets.iter());
-    if named.is_empty() {
+    if f.pos.is_empty() {
         // Full sweep: also lint the link models and workload presets the
         // figure generators use.
         report.merge(NetConfig::shared_memory().lint("net.shared_memory"));
         report.merge(NetConfig::ethernet_10g().lint("net.ethernet_10g"));
         report.merge(Sizes::default().lint("sizes.default"));
         report.merge(Sizes::smoke().lint("sizes.smoke"));
+        report.merge(Sizes::paper().lint("sizes.paper"));
     }
-    if args.iter().any(|a| a == "--proto") {
+    if f.has("--proto") {
         // Exhaustively model-check the wire-protocol transition tables
         // the svc and dist runtimes drive.
         for spec in [check::proto::svc_protocol(), check::proto::dist_protocol()] {
@@ -224,7 +342,7 @@ fn run_check(args: &[String]) -> ! {
             report.merge(explored.report);
         }
     }
-    if args.iter().any(|a| a == "--plans") {
+    if f.has("--plans") {
         // Cross-rank deadlock analysis over a catalog of partition
         // shapes the dist/soc layers actually produce: every ring size
         // and rank split the demos reach, at the default 16-cycle link
@@ -249,7 +367,7 @@ fn run_check(args: &[String]) -> ! {
         }
         println!("plans: {plans} partition shapes analyzed");
     }
-    if args.iter().any(|a| a == "--source") {
+    if f.has("--source") {
         let audit = check::audit::audit_workspace();
         println!(
             "source audit: {} files scanned, {} finding(s) waived",
@@ -257,7 +375,7 @@ fn run_check(args: &[String]) -> ! {
         );
         report.merge(audit.report);
     }
-    if json {
+    if f.has("--json") {
         println!("{}", report.to_json());
     } else if report.is_clean() {
         println!(
@@ -267,348 +385,17 @@ fn run_check(args: &[String]) -> ! {
     } else {
         println!("{}", report.render());
     }
-    let failed = report.has_errors() || (deny_warnings && report.has_warnings());
+    let failed = report.has_errors() || (f.has("--deny-warnings") && report.has_warnings());
     std::process::exit(if failed { 1 } else { 0 })
-}
-
-/// Free-running compute model for the host-perf benches: one multiply
-/// per cycle, never idle. Measures the raw tick-loop rate.
-struct Lfsr {
-    state: u64,
-}
-
-impl TickModel for Lfsr {
-    fn num_inputs(&self) -> usize {
-        1
-    }
-    fn num_outputs(&self) -> usize {
-        1
-    }
-    fn tick(&mut self, cycle: u64, inputs: &[u64], outputs: &mut [u64]) {
-        self.state = self
-            .state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(inputs[0] ^ cycle);
-        outputs[0] = self.state >> 13;
-    }
-}
-
-/// Mostly-idle model for the fast-forward benches: pulses once per
-/// `period` cycles, absorbs incoming tokens, and declares its quiescence
-/// window via `next_activity` so the harness can bulk-advance.
-struct Beacon {
-    period: u64,
-    next: u64,
-    state: u64,
-}
-
-impl TickModel for Beacon {
-    fn num_inputs(&self) -> usize {
-        1
-    }
-    fn num_outputs(&self) -> usize {
-        1
-    }
-    fn tick(&mut self, cycle: u64, inputs: &[u64], outputs: &mut [u64]) {
-        if inputs[0] != 0 {
-            self.state = self
-                .state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(inputs[0]);
-        }
-        if cycle >= self.next {
-            outputs[0] = self.state | 1;
-            self.next = cycle + self.period;
-        } else {
-            outputs[0] = 0;
-        }
-    }
-    fn next_activity(&self) -> Option<u64> {
-        Some(self.next)
-    }
-}
-
-fn lfsr_ring(n: usize, latency: u64) -> (Vec<Lfsr>, Vec<Wire>) {
-    let models = (0..n)
-        .map(|i| Lfsr {
-            state: i as u64 + 1,
-        })
-        .collect();
-    (models, ring_wires(n, latency))
-}
-
-fn beacon_ring(n: usize, period: u64) -> (Vec<Beacon>, Vec<Wire>) {
-    let models = (0..n)
-        .map(|i| Beacon {
-            period,
-            next: 0,
-            state: i as u64 + 1,
-        })
-        .collect();
-    (models, ring_wires(n, 1))
-}
-
-fn ring_wires(n: usize, latency: u64) -> Vec<Wire> {
-    (0..n)
-        .map(|i| Wire {
-            from_model: i,
-            from_port: 0,
-            to_model: (i + 1) % n,
-            to_port: 0,
-            latency,
-        })
-        .collect()
-}
-
-struct BenchResult {
-    bench: &'static str,
-    mean_ns: f64,
-    cycles_per_sec: f64,
-}
-
-/// One warm-up iteration, then the mean of `iters` timed ones.
-fn measure(bench: &'static str, cycles: u64, iters: u32, f: &mut dyn FnMut()) -> BenchResult {
-    f();
-    let t0 = std::time::Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let mean_s = t0.elapsed().as_secs_f64() / iters as f64;
-    BenchResult {
-        bench,
-        mean_ns: mean_s * 1e9,
-        cycles_per_sec: cycles as f64 / mean_s,
-    }
-}
-
-/// Pulls `(bench, cycles_per_sec)` pairs back out of a `--json` report.
-/// The format is our own, so a line-oriented scan beats a JSON parser.
-fn baseline_rates(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for chunk in text.split("\"bench\"").skip(1) {
-        let Some(name) = chunk.split('"').nth(1) else {
-            continue;
-        };
-        let Some(rest) = chunk.split("\"cycles_per_sec\"").nth(1) else {
-            continue;
-        };
-        let num: String = rest
-            .chars()
-            .skip_while(|c| *c == ':' || c.is_whitespace())
-            .take_while(|c| c.is_ascii_digit() || ".eE+-".contains(*c))
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push((name.to_string(), v));
-        }
-    }
-    out
-}
-
-/// `bsim bench --sweepx`: the multi-lane sweep ablation. Times the
-/// scalar config-grid baseline against the record-once/replay-many lane
-/// kernel (full and sampled), verifies the full replay bit-identical to
-/// the scalar runs, gates the sampled error and its reported bound, and
-/// emits the three rows in the same `bsim-bench-v1` schema the baseline
-/// gate diffs. Speedup floors here are deliberately far below the
-/// measured ~10-60x so a loaded CI host cannot flake the gate.
-fn run_bench_sweepx(args: &[String], json: bool) -> ! {
-    use silicon_bridge::workloads::npb::cg::CgConfig;
-    // Calibrated so the measured uop fraction lands under 5%: at 240 CG
-    // iterations each stratum's fixed warm-up cost amortizes over ~2x
-    // more occurrences than the default workload offers, and the full
-    // 16-cell grid amortizes the one-time recording. Measured on an
-    // idle host: sampled ~12x over the scalar grid (EXPERIMENTS.md);
-    // the gate floors below are deliberately conservative so CI noise
-    // does not flake the job.
-    let wl = CgConfig {
-        iters: 240,
-        ..CgConfig::default()
-    };
-    let ab = silicon_bridge::sweepx::run_ablation(2, 16, wl);
-    eprint!("{}", ab.render());
-    if !ab.bit_identical {
-        eprintln!("sweepx gate: lane sweep diverged from the scalar runs");
-        std::process::exit(1);
-    }
-    if ab.max_rel_err > 0.10 || ab.max_rel_stderr > 0.10 {
-        eprintln!(
-            "sweepx gate: sampled error out of bounds (err {:.4}, reported stderr {:.4}, limit 0.10)",
-            ab.max_rel_err, ab.max_rel_stderr
-        );
-        std::process::exit(1);
-    }
-    // The full-lane row only saves the shared decode (consume timing
-    // dominates), so its honest floor is parity; the combined
-    // lanes-plus-sampling row is where the order-of-magnitude lives.
-    if ab.lane_speedup < 0.9 || ab.sampled_speedup < 5.0 {
-        eprintln!(
-            "sweepx gate: speedup floor missed (lane {:.2}x < 0.9x or sampled {:.2}x < 5x)",
-            ab.lane_speedup, ab.sampled_speedup
-        );
-        std::process::exit(1);
-    }
-    let results: Vec<BenchResult> = ab
-        .rows
-        .iter()
-        .map(|r| BenchResult {
-            bench: r.bench,
-            mean_ns: r.wall_ns as f64,
-            cycles_per_sec: r.cycles_per_sec(),
-        })
-        .collect();
-    finish_bench(args, json, &results)
-}
-
-/// Shared tail of the bench subcommands: render/emit the rows, then
-/// apply the `--baseline` regression gate.
-fn finish_bench(args: &[String], json: bool, results: &[BenchResult]) -> ! {
-    if json {
-        let entries: Vec<String> = results
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{ \"bench\": \"{}\", \"mean_ns\": {:.1}, \"cycles_per_sec\": {:.1} }}",
-                    r.bench, r.mean_ns, r.cycles_per_sec
-                )
-            })
-            .collect();
-        let doc = format!(
-            "{{\n  \"schema\": \"bsim-bench-v1\",\n  \"benches\": [\n{}\n  ]\n}}\n",
-            entries.join(",\n")
-        );
-        match flag_value(args, "--out") {
-            Some(path) => {
-                if let Err(e) = std::fs::write(path, &doc) {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(2);
-                }
-                eprintln!("wrote {path}");
-            }
-            None => print!("{doc}"),
-        }
-    } else {
-        println!("{:32} {:>14} {:>16}", "bench", "mean ms", "cycles/sec");
-        for r in results {
-            println!(
-                "{:32} {:>14.3} {:>16.3e}",
-                r.bench,
-                r.mean_ns / 1e6,
-                r.cycles_per_sec
-            );
-        }
-    }
-
-    if let Some(path) = flag_value(args, "--baseline") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(2);
-        });
-        let base = baseline_rates(&text);
-        if base.is_empty() {
-            eprintln!("baseline {path} holds no bench entries");
-            std::process::exit(2);
-        }
-        let mut regressed = 0usize;
-        for (name, old_rate) in base {
-            let Some(new) = results.iter().find(|r| r.bench == name) else {
-                eprintln!("baseline bench {name} no longer exists; skipping");
-                continue;
-            };
-            let ratio = new.cycles_per_sec / old_rate;
-            let verdict = if ratio < 0.8 {
-                regressed += 1;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            eprintln!(
-                "baseline {name}: {old_rate:.3e} -> {:.3e} cycles/sec ({:+.1}%) {verdict}",
-                new.cycles_per_sec,
-                (ratio - 1.0) * 100.0
-            );
-        }
-        if regressed > 0 {
-            eprintln!("{regressed} bench(es) regressed by more than 20%");
-            std::process::exit(1);
-        }
-    }
-    std::process::exit(0)
-}
-
-/// `bsim bench`: quick in-process host-performance timings of the token
-/// engine, Criterion-free so CI can run them in seconds. With `--json`
-/// the results land in the `BENCH_engine.json` schema
-/// (`{bench, mean_ns, cycles_per_sec}` per entry); `--baseline FILE`
-/// compares against an earlier report and fails the run when any bench
-/// has lost more than 20% of its cycles/sec.
-fn run_bench(args: &[String]) -> ! {
-    let json = args.iter().any(|a| a == "--json");
-    if args.iter().any(|a| a == "--sweepx") {
-        run_bench_sweepx(args, json);
-    }
-    let iters: u32 = match flag_value(args, "--iters") {
-        Some(n) => n.parse().unwrap_or_else(|_| {
-            eprintln!("--iters takes an iteration count");
-            std::process::exit(2);
-        }),
-        None => 5,
-    };
-    const SEQ_CYCLES: u64 = 200_000;
-    const PAR_CYCLES: u64 = 20_000;
-    const QUANTUM: usize = 32;
-
-    // The fast-forward pair must agree bit-for-bit before the timing
-    // difference means anything.
-    let (m, w) = beacon_ring(4, 512);
-    let ff: Vec<u64> = Harness::new(m, w)
-        .run(SEQ_CYCLES)
-        .iter()
-        .map(|b| b.state)
-        .collect();
-    let (m, w) = beacon_ring(4, 512);
-    let noff: Vec<u64> = Harness::new(m, w)
-        .with_fast_forward(false)
-        .run(SEQ_CYCLES)
-        .iter()
-        .map(|b| b.state)
-        .collect();
-    assert_eq!(ff, noff, "fast-forward changed model state");
-
-    let results = vec![
-        measure("sequential_lfsr_ring_lat1", SEQ_CYCLES, iters, &mut || {
-            let (m, w) = lfsr_ring(4, 1);
-            Harness::new(m, w).run(SEQ_CYCLES);
-        }),
-        measure("sequential_beacon_ring_ff", SEQ_CYCLES, iters, &mut || {
-            let (m, w) = beacon_ring(4, 512);
-            Harness::new(m, w).run(SEQ_CYCLES);
-        }),
-        measure(
-            "sequential_beacon_ring_noff",
-            SEQ_CYCLES,
-            iters,
-            &mut || {
-                let (m, w) = beacon_ring(4, 512);
-                Harness::new(m, w).with_fast_forward(false).run(SEQ_CYCLES);
-            },
-        ),
-        measure(
-            "parallel_batched_ring_lat32",
-            PAR_CYCLES,
-            iters,
-            &mut || {
-                let (m, w) = lfsr_ring(4, 32);
-                Harness::new(m, w).run_parallel(PAR_CYCLES, QUANTUM);
-            },
-        ),
-    ];
-
-    finish_bench(args, json, &results)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("");
+    let Some(table) = flag_table(cmd) else {
+        usage()
+    };
+    let f = parse_flags(cmd, &args[1..], table);
     match cmd {
         "list" => {
             println!("platforms:");
@@ -632,7 +419,7 @@ fn main() {
             println!("\nfigures: 1 2 3 4 5 6 7   tables: 1 2 4 5");
         }
         "table" => {
-            match args.get(1).map(String::as_str) {
+            match f.pos.first().copied() {
                 Some("4") => print!("{}", experiments::table4()),
                 Some("5") => print!("{}", experiments::table5()),
                 Some("1") => {
@@ -654,24 +441,14 @@ fn main() {
             };
         }
         "fig" => {
-            let sizes = if args.iter().any(|a| a == "--smoke") {
-                Sizes::smoke()
-            } else {
-                Sizes::default()
+            let sizes = match (f.has("--smoke"), f.has("--paper")) {
+                (true, true) => fail("--smoke and --paper are exclusive"),
+                (true, false) => Sizes::smoke(),
+                (false, true) => Sizes::paper(),
+                (false, false) => Sizes::default(),
             };
-            let par = match args.iter().position(|a| a == "--par") {
-                Some(i) => {
-                    let Some(p) = args.get(i + 1).and_then(|v| Parallelism::parse(v)) else {
-                        eprintln!("--par takes seq, auto, or a worker count");
-                        std::process::exit(2);
-                    };
-                    p
-                }
-                None => Parallelism::Sequential,
-            };
-            let Some(id) = args.get(1).map(String::as_str) else {
-                usage()
-            };
+            let par = f.par(Parallelism::Sequential);
+            let Some(&id) = f.pos.first() else { usage() };
             // `all` is every subfigure of the table, in plan order.
             let plan: Vec<&'static FigureSpec> = experiments::FIGURES
                 .iter()
@@ -680,36 +457,20 @@ fn main() {
             if plan.is_empty() {
                 usage()
             }
-            let policy = match flag_value(&args, "--retries") {
-                Some(n) => match n.parse::<u32>() {
-                    Ok(n) if n >= 1 => RetryPolicy {
-                        max_attempts: n,
-                        ..RetryPolicy::default()
-                    },
-                    _ => {
-                        eprintln!("--retries takes an attempt count >= 1");
-                        std::process::exit(2);
-                    }
+            let at_least_one = |v: &str| v.parse::<u32>().ok().filter(|&n| n >= 1);
+            let policy = match f.flag_with("--retries", "an attempt count >= 1", at_least_one) {
+                Some(max_attempts) => RetryPolicy {
+                    max_attempts,
+                    ..RetryPolicy::default()
                 },
                 None => RetryPolicy::once(),
             };
             // --resume loads an existing checkpoint; --ckpt (or, absent
             // that, the resume file itself) is where progress lands.
-            let resume = flag_value(&args, "--resume").map(std::path::PathBuf::from);
-            let ckpt = flag_value(&args, "--ckpt")
-                .map(std::path::PathBuf::from)
-                .or_else(|| resume.clone());
+            let resume = f.path("--resume");
+            let ckpt = f.path("--ckpt").or_else(|| resume.clone());
             let mut store = match &resume {
-                Some(path) => match CkptStore::load(path) {
-                    Ok(s) => {
-                        eprintln!("resuming from {} ({} entries)", path.display(), s.len());
-                        Some(s)
-                    }
-                    Err(e) => {
-                        eprintln!("cannot resume from {}: {e}", path.display());
-                        std::process::exit(2);
-                    }
-                },
+                Some(path) => Some(load_store(path)),
                 None => ckpt.as_ref().map(|_| CkptStore::new()),
             };
             let save = |s: &CkptStore| {
@@ -724,16 +485,10 @@ fn main() {
             // simulating every cell on its own; the plan and its
             // checkpoint keys are the same, so --ckpt/--resume
             // interoperate across both.
-            let lanes = flag_value(&args, "--lanes").map(|v| {
-                v.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--lanes takes a lane count >= 1");
-                        std::process::exit(2);
-                    })
-            });
-            let want_sample = args.iter().any(|a| a == "--sample");
+            let lanes = f
+                .flag_with("--lanes", "a lane count >= 1", at_least_one)
+                .map(|n| n as usize);
+            let want_sample = f.has("--sample");
             let lane_opts = (lanes.is_some() || want_sample).then(|| LaneOpts {
                 lanes: lanes.unwrap_or(LaneOpts::default().lanes),
                 sample: want_sample.then(SampleCfg::default),
@@ -742,11 +497,8 @@ fn main() {
                 Some(opts) => run_lanes(&spec.grid(sizes), par, opts),
                 None => spec.run(sizes, par),
             };
-            let results =
-                run_plan_with(plan, run, &policy, store.as_mut(), save).unwrap_or_else(|e| {
-                    eprintln!("checkpoint error: {e}");
-                    std::process::exit(2);
-                });
+            let results = run_plan_with(plan, run, &policy, store.as_mut(), save)
+                .unwrap_or_else(|e| fail(format!("checkpoint error: {e}")));
             let mut failed = 0usize;
             for (key, outcome) in results {
                 match outcome {
@@ -768,17 +520,11 @@ fn main() {
             }
         }
         "faults" => {
-            let seed = match flag_value(&args, "--seed") {
-                Some(s) => s.parse::<u64>().unwrap_or_else(|_| {
-                    eprintln!("--seed takes an unsigned integer");
-                    std::process::exit(2);
-                }),
-                None => 42,
-            };
+            let seed = f.num("--seed", 42u64);
             // `--guard` runs only the bsim-guard integrity rows (the CI
             // guard job's fast path); the full matrix is the nine
             // in-process classes plus the scale-out and service rows.
-            let mut matrix = if args.iter().any(|a| a == "--guard") {
+            let mut matrix = if f.has("--guard") {
                 silicon_bridge::core::campaign::SurvivalMatrix {
                     seed,
                     scenarios: Vec::new(),
@@ -791,7 +537,7 @@ fn main() {
             // only the CLI (which knows its own argv) can append that
             // row. `--in-process` skips it for environments where
             // spawning is off the table.
-            if !args.iter().any(|a| a == "--in-process" || a == "--guard") {
+            if !f.has("--in-process") && !f.has("--guard") {
                 matrix
                     .scenarios
                     .push(dist_faults::process_kill_scenario(seed, worker_argv()));
@@ -806,22 +552,18 @@ fn main() {
                 .scenarios
                 .push(svc_faults::store_corrupt_scenario(seed));
             print!("{}", matrix.render());
-            if args.iter().any(|a| a == "--deny-unsurvived") && !matrix.all_pass() {
+            if f.has("--deny-unsurvived") && !matrix.all_pass() {
                 std::process::exit(1);
             }
         }
         "micro" => {
-            let Some(kname) = args.get(1) else { usage() };
-            let Some(kernel) = microbench::suite().into_iter().find(|k| k.name == *kname) else {
-                eprintln!("unknown kernel {kname}; try `bsim list`");
-                std::process::exit(2);
+            let Some(&kname) = f.pos.first() else { usage() };
+            let Some(kernel) = microbench::suite().into_iter().find(|k| k.name == kname) else {
+                fail(format!("unknown kernel {kname}; try `bsim list`"))
             };
             let prog = kernel.build(1);
-            let targets: Vec<SocConfig> = match args.get(2) {
-                Some(p) => vec![platform_by_name(p).unwrap_or_else(|| {
-                    eprintln!("unknown platform {p}; try `bsim list`");
-                    std::process::exit(2);
-                })],
+            let targets: Vec<SocConfig> = match f.pos.get(1) {
+                Some(p) => vec![platform_or_exit(p)],
                 None => platforms(),
             };
             println!(
@@ -845,12 +587,12 @@ fn main() {
             print!("{}", out.explanation(10));
             println!("selected: {}", out.best());
         }
-        "check" => run_check(&args[1..]),
+        "check" => run_check(&f),
         // `bsim scrub`: offline integrity audit of a result-store file —
         // verify every entry checksum, quarantine failures, atomically
         // rewrite the clean remainder. Exit 0 when nothing was wrong.
         "scrub" => {
-            let Some(path) = flag_value(&args, "--store") else {
+            let Some(path) = f.get("--store") else {
                 usage()
             };
             let (scrubbed, report) = silicon_bridge::svc::scrub(std::path::Path::new(path));
@@ -875,8 +617,7 @@ fn main() {
             let clean = scrubbed.quarantined.is_empty() && report.is_clean();
             std::process::exit(if clean { 0 } else { 1 })
         }
-        "bench" => run_bench(&args[1..]),
-        "dist" => run_dist(&args[1..]),
+        "dist" => run_dist(&f),
         // Hidden: the worker half of `bsim dist`. The launcher spawns
         // `bsim dist-worker` per rank with the rendezvous address and
         // rank number in the environment.
@@ -887,18 +628,18 @@ fn main() {
                 std::process::exit(1)
             }
         },
-        "serve" => run_serve(&args[1..]),
-        "submit" => run_submit(&args[1..]),
+        "serve" => run_serve(&f),
+        "submit" => run_submit(&f),
         "status" => {
-            let Some(addr) = args.get(1) else { usage() };
-            let result = match args.get(2) {
+            let Some(addr) = f.pos.first() else { usage() };
+            let result = match f.pos.get(1) {
                 Some(job) => client::status(addr, job),
                 None => client::metrics(addr),
             };
             finish_wire(result);
         }
         "fetch" => {
-            let (Some(addr), Some(job)) = (args.get(1), args.get(2)) else {
+            let (Some(addr), Some(job)) = (f.pos.first(), f.pos.get(1)) else {
                 usage()
             };
             finish_wire(client::fetch(addr, job));
@@ -914,10 +655,19 @@ fn finish_wire(result: std::io::Result<(u16, String)>) -> ! {
             println!("{body}");
             std::process::exit(if (200..300).contains(&status) { 0 } else { 1 })
         }
-        Err(e) => {
-            eprintln!("wire error: {e}");
-            std::process::exit(2)
+        Err(e) => fail(format!("wire error: {e}")),
+    }
+}
+
+/// Loads the checkpoint store a `--resume`/`--store` flag names; an
+/// unreadable one exits 2.
+fn load_store(path: &std::path::Path) -> CkptStore {
+    match CkptStore::load(path) {
+        Ok(s) => {
+            eprintln!("resuming from {} ({} entries)", path.display(), s.len());
+            s
         }
+        Err(e) => fail(format!("cannot resume from {}: {e}", path.display())),
     }
 }
 
@@ -928,29 +678,18 @@ fn finish_wire(result: std::io::Result<(u16, String)>) -> ! {
 /// checkpoint store) is exercisable from the shell. `--graph-demo`
 /// instead partitions the demo ring across the ranks and checks the
 /// distributed schedule against the in-process `Harness` bit for bit.
-fn run_dist(args: &[String]) -> ! {
-    let parse_num = |flag: &str, default: u64| -> u64 {
-        match flag_value(args, flag) {
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} takes a non-negative integer");
-                std::process::exit(2);
-            }),
-            None => default,
-        }
-    };
-    let ranks = parse_num("--ranks", 2).max(1) as usize;
+fn run_dist(f: &Flags) -> ! {
+    let ranks = f.num("--ranks", 2usize).max(1);
 
-    if args.iter().any(|a| a == "--graph-demo") {
-        let cycles = parse_num("--graph-demo", 400);
-        let ring = parse_num("--ring", 4).max(2) as usize;
-        let latency = parse_num("--latency", 2).max(1);
-        let quantum = parse_num("--quantum", 16).max(1) as usize;
-        let seed = parse_num("--seed", 42);
+    if f.has("--graph-demo") {
+        let cycles = f.num("--graph-demo", 400);
+        let ring = f.num("--ring", 4usize).max(2);
+        let latency = f.num("--latency", 2).max(1);
+        let quantum = f.num("--quantum", 16usize).max(1);
+        let seed = f.num("--seed", 42);
         let opts = LaunchOpts::processes(ranks, worker_argv());
-        let out = run_graph_demo(ring, latency, quantum, cycles, seed, &opts).unwrap_or_else(|e| {
-            eprintln!("graph demo failed: {e}");
-            std::process::exit(2);
-        });
+        let out = run_graph_demo(ring, latency, quantum, cycles, seed, &opts)
+            .unwrap_or_else(|e| fail(format!("graph demo failed: {e}")));
         println!("in-process:  {}", out.reference);
         println!("distributed: {}", out.fingerprint);
         if out.identical() {
@@ -961,20 +700,15 @@ fn run_dist(args: &[String]) -> ! {
         std::process::exit(1)
     }
 
-    let sizes = if args.iter().any(|a| a == "--smoke") {
-        "smoke"
-    } else {
-        "default"
-    };
-    let cells: Vec<WireCell> = match flag_value(args, "--figs") {
+    let sizes = if f.has("--smoke") { "smoke" } else { "default" };
+    let cells: Vec<WireCell> = match f.get("--figs") {
         Some(raw) => raw
             .split(',')
             .filter(|s| !s.is_empty())
             .flat_map(|id| {
                 let cells = WireCell::figure_cells(id.trim(), sizes);
                 if cells.is_empty() {
-                    eprintln!("unknown figure {id}; try `bsim list`");
-                    std::process::exit(2);
+                    fail(format!("unknown figure {id}; try `bsim list`"));
                 }
                 cells
             })
@@ -986,33 +720,21 @@ fn run_dist(args: &[String]) -> ! {
     };
 
     let mut opts = LaunchOpts::processes(ranks, worker_argv());
-    if let Some(rank) = flag_value(args, "--kill-rank") {
-        let rank = rank.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("--kill-rank takes a rank number");
-            std::process::exit(2);
-        });
+    if let Some(rank) = f.flag::<usize>("--kill-rank", "a rank number") {
         if rank >= ranks {
-            eprintln!("--kill-rank {rank} is out of range for --ranks {ranks}");
-            std::process::exit(2);
+            fail(format!(
+                "--kill-rank {rank} is out of range for --ranks {ranks}"
+            ));
         }
         opts.kill = Some(KillSpec {
             rank,
-            after_cells: parse_num("--kill-after", 1).max(1) as usize,
+            after_cells: f.num("--kill-after", 1usize).max(1),
         });
     }
 
-    let store_path = flag_value(args, "--store").map(std::path::PathBuf::from);
+    let store_path = f.path("--store");
     let mut store = match &store_path {
-        Some(path) if path.exists() => match CkptStore::load(path) {
-            Ok(s) => {
-                eprintln!("resuming from {} ({} entries)", path.display(), s.len());
-                s
-            }
-            Err(e) => {
-                eprintln!("cannot resume from {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        },
+        Some(path) if path.exists() => load_store(path),
         _ => CkptStore::new(),
     };
 
@@ -1026,7 +748,7 @@ fn run_dist(args: &[String]) -> ! {
         }
     }
 
-    if args.iter().any(|a| a == "--json") {
+    if f.has("--json") {
         use serde::Value;
         let map: Vec<(String, Value)> = outcome
             .results
@@ -1057,33 +779,15 @@ fn run_dist(args: &[String]) -> ! {
 /// `bsim serve`: run bsimd in the foreground until a `/shutdown`
 /// request drains it. Prints the bound address first, so scripts (and
 /// the CI smoke test) can bind port 0 and scrape the real port.
-fn run_serve(args: &[String]) -> ! {
-    let parse_usize = |flag: &str, default: usize| -> usize {
-        match flag_value(args, flag) {
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} takes a non-negative integer");
-                std::process::exit(2);
-            }),
-            None => default,
-        }
-    };
-    let par = match flag_value(args, "--par") {
-        Some(v) => Parallelism::parse(v).unwrap_or_else(|| {
-            eprintln!("--par takes seq, auto, or a worker count");
-            std::process::exit(2);
-        }),
-        None => Parallelism::Auto,
-    };
+fn run_serve(f: &Flags) -> ! {
     let defaults = DaemonConfig::default();
-    let dist_ranks = parse_usize("--dist-ranks", 0);
+    let dist_ranks = f.num("--dist-ranks", 0);
     let cfg = DaemonConfig {
-        addr: flag_value(args, "--addr")
-            .unwrap_or("127.0.0.1:4780")
-            .into(),
-        store_path: flag_value(args, "--store").map(std::path::PathBuf::from),
-        workers: parse_usize("--workers", defaults.workers),
-        budget: parse_usize("--budget", defaults.budget),
-        par,
+        addr: f.get("--addr").unwrap_or("127.0.0.1:4780").into(),
+        store_path: f.path("--store"),
+        workers: f.num("--workers", defaults.workers),
+        budget: f.num("--budget", defaults.budget),
+        par: f.par(Parallelism::Auto),
         retry: defaults.retry,
         dist_ranks,
         dist_worker: if dist_ranks > 0 {
@@ -1091,28 +795,21 @@ fn run_serve(args: &[String]) -> ! {
         } else {
             Vec::new()
         },
-        conn_workers: parse_usize("--conn-workers", defaults.conn_workers),
-        conn_backlog: parse_usize("--conn-backlog", defaults.conn_backlog),
-        queue_cap: parse_usize("--queue-cap", defaults.queue_cap),
+        conn_workers: f.num("--conn-workers", defaults.conn_workers),
+        conn_backlog: f.num("--conn-backlog", defaults.conn_backlog),
+        queue_cap: f.num("--queue-cap", defaults.queue_cap),
         // A deadline is opt-in: absent flag = no deadline. `0` is left
         // to the GD002 preflight to reject loudly rather than silently
         // dropped here.
-        deadline: flag_value(args, "--deadline-ms")
-            .map(|v| {
-                v.parse::<u64>().unwrap_or_else(|_| {
-                    eprintln!("--deadline-ms takes a non-negative integer");
-                    std::process::exit(2);
-                })
-            })
+        deadline: f
+            .flag("--deadline-ms", "a non-negative integer")
             .map(std::time::Duration::from_millis),
-        read_timeout: std::time::Duration::from_secs(parse_usize(
-            "--io-timeout-secs",
-            defaults.read_timeout.as_secs() as usize,
-        ) as u64),
-        write_timeout: std::time::Duration::from_secs(parse_usize(
-            "--io-timeout-secs",
-            defaults.write_timeout.as_secs() as usize,
-        ) as u64),
+        read_timeout: std::time::Duration::from_secs(
+            f.num("--io-timeout-secs", defaults.read_timeout.as_secs()),
+        ),
+        write_timeout: std::time::Duration::from_secs(
+            f.num("--io-timeout-secs", defaults.write_timeout.as_secs()),
+        ),
     };
     match Daemon::spawn(cfg) {
         Ok((daemon, report)) => {
@@ -1123,41 +820,23 @@ fn run_serve(args: &[String]) -> ! {
             daemon.join();
             std::process::exit(0)
         }
-        Err(e) => {
-            eprintln!("cannot start bsimd: {e}");
-            std::process::exit(2)
-        }
+        Err(e) => fail(format!("cannot start bsimd: {e}")),
     }
 }
 
 /// `bsim submit ADDR <fig|sweep|tune> ...`: build the request JSON,
 /// enqueue it, and either print the 202 ticket or (`--wait`) block for
 /// and print the result document.
-fn run_submit(args: &[String]) -> ! {
+fn run_submit(f: &Flags) -> ! {
     use serde::Value;
-    let (Some(addr), Some(kind)) = (args.first(), args.get(1).map(String::as_str)) else {
+    let (Some(&addr), Some(&kind)) = (f.pos.first(), f.pos.get(1)) else {
         usage()
     };
-    let seed = flag_value(args, "--seed")
-        .map(|v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("--seed takes an unsigned integer");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(0);
-    let scale = flag_value(args, "--scale")
-        .map(|v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("--scale takes an unsigned integer");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(1);
+    let seed: u64 = f.num("--seed", 0);
+    let scale: u64 = f.num("--scale", 1);
     let list = |flag: &str| -> Vec<Value> {
-        let Some(raw) = flag_value(args, flag) else {
-            eprintln!("submit sweep needs {flag} A,B,...");
-            std::process::exit(2);
+        let Some(raw) = f.get(flag) else {
+            fail(format!("submit sweep needs {flag} A,B,..."))
         };
         raw.split(',')
             .filter(|s| !s.is_empty())
@@ -1167,15 +846,9 @@ fn run_submit(args: &[String]) -> ! {
     let mut fields = vec![("kind".to_string(), Value::Str(kind.into()))];
     match kind {
         "fig" => {
-            let Some(id) = args.get(2).filter(|a| !a.starts_with("--")) else {
-                usage()
-            };
-            fields.push(("id".into(), Value::Str(id.clone())));
-            let sizes = if args.iter().any(|a| a == "--smoke") {
-                "smoke"
-            } else {
-                "default"
-            };
+            let Some(&id) = f.pos.get(2) else { usage() };
+            fields.push(("id".into(), Value::Str(id.into())));
+            let sizes = if f.has("--smoke") { "smoke" } else { "default" };
             fields.push(("sizes".into(), Value::Str(sizes.into())));
         }
         "sweep" => {
@@ -1189,21 +862,17 @@ fn run_submit(args: &[String]) -> ! {
     fields.push(("seed".into(), Value::U64(seed)));
     let body = serde_json::to_string(&Value::Map(fields)).expect("shim renderer is total");
 
-    let (status, response) = client::submit(addr, &body).unwrap_or_else(|e| {
-        eprintln!("wire error: {e}");
-        std::process::exit(2)
-    });
+    let (status, response) =
+        client::submit(addr, &body).unwrap_or_else(|e| fail(format!("wire error: {e}")));
     if status != 202 {
         println!("{response}");
         std::process::exit(1)
     }
-    if !args.iter().any(|a| a == "--wait") {
+    if !f.has("--wait") {
         finish_wire(Ok((status, response)))
     }
-    let job = client::job_id(&response).unwrap_or_else(|| {
-        eprintln!("daemon returned no job id: {response}");
-        std::process::exit(2)
-    });
+    let job = client::job_id(&response)
+        .unwrap_or_else(|| fail(format!("daemon returned no job id: {response}")));
     eprintln!("{job} queued; waiting...");
     finish_wire(client::wait(
         addr,

@@ -28,9 +28,9 @@
 //! | [`dist`] | `bsim-dist` | multi-process scale-out: socket token links, rank partitioning, process-loss recovery |
 //! | [`sweepx`] | `bsim-sweepx` | vectorized multi-lane config sweeps and SimPoint-style sampled simulation |
 //!
-//! See `examples/quickstart.rs` for a five-minute tour, and the
-//! `bsim-bench` crate for the harnesses that regenerate Figures 1–7 and
-//! Tables 4/5.
+//! See `examples/quickstart.rs` for a five-minute tour; `bsim fig N` and
+//! `bsim table N` (`src/bin/bsim.rs`) regenerate Figures 1–7 and
+//! Tables 1/2/4/5.
 
 pub use bsim_check as check;
 pub use bsim_core as core;

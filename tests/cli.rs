@@ -1,0 +1,115 @@
+//! The `bsim` command line as a user meets it: typos are refused before
+//! anything runs, the retired `bench` subcommand is gone, and what
+//! `table`/`fig` print is pinned to the bytes captured at the commit
+//! before the flag parser became table-driven.
+
+use std::process::{Command, Output};
+
+use silicon_bridge::core::experiments::Sizes;
+
+fn bsim(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_bsim"))
+        .args(args)
+        .output()
+        .expect("bsim runs")
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8(out.stdout.clone()).expect("stdout is UTF-8")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8(out.stderr.clone()).expect("stderr is UTF-8")
+}
+
+const TABLE4: &str = r#"== Table 4: FireSim Models ==
+Model            Clock    Fetch/Decode  RoB   LSQ      L1 sets/ways  L2 banks  Bus
+Rocket 1         1.6 GHz  2/1           N/A   N/A      64x8          1         64-bit
+Rocket 2         1.6 GHz  2/1           N/A   N/A      64x8          4         64-bit
+Small BOOM       2.0 GHz  4/1           32    8/8      64x4          4         128-bit
+Medium BOOM      2.0 GHz  4/2           64    16/16    64x4          4         128-bit
+Large BOOM       2.0 GHz  8/3           96    24/24    64x8          4         128-bit
+"#;
+
+/// `bsim fig 5 --smoke` without its note line, whose `host sweep:` part
+/// carries a wall-clock rate.
+const FIG5_SMOKE: &str = r#"== Figure 5: UME — simulation models vs hardware ==
+               Banana Pi (hw) runtime [s]  Banana Pi Sim Model runtime [s]          MILK-V (hw) runtime [s]     MILK-V Sim Model runtime [s]           Banana Pi rel. speedup              MILK-V rel. speedup
+1 ranks                             0.000                            0.000                            0.000                            0.000                            0.729                            0.655
+2 ranks                             0.000                            0.000                            0.000                            0.000                            0.716                            0.670
+4 ranks                             0.000                            0.000                            0.000                            0.000                            0.771                            0.682
+
+"#;
+
+#[test]
+fn an_unknown_flag_exits_2_and_is_named() {
+    let out = bsim(&["fig", "5", "--smoke", "--bogus-flag"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("--bogus-flag"), "{}", stderr(&out));
+    assert!(
+        stdout(&out).is_empty(),
+        "nothing may run before the refusal"
+    );
+    // A flag another subcommand owns is just as unknown here.
+    let out = bsim(&["table", "4", "--smoke"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("--smoke"), "{}", stderr(&out));
+}
+
+#[test]
+fn a_flag_missing_its_value_exits_2() {
+    for args in [
+        &["fig", "5", "--smoke", "--lanes"][..],
+        &["fig", "5", "--lanes", "--smoke"],
+    ] {
+        let out = bsim(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains("--lanes"), "{}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{args:?} ran scalar instead");
+    }
+    let out = bsim(&["fig", "5", "--smoke", "--lanes", "zero"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("--lanes takes"), "{}", stderr(&out));
+}
+
+#[test]
+fn the_bench_subcommand_is_gone() {
+    let out = bsim(&["bench"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).starts_with("usage:"), "{}", stderr(&out));
+    assert!(!stderr(&out).contains("bench"), "{}", stderr(&out));
+}
+
+#[test]
+fn table_4_prints_the_golden_bytes() {
+    let out = bsim(&["table", "4"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(stdout(&out), TABLE4);
+}
+
+#[test]
+fn fig_5_smoke_prints_the_golden_bytes() {
+    let out = bsim(&["fig", "5", "--smoke"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let printed: String = stdout(&out)
+        .lines()
+        .filter(|l| !l.contains("host sweep:"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(printed, FIG5_SMOKE);
+    // The two presets cannot both apply.
+    let out = bsim(&["fig", "5", "--smoke", "--paper"]);
+    assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn the_paper_preset_lints_clean_and_is_no_smaller_than_the_default() {
+    let (p, d) = (Sizes::paper(), Sizes::default());
+    assert!(
+        p.lint("sizes.paper").is_clean(),
+        "WL001 on the paper preset"
+    );
+    for ((name, p), (_, d)) in p.fields().into_iter().zip(d.fields()) {
+        assert!(p >= d, "{name}: paper {p} < default {d}");
+    }
+}
