@@ -7,7 +7,7 @@
 //! |-------|----------|---------|
 //! | AU000 | note     | summary of findings waived via `// bsim: allow(..)` |
 //! | AU001 | error    | `.unwrap()` outside tests: a panic tears the simulation down instead of surfacing a typed error |
-//! | AU002 | warning  | `.expect(..)` in a designated hot-path file (token channel, wire framing, daemon dispatch) |
+//! | AU002 | warning  | `.expect(..)` in a designated hot-path file (token channel, wire framing, daemon dispatch, interpreter loop) |
 //! | AU003 | warning  | iteration over a `HashMap` binding: order is nondeterministic and must not feed results or wire frames |
 //! | AU004 | warning  | `Instant`/`SystemTime` in a virtual-time crate: host clocks break determinism |
 //! | AU005 | note     | a `pub fn` of `core`/`sweepx`/`svc`/`dist` that nothing outside its crate mentions: surface to shrink |
@@ -46,10 +46,14 @@ const PUB_FN: &str = concat!("pub ", "fn ");
 /// parallel mechanism per feature PR (ROADMAP item 3).
 const SURFACE_CRATES: &[&str] = &["core", "sweepx", "svc", "dist"];
 
-/// Files whose failure modes reach the per-token or per-frame path: a panic
-/// here kills a quantum mid-flight, so even `.expect` needs a waiver arguing
-/// the invariant.
+/// Files whose failure modes reach the per-token, per-frame or
+/// per-instruction path: a panic here kills a quantum (or a MicroBench
+/// cell) mid-flight, so even `.expect` needs a waiver arguing the
+/// invariant.
 const HOT_PATHS: &[&str] = &[
+    "crates/isa/src/interp.rs",
+    "crates/isa/src/mem.rs",
+    "crates/uarch/src/uop.rs",
     "crates/engine/src/channel.rs",
     "crates/engine/src/harness.rs",
     "crates/dist/src/frame.rs",

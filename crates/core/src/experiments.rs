@@ -465,8 +465,7 @@ where
 /// its canonical content hash). Returns `None` for an unknown kernel
 /// name; service callers preflight names first and reject with SV001.
 pub fn microbench_cell(cfg: SocConfig, kernel: &str, scale: u32) -> Option<RunReport> {
-    let k = microbench::suite().into_iter().find(|k| k.name == kernel)?;
-    let prog = k.build(scale);
+    let prog = microbench::find(kernel)?.build(scale);
     Some(Soc::new(cfg).run_program(0, &prog, u64::MAX))
 }
 

@@ -39,11 +39,21 @@ pub struct Program {
 }
 
 impl Program {
+    /// A program at the default bases, entered at its first instruction.
+    fn new(code: Vec<u32>, data: Vec<u8>) -> Program {
+        Program {
+            code,
+            code_base: CODE_BASE,
+            data,
+            data_base: DATA_BASE,
+            entry: CODE_BASE,
+        }
+    }
+
     /// Loads the code and data images into a target [`Memory`].
     pub fn load_into(&self, mem: &mut Memory) {
-        for (i, w) in self.code.iter().enumerate() {
-            mem.write_u32(self.code_base + 4 * i as u64, *w);
-        }
+        let code: Vec<u8> = self.code.iter().flat_map(|w| w.to_le_bytes()).collect();
+        mem.load(self.code_base, &code);
         mem.load(self.data_base, &self.data);
     }
 
@@ -176,10 +186,14 @@ impl Asm {
         addr
     }
 
-    /// Appends a slice of u64s, returning the base address.
-    pub fn data_u64s(&mut self, vs: &[u64]) -> u64 {
+    /// Appends a sequence of u64s (an array, or an iterator that computes
+    /// a large table in place), returning the base address. The data section
+    /// grows once, by the iterator's lower size bound.
+    pub fn data_u64s(&mut self, vs: impl IntoIterator<Item = u64>) -> u64 {
         self.data_align(8);
         let addr = DATA_BASE + self.data.len() as u64;
+        let vs = vs.into_iter();
+        self.data.reserve(8 * vs.size_hint().0);
         for v in vs {
             self.data.extend_from_slice(&v.to_le_bytes());
         }
@@ -906,8 +920,14 @@ impl Asm {
 
     // ---- assemble ---------------------------------------------------------------
 
-    /// Resolves all labels and symbols and produces the final [`Program`].
-    pub fn assemble(&self) -> Result<Program, AsmError> {
+    /// Resolves all labels and symbols and produces the final [`Program`];
+    /// the data image moves into it.
+    pub fn assemble(self) -> Result<Program, AsmError> {
+        Ok(Program::new(self.encode()?, self.data))
+    }
+
+    /// Resolves all labels and symbols into the encoded code image.
+    fn encode(&self) -> Result<Vec<u32>, AsmError> {
         let mut code = Vec::with_capacity(self.slots.len());
         for (idx, slot) in self.slots.iter().enumerate() {
             let pc = CODE_BASE + 4 * idx as u64;
@@ -963,13 +983,7 @@ impl Asm {
             };
             code.push(inst.encode());
         }
-        Ok(Program {
-            code,
-            code_base: CODE_BASE,
-            data: self.data.clone(),
-            data_base: DATA_BASE,
-            entry: CODE_BASE,
-        })
+        Ok(code)
     }
 
     fn resolve_label(&self, label: &str) -> Result<u64, AsmError> {
@@ -1005,7 +1019,7 @@ mod tests {
     use crate::interp::{Cpu, RunResult};
     use crate::reg::*;
 
-    fn run(a: &Asm) -> Cpu {
+    fn run(a: Asm) -> Cpu {
         let p = a.assemble().expect("assembly failed");
         let mut cpu = Cpu::new(&p);
         match cpu.run(10_000_000) {
@@ -1023,7 +1037,7 @@ mod tests {
         a.blt(T0, T1, "loop");
         a.mv(A0, T0);
         a.li(A7, SYS_EXIT as i64).ecall();
-        let cpu = run(&a);
+        let cpu = run(a);
         assert_eq!(cpu.exit_code(), Some(10));
     }
 
@@ -1047,7 +1061,7 @@ mod tests {
             let mut a = Asm::new();
             a.li(A0, v);
             a.li(A7, SYS_EXIT as i64).ecall();
-            let cpu = run(&a);
+            let cpu = run(a);
             assert_eq!(cpu.x(A0) as i64, v, "li failed for {v:#x}");
         }
     }
@@ -1056,11 +1070,11 @@ mod tests {
     fn la_and_data_roundtrip() {
         let mut a = Asm::new();
         a.data_label("tbl");
-        a.data_u64s(&[5, 7, 11]);
+        a.data_u64s([5, 7, 11]);
         a.la(T0, "tbl");
         a.ld(A0, 16, T0); // third element
         a.li(A7, SYS_EXIT as i64).ecall();
-        let cpu = run(&a);
+        let cpu = run(a);
         assert_eq!(cpu.exit_code(), Some(11));
     }
 
@@ -1072,7 +1086,7 @@ mod tests {
         a.li(A7, SYS_EXIT as i64).ecall();
         a.data_label("later");
         a.data_u64(42);
-        let cpu = run(&a);
+        let cpu = run(a);
         assert_eq!(cpu.exit_code(), Some(42));
     }
 
@@ -1110,7 +1124,7 @@ mod tests {
         a.label("double");
         a.add(A0, A0, A0);
         a.ret();
-        let cpu = run(&a);
+        let cpu = run(a);
         assert_eq!(cpu.exit_code(), Some(10));
     }
 
@@ -1118,7 +1132,7 @@ mod tests {
     fn exit_helper() {
         let mut a = Asm::new();
         a.exit(7);
-        let cpu = run(&a);
+        let cpu = run(a);
         assert_eq!(cpu.exit_code(), Some(7));
     }
 }

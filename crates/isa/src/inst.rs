@@ -40,6 +40,38 @@ pub enum OpClass {
     System,
 }
 
+/// Control-flow classification, used by the branch predictors. Calls and
+/// returns follow the RISC-V return-address-stack hints (link register
+/// `ra`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BranchClass {
+    /// Conditional branch (BEQ/BNE/...).
+    Conditional,
+    /// Direct unconditional jump (JAL with rd=x0).
+    Direct,
+    /// Function call (JAL/JALR writing ra).
+    Call,
+    /// Function return (JALR through ra).
+    Return,
+    /// Other indirect jump (JALR).
+    Indirect,
+}
+
+/// Everything the timing models need of a *static* instruction, derived
+/// once when the interpreter decodes the code image ([`Inst::lower`]) and
+/// carried by every dynamic [`Retired`](crate::Retired) record of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Lowered {
+    /// Operation class ([`Inst::class`]).
+    pub class: OpClass,
+    /// Destination register in unified numbering ([`Inst::dest`]).
+    pub dest: Option<u8>,
+    /// Source registers in unified numbering ([`Inst::sources`]).
+    pub srcs: [Option<u8>; 3],
+    /// Control-flow class, for instructions that redirect the PC.
+    pub branch: Option<BranchClass>,
+}
+
 /// Width/signedness selector for integer loads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LoadKind {
@@ -1221,6 +1253,27 @@ impl Inst {
             FpCmp { rs1, rs2, .. } => [freg(rs1), freg(rs2), None],
             FcvtDL { rs1, .. } | FcvtDW { rs1, .. } | FmvDX { rs1, .. } => [ireg(rs1), None, None],
             FcvtLD { rs1, .. } | FcvtWD { rs1, .. } | FmvXD { rs1, .. } => [freg(rs1), None, None],
+        }
+    }
+
+    /// The decode-time lowering: class, unified registers and branch class
+    /// in one record, so no per-dynamic-instruction code re-derives them.
+    pub fn lower(self) -> Lowered {
+        let ra = |r: Reg| r.0 == 1;
+        let branch = match self {
+            Inst::Branch { .. } => Some(BranchClass::Conditional),
+            Inst::Jal { rd, .. } if ra(rd) => Some(BranchClass::Call),
+            Inst::Jal { .. } => Some(BranchClass::Direct),
+            Inst::Jalr { rd, .. } if ra(rd) => Some(BranchClass::Call),
+            Inst::Jalr { rs1, .. } if ra(rs1) => Some(BranchClass::Return),
+            Inst::Jalr { .. } => Some(BranchClass::Indirect),
+            _ => None,
+        };
+        Lowered {
+            class: self.class(),
+            dest: self.dest(),
+            srcs: self.sources(),
+            branch,
         }
     }
 

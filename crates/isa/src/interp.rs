@@ -6,9 +6,20 @@
 //! branch outcome — so a single functional pass drives any number of
 //! timing configurations (the "functional-first, timing-directed" style
 //! used by many architectural simulators).
+//!
+//! # Decode-time lowering
+//!
+//! What a timing model needs of an instruction besides its dynamic
+//! outcome — operation class, destination and source registers in the
+//! unified numbering, branch class — depends only on the *static*
+//! instruction. [`Cpu::new`] derives it once per code word
+//! ([`Inst::lower`]) next to the decoded instruction, and every
+//! [`Retired`] record carries the result, so turning a record into a
+//! micro-op is a field copy: nothing on the per-dynamic-instruction path
+//! matches on the instruction a second time.
 
 use crate::asm::Program;
-use crate::inst::{AluOp, BranchKind, FpCmp, FpOp, Inst, LoadKind, MulOp, StoreKind};
+use crate::inst::{AluOp, BranchKind, FpCmp, FpOp, Inst, LoadKind, Lowered, MulOp, StoreKind};
 use crate::mem::Memory;
 use crate::reg::Reg;
 
@@ -19,6 +30,8 @@ pub struct Retired {
     pub pc: u64,
     /// The decoded instruction.
     pub inst: Inst,
+    /// Its decode-time lowering (class, unified registers, branch class).
+    pub lowered: Lowered,
     /// PC of the next instruction (reflects taken branches).
     pub next_pc: u64,
     /// Effective address for loads/stores.
@@ -76,7 +89,8 @@ pub struct Cpu {
     /// Retired instruction counter.
     pub instret: u64,
     code_base: u64,
-    decoded: Vec<Option<Inst>>,
+    /// The code image decoded and lowered once; `None` for illegal words.
+    decoded: Vec<Option<(Inst, Lowered)>>,
     exit_code: Option<i64>,
 }
 
@@ -85,7 +99,11 @@ impl Cpu {
     pub fn new(prog: &Program) -> Cpu {
         let mut mem = Memory::new();
         prog.load_into(&mut mem);
-        let decoded = prog.code.iter().map(|&w| Inst::decode(w).ok()).collect();
+        let decoded = prog
+            .code
+            .iter()
+            .map(|&w| Inst::decode(w).ok().map(|i| (i, i.lower())))
+            .collect();
         Cpu {
             x: [0; 32],
             f: [0.0; 32],
@@ -134,12 +152,12 @@ impl Cpu {
     }
 
     #[inline]
-    fn fetch(&self, pc: u64) -> Result<Inst, Trap> {
+    fn fetch(&self, pc: u64) -> Result<(Inst, Lowered), Trap> {
         let off = pc.wrapping_sub(self.code_base);
         if off.is_multiple_of(4) {
             if let Some(slot) = self.decoded.get((off / 4) as usize) {
-                if let Some(i) = slot {
-                    return Ok(*i);
+                if let Some(d) = slot {
+                    return Ok(*d);
                 }
                 return Err(Trap::IllegalInstruction {
                     pc,
@@ -150,13 +168,20 @@ impl Cpu {
         // Outside the preloaded image: decode from memory (self-modifying
         // code is not supported; this path exists for diagnostics).
         let word = self.mem.read_u32(pc);
-        Inst::decode(word).map_err(|e| Trap::IllegalInstruction { pc, word: e.word })
+        Inst::decode(word)
+            .map(|i| (i, i.lower()))
+            .map_err(|e| Trap::IllegalInstruction { pc, word: e.word })
     }
 
     /// Executes one instruction.
+    // Inlined into `run_traced`'s loop so the record is built in registers
+    // and a sink that ignores a field costs nothing for it: out of line,
+    // every instruction writes and copies the whole 64-byte `Retired`
+    // (3x slower, measured on the MicroBench suite).
+    #[inline(always)]
     pub fn step(&mut self) -> Result<Retired, Trap> {
         let pc = self.pc;
-        let inst = self.fetch(pc)?;
+        let (inst, lowered) = self.fetch(pc)?;
         let mut next_pc = pc.wrapping_add(4);
         let mut mem_addr = None;
         let mut mem_size = 0u8;
@@ -430,6 +455,7 @@ impl Cpu {
         Ok(Retired {
             pc,
             inst,
+            lowered,
             next_pc,
             mem_addr,
             mem_size,
@@ -518,7 +544,7 @@ mod tests {
     use crate::asm::{Asm, SYS_EXIT};
     use crate::reg::*;
 
-    fn exec(a: &Asm) -> (Cpu, RunResult) {
+    fn exec(a: Asm) -> (Cpu, RunResult) {
         let p = a.assemble().unwrap();
         let mut cpu = Cpu::new(&p);
         let r = cpu.run(1_000_000);
@@ -531,7 +557,7 @@ mod tests {
         a.li(T0, i64::MAX);
         a.addi(T1, T0, 1);
         a.exit(0);
-        let (cpu, _) = exec(&a);
+        let (cpu, _) = exec(a);
         assert_eq!(cpu.x(T1) as i64, i64::MIN);
     }
 
@@ -543,7 +569,7 @@ mod tests {
         a.rem(T3, T0, T1); // 42
         a.divu(T4, T0, T1); // all-ones
         a.exit(0);
-        let (cpu, _) = exec(&a);
+        let (cpu, _) = exec(a);
         assert_eq!(cpu.x(T2) as i64, -1);
         assert_eq!(cpu.x(T3), 42);
         assert_eq!(cpu.x(T4), u64::MAX);
@@ -556,7 +582,7 @@ mod tests {
         a.div(T2, T0, T1);
         a.rem(T3, T0, T1);
         a.exit(0);
-        let (cpu, _) = exec(&a);
+        let (cpu, _) = exec(a);
         assert_eq!(cpu.x(T2) as i64, i64::MIN);
         assert_eq!(cpu.x(T3), 0);
     }
@@ -578,7 +604,7 @@ mod tests {
             rs2: T1,
         });
         a.exit(0);
-        let (cpu, _) = exec(&a);
+        let (cpu, _) = exec(a);
         assert_eq!(cpu.x(T2) as i64, -1); // high bits of -6
         assert_eq!(cpu.x(T3), 2); // (2^64-2)*3 >> 64
     }
@@ -591,7 +617,7 @@ mod tests {
         a.addw(T2, T1, ZERO); // 0x7FFFFFFF
         a.addiw(T3, T1, 1); // wraps to i32::MIN
         a.exit(0);
-        let (cpu, _) = exec(&a);
+        let (cpu, _) = exec(a);
         assert_eq!(cpu.x(T2) as i64, 0x7FFF_FFFF);
         assert_eq!(cpu.x(T3) as i64, i32::MIN as i64);
     }
@@ -608,7 +634,7 @@ mod tests {
         a.lw(T5, 0, T0);
         a.lwu(T6, 0, T0);
         a.exit(0);
-        let (cpu, _) = exec(&a);
+        let (cpu, _) = exec(a);
         assert_eq!(cpu.x(T1) as i64, -128);
         assert_eq!(cpu.x(T2), 0x80);
         assert_eq!(cpu.x(T3) as i64, -128);
@@ -633,7 +659,7 @@ mod tests {
         a.fsd(FT5, 0, T1);
         a.fcvt_l_d(A0, FT5); // 8 (RTZ)
         a.li(A7, SYS_EXIT as i64).ecall();
-        let (cpu, r) = exec(&a);
+        let (cpu, r) = exec(a);
         assert_eq!(r, RunResult::Exited(8));
         assert_eq!(cpu.mem.read_f64(dst), 8.5);
     }
@@ -646,7 +672,7 @@ mod tests {
         a.fld(FT0, 0, T0);
         a.fsin_d(FT1, FT0);
         a.exit(0);
-        let (cpu, _) = exec(&a);
+        let (cpu, _) = exec(a);
         assert!((cpu.freg(1) - 1.0f64.sin()).abs() < 1e-15);
     }
 
@@ -690,7 +716,7 @@ mod tests {
         let mut a = Asm::new();
         a.label("spin");
         a.j("spin");
-        let (_, r) = exec(&a);
+        let (_, r) = exec(a);
         assert_eq!(r, RunResult::OutOfFuel);
     }
 
@@ -698,7 +724,7 @@ mod tests {
     fn illegal_instruction_traps() {
         let mut a = Asm::new();
         a.jalr(ZERO, ZERO, 0); // jump to address 0: empty memory decodes as illegal
-        let (_, r) = exec(&a);
+        let (_, r) = exec(a);
         match r {
             RunResult::Trapped(Trap::IllegalInstruction { pc: 0, .. }) => {}
             other => panic!("expected illegal instruction, got {other:?}"),
@@ -711,7 +737,7 @@ mod tests {
         a.nop().nop().nop();
         a.csrrs(A0, 0xC02, ZERO);
         a.li(A7, SYS_EXIT as i64).ecall();
-        let (_, r) = exec(&a);
+        let (_, r) = exec(a);
         // 3 nops retired before the csrrs reads instret.
         assert_eq!(r, RunResult::Exited(3));
     }

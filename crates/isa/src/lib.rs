@@ -31,7 +31,7 @@ pub mod mem;
 pub mod reg;
 
 pub use asm::{Asm, Program};
-pub use inst::{DecodeError, Inst, OpClass};
+pub use inst::{BranchClass, DecodeError, Inst, Lowered, OpClass};
 pub use interp::{Cpu, ExecError, Retired, RunResult, Trap};
 pub use mem::Memory;
 pub use reg::{FReg, Reg};

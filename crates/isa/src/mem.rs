@@ -1,21 +1,49 @@
 //! Sparse, paged byte-addressable target memory.
 //!
-//! The interpreter's memory is a map of 4 KiB pages allocated on first
-//! touch, so a 64-bit address space costs only what the workload actually
+//! The interpreter's memory is a table of 4 KiB pages allocated on first
+//! write, so a 64-bit address space costs only what the workload actually
 //! uses. All accessors are little-endian and tolerate unaligned and
 //! page-straddling accesses (the silicon and FireSim targets both allow
 //! unaligned scalar accesses via trap-and-emulate; we just allow them).
+//!
+//! # Page lookup
+//!
+//! Every load and store of every simulated instruction finds its page
+//! here, so the lookup computes no hash: the low 4 GiB — where every
+//! image, heap and stack of this repository lives — is a two-level radix
+//! table indexed by address bits (a root of 4 MiB leaves, each leaf 1024
+//! page slots), two dependent loads to the page. Pages at or above 4 GiB,
+//! which only a stray pointer reaches, sit in an ordered map. Reads never
+//! allocate: a missing root entry, leaf or page reads as zero.
+//!
+//! [`Memory::load`] copies an image page by page (one `copy_from_slice`
+//! per page touched), so `Cpu::new` of the 40 MiB `MM` pointer ring
+//! costs a `memcpy`.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const PAGE_BITS: u32 = 12;
 /// Page size in bytes (4 KiB).
 pub const PAGE_SIZE: usize = 1 << PAGE_BITS;
 
+type Page = [u8; PAGE_SIZE];
+
+/// Page slots per leaf of the radix table (4 MiB of address space).
+const LEAF_BITS: u32 = 10;
+const LEAF_PAGES: usize = 1 << LEAF_BITS;
+/// Page numbers below this are looked up in the radix table (4 GiB).
+const DIRECT_PAGES: u64 = 1 << (2 * LEAF_BITS);
+
+type Leaf = [Option<Box<Page>>; LEAF_PAGES];
+
 /// Sparse paged memory image.
 #[derive(Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    /// Radix root over the low 4 GiB, grown to the highest leaf written.
+    root: Vec<Option<Box<Leaf>>>,
+    /// Pages at or above 4 GiB, by page number.
+    high: BTreeMap<u64, Box<Page>>,
+    resident: usize,
 }
 
 impl Memory {
@@ -24,22 +52,46 @@ impl Memory {
         Memory::default()
     }
 
-    /// Number of distinct 4 KiB pages touched so far.
+    /// Number of distinct 4 KiB pages written so far.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.resident
     }
 
     #[inline]
-    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
-        self.pages
-            .entry(addr >> PAGE_BITS)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+    fn page(&self, addr: u64) -> Option<&Page> {
+        let pn = addr >> PAGE_BITS;
+        if pn < DIRECT_PAGES {
+            let leaf = self.root.get((pn >> LEAF_BITS) as usize)?.as_deref()?;
+            leaf[(pn as usize) & (LEAF_PAGES - 1)].as_deref()
+        } else {
+            self.high.get(&pn).map(|p| &**p)
+        }
+    }
+
+    #[inline]
+    fn page_mut(&mut self, addr: u64) -> &mut Page {
+        let pn = addr >> PAGE_BITS;
+        let resident = &mut self.resident;
+        let fresh = || {
+            *resident += 1;
+            Box::new([0u8; PAGE_SIZE])
+        };
+        if pn < DIRECT_PAGES {
+            let hi = (pn >> LEAF_BITS) as usize;
+            if self.root.len() <= hi {
+                self.root.resize_with(hi + 1, || None);
+            }
+            let leaf = self.root[hi].get_or_insert_with(|| Box::new(std::array::from_fn(|_| None)));
+            leaf[(pn as usize) & (LEAF_PAGES - 1)].get_or_insert_with(fresh)
+        } else {
+            self.high.entry(pn).or_insert_with(fresh)
+        }
     }
 
     /// Reads one byte (untouched memory reads as zero).
     #[inline]
     pub fn read_u8(&self, addr: u64) -> u8 {
-        match self.pages.get(&(addr >> PAGE_BITS)) {
+        match self.page(addr) {
             Some(p) => p[(addr as usize) & (PAGE_SIZE - 1)],
             None => 0,
         }
@@ -55,21 +107,18 @@ impl Memory {
     #[inline]
     fn read_bytes<const N: usize>(&self, addr: u64) -> [u8; N] {
         let off = (addr as usize) & (PAGE_SIZE - 1);
+        let mut out = [0u8; N];
         if off + N <= PAGE_SIZE {
             // Fast path: within one page.
-            match self.pages.get(&(addr >> PAGE_BITS)) {
-                Some(p) => p[off..off + N]
-                    .try_into()
-                    .expect("slice is exactly N bytes"),
-                None => [0u8; N],
+            if let Some(p) = self.page(addr) {
+                out.copy_from_slice(&p[off..off + N]);
             }
         } else {
-            let mut out = [0u8; N];
             for (i, b) in out.iter_mut().enumerate() {
                 *b = self.read_u8(addr.wrapping_add(i as u64));
             }
-            out
         }
+        out
     }
 
     #[inline]
@@ -78,9 +127,7 @@ impl Memory {
         if off + bytes.len() <= PAGE_SIZE {
             self.page_mut(addr)[off..off + bytes.len()].copy_from_slice(bytes);
         } else {
-            for (i, b) in bytes.iter().enumerate() {
-                self.write_u8(addr.wrapping_add(i as u64), *b);
-            }
+            self.load(addr, bytes);
         }
     }
 
@@ -132,23 +179,16 @@ impl Memory {
         self.write_u64(addr, val.to_bits());
     }
 
-    /// Bulk-loads a byte image at `base`.
+    /// Bulk-loads a byte image at `base`: one copy per page touched.
     pub fn load(&mut self, base: u64, bytes: &[u8]) {
-        self.write_bytes(base, bytes);
-        // write_bytes fast path only handles one page; fall back for bulk.
-        if bytes.len() > PAGE_SIZE {
-            for (i, chunk) in bytes.chunks(PAGE_SIZE).enumerate() {
-                let addr = base + (i * PAGE_SIZE) as u64;
-                // Rewrite each chunk; the per-chunk path may still straddle.
-                let off = (addr as usize) & (PAGE_SIZE - 1);
-                if off + chunk.len() <= PAGE_SIZE {
-                    self.page_mut(addr)[off..off + chunk.len()].copy_from_slice(chunk);
-                } else {
-                    for (j, b) in chunk.iter().enumerate() {
-                        self.write_u8(addr + j as u64, *b);
-                    }
-                }
-            }
+        let mut addr = base;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let off = (addr as usize) & (PAGE_SIZE - 1);
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_SIZE - off));
+            self.page_mut(addr)[off..off + chunk.len()].copy_from_slice(chunk);
+            addr = addr.wrapping_add(chunk.len() as u64);
+            rest = tail;
         }
     }
 }

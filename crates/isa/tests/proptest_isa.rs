@@ -1,10 +1,12 @@
 //! Property tests for the ISA layer: encode/decode round-trips over the
 //! whole operand space, interpreter arithmetic vs native Rust semantics,
-//! and assembler `li` materialization.
+//! assembler `li` materialization, the decode-time branch classification,
+//! and the paged target memory against byte-wise writes.
 
 use bsim_isa::inst::{AluOp, BranchKind, LoadKind, MulOp, StoreKind};
+use bsim_isa::mem::PAGE_SIZE;
 use bsim_isa::reg::*;
-use bsim_isa::{Asm, Cpu, FReg, Inst, Reg, RunResult};
+use bsim_isa::{Asm, BranchClass, Cpu, FReg, Inst, Memory, Reg, RunResult};
 use proptest::prelude::*;
 
 fn reg() -> impl Strategy<Value = Reg> {
@@ -43,7 +45,112 @@ fn mul_op() -> impl Strategy<Value = MulOp> {
     ]
 }
 
+/// Jump operands, biased so the link register is not a 1-in-32 event.
+fn link_biased() -> impl Strategy<Value = Reg> {
+    prop_oneof![reg(), Just(RA)]
+}
+
+/// Deterministic filler bytes for the memory properties.
+fn pattern(seed: u64, len: usize) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 32) as u8 | 1 // never 0, so a missing write shows
+        })
+        .collect()
+}
+
+/// Load bases: anywhere in the images' range, around the 4 GiB edge of
+/// the direct page table, and at the top of the address space (wrapping).
+fn load_base() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..0x7FFF_0000,
+        (1u64 << 32) - 4 * PAGE_SIZE as u64..(1u64 << 32) + PAGE_SIZE as u64,
+        u64::MAX - 2 * PAGE_SIZE as u64..=u64::MAX,
+    ]
+}
+
 proptest! {
+    #[test]
+    fn lowering_classifies_control_flow_by_the_link_register(
+        rd in link_biased(),
+        rs1 in link_biased(),
+        rs2 in reg(),
+        op in alu_op(),
+    ) {
+        use BranchClass::*;
+        let jal = if rd == RA { Call } else { Direct };
+        let jalr = if rd == RA { Call } else if rs1 == RA { Return } else { Indirect };
+        prop_assert_eq!(Inst::Jal { rd, offset: 8 }.lower().branch, Some(jal));
+        prop_assert_eq!(Inst::Jalr { rd, rs1, offset: 0 }.lower().branch, Some(jalr));
+        let branch = Inst::Branch { kind: BranchKind::Ne, rs1, rs2, offset: 8 };
+        prop_assert_eq!(branch.lower().branch, Some(Conditional));
+        prop_assert_eq!(Inst::Op { op, rd, rs1, rs2 }.lower().branch, None);
+    }
+
+    #[test]
+    fn bulk_load_equals_bytewise_writes(
+        base in load_base(),
+        len in 0usize..3 * PAGE_SIZE + 700,
+        seed in any::<u64>(),
+    ) {
+        let img = pattern(seed, len);
+        let mut bulk = Memory::new();
+        bulk.load(base, &img);
+        let mut bytewise = Memory::new();
+        for (i, b) in img.iter().enumerate() {
+            bytewise.write_u8(base.wrapping_add(i as u64), *b);
+        }
+        prop_assert_eq!(bulk.resident_pages(), bytewise.resident_pages());
+        // Every byte of the image, and a margin on both sides of it.
+        for i in -40i64..len as i64 + 40 {
+            let addr = base.wrapping_add(i as u64);
+            let want = if (0..len as i64).contains(&i) { img[i as usize] } else { 0 };
+            prop_assert_eq!(bulk.read_u8(addr), want, "byte {} of {}", i, len);
+            prop_assert_eq!(bytewise.read_u8(addr), want);
+        }
+        // Reading, even outside the image and across pages, allocates nothing.
+        let pages = bulk.resident_pages();
+        for addr in [base.wrapping_sub(5), base.wrapping_add(len as u64).wrapping_add(PAGE_SIZE as u64 - 3), !base] {
+            let _ = (bulk.read_u64(addr), bulk.read_u32(addr), bulk.read_u16(addr), bulk.read_f64(addr));
+        }
+        prop_assert_eq!(bulk.resident_pages(), pages);
+    }
+
+    #[test]
+    fn load_over_written_pages_overwrites_only_its_range(
+        base in load_base(),
+        before in 0usize..PAGE_SIZE + 50,
+        len in 0usize..2 * PAGE_SIZE + 50,
+        after in 0usize..PAGE_SIZE + 50,
+        seed in any::<u64>(),
+    ) {
+        let old = pattern(seed, before + len + after);
+        let new = pattern(!seed, len);
+        let mut m = Memory::new();
+        m.load(base, &old);
+        let pages = m.resident_pages();
+        m.load(base.wrapping_add(before as u64), &new);
+        prop_assert_eq!(m.resident_pages(), pages, "an overwrite touches no new page");
+        for (i, o) in old.iter().enumerate() {
+            let want = if (before..before + len).contains(&i) { new[i - before] } else { *o };
+            prop_assert_eq!(m.read_u8(base.wrapping_add(i as u64)), want, "byte {}", i);
+        }
+    }
+
+    #[test]
+    fn reads_never_allocate(addr in any::<u64>()) {
+        let m = Memory::new();
+        prop_assert_eq!(m.read_u8(addr), 0);
+        prop_assert_eq!(m.read_u16(addr), 0);
+        prop_assert_eq!(m.read_u32(addr), 0);
+        prop_assert_eq!(m.read_u64(addr), 0);
+        prop_assert_eq!(m.resident_pages(), 0);
+    }
+
     #[test]
     fn op_roundtrips(op in alu_op(), rd in reg(), rs1 in reg(), rs2 in reg()) {
         let i = Inst::Op { op, rd, rs1, rs2 };
@@ -93,6 +200,7 @@ proptest! {
         // must reproduce the word (encode ∘ decode = id on valid words).
         if let Ok(i) = Inst::decode(word) {
             prop_assert_eq!(i.encode(), word);
+            prop_assert_eq!(i.lower().branch.is_some(), i.is_control_flow());
         }
     }
 
@@ -127,7 +235,6 @@ proptest! {
 
     #[test]
     fn memory_roundtrip_any_addr(addr in 0u64..0x7FFF_0000, v in any::<u64>()) {
-        use bsim_isa::Memory;
         let mut m = Memory::new();
         m.write_u64(addr, v);
         prop_assert_eq!(m.read_u64(addr), v);

@@ -44,9 +44,12 @@ pub fn job_id(submit_body: &str) -> Option<String> {
 }
 
 /// Polls `/fetch/<job>` until the job leaves the queue (HTTP != 202) or
-/// the timeout lapses. Returns the final `(status, body)`.
+/// the timeout lapses. Returns the final `(status, body)`. The poll
+/// interval starts at 200 µs — a warm job is done within a millisecond —
+/// and doubles to a 10 ms cap for jobs that simulate.
 pub fn wait(addr: &str, job: &str, timeout: Duration) -> io::Result<(u16, String)> {
     let deadline = Instant::now() + timeout;
+    let mut pause = Duration::from_micros(200);
     loop {
         let (status, body) = fetch(addr, job)?;
         if status != 202 {
@@ -58,7 +61,8 @@ pub fn wait(addr: &str, job: &str, timeout: Duration) -> io::Result<(u16, String
                 format!("job {job} still {body} after {timeout:?}"),
             ));
         }
-        std::thread::sleep(Duration::from_millis(10));
+        std::thread::sleep(pause);
+        pause = (pause * 2).min(Duration::from_millis(10));
     }
 }
 

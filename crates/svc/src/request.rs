@@ -167,7 +167,7 @@ impl SvcRequest {
                     }
                 }
                 for name in kernels {
-                    if !microbench::suite().iter().any(|k| k.name == name.as_str()) {
+                    if microbench::find(name).is_none() {
                         report.push(
                             Diagnostic::error(
                                 "SV001",

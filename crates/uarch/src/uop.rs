@@ -6,22 +6,8 @@
 //! f0–f31 are 32–63), its effective address if it touches memory, and
 //! its control-flow outcome if it redirects the PC.
 
-use bsim_isa::{Inst, OpClass, Retired};
-
-/// Control-flow classification, used by the branch predictors.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BranchClass {
-    /// Conditional branch (BEQ/BNE/...).
-    Conditional,
-    /// Direct unconditional jump (JAL with rd=x0).
-    Direct,
-    /// Function call (JAL/JALR writing ra).
-    Call,
-    /// Function return (JALR through ra).
-    Return,
-    /// Other indirect jump (JALR).
-    Indirect,
-}
+pub use bsim_isa::BranchClass;
+use bsim_isa::{OpClass, Retired};
 
 /// One dynamic micro-op.
 #[derive(Clone, Copy, Debug)]
@@ -46,38 +32,21 @@ pub struct MicroOp {
 }
 
 impl MicroOp {
-    /// Builds a micro-op from a functionally retired instruction.
+    /// Builds a micro-op from a functionally retired instruction: a copy
+    /// of the record's decode-time lowering plus its dynamic outcome.
+    #[inline]
     pub fn from_retired(r: &Retired) -> MicroOp {
-        let class = r.inst.class();
-        let branch = match r.inst {
-            Inst::Branch { .. } => Some((BranchClass::Conditional, r.taken)),
-            Inst::Jal { rd, .. } => {
-                if rd.num() == 1 {
-                    Some((BranchClass::Call, true))
-                } else {
-                    Some((BranchClass::Direct, true))
-                }
-            }
-            Inst::Jalr { rd, rs1, .. } => {
-                if rd.num() == 1 {
-                    Some((BranchClass::Call, true))
-                } else if rs1.num() == 1 {
-                    Some((BranchClass::Return, true))
-                } else {
-                    Some((BranchClass::Indirect, true))
-                }
-            }
-            _ => None,
-        };
+        let low = &r.lowered;
         MicroOp {
             pc: r.pc,
             next_pc: r.next_pc,
-            class,
-            dest: r.inst.dest(),
-            srcs: r.inst.sources(),
+            class: low.class,
+            dest: low.dest,
+            srcs: low.srcs,
             mem_addr: r.mem_addr,
             is_store: r.is_store,
-            branch,
+            // `taken` is the branch outcome, and always true for jumps.
+            branch: low.branch.map(|class| (class, r.taken)),
         }
     }
 
@@ -148,7 +117,7 @@ mod tests {
     use super::*;
     use bsim_isa::{Asm, Cpu, RunResult};
 
-    fn trace(a: &Asm) -> Vec<MicroOp> {
+    fn trace(a: Asm) -> Vec<MicroOp> {
         let p = a.assemble().unwrap();
         let mut cpu = Cpu::new(&p);
         let mut uops = Vec::new();
@@ -166,7 +135,7 @@ mod tests {
         a.exit(0);
         a.label("f");
         a.ret();
-        let uops = trace(&a);
+        let uops = trace(a);
         let calls: Vec<_> = uops.iter().filter_map(|u| u.branch).collect();
         assert!(calls.contains(&(BranchClass::Call, true)));
         assert!(calls.contains(&(BranchClass::Return, true)));
@@ -182,7 +151,7 @@ mod tests {
         a.addi(T0, T0, 1);
         a.blt(T0, T1, "loop");
         a.exit(0);
-        let uops = trace(&a);
+        let uops = trace(a);
         let branches: Vec<bool> = uops
             .iter()
             .filter(|u| matches!(u.branch, Some((BranchClass::Conditional, _))))
@@ -199,7 +168,7 @@ mod tests {
         a.li(T0, addr as i64);
         a.ld(T1, 0, T0);
         a.exit(0);
-        let uops = trace(&a);
+        let uops = trace(a);
         let ld = uops.iter().find(|u| u.is_mem()).unwrap();
         assert_eq!(ld.mem_addr, Some(addr));
         assert!(!ld.is_store);

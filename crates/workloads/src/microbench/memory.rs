@@ -27,13 +27,11 @@ fn mm_kernel(iters: i64, store_too: bool) -> Program {
     // doubleword holds the address of node i+1 (wrapping).
     a.data_align(64);
     let base = a.data_label("mm_ring");
-    let words_per_node = (STRIDE / 8) as usize;
-    let mut ring = vec![0u64; (NODES as usize) * words_per_node];
-    for i in 0..NODES {
-        let next = (i + 1) % NODES;
-        ring[(i as usize) * words_per_node] = base + next * STRIDE;
-    }
-    a.data_u64s(&ring);
+    a.data_u64s((0..NODES).flat_map(|i| {
+        let mut node = [0u64; (STRIDE / 8) as usize];
+        node[0] = base + ((i + 1) % NODES) * STRIDE;
+        node
+    }));
 
     a.la(S6, "mm_ring");
     a.li(T0, 0);

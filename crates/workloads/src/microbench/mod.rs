@@ -90,174 +90,182 @@ macro_rules! kernel {
 }
 
 /// The full 40-kernel suite, in Table 1 order.
+static SUITE: [MicroKernel; 40] = [
+    kernel!("Cca", ControlFlow, "Completely biased branch", control::cca),
+    kernel!("Cce", ControlFlow, "Alternating branches", control::cce),
+    kernel!("CCh", ControlFlow, "Random control flow", control::cch),
+    kernel!(
+        "CCh_st",
+        ControlFlow,
+        "Impossible to predict control + stores",
+        control::cch_st
+    ),
+    kernel!(
+        "CCl",
+        ControlFlow,
+        "Impossible control w/ large Basic Blocks",
+        control::ccl
+    ),
+    kernel!("CCm", ControlFlow, "Heavily biased branches", control::ccm),
+    kernel!(
+        "CF1",
+        ControlFlow,
+        "Inlining test for functions w/ loops",
+        control::cf1
+    ),
+    kernel!(
+        "CRd",
+        ControlFlow,
+        "Recursive control flow - 1000 Deep",
+        control::crd
+    ),
+    kernel!(
+        "CRf",
+        ControlFlow,
+        "Recursive control flow - Fibonacci",
+        control::crf
+    ),
+    kernel!("CRm", ControlFlow, "Merge sort", control::crm, excluded),
+    kernel!(
+        "CS1",
+        ControlFlow,
+        "Switch - Different each time",
+        control::cs1
+    ),
+    kernel!(
+        "CS3",
+        ControlFlow,
+        "Switch - Different every third time",
+        control::cs3
+    ),
+    kernel!(
+        "DP1d",
+        Data,
+        "Data parallel loop - Double arithmetic",
+        data::dp1d
+    ),
+    kernel!(
+        "DP1f",
+        Data,
+        "Data parallel loop - Float arithmetic",
+        data::dp1f
+    ),
+    kernel!("DPT", Data, "Data parallel loop - Sin()", data::dpt),
+    kernel!(
+        "DPTd",
+        Data,
+        "Data parallel loop - Double sin()",
+        data::dptd
+    ),
+    kernel!(
+        "DPcvt",
+        Data,
+        "Data parallel loop - Float to Double",
+        data::dpcvt
+    ),
+    kernel!(
+        "ED1",
+        Execution,
+        "Int - Length 1 dependency chain",
+        execution::ed1
+    ),
+    kernel!(
+        "EF",
+        Execution,
+        "FP - 8 Independent instructions",
+        execution::ef
+    ),
+    kernel!(
+        "EI",
+        Execution,
+        "Int - 8 Independent computations",
+        execution::ei
+    ),
+    kernel!(
+        "EM1",
+        Execution,
+        "Int - Length 1 dependency chain",
+        execution::em1
+    ),
+    kernel!(
+        "EM5",
+        Execution,
+        "Int - Length 5 dependency chain",
+        execution::em5
+    ),
+    kernel!("MC", Cache, "Conflict misses", cache::mc),
+    kernel!("MCS", Cache, "Conflict misses with stores", cache::mcs),
+    kernel!(
+        "MD",
+        Cache,
+        "Cache resident linked list traversal",
+        cache::md
+    ),
+    kernel!("MI", Cache, "Independent access, cache resident", cache::mi),
+    kernel!("MIM", Cache, "Independent access, no conflicts", cache::mim),
+    kernel!(
+        "MIM2",
+        Cache,
+        "Independent access - 2 coalescing ops",
+        cache::mim2
+    ),
+    kernel!("MIP", Cache, "Instruction cache misses", cache::mip),
+    kernel!("ML2", Cache, "L2 linked-list", cache::ml2),
+    kernel!(
+        "ML2_BW_ld",
+        Cache,
+        "L2 linked-list - B/W limited (lds)",
+        cache::ml2_bw_ld
+    ),
+    kernel!(
+        "ML2_BW_ldst",
+        Cache,
+        "L2 linked-list - B/W limited (ld/sts)",
+        cache::ml2_bw_ldst
+    ),
+    kernel!(
+        "ML2_BW_st",
+        Cache,
+        "L2 linked-list - B/W limited (sts)",
+        cache::ml2_bw_st
+    ),
+    kernel!("ML2_st", Cache, "L2 linked-list (sts)", cache::ml2_st),
+    kernel!("STL2", Cache, "Repeatedly store, L2 resident", cache::stl2),
+    kernel!(
+        "STL2b",
+        Cache,
+        "Occasional stores, L2 resident",
+        cache::stl2b
+    ),
+    kernel!("STc", Cache, "Repeated consecutive L1 store", cache::stc),
+    kernel!(
+        "M_Dyn",
+        Cache,
+        "Load store w/ dynamic dependencies",
+        cache::m_dyn
+    ),
+    kernel!("MM", Memory, "Non-cache resident linked-list", memory::mm),
+    kernel!(
+        "MM_st",
+        Memory,
+        "Non-cache resident linked-list (sts)",
+        memory::mm_st
+    ),
+];
+
+/// The full 40-kernel suite, in Table 1 order.
 pub fn suite() -> Vec<MicroKernel> {
-    vec![
-        kernel!("Cca", ControlFlow, "Completely biased branch", control::cca),
-        kernel!("Cce", ControlFlow, "Alternating branches", control::cce),
-        kernel!("CCh", ControlFlow, "Random control flow", control::cch),
-        kernel!(
-            "CCh_st",
-            ControlFlow,
-            "Impossible to predict control + stores",
-            control::cch_st
-        ),
-        kernel!(
-            "CCl",
-            ControlFlow,
-            "Impossible control w/ large Basic Blocks",
-            control::ccl
-        ),
-        kernel!("CCm", ControlFlow, "Heavily biased branches", control::ccm),
-        kernel!(
-            "CF1",
-            ControlFlow,
-            "Inlining test for functions w/ loops",
-            control::cf1
-        ),
-        kernel!(
-            "CRd",
-            ControlFlow,
-            "Recursive control flow - 1000 Deep",
-            control::crd
-        ),
-        kernel!(
-            "CRf",
-            ControlFlow,
-            "Recursive control flow - Fibonacci",
-            control::crf
-        ),
-        kernel!("CRm", ControlFlow, "Merge sort", control::crm, excluded),
-        kernel!(
-            "CS1",
-            ControlFlow,
-            "Switch - Different each time",
-            control::cs1
-        ),
-        kernel!(
-            "CS3",
-            ControlFlow,
-            "Switch - Different every third time",
-            control::cs3
-        ),
-        kernel!(
-            "DP1d",
-            Data,
-            "Data parallel loop - Double arithmetic",
-            data::dp1d
-        ),
-        kernel!(
-            "DP1f",
-            Data,
-            "Data parallel loop - Float arithmetic",
-            data::dp1f
-        ),
-        kernel!("DPT", Data, "Data parallel loop - Sin()", data::dpt),
-        kernel!(
-            "DPTd",
-            Data,
-            "Data parallel loop - Double sin()",
-            data::dptd
-        ),
-        kernel!(
-            "DPcvt",
-            Data,
-            "Data parallel loop - Float to Double",
-            data::dpcvt
-        ),
-        kernel!(
-            "ED1",
-            Execution,
-            "Int - Length 1 dependency chain",
-            execution::ed1
-        ),
-        kernel!(
-            "EF",
-            Execution,
-            "FP - 8 Independent instructions",
-            execution::ef
-        ),
-        kernel!(
-            "EI",
-            Execution,
-            "Int - 8 Independent computations",
-            execution::ei
-        ),
-        kernel!(
-            "EM1",
-            Execution,
-            "Int - Length 1 dependency chain",
-            execution::em1
-        ),
-        kernel!(
-            "EM5",
-            Execution,
-            "Int - Length 5 dependency chain",
-            execution::em5
-        ),
-        kernel!("MC", Cache, "Conflict misses", cache::mc),
-        kernel!("MCS", Cache, "Conflict misses with stores", cache::mcs),
-        kernel!(
-            "MD",
-            Cache,
-            "Cache resident linked list traversal",
-            cache::md
-        ),
-        kernel!("MI", Cache, "Independent access, cache resident", cache::mi),
-        kernel!("MIM", Cache, "Independent access, no conflicts", cache::mim),
-        kernel!(
-            "MIM2",
-            Cache,
-            "Independent access - 2 coalescing ops",
-            cache::mim2
-        ),
-        kernel!("MIP", Cache, "Instruction cache misses", cache::mip),
-        kernel!("ML2", Cache, "L2 linked-list", cache::ml2),
-        kernel!(
-            "ML2_BW_ld",
-            Cache,
-            "L2 linked-list - B/W limited (lds)",
-            cache::ml2_bw_ld
-        ),
-        kernel!(
-            "ML2_BW_ldst",
-            Cache,
-            "L2 linked-list - B/W limited (ld/sts)",
-            cache::ml2_bw_ldst
-        ),
-        kernel!(
-            "ML2_BW_st",
-            Cache,
-            "L2 linked-list - B/W limited (sts)",
-            cache::ml2_bw_st
-        ),
-        kernel!("ML2_st", Cache, "L2 linked-list (sts)", cache::ml2_st),
-        kernel!("STL2", Cache, "Repeatedly store, L2 resident", cache::stl2),
-        kernel!(
-            "STL2b",
-            Cache,
-            "Occasional stores, L2 resident",
-            cache::stl2b
-        ),
-        kernel!("STc", Cache, "Repeated consecutive L1 store", cache::stc),
-        kernel!(
-            "M_Dyn",
-            Cache,
-            "Load store w/ dynamic dependencies",
-            cache::m_dyn
-        ),
-        kernel!("MM", Memory, "Non-cache resident linked-list", memory::mm),
-        kernel!(
-            "MM_st",
-            Memory,
-            "Non-cache resident linked-list (sts)",
-            memory::mm_st
-        ),
-    ]
+    SUITE.to_vec()
 }
 
 /// The kernels actually evaluated (the paper's 39: CRm excluded).
 pub fn evaluated() -> Vec<MicroKernel> {
-    suite().into_iter().filter(|k| !k.excluded).collect()
+    SUITE.iter().filter(|k| !k.excluded).copied().collect()
+}
+
+/// The kernel with this Table 1 name, if there is one.
+pub fn find(name: &str) -> Option<MicroKernel> {
+    SUITE.iter().find(|k| k.name == name).copied()
 }
 
 #[cfg(test)]

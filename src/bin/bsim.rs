@@ -558,7 +558,7 @@ fn main() {
         }
         "micro" => {
             let Some(&kname) = f.pos.first() else { usage() };
-            let Some(kernel) = microbench::suite().into_iter().find(|k| k.name == kname) else {
+            let Some(kernel) = microbench::find(kname) else {
                 fail(format!("unknown kernel {kname}; try `bsim list`"))
             };
             let prog = kernel.build(1);
