@@ -7,10 +7,11 @@
 //! |-------|----------|---------|
 //! | AU000 | note     | summary of findings waived via `// bsim: allow(..)` |
 //! | AU001 | error    | `.unwrap()` outside tests: a panic tears the simulation down instead of surfacing a typed error |
-//! | AU002 | warning  | `.expect(..)` in a designated hot-path file (token channel, wire framing, daemon dispatch, interpreter loop) |
+//! | AU002 | warning  | `.expect(..)` in a designated hot-path file (token channel, wire framing, daemon dispatch, interpreter loop, timing cores, memory hierarchy) |
 //! | AU003 | warning  | iteration over a `HashMap` binding: order is nondeterministic and must not feed results or wire frames |
 //! | AU004 | warning  | `Instant`/`SystemTime` in a virtual-time crate: host clocks break determinism |
 //! | AU005 | note     | a `pub fn` of `core`/`sweepx`/`svc`/`dist` that nothing outside its crate mentions: surface to shrink |
+//! | AU006 | warning  | `std::env::`, `println!`/`eprintln!` or `format!` in a per-op hot-path file (interpreter, timing cores, memory hierarchy and the loops feeding them): host work — an environment lookup, a lock on stdout, an allocation — where every micro-op pays for it |
 //!
 //! Findings are waived inline with a `// bsim: allow(AU001)` comment on the
 //! same line or on the line directly above; several codes may be listed,
@@ -41,19 +42,22 @@ const HASHMAP_NEW: &str = concat!("Hash", "Map::new");
 const ALLOW: &str = concat!("bsim: ", "allow(");
 const CFG_TEST: &str = concat!("#[cfg(", "test)]");
 const PUB_FN: &str = concat!("pub ", "fn ");
+/// AU006 needles: host work that does not belong on a per-op path.
+/// (`println!(` also matches inside `eprintln!(`.)
+const HOST_WORK: &[&str] = &[
+    concat!("std::", "env::"),
+    concat!("println", "!("),
+    concat!("format", "!("),
+];
 
 /// Crates whose `pub fn` surface AU005 audits: the layers that grew a
 /// parallel mechanism per feature PR (ROADMAP item 3).
 const SURFACE_CRATES: &[&str] = &["core", "sweepx", "svc", "dist"];
 
-/// Files whose failure modes reach the per-token, per-frame or
-/// per-instruction path: a panic here kills a quantum (or a MicroBench
-/// cell) mid-flight, so even `.expect` needs a waiver arguing the
-/// invariant.
+/// Files whose failure modes reach the per-token or per-frame path: a
+/// panic here kills a quantum mid-flight, so even `.expect` needs a
+/// waiver arguing the invariant.
 const HOT_PATHS: &[&str] = &[
-    "crates/isa/src/interp.rs",
-    "crates/isa/src/mem.rs",
-    "crates/uarch/src/uop.rs",
     "crates/engine/src/channel.rs",
     "crates/engine/src/harness.rs",
     "crates/dist/src/frame.rs",
@@ -61,6 +65,27 @@ const HOT_PATHS: &[&str] = &[
     "crates/dist/src/graph.rs",
     "crates/svc/src/proto.rs",
     "crates/svc/src/daemon.rs",
+];
+
+/// Hot paths that run once per instruction, micro-op or memory access —
+/// the functional front end, both timing cores, the memory hierarchy and
+/// the loops that feed them. AU002 applies as on [`HOT_PATHS`]; on top,
+/// host work (AU006) needs a waiver stating when it runs, because here
+/// it is paid tens of millions of times a figure.
+const PER_OP_PATHS: &[&str] = &[
+    "crates/isa/src/interp.rs",
+    "crates/isa/src/mem.rs",
+    "crates/uarch/src/uop.rs",
+    "crates/uarch/src/inorder.rs",
+    "crates/uarch/src/ooo.rs",
+    "crates/uarch/src/tlb.rs",
+    "crates/uarch/src/predictor.rs",
+    "crates/mem/src/cache.rs",
+    "crates/mem/src/hierarchy.rs",
+    "crates/mem/src/dram.rs",
+    "crates/mem/src/llc.rs",
+    "crates/soc/src/runner.rs",
+    "crates/mpi/src/world.rs",
     "crates/sweepx/src/replay.rs",
 ];
 
@@ -219,7 +244,8 @@ fn crate_of(path: &str) -> Option<&str> {
 /// waived ones into `waived`. `path` is the repo-relative path used both for
 /// spans and for the hot-path / virtual-time scoping.
 pub fn scan_source(path: &str, text: &str, report: &mut Report, waived: &mut usize) {
-    let hot = HOT_PATHS.contains(&path);
+    let per_op = PER_OP_PATHS.contains(&path);
+    let hot = per_op || HOT_PATHS.contains(&path);
     let vt = crate_of(path).is_some_and(|c| VIRTUAL_TIME_CRATES.contains(&c));
 
     // Pass 1: HashMap binding and field names declared anywhere in the file.
@@ -276,6 +302,18 @@ pub fn scan_source(path: &str, text: &str, report: &mut Report, waived: &mut usi
                 )
                 .with_help("convert to a typed error, or waive stating why the invariant holds"),
                 "AU002",
+                report,
+            );
+        }
+        if let Some(what) = HOST_WORK.iter().find(|w| per_op && code.contains(**w)) {
+            emit(
+                Diagnostic::warning(
+                    "AU006",
+                    span.clone(),
+                    format!("{what}..) on a per-op path: host work every micro-op pays for"),
+                )
+                .with_help("move it off the per-op path, or waive stating when it runs"),
+                "AU006",
                 report,
             );
         }
@@ -542,6 +580,31 @@ mod tests {
         assert!(r.has_code("AU002") && !r.has_errors(), "{}", r.render());
         let (r, _) = scan("crates/workloads/src/x.rs", &text);
         assert!(r.is_clean(), "{}", r.render());
+    }
+
+    #[test]
+    fn host_work_only_flags_per_op_paths() {
+        for what in HOST_WORK {
+            let text = format!("fn f() {{ let _ = {what}\"X\"); }}\n");
+            let (r, _) = scan("crates/uarch/src/inorder.rs", &text);
+            assert!(r.has_code("AU006") && !r.has_errors(), "{}", r.render());
+            assert_eq!(r.warning_count(), 1, "{}", r.render());
+            // Not in cold files, and not on the per-frame hot paths, whose
+            // replies and errors are strings.
+            for cold in ["crates/workloads/src/x.rs", "crates/svc/src/proto.rs"] {
+                let (r, _) = scan(cold, &text);
+                assert!(r.is_clean(), "{}", r.render());
+            }
+
+            let waived = format!("// {ALLOW}AU006) report time only\n{text}");
+            let (r, w) = scan("crates/uarch/src/inorder.rs", &waived);
+            assert!(r.is_clean() && w == 1, "{}", r.render());
+            let in_test = format!("{CFG_TEST}\nmod tests {{\n    {text}}}\n");
+            let (r, _) = scan("crates/uarch/src/inorder.rs", &in_test);
+            assert!(r.is_clean(), "{}", r.render());
+        }
+        let (r, _) = scan("crates/mem/src/cache.rs", "fn f() { eprintln!(\"x\"); }\n");
+        assert!(r.has_code("AU006"), "{}", r.render());
     }
 
     #[test]

@@ -38,54 +38,74 @@ impl CacheConfig {
             "line size must be a power of two"
         );
         assert!(self.banks.is_power_of_two(), "banks must be a power of two");
-        assert!(self.ways >= 1, "need at least one way");
+        assert!(
+            (1..=256).contains(&self.ways),
+            "need between 1 and 256 ways"
+        );
+        assert!(
+            self.line_bytes > 1 || self.sets > 1,
+            "a one-byte, one-set cache leaves no key bit free for VALID"
+        );
     }
 }
 
 /// Result of a timing lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Lookup {
-    /// Tag hit?
-    pub hit: bool,
     /// Cycle at which the bank accepted the access (>= issue cycle; later
     /// under bank conflicts).
     pub start: u64,
-    /// On a hit: the cycle the line's data is actually present (later
+    /// On a tag hit, the cycle the line's data is actually present (later
     /// than `start` when the line is still in flight from a fill, e.g. a
-    /// prefetch that has not arrived yet).
-    pub ready_at: u64,
-    /// A dirty victim line's base address, if the fill evicted one.
-    pub writeback: Option<u64>,
+    /// prefetch that has not arrived yet); `None` on a miss.
+    pub ready_at: Option<u64>,
 }
 
-/// Line state bit: the way holds a valid line.
-const VALID: u8 = 1 << 0;
-/// Line state bit: the line has been written since it was filled.
-const DIRTY: u8 = 1 << 1;
+impl Lookup {
+    /// Tag hit?
+    #[inline]
+    pub fn hit(&self) -> bool {
+        self.ready_at.is_some()
+    }
+}
+
+/// Key bit: the way holds a valid line. Tags are `addr >> tag_shift` with
+/// `tag_shift >= 1`, so bit 63 is never part of a tag and an all-zero key
+/// is exactly "invalid".
+const VALID: u64 = 1 << 63;
+
+/// Entries of the way memo (a power of two); sets alias modulo this.
+const MEMO: usize = 256;
 
 /// A single cache instance (one level, one shared array).
 ///
-/// The tag store is structure-of-arrays: packed `tags`/`flags`/`lru`/
-/// `ready_at` vectors indexed by `set * ways + way`, probed with a
-/// single branchless scan per lookup instead of one branchy pass per
-/// field. The lookup path is the hottest kernel in the whole simulator
-/// (every load, store, and fetch line goes through it at least once),
-/// so the layout keeps the comparison stream — tag plus one metadata
-/// byte — dense in cache lines and leaves the cold LRU/ready timestamps
-/// out of the probe entirely.
+/// Per way, indexed by `set * ways + way`: one `key` word holding
+/// `tag | VALID` (0 = invalid), one dirty byte, the LRU timestamp and the
+/// cycle the line's data is present — 25 bytes a line. A probe compares
+/// the set's keys against one wanted word: first the way the memo
+/// remembers for the set, then all ways at once with a branch-free
+/// compare unrolled for 4, 8 and 16 ways. A tag is resident in at most
+/// one way of its set, so the order of the compares cannot change which
+/// way answers. Dirty bytes, LRU stamps and ready times are touched only
+/// for the way that hit.
 pub struct Cache {
     cfg: CacheConfig,
-    /// Per-way tags, `sets * ways` entries.
-    tags: Vec<u64>,
-    /// Per-way `VALID`/`DIRTY` bits, parallel to `tags`.
-    flags: Vec<u8>,
+    /// `tag | VALID` per way, 0 when the way is invalid.
+    keys: Vec<u64>,
+    /// 1 when the line has been written since it was filled.
+    dirty: Vec<u8>,
     /// LRU timestamps (monotone counter, larger = more recent).
     lru: Vec<u64>,
     /// Cycle at which each line's data is present (fills in flight have
     /// future ready times).
     ready_at: Vec<u64>,
     bank_free_at: Vec<u64>,
+    /// Way that last hit or was filled in set `s`, at `s % MEMO`. Only a
+    /// hint: a probe trusts it after comparing that way's key, so an
+    /// entry left by an aliasing set or an evicted line costs one compare.
+    memo: [u8; MEMO],
     lru_clock: u64,
+    ways: usize,
     offset_bits: u32,
     index_mask: u64,
     /// Precomputed `offset_bits + log2(sets)`: one shift extracts a tag.
@@ -94,18 +114,31 @@ pub struct Cache {
     bank_mask: u64,
 }
 
+/// Branch-free compare of one `N`-way set against `want`.
+#[inline(always)]
+fn scan_ways<const N: usize>(set: &[u64], want: u64) -> Option<usize> {
+    let set: &[u64; N] = set.try_into().ok()?;
+    let mut hits = 0u32;
+    for (w, &k) in set.iter().enumerate() {
+        hits |= u32::from(k == want) << w;
+    }
+    (hits != 0).then(|| hits.trailing_zeros() as usize)
+}
+
 impl Cache {
     /// Builds an empty (all-invalid) cache.
     pub fn new(cfg: CacheConfig) -> Cache {
         cfg.validate();
         let n = (cfg.sets * cfg.ways) as usize;
         Cache {
-            tags: vec![0; n],
-            flags: vec![0; n],
+            keys: vec![0; n],
+            dirty: vec![0; n],
             lru: vec![0; n],
             ready_at: vec![0; n],
             bank_free_at: vec![0; cfg.banks as usize],
+            memo: [0; MEMO],
             lru_clock: 0,
+            ways: cfg.ways as usize,
             offset_bits: cfg.line_bytes.trailing_zeros(),
             index_mask: (cfg.sets - 1) as u64,
             tag_shift: cfg.line_bytes.trailing_zeros() + cfg.sets.trailing_zeros(),
@@ -119,37 +152,58 @@ impl Cache {
         &self.cfg
     }
 
-    #[inline]
-    fn set_of(&self, addr: u64) -> u64 {
-        (addr >> self.offset_bits) & self.index_mask
+    /// Set index and wanted key word of the line containing `addr`.
+    #[inline(always)]
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let set = (addr >> self.offset_bits) & self.index_mask;
+        (set as usize, addr >> self.tag_shift | VALID)
     }
 
-    #[inline]
-    fn tag_of(&self, addr: u64) -> u64 {
-        addr >> self.tag_shift
-    }
-
-    #[inline]
-    fn bank_of(&self, addr: u64) -> usize {
-        ((addr >> self.offset_bits) & self.bank_mask) as usize
-    }
-
-    /// The one tag probe every path shares: scans the set's ways with a
-    /// branch-free select (a mispredicted way loop costs more than the
-    /// handful of extra compares) and returns the matching way's global
-    /// index.
-    #[inline]
-    fn probe(&self, set: u64, tag: u64) -> Option<usize> {
-        let ways = self.cfg.ways as usize;
-        let base = set as usize * ways;
-        let tags = &self.tags[base..base + ways];
-        let flags = &self.flags[base..base + ways];
-        let mut found = usize::MAX;
-        for w in 0..ways {
-            let hit = (flags[w] & VALID != 0) & (tags[w] == tag);
-            found = if hit { base + w } else { found };
+    /// The one tag probe every path shares: global index of the way of
+    /// `set` whose key is `want`. The memo compare is the part worth
+    /// inlining into the resident-line path; the scan stays out of line.
+    #[inline(always)]
+    fn probe(&self, set: usize, want: u64) -> Option<usize> {
+        let base = set * self.ways;
+        let remembered = base + self.memo[set % MEMO] as usize;
+        if self.keys[remembered] == want {
+            return Some(remembered);
         }
-        (found != usize::MAX).then_some(found)
+        self.scan(base, want)
+    }
+
+    /// Compares every way of the set starting at `base` against `want`.
+    #[inline(never)]
+    fn scan(&self, base: usize, want: u64) -> Option<usize> {
+        let keys = &self.keys[base..base + self.ways];
+        let way = match self.ways {
+            4 => scan_ways::<4>(keys, want),
+            8 => scan_ways::<8>(keys, want),
+            16 => scan_ways::<16>(keys, want),
+            _ => keys.iter().position(|&k| k == want),
+        };
+        way.map(|w| base + w)
+    }
+
+    /// Occupies the bank of `addr` for one cycle (tag + data array read)
+    /// from `now` or from when it frees; returns that start cycle.
+    #[inline(always)]
+    fn claim_bank(&mut self, addr: u64, now: u64) -> u64 {
+        let bank = ((addr >> self.offset_bits) & self.bank_mask) as usize;
+        let start = now.max(self.bank_free_at[bank]);
+        self.bank_free_at[bank] = start + 1;
+        start
+    }
+
+    /// Hit bookkeeping for way `li` of `set`: LRU touch, dirty on stores;
+    /// returns when the line's data is present.
+    #[inline(always)]
+    fn touch(&mut self, set: usize, li: usize, is_store: bool) -> u64 {
+        self.lru_clock += 1;
+        self.lru[li] = self.lru_clock;
+        self.dirty[li] |= is_store as u8;
+        self.memo[set % MEMO] = (li - set * self.ways) as u8;
+        self.ready_at[li]
     }
 
     /// Base address of the line containing `addr`.
@@ -163,42 +217,38 @@ impl Cache {
     /// On a miss the line is *not* yet filled — call [`Cache::fill`] once
     /// the lower level returns so the fill time ordering is honored.
     /// On a hit the LRU state is updated and stores mark the line dirty.
+    #[inline]
     pub fn access(&mut self, addr: u64, is_store: bool, now: u64) -> Lookup {
-        let bank = self.bank_of(addr);
-        let start = now.max(self.bank_free_at[bank]);
-        // The bank is busy for one cycle per access (tag + data array read).
-        self.bank_free_at[bank] = start + 1;
-        self.lookup(addr, is_store, start)
+        Lookup {
+            start: self.claim_bank(addr, now),
+            ready_at: self.access_quiet(addr, is_store),
+        }
     }
 
     /// Like [`Cache::access`] but without occupying a bank — used by the
     /// prefetcher, which probes tags opportunistically in idle slots.
-    pub fn access_quiet(&mut self, addr: u64, is_store: bool, now: u64) -> Lookup {
-        self.lookup(addr, is_store, now)
+    /// Returns the line's ready time on a hit.
+    #[inline]
+    pub fn access_quiet(&mut self, addr: u64, is_store: bool) -> Option<u64> {
+        let (set, want) = self.locate(addr);
+        match self.probe(set, want) {
+            Some(li) => Some(self.touch(set, li, is_store)),
+            None => {
+                self.lru_clock += 1;
+                None
+            }
+        }
     }
 
-    fn lookup(&mut self, addr: u64, is_store: bool, start: u64) -> Lookup {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        self.lru_clock += 1;
-        let lru_now = self.lru_clock;
-
-        if let Some(li) = self.probe(set, tag) {
-            self.lru[li] = lru_now;
-            self.flags[li] |= (is_store as u8) << 1; // DIRTY on stores
-            return Lookup {
-                hit: true,
-                start,
-                ready_at: self.ready_at[li],
-                writeback: None,
-            };
-        }
-        Lookup {
-            hit: false,
-            start,
-            ready_at: start,
-            writeback: None,
-        }
+    /// [`Cache::access`] for a line that is resident, and nothing at all
+    /// for one that is not: `Some((start, ready_at))` after the same
+    /// bank claim, LRU touch and dirty mark `access` makes on a hit,
+    /// `None` with the cache untouched on a miss.
+    #[inline(always)]
+    pub fn access_resident(&mut self, addr: u64, is_store: bool, now: u64) -> Option<(u64, u64)> {
+        let (set, want) = self.locate(addr);
+        let li = self.probe(set, want)?;
+        Some((self.claim_bank(addr, now), self.touch(set, li, is_store)))
     }
 
     /// Installs the line containing `addr`, whose data arrives at
@@ -206,25 +256,20 @@ impl Cache {
     /// before then wait). Returns the base address of a dirty victim if
     /// one was evicted.
     pub fn fill(&mut self, addr: u64, is_store: bool, ready_at: u64) -> Option<u64> {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        self.lru_clock += 1;
-        let lru_now = self.lru_clock;
-
+        let (set, want) = self.locate(addr);
         // Already present (e.g. a racing fill from another core's miss)?
-        if let Some(li) = self.probe(set, tag) {
-            self.lru[li] = lru_now;
-            self.flags[li] |= (is_store as u8) << 1;
-            self.ready_at[li] = self.ready_at[li].min(ready_at);
+        if let Some(li) = self.probe(set, want) {
+            let present = self.touch(set, li, is_store);
+            self.ready_at[li] = present.min(ready_at);
             return None;
         }
+        self.lru_clock += 1;
         // Choose victim: first invalid way, else LRU.
-        let ways = self.cfg.ways as usize;
-        let base = set as usize * ways;
+        let base = set * self.ways;
         let mut victim = base;
         let mut best_lru = u64::MAX;
-        for w in base..base + ways {
-            if self.flags[w] & VALID == 0 {
+        for w in base..base + self.ways {
+            if self.keys[w] == 0 {
                 victim = w;
                 break;
             }
@@ -233,25 +278,27 @@ impl Cache {
                 victim = w;
             }
         }
-        let evicted = if self.flags[victim] & (VALID | DIRTY) == VALID | DIRTY {
+        let old = self.keys[victim];
+        let evicted = (old != 0 && self.dirty[victim] != 0).then(|| {
             // Reconstruct the victim's base address from tag+set.
-            Some(self.tags[victim] << self.tag_shift | set << self.offset_bits)
-        } else {
-            None
-        };
-        self.tags[victim] = tag;
-        self.flags[victim] = VALID | ((is_store as u8) << 1);
-        self.lru[victim] = lru_now;
+            (old & !VALID) << self.tag_shift | (set as u64) << self.offset_bits
+        });
+        self.keys[victim] = want;
+        self.dirty[victim] = is_store as u8;
+        self.lru[victim] = self.lru_clock;
         self.ready_at[victim] = ready_at;
+        self.memo[set % MEMO] = (victim - base) as u8;
         evicted
     }
 
     /// Invalidates the line containing `addr` (coherence downgrade),
     /// returning true if a valid line was dropped.
+    #[inline]
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        match self.probe(self.set_of(addr), self.tag_of(addr)) {
+        let (set, want) = self.locate(addr);
+        match self.probe(set, want) {
             Some(li) => {
-                self.flags[li] = 0;
+                self.keys[li] = 0;
                 true
             }
             None => false,
@@ -260,15 +307,17 @@ impl Cache {
 
     /// True if the line containing `addr` is resident.
     pub fn contains(&self, addr: u64) -> bool {
-        self.probe(self.set_of(addr), self.tag_of(addr)).is_some()
+        let (set, want) = self.locate(addr);
+        self.probe(set, want).is_some()
     }
 
     /// Number of currently valid lines (for capacity invariants in tests).
     pub fn valid_lines(&self) -> usize {
-        self.flags.iter().filter(|&&f| f & VALID != 0).count()
+        self.keys.iter().filter(|&&k| k != 0).count()
     }
 
     /// Hit latency in cycles.
+    #[inline]
     pub fn hit_latency(&self) -> u32 {
         self.cfg.hit_latency
     }
@@ -307,13 +356,14 @@ impl MshrFile {
     /// Reserves a slot for a miss issued at `now`; returns the slot and
     /// the (possibly delayed) start cycle.
     pub fn admit(&mut self, now: u64) -> (MshrSlot, u64) {
-        let (idx, &free) = self
-            .slots
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &f)| f)
-            .expect("MSHR file is never empty");
-        let start = now.max(free);
+        // Earliest-free slot, the first of equals (`new` leaves at least one).
+        let mut idx = 0;
+        for (i, &free) in self.slots.iter().enumerate() {
+            if free < self.slots[idx] {
+                idx = i;
+            }
+        }
+        let start = now.max(self.slots[idx]);
         self.slots[idx] = u64::MAX; // reserved until record()
         (MshrSlot(idx), start)
     }
@@ -363,9 +413,9 @@ mod tests {
     fn miss_then_fill_then_hit() {
         let mut c = Cache::new(small());
         let a = 0x1000;
-        assert!(!c.access(a, false, 0).hit);
+        assert!(!c.access(a, false, 0).hit());
         assert_eq!(c.fill(a, false, 0), None);
-        assert!(c.access(a, false, 10).hit);
+        assert!(c.access(a, false, 10).hit());
         assert!(c.contains(a));
     }
 
@@ -430,7 +480,6 @@ mod tests {
         let mut c = Cache::new(small());
         // Two addresses on the same bank (banks=2; lines 0 and 2 share bank 0).
         let (a, b) = (0x0u64, 0x80u64);
-        assert_eq!(c.bank_of(a), c.bank_of(b));
         let l1 = c.access(a, false, 5);
         let l2 = c.access(b, false, 5);
         assert_eq!(l1.start, 5);
@@ -455,15 +504,15 @@ mod tests {
         let mut c = Cache::new(small());
         for i in 0..1000u64 {
             let addr = i * 64;
-            if !c.access(addr, i % 3 == 0, i).hit {
+            if !c.access(addr, i % 3 == 0, i).hit() {
                 c.fill(addr, i % 3 == 0, i);
             }
         }
         assert!(c.valid_lines() <= (small().sets * small().ways) as usize);
     }
 
-    /// The AoS tag store the SoA layout replaced, kept verbatim as a
-    /// reference model for the A/B equivalence test below.
+    /// The array-of-structs tag store with a plain first-match way loop,
+    /// kept as the reference model for the equivalence test below.
     struct RefCache {
         cfg: CacheConfig,
         lines: Vec<(u64, bool, bool, u64, u64)>, // tag, valid, dirty, lru, ready_at
@@ -486,47 +535,41 @@ mod tests {
         fn tag_of(&self, addr: u64) -> u64 {
             addr >> (self.cfg.line_bytes.trailing_zeros() + self.cfg.sets.trailing_zeros())
         }
+        fn way_of(&self, addr: u64) -> Option<usize> {
+            let (set, tag) = (self.set_of(addr), self.tag_of(addr));
+            let base = (set * self.cfg.ways as u64) as usize;
+            (base..base + self.cfg.ways as usize)
+                .find(|&i| self.lines[i].1 && self.lines[i].0 == tag)
+        }
         fn access(&mut self, addr: u64, is_store: bool, now: u64) -> Lookup {
             let bank =
                 ((addr >> self.cfg.line_bytes.trailing_zeros()) % self.cfg.banks as u64) as usize;
             let start = now.max(self.bank_free_at[bank]);
             self.bank_free_at[bank] = start + 1;
-            let (set, tag) = (self.set_of(addr), self.tag_of(addr));
-            self.lru_clock += 1;
-            let base = (set * self.cfg.ways as u64) as usize;
-            for way in 0..self.cfg.ways as usize {
-                let l = &mut self.lines[base + way];
-                if l.1 && l.0 == tag {
-                    l.3 = self.lru_clock;
-                    l.2 |= is_store;
-                    return Lookup {
-                        hit: true,
-                        start,
-                        ready_at: l.4,
-                        writeback: None,
-                    };
-                }
-            }
             Lookup {
-                hit: false,
                 start,
-                ready_at: start,
-                writeback: None,
+                ready_at: self.access_quiet(addr, is_store),
             }
+        }
+        fn access_quiet(&mut self, addr: u64, is_store: bool) -> Option<u64> {
+            self.lru_clock += 1;
+            let way = self.way_of(addr)?;
+            let l = &mut self.lines[way];
+            l.3 = self.lru_clock;
+            l.2 |= is_store;
+            Some(l.4)
         }
         fn fill(&mut self, addr: u64, is_store: bool, ready_at: u64) -> Option<u64> {
             let (set, tag) = (self.set_of(addr), self.tag_of(addr));
             self.lru_clock += 1;
-            let base = (set * self.cfg.ways as u64) as usize;
-            for way in 0..self.cfg.ways as usize {
-                let l = &mut self.lines[base + way];
-                if l.1 && l.0 == tag {
-                    l.3 = self.lru_clock;
-                    l.2 |= is_store;
-                    l.4 = l.4.min(ready_at);
-                    return None;
-                }
+            if let Some(i) = self.way_of(addr) {
+                let l = &mut self.lines[i];
+                l.3 = self.lru_clock;
+                l.2 |= is_store;
+                l.4 = l.4.min(ready_at);
+                return None;
             }
+            let base = (set * self.cfg.ways as u64) as usize;
             let mut victim = 0usize;
             let mut best = u64::MAX;
             for way in 0..self.cfg.ways as usize {
@@ -547,53 +590,89 @@ mod tests {
             *l = (tag, true, is_store, self.lru_clock, ready_at);
             evicted
         }
-        fn contains(&self, addr: u64) -> bool {
-            let (set, tag) = (self.set_of(addr), self.tag_of(addr));
-            let base = (set * self.cfg.ways as u64) as usize;
-            (0..self.cfg.ways as usize).any(|w| {
-                let l = &self.lines[base + w];
-                l.1 && l.0 == tag
-            })
+        fn invalidate(&mut self, addr: u64) -> bool {
+            match self.way_of(addr) {
+                Some(i) => {
+                    self.lines[i].1 = false;
+                    self.lines[i].2 = false;
+                    true
+                }
+                None => false,
+            }
         }
     }
 
-    /// Proptest-style equivalence: 50k seeded random operations must
-    /// drive the SoA tag store and the AoS reference through identical
-    /// hit/miss, timing, writeback, and residency sequences.
+    /// Proptest-style equivalence: for every probe shape (1/2 ways take
+    /// the generic scan, 4/8/16 the unrolled ones) with and without bank
+    /// interleaving, 50k seeded random operations must drive the packed
+    /// key store and the reference through identical hit/miss, timing,
+    /// writeback, invalidation and residency sequences.
     #[test]
     fn soa_layout_matches_aos_reference_model() {
-        for seed in [1u64, 0xDEAD_BEEF, 0x1234_5678_9ABC] {
-            let cfg = small();
-            let mut soa = Cache::new(cfg);
-            let mut aos = RefCache::new(cfg);
-            let mut rng = seed | 1;
-            for step in 0..50_000u64 {
-                rng = rng
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                // A tight address space so sets conflict and evict often.
-                let addr = (rng >> 11) % 0x2000;
-                let is_store = rng & 1 == 1;
-                match (rng >> 8) % 4 {
-                    0 => {
-                        let w = soa.fill(addr, is_store, step + 10);
-                        assert_eq!(w, aos.fill(addr, is_store, step + 10), "step {step}");
-                    }
-                    1 => {
-                        assert_eq!(soa.contains(addr), aos.contains(addr), "step {step}");
-                    }
-                    _ => {
-                        let a = soa.access(addr, is_store, step);
-                        let b = aos.access(addr, is_store, step);
-                        assert_eq!(a, b, "step {step}");
+        for (ways, banks) in [(1, 1), (2, 4), (4, 1), (8, 4), (16, 1), (16, 4)] {
+            for seed in [1u64, 0xDEAD_BEEF, 0x1234_5678_9ABC] {
+                let cfg = CacheConfig {
+                    ways,
+                    banks,
+                    ..small()
+                };
+                let what = format!("ways {ways} banks {banks} seed {seed:#x}");
+                let mut soa = Cache::new(cfg);
+                let mut aos = RefCache::new(cfg);
+                let mut rng = seed | 1;
+                for step in 0..50_000u64 {
+                    rng = rng
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    // A tight address space (four lines per way and set)
+                    // so sets conflict and evict often.
+                    let addr = (rng >> 11) % (0x400 * ways as u64);
+                    let is_store = rng & 1 == 1;
+                    match (rng >> 8) % 8 {
+                        0 | 1 => {
+                            let w = soa.fill(addr, is_store, step + 10);
+                            assert_eq!(
+                                w,
+                                aos.fill(addr, is_store, step + 10),
+                                "{what} step {step}"
+                            );
+                        }
+                        2 => {
+                            let hit = aos.way_of(addr).is_some();
+                            assert_eq!(soa.contains(addr), hit, "{what} step {step}");
+                        }
+                        3 => {
+                            let dropped = soa.invalidate(addr);
+                            assert_eq!(dropped, aos.invalidate(addr), "{what} step {step}");
+                        }
+                        4 => {
+                            let a = soa.access_quiet(addr, is_store);
+                            assert_eq!(a, aos.access_quiet(addr, is_store), "{what} step {step}");
+                        }
+                        5 => {
+                            // The resident-line entry point is `access` on
+                            // a hit and a no-op on a miss.
+                            let a = soa.access_resident(addr, is_store, step);
+                            let b = aos
+                                .way_of(addr)
+                                .map(|_| aos.access(addr, is_store, step))
+                                .map(|l| (l.start, l.ready_at.unwrap()));
+                            assert_eq!(a, b, "{what} step {step}");
+                        }
+                        _ => {
+                            let a = soa.access(addr, is_store, step);
+                            let b = aos.access(addr, is_store, step);
+                            assert_eq!(a, b, "{what} step {step}");
+                        }
                     }
                 }
+                assert_eq!(
+                    soa.valid_lines(),
+                    aos.lines.iter().filter(|l| l.1).count(),
+                    "{what}"
+                );
+                assert_eq!(soa.lru_clock, aos.lru_clock, "{what}");
             }
-            assert_eq!(
-                soa.valid_lines(),
-                aos.lines.iter().filter(|l| l.1).count(),
-                "seed {seed}"
-            );
         }
     }
 

@@ -56,6 +56,7 @@ impl DramConfig {
     /// FireSim's DDR3-2000 FR-FCFS quad-rank model.
     pub fn ddr3_2000(channels: u32) -> DramConfig {
         DramConfig {
+            // bsim: allow(AU006) preset constructor, once per platform config
             name: format!("DDR3-2000 FR-FCFS quad-rank x{channels}"),
             channels,
             ranks: 4,
@@ -74,6 +75,7 @@ impl DramConfig {
     /// MILK-V Pioneer: 4-channel DDR4-3200 (pass `channels = 4`).
     pub fn ddr4_3200(channels: u32) -> DramConfig {
         DramConfig {
+            // bsim: allow(AU006) preset constructor, once per platform config
             name: format!("DDR4-3200 x{channels}"),
             channels,
             ranks: 2,
@@ -162,6 +164,8 @@ pub struct DramModel {
     /// Latest completion time across banks and channel buses: the model
     /// is quiescent after this instant until the next access arrives.
     busy_until_ns: f64,
+    /// `cfg.burst_ns(64)`: every access moves one 64-byte line.
+    line_burst_ns: f64,
 }
 
 impl DramModel {
@@ -182,6 +186,7 @@ impl DramModel {
             row_lines_shift: po2_shift((cfg.row_bytes as u64 / 64).max(1)),
             bank_shift: po2_shift((cfg.ranks * cfg.banks) as u64),
             busy_until_ns: 0.0,
+            line_burst_ns: cfg.burst_ns(64),
             cfg,
             core_freq_ghz,
             reads: 0,
@@ -266,10 +271,9 @@ impl DramModel {
         };
         bank.open_row = Some(row);
 
-        let burst = self.cfg.burst_ns(64);
         // Data must also win the channel bus.
         let data_start = (start_ns + cmd_ns).max(self.channel_free_ns[ch]);
-        let done_ns = data_start + burst;
+        let done_ns = data_start + self.line_burst_ns;
         self.channel_free_ns[ch] = done_ns;
         self.banks[bank_idx].ready_ns = done_ns;
         self.busy_until_ns = self.busy_until_ns.max(done_ns);

@@ -152,8 +152,49 @@ impl MemoryHierarchy {
     }
 
     /// Performs a timing access for `core` at cycle `now`.
+    ///
+    /// A line resident in the core's L1 is served here, inlined into the
+    /// caller (who passes a constant `kind`): one tag probe, the bank
+    /// claim, the LRU touch, the hit counters and, for a store, the
+    /// invalidation of the other L1Ds. Anything else goes out of line to
+    /// [`MemoryHierarchy::access_full`], which is the complete access and
+    /// yields the same outcome and state for a resident line too.
+    #[inline(always)]
     pub fn access(&mut self, core: usize, addr: u64, kind: AccessKind, now: u64) -> AccessOutcome {
         debug_assert!(core < self.cfg.cores);
+        let is_store = kind == AccessKind::Store;
+        let is_ifetch = kind == AccessKind::Ifetch;
+        let l1 = if is_ifetch {
+            &mut self.l1i[core]
+        } else {
+            &mut self.l1d[core]
+        };
+        let Some((start, ready_at)) = l1.access_resident(addr, is_store, now) else {
+            return self.access_full(core, addr, kind, now);
+        };
+        let hit_lat = l1.hit_latency() as u64;
+        if is_ifetch {
+            self.stats.l1i_accesses += 1;
+        } else {
+            self.stats.l1d_accesses += 1;
+        }
+        self.stats.bank_conflict_cycles += start - now;
+        if is_store {
+            let line = self.l1d[core].line_base(addr);
+            self.invalidate_other_l1ds(core, line);
+        }
+        AccessOutcome {
+            // A line still in flight (e.g. prefetch) gates the data.
+            complete_at: (start + hit_lat).max(ready_at),
+            level: HitLevel::L1,
+        }
+    }
+
+    /// The complete access, hit or miss: L1 lookup, MSHR admission,
+    /// refill from the L2 and below, prefetch training, L1 fill and
+    /// victim write-back.
+    #[inline(never)]
+    fn access_full(&mut self, core: usize, addr: u64, kind: AccessKind, now: u64) -> AccessOutcome {
         let is_store = kind == AccessKind::Store;
         let line = self.l1d[core].line_base(addr);
 
@@ -170,9 +211,9 @@ impl MemoryHierarchy {
             self.stats.l1d_accesses += 1;
         }
         self.stats.bank_conflict_cycles += look.start - now;
-        if look.hit {
+        if let Some(ready_at) = look.ready_at {
             // A line still in flight (e.g. prefetch) gates the data.
-            let complete_at = (look.start + hit_lat).max(look.ready_at);
+            let complete_at = (look.start + hit_lat).max(ready_at);
             if is_store {
                 self.invalidate_other_l1ds(core, line);
             }
@@ -235,8 +276,8 @@ impl MemoryHierarchy {
         let l2_lat = self.l2.hit_latency() as u64;
         let look = self.l2.access(line, is_store, now);
         self.stats.bank_conflict_cycles += look.start - now;
-        if look.hit {
-            return ((look.start + l2_lat).max(look.ready_at), HitLevel::L2);
+        if let Some(ready_at) = look.ready_at {
+            return ((look.start + l2_lat).max(ready_at), HitLevel::L2);
         }
         self.stats.l2_misses += 1;
         let (l2_slot, start) = self.l2_mshrs.admit(look.start);
@@ -306,7 +347,7 @@ impl MemoryHierarchy {
 
     /// Fetches one line into the L2 in the background.
     fn prefetch_line(&mut self, line: u64, now: u64) {
-        if self.l2.access_quiet(line, false, now).hit {
+        if self.l2.access_quiet(line, false).is_some() {
             return;
         }
         // Leave headroom for demand misses in the L2 MSHR file.
@@ -340,8 +381,7 @@ impl MemoryHierarchy {
 
     /// An L1 victim write-back lands in the L2 (marking it dirty there).
     fn writeback_to_l2(&mut self, victim: u64, now: u64) {
-        let look = self.l2.access(victim, true, now);
-        if !look.hit {
+        if !self.l2.access(victim, true, now).hit() {
             // Non-inclusive corner: victim bypasses L2 and leaves the tile.
             self.writeback_below_l2(victim, now);
         }
@@ -535,6 +575,95 @@ mod tests {
         assert_eq!(s.l1d_accesses, 100);
         assert_eq!(s.l1d_misses, 100); // all distinct lines
         assert_eq!(s.dram_reads, 100);
+    }
+
+    /// The resident-line path of `access` against `access_full` taken
+    /// for every access: seeded multi-core load/store/ifetch streams over
+    /// hot private lines, shared lines (stores invalidate them in the
+    /// other L1Ds), strided sweeps (which train the prefetcher when it is
+    /// on) and conflict-heavy strides, with issue times that sometimes
+    /// trail an in-flight fill. Every outcome and the final counters
+    /// must agree.
+    #[test]
+    fn resident_path_matches_the_full_access() {
+        for (cores, prefetch_degree, with_llc) in
+            [(2, 0, false), (2, 2, true), (4, 0, true), (4, 4, false)]
+        {
+            let mut cfg = rocket_like(cores);
+            cfg.prefetch_degree = prefetch_degree;
+            // Small enough to evict all the time; 4- and 8-way probes.
+            cfg.l1i.sets = 8;
+            cfg.l1i.ways = 4;
+            cfg.l1d.sets = 8;
+            cfg.l1d.banks = 4;
+            cfg.l2.sets = 64;
+            cfg.l2.banks = 4;
+            if with_llc {
+                cfg.llc = Some(LlcConfig {
+                    geometry: CacheConfig {
+                        sets: 256,
+                        ways: 16,
+                        line_bytes: 64,
+                        banks: 4,
+                        hit_latency: 8,
+                        mshrs: 16,
+                    },
+                    slices: 4,
+                    data_latency: 18,
+                    style: crate::llc::LlcStyle::Silicon,
+                });
+            }
+            for seed in [7u64, 0xC0FF_EE00, 0x5EED_1234_5678] {
+                let what = format!("{cores} cores, prefetch {prefetch_degree}, seed {seed:#x}");
+                let mut fast = MemoryHierarchy::new(cfg.clone());
+                let mut full = MemoryHierarchy::new(cfg.clone());
+                let mut now = vec![0u64; cores];
+                let mut sweep = vec![0u64; cores];
+                let mut rng = seed | 1;
+                let mut l1_hits = 0u64;
+                for step in 0..60_000u64 {
+                    rng = rng
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let r = rng >> 16;
+                    let core = (r % cores as u64) as usize;
+                    let private = 0x100_0000 * (core as u64 + 1);
+                    let (kind, addr) = match (r >> 4) % 16 {
+                        0..=3 => (AccessKind::Ifetch, 0x8_0000 + (r >> 8) % 48 * 64),
+                        4..=6 => (AccessKind::Load, private + (r >> 8) % 24 * 8),
+                        7 => (AccessKind::Store, private + (r >> 8) % 24 * 8),
+                        8 | 9 => (AccessKind::Load, 0x4_0000 + (r >> 8) % 16 * 64),
+                        10 => (AccessKind::Store, 0x4_0000 + (r >> 8) % 16 * 64),
+                        11..=13 => {
+                            sweep[core] += 64;
+                            let kind = if r & 1 == 0 {
+                                AccessKind::Load
+                            } else {
+                                AccessKind::Store
+                            };
+                            (kind, private + 0x10_0000 + sweep[core] % 0x2_0000)
+                        }
+                        _ => (AccessKind::Load, private + (r >> 8) % 40 * 512),
+                    };
+                    let a = fast.access(core, addr, kind, now[core]);
+                    let b = full.access_full(core, addr, kind, now[core]);
+                    assert_eq!(a, b, "{what}, step {step}: {kind:?} {addr:#x}");
+                    l1_hits += u64::from(a.level == HitLevel::L1);
+                    // Mostly issue back to back (so hits land on lines
+                    // still in flight), sometimes wait for the data.
+                    now[core] = if r & 0x300 == 0 {
+                        a.complete_at
+                    } else {
+                        now[core] + 1
+                    };
+                }
+                assert_eq!(fast.stats(), full.stats(), "{what}");
+                let s = fast.stats();
+                assert!(l1_hits > 20_000 && s.l1d_misses > 5_000 && s.l1i_misses > 100);
+                assert!(s.writebacks > 100 && s.bank_conflict_cycles > 0, "{what}");
+                assert_eq!(s.prefetches > 0, prefetch_degree > 0, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -89,9 +89,8 @@ impl LlcModel {
         let style = self.cfg.style;
         let tag_latency = self.cfg.geometry.hit_latency as u64;
         let data_latency = self.cfg.data_latency as u64;
-        let slice = &mut self.slices[idx];
-        let look = slice.access(addr, is_store, now);
-        let latency = match (style, look.hit) {
+        let look = self.slices[idx].access(addr, is_store, now);
+        let latency = match (style, look.hit()) {
             // FireSim SRAM model: flat latency, hit or miss detection alike.
             (LlcStyle::FiresimSram, _) => tag_latency,
             // Silicon: tag probe then data array on a hit; miss detection
@@ -99,9 +98,10 @@ impl LlcModel {
             (LlcStyle::Silicon, true) => tag_latency + data_latency,
             (LlcStyle::Silicon, false) => tag_latency,
         };
-        let ready_at = (look.start + latency).max(look.ready_at);
+        // A hit on a line still in flight waits for its data.
+        let ready_at = (look.start + latency).max(look.ready_at.unwrap_or(0));
         LlcOutcome {
-            hit: look.hit,
+            hit: look.hit(),
             ready_at,
             writeback: None,
         }

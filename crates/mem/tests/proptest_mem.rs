@@ -46,7 +46,7 @@ proptest! {
     fn cache_never_exceeds_capacity(addrs in prop::collection::vec(0u64..1_000_000, 1..200)) {
         let mut c = Cache::new(small_cache());
         for (t, &a) in addrs.iter().enumerate() {
-            if !c.access(a, t % 3 == 0, t as u64).hit {
+            if !c.access(a, t % 3 == 0, t as u64).hit() {
                 c.fill(a, t % 3 == 0, t as u64);
             }
         }

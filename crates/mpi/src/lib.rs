@@ -31,5 +31,5 @@ pub mod world;
 
 pub use net::NetConfig;
 pub use procmap::RankMap;
-pub use record::{Ev, WorldTrace};
+pub use record::{publish_rank_counters, Ev, WorldTrace};
 pub use world::{MpiWorld, RankCtx, ReduceOp, WorldReport};

@@ -26,6 +26,7 @@
 //! the identical trace; cache geometry, core model and frequency are
 //! free to differ per lane.
 
+use bsim_soc::Soc;
 use bsim_uarch::MicroOp;
 
 /// One recorded SoC-visible action, in global turn order. All times are
@@ -105,6 +106,34 @@ impl Ev {
             | Ev::Finish { rank, .. } => *rank,
         }) as usize
     }
+}
+
+/// Publishes one finished rank's `mpi.rank{r}.*` counters, and its share
+/// of the `mpi.*` totals, into `soc`'s telemetry registry (a no-op when
+/// telemetry is disabled). The scalar world calls it when a rank's
+/// program returns and replay at the rank's [`Ev::Finish`], the same
+/// point of the global order, so counters register in the same order —
+/// and exports carry the same bytes — either way.
+pub fn publish_rank_counters(
+    soc: &mut Soc,
+    rank: usize,
+    messages: u64,
+    bytes: u64,
+    send_cycles: u64,
+    wait_cycles: u64,
+) {
+    let tel = soc.telemetry_mut();
+    if !tel.enabled() {
+        return;
+    }
+    let b = tel.counters_mut();
+    b.set_named(&format!("mpi.rank{rank}.messages"), messages);
+    b.set_named(&format!("mpi.rank{rank}.bytes"), bytes);
+    b.set_named(&format!("mpi.rank{rank}.send_cycles"), send_cycles);
+    b.set_named(&format!("mpi.rank{rank}.wait_cycles"), wait_cycles);
+    b.add_named("mpi.messages", messages);
+    b.add_named("mpi.bytes", bytes);
+    b.add_named("mpi.wait_cycles", wait_cycles);
 }
 
 /// A recorded world: one micro-op arena plus the globally-ordered event

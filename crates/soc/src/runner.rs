@@ -17,10 +17,10 @@ pub enum CoreInst {
 }
 
 impl TimingCore for CoreInst {
-    fn consume(&mut self, uop: &MicroOp, mem: &mut MemoryHierarchy, core_id: usize) {
+    fn consume_batch(&mut self, uops: &[MicroOp], mem: &mut MemoryHierarchy, core_id: usize) {
         match self {
-            CoreInst::InOrder(c) => c.consume(uop, mem, core_id),
-            CoreInst::Ooo(c) => c.consume(uop, mem, core_id),
+            CoreInst::InOrder(c) => c.consume_batch(uops, mem, core_id),
+            CoreInst::Ooo(c) => c.consume_batch(uops, mem, core_id),
         }
     }
     fn finish(&mut self) -> u64 {
@@ -269,20 +269,23 @@ impl Soc {
         &mut self.telemetry
     }
 
-    /// Feeds one micro-op to core `core_id`.
+    /// Feeds one micro-op to core `core_id`: a batch of one.
+    #[inline]
     pub fn consume(&mut self, core_id: usize, uop: &MicroOp) {
-        self.cores[core_id].consume(uop, &mut self.hierarchy, core_id);
-        if self.telemetry.enabled() {
-            let cycle = self.cores[core_id].cycles();
-            observe_retire(
-                &mut self.telemetry,
-                &self.cores[core_id],
-                &self.hierarchy,
-                core_id,
-                uop,
-                cycle,
-            );
-        }
+        self.consume_batch(core_id, std::slice::from_ref(uop));
+    }
+
+    /// Feeds `uops`, in order, to core `core_id`. Which core model runs
+    /// and whether telemetry observes each retire are decided once per
+    /// batch, not once per micro-op.
+    pub fn consume_batch(&mut self, core_id: usize, uops: &[MicroOp]) {
+        feed(
+            &mut self.cores[core_id],
+            &mut self.hierarchy,
+            &mut self.telemetry,
+            core_id,
+            uops,
+        );
     }
 
     /// Current cycle count of core `core_id`.
@@ -309,6 +312,7 @@ impl Soc {
         let mem_stats = self.hierarchy.stats();
         if self.telemetry.enabled() {
             for (i, s) in core_stats.iter().enumerate() {
+                // bsim: allow(AU006) once per report, telemetry on
                 s.publish(&format!("tile{i}"), self.telemetry.counters_mut());
             }
             mem_stats.publish("mem", self.telemetry.counters_mut());
@@ -357,20 +361,48 @@ impl Soc {
         let core = &mut self.cores[core_id];
         let hierarchy = &mut self.hierarchy;
         let telemetry = &mut self.telemetry;
+        // The interpreter never observes timing, so retired instructions
+        // are lowered into a quantum and timed a quantum at a time.
+        let mut quantum: Vec<MicroOp> = Vec::with_capacity(RUN_QUANTUM);
         let result = cpu.run_traced(fuel, |ret| {
-            let uop = MicroOp::from_retired(ret);
-            core.consume(&uop, hierarchy, core_id);
-            if telemetry.enabled() {
-                let cycle = core.cycles();
-                observe_retire(telemetry, core, hierarchy, core_id, &uop, cycle);
+            quantum.push(MicroOp::from_retired(ret));
+            if quantum.len() == RUN_QUANTUM {
+                feed(core, hierarchy, telemetry, core_id, &quantum);
+                quantum.clear();
             }
         });
+        feed(core, hierarchy, telemetry, core_id, &quantum);
         let exit = match result {
             RunResult::Exited(code) => Some(code),
             RunResult::OutOfFuel => None,
             RunResult::Trapped(t) => panic!("workload trapped on {}: {t:?}", self.cfg.name),
         };
         self.report(exit)
+    }
+}
+
+/// Micro-ops `run_program` lowers before timing them: small enough for
+/// the batch to stay in the host's cache, large enough that the
+/// interpreter loop and the timing loop each run hot in turn.
+const RUN_QUANTUM: usize = 1024;
+
+/// The body of [`Soc::consume_batch`], over the SoC's fields rather than
+/// `&mut Soc` so that `run_program`'s retire closure can call it.
+fn feed(
+    core: &mut CoreInst,
+    hierarchy: &mut MemoryHierarchy,
+    telemetry: &mut Telemetry,
+    core_id: usize,
+    uops: &[MicroOp],
+) {
+    if !telemetry.enabled() {
+        core.consume_batch(uops, hierarchy, core_id);
+        return;
+    }
+    for uop in uops {
+        core.consume(uop, hierarchy, core_id);
+        let cycle = core.cycles();
+        observe_retire(telemetry, core, hierarchy, core_id, uop, cycle);
     }
 }
 
@@ -389,8 +421,9 @@ fn observe_retire(
 ) {
     telemetry.trace_mut().record(uop.pc, uop.class as u8, cycle);
     if telemetry.sample_due(cycle) {
-        core.stats()
-            .publish(&format!("tile{core_id}"), telemetry.counters_mut());
+        // bsim: allow(AU006) once per closed sample window, telemetry on
+        let tile = format!("tile{core_id}");
+        core.stats().publish(&tile, telemetry.counters_mut());
         hierarchy.stats().publish("mem", telemetry.counters_mut());
         telemetry.tick(cycle);
     }

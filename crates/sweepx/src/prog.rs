@@ -67,9 +67,7 @@ pub(crate) fn replay_program(
             // stream.
             for chunk in trace.uops.chunks(QUANTUM) {
                 for soc in socs.iter_mut() {
-                    for u in chunk {
-                        soc.consume(0, u);
-                    }
+                    soc.consume_batch(0, chunk);
                 }
             }
         }
@@ -88,9 +86,7 @@ pub(crate) fn replay_program(
                     let t0: Vec<u64> = socs.iter().map(|s| s.core_cycles(0)).collect();
                     for q in chunk.chunks(QUANTUM) {
                         for soc in socs.iter_mut() {
-                            for u in q {
-                                soc.consume(0, u);
-                            }
+                            soc.consume_batch(0, q);
                         }
                     }
                     for (lane, soc) in socs.iter_mut().enumerate() {

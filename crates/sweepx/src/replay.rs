@@ -30,7 +30,7 @@
 
 use crate::lane::TraceKey;
 use crate::sample::{signature, SampleCfg, SamplePlan, SampleReport, Strata};
-use bsim_mpi::{Ev, NetConfig, WorldReport, WorldTrace};
+use bsim_mpi::{publish_rank_counters, Ev, NetConfig, WorldReport, WorldTrace};
 use bsim_soc::{Soc, SocConfig};
 use std::collections::{HashMap, VecDeque};
 
@@ -148,9 +148,7 @@ pub fn replay_world(
                     // arena, tick it through every lane while hot.
                     for chunk in trace.uops[start..start + len].chunks(QUANTUM) {
                         for soc in socs.iter_mut() {
-                            for u in chunk {
-                                soc.consume(rank, u);
-                            }
+                            soc.consume_batch(rank, chunk);
                         }
                     }
                     if let Some(p) = &plan {
@@ -272,24 +270,14 @@ pub fn replay_world(
                 // and thus export bytes — match the scalar run.
                 let r = rank as usize;
                 for (lane, soc) in socs.iter_mut().enumerate() {
-                    let tel = soc.telemetry_mut();
-                    if !tel.enabled() {
-                        continue;
-                    }
-                    let b = tel.counters_mut();
-                    b.set_named(&format!("mpi.rank{r}.messages"), messages);
-                    b.set_named(&format!("mpi.rank{r}.bytes"), bytes);
-                    b.set_named(
-                        &format!("mpi.rank{r}.send_cycles"),
+                    publish_rank_counters(
+                        soc,
+                        r,
+                        messages,
+                        bytes,
                         tel_send[lane * ranks + r],
-                    );
-                    b.set_named(
-                        &format!("mpi.rank{r}.wait_cycles"),
                         tel_wait[lane * ranks + r],
                     );
-                    b.add_named("mpi.messages", messages);
-                    b.add_named("mpi.bytes", bytes);
-                    b.add_named("mpi.wait_cycles", tel_wait[lane * ranks + r]);
                 }
             }
         }

@@ -155,6 +155,13 @@ impl InOrderCore {
         self.issued_this_cycle = 0;
     }
 
+    /// Retires store-buffer entries that have completed by cycle `t`.
+    fn drain_stores(&mut self, t: u64) {
+        while self.store_buffer.peek().is_some_and(|&Reverse(c)| c <= t) {
+            self.store_buffer.pop();
+        }
+    }
+
     fn stall_to(&mut self, t: u64) -> u64 {
         let d = t.saturating_sub(self.cycle);
         if d > 0 {
@@ -171,129 +178,116 @@ impl InOrderCore {
 }
 
 impl TimingCore for InOrderCore {
-    fn consume(&mut self, uop: &MicroOp, mem: &mut MemoryHierarchy, core_id: usize) {
-        // ---- fetch ---------------------------------------------------
-        let line = uop.pc & LINE_MASK;
-        if line != self.cur_fetch_line || self.refetch {
-            let out = mem.access(core_id, uop.pc, AccessKind::Ifetch, self.cycle);
-            let extra = out
-                .complete_at
-                .saturating_sub(self.cycle + self.l1i_hit_latency);
-            if extra > 0 {
-                if std::env::var_os("BSIM_DEBUG_FETCH").is_some() && extra > 1000 {
-                    eprintln!(
-                        "ifetch stall: pc={:#x} cycle={} complete={} extra={}",
-                        uop.pc, self.cycle, out.complete_at, extra
-                    );
+    fn consume_batch(&mut self, uops: &[MicroOp], mem: &mut MemoryHierarchy, core_id: usize) {
+        for uop in uops {
+            // ---- fetch -----------------------------------------------
+            let line = uop.pc & LINE_MASK;
+            if line != self.cur_fetch_line || self.refetch {
+                let out = mem.access(core_id, uop.pc, AccessKind::Ifetch, self.cycle);
+                let extra = out
+                    .complete_at
+                    .saturating_sub(self.cycle + self.l1i_hit_latency);
+                if extra > 0 {
+                    self.stats.fetch_stall_cycles += extra;
+                    self.stall_to(self.cycle + extra);
                 }
-                self.stats.fetch_stall_cycles += extra;
-                self.stall_to(self.cycle + extra);
+                self.cur_fetch_line = line;
+                self.refetch = false;
+                self.stats.fetch_lines += 1;
             }
-            self.cur_fetch_line = line;
-            self.refetch = false;
-            self.stats.fetch_lines += 1;
-        }
 
-        // ---- issue slot ----------------------------------------------
-        if self.issued_this_cycle >= self.cfg.issue_width {
-            self.new_issue_cycle();
-        }
-
-        // ---- operand readiness (scoreboard interlock) -------------------
-        let ready = uop
-            .srcs
-            .iter()
-            .flatten()
-            .map(|&r| self.reg_ready[r as usize])
-            .max()
-            .unwrap_or(0);
-        self.stats.data_stall_cycles += self.stall_to(ready);
-
-        // ---- unpipelined units -----------------------------------------
-        if OpLatencies::unpipelined(uop.class) {
-            let d = self.stall_to(self.unpipelined_free);
-            self.stats.structural_stall_cycles += d;
-        }
-
-        let issue = self.cycle;
-        let latency = self.cfg.latencies.of(uop.class) as u64;
-
-        // ---- execute -----------------------------------------------------
-        match uop.class {
-            OpClass::Load => {
-                let addr = uop.mem_addr.expect("load without address");
-                let tlb_extra = self.tlb.translate(addr) as u64;
-                self.stats.tlb_stall_cycles += tlb_extra;
-                let out = mem.access(core_id, addr, AccessKind::Load, issue + 1 + tlb_extra);
-                if let Some(d) = uop.dest {
-                    self.reg_ready[d as usize] = out.complete_at;
-                }
-                self.stats.loads += 1;
+            // ---- issue slot ------------------------------------------
+            if self.issued_this_cycle >= self.cfg.issue_width {
+                self.new_issue_cycle();
             }
-            OpClass::Store => {
-                let addr = uop.mem_addr.expect("store without address");
-                let tlb_extra = self.tlb.translate(addr) as u64;
-                self.stats.tlb_stall_cycles += tlb_extra;
-                // Store buffer admission: stall if full. Drained entries
-                // leave from the front of the min-heap, so admission
-                // touches only the earliest completion, never the set.
-                while self
-                    .store_buffer
-                    .peek()
-                    .is_some_and(|&Reverse(c)| c <= issue)
-                {
-                    self.store_buffer.pop();
+
+            // ---- operand readiness (scoreboard interlock) --------------
+            let ready = uop.srcs_ready(&self.reg_ready);
+            self.stats.data_stall_cycles += self.stall_to(ready);
+
+            // ---- unpipelined units -------------------------------------
+            if OpLatencies::unpipelined(uop.class) {
+                let d = self.stall_to(self.unpipelined_free);
+                self.stats.structural_stall_cycles += d;
+            }
+
+            let issue = self.cycle;
+            let latency = self.cfg.latencies.of(uop.class) as u64;
+
+            // ---- execute -------------------------------------------------
+            match uop.class {
+                OpClass::Load => {
+                    // Every `MicroOp` constructor gives loads and stores
+                    // their address (`MicroOp::load`/`store`, `from_retired`).
+                    // bsim: allow(AU002)
+                    let addr = uop.mem_addr.expect("load without address");
+                    let tlb_extra = self.tlb.translate(addr) as u64;
+                    self.stats.tlb_stall_cycles += tlb_extra;
+                    let out = mem.access(core_id, addr, AccessKind::Load, issue + 1 + tlb_extra);
+                    if let Some(d) = uop.dest {
+                        self.reg_ready[d as usize] = out.complete_at;
+                    }
+                    self.stats.loads += 1;
                 }
-                if self.store_buffer.len() >= self.cfg.store_buffer as usize {
-                    let Reverse(earliest) = *self.store_buffer.peek().expect("non-empty");
-                    let d = self.stall_to(earliest);
-                    self.stats.structural_stall_cycles += d;
-                    let now = self.cycle;
-                    while self.store_buffer.peek().is_some_and(|&Reverse(c)| c <= now) {
-                        self.store_buffer.pop();
+                OpClass::Store => {
+                    // bsim: allow(AU002) same invariant as the load arm
+                    let addr = uop.mem_addr.expect("store without address");
+                    let tlb_extra = self.tlb.translate(addr) as u64;
+                    self.stats.tlb_stall_cycles += tlb_extra;
+                    // Store buffer admission: stall if full. Drained entries
+                    // leave from the front of the min-heap, so admission
+                    // touches only the earliest completion, never the set.
+                    self.drain_stores(issue);
+                    if self.store_buffer.len() >= self.cfg.store_buffer as usize {
+                        if let Some(&Reverse(earliest)) = self.store_buffer.peek() {
+                            let d = self.stall_to(earliest);
+                            self.stats.structural_stall_cycles += d;
+                            self.drain_stores(self.cycle);
+                        }
+                    }
+                    let out =
+                        mem.access(core_id, addr, AccessKind::Store, self.cycle + 1 + tlb_extra);
+                    self.store_buffer.push(Reverse(out.complete_at));
+                    self.stats.lsq_high_water = self
+                        .stats
+                        .lsq_high_water
+                        .max(self.store_buffer.len() as u64);
+                    self.stats.stores += 1;
+                }
+                _ => {
+                    if let Some(d) = uop.dest {
+                        self.reg_ready[d as usize] = issue + latency;
+                    }
+                    if OpLatencies::unpipelined(uop.class) {
+                        self.unpipelined_free = issue + latency;
                     }
                 }
-                let out = mem.access(core_id, addr, AccessKind::Store, self.cycle + 1 + tlb_extra);
-                self.store_buffer.push(Reverse(out.complete_at));
-                self.stats.lsq_high_water = self
-                    .stats
-                    .lsq_high_water
-                    .max(self.store_buffer.len() as u64);
-                self.stats.stores += 1;
             }
-            _ => {
-                if let Some(d) = uop.dest {
-                    self.reg_ready[d as usize] = issue + latency;
-                }
-                if OpLatencies::unpipelined(uop.class) {
-                    self.unpipelined_free = issue + latency;
-                }
-            }
-        }
 
-        // ---- control flow ------------------------------------------------
-        if let Some((class, taken)) = uop.branch {
-            self.stats.branch_lookups += 1;
-            if class == crate::uop::BranchClass::Conditional {
-                self.stats.branches += 1;
+            // ---- control flow --------------------------------------------
+            if let Some((class, taken)) = uop.branch {
+                self.stats.branch_lookups += 1;
+                if class == crate::uop::BranchClass::Conditional {
+                    self.stats.branches += 1;
+                }
+                let correct = self
+                    .predictor
+                    .predict_and_update(uop.pc, class, taken, uop.next_pc);
+                if !correct {
+                    self.stats.mispredicts += 1;
+                    self.cycle = issue + self.cfg.mispredict_penalty();
+                    self.issued_this_cycle = 0;
+                    self.refetch = true;
+                } else if taken {
+                    // Predicted-taken redirect still ends the fetch group.
+                    self.issued_this_cycle = self.cfg.issue_width;
+                    self.refetch = uop.next_pc & LINE_MASK != uop.pc & LINE_MASK;
+                }
             }
-            let correct = self
-                .predictor
-                .predict_and_update(uop.pc, class, taken, uop.next_pc);
-            if !correct {
-                self.stats.mispredicts += 1;
-                self.cycle = issue + self.cfg.mispredict_penalty();
-                self.issued_this_cycle = 0;
-                self.refetch = true;
-            } else if taken {
-                // Predicted-taken redirect still ends the fetch group.
-                self.issued_this_cycle = self.cfg.issue_width;
-                self.refetch = uop.next_pc & LINE_MASK != uop.pc & LINE_MASK;
-            }
-        }
 
-        self.issued_this_cycle += 1;
-        self.stats.retired += 1;
+            self.issued_this_cycle += 1;
+            self.stats.retired += 1;
+        }
     }
 
     fn finish(&mut self) -> u64 {

@@ -44,9 +44,16 @@ use bsim_mem::MemoryHierarchy;
 
 /// A timing core: consumes micro-ops, owns a cycle counter.
 pub trait TimingCore {
-    /// Folds one micro-op into the pipeline model. `mem` is the shared
-    /// SoC memory hierarchy, `core_id` this core's index in it.
-    fn consume(&mut self, uop: &MicroOp, mem: &mut MemoryHierarchy, core_id: usize);
+    /// Folds `uops` into the pipeline model in program order. `mem` is
+    /// the shared SoC memory hierarchy, `core_id` this core's index in it.
+    /// This is the one loop that carries the per-micro-op model.
+    fn consume_batch(&mut self, uops: &[MicroOp], mem: &mut MemoryHierarchy, core_id: usize);
+
+    /// Folds one micro-op into the pipeline model: a batch of one.
+    #[inline]
+    fn consume(&mut self, uop: &MicroOp, mem: &mut MemoryHierarchy, core_id: usize) {
+        self.consume_batch(std::slice::from_ref(uop), mem, core_id);
+    }
 
     /// Drains in-flight state (stores, ROB) and returns the final cycle.
     fn finish(&mut self) -> u64;

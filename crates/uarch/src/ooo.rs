@@ -29,7 +29,6 @@ use crate::TimingCore;
 use bsim_isa::OpClass;
 use bsim_mem::{AccessKind, MemoryHierarchy};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Out-of-order core parameters.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -146,10 +145,10 @@ pub struct OooCore {
     dispatched_this_cycle: u32,
     reg_ready: [u64; 64],
     /// In-flight ops' retire times, program order.
-    rob: VecDeque<u64>,
-    ldq: VecDeque<u64>,
-    stq: VecDeque<u64>,
-    branches_in_flight: VecDeque<u64>, // resolve times
+    rob: Ring,
+    ldq: Ring,
+    stq: Ring,
+    branches_in_flight: Ring, // resolve times
     int_free: Vec<u64>,
     mem_free: Vec<u64>,
     fp_free: Vec<u64>,
@@ -169,6 +168,66 @@ pub struct OooCore {
     ff_spans: u64,
 }
 
+/// A FIFO of completion times in a ring sized once, from the config
+/// entry that bounds the queue it models.
+struct Ring {
+    /// Power-of-two slots, so positions wrap with a mask.
+    slots: Box<[u64]>,
+    head: usize,
+    len: usize,
+}
+
+impl Ring {
+    /// A ring that can hold `entries` times.
+    fn new(entries: u32) -> Ring {
+        Ring {
+            slots: vec![0; (entries as usize).max(1).next_power_of_two()].into_boxed_slice(),
+            head: 0,
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    fn front(&self) -> Option<u64> {
+        (self.len > 0).then(|| self.slots[self.head])
+    }
+
+    #[inline]
+    fn back(&self) -> Option<u64> {
+        let mask = self.slots.len() - 1;
+        (self.len > 0).then(|| self.slots[(self.head + self.len - 1) & mask])
+    }
+
+    #[inline]
+    fn push_back(&mut self, t: u64) {
+        // An overwritten entry would silently change timing.
+        assert!(self.len < self.slots.len(), "ring sized below its queue");
+        let mask = self.slots.len() - 1;
+        self.slots[(self.head + self.len) & mask] = t;
+        self.len += 1;
+    }
+
+    /// Pops every leading entry that is `<= t`.
+    #[inline]
+    fn drain_through(&mut self, t: u64) {
+        let mask = self.slots.len() - 1;
+        while self.len > 0 && self.slots[self.head] <= t {
+            self.head = (self.head + 1) & mask;
+            self.len -= 1;
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        let mask = self.slots.len() - 1;
+        (0..self.len).map(move |i| self.slots[(self.head + i) & mask])
+    }
+}
+
 const LINE_MASK: u64 = !63;
 
 impl OooCore {
@@ -180,14 +239,16 @@ impl OooCore {
             int_free: vec![0; cfg.int_units as usize],
             mem_free: vec![0; cfg.mem_ports as usize],
             fp_free: vec![0; cfg.fp_units as usize],
+            rob: Ring::new(cfg.rob),
+            ldq: Ring::new(cfg.ldq),
+            stq: Ring::new(cfg.stq),
+            // A branch that stalls on a full window is pushed before the
+            // entry it waited for is popped (by the next branch).
+            branches_in_flight: Ring::new(cfg.max_branches + 1),
             cfg,
             fetch_time: 0,
             dispatched_this_cycle: 0,
             reg_ready: [0; 64],
-            rob: VecDeque::new(),
-            ldq: VecDeque::new(),
-            stq: VecDeque::new(),
-            branches_in_flight: VecDeque::new(),
             unpipelined_free: 0,
             last_retire: 0,
             retired_in_group: 0,
@@ -217,15 +278,11 @@ impl OooCore {
     /// retire, LDQ/STQ drain). `None` when the window is empty.
     pub fn next_activity(&self) -> Option<u64> {
         let now = self.cycles();
-        [
-            self.rob.front().copied(),
-            self.ldq.front().copied(),
-            self.stq.front().copied(),
-        ]
-        .into_iter()
-        .flatten()
-        .filter(|&c| c > now)
-        .min()
+        [self.rob.front(), self.ldq.front(), self.stq.front()]
+            .into_iter()
+            .flatten()
+            .filter(|&c| c > now)
+            .min()
     }
 
     /// Records a bulk clock jump of `d` cycles: one cycle is stepped,
@@ -237,222 +294,203 @@ impl OooCore {
         }
     }
 
-    /// Grabs the earliest-free unit from `units`, at or after `t`.
+    /// Grabs the earliest-free unit from `units` (the first of equals),
+    /// at or after `t`.
+    #[inline]
     fn acquire(units: &mut [u64], t: u64) -> u64 {
-        let (idx, &free) = units
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &f)| f)
-            .expect("at least one unit");
-        let start = t.max(free);
+        let mut idx = 0;
+        for i in 1..units.len() {
+            if units[i] < units[idx] {
+                idx = i;
+            }
+        }
+        let start = t.max(units[idx]);
         units[idx] = start + 1; // one issue slot per cycle per unit
         start
     }
 
     /// Pops queue entries that have drained by `t`; if still at capacity,
     /// returns the stall-until time.
-    fn queue_admit(q: &mut VecDeque<u64>, cap: u32, t: u64) -> u64 {
-        while let Some(&front) = q.front() {
-            if front <= t {
-                q.pop_front();
-            } else {
-                break;
-            }
-        }
+    #[inline]
+    fn queue_admit(q: &mut Ring, cap: u32, t: u64) -> u64 {
+        q.drain_through(t);
         if q.len() < cap as usize {
-            t
-        } else {
-            let free_at = *q.front().expect("full queue is non-empty");
-            while let Some(&front) = q.front() {
-                if front <= free_at {
-                    q.pop_front();
-                } else {
-                    break;
-                }
-            }
-            free_at.max(t)
+            return t;
         }
+        match q.front() {
+            Some(free_at) => {
+                q.drain_through(free_at);
+                free_at.max(t)
+            }
+            None => t,
+        }
+    }
+
+    #[inline]
+    fn note_lsq_occupancy(&mut self) {
+        let occupied = (self.ldq.len() + self.stq.len()) as u64;
+        self.stats.lsq_high_water = self.stats.lsq_high_water.max(occupied);
+    }
+
+    /// Dispatch stalls until `until`: the front end restarts there.
+    #[inline]
+    fn stall_dispatch(&mut self, dispatch: u64, until: u64) -> u64 {
+        let d = until.saturating_sub(dispatch);
+        self.stats.structural_stall_cycles += d;
+        self.note_jump(d);
+        self.fetch_time = dispatch.max(until);
+        self.dispatched_this_cycle = 0;
+        self.fetch_time
     }
 }
 
 impl TimingCore for OooCore {
-    fn consume(&mut self, uop: &MicroOp, mem: &mut MemoryHierarchy, core_id: usize) {
-        // ---- front end ---------------------------------------------------
-        let line = uop.pc & LINE_MASK;
-        if line != self.cur_fetch_line {
-            let out = mem.access(core_id, uop.pc, AccessKind::Ifetch, self.fetch_time);
-            let extra = out
-                .complete_at
-                .saturating_sub(self.fetch_time + self.l1i_hit_latency);
-            if extra > 0 {
-                self.stats.fetch_stall_cycles += extra;
-                self.fetch_time += extra;
-                self.dispatched_this_cycle = 0;
-                self.note_jump(extra);
+    fn consume_batch(&mut self, uops: &[MicroOp], mem: &mut MemoryHierarchy, core_id: usize) {
+        for uop in uops {
+            // ---- front end -----------------------------------------------
+            let line = uop.pc & LINE_MASK;
+            if line != self.cur_fetch_line {
+                let out = mem.access(core_id, uop.pc, AccessKind::Ifetch, self.fetch_time);
+                let extra = out
+                    .complete_at
+                    .saturating_sub(self.fetch_time + self.l1i_hit_latency);
+                if extra > 0 {
+                    self.stats.fetch_stall_cycles += extra;
+                    self.fetch_time += extra;
+                    self.dispatched_this_cycle = 0;
+                    self.note_jump(extra);
+                }
+                self.cur_fetch_line = line;
+                self.stats.fetch_lines += 1;
             }
-            self.cur_fetch_line = line;
-            self.stats.fetch_lines += 1;
-        }
-        if self.dispatched_this_cycle >= self.cfg.decode_width {
-            self.fetch_time += 1;
-            self.dispatched_this_cycle = 0;
-        }
-        let mut dispatch = self.fetch_time;
+            if self.dispatched_this_cycle >= self.cfg.decode_width {
+                self.fetch_time += 1;
+                self.dispatched_this_cycle = 0;
+            }
+            let mut dispatch = self.fetch_time;
 
-        // ---- ROB space ------------------------------------------------------
-        while let Some(&head) = self.rob.front() {
-            if head <= dispatch {
-                self.rob.pop_front();
+            // ---- ROB space -------------------------------------------------
+            self.rob.drain_through(dispatch);
+            if self.rob.len() >= self.cfg.rob as usize {
+                if let Some(head) = self.rob.front() {
+                    dispatch = self.stall_dispatch(dispatch, head);
+                    self.rob.drain_through(dispatch);
+                }
+            }
+
+            // ---- branch-count limit ----------------------------------------
+            if uop.branch.is_some() {
+                self.branches_in_flight.drain_through(dispatch);
+                if self.branches_in_flight.len() >= self.cfg.max_branches as usize {
+                    if let Some(resolve) = self.branches_in_flight.front() {
+                        dispatch = self.stall_dispatch(dispatch, resolve);
+                    }
+                }
+            }
+
+            // ---- operand readiness ------------------------------------------
+            let ready = uop.srcs_ready(&self.reg_ready);
+            let oper_ready = ready.max(dispatch + 1);
+            self.stats.data_stall_cycles += ready.saturating_sub(dispatch + 1);
+
+            // ---- issue + execute ---------------------------------------------
+            let complete = match uop.class {
+                OpClass::Load => {
+                    // Every `MicroOp` constructor gives loads and stores
+                    // their address (`MicroOp::load`/`store`, `from_retired`).
+                    // bsim: allow(AU002)
+                    let addr = uop.mem_addr.expect("load without address");
+                    let tlb_extra = self.tlb.translate(addr) as u64;
+                    self.stats.tlb_stall_cycles += tlb_extra;
+                    let admitted = Self::queue_admit(&mut self.ldq, self.cfg.ldq, oper_ready);
+                    self.stats.structural_stall_cycles += admitted - oper_ready;
+                    let issue = Self::acquire(&mut self.mem_free, admitted);
+                    let out = mem.access(core_id, addr, AccessKind::Load, issue + tlb_extra);
+                    self.ldq.push_back(out.complete_at);
+                    self.note_lsq_occupancy();
+                    self.stats.loads += 1;
+                    out.complete_at
+                }
+                OpClass::Store => {
+                    // bsim: allow(AU002) same invariant as the load arm
+                    let addr = uop.mem_addr.expect("store without address");
+                    let tlb_extra = self.tlb.translate(addr) as u64;
+                    self.stats.tlb_stall_cycles += tlb_extra;
+                    let admitted = Self::queue_admit(&mut self.stq, self.cfg.stq, oper_ready);
+                    self.stats.structural_stall_cycles += admitted - oper_ready;
+                    let issue = Self::acquire(&mut self.mem_free, admitted);
+                    let out = mem.access(core_id, addr, AccessKind::Store, issue + tlb_extra);
+                    self.stq.push_back(out.complete_at);
+                    self.note_lsq_occupancy();
+                    self.stats.stores += 1;
+                    // A store completes (for ROB purposes) once address+data
+                    // are ready; the write drains from the STQ in the
+                    // background.
+                    issue + 1
+                }
+                class => {
+                    let latency = self.cfg.latencies.of(class) as u64;
+                    let units: &mut [u64] = match class {
+                        OpClass::FpAlu
+                        | OpClass::FpMul
+                        | OpClass::FpDiv
+                        | OpClass::FpTranscendental => &mut self.fp_free,
+                        _ => &mut self.int_free,
+                    };
+                    let mut issue = Self::acquire(units, oper_ready);
+                    if OpLatencies::unpipelined(class) {
+                        issue = issue.max(self.unpipelined_free);
+                        self.unpipelined_free = issue + latency;
+                    }
+                    issue + latency
+                }
+            };
+
+            if let Some(d) = uop.dest {
+                self.reg_ready[d as usize] = complete;
+            }
+
+            // ---- in-order retire --------------------------------------------
+            self.retired_in_group += 1;
+            let mut retire = complete.max(self.last_retire);
+            if self.retired_in_group >= self.cfg.decode_width {
+                retire = retire.max(self.last_retire + 1);
+                self.retired_in_group = 0;
+            }
+            self.last_retire = retire;
+            self.rob.push_back(retire);
+            self.stats.rob_high_water = self.stats.rob_high_water.max(self.rob.len() as u64);
+
+            // ---- control flow ------------------------------------------------
+            if let Some((class, taken)) = uop.branch {
+                self.stats.branch_lookups += 1;
+                if class == crate::uop::BranchClass::Conditional {
+                    self.stats.branches += 1;
+                }
+                self.branches_in_flight.push_back(complete);
+                let correct = self
+                    .predictor
+                    .predict_and_update(uop.pc, class, taken, uop.next_pc);
+                if !correct {
+                    self.stats.mispredicts += 1;
+                    // Wrong-path fetch until resolution; refill after.
+                    self.fetch_time = complete + self.cfg.mispredict_penalty as u64;
+                    self.dispatched_this_cycle = 0;
+                    self.cur_fetch_line = u64::MAX;
+                } else if taken && uop.next_pc & LINE_MASK != uop.pc & LINE_MASK {
+                    self.cur_fetch_line = u64::MAX;
+                }
             } else {
-                break;
+                self.dispatched_this_cycle += 1;
             }
-        }
-        if self.rob.len() >= self.cfg.rob as usize {
-            let head = *self.rob.front().expect("full ROB");
-            self.stats.structural_stall_cycles += head - dispatch;
-            self.note_jump(head - dispatch);
-            dispatch = head;
-            self.fetch_time = dispatch;
-            self.dispatched_this_cycle = 0;
-            while let Some(&h) = self.rob.front() {
-                if h <= dispatch {
-                    self.rob.pop_front();
-                } else {
-                    break;
-                }
-            }
-        }
 
-        // ---- branch-count limit -----------------------------------------------
-        if uop.branch.is_some() {
-            while let Some(&r) = self.branches_in_flight.front() {
-                if r <= dispatch {
-                    self.branches_in_flight.pop_front();
-                } else {
-                    break;
-                }
-            }
-            if self.branches_in_flight.len() >= self.cfg.max_branches as usize {
-                let r = *self.branches_in_flight.front().expect("non-empty");
-                self.stats.structural_stall_cycles += r.saturating_sub(dispatch);
-                self.note_jump(r.saturating_sub(dispatch));
-                dispatch = dispatch.max(r);
-                self.fetch_time = dispatch;
-                self.dispatched_this_cycle = 0;
-            }
+            self.stats.retired += 1;
         }
-
-        // ---- operand readiness ----------------------------------------------
-        let ready = uop
-            .srcs
-            .iter()
-            .flatten()
-            .map(|&r| self.reg_ready[r as usize])
-            .max()
-            .unwrap_or(0);
-        let oper_ready = ready.max(dispatch + 1);
-        if ready > dispatch + 1 {
-            self.stats.data_stall_cycles += ready - (dispatch + 1);
-        }
-
-        // ---- issue + execute -------------------------------------------------
-        let (complete, _issue) = match uop.class {
-            OpClass::Load => {
-                let addr = uop.mem_addr.expect("load without address");
-                let tlb_extra = self.tlb.translate(addr) as u64;
-                self.stats.tlb_stall_cycles += tlb_extra;
-                let admitted = Self::queue_admit(&mut self.ldq, self.cfg.ldq, oper_ready);
-                self.stats.structural_stall_cycles += admitted - oper_ready;
-                let issue = Self::acquire(&mut self.mem_free, admitted);
-                let out = mem.access(core_id, addr, AccessKind::Load, issue + tlb_extra);
-                self.ldq.push_back(out.complete_at);
-                self.stats.lsq_high_water = self
-                    .stats
-                    .lsq_high_water
-                    .max((self.ldq.len() + self.stq.len()) as u64);
-                self.stats.loads += 1;
-                (out.complete_at, issue)
-            }
-            OpClass::Store => {
-                let addr = uop.mem_addr.expect("store without address");
-                let tlb_extra = self.tlb.translate(addr) as u64;
-                self.stats.tlb_stall_cycles += tlb_extra;
-                let admitted = Self::queue_admit(&mut self.stq, self.cfg.stq, oper_ready);
-                self.stats.structural_stall_cycles += admitted - oper_ready;
-                let issue = Self::acquire(&mut self.mem_free, admitted);
-                let out = mem.access(core_id, addr, AccessKind::Store, issue + tlb_extra);
-                self.stq.push_back(out.complete_at);
-                self.stats.lsq_high_water = self
-                    .stats
-                    .lsq_high_water
-                    .max((self.ldq.len() + self.stq.len()) as u64);
-                self.stats.stores += 1;
-                // A store completes (for ROB purposes) once address+data are
-                // ready; the write drains from the STQ in the background.
-                (issue + 1, issue)
-            }
-            class => {
-                let latency = self.cfg.latencies.of(class) as u64;
-                let units: &mut [u64] = match class {
-                    OpClass::FpAlu
-                    | OpClass::FpMul
-                    | OpClass::FpDiv
-                    | OpClass::FpTranscendental => &mut self.fp_free,
-                    _ => &mut self.int_free,
-                };
-                let mut issue = Self::acquire(units, oper_ready);
-                if OpLatencies::unpipelined(class) {
-                    issue = issue.max(self.unpipelined_free);
-                    self.unpipelined_free = issue + latency;
-                }
-                (issue + latency, issue)
-            }
-        };
-
-        if let Some(d) = uop.dest {
-            self.reg_ready[d as usize] = complete;
-        }
-
-        // ---- in-order retire ------------------------------------------------
-        self.retired_in_group += 1;
-        let mut retire = complete.max(self.last_retire);
-        if self.retired_in_group >= self.cfg.decode_width {
-            retire = retire.max(self.last_retire + 1);
-            self.retired_in_group = 0;
-        }
-        self.last_retire = retire;
-        self.rob.push_back(retire);
-        self.stats.rob_high_water = self.stats.rob_high_water.max(self.rob.len() as u64);
-
-        // ---- control flow ----------------------------------------------------
-        if let Some((class, taken)) = uop.branch {
-            self.stats.branch_lookups += 1;
-            if class == crate::uop::BranchClass::Conditional {
-                self.stats.branches += 1;
-            }
-            self.branches_in_flight.push_back(complete);
-            let correct = self
-                .predictor
-                .predict_and_update(uop.pc, class, taken, uop.next_pc);
-            if !correct {
-                self.stats.mispredicts += 1;
-                // Wrong-path fetch until resolution; refill after.
-                self.fetch_time = complete + self.cfg.mispredict_penalty as u64;
-                self.dispatched_this_cycle = 0;
-                self.cur_fetch_line = u64::MAX;
-            } else if taken && uop.next_pc & LINE_MASK != uop.pc & LINE_MASK {
-                self.cur_fetch_line = u64::MAX;
-            }
-        } else {
-            self.dispatched_this_cycle += 1;
-        }
-
-        self.stats.retired += 1;
     }
 
     fn finish(&mut self) -> u64 {
-        let rob_drain = self.rob.back().copied().unwrap_or(0);
-        let stq_drain = self.stq.iter().copied().max().unwrap_or(0);
+        let rob_drain = self.rob.back().unwrap_or(0);
+        let stq_drain = self.stq.iter().max().unwrap_or(0);
         let t = self
             .fetch_time
             .max(rob_drain)

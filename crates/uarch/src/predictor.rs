@@ -31,28 +31,36 @@ fn ctr_update(ctr: &mut u8, taken: bool) {
     }
 }
 
-/// Simple return-address stack.
+/// Simple return-address stack: a ring of `depth` slots, so a push onto
+/// a full stack overwrites the oldest return address.
 #[derive(Clone, Debug)]
 struct Ras {
-    stack: Vec<u64>,
-    depth: usize,
+    slots: Vec<u64>,
+    /// Slot the next push writes.
+    top: usize,
+    len: usize,
 }
 
 impl Ras {
     fn new(depth: usize) -> Ras {
         Ras {
-            stack: Vec::with_capacity(depth),
-            depth,
+            slots: vec![0; depth],
+            top: 0,
+            len: 0,
         }
     }
     fn push(&mut self, ret: u64) {
-        if self.stack.len() == self.depth {
-            self.stack.remove(0);
-        }
-        self.stack.push(ret);
+        self.slots[self.top] = ret;
+        self.top = (self.top + 1) % self.slots.len();
+        self.len = (self.len + 1).min(self.slots.len());
     }
     fn pop(&mut self) -> Option<u64> {
-        self.stack.pop()
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        self.top = (self.top + self.slots.len() - 1) % self.slots.len();
+        Some(self.slots[self.top])
     }
 }
 
@@ -151,6 +159,9 @@ impl BranchPredictor for RocketPredictor {
     }
 }
 
+/// Bits of a tagged-table tag.
+const TAG_BITS: u32 = 9;
+
 /// One tagged TAGE table.
 struct TageTable {
     tags: Vec<u16>,
@@ -169,27 +180,36 @@ impl TageTable {
         }
     }
 
-    fn index(&self, pc: u64, hist: u64) -> usize {
-        let h = fold(hist, self.hist_bits, self.tags.len().trailing_zeros());
-        (((pc >> 2) ^ h) as usize) & (self.tags.len() - 1)
-    }
-
-    fn tag(&self, pc: u64, hist: u64) -> u16 {
-        let h = fold(hist, self.hist_bits, 9);
-        (((pc >> 2) ^ (pc >> 11) ^ h) & 0x1FF) as u16
+    /// This table's `(index, tag)` for a branch at `pc` under `hist`.
+    fn slot(&self, pc: u64, hist: u64) -> (usize, u16) {
+        let index_bits = self.tags.len().trailing_zeros();
+        let hi = fold(hist, self.hist_bits, index_bits);
+        let ht = if index_bits == TAG_BITS {
+            hi
+        } else {
+            fold(hist, self.hist_bits, TAG_BITS)
+        };
+        let index = (((pc >> 2) ^ hi) as usize) & (self.tags.len() - 1);
+        let tag = (((pc >> 2) ^ (pc >> 11) ^ ht) & ((1 << TAG_BITS) - 1)) as u16;
+        (index, tag)
     }
 }
 
+/// XOR of the `out_bits`-wide chunks of the low `bits` bits of `hist`.
 fn fold(hist: u64, bits: u32, out_bits: u32) -> u64 {
-    let h = hist & ((1u64 << bits.min(63)) - 1);
+    let mut rest = hist & ((1u64 << bits.min(63)) - 1);
     let mut folded = 0;
-    let mut rest = h;
-    while rest != 0 {
+    // A fixed trip count: chunks past the history's top bit are zero.
+    for _ in 0..bits.min(63).div_ceil(out_bits) {
         folded ^= rest & ((1 << out_bits) - 1);
         rest >>= out_bits;
     }
     folded
 }
+
+/// Tagged tables of the TAGE-lite predictor (`BoomPredictor::new` builds
+/// this many).
+const TAGE_TABLES: usize = 4;
 
 /// BOOM-style TAGE-lite predictor.
 pub struct BoomPredictor {
@@ -216,11 +236,21 @@ impl BoomPredictor {
         }
     }
 
-    fn predict_dir(&self, pc: u64) -> (bool, Option<usize>, usize) {
+    /// Every tagged table's `(index, tag)` for this branch, computed once
+    /// and shared by the prediction and the update.
+    fn slots(&self, pc: u64) -> [(usize, u16); TAGE_TABLES] {
+        std::array::from_fn(|ti| self.tables[ti].slot(pc, self.history))
+    }
+
+    fn predict_dir(
+        &self,
+        pc: u64,
+        slots: &[(usize, u16); TAGE_TABLES],
+    ) -> (bool, Option<usize>, usize) {
         // Longest-history tagged hit wins; fall back to bimodal.
         for (ti, t) in self.tables.iter().enumerate().rev() {
-            let i = t.index(pc, self.history);
-            if t.tags[i] == t.tag(pc, self.history) {
+            let (i, tag) = slots[ti];
+            if t.tags[i] == tag {
                 return (t.ctrs[i] >= 4, Some(ti), i);
             }
         }
@@ -230,7 +260,7 @@ impl BoomPredictor {
 
     fn update_dir(
         &mut self,
-        pc: u64,
+        slots: &[(usize, u16); TAGE_TABLES],
         provider: Option<usize>,
         idx: usize,
         taken: bool,
@@ -256,10 +286,9 @@ impl BoomPredictor {
         // On a misprediction, allocate in a longer table.
         if !correct {
             let start = provider.map(|p| p + 1).unwrap_or(0);
-            for t in self.tables[start..].iter_mut() {
-                let i = t.index(pc, self.history);
+            for (t, &(i, tag)) in self.tables.iter_mut().zip(slots).skip(start) {
                 if t.useful[i] == 0 {
-                    t.tags[i] = t.tag(pc, self.history);
+                    t.tags[i] = tag;
                     t.ctrs[i] = if taken { 4 } else { 3 };
                     break;
                 }
@@ -284,9 +313,10 @@ impl BranchPredictor for BoomPredictor {
     ) -> bool {
         match class {
             BranchClass::Conditional => {
-                let (pred, provider, idx) = self.predict_dir(pc);
+                let slots = self.slots(pc);
+                let (pred, provider, idx) = self.predict_dir(pc, &slots);
                 let correct = pred == taken;
-                self.update_dir(pc, provider, idx, taken, correct);
+                self.update_dir(&slots, provider, idx, taken, correct);
                 self.history = (self.history << 1) | taken as u64;
                 correct
             }
@@ -400,6 +430,53 @@ mod tests {
             correct >= 5,
             "the top of the stack should predict, got {correct}"
         );
+    }
+
+    #[test]
+    fn ras_ring_behaves_like_a_bounded_stack() {
+        // The stack the ring replaces: push drops the oldest when full.
+        let mut ring = Ras::new(6);
+        let mut stack: Vec<u64> = Vec::new();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for i in 0..10_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Runs of calls deeper than the ring, then runs of returns.
+            if (x >> 5) % 16 < if (i / 40) % 2 == 0 { 11 } else { 5 } {
+                if stack.len() == 6 {
+                    stack.remove(0);
+                }
+                stack.push(i);
+                ring.push(i);
+            } else {
+                assert_eq!(ring.pop(), stack.pop(), "op {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn fold_xors_the_chunks_of_the_history() {
+        let by_chunks = |hist: u64, bits: u32, out_bits: u32| {
+            let mut rest = hist & ((1u64 << bits.min(63)) - 1);
+            let mut folded = 0;
+            while rest != 0 {
+                folded ^= rest & ((1 << out_bits) - 1);
+                rest >>= out_bits;
+            }
+            folded
+        };
+        let mut x = 0x1234_5678_9ABC_DEF1u64;
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            for bits in [5, 13, 31, 62] {
+                for out_bits in [7, 9, 12] {
+                    assert_eq!(fold(x, bits, out_bits), by_chunks(x, bits, out_bits));
+                }
+            }
+        }
     }
 
     #[test]

@@ -106,6 +106,16 @@ impl MicroOp {
         }
     }
 
+    /// Cycle the last source operand is ready, given each register's
+    /// ready cycle (0 with no sources).
+    #[inline]
+    pub(crate) fn srcs_ready(&self, reg_ready: &[u64; 64]) -> u64 {
+        let ready_of = |src: Option<u8>| src.map_or(0, |r| reg_ready[r as usize]);
+        ready_of(self.srcs[0])
+            .max(ready_of(self.srcs[1]))
+            .max(ready_of(self.srcs[2]))
+    }
+
     /// True for loads and stores.
     pub fn is_mem(&self) -> bool {
         self.mem_addr.is_some()
