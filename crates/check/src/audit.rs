@@ -10,7 +10,7 @@
 //! | AU002 | warning  | `.expect(..)` in a designated hot-path file (token channel, wire framing, daemon dispatch, interpreter loop, timing cores, memory hierarchy) |
 //! | AU003 | warning  | iteration over a `HashMap` binding: order is nondeterministic and must not feed results or wire frames |
 //! | AU004 | warning  | `Instant`/`SystemTime` in a virtual-time crate: host clocks break determinism |
-//! | AU005 | note     | a `pub fn` of `core`/`sweepx`/`svc`/`dist` that nothing outside its crate mentions: surface to shrink |
+//! | AU005 | note     | a `pub fn` of `core`/`sweepx`/`svc`/`dist`/`mpi` that nothing outside its crate mentions: surface to shrink |
 //! | AU006 | warning  | `std::env::`, `println!`/`eprintln!` or `format!` in a per-op hot-path file (interpreter, timing cores, memory hierarchy and the loops feeding them): host work — an environment lookup, a lock on stdout, an allocation — where every micro-op pays for it |
 //!
 //! Findings are waived inline with a `// bsim: allow(AU001)` comment on the
@@ -52,7 +52,7 @@ const HOST_WORK: &[&str] = &[
 
 /// Crates whose `pub fn` surface AU005 audits: the layers that grew a
 /// parallel mechanism per feature PR (ROADMAP item 3).
-const SURFACE_CRATES: &[&str] = &["core", "sweepx", "svc", "dist"];
+const SURFACE_CRATES: &[&str] = &["core", "sweepx", "svc", "dist", "mpi"];
 
 /// Files whose failure modes reach the per-token or per-frame path: a
 /// panic here kills a quantum mid-flight, so even `.expect` needs a
@@ -85,8 +85,7 @@ const PER_OP_PATHS: &[&str] = &[
     "crates/mem/src/dram.rs",
     "crates/mem/src/llc.rs",
     "crates/soc/src/runner.rs",
-    "crates/mpi/src/world.rs",
-    "crates/sweepx/src/replay.rs",
+    "crates/mpi/src/timing.rs",
 ];
 
 /// Crates whose code runs under virtual time; host clocks are banned there

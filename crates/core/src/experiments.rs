@@ -8,7 +8,7 @@
 
 use crate::metrics::relative_speedup;
 use bsim_engine::{SimRate, SimRateMeter};
-use bsim_mpi::{NetConfig, WorldTrace};
+use bsim_mpi::{Launch, NetConfig, Recorded, Timed, WorldReport, WorldTrace};
 use bsim_resilience::snapshot::{restore_field, CkptError, Snapshot};
 use bsim_soc::{configs, RunReport, Soc, SocConfig};
 use bsim_telemetry::{CounterBlock, TelemetryConfig, TelemetrySnapshot};
@@ -557,46 +557,60 @@ impl MpiWork {
         }
     }
 
-    /// One full timing run on `cfg`, returning the simulated cycles.
-    /// This is the scalar reference every lane replay of
-    /// [`MpiWork::record`]'s trace must match bit for bit.
-    pub fn run(self, sizes: &Sizes, cfg: SocConfig, ranks: usize) -> u64 {
-        let net = NetConfig::shared_memory();
-        let report = match self {
-            MpiWork::Cg => cg::run(cfg, ranks, sizes.cg(), net).report,
-            MpiWork::Ep => ep::run(cfg, ranks, sizes.ep(ranks), net).report,
-            MpiWork::Is => {
-                let platform = cfg.name.clone();
-                let r = is::run(cfg, ranks, sizes.is(ranks), net);
-                assert!(r.sorted, "IS must verify on {platform}");
-                r.report
-            }
-            MpiWork::Mg => mg::run(cfg, ranks, sizes.mg(), net).report,
-            MpiWork::Ume => ume::run(cfg, ranks, sizes.ume(), net).report,
-            MpiWork::Lj => lj::run(cfg, ranks, sizes.lj(), net).report,
-            MpiWork::Chain => chain::run(cfg, ranks, sizes.chain(), net).report,
-        };
-        report.run.cycles
-    }
-
-    /// The timing-free recording of the same problem [`MpiWork::run`]
-    /// times, shareable by every config with `cfg`'s trace-shaping knobs.
-    pub fn record(self, sizes: &Sizes, cfg: SocConfig, ranks: usize) -> WorldTrace {
+    /// This workload at `sizes` under launch mode `L`: the world report
+    /// and what the mode yields. Every figure cell, timed or recorded,
+    /// starts here.
+    fn launch<L: Launch>(
+        self,
+        sizes: &Sizes,
+        cfg: SocConfig,
+        ranks: usize,
+    ) -> (WorldReport, L::Out) {
         let net = NetConfig::shared_memory();
         match self {
-            MpiWork::Cg => cg::record(cfg, ranks, sizes.cg(), net).1,
-            MpiWork::Ep => ep::record(cfg, ranks, sizes.ep(ranks), net).1,
+            MpiWork::Cg => {
+                let (r, out) = cg::launch::<L>(cfg, ranks, sizes.cg(), net);
+                (r.report, out)
+            }
+            MpiWork::Ep => {
+                let (r, out) = ep::launch::<L>(cfg, ranks, sizes.ep(ranks), net);
+                (r.report, out)
+            }
             MpiWork::Is => {
                 let platform = cfg.name.clone();
-                let (r, trace) = is::record(cfg, ranks, sizes.is(ranks), net);
+                let (r, out) = is::launch::<L>(cfg, ranks, sizes.is(ranks), net);
                 assert!(r.sorted, "IS must verify on {platform}");
-                trace
+                (r.report, out)
             }
-            MpiWork::Mg => mg::record(cfg, ranks, sizes.mg(), net).1,
-            MpiWork::Ume => ume::record(cfg, ranks, sizes.ume(), net).1,
-            MpiWork::Lj => lj::record(cfg, ranks, sizes.lj(), net).1,
-            MpiWork::Chain => chain::record(cfg, ranks, sizes.chain(), net).1,
+            MpiWork::Mg => {
+                let (r, out) = mg::launch::<L>(cfg, ranks, sizes.mg(), net);
+                (r.report, out)
+            }
+            MpiWork::Ume => {
+                let (r, out) = ume::launch::<L>(cfg, ranks, sizes.ume(), net);
+                (r.report, out)
+            }
+            MpiWork::Lj => {
+                let (r, out) = lj::launch::<L>(cfg, ranks, sizes.lj(), net);
+                (r.report, out)
+            }
+            MpiWork::Chain => {
+                let (r, out) = chain::launch::<L>(cfg, ranks, sizes.chain(), net);
+                (r.report, out)
+            }
         }
+    }
+
+    /// One full timing run on `cfg`, returning the simulated cycles.
+    pub fn run(self, sizes: &Sizes, cfg: SocConfig, ranks: usize) -> u64 {
+        self.launch::<Timed>(sizes, cfg, ranks).0.run.cycles
+    }
+
+    /// The recording of the same problem [`MpiWork::run`] times,
+    /// shareable by every config with `cfg`'s trace-shaping knobs: a
+    /// lane replay of it gives each of them `run`'s cycles.
+    pub fn record(self, sizes: &Sizes, cfg: SocConfig, ranks: usize) -> WorldTrace {
+        self.launch::<Recorded>(sizes, cfg, ranks).1
     }
 }
 
@@ -1125,14 +1139,15 @@ pub fn table5() -> String {
     out
 }
 
-/// Assigns `cells` sweep cells to `ranks` workers, round-robin. Unlike
-/// the contiguous block layout `bsim_mpi::RankMap` uses for model
-/// graphs (where neighbor traffic dominates), sweep cells are
-/// independent and their costs are *ordered* — figure plans put the
-/// heavy multi-rank subfigures next to each other — so striding spreads
-/// the expensive neighbors across workers instead of handing one worker
-/// the whole hot block. The assignment is pure arithmetic on indices:
-/// every launcher, worker, and resumed recovery computes the same map.
+/// Assigns `cells` sweep cells to `ranks` workers, round-robin. A
+/// contiguous block layout (worker `w` takes cells `w * cells / ranks
+/// .. (w + 1) * cells / ranks`) suits model graphs, where neighbor
+/// traffic dominates; sweep cells are independent and their costs are
+/// *ordered* — figure plans put the heavy multi-rank subfigures next to
+/// each other — so striding spreads the expensive neighbors across
+/// workers instead of handing one worker the whole hot block. The
+/// assignment is pure arithmetic on indices: every launcher, worker, and
+/// resumed recovery computes the same map.
 pub fn partition_cells(cells: usize, ranks: usize) -> Vec<usize> {
     assert!(ranks >= 1, "a sweep needs at least one worker");
     (0..cells).map(|i| i % ranks).collect()

@@ -11,25 +11,30 @@
 //!   runs at any host instant, and the next runnable rank is chosen
 //!   deterministically — so results are bit-identical across runs and
 //!   host machines (the same guarantee FireSim's token protocol gives);
-//! * communication advances **virtual time** with a LogGP-flavoured cost
-//!   model: a message sent at sender-time `s` arrives at
-//!   `s + o_send + bytes/bw + latency`, and a receive posted at `r`
-//!   completes at `max(arrival, r) + o_recv`;
-//! * collectives (barrier, allreduce, alltoall) complete at
-//!   `max(entry times) + cost(n, bytes)` — the usual tree-cost model.
+//! * everything a rank does is an event ([`Ev`]) in that global order,
+//!   and one timing model ([`Timing`]) turns events into **virtual
+//!   time** with a LogGP-flavoured cost model: a message sent at
+//!   sender-time `s` arrives at `s + o_send + bytes/bw + latency`, a
+//!   receive posted at `r` completes at `max(arrival, r) + o_recv`, and
+//!   collectives (barrier, allreduce, alltoall) complete at
+//!   `max(entry times) + cost(n, bytes)` — the usual tree-cost model;
+//! * a run is timed as it happens ([`MpiWorld::run`]) or kept as a
+//!   [`WorldTrace`] ([`MpiWorld::record`]) and timed later, on as many
+//!   configs as a sweep wants — same events, same [`Timing`], same
+//!   numbers. [`Launch`] names that choice for code generic over it.
 //!
 //! Compute between MPI calls is charged by feeding micro-ops to the
-//! rank's simulated core ([`RankCtx::consume`] / [`RankCtx::consume_batch`]),
-//! which shares the SoC's L2/DRAM with the other ranks — so memory
-//! contention across ranks (the effect behind the paper's MG scaling
-//! observation in §5.2.2) is modeled by the same hierarchy state.
+//! rank's simulated core ([`RankCtx::consume_batch`]), which shares the
+//! SoC's L2/DRAM with the other ranks — so memory contention across
+//! ranks (the effect behind the paper's MG scaling observation in
+//! §5.2.2) is modeled by the same hierarchy state.
 
 pub mod net;
-pub mod procmap;
 pub mod record;
+pub mod timing;
 pub mod world;
 
 pub use net::NetConfig;
-pub use procmap::RankMap;
-pub use record::{publish_rank_counters, Ev, WorldTrace};
-pub use world::{MpiWorld, RankCtx, ReduceOp, WorldReport};
+pub use record::{Ev, WorldTrace};
+pub use timing::Timing;
+pub use world::{Launch, MpiWorld, RankCtx, Recorded, ReduceOp, Timed, WorldReport};

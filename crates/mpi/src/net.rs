@@ -45,7 +45,7 @@ impl NetConfig {
     /// Static lint over the link parameters (`NC0xx` codes).
     ///
     /// `NC001` fires when `bytes_per_cycle` is not finite and positive:
-    /// [`NetConfig::transfer_cycles`] then saturates every non-empty
+    /// `transfer_cycles` then saturates every non-empty
     /// payload to `u64::MAX` — a link that never delivers — which keeps
     /// timestamps sound but makes any communicating workload hang in
     /// virtual time. The saturation fallback stays (it is what makes
@@ -124,7 +124,7 @@ impl NetConfig {
     /// that misconfigures to *infinitely fast*. Both now pin to
     /// `u64::MAX` (a link that never delivers), which downstream
     /// arithmetic saturates on rather than wrapping.
-    pub fn transfer_cycles(&self, bytes: usize) -> u64 {
+    pub(crate) fn transfer_cycles(&self, bytes: usize) -> u64 {
         if bytes == 0 {
             return 0;
         }
@@ -143,7 +143,7 @@ impl NetConfig {
     /// degenerate config yields "never" (`u64::MAX`) instead of a small
     /// wrapped timestamp that would reorder the event queue in release
     /// builds.
-    pub fn arrival(&self, send_time: u64, bytes: usize) -> u64 {
+    pub(crate) fn arrival(&self, send_time: u64, bytes: usize) -> u64 {
         send_time
             .saturating_add(self.o_send)
             .saturating_add(self.transfer_cycles(bytes))
@@ -153,7 +153,7 @@ impl NetConfig {
     /// Completion time of a collective entered by all ranks by `max_entry`,
     /// with `ranks` participants moving `bytes` each (binary-tree cost).
     /// Saturating, like [`NetConfig::arrival`].
-    pub fn collective_cost(&self, max_entry: u64, ranks: usize, bytes: usize) -> u64 {
+    pub(crate) fn collective_cost(&self, max_entry: u64, ranks: usize, bytes: usize) -> u64 {
         if ranks <= 1 {
             return max_entry;
         }

@@ -1,43 +1,38 @@
-//! Timing-free world recording for multi-lane sweep replay.
+//! The event stream of a world, and its recording.
 //!
-//! A design-space sweep re-executes the *same* rank programs — the same
-//! numerics, the same operation segments, the same message pattern —
-//! against N nearby platform configs. The scalar path pays for the
-//! workload computation N times. Recording splits that cost off: the
-//! world runs **once** with the timing simulation disabled (the turn
-//! scheduler never consults virtual time, so the global order of every
-//! SoC-visible action is identical to a timed run), and every action is
-//! appended to a [`WorldTrace`] — micro-op segments into one shared
-//! arena, communication as timestamp-free events in global turn order.
+//! Everything a rank program does that a simulated core can see — the
+//! micro-ops it retires, the analytic costs it charges, its sends,
+//! receives and collectives, its return — is one [`Ev`], emitted while
+//! the rank holds the world's turn, so the stream is in global turn
+//! order. Events carry no times: [`crate::Timing`] derives those, per
+//! lane, from the lane's own core clocks and the [`crate::NetConfig`]
+//! cost functions.
 //!
-//! Replay (`bsim-sweepx`) then recomputes all timing per lane from the
-//! lane's own core clocks and the stateless [`crate::NetConfig`] cost
-//! functions, in a single linear scan over the trace. Because the
-//! scalar world derives every arrival/release time from those same pure
-//! functions of rank-local virtual time, a full (unsampled) replay is
-//! bit-identical to running [`crate::MpiWorld::run`] on that lane's
-//! config.
-//!
-//! What makes the trace shareable across a lane group: the rank
-//! programs only observe `rank()`, `size()`, `simd_lanes()`,
-//! `compiler_overhead_per_mille()` and message *payloads* (which are
-//! pure functions of the numerics) — never virtual time. So any two
-//! configs agreeing on `(ranks, simd_lanes, compiler_overhead)` shape
-//! the identical trace; cache geometry, core model and frequency are
-//! free to differ per lane.
+//! The stream does not depend on the platform beyond three knobs,
+//! because a rank program can observe only `rank()`, `size()`,
+//! `simd_lanes()`, `compiler_overhead_per_mille()` and message
+//! *payloads* (pure functions of the numerics) — [`crate::RankCtx`] has
+//! no way to read virtual time, and the turn scheduler never consults
+//! it. So any two configs agreeing on `(ranks, simd_lanes,
+//! compiler_overhead)` produce the identical stream; cache geometry,
+//! core model and frequency are free to differ. That is what lets a
+//! design-space sweep run the rank programs **once**, keep the stream as
+//! a [`WorldTrace`] — micro-op segments in one shared arena — and time
+//! it on N configs (`bsim-sweepx`), with each lane's report equal to
+//! what [`crate::MpiWorld::run`] gives on that lane's config.
 
-use bsim_soc::Soc;
 use bsim_uarch::MicroOp;
 
-/// One recorded SoC-visible action, in global turn order. All times are
-/// deliberately absent: replay derives them per lane.
+/// One SoC-visible action of a rank, in global turn order. Times are
+/// deliberately absent: [`crate::Timing`] derives them per lane.
 #[derive(Clone, Copy, Debug)]
 pub enum Ev {
     /// A micro-op segment fed to `rank`'s core: `uops[start..start+len]`.
     Consume {
         /// Consuming rank.
         rank: u32,
-        /// Start index into [`WorldTrace::uops`].
+        /// Start index into the arena the event travels with
+        /// ([`WorldTrace::uops`] once recorded).
         start: usize,
         /// Segment length in micro-ops.
         len: usize,
@@ -108,34 +103,6 @@ impl Ev {
     }
 }
 
-/// Publishes one finished rank's `mpi.rank{r}.*` counters, and its share
-/// of the `mpi.*` totals, into `soc`'s telemetry registry (a no-op when
-/// telemetry is disabled). The scalar world calls it when a rank's
-/// program returns and replay at the rank's [`Ev::Finish`], the same
-/// point of the global order, so counters register in the same order —
-/// and exports carry the same bytes — either way.
-pub fn publish_rank_counters(
-    soc: &mut Soc,
-    rank: usize,
-    messages: u64,
-    bytes: u64,
-    send_cycles: u64,
-    wait_cycles: u64,
-) {
-    let tel = soc.telemetry_mut();
-    if !tel.enabled() {
-        return;
-    }
-    let b = tel.counters_mut();
-    b.set_named(&format!("mpi.rank{rank}.messages"), messages);
-    b.set_named(&format!("mpi.rank{rank}.bytes"), bytes);
-    b.set_named(&format!("mpi.rank{rank}.send_cycles"), send_cycles);
-    b.set_named(&format!("mpi.rank{rank}.wait_cycles"), wait_cycles);
-    b.add_named("mpi.messages", messages);
-    b.add_named("mpi.bytes", bytes);
-    b.add_named("mpi.wait_cycles", wait_cycles);
-}
-
 /// A recorded world: one micro-op arena plus the globally-ordered event
 /// stream, tagged with the trace-shaping knobs of the recording config.
 #[derive(Clone, Debug, Default)]
@@ -171,82 +138,33 @@ impl WorldTrace {
     }
 }
 
-/// The mutable recording state behind `Shared.rec`. Methods are called
-/// while the acting rank holds the world turn, so pushes land in global
-/// order without any ordering logic here.
-pub(crate) struct Recorder {
-    trace: WorldTrace,
+/// Where a world's events go: a [`crate::Timing`] times them as they
+/// happen, a [`WorldTrace`] keeps them. `uops` is the segment an
+/// [`Ev::Consume`] slices into (its `start` is relative to it).
+pub(crate) trait EvSink: Send {
+    fn emit(&mut self, ev: Ev, uops: &[MicroOp]);
 }
 
-impl Recorder {
-    pub(crate) fn new(ranks: usize, simd_lanes: u32, compiler_overhead_per_mille: u32) -> Recorder {
-        Recorder {
-            trace: WorldTrace {
-                ranks,
-                simd_lanes,
-                compiler_overhead_per_mille,
-                ..WorldTrace::default()
-            },
-        }
-    }
-
-    pub(crate) fn consume(&mut self, rank: usize, uops: &[MicroOp]) {
-        let start = self.trace.uops.len();
-        self.trace.uops.extend_from_slice(uops);
-        self.trace.events.push(Ev::Consume {
-            rank: rank as u32,
-            start,
-            len: uops.len(),
+impl EvSink for WorldTrace {
+    fn emit(&mut self, ev: Ev, uops: &[MicroOp]) {
+        self.events.push(match ev {
+            Ev::Consume { rank, start, len } => {
+                let at = self.uops.len();
+                self.uops.extend_from_slice(&uops[start..start + len]);
+                Ev::Consume {
+                    rank,
+                    start: at,
+                    len,
+                }
+            }
+            Ev::Finish {
+                messages, bytes, ..
+            } => {
+                self.messages += messages;
+                self.bytes += bytes;
+                ev
+            }
+            _ => ev,
         });
-    }
-
-    pub(crate) fn charge(&mut self, rank: usize, cycles: u64) {
-        self.trace.events.push(Ev::Charge {
-            rank: rank as u32,
-            cycles,
-        });
-    }
-
-    pub(crate) fn send(&mut self, rank: usize, dst: usize, tag: u32, nbytes: usize) {
-        self.trace.events.push(Ev::Send {
-            rank: rank as u32,
-            dst: dst as u32,
-            tag,
-            nbytes,
-        });
-    }
-
-    pub(crate) fn recv(&mut self, rank: usize, src: usize, tag: u32) {
-        self.trace.events.push(Ev::Recv {
-            rank: rank as u32,
-            src: src as u32,
-            tag,
-        });
-    }
-
-    pub(crate) fn coll_enter(&mut self, rank: usize, bytes: usize) {
-        self.trace.events.push(Ev::CollEnter {
-            rank: rank as u32,
-            bytes,
-        });
-    }
-
-    pub(crate) fn coll_exit(&mut self, rank: usize) {
-        self.trace.events.push(Ev::CollExit { rank: rank as u32 });
-    }
-
-    pub(crate) fn finish(&mut self, rank: usize, messages: u64, bytes: u64) {
-        self.trace.events.push(Ev::Finish {
-            rank: rank as u32,
-            messages,
-            bytes,
-        });
-    }
-
-    pub(crate) fn take(&mut self, messages: u64, bytes: u64) -> WorldTrace {
-        let mut trace = std::mem::take(&mut self.trace);
-        trace.messages = messages;
-        trace.bytes = bytes;
-        trace
     }
 }

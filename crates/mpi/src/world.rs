@@ -1,7 +1,20 @@
-//! Rank execution, turn-taking scheduler, matching and collectives.
+//! Rank execution: the turn-taking scheduler, payload matching and the
+//! functional half of the collectives.
+//!
+//! A world runs each rank program on its own host thread, one at a time:
+//! a rank keeps the turn until it blocks (a receive with no message yet,
+//! a collective not everyone has entered) and then passes it to the next
+//! unfinished rank in round-robin order. Nothing here looks at virtual
+//! time, so the order of everything the ranks do is a function of the
+//! programs alone. Every [`RankCtx`] operation emits its [`Ev`] into the
+//! world's sink while the rank holds the turn; [`MpiWorld::run`] and
+//! [`MpiWorld::record`] differ only in the sink — a [`Timing`] or a
+//! [`WorldTrace`]. Payloads travel through `Shared::mail` either way:
+//! the receiver's numerics need them.
 
 use crate::net::NetConfig;
-use crate::record::{publish_rank_counters, Recorder, WorldTrace};
+use crate::record::{Ev, EvSink, WorldTrace};
+use crate::timing::Timing;
 use bsim_soc::{RunReport, Soc, SocConfig};
 use bsim_uarch::MicroOp;
 use parking_lot::{Condvar, Mutex};
@@ -34,11 +47,6 @@ pub struct WorldReport {
     pub bytes: u64,
 }
 
-struct Msg {
-    arrival: u64,
-    payload: Vec<u8>,
-}
-
 #[derive(Clone)]
 enum CollResult {
     None,
@@ -50,13 +58,10 @@ enum CollResult {
 struct CollState {
     generation: u64,
     arrived: usize,
-    entries: Vec<u64>,
     reduce: Vec<f64>,
     matrix: Vec<Vec<Vec<u8>>>, // [src][dst]
-    bytes: usize,
     // Published (completed) collective:
     done_generation: u64, // = generation of the finished collective + 1
-    release: u64,
     result: CollResult,
 }
 
@@ -67,21 +72,18 @@ struct Sched {
     coll: CollState,
 }
 
+/// Payloads in flight: a FIFO per `(src, dst, tag)`.
+type Mail = HashMap<(usize, usize, u32), VecDeque<Vec<u8>>>;
+
 struct Shared {
-    soc: Mutex<Soc>,
-    mail: Mutex<HashMap<(usize, usize, u32), VecDeque<Msg>>>,
+    /// Emits happen while the acting rank holds the turn, so the event
+    /// order equals the (deterministic) global schedule order.
+    sink: Arc<Mutex<dyn EvSink>>,
+    mail: Mutex<Mail>,
     sched: Mutex<Sched>,
     cv: Condvar,
-    net: NetConfig,
     ranks: usize,
     progress: AtomicU64,
-    messages: AtomicU64,
-    bytes: AtomicU64,
-    /// Present in recording mode: timing is skipped entirely and every
-    /// SoC-visible action is appended here instead (see `record.rs`).
-    /// Appends happen while the acting rank holds the turn, so the
-    /// event order equals the (deterministic) global schedule order.
-    rec: Option<Mutex<Recorder>>,
 }
 
 impl Shared {
@@ -135,7 +137,10 @@ impl Shared {
     }
 }
 
-/// The per-rank handle passed to the rank program.
+/// The per-rank handle passed to the rank program. It offers no way to
+/// read virtual time: what a rank program does cannot depend on the
+/// platform's timing, which is what makes its event stream replayable
+/// on any lane (see `record.rs`).
 pub struct RankCtx {
     shared: Arc<Shared>,
     rank: usize,
@@ -143,14 +148,10 @@ pub struct RankCtx {
     compiler_overhead: u32,
     /// Spin counter for deadlock detection.
     stalls: u64,
-    /// Virtual-time telemetry accumulators, published into the SoC's
-    /// counter registry when the rank program completes. All four are
-    /// derived from virtual time only, so they are identical across
-    /// hosts and thread interleavings.
+    /// Messages and payload bytes this rank sent, carried by its
+    /// [`Ev::Finish`].
     tel_messages: u64,
     tel_bytes: u64,
-    tel_send_cycles: u64,
-    tel_wait_cycles: u64,
 }
 
 impl RankCtx {
@@ -176,45 +177,22 @@ impl RankCtx {
         self.compiler_overhead
     }
 
-    /// Current virtual time (cycles) of this rank's core. Always 0 in
-    /// recording mode: a recorded trace must stay replayable against
-    /// any lane config, so rank programs must not branch on time (none
-    /// of the bundled workloads do).
-    pub fn time(&self) -> u64 {
-        if self.shared.rec.is_some() {
-            return 0;
-        }
-        self.shared.soc.lock().core_cycles(self.rank)
+    fn emit(&self, ev: Ev, uops: &[MicroOp]) {
+        self.shared.sink.lock().emit(ev, uops);
     }
 
-    /// Feeds one micro-op to this rank's simulated core.
-    pub fn consume(&mut self, uop: &MicroOp) {
-        if let Some(rec) = &self.shared.rec {
-            rec.lock().consume(self.rank, std::slice::from_ref(uop));
-            return;
-        }
-        self.shared.soc.lock().consume(self.rank, uop);
-    }
-
-    /// Feeds a batch of micro-ops under one lock acquisition.
+    /// Feeds a batch of micro-ops to this rank's simulated core.
     pub fn consume_batch(&mut self, uops: &[MicroOp]) {
-        if let Some(rec) = &self.shared.rec {
-            rec.lock().consume(self.rank, uops);
-            return;
-        }
-        self.shared.soc.lock().consume_batch(self.rank, uops);
+        let rank = self.rank as u32;
+        let (start, len) = (0, uops.len());
+        self.emit(Ev::Consume { rank, start, len }, uops);
     }
 
     /// Advances this rank's clock by `cycles` of opaque work (used for
     /// costs that are modeled analytically rather than per-op).
     pub fn charge(&mut self, cycles: u64) {
-        if let Some(rec) = &self.shared.rec {
-            rec.lock().charge(self.rank, cycles);
-            return;
-        }
-        let mut soc = self.shared.soc.lock();
-        let t = soc.core_cycles(self.rank) + cycles;
-        soc.advance_core(self.rank, t);
+        let rank = self.rank as u32;
+        self.emit(Ev::Charge { rank, cycles }, &[]);
     }
 
     fn stall_check(&mut self, last_progress: u64, what: &str) {
@@ -237,20 +215,13 @@ impl RankCtx {
             "invalid destination {dst}"
         );
         let nbytes = payload.len();
-        let mut arrival = 0;
-        if let Some(rec) = &self.shared.rec {
-            // Recording: the payload still travels (the receiver's
-            // numerics need it) but timing is recomputed per lane at
-            // replay, so the arrival stamp is unused.
-            rec.lock().send(self.rank, dst, tag, nbytes);
-        } else {
-            let mut soc = self.shared.soc.lock();
-            let local = soc.core_cycles(self.rank);
-            let busy = self.shared.net.o_send + self.shared.net.transfer_cycles(nbytes);
-            soc.advance_core(self.rank, local + busy);
-            arrival = self.shared.net.arrival(local, nbytes);
-            self.tel_send_cycles += busy;
-        }
+        let ev = Ev::Send {
+            rank: self.rank as u32,
+            dst: dst as u32,
+            tag,
+            nbytes,
+        };
+        self.emit(ev, &[]);
         self.tel_messages += 1;
         self.tel_bytes += nbytes as u64;
         self.shared
@@ -258,11 +229,7 @@ impl RankCtx {
             .lock()
             .entry((self.rank, dst, tag))
             .or_default()
-            .push_back(Msg { arrival, payload });
-        self.shared.messages.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .bytes
-            .fetch_add(nbytes as u64, Ordering::Relaxed);
+            .push_back(payload);
         self.shared.bump();
     }
 
@@ -281,19 +248,16 @@ impl RankCtx {
                 .mail
                 .lock()
                 .get_mut(&(src, self.rank, tag))
-                .and_then(|q: &mut VecDeque<Msg>| q.pop_front());
-            if let Some(m) = msg {
-                if let Some(rec) = &self.shared.rec {
-                    rec.lock().recv(self.rank, src, tag);
-                } else {
-                    let mut soc = self.shared.soc.lock();
-                    let local = soc.core_cycles(self.rank);
-                    let done = m.arrival.max(local) + self.shared.net.o_recv;
-                    soc.advance_core(self.rank, done);
-                    self.tel_wait_cycles += done.saturating_sub(local);
-                }
+                .and_then(|q| q.pop_front());
+            if let Some(payload) = msg {
+                let ev = Ev::Recv {
+                    rank: self.rank as u32,
+                    src: src as u32,
+                    tag,
+                };
+                self.emit(ev, &[]);
                 self.shared.bump();
-                return m.payload;
+                return payload;
             }
             self.shared.yield_turn(self.rank);
             self.stall_check(last, "recv");
@@ -322,33 +286,19 @@ impl RankCtx {
     }
 
     /// Core of every collective: deposit a contribution, wait for all
-    /// ranks, pick up the published result and the release time.
-    fn collective(
-        &mut self,
-        bytes: usize,
-        deposit: impl FnOnce(&mut CollState, usize),
-    ) -> CollResult {
+    /// ranks, pick up the published result. `bytes` is this rank's
+    /// contribution to the cost model.
+    fn collective(&mut self, bytes: usize, deposit: impl FnOnce(&mut CollState)) -> CollResult {
+        let rank = self.rank as u32;
+        self.emit(Ev::CollEnter { rank, bytes }, &[]);
         let my_gen;
-        if let Some(rec) = &self.shared.rec {
-            // Entry times are per-lane state: replay recomputes them.
-            rec.lock().coll_enter(self.rank, bytes);
-        }
         {
-            let my_time = self.time();
             let mut s = self.shared.sched.lock();
             my_gen = s.coll.generation;
-            s.coll.entries[self.rank] = my_time;
-            deposit(&mut s.coll, self.rank);
-            s.coll.bytes = s.coll.bytes.max(bytes);
+            deposit(&mut s.coll);
             s.coll.arrived += 1;
             if s.coll.arrived == self.shared.ranks {
                 // Last arriver publishes.
-                let max_entry = s.coll.entries.iter().copied().max().unwrap_or(0);
-                let release =
-                    self.shared
-                        .net
-                        .collective_cost(max_entry, self.shared.ranks, s.coll.bytes);
-                s.coll.release = release;
                 s.coll.result = if !s.coll.matrix.iter().all(|m| m.is_empty()) {
                     // alltoall: transpose the matrix into per-destination rows.
                     let n = self.shared.ranks;
@@ -367,7 +317,6 @@ impl RankCtx {
                 s.coll.done_generation = my_gen + 1;
                 s.coll.generation += 1;
                 s.coll.arrived = 0;
-                s.coll.bytes = 0;
                 for m in &mut s.coll.matrix {
                     m.clear();
                 }
@@ -381,17 +330,9 @@ impl RankCtx {
             {
                 let s = self.shared.sched.lock();
                 if s.coll.done_generation > my_gen {
-                    let release = s.coll.release;
                     let result = s.coll.result.clone();
                     drop(s);
-                    if let Some(rec) = &self.shared.rec {
-                        rec.lock().coll_exit(self.rank);
-                        return result;
-                    }
-                    let mut soc = self.shared.soc.lock();
-                    let local = soc.core_cycles(self.rank);
-                    soc.advance_core(self.rank, release);
-                    self.tel_wait_cycles += release.saturating_sub(local);
+                    self.emit(Ev::CollExit { rank }, &[]);
                     return result;
                 }
             }
@@ -402,13 +343,13 @@ impl RankCtx {
 
     /// Barrier: all ranks leave at `max(entry) + cost`.
     pub fn barrier(&mut self) {
-        let _ = self.collective(0, |_, _| {});
+        let _ = self.collective(0, |_| {});
     }
 
     /// Element-wise allreduce over f64 vectors.
     pub fn allreduce_f64(&mut self, vals: &[f64], op: ReduceOp) -> Vec<f64> {
         let n = vals.len();
-        let r = self.collective(n * 8, |c, _| {
+        let r = self.collective(n * 8, |c| {
             if c.reduce.is_empty() {
                 c.reduce = vals.to_vec();
             } else {
@@ -428,32 +369,6 @@ impl RankCtx {
         }
     }
 
-    /// Publishes this rank's accumulated `mpi.rank{r}.*` counters into
-    /// the SoC's telemetry registry (no-op when telemetry is disabled).
-    /// Called once per rank, while the rank still holds the turn, so the
-    /// registration order is as deterministic as the schedule itself.
-    fn publish_telemetry(&mut self) {
-        if let Some(rec) = &self.shared.rec {
-            // Cycle counters are lane state; record only the
-            // timing-free message/byte counts. The event also marks the
-            // rank's completion point, which is where replay publishes
-            // the lane's recomputed `mpi.rank{r}.*` counters — same
-            // order as this scalar call site, so counter registration
-            // order (and thus export bytes) match per lane.
-            rec.lock()
-                .finish(self.rank, self.tel_messages, self.tel_bytes);
-            return;
-        }
-        publish_rank_counters(
-            &mut self.shared.soc.lock(),
-            self.rank,
-            self.tel_messages,
-            self.tel_bytes,
-            self.tel_send_cycles,
-            self.tel_wait_cycles,
-        );
-    }
-
     /// Personalized all-to-all: `sends[d]` goes to rank `d`; returns the
     /// payloads received from every rank (index = source).
     pub fn alltoallv(&mut self, sends: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
@@ -463,15 +378,11 @@ impl RankCtx {
             "one payload per destination"
         );
         let total: usize = sends.iter().map(Vec::len).sum();
-        self.shared.bytes.fetch_add(total as u64, Ordering::Relaxed);
-        self.shared
-            .messages
-            .fetch_add(self.shared.ranks as u64 - 1, Ordering::Relaxed);
         self.tel_messages += self.shared.ranks as u64 - 1;
         self.tel_bytes += total as u64;
         let rank = self.rank;
         let n = self.shared.ranks;
-        let r = self.collective(total, move |c, _| {
+        let r = self.collective(total, move |c| {
             c.matrix[rank] = sends;
         });
         match r {
@@ -481,8 +392,8 @@ impl RankCtx {
     }
 }
 
-/// The MPI world: builds the SoC, spawns rank threads, runs `program` on
-/// each, and reports.
+/// The MPI world: spawns rank threads over the cores of one SoC, runs
+/// `program` on each, and reports.
 pub struct MpiWorld;
 
 impl MpiWorld {
@@ -496,15 +407,14 @@ impl MpiWorld {
     where
         F: Fn(&mut RankCtx) + Sync,
     {
-        Self::run_mode(cfg, ranks, net, false, program).0
+        let lane = Timing::new(&cfg, ranks, net);
+        Self::drive(&cfg, ranks, net, lane, program).into_report()
     }
 
-    /// Runs `program` once with timing simulation disabled and returns
-    /// the recorded [`WorldTrace`] (plus the — timing-free, and
-    /// therefore meaningless — world report, which callers keep only
-    /// for its functional side effects). The recorded event order is
-    /// identical to a timed run's because the turn scheduler never
-    /// consults virtual time; see `record.rs` for the argument.
+    /// Runs `program` once without timing it and returns the recorded
+    /// [`WorldTrace`], plus the world report of an SoC no rank touched
+    /// (its message and byte totals are real, its cycles are not;
+    /// callers keep it for the functional results it travels with).
     pub fn record<F>(
         cfg: SocConfig,
         ranks: usize,
@@ -514,39 +424,45 @@ impl MpiWorld {
     where
         F: Fn(&mut RankCtx) + Sync,
     {
-        let (report, trace) = Self::run_mode(cfg, ranks, net, true, program);
-        // bsim: allow(AU002) once per world: `run_mode` takes the trace whenever it records
-        (report, trace.expect("recording mode always yields a trace"))
+        let trace = WorldTrace {
+            ranks,
+            simd_lanes: cfg.simd_lanes,
+            compiler_overhead_per_mille: cfg.compiler_overhead_per_mille,
+            ..WorldTrace::default()
+        };
+        let trace = Self::drive(&cfg, ranks, net, trace, program);
+        let report = WorldReport {
+            run: Soc::new(cfg).report(None),
+            rank_cycles: vec![0; ranks],
+            messages: trace.messages,
+            bytes: trace.bytes,
+        };
+        (report, trace)
     }
 
-    fn run_mode<F>(
-        cfg: SocConfig,
+    /// Runs the rank programs to completion, every event into `sink`.
+    fn drive<S: EvSink + 'static>(
+        cfg: &SocConfig,
         ranks: usize,
         net: NetConfig,
-        recording: bool,
-        program: F,
-    ) -> (WorldReport, Option<WorldTrace>)
-    where
-        F: Fn(&mut RankCtx) + Sync,
-    {
+        sink: S,
+        program: impl Fn(&mut RankCtx) + Sync,
+    ) -> S {
         assert!(
             ranks >= 1 && ranks <= cfg.cores,
             "ranks must fit the SoC cores"
         );
         // Preflight the link model: degenerate bandwidth saturates to a
         // never-delivering link (safe but hung), so surface it up front.
-        // bsim: allow(AU006) once per world, before any rank runs
         let net_report = net.lint(&format!("{}/net", cfg.name));
         if !net_report.is_clean() {
-            // bsim: allow(AU006) once per world, before any rank runs
             eprintln!("{}", net_report.render());
         }
         let simd_lanes = cfg.simd_lanes;
         let compiler_overhead = cfg.compiler_overhead_per_mille;
-        let rec =
-            recording.then(|| Mutex::new(Recorder::new(ranks, simd_lanes, compiler_overhead)));
+        let sink = Arc::new(Mutex::new(sink));
         let shared = Arc::new(Shared {
-            soc: Mutex::new(Soc::new(cfg)),
+            sink: sink.clone(),
             mail: Mutex::new(HashMap::new()),
             sched: Mutex::new(Sched {
                 current: 0,
@@ -555,22 +471,15 @@ impl MpiWorld {
                 coll: CollState {
                     generation: 0,
                     arrived: 0,
-                    entries: vec![0; ranks],
                     reduce: Vec::new(),
                     matrix: vec![Vec::new(); ranks],
-                    bytes: 0,
                     done_generation: 0,
-                    release: 0,
                     result: CollResult::None,
                 },
             }),
             cv: Condvar::new(),
-            net,
             ranks,
             progress: AtomicU64::new(0),
-            messages: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            rec,
         });
 
         crossbeam::thread::scope(|scope| {
@@ -587,8 +496,6 @@ impl MpiWorld {
                         stalls: 0,
                         tel_messages: 0,
                         tel_bytes: 0,
-                        tel_send_cycles: 0,
-                        tel_wait_cycles: 0,
                     };
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         program(&mut ctx)
@@ -597,7 +504,15 @@ impl MpiWorld {
                         shared.poison();
                         std::panic::resume_unwind(payload);
                     }
-                    ctx.publish_telemetry();
+                    // Emitted while the rank still holds the turn, so a
+                    // rank's counters register at its place in the
+                    // schedule.
+                    let ev = Ev::Finish {
+                        rank: rank as u32,
+                        messages: ctx.tel_messages,
+                        bytes: ctx.tel_bytes,
+                    };
+                    ctx.emit(ev, &[]);
                     {
                         let mut s = shared.sched.lock();
                         s.finished[rank] = true;
@@ -609,21 +524,59 @@ impl MpiWorld {
         })
         .unwrap_or_else(|_| panic!("MPI deadlock or rank failure (world poisoned)"));
 
-        let messages = shared.messages.load(Ordering::Relaxed);
-        let bytes = shared.bytes.load(Ordering::Relaxed);
-        let trace = shared.rec.as_ref().map(|m| m.lock().take(messages, bytes));
-        let mut soc = shared.soc.lock();
-        let rank_cycles: Vec<u64> = (0..ranks).map(|r| soc.core_cycles(r)).collect();
-        let run = soc.report(None);
-        (
-            WorldReport {
-                run,
-                rank_cycles,
-                messages,
-                bytes,
-            },
-            trace,
-        )
+        drop(shared);
+        match Arc::try_unwrap(sink) {
+            Ok(sink) => sink.into_inner(),
+            Err(_) => unreachable!("every rank thread, and its handle on the sink, is gone"),
+        }
+    }
+}
+
+/// How a world is launched, for code generic over it: [`Timed`] is
+/// [`MpiWorld::run`], [`Recorded`] is [`MpiWorld::record`].
+pub trait Launch {
+    /// What the launch yields besides its report: `()` for a timed run,
+    /// the [`WorldTrace`] for a recording.
+    type Out;
+
+    /// Runs `program` on `ranks` ranks of `cfg`.
+    fn launch(
+        cfg: SocConfig,
+        ranks: usize,
+        net: NetConfig,
+        program: impl Fn(&mut RankCtx) + Sync,
+    ) -> (WorldReport, Self::Out);
+}
+
+/// Launch mode of a timed run.
+pub struct Timed;
+
+/// Launch mode of a recording.
+pub struct Recorded;
+
+impl Launch for Timed {
+    type Out = ();
+
+    fn launch(
+        cfg: SocConfig,
+        ranks: usize,
+        net: NetConfig,
+        program: impl Fn(&mut RankCtx) + Sync,
+    ) -> (WorldReport, ()) {
+        (MpiWorld::run(cfg, ranks, net, program), ())
+    }
+}
+
+impl Launch for Recorded {
+    type Out = WorldTrace;
+
+    fn launch(
+        cfg: SocConfig,
+        ranks: usize,
+        net: NetConfig,
+        program: impl Fn(&mut RankCtx) + Sync,
+    ) -> (WorldReport, WorldTrace) {
+        MpiWorld::record(cfg, ranks, net, program)
     }
 }
 
@@ -767,9 +720,7 @@ mod tests {
     fn compute_feeds_the_shared_soc() {
         let rep = world(2, |ctx| {
             let uop = MicroOp::alu(0x1_0000, Some(5), [None; 3]);
-            for _ in 0..500 {
-                ctx.consume(&uop);
-            }
+            ctx.consume_batch(&[uop; 500]);
             ctx.barrier();
         });
         assert!(rep.run.retired >= 1000, "both ranks' uops must be counted");

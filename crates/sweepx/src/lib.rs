@@ -7,17 +7,19 @@
 //! splits that work out:
 //!
 //! * **Recording** (`bsim_mpi::MpiWorld::record`; `prog::record_program`
-//!   for MicroBench programs) runs a workload once with timing
-//!   bypassed, capturing the retired micro-op stream and the
-//!   communication event schedule as a [`bsim_mpi::WorldTrace`].
+//!   for MicroBench programs) runs a workload once and keeps what its
+//!   ranks did — the retired micro-op stream and the communication
+//!   events, in order, without times — as a [`bsim_mpi::WorldTrace`].
 //! * **Multi-lane replay** ([`replay_world`]; `prog::replay_program`)
-//!   ticks N compatible configs ("lanes") through one struct-of-lanes
-//!   pass over the shared trace: the decode/iteration happens once per
-//!   quantum while per-lane cache tags, LRU state, DRAM bank/row
-//!   state, and stat counters live in each lane's own `Soc`. Full
-//!   replay is **bit-identical** to the scalar path, A/B-checked in
-//!   tests (`tests/lane_ab.rs`) and held by the ledger's
-//!   `sweep-lanes` goldens.
+//!   ticks N compatible configs ("lanes") through the shared trace in
+//!   one pass: the decode/iteration happens once per quantum while
+//!   per-lane cache tags, LRU state, DRAM bank/row state, and stat
+//!   counters live in each lane's own `Soc`. A lane is a
+//!   [`bsim_mpi::Timing`], the applier a scalar `MpiWorld::run` drives
+//!   live, so full replay is **bit-identical** to the scalar path by
+//!   construction; root `tests/mpi_timing.rs` pins the model's
+//!   numbers, `tests/lane_ab.rs` and the ledger's `sweep-lanes` goldens
+//!   hold the plumbing and the sampler.
 //! * **Lane grouping** ([`TraceKey`], [`partition`]) decides which
 //!   grid cells may share a recording: configs agree on rank count and
 //!   on everything the *functional* side observes (SIMD lanes,

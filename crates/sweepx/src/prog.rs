@@ -3,21 +3,20 @@
 //! MicroBench kernels run a real RISC-V program through the functional
 //! [`Cpu`]; the retired-instruction stream is config-independent (the
 //! interpreter never observes timing), so one functional run yields a
-//! micro-op trace every platform can replay. [`record_program`] mirrors
-//! `Soc::run_program`'s decode loop and exit mapping exactly;
-//! [`replay_program`] is provably equivalent to it for each lane —
-//! `run_program` is `consume` per retired op plus `report(exit)`, which
-//! is precisely what the lane loop does — so full replay is
-//! bit-identical to the scalar path.
+//! micro-op trace every platform can replay. [`record_program`] has
+//! `Soc::run_program`'s decode loop and exit mapping. [`replay_program`]
+//! treats the trace as a one-rank world that only computes: its events
+//! are Consume segments on core 0, replayed by the loop `replay_world`
+//! uses. `run_program` is `consume_batch` per quantum of retired ops
+//! plus `report(exit)`, which is what that loop does to each lane, so a
+//! full replay is bit-identical to the scalar path.
 
-use crate::sample::{SampleCfg, SamplePlan, SampleReport, Strata};
+use crate::replay::replay;
+use crate::sample::{SampleCfg, SampleReport};
 use bsim_isa::{Cpu, Program, RunResult};
-use bsim_soc::{RunReport, Soc, SocConfig};
+use bsim_mpi::{Ev, NetConfig};
+use bsim_soc::{RunReport, SocConfig};
 use bsim_uarch::MicroOp;
-
-/// Shared-quantum size of the lane-inner consume loop; see
-/// `replay::QUANTUM` for the rationale.
-const QUANTUM: usize = 8192;
 
 /// A recorded single-core program trace: the retired micro-op stream
 /// and the functional exit code.
@@ -53,66 +52,28 @@ pub(crate) fn replay_program(
     cfgs: &[SocConfig],
     sample: Option<&SampleCfg>,
 ) -> Vec<(RunReport, Option<SampleReport>)> {
-    let nl = cfgs.len();
-    let mut socs: Vec<Soc> = cfgs.iter().map(|c| Soc::new(c.clone())).collect();
-    let plan = sample.map(|cfg| SamplePlan::for_uops(&trace.uops, cfg));
-    let mut strata: Vec<Strata> = match (&plan, sample) {
-        (Some(p), Some(cfg)) => (0..nl).map(|_| Strata::new(p.clusters, cfg)).collect(),
-        _ => Vec::new(),
-    };
-
-    match &plan {
-        None => {
-            // Full replay: one SoA pass per quantum over the whole
-            // stream.
-            for chunk in trace.uops.chunks(QUANTUM) {
-                for soc in socs.iter_mut() {
-                    soc.consume_batch(0, chunk);
-                }
-            }
-        }
-        Some(p) => {
-            // The same chunking `SamplePlan::for_uops` used, so segment
-            // ordinals line up with the plan.
-            let step = sample
-                .expect("plan exists only with a sample cfg")
-                .prog_segment_uops
-                .max(1);
-            assert_eq!(trace.uops.chunks(step).count(), p.segments());
-            for (seg, chunk) in trace.uops.chunks(step).enumerate() {
-                let cluster = p.cluster_of[seg];
-                let detailed = p.measured[seg] || strata.iter().any(|st| !st.quiesced(cluster));
-                if detailed {
-                    let t0: Vec<u64> = socs.iter().map(|s| s.core_cycles(0)).collect();
-                    for q in chunk.chunks(QUANTUM) {
-                        for soc in socs.iter_mut() {
-                            soc.consume_batch(0, q);
-                        }
-                    }
-                    for (lane, soc) in socs.iter_mut().enumerate() {
-                        strata[lane].measure(cluster, chunk.len(), soc.core_cycles(0) - t0[lane]);
-                    }
-                } else {
-                    for (lane, soc) in socs.iter_mut().enumerate() {
-                        let est = strata[lane]
-                            .skip(cluster, chunk.len())
-                            .expect("detailed-path guard measured this stratum");
-                        let local = soc.core_cycles(0);
-                        soc.advance_core(0, local + est);
-                    }
-                }
-            }
-        }
-    }
-
-    socs.into_iter()
-        .enumerate()
-        .map(|(lane, mut soc)| {
-            let rep = soc.report(trace.exit_code);
-            let sample = plan
-                .as_ref()
-                .map(|p| strata[lane].report(p, rep.cycles, 1.0 / (cfgs[lane].freq_ghz * 1e9)));
-            (rep, sample)
+    // The segments sampling clusters are `prog_segment_uops` long;
+    // unsampled, the whole stream is one.
+    let n = trace.uops.len();
+    let step = sample.map_or(n, |cfg| cfg.prog_segment_uops).max(1);
+    let events: Vec<Ev> = (0..n)
+        .step_by(step)
+        .map(|start| Ev::Consume {
+            rank: 0,
+            start,
+            len: step.min(n - start),
+        })
+        .collect();
+    // No event of this stream reads the link model.
+    let net = NetConfig::shared_memory();
+    replay(&events, &trace.uops, 1, cfgs, net, sample)
+        .into_iter()
+        .map(|lane| {
+            let run = RunReport {
+                exit_code: trace.exit_code,
+                ..lane.report.run
+            };
+            (run, lane.sample)
         })
         .collect()
 }
@@ -120,7 +81,7 @@ pub(crate) fn replay_program(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsim_soc::configs;
+    use bsim_soc::{configs, Soc};
     use bsim_workloads::microbench;
 
     #[test]

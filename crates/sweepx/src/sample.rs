@@ -345,19 +345,6 @@ impl SamplePlan {
         }
     }
 
-    /// Builds a plan for a program-path micro-op stream cut into
-    /// `cfg.prog_segment_uops`-sized chunks.
-    pub(crate) fn for_uops(uops: &[MicroOp], cfg: &SampleCfg) -> SamplePlan {
-        let step = cfg.prog_segment_uops.max(1);
-        let mut sigs = Vec::new();
-        let mut lens = Vec::new();
-        for chunk in uops.chunks(step) {
-            sigs.push(signature(chunk));
-            lens.push(chunk.len());
-        }
-        SamplePlan::build(&sigs, lens, cfg)
-    }
-
     /// Number of measured segments.
     pub(crate) fn measured_count(&self) -> usize {
         self.measured.iter().filter(|&&m| m).count()

@@ -11,7 +11,7 @@ use crate::md::common::{
     sc_lattice, trace_force, trace_integrate, trace_pair, CellList, MdAddrs, System,
 };
 use crate::trace::{rank_base, with_trace};
-use bsim_mpi::{MpiWorld, NetConfig, RankCtx, ReduceOp, WorldReport, WorldTrace};
+use bsim_mpi::{Launch, NetConfig, RankCtx, Recorded, ReduceOp, Timed, WorldReport, WorldTrace};
 use bsim_soc::SocConfig;
 use serde::{Deserialize, Serialize};
 
@@ -84,7 +84,7 @@ fn fene_bond(r2: f64) -> (f64, f64) {
 
 /// Runs the Chain benchmark on `ranks` ranks of the given platform.
 pub fn run(soc: SocConfig, ranks: usize, cfg: ChainConfig, net: NetConfig) -> ChainResult {
-    run_mode(soc, ranks, cfg, net, false).0
+    launch::<Timed>(soc, ranks, cfg, net).0
 }
 
 /// Runs the polymer chain once with timing disabled, capturing the rank
@@ -96,17 +96,17 @@ pub fn record(
     cfg: ChainConfig,
     net: NetConfig,
 ) -> (ChainResult, WorldTrace) {
-    let (r, t) = run_mode(soc, ranks, cfg, net, true);
-    (r, t.expect("recording mode always yields a trace"))
+    launch::<Recorded>(soc, ranks, cfg, net)
 }
 
-fn run_mode(
+/// The Chain benchmark under either launch mode: its result, and what the mode
+/// yields besides (nothing when [`Timed`], the trace when [`Recorded`]).
+pub fn launch<L: Launch>(
     soc: SocConfig,
     ranks: usize,
     cfg: ChainConfig,
     net: NetConfig,
-    record: bool,
-) -> (ChainResult, Option<WorldTrace>) {
+) -> (ChainResult, L::Out) {
     use std::sync::Mutex;
     let out: Mutex<(f64, f64, f64)> = Mutex::new((0.0, 0.0, 0.0));
     let atoms = cfg.cells * cfg.cells * cfg.cells;
@@ -264,12 +264,7 @@ fn run_mode(
             *out.lock().unwrap_or_else(|e| e.into_inner()) = (e_first, e_last, mb);
         }
     };
-    let (report, trace) = if record {
-        let (rep, tr) = MpiWorld::record(soc, ranks, net, program);
-        (rep, Some(tr))
-    } else {
-        (MpiWorld::run(soc, ranks, net, program), None)
-    };
+    let (report, yielded) = L::launch(soc, ranks, net, program);
 
     let (initial_energy, final_energy, max_bond) =
         out.into_inner().unwrap_or_else(|e| e.into_inner());
@@ -281,7 +276,7 @@ fn run_mode(
             atoms,
             max_bond,
         },
-        trace,
+        yielded,
     )
 }
 

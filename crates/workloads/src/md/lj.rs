@@ -10,7 +10,7 @@ use crate::md::common::{
     fcc_lattice, trace_force, trace_integrate, trace_pair, CellList, MdAddrs, System,
 };
 use crate::trace::{rank_base, with_trace};
-use bsim_mpi::{MpiWorld, NetConfig, RankCtx, ReduceOp, WorldReport, WorldTrace};
+use bsim_mpi::{Launch, NetConfig, RankCtx, Recorded, ReduceOp, Timed, WorldReport, WorldTrace};
 use bsim_soc::SocConfig;
 use serde::{Deserialize, Serialize};
 
@@ -105,7 +105,7 @@ fn compute_forces(
 
 /// Runs the LJ melt on `ranks` ranks of the given platform.
 pub fn run(soc: SocConfig, ranks: usize, cfg: LjConfig, net: NetConfig) -> LjResult {
-    run_mode(soc, ranks, cfg, net, false).0
+    launch::<Timed>(soc, ranks, cfg, net).0
 }
 
 /// Runs the LJ melt once with timing disabled, capturing the rank
@@ -117,17 +117,17 @@ pub fn record(
     cfg: LjConfig,
     net: NetConfig,
 ) -> (LjResult, WorldTrace) {
-    let (r, t) = run_mode(soc, ranks, cfg, net, true);
-    (r, t.expect("recording mode always yields a trace"))
+    launch::<Recorded>(soc, ranks, cfg, net)
 }
 
-fn run_mode(
+/// The LJ melt under either launch mode: its result, and what the mode
+/// yields besides (nothing when [`Timed`], the trace when [`Recorded`]).
+pub fn launch<L: Launch>(
     soc: SocConfig,
     ranks: usize,
     cfg: LjConfig,
     net: NetConfig,
-    record: bool,
-) -> (LjResult, Option<WorldTrace>) {
+) -> (LjResult, L::Out) {
     use std::sync::Mutex;
     let out: Mutex<(f64, f64)> = Mutex::new((0.0, 0.0));
     let atoms = 4 * cfg.cells * cfg.cells * cfg.cells;
@@ -229,12 +229,7 @@ fn run_mode(
             *out.lock().unwrap_or_else(|e| e.into_inner()) = (energy_first, energy_last);
         }
     };
-    let (report, trace) = if record {
-        let (rep, tr) = MpiWorld::record(soc, ranks, net, program);
-        (rep, Some(tr))
-    } else {
-        (MpiWorld::run(soc, ranks, net, program), None)
-    };
+    let (report, yielded) = L::launch(soc, ranks, net, program);
 
     let (initial_energy, final_energy) = out.into_inner().unwrap_or_else(|e| e.into_inner());
     (
@@ -244,7 +239,7 @@ fn run_mode(
             final_energy,
             atoms,
         },
-        trace,
+        yielded,
     )
 }
 

@@ -9,7 +9,7 @@
 //! an allgather of the updated direction vector.
 
 use crate::trace::{rank_base, with_trace};
-use bsim_mpi::{MpiWorld, NetConfig, RankCtx, ReduceOp, WorldReport, WorldTrace};
+use bsim_mpi::{Launch, NetConfig, RankCtx, Recorded, ReduceOp, Timed, WorldReport, WorldTrace};
 use bsim_soc::SocConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -130,7 +130,7 @@ pub fn reference(cfg: CgConfig) -> (f64, f64) {
 
 /// Runs CG on `ranks` ranks of the given platform.
 pub fn run(soc: SocConfig, ranks: usize, cfg: CgConfig, net: NetConfig) -> CgResult {
-    run_mode(soc, ranks, cfg, net, false).0
+    launch::<Timed>(soc, ranks, cfg, net).0
 }
 
 /// Runs CG once with timing disabled, capturing the rank programs as a
@@ -143,17 +143,17 @@ pub fn record(
     cfg: CgConfig,
     net: NetConfig,
 ) -> (CgResult, WorldTrace) {
-    let (r, t) = run_mode(soc, ranks, cfg, net, true);
-    (r, t.expect("recording mode always yields a trace"))
+    launch::<Recorded>(soc, ranks, cfg, net)
 }
 
-fn run_mode(
+/// CG under either launch mode: its result, and what the mode
+/// yields besides (nothing when [`Timed`], the trace when [`Recorded`]).
+pub fn launch<L: Launch>(
     soc: SocConfig,
     ranks: usize,
     cfg: CgConfig,
     net: NetConfig,
-    record: bool,
-) -> (CgResult, Option<WorldTrace>) {
+) -> (CgResult, L::Out) {
     use std::sync::Mutex;
     let out: Mutex<(f64, f64)> = Mutex::new((0.0, 0.0));
     let a = build_matrix(cfg);
@@ -189,9 +189,8 @@ fn run_mode(
             let mut nz = 0u64;
             for (qi, i) in (lo..hi).enumerate() {
                 let mut acc = 0.0;
-                for (k, (&j, &v)) in a.cols[i].iter().zip(&a.vals[i]).enumerate() {
+                for (&j, &v) in a.cols[i].iter().zip(&a.vals[i]) {
                     acc += v * p[j as usize];
-                    let _ = k;
                     nz += 1;
                 }
                 q[qi] = acc;
@@ -288,12 +287,7 @@ fn run_mode(
             *out.lock().unwrap_or_else(|e| e.into_inner()) = (initial, rho.sqrt());
         }
     };
-    let (report, trace) = if record {
-        let (rep, tr) = MpiWorld::record(soc, ranks, net, program);
-        (rep, Some(tr))
-    } else {
-        (MpiWorld::run(soc, ranks, net, program), None)
-    };
+    let (report, yielded) = L::launch(soc, ranks, net, program);
 
     let (initial, residual) = out.into_inner().unwrap_or_else(|e| e.into_inner());
     (
@@ -302,7 +296,7 @@ fn run_mode(
             residual,
             initial_residual: initial,
         },
-        trace,
+        yielded,
     )
 }
 

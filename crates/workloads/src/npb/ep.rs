@@ -10,7 +10,7 @@
 //! are very close to those of the MILK-V hardware").
 
 use crate::trace::{rank_base, with_trace};
-use bsim_mpi::{MpiWorld, NetConfig, RankCtx, ReduceOp, WorldReport, WorldTrace};
+use bsim_mpi::{Launch, NetConfig, RankCtx, Recorded, ReduceOp, Timed, WorldReport, WorldTrace};
 use bsim_soc::SocConfig;
 use serde::{Deserialize, Serialize};
 
@@ -89,7 +89,7 @@ pub fn reference(cfg: EpConfig, ranks: usize) -> (f64, f64, [f64; 10], u64) {
 
 /// Runs EP on `ranks` ranks of the given platform.
 pub fn run(soc: SocConfig, ranks: usize, cfg: EpConfig, net: NetConfig) -> EpResult {
-    run_mode(soc, ranks, cfg, net, false).0
+    launch::<Timed>(soc, ranks, cfg, net).0
 }
 
 /// Runs EP once with timing disabled, capturing the rank programs as a
@@ -100,17 +100,17 @@ pub fn record(
     cfg: EpConfig,
     net: NetConfig,
 ) -> (EpResult, WorldTrace) {
-    let (r, t) = run_mode(soc, ranks, cfg, net, true);
-    (r, t.expect("recording mode always yields a trace"))
+    launch::<Recorded>(soc, ranks, cfg, net)
 }
 
-fn run_mode(
+/// EP under either launch mode: its result, and what the mode
+/// yields besides (nothing when [`Timed`], the trace when [`Recorded`]).
+pub fn launch<L: Launch>(
     soc: SocConfig,
     ranks: usize,
     cfg: EpConfig,
     net: NetConfig,
-    record: bool,
-) -> (EpResult, Option<WorldTrace>) {
+) -> (EpResult, L::Out) {
     use std::sync::Mutex;
     let tallies: Mutex<(f64, f64, [f64; 10], u64)> = Mutex::new((0.0, 0.0, [0.0; 10], 0));
 
@@ -181,12 +181,7 @@ fn run_mode(
             t.2.copy_from_slice(&total[3..13]);
         }
     };
-    let (report, trace) = if record {
-        let (rep, tr) = MpiWorld::record(soc, ranks, net, program);
-        (rep, Some(tr))
-    } else {
-        (MpiWorld::run(soc, ranks, net, program), None)
-    };
+    let (report, yielded) = L::launch(soc, ranks, net, program);
 
     let t = tallies.into_inner().unwrap_or_else(|e| e.into_inner());
     (
@@ -197,7 +192,7 @@ fn run_mode(
             counts: t.2,
             accepted: t.3,
         },
-        trace,
+        yielded,
     )
 }
 

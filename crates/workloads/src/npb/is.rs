@@ -7,7 +7,7 @@
 //! ranks its keys locally (the bandwidth component).
 
 use crate::trace::{rank_base, with_trace};
-use bsim_mpi::{MpiWorld, NetConfig, RankCtx, ReduceOp, WorldReport, WorldTrace};
+use bsim_mpi::{Launch, NetConfig, RankCtx, Recorded, ReduceOp, Timed, WorldReport, WorldTrace};
 use bsim_soc::SocConfig;
 use serde::{Deserialize, Serialize};
 
@@ -58,7 +58,7 @@ fn gen_keys(rank: usize, cfg: IsConfig) -> Vec<u32> {
 
 /// Runs IS on `ranks` ranks of the given platform.
 pub fn run(soc: SocConfig, ranks: usize, cfg: IsConfig, net: NetConfig) -> IsResult {
-    run_mode(soc, ranks, cfg, net, false).0
+    launch::<Timed>(soc, ranks, cfg, net).0
 }
 
 /// Runs IS once with timing disabled, capturing the rank programs as a
@@ -69,17 +69,17 @@ pub fn record(
     cfg: IsConfig,
     net: NetConfig,
 ) -> (IsResult, WorldTrace) {
-    let (r, t) = run_mode(soc, ranks, cfg, net, true);
-    (r, t.expect("recording mode always yields a trace"))
+    launch::<Recorded>(soc, ranks, cfg, net)
 }
 
-fn run_mode(
+/// IS under either launch mode: its result, and what the mode
+/// yields besides (nothing when [`Timed`], the trace when [`Recorded`]).
+pub fn launch<L: Launch>(
     soc: SocConfig,
     ranks: usize,
     cfg: IsConfig,
     net: NetConfig,
-    record: bool,
-) -> (IsResult, Option<WorldTrace>) {
+) -> (IsResult, L::Out) {
     use std::sync::Mutex;
     let outcome: Mutex<(bool, usize)> = Mutex::new((true, 0));
 
@@ -187,12 +187,7 @@ fn run_mode(
         o.0 &= sorted_ok && range_ok;
         o.1 += final_slice.len();
     };
-    let (report, trace) = if record {
-        let (rep, tr) = MpiWorld::record(soc, ranks, net, program);
-        (rep, Some(tr))
-    } else {
-        (MpiWorld::run(soc, ranks, net, program), None)
-    };
+    let (report, yielded) = L::launch(soc, ranks, net, program);
 
     let (sorted, total_keys) = outcome.into_inner().unwrap_or_else(|e| e.into_inner());
     (
@@ -201,7 +196,7 @@ fn run_mode(
             sorted,
             total_keys,
         },
-        trace,
+        yielded,
     )
 }
 

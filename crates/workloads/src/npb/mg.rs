@@ -8,7 +8,7 @@
 //! (one plane per neighbor per sweep) its communication pattern.
 
 use crate::trace::{rank_base, with_trace};
-use bsim_mpi::{MpiWorld, NetConfig, RankCtx, ReduceOp, WorldReport, WorldTrace};
+use bsim_mpi::{Launch, NetConfig, RankCtx, Recorded, ReduceOp, Timed, WorldReport, WorldTrace};
 use bsim_soc::SocConfig;
 use serde::{Deserialize, Serialize};
 
@@ -180,7 +180,7 @@ fn smooth(u: &mut Slab, f: &Slab, omega: f64) -> f64 {
 
 /// Runs MG on `ranks` ranks of the given platform.
 pub fn run(soc: SocConfig, ranks: usize, cfg: MgConfig, net: NetConfig) -> MgResult {
-    run_mode(soc, ranks, cfg, net, false).0
+    launch::<Timed>(soc, ranks, cfg, net).0
 }
 
 /// Runs MG once with timing disabled, capturing the rank programs as a
@@ -191,17 +191,17 @@ pub fn record(
     cfg: MgConfig,
     net: NetConfig,
 ) -> (MgResult, WorldTrace) {
-    let (r, t) = run_mode(soc, ranks, cfg, net, true);
-    (r, t.expect("recording mode always yields a trace"))
+    launch::<Recorded>(soc, ranks, cfg, net)
 }
 
-fn run_mode(
+/// MG under either launch mode: its result, and what the mode
+/// yields besides (nothing when [`Timed`], the trace when [`Recorded`]).
+pub fn launch<L: Launch>(
     soc: SocConfig,
     ranks: usize,
     cfg: MgConfig,
     net: NetConfig,
-    record: bool,
-) -> (MgResult, Option<WorldTrace>) {
+) -> (MgResult, L::Out) {
     use std::sync::Mutex;
     let out: Mutex<(f64, f64)> = Mutex::new((0.0, 0.0));
 
@@ -254,12 +254,7 @@ fn run_mode(
             *out.lock().unwrap_or_else(|e| e.into_inner()) = (initial, final_res);
         }
     };
-    let (report, trace) = if record {
-        let (rep, tr) = MpiWorld::record(soc, ranks, net, program);
-        (rep, Some(tr))
-    } else {
-        (MpiWorld::run(soc, ranks, net, program), None)
-    };
+    let (report, yielded) = L::launch(soc, ranks, net, program);
 
     let (initial_residual, final_residual) = out.into_inner().unwrap_or_else(|e| e.into_inner());
     (
@@ -268,7 +263,7 @@ fn run_mode(
             initial_residual,
             final_residual,
         },
-        trace,
+        yielded,
     )
 }
 

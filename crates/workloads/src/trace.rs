@@ -25,8 +25,8 @@ const INT_REGS: [u8; 8] = [8, 9, 10, 11, 12, 13, 14, 15];
 /// FP scratch registers (f8..f15 in unified numbering: 40..47).
 const FP_REGS: [u8; 8] = [40, 41, 42, 43, 44, 45, 46, 47];
 
-/// Emits micro-ops into a sink (usually `RankCtx::consume` or
-/// `Soc::consume`).
+/// Emits micro-ops into a sink: [`with_trace`]'s buffer on the MPI
+/// path, `Soc::consume` in tests.
 pub struct TraceGen<'a> {
     sink: &'a mut dyn FnMut(&MicroOp),
     rr: usize,

@@ -16,7 +16,7 @@
 //! reported by the paper (Figure 5) are the sum of the three kernels.
 
 use crate::trace::{rank_base, with_trace};
-use bsim_mpi::{MpiWorld, NetConfig, RankCtx, ReduceOp, WorldReport, WorldTrace};
+use bsim_mpi::{Launch, NetConfig, RankCtx, Recorded, ReduceOp, Timed, WorldReport, WorldTrace};
 use bsim_soc::SocConfig;
 use serde::{Deserialize, Serialize};
 
@@ -158,7 +158,7 @@ fn quad_area(p: [[f64; 3]; 4]) -> f64 {
 
 /// Runs UME on `ranks` ranks of the given platform.
 pub fn run(soc: SocConfig, ranks: usize, cfg: UmeConfig, net: NetConfig) -> UmeResult {
-    run_mode(soc, ranks, cfg, net, false).0
+    launch::<Timed>(soc, ranks, cfg, net).0
 }
 
 /// Runs UME once with timing disabled, capturing the rank programs as a
@@ -169,17 +169,17 @@ pub fn record(
     cfg: UmeConfig,
     net: NetConfig,
 ) -> (UmeResult, WorldTrace) {
-    let (r, t) = run_mode(soc, ranks, cfg, net, true);
-    (r, t.expect("recording mode always yields a trace"))
+    launch::<Recorded>(soc, ranks, cfg, net)
 }
 
-fn run_mode(
+/// UME under either launch mode: its result, and what the mode
+/// yields besides (nothing when [`Timed`], the trace when [`Recorded`]).
+pub fn launch<L: Launch>(
     soc: SocConfig,
     ranks: usize,
     cfg: UmeConfig,
     net: NetConfig,
-    record: bool,
-) -> (UmeResult, Option<WorldTrace>) {
+) -> (UmeResult, L::Out) {
     use std::sync::Mutex;
     let out: Mutex<(f64, f64, f64)> = Mutex::new((0.0, 0.0, 0.0));
     let mesh = build_mesh(cfg.n);
@@ -296,12 +296,7 @@ fn run_mode(
             *out.lock().unwrap_or_else(|e| e.into_inner()) = (totals[0], totals[1], totals[2]);
         }
     };
-    let (report, trace) = if record {
-        let (rep, tr) = MpiWorld::record(soc, ranks, net, program);
-        (rep, Some(tr))
-    } else {
-        (MpiWorld::run(soc, ranks, net, program), None)
-    };
+    let (report, yielded) = L::launch(soc, ranks, net, program);
 
     let (gather_sum, inverted_sum, total_face_area) =
         out.into_inner().unwrap_or_else(|e| e.into_inner());
@@ -312,7 +307,7 @@ fn run_mode(
             inverted_sum,
             total_face_area,
         },
-        trace,
+        yielded,
     )
 }
 
