@@ -10,12 +10,13 @@
 //! | AU002 | warning  | `.expect(..)` in a designated hot-path file (token channel, wire framing, daemon dispatch, interpreter loop, timing cores, memory hierarchy) |
 //! | AU003 | warning  | iteration over a `HashMap` binding: order is nondeterministic and must not feed results or wire frames |
 //! | AU004 | warning  | `Instant`/`SystemTime` in a virtual-time crate: host clocks break determinism |
-//! | AU005 | note     | a `pub fn` of `core`/`sweepx`/`svc`/`dist`/`mpi` that nothing outside its crate mentions: surface to shrink |
+//! | AU005 | note     | a `pub` fn, struct, enum, trait, const, static or type of any crate that nothing outside the crate's `src/` mentions and no other `pub` declaration carries: surface to shrink |
 //! | AU006 | warning  | `std::env::`, `println!`/`eprintln!` or `format!` in a per-op hot-path file (interpreter, timing cores, memory hierarchy and the loops feeding them): host work — an environment lookup, a lock on stdout, an allocation — where every micro-op pays for it |
 //!
 //! Findings are waived inline with a `// bsim: allow(AU001)` comment on the
 //! same line or on the line directly above; several codes may be listed,
-//! comma-separated. `#[cfg(test)]` regions are skipped entirely (brace-depth
+//! comma-separated; `// bsim: allow-file(AU005)` waives AU005 for a whole
+//! file. `#[cfg(test)]` regions are skipped entirely (brace-depth
 //! tracked), and line comments are stripped before pattern matching so
 //! documentation cannot trip the scanner.
 //!
@@ -24,8 +25,8 @@
 //! language, and the waiver escape hatch keeps the false-positive cost at
 //! one comment. `bsim check --source` runs it over every `crates/*/src` and
 //! the root `src/`; AU005 additionally reads every other `.rs` file of the
-//! repository (tests, benches, examples, `benchmark/src`) as potential
-//! callers.
+//! repository (tests — a crate's own integration tests included —
+//! examples, `benchmark/src`) as potential callers.
 
 use crate::diag::{Diagnostic, Report};
 use std::fs;
@@ -41,7 +42,9 @@ const HASHMAP_TY: &str = concat!("Hash", "Map<");
 const HASHMAP_NEW: &str = concat!("Hash", "Map::new");
 const ALLOW: &str = concat!("bsim: ", "allow(");
 const CFG_TEST: &str = concat!("#[cfg(", "test)]");
-const PUB_FN: &str = concat!("pub ", "fn ");
+const ALLOW_FILE: &str = concat!("bsim: ", "allow-file(");
+/// Item keywords AU005 audits after `pub`.
+const ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "static", "type"];
 /// AU006 needles: host work that does not belong on a per-op path.
 /// (`println!(` also matches inside `eprintln!(`.)
 const HOST_WORK: &[&str] = &[
@@ -49,10 +52,6 @@ const HOST_WORK: &[&str] = &[
     concat!("println", "!("),
     concat!("format", "!("),
 ];
-
-/// Crates whose `pub fn` surface AU005 audits: the layers that grew a
-/// parallel mechanism per feature PR (ROADMAP item 3).
-const SURFACE_CRATES: &[&str] = &["core", "sweepx", "svc", "dist", "mpi"];
 
 /// Files whose failure modes reach the per-token or per-frame path: a
 /// panic here kills a quantum mid-flight, so even `.expect` needs a
@@ -122,11 +121,11 @@ pub struct Audit {
     pub waived: usize,
 }
 
-/// Waiver codes listed on a line, e.g. `// bsim: allow(AU001, AU003)`.
-fn waivers_in(raw: &str) -> Vec<String> {
+/// Codes listed after `marker` on a line, e.g. `// bsim: allow(AU001, AU003)`.
+fn waivers_at(raw: &str, marker: &str) -> Vec<String> {
     let mut out = Vec::new();
-    if let Some(i) = raw.find(ALLOW) {
-        let rest = &raw[i + ALLOW.len()..];
+    if let Some(i) = raw.find(marker) {
+        let rest = &raw[i + marker.len()..];
         if let Some(end) = rest.find(')') {
             for code in rest[..end].split(',') {
                 let code = code.trim();
@@ -142,7 +141,7 @@ fn waivers_in(raw: &str) -> Vec<String> {
 /// Waivers in force on `raw`: its own plus those of a comment line
 /// directly above, which `above` carries from line to line.
 fn waivers_for(raw: &str, above: &mut Vec<String>) -> Vec<String> {
-    let own = waivers_in(raw);
+    let own = waivers_at(raw, ALLOW);
     let mut allowed = own.clone();
     allowed.append(above);
     if raw.trim_start().starts_with("//") {
@@ -355,11 +354,86 @@ fn mentions(text: &str, name: &str) -> bool {
         .any(|(i, _)| !text[..i].ends_with(ident) && !text[i + name.len()..].starts_with(ident))
 }
 
-/// AU005 over one crate: a note for every non-test `pub fn` in `own`
-/// (repo-relative path, source text) whose name no text of `outside` —
-/// every `.rs` file of the repository that is not the crate's own —
-/// mentions. Textual like the rest of the audit: a name shared with any
-/// outside identifier (`new`, `run`) is never reported.
+/// The `(kind, name)` of the `pub` item a comment-stripped line declares,
+/// if it declares one: `pub const fn new(` is `("fn", "new")`.
+fn pub_item(code: &str) -> Option<(&'static str, &str)> {
+    let rest = code.trim_start().strip_prefix("pub ")?;
+    let rest = ["const ", "unsafe "]
+        .iter()
+        .find_map(|q| rest.strip_prefix(q).filter(|r| r.starts_with("fn ")))
+        .unwrap_or(rest);
+    let (kind, rest) = ITEM_KINDS
+        .iter()
+        .find_map(|k| Some((*k, rest.strip_prefix(k)?.strip_prefix(' ')?)))?;
+    let name = rest.trim_start();
+    let end = name
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(name.len());
+    (end > 0).then(|| (kind, &name[..end]))
+}
+
+/// The non-test `pub` declarations of one file as `(line index, text)`:
+/// a declaration runs to the line that opens or ends its body (`{`, `;`,
+/// a field's `,`), and an enum's or a trait's through its body, whose
+/// variants and methods are as public as it is. Re-exports are not
+/// declarations.
+fn pub_decls(text: &str) -> Vec<(usize, String)> {
+    let mut out: Vec<(usize, String)> = Vec::new();
+    let mut regions = TestRegions::default();
+    // The declaration being collected: does it run through its body, and
+    // how deep in `(`/`{` are we.
+    let mut open: Option<(bool, i32)> = None;
+    for (idx, raw) in text.lines().enumerate() {
+        let code = raw.split("//").next().unwrap_or(raw);
+        if regions.step(code) {
+            continue;
+        }
+        if open.is_none() {
+            let head = code.trim_start();
+            let reexport = head.starts_with("pub use ") || head.starts_with("pub mod ");
+            if !head.starts_with("pub ") || reexport {
+                continue;
+            }
+            let through_body = matches!(pub_item(code), Some(("enum" | "trait", _)));
+            open = Some((through_body, 0));
+            out.push((idx, String::new()));
+        }
+        let (Some((through_body, depth)), Some((_, decl))) = (&mut open, out.last_mut()) else {
+            continue;
+        };
+        decl.push_str(code);
+        decl.push('\n');
+        for ch in code.chars() {
+            match ch {
+                '(' | '{' => *depth += 1,
+                ')' | '}' => *depth -= 1,
+                _ => {}
+            }
+        }
+        let done = if *through_body {
+            *depth == 0 && code.contains(['}', ';'])
+        } else {
+            let closed = code.contains(';') || code.trim_end().ends_with(',');
+            code.contains('{') || (*depth == 0 && closed)
+        };
+        if done {
+            open = None;
+        }
+    }
+    out
+}
+
+/// AU005 over one crate: a note for every non-test `pub` item (fn,
+/// struct, enum, trait, const, static, type) in `own` (repo-relative
+/// path, source text) whose name no text of `outside` — every `.rs` file
+/// of the repository that is not the crate's own — mentions. A type also
+/// counts as used when another `pub` declaration of its crate carries it
+/// (a signature, a field, a variant): callers reach it through that
+/// item without naming it. Textual like the rest of the audit: a name
+/// shared with any outside identifier (`new`, `run`) is never reported.
+/// Besides the per-line waiver, a `bsim: allow-file(AU005)` comment
+/// waives a whole file — for tables such as an ISA's mnemonics, where one
+/// reason covers every row.
 pub fn scan_surface(
     krate: &str,
     own: &[(&str, &str)],
@@ -367,7 +441,18 @@ pub fn scan_surface(
     report: &mut Report,
     waived: &mut usize,
 ) {
+    let decls: Vec<(&str, usize, String)> = own
+        .iter()
+        .flat_map(|&(path, text)| {
+            pub_decls(text)
+                .into_iter()
+                .map(move |(at, decl)| (path, at, decl))
+        })
+        .collect();
     for &(path, text) in own {
+        let file_waived = text
+            .lines()
+            .any(|l| waivers_at(l, ALLOW_FILE).iter().any(|c| c == "AU005"));
         let mut regions = TestRegions::default();
         let mut prev_waivers: Vec<String> = Vec::new();
         for (idx, raw) in text.lines().enumerate() {
@@ -376,17 +461,19 @@ pub fn scan_surface(
             if regions.step(code) {
                 continue;
             }
-            let Some(rest) = code.trim_start().strip_prefix(PUB_FN) else {
+            let Some((kind, name)) = pub_item(code) else {
                 continue;
             };
-            let name: &str = rest
-                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
-                .next()
-                .unwrap_or("");
-            if name.is_empty() || outside.iter().any(|t| mentions(t, name)) {
+            let is_type = ["struct", "enum", "trait", "type"].contains(&kind);
+            let carried = || {
+                decls
+                    .iter()
+                    .any(|(file, at, decl)| (*file, *at) != (path, idx) && mentions(decl, name))
+            };
+            if outside.iter().any(|t| mentions(t, name)) || (is_type && carried()) {
                 continue;
             }
-            if allowed.iter().any(|c| c == "AU005") {
+            if file_waived || allowed.iter().any(|c| c == "AU005") {
                 *waived += 1;
                 continue;
             }
@@ -394,7 +481,7 @@ pub fn scan_surface(
                 Diagnostic::note(
                     "AU005",
                     format!("{path}:{}", idx + 1),
-                    format!("{PUB_FN}{name} has no caller outside crate `{krate}`"),
+                    format!("pub {kind} {name} is not mentioned outside crate `{krate}`"),
                 )
                 .with_help("make it pub(crate) or delete it, or waive stating who needs it"),
             );
@@ -493,19 +580,20 @@ pub fn audit_workspace() -> Audit {
         scan_source(rel, text, &mut report, &mut waived);
     }
 
-    for krate in SURFACE_CRATES {
-        let prefix = format!("crates/{krate}/");
-        let src = format!("{prefix}src/");
-        let own: Vec<(&str, &str)> = sources
+    let mut crates: Vec<&str> = sources
+        .iter()
+        .filter_map(|(rel, _)| crate_of(rel))
+        .collect();
+    crates.dedup();
+    for krate in crates {
+        // A crate's integration tests see only its `pub` items, like any
+        // other crate: they are outside.
+        let src = format!("crates/{krate}/src/");
+        let (own, outside): (Vec<_>, Vec<_>) = sources
             .iter()
-            .filter(|(rel, _)| rel.starts_with(&src))
             .map(|(rel, text)| (rel.as_str(), text.as_str()))
-            .collect();
-        let outside: Vec<&str> = sources
-            .iter()
-            .filter(|(rel, _)| !rel.starts_with(&prefix))
-            .map(|(_, text)| text.as_str())
-            .collect();
+            .partition(|(rel, _)| rel.starts_with(&src));
+        let outside: Vec<&str> = outside.into_iter().map(|(_, text)| text).collect();
         scan_surface(krate, &own, &outside, &mut report, &mut waived);
     }
     if waived > 0 {
@@ -637,24 +725,53 @@ mod tests {
         assert!(r.is_clean(), "{}", r.render());
     }
 
-    #[test]
-    fn uncalled_pub_fns_are_noted_and_waivable() {
-        let text = format!(
-            "{PUB_FN}used() {{}}\n{PUB_FN}orphan() {{}}\npub(crate) fn inner() {{}}\n\
-             // {ALLOW}AU005) kept for the ledger\n{PUB_FN}kept() {{}}\n\
-             {CFG_TEST}\nmod tests {{\n    {PUB_FN}helper() {{}}\n}}\n"
-        );
-        let own = [("crates/core/src/x.rs", text.as_str())];
-        let outside = ["fn main() { used(); orphan_like(); }"];
+    fn surface(own: &[(&str, &str)], outside: &[&str]) -> (Report, usize) {
         let mut r = Report::new();
         let mut w = 0;
-        scan_surface("core", &own, &outside, &mut r, &mut w);
+        scan_surface("core", own, outside, &mut r, &mut w);
+        (r, w)
+    }
+
+    #[test]
+    fn unmentioned_pub_items_are_noted_and_waivable() {
+        let text = format!(
+            "pub fn used() {{}}\npub fn orphan() {{}}\npub(crate) fn inner() {{}}\n\
+             // {ALLOW}AU005) kept for the ledger\npub fn kept() {{}}\n\
+             pub const fn built() {{}}\npub const LIMIT: u32 = 1;\npub static TABLE: [u8; 0] = [];\n\
+             {CFG_TEST}\nmod tests {{\n    pub fn helper() {{}}\n}}\n"
+        );
+        let own = [("crates/core/src/x.rs", text.as_str())];
+        let (r, w) = surface(&own, &["fn main() { used(); orphan_like(); TABLE; }"]);
         let notes: Vec<_> = r.with_code("AU005").collect();
-        assert_eq!(notes.len(), 1, "{}", r.render());
-        assert!(notes[0].message.contains("orphan"), "{}", r.render());
+        let said: Vec<&str> = notes.iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(notes.len(), 3, "{}", r.render());
+        assert!(said[0].starts_with("pub fn orphan "), "{said:?}");
+        assert!(said[1].starts_with("pub fn built "), "{said:?}");
+        assert!(said[2].starts_with("pub const LIMIT "), "{said:?}");
         assert_eq!(notes[0].span, "crates/core/src/x.rs:2");
         assert!(!r.has_errors() && r.warning_count() == 0, "AU005 is a note");
         assert_eq!(w, 1, "`kept` is waived");
+
+        let waived = format!("// {ALLOW_FILE}AU005) a table\n{text}");
+        let (r, w) = surface(&[("crates/core/src/x.rs", waived.as_str())], &[]);
+        assert!(r.is_clean(), "{}", r.render());
+        assert_eq!(w, 6, "every pub item of a waived file");
+    }
+
+    #[test]
+    fn a_type_is_used_when_another_pub_declaration_carries_it() {
+        let text = "pub struct Out {\n    pub rows: Vec<Row>,\n    hidden: Inner,\n}\n\
+                    pub struct Row;\npub struct Inner;\npub struct Opts;\n\
+                    pub enum Work {\n    Mpi(Kind),\n}\npub enum Kind {\n    A,\n}\n\
+                    pub fn run(\n    opts: &Opts,\n) -> Out {\n    todo()\n}\n\
+                    pub use other::Gone;\npub struct Gone;\n";
+        let (r, _) = surface(&[("crates/core/src/x.rs", text)], &["run(); Work::Mpi"]);
+        let said: Vec<&str> = r.with_code("AU005").map(|d| d.message.as_str()).collect();
+        // `Out`, `Row`, `Opts` and `Kind` ride on `run`, a pub field and a
+        // variant; a private field and a re-export carry nothing.
+        assert_eq!(said.len(), 2, "{}", r.render());
+        assert!(said[0].starts_with("pub struct Inner "), "{said:?}");
+        assert!(said[1].starts_with("pub struct Gone "), "{said:?}");
     }
 
     #[test]

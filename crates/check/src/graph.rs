@@ -86,7 +86,7 @@ impl WireSpec {
     }
 
     /// Reset tokens actually present at cycle 0.
-    pub fn effective_reset_tokens(&self) -> u64 {
+    fn effective_reset_tokens(&self) -> u64 {
         self.reset_tokens.unwrap_or(self.latency)
     }
 

@@ -943,16 +943,6 @@ pub fn explore(spec: &ProtocolSpec) -> Explored {
     }
 }
 
-/// Validate and explore every built-in protocol; the merged report is what
-/// `bsim check --proto` renders.
-pub fn check_protocols() -> Report {
-    let mut report = Report::new();
-    for spec in [svc_cached(), dist_cached()] {
-        report.merge(explore(spec).report);
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -602,7 +602,7 @@ fn llc_latency(llc: &LlcConfig) -> u64 {
 }
 
 /// Lints one LLC config: slice geometry plus `CL044` slice-count rules.
-pub fn lint_llc(llc: &LlcConfig, span: &str) -> Report {
+fn lint_llc(llc: &LlcConfig, span: &str) -> Report {
     let mut out = cache_lints().run(&llc.geometry, &format!("{span}.geometry"));
     if llc.slices == 0 {
         out.push(Diagnostic::error(

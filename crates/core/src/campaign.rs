@@ -1,13 +1,17 @@
-//! The built-in fault-injection campaign behind `bsim faults`.
+//! The fault-injection campaign behind `bsim faults`.
 //!
-//! Nine scenarios, one per entry in the fault taxonomy (DESIGN.md),
-//! each with a *typed expectation*: crash-faults must fail loudly in
-//! their expected shape (watchdog trip, protocol-violation panic, MPI
-//! deadlock teardown), and survivable faults must complete — bit-
-//! identically for pure host-timing perturbations, visibly perturbed
-//! for payload corruption and link degradation. The campaign renders a
-//! survival matrix; `--deny-unsurvived` turns any expectation miss into
-//! a non-zero exit, which is what the CI `faults` job gates on.
+//! A scenario is a [`FaultRow`]: its name, the injected fault and the
+//! *typed expectation* are data, and `run` yields what was observed and
+//! whether it matched. [`ROWS`] holds the nine in-process rows, one per
+//! entry in the fault taxonomy (DESIGN.md); `bsim-dist` and `bsim-svc`
+//! add theirs and the root crate concatenates the tables. Crash-faults
+//! must fail loudly in their expected shape (watchdog trip,
+//! protocol-violation panic, MPI deadlock teardown), and survivable
+//! faults must complete — bit-identically for pure host-timing
+//! perturbations, visibly perturbed for payload corruption and link
+//! degradation. The verdicts render as a survival matrix;
+//! `--deny-unsurvived` turns any expectation miss into a non-zero exit,
+//! which is what the CI `faults` job gates on.
 //!
 //! Determinism: every injection cycle and bit position derives from the
 //! seed, and every expectation is exact — the matrix is reproducible
@@ -17,17 +21,90 @@
 use bsim_engine::{FaultKind, FaultPlan, Harness, SimError, TickModel, WatchdogConfig, Wire};
 use bsim_mpi::{MpiWorld, NetConfig, RankCtx};
 use bsim_resilience::fault::FaultTarget;
-use bsim_resilience::retry::panic_message;
+use bsim_resilience::retry::{CellOutcome, RetryPolicy};
 use bsim_soc::configs;
 use bsim_telemetry::CounterBlock;
 use bsim_workloads::npb::ep;
+use std::cell::Cell;
 
-/// One campaign scenario's verdict.
+/// What a [`FaultRow`] runs against.
+pub struct Ctx {
+    /// Seed every injection cycle, bit and victim derives from.
+    pub seed: u64,
+    /// `bsim dist-worker`-style argv, for rows with
+    /// [`FaultRow::needs_processes`].
+    pub worker_cmd: Vec<String>,
+    watchdog_trips: Cell<u64>,
+}
+
+impl Ctx {
+    pub fn new(seed: u64, worker_cmd: Vec<String>) -> Ctx {
+        Ctx {
+            seed,
+            worker_cmd,
+            watchdog_trips: Cell::new(0),
+        }
+    }
+}
+
+/// One row of the `bsim faults` survival matrix, as data.
+pub struct FaultRow {
+    /// Scenario name (row label).
+    pub name: &'static str,
+    /// Injected fault, `FaultKind::label` spelling for the engine kinds.
+    pub fault: &'static str,
+    /// The typed expectation the scenario asserts.
+    pub expected: &'static str,
+    /// Spawns real worker processes; `--in-process` leaves it out.
+    pub needs_processes: bool,
+    /// A bsim-guard integrity row; `--guard` keeps only these.
+    pub guard: bool,
+    /// The expected outcome is a panic the row catches — the CLI silences
+    /// the panic hook while it runs.
+    pub panics: bool,
+    /// Runs the scenario: what happened, in one line, and whether it
+    /// matched `expected`.
+    pub run: fn(&Ctx) -> (String, bool),
+}
+
+impl FaultRow {
+    /// An in-process row outside the guard set that catches no panic.
+    pub const fn new(
+        name: &'static str,
+        fault: &'static str,
+        expected: &'static str,
+        run: fn(&Ctx) -> (String, bool),
+    ) -> FaultRow {
+        FaultRow {
+            name,
+            fault,
+            expected,
+            needs_processes: false,
+            guard: false,
+            panics: false,
+            run,
+        }
+    }
+
+    /// Runs the row and records its verdict.
+    pub fn scenario(&self, ctx: &Ctx) -> Scenario {
+        let (observed, pass) = (self.run)(ctx);
+        Scenario {
+            name: self.name,
+            fault: self.fault,
+            expected: self.expected,
+            observed,
+            pass,
+        }
+    }
+}
+
+/// One row's verdict.
 #[derive(Clone, Debug)]
 pub struct Scenario {
     /// Scenario name (row label).
     pub name: &'static str,
-    /// Injected fault, `FaultKind::label` spelling.
+    /// Injected fault.
     pub fault: &'static str,
     /// The typed expectation the scenario asserts.
     pub expected: &'static str,
@@ -49,26 +126,42 @@ pub struct SurvivalMatrix {
 }
 
 impl SurvivalMatrix {
+    /// The matrix of `scenarios`, all run against `ctx`.
+    pub fn new(ctx: &Ctx, scenarios: Vec<Scenario>) -> SurvivalMatrix {
+        SurvivalMatrix {
+            seed: ctx.seed,
+            scenarios,
+            watchdog_trips: ctx.watchdog_trips.get(),
+        }
+    }
+
     /// True when every scenario behaved as its taxonomy entry predicts.
     pub fn all_pass(&self) -> bool {
         self.scenarios.iter().all(|s| s.pass)
     }
 
-    /// Plain-text matrix, one row per scenario.
+    /// Plain-text matrix, one row per scenario, columns sized from the
+    /// rows.
     pub fn render(&self) -> String {
-        let mut out = format!(
-            "== Fault-injection campaign (seed {}) ==\n{:<18} {:<18} {:<34} {:<7} observed\n",
-            self.seed, "scenario", "fault", "expected", "verdict"
+        let width = |header: &str, col: fn(&Scenario) -> &str| {
+            let cells = self.scenarios.iter().map(|s| col(s).len());
+            cells.chain([header.len()]).max().unwrap_or(0)
+        };
+        let (name_w, fault_w, expected_w) = (
+            width("scenario", |s| s.name),
+            width("fault", |s| s.fault),
+            width("expected", |s| s.expected),
         );
+        let line = |name: &str, fault: &str, expected: &str, verdict: &str, observed: &str| {
+            format!(
+                "{name:<name_w$} {fault:<fault_w$} {expected:<expected_w$} {verdict:<7} {observed}\n"
+            )
+        };
+        let mut out = format!("== Fault-injection campaign (seed {}) ==\n", self.seed);
+        out += &line("scenario", "fault", "expected", "verdict", "observed");
         for s in &self.scenarios {
-            out.push_str(&format!(
-                "{:<18} {:<18} {:<34} {:<7} {}\n",
-                s.name,
-                s.fault,
-                s.expected,
-                if s.pass { "pass" } else { "MISS" },
-                s.observed
-            ));
+            let verdict = if s.pass { "pass" } else { "MISS" };
+            out += &line(s.name, s.fault, s.expected, verdict, &s.observed);
         }
         out.push_str(&format!(
             "{}/{} scenarios behaved as specified; {} watchdog trip(s)\n",
@@ -140,11 +233,34 @@ fn ring(seed: u64) -> (Vec<Mixer>, Vec<Wire>) {
     (models, wires)
 }
 
-fn run_ring(seed: u64, plan: &FaultPlan, tel: &mut CounterBlock) -> Result<Vec<u64>, SimError> {
-    let (models, wires) = ring(seed);
-    Harness::new(models, wires)
-        .run_guarded(CYCLES, QUANTUM, plan, WatchdogConfig::tight(), tel)
-        .map(|ms| ms.iter().map(|m| m.state).collect())
+/// The ring's final states under `fault` (none: the baseline), guarded
+/// by the `tight` watchdog; a trip is counted on `ctx`.
+fn run_ring(ctx: &Ctx, fault: Option<(FaultTarget, u64, FaultKind)>) -> Result<Vec<u64>, SimError> {
+    let mut plan = FaultPlan::new(ctx.seed);
+    if let Some((target, cycle, kind)) = fault {
+        plan = plan.inject(target, cycle, kind);
+    }
+    let (models, wires) = ring(ctx.seed);
+    let mut tel = CounterBlock::new(true);
+    let out = Harness::new(models, wires)
+        .run_guarded(CYCLES, QUANTUM, &plan, WatchdogConfig::tight(), &mut tel)
+        .map(|ms| ms.iter().map(|m| m.state).collect());
+    let trips = tel.get("host.resilience.watchdog_trips").unwrap_or(0);
+    ctx.watchdog_trips.set(ctx.watchdog_trips.get() + trips);
+    out
+}
+
+fn baseline(ctx: &Ctx) -> Vec<u64> {
+    run_ring(ctx, None).expect("fault-free ring run completes")
+}
+
+/// The verdict for a ring run that took a shape its row has no arm for.
+fn unexpected(got: Result<Vec<u64>, SimError>) -> (String, bool) {
+    let observed = match got {
+        Ok(_) => "unexpectedly completed".into(),
+        Err(e) => format!("unexpected failure shape: {e}"),
+    };
+    (observed, false)
 }
 
 /// The tiny MPI workload the link-fault scenarios run.
@@ -160,187 +276,188 @@ fn ep_cycles(net: NetConfig) -> u64 {
     r.report.run.cycles
 }
 
-/// Runs the nine-scenario campaign. Wall-clock is dominated by the
-/// deliberate teardowns (the token-drop watchdog budget and the MPI
-/// stall detector, ~1 s total at the `tight` setting).
-pub fn run_campaign(seed: u64) -> SurvivalMatrix {
-    let mut tel = CounterBlock::new(true);
-    let mut trips = 0u64;
-    let mut rows = Vec::new();
-
-    let baseline =
-        run_ring(seed, &FaultPlan::new(seed), &mut tel).expect("fault-free ring run completes");
-
-    // 1. Token drop: the link is severed from the event cycle on, the
-    //    consumer starves, and the watchdog converts the would-be hang
-    //    into a typed stall within its host-time budget.
-    let drop_cycle = 200 + seed % 64;
-    let plan = FaultPlan::new(seed).inject(FaultTarget::Wire(1), drop_cycle, FaultKind::TokenDrop);
-    rows.push(match run_ring(seed, &plan, &mut tel) {
-        Err(SimError::Stalled(report)) => {
-            trips += 1;
-            Scenario {
-                name: "token-drop",
-                fault: "token_drop",
-                expected: "watchdog trips (SimError::Stalled)",
-                observed: format!(
-                    "stalled as expected; {} thread(s) frozen near cycle {}",
-                    report.threads.len(),
-                    report
-                        .threads
-                        .iter()
-                        .map(|t| t.cycle)
-                        .max()
-                        .unwrap_or_default()
-                ),
-                pass: true,
-            }
-        }
-        other => miss(
-            "token-drop",
-            "token_drop",
-            "watchdog trips (SimError::Stalled)",
-            &other,
-        ),
-    });
-
-    // 2. Token duplicate: re-delivering an already-consumed cycle is a
-    //    protocol violation; the harness fails loudly and typed, never
-    //    silently reorders.
-    let plan = FaultPlan::new(seed).inject(
-        FaultTarget::Wire(0),
-        150 + seed % 32,
-        FaultKind::TokenDuplicate,
-    );
-    rows.push(match run_ring(seed, &plan, &mut tel) {
-        Err(SimError::Panicked { message }) if message.contains("token protocol violation") => {
-            Scenario {
-                name: "token-duplicate",
-                fault: "token_duplicate",
-                expected: "loud protocol-violation failure",
-                observed: format!("panicked as expected: {message}"),
-                pass: true,
-            }
-        }
-        other => miss(
+/// The nine in-process rows. Wall-clock is dominated by the deliberate
+/// teardowns (the token-drop watchdog budget and the MPI stall detector,
+/// ~1 s total at the `tight` setting).
+pub static ROWS: [FaultRow; 9] = [
+    FaultRow::new(
+        "token-drop",
+        "token_drop",
+        "watchdog trips (SimError::Stalled)",
+        token_drop,
+    ),
+    FaultRow {
+        panics: true,
+        ..FaultRow::new(
             "token-duplicate",
             "token_duplicate",
             "loud protocol-violation failure",
-            &other,
-        ),
-    });
-
-    // 3. Payload bit-flip: the run survives, but the corruption must be
-    //    visible in the final state — detectable, not masked.
-    let plan = FaultPlan::new(seed).inject(
-        FaultTarget::Wire(2),
-        100 + seed % 16,
-        FaultKind::PayloadBitFlip {
-            bit: (seed % 64) as u32,
+            token_duplicate,
+        )
+    },
+    FaultRow::new(
+        "bit-flip",
+        "payload_bit_flip",
+        "survives; corruption visible",
+        bit_flip,
+    ),
+    FaultRow::new(
+        "model-stall",
+        "model_stall",
+        "survives bit-identically",
+        |ctx| {
+            let stall = FaultKind::ModelStall { micros: 5_000 };
+            host_timing(ctx, (FaultTarget::Model(1), 50, stall))
         },
+    ),
+    FaultRow::new(
+        "host-delay",
+        "host_thread_delay",
+        "survives bit-identically",
+        |ctx| {
+            let delay = FaultKind::HostThreadDelay { micros: 10_000 };
+            host_timing(ctx, (FaultTarget::Model(0), 0, delay))
+        },
+    ),
+    FaultRow::new(
+        "link-degrade",
+        "link_degrade",
+        "survives; runtime stretches",
+        link_degrade,
+    ),
+    FaultRow::new(
+        "link-dead",
+        "link_dead",
+        "NC001 + cycles saturate to MAX",
+        link_dead,
+    ),
+    FaultRow {
+        panics: true,
+        ..FaultRow::new(
+            "rank-loss",
+            "rank_loss",
+            "loud MPI deadlock teardown",
+            rank_loss,
+        )
+    },
+    FaultRow::new(
+        "link-zero-lat",
+        "link_zero_latency",
+        "survives; NC002 diagnostic",
+        link_zero_latency,
+    ),
+];
+
+/// The link is severed from the event cycle on, the consumer starves,
+/// and the watchdog converts the would-be hang into a typed stall within
+/// its host-time budget.
+fn token_drop(ctx: &Ctx) -> (String, bool) {
+    let fault = (
+        FaultTarget::Wire(1),
+        200 + ctx.seed % 64,
+        FaultKind::TokenDrop,
     );
-    rows.push(match run_ring(seed, &plan, &mut tel) {
-        Ok(states) if states != baseline => Scenario {
-            name: "bit-flip",
-            fault: "payload_bit_flip",
-            expected: "survives; corruption visible",
-            observed: "completed with final state diverged from baseline".into(),
-            pass: true,
-        },
-        Ok(_) => Scenario {
-            name: "bit-flip",
-            fault: "payload_bit_flip",
-            expected: "survives; corruption visible",
-            observed: "completed but corruption was masked".into(),
-            pass: false,
-        },
-        other => miss(
-            "bit-flip",
-            "payload_bit_flip",
-            "survives; corruption visible",
-            &other,
-        ),
-    });
-
-    // 4./5. Host-timing perturbations: a slow model thread and a delayed
-    //    thread start change *when* tokens move in host time, never
-    //    *what* they carry — the decoupling the token protocol exists
-    //    to provide. Bit-identical or the engine is broken.
-    for (name, fault, plan) in [
-        (
-            "model-stall",
-            "model_stall",
-            FaultPlan::new(seed).inject(
-                FaultTarget::Model(1),
-                50,
-                FaultKind::ModelStall { micros: 5_000 },
+    match run_ring(ctx, Some(fault)) {
+        Err(SimError::Stalled(report)) => (
+            format!(
+                "stalled as expected; {} thread(s) frozen near cycle {}",
+                report.threads.len(),
+                report
+                    .threads
+                    .iter()
+                    .map(|t| t.cycle)
+                    .max()
+                    .unwrap_or_default()
             ),
+            true,
         ),
-        (
-            "host-delay",
-            "host_thread_delay",
-            FaultPlan::new(seed).inject(
-                FaultTarget::Model(0),
-                0,
-                FaultKind::HostThreadDelay { micros: 10_000 },
-            ),
-        ),
-    ] {
-        rows.push(match run_ring(seed, &plan, &mut tel) {
-            Ok(states) if states == baseline => Scenario {
-                name,
-                fault,
-                expected: "survives bit-identically",
-                observed: "completed; final state identical to baseline".into(),
-                pass: true,
-            },
-            Ok(_) => Scenario {
-                name,
-                fault,
-                expected: "survives bit-identically",
-                observed: "completed but diverged — host timing leaked into target state".into(),
-                pass: false,
-            },
-            other => miss(name, fault, "survives bit-identically", &other),
-        });
+        other => unexpected(other),
     }
+}
 
-    // 6. Link degrade: the workload survives on a slower link and its
-    //    virtual runtime stretches.
+/// Re-delivering an already-consumed cycle is a protocol violation; the
+/// harness fails loudly and typed, never silently reorders.
+fn token_duplicate(ctx: &Ctx) -> (String, bool) {
+    let fault = (
+        FaultTarget::Wire(0),
+        150 + ctx.seed % 32,
+        FaultKind::TokenDuplicate,
+    );
+    match run_ring(ctx, Some(fault)) {
+        Err(SimError::Panicked { message }) if message.contains("token protocol violation") => {
+            (format!("panicked as expected: {message}"), true)
+        }
+        other => unexpected(other),
+    }
+}
+
+/// The run survives, but the corruption must be visible in the final
+/// state — detectable, not masked.
+fn bit_flip(ctx: &Ctx) -> (String, bool) {
+    let flip = FaultKind::PayloadBitFlip {
+        bit: (ctx.seed % 64) as u32,
+    };
+    match run_ring(ctx, Some((FaultTarget::Wire(2), 100 + ctx.seed % 16, flip))) {
+        Ok(states) if states != baseline(ctx) => (
+            "completed with final state diverged from baseline".into(),
+            true,
+        ),
+        Ok(_) => ("completed but corruption was masked".into(), false),
+        other => unexpected(other),
+    }
+}
+
+/// A slow model thread or a delayed thread start changes *when* tokens
+/// move in host time, never *what* they carry — the decoupling the token
+/// protocol exists to provide. Bit-identical or the engine is broken.
+fn host_timing(ctx: &Ctx, fault: (FaultTarget, u64, FaultKind)) -> (String, bool) {
+    match run_ring(ctx, Some(fault)) {
+        Ok(states) if states == baseline(ctx) => {
+            ("completed; final state identical to baseline".into(), true)
+        }
+        Ok(_) => (
+            "completed but diverged — host timing leaked into target state".into(),
+            false,
+        ),
+        other => unexpected(other),
+    }
+}
+
+/// The workload survives on a slower link and its virtual runtime
+/// stretches.
+fn link_degrade(_: &Ctx) -> (String, bool) {
     let base_cycles = ep_cycles(NetConfig::shared_memory());
     let slow_cycles = ep_cycles(NetConfig::shared_memory().degrade(8));
-    rows.push(Scenario {
-        name: "link-degrade",
-        fault: "link_degrade",
-        expected: "survives; runtime stretches",
-        observed: format!("EP cycles {base_cycles} -> {slow_cycles} at 8x degradation"),
-        pass: slow_cycles > base_cycles,
-    });
+    (
+        format!("EP cycles {base_cycles} -> {slow_cycles} at 8x degradation"),
+        slow_cycles > base_cycles,
+    )
+}
 
-    // 7. Dead link (NC001 territory): bandwidth zero saturates every
-    //    transfer to "never delivers" (`u64::MAX`). The safe-failure
-    //    contract is that timestamps pin to MAX instead of wrapping —
-    //    the run completes with an unmissably absurd cycle count, and
-    //    NC001 is what flags the config before a cycle is simulated.
+/// NC001 territory: bandwidth zero saturates every transfer to "never
+/// delivers" (`u64::MAX`). The safe-failure contract is that timestamps
+/// pin to MAX instead of wrapping — the run completes with an unmissably
+/// absurd cycle count, and NC001 is what flags the config before a cycle
+/// is simulated.
+fn link_dead(_: &Ctx) -> (String, bool) {
     let dead = NetConfig {
         bytes_per_cycle: 0.0,
         ..NetConfig::shared_memory()
     };
     let nc001 = dead.lint("campaign.dead").has_code("NC001");
     let dead_cycles = ep_cycles(dead);
-    rows.push(Scenario {
-        name: "link-dead",
-        fault: "link_dead",
-        expected: "NC001 + cycles saturate to MAX",
-        observed: format!("lint NC001={nc001}; virtual time pinned to {dead_cycles}"),
-        pass: nc001 && dead_cycles == u64::MAX,
-    });
+    (
+        format!("lint NC001={nc001}; virtual time pinned to {dead_cycles}"),
+        nc001 && dead_cycles == u64::MAX,
+    )
+}
 
-    // 8. Rank loss: a rank waits on a message that is never sent (its
-    //    peer is gone). The MPI runtime's stall detector tears the
-    //    world down with a typed "MPI deadlock" panic instead of
-    //    hanging the host — the MPI-layer analog of the watchdog.
-    let outcome = std::panic::catch_unwind(|| {
+/// A rank waits on a message that is never sent (its peer is gone). The
+/// MPI runtime's stall detector tears the world down with a typed "MPI
+/// deadlock" panic instead of hanging the host — the MPI-layer analog of
+/// the watchdog.
+fn rank_loss(_: &Ctx) -> (String, bool) {
+    let outcome = RetryPolicy::once().run(|| {
         MpiWorld::run(
             configs::rocket1(2),
             2,
@@ -353,68 +470,34 @@ pub fn run_campaign(seed: u64) -> SurvivalMatrix {
             },
         )
     });
-    rows.push(match outcome {
-        Err(payload) => {
-            let msg = panic_message(payload.as_ref());
-            Scenario {
-                name: "rank-loss",
-                fault: "rank_loss",
-                expected: "loud MPI deadlock teardown",
-                observed: format!("torn down: {msg}"),
-                pass: msg.contains("MPI deadlock"),
-            }
+    match outcome {
+        CellOutcome::Failed { diag, .. } => {
+            (format!("torn down: {diag}"), diag.contains("MPI deadlock"))
         }
-        Ok(_) => Scenario {
-            name: "rank-loss",
-            fault: "rank_loss",
-            expected: "loud MPI deadlock teardown",
-            observed: "unexpectedly completed".into(),
-            pass: false,
-        },
-    });
-
-    // 9. Zero-latency link (NC002): a survivable misconfiguration — the
-    //    run completes, the lint is what makes the vacuous-model hazard
-    //    visible.
-    let zero = NetConfig::shared_memory().zero_latency();
-    let nc002 = zero.lint("campaign.zero").has_code("NC002");
-    let zero_cycles = ep_cycles(zero);
-    rows.push(Scenario {
-        name: "link-zero-lat",
-        fault: "link_zero_latency",
-        expected: "survives; NC002 diagnostic",
-        observed: format!("lint NC002={nc002}; completed in {zero_cycles} cycles"),
-        pass: nc002 && zero_cycles > 0 && zero_cycles <= base_cycles,
-    });
-
-    SurvivalMatrix {
-        seed,
-        scenarios: rows,
-        watchdog_trips: trips,
+        CellOutcome::Ok { .. } => ("unexpectedly completed".into(), false),
     }
 }
 
-fn miss(
-    name: &'static str,
-    fault: &'static str,
-    expected: &'static str,
-    got: &Result<Vec<u64>, SimError>,
-) -> Scenario {
-    Scenario {
-        name,
-        fault,
-        expected,
-        observed: match got {
-            Ok(_) => "unexpectedly completed".into(),
-            Err(e) => format!("unexpected failure shape: {e}"),
-        },
-        pass: false,
-    }
+/// NC002: a survivable misconfiguration — the run completes, the lint is
+/// what makes the vacuous-model hazard visible.
+fn link_zero_latency(_: &Ctx) -> (String, bool) {
+    let zero = NetConfig::shared_memory().zero_latency();
+    let nc002 = zero.lint("campaign.zero").has_code("NC002");
+    let zero_cycles = ep_cycles(zero);
+    (
+        format!("lint NC002={nc002}; completed in {zero_cycles} cycles"),
+        nc002 && zero_cycles > 0 && zero_cycles <= ep_cycles(NetConfig::shared_memory()),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run_campaign(seed: u64) -> SurvivalMatrix {
+        let ctx = Ctx::new(seed, Vec::new());
+        SurvivalMatrix::new(&ctx, ROWS.iter().map(|row| row.scenario(&ctx)).collect())
+    }
 
     #[test]
     fn campaign_is_deterministic_and_survives_as_specified() {
@@ -453,5 +536,32 @@ mod tests {
         a.publish(&mut block);
         assert_eq!(block.get("host.resilience.campaign.passed"), Some(9));
         assert_eq!(block.get("host.resilience.watchdog_trips"), Some(1));
+    }
+
+    #[test]
+    fn columns_are_sized_from_the_rows() {
+        let row = |name, fault| Scenario {
+            name,
+            fault,
+            expected: "e",
+            observed: "o".into(),
+            pass: true,
+        };
+        let matrix = SurvivalMatrix {
+            seed: 1,
+            scenarios: vec![
+                row("a", "a fault label well past eighteen columns"),
+                row("bb", "f"),
+            ],
+            watchdog_trips: 0,
+        };
+        let render = matrix.render();
+        let lines: Vec<&str> = render.lines().skip(1).take(3).collect();
+        let verdict_at: Vec<_> = lines
+            .iter()
+            .map(|l| l.find("verdict").or_else(|| l.find("pass")))
+            .collect();
+        assert!(verdict_at[0].is_some(), "{render}");
+        assert!(verdict_at.iter().all(|at| *at == verdict_at[0]), "{render}");
     }
 }

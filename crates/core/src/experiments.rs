@@ -9,6 +9,7 @@
 use crate::metrics::relative_speedup;
 use bsim_engine::{SimRate, SimRateMeter};
 use bsim_mpi::{Launch, NetConfig, Recorded, Timed, WorldReport, WorldTrace};
+use bsim_resilience::retry::{CellOutcome, RetryPolicy};
 use bsim_resilience::snapshot::{restore_field, CkptError, Snapshot};
 use bsim_soc::{configs, RunReport, Soc, SocConfig};
 use bsim_telemetry::{CounterBlock, TelemetryConfig, TelemetrySnapshot};
@@ -259,8 +260,8 @@ impl Parallelism {
 /// for `i in 0..jobs` across a scoped worker pool (workers claim cells
 /// from a shared counter, so an expensive cell never serializes the
 /// cheap ones behind it) and returns the results **ordered by grid
-/// index**. `cell` must not panic — the public wrappers catch per cell
-/// before reaching this layer, which is what keeps a poisoned cell from
+/// index**. `cell` must not panic — every caller runs its cells under a
+/// [`RetryPolicy`], whose catch is what keeps a poisoned cell from
 /// killing its worker thread and losing the cells that worker would
 /// have claimed next.
 pub(crate) fn drain_grid<R, F>(jobs: usize, par: Parallelism, cell: F) -> Vec<R>
@@ -295,42 +296,6 @@ where
                 .expect("every grid cell ran")
         })
         .collect()
-}
-
-/// Runs `jobs` independent grid cells across a scoped worker pool and
-/// returns the results **ordered by grid index**.
-///
-/// Every cell runs even when one panics: each cell is caught
-/// individually, so a poisoned cell no longer kills its worker thread
-/// (which previously could strand the rest of the grid when every
-/// worker hit a poisoned cell) and no longer aborts a sequential sweep
-/// at the first failure. The first panic payload — the *original*
-/// payload, message intact — is re-raised only after the whole grid has
-/// drained. Callers that want the completed cells *back* instead of a
-/// panic use [`crate::resilient::run_grid_resilient`], which degrades
-/// poisoned cells to [`bsim_resilience::CellOutcome::Failed`].
-pub(crate) fn run_grid<T, F>(jobs: usize, par: Parallelism, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let cells = drain_grid(jobs, par, |i| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i)))
-    });
-    let mut out = Vec::with_capacity(cells.len());
-    let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-    for cell in cells {
-        match cell {
-            Ok(t) => out.push(t),
-            Err(payload) => {
-                first_panic.get_or_insert(payload);
-            }
-        }
-    }
-    if let Some(payload) = first_panic {
-        std::panic::resume_unwind(payload);
-    }
-    out
 }
 
 /// Gate a sweep on the `bsim-check` platform preflight *before* any
@@ -390,8 +355,6 @@ impl<T> SweepRun<T> {
     }
 }
 
-/// [`run_grid`] for cells that also report their simulated target
-/// cycles; aggregates a [`SimRateMeter`] across the workers. This is
 /// [`run_grid_chunks_metered`] with every cell its own chunk.
 pub fn run_grid_metered<T, F>(jobs: usize, par: Parallelism, f: F) -> SweepRun<T>
 where
@@ -413,7 +376,14 @@ fn singleton_chunks(jobs: usize) -> Vec<[usize; 1]> {
 /// runs chunk `g` and yields one `(result, cycles)` per cell of
 /// `chunks[g]`, in chunk order; results come back **ordered by grid
 /// index**, so figures remain bit-identical however the cells were
-/// chunked. The largest chunk is stamped on [`SweepRun::lanes`].
+/// chunked. The largest chunk is stamped on [`SweepRun::lanes`], and a
+/// [`SimRateMeter`] aggregates the cells' target cycles across workers.
+///
+/// Every chunk runs even when one panics: each runs under
+/// [`RetryPolicy::once`], and the first failed chunk's message (in grid
+/// order) is re-raised only after the whole grid has drained. Callers
+/// that want the completed cells *back* instead of a panic use
+/// [`crate::resilient::run_grid_resilient`].
 pub fn run_grid_chunks_metered<T, C, O, F>(chunks: &[C], par: Parallelism, f: F) -> SweepRun<T>
 where
     T: Send,
@@ -423,12 +393,16 @@ where
 {
     let workers = par.workers(chunks.len());
     let mut meter = SimRateMeter::start();
-    let per_chunk = run_grid(chunks.len(), par, |g| f(g, chunks[g].as_ref()));
+    let once = RetryPolicy::once();
+    let per_chunk = drain_grid(chunks.len(), par, |g| once.run(|| f(g, chunks[g].as_ref())));
     let total: usize = chunks.iter().map(|c| c.as_ref().len()).sum();
     let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
     let mut cycles = 0u64;
     for (g, outs) in per_chunk.into_iter().enumerate() {
-        let mut outs = outs.into_iter();
+        let mut outs = match outs {
+            CellOutcome::Ok { value, .. } => value.into_iter(),
+            CellOutcome::Failed { diag, .. } => panic!("{diag}"),
+        };
         for &cell in chunks[g].as_ref() {
             let (t, c) = outs
                 .next()
@@ -1201,11 +1175,14 @@ mod tests {
 
     #[test]
     fn run_grid_orders_results_by_grid_index() {
-        let out = run_grid(32, Parallelism::Workers(8), |i| i * i);
-        assert_eq!(out, (0..32).map(|i| i * i).collect::<Vec<_>>());
+        let grid = |jobs, par| run_grid_metered(jobs, par, |i| (i * i, 0)).results;
+        assert_eq!(
+            grid(32, Parallelism::Workers(8)),
+            (0..32).map(|i| i * i).collect::<Vec<_>>()
+        );
         // Degenerate shapes.
-        assert!(run_grid(0, Parallelism::Auto, |i| i).is_empty());
-        assert_eq!(run_grid(1, Parallelism::Workers(16), |i| i), vec![0]);
+        assert!(grid(0, Parallelism::Auto).is_empty());
+        assert_eq!(grid(1, Parallelism::Workers(16)), vec![0]);
     }
 
     #[test]
@@ -1225,9 +1202,9 @@ mod tests {
     #[test]
     fn grid_worker_panic_propagates_with_payload() {
         let caught = std::panic::catch_unwind(|| {
-            run_grid(8, Parallelism::Workers(4), |i| {
+            run_grid_metered(8, Parallelism::Workers(4), |i| {
                 assert!(i != 5, "grid cell 5 died");
-                i
+                (i, 0)
             })
         });
         let payload = caught.expect_err("the cell panic must propagate");
@@ -1248,10 +1225,10 @@ mod tests {
         for par in [Parallelism::Workers(2), Parallelism::Sequential] {
             let ran = AtomicUsize::new(0);
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_grid(8, par, |i| {
+                run_grid_metered(8, par, |i| {
                     ran.fetch_add(1, Ordering::Relaxed);
                     assert!(i >= 2, "cell {i} poisoned");
-                    i
+                    (i, 0)
                 })
             }));
             assert!(caught.is_err(), "the cell panic must still propagate");

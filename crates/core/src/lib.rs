@@ -18,9 +18,9 @@
 //! * [`resilient`] — retrying/checkpointing sweep runners for long
 //!   simulations: a poisoned cell degrades to a diagnosed failure row
 //!   and `bsim fig --resume` replays completed subfigures from disk,
-//! * [`campaign`] — the `bsim faults` fault-injection campaign: eight
-//!   deterministic scenarios with typed expectations, rendered as a
-//!   survival matrix.
+//! * [`campaign`] — the `bsim faults` fault-injection campaign: the
+//!   [`FaultRow`] type every row of the survival matrix is written as,
+//!   and the nine in-process rows.
 //!
 //! ## Quickstart
 //!
@@ -46,13 +46,13 @@ pub mod resilient;
 pub mod table;
 pub mod tuning;
 
-pub use campaign::{run_campaign, Scenario, SurvivalMatrix};
+pub use campaign::{Ctx, FaultRow, Scenario, SurvivalMatrix};
 pub use experiments::{
     partition_cells, run_grid_chunks_metered, run_grid_metered, FigureData, Parallelism, Series,
     SweepRun,
 };
 pub use metrics::relative_speedup;
-pub use resilient::{run_grid_checkpointed, run_grid_resilient, run_plan_with, ResilientSweep};
+pub use resilient::{run_grid_keyed, run_grid_resilient, ResilientSweep};
 
 // The resilience vocabulary the runners above speak, re-exported so
 // `bsim-core` users don't need a separate `bsim-resilience` import.

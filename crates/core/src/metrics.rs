@@ -12,7 +12,6 @@ pub fn relative_speedup(hardware_seconds: f64, simulation_seconds: f64) -> f64 {
 
 /// Mean absolute deviation from 1.0 — the "how far from a perfect
 /// match" score used by the tuning loop.
-// bsim: allow(AU005) property-tested from tests/proptest_metrics.rs
 pub fn deviation_from_parity(rels: &[f64]) -> f64 {
     if rels.is_empty() {
         return 0.0;

@@ -1,18 +1,19 @@
 //! Resilient sweep runners: retry, degrade, checkpoint, resume.
 //!
-//! [`crate::run_grid_metered`] keeps the legacy contract — a poisoned cell
-//! re-raises its panic after the grid drains. Long sweeps want the
-//! opposite: keep every completed cell, retry the poisoned one with
-//! backoff, and degrade it to a diagnosed failure row instead of
-//! aborting hours of simulation. This module provides that, plus
-//! figure-granular checkpointing so `bsim fig --resume` replays
-//! completed subfigures from disk byte-for-byte.
+//! [`crate::run_grid_metered`] re-raises a poisoned cell's panic after
+//! the grid drains. Long sweeps want the opposite: keep every completed
+//! cell, retry the poisoned one with backoff, and degrade it to a
+//! diagnosed failure row instead of aborting hours of simulation —
+//! [`run_grid_resilient`]. [`run_grid_keyed`] adds checkpointing by cell
+//! key, so `bsim fig --resume` replays completed subfigures from disk
+//! byte-for-byte.
 
-use crate::experiments::{drain_grid, FigureData, FigureSpec, Parallelism};
+use crate::experiments::{drain_grid, Parallelism};
 use bsim_resilience::ckpt::CkptStore;
 use bsim_resilience::retry::{CellOutcome, RetryPolicy};
 use bsim_resilience::snapshot::{CkptError, Snapshot};
 use bsim_telemetry::CounterBlock;
+use std::sync::Mutex;
 
 /// Outcome of a resilient sweep: one [`CellOutcome`] per grid cell, in
 /// grid order, plus the host-side accounting the run export publishes
@@ -79,106 +80,77 @@ where
     }
 }
 
-/// [`run_grid_resilient`] with cell-granular checkpointing: cells
-/// already present in `store` under `"<prefix>/cell<i>"` are restored
-/// instead of simulated, and every newly completed cell is written back
-/// so the caller can persist the store between (or mid-) sweeps.
+/// [`run_grid_resilient`] over keyed cells with checkpoint/resume — the
+/// one loop that skips a stored cell. Cell `i` is answered from `store`
+/// when `keys[i]` is there (`attempts == 0` marks it replayed) and
+/// otherwise runs `f(i)` under `policy`; a cell that succeeds is written
+/// back under its key and `on_ckpt` fires at once — `bsim fig --ckpt`
+/// persists the store to disk there, so a run killed mid-sweep still
+/// leaves every finished cell resumable. A cell that fails every attempt
+/// degrades to a [`CellOutcome::Failed`] row, is not stored, and is
+/// retried by the next resume. Without a store this is
+/// [`run_grid_resilient`].
 ///
-/// A present-but-malformed entry is a loud [`CkptError`], not a silent
-/// recompute — a checkpoint that has started lying should stop the run,
-/// not quietly waste it.
-pub fn run_grid_checkpointed<T, F>(
-    store: &mut CkptStore,
-    prefix: &str,
-    jobs: usize,
+/// `bsim fig <id>` passes the [`FigureSpec::key`]s of its plan
+/// (`fig3a`, …) and runs each subfigure scalar or on the lane executor;
+/// keys and store are the same either way, so `--ckpt`/`--resume`
+/// interoperate between them. Under a parallel `par` cells are stored in
+/// completion order.
+///
+/// A present-but-malformed entry is a loud [`CkptError`] before any cell
+/// runs, not a silent recompute — a checkpoint that has started lying
+/// should stop the run, not quietly waste it.
+///
+/// [`FigureSpec::key`]: crate::experiments::FigureSpec::key
+pub fn run_grid_keyed<T, F>(
+    keys: &[impl AsRef<str> + Sync],
     par: Parallelism,
     policy: &RetryPolicy,
+    store: Option<&mut CkptStore>,
+    on_ckpt: impl FnMut(&CkptStore) + Send,
     f: F,
 ) -> Result<ResilientSweep<T>, CkptError>
 where
-    T: Snapshot + Send + Clone,
+    T: Snapshot + Send,
     F: Fn(usize) -> T + Sync,
 {
-    let key = |i: usize| format!("{prefix}/cell{i}");
-    let mut slots: Vec<Option<CellOutcome<T>>> = Vec::with_capacity(jobs);
-    let mut missing = Vec::new();
-    for i in 0..jobs {
-        match store.get::<T>(&key(i))? {
-            Some(value) => slots.push(Some(CellOutcome::Ok { value, attempts: 0 })),
-            None => {
-                slots.push(None);
-                missing.push(i);
-            }
-        }
+    let mut slots: Vec<Option<CellOutcome<T>>> = Vec::with_capacity(keys.len());
+    for key in keys {
+        let stored = match &store {
+            Some(store) => store.get::<T>(key.as_ref())?,
+            None => None,
+        };
+        slots.push(stored.map(|value| CellOutcome::Ok { value, attempts: 0 }));
     }
-    let restored = jobs - missing.len();
-    let workers = par.workers(missing.len());
-    let fresh = drain_grid(missing.len(), par, |k| policy.run(|| f(missing[k])));
-    for (k, outcome) in missing.iter().zip(fresh) {
-        if let CellOutcome::Ok { value, .. } = &outcome {
-            store.put(&key(*k), value);
+    let missing: Vec<usize> = (0..keys.len()).filter(|&i| slots[i].is_none()).collect();
+    let sink = store.map(|store| Mutex::new((store, on_ckpt)));
+    let fresh = drain_grid(missing.len(), par, |k| {
+        let outcome = policy.run(|| f(missing[k]));
+        if let (Some(sink), CellOutcome::Ok { value, .. }) = (&sink, &outcome) {
+            let mut sink = sink.lock().unwrap_or_else(|e| e.into_inner());
+            let (store, on_ckpt) = &mut *sink;
+            store.put(keys[missing[k]].as_ref(), value);
+            on_ckpt(store);
         }
-        slots[*k] = Some(outcome);
+        outcome
+    });
+    for (&i, outcome) in missing.iter().zip(fresh) {
+        slots[i] = Some(outcome);
     }
     Ok(ResilientSweep {
         outcomes: slots
             .into_iter()
             .map(|s| s.expect("every cell restored or simulated"))
             .collect(),
-        workers,
-        restored,
+        workers: par.workers(missing.len()),
+        restored: keys.len() - missing.len(),
     })
-}
-
-/// Runs a plan of subfigures — `bsim fig <id>` passes
-/// [`crate::experiments::subfigures`]`(id)` — with retry and
-/// (optionally) figure-granular checkpoint/resume. `run` computes one
-/// subfigure: [`FigureSpec::run`] for scalar cells, or a lane-sweep
-/// executor over [`FigureSpec::grid`]; the keys and the store are the
-/// same either way, so `--ckpt`/`--resume` interoperate between them.
-/// Each subfigure runs under `policy`; one that fails every attempt
-/// degrades to a [`CellOutcome::Failed`] row so the remaining
-/// subfigures still print. With a store, completed subfigures are
-/// written under their stable keys (`fig3a`, …) and `on_ckpt` fires
-/// after each write — the CLI persists the store to disk there, so a
-/// run killed mid-figure still leaves every finished subfigure
-/// resumable — while subfigures already in the store are replayed from
-/// it instead of simulated.
-pub fn run_plan_with(
-    plan: impl IntoIterator<Item = &'static FigureSpec>,
-    run: impl Fn(&'static FigureSpec) -> FigureData,
-    policy: &RetryPolicy,
-    mut store: Option<&mut CkptStore>,
-    mut on_ckpt: impl FnMut(&CkptStore),
-) -> Result<Vec<(String, CellOutcome<FigureData>)>, CkptError> {
-    let mut out = Vec::new();
-    for spec in plan {
-        if let Some(store) = store.as_deref_mut() {
-            if let Some(fig) = store.get::<FigureData>(spec.key)? {
-                out.push((
-                    spec.key.to_string(),
-                    CellOutcome::Ok {
-                        value: fig,
-                        attempts: 0,
-                    },
-                ));
-                continue;
-            }
-        }
-        let outcome = policy.run(|| run(spec));
-        if let (Some(store), CellOutcome::Ok { value, .. }) = (store.as_deref_mut(), &outcome) {
-            store.put(spec.key, value);
-            on_ckpt(store);
-        }
-        out.push((spec.key.to_string(), outcome));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{subfigures, Sizes};
+    use crate::experiments::{subfigures, FigureData, Sizes};
     use bsim_telemetry::{Telemetry, TelemetryConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -203,12 +175,7 @@ mod tests {
     #[test]
     fn retry_policy_recovers_a_flaky_cell_and_counts_retries() {
         let tries = AtomicUsize::new(0);
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_backoff_ms: 0,
-            factor: 2,
-        };
-        let sweep = run_grid_resilient(1, Parallelism::Sequential, &policy, |_| {
+        let sweep = run_grid_resilient(1, Parallelism::Sequential, &RetryPolicy::default(), |_| {
             // Fails twice, then succeeds: a host-transient stand-in.
             assert!(tries.fetch_add(1, Ordering::Relaxed) >= 2, "transient");
             7u64
@@ -221,6 +188,23 @@ mod tests {
         assert_eq!(block.get("host.resilience.failed_cells"), Some(0));
     }
 
+    /// `run_grid_keyed` over `t/cell<i>` keys, sequential, one attempt.
+    fn keyed<T: Snapshot + Send>(
+        store: &mut CkptStore,
+        jobs: usize,
+        f: impl Fn(usize) -> T + Sync,
+    ) -> Result<ResilientSweep<T>, CkptError> {
+        let keys: Vec<String> = (0..jobs).map(|i| format!("t/cell{i}")).collect();
+        run_grid_keyed(
+            &keys,
+            Parallelism::Sequential,
+            &RetryPolicy::once(),
+            Some(store),
+            |_| {},
+            f,
+        )
+    }
+
     #[test]
     fn checkpointed_grid_resumes_without_resimulating() {
         let ran = AtomicUsize::new(0);
@@ -229,15 +213,7 @@ mod tests {
             (i as u64) * 3
         };
         let mut store = CkptStore::new();
-        let first = run_grid_checkpointed(
-            &mut store,
-            "t",
-            5,
-            Parallelism::Sequential,
-            &RetryPolicy::once(),
-            cell,
-        )
-        .unwrap();
+        let first = keyed(&mut store, 5, cell).unwrap();
         assert!(first.all_ok());
         assert_eq!(first.restored, 0);
         assert_eq!(ran.load(Ordering::Relaxed), 5);
@@ -246,15 +222,7 @@ mod tests {
         // `--resume` run would, then rerun: zero cells re-simulate and
         // the values are identical.
         let mut reloaded = CkptStore::from_json(&store.to_json()).unwrap();
-        let second = run_grid_checkpointed(
-            &mut reloaded,
-            "t",
-            5,
-            Parallelism::Sequential,
-            &RetryPolicy::once(),
-            cell,
-        )
-        .unwrap();
+        let second = keyed(&mut reloaded, 5, cell).unwrap();
         assert_eq!(second.restored, 5);
         assert_eq!(ran.load(Ordering::Relaxed), 5, "nothing re-simulated");
         let vals = |s: &ResilientSweep<u64>| -> Vec<u64> {
@@ -271,17 +239,10 @@ mod tests {
         store.put("t/cell0", &10u64);
         store.put("t/cell2", &30u64);
         let ran = AtomicUsize::new(0);
-        let sweep = run_grid_checkpointed(
-            &mut store,
-            "t",
-            4,
-            Parallelism::Sequential,
-            &RetryPolicy::once(),
-            |i| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                (i as u64 + 1) * 10
-            },
-        )
+        let sweep = keyed(&mut store, 4, |i| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            (i as u64 + 1) * 10
+        })
         .unwrap();
         assert_eq!(sweep.restored, 2);
         assert_eq!(ran.load(Ordering::Relaxed), 2);
@@ -289,17 +250,10 @@ mod tests {
         assert_eq!(vals, [10, 20, 30, 40]);
         // A failed cell is not written back: the next resume retries it.
         let mut store2 = CkptStore::new();
-        let s2 = run_grid_checkpointed(
-            &mut store2,
-            "t",
-            2,
-            Parallelism::Sequential,
-            &RetryPolicy::once(),
-            |i| {
-                assert!(i != 1, "poisoned");
-                5u64
-            },
-        )
+        let s2 = keyed(&mut store2, 2, |i| {
+            assert!(i != 1, "poisoned");
+            5u64
+        })
         .unwrap();
         assert_eq!(s2.failed(), 1);
         assert!(store2.contains("t/cell0"));
@@ -310,15 +264,7 @@ mod tests {
     fn malformed_checkpoint_entry_is_a_loud_error() {
         let mut store = CkptStore::new();
         store.put("t/cell0", &String::from("not a u64"));
-        let err = run_grid_checkpointed(
-            &mut store,
-            "t",
-            1,
-            Parallelism::Sequential,
-            &RetryPolicy::once(),
-            |_| 1u64,
-        )
-        .expect_err("a lying checkpoint must stop the run");
+        let err = keyed(&mut store, 1, |_| 1u64).expect_err("a lying checkpoint must stop the run");
         assert!(matches!(err, CkptError::WrongType { .. }));
     }
 
@@ -329,18 +275,22 @@ mod tests {
             md_steps: 2,
             ..Sizes::smoke()
         };
+        let plan: Vec<_> = subfigures("6").collect();
+        let keys: Vec<&str> = plan.iter().map(|spec| spec.key).collect();
+        let run = |i: usize| plan[i].run(tiny, Parallelism::Sequential);
+        let once = RetryPolicy::once();
         let mut store = CkptStore::new();
         let mut saves = 0usize;
-        let run = |spec: &'static FigureSpec| spec.run(tiny, Parallelism::Sequential);
-        let first = run_plan_with(
-            subfigures("6"),
-            run,
-            &RetryPolicy::once(),
+        let first = run_grid_keyed(
+            &keys,
+            Parallelism::Sequential,
+            &once,
             Some(&mut store),
             |_| saves += 1,
+            run,
         )
         .unwrap();
-        assert_eq!(first.len(), 1);
+        assert_eq!(first.outcomes.len(), 1);
         assert_eq!(saves, 1, "on_ckpt fires once per completed subfigure");
         assert!(store.contains("fig6"));
 
@@ -348,15 +298,17 @@ mod tests {
         // from the store (attempts == 0), not re-simulated, and is
         // byte-identical to the first run's.
         let mut reloaded = CkptStore::from_json(&store.to_json()).unwrap();
-        let second = run_plan_with(
-            subfigures("6"),
-            run,
-            &RetryPolicy::once(),
+        let second: ResilientSweep<FigureData> = run_grid_keyed(
+            &keys,
+            Parallelism::Sequential,
+            &once,
             Some(&mut reloaded),
             |_| {},
+            run,
         )
         .unwrap();
-        match (&first[0].1, &second[0].1) {
+        assert_eq!(second.restored, 1);
+        match (&first.outcomes[0], &second.outcomes[0]) {
             (
                 CellOutcome::Ok { value: a, .. },
                 CellOutcome::Ok {

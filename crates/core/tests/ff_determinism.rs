@@ -5,7 +5,7 @@
 //! harness run results under seeded fault plans and checkpoint/resume.
 
 use bsim_core::experiments::{subfigures, FigureData, Sizes, FIGURE_IDS};
-use bsim_core::{run_plan_with, CellOutcome, Parallelism, RetryPolicy};
+use bsim_core::{run_grid_keyed, CellOutcome, Parallelism, RetryPolicy};
 use bsim_engine::{
     CounterBlock, FaultKind, FaultPlan, Harness, HarnessCkpt, Snapshot, TickModel, WatchdogConfig,
     Wire,
@@ -30,17 +30,20 @@ fn tiny() -> Sizes {
 fn sweep(ids: &[&str], mut store: Option<&mut CkptStore>) -> Vec<(String, FigureData)> {
     let mut out = Vec::new();
     for id in ids {
-        let cells = run_plan_with(
-            subfigures(id),
-            |spec| spec.run(tiny(), Parallelism::Sequential),
+        let plan: Vec<_> = subfigures(id).collect();
+        let keys: Vec<&str> = plan.iter().map(|spec| spec.key).collect();
+        let cells = run_grid_keyed(
+            &keys,
+            Parallelism::Sequential,
             &RetryPolicy::once(),
             store.as_deref_mut(),
             |_| {},
+            |i| plan[i].run(tiny(), Parallelism::Sequential),
         )
         .expect("checkpoint store is well-formed");
-        for (key, outcome) in cells {
+        for (key, outcome) in keys.iter().zip(cells.outcomes) {
             match outcome {
-                CellOutcome::Ok { value, .. } => out.push((key, value)),
+                CellOutcome::Ok { value, .. } => out.push((key.to_string(), value)),
                 CellOutcome::Failed { diag, .. } => panic!("figure {id} cell {key}: {diag}"),
             }
         }

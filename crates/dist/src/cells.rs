@@ -17,7 +17,7 @@ use bsim_core::experiments::{self, subfigures, Parallelism, Sizes};
 use bsim_core::tuning::tune_milkv;
 use bsim_resilience::snapshot::Snapshot;
 use bsim_soc::configs;
-use serde::Value;
+use serde::{Serialize, Value};
 
 /// One schedulable, serializable cell of sweep work.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -130,7 +130,7 @@ impl WireCell {
                 let cfg = configs::by_name(platform, 1)
                     .ok_or_else(|| format!("unknown platform {platform:?}"))?;
                 experiments::microbench_cell(cfg, kernel, *scale)
-                    .map(|report| report.save())
+                    .map(|report| report.to_value())
                     .ok_or_else(|| format!("unknown kernel {kernel:?}"))
             }
             WireCell::Tune { scale } => {

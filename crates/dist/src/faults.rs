@@ -1,36 +1,63 @@
-//! The scale-out scenarios for the `bsim faults` survival matrix.
+//! The scale-out rows of the `bsim faults` survival matrix.
 //!
-//! The nine in-process scenarios (`bsim-core::campaign`) cover token,
-//! model, and host-thread faults inside one address space. Scale-out
-//! adds fault classes the engine cannot see from inside:
+//! The nine in-process rows (`bsim-core::campaign`) cover token, model,
+//! and host-thread faults inside one address space. Scale-out adds fault
+//! classes the engine cannot see from inside — [`ROWS`]:
 //!
-//! * [`process_kill_scenario`] — an entire worker process disappears
-//!   mid-sweep (real processes, SIGKILL): the launcher must respawn it
-//!   and the recovered sweep must be byte-identical to the in-process
-//!   schedule.
-//! * [`wire_bitflip_scenario`] — one bit of a rank's result stream
-//!   flips in flight: the frame CRC must detect it, the backoff-gated
-//!   respawn must recover, and the merged result must stay
-//!   byte-identical (never silently wrong).
-//! * [`slow_peer_scenario`] — the coordinator accepts a worker and then
-//!   goes silent: the worker's socket timeout must surface a typed
-//!   error within the io budget instead of hanging the process.
-//!
-//! Each plugs straight into the campaign's [`Scenario`] row type so the
-//! CLI can append it to the matrix and `--deny-unsurvived` gates on it
-//! like any other row.
+//! * `process-kill` — an entire worker process disappears mid-sweep
+//!   (real processes, SIGKILL): the launcher must respawn it and the
+//!   recovered sweep must be byte-identical to the in-process schedule.
+//! * `wire-bitflip` — one bit of a rank's result stream flips in flight:
+//!   the frame CRC must detect it, the backoff-gated respawn must
+//!   recover, and the merged result must stay byte-identical (never
+//!   silently wrong).
+//! * `slow-peer` — the coordinator accepts a worker and then goes
+//!   silent: the worker's socket timeout must surface a typed error
+//!   within the io budget instead of hanging the process.
 
 use crate::cells::WireCell;
 use crate::frame;
-use crate::launcher::{run_sweep, KillSpec, LaunchOpts, WireFaultSpec, WorkerSpawn};
+use crate::launcher::{run_sweep, KillSpec, LaunchOpts, SweepOutcome, WireFaultSpec, WorkerSpawn};
 use crate::worker;
-use bsim_core::campaign::Scenario;
+use bsim_core::campaign::{Ctx, FaultRow};
 use bsim_core::Parallelism;
 use bsim_resilience::CkptStore;
 use std::io;
 use std::net::TcpListener;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
+
+/// The scale-out rows; the last two are in-process-safe (thread ranks, a
+/// loopback listener).
+pub static ROWS: [FaultRow; 3] = [
+    FaultRow {
+        needs_processes: true,
+        ..FaultRow::new(
+            "process-kill",
+            "worker SIGKILL",
+            "respawn; sweep completes bit-identically",
+            process_kill,
+        )
+    },
+    FaultRow {
+        guard: true,
+        ..FaultRow::new(
+            "wire-bitflip",
+            "one bit flipped on the result wire",
+            "frame CRC detects; backoff respawn; bit-identical",
+            wire_bitflip,
+        )
+    },
+    FaultRow {
+        guard: true,
+        ..FaultRow::new(
+            "slow-peer",
+            "coordinator accepts, then goes silent",
+            "typed socket timeout within the io budget; no hang",
+            slow_peer,
+        )
+    },
+];
 
 /// The sweep the kill scenario runs: cheap microbenchmark cells, enough
 /// of them that the victim rank always has pending work when the kill
@@ -50,13 +77,15 @@ pub fn kill_sweep_cells() -> Vec<WireCell> {
         .collect()
 }
 
-/// Runs the sweep across two real worker processes (`worker_cmd` must
-/// be a `bsim dist-worker`-style argv), killing one mid-sweep, and
-/// reports the outcome as a campaign [`Scenario`].
-pub fn process_kill_scenario(seed: u64, worker_cmd: Vec<String>) -> Scenario {
+/// Runs [`kill_sweep_cells`] under `opts` and checks the merged results
+/// against the same cells run in this process — every cell is sequential
+/// inside, so that is the bit-identical reference. `judge` words the
+/// outcome.
+fn sweep_against_reference(
+    opts: &LaunchOpts,
+    judge: impl FnOnce(&SweepOutcome, bool) -> (String, bool),
+) -> (String, bool) {
     let cells = kill_sweep_cells();
-    // The ground truth: the same cells run in this process. Every cell
-    // is sequential inside, so this is the bit-identical reference.
     let reference: Vec<String> = cells
         .iter()
         .map(|cell| match cell.run(Parallelism::Sequential) {
@@ -64,12 +93,27 @@ pub fn process_kill_scenario(seed: u64, worker_cmd: Vec<String>) -> Scenario {
             Err(why) => format!("error: {why}"),
         })
         .collect();
-    // Which of the two ranks dies derives from the campaign seed, like
-    // every other injection site in the matrix.
-    let victim = (seed % 2) as usize;
+    match run_sweep(&cells, opts, &mut CkptStore::new()) {
+        Ok(outcome) => {
+            let identical = outcome
+                .results
+                .iter()
+                .zip(&reference)
+                .all(|((_, got), want)| got == want);
+            judge(&outcome, identical)
+        }
+        Err(e) => (format!("sweep did not complete: {e}"), false),
+    }
+}
+
+/// The sweep across two real worker processes (`ctx.worker_cmd`), one
+/// killed mid-sweep. Which of the two ranks dies derives from the
+/// campaign seed, like every other injection site in the matrix.
+fn process_kill(ctx: &Ctx) -> (String, bool) {
+    let victim = (ctx.seed % 2) as usize;
     let opts = LaunchOpts {
         ranks: 2,
-        spawn: WorkerSpawn::Process(worker_cmd),
+        spawn: WorkerSpawn::Process(ctx.worker_cmd.clone()),
         silence_budget: Duration::from_secs(120),
         kill: Some(KillSpec {
             rank: victim,
@@ -79,88 +123,48 @@ pub fn process_kill_scenario(seed: u64, worker_cmd: Vec<String>) -> Scenario {
         io_timeout: Duration::from_secs(120),
         wire_fault: None,
     };
-    let mut store = CkptStore::new();
-    let (observed, pass) = match run_sweep(&cells, &opts, &mut store) {
-        Ok(outcome) => {
-            let identical = outcome
-                .results
-                .iter()
-                .zip(&reference)
-                .all(|((_, got), want)| got == want);
-            (
-                format!(
-                    "rank {victim} killed after 1 cell; respawns={} identical={}",
-                    outcome.respawns, identical
-                ),
-                outcome.respawns >= 1 && identical,
-            )
-        }
-        Err(e) => (format!("sweep did not complete: {e}"), false),
-    };
-    Scenario {
-        name: "process-kill",
-        fault: "worker SIGKILL",
-        expected: "respawn; sweep completes bit-identically",
-        observed,
-        pass,
-    }
+    sweep_against_reference(&opts, |outcome, identical| {
+        (
+            format!(
+                "rank {victim} killed after 1 cell; respawns={} identical={}",
+                outcome.respawns, identical
+            ),
+            outcome.respawns >= 1 && identical,
+        )
+    })
 }
 
-/// Runs the sweep across two in-process thread ranks with one result
-/// bit flipped on the victim's wire. The flip lands inside the first
-/// `Cell` frame's JSON payload — past the 12-byte integrity header and
-/// the 4-byte cell index — so the frame CRC, not the JSON parser, is
-/// what has to catch it.
-pub fn wire_bitflip_scenario(seed: u64) -> Scenario {
-    let cells = kill_sweep_cells();
-    let reference: Vec<String> = cells
-        .iter()
-        .map(|cell| match cell.run(Parallelism::Sequential) {
-            Ok(tree) => serde_json::to_string(&tree).expect("shim renderer is total"),
-            Err(why) => format!("error: {why}"),
-        })
-        .collect();
-    let victim = (seed % 2) as usize;
-    let bit = ((frame::HEADER_LEN as u64 + 4 + 8) * 8) + (seed % 8);
+/// The sweep across two in-process thread ranks with one result bit
+/// flipped on the victim's wire. The flip lands inside the first `Cell`
+/// frame's JSON payload — past the 12-byte integrity header and the
+/// 4-byte cell index — so the frame CRC, not the JSON parser, is what
+/// has to catch it.
+fn wire_bitflip(ctx: &Ctx) -> (String, bool) {
+    let victim = (ctx.seed % 2) as usize;
+    let bit = ((frame::HEADER_LEN as u64 + 4 + 8) * 8) + (ctx.seed % 8);
     let mut opts = LaunchOpts::threads(2);
     opts.wire_fault = Some(WireFaultSpec { rank: victim, bit });
-    let mut store = CkptStore::new();
-    let (observed, pass) = match run_sweep(&cells, &opts, &mut store) {
-        Ok(outcome) => {
-            let identical = outcome
-                .results
-                .iter()
-                .zip(&reference)
-                .all(|((_, got), want)| got == want);
-            let crc_caught = outcome
-                .losses
-                .iter()
-                .any(|why| why.contains("corrupt frame"));
-            (
-                format!(
-                    "rank {victim} bit {bit} flipped; respawns={} crc_caught={crc_caught} \
-                     identical={identical}",
-                    outcome.respawns
-                ),
-                outcome.respawns >= 1 && crc_caught && identical,
-            )
-        }
-        Err(e) => (format!("sweep did not complete: {e}"), false),
-    };
-    Scenario {
-        name: "wire-bitflip",
-        fault: "one bit flipped on the result wire",
-        expected: "frame CRC detects; backoff respawn; bit-identical",
-        observed,
-        pass,
-    }
+    sweep_against_reference(&opts, |outcome, identical| {
+        let crc_caught = outcome
+            .losses
+            .iter()
+            .any(|why| why.contains("corrupt frame"));
+        (
+            format!(
+                "rank {victim} bit {bit} flipped; respawns={} crc_caught={crc_caught} \
+                 identical={identical}",
+                outcome.respawns
+            ),
+            outcome.respawns >= 1 && crc_caught && identical,
+        )
+    })
 }
 
 /// Connects a worker to a coordinator that accepts and then never
 /// speaks. The worker's armed socket timeout must convert the stall
 /// into a typed `TimedOut`/`WouldBlock` error within the io budget —
 /// a silent peer may cost a timeout, never a wedged process.
-pub fn slow_peer_scenario(seed: u64) -> Scenario {
+fn slow_peer(ctx: &Ctx) -> (String, bool) {
     let verdict = (|| -> io::Result<(String, bool)> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?.to_string();
@@ -171,7 +175,7 @@ pub fn slow_peer_scenario(seed: u64) -> Scenario {
             let _ = release_rx.recv();
             drop(held);
         });
-        let budget = Duration::from_millis(100 + seed % 100);
+        let budget = Duration::from_millis(100 + ctx.seed % 100);
         let started = Instant::now();
         let outcome = worker::run_with(&addr, 0, budget);
         let waited = started.elapsed();
@@ -195,17 +199,7 @@ pub fn slow_peer_scenario(seed: u64) -> Scenario {
             }
         }
     })();
-    let (observed, pass) = match verdict {
-        Ok(v) => v,
-        Err(e) => (format!("scenario setup failed: {e}"), false),
-    };
-    Scenario {
-        name: "slow-peer",
-        fault: "coordinator accepts, then goes silent",
-        expected: "typed socket timeout within the io budget; no hang",
-        observed,
-        pass,
-    }
+    verdict.unwrap_or_else(|e| (format!("scenario setup failed: {e}"), false))
 }
 
 #[cfg(test)]
@@ -227,28 +221,23 @@ mod tests {
 
     #[test]
     fn an_unspawnable_worker_is_a_miss_not_a_panic() {
-        let scenario = process_kill_scenario(42, vec!["/no/such/binary".into()]);
-        assert_eq!(scenario.name, "process-kill");
-        assert!(!scenario.pass);
-        assert!(scenario.observed.contains("did not complete"));
+        let (observed, pass) = process_kill(&Ctx::new(42, vec!["/no/such/binary".into()]));
+        assert!(!pass);
+        assert!(observed.contains("did not complete"));
     }
 
     #[test]
     fn a_flipped_wire_bit_is_detected_and_survived() {
         for seed in [0, 1] {
-            let scenario = wire_bitflip_scenario(seed);
-            assert!(scenario.pass, "seed {seed}: {}", scenario.observed);
-            assert!(
-                scenario.observed.contains("crc_caught=true"),
-                "{}",
-                scenario.observed
-            );
+            let (observed, pass) = wire_bitflip(&Ctx::new(seed, Vec::new()));
+            assert!(pass, "seed {seed}: {observed}");
+            assert!(observed.contains("crc_caught=true"), "{observed}");
         }
     }
 
     #[test]
     fn a_silent_coordinator_times_out_instead_of_hanging() {
-        let scenario = slow_peer_scenario(7);
-        assert!(scenario.pass, "{}", scenario.observed);
+        let (observed, pass) = slow_peer(&Ctx::new(7, Vec::new()));
+        assert!(pass, "{observed}");
     }
 }

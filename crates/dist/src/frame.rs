@@ -26,18 +26,18 @@ use std::io::{self, Read, Write};
 
 /// Upper bound on a frame payload. Nothing legitimate comes close; a
 /// corrupt length prefix must not turn into a multi-gigabyte allocation.
-pub const MAX_FRAME: usize = 64 << 20;
+const MAX_FRAME: usize = 64 << 20;
 
 /// First two bytes of every frame; a stream that does not open with the
 /// magic is not speaking this protocol (or a bit flipped in transit).
-pub const MAGIC: u16 = 0xB51D;
+const MAGIC: u16 = 0xB51D;
 
 /// Wire protocol version, bumped when the frame layout changes.
 /// Version 1 was the pre-guard `[tag][len]` header without integrity.
-pub const PROTO_VERSION: u8 = 2;
+const PROTO_VERSION: u8 = 2;
 
 /// Total bytes preceding the payload: magic + version + tag + len + crc.
-pub const HEADER_LEN: usize = 12;
+pub(crate) const HEADER_LEN: usize = 12;
 
 /// One message on a distributed-simulation socket.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -363,7 +363,6 @@ impl<R: Read> RemoteReceiver<R> {
     /// Length of the leading all-zero run — how far a quiescence skip
     /// may advance through *already verified* idle traffic without
     /// blocking or guessing.
-    // bsim: allow(AU005) the loom model in tests/loom_link.rs races it against flush
     pub fn leading_zero_run(&self) -> u64 {
         let mut n = 0;
         for &(token, count) in &self.runs {

@@ -27,7 +27,7 @@ use std::time::Duration;
 /// token links). A coordinator that accepts and then goes silent is a
 /// typed [`io::ErrorKind::TimedOut`]/`WouldBlock` error, not a worker
 /// process wedged forever.
-pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(120);
+const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Arms symmetric read/write timeouts; zero means unbounded (std
 /// rejects a literal zero timeout).
@@ -54,9 +54,9 @@ fn worker_tracker() -> io::Result<Tracker<'static>> {
 }
 
 /// Environment variable naming the coordinator's `host:port`.
-pub const ADDR_ENV: &str = "BSIM_DIST_ADDR";
+pub(crate) const ADDR_ENV: &str = "BSIM_DIST_ADDR";
 /// Environment variable naming this worker's rank.
-pub const RANK_ENV: &str = "BSIM_DIST_RANK";
+pub(crate) const RANK_ENV: &str = "BSIM_DIST_RANK";
 
 /// The coordinator address and rank, if this process was spawned as a
 /// worker.

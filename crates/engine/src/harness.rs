@@ -145,21 +145,22 @@ impl AbortFlag {
 /// A peer thread panicked; unwind the current thread's driver loop.
 struct Aborted;
 
-/// Bounded spin-then-park backoff for channel stalls. Early retries are
+/// Bounded spin-then-park wait for channel stalls. Early retries are
 /// cheap spins (the producer is usually one lock release away), then
 /// yields, then short parks — a starved thread costs ~0 CPU instead of
 /// pegging a core, and the park bound keeps poison-flag detection prompt.
-struct Backoff {
+/// (Not a retry schedule: that is `bsim_resilience::Backoff`.)
+struct SpinWait {
     step: u32,
 }
 
-impl Backoff {
+impl SpinWait {
     const SPIN_LIMIT: u32 = 6;
     const YIELD_LIMIT: u32 = 16;
     const PARK_MICROS: u64 = 50;
 
-    fn new() -> Backoff {
-        Backoff { step: 0 }
+    fn new() -> SpinWait {
+        SpinWait { step: 0 }
     }
 
     fn reset(&mut self) {
@@ -254,11 +255,6 @@ impl<M: TickModel> Harness<M> {
     pub fn with_fast_forward(mut self, on: bool) -> Harness<M> {
         self.fast_forward = on;
         self
-    }
-
-    /// Whether quiescence fast-forward is enabled.
-    pub fn fast_forward_enabled(&self) -> bool {
-        self.fast_forward
     }
 
     /// Number of models currently publishing a
@@ -1288,7 +1284,7 @@ fn drive_model<M: TickModel>(
     } else {
         0
     };
-    let mut backoff = Backoff::new();
+    let mut spin = SpinWait::new();
 
     while cycle < to {
         let want = quantum.min((to - cycle) as usize);
@@ -1328,10 +1324,10 @@ fn drive_model<M: TickModel>(
             if abort.is_poisoned() {
                 return Err(Aborted);
             }
-            backoff.wait();
+            spin.wait();
             continue;
         }
-        backoff.reset();
+        spin.reset();
         for k in 0..batch as u64 {
             let t = cycle + k;
             let mut all_zero = true;
@@ -1417,9 +1413,9 @@ fn drive_model<M: TickModel>(
                 if abort.is_poisoned() {
                     return Err(Aborted);
                 }
-                backoff.wait();
+                spin.wait();
             } else {
-                backoff.reset();
+                spin.reset();
             }
         }
     }

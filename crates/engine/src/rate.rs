@@ -9,7 +9,7 @@
 //!
 //! The accounting itself lives in a telemetry [`CounterBlock`]: cycle
 //! accumulation goes through a registered counter, and
-//! [`SimRateMeter::finish_into`] publishes the result under the
+//! [`SimRate::publish`] publishes the result under the
 //! `host.rate.*` prefix so E15's 60 MHz/15 MHz discussion is
 //! reproducible from exported telemetry. Everything here is wall-clock
 //! derived and therefore host-dependent, hence the reserved `host.`
@@ -22,11 +22,11 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Counter name for accumulated target cycles.
-pub const RATE_TARGET_CYCLES: &str = "host.rate.target_cycles";
+const RATE_TARGET_CYCLES: &str = "host.rate.target_cycles";
 /// Counter name for elapsed host time, microseconds.
-pub const RATE_HOST_MICROS: &str = "host.rate.host_micros";
+const RATE_HOST_MICROS: &str = "host.rate.host_micros";
 /// Counter name for the effective rate in milli-MHz (kHz).
-pub const RATE_MILLI_MHZ: &str = "host.rate.milli_mhz";
+const RATE_MILLI_MHZ: &str = "host.rate.milli_mhz";
 
 /// Measures simulated target cycles against host wall-clock time.
 #[derive(Clone, Debug)]
@@ -73,13 +73,6 @@ impl SimRateMeter {
             target_cycles: self.counters.get(RATE_TARGET_CYCLES).unwrap_or(0),
             host_seconds: self.started.elapsed().as_secs_f64(),
         }
-    }
-
-    /// Stops, publishes `host.rate.*` into `block`, and reports.
-    pub fn finish_into(self, block: &mut CounterBlock) -> SimRate {
-        let rate = self.finish();
-        rate.publish(block);
-        rate
     }
 }
 
@@ -145,11 +138,12 @@ mod tests {
     }
 
     #[test]
-    fn finish_into_publishes_host_rate_counters() {
+    fn a_finished_meter_publishes_host_rate_counters() {
         let mut m = SimRateMeter::start();
         m.add_cycles(12345);
         let mut block = CounterBlock::new(true);
-        let r = m.finish_into(&mut block);
+        let r = m.finish();
+        r.publish(&mut block);
         assert_eq!(block.get(RATE_TARGET_CYCLES), Some(12345));
         assert!(block.get(RATE_HOST_MICROS).is_some());
         assert_eq!(r.target_cycles, 12345);

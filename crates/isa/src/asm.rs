@@ -7,6 +7,10 @@
 //!
 //! The MicroBench suite (Table 1 of the paper) is written entirely against
 //! this API; see `bsim-workloads::microbench`.
+//!
+//! The mnemonic builders are the RV64IMD instruction table: which of them
+//! today's kernels happen to call says nothing about the surface.
+// bsim: allow-file(AU005) an ISA's mnemonic table, not accretion
 
 use crate::inst::{AluOp, BranchKind, FpCmp, FpOp, Inst, LoadKind, MulOp, StoreKind};
 use crate::mem::Memory;
@@ -15,13 +19,13 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// Default base address of the code image.
-pub const CODE_BASE: u64 = 0x0001_0000;
+const CODE_BASE: u64 = 0x0001_0000;
 /// Default base address of the data image.
 pub const DATA_BASE: u64 = 0x0100_0000;
 /// Initial stack pointer (grows down).
-pub const STACK_TOP: u64 = 0x7FFF_F000;
+const STACK_TOP: u64 = 0x7FFF_F000;
 /// The `ecall` a7 value for "exit" (Linux RV64 ABI).
-pub const SYS_EXIT: u64 = 93;
+pub(crate) const SYS_EXIT: u64 = 93;
 
 /// An assembled, loadable program.
 #[derive(Clone, Debug)]
@@ -51,7 +55,7 @@ impl Program {
     }
 
     /// Loads the code and data images into a target [`Memory`].
-    pub fn load_into(&self, mem: &mut Memory) {
+    pub(crate) fn load_into(&self, mem: &mut Memory) {
         let code: Vec<u8> = self.code.iter().flat_map(|w| w.to_le_bytes()).collect();
         mem.load(self.code_base, &code);
         mem.load(self.data_base, &self.data);
@@ -132,7 +136,6 @@ pub struct Asm {
     labels: HashMap<String, usize>,
     data: Vec<u8>,
     syms: HashMap<String, u64>,
-    scratch_labels: u64,
 }
 
 impl Asm {
@@ -148,12 +151,6 @@ impl Asm {
         let prev = self.labels.insert(name.to_string(), self.slots.len());
         assert!(prev.is_none(), "duplicate label `{name}`");
         self
-    }
-
-    /// Returns a unique label name (for generated control flow).
-    pub fn fresh_label(&mut self, stem: &str) -> String {
-        self.scratch_labels += 1;
-        format!("{}__{}", stem, self.scratch_labels)
     }
 
     /// Current instruction index (useful for size accounting in tests).
@@ -216,14 +213,6 @@ impl Asm {
         let addr = DATA_BASE + self.data.len() as u64;
         self.data.resize(self.data.len() + n, 0);
         addr
-    }
-
-    /// Address of a previously defined data symbol.
-    pub fn sym(&self, name: &str) -> u64 {
-        *self
-            .syms
-            .get(name)
-            .unwrap_or_else(|| panic!("undefined data symbol `{name}`"))
     }
 
     // ---- raw emit ------------------------------------------------------

@@ -225,7 +225,7 @@ impl MulOp {
     }
 
     /// True for the divide/remainder subgroup (long-latency unit).
-    pub fn is_div(self) -> bool {
+    fn is_div(self) -> bool {
         matches!(self, MulOp::Div | MulOp::Divu | MulOp::Rem | MulOp::Remu)
     }
 }

@@ -57,9 +57,6 @@ pub enum Trap {
     IllegalInstruction { pc: u64, word: u32 },
 }
 
-/// Error type for `step` (alias kept for API clarity).
-pub type ExecError = Trap;
-
 /// Result of [`Cpu::run`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum RunResult {
@@ -128,7 +125,7 @@ impl Cpu {
 
     /// Writes an integer register (writes to `x0` are discarded).
     #[inline]
-    pub fn set_x(&mut self, r: Reg, v: u64) {
+    fn set_x(&mut self, r: Reg, v: u64) {
         if r.0 != 0 {
             self.x[r.0 as usize] = v;
         }
@@ -142,7 +139,7 @@ impl Cpu {
 
     /// Writes an FP register.
     #[inline]
-    pub fn set_freg(&mut self, i: u8, v: f64) {
+    fn set_freg(&mut self, i: u8, v: f64) {
         self.f[i as usize] = v;
     }
 

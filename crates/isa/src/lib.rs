@@ -32,6 +32,6 @@ pub mod reg;
 
 pub use asm::{Asm, Program};
 pub use inst::{BranchClass, DecodeError, Inst, Lowered, OpClass};
-pub use interp::{Cpu, ExecError, Retired, RunResult, Trap};
+pub use interp::{Cpu, Retired, RunResult, Trap};
 pub use mem::Memory;
 pub use reg::{FReg, Reg};

@@ -157,13 +157,13 @@ impl Memory {
 
     /// Writes a little-endian u16.
     #[inline]
-    pub fn write_u16(&mut self, addr: u64, val: u16) {
+    pub(crate) fn write_u16(&mut self, addr: u64, val: u16) {
         self.write_bytes(addr, &val.to_le_bytes());
     }
 
     /// Writes a little-endian u32.
     #[inline]
-    pub fn write_u32(&mut self, addr: u64, val: u32) {
+    pub(crate) fn write_u32(&mut self, addr: u64, val: u32) {
         self.write_bytes(addr, &val.to_le_bytes());
     }
 
@@ -175,7 +175,7 @@ impl Memory {
 
     /// Writes an f64 (bit pattern).
     #[inline]
-    pub fn write_f64(&mut self, addr: u64, val: f64) {
+    pub(crate) fn write_f64(&mut self, addr: u64, val: f64) {
         self.write_u64(addr, val.to_bits());
     }
 

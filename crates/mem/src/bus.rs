@@ -24,7 +24,7 @@ pub struct BusConfig {
 
 impl BusConfig {
     /// Beats needed to move `bytes` across the bus.
-    pub fn beats(&self, bytes: u32) -> u64 {
+    pub(crate) fn beats(&self, bytes: u32) -> u64 {
         let per_beat = self.width_bits / 8;
         bytes.div_ceil(per_beat) as u64
     }
@@ -79,7 +79,7 @@ impl Bus {
     }
 
     /// Cumulative busy beats across both channels.
-    pub fn busy_cycles(&self) -> u64 {
+    pub(crate) fn busy_cycles(&self) -> u64 {
         self.busy_cycles
     }
 }

@@ -208,7 +208,7 @@ impl Cache {
 
     /// Base address of the line containing `addr`.
     #[inline]
-    pub fn line_base(&self, addr: u64) -> u64 {
+    pub(crate) fn line_base(&self, addr: u64) -> u64 {
         addr & !((self.cfg.line_bytes as u64) - 1)
     }
 
@@ -229,7 +229,7 @@ impl Cache {
     /// prefetcher, which probes tags opportunistically in idle slots.
     /// Returns the line's ready time on a hit.
     #[inline]
-    pub fn access_quiet(&mut self, addr: u64, is_store: bool) -> Option<u64> {
+    pub(crate) fn access_quiet(&mut self, addr: u64, is_store: bool) -> Option<u64> {
         let (set, want) = self.locate(addr);
         match self.probe(set, want) {
             Some(li) => Some(self.touch(set, li, is_store)),
@@ -245,7 +245,12 @@ impl Cache {
     /// bank claim, LRU touch and dirty mark `access` makes on a hit,
     /// `None` with the cache untouched on a miss.
     #[inline(always)]
-    pub fn access_resident(&mut self, addr: u64, is_store: bool, now: u64) -> Option<(u64, u64)> {
+    pub(crate) fn access_resident(
+        &mut self,
+        addr: u64,
+        is_store: bool,
+        now: u64,
+    ) -> Option<(u64, u64)> {
         let (set, want) = self.locate(addr);
         let li = self.probe(set, want)?;
         Some((self.claim_bank(addr, now), self.touch(set, li, is_store)))

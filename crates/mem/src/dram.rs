@@ -109,13 +109,8 @@ impl DramConfig {
         }
     }
 
-    /// Peak bandwidth across all channels, GB/s.
-    pub fn peak_bandwidth_gbs(&self) -> f64 {
-        self.channels as f64 * (self.width_bits as f64 / 8.0) * self.data_rate_mtps as f64 / 1000.0
-    }
-
     /// Time for one 64-byte line burst on one channel, ns.
-    pub fn burst_ns(&self, bytes: u32) -> f64 {
+    fn burst_ns(&self, bytes: u32) -> f64 {
         let beats = (bytes * 8).div_ceil(self.width_bits) as f64;
         beats * 1000.0 / self.data_rate_mtps as f64
     }
@@ -249,7 +244,7 @@ impl DramModel {
     /// Cycle after which every bank and channel bus is idle: nothing in
     /// this model changes between then and the next access, which is
     /// exactly the promise a harness quiescence hint needs.
-    pub fn busy_until_cycle(&self) -> u64 {
+    pub(crate) fn busy_until_cycle(&self) -> u64 {
         self.cycles_of(self.busy_until_ns)
     }
 
@@ -304,10 +299,14 @@ mod tests {
 
     #[test]
     fn preset_bandwidths_match_spec() {
-        assert!((DramConfig::ddr3_2000(1).peak_bandwidth_gbs() - 16.0).abs() < 1e-9);
-        assert!((DramConfig::ddr4_3200(4).peak_bandwidth_gbs() - 102.4).abs() < 1e-9);
+        // Peak bandwidth across all channels, GB/s.
+        let peak = |c: DramConfig| {
+            c.channels as f64 * (c.width_bits as f64 / 8.0) * c.data_rate_mtps as f64 / 1000.0
+        };
+        assert!((peak(DramConfig::ddr3_2000(1)) - 16.0).abs() < 1e-9);
+        assert!((peak(DramConfig::ddr4_3200(4)) - 102.4).abs() < 1e-9);
         // Dual 32-bit LPDDR4-2666: 2 * 4 B * 2666 MT/s = 21.3 GB/s.
-        assert!((DramConfig::lpddr4_2666().peak_bandwidth_gbs() - 21.328).abs() < 0.01);
+        assert!((peak(DramConfig::lpddr4_2666()) - 21.328).abs() < 0.01);
     }
 
     #[test]

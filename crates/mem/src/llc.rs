@@ -77,7 +77,7 @@ impl LlcModel {
     }
 
     /// Slice index for an address (line-granularity interleaving).
-    pub fn slice_of(&self, addr: u64) -> usize {
+    fn slice_of(&self, addr: u64) -> usize {
         let line = addr >> self.cfg.geometry.line_bytes.trailing_zeros();
         (line & (self.cfg.slices as u64 - 1)) as usize
     }

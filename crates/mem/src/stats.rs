@@ -60,11 +60,6 @@ impl MemStats {
         ratio(self.l2_misses, self.l2_accesses)
     }
 
-    /// DRAM row-buffer hit rate in [0, 1].
-    pub fn row_hit_rate(&self) -> f64 {
-        ratio(self.dram_row_hits, self.dram_reads + self.dram_writes)
-    }
-
     /// Element-wise difference (`self - earlier`), for interval accounting.
     pub fn delta(&self, earlier: &MemStats) -> MemStats {
         MemStats {
@@ -130,7 +125,6 @@ mod tests {
     fn rates_handle_zero_denominator() {
         let s = MemStats::default();
         assert_eq!(s.l1d_miss_rate(), 0.0);
-        assert_eq!(s.row_hit_rate(), 0.0);
     }
 
     #[test]

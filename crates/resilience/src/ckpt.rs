@@ -26,7 +26,7 @@ use std::path::Path;
 /// Bump on any layout change; `load` refuses other versions. There is
 /// deliberately no migration machinery — checkpoints are short-lived
 /// run artifacts, not archives.
-pub const CKPT_VERSION: u64 = 1;
+const CKPT_VERSION: u64 = 1;
 
 /// Keyed, versioned collection of snapshot trees.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -130,21 +130,13 @@ impl CkptStore {
         }
     }
 
-    /// Write the store to `path`, returning the byte count written
-    /// (feeds the `host.resilience.ckpt_bytes` counter).
+    /// Write the store to `path` through a temp-file-plus-rename,
+    /// returning the byte count written. A reader (or a crash) can never
+    /// observe a half-written store: the rename is atomic on POSIX
+    /// filesystems, and a write that fails or a process killed mid-write
+    /// leaves the previous complete file in place (plus, for the kill, an
+    /// orphaned `.tmp`).
     pub fn save(&self, path: &Path) -> Result<u64, CkptError> {
-        let text = self.to_json();
-        std::fs::write(path, &text).map_err(|e| CkptError::Corrupt {
-            detail: format!("write {}: {e}", path.display()),
-        })?;
-        Ok(text.len() as u64)
-    }
-
-    /// [`CkptStore::save`] through a temp-file-plus-rename, so a reader
-    /// (or a crash) can never observe a half-written store: the rename is
-    /// atomic on POSIX filesystems, and a process killed mid-write leaves
-    /// the previous complete file in place plus an orphaned `.tmp`.
-    pub fn save_atomic(&self, path: &Path) -> Result<u64, CkptError> {
         let text = self.to_json();
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         std::fs::write(&tmp, &text).map_err(|e| CkptError::Corrupt {
@@ -231,21 +223,44 @@ mod tests {
     }
 
     #[test]
-    fn atomic_save_replaces_and_leaves_no_temp() {
+    fn save_replaces_and_leaves_no_temp() {
         let dir = std::env::temp_dir().join("bsim-ckpt-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("atomic-{}.ckpt.json", std::process::id()));
         let mut store = CkptStore::new();
         store.put("k", &1u64);
-        store.save_atomic(&path).unwrap();
+        store.save(&path).unwrap();
         store.put("k", &2u64);
-        store.save_atomic(&path).unwrap();
+        store.save(&path).unwrap();
         assert_eq!(
             CkptStore::load(&path).unwrap().get::<u64>("k").unwrap(),
             Some(2)
         );
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         assert!(!tmp.exists(), "temp file must be renamed away");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_save_leaves_the_previous_file_intact() {
+        let dir = std::env::temp_dir().join("bsim-ckpt-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("torn-{}.ckpt.json", std::process::id()));
+        let mut store = CkptStore::new();
+        store.put("k", &1u64);
+        store.save(&path).unwrap();
+        // A directory squatting on the temp path makes the write fail.
+        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+        std::fs::create_dir_all(&tmp).unwrap();
+        store.put("k", &2u64);
+        let err = store.save(&path).expect_err("the temp path is unwritable");
+        assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
+        assert_eq!(
+            CkptStore::load(&path).unwrap().get::<u64>("k").unwrap(),
+            Some(1),
+            "the previous complete store must still load"
+        );
+        std::fs::remove_dir(&tmp).ok();
         std::fs::remove_file(&path).ok();
     }
 }

@@ -9,9 +9,11 @@
 //!
 //! * [`crc32`] — the IEEE CRC32 the dist frame header and the svc
 //!   result store both stamp over their payloads.
-//! * [`Backoff`] — capped exponential backoff whose per-attempt delay
-//!   carries deterministic jitter in `[50%, 100%]` of nominal, so
-//!   respawning ranks never retry-storm in lockstep.
+//! * [`Backoff`] — the workspace's one retry schedule: capped
+//!   exponential backoff whose per-attempt delay carries deterministic
+//!   jitter in `[50%, 100%]` of nominal, so respawning ranks never
+//!   retry-storm in lockstep. The dist launcher sleeps on it between
+//!   respawns, [`crate::RetryPolicy`] between attempts of a cell.
 //! * [`Breaker`] — a closed → open → half-open circuit breaker driven
 //!   by consecutive failure counts; the dist launcher keeps one per
 //!   rank so a flapping rank degrades to backoff-gated
@@ -71,14 +73,15 @@ pub struct Backoff {
     pub base_ms: u64,
     /// Geometric growth factor per attempt.
     pub factor: u64,
-    /// Hard ceiling on the nominal delay (GD003 wants one to exist).
+    /// Hard ceiling on the nominal delay. GD003 reads it off a retry
+    /// policy: `u64::MAX`, which no delay reaches, is no cap.
     pub cap_ms: u64,
     /// Jitter seed; vary per peer/rank to avoid lockstep retries.
     pub seed: u64,
 }
 
 impl Backoff {
-    /// The campaign default: 50 ms doubling up to a 2 s ceiling.
+    /// The default schedule: 50 ms doubling up to a 2 s ceiling.
     pub fn new(seed: u64) -> Backoff {
         Backoff {
             base_ms: 50,

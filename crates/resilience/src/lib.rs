@@ -20,12 +20,14 @@
 //!   checkpointed.
 //! * [`ckpt`] — the versioned on-disk [`CkptStore`] behind
 //!   `bsim fig --resume <ckpt>`.
-//! * [`retry`] — [`RetryPolicy`] with exponential backoff and the
-//!   [`CellOutcome`] rows resilient sweeps record instead of aborting.
+//! * [`retry`] — [`RetryPolicy`], the one place a cell panic is caught,
+//!   and the [`CellOutcome`] rows resilient sweeps record instead of
+//!   aborting.
 //! * [`guard`] — bsim-guard hardening primitives: the [`crc32`] the
-//!   dist wire protocol and svc result store stamp over payloads,
-//!   seeded-jittered [`Backoff`], and the per-rank circuit [`Breaker`]
-//!   the dist launcher arms against flapping ranks.
+//!   dist wire protocol and svc result store stamp over payloads, the
+//!   seeded-jittered [`Backoff`] schedule both [`RetryPolicy`] and the
+//!   dist launcher sleep on, and the per-rank circuit [`Breaker`] the
+//!   launcher arms against flapping ranks.
 //!
 //! Config sanity is linted through `bsim-check` diagnostics under the
 //! `RS0xx` codes (see `crates/check/README.md`), and runtime events flow
@@ -44,7 +46,7 @@ pub mod retry;
 pub mod snapshot;
 pub mod watchdog;
 
-pub use ckpt::{CkptStore, CKPT_VERSION};
+pub use ckpt::CkptStore;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use guard::{crc32, Backoff, Breaker, BreakerState};
 pub use peers::PeerWatchdog;

@@ -67,11 +67,6 @@ impl PeerWatchdog {
             })
             .collect()
     }
-
-    /// True when every peer is live and inside its budget.
-    pub fn all_live(&self) -> bool {
-        self.dead().is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -81,13 +76,13 @@ mod tests {
     #[test]
     fn fresh_peers_are_live_and_loss_is_sticky() {
         let mut dog = PeerWatchdog::new(3, Duration::from_secs(60));
-        assert!(dog.all_live());
+        assert!(dog.dead().is_empty());
         dog.lost(1);
         assert_eq!(dog.dead(), vec![1]);
         dog.beat(1);
         assert_eq!(dog.dead(), vec![1], "a heartbeat does not resurrect");
         dog.revive(1);
-        assert!(dog.all_live(), "an explicit respawn does");
+        assert!(dog.dead().is_empty(), "an explicit respawn does");
     }
 
     #[test]

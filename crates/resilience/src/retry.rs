@@ -1,67 +1,47 @@
-//! Per-cell retry with exponential backoff.
+//! Per-cell retry with backoff.
 //!
 //! Long sweeps run dozens of independent cells; one poisoned cell (a
 //! model panic, a watchdog trip) should not abort the figure. A
-//! [`RetryPolicy`] re-runs a failing cell a bounded number of times
-//! with exponential host-time backoff, and the sweep records a
-//! [`CellOutcome`] row — either the value or a typed
+//! [`RetryPolicy`] re-runs a failing cell a bounded number of times,
+//! sleeping the [`Backoff`] schedule between attempts, and the sweep
+//! records a [`CellOutcome`] row — either the value or a typed
 //! [`CellOutcome::Failed`] diagnostic — instead of unwinding.
 
+use crate::guard::Backoff;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-/// Ceiling on any single retry backoff. Geometric growth with an
-/// aggressive factor can otherwise reach minutes within a handful of
-/// attempts; no transient host condition is worth waiting longer than
-/// this for (`GD003` lints configurations that dodge the cap).
-pub const BACKOFF_CAP_MS: u64 = 10_000;
-
-/// Bounded retry with exponential backoff.
+/// Bounded retry; the host-time sleeps between attempts are a
+/// [`Backoff`] schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts (first try included). `1` means no retry.
     pub max_attempts: u32,
-    /// Host-time sleep before the second attempt.
-    pub base_backoff_ms: u64,
-    /// Backoff multiplier per further attempt.
-    pub factor: u32,
+    /// Sleep after failed attempt `n` (1-based) is `backoff.delay_ms(n - 1)`;
+    /// nothing is slept after the last attempt.
+    pub backoff: Backoff,
 }
 
 impl Default for RetryPolicy {
-    /// Three attempts, 50 ms then 200 ms between them — enough to ride
-    /// out transient host contention without stretching a sweep.
+    /// Three attempts on the default [`Backoff`] (25–50 ms, then
+    /// 50–100 ms) — enough to ride out transient host contention without
+    /// stretching a sweep.
     fn default() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
-            base_backoff_ms: 50,
-            factor: 4,
+            backoff: Backoff::new(0),
         }
     }
 }
 
 impl RetryPolicy {
-    /// A single attempt, no backoff: resilient bookkeeping without
-    /// retry semantics (used by tests and `--no-retry` style callers).
+    /// A single attempt: a panic is caught and diagnosed, never retried.
     pub fn once() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
-            base_backoff_ms: 0,
-            factor: 1,
+            ..RetryPolicy::default()
         }
-    }
-
-    /// Backoff slept *after* failed attempt `attempt` (1-based).
-    pub fn backoff_after(&self, attempt: u32) -> Duration {
-        if attempt >= self.max_attempts {
-            return Duration::ZERO; // no further attempt follows
-        }
-        let mult = self.factor.saturating_pow(attempt.saturating_sub(1)) as u64;
-        Duration::from_millis(
-            self.base_backoff_ms
-                .saturating_mul(mult)
-                .min(BACKOFF_CAP_MS),
-        )
     }
 
     /// Run `cell`, retrying on panic. Panics are contained with
@@ -84,9 +64,9 @@ impl RetryPolicy {
                 }
                 Err(payload) => {
                     last_diag = panic_message(payload.as_ref());
-                    let backoff = self.backoff_after(attempt);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
+                    if attempt < attempts {
+                        let ms = self.backoff.delay_ms(attempt - 1);
+                        std::thread::sleep(Duration::from_millis(ms));
                     }
                 }
             }
@@ -152,14 +132,6 @@ impl<T> CellOutcome<T> {
         }
     }
 
-    /// Consume into the value if the cell succeeded.
-    pub fn into_value(self) -> Option<T> {
-        match self {
-            CellOutcome::Ok { value, .. } => Some(value),
-            CellOutcome::Failed { .. } => None,
-        }
-    }
-
     /// Borrow the diagnostic if the cell failed.
     pub fn diag(&self) -> Option<&str> {
         match self {
@@ -173,6 +145,18 @@ impl<T> CellOutcome<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
+
+    /// `attempts` tries, 1 ms apart.
+    fn quick(attempts: u32) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: attempts,
+            backoff: Backoff {
+                base_ms: 1,
+                cap_ms: 1,
+                ..Backoff::new(0)
+            },
+        }
+    }
 
     #[test]
     fn first_try_success_uses_one_attempt() {
@@ -191,12 +175,7 @@ mod tests {
     #[test]
     fn transient_panic_is_retried_to_success() {
         let calls = AtomicU32::new(0);
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_backoff_ms: 0,
-            factor: 1,
-        };
-        let out = policy.run(|| {
+        let out = quick(3).run(|| {
             if calls.fetch_add(1, Ordering::Relaxed) < 2 {
                 panic!("transient host hiccup");
             }
@@ -214,12 +193,7 @@ mod tests {
 
     #[test]
     fn persistent_panic_degrades_to_failed_with_diag() {
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            base_backoff_ms: 0,
-            factor: 1,
-        };
-        let out: CellOutcome<u64> = policy.run(|| panic!("cell poisoned at cycle {}", 99));
+        let out: CellOutcome<u64> = quick(2).run(|| panic!("cell poisoned at cycle {}", 99));
         match &out {
             CellOutcome::Failed { diag, attempts } => {
                 assert_eq!(*attempts, 2);
@@ -233,26 +207,18 @@ mod tests {
     }
 
     #[test]
-    fn backoff_grows_geometrically_and_stops_at_the_last_attempt() {
+    fn nothing_is_slept_after_the_last_attempt() {
         let policy = RetryPolicy {
-            max_attempts: 4,
-            base_backoff_ms: 10,
-            factor: 3,
+            max_attempts: 1,
+            backoff: Backoff {
+                base_ms: 600_000,
+                cap_ms: 600_000,
+                ..Backoff::new(0)
+            },
         };
-        assert_eq!(policy.backoff_after(1), Duration::from_millis(10));
-        assert_eq!(policy.backoff_after(2), Duration::from_millis(30));
-        assert_eq!(policy.backoff_after(3), Duration::from_millis(90));
-        assert_eq!(policy.backoff_after(4), Duration::ZERO);
-        assert_eq!(RetryPolicy::once().backoff_after(1), Duration::ZERO);
-        // Runaway growth clamps at the cap instead of sleeping minutes.
-        let runaway = RetryPolicy {
-            max_attempts: 10,
-            base_backoff_ms: 1000,
-            factor: 100,
-        };
-        assert_eq!(
-            runaway.backoff_after(5),
-            Duration::from_millis(BACKOFF_CAP_MS)
-        );
+        let started = std::time::Instant::now();
+        let out: CellOutcome<u64> = policy.run(|| panic!("poisoned"));
+        assert!(!out.is_ok());
+        assert!(started.elapsed() < Duration::from_secs(60));
     }
 }

@@ -406,7 +406,7 @@ pub fn by_name(name: &str, cores: usize) -> Option<SocConfig> {
 }
 
 /// All FireSim Rocket-side configs of Figure 1/3, in figure order.
-pub fn rocket_family(cores: usize) -> Vec<SocConfig> {
+pub(crate) fn rocket_family(cores: usize) -> Vec<SocConfig> {
     vec![
         rocket1(cores),
         rocket2(cores),
@@ -416,7 +416,7 @@ pub fn rocket_family(cores: usize) -> Vec<SocConfig> {
 }
 
 /// All FireSim BOOM-side configs of Figure 2/4, in figure order.
-pub fn boom_family(cores: usize) -> Vec<SocConfig> {
+pub(crate) fn boom_family(cores: usize) -> Vec<SocConfig> {
     vec![
         small_boom(cores),
         medium_boom(cores),

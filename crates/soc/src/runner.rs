@@ -3,13 +3,12 @@
 use crate::configs::{CoreModel, SocConfig};
 use bsim_isa::{Cpu, Program, RunResult};
 use bsim_mem::{MemStats, MemoryHierarchy};
-use bsim_resilience::snapshot::{field, restore_field, CkptError, Snapshot};
 use bsim_telemetry::{Telemetry, TelemetrySnapshot};
 use bsim_uarch::{CoreStats, InOrderCore, MicroOp, OooCore, TimingCore};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// One instantiated core (either timing model).
-pub enum CoreInst {
+enum CoreInst {
     /// In-order instance.
     InOrder(InOrderCore),
     /// Out-of-order instance.
@@ -97,119 +96,6 @@ impl RunReport {
         } else {
             self.retired as f64 / self.cycles as f64
         }
-    }
-}
-
-/// Rebuilds a struct whose fields are all `u64` from a checkpoint map,
-/// one `restore_field` per named field. `CoreStats` and `MemStats` live
-/// in foreign crates, so their restore paths are free functions here
-/// (the orphan rule forbids `impl Snapshot for CoreStats` outside the
-/// crate that owns one of the two).
-macro_rules! restore_u64_struct {
-    ($value:expr, $ty:ident { $($f:ident),* $(,)? }) => {
-        Ok($ty { $($f: restore_field($value, stringify!($f))?),* })
-    };
-}
-
-fn core_stats_from(value: &Value) -> Result<CoreStats, CkptError> {
-    restore_u64_struct!(
-        value,
-        CoreStats {
-            cycles,
-            retired,
-            branches,
-            mispredicts,
-            fetch_stall_cycles,
-            data_stall_cycles,
-            structural_stall_cycles,
-            tlb_stall_cycles,
-            loads,
-            stores,
-            branch_lookups,
-            fetch_lines,
-            rob_high_water,
-            lsq_high_water,
-        }
-    )
-}
-
-fn mem_stats_from(value: &Value) -> Result<MemStats, CkptError> {
-    restore_u64_struct!(
-        value,
-        MemStats {
-            l1d_accesses,
-            l1d_misses,
-            l1i_accesses,
-            l1i_misses,
-            l2_accesses,
-            l2_misses,
-            llc_accesses,
-            llc_misses,
-            dram_reads,
-            dram_writes,
-            dram_row_hits,
-            dram_row_misses,
-            dram_token_stall_cycles,
-            writebacks,
-            bank_conflict_cycles,
-            mshr_stall_cycles,
-            bus_busy_cycles,
-            prefetches,
-        }
-    )
-}
-
-/// Checkpoint form of a finished (or mid-sweep) run result.
-///
-/// Telemetry is deliberately **not** checkpointed: `TelemetrySnapshot`
-/// is an observational export with no restore path, so `save` writes
-/// `Null` for it and a restored report always carries `telemetry:
-/// None`. Everything architectural — cycles, retired, per-core and
-/// memory counters, the exit code — roundtrips exactly, which is what
-/// the resume-bit-identity tests compare.
-impl Snapshot for RunReport {
-    fn save(&self) -> Value {
-        Value::Map(vec![
-            ("platform".into(), self.platform.save()),
-            ("cycles".into(), self.cycles.save()),
-            ("retired".into(), self.retired.save()),
-            ("seconds".into(), self.seconds.save()),
-            (
-                "core_stats".into(),
-                Value::Seq(self.core_stats.iter().map(|s| s.to_value()).collect()),
-            ),
-            ("mem_stats".into(), self.mem_stats.to_value()),
-            (
-                "exit_code".into(),
-                match self.exit_code {
-                    Some(code) => Value::I64(code),
-                    None => Value::Null,
-                },
-            ),
-            ("telemetry".into(), Value::Null),
-        ])
-    }
-
-    fn restore(value: &Value) -> Result<RunReport, CkptError> {
-        let stats_seq = field(value, "core_stats")?
-            .as_seq()
-            .ok_or(CkptError::WrongType {
-                field: "core_stats".into(),
-                expected: "sequence",
-            })?;
-        Ok(RunReport {
-            platform: restore_field(value, "platform")?,
-            cycles: restore_field(value, "cycles")?,
-            retired: restore_field(value, "retired")?,
-            seconds: restore_field(value, "seconds")?,
-            core_stats: stats_seq
-                .iter()
-                .map(core_stats_from)
-                .collect::<Result<_, _>>()?,
-            mem_stats: mem_stats_from(field(value, "mem_stats")?)?,
-            exit_code: restore_field(value, "exit_code")?,
-            telemetry: None,
-        })
     }
 }
 
@@ -435,7 +321,6 @@ mod tests {
     use crate::configs;
     use bsim_isa::reg::*;
     use bsim_isa::Asm;
-    use bsim_telemetry::TelemetryConfig;
 
     /// A small pointer-chase + arithmetic kernel for smoke-testing.
     fn kernel(iters: i64) -> Program {
@@ -461,39 +346,6 @@ mod tests {
             "single-issue cannot exceed IPC 1 on this kernel"
         );
         assert!(rep.seconds > 0.0);
-    }
-
-    #[test]
-    fn run_report_snapshot_roundtrips_except_telemetry() {
-        let mut soc = Soc::new(configs::rocket1(2).with_telemetry(TelemetryConfig::counters()));
-        let rep = soc.run_program(0, &kernel(500), 1_000_000);
-        assert!(
-            rep.telemetry.is_some(),
-            "test wants a telemetry-bearing run"
-        );
-
-        let restored = RunReport::restore(&rep.save()).unwrap();
-        assert_eq!(restored.platform, rep.platform);
-        assert_eq!(restored.cycles, rep.cycles);
-        assert_eq!(restored.retired, rep.retired);
-        assert_eq!(restored.seconds, rep.seconds);
-        assert_eq!(restored.core_stats, rep.core_stats);
-        assert_eq!(restored.mem_stats, rep.mem_stats);
-        assert_eq!(restored.exit_code, rep.exit_code);
-        assert!(
-            restored.telemetry.is_none(),
-            "telemetry is observational and not checkpointed"
-        );
-
-        // A second save of the restored report is identical: the
-        // checkpoint form is a fixed point.
-        assert_eq!(restored.save(), rep.save());
-
-        // Shape errors are typed, not panics.
-        assert!(matches!(
-            RunReport::restore(&Value::U64(3)),
-            Err(CkptError::MissingField { .. })
-        ));
     }
 
     #[test]

@@ -197,8 +197,8 @@ impl DaemonConfig {
             queue_cap: self.queue_cap,
             deadline_ms: self.deadline.map(|d| d.as_millis() as u64),
             retry_max_attempts: self.retry.max_attempts,
-            // RetryPolicy clamps every backoff at this cap.
-            retry_backoff_cap_ms: Some(bsim_resilience::retry::BACKOFF_CAP_MS),
+            // A cap no delay can reach is no cap.
+            retry_backoff_cap_ms: Some(self.retry.backoff.cap_ms).filter(|&cap| cap < u64::MAX),
             links: (0..self.dist_ranks)
                 .map(|r| bsim_check::guard::LinkGuard {
                     name: format!("rank{r}.ctrl"),
@@ -1367,11 +1367,24 @@ mod tests {
         let (d, report) = Daemon::spawn(DaemonConfig {
             conn_workers: 0,
             deadline: Some(Duration::ZERO),
+            retry: RetryPolicy {
+                max_attempts: 3,
+                backoff: bsim_resilience::Backoff {
+                    cap_ms: u64::MAX,
+                    ..bsim_resilience::Backoff::new(0)
+                },
+            },
             ..DaemonConfig::default()
         })
         .unwrap();
         assert!(report.has_code("GD001"), "{report}");
         assert!(report.has_code("GD002"), "{report}");
+        assert!(report.has_code("GD003"), "{report}");
+        let capped = DaemonConfig {
+            retry: RetryPolicy::default(),
+            ..DaemonConfig::default()
+        };
+        assert_eq!(capped.guard_spec().retry_backoff_cap_ms, Some(2_000));
         // Pool sizes clamp to one, so the degraded daemon still serves.
         let (status, _) = roundtrip(&d.addr(), "GET", "/metrics", "").unwrap();
         assert_eq!(status, 200);

@@ -1,35 +1,39 @@
-//! The service-layer scenario for the `bsim faults` survival matrix.
+//! The service-layer row of the `bsim faults` survival matrix.
 //!
-//! [`store_corrupt_scenario`] flips one seeded bit of a flushed
+//! `store-corrupt` ([`ROWS`]) flips one seeded bit of a flushed
 //! result-store file and requires quarantine-not-serve: after reopen,
 //! every key returns either its original value or nothing — never
 //! flipped bits served as a result — and a [`scrub`] pass leaves a file
-//! that opens clean. It plugs into the campaign's [`Scenario`] row type
-//! so the CLI appends it to the matrix next to the dist scale-out rows.
+//! that opens clean.
 
 use crate::store::{scrub, ResultStore};
-use bsim_core::campaign::Scenario;
+use bsim_core::campaign::{Ctx, FaultRow};
 use serde::Value;
 use std::path::{Path, PathBuf};
 
-/// Stages the corruption in a temp file, reports the outcome as a
-/// campaign row, and cleans up after itself.
-pub fn store_corrupt_scenario(seed: u64) -> Scenario {
+/// In-process-safe: a temp file.
+pub static ROWS: [FaultRow; 1] = [FaultRow {
+    guard: true,
+    ..FaultRow::new(
+        "store-corrupt",
+        "one bit flipped in the result store file",
+        "checksum quarantines, never serves; scrub opens clean",
+        store_corrupt,
+    )
+}];
+
+/// Stages the corruption in a temp file and cleans up after itself.
+fn store_corrupt(ctx: &Ctx) -> (String, bool) {
+    let seed = ctx.seed;
     let path = std::env::temp_dir().join(format!(
         "bsim-guard-store-corrupt-{}-{seed}.json",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&path);
-    let (observed, pass) = stage(seed, &path);
+    let verdict = stage(seed, &path);
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(PathBuf::from(format!("{}.quarantined", path.display())));
-    Scenario {
-        name: "store-corrupt",
-        fault: "one bit flipped in the result store file",
-        expected: "checksum quarantines, never serves; scrub opens clean",
-        observed,
-        pass,
-    }
+    verdict
 }
 
 fn stage(seed: u64, path: &Path) -> (String, bool) {
@@ -88,7 +92,7 @@ mod tests {
     #[test]
     fn seeded_store_corruption_is_always_survived() {
         for seed in [0, 1, 7, 42, 1_000_003] {
-            let scenario = store_corrupt_scenario(seed);
+            let scenario = ROWS[0].scenario(&Ctx::new(seed, Vec::new()));
             assert_eq!(scenario.name, "store-corrupt");
             assert!(scenario.pass, "seed {seed}: {}", scenario.observed);
         }

@@ -35,12 +35,12 @@ use serde::{Serialize, Value};
 /// document. Folded into every cell key so a schema migration
 /// invalidates old entries by construction. (The id predates the perf
 /// ledger; renaming it would orphan every stored entry.)
-pub const STORE_SCHEMA: &str = "bsim-bench-v1";
+pub(crate) const STORE_SCHEMA: &str = "bsim-bench-v1";
 
 /// Simulation code version folded into every cell key. Bump when a
 /// model change makes previously stored results stale — old entries
 /// then simply stop colliding instead of being served wrongly.
-pub const CODE_VERSION: u64 = 1;
+const CODE_VERSION: u64 = 1;
 
 /// Canonicalizes a value tree for hashing (see module docs).
 pub(crate) fn canonicalize(v: &Value) -> Value {

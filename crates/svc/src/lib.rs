@@ -34,7 +34,7 @@ pub mod request;
 pub mod store;
 
 pub use daemon::{Daemon, DaemonConfig, COUNTERS};
-pub use key::{micro_cell_key, CODE_VERSION, STORE_SCHEMA};
+pub use key::micro_cell_key;
 pub use proto::WireTimeouts;
 pub use request::SvcRequest;
 pub use store::{scrub, ResultStore, ScrubReport};

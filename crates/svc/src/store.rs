@@ -14,7 +14,7 @@
 //! **ignored, never served**: the file is renamed aside to
 //! `<path>.quarantined` and the daemon starts with an empty store,
 //! reporting what happened as warnings. Flushes go through
-//! [`CkptStore::save_atomic`] (temp-file + rename), so only an external
+//! [`CkptStore::save`] (temp-file + rename), so only an external
 //! truncation — not the daemon's own writer — can produce SV004.
 //!
 //! ## Entry checksums (bsim-guard)
@@ -202,7 +202,7 @@ impl ResultStore {
     /// Returns bytes written, or 0 for an ephemeral store.
     pub fn flush(&self) -> Result<u64, CkptError> {
         match &self.path {
-            Some(path) => self.store.save_atomic(path),
+            Some(path) => self.store.save(path),
             None => Ok(0),
         }
     }
@@ -275,7 +275,7 @@ pub fn scrub(path: &Path) -> (ScrubReport, Report) {
         );
     }
     if !scrub.quarantined.is_empty() {
-        match store.save_atomic(path) {
+        match store.save(path) {
             Ok(_) => scrub.rewritten = true,
             Err(e) => report.push(Diagnostic::error(
                 "SV004",

@@ -53,7 +53,7 @@ impl LaneOpts {
 
 /// Aggregate sampling outcome across a sweep, for figure notes.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct SampleAgg {
+struct SampleAgg {
     /// Segments simulated in detail across all lanes.
     pub measured: u64,
     /// Segments fast-forwarded across all lanes.

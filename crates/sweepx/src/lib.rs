@@ -44,7 +44,7 @@ pub mod prog;
 pub mod replay;
 pub mod sample;
 
-pub use figure::{run_lanes, LaneOpts, SampleAgg};
+pub use figure::{run_lanes, LaneOpts};
 pub use lane::{cache_tuning_grid, lint_lane_plan, partition, LaneGroup, TraceKey};
 pub use replay::{replay_world, LaneOutcome};
 pub use sample::{SampleCfg, SampleMetric, SamplePlan, SampleReport};

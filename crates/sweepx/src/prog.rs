@@ -21,7 +21,7 @@ use bsim_uarch::MicroOp;
 /// A recorded single-core program trace: the retired micro-op stream
 /// and the functional exit code.
 #[derive(Clone, Debug)]
-pub struct ProgTrace {
+pub(crate) struct ProgTrace {
     /// Retired micro-ops in program order.
     pub uops: Vec<MicroOp>,
     /// `Some(code)` when the program exited, `None` when it ran out of

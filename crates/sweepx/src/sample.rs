@@ -34,7 +34,7 @@ use bsim_isa::OpClass;
 use bsim_uarch::MicroOp;
 
 /// Number of features in a phase signature.
-pub const SIG_DIM: usize = 8;
+const SIG_DIM: usize = 8;
 
 /// A segment phase signature: op-mix fractions (ALU/mul, div, FP,
 /// load, store, control), branch-taken rate, mean log2 stride, and

@@ -6,7 +6,7 @@
 //! the JSON/CSV exports.
 
 use bsim_core::experiments::{figure, subfigures, FigureSpec, Parallelism, Sizes};
-use bsim_core::{run_grid_chunks_metered, run_plan_with, CellOutcome, CkptStore, RetryPolicy};
+use bsim_core::{run_grid_chunks_metered, run_grid_keyed, CellOutcome, CkptStore, RetryPolicy};
 use bsim_mpi::NetConfig;
 use bsim_resilience::fault::{FaultKind, FaultPlan, FaultTarget};
 use bsim_soc::{configs, SocConfig, TelemetryConfig};
@@ -238,7 +238,7 @@ fn sampled_error_and_reported_bound_stay_under_ten_percent_at_scale() {
 
 /// Lane and scalar runs of one plan write the same subfigure keys, so
 /// `--ckpt`/`--resume` interoperate: a store written by the lane
-/// executor (through `save_atomic`/`load`, the CLI's on-disk round
+/// executor (through `save`/`load`, the CLI's on-disk round
 /// trip) answers the scalar run without resimulating a single cell.
 #[test]
 fn ckpt_resume_interops_between_lane_and_scalar_plans() {
@@ -246,23 +246,32 @@ fn ckpt_resume_interops_between_lane_and_scalar_plans() {
     let par = Parallelism::Sequential;
     let policy = RetryPolicy::once();
 
-    let on_lanes =
-        |spec: &'static FigureSpec| run_lanes(&spec.grid(sizes), par, &LaneOpts::default());
+    let plan: Vec<&'static FigureSpec> = subfigures("6").collect();
+    let keys: Vec<&str> = plan.iter().map(|spec| spec.key).collect();
+    let on_lanes = |i: usize| run_lanes(&plan[i].grid(sizes), par, &LaneOpts::default());
     let mut store = CkptStore::new();
-    let lane_out = run_plan_with(subfigures("6"), on_lanes, &policy, Some(&mut store), |_| {})
+    let lane_out = run_grid_keyed(&keys, par, &policy, Some(&mut store), |_| {}, on_lanes)
         .expect("lane plan checkpoints cleanly");
-    assert!(lane_out.iter().all(|(_, o)| o.is_ok()));
+    assert!(lane_out.all_ok());
 
     let path = std::env::temp_dir().join(format!("sweepx_lane_ab_{}.ckpt", std::process::id()));
-    store.save_atomic(&path).expect("store persists");
+    store.save(&path).expect("store persists");
     let mut resumed = CkptStore::load(&path).expect("store loads");
     std::fs::remove_file(&path).ok();
 
-    let scalar = |spec: &'static FigureSpec| spec.run(sizes, par);
-    let scalar_out = run_plan_with(subfigures("6"), scalar, &policy, Some(&mut resumed), |_| {})
+    let scalar = |i: usize| plan[i].run(sizes, par);
+    let scalar_out = run_grid_keyed(&keys, par, &policy, Some(&mut resumed), |_| {}, scalar)
         .expect("scalar plan resumes cleanly");
-    for ((lk, lo), (sk, so)) in lane_out.iter().zip(&scalar_out) {
-        assert_eq!(lk, sk, "subfigure keys must match between plans");
+    assert_eq!(
+        store.keys().collect::<Vec<_>>(),
+        keys,
+        "the lane plan must store under the subfigure keys"
+    );
+    for ((sk, lo), so) in keys
+        .iter()
+        .zip(&lane_out.outcomes)
+        .zip(&scalar_out.outcomes)
+    {
         match so {
             CellOutcome::Ok { value, attempts } => {
                 assert_eq!(*attempts, 0, "{sk} must restore from the lane checkpoint");

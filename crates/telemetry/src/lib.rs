@@ -30,7 +30,7 @@ pub mod trace;
 
 pub use config::TelemetryConfig;
 pub use gap::{GapReport, GapRow};
-pub use registry::{CounterBlock, CounterId, HOST_PREFIX};
+pub use registry::{CounterBlock, CounterId};
 pub use sample::{Sample, Sampler};
 pub use snapshot::{CounterEntry, TelemetrySnapshot};
 pub use trace::{TraceEntry, TraceRing};

@@ -15,7 +15,7 @@
 //! layer exclude them when comparing runs for determinism.
 
 /// Prefix for host-dependent (non-deterministic) counters.
-pub const HOST_PREFIX: &str = "host.";
+pub(crate) const HOST_PREFIX: &str = "host.";
 
 /// Handle to one counter cell inside a [`CounterBlock`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,15 +78,6 @@ impl CounterBlock {
     #[inline]
     pub fn add(&mut self, id: CounterId, n: u64) {
         self.cells[id.index()] = self.cells[id.index()].wrapping_add(n);
-    }
-
-    /// Raises the counter to `v` if `v` is larger (high-water marks).
-    #[inline]
-    pub fn set_max(&mut self, id: CounterId, v: u64) {
-        let cell = &mut self.cells[id.index()];
-        if v > *cell {
-            *cell = v;
-        }
     }
 
     /// Overwrites the counter with `v` (published aggregates).
@@ -185,15 +176,6 @@ mod tests {
         let b2 = b.register("x");
         assert_eq!(a, b2);
         assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn set_max_keeps_high_water() {
-        let mut b = CounterBlock::new(true);
-        let id = b.register("rob.high_water");
-        b.set_max(id, 10);
-        b.set_max(id, 4);
-        assert_eq!(b.get("rob.high_water"), Some(10));
     }
 
     #[test]

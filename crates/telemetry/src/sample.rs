@@ -53,7 +53,7 @@ impl Sampler {
 
     /// Snapshots `block` if `cycle` crossed the next window boundary.
     #[inline]
-    pub fn maybe_sample(&mut self, cycle: u64, block: &CounterBlock) {
+    pub(crate) fn maybe_sample(&mut self, cycle: u64, block: &CounterBlock) {
         if self.interval == 0 || cycle < self.next_at {
             return;
         }

@@ -17,7 +17,7 @@ pub struct CounterEntry {
 /// Everything one run recorded: final counters, the sampled timeline,
 /// and the committed-instruction trace. Serializes to JSON via
 /// [`TelemetrySnapshot::to_json`] and to CSV via
-/// [`TelemetrySnapshot::counters_csv`] / [`TelemetrySnapshot::timeline_csv`].
+/// [`TelemetrySnapshot::counters_csv`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     /// Final counter values in registration order.
@@ -68,16 +68,6 @@ impl TelemetrySnapshot {
             .iter()
             .find(|c| c.name == name)
             .map(|c| c.value)
-    }
-
-    /// Sum of all counters whose name contains `fragment` (handy for
-    /// "any tile's L1D misses" style queries).
-    pub fn sum_matching(&self, fragment: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|c| c.name.contains(fragment))
-            .map(|c| c.value)
-            .sum()
     }
 
     /// A copy with all host-dependent (`host.*`) counters removed, both
@@ -134,28 +124,6 @@ impl TelemetrySnapshot {
         }
         out
     }
-
-    /// Timeline CSV: `cycle,<name...>` header, one row per sample. Samples
-    /// taken before late-registered counters existed pad with empty cells.
-    pub fn timeline_csv(&self) -> String {
-        let mut out = String::from("cycle");
-        for c in &self.counters {
-            out.push(',');
-            out.push_str(&c.name);
-        }
-        out.push('\n');
-        for s in &self.timeline {
-            out.push_str(&s.cycle.to_string());
-            for i in 0..self.counters.len() {
-                out.push(',');
-                if let Some(v) = s.values.get(i) {
-                    out.push_str(&v.to_string());
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +148,6 @@ mod tests {
         assert_eq!(s.counter("tile0.l1d.misses"), Some(5));
         assert_eq!(s.timeline.len(), 1);
         assert_eq!(s.trace.len(), 1);
-        assert_eq!(s.sum_matching("l1d"), 5);
     }
 
     #[test]
@@ -200,9 +167,6 @@ mod tests {
         let csv = s.counters_csv();
         assert!(csv.starts_with("counter,value\n"));
         assert!(csv.contains("tile0.l1d.misses,5\n"));
-        let tl = s.timeline_csv();
-        assert!(tl.starts_with("cycle,tile0.l1d.misses,host.rate.mhz\n"));
-        assert!(tl.contains("10,5,60\n"));
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod uop;
 pub use inorder::{InOrderConfig, InOrderCore};
 pub use latency::OpLatencies;
 pub use ooo::{OooConfig, OooCore};
-pub use predictor::{BoomPredictor, BranchPredictor, RocketPredictor};
+pub use predictor::{BoomPredictor, RocketPredictor};
 pub use stats::CoreStats;
 pub use tlb::{Tlb, TlbConfig};
 pub use uop::{BranchClass, MicroOp};

@@ -15,7 +15,7 @@ use crate::uop::BranchClass;
 
 /// A branch predictor answering "did the front-end predict this branch
 /// correctly?" and updating its state with the actual outcome.
-pub trait BranchPredictor {
+pub(crate) trait BranchPredictor {
     /// Observes one control-flow micro-op; returns `true` if the
     /// prediction (direction *and* target) was correct.
     fn predict_and_update(&mut self, pc: u64, class: BranchClass, taken: bool, target: u64)
@@ -82,7 +82,7 @@ impl RocketPredictor {
     }
 
     /// Fully parameterised constructor (`bht`/`btb` powers of two).
-    pub fn with_sizes(bht: usize, btb: usize, ras: usize, hist_bits: u32) -> RocketPredictor {
+    fn with_sizes(bht: usize, btb: usize, ras: usize, hist_bits: u32) -> RocketPredictor {
         assert!(bht.is_power_of_two() && btb.is_power_of_two());
         RocketPredictor {
             bht: vec![1; bht], // weakly not-taken

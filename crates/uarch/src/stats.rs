@@ -46,15 +46,6 @@ impl CoreStats {
         }
     }
 
-    /// Branch misprediction rate over conditional branches.
-    pub fn mispredict_rate(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.mispredicts as f64 / self.branches as f64
-        }
-    }
-
     /// Publishes every counter into `block` under `prefix` (e.g. `tile0`).
     pub fn publish(&self, prefix: &str, block: &mut CounterBlock) {
         let mut put = |name: &str, v: u64| block.set_named(&format!("{prefix}.{name}"), v);

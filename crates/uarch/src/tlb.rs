@@ -83,7 +83,7 @@ impl Tlb {
 
     /// Translates `addr`, returning the extra latency in cycles
     /// (0 on an L1 TLB hit).
-    pub fn translate(&mut self, addr: u64) -> u32 {
+    pub(crate) fn translate(&mut self, addr: u64) -> u32 {
         let vpn = addr >> PAGE_BITS;
         self.clock += 1;
         let now = self.clock;

@@ -115,11 +115,6 @@ impl MicroOp {
             .max(ready_of(self.srcs[1]))
             .max(ready_of(self.srcs[2]))
     }
-
-    /// True for loads and stores.
-    pub fn is_mem(&self) -> bool {
-        self.mem_addr.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -179,7 +174,7 @@ mod tests {
         a.ld(T1, 0, T0);
         a.exit(0);
         let uops = trace(a);
-        let ld = uops.iter().find(|u| u.is_mem()).unwrap();
+        let ld = uops.iter().find(|u| u.mem_addr.is_some()).unwrap();
         assert_eq!(ld.mem_addr, Some(addr));
         assert!(!ld.is_store);
         assert_eq!(ld.dest, Some(T1.num()));
@@ -192,6 +187,6 @@ mod tests {
         let b2 = MicroOp::cond_branch(0x100, false, 0x80, [None; 3]);
         assert_eq!(b2.next_pc, 0x104);
         let s = MicroOp::store(0, 0xFF, [Some(1), Some(2), None]);
-        assert!(s.is_store && s.is_mem());
+        assert!(s.is_store && s.mem_addr.is_some());
     }
 }

@@ -43,26 +43,6 @@ impl System {
         }
         d
     }
-
-    /// Kinetic energy (unit mass).
-    pub fn kinetic_energy(&self) -> f64 {
-        0.5 * self
-            .vel
-            .iter()
-            .map(|v| v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-            .sum::<f64>()
-    }
-
-    /// Total momentum (should stay ~0 in NVE).
-    pub fn momentum(&self) -> [f64; 3] {
-        let mut p = [0.0; 3];
-        for v in &self.vel {
-            for k in 0..3 {
-                p[k] += v[k];
-            }
-        }
-        p
-    }
 }
 
 /// Builds an FCC lattice of `4 * cells³` atoms at the given reduced
@@ -148,7 +128,7 @@ impl CellList {
     /// candidate is visited exactly once: with fewer than 3 cells per
     /// edge the ±1 offsets wrap onto each other, so small boxes fall
     /// back to scanning every atom once.
-    pub fn for_candidates(&self, sys: &System, i: usize, mut f: impl FnMut(u32)) {
+    pub(crate) fn for_candidates(&self, sys: &System, i: usize, mut f: impl FnMut(u32)) {
         if self.ncell < 3 {
             for cell in &self.cells {
                 for &j in cell {
@@ -182,7 +162,7 @@ impl CellList {
 /// ordered x-fastest so consecutive atom ids are lattice neighbors —
 /// the initial condition for bead-spring chains (bond length = lattice
 /// constant, well inside the FENE maximum).
-pub fn sc_lattice(n: usize, density: f64) -> System {
+pub(crate) fn sc_lattice(n: usize, density: f64) -> System {
     let natoms = n * n * n;
     let box_len = (natoms as f64 / density).cbrt();
     let a = box_len / n as f64;
@@ -250,7 +230,7 @@ impl MdAddrs {
 /// Emits the trace for one candidate-pair evaluation: neighbor-id load,
 /// position gather, distance computation, and the cutoff branch.
 #[inline]
-pub fn trace_pair(g: &mut TraceGen<'_>, a: MdAddrs, cand_idx: u64, j: u32, within: bool) {
+pub(crate) fn trace_pair(g: &mut TraceGen<'_>, a: MdAddrs, cand_idx: u64, j: u32, within: bool) {
     g.load(a.cells + cand_idx * 4);
     g.gather(a.cells + cand_idx * 4, a.pos + (j as u64) * 24);
     g.flops(8, false); // dx, dy, dz, minimum image, r²
@@ -260,7 +240,7 @@ pub fn trace_pair(g: &mut TraceGen<'_>, a: MdAddrs, cand_idx: u64, j: u32, withi
 /// Emits the trace for the accepted-pair force kernel (LJ-style):
 /// `1/r²` divide, `r⁻⁶` chain, force accumulation.
 #[inline]
-pub fn trace_force(g: &mut TraceGen<'_>, a: MdAddrs, i: u64) {
+pub(crate) fn trace_force(g: &mut TraceGen<'_>, a: MdAddrs, i: u64) {
     g.fdiv();
     g.flops(10, false); // vectorizes across accepted pairs
     g.load(a.force + i * 24);
@@ -271,7 +251,7 @@ pub fn trace_force(g: &mut TraceGen<'_>, a: MdAddrs, i: u64) {
 /// Emits the trace for integrating one atom (velocity Verlet half-kick +
 /// drift): position/velocity/force loads, FMA updates, stores.
 #[inline]
-pub fn trace_integrate(g: &mut TraceGen<'_>, a: MdAddrs, i: u64) {
+pub(crate) fn trace_integrate(g: &mut TraceGen<'_>, a: MdAddrs, i: u64) {
     g.load(a.pos + i * 24);
     g.load(a.force + i * 24);
     g.flops(9, false);
@@ -294,8 +274,8 @@ mod tests {
     #[test]
     fn initial_momentum_is_zero() {
         let s = fcc_lattice(4, 0.8442);
-        let p = s.momentum();
-        for (k, pk) in p.iter().enumerate() {
+        for k in 0..3 {
+            let pk: f64 = s.vel.iter().map(|v| v[k]).sum();
             assert!(pk.abs() < 1e-9, "momentum {k} = {pk}");
         }
     }

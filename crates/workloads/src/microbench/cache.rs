@@ -67,12 +67,12 @@ pub fn md(scale: u32) -> Program {
 
 /// ML2 — linked-list traversal resident in the L2 but not the L1
 /// (2048 nodes × 64 B = 128 KiB footprint).
-pub fn ml2(scale: u32) -> Program {
+pub(crate) fn ml2(scale: u32) -> Program {
     chase_kernel(2048, 64, 9_000 * scale as i64, false)
 }
 
 /// ML2_st — the L2 linked list with a store to every visited node.
-pub fn ml2_st(scale: u32) -> Program {
+pub(crate) fn ml2_st(scale: u32) -> Program {
     chase_kernel(2048, 64, 7_000 * scale as i64, true)
 }
 
@@ -100,17 +100,17 @@ fn l2_stream_kernel(iters: i64, slot_is_store: [bool; 8]) -> Program {
 }
 
 /// ML2_BW_ld — bandwidth-limited loads over the L2 region.
-pub fn ml2_bw_ld(scale: u32) -> Program {
+pub(crate) fn ml2_bw_ld(scale: u32) -> Program {
     l2_stream_kernel(18_000 * scale as i64, [false; 8])
 }
 
 /// ML2_BW_st — bandwidth-limited stores over the L2 region.
-pub fn ml2_bw_st(scale: u32) -> Program {
+pub(crate) fn ml2_bw_st(scale: u32) -> Program {
     l2_stream_kernel(18_000 * scale as i64, [true; 8])
 }
 
 /// ML2_BW_ldst — alternating loads and stores over the L2 region.
-pub fn ml2_bw_ldst(scale: u32) -> Program {
+pub(crate) fn ml2_bw_ldst(scale: u32) -> Program {
     l2_stream_kernel(
         18_000 * scale as i64,
         [false, true, false, true, false, true, false, true],
@@ -118,12 +118,12 @@ pub fn ml2_bw_ldst(scale: u32) -> Program {
 }
 
 /// STL2 — repeated store passes over an L2-resident region.
-pub fn stl2(scale: u32) -> Program {
+pub(crate) fn stl2(scale: u32) -> Program {
     l2_stream_kernel(14_000 * scale as i64, [true; 8])
 }
 
 /// STL2b — mostly loads with an occasional store, L2 resident.
-pub fn stl2b(scale: u32) -> Program {
+pub(crate) fn stl2b(scale: u32) -> Program {
     l2_stream_kernel(
         14_000 * scale as i64,
         [false, false, false, true, false, false, false, false],
@@ -131,7 +131,7 @@ pub fn stl2b(scale: u32) -> Program {
 }
 
 /// STc — repeated stores to one L1-resident cache line.
-pub fn stc(scale: u32) -> Program {
+pub(crate) fn stc(scale: u32) -> Program {
     let mut a = Asm::new();
     a.li(S5, HEAP);
     loop_head(&mut a, 40_000 * scale as i64);
@@ -168,7 +168,7 @@ pub fn mc(scale: u32) -> Program {
 }
 
 /// MCS — conflict misses with stores (dirty thrashing).
-pub fn mcs(scale: u32) -> Program {
+pub(crate) fn mcs(scale: u32) -> Program {
     conflict_kernel(5_000 * scale as i64, true)
 }
 
@@ -187,7 +187,7 @@ pub fn mi(scale: u32) -> Program {
 
 /// MIM — independent cache-resident loads with no conflicts
 /// (consecutive lines, distinct banks).
-pub fn mim(scale: u32) -> Program {
+pub(crate) fn mim(scale: u32) -> Program {
     let mut a = Asm::new();
     a.li(S5, HEAP);
     loop_head(&mut a, 25_000 * scale as i64);
@@ -199,7 +199,7 @@ pub fn mim(scale: u32) -> Program {
 }
 
 /// MIM2 — pairs of loads to the same line (coalescing opportunity).
-pub fn mim2(scale: u32) -> Program {
+pub(crate) fn mim2(scale: u32) -> Program {
     let mut a = Asm::new();
     a.li(S5, HEAP);
     loop_head(&mut a, 25_000 * scale as i64);
@@ -213,7 +213,7 @@ pub fn mim2(scale: u32) -> Program {
 
 /// MIP — instruction-cache misses: a straight-line code footprint much
 /// larger than the L1 I-cache, walked every iteration.
-pub fn mip(scale: u32) -> Program {
+pub(crate) fn mip(scale: u32) -> Program {
     const BLOCKS: usize = 1200; // 1200 * 64 B = 75 KiB of code
     let mut a = Asm::new();
     a.li(T0, 0);
@@ -238,7 +238,7 @@ pub fn mip(scale: u32) -> Program {
 /// M_Dyn — loads and stores with dynamic (value-dependent) address
 /// dependencies: each address is computed from the previously loaded
 /// value, serializing through the memory system.
-pub fn m_dyn(scale: u32) -> Program {
+pub(crate) fn m_dyn(scale: u32) -> Program {
     let mut a = Asm::new();
     a.li(S5, HEAP);
     a.li(S6, 0x1234_5678);

@@ -30,7 +30,7 @@ fn loop_tail(a: &mut Asm) {
 }
 
 /// Cca — completely biased branch: taken every iteration.
-pub fn cca(scale: u32) -> Program {
+pub(crate) fn cca(scale: u32) -> Program {
     let mut a = Asm::new();
     loop_head(&mut a, 60_000 * scale as i64);
     a.bge(T0, ZERO, "skip"); // always true
@@ -42,7 +42,7 @@ pub fn cca(scale: u32) -> Program {
 }
 
 /// Cce — alternating branches: taken/not-taken with period 2.
-pub fn cce(scale: u32) -> Program {
+pub(crate) fn cce(scale: u32) -> Program {
     let mut a = Asm::new();
     loop_head(&mut a, 60_000 * scale as i64);
     a.andi(T2, T0, 1);
@@ -55,7 +55,7 @@ pub fn cce(scale: u32) -> Program {
 }
 
 /// CCh — random control flow: branch direction from an LCG bit.
-pub fn cch(scale: u32) -> Program {
+pub(crate) fn cch(scale: u32) -> Program {
     let mut a = Asm::new();
     lcg_init(&mut a);
     loop_head(&mut a, 50_000 * scale as i64);
@@ -71,7 +71,7 @@ pub fn cch(scale: u32) -> Program {
 }
 
 /// CCh_st — unpredictable control plus stores on both paths.
-pub fn cch_st(scale: u32) -> Program {
+pub(crate) fn cch_st(scale: u32) -> Program {
     let mut a = Asm::new();
     lcg_init(&mut a);
     let buf = a.data_zeros(4096);
@@ -95,7 +95,7 @@ pub fn cch_st(scale: u32) -> Program {
 
 /// CCl — impossible-to-predict control selecting between two large
 /// (48-instruction) basic blocks.
-pub fn ccl(scale: u32) -> Program {
+pub(crate) fn ccl(scale: u32) -> Program {
     let mut a = Asm::new();
     lcg_init(&mut a);
     loop_head(&mut a, 12_000 * scale as i64);
@@ -117,7 +117,7 @@ pub fn ccl(scale: u32) -> Program {
 }
 
 /// CCm — heavily biased branches: taken ~15/16 of the time.
-pub fn ccm(scale: u32) -> Program {
+pub(crate) fn ccm(scale: u32) -> Program {
     let mut a = Asm::new();
     lcg_init(&mut a);
     loop_head(&mut a, 50_000 * scale as i64);
@@ -134,7 +134,7 @@ pub fn ccm(scale: u32) -> Program {
 
 /// CF1 — function-call overhead: tiny callee containing its own loop
 /// (what a compiler would decide to inline or not).
-pub fn cf1(scale: u32) -> Program {
+pub(crate) fn cf1(scale: u32) -> Program {
     let mut a = Asm::new();
     with_stack(&mut a);
     loop_head(&mut a, 15_000 * scale as i64);
@@ -153,7 +153,7 @@ pub fn cf1(scale: u32) -> Program {
 }
 
 /// CRd — recursion 1000 deep, repeated.
-pub fn crd(scale: u32) -> Program {
+pub(crate) fn crd(scale: u32) -> Program {
     let mut a = Asm::new();
     with_stack(&mut a);
     loop_head(&mut a, 60 * scale as i64);
@@ -175,7 +175,7 @@ pub fn crd(scale: u32) -> Program {
 }
 
 /// CRf — recursive Fibonacci (branchy, unbalanced call tree).
-pub fn crf(scale: u32) -> Program {
+pub(crate) fn crf(scale: u32) -> Program {
     let mut a = Asm::new();
     with_stack(&mut a);
     loop_head(&mut a, 6 * scale as i64);
@@ -209,7 +209,7 @@ pub fn crf(scale: u32) -> Program {
 /// Excluded from all figure-level results, exactly as in the paper
 /// (§3.2.1: CRm segfaulted on every platform); kept here so the suite
 /// is complete and the kernel remains runnable.
-pub fn crm(scale: u32) -> Program {
+pub(crate) fn crm(scale: u32) -> Program {
     const N: i64 = 256;
     let mut a = Asm::new();
     with_stack(&mut a);
@@ -348,7 +348,7 @@ fn switch_kernel(iters: i64, pick: impl Fn(&mut Asm)) -> Program {
 }
 
 /// CS1 — switch taking a different (random) case every iteration.
-pub fn cs1(scale: u32) -> Program {
+pub(crate) fn cs1(scale: u32) -> Program {
     switch_kernel(25_000 * scale as i64, |a| {
         lcg_next(a);
         a.srli(T2, S2, 61); // top 3 bits: case 0..7
@@ -356,7 +356,7 @@ pub fn cs1(scale: u32) -> Program {
 }
 
 /// CS3 — switch whose case changes every third iteration.
-pub fn cs3(scale: u32) -> Program {
+pub(crate) fn cs3(scale: u32) -> Program {
     switch_kernel(25_000 * scale as i64, |a| {
         a.addi(S6, S6, 1);
         a.li(T2, 3);

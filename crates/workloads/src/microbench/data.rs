@@ -59,7 +59,7 @@ fn dp_kernel(n: i64, passes: i64, body: impl Fn(&mut Asm)) -> Program {
 }
 
 /// DP1d — double arithmetic: `a[i] = a[i] * c + d` (FMA).
-pub fn dp1d(scale: u32) -> Program {
+pub(crate) fn dp1d(scale: u32) -> Program {
     dp_kernel(2048, 60 * scale as i64, |a| {
         a.fmadd_d(FT0, FT0, FT10, FT11);
     })
@@ -67,14 +67,14 @@ pub fn dp1d(scale: u32) -> Program {
 
 /// DP1f — "float" arithmetic: a single add per element (cheaper op mix,
 /// same traffic).
-pub fn dp1f(scale: u32) -> Program {
+pub(crate) fn dp1f(scale: u32) -> Program {
     dp_kernel(2048, 60 * scale as i64, |a| {
         a.fadd_d(FT0, FT0, FT11);
     })
 }
 
 /// DPT — `a[i] = sin(a[i])` (the libm-call stand-in `fsin.d`).
-pub fn dpt(scale: u32) -> Program {
+pub(crate) fn dpt(scale: u32) -> Program {
     dp_kernel(512, 16 * scale as i64, |a| {
         a.fsin_d(FT0, FT0);
     })
@@ -82,7 +82,7 @@ pub fn dpt(scale: u32) -> Program {
 
 /// DPTd — double-precision sin: the transcendental plus a dependent
 /// multiply (double-precision polynomial tail).
-pub fn dptd(scale: u32) -> Program {
+pub(crate) fn dptd(scale: u32) -> Program {
     dp_kernel(512, 14 * scale as i64, |a| {
         a.fsin_d(FT0, FT0);
         a.fmul_d(FT0, FT0, FT10);
@@ -91,7 +91,7 @@ pub fn dptd(scale: u32) -> Program {
 
 /// DPcvt — conversion-dominated loop: int → double → arithmetic →
 /// back to int.
-pub fn dpcvt(scale: u32) -> Program {
+pub(crate) fn dpcvt(scale: u32) -> Program {
     let n: i64 = 2048;
     let passes = 40 * scale as i64;
     let mut a = Asm::new();

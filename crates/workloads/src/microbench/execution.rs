@@ -18,7 +18,7 @@ fn loop_tail(a: &mut Asm) {
 
 /// ED1 — serial integer ALU dependency chain (1 op per step, fully
 /// serialized on every machine regardless of width).
-pub fn ed1(scale: u32) -> Program {
+pub(crate) fn ed1(scale: u32) -> Program {
     let mut a = Asm::new();
     a.li(S5, 1);
     a.li(S6, 3);
@@ -31,7 +31,7 @@ pub fn ed1(scale: u32) -> Program {
 }
 
 /// EM1 — serial integer *multiply* chain: exposes multiply latency.
-pub fn em1(scale: u32) -> Program {
+pub(crate) fn em1(scale: u32) -> Program {
     let mut a = Asm::new();
     a.li(S5, 3);
     a.li(S6, 5);
@@ -46,7 +46,7 @@ pub fn em1(scale: u32) -> Program {
 /// EM5 — five interleaved multiply chains: enough ILP to keep a
 /// pipelined multiplier busy, so throughput-bound rather than
 /// latency-bound.
-pub fn em5(scale: u32) -> Program {
+pub(crate) fn em5(scale: u32) -> Program {
     let mut a = Asm::new();
     for (i, r) in [S5, S6, S7, S8, S9].iter().enumerate() {
         a.li(*r, 3 + i as i64);
@@ -63,7 +63,7 @@ pub fn em5(scale: u32) -> Program {
 }
 
 /// EF — 8 independent FP instructions per iteration.
-pub fn ef(scale: u32) -> Program {
+pub(crate) fn ef(scale: u32) -> Program {
     let mut a = Asm::new();
     let consts = a.data_f64s(&[1.000000001, 0.999999999]);
     a.li(T2, consts as i64);
@@ -81,7 +81,7 @@ pub fn ef(scale: u32) -> Program {
 }
 
 /// EI — 8 independent integer computations per iteration.
-pub fn ei(scale: u32) -> Program {
+pub(crate) fn ei(scale: u32) -> Program {
     let mut a = Asm::new();
     for (i, r) in [S5, S6, S7, S8, S9, S10, S11, T3].iter().enumerate() {
         a.li(*r, i as i64 + 1);

@@ -50,14 +50,14 @@ fn mm_kernel(iters: i64, store_too: bool) -> Program {
 }
 
 /// MM — non-cache-resident linked-list traversal (DRAM bound).
-pub fn mm(scale: u32) -> Program {
+pub(crate) fn mm(scale: u32) -> Program {
     // 8 chases per iteration; cap so we never wrap the ring.
     let iters = (40_000 * scale as i64).min(NODES as i64 / 8 - 1);
     mm_kernel(iters, false)
 }
 
 /// MM_st — the same chase, dirtying every visited node.
-pub fn mm_st(scale: u32) -> Program {
+pub(crate) fn mm_st(scale: u32) -> Program {
     let iters = (35_000 * scale as i64).min(NODES as i64 / 8 - 1);
     mm_kernel(iters, true)
 }

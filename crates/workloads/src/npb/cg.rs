@@ -50,17 +50,15 @@ pub struct CgResult {
 
 /// A sparse row: column indices and values.
 #[derive(Clone, Debug)]
-pub struct SparseMatrix {
-    /// Dimension.
-    pub n: usize,
+struct SparseMatrix {
     /// Per-row column indices.
-    pub cols: Vec<Vec<u32>>,
+    cols: Vec<Vec<u32>>,
     /// Per-row values.
-    pub vals: Vec<Vec<f64>>,
+    vals: Vec<Vec<f64>>,
 }
 
 /// Builds the deterministic random SPD-ish matrix (strong diagonal).
-pub fn build_matrix(cfg: CgConfig) -> SparseMatrix {
+fn build_matrix(cfg: CgConfig) -> SparseMatrix {
     let mut rng = SmallRng::seed_from_u64(0xC6);
     let mut cols = Vec::with_capacity(cfg.n);
     let mut vals = Vec::with_capacity(cfg.n);
@@ -86,11 +84,7 @@ pub fn build_matrix(cfg: CgConfig) -> SparseMatrix {
         cols.push(c);
         vals.push(v);
     }
-    SparseMatrix {
-        n: cfg.n,
-        cols,
-        vals,
-    }
+    SparseMatrix { cols, vals }
 }
 
 /// Plain sequential CG, used by tests as the ground truth.

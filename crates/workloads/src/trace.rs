@@ -15,7 +15,7 @@
 //! loop-shaped code layout a compiled kernel would have.
 
 use bsim_isa::OpClass;
-use bsim_uarch::{BranchClass, MicroOp};
+use bsim_uarch::MicroOp;
 
 /// Base of the synthetic PC regions for trace-generated code.
 const TRACE_PC: u64 = 0x0008_0000;
@@ -57,7 +57,7 @@ impl<'a> TraceGen<'a> {
     /// loop overhead, per-element divides) are batched `lanes` at a
     /// time, exactly as an auto-vectorizing compiler would emit them.
     /// Dependency chains, gathers and branches stay scalar.
-    pub fn with_lanes(sink: &'a mut dyn FnMut(&MicroOp), lanes: u32) -> TraceGen<'a> {
+    fn with_lanes(sink: &'a mut dyn FnMut(&MicroOp), lanes: u32) -> TraceGen<'a> {
         TraceGen {
             sink,
             rr: 0,
@@ -78,7 +78,7 @@ impl<'a> TraceGen<'a> {
     /// ops per 1000 emitted micro-ops, modeling the older compiler the
     /// paper's FireSim images are stuck with (Table 3: GCC 9.4.0 on
     /// FireSim vs GCC 13.2 on the silicon).
-    pub fn with_compiler_overhead(mut self, per_mille: u32) -> TraceGen<'a> {
+    fn with_compiler_overhead(mut self, per_mille: u32) -> TraceGen<'a> {
         self.overhead_per_mille = per_mille as u64;
         self
     }
@@ -265,37 +265,12 @@ impl<'a> TraceGen<'a> {
     /// machines branch per element with the real outcome; vector
     /// machines use predication, leaving one well-predicted loop branch
     /// per `lanes` elements.
-    pub fn masked_branch(&mut self, site: u64, taken: bool) {
+    pub(crate) fn masked_branch(&mut self, site: u64, taken: bool) {
         if self.lanes == 1 {
             self.branch(site, taken);
         } else if Self::batch(self.lanes, &mut self.vb, 1) >= 1 {
             self.branch(site, true);
         }
-    }
-
-    /// A call/return pair (RAS traffic).
-    pub fn call_ret(&mut self) {
-        let pc = TRACE_PC + 0x400;
-        self.emit(MicroOp {
-            pc,
-            next_pc: pc + 0x100,
-            class: OpClass::Jump,
-            dest: Some(1),
-            srcs: [None; 3],
-            mem_addr: None,
-            is_store: false,
-            branch: Some((BranchClass::Call, true)),
-        });
-        self.emit(MicroOp {
-            pc: pc + 0x100,
-            next_pc: pc + 4,
-            class: OpClass::Jump,
-            dest: None,
-            srcs: [Some(1), None, None],
-            mem_addr: None,
-            is_store: false,
-            branch: Some((BranchClass::Return, true)),
-        });
     }
 }
 

@@ -49,21 +49,19 @@ pub struct UmeResult {
 }
 
 /// The explicit-connectivity hexahedral mesh.
-pub struct Mesh {
-    /// Zones per edge.
-    pub n: usize,
+struct Mesh {
     /// zone → 8 corner ids.
-    pub zone_corners: Vec<[u32; 8]>,
+    zone_corners: Vec<[u32; 8]>,
     /// corner → point id.
-    pub corner_point: Vec<u32>,
+    corner_point: Vec<u32>,
     /// face → 4 point ids.
-    pub face_points: Vec<[u32; 4]>,
+    face_points: Vec<[u32; 4]>,
     /// Point coordinates.
-    pub points: Vec<[f64; 3]>,
+    points: Vec<[f64; 3]>,
 }
 
 /// Builds the `n³`-zone structured-as-unstructured mesh.
-pub fn build_mesh(n: usize) -> Mesh {
+fn build_mesh(n: usize) -> Mesh {
     let np = n + 1;
     let pid = |x: usize, y: usize, z: usize| ((z * np + y) * np + x) as u32;
     let mut points = Vec::with_capacity(np * np * np);
@@ -138,7 +136,6 @@ pub fn build_mesh(n: usize) -> Mesh {
         }
     }
     Mesh {
-        n,
         zone_corners,
         corner_point,
         face_points,

@@ -19,11 +19,12 @@
 //!                                   # SimPoint-style sampled timing
 //! bsim micro <kernel> [platform]    # run one microbenchmark
 //! bsim tune                         # the §4 model-selection loop
-//! bsim faults [--seed N] [--deny-unsurvived] [--in-process]
+//! bsim faults [--seed N] [--deny-unsurvived] [--in-process] [--guard]
 //!                                   # fault-injection campaign: prints
 //!                                   # the survival matrix (plus a
 //!                                   # process-kill row spawning real
-//!                                   # workers; --in-process skips it);
+//!                                   # workers; --in-process skips it,
+//!                                   # --guard keeps the integrity rows);
 //!                                   # deny exits non-zero on any miss
 //! bsim check [--deny-warnings] [--json] [--list] [--proto] [--plans]
 //!            [--source] [platform ...]
@@ -62,16 +63,17 @@
 //! ```
 
 use silicon_bridge::check;
+use silicon_bridge::core::campaign::{Ctx, SurvivalMatrix};
 use silicon_bridge::core::experiments::{self, FigureSpec, Sizes};
 use silicon_bridge::core::table;
 use silicon_bridge::core::tuning::tune_milkv;
-use silicon_bridge::core::{run_campaign, run_plan_with, CkptStore, Parallelism, RetryPolicy};
+use silicon_bridge::core::{run_grid_keyed, CkptStore, Parallelism, RetryPolicy};
 use silicon_bridge::dist::launcher::{run_graph_demo, run_sweep, KillSpec, LaunchOpts};
 use silicon_bridge::dist::{faults as dist_faults, worker as dist_worker, WireCell};
 use silicon_bridge::mpi::NetConfig;
 use silicon_bridge::resilience::CellOutcome;
 use silicon_bridge::soc::{configs, Soc, SocConfig};
-use silicon_bridge::svc::{client, faults as svc_faults, Daemon, DaemonConfig};
+use silicon_bridge::svc::{client, Daemon, DaemonConfig};
 use silicon_bridge::sweepx::{run_lanes, LaneOpts, SampleCfg};
 use silicon_bridge::workloads::microbench;
 
@@ -305,9 +307,9 @@ fn run_check(f: &Flags) -> ! {
              handling, state-space truncation (--proto)\n  \
              DD001-DD004 [distributed deadlock] cross-rank token cycles, sub-quantum cycle\n          \
              slack, missing return path, fast-forward licensing holes (--plans)\n  \
-             AU001-AU005 [source audit] panicking unwraps, expect on hot paths, HashMap-order\n          \
-             results, host clocks in virtual-time crates, pub fns of core/sweepx/svc/dist\n          \
-             nothing outside their crate calls (--source; AU000 notes waivers)\n  \
+             AU001-AU006 [source audit] panicking unwraps, expect on hot paths, HashMap-order\n          \
+             results, host clocks in virtual-time crates, pub items nothing outside their\n          \
+             crate mentions, host work on per-op paths (--source; AU000 notes waivers)\n  \
              CL081   [lane sweep] degenerate lane plan: every group is a singleton, sweep\n          \
              degrades to scalar\n  \
              CL085-CL087 [sampling] degenerate sampling budget, under-measured clusters,\n          \
@@ -493,14 +495,23 @@ fn main() {
                 lanes: lanes.unwrap_or(LaneOpts::default().lanes),
                 sample: want_sample.then(SampleCfg::default),
             });
-            let run = |spec: &'static FigureSpec| match &lane_opts {
-                Some(opts) => run_lanes(&spec.grid(sizes), par, opts),
-                None => spec.run(sizes, par),
+            let run = |i: usize| match &lane_opts {
+                Some(opts) => run_lanes(&plan[i].grid(sizes), par, opts),
+                None => plan[i].run(sizes, par),
             };
-            let results = run_plan_with(plan, run, &policy, store.as_mut(), save)
-                .unwrap_or_else(|e| fail(format!("checkpoint error: {e}")));
+            // One subfigure at a time: `--par` fans out inside each.
+            let keys: Vec<&str> = plan.iter().map(|spec| spec.key).collect();
+            let sweep = run_grid_keyed(
+                &keys,
+                Parallelism::Sequential,
+                &policy,
+                store.as_mut(),
+                save,
+                run,
+            )
+            .unwrap_or_else(|e| fail(format!("checkpoint error: {e}")));
             let mut failed = 0usize;
-            for (key, outcome) in results {
+            for (key, outcome) in keys.iter().zip(sweep.outcomes) {
                 match outcome {
                     CellOutcome::Ok { value, attempts } => {
                         if attempts == 0 {
@@ -520,37 +531,31 @@ fn main() {
             }
         }
         "faults" => {
-            let seed = f.num("--seed", 42u64);
-            // `--guard` runs only the bsim-guard integrity rows (the CI
-            // guard job's fast path); the full matrix is the nine
-            // in-process classes plus the scale-out and service rows.
-            let mut matrix = if f.has("--guard") {
-                silicon_bridge::core::campaign::SurvivalMatrix {
-                    seed,
-                    scenarios: Vec::new(),
-                    watchdog_trips: 0,
-                }
-            } else {
-                run_campaign(seed)
-            };
-            // Losing a whole worker process needs real OS processes, so
-            // only the CLI (which knows its own argv) can append that
-            // row. `--in-process` skips it for environments where
-            // spawning is off the table.
-            if !f.has("--in-process") && !f.has("--guard") {
-                matrix
-                    .scenarios
-                    .push(dist_faults::process_kill_scenario(seed, worker_argv()));
-            }
-            // The bsim-guard integrity rows are in-process-safe: thread
-            // ranks, a loopback listener, and a temp file.
-            matrix
-                .scenarios
-                .push(dist_faults::wire_bitflip_scenario(seed));
-            matrix.scenarios.push(dist_faults::slow_peer_scenario(seed));
-            matrix
-                .scenarios
-                .push(svc_faults::store_corrupt_scenario(seed));
+            let ctx = Ctx::new(f.num("--seed", 42u64), worker_argv());
+            // `--guard` keeps only the bsim-guard integrity rows (the CI
+            // guard job's fast path); `--in-process` drops the rows that
+            // spawn worker processes, for environments where spawning is
+            // off the table.
+            let (guard_only, in_process) = (f.has("--guard"), f.has("--in-process"));
+            let scenarios = silicon_bridge::fault_rows()
+                .filter(|row| row.guard || !guard_only)
+                .filter(|row| !(row.needs_processes && in_process))
+                .map(|row| {
+                    // A panic the row expects and catches would still
+                    // print its message and backtrace; keep stderr for
+                    // the unexpected.
+                    if row.panics {
+                        let loud = std::panic::take_hook();
+                        std::panic::set_hook(Box::new(|_| {}));
+                        let scenario = row.scenario(&ctx);
+                        std::panic::set_hook(loud);
+                        scenario
+                    } else {
+                        row.scenario(&ctx)
+                    }
+                })
+                .collect();
+            let matrix = SurvivalMatrix::new(&ctx, scenarios);
             print!("{}", matrix.render());
             if f.has("--deny-unsurvived") && !matrix.all_pass() {
                 std::process::exit(1);

@@ -50,8 +50,36 @@ pub use bsim_workloads as workloads;
 /// Crate version, for reports.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 
+/// Every row of the `bsim faults` survival matrix, in print order: the
+/// in-process campaign, then the scale-out rows, then the service row.
+pub fn fault_rows() -> impl Iterator<Item = &'static core::FaultRow> {
+    core::campaign::ROWS
+        .iter()
+        .chain(&dist::faults::ROWS)
+        .chain(&svc::faults::ROWS)
+}
+
 #[cfg(test)]
 mod tests {
+    #[test]
+    fn the_fault_table_has_thirteen_uniquely_named_rows() {
+        let rows: Vec<_> = crate::fault_rows().collect();
+        assert_eq!(rows.len(), 13);
+        let mut names: Vec<_> = rows.iter().map(|r| r.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 13, "row names must be unique");
+        let named = |pick: fn(&crate::core::FaultRow) -> bool| -> Vec<_> {
+            rows.iter().filter(|r| pick(r)).map(|r| r.name).collect()
+        };
+        assert_eq!(
+            named(|r| r.guard),
+            ["wire-bitflip", "slow-peer", "store-corrupt"]
+        );
+        assert_eq!(named(|r| r.needs_processes), ["process-kill"]);
+        assert_eq!(named(|r| r.panics), ["token-duplicate", "rank-loss"]);
+    }
+
     #[test]
     fn reexports_link() {
         let cfg = crate::soc::configs::rocket1(1);

@@ -113,3 +113,96 @@ fn the_paper_preset_lints_clean_and_is_no_smaller_than_the_default() {
         assert!(p >= d, "{name}: paper {p} < default {d}");
     }
 }
+
+/// Every diagnostic code the crates can emit is documented by
+/// `bsim check --list`, as itself or inside an `XX001-XX009` range.
+#[test]
+fn check_list_covers_every_diagnostic_code_in_the_sources() {
+    /// `(offset, code)` of the `XX000`-shaped tokens of `text`; with
+    /// `quoted`, only `"XX000"` literals.
+    fn codes(text: &str, quoted: bool) -> Vec<(usize, &str)> {
+        let bytes = text.as_bytes();
+        let mut out = Vec::new();
+        for at in 0..bytes.len().saturating_sub(4) {
+            let word = &bytes[at..at + 5];
+            let shaped = word[..2].iter().all(u8::is_ascii_uppercase)
+                && word[2..].iter().all(u8::is_ascii_digit);
+            let fenced = at > 0 && bytes[at - 1] == b'"' && bytes.get(at + 5) == Some(&b'"');
+            if shaped && (fenced || !quoted) {
+                out.push((at, &text[at..at + 5]));
+            }
+        }
+        out
+    }
+    fn sources(dir: &std::path::Path, out: &mut String) {
+        for entry in std::fs::read_dir(dir).expect("source dir reads").flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                sources(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push_str(&std::fs::read_to_string(&path).expect("source file reads"));
+            }
+        }
+    }
+
+    let out = bsim(&["check", "--list"]);
+    assert_eq!(out.status.code(), Some(0));
+    let listed = stdout(&out);
+    // `lo-hi` covers the range; any other mention covers itself.
+    let mentions = codes(&listed, false);
+    let mut covered: Vec<(&str, &str)> = mentions.iter().map(|&(_, c)| (c, c)).collect();
+    for pair in mentions.windows(2) {
+        let ((lo_at, lo), (hi_at, hi)) = (pair[0], pair[1]);
+        if &listed[lo_at + 5..hi_at] == "-" {
+            covered.push((lo, hi));
+        }
+    }
+
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut text = String::new();
+    for krate in std::fs::read_dir(&crates).expect("crates/ reads").flatten() {
+        sources(&krate.path().join("src"), &mut text);
+    }
+    let mut emitted: Vec<&str> = codes(&text, true).into_iter().map(|(_, c)| c).collect();
+    emitted.sort_unstable();
+    emitted.dedup();
+    assert!(emitted.len() > 50, "scan found only {emitted:?}");
+    let missing: Vec<_> = emitted
+        .iter()
+        .filter(|code| {
+            !covered
+                .iter()
+                .any(|(lo, hi)| lo[..2] == code[..2] && (lo..=hi).contains(code))
+        })
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "not in `bsim check --list`: {missing:?}"
+    );
+}
+
+/// `bsim faults --in-process` prints the fault table minus the rows that
+/// spawn processes, in table order, and the panics its rows expect and
+/// catch stay off stderr.
+#[test]
+fn faults_in_process_prints_the_table_rows_quietly() {
+    let out = bsim(&["faults", "--in-process", "--seed", "42"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let printed = stdout(&out);
+    let names: Vec<&str> = printed
+        .lines()
+        .skip(2)
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    let want: Vec<&str> = silicon_bridge::fault_rows()
+        .filter(|row| !row.needs_processes)
+        .map(|row| row.name)
+        .chain(["12/12"])
+        .collect();
+    assert_eq!(names, want, "{printed}");
+    assert!(
+        printed.ends_with("12/12 scenarios behaved as specified; 1 watchdog trip(s)\n"),
+        "{printed}"
+    );
+    assert!(!stderr(&out).contains("panicked at"), "{}", stderr(&out));
+}

@@ -5,8 +5,8 @@
 
 use std::process::Command;
 
-use silicon_bridge::core::Parallelism;
-use silicon_bridge::dist::faults::{kill_sweep_cells, process_kill_scenario};
+use silicon_bridge::core::{Ctx, Parallelism};
+use silicon_bridge::dist::faults::{self, kill_sweep_cells};
 use silicon_bridge::dist::launcher::{run_sweep, LaunchOpts};
 use silicon_bridge::resilience::CkptStore;
 
@@ -41,10 +41,14 @@ fn a_two_process_sweep_is_byte_identical_to_the_in_process_path() {
 
 /// A worker SIGKILLed mid-sweep is respawned, the plan is rebuilt from
 /// the cells not yet checkpointed, and the final results are still
-/// byte-identical — the packaged fault scenario asserts all of it.
+/// byte-identical — the packaged fault row asserts all of it.
 #[test]
 fn a_killed_worker_is_respawned_and_the_sweep_still_matches() {
-    let s = process_kill_scenario(7, worker_argv());
+    let row = faults::ROWS
+        .iter()
+        .find(|row| row.name == "process-kill")
+        .expect("the scale-out rows include process-kill");
+    let s = row.scenario(&Ctx::new(7, worker_argv()));
     assert!(s.pass, "process-kill scenario failed: {}", s.observed);
     assert!(s.observed.contains("respawns=1"), "{}", s.observed);
     assert!(s.observed.contains("identical=true"), "{}", s.observed);

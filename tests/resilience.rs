@@ -3,11 +3,11 @@
 
 use std::time::{Duration, Instant};
 
-use silicon_bridge::core::{run_grid_checkpointed, CkptStore, Parallelism, RetryPolicy};
+use silicon_bridge::core::{run_grid_keyed, CkptStore, Parallelism, RetryPolicy};
 use silicon_bridge::engine::{FaultKind, FaultPlan, Harness, SimError, TickModel, Wire};
 use silicon_bridge::resilience::fault::FaultTarget;
-use silicon_bridge::resilience::{Snapshot, WatchdogConfig};
-use silicon_bridge::soc::{configs, RunReport, Soc};
+use silicon_bridge::resilience::WatchdogConfig;
+use silicon_bridge::soc::{configs, Soc};
 use silicon_bridge::telemetry::CounterBlock;
 use silicon_bridge::workloads::microbench;
 
@@ -86,36 +86,38 @@ fn dropped_token_trips_typed_stall_within_budget() {
 }
 
 /// Satellite (c), part 2: a checkpoint written mid-sweep resumes to
-/// bit-identical `RunReport`s — the resumed cells replay from the store
-/// and the freshly computed ones reproduce the original run exactly.
+/// bit-identical results — the resumed cells replay from the store and
+/// the freshly computed ones reproduce the original run exactly.
 #[test]
 fn mid_sweep_checkpoint_resumes_bit_identical_run_reports() {
-    // A 2 platforms × 2 kernels grid, each cell a full SoC run.
+    // A 2 platforms × 2 kernels grid, each cell a full SoC run; what a
+    // cell checkpoints is (cycles, (retired, exit code)).
+    type Cell = (u64, (u64, Option<i64>));
     let platforms = [configs::rocket1(1), configs::small_boom(1)];
     let kernels: Vec<_> = microbench::evaluated()
         .into_iter()
         .filter(|k| ["EM5", "STc"].contains(&k.name))
         .collect();
     assert_eq!(kernels.len(), 2);
-    let cell = |i: usize| -> RunReport {
+    let cell = |i: usize| -> Cell {
         let cfg = platforms[i / kernels.len()].clone();
         let k = &kernels[i % kernels.len()];
-        let mut soc = Soc::new(cfg);
-        soc.run_program(0, &k.build(1), u64::MAX)
+        let rep = Soc::new(cfg).run_program(0, &k.build(1), u64::MAX);
+        assert!(
+            rep.cycles > 0 && rep.retired > 0,
+            "cell {i} simulated nothing"
+        );
+        (rep.cycles, (rep.retired, rep.exit_code))
     };
-    let jobs = platforms.len() * kernels.len();
+    let keys: Vec<String> = (0..platforms.len() * kernels.len())
+        .map(|i| format!("grid/cell{i}"))
+        .collect();
+    let once = RetryPolicy::once();
 
     // The reference sweep, fully simulated.
     let mut full = CkptStore::new();
-    let baseline = run_grid_checkpointed(
-        &mut full,
-        "grid",
-        jobs,
-        Parallelism::Workers(2),
-        &RetryPolicy::once(),
-        cell,
-    )
-    .unwrap();
+    let par = Parallelism::Workers(2);
+    let baseline = run_grid_keyed(&keys, par, &once, Some(&mut full), |_| {}, cell).unwrap();
     assert!(baseline.all_ok());
     assert_eq!(baseline.restored, 0);
 
@@ -123,35 +125,32 @@ fn mid_sweep_checkpoint_resumes_bit_identical_run_reports() {
     // survive, round-tripped through the on-disk JSON wire format.
     let mut partial = CkptStore::new();
     for i in [0usize, 2] {
-        let rep = baseline.outcomes[i].value().unwrap();
-        partial.put(&format!("grid/cell{i}"), rep);
+        partial.put(&keys[i], &full.get::<Cell>(&keys[i]).unwrap().unwrap());
     }
     let mut resumed_store = CkptStore::from_json(&partial.to_json()).unwrap();
-    let resumed = run_grid_checkpointed(
-        &mut resumed_store,
-        "grid",
-        jobs,
-        Parallelism::Sequential, // different host schedule on purpose
-        &RetryPolicy::once(),
+    let par = Parallelism::Sequential; // different host schedule on purpose
+    let mut saves = 0;
+    let resumed = run_grid_keyed(
+        &keys,
+        par,
+        &once,
+        Some(&mut resumed_store),
+        |_| saves += 1,
         cell,
     )
     .unwrap();
     assert!(resumed.all_ok());
     assert_eq!(resumed.restored, 2);
+    assert_eq!(saves, 2, "only the two missing cells are simulated");
 
-    for (i, (a, b)) in baseline
-        .outcomes
-        .iter()
-        .zip(resumed.outcomes.iter())
-        .enumerate()
-    {
-        let (a, b) = (a.value().unwrap(), b.value().unwrap());
-        assert_eq!(a.cycles, b.cycles, "cell {i} cycles diverged");
-        assert_eq!(a.retired, b.retired, "cell {i} retired diverged");
-        assert_eq!(a.exit_code, b.exit_code, "cell {i} exit code diverged");
-        // Bit-identical under the checkpoint serialization: the resumed
-        // report's snapshot must equal the original's, whether the cell
-        // was replayed from disk or re-simulated.
-        assert_eq!(a.save(), b.save(), "cell {i} snapshot diverged");
+    // Bit-identical whether the cell was replayed from disk or
+    // re-simulated, and so is what the two runs leave in their stores.
+    for (i, (a, b)) in baseline.outcomes.iter().zip(&resumed.outcomes).enumerate() {
+        assert_eq!(a.value(), b.value(), "cell {i} diverged");
+        assert_eq!(
+            full.get::<Cell>(&keys[i]).unwrap(),
+            resumed_store.get::<Cell>(&keys[i]).unwrap(),
+            "cell {i} snapshot diverged"
+        );
     }
 }
