@@ -39,6 +39,14 @@ impl CkptStore {
         CkptStore::default()
     }
 
+    /// A store of `entries` as they are, in their order — for a caller
+    /// that keeps its own keyed collection and only needs the file
+    /// format. The keys must be distinct: [`CkptStore::put`]'s
+    /// replace-by-key scan is what this skips.
+    pub fn from_entries(entries: Vec<(String, Value)>) -> CkptStore {
+        CkptStore { entries }
+    }
+
     /// Number of checkpointed entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -184,6 +192,19 @@ mod tests {
         assert_eq!(reloaded, store);
         // Byte-stable re-render.
         assert_eq!(reloaded.to_json(), text);
+    }
+
+    #[test]
+    fn from_entries_builds_the_store_put_would() {
+        let mut put = CkptStore::new();
+        put.put("a", &1u64);
+        put.put("b", &2u64);
+        let built = CkptStore::from_entries(vec![
+            ("a".to_string(), Value::U64(1)),
+            ("b".to_string(), Value::U64(2)),
+        ]);
+        assert_eq!(built, put);
+        assert_eq!(built.to_json(), put.to_json());
     }
 
     #[test]

@@ -12,17 +12,27 @@
 //!
 //! Each cell key is simulated at most once, ever:
 //!
-//! 1. a cell first probes the store — a hit is served as the stored
-//!    tree, verbatim;
+//! 1. a cell first probes the store — a hit is the store's own
+//!    canonical bytes, CRC-verified by the read that returns them;
 //! 2. on a miss it must *claim* the key in the in-flight set. Claiming
 //!    re-checks the store under the in-flight lock, and a finished cell
-//!    stores its tree **before** releasing its claim — so a competitor
+//!    stores its bytes **before** releasing its claim — so a competitor
 //!    either sees the claim (and waits on the condvar), or sees the
 //!    claim gone and therefore the store populated. Identical cells in
 //!    concurrent requests coalesce onto one simulation.
 //!
 //! A claim is released by a drop guard, so a panicking cell (retried by
 //! the policy) never wedges its key.
+//!
+//! ## A warm request costs a lookup
+//!
+//! Nothing on the all-hit path builds a tree: keys come from one
+//! [`crate::key`] prefix hash per platform, each cell is one indexed,
+//! checksummed read that shares the store's allocation, the response is
+//! those bytes re-indented into the document (`render_body`,
+//! `crate::splice`), and it leaves in one write ([`crate::proto`]). A
+//! job is found by the table slot its id encodes, and its cells are
+//! moved into the worker that runs it; the table keeps their count.
 //!
 //! ## Endpoints
 //!
@@ -54,7 +64,8 @@
 
 use crate::proto;
 use crate::request::{Cell, SvcRequest};
-use crate::store::ResultStore;
+use crate::splice::{json_str, reindent};
+use crate::store::{canonical, ResultStore};
 use bsim_check::proto::Tracker;
 use bsim_check::Report;
 use bsim_core::{run_grid_resilient, CellOutcome, Parallelism, RetryPolicy};
@@ -252,7 +263,10 @@ struct JobStats {
 struct Job {
     id: String,
     state: JobState,
+    /// Taken by the worker that starts the job.
     cells: Vec<Cell>,
+    /// How many cells the request decomposed into, for `/status`.
+    cell_count: usize,
     body: Option<String>,
     stats: Arc<JobStats>,
     /// Absolute expiry stamped at submit; cells past it fail fast.
@@ -263,6 +277,16 @@ struct Job {
 struct Jobs {
     queue: VecDeque<usize>,
     table: Vec<Job>,
+}
+
+impl Jobs {
+    /// The job a wire id names. Ids are `job-<table index + 1>`, so the
+    /// id is parsed for its slot and the slot's own id must then equal
+    /// it — `job-01`, `job-+1` and `job-1x` name no job.
+    fn find(&self, id: &str) -> Option<&Job> {
+        let n: usize = id.strip_prefix("job-")?.parse().ok()?;
+        self.table.get(n.checked_sub(1)?).filter(|job| job.id == id)
+    }
 }
 
 #[derive(Default)]
@@ -511,7 +535,11 @@ fn run_job(shared: &Arc<Shared>, idx: usize) {
         let mut jobs = lock(&shared.jobs);
         let job = &mut jobs.table[idx];
         job.state = JobState::Running;
-        (job.cells.clone(), Arc::clone(&job.stats), job.deadline)
+        (
+            std::mem::take(&mut job.cells),
+            Arc::clone(&job.stats),
+            job.deadline,
+        )
     };
     let expired = deadline.is_some_and(|d| Instant::now() >= d);
     if shared.cfg.dist_ranks > 0 && !expired {
@@ -546,7 +574,7 @@ fn prewarm_dist(shared: &Shared, cells: &[Cell]) {
     let todo: Vec<(usize, WireCell)> = cells
         .iter()
         .enumerate()
-        .filter(|(_, c)| lock(&shared.store).get(&c.key).is_none())
+        .filter(|(_, c)| lock(&shared.store).get_bytes(&c.key).is_none())
         .map(|(i, c)| (i, c.spec.clone()))
         .collect();
     if todo.is_empty() {
@@ -607,12 +635,15 @@ impl Drop for Claim<'_> {
     }
 }
 
-fn exec_cell(shared: &Shared, job: &JobStats, cell: &Cell, deadline: Option<Instant>) -> Value {
+/// Runs or looks up one cell and returns its canonical result bytes —
+/// on a hit the store's own allocation, CRC-verified by the read that
+/// returned it; on a miss the bytes just stored.
+fn exec_cell(shared: &Shared, job: &JobStats, cell: &Cell, deadline: Option<Instant>) -> Arc<str> {
     shared.stats.cells_total.fetch_add(1, Ordering::SeqCst);
-    let hit = |tree: Value| {
+    let hit = |bytes: Arc<str>| {
         shared.stats.cache_hits.fetch_add(1, Ordering::SeqCst);
         job.hits.fetch_add(1, Ordering::SeqCst);
-        tree
+        bytes
     };
     let mut counted_wait = false;
     loop {
@@ -624,16 +655,16 @@ fn exec_cell(shared: &Shared, job: &JobStats, cell: &Cell, deadline: Option<Inst
             shared.stats.deadline_expired.fetch_add(1, Ordering::SeqCst);
             panic!("request deadline exceeded");
         }
-        if let Some(tree) = lock(&shared.store).get(&cell.key) {
-            return hit(tree);
+        if let Some(bytes) = lock(&shared.store).get_bytes(&cell.key) {
+            return hit(bytes);
         }
         let mut inflight = lock(&shared.inflight);
         if !inflight.contains(&cell.key) {
             // Re-check under the claim lock: a racing winner stores its
-            // tree *before* releasing its claim, so "no claim" +
+            // bytes *before* releasing its claim, so "no claim" +
             // "store miss" here proves nobody has simulated this key.
-            if let Some(tree) = lock(&shared.store).get(&cell.key) {
-                return hit(tree);
+            if let Some(bytes) = lock(&shared.store).get_bytes(&cell.key) {
+                return hit(bytes);
             }
             inflight.insert(cell.key.clone());
             break;
@@ -655,40 +686,46 @@ fn exec_cell(shared: &Shared, job: &JobStats, cell: &Cell, deadline: Option<Inst
         .spec
         .run(shared.cfg.par)
         .unwrap_or_else(|e| panic!("cell {}: {e}", cell.label));
-    lock(&shared.store).put(&cell.key, &tree);
+    let bytes: Arc<str> = canonical(&tree).into();
+    lock(&shared.store).put_bytes(&cell.key, Arc::clone(&bytes));
     shared.stats.cells_simulated.fetch_add(1, Ordering::SeqCst);
     job.simulated.fetch_add(1, Ordering::SeqCst);
     drop(claim);
-    tree
+    bytes
 }
 
 /// The result document: schema header plus one entry per cell, in
-/// request order. Rendered from the exact trees the store holds, so a
-/// cache-served response is byte-identical to the simulated one.
-fn render_body(cells: &[Cell], outcomes: &[CellOutcome<Value>]) -> String {
-    let entries = cells
+/// request order — `{"schema", "cells": [{"key", "label", "result"}]}`
+/// as the pretty renderer prints it. Each result is spliced in from the
+/// canonical bytes [`exec_cell`] returned (re-indented, never parsed),
+/// so a cache-served response is byte-identical to the simulated one
+/// and carries the bytes the store verified.
+fn render_body(cells: &[Cell], outcomes: &[CellOutcome<Arc<str>>]) -> String {
+    let results: Vec<&str> = outcomes
         .iter()
-        .zip(outcomes)
-        .map(|(c, o)| {
-            let tree = match o {
-                CellOutcome::Ok { value, .. } => value.clone(),
-                CellOutcome::Failed { .. } => unreachable!("render_body needs all_ok"),
-            };
-            Value::Map(vec![
-                ("key".into(), Value::Str(c.key.clone())),
-                ("label".into(), Value::Str(c.label.clone())),
-                ("result".into(), tree),
-            ])
-        })
+        .map(|o| &**o.value().expect("render_body needs all_ok")) // bsim: allow(AU002) invariant stated in the message
         .collect();
-    let doc = Value::Map(vec![
-        ("schema".into(), Value::Str(crate::key::STORE_SCHEMA.into())),
-        ("cells".into(), Value::Seq(entries)),
-    ]);
-    serde_json::to_string_pretty(&doc).expect("shim renderer is total") // bsim: allow(AU002) invariant stated in the message
+    // Indentation roughly doubles a compact rendering.
+    let compact: usize = results.iter().map(|r| r.len()).sum();
+    let mut out = String::with_capacity(2 * compact + 128 * cells.len() + 64);
+    out.push_str("{\n  \"schema\": ");
+    out.push_str(&json_str(crate::key::STORE_SCHEMA));
+    out.push_str(",\n  \"cells\": [");
+    for (i, (cell, result)) in cells.iter().zip(results).enumerate() {
+        out.push_str(if i == 0 { "\n    {" } else { ",\n    {" });
+        out.push_str("\n      \"key\": ");
+        out.push_str(&json_str(&cell.key));
+        out.push_str(",\n      \"label\": ");
+        out.push_str(&json_str(&cell.label));
+        out.push_str(",\n      \"result\": ");
+        reindent(&mut out, result, 3);
+        out.push_str("\n    }");
+    }
+    out.push_str(if cells.is_empty() { "]\n}" } else { "\n  ]\n}" });
+    out
 }
 
-fn render_failure(cells: &[Cell], outcomes: &[CellOutcome<Value>]) -> String {
+fn render_failure(cells: &[Cell], outcomes: &[CellOutcome<Arc<str>>]) -> String {
     let entries = cells
         .iter()
         .zip(outcomes)
@@ -960,6 +997,7 @@ fn handle_submit(
             id: id.clone(),
             state: JobState::Queued,
             cells,
+            cell_count,
             body: None,
             stats: Arc::new(JobStats::default()),
             deadline,
@@ -989,7 +1027,7 @@ fn handle_status(
     id: &str,
 ) {
     let jobs = lock(&shared.jobs);
-    let Some(job) = jobs.table.iter().find(|j| j.id == id) else {
+    let Some(job) = jobs.find(id) else {
         drop(jobs);
         respond_tracked(
             tracker,
@@ -1003,7 +1041,7 @@ fn handle_status(
     let body = json_line(&[
         ("job", Value::Str(job.id.clone())),
         ("state", Value::Str(job.state.label().into())),
-        ("cells", Value::U64(job.cells.len() as u64)),
+        ("cells", Value::U64(job.cell_count as u64)),
         ("hits", Value::U64(job.stats.hits.load(Ordering::SeqCst))),
         (
             "simulated",
@@ -1020,7 +1058,7 @@ fn handle_status(
 
 fn handle_fetch(shared: &Arc<Shared>, tracker: &mut Tracker<'_>, stream: &mut TcpStream, id: &str) {
     let jobs = lock(&shared.jobs);
-    let Some(job) = jobs.table.iter().find(|j| j.id == id) else {
+    let Some(job) = jobs.find(id) else {
         drop(jobs);
         respond_tracked(
             tracker,
@@ -1123,6 +1161,142 @@ mod tests {
         assert_eq!(status, 404, "{body}");
         roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
         d.join();
+    }
+
+    #[test]
+    fn only_its_exact_id_names_a_job() {
+        let d = daemon();
+        let submit = "{\"kind\":\"sweep\",\"platforms\":[\"Rocket 1\"],\
+                      \"kernels\":[\"Cca\"],\"scale\":1}";
+        let (status, body) = roundtrip(&d.addr(), "POST", "/submit", submit).unwrap();
+        assert_eq!(status, 202, "{body}");
+        assert!(body.contains("\"job\":\"job-1\""), "{body}");
+        // The id is parsed for its table slot, and the slot must then
+        // carry that very id: other spellings of 1, a slot before the
+        // first or past the last, and a number no `usize` holds are all
+        // unknown jobs.
+        for id in [
+            "job-01",
+            "job-0",
+            "job-",
+            "job-1x",
+            "job-+1",
+            "job-2",
+            "job-99999999999999999999999999",
+            "job--1",
+            "JOB-1",
+            "1",
+            "",
+        ] {
+            for endpoint in ["status", "fetch"] {
+                let path = format!("/{endpoint}/{id}");
+                let (status, body) = roundtrip(&d.addr(), "GET", &path, "").unwrap();
+                assert_eq!(status, 404, "{path}: {body}");
+            }
+        }
+        let (status, body) = roundtrip(&d.addr(), "GET", "/status/job-1", "").unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"job\":\"job-1\""), "{body}");
+        assert!(body.contains("\"cells\":1"), "{body}");
+        roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
+        d.join();
+    }
+
+    /// Submits `body` and polls its job to the finished document.
+    fn submit_and_fetch(d: &Daemon, body: &str) -> String {
+        let (status, answer) = roundtrip(&d.addr(), "POST", "/submit", body).unwrap();
+        assert_eq!(status, 202, "{answer}");
+        let job = crate::client::job_id(&answer).expect("submit answers with a job id");
+        let (status, result) =
+            crate::client::wait(&d.addr(), &job, Duration::from_secs(120)).unwrap();
+        assert_eq!(status, 200, "{result}");
+        result
+    }
+
+    #[test]
+    fn a_flipped_resident_byte_is_resimulated_and_the_original_bytes_served() {
+        let submit = "{\"kind\":\"sweep\",\"platforms\":[\"Rocket 1\"],\
+                      \"kernels\":[\"Cca\"],\"scale\":1}";
+        let d = daemon();
+        let simulated = || d.shared.stats.cells_simulated.load(Ordering::SeqCst);
+        let cold = submit_and_fetch(&d, submit);
+        let warm = submit_and_fetch(&d, submit);
+        assert_eq!(cold, warm);
+        assert_eq!(simulated(), 1, "the second request is a hit");
+        // After the job finishes its cells stay counted, not kept.
+        {
+            let jobs = lock(&d.shared.jobs);
+            assert!(jobs.table.iter().all(|j| j.cells.is_empty()));
+            assert!(jobs.table.iter().all(|j| j.cell_count == 1));
+        }
+
+        let key = SvcRequest::parse(submit).unwrap().cells()[0].key.clone();
+        lock(&d.shared.store).flip_resident_bit(&key);
+        let healed = submit_and_fetch(&d, submit);
+        assert_eq!(
+            healed, cold,
+            "the flipped bytes must never reach a response"
+        );
+        assert_eq!(
+            simulated(),
+            2,
+            "a checksum mismatch is a miss and a recompute"
+        );
+        // The recompute replaced the bad entry: the next read is a hit.
+        assert_eq!(submit_and_fetch(&d, submit), cold);
+        assert_eq!(simulated(), 2);
+        assert_eq!(lock(&d.shared.store).len(), 1);
+        roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
+        d.join();
+    }
+
+    /// The document as a tree, rendered by the pretty renderer: what a
+    /// response is defined to be byte-identical to.
+    fn render_body_from_trees(cells: &[Cell], trees: &[Value]) -> String {
+        let entries = cells
+            .iter()
+            .zip(trees)
+            .map(|(c, tree)| {
+                Value::Map(vec![
+                    ("key".into(), Value::Str(c.key.clone())),
+                    ("label".into(), Value::Str(c.label.clone())),
+                    ("result".into(), tree.clone()),
+                ])
+            })
+            .collect();
+        let doc = Value::Map(vec![
+            ("schema".into(), Value::Str(crate::key::STORE_SCHEMA.into())),
+            ("cells".into(), Value::Seq(entries)),
+        ]);
+        serde_json::to_string_pretty(&doc).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(500))]
+
+        #[test]
+        fn a_spliced_response_is_the_pretty_rendering_of_its_tree(
+            trees in proptest::collection::vec(crate::splice::tests::Trees { depth: 4 }, 0..6),
+            names in proptest::collection::vec(crate::splice::tests::Strings, 12),
+        ) {
+            // Keys and labels out of the same hostile alphabet as the
+            // trees' strings.
+            let cells: Vec<Cell> = (0..trees.len())
+                .map(|i| Cell {
+                    key: names[2 * i].clone(),
+                    label: names[2 * i + 1].clone(),
+                    spec: WireCell::Tune { scale: 1 },
+                })
+                .collect();
+            let outcomes: Vec<CellOutcome<Arc<str>>> = trees
+                .iter()
+                .map(|t| CellOutcome::Ok { value: canonical(t).into(), attempts: 1 })
+                .collect();
+            proptest::prop_assert_eq!(
+                render_body(&cells, &outcomes),
+                render_body_from_trees(&cells, &trees)
+            );
+        }
     }
 
     #[test]

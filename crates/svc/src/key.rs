@@ -28,8 +28,25 @@
 //! Any *semantic* knob change — a cache way, the clock, the kernel
 //! name, the seed — lands in the rendered text and therefore changes
 //! the key; the unit tests pin both directions.
+//!
+//! ## Prefix and streaming suffix
+//!
+//! FNV-1a is a left-to-right fold over the canonical text, and the
+//! canonical text of a micro cell sorts its fields as `code`, `config`,
+//! `kind`, `scale`, `schema`, `seed`, `workload`: everything up to and
+//! including the rendered `SocConfig` — the expensive part — is the same
+//! for every cell of one platform, and every per-cell field sorts after
+//! it. A `MicroKeyer` therefore hashes that prefix once and resumes
+//! the fold over each cell's short suffix. It is the only micro-cell key
+//! path ([`micro_cell_key`] goes through it); the generic
+//! `key_of(versioned(..))` that the fig and tune keys use builds and
+//! renders the whole tree, and is the oracle the keyer is tested
+//! against. A field added to the micro key must sort after `config`, or
+//! move into the prefix.
 
+use crate::splice::json_str;
 use serde::{Serialize, Value};
+use std::fmt::{self, Write};
 
 /// Result-store schema the daemon persists and stamps on every result
 /// document. Folded into every cell key so a schema migration
@@ -69,18 +86,57 @@ pub(crate) fn canonicalize(v: &Value) -> Value {
 /// ever face honest configs, and 64 bits over a handful of entries is
 /// far below birthday territory.
 pub(crate) fn content_hash(v: &Value) -> u64 {
-    let text = serde_json::to_string(&canonicalize(v)).expect("shim renderer is total");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv::default();
+    h.update(&canonical_text(v));
+    h.0
+}
+
+/// The text the hash is taken over: the compact rendering of the
+/// canonicalized tree.
+fn canonical_text(v: &Value) -> String {
+    serde_json::to_string(&canonicalize(v)).expect("shim renderer is total")
+}
+
+/// Streaming FNV-1a 64 state; `write!` into it to fold formatted text
+/// without building the string.
+#[derive(Clone, Copy)]
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv {
+    fn update(&mut self, text: &str) {
+        // A local accumulator: `self` may have been lent to `write!`,
+        // after which the compiler has to assume `text` can alias it
+        // and would reload and store the state around every byte.
+        let mut h = self.0;
+        for b in text.as_bytes() {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.0 = h;
+    }
+
+    /// The 16-hex-digit store key of the text folded so far.
+    fn key(self) -> String {
+        format!("{:016x}", self.0)
+    }
+}
+
+impl Write for Fnv {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        self.update(text);
+        Ok(())
+    }
 }
 
 /// Renders a canonical tree's hash as the 16-hex-digit store key.
 pub(crate) fn key_of(v: &Value) -> String {
-    format!("{:016x}", content_hash(v))
+    Fnv(content_hash(v)).key()
 }
 
 fn versioned(kind: &str, mut fields: Vec<(String, Value)>) -> Value {
@@ -90,18 +146,40 @@ fn versioned(kind: &str, mut fields: Vec<(String, Value)>) -> Value {
     Value::Map(fields)
 }
 
+/// Keys the microbenchmark cells of one platform: the FNV state after
+/// the cell-invariant prefix `{"code":…,"config":<canonical SocConfig>`
+/// of the canonical text (see the module docs).
+pub(crate) struct MicroKeyer(Fnv);
+
+impl MicroKeyer {
+    /// Canonicalizes, renders and hashes `cfg` — once per platform.
+    pub(crate) fn new(cfg: &bsim_soc::SocConfig) -> MicroKeyer {
+        let mut h = Fnv::default();
+        write!(h, "{{\"code\":{CODE_VERSION},\"config\":").expect("hashing cannot fail");
+        h.update(&canonical_text(&cfg.to_value()));
+        MicroKeyer(h)
+    }
+
+    /// Key for the cell `kernel × scale × seed` on this platform, under
+    /// the current schema/code version.
+    pub(crate) fn key(&self, kernel: &str, scale: u32, seed: u64) -> String {
+        let mut h = self.0;
+        let (schema, workload) = (json_str(STORE_SCHEMA), json_str(kernel));
+        write!(
+            h,
+            ",\"kind\":\"micro\",\"scale\":{scale},\"schema\":{schema},\
+             \"seed\":{seed},\"workload\":{workload}}}"
+        )
+        .expect("hashing cannot fail");
+        h.key()
+    }
+}
+
 /// Key for one microbenchmark cell: platform config × kernel × scale ×
-/// seed, under the current schema/code version.
+/// seed, under the current schema/code version. A grid builds one
+/// `MicroKeyer` per platform instead.
 pub fn micro_cell_key(cfg: &bsim_soc::SocConfig, kernel: &str, scale: u32, seed: u64) -> String {
-    key_of(&versioned(
-        "micro",
-        vec![
-            ("config".into(), cfg.to_value()),
-            ("workload".into(), Value::Str(kernel.into())),
-            ("scale".into(), Value::U64(u64::from(scale))),
-            ("seed".into(), Value::U64(seed)),
-        ],
-    ))
+    MicroKeyer::new(cfg).key(kernel, scale, seed)
 }
 
 /// Key for one figure subcell (e.g. `fig3a`) at a named size preset.
@@ -235,6 +313,56 @@ mod tests {
             micro_cell_key(&configs::rocket2(1), "EM5", 1, 0),
             "different platform"
         );
+    }
+
+    /// The generic path the fig and tune keys take, applied to a micro
+    /// cell: build the whole tree, canonicalize it, render it, hash it.
+    fn generic_micro_key(cfg: &bsim_soc::SocConfig, kernel: &str, scale: u32, seed: u64) -> String {
+        key_of(&versioned(
+            "micro",
+            vec![
+                ("config".into(), cfg.to_value()),
+                ("workload".into(), Value::Str(kernel.into())),
+                ("scale".into(), Value::U64(u64::from(scale))),
+                ("seed".into(), Value::U64(seed)),
+            ],
+        ))
+    }
+
+    #[test]
+    fn the_keyer_agrees_with_the_generic_path_on_the_whole_catalog() {
+        let mut kernels: Vec<String> = bsim_workloads::microbench::suite()
+            .iter()
+            .map(|k| k.name.to_string())
+            .collect();
+        // A name the renderer has to escape, and one made of the bytes
+        // the canonical text is punctuated with.
+        kernels.push("a\"b\\c\n\u{1}".into());
+        kernels.push("},\"seed\":7".into());
+        let names: Vec<String> = configs::catalog(1).into_iter().map(|p| p.name).collect();
+        assert_eq!(names.len(), 10, "the ten platforms `bsim list` prints");
+        let mut platforms: Vec<bsim_soc::SocConfig> = names
+            .iter()
+            .map(|name| configs::by_name(name, 1).expect("cataloged"))
+            .collect();
+        platforms.push(configs::large_boom(4).with_telemetry(TelemetryConfig::counters()));
+        for cfg in &platforms {
+            let keyer = MicroKeyer::new(cfg);
+            for kernel in &kernels {
+                for seed in [0, 1, 1_000_000] {
+                    for scale in [1, 3] {
+                        let want = generic_micro_key(cfg, kernel, scale, seed);
+                        assert_eq!(
+                            keyer.key(kernel, scale, seed),
+                            want,
+                            "{} / {kernel:?} / scale {scale} / seed {seed}",
+                            cfg.name
+                        );
+                        assert_eq!(micro_cell_key(cfg, kernel, scale, seed), want);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! | Module | Role |
 //! |---|---|
 //! | [`key`] | canonical config hashing → 16-hex cell keys |
-//! | [`store`] | content-addressed result store (CkptStore-backed, quarantine on SV003/SV004) |
+//! | [`store`] | content-addressed result store (canonical bytes behind a per-read CRC, CkptStore file format, quarantine on SV003–SV005) |
+//! | `splice` | compact → pretty re-indenter: responses are spliced from stored bytes, not rendered from trees |
 //! | [`proto`] | hand-rolled HTTP-lite framing (`curl`-compatible, no network deps) |
 //! | [`request`] | wire shapes, SV000–SV002 preflight, decomposition into keyed `bsim_dist::WireCell`s |
 //! | [`daemon`] | job queue, worker pool, exactly-once cell execution, `/shutdown` drain |
@@ -31,6 +32,7 @@ pub mod faults;
 pub mod key;
 pub mod proto;
 pub mod request;
+mod splice;
 pub mod store;
 
 pub use daemon::{Daemon, DaemonConfig, COUNTERS};

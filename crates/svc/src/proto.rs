@@ -4,6 +4,12 @@
 //! Hand-rolled on purpose: the workspace builds fully offline, so the
 //! wire layer uses nothing beyond the standard library and the
 //! in-tree serde_json shim.
+//!
+//! A message — request or response, head and body — is formatted into
+//! one buffer and leaves through one `write_all` ([`send`]), the way
+//! `bsim_dist::frame::write_frame` sends a frame: formatting straight
+//! onto a `TcpStream` costs one `write(2)` per format piece, and the
+//! peer's reader then wakes for a fragment.
 
 use bsim_check::proto::{svc_cached, Tracker, Violation};
 use std::io::{self, BufRead, BufReader, Write};
@@ -141,6 +147,15 @@ pub(crate) fn read_request(reader: &mut impl BufRead) -> io::Result<Request> {
     })
 }
 
+/// Sends one message: `head` (start line and headers, through the
+/// blank line) and `body` joined in one buffer, written once.
+fn send(writer: &mut impl Write, head: String, body: &str) -> io::Result<()> {
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body.as_bytes());
+    writer.write_all(&message)?;
+    writer.flush()
+}
+
 /// Writes one response: status line, framing headers, JSON body.
 pub(crate) fn write_response(
     writer: &mut impl Write,
@@ -148,13 +163,12 @@ pub(crate) fn write_response(
     reason: &str,
     body: &str,
 ) -> io::Result<()> {
-    write!(
-        writer,
+    let head = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+         Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    )?;
-    writer.flush()
+    );
+    send(writer, head, body)
 }
 
 /// Writes one shed response (`429`/`503`) carrying a `Retry-After`
@@ -167,13 +181,28 @@ pub(crate) fn write_response_retry(
     retry_after_secs: u64,
     body: &str,
 ) -> io::Result<()> {
-    write!(
-        writer,
+    let head = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n\
-         Retry-After: {retry_after_secs}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+         Retry-After: {retry_after_secs}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    )?;
-    writer.flush()
+    );
+    send(writer, head, body)
+}
+
+/// Writes one request: request line, `Host`, framing headers, JSON body.
+fn write_request(
+    writer: &mut impl Write,
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> io::Result<()> {
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    send(writer, head, body)
 }
 
 /// A parsed response: status code, `(lowercased-name, value)` header
@@ -283,13 +312,7 @@ pub fn roundtrip_with(
     tracker.local(tag).map_err(drift)?;
     let mut stream = TcpStream::connect(addr)?;
     timeouts.apply(&stream)?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()?;
+    write_request(&mut stream, addr, method, path, body)?;
     match read_response_full(&mut BufReader::new(stream)) {
         Ok((status, headers, body)) => {
             tracker.recv(response_event(status)).map_err(drift)?;
@@ -424,6 +447,70 @@ mod tests {
             stream.write_timeout().unwrap(),
             Some(Duration::from_secs(120))
         );
+    }
+
+    /// Counts `write` calls and takes whatever it is given.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_message_is_one_write() {
+        let body = "{\"cells\":[1,2,3]}".repeat(4000);
+        let mut w = CountingWriter::default();
+        write_response(&mut w, 200, "OK", &body).unwrap();
+        assert_eq!(w.writes, 1, "response");
+        assert_eq!(
+            w.bytes,
+            format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                 Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            )
+            .into_bytes()
+        );
+
+        let mut w = CountingWriter::default();
+        write_response_retry(&mut w, 429, "Too Many Requests", 1, "{}").unwrap();
+        assert_eq!(w.writes, 1, "shed response");
+        assert_eq!(
+            w.bytes,
+            b"HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
+              Retry-After: 1\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}"
+        );
+
+        let mut w = CountingWriter::default();
+        write_request(&mut w, "127.0.0.1:9", "POST", "/submit", &body).unwrap();
+        assert_eq!(w.writes, 1, "request");
+        assert_eq!(
+            w.bytes,
+            format!(
+                "POST /submit HTTP/1.1\r\nHost: 127.0.0.1:9\r\nContent-Type: application/json\r\n\
+                 Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            )
+            .into_bytes()
+        );
+        // What the daemon reads back is what the client wrote.
+        let req = read_request(&mut Cursor::new(&w.bytes[..])).unwrap();
+        assert_eq!(
+            (req.method.as_str(), req.path.as_str()),
+            ("POST", "/submit")
+        );
+        assert_eq!(req.body, body);
     }
 
     #[test]

@@ -244,9 +244,10 @@ impl SvcRequest {
                 let mut out = Vec::with_capacity(platforms.len() * kernels.len());
                 for name in platforms {
                     let cfg = configs::by_name(name, 1).expect("platform was preflighted");
+                    let keyer = key::MicroKeyer::new(&cfg);
                     for kernel in kernels {
                         out.push(Cell {
-                            key: key::micro_cell_key(&cfg, kernel, *scale, *seed),
+                            key: keyer.key(kernel, *scale, *seed),
                             label: format!("{}/{kernel}", cfg.name),
                             spec: WireCell::Micro {
                                 platform: cfg.name.clone(),

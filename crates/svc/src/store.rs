@@ -1,11 +1,38 @@
-//! The content-addressed result store: a [`CkptStore`] keyed by the
-//! canonical cell hashes of [`crate::key`], persisted in the same
-//! versioned JSON format as every other checkpoint in the workspace.
+//! The content-addressed result store: canonical result bytes keyed by
+//! the cell hashes of [`crate::key`], persisted in the versioned
+//! [`CkptStore`] JSON format every other checkpoint in the workspace
+//! uses.
 //!
-//! Entries are raw value trees, not typed snapshots: the daemon serves
-//! responses by re-rendering the stored tree, so a cache-served cell is
-//! byte-identical to the simulated one by construction — there is no
-//! decode/re-encode step to drift through.
+//! ## Entries are the bytes their checksum covers
+//!
+//! In memory an entry is exactly one thing: the *canonical bytes* of its
+//! result — the tree's compact JSON rendering — next to the CRC32 taken
+//! over them, found through a key index. A read
+//! (`ResultStore::get_bytes`) re-verifies the CRC over those resident
+//! bytes and hands the same allocation out; nothing is cloned,
+//! re-rendered or reinterpreted on the way, so the bytes the daemon
+//! splices into a response are the very bytes that were just verified,
+//! and a cache-served cell is byte-identical to the simulated one by
+//! construction. [`ResultStore::get`] parses a tree out of them on
+//! demand.
+//!
+//! The store reads its file once, in [`ResultStore::open`], and never
+//! again: what the per-read check guards is the **memory-resident
+//! bytes** — a bit flipped in a long-lived daemon's heap between `put`
+//! and `get` degrades to a cache miss and a recompute, never to flipped
+//! bits served as a result. Corruption of the *file* is the business of
+//! the verification pass in `open` and of [`scrub`].
+//!
+//! ## File format
+//!
+//! On disk every entry is `{"crc": <crc32>, "tree": <value>}` inside a
+//! `CkptStore` v1 file; the CRC32 covers the tree's canonical rendering,
+//! i.e. the resident bytes. [`ResultStore::open`] parses the file,
+//! re-verifies every entry and keeps its canonical bytes;
+//! [`ResultStore::flush`] parses each entry's bytes back into a tree and
+//! saves through [`CkptStore::save`] (temp-file + rename). The renderer
+//! is a fixed point of parse → render, so a file survives
+//! open → flush byte for byte.
 //!
 //! ## Quarantine on open
 //!
@@ -13,72 +40,66 @@
 //! SV003) or torn by a crash mid-write (unparseable JSON, SV004) is
 //! **ignored, never served**: the file is renamed aside to
 //! `<path>.quarantined` and the daemon starts with an empty store,
-//! reporting what happened as warnings. Flushes go through
-//! [`CkptStore::save`] (temp-file + rename), so only an external
-//! truncation — not the daemon's own writer — can produce SV004.
-//!
-//! ## Entry checksums (bsim-guard)
-//!
-//! Every entry is stored wrapped as `{"crc": <crc32>, "tree": <value>}`
-//! where the CRC32 is taken over the tree's canonical JSON rendering.
-//! [`ResultStore::open`] re-verifies every entry and **quarantines**
-//! (drops, never serves) any whose checksum mismatches — or that lacks
-//! a checksum at all, e.g. written by a pre-guard binary — reporting
-//! each as an SV005 warning. [`ResultStore::get`] re-verifies on every
-//! read, so even a file corrupted *after* open degrades to a cache
-//! miss and a recompute, never to serving flipped bits as results.
-//! [`scrub`] is the offline form (`bsim scrub`): audit a store file,
-//! drop what fails, rewrite the clean remainder atomically.
+//! reporting what happened as warnings. Only an external truncation —
+//! not the daemon's own atomic writer — can produce SV004. An entry
+//! whose checksum mismatches — or that lacks one, e.g. written by a
+//! pre-guard binary — is **quarantined** (dropped, never served) with an
+//! SV005 warning while the rest of the file still serves. [`scrub`] is
+//! the offline form (`bsim scrub`): audit a store file, drop what
+//! fails, rewrite the clean remainder atomically.
 
 use bsim_check::{Diagnostic, Report};
 use bsim_resilience::ckpt::CkptStore;
 use bsim_resilience::crc32;
-use bsim_resilience::snapshot::{CkptError, Snapshot};
+use bsim_resilience::snapshot::CkptError;
 use serde::Value;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-/// A raw value tree stored verbatim — `save` and `restore` are clones,
-/// which is exactly the "no reinterpretation" property byte-identical
-/// serving needs.
-struct Raw(Value);
+/// One resident entry: the canonical bytes and the CRC32 over them.
+struct Entry {
+    key: String,
+    crc: u32,
+    bytes: Arc<str>,
+}
 
-impl Snapshot for Raw {
-    fn save(&self) -> Value {
-        self.0.clone()
-    }
-    fn restore(value: &Value) -> Result<Raw, CkptError> {
-        Ok(Raw(value.clone()))
+impl Entry {
+    /// The resident bytes, if they still match their checksum.
+    fn verified(&self) -> Option<&Arc<str>> {
+        (crc32(self.bytes.as_bytes()) == self.crc).then_some(&self.bytes)
     }
 }
 
-/// The daemon's result store: an in-memory [`CkptStore`] of canonical
-/// key → result tree, optionally backed by a JSON file.
+/// The daemon's result store: canonical key → canonical result bytes in
+/// memory (insertion-ordered, indexed by key), optionally backed by a
+/// JSON file.
 pub struct ResultStore {
     path: Option<PathBuf>,
-    store: CkptStore,
+    entries: Vec<Entry>,
+    index: HashMap<String, usize>,
 }
 
 /// The canonical bytes an entry checksum covers: the tree's compact
 /// JSON rendering (deterministic — the shim preserves map order).
-fn canonical(tree: &Value) -> String {
+pub(crate) fn canonical(tree: &Value) -> String {
     serde_json::to_string(tree).expect("shim renderer is total")
 }
 
-/// Wraps a result tree with its CRC32 for storage.
-fn wrap(tree: &Value) -> Value {
+/// The file-format entry for a result tree and the CRC32 of its
+/// canonical bytes.
+fn wrap(crc: u32, tree: Value) -> Value {
     Value::Map(vec![
-        (
-            "crc".to_string(),
-            Value::U64(crc32(canonical(tree).as_bytes()) as u64),
-        ),
-        ("tree".to_string(), tree.clone()),
+        ("crc".to_string(), Value::U64(u64::from(crc))),
+        ("tree".to_string(), tree),
     ])
 }
 
-/// Unwraps a stored entry, returning the tree only if its checksum
-/// verifies. `None` covers every failure: not a wrapper map, missing
-/// fields, wrong types, or a CRC mismatch.
-fn unwrap_verified(entry: &Value) -> Option<Value> {
+/// Unwraps a file-format entry, returning the tree's canonical bytes
+/// only if its checksum verifies over them. `None` covers every
+/// failure: not a wrapper map, missing fields, wrong types, or a CRC
+/// mismatch.
+fn unwrap_verified(entry: &Value) -> Option<String> {
     let Value::Map(fields) = entry else {
         return None;
     };
@@ -87,11 +108,8 @@ fn unwrap_verified(entry: &Value) -> Option<Value> {
         _ => return None,
     };
     let (_, tree) = fields.iter().find(|(k, _)| k == "tree")?;
-    if crc32(canonical(tree).as_bytes()) as u64 == want {
-        Some(tree.clone())
-    } else {
-        None
-    }
+    let bytes = canonical(tree);
+    (u64::from(crc32(bytes.as_bytes())) == want).then_some(bytes)
 }
 
 /// What a [`scrub`] pass found and did.
@@ -112,7 +130,8 @@ impl ResultStore {
     pub fn ephemeral() -> ResultStore {
         ResultStore {
             path: None,
-            store: CkptStore::new(),
+            entries: Vec::new(),
+            index: HashMap::new(),
         }
     }
 
@@ -123,7 +142,7 @@ impl ResultStore {
     /// file is simply a fresh start.
     pub fn open(path: &Path) -> (ResultStore, Report) {
         let mut report = Report::new();
-        let mut store = match CkptStore::load(path) {
+        let file = match CkptStore::load(path) {
             Ok(s) => s,
             Err(CkptError::VersionMismatch { found, supported }) => {
                 report.push(
@@ -154,57 +173,93 @@ impl ResultStore {
             }
             Err(_) => CkptStore::new(), // no file yet: fresh store
         };
-        for key in verify_entries(&mut store) {
-            report.push(
-                Diagnostic::warning(
-                    "SV005",
-                    format!("{}[{key}]", path.display()),
-                    "entry checksum missing or mismatched: quarantined, not served",
-                )
-                .with_help("the cell will be recomputed on demand; `bsim scrub` rewrites the file"),
-            );
+        let mut store = ResultStore {
+            path: Some(path.to_path_buf()),
+            ..ResultStore::ephemeral()
+        };
+        for (key, entry) in file.entries() {
+            match unwrap_verified(entry) {
+                Some(bytes) => store.put_bytes(key, bytes.into()),
+                None => report.push(
+                    Diagnostic::warning(
+                        "SV005",
+                        format!("{}[{key}]", path.display()),
+                        "entry checksum missing or mismatched: quarantined, not served",
+                    )
+                    .with_help(
+                        "the cell will be recomputed on demand; `bsim scrub` rewrites the file",
+                    ),
+                ),
+            }
         }
-        (
-            ResultStore {
-                path: Some(path.to_path_buf()),
-                store,
-            },
-            report,
-        )
+        (store, report)
     }
 
-    /// The stored tree for `key`, if present **and** its checksum
-    /// verifies. An entry corrupted after open degrades to a cache miss
-    /// (recompute), never to serving flipped bits.
+    /// The canonical bytes stored under `key`, if present **and** their
+    /// checksum verifies over the resident copy — the very allocation
+    /// handed out. A mismatch is a cache miss (recompute), never served.
+    pub(crate) fn get_bytes(&self, key: &str) -> Option<Arc<str>> {
+        let entry = &self.entries[*self.index.get(key)?];
+        entry.verified().cloned()
+    }
+
+    /// The stored tree for `key`, parsed from its verified bytes.
     pub fn get(&self, key: &str) -> Option<Value> {
-        self.store
-            .get::<Raw>(key)
-            .expect("raw entries always restore")
-            .and_then(|r| unwrap_verified(&r.0))
+        serde_json::from_str(&self.get_bytes(key)?).ok()
     }
 
-    /// Stores `tree` under `key` (replacing any previous entry),
-    /// wrapped with its CRC32.
+    /// Stores `tree` under `key` (replacing any previous entry) as its
+    /// canonical bytes and their CRC32.
     pub fn put(&mut self, key: &str, tree: &Value) {
-        self.store.put(key, &Raw(wrap(tree)));
+        self.put_bytes(key, canonical(tree).into());
+    }
+
+    /// [`ResultStore::put`] for a tree already rendered by
+    /// [`canonical`].
+    pub(crate) fn put_bytes(&mut self, key: &str, bytes: Arc<str>) {
+        let crc = crc32(bytes.as_bytes());
+        match self.index.get(key) {
+            Some(&at) => {
+                let entry = &mut self.entries[at];
+                (entry.crc, entry.bytes) = (crc, bytes);
+            }
+            None => {
+                self.index.insert(key.to_string(), self.entries.len());
+                self.entries.push(Entry {
+                    key: key.to_string(),
+                    crc,
+                    bytes,
+                });
+            }
+        }
     }
 
     /// Number of stored entries (the `host.svc.cache.entries` gauge).
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Flushes to the backing file atomically (temp-file + rename).
-    /// Returns bytes written, or 0 for an ephemeral store.
+    /// Flushes to the backing file atomically (temp-file + rename), in
+    /// insertion order. Returns bytes written, or 0 for an ephemeral
+    /// store. An entry whose resident bytes no longer verify is left
+    /// out of the file, as a read would have missed it.
     pub fn flush(&self) -> Result<u64, CkptError> {
-        match &self.path {
-            Some(path) => self.store.save(path),
-            None => Ok(0),
-        }
+        let Some(path) = &self.path else {
+            return Ok(0);
+        };
+        let file = self
+            .entries
+            .iter()
+            .filter_map(|entry| {
+                let tree = serde_json::from_str(entry.verified()?).ok()?;
+                Some((entry.key.clone(), wrap(entry.crc, tree)))
+            })
+            .collect();
+        CkptStore::from_entries(file).save(path)
     }
 }
 
@@ -296,6 +351,24 @@ fn quarantine(path: &Path) {
 }
 
 #[cfg(test)]
+impl ResultStore {
+    /// Flips the low bit of the first digit in the bytes resident under
+    /// `key` and leaves the stored checksum alone — a bit gone bad in a
+    /// long-lived daemon's heap. A digit stays a digit, so the bytes
+    /// still parse: only the checksum can tell.
+    pub(crate) fn flip_resident_bit(&mut self, key: &str) {
+        let entry = &mut self.entries[self.index[key]];
+        let mut bytes = entry.bytes.as_bytes().to_vec();
+        let at = bytes
+            .iter()
+            .position(u8::is_ascii_digit)
+            .expect("the entry holds a number");
+        bytes[at] ^= 1;
+        entry.bytes = String::from_utf8(bytes).expect("still ASCII there").into();
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -322,6 +395,57 @@ mod tests {
         );
         assert!(reloaded.get("beef").is_none());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_flipped_resident_byte_is_a_miss_not_a_served_result() {
+        let tree = Value::Map(vec![("cycles".into(), Value::U64(123_456))]);
+        let mut store = ResultStore::ephemeral();
+        store.put("aaaa", &tree);
+        store.put("bbbb", &tree);
+        assert_eq!(
+            store.get_bytes("aaaa").as_deref(),
+            Some(r#"{"cycles":123456}"#)
+        );
+
+        store.flip_resident_bit("aaaa");
+        assert_eq!(store.entries[0].bytes.as_ref(), r#"{"cycles":023456}"#);
+        assert!(store.get_bytes("aaaa").is_none(), "flipped bytes served");
+        assert!(store.get("aaaa").is_none(), "flipped tree served");
+        assert_eq!(
+            store.get("bbbb"),
+            Some(tree.clone()),
+            "the rest still serves"
+        );
+        assert_eq!(store.len(), 2, "a failed read drops nothing");
+
+        // A recompute replaces the entry in place and it serves again.
+        store.put("aaaa", &tree);
+        assert_eq!(store.get("aaaa"), Some(tree));
+        assert_eq!(store.len(), 2);
+    }
+
+    #[test]
+    fn a_flipped_resident_entry_is_left_out_of_the_flush() {
+        let path = tmp("resident-flip");
+        let (mut store, _) = ResultStore::open(&path);
+        store.put("good", &Value::U64(7));
+        store.put("evil", &Value::U64(9));
+        store.flip_resident_bit("evil");
+        store.flush().unwrap();
+        let (reopened, report) = ResultStore::open(&path);
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(reopened.len(), 1);
+        assert_eq!(reopened.get("good"), Some(Value::U64(7)));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn reads_hand_out_the_resident_allocation() {
+        let mut store = ResultStore::ephemeral();
+        store.put("k", &Value::Str("one copy".into()));
+        let (a, b) = (store.get_bytes("k").unwrap(), store.get_bytes("k").unwrap());
+        assert!(Arc::ptr_eq(&a, &b) && Arc::ptr_eq(&a, &store.entries[0].bytes));
     }
 
     #[test]
