@@ -171,19 +171,6 @@ impl SurvivalMatrix {
         ));
         out
     }
-
-    /// Publishes the campaign verdict under `host.resilience.campaign.*`.
-    pub fn publish(&self, block: &mut CounterBlock) {
-        block.set_named(
-            "host.resilience.campaign.scenarios",
-            self.scenarios.len() as u64,
-        );
-        block.set_named(
-            "host.resilience.campaign.passed",
-            self.scenarios.iter().filter(|s| s.pass).count() as u64,
-        );
-        block.set_named("host.resilience.watchdog_trips", self.watchdog_trips);
-    }
 }
 
 /// The deterministic ring model the engine-level scenarios run: state
@@ -531,11 +518,6 @@ mod tests {
         for rerun in 0..8 {
             assert_eq!(rows(&a), rows(&run_campaign(42)), "rerun {rerun}");
         }
-
-        let mut block = CounterBlock::new(true);
-        a.publish(&mut block);
-        assert_eq!(block.get("host.resilience.campaign.passed"), Some(9));
-        assert_eq!(block.get("host.resilience.watchdog_trips"), Some(1));
     }
 
     #[test]

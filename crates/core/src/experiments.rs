@@ -57,9 +57,9 @@ impl Snapshot for Series {
     }
 }
 
-/// Figures checkpoint whole: a resumed `bsim fig` run replays completed
+/// Figures are stored whole: a `bsim fig --store` run replays completed
 /// subfigures from the store byte-for-byte instead of re-simulating
-/// their grids (see [`crate::resilient::run_figure`]).
+/// their grids (see [`crate::resilient::run_grid_keyed`]).
 impl Snapshot for FigureData {
     fn save(&self) -> Value {
         Value::Map(vec![
@@ -164,20 +164,21 @@ impl Sizes {
         report
     }
 
-    /// Parses a named preset (`default` or `smoke`), as service requests
-    /// spell them. Unknown names are `None`, not a panic —
-    /// the caller turns them into an SV001-style diagnostic.
+    /// Parses a named preset (`default`, `smoke` or `paper`) — the name a
+    /// figure cell carries on the wire and in its store key. Unknown
+    /// names are `None`, not a panic — the caller turns them into an
+    /// SV001-style diagnostic.
     pub fn parse(name: &str) -> Option<Sizes> {
         match name {
             "default" => Some(Sizes::default()),
             "smoke" => Some(Sizes::smoke()),
+            "paper" => Some(Sizes::paper()),
             _ => None,
         }
     }
 
     /// Larger (slower) sizes closer to the paper's inputs (`bsim fig
-    /// --paper`). Not a [`Sizes::parse`] preset: service requests and
-    /// `bsim dist` name only `default` and `smoke`.
+    /// --paper`).
     pub fn paper() -> Sizes {
         Sizes {
             micro_scale: 4,
@@ -640,9 +641,10 @@ enum Family {
 pub struct FigureSpec {
     /// The `bsim fig <id>` this subfigure belongs to.
     pub id: &'static str,
-    /// Stable key (`fig3a`, `fig4b4`, …): the `CkptStore` cell name a
-    /// resumed run looks up and part of the service's store keys, so
-    /// renaming one invalidates old checkpoints.
+    /// Name (`fig3a`, `fig4b4`, …): what `bsim fig`, a service response
+    /// and the figure golden file call the subfigure. A display name,
+    /// never a store key — `bsim_dist::WireCell::key` hashes it together
+    /// with the size preset, seed and code version.
     pub key: &'static str,
     /// Title (e.g. "Figure 1: MicroBench — Rocket models vs Banana Pi hardware").
     pub title: &'static str,
@@ -802,8 +804,8 @@ pub fn subfigures(id: &str) -> impl Iterator<Item = &'static FigureSpec> + '_ {
     FIGURES.iter().filter(move |f| f.id == id)
 }
 
-/// The subfigure with stable key `key` (`fig3a`, …). Panics on a key
-/// that is not in [`FIGURES`].
+/// The subfigure named `key` (`fig3a`, …). Panics on a name that is not
+/// in [`FIGURES`].
 pub fn figure(key: &str) -> &'static FigureSpec {
     FIGURES
         .iter()
@@ -1259,7 +1261,7 @@ mod tests {
     }
 
     #[test]
-    fn figure_table_covers_every_id_with_stable_keys() {
+    fn figure_table_covers_every_id_in_plan_order() {
         let keys: Vec<&str> = FIGURE_IDS
             .iter()
             .flat_map(|id| subfigures(id).map(|f| f.key))
@@ -1270,7 +1272,7 @@ mod tests {
                 "fig1", "fig2", "fig3a", "fig3b", "fig4a", "fig4b1", "fig4b4", "fig5", "fig6",
                 "fig7"
             ],
-            "checkpoint keys are a stable on-disk contract"
+            "the golden file and every stored fig key are named after these"
         );
         assert_eq!(keys.len(), FIGURES.len(), "every row belongs to a CLI id");
         assert_eq!(subfigures("9").count(), 0);

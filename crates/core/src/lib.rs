@@ -15,9 +15,9 @@
 //!   configuration that matches best,
 //! * [`table`] — plain-text rendering of figure data, so the bench
 //!   harnesses print rows directly comparable to the paper's plots,
-//! * [`resilient`] — retrying/checkpointing sweep runners for long
+//! * [`resilient`] — retrying/storing sweep runners for long
 //!   simulations: a poisoned cell degrades to a diagnosed failure row
-//!   and `bsim fig --resume` replays completed subfigures from disk,
+//!   and `bsim fig --store` replays completed subfigures from disk,
 //! * [`campaign`] — the `bsim faults` fault-injection campaign: the
 //!   [`FaultRow`] type every row of the survival matrix is written as,
 //!   and the nine in-process rows.
@@ -56,4 +56,4 @@ pub use resilient::{run_grid_keyed, run_grid_resilient, ResilientSweep};
 
 // The resilience vocabulary the runners above speak, re-exported so
 // `bsim-core` users don't need a separate `bsim-resilience` import.
-pub use bsim_resilience::{CellOutcome, CkptError, CkptStore, RetryPolicy};
+pub use bsim_resilience::{CellOutcome, CkptError, ResultStore, RetryPolicy};

@@ -1,39 +1,29 @@
-//! Resilient sweep runners: retry, degrade, checkpoint, resume.
+//! Resilient sweep runners: retry, degrade, store, replay.
 //!
 //! [`crate::run_grid_metered`] re-raises a poisoned cell's panic after
 //! the grid drains. Long sweeps want the opposite: keep every completed
 //! cell, retry the poisoned one with backoff, and degrade it to a
 //! diagnosed failure row instead of aborting hours of simulation —
-//! [`run_grid_resilient`]. [`run_grid_keyed`] adds checkpointing by cell
-//! key, so `bsim fig --resume` replays completed subfigures from disk
-//! byte-for-byte.
+//! [`run_grid_resilient`]. [`run_grid_keyed`] adds a [`ResultStore`], so
+//! `bsim fig --store` replays completed subfigures byte-for-byte.
 
 use crate::experiments::{drain_grid, Parallelism};
-use bsim_resilience::ckpt::CkptStore;
 use bsim_resilience::retry::{CellOutcome, RetryPolicy};
 use bsim_resilience::snapshot::{CkptError, Snapshot};
-use bsim_telemetry::CounterBlock;
+use bsim_resilience::ResultStore;
 use std::sync::Mutex;
 
 /// Outcome of a resilient sweep: one [`CellOutcome`] per grid cell, in
-/// grid order, plus the host-side accounting the run export publishes
-/// under `host.resilience.*`.
+/// grid order.
 #[derive(Clone, Debug)]
 pub struct ResilientSweep<T> {
     /// Per-cell outcomes, ordered by grid index.
     pub outcomes: Vec<CellOutcome<T>>,
-    /// Worker threads the sweep used.
-    pub workers: usize,
-    /// Cells answered from a checkpoint store instead of simulated.
+    /// Cells answered from a result store instead of simulated.
     pub restored: usize,
 }
 
 impl<T> ResilientSweep<T> {
-    /// Attempts beyond the first, summed over all cells.
-    pub fn retries(&self) -> u64 {
-        self.outcomes.iter().map(|o| o.retries() as u64).sum()
-    }
-
     /// Cells that failed every attempt.
     pub fn failed(&self) -> usize {
         self.outcomes.iter().filter(|o| !o.is_ok()).count()
@@ -42,17 +32,6 @@ impl<T> ResilientSweep<T> {
     /// True when every cell produced a value.
     pub fn all_ok(&self) -> bool {
         self.failed() == 0
-    }
-
-    /// Publishes the sweep's resilience accounting under
-    /// `host.resilience.*` — the counters ride the normal telemetry
-    /// export, so they appear in the JSON and CSV run dumps next to
-    /// `host.sweep.*` and `host.rate.*`.
-    pub fn publish(&self, block: &mut CounterBlock) {
-        block.set_named("host.resilience.cells", self.outcomes.len() as u64);
-        block.set_named("host.resilience.retries", self.retries());
-        block.set_named("host.resilience.failed_cells", self.failed() as u64);
-        block.set_named("host.resilience.ckpt_cells", self.restored as u64);
     }
 }
 
@@ -71,43 +50,36 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = par.workers(jobs);
-    let outcomes = drain_grid(jobs, par, |i| policy.run(|| f(i)));
     ResilientSweep {
-        outcomes,
-        workers,
+        outcomes: drain_grid(jobs, par, |i| policy.run(|| f(i))),
         restored: 0,
     }
 }
 
-/// [`run_grid_resilient`] over keyed cells with checkpoint/resume — the
-/// one loop that skips a stored cell. Cell `i` is answered from `store`
-/// when `keys[i]` is there (`attempts == 0` marks it replayed) and
-/// otherwise runs `f(i)` under `policy`; a cell that succeeds is written
-/// back under its key and `on_ckpt` fires at once — `bsim fig --ckpt`
-/// persists the store to disk there, so a run killed mid-sweep still
-/// leaves every finished cell resumable. A cell that fails every attempt
-/// degrades to a [`CellOutcome::Failed`] row, is not stored, and is
-/// retried by the next resume. Without a store this is
-/// [`run_grid_resilient`].
+/// [`run_grid_resilient`] over keyed cells and a result store — the one
+/// loop that skips a stored cell. Cell `i` is answered from `store` when
+/// `keys[i]` is there (`attempts == 0` marks it replayed) and otherwise
+/// runs `f(i)` under `policy`; a cell that succeeds is stored under its
+/// key and `on_put` fires at once — `bsim fig --store` flushes the file
+/// there, so a run killed mid-sweep still leaves every finished cell to
+/// the next one. A cell that fails every attempt degrades to a
+/// [`CellOutcome::Failed`] row, is not stored, and runs again next time.
 ///
-/// `bsim fig <id>` passes the [`FigureSpec::key`]s of its plan
-/// (`fig3a`, …) and runs each subfigure scalar or on the lane executor;
-/// keys and store are the same either way, so `--ckpt`/`--resume`
-/// interoperate between them. Under a parallel `par` cells are stored in
-/// completion order.
+/// What a key is made of is the caller's side of the contract: `bsim fig`
+/// passes each subfigure's `bsim_dist::WireCell::key`, which names the
+/// figure, the size preset and the code version but not the executor —
+/// scalar or lanes, any `par` — because that does not change the series.
+/// Under a parallel `par` cells are stored in completion order.
 ///
-/// A present-but-malformed entry is a loud [`CkptError`] before any cell
-/// runs, not a silent recompute — a checkpoint that has started lying
-/// should stop the run, not quietly waste it.
-///
-/// [`FigureSpec::key`]: crate::experiments::FigureSpec::key
+/// A stored entry that verifies but does not restore as a `T` is a loud
+/// [`CkptError`] before any cell runs, not a silent recompute — a store
+/// that has started lying should stop the run, not quietly waste it.
 pub fn run_grid_keyed<T, F>(
     keys: &[impl AsRef<str> + Sync],
     par: Parallelism,
     policy: &RetryPolicy,
-    store: Option<&mut CkptStore>,
-    on_ckpt: impl FnMut(&CkptStore) + Send,
+    store: &mut ResultStore,
+    on_put: impl FnMut(&ResultStore) + Send,
     f: F,
 ) -> Result<ResilientSweep<T>, CkptError>
 where
@@ -116,21 +88,19 @@ where
 {
     let mut slots: Vec<Option<CellOutcome<T>>> = Vec::with_capacity(keys.len());
     for key in keys {
-        let stored = match &store {
-            Some(store) => store.get::<T>(key.as_ref())?,
-            None => None,
-        };
-        slots.push(stored.map(|value| CellOutcome::Ok { value, attempts: 0 }));
+        let stored = store.get(key.as_ref());
+        let value = stored.as_ref().map(T::restore).transpose()?;
+        slots.push(value.map(|value| CellOutcome::Ok { value, attempts: 0 }));
     }
     let missing: Vec<usize> = (0..keys.len()).filter(|&i| slots[i].is_none()).collect();
-    let sink = store.map(|store| Mutex::new((store, on_ckpt)));
+    let sink = Mutex::new((store, on_put));
     let fresh = drain_grid(missing.len(), par, |k| {
         let outcome = policy.run(|| f(missing[k]));
-        if let (Some(sink), CellOutcome::Ok { value, .. }) = (&sink, &outcome) {
+        if let CellOutcome::Ok { value, .. } = &outcome {
             let mut sink = sink.lock().unwrap_or_else(|e| e.into_inner());
-            let (store, on_ckpt) = &mut *sink;
-            store.put(keys[missing[k]].as_ref(), value);
-            on_ckpt(store);
+            let (store, on_put) = &mut *sink;
+            store.put(keys[missing[k]].as_ref(), &value.save());
+            on_put(store);
         }
         outcome
     });
@@ -142,7 +112,6 @@ where
             .into_iter()
             .map(|s| s.expect("every cell restored or simulated"))
             .collect(),
-        workers: par.workers(missing.len()),
         restored: keys.len() - missing.len(),
     })
 }
@@ -151,7 +120,7 @@ where
 mod tests {
     use super::*;
     use crate::experiments::{subfigures, FigureData, Sizes};
-    use bsim_telemetry::{Telemetry, TelemetryConfig};
+    use serde::Value;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -181,16 +150,32 @@ mod tests {
             7u64
         });
         assert!(sweep.all_ok());
-        assert_eq!(sweep.retries(), 2);
-        let mut block = CounterBlock::new(true);
-        sweep.publish(&mut block);
-        assert_eq!(block.get("host.resilience.retries"), Some(2));
-        assert_eq!(block.get("host.resilience.failed_cells"), Some(0));
+        let two_retries = CellOutcome::Ok {
+            value: 7,
+            attempts: 3,
+        };
+        assert_eq!(sweep.outcomes, [two_retries]);
+    }
+
+    /// A scratch store file no other test (or process) shares, absent.
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("bsim-core-resilient-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{name}-{}.json", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        path
+    }
+
+    /// The store at `path`, which must open without findings.
+    fn open_clean(path: &std::path::Path) -> ResultStore {
+        let (store, report) = ResultStore::open(path);
+        assert!(report.is_clean(), "{report}");
+        store
     }
 
     /// `run_grid_keyed` over `t/cell<i>` keys, sequential, one attempt.
     fn keyed<T: Snapshot + Send>(
-        store: &mut CkptStore,
+        store: &mut ResultStore,
         jobs: usize,
         f: impl Fn(usize) -> T + Sync,
     ) -> Result<ResilientSweep<T>, CkptError> {
@@ -199,7 +184,7 @@ mod tests {
             &keys,
             Parallelism::Sequential,
             &RetryPolicy::once(),
-            Some(store),
+            store,
             |_| {},
             f,
         )
@@ -212,16 +197,19 @@ mod tests {
             ran.fetch_add(1, Ordering::Relaxed);
             (i as u64) * 3
         };
-        let mut store = CkptStore::new();
+        let path = scratch("replay");
+        let mut store = open_clean(&path);
         let first = keyed(&mut store, 5, cell).unwrap();
         assert!(first.all_ok());
         assert_eq!(first.restored, 0);
         assert_eq!(ran.load(Ordering::Relaxed), 5);
 
-        // Round-trip the store through its JSON wire format, as a
-        // `--resume` run would, then rerun: zero cells re-simulate and
-        // the values are identical.
-        let mut reloaded = CkptStore::from_json(&store.to_json()).unwrap();
+        // Round-trip the store through its file, as the next `--store`
+        // run would, then rerun: zero cells re-simulate and the values
+        // are identical.
+        store.flush().unwrap();
+        let mut reloaded = open_clean(&path);
+        std::fs::remove_file(&path).ok();
         let second = keyed(&mut reloaded, 5, cell).unwrap();
         assert_eq!(second.restored, 5);
         assert_eq!(ran.load(Ordering::Relaxed), 5, "nothing re-simulated");
@@ -233,11 +221,11 @@ mod tests {
 
     #[test]
     fn mid_sweep_checkpoint_only_fills_the_missing_cells() {
-        // Simulate a sweep torn down after 2 of 4 cells: the resumed run
+        // Simulate a sweep torn down after 2 of 4 cells: the next run
         // computes exactly the missing ones.
-        let mut store = CkptStore::new();
-        store.put("t/cell0", &10u64);
-        store.put("t/cell2", &30u64);
+        let mut store = ResultStore::ephemeral();
+        store.put("t/cell0", &10u64.save());
+        store.put("t/cell2", &30u64.save());
         let ran = AtomicUsize::new(0);
         let sweep = keyed(&mut store, 4, |i| {
             ran.fetch_add(1, Ordering::Relaxed);
@@ -248,23 +236,24 @@ mod tests {
         assert_eq!(ran.load(Ordering::Relaxed), 2);
         let vals: Vec<u64> = sweep.outcomes.iter().map(|o| *o.value().unwrap()).collect();
         assert_eq!(vals, [10, 20, 30, 40]);
-        // A failed cell is not written back: the next resume retries it.
-        let mut store2 = CkptStore::new();
+        assert_eq!(store.len(), 4);
+        // A failed cell is not stored: the next run retries it.
+        let mut store2 = ResultStore::ephemeral();
         let s2 = keyed(&mut store2, 2, |i| {
             assert!(i != 1, "poisoned");
             5u64
         })
         .unwrap();
         assert_eq!(s2.failed(), 1);
-        assert!(store2.contains("t/cell0"));
-        assert!(!store2.contains("t/cell1"));
+        assert!(store2.get("t/cell0").is_some());
+        assert!(store2.get("t/cell1").is_none());
     }
 
     #[test]
     fn malformed_checkpoint_entry_is_a_loud_error() {
-        let mut store = CkptStore::new();
-        store.put("t/cell0", &String::from("not a u64"));
-        let err = keyed(&mut store, 1, |_| 1u64).expect_err("a lying checkpoint must stop the run");
+        let mut store = ResultStore::ephemeral();
+        store.put("t/cell0", &Value::Str("not a u64".into()));
+        let err = keyed(&mut store, 1, |_| 1u64).expect_err("a lying store must stop the run");
         assert!(matches!(err, CkptError::WrongType { .. }));
     }
 
@@ -276,33 +265,37 @@ mod tests {
             ..Sizes::smoke()
         };
         let plan: Vec<_> = subfigures("6").collect();
-        let keys: Vec<&str> = plan.iter().map(|spec| spec.key).collect();
+        // Any distinct strings do here; `bsim fig` passes content hashes.
+        let keys: Vec<String> = plan.iter().map(|spec| format!("t/{}", spec.key)).collect();
         let run = |i: usize| plan[i].run(tiny, Parallelism::Sequential);
         let once = RetryPolicy::once();
-        let mut store = CkptStore::new();
-        let mut saves = 0usize;
+        let path = scratch("figure");
+        let mut store = open_clean(&path);
+        let mut puts = 0usize;
         let first = run_grid_keyed(
             &keys,
             Parallelism::Sequential,
             &once,
-            Some(&mut store),
-            |_| saves += 1,
+            &mut store,
+            |_| puts += 1,
             run,
         )
         .unwrap();
         assert_eq!(first.outcomes.len(), 1);
-        assert_eq!(saves, 1, "on_ckpt fires once per completed subfigure");
-        assert!(store.contains("fig6"));
+        assert_eq!(puts, 1, "on_put fires once per completed subfigure");
+        assert!(store.get("t/fig6").is_some());
 
-        // Resume through the JSON wire format: the subfigure is replayed
-        // from the store (attempts == 0), not re-simulated, and is
+        // The next run, through the file: the subfigure is replayed from
+        // the store (attempts == 0), not re-simulated, and is
         // byte-identical to the first run's.
-        let mut reloaded = CkptStore::from_json(&store.to_json()).unwrap();
+        store.flush().unwrap();
+        let mut reloaded = open_clean(&path);
+        std::fs::remove_file(&path).ok();
         let second: ResilientSweep<FigureData> = run_grid_keyed(
             &keys,
             Parallelism::Sequential,
             &once,
-            Some(&mut reloaded),
+            &mut reloaded,
             |_| {},
             run,
         )
@@ -315,29 +308,8 @@ mod tests {
                     value: b,
                     attempts: 0,
                 },
-            ) => assert_eq!(a, b, "resumed figure must match the original"),
+            ) => assert_eq!(a, b, "replayed figure must match the original"),
             other => panic!("unexpected outcomes: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn resilience_counters_ride_the_json_and_csv_exports() {
-        let sweep = run_grid_resilient(3, Parallelism::Sequential, &RetryPolicy::once(), |i| i);
-        let mut tel = Telemetry::new(TelemetryConfig::counters());
-        sweep.publish(tel.counters_mut());
-        tel.tick(1000);
-        let snap = tel.snapshot().expect("telemetry enabled");
-        assert_eq!(snap.counter("host.resilience.cells"), Some(3));
-        let json = snap.to_json();
-        let csv = snap.counters_csv();
-        for name in [
-            "host.resilience.cells",
-            "host.resilience.retries",
-            "host.resilience.failed_cells",
-            "host.resilience.ckpt_cells",
-        ] {
-            assert!(json.contains(name), "{name} missing from JSON export");
-            assert!(csv.contains(name), "{name} missing from CSV export");
         }
     }
 }

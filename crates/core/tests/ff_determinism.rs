@@ -1,11 +1,11 @@
 //! Fast-forward determinism, end to end: the quiescence fast-forward
 //! (`TickModel::next_activity` + `Harness::fast_forward`) is a host
 //! optimization and must be invisible in every serialized artifact —
-//! the figure pipeline's checkpoint JSON for the fig1…fig7 keys, and
-//! harness run results under seeded fault plans and checkpoint/resume.
+//! the figure pipeline's stored JSON for every subfigure, and harness
+//! run results under seeded fault plans and checkpoint/resume.
 
 use bsim_core::experiments::{subfigures, FigureData, Sizes, FIGURE_IDS};
-use bsim_core::{run_grid_keyed, CellOutcome, Parallelism, RetryPolicy};
+use bsim_core::{run_grid_keyed, CellOutcome, Parallelism, ResultStore, RetryPolicy};
 use bsim_engine::{
     CounterBlock, FaultKind, FaultPlan, Harness, HarnessCkpt, Snapshot, TickModel, WatchdogConfig,
     Wire,
@@ -25,22 +25,26 @@ fn tiny() -> Sizes {
     }
 }
 
-/// Runs each figure id through the checkpointing path and returns every
-/// `(key, value)` cell, panicking on any failed subfigure.
-fn sweep(ids: &[&str], mut store: Option<&mut CkptStore>) -> Vec<(String, FigureData)> {
+/// Runs each figure id through the storing path and returns every
+/// `(key, value)` cell, panicking on any failed subfigure. [`tiny`] is
+/// no named preset, so the keys are this test's own.
+fn sweep(ids: &[&str], store: &mut ResultStore) -> Vec<(String, FigureData)> {
     let mut out = Vec::new();
     for id in ids {
         let plan: Vec<_> = subfigures(id).collect();
-        let keys: Vec<&str> = plan.iter().map(|spec| spec.key).collect();
+        let keys: Vec<String> = plan
+            .iter()
+            .map(|spec| format!("tiny/{}", spec.key))
+            .collect();
         let cells = run_grid_keyed(
             &keys,
             Parallelism::Sequential,
             &RetryPolicy::once(),
-            store.as_deref_mut(),
+            store,
             |_| {},
             |i| plan[i].run(tiny(), Parallelism::Sequential),
         )
-        .expect("checkpoint store is well-formed");
+        .expect("stored entries are figures");
         for (key, outcome) in keys.iter().zip(cells.outcomes) {
             match outcome {
                 CellOutcome::Ok { value, .. } => out.push((key.to_string(), value)),
@@ -64,38 +68,48 @@ fn dense_json(cells: &[(String, FigureData)]) -> String {
     store.to_json()
 }
 
-/// Fresh reruns and `--ckpt`/`--resume` replays must serialize each
-/// figure key to byte-identical JSON (modulo the host-rate note). The
+/// Fresh reruns and `--store` replays must serialize each figure key
+/// to byte-identical JSON (modulo the host-rate note). The
 /// figure paths are trace-driven, so their fast-forward (the cores'
 /// bulk `stall_to` clock jumps) is always on; byte-stable JSON across
 /// runs is what proves the jumps never leak into results.
 fn check_figures_byte_identical(ids: &[&str]) {
-    let mut store = CkptStore::new();
-    let first = sweep(ids, Some(&mut store));
+    let path = std::env::temp_dir().join(format!(
+        "bsim-ff-determinism-{}-{}.json",
+        ids.concat(),
+        std::process::id()
+    ));
+    std::fs::remove_file(&path).ok();
+    let (mut store, _) = ResultStore::open(&path);
+    let first = sweep(ids, &mut store);
     let first_json = dense_json(&first);
 
     // Fresh second run: identical bytes.
-    let second = sweep(ids, None);
+    let second = sweep(ids, &mut ResultStore::ephemeral());
     assert_eq!(
         first_json,
         dense_json(&second),
         "figure JSON drifted across runs"
     );
 
-    // Resume replay through the wire format: every cell restores from
-    // the store instead of re-simulating, byte-identically.
-    let mut resumed = CkptStore::from_json(&store.to_json()).expect("wire format round-trips");
-    let replayed = sweep(ids, Some(&mut resumed));
+    // Replay through the store file: every cell restores from the
+    // store instead of re-simulating, byte-identically.
+    store.flush().expect("store file is writable");
+    let flushed = std::fs::read(&path).expect("store file was written");
+    let (mut reopened, report) = ResultStore::open(&path);
+    assert!(report.is_clean(), "{report}");
+    let replayed = sweep(ids, &mut reopened);
     assert_eq!(
         first_json,
         dense_json(&replayed),
-        "resume changed the figure bytes"
+        "replay changed the figure bytes"
     );
-    assert_eq!(
-        store.to_json(),
-        resumed.to_json(),
+    reopened.flush().expect("store file is writable");
+    assert!(
+        flushed == std::fs::read(&path).expect("store file was written"),
         "replay must not rewrite the store"
     );
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -5,10 +5,13 @@
 //! scalar, sequential figure point for point against
 //! `figures_smoke.golden.json` (a `CkptStore` of `Vec<Series>` per
 //! subfigure key). A deliberate model change regenerates the file with
-//! `cargo test --release -p bsim-core --test figures_golden -- --ignored bless`.
+//! `cargo test --release -p bsim-core --test figures_golden -- --ignored bless`
+//! — and makes every stored result stale, so `bsim-dist`'s
+//! `the_code_version_is_bumped_with_the_golden` then fails until
+//! `CODE_VERSION` is bumped with it.
 
 use bsim_core::experiments::{figure, Parallelism, Series, Sizes, FIGURES};
-use bsim_core::CkptStore;
+use bsim_resilience::CkptStore;
 use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {

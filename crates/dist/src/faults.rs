@@ -21,7 +21,7 @@ use crate::launcher::{run_sweep, KillSpec, LaunchOpts, SweepOutcome, WireFaultSp
 use crate::worker;
 use bsim_core::campaign::{Ctx, FaultRow};
 use bsim_core::Parallelism;
-use bsim_resilience::CkptStore;
+use bsim_resilience::ResultStore;
 use std::io;
 use std::net::TcpListener;
 use std::sync::mpsc;
@@ -93,13 +93,13 @@ fn sweep_against_reference(
             Err(why) => format!("error: {why}"),
         })
         .collect();
-    match run_sweep(&cells, opts, &mut CkptStore::new()) {
+    match run_sweep(&cells, 0, opts, &mut ResultStore::ephemeral()) {
         Ok(outcome) => {
             let identical = outcome
                 .results
                 .iter()
                 .zip(&reference)
-                .all(|((_, got), want)| got == want);
+                .all(|((_, got), want)| **got == **want);
             judge(&outcome, identical)
         }
         Err(e) => (format!("sweep did not complete: {e}"), false),

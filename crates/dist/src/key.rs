@@ -1,8 +1,11 @@
-//! Content-addressed cell keys: a stable, field-order-independent hash
-//! of *what a cell computes* — (canonicalized platform config ×
-//! workload × seed × code/schema version) — so identical cells across
-//! concurrent and historical requests collide in the result store and
-//! are served instead of re-simulated.
+//! Cell identity: a stable, field-order-independent hash of *what a
+//! cell computes* — (canonicalized platform config × workload × sizes ×
+//! seed × code/schema version). [`crate::WireCell::key`] is the one way
+//! to a key and a key is the only thing that indexes a
+//! `bsim_resilience::ResultStore`, so identical cells collide in the
+//! store whichever command asked for them — `bsim fig`, `bsim dist` or
+//! a `bsim submit` — and are served instead of re-simulated. Labels
+//! (`fig3a`, `fig:3/smoke/0`, `Rocket 1/EM5`) are display names.
 //!
 //! ## Canonical form
 //!
@@ -26,8 +29,9 @@
 //!   the namespace any plausible config string occupies.
 //!
 //! Any *semantic* knob change — a cache way, the clock, the kernel
-//! name, the seed — lands in the rendered text and therefore changes
-//! the key; the unit tests pin both directions.
+//! name, the size preset, the seed — lands in the rendered text and
+//! therefore changes the key; host-side knobs (worker count, lane
+//! count) have no field to land in. The unit tests pin both directions.
 //!
 //! ## Prefix and streaming suffix
 //!
@@ -36,7 +40,7 @@
 //! `kind`, `scale`, `schema`, `seed`, `workload`: everything up to and
 //! including the rendered `SocConfig` — the expensive part — is the same
 //! for every cell of one platform, and every per-cell field sorts after
-//! it. A `MicroKeyer` therefore hashes that prefix once and resumes
+//! it. A [`MicroKeyer`] therefore hashes that prefix once and resumes
 //! the fold over each cell's short suffix. It is the only micro-cell key
 //! path ([`micro_cell_key`] goes through it); the generic
 //! `key_of(versioned(..))` that the fig and tune keys use builds and
@@ -44,23 +48,29 @@
 //! against. A field added to the micro key must sort after `config`, or
 //! move into the prefix.
 
-use crate::splice::json_str;
 use serde::{Serialize, Value};
 use std::fmt::{self, Write};
 
-/// Result-store schema the daemon persists and stamps on every result
-/// document. Folded into every cell key so a schema migration
-/// invalidates old entries by construction. (The id predates the perf
-/// ledger; renaming it would orphan every stored entry.)
-pub(crate) const STORE_SCHEMA: &str = "bsim-bench-v1";
+/// Result-store schema the daemon stamps on every result document.
+/// Folded into every cell key so a schema migration invalidates old
+/// entries by construction. (The id predates the perf ledger; renaming
+/// it would orphan every stored entry.)
+pub const STORE_SCHEMA: &str = "bsim-bench-v1";
 
 /// Simulation code version folded into every cell key. Bump when a
 /// model change makes previously stored results stale — old entries
-/// then simply stop colliding instead of being served wrongly.
+/// then simply stop colliding instead of being served wrongly, in every
+/// store any command filled. `the_code_version_is_bumped_with_the_golden`
+/// below fails when the figure golden is re-blessed without a bump.
 const CODE_VERSION: u64 = 1;
 
+/// `text` as a JSON string literal, in the renderer's own escaping.
+pub fn json_str(text: &str) -> String {
+    serde_json::to_string(text).expect("shim renderer is total")
+}
+
 /// Canonicalizes a value tree for hashing (see module docs).
-pub(crate) fn canonicalize(v: &Value) -> Value {
+fn canonicalize(v: &Value) -> Value {
     match v {
         Value::Map(entries) => {
             let mut es: Vec<(String, Value)> = entries
@@ -85,7 +95,7 @@ pub(crate) fn canonicalize(v: &Value) -> Value {
 /// collision-resistant against adversaries, but cache keys here only
 /// ever face honest configs, and 64 bits over a handful of entries is
 /// far below birthday territory.
-pub(crate) fn content_hash(v: &Value) -> u64 {
+fn content_hash(v: &Value) -> u64 {
     let mut h = Fnv::default();
     h.update(&canonical_text(v));
     h.0
@@ -135,7 +145,7 @@ impl Write for Fnv {
 }
 
 /// Renders a canonical tree's hash as the 16-hex-digit store key.
-pub(crate) fn key_of(v: &Value) -> String {
+fn key_of(v: &Value) -> String {
     Fnv(content_hash(v)).key()
 }
 
@@ -149,11 +159,11 @@ fn versioned(kind: &str, mut fields: Vec<(String, Value)>) -> Value {
 /// Keys the microbenchmark cells of one platform: the FNV state after
 /// the cell-invariant prefix `{"code":…,"config":<canonical SocConfig>`
 /// of the canonical text (see the module docs).
-pub(crate) struct MicroKeyer(Fnv);
+pub struct MicroKeyer(Fnv);
 
 impl MicroKeyer {
     /// Canonicalizes, renders and hashes `cfg` — once per platform.
-    pub(crate) fn new(cfg: &bsim_soc::SocConfig) -> MicroKeyer {
+    pub fn new(cfg: &bsim_soc::SocConfig) -> MicroKeyer {
         let mut h = Fnv::default();
         write!(h, "{{\"code\":{CODE_VERSION},\"config\":").expect("hashing cannot fail");
         h.update(&canonical_text(&cfg.to_value()));
@@ -162,7 +172,7 @@ impl MicroKeyer {
 
     /// Key for the cell `kernel × scale × seed` on this platform, under
     /// the current schema/code version.
-    pub(crate) fn key(&self, kernel: &str, scale: u32, seed: u64) -> String {
+    pub fn key(&self, kernel: &str, scale: u32, seed: u64) -> String {
         let mut h = self.0;
         let (schema, workload) = (json_str(STORE_SCHEMA), json_str(kernel));
         write!(
@@ -208,11 +218,38 @@ pub(crate) fn tune_cell_key(scale: u32, seed: u64) -> String {
     ))
 }
 
+/// Key for a cell's result as a sampled executor *estimates* it: the
+/// exact key × the sampler's configuration, so an estimate never
+/// answers for the exact result, nor for an estimate under another
+/// budget.
+pub(crate) fn sampled_cell_key(exact: &str, sample: Value) -> String {
+    key_of(&versioned(
+        "sampled",
+        vec![
+            ("exact".into(), Value::Str(exact.into())),
+            ("sample".into(), sample),
+        ],
+    ))
+}
+
+/// Key for a cell that names nothing this binary has (an unknown
+/// figure, subfigure or platform). Such a cell cannot run, so nothing
+/// is ever stored under its key; it only has to differ from every
+/// runnable cell's.
+pub(crate) fn unrunnable_cell_key(label: &str, seed: u64) -> String {
+    key_of(&versioned(
+        "unrunnable",
+        vec![
+            ("label".into(), Value::Str(label.into())),
+            ("seed".into(), Value::U64(seed)),
+        ],
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsim_soc::configs;
-    use bsim_telemetry::TelemetryConfig;
+    use bsim_soc::{configs, TelemetryConfig};
 
     #[test]
     fn map_key_order_does_not_matter() {
@@ -317,8 +354,8 @@ mod tests {
 
     /// The generic path the fig and tune keys take, applied to a micro
     /// cell: build the whole tree, canonicalize it, render it, hash it.
-    fn generic_micro_key(cfg: &bsim_soc::SocConfig, kernel: &str, scale: u32, seed: u64) -> String {
-        key_of(&versioned(
+    fn generic_micro_tree(cfg: &bsim_soc::SocConfig, kernel: &str, scale: u32, seed: u64) -> Value {
+        versioned(
             "micro",
             vec![
                 ("config".into(), cfg.to_value()),
@@ -326,7 +363,11 @@ mod tests {
                 ("scale".into(), Value::U64(u64::from(scale))),
                 ("seed".into(), Value::U64(seed)),
             ],
-        ))
+        )
+    }
+
+    fn generic_micro_key(cfg: &bsim_soc::SocConfig, kernel: &str, scale: u32, seed: u64) -> String {
+        key_of(&generic_micro_tree(cfg, kernel, scale, seed))
     }
 
     #[test]
@@ -375,6 +416,50 @@ mod tests {
         assert_ne!(
             fig_cell_key("1", "fig1", "smoke", 0),
             fig_cell_key("1", "fig1", "default", 0)
+        );
+    }
+
+    /// `tree` with its `code` field replaced.
+    fn at_code_version(tree: Value, code: u64) -> Value {
+        let Value::Map(mut fields) = tree else {
+            panic!("a key tree is a map");
+        };
+        for (name, value) in &mut fields {
+            if name == "code" {
+                *value = Value::U64(code);
+            }
+        }
+        Value::Map(fields)
+    }
+
+    #[test]
+    fn the_code_version_changes_every_key() {
+        let tree = versioned("tune", vec![("seed".into(), Value::U64(0))]);
+        let now = key_of(&tree);
+        assert_eq!(now, key_of(&at_code_version(tree.clone(), CODE_VERSION)));
+        assert_ne!(now, key_of(&at_code_version(tree, CODE_VERSION + 1)));
+        // `versioned` is the only way to a fig, tune, sampled or
+        // unrunnable key, and the micro prefix spells the same field.
+        let cfg = configs::rocket1(1);
+        let micro = generic_micro_tree(&cfg, "EM5", 1, 0);
+        assert_eq!(micro_cell_key(&cfg, "EM5", 1, 0), key_of(&micro));
+        assert_ne!(
+            micro_cell_key(&cfg, "EM5", 1, 0),
+            key_of(&at_code_version(micro, CODE_VERSION + 1))
+        );
+    }
+
+    /// `CODE_VERSION` and the checksum of the figure golden move
+    /// together. Re-blessing `figures_smoke.golden.json` means a model
+    /// change moved simulated numbers, so every stored result is stale:
+    /// bump `CODE_VERSION`, then update the pair below.
+    #[test]
+    fn the_code_version_is_bumped_with_the_golden() {
+        const GOLDEN: &[u8] = include_bytes!("../../core/tests/figures_smoke.golden.json");
+        assert_eq!(
+            (CODE_VERSION, bsim_resilience::crc32(GOLDEN)),
+            (1, 0xa722_0cca),
+            "the figure golden changed: bump CODE_VERSION and pin the new pair"
         );
     }
 

@@ -5,7 +5,7 @@
 //! (real processes via `bsim dist-worker`, or in-process threads for
 //! tests), and serves each connection: `Hello` → [`PlanSpec`] → stream
 //! of `Cell` results → `Done`. Sweep-mode recovery is re-planning: every
-//! completed cell lands in the [`CkptStore`] the moment it arrives, so
+//! completed cell lands in the [`ResultStore`] the moment it arrives, so
 //! when a worker dies (socket EOF, nonzero exit, or silence past the
 //! [`PeerWatchdog`] budget) the replacement process is handed exactly
 //! the cells that are still missing — completed work is never re-run,
@@ -26,7 +26,7 @@ use crate::worker;
 use bsim_check::proto::{dist_cached, Tracker};
 use bsim_core::experiments::partition_cells;
 use bsim_engine::Harness;
-use bsim_resilience::{Backoff, Breaker, BreakerState, CkptStore, PeerWatchdog};
+use bsim_resilience::{Backoff, Breaker, BreakerState, PeerWatchdog, ResultStore};
 use serde::Value;
 use std::collections::HashMap;
 use std::io::{self, Read};
@@ -117,8 +117,8 @@ impl LaunchOpts {
 /// A completed sweep.
 #[derive(Clone, Debug)]
 pub struct SweepOutcome {
-    /// `(cell label, result json)` in cell order.
-    pub results: Vec<(String, String)>,
+    /// `(cell label, canonical result bytes)` in cell order.
+    pub results: Vec<(String, Arc<str>)>,
     /// Worker processes respawned along the way.
     pub respawns: usize,
     /// Ranks actually used (after clamping to the cell count).
@@ -235,7 +235,7 @@ enum Event {
     Cell {
         rank: usize,
         index: u32,
-        json: String,
+        json: Arc<str>,
     },
     Done {
         rank: usize,
@@ -255,7 +255,7 @@ enum Event {
 struct SweepShared {
     cells: Vec<WireCell>,
     assignment: Vec<usize>,
-    done: Mutex<Vec<Option<String>>>,
+    done: Mutex<Vec<Option<Arc<str>>>>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -384,6 +384,7 @@ fn serve_conn(
         }
         match frame {
             Frame::Cell { index, json } => {
+                let json = json.into();
                 let _ = events.send(Event::Cell { rank, index, json });
             }
             Frame::Done => {
@@ -470,13 +471,17 @@ impl Drop for Acceptor {
     }
 }
 
-/// Runs `cells` across `opts.ranks` worker processes. Results stream
-/// into `store` (keyed by cell label) as they arrive, so a killed
-/// launcher — not just a killed worker — resumes from what finished.
+/// Runs `cells` across `opts.ranks` worker processes. A cell `store`
+/// already holds under its [`WireCell::key`] at `seed` is answered from
+/// there and never shipped; a rank's result — the canonical rendering,
+/// as the worker sent it — is stored under that key the moment it
+/// arrives, so what a killed launcher leaves in a flushed store is not
+/// run again, by this command or any other that reads the file.
 pub fn run_sweep(
     cells: &[WireCell],
+    seed: u64,
     opts: &LaunchOpts,
-    store: &mut CkptStore,
+    store: &mut ResultStore,
 ) -> io::Result<SweepOutcome> {
     assert!(opts.ranks >= 1, "a sweep needs at least one worker");
     assert!(
@@ -485,10 +490,8 @@ pub fn run_sweep(
     );
     let ranks = opts.ranks.min(cells.len()).max(1);
     let assignment = partition_cells(cells.len(), ranks);
-    let done: Vec<Option<String>> = cells
-        .iter()
-        .map(|c| store.get::<String>(&c.label()).ok().flatten())
-        .collect();
+    let keys: Vec<String> = cells.iter().map(|c| c.key(seed)).collect();
+    let done: Vec<Option<Arc<str>>> = keys.iter().map(|k| store.get_bytes(k)).collect();
     if done.iter().all(Option::is_some) {
         return Ok(SweepOutcome {
             results: cells
@@ -550,8 +553,7 @@ pub fn run_sweep(
                 Ok(Event::Cell { rank, index, json }) => {
                     watchdog.beat(rank);
                     breakers[rank].record_success();
-                    let label = cells[index as usize].label();
-                    store.put(&label, &json);
+                    store.put_bytes(&keys[index as usize], Arc::clone(&json));
                     lock(&shared.done)[index as usize] = Some(json);
                     delivered[rank] += 1;
                     if let Some(kill) = kill_pending {
@@ -826,33 +828,38 @@ mod tests {
                     .expect("shim renderer is total")
             })
             .collect();
-        let mut store = CkptStore::new();
+        let mut store = ResultStore::ephemeral();
         let outcome =
-            run_sweep(&cells, &LaunchOpts::threads(2), &mut store).expect("sweep completes");
+            run_sweep(&cells, 0, &LaunchOpts::threads(2), &mut store).expect("sweep completes");
         assert_eq!(outcome.ranks, 2);
         assert_eq!(outcome.respawns, 0);
-        let remote: Vec<&String> = outcome.results.iter().map(|(_, json)| json).collect();
-        assert_eq!(remote.len(), local.len());
-        for (r, l) in remote.iter().zip(&local) {
-            assert_eq!(*r, l, "worker-side results are byte-identical");
+        assert_eq!(outcome.results.len(), local.len());
+        for ((_, r), l) in outcome.results.iter().zip(&local) {
+            assert_eq!(&**r, l, "worker-side results are byte-identical");
         }
-        // Every result also landed in the store under its label.
-        for cell in &cells {
-            assert!(store.contains(&cell.label()));
+        // Every result also landed in the store, under its cell's key
+        // and nothing else.
+        assert_eq!(store.len(), cells.len());
+        for (cell, l) in cells.iter().zip(&local) {
+            assert_eq!(store.get_bytes(&cell.key(0)).as_deref(), Some(l.as_str()));
+            assert!(store.get_bytes(&cell.label()).is_none());
         }
     }
 
     #[test]
     fn cached_cells_are_not_rerun() {
         let cells = micro_cells();
-        let mut store = CkptStore::new();
+        let mut store = ResultStore::ephemeral();
         for cell in &cells {
-            store.put(&cell.label(), &"\"cached\"".to_string());
+            store.put_bytes(&cell.key(7), "\"cached\"".into());
         }
         // All cells cached: no listener, no workers, instant return.
-        let outcome = run_sweep(&cells, &LaunchOpts::threads(2), &mut store)
+        let outcome = run_sweep(&cells, 7, &LaunchOpts::threads(2), &mut store)
             .expect("cache satisfies the sweep");
-        assert!(outcome.results.iter().all(|(_, json)| json == "\"cached\""));
+        assert!(outcome
+            .results
+            .iter()
+            .all(|(_, json)| &**json == "\"cached\""));
     }
 
     #[test]
@@ -862,10 +869,11 @@ mod tests {
             kernel: "Cca".into(),
             scale: 1,
         }];
-        let mut store = CkptStore::new();
+        let mut store = ResultStore::ephemeral();
         let mut opts = LaunchOpts::threads(1);
         opts.max_respawns = 2;
-        let err = run_sweep(&cells, &opts, &mut store).expect_err("cell can never run");
+        let err = run_sweep(&cells, 0, &opts, &mut store).expect_err("cell can never run");
+        assert!(store.is_empty(), "a cell that cannot run stores nothing");
         assert!(err.to_string().contains("respawn budget"), "{err}");
     }
 

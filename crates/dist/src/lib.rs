@@ -18,13 +18,15 @@
 //!   with partition checkpoints for restart-after-loss,
 //! * [`cells`] — [`cells::WireCell`], the serializable unit of sweep
 //!   work: what a worker process executes and what `bsim-svc` schedules
-//!   and keys in-process,
+//!   in-process,
+//! * [`key`] — cell identity: the content hash behind
+//!   [`WireCell::key`], the only thing a result store is indexed by,
 //! * [`plan`] — the partition plan a coordinator distributes, validated
 //!   by the `DL`-series lints in `bsim-check`,
 //! * [`launcher`] — spawns workers, distributes the plan, collects
-//!   results, and — via [`bsim_resilience::PeerWatchdog`] and the
-//!   checkpoint store — respawns and re-plans when a worker process
-//!   dies,
+//!   results into a [`bsim_resilience::ResultStore`], and — via
+//!   [`bsim_resilience::PeerWatchdog`] — respawns and re-plans when a
+//!   worker process dies,
 //! * [`worker`] — the worker-process entry point (`bsim dist-worker`),
 //! * [`faults`] — the process-kill survival scenario the `bsim faults`
 //!   matrix appends to the in-process campaign.
@@ -33,6 +35,7 @@ pub mod cells;
 pub mod faults;
 pub mod frame;
 pub mod graph;
+pub mod key;
 pub mod launcher;
 pub mod link;
 pub mod plan;

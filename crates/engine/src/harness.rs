@@ -1907,7 +1907,7 @@ mod tests {
             vec![300, 600, 900]
         );
         for ckpt in &ckpts {
-            // Roundtrip through the serialized form, as `--resume` does.
+            // Roundtrip through the serialized form, as a resume would.
             let reloaded = HarnessCkpt::restore(&ckpt.save()).expect("checkpoint tree roundtrips");
             assert_eq!(&reloaded, ckpt);
             // Resume with a *different* quantum: host slack is not

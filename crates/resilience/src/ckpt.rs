@@ -1,12 +1,14 @@
 //! Versioned on-disk checkpoint store.
 //!
-//! A [`CkptStore`] is a keyed collection of [`Snapshot`] trees — one
-//! entry per completed sweep cell (key like `"fig4/cell3"`), plus
-//! whatever run-level state the caller adds. It serializes to a single
-//! deterministic JSON file with a format version header, so `bsim fig
-//! --resume <ckpt>` can skip finished cells and a stale file from an
-//! incompatible binary fails loudly with
-//! [`CkptError::VersionMismatch`] instead of silently misparsing.
+//! A [`CkptStore`] is a keyed collection of [`Snapshot`] trees that
+//! serializes to a single deterministic JSON file with a format version
+//! header, so a stale file from an incompatible binary fails loudly with
+//! [`CkptError::VersionMismatch`] instead of silently misparsing. It is
+//! a file format, not a cache: it vouches for nothing it holds. Cell
+//! results are kept in a [`crate::ResultStore`], which wraps this format
+//! with a checksum per entry and is keyed by cell content hashes; what
+//! uses a bare `CkptStore` is the figure golden file and harness
+//! checkpoint tests.
 //!
 //! ## Format (v1)
 //!
@@ -15,7 +17,7 @@
 //! ```
 //!
 //! Keys keep insertion order, so re-writing the same store is
-//! byte-stable — the property the resume determinism tests rely on.
+//! byte-stable — the property the store re-flush tests rely on.
 
 use crate::snapshot::{field, CkptError, Snapshot};
 use serde::Value;
@@ -43,7 +45,7 @@ impl CkptStore {
     /// that keeps its own keyed collection and only needs the file
     /// format. The keys must be distinct: [`CkptStore::put`]'s
     /// replace-by-key scan is what this skips.
-    pub fn from_entries(entries: Vec<(String, Value)>) -> CkptStore {
+    pub(crate) fn from_entries(entries: Vec<(String, Value)>) -> CkptStore {
         CkptStore { entries }
     }
 
@@ -74,28 +76,11 @@ impl CkptStore {
         }
     }
 
-    pub fn contains(&self, key: &str) -> bool {
-        self.entries.iter().any(|(k, _)| k == key)
-    }
-
-    /// Removes the entry under `key`, returning its tree. Later entries
-    /// keep their relative order, so a rewritten store stays byte-stable
-    /// minus the removed key — the scrub path relies on this.
-    pub fn remove(&mut self, key: &str) -> Option<Value> {
-        let at = self.entries.iter().position(|(k, _)| k == key)?;
-        Some(self.entries.remove(at).1)
-    }
-
-    /// Raw `(key, tree)` views in insertion order — the integrity scrub
-    /// walks these to re-verify entry checksums without interpreting
-    /// the trees.
+    /// Raw `(key, tree)` views in insertion order — [`crate::ResultStore`]
+    /// walks these to verify entry checksums without interpreting the
+    /// trees.
     pub fn entries(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Keys in insertion order.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(k, _)| k.as_str())
     }
 
     fn to_value(&self) -> Value {
@@ -111,7 +96,7 @@ impl CkptStore {
     }
 
     /// Parse a store from JSON text, verifying the version header.
-    pub fn from_json(text: &str) -> Result<CkptStore, CkptError> {
+    pub(crate) fn from_json(text: &str) -> Result<CkptStore, CkptError> {
         let tree = serde_json::from_str(text).map_err(|e| CkptError::Corrupt {
             detail: e.to_string(),
         })?;
@@ -176,9 +161,8 @@ mod tests {
         store.put("fig4/cell1", &(2.5f64, 43u64));
         store.put("fig4/cell0", &(9.0f64, 99u64)); // overwrite, order kept
         assert_eq!(store.len(), 2);
-        assert!(store.contains("fig4/cell1"));
         assert_eq!(
-            store.keys().collect::<Vec<_>>(),
+            store.entries().map(|(k, _)| k).collect::<Vec<_>>(),
             ["fig4/cell0", "fig4/cell1"]
         );
         assert_eq!(

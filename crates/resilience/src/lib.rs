@@ -18,21 +18,24 @@
 //! * [`snapshot`] — the [`Snapshot`] trait (serde-`Value`-based
 //!   save/restore) models and reports implement so runs can be
 //!   checkpointed.
-//! * [`ckpt`] — the versioned on-disk [`CkptStore`] behind
-//!   `bsim fig --resume <ckpt>`.
+//! * [`ckpt`] — the versioned on-disk [`CkptStore`] file format.
+//! * [`store`] — [`ResultStore`], the one place a cell's result is kept:
+//!   canonical bytes behind a per-read CRC in a `CkptStore` file, with
+//!   quarantine on open and the offline [`scrub`]. `bsim fig`, `bsim
+//!   dist` and `bsim serve` share it through `--store`.
 //! * [`retry`] — [`RetryPolicy`], the one place a cell panic is caught,
 //!   and the [`CellOutcome`] rows resilient sweeps record instead of
 //!   aborting.
 //! * [`guard`] — bsim-guard hardening primitives: the [`crc32`] the
-//!   dist wire protocol and svc result store stamp over payloads, the
+//!   dist wire protocol and the result store stamp over payloads, the
 //!   seeded-jittered [`Backoff`] schedule both [`RetryPolicy`] and the
 //!   dist launcher sleep on, and the per-rank circuit [`Breaker`] the
 //!   launcher arms against flapping ranks.
 //!
 //! Config sanity is linted through `bsim-check` diagnostics under the
-//! `RS0xx` codes (see `crates/check/README.md`), and runtime events flow
-//! through `bsim-telemetry` counters (`fault.injected.*`,
-//! `host.resilience.*`).
+//! `RS0xx` codes (see `crates/check/README.md`), and a guarded run's
+//! runtime events flow through `bsim-telemetry` counters
+//! (`fault.injected.*`, `host.resilience.watchdog_trips`).
 //!
 //! This crate sits *below* the engine (the engine applies the plans and
 //! budgets), so it holds data types and policies only — the executable
@@ -44,6 +47,7 @@ pub mod guard;
 pub mod peers;
 pub mod retry;
 pub mod snapshot;
+pub mod store;
 pub mod watchdog;
 
 pub use ckpt::CkptStore;
@@ -52,4 +56,5 @@ pub use guard::{crc32, Backoff, Breaker, BreakerState};
 pub use peers::PeerWatchdog;
 pub use retry::{CellOutcome, RetryPolicy};
 pub use snapshot::{CkptError, Snapshot};
+pub use store::{scrub, ResultStore, ScrubReport};
 pub use watchdog::{ChannelProgress, SimError, StallReport, ThreadProgress, WatchdogConfig};

@@ -114,16 +114,6 @@ impl<T> CellOutcome<T> {
         matches!(self, CellOutcome::Ok { .. })
     }
 
-    /// Attempts beyond the first, i.e. what `host.resilience.retries`
-    /// counts.
-    pub fn retries(&self) -> u32 {
-        match self {
-            CellOutcome::Ok { attempts, .. } | CellOutcome::Failed { attempts, .. } => {
-                attempts.saturating_sub(1)
-            }
-        }
-    }
-
     /// Borrow the value if the cell succeeded.
     pub fn value(&self) -> Option<&T> {
         match self {
@@ -168,7 +158,6 @@ mod tests {
                 attempts: 1
             }
         );
-        assert_eq!(out.retries(), 0);
         assert_eq!(out.value(), Some(&42));
     }
 
@@ -188,7 +177,6 @@ mod tests {
                 attempts: 3
             }
         );
-        assert_eq!(out.retries(), 2);
     }
 
     #[test]
@@ -201,7 +189,6 @@ mod tests {
             }
             other => panic!("expected Failed, got {other:?}"),
         }
-        assert_eq!(out.retries(), 1);
         assert!(out.value().is_none());
         assert!(out.diag().unwrap().contains("poisoned"));
     }

@@ -1,7 +1,9 @@
 //! The content-addressed result store: canonical result bytes keyed by
-//! the cell hashes of [`crate::key`], persisted in the versioned
-//! [`CkptStore`] JSON format every other checkpoint in the workspace
-//! uses.
+//! the cell hashes of `bsim_dist::WireCell::key`, persisted in the
+//! versioned [`CkptStore`] JSON format. It is the one place a cell's
+//! result is kept: `bsim fig --store`, `bsim dist --store` and
+//! `bsim serve --store` all read and write it, so a file filled by any
+//! of them answers the other two.
 //!
 //! ## Entries are the bytes their checksum covers
 //!
@@ -10,15 +12,15 @@
 //! over them, found through a key index. A read
 //! (`ResultStore::get_bytes`) re-verifies the CRC over those resident
 //! bytes and hands the same allocation out; nothing is cloned,
-//! re-rendered or reinterpreted on the way, so the bytes the daemon
+//! re-rendered or reinterpreted on the way, so the bytes a reader
 //! splices into a response are the very bytes that were just verified,
-//! and a cache-served cell is byte-identical to the simulated one by
+//! and a store-served cell is byte-identical to the simulated one by
 //! construction. [`ResultStore::get`] parses a tree out of them on
 //! demand.
 //!
 //! The store reads its file once, in [`ResultStore::open`], and never
 //! again: what the per-read check guards is the **memory-resident
-//! bytes** — a bit flipped in a long-lived daemon's heap between `put`
+//! bytes** — a bit flipped in a long-lived process's heap between `put`
 //! and `get` degrades to a cache miss and a recompute, never to flipped
 //! bits served as a result. Corruption of the *file* is the business of
 //! the verification pass in `open` and of [`scrub`].
@@ -39,19 +41,19 @@
 //! A store written by an incompatible binary (version header mismatch,
 //! SV003) or torn by a crash mid-write (unparseable JSON, SV004) is
 //! **ignored, never served**: the file is renamed aside to
-//! `<path>.quarantined` and the daemon starts with an empty store,
+//! `<path>.quarantined` and the caller starts with an empty store,
 //! reporting what happened as warnings. Only an external truncation —
-//! not the daemon's own atomic writer — can produce SV004. An entry
+//! not the store's own atomic writer — can produce SV004. An entry
 //! whose checksum mismatches — or that lacks one, e.g. written by a
 //! pre-guard binary — is **quarantined** (dropped, never served) with an
 //! SV005 warning while the rest of the file still serves. [`scrub`] is
 //! the offline form (`bsim scrub`): audit a store file, drop what
 //! fails, rewrite the clean remainder atomically.
 
+use crate::ckpt::CkptStore;
+use crate::guard::crc32;
+use crate::snapshot::CkptError;
 use bsim_check::{Diagnostic, Report};
-use bsim_resilience::ckpt::CkptStore;
-use bsim_resilience::crc32;
-use bsim_resilience::snapshot::CkptError;
 use serde::Value;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -71,7 +73,7 @@ impl Entry {
     }
 }
 
-/// The daemon's result store: canonical key → canonical result bytes in
+/// The result store: canonical key → canonical result bytes in
 /// memory (insertion-ordered, indexed by key), optionally backed by a
 /// JSON file.
 pub struct ResultStore {
@@ -82,7 +84,7 @@ pub struct ResultStore {
 
 /// The canonical bytes an entry checksum covers: the tree's compact
 /// JSON rendering (deterministic — the shim preserves map order).
-pub(crate) fn canonical(tree: &Value) -> String {
+pub fn canonical(tree: &Value) -> String {
     serde_json::to_string(tree).expect("shim renderer is total")
 }
 
@@ -141,64 +143,45 @@ impl ResultStore {
     /// entries dropped by the checksum verification pass; an absent
     /// file is simply a fresh start.
     pub fn open(path: &Path) -> (ResultStore, Report) {
+        let (store, _, report) = ResultStore::open_audited(path);
+        (store, report)
+    }
+
+    /// [`ResultStore::open`], also naming the entries the checksum pass
+    /// dropped, in file order.
+    fn open_audited(path: &Path) -> (ResultStore, Vec<String>, Report) {
         let mut report = Report::new();
-        let file = match CkptStore::load(path) {
-            Ok(s) => s,
-            Err(CkptError::VersionMismatch { found, supported }) => {
-                report.push(
-                    Diagnostic::warning(
-                        "SV003",
-                        path.display().to_string(),
-                        format!(
-                            "result store has format version {found}, this daemon reads \
-                             {supported}: stale entries ignored, not served"
-                        ),
-                    )
-                    .with_help("the old file was renamed to <store>.quarantined"),
-                );
-                quarantine(path);
-                CkptStore::new()
-            }
-            Err(e) if path.exists() => {
-                report.push(
-                    Diagnostic::warning(
-                        "SV004",
-                        path.display().to_string(),
-                        format!("result store is unreadable ({e}): quarantined, not served"),
-                    )
-                    .with_help("likely a process killed mid-write; the daemon starts empty"),
-                );
-                quarantine(path);
-                CkptStore::new()
-            }
-            Err(_) => CkptStore::new(), // no file yet: fresh store
-        };
+        let file = load_or_quarantine(path, &mut report).unwrap_or_default();
         let mut store = ResultStore {
             path: Some(path.to_path_buf()),
             ..ResultStore::ephemeral()
         };
+        let mut dropped = Vec::new();
         for (key, entry) in file.entries() {
             match unwrap_verified(entry) {
                 Some(bytes) => store.put_bytes(key, bytes.into()),
-                None => report.push(
-                    Diagnostic::warning(
-                        "SV005",
-                        format!("{}[{key}]", path.display()),
-                        "entry checksum missing or mismatched: quarantined, not served",
-                    )
-                    .with_help(
-                        "the cell will be recomputed on demand; `bsim scrub` rewrites the file",
-                    ),
-                ),
+                None => {
+                    dropped.push(key.to_string());
+                    report.push(
+                        Diagnostic::warning(
+                            "SV005",
+                            format!("{}[{key}]", path.display()),
+                            "entry checksum missing or mismatched: quarantined, not served",
+                        )
+                        .with_help(
+                            "the cell is recomputed on demand; `bsim scrub` drops it from the file",
+                        ),
+                    );
+                }
             }
         }
-        (store, report)
+        (store, dropped, report)
     }
 
     /// The canonical bytes stored under `key`, if present **and** their
     /// checksum verifies over the resident copy — the very allocation
     /// handed out. A mismatch is a cache miss (recompute), never served.
-    pub(crate) fn get_bytes(&self, key: &str) -> Option<Arc<str>> {
+    pub fn get_bytes(&self, key: &str) -> Option<Arc<str>> {
         let entry = &self.entries[*self.index.get(key)?];
         entry.verified().cloned()
     }
@@ -216,7 +199,7 @@ impl ResultStore {
 
     /// [`ResultStore::put`] for a tree already rendered by
     /// [`canonical`].
-    pub(crate) fn put_bytes(&mut self, key: &str, bytes: Arc<str>) {
+    pub fn put_bytes(&mut self, key: &str, bytes: Arc<str>) {
         let crc = crc32(bytes.as_bytes());
         match self.index.get(key) {
             Some(&at) => {
@@ -263,74 +246,21 @@ impl ResultStore {
     }
 }
 
-/// Drops every entry whose checksum fails verification, returning the
-/// dropped keys in store order.
-fn verify_entries(store: &mut CkptStore) -> Vec<String> {
-    let bad: Vec<String> = store
-        .entries()
-        .filter(|(_, v)| unwrap_verified(v).is_none())
-        .map(|(k, _)| k.to_string())
-        .collect();
-    for k in &bad {
-        store.remove(k);
-    }
-    bad
-}
-
-/// `bsim scrub`: audit the store file at `path`, quarantine every entry
-/// whose checksum fails, and — when anything was dropped — atomically
-/// rewrite the clean remainder. An unreadable or version-mismatched
-/// file is set aside whole (same SV003/SV004 story as
-/// [`ResultStore::open`]); an absent file scrubs to an empty report.
+/// `bsim scrub`: [`ResultStore::open`] the file at `path` — which sets
+/// an unreadable or version-mismatched file aside whole and drops every
+/// entry whose checksum fails — and, when entries were dropped,
+/// atomically rewrite the clean remainder. An absent file scrubs to an
+/// empty report.
 pub fn scrub(path: &Path) -> (ScrubReport, Report) {
-    let mut scrub = ScrubReport::default();
-    let mut report = Report::new();
-    let mut store = match CkptStore::load(path) {
-        Ok(s) => s,
-        Err(CkptError::VersionMismatch { found, supported }) => {
-            report.push(
-                Diagnostic::warning(
-                    "SV003",
-                    path.display().to_string(),
-                    format!(
-                        "result store has format version {found}, this binary reads \
-                         {supported}: file quarantined whole"
-                    ),
-                )
-                .with_help("the old file was renamed to <store>.quarantined"),
-            );
-            quarantine(path);
-            return (scrub, report);
-        }
-        Err(e) if path.exists() => {
-            report.push(
-                Diagnostic::warning(
-                    "SV004",
-                    path.display().to_string(),
-                    format!("result store is unreadable ({e}): file quarantined whole"),
-                )
-                .with_help("likely a torn write; nothing in it is servable"),
-            );
-            quarantine(path);
-            return (scrub, report);
-        }
-        Err(_) => return (scrub, report), // no file: nothing to scrub
+    let (store, quarantined, mut report) = ResultStore::open_audited(path);
+    let mut scrub = ScrubReport {
+        scanned: store.len() + quarantined.len(),
+        ok: store.len(),
+        quarantined,
+        rewritten: false,
     };
-    scrub.scanned = store.len();
-    scrub.quarantined = verify_entries(&mut store);
-    scrub.ok = scrub.scanned - scrub.quarantined.len();
-    for key in &scrub.quarantined {
-        report.push(
-            Diagnostic::warning(
-                "SV005",
-                format!("{}[{key}]", path.display()),
-                "entry checksum missing or mismatched: dropped from the store",
-            )
-            .with_help("the cell will be recomputed the next time it is requested"),
-        );
-    }
     if !scrub.quarantined.is_empty() {
-        match store.save(path) {
+        match store.flush() {
             Ok(_) => scrub.rewritten = true,
             Err(e) => report.push(Diagnostic::error(
                 "SV004",
@@ -342,21 +272,48 @@ pub fn scrub(path: &Path) -> (ScrubReport, Report) {
     (scrub, report)
 }
 
-fn quarantine(path: &Path) {
-    let mut q = path.as_os_str().to_os_string();
-    q.push(".quarantined");
-    // Best-effort: if the rename fails the load error already told the
+/// The file at `path`, for [`ResultStore::open`] and [`scrub`] alike.
+/// One this binary cannot read — another format version (SV003) or not
+/// parseable (SV004) — is reported, renamed aside to
+/// `<path>.quarantined` and `None`, as is (silently) an absent one.
+fn load_or_quarantine(path: &Path, report: &mut Report) -> Option<CkptStore> {
+    let finding = match CkptStore::load(path) {
+        Ok(file) => return Some(file),
+        Err(CkptError::VersionMismatch { found, supported }) => Diagnostic::warning(
+            "SV003",
+            path.display().to_string(),
+            format!(
+                "result store has format version {found}, this binary reads {supported}: \
+                 quarantined whole, nothing in it is served"
+            ),
+        ),
+        Err(e) if path.exists() => Diagnostic::warning(
+            "SV004",
+            path.display().to_string(),
+            format!(
+                "result store is unreadable ({e}, likely a torn write): \
+                 quarantined whole, nothing in it is served"
+            ),
+        ),
+        Err(_) => return None,
+    };
+    report.push(finding.with_help("the file was renamed to <store>.quarantined"));
+    // Best-effort: if the rename fails the finding already told the
     // operator the file is bad, and we still refuse to serve from it.
-    std::fs::rename(path, &q).ok();
+    let mut aside = path.as_os_str().to_os_string();
+    aside.push(".quarantined");
+    std::fs::rename(path, &aside).ok();
+    None
 }
 
-#[cfg(test)]
 impl ResultStore {
-    /// Flips the low bit of the first digit in the bytes resident under
-    /// `key` and leaves the stored checksum alone — a bit gone bad in a
-    /// long-lived daemon's heap. A digit stays a digit, so the bytes
-    /// still parse: only the checksum can tell.
-    pub(crate) fn flip_resident_bit(&mut self, key: &str) {
+    /// Fault injection, for this crate's tests and the daemon's: flips
+    /// the low bit of the first digit in the bytes resident under `key`
+    /// and leaves the stored checksum alone — a bit gone bad in a
+    /// long-lived process's heap. A digit stays a digit, so the bytes
+    /// still parse: only the checksum can tell. Panics when `key` is
+    /// absent or its entry holds no digit.
+    pub fn flip_resident_bit(&mut self, key: &str) {
         let entry = &mut self.entries[self.index[key]];
         let mut bytes = entry.bytes.as_bytes().to_vec();
         let at = bytes
@@ -373,7 +330,7 @@ mod tests {
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("bsim-svc-store-test");
+        let dir = std::env::temp_dir().join("bsim-result-store-test");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(format!("{name}-{}.json", std::process::id()))
     }

@@ -27,7 +27,7 @@
 //! ## A warm request costs a lookup
 //!
 //! Nothing on the all-hit path builds a tree: keys come from one
-//! [`crate::key`] prefix hash per platform, each cell is one indexed,
+//! `bsim_dist::key` prefix hash per platform, each cell is one indexed,
 //! checksummed read that shares the store's allocation, the response is
 //! those bytes re-indented into the document (`render_body`,
 //! `crate::splice`), and it leaves in one write ([`crate::proto`]). A
@@ -64,14 +64,14 @@
 
 use crate::proto;
 use crate::request::{Cell, SvcRequest};
-use crate::splice::{json_str, reindent};
-use crate::store::{canonical, ResultStore};
+use crate::splice::reindent;
 use bsim_check::proto::Tracker;
 use bsim_check::Report;
 use bsim_core::{run_grid_resilient, CellOutcome, Parallelism, RetryPolicy};
+use bsim_dist::key::{json_str, STORE_SCHEMA};
 use bsim_dist::launcher::{run_sweep as dist_sweep, LaunchOpts, WorkerSpawn};
 use bsim_dist::WireCell;
-use bsim_resilience::CkptStore;
+use bsim_resilience::store::{canonical, ResultStore};
 use bsim_telemetry::CounterBlock;
 use serde::Value;
 use std::collections::{HashSet, VecDeque};
@@ -267,6 +267,8 @@ struct Job {
     cells: Vec<Cell>,
     /// How many cells the request decomposed into, for `/status`.
     cell_count: usize,
+    /// The request's seed: what `cells`' keys were taken at.
+    seed: u64,
     body: Option<String>,
     stats: Arc<JobStats>,
     /// Absolute expiry stamped at submit; cells past it fail fast.
@@ -531,19 +533,20 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 fn run_job(shared: &Arc<Shared>, idx: usize) {
-    let (cells, stats, deadline) = {
+    let (cells, seed, stats, deadline) = {
         let mut jobs = lock(&shared.jobs);
         let job = &mut jobs.table[idx];
         job.state = JobState::Running;
         (
             std::mem::take(&mut job.cells),
+            job.seed,
             Arc::clone(&job.stats),
             job.deadline,
         )
     };
     let expired = deadline.is_some_and(|d| Instant::now() >= d);
     if shared.cfg.dist_ranks > 0 && !expired {
-        prewarm_dist(shared, &cells);
+        prewarm_dist(shared, &cells, seed);
     }
     let sweep = run_grid_resilient(cells.len(), shared.cfg.par, &shared.cfg.retry, |i| {
         exec_cell(shared, &stats, &cells[i], deadline)
@@ -567,20 +570,20 @@ fn run_job(shared: &Arc<Shared>, idx: usize) {
 /// worker ranks and seed the result store with what comes back, so the
 /// in-process sweep below sees them as plain cache hits. Cell results
 /// are bit-identical across schedules by construction, so seeding the
-/// store from a rank is indistinguishable from simulating locally. On
+/// store from a rank is indistinguishable from simulating locally. The
+/// launcher fills a scratch store under the same [`WireCell::key`]s the
+/// job's cells carry, and its verified bytes move across as they are. On
 /// any dispatch failure the cells simply stay missing and run locally —
 /// scale-out is an accelerator, never a correctness dependency.
-fn prewarm_dist(shared: &Shared, cells: &[Cell]) {
-    let todo: Vec<(usize, WireCell)> = cells
+fn prewarm_dist(shared: &Shared, cells: &[Cell], seed: u64) {
+    let todo: Vec<&Cell> = cells
         .iter()
-        .enumerate()
-        .filter(|(_, c)| lock(&shared.store).get_bytes(&c.key).is_none())
-        .map(|(i, c)| (i, c.spec.clone()))
+        .filter(|c| lock(&shared.store).get_bytes(&c.key).is_none())
         .collect();
     if todo.is_empty() {
         return;
     }
-    let wire: Vec<WireCell> = todo.iter().map(|(_, w)| w.clone()).collect();
+    let wire: Vec<WireCell> = todo.iter().map(|c| c.spec.clone()).collect();
     let opts = LaunchOpts {
         ranks: shared.cfg.dist_ranks,
         spawn: if shared.cfg.dist_worker.is_empty() {
@@ -594,19 +597,14 @@ fn prewarm_dist(shared: &Shared, cells: &[Cell]) {
         io_timeout: std::time::Duration::from_secs(120),
         wire_fault: None,
     };
-    let mut scratch = CkptStore::new();
-    match dist_sweep(&wire, &opts, &mut scratch) {
+    let mut scratch = ResultStore::ephemeral();
+    match dist_sweep(&wire, seed, &opts, &mut scratch) {
         Ok(outcome) => {
             let mut seeded = 0usize;
-            for ((i, _), (label, json)) in todo.iter().zip(outcome.results) {
-                match serde_json::from_str(&json) {
-                    Ok(tree) => {
-                        lock(&shared.store).put(&cells[*i].key, &tree);
-                        seeded += 1;
-                    }
-                    Err(_) => {
-                        eprintln!("bsimd: rank result for {label} is not JSON; re-running locally")
-                    }
+            for cell in &todo {
+                if let Some(bytes) = scratch.get_bytes(&cell.key) {
+                    lock(&shared.store).put_bytes(&cell.key, bytes);
+                    seeded += 1;
                 }
             }
             eprintln!(
@@ -709,7 +707,7 @@ fn render_body(cells: &[Cell], outcomes: &[CellOutcome<Arc<str>>]) -> String {
     let compact: usize = results.iter().map(|r| r.len()).sum();
     let mut out = String::with_capacity(2 * compact + 128 * cells.len() + 64);
     out.push_str("{\n  \"schema\": ");
-    out.push_str(&json_str(crate::key::STORE_SCHEMA));
+    out.push_str(&json_str(STORE_SCHEMA));
     out.push_str(",\n  \"cells\": [");
     for (i, (cell, result)) in cells.iter().zip(results).enumerate() {
         out.push_str(if i == 0 { "\n    {" } else { ",\n    {" });
@@ -973,6 +971,7 @@ fn handle_submit(
     }
     let cells = request.cells();
     let cell_count = cells.len();
+    let seed = request.seed();
     // Deadline is stamped at admission: it bounds the whole queued +
     // running lifetime, which is what a waiting client experiences.
     let deadline = shared.cfg.deadline.map(|d| Instant::now() + d);
@@ -998,6 +997,7 @@ fn handle_submit(
             state: JobState::Queued,
             cells,
             cell_count,
+            seed,
             body: None,
             stats: Arc::new(JobStats::default()),
             deadline,
@@ -1265,7 +1265,7 @@ mod tests {
             })
             .collect();
         let doc = Value::Map(vec![
-            ("schema".into(), Value::Str(crate::key::STORE_SCHEMA.into())),
+            ("schema".into(), Value::Str(STORE_SCHEMA.into())),
             ("cells".into(), Value::Seq(entries)),
         ]);
         serde_json::to_string_pretty(&doc).unwrap()

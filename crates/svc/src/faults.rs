@@ -6,8 +6,8 @@
 //! flipped bits served as a result — and a [`scrub`] pass leaves a file
 //! that opens clean.
 
-use crate::store::{scrub, ResultStore};
 use bsim_core::campaign::{Ctx, FaultRow};
+use bsim_resilience::{scrub, ResultStore};
 use serde::Value;
 use std::path::{Path, PathBuf};
 

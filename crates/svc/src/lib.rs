@@ -4,18 +4,18 @@
 //! sweeps as fast as the host allows by never simulating the same cell
 //! twice. `bsimd` (a [`Daemon`]) accepts figure/sweep/tune requests
 //! over std-TCP HTTP-lite, preflights them through `bsim-check`,
-//! decomposes them into **content-addressed cells** — keyed on a stable
-//! hash of (canonicalized platform config × workload × seed ×
-//! code/schema version, [`key`]) — and fans the misses across
-//! `run_grid_resilient` workers while hits and identical in-flight
-//! cells are served from the memoizing [`store::ResultStore`].
+//! decomposes them into **content-addressed cells** — keyed by
+//! `bsim_dist::WireCell::key`, a stable hash of (canonicalized platform
+//! config × workload × seed × code/schema version) — and fans the misses
+//! across `run_grid_resilient` workers while hits and identical
+//! in-flight cells are served from the memoizing [`ResultStore`]. Key
+//! and store are the ones `bsim fig --store` and `bsim dist --store`
+//! use, so a file filled by either serves a daemon and the reverse.
 //!
 //! Layering:
 //!
 //! | Module | Role |
 //! |---|---|
-//! | [`key`] | canonical config hashing → 16-hex cell keys |
-//! | [`store`] | content-addressed result store (canonical bytes behind a per-read CRC, CkptStore file format, quarantine on SV003–SV005) |
 //! | `splice` | compact → pretty re-indenter: responses are spliced from stored bytes, not rendered from trees |
 //! | [`proto`] | hand-rolled HTTP-lite framing (`curl`-compatible, no network deps) |
 //! | [`request`] | wire shapes, SV000–SV002 preflight, decomposition into keyed `bsim_dist::WireCell`s |
@@ -29,14 +29,12 @@
 pub mod client;
 pub mod daemon;
 pub mod faults;
-pub mod key;
 pub mod proto;
 pub mod request;
 mod splice;
-pub mod store;
 
+pub use bsim_dist::key::micro_cell_key;
+pub use bsim_resilience::{scrub, ResultStore, ScrubReport};
 pub use daemon::{Daemon, DaemonConfig, COUNTERS};
-pub use key::micro_cell_key;
 pub use proto::WireTimeouts;
 pub use request::SvcRequest;
-pub use store::{scrub, ResultStore, ScrubReport};

@@ -23,9 +23,9 @@
 //! preflight, so MG/CL/SC findings reject the request up front exactly
 //! as `bsim check` would.
 
-use crate::key;
 use bsim_check::{Diagnostic, Report};
 use bsim_core::experiments::{subfigures, Sizes, FIGURE_IDS};
+use bsim_dist::key::MicroKeyer;
 use bsim_dist::WireCell;
 use bsim_soc::{configs, preflight};
 use bsim_workloads::microbench;
@@ -51,9 +51,10 @@ pub enum SvcRequest {
     Tune { scale: u32, seed: u64 },
 }
 
-/// One schedulable unit of work: a stable content-addressed key, a
-/// human-readable label for responses, and the [`WireCell`] that
-/// (re)computes it — the same cell a dist worker would be shipped.
+/// One schedulable unit of work: the [`WireCell`] that (re)computes it
+/// — the same cell a dist worker would be shipped — with its
+/// [`WireCell::key`] at the request's seed and a human-readable label
+/// for responses.
 #[derive(Clone, Debug)]
 pub struct Cell {
     pub key: String,
@@ -196,7 +197,7 @@ impl SvcRequest {
                             "request.sizes",
                             format!("unknown size preset {sizes:?}"),
                         )
-                        .with_help("known presets: default smoke"),
+                        .with_help("known presets: default smoke paper"),
                     );
                 }
             }
@@ -216,6 +217,15 @@ impl SvcRequest {
             }
         }
         report
+    }
+
+    /// The seed every cell of this request is keyed at.
+    pub fn seed(&self) -> u64 {
+        match self {
+            SvcRequest::Sweep { seed, .. }
+            | SvcRequest::Fig { seed, .. }
+            | SvcRequest::Tune { seed, .. } => *seed,
+        }
     }
 
     /// How many cells [`SvcRequest::cells`] will produce. Only valid on
@@ -244,7 +254,9 @@ impl SvcRequest {
                 let mut out = Vec::with_capacity(platforms.len() * kernels.len());
                 for name in platforms {
                     let cfg = configs::by_name(name, 1).expect("platform was preflighted");
-                    let keyer = key::MicroKeyer::new(&cfg);
+                    // `WireCell::key` of every cell below, with the
+                    // platform's share of the hash taken once.
+                    let keyer = MicroKeyer::new(&cfg);
                     for kernel in kernels {
                         out.push(Cell {
                             key: keyer.key(kernel, *scale, *seed),
@@ -259,23 +271,23 @@ impl SvcRequest {
                 }
                 out
             }
-            SvcRequest::Fig { id, sizes, seed } => subfigures(id)
-                .enumerate()
-                .map(|(index, fig)| Cell {
-                    key: key::fig_cell_key(id, fig.key, sizes, *seed),
+            SvcRequest::Fig { id, sizes, seed } => WireCell::figure_cells(id, sizes)
+                .into_iter()
+                .zip(subfigures(id))
+                .map(|(spec, fig)| Cell {
+                    key: spec.key(*seed),
                     label: fig.key.to_string(),
-                    spec: WireCell::Fig {
-                        id: id.clone(),
-                        sizes: sizes.clone(),
-                        index,
-                    },
+                    spec,
                 })
                 .collect(),
-            SvcRequest::Tune { scale, seed } => vec![Cell {
-                key: key::tune_cell_key(*scale, *seed),
-                label: "tune".into(),
-                spec: WireCell::Tune { scale: *scale },
-            }],
+            SvcRequest::Tune { scale, seed } => {
+                let spec = WireCell::Tune { scale: *scale };
+                vec![Cell {
+                    key: spec.key(*seed),
+                    label: "tune".into(),
+                    spec,
+                }]
+            }
         }
     }
 }
@@ -399,5 +411,40 @@ mod tests {
         let cells = req.cells();
         assert_eq!(cells.len(), req.cell_count());
         assert!(cells.iter().any(|c| c.label == "fig3a"));
+    }
+
+    /// A request's cells carry `WireCell::key` at the request's seed and
+    /// nothing else — the sweep's per-platform `MicroKeyer` included —
+    /// so what a daemon stores is found by `bsim fig` and `bsim dist`.
+    #[test]
+    fn every_cell_is_keyed_by_its_wire_cell_at_the_request_seed() {
+        let requests = [
+            SvcRequest::Sweep {
+                platforms: vec!["Rocket 1".into(), "MILK-V Pioneer".into()],
+                kernels: vec!["EM5".into(), "STc".into(), "Cca".into()],
+                scale: 2,
+                seed: 7,
+            },
+            SvcRequest::Fig {
+                id: "4".into(),
+                sizes: "smoke".into(),
+                seed: 3,
+            },
+            SvcRequest::Fig {
+                id: "1".into(),
+                sizes: "paper".into(),
+                seed: 0,
+            },
+            SvcRequest::Tune { scale: 2, seed: 11 },
+        ];
+        for req in requests {
+            assert!(req.preflight(64).is_clean(), "{req:?}");
+            let cells = req.cells();
+            assert_eq!(cells.len(), req.cell_count(), "{req:?}");
+            for cell in cells {
+                assert_eq!(cell.key, cell.spec.key(req.seed()), "{}", cell.label);
+                assert_ne!(cell.key, cell.spec.key(req.seed() + 1), "{}", cell.label);
+            }
+        }
     }
 }

@@ -12,11 +12,6 @@
 //! nothing at all inside a string. Scalars and string bodies are copied
 //! through as they are.
 
-/// `text` as a JSON string literal, in the renderer's own escaping.
-pub(crate) fn json_str(text: &str) -> String {
-    serde_json::to_string(text).expect("shim renderer is total") // bsim: allow(AU002) invariant stated in the message
-}
-
 /// `out.push('\n')` plus two spaces per `depth`.
 fn newline_indent(out: &mut String, depth: usize) {
     const SPACES: &str = "                                ";

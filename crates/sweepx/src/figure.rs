@@ -9,8 +9,9 @@
 //! through `FigureGrid::run_chunked`, so they differ only in where a
 //! cell's cycles come from. Full (unsampled) replay is bit-identical to
 //! the scalar cells, so the series match point for point and only the
-//! host-rate notes differ; the subfigure keys are the table's either
-//! way, so `bsim fig --ckpt/--resume` interoperate freely.
+//! host-rate notes differ — which is why the executor is no part of a
+//! cell's store key and `bsim fig --store` interoperates freely between
+//! them. A sampled replay is an estimate and is keyed apart.
 
 use crate::lane::{group_by_key, TraceKey};
 use crate::prog::{record_program, replay_program};

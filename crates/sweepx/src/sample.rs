@@ -32,6 +32,7 @@
 use bsim_check::{Diagnostic, Report};
 use bsim_isa::OpClass;
 use bsim_uarch::MicroOp;
+use serde::Serialize;
 
 /// Number of features in a phase signature.
 const SIG_DIM: usize = 8;
@@ -41,8 +42,10 @@ const SIG_DIM: usize = 8;
 /// log2 length.
 pub type Signature = [f64; SIG_DIM];
 
-/// Sampling budget knobs.
-#[derive(Clone, Copy, Debug)]
+/// Sampling budget knobs. Every one of them changes the estimate, so a
+/// sampled result is stored under a key that folds the whole struct in
+/// (`bsim_dist::WireCell::key_sampled`).
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct SampleCfg {
     /// Cluster-count cap; the effective k is
     /// `min(max_clusters, ceil(sqrt(segments)))`.

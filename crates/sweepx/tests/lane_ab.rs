@@ -6,7 +6,7 @@
 //! the JSON/CSV exports.
 
 use bsim_core::experiments::{figure, subfigures, FigureSpec, Parallelism, Sizes};
-use bsim_core::{run_grid_chunks_metered, run_grid_keyed, CellOutcome, CkptStore, RetryPolicy};
+use bsim_core::{run_grid_chunks_metered, run_grid_keyed, CellOutcome, ResultStore, RetryPolicy};
 use bsim_mpi::NetConfig;
 use bsim_resilience::fault::{FaultKind, FaultPlan, FaultTarget};
 use bsim_soc::{configs, SocConfig, TelemetryConfig};
@@ -236,10 +236,11 @@ fn sampled_error_and_reported_bound_stay_under_ten_percent_at_scale() {
     );
 }
 
-/// Lane and scalar runs of one plan write the same subfigure keys, so
-/// `--ckpt`/`--resume` interoperate: a store written by the lane
-/// executor (through `save`/`load`, the CLI's on-disk round
-/// trip) answers the scalar run without resimulating a single cell.
+/// The executor is no part of a cell's key — a full lane replay and a
+/// scalar run print the same series — so `--store` interoperates: a
+/// store filled by the lane executor (through `flush`/`open`, the CLI's
+/// on-disk round trip) answers the scalar run of the same keys without
+/// resimulating a single cell.
 #[test]
 fn ckpt_resume_interops_between_lane_and_scalar_plans() {
     let sizes = Sizes::smoke();
@@ -247,26 +248,27 @@ fn ckpt_resume_interops_between_lane_and_scalar_plans() {
     let policy = RetryPolicy::once();
 
     let plan: Vec<&'static FigureSpec> = subfigures("6").collect();
-    let keys: Vec<&str> = plan.iter().map(|spec| spec.key).collect();
+    let keys: Vec<String> = plan
+        .iter()
+        .map(|spec| format!("smoke/{}", spec.key))
+        .collect();
     let on_lanes = |i: usize| run_lanes(&plan[i].grid(sizes), par, &LaneOpts::default());
-    let mut store = CkptStore::new();
-    let lane_out = run_grid_keyed(&keys, par, &policy, Some(&mut store), |_| {}, on_lanes)
-        .expect("lane plan checkpoints cleanly");
+    let path = std::env::temp_dir().join(format!("sweepx_lane_ab_{}.json", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    let (mut store, _) = ResultStore::open(&path);
+    let lane_out = run_grid_keyed(&keys, par, &policy, &mut store, |_| {}, on_lanes)
+        .expect("lane plan stores cleanly");
     assert!(lane_out.all_ok());
+    assert_eq!(store.len(), keys.len());
 
-    let path = std::env::temp_dir().join(format!("sweepx_lane_ab_{}.ckpt", std::process::id()));
-    store.save(&path).expect("store persists");
-    let mut resumed = CkptStore::load(&path).expect("store loads");
+    store.flush().expect("store persists");
+    let (mut resumed, report) = ResultStore::open(&path);
+    assert!(report.is_clean(), "{report}");
     std::fs::remove_file(&path).ok();
 
     let scalar = |i: usize| plan[i].run(sizes, par);
-    let scalar_out = run_grid_keyed(&keys, par, &policy, Some(&mut resumed), |_| {}, scalar)
-        .expect("scalar plan resumes cleanly");
-    assert_eq!(
-        store.keys().collect::<Vec<_>>(),
-        keys,
-        "the lane plan must store under the subfigure keys"
-    );
+    let scalar_out = run_grid_keyed(&keys, par, &policy, &mut resumed, |_| {}, scalar)
+        .expect("scalar plan replays cleanly");
     for ((sk, lo), so) in keys
         .iter()
         .zip(&lane_out.outcomes)
@@ -274,7 +276,7 @@ fn ckpt_resume_interops_between_lane_and_scalar_plans() {
     {
         match so {
             CellOutcome::Ok { value, attempts } => {
-                assert_eq!(*attempts, 0, "{sk} must restore from the lane checkpoint");
+                assert_eq!(*attempts, 0, "{sk} must restore from the lane run's store");
                 assert_eq!(
                     json(lo.value().expect("lane cell ok")),
                     json(value),

@@ -4,15 +4,15 @@
 //! bsim list                         # platforms + experiments
 //! bsim table 1|2|4|5                # print a paper table
 //! bsim fig 1|2|3|4|5|6|7|all [--smoke|--paper] [--par seq|auto|N]
-//!          [--ckpt FILE] [--resume FILE] [--retries N]
-//!          [--lanes N] [--sample]
+//!          [--store FILE] [--retries N] [--lanes N] [--sample]
 //!                                   # regenerate a paper figure at the
 //!                                   # default, CI-smoke or near-paper
 //!                                   # workload sizes; --par
 //!                                   # fans the platform×workload grid
-//!                                   # across N host threads; --ckpt
-//!                                   # writes completed subfigures to
-//!                                   # FILE, --resume replays them;
+//!                                   # across N host threads; --store
+//!                                   # replays the subfigures FILE holds
+//!                                   # and adds the ones it computes (the
+//!                                   # result store dist and serve use);
 //!                                   # --lanes records each workload once
 //!                                   # and replays up to N configs as
 //!                                   # parallel lanes, --sample adds
@@ -39,8 +39,10 @@
 //!           [--kill-rank R --kill-after K]
 //!                                   # fan a cell sweep across N worker
 //!                                   # processes over socket token links;
-//!                                   # --kill-rank SIGKILLs a worker mid-
-//!                                   # sweep to exercise recovery
+//!                                   # --store answers what FILE holds and
+//!                                   # adds the rest; --kill-rank SIGKILLs
+//!                                   # a worker mid-sweep to exercise
+//!                                   # recovery
 //! bsim dist --graph-demo CYCLES [--ranks N] [--ring N] [--latency L]
 //!           [--quantum Q] [--seed N]
 //!                                   # partition the demo ring across N
@@ -64,10 +66,10 @@
 
 use silicon_bridge::check;
 use silicon_bridge::core::campaign::{Ctx, SurvivalMatrix};
-use silicon_bridge::core::experiments::{self, FigureSpec, Sizes};
+use silicon_bridge::core::experiments::{self, subfigures, FigureSpec, Sizes, FIGURE_IDS};
 use silicon_bridge::core::table;
 use silicon_bridge::core::tuning::tune_milkv;
-use silicon_bridge::core::{run_grid_keyed, CkptStore, Parallelism, RetryPolicy};
+use silicon_bridge::core::{run_grid_keyed, Parallelism, ResultStore, RetryPolicy};
 use silicon_bridge::dist::launcher::{run_graph_demo, run_sweep, KillSpec, LaunchOpts};
 use silicon_bridge::dist::{faults as dist_faults, worker as dist_worker, WireCell};
 use silicon_bridge::mpi::NetConfig;
@@ -89,7 +91,7 @@ fn platform_or_exit(name: &str) -> SocConfig {
 fn usage() -> ! {
     eprintln!(
         "usage:\n  bsim list\n  bsim table <1|2|4|5>\n  \
-         bsim fig <1..7|all> [--smoke|--paper] [--par seq|auto|N] [--ckpt FILE] [--resume FILE] [--retries N]\n       \
+         bsim fig <1..7|all> [--smoke|--paper] [--par seq|auto|N] [--store FILE] [--retries N]\n       \
          [--lanes N] [--sample]\n  \
          bsim micro <kernel> [platform]\n  bsim tune\n  \
          bsim faults [--seed N] [--deny-unsurvived] [--in-process] [--guard]\n  \
@@ -122,8 +124,7 @@ fn flag_table(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
             ("--smoke", false),
             ("--paper", false),
             ("--par", true),
-            ("--ckpt", true),
-            ("--resume", true),
+            ("--store", true),
             ("--retries", true),
             ("--lanes", true),
             ("--sample", false),
@@ -297,9 +298,9 @@ fn run_check(f: &Flags) -> ! {
              SV000   [service] request body is not valid JSON / lacks required fields\n  \
              SV001   [service] request references an unknown figure, preset, platform, or kernel\n  \
              SV002   [service] request cell count exceeds the per-request budget\n  \
-             SV003   [service] result-store version mismatch: stale entries ignored, not served\n  \
-             SV004   [service] torn/unreadable result store quarantined on restart\n  \
-             SV005   [service] entry checksum missing/mismatched: quarantined, not served\n  \
+             SV003   [result store] file version mismatch: stale entries ignored, not served\n  \
+             SV004   [result store] torn/unreadable file quarantined on open\n  \
+             SV005   [result store] entry checksum missing/mismatched: quarantined, not served\n  \
              DL001-DL006 [partition plan] rank bounds, orphan models, empty ranks, cut latency\n          \
              vs quantum, dangling relay endpoints\n  \
              PV001-PV007 [protocol] transition-table model checking: unreachable states,\n          \
@@ -443,18 +444,22 @@ fn main() {
             };
         }
         "fig" => {
-            let sizes = match (f.has("--smoke"), f.has("--paper")) {
+            let preset = match (f.has("--smoke"), f.has("--paper")) {
                 (true, true) => fail("--smoke and --paper are exclusive"),
-                (true, false) => Sizes::smoke(),
-                (false, true) => Sizes::paper(),
-                (false, false) => Sizes::default(),
+                (true, false) => "smoke",
+                (false, true) => "paper",
+                (false, false) => "default",
             };
+            let sizes = Sizes::parse(preset).expect("the three presets are named");
             let par = f.par(Parallelism::Sequential);
             let Some(&id) = f.pos.first() else { usage() };
-            // `all` is every subfigure of the table, in plan order.
-            let plan: Vec<&'static FigureSpec> = experiments::FIGURES
+            // `all` is every subfigure of the table, in plan order; each
+            // goes with the `WireCell::Fig` a `bsim submit fig` or `bsim
+            // dist --figs` of the same preset would run.
+            let plan: Vec<(&'static FigureSpec, WireCell)> = FIGURE_IDS
                 .iter()
-                .filter(|f| id == "all" || f.id == id)
+                .filter(|fid| id == "all" || **fid == id)
+                .flat_map(|id| subfigures(id).zip(WireCell::figure_cells(id, preset)))
                 .collect();
             if plan.is_empty() {
                 usage()
@@ -467,61 +472,56 @@ fn main() {
                 },
                 None => RetryPolicy::once(),
             };
-            // --resume loads an existing checkpoint; --ckpt (or, absent
-            // that, the resume file itself) is where progress lands.
-            let resume = f.path("--resume");
-            let ckpt = f.path("--ckpt").or_else(|| resume.clone());
-            let mut store = match &resume {
-                Some(path) => Some(load_store(path)),
-                None => ckpt.as_ref().map(|_| CkptStore::new()),
-            };
-            let save = |s: &CkptStore| {
-                if let Some(path) = &ckpt {
-                    if let Err(e) = s.save(path) {
-                        eprintln!("warning: cannot write checkpoint {}: {e}", path.display());
-                    }
-                }
-            };
             // --lanes / --sample hand each subfigure's grid to the
             // bsim-sweepx record-once/replay-many executor instead of
-            // simulating every cell on its own; the plan and its
-            // checkpoint keys are the same, so --ckpt/--resume
-            // interoperate across both.
+            // simulating every cell on its own. A full replay prints the
+            // scalar run's series, so the executor (like --par) is no
+            // part of a cell's key and one store serves both; a sampled
+            // replay is an estimate, keyed by the budget it ran under.
             let lanes = f
                 .flag_with("--lanes", "a lane count >= 1", at_least_one)
                 .map(|n| n as usize);
-            let want_sample = f.has("--sample");
-            let lane_opts = (lanes.is_some() || want_sample).then(|| LaneOpts {
+            let sample = f.has("--sample").then(SampleCfg::default);
+            let lane_opts = (lanes.is_some() || sample.is_some()).then(|| LaneOpts {
                 lanes: lanes.unwrap_or(LaneOpts::default().lanes),
-                sample: want_sample.then(SampleCfg::default),
+                sample,
             });
             let run = |i: usize| match &lane_opts {
-                Some(opts) => run_lanes(&plan[i].grid(sizes), par, opts),
-                None => plan[i].run(sizes, par),
+                Some(opts) => run_lanes(&plan[i].0.grid(sizes), par, opts),
+                None => plan[i].0.run(sizes, par),
             };
+            // Seed 0 is what `bsim submit` and `bsim dist` key at.
+            let keys: Vec<String> = plan
+                .iter()
+                .map(|(_, cell)| match &sample {
+                    Some(cfg) => cell.key_sampled(0, cfg),
+                    None => cell.key(0),
+                })
+                .collect();
+            let mut store = open_store(f.path("--store"));
             // One subfigure at a time: `--par` fans out inside each.
-            let keys: Vec<&str> = plan.iter().map(|spec| spec.key).collect();
             let sweep = run_grid_keyed(
                 &keys,
                 Parallelism::Sequential,
                 &policy,
-                store.as_mut(),
-                save,
+                &mut store,
+                flush_store,
                 run,
             )
-            .unwrap_or_else(|e| fail(format!("checkpoint error: {e}")));
+            .unwrap_or_else(|e| fail(format!("result store error: {e}")));
             let mut failed = 0usize;
-            for (key, outcome) in keys.iter().zip(sweep.outcomes) {
+            for ((spec, _), outcome) in plan.iter().zip(sweep.outcomes) {
+                let name = spec.key;
                 match outcome {
                     CellOutcome::Ok { value, attempts } => {
                         if attempts == 0 {
-                            eprintln!("{key}: replayed from checkpoint");
+                            eprintln!("{name}: replayed from the result store");
                         }
                         println!("{}", table::render(&value));
                     }
                     CellOutcome::Failed { diag, attempts } => {
                         failed += 1;
-                        eprintln!("{key}: FAILED after {attempts} attempt(s): {diag}");
+                        eprintln!("{name}: FAILED after {attempts} attempt(s): {diag}");
                     }
                 }
             }
@@ -600,7 +600,7 @@ fn main() {
             let Some(path) = f.get("--store") else {
                 usage()
             };
-            let (scrubbed, report) = silicon_bridge::svc::scrub(std::path::Path::new(path));
+            let (scrubbed, report) = silicon_bridge::resilience::scrub(std::path::Path::new(path));
             if !report.is_clean() {
                 eprint!("{}", report.render());
             }
@@ -664,23 +664,34 @@ fn finish_wire(result: std::io::Result<(u16, String)>) -> ! {
     }
 }
 
-/// Loads the checkpoint store a `--resume`/`--store` flag names; an
-/// unreadable one exits 2.
-fn load_store(path: &std::path::Path) -> CkptStore {
-    match CkptStore::load(path) {
-        Ok(s) => {
-            eprintln!("resuming from {} ({} entries)", path.display(), s.len());
-            s
-        }
-        Err(e) => fail(format!("cannot resume from {}: {e}", path.display())),
+/// The result store a `--store FILE` names, opened or created; without
+/// the flag, one that lives as long as the command. What the file holds
+/// but nothing vouches for is quarantined and reported here — never
+/// served, never fatal, never truncated.
+fn open_store(path: Option<std::path::PathBuf>) -> ResultStore {
+    let Some(path) = path else {
+        return ResultStore::ephemeral();
+    };
+    let (store, report) = ResultStore::open(&path);
+    if !report.is_clean() {
+        eprint!("{}", report.render());
+    }
+    store
+}
+
+/// Flushes `store` to its file, if it has one. A store that cannot be
+/// written costs the next run its hits, not this run its results.
+fn flush_store(store: &ResultStore) {
+    if let Err(e) = store.flush() {
+        eprintln!("warning: cannot write the result store: {e}");
     }
 }
 
 /// `bsim dist`: the multi-process scale-out front end. The default mode
 /// fans a sweep of serializable cells across `--ranks` worker processes
 /// connected by socket token links; `--kill-rank`/`--kill-after` SIGKILL
-/// a worker mid-sweep so the recovery path (respawn + re-plan from the
-/// checkpoint store) is exercisable from the shell. `--graph-demo`
+/// a worker mid-sweep so the recovery path (respawn + re-plan of what
+/// has not arrived) is exercisable from the shell. `--graph-demo`
 /// instead partitions the demo ring across the ranks and checks the
 /// distributed schedule against the in-process `Harness` bit for bit.
 fn run_dist(f: &Flags) -> ! {
@@ -737,21 +748,14 @@ fn run_dist(f: &Flags) -> ! {
         });
     }
 
-    let store_path = f.path("--store");
-    let mut store = match &store_path {
-        Some(path) if path.exists() => load_store(path),
-        _ => CkptStore::new(),
-    };
-
-    let outcome = run_sweep(&cells, &opts, &mut store).unwrap_or_else(|e| {
+    // Seed 0: the keys `bsim fig --store` and a default `bsim submit`
+    // look the same cells up under.
+    let mut store = open_store(f.path("--store"));
+    let outcome = run_sweep(&cells, 0, &opts, &mut store).unwrap_or_else(|e| {
         eprintln!("dist sweep failed: {e}");
         std::process::exit(1);
     });
-    if let Some(path) = &store_path {
-        if let Err(e) = store.save(path) {
-            eprintln!("warning: cannot write store {}: {e}", path.display());
-        }
-    }
+    flush_store(&store);
 
     if f.has("--json") {
         use serde::Value;
@@ -759,7 +763,7 @@ fn run_dist(f: &Flags) -> ! {
             .results
             .iter()
             .map(|(label, json)| {
-                let tree = serde_json::from_str(json).unwrap_or(Value::Str(json.clone()));
+                let tree = serde_json::from_str(json).unwrap_or(Value::Str(json.to_string()));
                 (label.clone(), tree)
             })
             .collect();

@@ -1,11 +1,14 @@
 //! The `bsim` command line as a user meets it: typos are refused before
 //! anything runs, the retired `bench` subcommand is gone, and what
 //! `table`/`fig` print is pinned to the bytes captured at the commit
-//! before the flag parser became table-driven.
+//! before the flag parser became table-driven, and `fig --store` serves
+//! a result only to the configuration that produced it.
 
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use silicon_bridge::core::experiments::Sizes;
+use silicon_bridge::resilience::ResultStore;
 
 fn bsim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bsim"))
@@ -112,6 +115,122 @@ fn the_paper_preset_lints_clean_and_is_no_smaller_than_the_default() {
     for ((name, p), (_, d)) in p.fields().into_iter().zip(d.fields()) {
         assert!(p >= d, "{name}: paper {p} < default {d}");
     }
+}
+
+/// A `--store` file path no other test (or process) shares, absent.
+fn scratch_store(name: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("bsim-cli-{name}-{}.json", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    path
+}
+
+/// One `bsim fig <args> --store <store>` run that must exit 0.
+struct FigRun {
+    /// stdout minus the note lines carrying a wall-clock `host sweep:` rate.
+    tables: String,
+    /// How many subfigures stderr reports as replayed from the store.
+    replayed: usize,
+    /// Entries the store file holds afterwards, every one verified.
+    entries: usize,
+}
+
+fn fig_with_store(args: &[&str], store: &Path) -> FigRun {
+    let store_arg = store.to_str().expect("temp paths are UTF-8");
+    let out = bsim(&[&["fig"], args, &["--store", store_arg]].concat());
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+    let (opened, report) = ResultStore::open(store);
+    assert!(
+        report.is_clean(),
+        "{args:?} left a store with findings: {report}"
+    );
+    FigRun {
+        tables: stdout(&out)
+            .lines()
+            .filter(|l| !l.contains("host sweep:"))
+            .map(|l| format!("{l}\n"))
+            .collect(),
+        replayed: stderr(&out)
+            .lines()
+            .filter(|l| l.ends_with("replayed from the result store"))
+            .count(),
+        entries: opened.len(),
+    }
+}
+
+/// The size preset is part of a cell's identity: what a `--smoke` run
+/// stored must never print under another preset's name.
+#[test]
+fn a_store_filled_at_smoke_does_not_answer_another_preset() {
+    let store = scratch_store("preset");
+    let smoke = fig_with_store(&["5", "--smoke"], &store);
+    assert_eq!((smoke.replayed, smoke.entries), (0, 1));
+    assert_eq!(smoke.tables, FIG5_SMOKE);
+
+    let default = fig_with_store(&["5"], &store);
+    assert_eq!(default.replayed, 0, "the smoke result answered for default");
+    assert_eq!(default.entries, 2, "the default result is stored beside it");
+    assert_ne!(
+        default.tables, FIG5_SMOKE,
+        "default sizes print their own table"
+    );
+
+    // Each preset then hits its own entry, byte for byte.
+    let again = fig_with_store(&["5", "--smoke"], &store);
+    assert_eq!((again.replayed, again.entries), (1, 2));
+    assert_eq!(again.tables, FIG5_SMOKE);
+    let again = fig_with_store(&["5"], &store);
+    assert_eq!((again.replayed, again.entries), (1, 2));
+    assert_eq!(again.tables, default.tables);
+    std::fs::remove_file(&store).ok();
+}
+
+/// A sampled run's digits are an estimate: they are stored apart from
+/// the exact run's and neither answers for the other, whichever filled
+/// the store first. Figure 3 is where the two visibly differ at smoke.
+#[test]
+fn sampled_and_exact_results_never_answer_for_each_other() {
+    let exact_first = scratch_store("exact-first");
+    let exact = fig_with_store(&["3", "--smoke"], &exact_first);
+    assert_eq!((exact.replayed, exact.entries), (0, 2));
+    let sampled = fig_with_store(&["3", "--smoke", "--sample"], &exact_first);
+    assert_eq!(sampled.replayed, 0, "exact digits passed for an estimate");
+    assert_eq!(sampled.entries, 4);
+    assert_ne!(
+        sampled.tables, exact.tables,
+        "fig 3 no longer tells them apart"
+    );
+
+    let sampled_first = scratch_store("sampled-first");
+    let estimate = fig_with_store(&["3", "--smoke", "--sample"], &sampled_first);
+    assert_eq!((estimate.replayed, estimate.entries), (0, 2));
+    assert_eq!(estimate.tables, sampled.tables);
+    let rerun = fig_with_store(&["3", "--smoke"], &sampled_first);
+    assert_eq!(rerun.replayed, 0, "an estimate passed for the exact result");
+    assert_eq!(rerun.entries, 4);
+    assert_eq!(rerun.tables, exact.tables);
+
+    // The executor is not part of the key: lanes replay the scalar run.
+    let lanes = fig_with_store(&["3", "--smoke", "--lanes", "8"], &exact_first);
+    assert_eq!((lanes.replayed, lanes.entries), (2, 4));
+    assert_eq!(lanes.tables, exact.tables);
+    std::fs::remove_file(&exact_first).ok();
+    std::fs::remove_file(&sampled_first).ok();
+}
+
+/// `--store` opens what is there: a second command on the same file adds
+/// to it and the first command's result is still served afterwards.
+#[test]
+fn a_second_run_adds_to_an_existing_store() {
+    let store = scratch_store("append");
+    let first = fig_with_store(&["5", "--smoke"], &store);
+    assert_eq!((first.replayed, first.entries), (0, 1));
+    let other = fig_with_store(&["3", "--smoke", "--lanes", "8"], &store);
+    assert_eq!(other.replayed, 0);
+    assert_eq!(other.entries, 3, "figure 3's two subfigures join figure 5");
+    let again = fig_with_store(&["5", "--smoke"], &store);
+    assert_eq!((again.replayed, again.entries), (1, 3));
+    assert_eq!(again.tables, first.tables);
+    std::fs::remove_file(&store).ok();
 }
 
 /// Every diagnostic code the crates can emit is documented by

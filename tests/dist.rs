@@ -8,7 +8,7 @@ use std::process::Command;
 use silicon_bridge::core::{Ctx, Parallelism};
 use silicon_bridge::dist::faults::{self, kill_sweep_cells};
 use silicon_bridge::dist::launcher::{run_sweep, LaunchOpts};
-use silicon_bridge::resilience::CkptStore;
+use silicon_bridge::resilience::ResultStore;
 
 /// The `bsim` binary built alongside this test, re-entered via the
 /// hidden `dist-worker` subcommand — exactly what the CLI spawns.
@@ -30,12 +30,12 @@ fn a_two_process_sweep_is_byte_identical_to_the_in_process_path() {
         .collect();
 
     let opts = LaunchOpts::processes(2, worker_argv());
-    let out = run_sweep(&cells, &opts, &mut CkptStore::new()).expect("sweep completes");
+    let out = run_sweep(&cells, 0, &opts, &mut ResultStore::ephemeral()).expect("sweep completes");
     assert_eq!(out.ranks, 2);
     assert_eq!(out.results.len(), cells.len());
     for ((cell, want), (label, got)) in cells.iter().zip(&local).zip(&out.results) {
         assert_eq!(label, &cell.label());
-        assert_eq!(got, want, "{label} diverged across the process boundary");
+        assert_eq!(&**got, want, "{label} diverged across the process boundary");
     }
 }
 

@@ -1,9 +1,9 @@
 //! Cross-crate resilience tests: fault injection, watchdog teardown and
-//! checkpoint/resume exercised end to end through the public facade.
+//! store/replay exercised end to end through the public facade.
 
 use std::time::{Duration, Instant};
 
-use silicon_bridge::core::{run_grid_keyed, CkptStore, Parallelism, RetryPolicy};
+use silicon_bridge::core::{run_grid_keyed, Parallelism, ResultStore, RetryPolicy};
 use silicon_bridge::engine::{FaultKind, FaultPlan, Harness, SimError, TickModel, Wire};
 use silicon_bridge::resilience::fault::FaultTarget;
 use silicon_bridge::resilience::WatchdogConfig;
@@ -85,13 +85,13 @@ fn dropped_token_trips_typed_stall_within_budget() {
     assert_eq!(tel.get("host.resilience.watchdog_trips"), Some(1));
 }
 
-/// Satellite (c), part 2: a checkpoint written mid-sweep resumes to
-/// bit-identical results — the resumed cells replay from the store and
+/// Satellite (c), part 2: a store flushed mid-sweep resumes to
+/// bit-identical results — the stored cells replay from the file and
 /// the freshly computed ones reproduce the original run exactly.
 #[test]
 fn mid_sweep_checkpoint_resumes_bit_identical_run_reports() {
     // A 2 platforms × 2 kernels grid, each cell a full SoC run; what a
-    // cell checkpoints is (cycles, (retired, exit code)).
+    // cell stores is (cycles, (retired, exit code)).
     type Cell = (u64, (u64, Option<i64>));
     let platforms = [configs::rocket1(1), configs::small_boom(1)];
     let kernels: Vec<_> = microbench::evaluated()
@@ -115,30 +115,28 @@ fn mid_sweep_checkpoint_resumes_bit_identical_run_reports() {
     let once = RetryPolicy::once();
 
     // The reference sweep, fully simulated.
-    let mut full = CkptStore::new();
+    let mut full = ResultStore::ephemeral();
     let par = Parallelism::Workers(2);
-    let baseline = run_grid_keyed(&keys, par, &once, Some(&mut full), |_| {}, cell).unwrap();
+    let baseline = run_grid_keyed(&keys, par, &once, &mut full, |_| {}, cell).unwrap();
     assert!(baseline.all_ok());
     assert_eq!(baseline.restored, 0);
 
-    // Simulate a run killed after two cells: only their checkpoints
-    // survive, round-tripped through the on-disk JSON wire format.
-    let mut partial = CkptStore::new();
+    // Simulate a run killed after two cells: only their entries
+    // survive, round-tripped through the store file.
+    let path = std::env::temp_dir().join(format!("bsim-resilience-{}.json", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    let (mut partial, _) = ResultStore::open(&path);
     for i in [0usize, 2] {
-        partial.put(&keys[i], &full.get::<Cell>(&keys[i]).unwrap().unwrap());
+        partial.put_bytes(&keys[i], full.get_bytes(&keys[i]).unwrap());
     }
-    let mut resumed_store = CkptStore::from_json(&partial.to_json()).unwrap();
+    partial.flush().unwrap();
+    let (mut resumed_store, report) = ResultStore::open(&path);
+    assert!(report.is_clean(), "{report}");
+    std::fs::remove_file(&path).ok();
     let par = Parallelism::Sequential; // different host schedule on purpose
     let mut saves = 0;
-    let resumed = run_grid_keyed(
-        &keys,
-        par,
-        &once,
-        Some(&mut resumed_store),
-        |_| saves += 1,
-        cell,
-    )
-    .unwrap();
+    let resumed =
+        run_grid_keyed(&keys, par, &once, &mut resumed_store, |_| saves += 1, cell).unwrap();
     assert!(resumed.all_ok());
     assert_eq!(resumed.restored, 2);
     assert_eq!(saves, 2, "only the two missing cells are simulated");
@@ -147,10 +145,11 @@ fn mid_sweep_checkpoint_resumes_bit_identical_run_reports() {
     // re-simulated, and so is what the two runs leave in their stores.
     for (i, (a, b)) in baseline.outcomes.iter().zip(&resumed.outcomes).enumerate() {
         assert_eq!(a.value(), b.value(), "cell {i} diverged");
+        assert!(full.get_bytes(&keys[i]).is_some());
         assert_eq!(
-            full.get::<Cell>(&keys[i]).unwrap(),
-            resumed_store.get::<Cell>(&keys[i]).unwrap(),
-            "cell {i} snapshot diverged"
+            full.get_bytes(&keys[i]),
+            resumed_store.get_bytes(&keys[i]),
+            "cell {i} stored bytes diverged"
         );
     }
 }

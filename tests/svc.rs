@@ -6,8 +6,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use silicon_bridge::resilience::CkptStore;
-use silicon_bridge::svc::{client, Daemon, DaemonConfig, COUNTERS};
+use silicon_bridge::svc::{client, Daemon, DaemonConfig, ResultStore, COUNTERS};
 
 const SWEEP: &str = r#"{"kind":"sweep","platforms":["Rocket 1"],"kernels":["EM5","STc"]}"#;
 
@@ -144,8 +143,8 @@ fn preflight_rejects_on_the_wire() {
 }
 
 /// Satellite: `/shutdown` drains accepted work and flushes the store
-/// atomically — the file on disk afterwards is a complete, loadable
-/// checkpoint holding every simulated cell.
+/// atomically — the file on disk afterwards is a complete store that
+/// opens clean and holds every simulated cell.
 #[test]
 fn shutdown_drains_inflight_work_and_flushes_store() {
     let path = tmp("drain");
@@ -166,7 +165,8 @@ fn shutdown_drains_inflight_work_and_flushes_store() {
     assert!(body.contains("\"entries\":2"), "{body}");
     daemon.join();
 
-    let store = CkptStore::load(&path).expect("flushed store is a complete checkpoint");
+    let (store, report) = ResultStore::open(&path);
+    assert!(report.is_clean(), "flushed store must verify: {report}");
     assert_eq!(store.len(), 2);
     std::fs::remove_file(&path).ok();
 }
