@@ -12,12 +12,13 @@
 //! | AU004 | warning  | `Instant`/`SystemTime` in a virtual-time crate: host clocks break determinism |
 //! | AU005 | note     | a `pub` fn, struct, enum, trait, const, static or type of any crate that nothing outside the crate's `src/` mentions and no other `pub` declaration carries: surface to shrink |
 //! | AU006 | warning  | `std::env::`, `println!`/`eprintln!` or `format!` in a per-op hot-path file (interpreter, timing cores, memory hierarchy and the loops feeding them): host work — an environment lookup, a lock on stdout, an allocation — where every micro-op pays for it |
+//! | AU007 | error    | text a simplification took out of a set of files is back: one row of [`BANS`] per collapse (a deleted entry point, a cost model read outside its two files, a second place that builds or catches what one place should) |
 //!
 //! Findings are waived inline with a `// bsim: allow(AU001)` comment on the
 //! same line or on the line directly above; several codes may be listed,
 //! comma-separated; `// bsim: allow-file(AU005)` waives AU005 for a whole
 //! file. `#[cfg(test)]` regions are skipped entirely (brace-depth
-//! tracked), and line comments are stripped before pattern matching so
+//! tracked; an AU007 row may opt in), and line comments are stripped before pattern matching so
 //! documentation cannot trip the scanner.
 //!
 //! The scan is deliberately textual, not syntactic: it runs in milliseconds
@@ -109,6 +110,150 @@ const ITER_METHODS: &[&str] = &[
     "values_mut()",
     "drain(",
     "into_iter()",
+];
+
+/// One AU007 row: text a past change took out of some files and that
+/// must not come back. A comment-stripped line is a hit when it
+/// contains any of `needles` — and `with`, for a ban on two things
+/// meeting — in a file under `within` that is not one of `except`.
+pub struct Ban {
+    pub needles: &'static [&'static str],
+    /// A second text the line must hold too; empty for none.
+    pub with: &'static str,
+    /// Path prefixes the ban covers.
+    pub within: &'static [&'static str],
+    /// Files under `within` where the text belongs.
+    pub except: &'static [&'static str],
+    /// Whether `#[cfg(test)]` regions are covered as well.
+    pub in_tests: bool,
+    pub message: &'static str,
+}
+
+impl Ban {
+    fn covers(&self, path: &str) -> bool {
+        self.within.iter().any(|p| path.starts_with(p)) && !self.except.contains(&path)
+    }
+
+    fn hit(&self, code: &str) -> Option<&'static str> {
+        let needle = self.needles.iter().find(|n| code.contains(**n))?;
+        code.contains(self.with).then_some(needle)
+    }
+}
+
+const SHIPPED: &[&str] = &["crates/", "src/"];
+const DAEMON: &[&str] = &["crates/svc/src/daemon.rs"];
+const CKPT_STORE: &[&str] = &[concat!("Ckpt", "Store")];
+const CKPT_STORE_MESSAGE: &str =
+    "a command keeps a cell's result through ResultStore, not the bare file format under it";
+
+/// The AU007 table, one row per collapse that had a grep guarding it.
+pub const BANS: &[Ban] = &[
+    Ban {
+        needles: &[
+            concat!("collective", "_cost"),
+            concat!(".arriv", "al("),
+            concat!(".o_", "recv"),
+            concat!(".o_", "send"),
+            concat!("transfer", "_cycles"),
+        ],
+        with: "",
+        within: &["crates/"],
+        except: &["crates/mpi/src/net.rs", "crates/mpi/src/timing.rs"],
+        in_tests: true,
+        message: "the MPI cost model is read by net.rs and timing.rs and by no other code",
+    },
+    Ban {
+        needles: &[concat!("catch", "_unwind")],
+        with: "",
+        within: &["crates/core/src/"],
+        except: &[],
+        in_tests: false,
+        message: "RetryPolicy::run is the one place a cell panic is caught",
+    },
+    Ban {
+        needles: &[concat!("Scenario", " {")],
+        with: "",
+        within: SHIPPED,
+        except: &["crates/core/src/campaign.rs"],
+        in_tests: true,
+        message: "a fault row's Scenario is built in campaign.rs only",
+    },
+    Ban {
+        needles: &[
+            concat!("run_", "grid("),
+            concat!("run_grid_", "checkpointed"),
+            concat!("run_plan", "_with"),
+            concat!("backoff", "_after"),
+            concat!("BACKOFF_", "CAP_MS"),
+            concat!("save_", "atomic"),
+        ],
+        with: "",
+        within: SHIPPED,
+        except: &[],
+        in_tests: true,
+        message: "a collapsed runner, backoff or save path reappeared",
+    },
+    Ban {
+        needles: &[concat!("write", "!(")],
+        with: "",
+        within: &["crates/svc/src/proto.rs"],
+        except: &[],
+        in_tests: false,
+        message: "a wire message is one buffer and one write_all; \
+                  formatting onto the stream is a write(2) per piece",
+    },
+    Ban {
+        needles: &[concat!("to_string", "_pretty")],
+        with: "",
+        within: DAEMON,
+        except: &[],
+        in_tests: false,
+        message: "a response is spliced from stored bytes, not pretty-printed from a tree",
+    },
+    Ban {
+        needles: CKPT_STORE,
+        with: "",
+        within: &[
+            "src/bin/bsim.rs",
+            "crates/dist/src/launcher.rs",
+            "crates/core/src/resilient.rs",
+        ],
+        except: &[],
+        in_tests: true,
+        message: CKPT_STORE_MESSAGE,
+    },
+    Ban {
+        needles: CKPT_STORE,
+        with: "",
+        within: DAEMON,
+        except: &[],
+        in_tests: false,
+        message: CKPT_STORE_MESSAGE,
+    },
+    Ban {
+        needles: &[".get(", ".get_bytes(", ".put(", ".put_bytes("],
+        with: concat!("lab", "el()"),
+        within: SHIPPED,
+        except: &[],
+        in_tests: false,
+        message: "a display label never indexes a store; WireCell::key does",
+    },
+    Ban {
+        needles: &[
+            concat!("Harness", "Ckpt"),
+            concat!("Rank", "Ckpt"),
+            concat!("Sender", "Ckpt"),
+            concat!("resume_", "parallel"),
+            concat!("run_parallel_", "checkpointed"),
+            concat!("run_parallel_", "with_telemetry"),
+        ],
+        with: "",
+        within: SHIPPED,
+        except: &[],
+        in_tests: true,
+        message: "recovery is per cell: the token-level checkpoint layer is gone, \
+                  and a parallel run's counters come from run_guarded",
+    },
 ];
 
 /// Outcome of a workspace audit.
@@ -258,6 +403,7 @@ pub fn scan_source(path: &str, text: &str, report: &mut Report, waived: &mut usi
     }
 
     // Pass 2: findings, with `#[cfg(test)]` regions skipped via brace depth.
+    let bans: Vec<&Ban> = BANS.iter().filter(|b| b.covers(path)).collect();
     let mut regions = TestRegions::default();
     let mut prev_waivers: Vec<String> = Vec::new();
 
@@ -267,9 +413,6 @@ pub fn scan_source(path: &str, text: &str, report: &mut Report, waived: &mut usi
         let allowed = waivers_for(raw, &mut prev_waivers);
         let in_test_here = regions.step(code);
 
-        if in_test_here {
-            continue;
-        }
         let span = format!("{path}:{lineno}");
         let mut emit = |d: Diagnostic, code: &str, report: &mut Report| {
             if allowed.iter().any(|c| c == code) {
@@ -278,6 +421,26 @@ pub fn scan_source(path: &str, text: &str, report: &mut Report, waived: &mut usi
                 report.push(d);
             }
         };
+
+        for ban in bans.iter().filter(|b| b.in_tests || !in_test_here) {
+            if let Some(needle) = ban.hit(code) {
+                emit(
+                    Diagnostic::error(
+                        "AU007",
+                        span.clone(),
+                        format!("`{needle}`: {}", ban.message),
+                    )
+                    .with_help(
+                        "use what replaced it, or waive stating why this site is not that path",
+                    ),
+                    "AU007",
+                    report,
+                );
+            }
+        }
+        if in_test_here {
+            continue;
+        }
 
         if code.contains(UNWRAP) {
             emit(

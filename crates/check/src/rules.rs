@@ -399,7 +399,7 @@ pub fn engine_lints() -> LintRegistry<ScheduleSpec> {
                         )
                         .with_help(
                             "results are bit-identical either way; enable fast-forward with \
-                             Harness::set_fast_forward(true) to skip quiescent ticks",
+                             Harness::with_fast_forward(true) to skip quiescent ticks",
                         ),
                     );
                 }

@@ -3,7 +3,8 @@
 //! pass the full preflight clean. Uses `bsim-soc` as a dev-dependency so
 //! the checks run against the real Table 4/5 catalog, not mocks.
 
-use bsim_check::{analyze, GraphSpec, ModelSpec, WireSpec};
+use bsim_check::audit::{scan_source, BANS};
+use bsim_check::{analyze, GraphSpec, ModelSpec, Report, WireSpec};
 use bsim_soc::configs;
 use bsim_soc::preflight::preflight;
 
@@ -108,5 +109,74 @@ fn every_catalog_platform_passes_clean() {
             cfg.name,
             report.render()
         );
+    }
+}
+
+/// Every AU007 row, seeded: each needle of each row of [`BANS`] is
+/// planted in a file the row covers and must be reported with the row's
+/// message — and must not be where the row says the text belongs: a
+/// file it excepts, a file it does not cover, a comment, a waived line,
+/// a `#[cfg(test)]` region unless the row reaches into those, or (for a
+/// row about two things meeting) a line that holds only one of them.
+#[test]
+fn every_au007_row_flags_its_seeded_text() {
+    let scan = |path: &str, text: &str| {
+        let (mut report, mut waived) = (Report::new(), 0);
+        scan_source(path, text, &mut report, &mut waived);
+        (report, waived)
+    };
+    assert!(BANS.len() >= 10, "the table lost rows");
+    for (row, ban) in BANS.iter().enumerate() {
+        let path = match ban.within[0] {
+            file if file.ends_with(".rs") => file.to_string(),
+            dir => format!("{dir}seeded.rs"),
+        };
+        for needle in ban.needles {
+            let at = format!("row {row} ({needle:?} in {path})");
+            let line = format!("let _ = a{needle}b{});", ban.with);
+
+            let (report, _) = scan(&path, &format!("fn f() {{\n    {line}\n}}\n"));
+            let found: Vec<_> = report.with_code("AU007").collect();
+            assert_eq!(found.len(), 1, "{at}:\n{}", report.render());
+            assert!(found[0].message.ends_with(ban.message), "{at}");
+            assert_eq!(found[0].span, format!("{path}:2"), "{at}");
+            assert!(report.has_errors(), "{at}: AU007 is an error");
+
+            let clean = |path: &str, text: String, why: &str| {
+                let (report, waived) = scan(path, &text);
+                assert!(
+                    !report.has_code("AU007"),
+                    "{at}, {why}:\n{}",
+                    report.render()
+                );
+                waived
+            };
+            for home in ban.except {
+                clean(home, format!("fn f() {{ {line} }}\n"), "where it belongs");
+            }
+            clean(
+                "tests/seeded.rs",
+                format!("fn f() {{ {line} }}\n"),
+                "not covered",
+            );
+            clean(&path, format!("// {line}\nfn f() {{}}\n"), "a comment");
+            let waived = clean(
+                &path,
+                format!("// bsim: allow(AU007) seeded\nfn f() {{ {line} }}\n"),
+                "waived",
+            );
+            assert_eq!(waived, 1, "{at}");
+            if !ban.with.is_empty() {
+                clean(&path, format!("fn f() {{ a{needle}b); }}\n"), "half of it");
+            }
+
+            let in_test = format!("#[cfg(test)]\nmod tests {{\n    fn g() {{ {line} }}\n}}\n");
+            let (report, _) = scan(&path, &in_test);
+            assert_eq!(
+                report.has_code("AU007"),
+                ban.in_tests,
+                "{at}, in a test region"
+            );
+        }
     }
 }

@@ -2,16 +2,13 @@
 //! (`TickModel::next_activity` + `Harness::fast_forward`) is a host
 //! optimization and must be invisible in every serialized artifact —
 //! the figure pipeline's stored JSON for every subfigure, and harness
-//! run results under seeded fault plans and checkpoint/resume.
+//! run results under seeded fault plans.
 
 use bsim_core::experiments::{subfigures, FigureData, Sizes, FIGURE_IDS};
 use bsim_core::{run_grid_keyed, CellOutcome, Parallelism, ResultStore, RetryPolicy};
-use bsim_engine::{
-    CounterBlock, FaultKind, FaultPlan, Harness, HarnessCkpt, Snapshot, TickModel, WatchdogConfig,
-    Wire,
-};
+use bsim_engine::{CounterBlock, FaultKind, FaultPlan, Harness, TickModel, WatchdogConfig, Wire};
 use bsim_resilience::ckpt::CkptStore;
-use bsim_resilience::snapshot::{field, CkptError};
+use bsim_resilience::snapshot::{field, CkptError, Snapshot};
 use serde::Value;
 
 /// Sizes small enough to run every figure three times in one test.
@@ -257,56 +254,5 @@ fn guarded_run_json_is_byte_identical_with_ff_toggled_under_faults() {
         run_json(&clean, &tel),
         ff_json,
         "faults must perturb the run"
-    );
-}
-
-/// FF on vs off must agree byte-for-byte across a checkpoint/resume
-/// cycle, including when the resumed run uses a different quantum.
-#[test]
-fn ckpt_resume_json_is_byte_identical_with_ff_toggled() {
-    const CYCLES: u64 = 3_000;
-    let run = |ff: bool| {
-        let (m, w) = ring(4, 128);
-        let mut mid: Option<HarnessCkpt> = None;
-        let finished = Harness::new(m, w)
-            .with_fast_forward(ff)
-            .run_parallel_checkpointed(CYCLES, 8, 1_000, |ck| {
-                if mid.is_none() {
-                    mid = Some(ck.clone());
-                }
-            });
-        (
-            finished,
-            mid.expect("interval < cycles yields a checkpoint"),
-        )
-    };
-    let (ff_models, ff_mid) = run(true);
-    let (noff_models, noff_mid) = run(false);
-    let tel = CounterBlock::new(true);
-    assert_eq!(
-        run_json(&ff_models, &tel),
-        run_json(&noff_models, &tel),
-        "checkpointed run diverged with fast-forward toggled"
-    );
-    let ckpt_json = |ck: &HarnessCkpt| {
-        let mut s = CkptStore::new();
-        s.put("ckpt", ck);
-        s.to_json()
-    };
-    assert_eq!(
-        ckpt_json(&ff_mid),
-        ckpt_json(&noff_mid),
-        "mid-run checkpoint bytes diverged with fast-forward toggled"
-    );
-
-    // Resuming either checkpoint (different quantum) reconverges to the
-    // same final bytes.
-    let (_, wires) = ring(4, 128);
-    let resumed: Vec<Beacon> =
-        Harness::resume_parallel(wires, &ff_mid, CYCLES, 32).expect("checkpoint is sound");
-    assert_eq!(
-        run_json(&resumed, &tel),
-        run_json(&ff_models, &tel),
-        "resume diverged from the uninterrupted run"
     );
 }

@@ -22,13 +22,10 @@
 //!   then travels compressed: the senders emit constant-size
 //!   [`Frame::Run`](crate::frame::Frame::Run) frames.
 //!
-//! Partition checkpoints ([`RankCkpt`]) capture models, local channels,
-//! and the per-out-link replay tails at a segment boundary; restoring
-//! on fresh sockets re-sends exactly the in-flight window (see
-//! [`crate::link`]), which is what lets the launcher migrate a lost
-//! process and continue bit-identically.
+//! A partition holds no recovery state: a run that loses a rank fails
+//! typed (the launcher reports which rank died) and is re-run.
 
-use crate::link::{RemoteReceiver, RemoteSender, SenderCkpt};
+use crate::link::{RemoteReceiver, RemoteSender};
 use bsim_engine::{TickModel, TokenChannel, TokenLink, Wire};
 use bsim_resilience::snapshot::{field, CkptError, Snapshot};
 use serde::Value;
@@ -128,13 +125,6 @@ fn chan_capacity(latency: u64, quantum: usize) -> usize {
     latency as usize + quantum + 1
 }
 
-fn ckpt_err(e: CkptError) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("bad partition ckpt: {e:?}"),
-    )
-}
-
 impl<M: TickModel> RankGraph<M> {
     /// Builds a fresh partition. `models` are this rank's models in
     /// [`RankView::local_models`] order; `in_streams`/`out_streams`
@@ -147,56 +137,6 @@ impl<M: TickModel> RankGraph<M> {
         quantum: usize,
         fast_forward: bool,
     ) -> RankGraph<M> {
-        Self::build(
-            models,
-            view,
-            in_streams,
-            out_streams,
-            quantum,
-            fast_forward,
-            None,
-        )
-        .expect("fresh construction performs no IO") // bsim: allow(AU002) invariant stated in the message
-    }
-
-    /// Rebuilds a partition from a [`RankCkpt`] on fresh streams,
-    /// re-sending each out-link's replay tail.
-    pub fn resume(
-        ckpt: &RankCkpt,
-        view: &RankView,
-        in_streams: Vec<Box<dyn Read + Send>>,
-        out_streams: Vec<Box<dyn Write + Send>>,
-        quantum: usize,
-        fast_forward: bool,
-    ) -> io::Result<RankGraph<M>>
-    where
-        M: Snapshot,
-    {
-        let models = ckpt
-            .models
-            .iter()
-            .map(|v| M::restore(v).map_err(ckpt_err))
-            .collect::<io::Result<Vec<M>>>()?;
-        Self::build(
-            models,
-            view,
-            in_streams,
-            out_streams,
-            quantum,
-            fast_forward,
-            Some(ckpt),
-        )
-    }
-
-    fn build(
-        models: Vec<M>,
-        view: &RankView,
-        in_streams: Vec<Box<dyn Read + Send>>,
-        out_streams: Vec<Box<dyn Write + Send>>,
-        quantum: usize,
-        fast_forward: bool,
-        ckpt: Option<&RankCkpt>,
-    ) -> io::Result<RankGraph<M>> {
         assert!(quantum >= 1, "a quantum of zero advances nothing");
         assert_eq!(models.len(), view.local_models.len(), "one model per slot");
         assert_eq!(in_streams.len(), view.ins.len(), "one stream per in-link");
@@ -205,8 +145,6 @@ impl<M: TickModel> RankGraph<M> {
             view.outs.len(),
             "one stream per out-link"
         );
-        let cycle = ckpt.map_or(0, |c| c.cycle);
-
         let mut in_ports: Vec<Vec<Option<Port>>> =
             models.iter().map(|m| vec![None; m.num_inputs()]).collect();
         let mut out_ports: Vec<Vec<Option<Port>>> =
@@ -226,21 +164,11 @@ impl<M: TickModel> RankGraph<M> {
                 w.latency >= 1,
                 "a zero-latency wire cannot decouple endpoints"
             );
-            let cap = chan_capacity(w.latency, quantum);
-            let chan = match ckpt {
-                Some(c) => {
-                    let (push, pop, tokens) = c.chans[i].clone();
-                    TokenChannel::restore(cap, push, pop, tokens)
-                }
-                None => {
-                    let mut chan = TokenChannel::new(cap);
-                    for at in 0..w.latency {
-                        // bsim: allow(AU002) invariant stated in the message
-                        chan.push(at, 0).expect("reset window fits fresh capacity");
-                    }
-                    chan
-                }
-            };
+            let mut chan = TokenChannel::new(chan_capacity(w.latency, quantum));
+            for at in 0..w.latency {
+                // bsim: allow(AU002) invariant stated in the message
+                chan.push(at, 0).expect("reset window fits fresh capacity");
+            }
             chans.push(chan);
             claim(&mut out_ports, w.from_model, w.from_port, Port::Local(i));
             claim(&mut in_ports, w.to_model, w.to_port, Port::Local(i));
@@ -252,11 +180,7 @@ impl<M: TickModel> RankGraph<M> {
                 cut.latency >= 1,
                 "a zero-latency cut wire cannot cross a socket"
             );
-            let rx = match ckpt {
-                Some(c) => RemoteReceiver::resume(stream, cut.latency, c.cycle),
-                None => RemoteReceiver::new(stream, cut.latency),
-            };
-            rxs.push(rx);
+            rxs.push(RemoteReceiver::new(stream, cut.latency));
             claim(&mut in_ports, cut.model, cut.port, Port::Remote(i));
         }
 
@@ -266,11 +190,7 @@ impl<M: TickModel> RankGraph<M> {
                 cut.latency >= 1,
                 "a zero-latency cut wire cannot cross a socket"
             );
-            let tx = match ckpt {
-                Some(c) => RemoteSender::resume(stream, cut.latency, quantum, &c.outs[i])?,
-                None => RemoteSender::new(stream, cut.latency, quantum),
-            };
-            txs.push(tx);
+            txs.push(RemoteSender::new(stream, cut.latency, quantum));
             claim(&mut out_ports, cut.model, cut.port, Port::Remote(i));
         }
 
@@ -294,20 +214,20 @@ impl<M: TickModel> RankGraph<M> {
 
         let scratch_in = vec![0; models.iter().map(M::num_inputs).max().unwrap_or(0)];
         let scratch_out = vec![0; models.iter().map(M::num_outputs).max().unwrap_or(0)];
-        Ok(RankGraph {
+        RankGraph {
             models,
             in_ports,
             out_ports,
             chans,
             rxs,
             txs,
-            cycle,
+            cycle: 0,
             quantum,
             fast_forward,
-            skipped: ckpt.map_or(0, |c| c.skipped),
+            skipped: 0,
             scratch_in,
             scratch_out,
-        })
+        }
     }
 
     /// Current target cycle (cycles fully executed).
@@ -465,100 +385,6 @@ impl<M: TickModel> RankGraph<M> {
             }
         }
         self.flush_all()
-    }
-
-    /// Captures the partition checkpoint at the current boundary
-    /// (flushing first, so the checkpoint never contains unsent
-    /// tokens).
-    pub fn checkpoint(&mut self) -> io::Result<RankCkpt>
-    where
-        M: Snapshot,
-    {
-        self.flush_all()?;
-        Ok(RankCkpt {
-            cycle: self.cycle,
-            models: self.models.iter().map(Snapshot::save).collect(),
-            chans: self.chans.iter().map(TokenChannel::snapshot).collect(),
-            outs: self.txs.iter().map(RemoteSender::ckpt).collect(),
-            skipped: self.skipped,
-        })
-    }
-}
-
-/// A partition checkpoint: everything one rank needs to resume at a
-/// segment boundary on fresh sockets. In-links need no state beyond
-/// the boundary cycle — the peer's replay tail reconstructs the
-/// in-flight window.
-#[derive(Clone, Debug)]
-pub struct RankCkpt {
-    pub cycle: u64,
-    pub models: Vec<Value>,
-    pub chans: Vec<(u64, u64, Vec<u64>)>,
-    pub outs: Vec<SenderCkpt>,
-    pub skipped: u64,
-}
-
-impl Snapshot for RankCkpt {
-    fn save(&self) -> Value {
-        let chans = self
-            .chans
-            .iter()
-            .map(|(push, pop, tokens)| {
-                Value::Map(vec![
-                    ("push".into(), Value::U64(*push)),
-                    ("pop".into(), Value::U64(*pop)),
-                    (
-                        "tokens".into(),
-                        Value::Seq(tokens.iter().map(|&t| Value::U64(t)).collect()),
-                    ),
-                ])
-            })
-            .collect();
-        Value::Map(vec![
-            ("cycle".into(), Value::U64(self.cycle)),
-            ("models".into(), Value::Seq(self.models.clone())),
-            ("chans".into(), Value::Seq(chans)),
-            (
-                "outs".into(),
-                Value::Seq(self.outs.iter().map(Snapshot::save).collect()),
-            ),
-            ("skipped".into(), Value::U64(self.skipped)),
-        ])
-    }
-
-    fn restore(value: &Value) -> Result<RankCkpt, CkptError> {
-        let shape = |expected| CkptError::WrongType {
-            field: String::new(),
-            expected,
-        };
-        let chans = field(value, "chans")?
-            .as_seq()
-            .ok_or_else(|| shape("seq"))?
-            .iter()
-            .map(|c| {
-                Ok((
-                    u64::restore(field(c, "push")?)?,
-                    u64::restore(field(c, "pop")?)?,
-                    Vec::<u64>::restore(field(c, "tokens")?)?,
-                ))
-            })
-            .collect::<Result<Vec<_>, CkptError>>()?;
-        let outs = field(value, "outs")?
-            .as_seq()
-            .ok_or_else(|| shape("seq"))?
-            .iter()
-            .map(SenderCkpt::restore)
-            .collect::<Result<Vec<_>, CkptError>>()?;
-        Ok(RankCkpt {
-            cycle: u64::restore(field(value, "cycle")?)?,
-            models: field(value, "models")?
-                .as_seq()
-                .ok_or_else(|| shape("seq"))?
-                .to_vec(),
-            chans,
-            outs,
-            skipped: u64::restore(field(value, "skipped")?)?,
-        })
     }
 }
 
@@ -742,89 +568,40 @@ mod tests {
 
     /// Runs the 2-rank partition with the given schedule and returns
     /// `(global fingerprint, total skipped cycles)`. `segments` is the
-    /// list of target-cycle boundaries each rank runs to in turn; when
-    /// `restart_at_boundary` is set, the graphs are checkpointed, torn
-    /// down, and resumed on fresh sockets between segments.
-    fn partitioned_fingerprint(
-        fast_forward: bool,
-        segments: &[u64],
-        restart_at_boundary: bool,
-    ) -> (String, u64) {
+    /// list of target-cycle boundaries each rank runs to in turn.
+    fn partitioned_fingerprint(fast_forward: bool, segments: &[u64]) -> (String, u64) {
         let (models, wires) = demo_ring(RING, SEED, LATENCY);
         let assignment = [0usize, 0, 1, 1];
         let views = [
             rank_view(&assignment, &wires, 0),
             rank_view(&assignment, &wires, 1),
         ];
-        let mut ckpts: [Option<RankCkpt>; 2] = [None, None];
-        let mut finals: [Vec<DemoNode>; 2] = [Vec::new(), Vec::new()];
-        let mut skipped = 0;
-
-        let mut graphs: Vec<Option<RankGraph<DemoNode>>> = {
-            let [s0, s1] = two_rank_sockets(&views);
-            let mut streams = [s0, s1];
-            views
-                .iter()
-                .enumerate()
-                .map(|(rank, view)| {
-                    let (ins, outs) = std::mem::take(&mut streams[rank]);
-                    let local: Vec<DemoNode> = view
-                        .local_models
-                        .iter()
-                        .map(|&g| models[g].clone())
-                        .collect();
-                    Some(RankGraph::new(
-                        local,
-                        view,
-                        ins,
-                        outs,
-                        QUANTUM,
-                        fast_forward,
-                    ))
-                })
-                .collect()
-        };
-
-        for (seg, &to) in segments.iter().enumerate() {
-            let last = seg + 1 == segments.len();
-            let handles: Vec<_> = graphs
-                .drain(..)
-                .map(|g| {
-                    let mut g = g.expect("graph present");
-                    std::thread::spawn(move || {
+        let [s0, s1] = two_rank_sockets(&views);
+        let handles: Vec<_> = views
+            .iter()
+            .zip([s0, s1])
+            .map(|(view, (ins, outs))| {
+                let local: Vec<DemoNode> = view
+                    .local_models
+                    .iter()
+                    .map(|&g| models[g].clone())
+                    .collect();
+                let mut g = RankGraph::new(local, view, ins, outs, QUANTUM, fast_forward);
+                let segments = segments.to_vec();
+                std::thread::spawn(move || {
+                    for to in segments {
                         g.run(to).expect("segment runs");
-                        let ckpt = g.checkpoint().expect("boundary checkpoint");
-                        (g, ckpt)
-                    })
+                    }
+                    g
                 })
-                .collect();
-            for (rank, h) in handles.into_iter().enumerate() {
-                let (g, ckpt) = h.join().expect("rank thread");
-                skipped += if last { g.skipped() } else { 0 };
-                if last {
-                    finals[rank] = g.models().to_vec();
-                }
-                ckpts[rank] = Some(ckpt);
-                graphs.push(Some(g));
-            }
-            if restart_at_boundary && !last {
-                // Process loss: drop the live graphs (closing every
-                // socket) and resume both ranks from their checkpoints,
-                // round-tripped through the Value tree like the real
-                // launcher's store does.
-                graphs.clear();
-                let [s0, s1] = two_rank_sockets(&views);
-                let mut streams = [s0, s1];
-                for (rank, view) in views.iter().enumerate() {
-                    let tree = ckpts[rank].as_ref().expect("ckpt taken").save();
-                    let ckpt = RankCkpt::restore(&tree).expect("ckpt tree roundtrips");
-                    let (ins, outs) = std::mem::take(&mut streams[rank]);
-                    graphs.push(Some(
-                        RankGraph::resume(&ckpt, view, ins, outs, QUANTUM, fast_forward)
-                            .expect("resume replays tails"),
-                    ));
-                }
-            }
+            })
+            .collect();
+        let mut finals: Vec<Vec<DemoNode>> = Vec::new();
+        let mut skipped = 0;
+        for h in handles {
+            let g = h.join().expect("rank thread");
+            skipped += g.skipped();
+            finals.push(g.models().to_vec());
         }
 
         let mut all: Vec<DemoNode> = Vec::new();
@@ -842,14 +619,14 @@ mod tests {
     #[test]
     fn partitioned_ring_matches_the_in_process_harness() {
         let reference = reference_fingerprint();
-        let (plain, _) = partitioned_fingerprint(false, &[CYCLES], false);
+        let (plain, _) = partitioned_fingerprint(false, &[CYCLES]);
         assert_eq!(plain, reference, "2-rank schedule is bit-identical");
     }
 
     #[test]
     fn quiescence_fast_forward_crosses_the_wire_bit_identically() {
         let reference = reference_fingerprint();
-        let (ffed, skipped) = partitioned_fingerprint(true, &[CYCLES], false);
+        let (ffed, skipped) = partitioned_fingerprint(true, &[CYCLES]);
         assert_eq!(ffed, reference, "fast-forward changes host work, not state");
         assert!(
             skipped > CYCLES / 4,
@@ -858,15 +635,9 @@ mod tests {
     }
 
     #[test]
-    fn partition_checkpoint_restart_is_bit_identical() {
-        let reference = reference_fingerprint();
-        let (segmented, _) = partitioned_fingerprint(true, &[250, CYCLES], false);
-        assert_eq!(segmented, reference, "a mid-run boundary is invisible");
-        let (restarted, _) = partitioned_fingerprint(true, &[250, CYCLES], true);
-        assert_eq!(
-            restarted, reference,
-            "kill-and-resume on fresh sockets is invisible too"
-        );
+    fn a_mid_run_boundary_is_invisible() {
+        let (segmented, _) = partitioned_fingerprint(true, &[250, CYCLES]);
+        assert_eq!(segmented, reference_fingerprint());
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //!   fast-forward works *across the wire*,
 //! * [`graph`] — a per-rank lockstep driver for a partitioned model
 //!   graph, bit-identical to the in-process [`bsim_engine::Harness`],
-//!   with partition checkpoints for restart-after-loss,
 //! * [`cells`] — [`cells::WireCell`], the serializable unit of sweep
 //!   work: what a worker process executes and what `bsim-svc` schedules
 //!   in-process,

@@ -22,19 +22,9 @@
 //! * **Channel-absolute cycles.** Every frame names the cycle its first
 //!   token belongs to and the receiver verifies it against its own
 //!   cursor — host-timing races cannot silently reorder target time.
-//!
-//! Checkpoint/restore follows the token-protocol algebra: at a segment
-//! boundary `S` (consumer cycles consumed = `S`), the unconsumed window
-//! is exactly the channel cycles `[S, S+L)` for a latency-`L` link —
-//! the remaining original reset tokens (if `S < L`) plus the producer's
-//! last `min(S, L)` pushes. So a [`SenderCkpt`] is just the push cursor
-//! and that replay tail, a receiver checkpoint is just `S`, and
-//! [`RemoteSender::resume`] re-sends the tail on the fresh connection.
 
 use crate::frame::{read_frame, write_frame, Frame};
 use bsim_engine::{ChannelError, TokenLink};
-use bsim_resilience::snapshot::{field, CkptError, Snapshot};
-use serde::Value;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
@@ -58,10 +48,6 @@ pub struct RemoteSender<W: Write> {
     /// Cycles currently buffered in `outbox`.
     unflushed: u64,
     quantum: usize,
-    /// Last `tail_cap` tokens pushed — the replay window a restarted
-    /// consumer needs.
-    tail: VecDeque<u64>,
-    tail_cap: usize,
 }
 
 impl<W: Write> RemoteSender<W> {
@@ -77,45 +63,7 @@ impl<W: Write> RemoteSender<W> {
             outbox: VecDeque::new(),
             unflushed: 0,
             quantum,
-            tail: VecDeque::new(),
-            tail_cap: reset as usize,
         }
-    }
-
-    /// Rebuilds the producer half on a fresh connection after a process
-    /// loss, re-sending the checkpoint's replay tail (the tokens the
-    /// restarted consumer has not consumed yet).
-    pub fn resume(
-        w: W,
-        reset: u64,
-        quantum: usize,
-        ckpt: &SenderCkpt,
-    ) -> io::Result<RemoteSender<W>> {
-        let mut tx = RemoteSender::new(w, reset, quantum);
-        tx.next_cycle = ckpt.next_cycle;
-        tx.outbox_start = ckpt.next_cycle;
-        tx.tail = ckpt.tail.iter().copied().collect();
-        if !ckpt.tail.is_empty() {
-            write_frame(
-                &mut tx.w,
-                &Frame::Data {
-                    start: ckpt.next_cycle - ckpt.tail.len() as u64,
-                    tokens: ckpt.tail.clone(),
-                },
-            )?;
-            tx.w.flush()?;
-        }
-        Ok(tx)
-    }
-
-    fn remember(&mut self, token: u64) {
-        if self.tail_cap == 0 {
-            return;
-        }
-        if self.tail.len() == self.tail_cap {
-            self.tail.pop_front();
-        }
-        self.tail.push_back(token);
     }
 
     /// True once a quantum's worth of cycles is buffered — the driver's
@@ -155,20 +103,6 @@ impl<W: Write> RemoteSender<W> {
         debug_assert_eq!(at, self.next_cycle);
         self.w.flush()
     }
-
-    /// Captures the producer-side checkpoint. The outbox must be
-    /// flushed first — a checkpoint of unsent tokens would be a
-    /// checkpoint of a state the consumer can never reach.
-    pub fn ckpt(&self) -> SenderCkpt {
-        assert!(
-            self.outbox.is_empty(),
-            "flush the sender before checkpointing it"
-        );
-        SenderCkpt {
-            next_cycle: self.next_cycle,
-            tail: self.tail.iter().copied().collect(),
-        }
-    }
 }
 
 impl<W: Write> TokenLink<u64> for RemoteSender<W> {
@@ -183,9 +117,6 @@ impl<W: Write> TokenLink<u64> for RemoteSender<W> {
             match self.outbox.back_mut() {
                 Some(Seg::Lit(lit)) => lit.extend_from_slice(tokens),
                 _ => self.outbox.push_back(Seg::Lit(tokens.to_vec())),
-            }
-            for &t in tokens {
-                self.remember(t);
             }
             self.next_cycle += tokens.len() as u64;
             self.unflushed += tokens.len() as u64;
@@ -208,14 +139,6 @@ impl<W: Write> TokenLink<u64> for RemoteSender<W> {
         }
         self.next_cycle += n;
         self.unflushed += n;
-        if n as usize >= self.tail_cap {
-            self.tail.clear();
-            self.tail.extend(std::iter::repeat_n(fill, self.tail_cap));
-        } else {
-            for _ in 0..n {
-                self.remember(fill);
-            }
-        }
     }
 
     /// On the producer half the "consumer" is the stream: the next
@@ -230,33 +153,6 @@ impl<W: Write> TokenLink<u64> for RemoteSender<W> {
 
     fn buffered(&self) -> usize {
         self.unflushed.min(usize::MAX as u64) as usize
-    }
-}
-
-/// The producer-side partition checkpoint: push cursor plus the replay
-/// tail a restarted consumer must be re-sent.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SenderCkpt {
-    pub next_cycle: u64,
-    pub tail: Vec<u64>,
-}
-
-impl Snapshot for SenderCkpt {
-    fn save(&self) -> Value {
-        Value::Map(vec![
-            ("next_cycle".into(), Value::U64(self.next_cycle)),
-            (
-                "tail".into(),
-                Value::Seq(self.tail.iter().map(|&t| Value::U64(t)).collect()),
-            ),
-        ])
-    }
-
-    fn restore(value: &Value) -> Result<SenderCkpt, CkptError> {
-        Ok(SenderCkpt {
-            next_cycle: u64::restore(field(value, "next_cycle")?)?,
-            tail: Vec::<u64>::restore(field(value, "tail")?)?,
-        })
     }
 }
 
@@ -289,18 +185,6 @@ impl<R: Read> RemoteReceiver<R> {
             next_pop: 0,
             produced: reset,
         }
-    }
-
-    /// Rebuilds the consumer half at boundary `consumer_cycle` on a
-    /// fresh connection. Whatever part of the original reset window is
-    /// still unconsumed is re-synthesized locally; everything else in
-    /// the latency window is the producer's replay tail, which
-    /// [`RemoteSender::resume`] re-sends.
-    pub fn resume(r: R, reset: u64, consumer_cycle: u64) -> RemoteReceiver<R> {
-        let mut rx = RemoteReceiver::new(r, reset.saturating_sub(consumer_cycle));
-        rx.next_pop = consumer_cycle;
-        rx.produced = reset.max(consumer_cycle);
-        rx
     }
 
     fn accept(&mut self, token: u64, count: u64) {
@@ -548,67 +432,6 @@ mod tests {
         // An empty receiver reports zero moved, like the channel.
         assert_eq!(rx.pop_batch(3, &mut [0u64]), Ok(0));
         drop(tx);
-    }
-
-    #[test]
-    fn sender_resume_replays_the_unconsumed_tail() {
-        // First life: a latency-2 link, six pushes, consumer reaches
-        // cycle 6 — so tokens for cycles 6 and 7 are in flight when the
-        // "process" dies.
-        let (a, b) = UnixStream::pair().expect("socketpair");
-        let mut tx = RemoteSender::new(a, 2, 4);
-        let mut rx = RemoteReceiver::new(b, 2);
-        tx.push_batch(2, &[101, 102, 103, 104, 105, 106])
-            .expect("in window");
-        tx.flush().expect("socket write");
-        let mut consumed = [0u64; 6];
-        rx.ensure(6).expect("frames arrive");
-        assert_eq!(rx.pop_batch(0, &mut consumed), Ok(6));
-        assert_eq!(consumed[..2], [0, 0]);
-        assert_eq!(consumed[2..], [101, 102, 103, 104]);
-
-        let ckpt = tx.ckpt();
-        assert_eq!(ckpt.next_cycle, 8);
-        assert_eq!(ckpt.tail, vec![105, 106]);
-        let reloaded = SenderCkpt::restore(&ckpt.save()).expect("ckpt tree roundtrips");
-        assert_eq!(reloaded, ckpt);
-
-        // Second life: fresh sockets, both halves resumed at the
-        // boundary. The replay tail covers exactly cycles 6 and 7.
-        let (a2, b2) = UnixStream::pair().expect("socketpair");
-        let mut tx2 = RemoteSender::resume(a2, 2, 4, &reloaded).expect("replay write");
-        let mut rx2 = RemoteReceiver::resume(b2, 2, 6);
-        assert_eq!(rx2.consumer_cycle(), 6);
-        rx2.ensure(2).expect("replay arrives");
-        let mut tail = [0u64; 2];
-        assert_eq!(rx2.pop_batch(6, &mut tail), Ok(2));
-        assert_eq!(tail, [105, 106]);
-        // And the link keeps working normally from there.
-        tx2.push_batch(8, &[107]).expect("cursor resumed");
-        tx2.flush().expect("socket write");
-        rx2.ensure(1).expect("frame arrives");
-        assert_eq!(rx2.pop(8), Ok(107));
-    }
-
-    #[test]
-    fn early_resume_resynthesizes_the_reset_remainder() {
-        // Boundary before the reset window is exhausted: S=1, L=3. The
-        // receiver owes itself cycles [1,3) as zeros; the producer's
-        // tail covers [3, 4).
-        let (a, _b) = UnixStream::pair().expect("socketpair");
-        let mut tx = RemoteSender::new(a, 3, 4);
-        tx.push_batch(3, &[42]).expect("in window");
-        tx.flush().expect("socket write");
-        let ckpt = tx.ckpt();
-        assert_eq!(ckpt.tail, vec![42]);
-
-        let (a2, b2) = UnixStream::pair().expect("socketpair");
-        let _tx2 = RemoteSender::resume(a2, 3, 4, &ckpt).expect("replay write");
-        let mut rx2 = RemoteReceiver::resume(b2, 3, 1);
-        let mut out = [9u64; 3];
-        rx2.ensure(3).expect("zeros are local, tail arrives");
-        assert_eq!(rx2.pop_batch(1, &mut out), Ok(3));
-        assert_eq!(out, [0, 0, 42]);
     }
 
     #[test]

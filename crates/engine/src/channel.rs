@@ -219,52 +219,6 @@ impl<T> TokenChannel<T> {
     pub fn producer_cycle(&self) -> u64 {
         self.next_push_cycle
     }
-
-    /// Captures the channel state for a checkpoint:
-    /// `(next_push_cycle, next_pop_cycle, buffered tokens in order)`.
-    pub fn snapshot(&self) -> (u64, u64, Vec<T>)
-    where
-        T: Clone,
-    {
-        (
-            self.next_push_cycle,
-            self.next_pop_cycle,
-            self.queue.iter().cloned().collect(),
-        )
-    }
-
-    /// Rebuilds a channel from [`TokenChannel::snapshot`] state. The
-    /// capacity is supplied fresh (it is host configuration — channel
-    /// slack — not target state), so a resumed run may use a different
-    /// quantum than the run that wrote the checkpoint.
-    ///
-    /// Panics if the cursors and token count disagree (`push - pop`
-    /// must equal the buffer depth) or the tokens overflow `capacity`:
-    /// such a checkpoint cannot come from a healthy channel.
-    pub fn restore(
-        capacity: usize,
-        next_push_cycle: u64,
-        next_pop_cycle: u64,
-        tokens: Vec<T>,
-    ) -> TokenChannel<T> {
-        assert!(capacity >= 1);
-        assert!(
-            next_push_cycle - next_pop_cycle == tokens.len() as u64,
-            "checkpoint cursors disagree with buffered token count"
-        );
-        assert!(
-            tokens.len() <= capacity,
-            "checkpointed tokens exceed channel capacity"
-        );
-        let mut queue = VecDeque::with_capacity(capacity);
-        queue.extend(tokens);
-        TokenChannel {
-            queue,
-            capacity,
-            next_push_cycle,
-            next_pop_cycle,
-        }
-    }
 }
 
 impl<T: Copy> TokenLink<T> for TokenChannel<T> {
@@ -496,6 +450,15 @@ mod tests {
         assert_eq!(ch.producer_cycle(), 4);
     }
 
+    /// `(next push cycle, next pop cycle, buffered tokens in pop order)`.
+    fn state(ch: &TokenChannel<u64>) -> (u64, u64, Vec<u64>) {
+        (
+            ch.producer_cycle(),
+            ch.consumer_cycle(),
+            ch.buffered_tokens().copied().collect(),
+        )
+    }
+
     #[test]
     fn fast_forward_matches_per_cycle_exchange() {
         // Reference: push/pop zeros one cycle at a time.
@@ -510,7 +473,7 @@ mod tests {
             slow.push(c + 2, 0).unwrap();
         }
         fast.fast_forward(10, 0);
-        assert_eq!(slow.snapshot(), fast.snapshot());
+        assert_eq!(state(&slow), state(&fast));
     }
 
     #[test]
@@ -518,7 +481,7 @@ mod tests {
         let mut ch = TokenChannel::new(2);
         ch.push(0, 7u64).unwrap();
         ch.fast_forward(0, 0);
-        assert_eq!(ch.snapshot(), (1, 0, vec![7]));
+        assert_eq!(state(&ch), (1, 0, vec![7]));
     }
 
     #[test]
@@ -527,28 +490,6 @@ mod tests {
         ch.push_batch(0, &[1u64, 2, 3]).unwrap();
         ch.pop(0).unwrap();
         assert_eq!(ch.buffered_tokens().copied().collect::<Vec<_>>(), [2, 3]);
-    }
-
-    #[test]
-    fn snapshot_restore_preserves_tokens_and_cycles() {
-        let mut ch = TokenChannel::new(4);
-        ch.push_batch(0, &[10u64, 11, 12]).unwrap();
-        ch.pop(0).unwrap();
-        let (push, pop, tokens) = ch.snapshot();
-        assert_eq!((push, pop), (3, 1));
-        assert_eq!(tokens, vec![11, 12]);
-        // Restore into a *larger* capacity: slack is host config.
-        let mut back = TokenChannel::restore(8, push, pop, tokens);
-        assert_eq!(back.pop(1), Ok(11));
-        assert_eq!(back.pop(2), Ok(12));
-        assert_eq!(back.push(3, 13), Ok(()));
-        assert_eq!(back.slack(), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "cursors disagree")]
-    fn restore_rejects_inconsistent_cursors() {
-        let _ = TokenChannel::restore(4, 5, 1, vec![1u64]);
     }
 
     #[test]

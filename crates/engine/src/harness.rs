@@ -21,13 +21,11 @@ use bsim_check::graph::{GraphSpec, ModelSpec, WireSpec};
 use bsim_check::{Diagnostic, Severity};
 use bsim_resilience::fault::{FaultKind, FaultPlan};
 use bsim_resilience::retry::panic_message;
-use bsim_resilience::snapshot::{field, CkptError, Snapshot};
 use bsim_resilience::watchdog::{
     ChannelProgress, SimError, StallReport, ThreadProgress, WatchdogConfig,
 };
 use bsim_telemetry::CounterBlock;
 use parking_lot::Mutex;
-use serde::Value;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -52,7 +50,7 @@ pub trait TickModel: Send {
     ///
     /// The promise is what lets the harness *fast-forward*: it skips the
     /// tick outright and synthesizes the zero tokens as run-length spans
-    /// (see `Harness::set_fast_forward`). A nonzero input token, or
+    /// (see `Harness::with_fast_forward`). A nonzero input token, or
     /// reaching cycle `T`, ends the skip — the model is ticked for real
     /// and asked again. The hint must be a pure function of model state:
     /// it is re-evaluated after every real tick, never during a skip
@@ -247,11 +245,6 @@ impl<M: TickModel> Harness<M> {
     /// Purely a host-side switch: results are bit-identical either way;
     /// only `host.engine.skipped_cycles` / `host.engine.ff_spans` and
     /// the wall clock change.
-    pub fn set_fast_forward(&mut self, on: bool) {
-        self.fast_forward = on;
-    }
-
-    /// Builder-style [`Harness::set_fast_forward`].
     pub fn with_fast_forward(mut self, on: bool) -> Harness<M> {
         self.fast_forward = on;
         self
@@ -290,12 +283,6 @@ impl<M: TickModel> Harness<M> {
             }
             ch
         })
-    }
-
-    fn make_channels(&self, quantum: usize) -> Vec<SharedChannel> {
-        self.reset_channels(quantum)
-            .map(SharedChannel::wrap)
-            .collect()
     }
 
     /// Target-deterministic per-channel counters: token and latency
@@ -427,85 +414,16 @@ impl<M: TickModel> Harness<M> {
     /// consumers (FireSim's channel depth) — and, since the batched
     /// scheduler landed, also the token-exchange batch size: each thread
     /// moves up to `quantum` tokens per lock acquisition.
-    pub fn run_parallel(self, cycles: u64, quantum: usize) -> Vec<M> {
-        self.run_parallel_with_telemetry(cycles, quantum, &mut CounterBlock::new(false))
-    }
-
-    /// [`Harness::run_parallel`] with counters. Target counters
-    /// (`engine.*`) are identical to the sequential schedule's; spin
-    /// counts per channel land under `host.engine.chan.*.stall_spins`
-    /// and the executed batch count under `host.engine.quanta` because
-    /// they depend on the host scheduler.
     ///
     /// If any model panics inside `tick()` (or violates the token
     /// protocol), the poison flag tears the whole harness down and this
     /// method re-raises the first panic payload — it never hangs.
-    pub fn run_parallel_with_telemetry(
-        mut self,
-        cycles: u64,
-        quantum: usize,
-        tel: &mut CounterBlock,
-    ) -> Vec<M> {
-        let quantum = quantum.max(1);
-        let channels = self.make_channels(quantum);
-        let (models, stats) = self
-            .drive_segments(channels, [(0, cycles)], quantum, None, |_, _, _| {})
-            .unwrap_or_else(|failure| failure.unwind());
-        self.publish_target_counters(tel, cycles, &stats.tokens, models.len() as u64);
-        self.publish_host_counters(tel, models.len() as u64, quantum, &stats);
-        models
-    }
-
-    /// The one parallel driver behind every `run_parallel*`,
-    /// [`Harness::run_guarded`] and [`Harness::resume_parallel`]: takes
-    /// the models through consecutive `(from, to)` segments over
-    /// `channels`, calling `at_boundary(cycle, models, channels)`
-    /// between segments (all threads joined, channels quiescent).
-    /// `guard` arms fault injection and the watchdog; without it a
-    /// failure can only be a panic.
-    fn drive_segments(
-        &mut self,
-        channels: Vec<SharedChannel>,
-        segments: impl IntoIterator<Item = (u64, u64)>,
-        quantum: usize,
-        guard: Option<(&FaultPlan, WatchdogConfig)>,
-        mut at_boundary: impl FnMut(u64, &[M], &[SharedChannel]),
-    ) -> Result<(Vec<M>, SpanStats), RunFailure> {
-        let no_faults = FaultPlan::default();
-        let (faults, watchdog) = match guard {
-            Some((faults, watchdog)) => (faults, Some(watchdog)),
-            None => (&no_faults, None),
-        };
-        let channels = Arc::new(channels);
-        let mut models = std::mem::take(&mut self.models);
-        let mut stats = SpanStats::new(self.wires.len());
-        // Allocated once, reused across every segment: the drive loop
-        // performs no steady-state allocations between checkpoints.
-        let mut bufs: Vec<DriveBufs> = models.iter().map(|_| DriveBufs::empty()).collect();
-        let mut segments = segments.into_iter().peekable();
-        while let Some(span) = segments.next() {
-            run_span(
-                &mut models,
-                &self.wires,
-                &channels,
-                span,
-                quantum,
-                self.fast_forward,
-                faults,
-                watchdog,
-                &mut bufs,
-                &mut stats,
-            )?;
-            if segments.peek().is_some() {
-                at_boundary(span.1, &models, &channels);
-            }
+    pub fn run_parallel(mut self, cycles: u64, quantum: usize) -> Vec<M> {
+        match self.run_span(cycles, quantum.max(1), None) {
+            Ok(_) => self.models,
+            Err(RunFailure::Panicked(payload)) => resume_unwind(payload),
+            Err(RunFailure::Stalled(_)) => unreachable!("no watchdog was armed"),
         }
-        #[cfg(debug_assertions)]
-        assert!(
-            bufs.iter().all(|b| b.grows <= 1),
-            "segments must reuse their drive buffers, not regrow them"
-        );
-        Ok((models, stats))
     }
 
     /// [`Harness::run_parallel`] with fault injection and a watchdog:
@@ -517,9 +435,13 @@ impl<M: TickModel> Harness<M> {
     ///
     /// Telemetry: planned fault counts land under
     /// `fault.injected.<kind>`, and `host.resilience.watchdog_trips`
-    /// records whether the watchdog fired. Target counters are only
-    /// published for completed runs (a torn-down run's counters are
-    /// partial and would poison cross-schedule comparisons).
+    /// records whether the watchdog fired. Target counters (`engine.*`)
+    /// are identical to the sequential schedule's and only published
+    /// for completed runs (a torn-down run's counters are partial and
+    /// would poison cross-schedule comparisons); spin counts per channel
+    /// land under `host.engine.chan.*.stall_spins` and the executed
+    /// batch count under `host.engine.quanta` because they depend on
+    /// the host scheduler.
     ///
     /// A model that blocks forever *inside* `tick()` cannot be torn
     /// down — threads cannot be killed — so the watchdog covers stalls
@@ -535,17 +457,23 @@ impl<M: TickModel> Harness<M> {
         tel: &mut CounterBlock,
     ) -> Result<Vec<M>, SimError> {
         let quantum = quantum.max(1);
-        let channels = self.make_channels(quantum);
         for (label, n) in faults.count_by_kind() {
             tel.set_named(&format!("fault.injected.{label}"), n);
         }
-        let guard = Some((faults, watchdog));
-        match self.drive_segments(channels, [(0, cycles)], quantum, guard, |_, _, _| {}) {
-            Ok((models, stats)) => {
+        match self.run_span(cycles, quantum, Some((faults, watchdog))) {
+            Ok(stats) => {
+                let n = self.models.len() as u64;
                 tel.set_named("host.resilience.watchdog_trips", 0);
-                self.publish_target_counters(tel, cycles, &stats.tokens, models.len() as u64);
-                self.publish_host_counters(tel, models.len() as u64, quantum, &stats);
-                Ok(models)
+                self.publish_target_counters(tel, cycles, &stats.tokens, n);
+                tel.set_named("host.engine.threads", n);
+                tel.set_named("host.engine.quantum", quantum as u64);
+                tel.set_named("host.engine.quanta", stats.quanta);
+                tel.set_named("host.engine.skipped_cycles", stats.skipped);
+                tel.set_named("host.engine.ff_spans", stats.ff_spans);
+                for (wi, s) in stats.spins.iter().enumerate() {
+                    tel.set_named(&format!("host.engine.chan.{wi}.stall_spins"), *s);
+                }
+                Ok(self.models)
             }
             Err(RunFailure::Stalled(report)) => {
                 tel.set_named("host.resilience.watchdog_trips", 1);
@@ -560,233 +488,119 @@ impl<M: TickModel> Harness<M> {
         }
     }
 
-    fn publish_host_counters(
-        &self,
-        tel: &mut CounterBlock,
-        nthreads: u64,
-        quantum: usize,
-        stats: &SpanStats,
-    ) {
-        tel.set_named("host.engine.threads", nthreads);
-        tel.set_named("host.engine.quantum", quantum as u64);
-        tel.set_named("host.engine.quanta", stats.quanta);
-        tel.set_named("host.engine.skipped_cycles", stats.skipped);
-        tel.set_named("host.engine.ff_spans", stats.ff_spans);
-        for (wi, s) in stats.spins.iter().enumerate() {
-            tel.set_named(&format!("host.engine.chan.{wi}.stall_spins"), *s);
-        }
-    }
-}
-
-impl<M: TickModel + Snapshot> Harness<M> {
-    /// [`Harness::run_parallel`] with periodic checkpoints: every
-    /// `interval` target cycles the run pauses at a segment boundary and
-    /// `on_ckpt` receives a [`HarnessCkpt`] capturing every model's
-    /// [`Snapshot`] state and every channel's cursors and buffered
-    /// tokens. [`Harness::resume_parallel`] continues such a checkpoint
-    /// to a bit-identical final state.
-    ///
-    /// Segment boundaries are the natural checkpoint instants: the
-    /// batched scheduler never stages tokens past a span end, so when a
-    /// span joins, every channel is quiescent (it holds exactly
-    /// `latency` in-flight tokens) and no thread-local state exists
-    /// outside the models.
-    pub fn run_parallel_checkpointed(
-        mut self,
+    /// The one parallel driver behind [`Harness::run_parallel`] and
+    /// [`Harness::run_guarded`]: every model advances from cycle 0 to
+    /// `cycles` on its own host thread. `guard` arms fault injection
+    /// and the watchdog; without it a failure can only be a panic.
+    fn run_span(
+        &mut self,
         cycles: u64,
         quantum: usize,
-        interval: u64,
-        mut on_ckpt: impl FnMut(&HarnessCkpt),
-    ) -> Vec<M> {
-        let quantum = quantum.max(1);
-        let interval = interval.max(1);
-        let channels = self.make_channels(quantum);
-        let segments = std::iter::successors(Some(0u64), |at| Some(at.saturating_add(interval)))
-            .take_while(|&at| at < cycles)
-            .map(|at| (at, at.saturating_add(interval).min(cycles)));
-        let (models, _) = self
-            .drive_segments(channels, segments, quantum, None, |at, models, channels| {
-                on_ckpt(&snapshot_state(at, models, channels))
-            })
-            .unwrap_or_else(|failure| failure.unwind());
-        models
-    }
+        guard: Option<(&FaultPlan, WatchdogConfig)>,
+    ) -> Result<SpanStats, RunFailure> {
+        let no_faults = FaultPlan::default();
+        let (faults, watchdog) = match guard {
+            Some((faults, watchdog)) => (faults, Some(watchdog)),
+            None => (&no_faults, None),
+        };
+        let wires = &self.wires;
+        let fast_forward = self.fast_forward;
+        let channels: Arc<Vec<SharedChannel>> = Arc::new(
+            self.reset_channels(quantum)
+                .map(SharedChannel::wrap)
+                .collect(),
+        );
+        let mut stats = SpanStats::new(wires.len());
+        let abort = Arc::new(AbortFlag::new());
+        let progress: Arc<Vec<AtomicU64>> =
+            Arc::new(self.models.iter().map(|_| AtomicU64::new(0)).collect());
+        let epoch = Arc::new(AtomicU64::new(0));
+        let done = Arc::new(AtomicBool::new(false));
+        let stall_report: Arc<Mutex<Option<StallReport>>> = Arc::new(Mutex::new(None));
 
-    /// Continues a run from a [`HarnessCkpt`] to `cycles` total target
-    /// cycles. The quantum may differ from the checkpointing run's —
-    /// channel slack is host configuration, not target state — and the
-    /// result is still bit-identical to the uninterrupted run.
-    ///
-    /// The restored models and wiring are re-validated through the same
-    /// `bsim-check` graph analysis as [`Harness::try_new`]; a checkpoint
-    /// that does not fit the wiring comes back as [`CkptError`].
-    pub fn resume_parallel(
-        wires: Vec<Wire>,
-        ckpt: &HarnessCkpt,
-        cycles: u64,
-        quantum: usize,
-    ) -> Result<Vec<M>, CkptError> {
-        let quantum = quantum.max(1);
-        if ckpt.cycle > cycles {
-            return Err(CkptError::Corrupt {
-                detail: format!(
-                    "checkpoint is at cycle {} but the run is only {} cycles",
-                    ckpt.cycle, cycles
-                ),
-            });
-        }
-        if wires.len() != ckpt.channels.len() {
-            return Err(CkptError::Corrupt {
-                detail: format!(
-                    "checkpoint has {} channel(s) but the graph has {} wire(s)",
-                    ckpt.channels.len(),
-                    wires.len()
-                ),
-            });
-        }
-        let models: Vec<M> = ckpt
-            .models
-            .iter()
-            .map(M::restore)
-            .collect::<Result<_, _>>()?;
-        let mut harness = Harness::try_new(models, wires).map_err(|diags| CkptError::Corrupt {
-            detail: format!(
-                "restored models do not fit the wiring: {}",
-                diags
-                    .iter()
-                    .map(|d| d.code.clone())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-        })?;
-        let channels: Vec<SharedChannel> = harness
-            .wires
-            .iter()
-            .zip(&ckpt.channels)
-            .map(|(w, ck)| {
-                if ck.tokens.len() as u64 != w.latency {
-                    return Err(CkptError::Corrupt {
-                        detail: format!(
-                            "channel checkpoint holds {} token(s) on a latency-{} wire",
-                            ck.tokens.len(),
-                            w.latency
-                        ),
-                    });
+        crossbeam::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            for (mi, model) in self.models.iter_mut().enumerate() {
+                let channels = Arc::clone(&channels);
+                let abort = Arc::clone(&abort);
+                let progress = Arc::clone(&progress);
+                let epoch = Arc::clone(&epoch);
+                let (my_in, my_out) = model_wires(wires, mi);
+                let thread_faults = ThreadFaults::for_model(faults, mi, wires, &my_out);
+                handles.push(scope.spawn(move |_| {
+                    // Catch the panic here, not at the scope join: peers
+                    // must see the poison flag while they are still
+                    // spinning, or they would wait on tokens that will
+                    // never arrive.
+                    let driven = catch_unwind(AssertUnwindSafe(|| {
+                        drive_model(
+                            model,
+                            &DriveCtx {
+                                cycles,
+                                quantum,
+                                fast_forward,
+                                channels: &channels,
+                                my_in: &my_in,
+                                my_out: &my_out,
+                                abort: &abort,
+                                faults: &thread_faults,
+                                progress: &progress[mi],
+                                epoch: &epoch,
+                            },
+                        )
+                    }));
+                    match driven {
+                        Ok(Ok(report)) => Some(report),
+                        Ok(Err(Aborted)) => None,
+                        Err(payload) => {
+                            abort.poison(payload);
+                            None
+                        }
+                    }
+                }));
+            }
+            if let Some(cfg) = watchdog {
+                let channels = Arc::clone(&channels);
+                let abort = Arc::clone(&abort);
+                let progress = Arc::clone(&progress);
+                let epoch = Arc::clone(&epoch);
+                let done = Arc::clone(&done);
+                let slot = Arc::clone(&stall_report);
+                scope.spawn(move |_| {
+                    watchdog_loop(
+                        cfg, cycles, &channels, &abort, &progress, &epoch, &done, &slot,
+                    );
+                });
+            }
+            for h in handles {
+                let Ok(outcome) = h.join() else { continue };
+                if let Some(report) = outcome {
+                    for (wi, t, s) in report.chan_counts {
+                        stats.tokens[wi] += t;
+                        stats.spins[wi] += s;
+                    }
+                    stats.quanta += report.batches;
+                    stats.skipped += report.skipped;
+                    stats.ff_spans += report.ff_spans;
                 }
-                Ok(SharedChannel::wrap(TokenChannel::restore(
-                    w.latency as usize + quantum,
-                    ck.next_push,
-                    ck.next_pop,
-                    ck.tokens.clone(),
-                )))
-            })
-            .collect::<Result<_, _>>()?;
-        let (models, _) = harness
-            .drive_segments(
-                channels,
-                [(ckpt.cycle, cycles)],
-                quantum,
-                None,
-                |_, _, _| {},
-            )
-            .unwrap_or_else(|failure| failure.unwind());
-        Ok(models)
-    }
-}
-
-/// A whole-harness checkpoint: the target cycle it was taken at, every
-/// model's [`Snapshot`] tree, and every channel's cursors and in-flight
-/// tokens. Serializes through [`Snapshot`] itself, so it can be stored
-/// in a `bsim_resilience::CkptStore` file.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HarnessCkpt {
-    /// Target cycle at which the snapshot was taken.
-    pub cycle: u64,
-    models: Vec<Value>,
-    channels: Vec<ChannelCkpt>,
-}
-
-#[derive(Clone, Debug, PartialEq)]
-struct ChannelCkpt {
-    next_push: u64,
-    next_pop: u64,
-    tokens: Vec<u64>,
-}
-
-impl Snapshot for HarnessCkpt {
-    fn save(&self) -> Value {
-        Value::Map(vec![
-            ("cycle".to_string(), Value::U64(self.cycle)),
-            ("models".to_string(), Value::Seq(self.models.clone())),
-            (
-                "channels".to_string(),
-                Value::Seq(
-                    self.channels
-                        .iter()
-                        .map(|c| {
-                            Value::Map(vec![
-                                ("push".to_string(), Value::U64(c.next_push)),
-                                ("pop".to_string(), Value::U64(c.next_pop)),
-                                ("tokens".to_string(), c.tokens.save()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn restore(value: &Value) -> Result<HarnessCkpt, CkptError> {
-        let cycle = u64::restore(field(value, "cycle")?)?;
-        let models = field(value, "models")?
-            .as_seq()
-            .ok_or(CkptError::WrongType {
-                field: "models".to_string(),
-                expected: "sequence",
-            })?
-            .to_vec();
-        let channels = field(value, "channels")?
-            .as_seq()
-            .ok_or(CkptError::WrongType {
-                field: "channels".to_string(),
-                expected: "sequence",
-            })?
-            .iter()
-            .map(|c| {
-                Ok(ChannelCkpt {
-                    next_push: u64::restore(field(c, "push")?)?,
-                    next_pop: u64::restore(field(c, "pop")?)?,
-                    tokens: Vec::<u64>::restore(field(c, "tokens")?)?,
-                })
-            })
-            .collect::<Result<_, CkptError>>()?;
-        Ok(HarnessCkpt {
-            cycle,
-            models,
-            channels,
+            }
+            // Model threads are joined; release the watchdog before the
+            // scope waits for it.
+            done.store(true, Ordering::Release);
         })
-    }
-}
+        .expect("model thread panicked"); // bsim: allow(AU002) invariant stated in the message
 
-fn snapshot_state<M: TickModel + Snapshot>(
-    cycle: u64,
-    models: &[M],
-    channels: &[SharedChannel],
-) -> HarnessCkpt {
-    HarnessCkpt {
-        cycle,
-        models: models.iter().map(Snapshot::save).collect(),
-        channels: channels
-            .iter()
-            .map(|sc| {
-                let (next_push, next_pop, tokens) = sc.chan.lock().snapshot();
-                ChannelCkpt {
-                    next_push,
-                    next_pop,
-                    tokens,
-                }
-            })
-            .collect(),
+        if let Some(payload) = abort.take() {
+            if payload.is::<StallMarker>() {
+                let report = stall_report
+                    .lock()
+                    .take()
+                    .expect("watchdog stores its report before poisoning"); // bsim: allow(AU002) invariant stated in the message
+                return Err(RunFailure::Stalled(report));
+            }
+            return Err(RunFailure::Panicked(payload));
+        }
+        Ok(stats)
     }
 }
 
@@ -799,22 +613,12 @@ enum RunFailure {
     Stalled(StallReport),
 }
 
-impl RunFailure {
-    /// For runs that armed no watchdog: re-raises the model's panic.
-    fn unwind(self) -> ! {
-        match self {
-            RunFailure::Panicked(payload) => resume_unwind(payload),
-            RunFailure::Stalled(_) => unreachable!("no watchdog was armed"),
-        }
-    }
-}
-
 /// Poison payload the watchdog uses to distinguish its own teardown
 /// from a real model panic.
 struct StallMarker;
 
 /// Aggregated per-wire token/spin counts, batch totals, and
-/// fast-forward figures for one or more spans.
+/// fast-forward figures of one parallel run.
 struct SpanStats {
     tokens: Vec<u64>,
     spins: Vec<u64>,
@@ -835,66 +639,6 @@ impl SpanStats {
     }
 }
 
-/// One model thread's reusable staging state: input stages, pending
-/// outputs, and the scratch/io buffers `drive_model` works through.
-/// Allocated once per model per *run* and reused across every span, so
-/// a checkpointed or multi-segment run performs no steady-state
-/// allocations in the drive loop (debug builds count `grows` to check).
-struct DriveBufs {
-    staged: Vec<VecDeque<u64>>,
-    pending: Vec<VecDeque<u64>>,
-    scratch: Vec<u64>,
-    inputs: Vec<u64>,
-    outputs: Vec<u64>,
-    /// How many [`DriveBufs::ensure`] calls had to (re)create a buffer.
-    /// Within one run the port counts and quantum are fixed, so only
-    /// the first call may.
-    #[cfg(debug_assertions)]
-    grows: u64,
-}
-
-impl DriveBufs {
-    fn empty() -> DriveBufs {
-        DriveBufs {
-            staged: Vec::new(),
-            pending: Vec::new(),
-            scratch: Vec::new(),
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-            #[cfg(debug_assertions)]
-            grows: 0,
-        }
-    }
-
-    /// Sizes the buffers for a model's port counts and the quantum,
-    /// preserving capacity (and avoiding any allocation) when they
-    /// already fit. Contents are cleared.
-    fn ensure(&mut self, n_in: usize, n_out: usize, quantum: usize) {
-        #[cfg(debug_assertions)]
-        let grows = self.staged.len() < n_in
-            || self.pending.len() < n_out
-            || self.scratch.len() < quantum
-            || self.inputs.len() < n_in
-            || self.outputs.len() < n_out;
-        #[cfg(debug_assertions)]
-        if grows {
-            self.grows += 1;
-        }
-        self.staged.resize_with(n_in, VecDeque::new);
-        self.pending.resize_with(n_out, VecDeque::new);
-        for q in self.staged.iter_mut().chain(self.pending.iter_mut()) {
-            q.clear();
-            q.reserve(quantum);
-        }
-        self.scratch.clear();
-        self.scratch.resize(quantum, 0);
-        self.inputs.clear();
-        self.inputs.resize(n_in, 0);
-        self.outputs.clear();
-        self.outputs.resize(n_out, 0);
-    }
-}
-
 /// `(wire, input port)` of every wire into a model, in wire order.
 type InWires = Vec<(usize, usize)>;
 /// `(wire, output port, latency)` of every wire out of a model.
@@ -912,115 +656,6 @@ fn model_wires(wires: &[Wire], mi: usize) -> (InWires, OutWires) {
             .map(|(wi, w)| (wi, w.from_port, w.latency))
             .collect(),
     )
-}
-
-/// Runs all models from target cycle `span.0` to `span.1` on one host
-/// thread each, with optional fault injection and watchdog. The shared
-/// core of every parallel entry point.
-#[allow(clippy::too_many_arguments)]
-fn run_span<M: TickModel>(
-    models: &mut [M],
-    wires: &[Wire],
-    channels: &Arc<Vec<SharedChannel>>,
-    span: (u64, u64),
-    quantum: usize,
-    fast_forward: bool,
-    faults: &FaultPlan,
-    watchdog: Option<WatchdogConfig>,
-    bufs: &mut [DriveBufs],
-    stats: &mut SpanStats,
-) -> Result<(), RunFailure> {
-    let (from, to) = span;
-    let abort = Arc::new(AbortFlag::new());
-    let progress: Arc<Vec<AtomicU64>> =
-        Arc::new((0..models.len()).map(|_| AtomicU64::new(from)).collect());
-    let epoch = Arc::new(AtomicU64::new(0));
-    let done = Arc::new(AtomicBool::new(false));
-    let stall_report: Arc<Mutex<Option<StallReport>>> = Arc::new(Mutex::new(None));
-
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (mi, (model, buf)) in models.iter_mut().zip(bufs.iter_mut()).enumerate() {
-            let channels = Arc::clone(channels);
-            let abort = Arc::clone(&abort);
-            let progress = Arc::clone(&progress);
-            let epoch = Arc::clone(&epoch);
-            let (my_in, my_out) = model_wires(wires, mi);
-            let thread_faults = ThreadFaults::for_model(faults, mi, wires, &my_out);
-            handles.push(scope.spawn(move |_| {
-                // Catch the panic here, not at the scope join: peers
-                // must see the poison flag while they are still
-                // spinning, or they would wait on tokens that will
-                // never arrive.
-                let driven = catch_unwind(AssertUnwindSafe(|| {
-                    drive_model(
-                        model,
-                        buf,
-                        &DriveCtx {
-                            from,
-                            to,
-                            quantum,
-                            fast_forward,
-                            channels: &channels,
-                            my_in: &my_in,
-                            my_out: &my_out,
-                            abort: &abort,
-                            faults: &thread_faults,
-                            progress: &progress[mi],
-                            epoch: &epoch,
-                        },
-                    )
-                }));
-                match driven {
-                    Ok(Ok(report)) => Some(report),
-                    Ok(Err(Aborted)) => None,
-                    Err(payload) => {
-                        abort.poison(payload);
-                        None
-                    }
-                }
-            }));
-        }
-        if let Some(cfg) = watchdog {
-            let channels = Arc::clone(channels);
-            let abort = Arc::clone(&abort);
-            let progress = Arc::clone(&progress);
-            let epoch = Arc::clone(&epoch);
-            let done = Arc::clone(&done);
-            let slot = Arc::clone(&stall_report);
-            scope.spawn(move |_| {
-                watchdog_loop(cfg, to, &channels, &abort, &progress, &epoch, &done, &slot);
-            });
-        }
-        for h in handles {
-            let Ok(outcome) = h.join() else { continue };
-            if let Some(report) = outcome {
-                for (wi, t, s) in report.chan_counts {
-                    stats.tokens[wi] += t;
-                    stats.spins[wi] += s;
-                }
-                stats.quanta += report.batches;
-                stats.skipped += report.skipped;
-                stats.ff_spans += report.ff_spans;
-            }
-        }
-        // Model threads are joined; release the watchdog before the
-        // scope waits for it.
-        done.store(true, Ordering::Release);
-    })
-    .expect("model thread panicked"); // bsim: allow(AU002) invariant stated in the message
-
-    if let Some(payload) = abort.take() {
-        if payload.is::<StallMarker>() {
-            let report = stall_report
-                .lock()
-                .take()
-                .expect("watchdog stores its report before poisoning"); // bsim: allow(AU002) invariant stated in the message
-            return Err(RunFailure::Stalled(report));
-        }
-        return Err(RunFailure::Panicked(payload));
-    }
-    Ok(())
 }
 
 /// Samples the shared progress epoch; when it stays unchanged for a
@@ -1160,8 +795,7 @@ impl ThreadFaults {
 /// Everything a model thread's driver loop needs besides the model.
 #[derive(Clone, Copy)]
 struct DriveCtx<'a> {
-    from: u64,
-    to: u64,
+    cycles: u64,
     quantum: usize,
     fast_forward: bool,
     channels: &'a [SharedChannel],
@@ -1187,9 +821,7 @@ fn flush_pending(
             continue;
         }
         // The reset tokens occupy cycles 0..latency, so the push cursor
-        // for the k-th model output is latency + k (`out_pushed` counts
-        // every output the model produced, including pre-checkpoint
-        // segments).
+        // for the k-th model output is latency + k.
         let start = latency + out_pushed[oi];
         let buf = pending[oi].make_contiguous();
         let n = match channels[wi].chan.lock().push_batch(start, buf) {
@@ -1207,8 +839,8 @@ fn flush_pending(
     moved
 }
 
-/// One host thread's schedule: advance `model` from `ctx.from` to
-/// `ctx.to`, exchanging tokens in batches of up to `quantum` per lock
+/// One host thread's schedule: advance `model` from cycle 0 to
+/// `ctx.cycles`, exchanging tokens in batches of up to `quantum` per lock
 /// acquisition. Input tokens are staged locally (popping ahead of
 /// consumption is safe — tokens arrive in cycle order and each will be
 /// consumed), outputs are drained through [`flush_pending`]. Stall
@@ -1223,14 +855,9 @@ fn flush_pending(
 /// the fault cycle executes as a real tick. Tokens still flow every
 /// cycle, so the channel protocol (and thus bit-identical results and
 /// schedule-invariant `engine.*` counters) is untouched.
-fn drive_model<M: TickModel>(
-    model: &mut M,
-    bufs: &mut DriveBufs,
-    ctx: &DriveCtx<'_>,
-) -> Result<ThreadReport, Aborted> {
+fn drive_model<M: TickModel>(model: &mut M, ctx: &DriveCtx<'_>) -> Result<ThreadReport, Aborted> {
     let DriveCtx {
-        from,
-        to,
+        cycles,
         quantum,
         fast_forward,
         channels,
@@ -1244,35 +871,25 @@ fn drive_model<M: TickModel>(
     if faults.start_delay_micros > 0 {
         std::thread::sleep(Duration::from_micros(faults.start_delay_micros));
     }
-    bufs.ensure(my_in.len(), my_out.len(), quantum);
-    let DriveBufs {
-        staged,
-        pending,
-        scratch,
-        inputs,
-        outputs,
-        ..
-    } = bufs;
-    // Tokens this model has produced so far: one per tick cycle, so a
-    // resumed span starts at `from` per output.
-    let mut out_pushed = vec![from; my_out.len()];
+    // Staging state, sized once: input stages, pending outputs, and the
+    // scratch/io buffers, so the loop below allocates nothing.
+    let stage = |n: usize| -> Vec<VecDeque<u64>> {
+        (0..n).map(|_| VecDeque::with_capacity(quantum)).collect()
+    };
+    let (mut staged, mut pending) = (stage(my_in.len()), stage(my_out.len()));
+    let mut scratch = vec![0u64; quantum];
+    let mut inputs = vec![0u64; model.num_inputs()];
+    let mut outputs = vec![0u64; model.num_outputs()];
+    // Tokens this model has produced so far: one per tick cycle.
+    let mut out_pushed = vec![0u64; my_out.len()];
     let mut chan_counts: Vec<(usize, u64, u64)> = my_in.iter().map(|&(wi, _)| (wi, 0, 0)).collect();
     let out_base = chan_counts.len();
     chan_counts.extend(my_out.iter().map(|&(wi, _, _)| (wi, 0, 0)));
-    // Cursors into the sorted fault schedules: events before `from`
-    // never fire in this span.
-    let mut stall_idx = faults.stalls.partition_point(|&(c, _)| c < from);
-    let mut flip_idx: Vec<usize> = faults
-        .out_faults
-        .iter()
-        .map(|of| of.flips.partition_point(|&(c, _)| c < from))
-        .collect();
-    let mut dup_idx: Vec<usize> = faults
-        .out_faults
-        .iter()
-        .map(|of| of.dups.partition_point(|&c| c < from))
-        .collect();
-    let mut cycle = from;
+    // Cursors into the sorted fault schedules.
+    let mut stall_idx = 0;
+    let mut flip_idx = vec![0usize; faults.out_faults.len()];
+    let mut dup_idx = vec![0usize; faults.out_faults.len()];
+    let mut cycle = 0u64;
     let mut batches = 0u64;
     let mut skipped = 0u64;
     let mut ff_spans = 0u64;
@@ -1286,8 +903,8 @@ fn drive_model<M: TickModel>(
     };
     let mut spin = SpinWait::new();
 
-    while cycle < to {
-        let want = quantum.min((to - cycle) as usize);
+    while cycle < cycles {
+        let want = quantum.min((cycles - cycle) as usize);
         // Refill the input stages up to one batch's worth per channel.
         for (ii, &(wi, _)) in my_in.iter().enumerate() {
             let have = staged[ii].len();
@@ -1320,7 +937,7 @@ fn drive_model<M: TickModel>(
             }
             // Keep our consumers fed while we stall, or two mutually
             // blocked threads could starve each other.
-            flush_pending(channels, my_out, pending, &mut out_pushed);
+            flush_pending(channels, my_out, &mut pending, &mut out_pushed);
             if abort.is_poisoned() {
                 return Err(Aborted);
             }
@@ -1357,7 +974,7 @@ fn drive_model<M: TickModel>(
                     std::thread::sleep(Duration::from_micros(faults.stalls[stall_idx].1));
                     stall_idx += 1;
                 }
-                model.tick(t, inputs, outputs);
+                model.tick(t, &inputs, &mut outputs);
                 if fast_forward {
                     idle_until = model.next_activity().unwrap_or(0);
                 }
@@ -1403,7 +1020,7 @@ fn drive_model<M: TickModel>(
         // channel means its consumer holds a whole capacity of unread
         // tokens, so waiting here cannot deadlock.
         while pending.iter().any(|p| !p.is_empty()) {
-            let moved = flush_pending(channels, my_out, pending, &mut out_pushed);
+            let moved = flush_pending(channels, my_out, &mut pending, &mut out_pushed);
             if moved == 0 {
                 for (oi, p) in pending.iter().enumerate() {
                     if !p.is_empty() {
@@ -1460,6 +1077,24 @@ mod tests {
                 .wrapping_add(inputs[0] ^ cycle ^ self.seed);
             outputs[0] = self.state >> 17;
         }
+    }
+
+    /// The parallel schedule with counters: a guarded run under an
+    /// empty fault plan.
+    fn run_parallel_counted<M: TickModel>(
+        h: Harness<M>,
+        cycles: u64,
+        quantum: usize,
+        tel: &mut CounterBlock,
+    ) -> Vec<M> {
+        h.run_guarded(
+            cycles,
+            quantum,
+            &FaultPlan::default(),
+            WatchdogConfig::default(),
+            tel,
+        )
+        .expect("a clean run completes")
     }
 
     fn ring(n: usize, latency: u64) -> (Vec<Mixer>, Vec<Wire>) {
@@ -1532,7 +1167,7 @@ mod tests {
         let mut seq_tel = CounterBlock::new(true);
         let mut par_tel = CounterBlock::new(true);
         let seq = Harness::new(m1, w1).run_with_telemetry(800, &mut seq_tel);
-        let par = Harness::new(m2, w2).run_parallel_with_telemetry(800, 16, &mut par_tel);
+        let par = run_parallel_counted(Harness::new(m2, w2), 800, 16, &mut par_tel);
         assert_eq!(
             seq.iter().map(|m| m.state).collect::<Vec<_>>(),
             par.iter().map(|m| m.state).collect::<Vec<_>>()
@@ -1638,7 +1273,7 @@ mod tests {
         // quantum 8 > latency 4: batches are latency-bound at 4 cycles.
         let (m, w) = self_ring();
         let mut tel = CounterBlock::new(true);
-        Harness::new(m, w).run_parallel_with_telemetry(100, 8, &mut tel);
+        run_parallel_counted(Harness::new(m, w), 100, 8, &mut tel);
         assert_eq!(
             tel.get("host.engine.quanta"),
             Some(25),
@@ -1647,7 +1282,7 @@ mod tests {
         // quantum 2 < latency 4: batches are quantum-bound at 2 cycles.
         let (m, w) = self_ring();
         let mut tel = CounterBlock::new(true);
-        Harness::new(m, w).run_parallel_with_telemetry(100, 2, &mut tel);
+        run_parallel_counted(Harness::new(m, w), 100, 2, &mut tel);
         assert_eq!(
             tel.get("host.engine.quanta"),
             Some(50),
@@ -1724,21 +1359,6 @@ mod tests {
     }
 
     use bsim_resilience::fault::FaultTarget;
-
-    impl Snapshot for Mixer {
-        fn save(&self) -> Value {
-            Value::Map(vec![
-                ("state".to_string(), Value::U64(self.state)),
-                ("seed".to_string(), Value::U64(self.seed)),
-            ])
-        }
-        fn restore(value: &Value) -> Result<Mixer, CkptError> {
-            Ok(Mixer {
-                state: u64::restore(field(value, "state")?)?,
-                seed: u64::restore(field(value, "seed")?)?,
-            })
-        }
-    }
 
     fn states(models: &[Mixer]) -> Vec<u64> {
         models.iter().map(|m| m.state).collect()
@@ -1888,41 +1508,6 @@ mod tests {
         assert_eq!(tel.get("host.resilience.watchdog_trips"), Some(0));
     }
 
-    #[test]
-    fn checkpoint_resume_is_bit_identical_across_quanta() {
-        let (m1, w1) = ring(4, 2);
-        let (m2, w2) = ring(4, 2);
-        let uninterrupted = Harness::new(m1, w1).run_parallel(1000, 8);
-        let mut ckpts: Vec<HarnessCkpt> = Vec::new();
-        let final_models =
-            Harness::new(m2, w2.clone())
-                .run_parallel_checkpointed(1000, 8, 300, |c| ckpts.push(c.clone()));
-        assert_eq!(
-            states(&uninterrupted),
-            states(&final_models),
-            "checkpointing itself must not perturb the run"
-        );
-        assert_eq!(
-            ckpts.iter().map(|c| c.cycle).collect::<Vec<_>>(),
-            vec![300, 600, 900]
-        );
-        for ckpt in &ckpts {
-            // Roundtrip through the serialized form, as a resume would.
-            let reloaded = HarnessCkpt::restore(&ckpt.save()).expect("checkpoint tree roundtrips");
-            assert_eq!(&reloaded, ckpt);
-            // Resume with a *different* quantum: host slack is not
-            // target state, so the result must still be bit-identical.
-            let resumed: Vec<Mixer> =
-                Harness::resume_parallel(w2.clone(), &reloaded, 1000, 3).expect("resume runs");
-            assert_eq!(
-                states(&uninterrupted),
-                states(&resumed),
-                "resume from cycle {} diverged",
-                ckpt.cycle
-            );
-        }
-    }
-
     /// A model with genuine idle time, for the fast-forward tests. A
     /// `Pulse` fires a token every `period` cycles (and silently absorbs
     /// anything it receives); an `Echo` is purely reactive — it mixes a
@@ -2000,37 +1585,6 @@ mod tests {
         }
     }
 
-    impl Snapshot for Burst {
-        fn save(&self) -> Value {
-            match self {
-                Burst::Pulse {
-                    period,
-                    next_pulse,
-                    state,
-                } => Value::Map(vec![
-                    ("period".to_string(), Value::U64(*period)),
-                    ("next_pulse".to_string(), Value::U64(*next_pulse)),
-                    ("state".to_string(), Value::U64(*state)),
-                ]),
-                Burst::Echo { state } => {
-                    Value::Map(vec![("echo_state".to_string(), Value::U64(*state))])
-                }
-            }
-        }
-        fn restore(value: &Value) -> Result<Burst, CkptError> {
-            if let Ok(state) = field(value, "echo_state") {
-                return Ok(Burst::Echo {
-                    state: u64::restore(state)?,
-                });
-            }
-            Ok(Burst::Pulse {
-                period: u64::restore(field(value, "period")?)?,
-                next_pulse: u64::restore(field(value, "next_pulse")?)?,
-                state: u64::restore(field(value, "state")?)?,
-            })
-        }
-    }
-
     /// A mostly-idle ring: one pulse source plus `echoes` reactive hops.
     fn burst_ring(echoes: usize, period: u64, latency: u64) -> (Vec<Burst>, Vec<Wire>) {
         let mut models = vec![Burst::Pulse {
@@ -2097,7 +1651,7 @@ mod tests {
         let (m2, w2) = burst_ring(4, 32, 2);
         let mut tel = CounterBlock::new(true);
         let reference = Harness::new(m1, w1).with_fast_forward(false).run(5_000);
-        let par = Harness::new(m2, w2).run_parallel_with_telemetry(5_000, 16, &mut tel);
+        let par = run_parallel_counted(Harness::new(m2, w2), 5_000, 16, &mut tel);
         assert_eq!(burst_states(&reference), burst_states(&par));
         assert!(
             tel.get("host.engine.skipped_cycles").unwrap() > 0,
@@ -2170,49 +1724,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_forward_checkpoint_resume_is_bit_identical() {
-        let (m1, w1) = burst_ring(3, 48, 2);
-        let (m2, w2) = burst_ring(3, 48, 2);
-        let reference = Harness::new(m1, w1).with_fast_forward(false).run(1_000);
-        let mut ckpts: Vec<HarnessCkpt> = Vec::new();
-        let finished = Harness::new(m2, w2.clone())
-            .run_parallel_checkpointed(1_000, 8, 250, |c| ckpts.push(c.clone()));
-        assert_eq!(burst_states(&reference), burst_states(&finished));
-        for ckpt in &ckpts {
-            let resumed: Vec<Burst> =
-                Harness::resume_parallel(w2.clone(), ckpt, 1_000, 4).expect("resume runs");
-            assert_eq!(
-                burst_states(&reference),
-                burst_states(&resumed),
-                "fast-forward resume from cycle {} diverged",
-                ckpt.cycle
-            );
-        }
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    fn drive_buffers_are_reused_across_segments() {
-        // Each `DriveBufs` counts its own growth events and a debug
-        // build of `run_parallel_checkpointed` asserts on return that no
-        // model's buffers grew after their first `ensure` — so a
-        // 20-segment run returning at all is the check, and it cannot be
-        // disturbed by harness tests running concurrently.
-        let (m, w) = ring(4, 1);
-        let mut ckpts = 0;
-        Harness::new(m, w).run_parallel_checkpointed(2_000, 4, 100, |_| ckpts += 1);
-        assert_eq!(ckpts, 19, "20 segments ran");
-
-        // The count is live: a wider quantum regrows sized buffers.
-        let mut bufs = DriveBufs::empty();
-        bufs.ensure(1, 1, 4);
-        bufs.ensure(1, 1, 4);
-        assert_eq!(bufs.grows, 1);
-        bufs.ensure(1, 1, 8);
-        assert_eq!(bufs.grows, 2);
-    }
-
-    #[test]
     fn schedule_lints_flag_oversized_quantum_and_wasted_hints() {
         let (m, w) = burst_ring(2, 16, 2);
         let h = Harness::new(m, w).with_fast_forward(false);
@@ -2228,23 +1739,5 @@ mod tests {
         let (m, w) = ring(3, 4);
         let report = Harness::new(m, w).with_fast_forward(false).lint_schedule(4);
         assert!(report.is_clean(), "{}", report.render());
-    }
-
-    #[test]
-    fn resume_rejects_mismatched_checkpoints() {
-        let (m, w) = ring(3, 1);
-        let mut ckpts = Vec::new();
-        Harness::new(m, w.clone()).run_parallel_checkpointed(200, 4, 100, |c| {
-            ckpts.push(c.clone());
-        });
-        let ckpt = &ckpts[0];
-        // Fewer wires than channel snapshots.
-        let err = Harness::<Mixer>::resume_parallel(w[..2].to_vec(), ckpt, 200, 4)
-            .expect_err("wire count mismatch");
-        assert!(matches!(err, CkptError::Corrupt { .. }));
-        // Run length behind the checkpoint.
-        let err =
-            Harness::<Mixer>::resume_parallel(w, ckpt, 50, 4).expect_err("cycle horizon behind");
-        assert!(matches!(err, CkptError::Corrupt { .. }));
     }
 }

@@ -27,13 +27,12 @@ pub mod harness;
 pub mod rate;
 
 pub use channel::{ChannelError, TokenChannel, TokenLink};
-pub use harness::{Harness, HarnessCkpt, TickModel, Wire};
+pub use harness::{Harness, TickModel, Wire};
 pub use rate::{SimRate, SimRateMeter};
 
-// Resilience vocabulary the guarded/checkpointed entry points speak, so
-// downstream crates don't need a separate `bsim-resilience` import just
-// to call `run_guarded`.
-pub use bsim_resilience::{FaultKind, FaultPlan, SimError, Snapshot, StallReport, WatchdogConfig};
+// Resilience vocabulary `run_guarded` speaks, so downstream crates
+// don't need a separate `bsim-resilience` import just to call it.
+pub use bsim_resilience::{FaultKind, FaultPlan, SimError, StallReport, WatchdogConfig};
 
 // The counter sink `run_with_telemetry` and friends write into, for the
 // same reason: callers shouldn't need `bsim-telemetry` just to read

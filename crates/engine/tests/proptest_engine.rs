@@ -1,7 +1,7 @@
 //! Property tests for the token engine: host-schedule invisibility over
 //! random model graphs, including the telemetry export.
 
-use bsim_engine::{Harness, TickModel, Wire};
+use bsim_engine::{FaultPlan, Harness, TickModel, WatchdogConfig, Wire};
 use bsim_telemetry::{CounterBlock, Sampler, TelemetrySnapshot, TraceRing};
 use proptest::prelude::*;
 
@@ -116,10 +116,14 @@ proptest! {
         };
         let mut seq = CounterBlock::new(true);
         build().run_with_telemetry(cycles, &mut seq);
-        let mut par1 = CounterBlock::new(true);
-        build().run_parallel_with_telemetry(cycles, 1, &mut par1);
-        let mut parq = CounterBlock::new(true);
-        build().run_parallel_with_telemetry(cycles, quantum, &mut parq);
+        let par = |quantum: usize| {
+            let mut tel = CounterBlock::new(true);
+            build()
+                .run_guarded(cycles, quantum, &FaultPlan::default(), WatchdogConfig::default(), &mut tel)
+                .expect("a clean run completes");
+            tel
+        };
+        let (par1, parq) = (par(1), par(quantum));
         let j = export(&seq);
         prop_assert!(j.contains("engine.cycles"));
         prop_assert_eq!(&j, &export(&par1));

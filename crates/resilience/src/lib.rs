@@ -16,8 +16,8 @@
 //!   [`SimError`] the guarded harness returns instead of hanging, with a
 //!   per-thread/per-channel [`StallReport`] progress snapshot.
 //! * [`snapshot`] — the [`Snapshot`] trait (serde-`Value`-based
-//!   save/restore) models and reports implement so runs can be
-//!   checkpointed.
+//!   save/restore) cell results implement so a [`ResultStore`] can keep
+//!   them and dist workers can ship final model states.
 //! * [`ckpt`] — the versioned on-disk [`CkptStore`] file format.
 //! * [`store`] — [`ResultStore`], the one place a cell's result is kept:
 //!   canonical bytes behind a per-read CRC in a `CkptStore` file, with

@@ -744,7 +744,8 @@ fn render_failure(cells: &[Cell], outcomes: &[CellOutcome<Arc<str>>]) -> String 
         ),
         ("failed_cells".into(), Value::Seq(entries)),
     ]);
-    serde_json::to_string_pretty(&doc).expect("shim renderer is total") // bsim: allow(AU002) invariant stated in the message
+    // bsim: allow(AU002, AU007) invariant stated in the message; a failure document is off the warm path
+    serde_json::to_string_pretty(&doc).expect("shim renderer is total")
 }
 
 fn metrics_json(shared: &Shared) -> String {
@@ -785,7 +786,8 @@ fn metrics_json(shared: &Shared) -> String {
             .map(|(name, v)| (name.to_string(), Value::U64(v)))
             .collect(),
     );
-    serde_json::to_string_pretty(&doc).expect("shim renderer is total") // bsim: allow(AU002) invariant stated in the message
+    // bsim: allow(AU002, AU007) invariant stated in the message; `/metrics` is off the warm path
+    serde_json::to_string_pretty(&doc).expect("shim renderer is total")
 }
 
 fn respond(stream: &mut TcpStream, status: u16, reason: &str, body: &str) {
@@ -879,17 +881,27 @@ fn handle(shared: &Arc<Shared>, mut stream: TcpStream) {
     };
     let req = match proto::read_request(&mut BufReader::new(peer)) {
         Ok(r) => r,
-        // Torn or half-closed connection: nothing to respond to, and
-        // nothing worth panicking over — a table transition to `lost`,
-        // logged, and the daemon keeps serving.
         Err(e) => {
-            let stepped = if e.kind() == io::ErrorKind::UnexpectedEof {
-                tracker.eof()
-            } else {
-                tracker.torn()
+            // A head that is malformed or over the wire limits is the
+            // table's `Bad` message, answered with its Reject-class
+            // response. Anything else is a torn or half-closed
+            // connection: nothing to respond to, and nothing worth
+            // panicking over — a table transition to `lost`, logged, and
+            // the daemon keeps serving.
+            let (stepped, refusal) = match e.kind() {
+                io::ErrorKind::InvalidData => (tracker.recv("Bad"), Some((400, "Bad Request"))),
+                io::ErrorKind::FileTooLarge => {
+                    (tracker.recv("Bad"), Some((413, "Content Too Large")))
+                }
+                io::ErrorKind::UnexpectedEof => (tracker.eof(), None),
+                _ => (tracker.torn(), None),
             };
             debug_assert!(stepped.is_ok(), "{stepped:?}");
             log_conn("reading request", &e);
+            if let Some((status, reason)) = refusal {
+                let body = json_line(&[("error", Value::Str(e.to_string()))]);
+                respond(&mut stream, status, reason, &body);
+            }
             return;
         }
     };

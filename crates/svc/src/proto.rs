@@ -12,7 +12,7 @@
 //! peer's reader then wakes for a fragment.
 
 use bsim_check::proto::{svc_cached, Tracker, Violation};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -105,45 +105,109 @@ fn bad(detail: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, detail.into())
 }
 
+/// A message that exceeds one of the wire limits below; the daemon
+/// answers it `413`.
+fn too_large(detail: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::FileTooLarge, detail.into())
+}
+
+// Wire limits. Constants, not configuration: the peer's bytes are
+// outside input and nothing this protocol carries comes near them.
+/// Longest start or header line, terminator included.
+const MAX_HEAD_LINE: u64 = 8 << 10;
+/// Most header lines in one head.
+const MAX_HEADERS: usize = 64;
+/// Largest request body the daemon reads.
+const MAX_REQUEST_BODY: usize = 1 << 20;
+/// Largest response body a client reads: `bsim_dist::frame`'s cap.
+const MAX_RESPONSE_BODY: usize = 64 << 20;
+/// Most of a declared body length reserved before any of it arrived.
+const BODY_PREALLOC: usize = 64 << 10;
+
+/// One head line, through its `\n`. A connection that ends first is
+/// `UnexpectedEof`; a line that runs past [`MAX_HEAD_LINE`] is
+/// [`too_large`] after at most that many bytes were buffered.
+fn read_head_line(reader: &mut impl BufRead) -> io::Result<String> {
+    let mut line = Vec::new();
+    reader.take(MAX_HEAD_LINE).read_until(b'\n', &mut line)?;
+    if line.last() != Some(&b'\n') {
+        return Err(if line.len() as u64 == MAX_HEAD_LINE {
+            too_large(format!("head line longer than {MAX_HEAD_LINE} bytes"))
+        } else {
+            io::ErrorKind::UnexpectedEof.into()
+        });
+    }
+    String::from_utf8(line).map_err(|_| bad("head is not UTF-8"))
+}
+
+/// A message as framed on the wire: start line, `(lowercased-name,
+/// value)` header pairs, and the body when `Content-Length` declared one.
+type Message = (String, Vec<(String, String)>, Option<Vec<u8>>);
+
+/// The one head-and-body reader under [`read_request`] and
+/// [`read_response_full`]. Every length the peer controls is bounded
+/// before it is believed: lines by [`MAX_HEAD_LINE`], their number by
+/// [`MAX_HEADERS`], the declared body by `max_body` — and the body is
+/// read through `take`, so past [`BODY_PREALLOC`] what is allocated
+/// follows what arrived.
+fn read_message(reader: &mut impl BufRead, max_body: usize) -> io::Result<Message> {
+    let start = read_head_line(reader)?;
+    let mut headers = Vec::new();
+    let mut content_length = None;
+    loop {
+        let line = read_head_line(reader)?;
+        let line = line.trim_end();
+        if line.is_empty() {
+            break;
+        }
+        if headers.len() == MAX_HEADERS {
+            return Err(too_large(format!("more than {MAX_HEADERS} headers")));
+        }
+        if let Some((k, v)) = line.split_once(':') {
+            let (k, v) = (k.trim().to_ascii_lowercase(), v.trim().to_string());
+            if k == "content-length" {
+                let n: usize = v
+                    .parse()
+                    .map_err(|_| bad(format!("bad Content-Length {v:?}")))?;
+                if n > max_body {
+                    return Err(too_large(format!(
+                        "{n}-byte body exceeds the {max_body}-byte limit"
+                    )));
+                }
+                content_length = Some(n);
+            }
+            headers.push((k, v));
+        }
+    }
+    let body = match content_length {
+        Some(n) => {
+            let mut body = Vec::with_capacity(n.min(BODY_PREALLOC));
+            reader.take(n as u64).read_to_end(&mut body)?;
+            if body.len() < n {
+                return Err(io::ErrorKind::UnexpectedEof.into());
+            }
+            Some(body)
+        }
+        None => None,
+    };
+    Ok((start, headers, body))
+}
+
 /// Reads one request from the stream: request line, headers (only
 /// `Content-Length` is interpreted), then exactly that many body bytes.
+/// A malformed head is `InvalidData` and an over-limit one
+/// `FileTooLarge`; the daemon answers those `400` / `413`.
 pub(crate) fn read_request(reader: &mut impl BufRead) -> io::Result<Request> {
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let (line, _, body) = read_message(reader, MAX_REQUEST_BODY)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| bad("empty request line"))?;
     let path = parts
         .next()
         .ok_or_else(|| bad("request line lacks a path"))?;
-    let (method, path) = (method.to_string(), path.to_string());
-
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Err(bad("connection closed inside headers"));
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some(v) = header
-            .split_once(':')
-            .filter(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-            .map(|(_, v)| v.trim())
-        {
-            content_length = v
-                .parse()
-                .map_err(|_| bad(format!("bad Content-Length {v:?}")))?;
-        }
-    }
-
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
     Ok(Request {
-        method,
-        path,
-        body: String::from_utf8(body).map_err(|_| bad("body is not UTF-8"))?,
+        method: method.to_string(),
+        path: path.to_string(),
+        body: String::from_utf8(body.unwrap_or_default()).map_err(|_| bad("body is not UTF-8"))?,
     })
 }
 
@@ -218,54 +282,16 @@ pub type FullResponse = (u16, Vec<(String, String)>, String);
 /// frames, so an unframed non-empty body means the wire is not speaking
 /// this protocol.
 pub fn read_response_full(reader: &mut impl BufRead) -> io::Result<FullResponse> {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
+    let (status_line, headers, body) = read_message(reader, MAX_RESPONSE_BODY)?;
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| bad(format!("bad status line {status_line:?}")))?;
-
-    let mut headers = Vec::new();
-    let mut content_length = None;
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            break;
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = header.split_once(':') {
-            let (k, v) = (k.trim().to_ascii_lowercase(), v.trim().to_string());
-            if k == "content-length" {
-                content_length = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| bad(format!("bad Content-Length {v:?}")))?,
-                );
-            }
-            headers.push((k, v));
-        }
-    }
-
-    let body = match content_length {
-        Some(n) => {
-            let mut buf = vec![0u8; n];
-            reader.read_exact(&mut buf)?;
-            buf
-        }
-        None => {
-            let mut buf = Vec::new();
-            reader.read_to_end(&mut buf)?;
-            if !buf.is_empty() {
-                return Err(bad(format!(
-                    "{}-byte response body without Content-Length framing",
-                    buf.len()
-                )));
-            }
-            buf
-        }
+    let body = match body {
+        Some(body) => body,
+        None if reader.fill_buf()?.is_empty() => Vec::new(),
+        None => return Err(bad("response body without Content-Length framing")),
     };
     Ok((
         status,
@@ -362,6 +388,32 @@ mod tests {
         assert!(read_request(&mut Cursor::new(b"GET\r\n\r\n" as &[u8])).is_err());
         let wire = "POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n";
         assert!(read_request(&mut Cursor::new(wire.as_bytes())).is_err());
+    }
+
+    #[test]
+    fn over_limit_heads_and_bodies_are_refused_before_they_are_buffered() {
+        let kind = |wire: &[u8]| read_request(&mut Cursor::new(wire)).unwrap_err().kind();
+        // A body length the peer merely claims is never allocated.
+        let claimed = b"POST /submit HTTP/1.1\r\nContent-Length: 1000000000000\r\n\r\n";
+        assert_eq!(kind(claimed), io::ErrorKind::FileTooLarge);
+        let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(1 << 20));
+        assert_eq!(kind(long_line.as_bytes()), io::ErrorKind::FileTooLarge);
+        let many = format!("GET / HTTP/1.1\r\n{}\r\n", "X-H: 1\r\n".repeat(65));
+        assert_eq!(kind(many.as_bytes()), io::ErrorKind::FileTooLarge);
+        let at_cap = format!("GET / HTTP/1.1\r\n{}\r\n", "X-H: 1\r\n".repeat(64));
+        assert!(read_request(&mut Cursor::new(at_cap.as_bytes())).is_ok());
+        // The connection ending early is peer loss, not a bad request.
+        let short = b"POST /submit HTTP/1.1\r\nContent-Length: 9\r\n\r\n{}";
+        assert_eq!(kind(short), io::ErrorKind::UnexpectedEof);
+        assert_eq!(
+            kind(b"GET / HTTP/1.1\r\nHost: x"),
+            io::ErrorKind::UnexpectedEof
+        );
+        assert_eq!(kind(b""), io::ErrorKind::UnexpectedEof);
+        // The client side reads through the same limits.
+        let wire = "HTTP/1.1 200 OK\r\nContent-Length: 99999999999\r\n\r\n";
+        let err = read_response_full(&mut Cursor::new(wire.as_bytes())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::FileTooLarge);
     }
 
     #[test]

@@ -132,10 +132,15 @@ fn render(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
 /// exports. Numbers parse as `U64` when integral and non-negative,
 /// `I64` when integral and negative, `F64` otherwise, matching the
 /// renderer's typing.
+///
+/// Containers nest at most [`MAX_DEPTH`] deep: the text may come from
+/// outside the program (a request body, a store file, a worker's frame)
+/// and the parser recurses once per level.
 pub fn from_str(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -146,9 +151,15 @@ pub fn from_str(text: &str) -> Result<Value, Error> {
     Ok(value)
 }
 
+/// Deepest container nesting [`from_str`] accepts; the renderer's own
+/// output stays under 10 levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -189,8 +200,8 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.parse_map(),
-            Some(b'[') => self.parse_seq(),
+            Some(b'{') => self.nested(Self::parse_map),
+            Some(b'[') => self.nested(Self::parse_seq),
             Some(b'"') => self.parse_string().map(Value::Str),
             Some(b't') => self.eat_literal("true", Value::Bool(true)),
             Some(b'f') => self.eat_literal("false", Value::Bool(false)),
@@ -202,6 +213,19 @@ impl Parser<'_> {
             ))),
             None => Err(Error("unexpected end of input".into())),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_map(&mut self) -> Result<Value, Error> {
@@ -397,6 +421,26 @@ mod tests {
         // Integral floats keep their float typing through the roundtrip.
         assert_eq!(from_str("2.0").unwrap(), Value::F64(2.0));
         assert_eq!(from_str("\"\\u0041\"").unwrap(), Value::Str("A".into()));
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let ok = nest(open, close, MAX_DEPTH).replace(":}", ":0}");
+            assert!(from_str(&ok).is_ok(), "{MAX_DEPTH} levels of {open:?} fit");
+            let deep = nest(open, close, MAX_DEPTH + 1).replace(":}", ":0}");
+            let err = from_str(&deep).expect_err("one level too many");
+            assert!(
+                err.to_string().contains("nesting deeper than 128 at byte"),
+                "{err}"
+            );
+        }
+        // Unclosed and far past the bound: an error, not a stack overflow.
+        assert!(from_str(&"[".repeat(200_000)).is_err());
+        assert!(from_str(&"{\"a\":".repeat(200_000)).is_err());
+        // Siblings do not accumulate depth.
+        assert!(from_str(&format!("[{}]", vec!["[[]]"; 1000].join(","))).is_ok());
     }
 
     #[test]

@@ -308,9 +308,10 @@ fn run_check(f: &Flags) -> ! {
              handling, state-space truncation (--proto)\n  \
              DD001-DD004 [distributed deadlock] cross-rank token cycles, sub-quantum cycle\n          \
              slack, missing return path, fast-forward licensing holes (--plans)\n  \
-             AU001-AU006 [source audit] panicking unwraps, expect on hot paths, HashMap-order\n          \
+             AU001-AU007 [source audit] panicking unwraps, expect on hot paths, HashMap-order\n          \
              results, host clocks in virtual-time crates, pub items nothing outside their\n          \
-             crate mentions, host work on per-op paths (--source; AU000 notes waivers)\n  \
+             crate mentions, host work on per-op paths, text a simplification removed\n          \
+             that is back (--source; AU000 notes waivers)\n  \
              CL081   [lane sweep] degenerate lane plan: every group is a singleton, sweep\n          \
              degrades to scalar\n  \
              CL085-CL087 [sampling] degenerate sampling budget, under-measured clusters,\n          \

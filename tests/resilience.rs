@@ -92,7 +92,7 @@ fn dropped_token_trips_typed_stall_within_budget() {
 fn mid_sweep_checkpoint_resumes_bit_identical_run_reports() {
     // A 2 platforms × 2 kernels grid, each cell a full SoC run; what a
     // cell stores is (cycles, (retired, exit code)).
-    type Cell = (u64, (u64, Option<i64>));
+    type Cell = (u64, (u64, Option<u64>));
     let platforms = [configs::rocket1(1), configs::small_boom(1)];
     let kernels: Vec<_> = microbench::evaluated()
         .into_iter()
@@ -107,7 +107,7 @@ fn mid_sweep_checkpoint_resumes_bit_identical_run_reports() {
             rep.cycles > 0 && rep.retired > 0,
             "cell {i} simulated nothing"
         );
-        (rep.cycles, (rep.retired, rep.exit_code))
+        (rep.cycles, (rep.retired, rep.exit_code.map(|c| c as u64)))
     };
     let keys: Vec<String> = (0..platforms.len() * kernels.len())
         .map(|i| format!("grid/cell{i}"))

@@ -113,3 +113,26 @@ fn a_store_a_daemon_filled_answers_the_launcher() {
     assert!(cells.iter().all(|c| store.get_bytes(&c.key(1)).is_none()));
     std::fs::remove_file(&path).ok();
 }
+
+/// ROADMAP 7 (c): a store file is outside input too. One whose entry
+/// nests far past the parser's bound is unreadable — set aside whole
+/// like a torn write — where it used to overflow the stack of whichever
+/// command opened it.
+#[test]
+fn a_store_nested_past_the_parser_bound_is_quarantined_whole() {
+    let path = scratch("nested");
+    let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+    std::fs::write(
+        &path,
+        format!("{{\"version\":1,\"cells\":{{\"k\":{deep}}}}}"),
+    )
+    .unwrap();
+
+    let (store, report) = ResultStore::open(&path);
+    assert!(report.has_code("SV004"), "{report}");
+    assert_eq!(store.len(), 0);
+    assert!(!path.exists(), "set aside, not reused");
+    let quarantined = PathBuf::from(format!("{}.quarantined", path.display()));
+    assert!(quarantined.exists());
+    std::fs::remove_file(&quarantined).ok();
+}

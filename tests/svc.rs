@@ -1,12 +1,16 @@
 //! Daemon lifecycle tests: bsimd end to end over real TCP — submit /
 //! status / fetch, content-addressed cache hits with byte-identical
 //! responses, concurrent-submit deduplication, preflight rejection on
-//! the wire, and graceful shutdown with store integrity.
+//! the wire, hostile requests, and graceful shutdown with store
+//! integrity.
 
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 use std::time::Duration;
 
-use silicon_bridge::svc::{client, Daemon, DaemonConfig, ResultStore, COUNTERS};
+use silicon_bridge::svc::{client, proto, Daemon, DaemonConfig, ResultStore, COUNTERS};
 
 const SWEEP: &str = r#"{"kind":"sweep","platforms":["Rocket 1"],"kernels":["EM5","STc"]}"#;
 
@@ -362,4 +366,100 @@ fn truncated_store_is_quarantined_on_restart() {
     std::fs::remove_file(&quarantined).ok();
     std::fs::remove_file(&stale).ok();
     std::fs::remove_file(format!("{}.quarantined", stale.display())).ok();
+}
+
+/// Writes `wire` to the daemon as is and returns the status it answers
+/// with — `None` when it closed the connection instead: the daemon stops
+/// reading a message it refuses, so a large one can be reset under the
+/// writer. Not answering within the socket timeout is a failure.
+fn raw_status(addr: &str, wire: &[u8]) -> Option<u16> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let timeout = Some(Duration::from_secs(30));
+    stream.set_read_timeout(timeout).unwrap();
+    stream.set_write_timeout(timeout).unwrap();
+    let _ = stream.write_all(wire);
+    match proto::read_response_full(&mut BufReader::new(stream)) {
+        Ok((status, _, _)) => Some(status),
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            panic!("the daemon did not answer within the socket timeout: {e}")
+        }
+        Err(_) => None,
+    }
+}
+
+fn submit_wire(body: &str) -> Vec<u8> {
+    format!(
+        "POST /submit HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+fn assert_serving(addr: &str, after: &str) {
+    let (status, _) = client::metrics(addr).unwrap_or_else(|e| panic!("after {after}: {e}"));
+    assert_eq!(status, 200, "after {after}");
+}
+
+/// ROADMAP 7 (c): bytes from the network are bounded before they are
+/// believed. Each of these aborted the daemon process (stack overflow in
+/// the JSON parser, a terabyte `vec!`) or grew a line buffer without
+/// limit; now each is a 4xx and the daemon serves the next request.
+#[test]
+fn hostile_requests_get_a_4xx_and_the_daemon_keeps_serving() {
+    let daemon = ephemeral_daemon(DaemonConfig::default());
+    let addr = daemon.addr();
+
+    let nested = submit_wire(&"[".repeat(200_000));
+    assert_eq!(raw_status(&addr, &nested), Some(400));
+    assert_serving(&addr, "a 200 000-deep body");
+
+    let claimed = b"POST /submit HTTP/1.1\r\nContent-Length: 1000000000000\r\n\r\n";
+    assert_eq!(raw_status(&addr, claimed), Some(413));
+    assert_serving(&addr, "a terabyte Content-Length");
+
+    let long_header = format!(
+        "GET /metrics HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+        "a".repeat(1 << 20)
+    );
+    let status = raw_status(&addr, long_header.as_bytes());
+    assert!(matches!(status, Some(413) | None), "{status:?}");
+    assert_serving(&addr, "a 1 MiB header line");
+
+    let (status, metrics) = client::metrics(&addr).unwrap();
+    assert_eq!(status, 200);
+    assert!(
+        metrics.contains("\"host.svc.requests.rejected\": 1"),
+        "the nested body is a rejected submit: {metrics}"
+    );
+    client::shutdown(&addr).unwrap();
+    daemon.join();
+}
+
+/// The same deep body against a `bsim serve` process: at the parent
+/// commit the failure was the process dying, which an in-process daemon
+/// cannot show without taking the test binary down with it.
+#[test]
+fn a_bsim_serve_process_survives_a_deeply_nested_body() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bsim"))
+        .args(["serve", "--addr", "127.0.0.1:0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn bsim serve");
+    let mut banner = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut banner)
+        .unwrap();
+    let addr = banner
+        .trim()
+        .strip_prefix("bsimd listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
+        .to_string();
+
+    let nested = submit_wire(&"[".repeat(200_000));
+    assert_eq!(raw_status(&addr, &nested), Some(400));
+    assert_serving(&addr, "a 200 000-deep body");
+
+    client::shutdown(&addr).unwrap();
+    assert!(child.wait().unwrap().success());
 }
