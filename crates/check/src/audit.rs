@@ -86,6 +86,7 @@ const PER_OP_PATHS: &[&str] = &[
     "crates/mem/src/llc.rs",
     "crates/soc/src/runner.rs",
     "crates/mpi/src/timing.rs",
+    "crates/workloads/src/trace.rs",
 ];
 
 /// Crates whose code runs under virtual time; host clocks are banned there
@@ -853,8 +854,11 @@ mod tests {
             let (r, _) = scan("crates/uarch/src/inorder.rs", &in_test);
             assert!(r.is_clean(), "{}", r.render());
         }
-        let (r, _) = scan("crates/mem/src/cache.rs", "fn f() { eprintln!(\"x\"); }\n");
-        assert!(r.has_code("AU006"), "{}", r.render());
+        // The trace generator emits every micro-op of figs 3-7.
+        for per_op in ["crates/mem/src/cache.rs", "crates/workloads/src/trace.rs"] {
+            let (r, _) = scan(per_op, "fn f() { eprintln!(\"x\"); }\n");
+            assert!(r.has_code("AU006"), "{}", r.render());
+        }
     }
 
     #[test]

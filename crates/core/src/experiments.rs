@@ -535,7 +535,7 @@ impl MpiWork {
     /// This workload at `sizes` under launch mode `L`: the world report
     /// and what the mode yields. Every figure cell, timed or recorded,
     /// starts here.
-    fn launch<L: Launch>(
+    pub fn launch<L: Launch>(
         self,
         sizes: &Sizes,
         cfg: SocConfig,

@@ -24,7 +24,8 @@
 //!   numbers. [`Launch`] names that choice for code generic over it.
 //!
 //! Compute between MPI calls is charged by feeding micro-ops to the
-//! rank's simulated core ([`RankCtx::consume_batch`]), which shares the
+//! rank's simulated core ([`RankCtx::consume_batch`], or a quantum at a
+//! time through [`RankCtx::segment`]), which shares the
 //! SoC's L2/DRAM with the other ranks — so memory contention across
 //! ranks (the effect behind the paper's MG scaling observation in
 //! §5.2.2) is modeled by the same hierarchy state.
@@ -37,4 +38,4 @@ pub mod world;
 pub use net::NetConfig;
 pub use record::{Ev, WorldTrace};
 pub use timing::Timing;
-pub use world::{Launch, MpiWorld, RankCtx, Recorded, ReduceOp, Timed, WorldReport};
+pub use world::{Launch, MpiWorld, RankCtx, Recorded, ReduceOp, Segment, Timed, WorldReport};

@@ -141,8 +141,19 @@ impl WorldTrace {
 /// Where a world's events go: a [`crate::Timing`] times them as they
 /// happen, a [`WorldTrace`] keeps them. `uops` is the segment an
 /// [`Ev::Consume`] slices into (its `start` is relative to it).
+///
+/// A segment may arrive in pieces: its [`Ev::Consume`] carries the first
+/// (possibly empty) one and opens it, and [`EvSink::extend`] appends the
+/// rest while no other event has followed. However it arrived, a
+/// segment is one `Consume`.
 pub(crate) trait EvSink: Send {
     fn emit(&mut self, ev: Ev, uops: &[MicroOp]);
+
+    /// Appends `uops` to the segment `rank`'s [`Ev::Consume`] opened.
+    ///
+    /// Panics (naming the rank) when the sink's last event is not that
+    /// `Consume`.
+    fn extend(&mut self, rank: u32, uops: &[MicroOp]);
 }
 
 impl EvSink for WorldTrace {
@@ -166,5 +177,145 @@ impl EvSink for WorldTrace {
             }
             _ => ev,
         });
+    }
+
+    fn extend(&mut self, rank: u32, uops: &[MicroOp]) {
+        match self.events.last_mut() {
+            // The open segment is the arena's tail, so appending to the
+            // arena is appending to the segment.
+            Some(Ev::Consume { rank: r, len, .. }) if *r == rank => {
+                self.uops.extend_from_slice(uops);
+                *len += uops.len();
+            }
+            last => panic!("rank {rank} extends a segment it has not open (last event: {last:?})"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{MpiWorld, NetConfig, RankCtx, Timing};
+    use bsim_soc::{configs, SocConfig};
+
+    /// Rank `rank`'s `seg`-th segment: a strided load / ALU / store loop
+    /// in which every micro-op has its own address, so a slice of the
+    /// arena identifies the ops it holds. The last segment is empty.
+    fn segment_uops(rank: usize, seg: u64) -> Vec<MicroOp> {
+        let base = 0x1000_0000 + ((rank as u64) << 26) + (seg << 20);
+        let trips = [700, 1100, 0][seg as usize];
+        (0..trips)
+            .flat_map(|i| {
+                [
+                    MicroOp::load(0x8_0000, base + i * 64, Some(9), None),
+                    MicroOp::alu(0x8_0004, Some(10), [Some(9), None, None]),
+                    MicroOp::store(0x8_0008, base + 0x8_0000 + i * 64, [Some(10), None, None]),
+                ]
+            })
+            .collect()
+    }
+
+    /// Three segments per rank, delivered whole (`pieces == 0`) or in
+    /// `pieces` pieces and an empty tail, with a message and a collective
+    /// from the peer between one segment and the next.
+    fn program(pieces: usize) -> impl Fn(&mut RankCtx) + Sync {
+        move |ctx| {
+            let (me, peer) = (ctx.rank(), 1 - ctx.rank());
+            for seg in 0..3 {
+                let uops = segment_uops(me, seg);
+                if pieces == 0 {
+                    ctx.consume_batch(&uops);
+                } else {
+                    let mut open = ctx.segment();
+                    for piece in uops.chunks(uops.len().div_ceil(pieces).max(1)) {
+                        open.extend(piece);
+                    }
+                    open.extend(&[]);
+                }
+                ctx.send(peer, seg as u32, vec![me as u8; 96]);
+                assert_eq!(ctx.recv(peer, seg as u32), vec![peer as u8; 96]);
+                ctx.barrier();
+            }
+        }
+    }
+
+    fn cfg() -> SocConfig {
+        configs::large_boom(2)
+    }
+
+    #[test]
+    fn a_segment_is_one_consume_however_many_pieces_it_arrived_in() {
+        let net = NetConfig::shared_memory();
+        let whole = format!("{:?}", MpiWorld::run(cfg(), 2, net, program(0)));
+        let addrs =
+            |uops: &[MicroOp]| -> Vec<_> { uops.iter().map(|u| (u.pc, u.mem_addr)).collect() };
+        for pieces in [1, 2, 7] {
+            let (_, trace) = MpiWorld::record(cfg(), 2, net, program(pieces));
+            for rank in 0..2 {
+                let segments: Vec<_> = trace
+                    .events
+                    .iter()
+                    .filter_map(|ev| match *ev {
+                        Ev::Consume {
+                            rank: r,
+                            start,
+                            len,
+                        } if r as usize == rank => Some(addrs(&trace.uops[start..start + len])),
+                        _ => None,
+                    })
+                    .collect();
+                let expected: Vec<_> = (0..3).map(|s| addrs(&segment_uops(rank, s))).collect();
+                assert_eq!(segments, expected, "rank {rank} in {pieces} pieces");
+            }
+            let timed = format!("{:?}", MpiWorld::run(cfg(), 2, net, program(pieces)));
+            assert_eq!(timed, whole, "timed in {pieces} pieces");
+        }
+    }
+
+    fn sinks() -> [Box<dyn EvSink>; 2] {
+        let timing = Timing::new(&cfg(), 2, NetConfig::shared_memory());
+        [Box::new(WorldTrace::default()), Box::new(timing)]
+    }
+
+    /// `sink.extend(rank, ..)` must panic, and say which rank did it.
+    fn assert_refused(sink: &mut dyn EvSink, rank: u32, why: &str) {
+        let uops = segment_uops(rank as usize, 0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sink.extend(rank, &uops[..8])
+        }));
+        let msg = caught.expect_err(why);
+        let msg = msg.downcast_ref::<String>().expect("a formatted panic");
+        let expected = format!("rank {rank} extends a segment it has not open");
+        assert!(msg.contains(&expected), "{why}: {msg}");
+    }
+
+    #[test]
+    fn extending_with_no_open_segment_names_the_rank() {
+        for mut sink in sinks() {
+            assert_refused(sink.as_mut(), 1, "nothing was opened");
+        }
+    }
+
+    #[test]
+    fn extending_past_an_intervening_event_names_the_rank() {
+        let uops = segment_uops(0, 0);
+        let consume = |rank| Ev::Consume {
+            rank,
+            start: 0,
+            len: 8,
+        };
+        let intervening = [
+            Ev::Charge { rank: 0, cycles: 5 },
+            consume(1),
+            Ev::CollEnter { rank: 1, bytes: 0 },
+        ];
+        for ev in intervening {
+            for mut sink in sinks() {
+                sink.emit(consume(0), &uops);
+                sink.extend(0, &uops[8..16]);
+                sink.emit(ev, &uops);
+                assert_refused(sink.as_mut(), 0, &format!("closed by {ev:?}"));
+            }
+        }
     }
 }

@@ -62,6 +62,9 @@ pub struct Timing {
     wait_cycles: Vec<u64>,
     messages: u64,
     bytes: u64,
+    /// The rank whose [`Ev::Consume`] was the last event applied: the
+    /// one segment [`EvSink::extend`] may still lengthen.
+    open: Option<u32>,
 }
 
 impl Timing {
@@ -79,6 +82,7 @@ impl Timing {
             wait_cycles: vec![0; ranks],
             messages: 0,
             bytes: 0,
+            open: None,
         }
     }
 
@@ -96,8 +100,12 @@ impl Timing {
         let (net, soc, ranks) = (self.net, &mut self.soc, self.entered.len());
         let r = ev.rank();
         let local = soc.core_cycles(r);
+        self.open = None;
         match ev {
-            Ev::Consume { start, len, .. } => soc.consume_batch(r, &uops[start..start + len]),
+            Ev::Consume { rank, start, len } => {
+                soc.consume_batch(r, &uops[start..start + len]);
+                self.open = Some(rank);
+            }
             Ev::Charge { cycles, .. } => soc.advance_core(r, local + cycles),
             Ev::Send {
                 rank,
@@ -201,5 +209,16 @@ impl Timing {
 impl EvSink for Timing {
     fn emit(&mut self, ev: Ev, uops: &[MicroOp]) {
         self.apply(ev, uops);
+    }
+
+    /// Times the piece on arrival: [`Soc::consume_batch`] does not
+    /// depend on where a stream is cut, so a segment costs the same in
+    /// one piece or in many.
+    fn extend(&mut self, rank: u32, uops: &[MicroOp]) {
+        assert!(
+            self.open == Some(rank),
+            "rank {rank} extends a segment it has not open"
+        );
+        self.soc.consume_batch(rank as usize, uops);
     }
 }

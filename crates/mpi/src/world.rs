@@ -181,11 +181,22 @@ impl RankCtx {
         self.shared.sink.lock().emit(ev, uops);
     }
 
-    /// Feeds a batch of micro-ops to this rank's simulated core.
+    /// Feeds a batch of micro-ops to this rank's simulated core: one
+    /// whole segment.
     pub fn consume_batch(&mut self, uops: &[MicroOp]) {
         let rank = self.rank as u32;
         let (start, len) = (0, uops.len());
         self.emit(Ev::Consume { rank, start, len }, uops);
+    }
+
+    /// Opens a segment whose micro-ops arrive in pieces. The segment is
+    /// one [`Ev::Consume`], exactly as if [`Self::consume_batch`] had
+    /// been handed the concatenation; the [`Segment`] keeps this rank
+    /// borrowed, so no other event of the rank can fall inside it (and
+    /// none of another rank's can: the rank holds the turn throughout).
+    pub fn segment(&mut self) -> Segment<'_> {
+        self.consume_batch(&[]);
+        Segment { ctx: self }
     }
 
     /// Advances this rank's clock by `cycles` of opaque work (used for
@@ -389,6 +400,20 @@ impl RankCtx {
             CollResult::PerRank(flat) => flat[rank * n..(rank + 1) * n].to_vec(),
             _ => unreachable!("alltoall publishes PerRank"),
         }
+    }
+}
+
+/// A rank's open micro-op segment ([`RankCtx::segment`]).
+pub struct Segment<'a> {
+    ctx: &'a mut RankCtx,
+}
+
+impl Segment<'_> {
+    /// Feeds the segment's next micro-ops to the rank's simulated core.
+    /// A live run times them now; nothing keeps them but a recording.
+    pub fn extend(&mut self, uops: &[MicroOp]) {
+        let rank = self.ctx.rank as u32;
+        self.ctx.shared.sink.lock().extend(rank, uops);
     }
 }
 

@@ -28,4 +28,4 @@ pub mod runner;
 pub use bsim_telemetry::{GapReport, TelemetryConfig, TelemetrySnapshot};
 pub use configs::{CoreModel, SocConfig};
 pub use preflight::{preflight, preflight_all};
-pub use runner::{RunReport, Soc};
+pub use runner::{RunReport, Soc, RUN_QUANTUM};

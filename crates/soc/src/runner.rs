@@ -267,10 +267,12 @@ impl Soc {
     }
 }
 
-/// Micro-ops `run_program` lowers before timing them: small enough for
-/// the batch to stay in the host's cache, large enough that the
-/// interpreter loop and the timing loop each run hot in turn.
-const RUN_QUANTUM: usize = 1024;
+/// Micro-ops a live run produces before timing them — `run_program`
+/// lowering retired instructions, `bsim_workloads::trace::with_trace`
+/// generating a rank's loop nest: small enough for the batch to stay in
+/// the host's cache, large enough that the producer's loop and the
+/// timing loop each run hot in turn.
+pub const RUN_QUANTUM: usize = 1024;
 
 /// The body of [`Soc::consume_batch`], over the SoC's fields rather than
 /// `&mut Soc` so that `run_program`'s retire closure can call it.

@@ -27,7 +27,9 @@ use bsim_uarch::MicroOp;
 
 /// Micro-ops fed to one lane before moving to the next: small enough
 /// for the shared quantum to stay cache-hot across lanes, large enough
-/// to amortize the lane switch.
+/// to amortize the lane switch. Not `bsim_soc::RUN_QUANTUM` (1024):
+/// that one sizes a buffer between a producer and one core, this one
+/// pays for swapping a whole lane's model state in per pass.
 const QUANTUM: usize = 8192;
 
 /// One lane's replay outcome.

@@ -15,6 +15,7 @@
 //! loop-shaped code layout a compiled kernel would have.
 
 use bsim_isa::OpClass;
+use bsim_soc::RUN_QUANTUM;
 use bsim_uarch::MicroOp;
 
 /// Base of the synthetic PC regions for trace-generated code.
@@ -25,7 +26,7 @@ const INT_REGS: [u8; 8] = [8, 9, 10, 11, 12, 13, 14, 15];
 /// FP scratch registers (f8..f15 in unified numbering: 40..47).
 const FP_REGS: [u8; 8] = [40, 41, 42, 43, 44, 45, 46, 47];
 
-/// Emits micro-ops into a sink: [`with_trace`]'s buffer on the MPI
+/// Emits micro-ops into a sink: [`with_trace`]'s quantum on the MPI
 /// path, `Soc::consume` in tests.
 pub struct TraceGen<'a> {
     sink: &'a mut dyn FnMut(&MicroOp),
@@ -281,22 +282,32 @@ pub fn rank_base(rank: usize) -> u64 {
     0x1000_0000 + ((rank as u64) << 26)
 }
 
-/// Runs `f` with a [`TraceGen`] buffering into a vector, then feeds the
-/// whole segment to the rank's core under one lock acquisition. The
-/// platform's vector width is applied automatically, so the same
+/// Runs `f` with a [`TraceGen`] whose micro-ops are one segment of the
+/// rank's core: they collect in a quantum of [`RUN_QUANTUM`] that is fed
+/// to the core each time it fills, so a live run never holds more of
+/// the segment than that (a recording keeps it, as one `Ev::Consume`).
+/// The platform's vector width is applied automatically, so the same
 /// workload code emits scalar ops on the FireSim targets (which run
 /// "without enabling vector units", §3.1.1) and vector ops on the
 /// silicon references.
 pub fn with_trace(ctx: &mut bsim_mpi::RankCtx, f: impl FnOnce(&mut TraceGen<'_>)) {
     let lanes = ctx.simd_lanes();
     let overhead = ctx.compiler_overhead_per_mille();
-    let mut buf: Vec<MicroOp> = Vec::with_capacity(1024);
+    let mut segment = ctx.segment();
+    let mut quantum: Vec<MicroOp> = Vec::with_capacity(RUN_QUANTUM);
     {
-        let mut sink = |u: &MicroOp| buf.push(*u);
+        let mut sink = |u: &MicroOp| {
+            quantum.push(*u);
+            if quantum.len() == RUN_QUANTUM {
+                segment.extend(&quantum);
+                quantum.clear();
+            }
+        };
         let mut g = TraceGen::with_lanes(&mut sink, lanes).with_compiler_overhead(overhead);
         f(&mut g);
     }
-    ctx.consume_batch(&buf);
+    segment.extend(&quantum);
+    debug_assert_eq!(quantum.capacity(), RUN_QUANTUM, "the quantum never grows");
 }
 
 #[cfg(test)]
