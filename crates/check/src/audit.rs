@@ -255,6 +255,14 @@ pub const BANS: &[Ban] = &[
         message: "recovery is per cell: the token-level checkpoint layer is gone, \
                   and a parallel run's counters come from run_guarded",
     },
+    Ban {
+        needles: &[concat!("FnMut(&Micro", "Op)")],
+        with: "",
+        within: &["crates/"],
+        except: &["crates/workloads/src/trace.rs"],
+        in_tests: false,
+        message: "a live micro-op reaches its core in a quantum, not through a per-op callback",
+    },
 ];
 
 /// Outcome of a workspace audit.

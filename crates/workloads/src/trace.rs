@@ -26,10 +26,23 @@ const INT_REGS: [u8; 8] = [8, 9, 10, 11, 12, 13, 14, 15];
 /// FP scratch registers (f8..f15 in unified numbering: 40..47).
 const FP_REGS: [u8; 8] = [40, 41, 42, 43, 44, 45, 46, 47];
 
-/// Emits micro-ops into a sink: [`with_trace`]'s quantum on the MPI
-/// path, `Soc::consume` in tests.
+/// What takes a generator's quanta.
+type Flush<'a> = dyn FnMut(&[MicroOp]) + 'a;
+
+/// Builds micro-ops in place, a quantum at a time: every primitive
+/// writes its op straight into the next slot of one [`RUN_QUANTUM`]-slot
+/// buffer, and the buffer is handed on as a slice each time it fills and
+/// once more when the generator is dropped. Nothing hands a `&MicroOp`
+/// across a call: an op built on the stack and then copied into the
+/// quantum is read back with wide loads the host cannot forward from the
+/// narrow field stores it has just made (the rule `bsim_isa`'s
+/// `Cpu::step` follows for `Retired`).
 pub struct TraceGen<'a> {
-    sink: &'a mut dyn FnMut(&MicroOp),
+    /// The quantum under construction; never grows.
+    buf: Vec<MicroOp>,
+    /// Takes each full quantum, and the tail. [`with_trace`]'s holds the
+    /// rank's open segment, so the segment outlives the tail flush.
+    flush: Box<Flush<'a>>,
     rr: usize,
     lanes: u64,
     vf: u64,
@@ -39,7 +52,6 @@ pub struct TraceGen<'a> {
     vb: u64,
     /// Extra dynamic ops per 1000 (older-compiler codegen overhead).
     overhead_per_mille: u64,
-    emitted: u64,
     overhead_due: u64,
     /// Destination of the most recent load; the next chained flop
     /// consumes it, putting load latency on the dependence chain the way
@@ -48,19 +60,31 @@ pub struct TraceGen<'a> {
 }
 
 impl<'a> TraceGen<'a> {
-    /// Wraps a sink (scalar: one micro-op per operation).
+    /// A scalar generator (one micro-op per operation) for tests and
+    /// probes that want the ops one at a time: each flushed quantum is
+    /// replayed through `sink`, which has therefore seen every op, in
+    /// emission order, once the generator is dropped — not as each
+    /// primitive returns.
     pub fn new(sink: &'a mut dyn FnMut(&MicroOp)) -> TraceGen<'a> {
-        TraceGen::with_lanes(sink, 1)
+        TraceGen::per_quantum(move |quantum| quantum.iter().for_each(&mut *sink), 1, 0)
     }
 
-    /// Wraps a sink for a machine with a `lanes`-wide vector unit:
-    /// vectorizable operations (independent flops/int ops, vectorized
+    /// A generator whose quanta go to `flush`, for a machine with a
+    /// `lanes`-wide vector unit and a compiler that adds `per_mille`
+    /// ops per 1000.
+    ///
+    /// Vectorizable operations (independent flops/int ops, vectorized
     /// loop overhead, per-element divides) are batched `lanes` at a
-    /// time, exactly as an auto-vectorizing compiler would emit them.
-    /// Dependency chains, gathers and branches stay scalar.
-    fn with_lanes(sink: &'a mut dyn FnMut(&MicroOp), lanes: u32) -> TraceGen<'a> {
+    /// time, exactly as an auto-vectorizing compiler would emit them;
+    /// dependency chains, gathers and branches stay scalar. The overhead
+    /// is extra scalar integer ops, modeling the older compiler the
+    /// paper's FireSim images are stuck with (Table 3: GCC 9.4.0 on
+    /// FireSim vs GCC 13.2 on the silicon).
+    fn per_quantum(flush: impl FnMut(&[MicroOp]) + 'a, lanes: u32, per_mille: u32) -> TraceGen<'a> {
         TraceGen {
-            sink,
+            buf: Vec::with_capacity(RUN_QUANTUM),
+            // Once per generator (a traced loop nest), never per op.
+            flush: Box::new(flush),
             rr: 0,
             lanes: lanes.max(1) as u64,
             vf: 0,
@@ -68,20 +92,10 @@ impl<'a> TraceGen<'a> {
             vd: 0,
             vloop: 0,
             vb: 0,
-            overhead_per_mille: 0,
-            emitted: 0,
+            overhead_per_mille: per_mille as u64,
             overhead_due: 0,
             last_load_reg: None,
         }
-    }
-
-    /// Adds a codegen-overhead factor: `per_mille` extra scalar integer
-    /// ops per 1000 emitted micro-ops, modeling the older compiler the
-    /// paper's FireSim images are stuck with (Table 3: GCC 9.4.0 on
-    /// FireSim vs GCC 13.2 on the silicon).
-    fn with_compiler_overhead(mut self, per_mille: u32) -> TraceGen<'a> {
-        self.overhead_per_mille = per_mille as u64;
-        self
     }
 
     /// Configured vector width in f64 lanes.
@@ -99,16 +113,32 @@ impl<'a> TraceGen<'a> {
         emit
     }
 
-    #[inline]
+    /// Writes `uop` into the next slot. Inlined into every primitive so
+    /// the op's fields are stored to the slot itself, never to a
+    /// temporary that is then copied.
+    #[inline(always)]
+    fn push(&mut self, uop: MicroOp) {
+        self.buf.push(uop);
+        if self.buf.len() == RUN_QUANTUM {
+            self.flush_quantum();
+        }
+    }
+
+    #[inline(never)]
+    fn flush_quantum(&mut self) {
+        (self.flush)(&self.buf);
+        self.buf.clear();
+    }
+
+    #[inline(always)]
     fn emit(&mut self, uop: MicroOp) {
-        (self.sink)(&uop);
+        self.push(uop);
         if self.overhead_per_mille > 0 {
-            self.emitted += 1;
             self.overhead_due += self.overhead_per_mille;
             while self.overhead_due >= 1000 {
                 self.overhead_due -= 1000;
                 let pc = TRACE_PC + 0x3C0;
-                (self.sink)(&MicroOp::alu(pc, Some(INT_REGS[3]), [None, None, None]));
+                self.push(MicroOp::alu(pc, Some(INT_REGS[3]), [None, None, None]));
             }
         }
     }
@@ -275,6 +305,20 @@ impl<'a> TraceGen<'a> {
     }
 }
 
+impl Drop for TraceGen<'_> {
+    /// Hands on the tail. Not while unwinding: a rank program that
+    /// panics mid-segment must fail its cell, and a flush from here
+    /// would call into the world it has just poisoned — a second panic,
+    /// which aborts the process.
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
+        self.flush_quantum();
+        debug_assert_eq!(self.buf.capacity(), RUN_QUANTUM, "the quantum never grows");
+    }
+}
+
 /// Base of rank `rank`'s private data segment (MPI ranks are separate
 /// processes with separate address spaces; 64 MiB apart keeps their
 /// simulated footprints disjoint in the shared hierarchy).
@@ -283,9 +327,12 @@ pub fn rank_base(rank: usize) -> u64 {
 }
 
 /// Runs `f` with a [`TraceGen`] whose micro-ops are one segment of the
-/// rank's core: they collect in a quantum of [`RUN_QUANTUM`] that is fed
-/// to the core each time it fills, so a live run never holds more of
-/// the segment than that (a recording keeps it, as one `Ev::Consume`).
+/// rank's core: each quantum of [`RUN_QUANTUM`] is fed to the core as it
+/// fills, so a live run never holds more of the segment than that (a
+/// recording keeps it, as one `Ev::Consume`). The generator owns the
+/// open segment, which keeps the rank borrowed: the tail reaches the
+/// core when the generator drops, before the segment closes and before
+/// any other event of the rank.
 /// The platform's vector width is applied automatically, so the same
 /// workload code emits scalar ops on the FireSim targets (which run
 /// "without enabling vector units", §3.1.1) and vector ops on the
@@ -294,20 +341,8 @@ pub fn with_trace(ctx: &mut bsim_mpi::RankCtx, f: impl FnOnce(&mut TraceGen<'_>)
     let lanes = ctx.simd_lanes();
     let overhead = ctx.compiler_overhead_per_mille();
     let mut segment = ctx.segment();
-    let mut quantum: Vec<MicroOp> = Vec::with_capacity(RUN_QUANTUM);
-    {
-        let mut sink = |u: &MicroOp| {
-            quantum.push(*u);
-            if quantum.len() == RUN_QUANTUM {
-                segment.extend(&quantum);
-                quantum.clear();
-            }
-        };
-        let mut g = TraceGen::with_lanes(&mut sink, lanes).with_compiler_overhead(overhead);
-        f(&mut g);
-    }
-    segment.extend(&quantum);
-    debug_assert_eq!(quantum.capacity(), RUN_QUANTUM, "the quantum never grows");
+    let mut g = TraceGen::per_quantum(move |quantum| segment.extend(quantum), lanes, overhead);
+    f(&mut g);
 }
 
 #[cfg(test)]
@@ -323,6 +358,118 @@ mod tests {
             build(&mut gen);
         }
         soc.report(None).cycles
+    }
+
+    /// Every primitive, 18 ops an iteration on a scalar machine with a
+    /// current compiler: three quanta and a tail.
+    fn script(g: &mut TraceGen<'_>) {
+        for i in 0..185u64 {
+            g.int_ops(3, i % 2 == 0);
+            g.load(0x10_0000 + i * 64);
+            g.flops(2, true);
+            g.flops(3, false);
+            g.gather(0x20_0000 + i * 4, 0x30_0000 + (i * 7 % 64) * 8);
+            g.fdiv();
+            g.masked_branch(3, i % 3 == 0);
+            g.store(0x40_0000 + i * 64);
+            g.chase(0x50_0000 + i * 8, 2, 4096);
+            g.loop_overhead(5, 1);
+        }
+    }
+
+    /// FNV-1a over every field of every op, in order.
+    fn digest(uops: &[MicroOp]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut word = |w: u64| {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        let reg = |r: Option<u8>| r.map_or(0xFF, u64::from);
+        for u in uops {
+            word(u.pc);
+            word(u.next_pc);
+            word(u.class as u64);
+            word(reg(u.dest));
+            u.srcs.iter().for_each(|s| word(reg(*s)));
+            word(u.mem_addr.map_or(u64::MAX, |a| a ^ 1));
+            word(u64::from(u.is_store));
+            word(
+                u.branch
+                    .map_or(0xFF, |(class, taken)| class as u64 * 2 + u64::from(taken)),
+            );
+        }
+        h
+    }
+
+    /// The ops `script` emits on a `lanes`-wide machine whose compiler
+    /// adds `per_mille`, and the size of each flush.
+    fn emitted(lanes: u32, per_mille: u32) -> (Vec<MicroOp>, Vec<usize>) {
+        let (mut uops, mut flushes) = (Vec::new(), Vec::new());
+        let mut g = TraceGen::per_quantum(
+            |quantum: &[MicroOp]| {
+                uops.extend_from_slice(quantum);
+                flushes.push(quantum.len());
+            },
+            lanes,
+            per_mille,
+        );
+        script(&mut g);
+        drop(g);
+        (uops, flushes)
+    }
+
+    /// The literals are what the generator emitted while it still built
+    /// each op on the stack and handed it to a per-op callback: in-place
+    /// construction moves no op, overhead op or field.
+    #[test]
+    fn the_emitted_ops_are_the_per_op_generators() {
+        let overhead_pc = TRACE_PC + 0x3C0;
+        for (lanes, per_mille, len, fnv) in [
+            (1, 0, 3330, 0x7f26_afc0_91e5_d4b6_u64),
+            (1, 200, 3996, 0x2697_6afd_7da4_6ad2),
+            (4, 0, 2150, 0x1acb_a9f6_44b7_e476),
+            (1, 250, 4162, 0xbb92_721a_051b_24b6),
+        ] {
+            let (uops, flushes) = emitted(lanes, per_mille);
+            let at = format!("lanes {lanes}, overhead {per_mille}");
+            assert_eq!((uops.len(), digest(&uops)), (len, fnv), "{at}");
+            let (tail, full) = flushes.split_last().expect("the tail is always flushed");
+            assert!(full.iter().all(|n| *n == RUN_QUANTUM), "{at}: {flushes:?}");
+            assert_eq!(*tail, len % RUN_QUANTUM, "{at}");
+            // An overhead op closes a quantum at 200 and opens one at 250.
+            match per_mille {
+                200 => assert_eq!(uops[3 * RUN_QUANTUM - 1].pc, overhead_pc),
+                250 => assert_eq!(uops[RUN_QUANTUM].pc, overhead_pc),
+                _ => assert!(uops.iter().all(|u| u.pc != overhead_pc)),
+            }
+        }
+    }
+
+    #[test]
+    fn a_per_op_sink_has_seen_every_op_in_order_once_the_generator_is_dropped() {
+        let mut seen = Vec::new();
+        {
+            let mut sink = |u: &MicroOp| seen.push(*u);
+            let mut g = TraceGen::new(&mut sink);
+            script(&mut g);
+        }
+        let (uops, _) = emitted(1, 0);
+        assert_eq!(seen.len(), uops.len());
+        assert_eq!(digest(&seen), digest(&uops));
+    }
+
+    #[test]
+    fn a_generator_dropped_by_a_panic_does_not_flush_its_tail() {
+        let flushed = std::cell::Cell::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut g = TraceGen::per_quantum(|q| flushed.set(flushed.get() + q.len()), 1, 0);
+            g.int_ops(RUN_QUANTUM as u64 + 10, true);
+            // A rank program failing mid-segment (no hook: nothing printed).
+            std::panic::resume_unwind(Box::new("mid-segment"));
+        }));
+        assert!(caught.is_err());
+        assert_eq!(flushed.get(), RUN_QUANTUM, "the full quantum, not the tail");
     }
 
     #[test]

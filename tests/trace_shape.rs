@@ -10,9 +10,10 @@
 //! micro-ops were streamed; they move only if a workload's trace does.
 
 use silicon_bridge::core::experiments::{MpiWork, Sizes};
-use silicon_bridge::mpi::{Ev, NetConfig, Timed, WorldReport, WorldTrace};
-use silicon_bridge::soc::configs;
+use silicon_bridge::mpi::{Ev, MpiWorld, NetConfig, RankCtx, Timed, WorldReport, WorldTrace};
+use silicon_bridge::soc::{configs, RUN_QUANTUM};
 use silicon_bridge::sweepx::replay_world;
+use silicon_bridge::workloads::trace::{rank_base, with_trace};
 
 /// FNV-1a over every field of every event, in order.
 fn event_digest(trace: &WorldTrace) -> u64 {
@@ -116,5 +117,66 @@ fn a_live_run_reports_what_a_replay_of_its_recording_reports() {
                 assert_eq!(json(&live), json(&lanes[0].report), "{label}");
             }
         }
+    }
+}
+
+/// Loads per traced segment: nothing, one op, and each side of one and
+/// of two quanta.
+const SEGMENT_LOADS: [usize; 6] = [
+    0,
+    1,
+    RUN_QUANTUM - 1,
+    RUN_QUANTUM,
+    RUN_QUANTUM + 1,
+    2 * RUN_QUANTUM,
+];
+
+/// One traced segment of each length, a ring message and a collective
+/// after each: whatever is left in a generator's quantum has to reach
+/// the core before the rank's next event.
+fn boundary_program(ctx: &mut RankCtx) {
+    let (me, n) = (ctx.rank(), ctx.size());
+    let base = rank_base(me);
+    for (tag, loads) in SEGMENT_LOADS.into_iter().enumerate() {
+        with_trace(ctx, |g| {
+            for i in 0..loads as u64 {
+                g.load(base + (i % 512) * 64);
+            }
+        });
+        ctx.send((me + 1) % n, tag as u32, vec![me as u8; 64]);
+        let from = (me + n - 1) % n;
+        assert_eq!(ctx.recv(from, tag as u32), vec![from as u8; 64]);
+        ctx.barrier();
+    }
+}
+
+#[test]
+fn a_segment_ending_on_either_side_of_a_quantum_is_one_consume_and_replays() {
+    let net = NetConfig::shared_memory();
+    let json = |r: &WorldReport| serde_json::to_string(r).expect("reports serialize");
+    // No compiler overhead on the silicon reference, 200 per mille on the
+    // FireSim target: there the overhead ops cross the boundaries too.
+    for cfg in [configs::banana_pi_hw(2), configs::rocket1(2)] {
+        let per_mille = cfg.compiler_overhead_per_mille as usize;
+        let expected: Vec<usize> = SEGMENT_LOADS
+            .iter()
+            .map(|loads| loads + loads * per_mille / 1000)
+            .collect();
+        let (_, trace) = MpiWorld::record(cfg.clone(), 2, net, boundary_program);
+        for rank in 0..2 {
+            let consumes: Vec<usize> = trace
+                .events
+                .iter()
+                .filter_map(|ev| match *ev {
+                    Ev::Consume { rank: r, len, .. } if r == rank => Some(len),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(consumes, expected, "rank {rank} on {}", cfg.name);
+        }
+        let live = MpiWorld::run(cfg.clone(), 2, net, boundary_program);
+        let name = cfg.name.clone();
+        let lanes = replay_world(&trace, &[cfg], net, None);
+        assert_eq!(json(&live), json(&lanes[0].report), "{name}");
     }
 }
