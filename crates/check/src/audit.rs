@@ -263,6 +263,14 @@ pub const BANS: &[Ban] = &[
         in_tests: false,
         message: "a live micro-op reaches its core in a quantum, not through a per-op callback",
     },
+    Ban {
+        needles: &["load("],
+        with: ".data",
+        within: &["crates/"],
+        except: &["crates/isa/src/mem.rs"],
+        in_tests: false,
+        message: "a program's data image is mounted, not copied",
+    },
 ];
 
 /// Outcome of a workspace audit.

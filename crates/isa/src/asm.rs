@@ -13,10 +13,10 @@
 // bsim: allow-file(AU005) an ISA's mnemonic table, not accretion
 
 use crate::inst::{AluOp, BranchKind, FpCmp, FpOp, Inst, LoadKind, MulOp, StoreKind};
-use crate::mem::Memory;
 use crate::reg::{FReg, Reg, A0, A7, RA, SP, ZERO};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Default base address of the code image.
 const CODE_BASE: u64 = 0x0001_0000;
@@ -34,8 +34,9 @@ pub struct Program {
     pub code: Vec<u32>,
     /// Load address of `code`.
     pub code_base: u64,
-    /// Initialized data image.
-    pub data: Vec<u8>,
+    /// Initialized data image: shared and immutable, so clones of a
+    /// program and every [`Cpu`](crate::Cpu) running it read one buffer.
+    pub data: Arc<[u8]>,
     /// Load address of `data`.
     pub data_base: u64,
     /// Entry PC.
@@ -48,17 +49,10 @@ impl Program {
         Program {
             code,
             code_base: CODE_BASE,
-            data,
+            data: data.into(),
             data_base: DATA_BASE,
             entry: CODE_BASE,
         }
-    }
-
-    /// Loads the code and data images into a target [`Memory`].
-    pub(crate) fn load_into(&self, mem: &mut Memory) {
-        let code: Vec<u8> = self.code.iter().flat_map(|w| w.to_le_bytes()).collect();
-        mem.load(self.code_base, &code);
-        mem.load(self.data_base, &self.data);
     }
 
     /// Static code size in instructions.
@@ -167,12 +161,11 @@ impl Asm {
     }
 
     /// Pads the data section to `align` bytes (power of two).
-    pub fn data_align(&mut self, align: usize) -> &mut Self {
+    fn data_align(&mut self, align: usize) {
         debug_assert!(align.is_power_of_two());
         while !self.data.len().is_multiple_of(align) {
             self.data.push(0);
         }
-        self
     }
 
     /// Appends a u64 to the data section, returning its address.
@@ -183,14 +176,10 @@ impl Asm {
         addr
     }
 
-    /// Appends a sequence of u64s (an array, or an iterator that computes
-    /// a large table in place), returning the base address. The data section
-    /// grows once, by the iterator's lower size bound.
-    pub fn data_u64s(&mut self, vs: impl IntoIterator<Item = u64>) -> u64 {
+    /// Appends a slice of u64s, returning the base address.
+    pub fn data_u64s(&mut self, vs: &[u64]) -> u64 {
         self.data_align(8);
         let addr = DATA_BASE + self.data.len() as u64;
-        let vs = vs.into_iter();
-        self.data.reserve(8 * vs.size_hint().0);
         for v in vs {
             self.data.extend_from_slice(&v.to_le_bytes());
         }
@@ -909,8 +898,7 @@ impl Asm {
 
     // ---- assemble ---------------------------------------------------------------
 
-    /// Resolves all labels and symbols and produces the final [`Program`];
-    /// the data image moves into it.
+    /// Resolves all labels and symbols and produces the final [`Program`].
     pub fn assemble(self) -> Result<Program, AsmError> {
         Ok(Program::new(self.encode()?, self.data))
     }
@@ -1059,7 +1047,7 @@ mod tests {
     fn la_and_data_roundtrip() {
         let mut a = Asm::new();
         a.data_label("tbl");
-        a.data_u64s([5, 7, 11]);
+        a.data_u64s(&[5, 7, 11]);
         a.la(T0, "tbl");
         a.ld(A0, 16, T0); // third element
         a.li(A7, SYS_EXIT as i64).ecall();

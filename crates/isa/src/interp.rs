@@ -22,6 +22,7 @@ use crate::asm::Program;
 use crate::inst::{AluOp, BranchKind, FpCmp, FpOp, Inst, LoadKind, Lowered, MulOp, StoreKind};
 use crate::mem::Memory;
 use crate::reg::Reg;
+use std::sync::Arc;
 
 /// One retired dynamic instruction.
 #[derive(Clone, Copy, Debug)]
@@ -92,10 +93,13 @@ pub struct Cpu {
 }
 
 impl Cpu {
-    /// Builds a CPU with the program loaded and PC at its entry.
+    /// Builds a CPU with PC at the program's entry, its code loaded and
+    /// its data image mounted: shared with `prog`, read in place, copied
+    /// a page at a time only where this CPU stores.
     pub fn new(prog: &Program) -> Cpu {
-        let mut mem = Memory::new();
-        prog.load_into(&mut mem);
+        let mut mem = Memory::mounted(prog.data_base, Arc::clone(&prog.data));
+        let code: Vec<u8> = prog.code.iter().flat_map(|w| w.to_le_bytes()).collect();
+        mem.load(prog.code_base, &code);
         let decoded = prog
             .code
             .iter()

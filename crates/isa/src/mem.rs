@@ -2,9 +2,21 @@
 //!
 //! The interpreter's memory is a table of 4 KiB pages allocated on first
 //! write, so a 64-bit address space costs only what the workload actually
-//! uses. All accessors are little-endian and tolerate unaligned and
+//! writes. All accessors are little-endian and tolerate unaligned and
 //! page-straddling accesses (the silicon and FireSim targets both allow
 //! unaligned scalar accesses via trap-and-emulate; we just allow them).
+//!
+//! # Mounted image
+//!
+//! A program's initialised data is not copied in. [`Memory::mounted`]
+//! places a shared, immutable byte image under the page table: a read of
+//! a page nobody wrote reads the image's bytes where they lie (zero
+//! outside it), and the first write to a page copies that page's part of
+//! the image into a fresh page and proceeds on the copy. So an image
+//! exists once however many memories are mounted on it, a memory owns
+//! only the pages it has written, and no memory sees another's stores —
+//! the image cannot be written through any of them. Byte for byte this
+//! is [`Memory::new`] followed by a [`Memory::load`] of the image.
 //!
 //! # Page lookup
 //!
@@ -16,11 +28,12 @@
 //! which only a stray pointer reaches, sit in an ordered map. Reads never
 //! allocate: a missing root entry, leaf or page reads as zero.
 //!
-//! [`Memory::load`] copies an image page by page (one `copy_from_slice`
-//! per page touched), so `Cpu::new` of the 40 MiB `MM` pointer ring
-//! costs a `memcpy`.
+//! A page that exists is found before the image is consulted, so an
+//! access to written memory — every stack and array access — costs what
+//! it would without a mount.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::Arc;
 
 const PAGE_BITS: u32 = 12;
 /// Page size in bytes (4 KiB).
@@ -44,6 +57,10 @@ pub struct Memory {
     /// Pages at or above 4 GiB, by page number.
     high: BTreeMap<u64, Box<Page>>,
     resident: usize,
+    /// The mounted image (empty for none), read where no page exists.
+    image: Arc<[u8]>,
+    /// Address of the image's first byte.
+    image_base: u64,
 }
 
 impl Memory {
@@ -52,7 +69,19 @@ impl Memory {
         Memory::default()
     }
 
-    /// Number of distinct 4 KiB pages written so far.
+    /// Creates a memory that reads as `image` at `base` and as zero
+    /// elsewhere, without copying it (see the module docs).
+    pub fn mounted(base: u64, image: Arc<[u8]>) -> Memory {
+        Memory {
+            image,
+            image_base: base,
+            ..Memory::default()
+        }
+    }
+
+    /// Number of distinct 4 KiB pages written so far: the pages this
+    /// memory owns. Pages only ever read through to a mounted image are
+    /// not among them.
     pub fn resident_pages(&self) -> usize {
         self.resident
     }
@@ -71,30 +100,60 @@ impl Memory {
     #[inline]
     fn page_mut(&mut self, addr: u64) -> &mut Page {
         let pn = addr >> PAGE_BITS;
-        let resident = &mut self.resident;
-        let fresh = || {
-            *resident += 1;
-            Box::new([0u8; PAGE_SIZE])
-        };
         if pn < DIRECT_PAGES {
             let hi = (pn >> LEAF_BITS) as usize;
             if self.root.len() <= hi {
                 self.root.resize_with(hi + 1, || None);
             }
-            let leaf = self.root[hi].get_or_insert_with(|| Box::new(std::array::from_fn(|_| None)));
-            leaf[(pn as usize) & (LEAF_PAGES - 1)].get_or_insert_with(fresh)
+            let leaf = self.root[hi].get_or_insert_with(fresh_leaf);
+            leaf[(pn as usize) & (LEAF_PAGES - 1)].get_or_insert_with(|| {
+                self.resident += 1;
+                fresh_page(pn << PAGE_BITS, &self.image, self.image_base)
+            })
         } else {
-            self.high.entry(pn).or_insert_with(fresh)
+            match self.high.entry(pn) {
+                Entry::Occupied(page) => page.into_mut(),
+                Entry::Vacant(slot) => {
+                    self.resident += 1;
+                    slot.insert(fresh_page(pn << PAGE_BITS, &self.image, self.image_base))
+                }
+            }
         }
     }
 
-    /// Reads one byte (untouched memory reads as zero).
+    /// Whether any of the `n` bytes at `addr` lies in the mounted image.
+    #[inline]
+    fn image_meets(&self, addr: u64, n: usize) -> bool {
+        // -(n-1) <= addr - base < len, as one unsigned comparison.
+        let lead = n as u64 - 1;
+        addr.wrapping_sub(self.image_base).wrapping_add(lead) < self.image.len() as u64 + lead
+    }
+
+    /// Fills `out`, which arrives zeroed, with the bytes at `addr` where
+    /// no page exists: the image's, zero outside it. Out of line, so the
+    /// accessors' own code is a lookup, a comparison and a copy.
+    #[inline(never)]
+    fn read_image(&self, addr: u64, out: &mut [u8]) {
+        let len = self.image.len() as u64;
+        let off = addr.wrapping_sub(self.image_base);
+        if off < len && out.len() as u64 <= len - off {
+            let off = off as usize;
+            out.copy_from_slice(&self.image[off..off + out.len()]);
+        } else {
+            // Astride an edge of the image: byte by byte.
+            for (i, b) in out.iter_mut().enumerate() {
+                let off = off.wrapping_add(i as u64);
+                if off < len {
+                    *b = self.image[off as usize];
+                }
+            }
+        }
+    }
+
+    /// Reads one byte (untouched memory reads as the mounted image, or zero).
     #[inline]
     pub fn read_u8(&self, addr: u64) -> u8 {
-        match self.page(addr) {
-            Some(p) => p[(addr as usize) & (PAGE_SIZE - 1)],
-            None => 0,
-        }
+        self.read_bytes::<1>(addr)[0]
     }
 
     /// Writes one byte.
@@ -110,8 +169,10 @@ impl Memory {
         let mut out = [0u8; N];
         if off + N <= PAGE_SIZE {
             // Fast path: within one page.
-            if let Some(p) = self.page(addr) {
-                out.copy_from_slice(&p[off..off + N]);
+            match self.page(addr) {
+                Some(p) => out.copy_from_slice(&p[off..off + N]),
+                None if self.image_meets(addr, N) => self.read_image(addr, &mut out),
+                None => {}
             }
         } else {
             for (i, b) in out.iter_mut().enumerate() {
@@ -179,7 +240,8 @@ impl Memory {
         self.write_u64(addr, val.to_bits());
     }
 
-    /// Bulk-loads a byte image at `base`: one copy per page touched.
+    /// Copies `bytes` in at `base`, one copy per page touched; every
+    /// page touched becomes this memory's own.
     pub fn load(&mut self, base: u64, bytes: &[u8]) {
         let mut addr = base;
         let mut rest = bytes;
@@ -191,6 +253,35 @@ impl Memory {
             rest = tail;
         }
     }
+}
+
+/// A new, empty leaf. Out of line for the same reason as [`fresh_page`],
+/// and so that no store reserves a leaf-sized stack frame.
+#[inline(never)]
+fn fresh_leaf() -> Box<Leaf> {
+    Box::new(std::array::from_fn(|_| None))
+}
+
+/// A new page for address `page_addr`: the part of `image` (mounted at
+/// `image_base`) that lies in it, zero around that. Out of line, so
+/// finding a page that exists stays small enough to inline into a store.
+#[inline(never)]
+fn fresh_page(page_addr: u64, image: &[u8], image_base: u64) -> Box<Page> {
+    let mut page = Box::new([0u8; PAGE_SIZE]);
+    // The image covers the page's first byte, or starts inside the page,
+    // or misses it. (Wrapping differences: an image may lie anywhere.)
+    let image_before_page = page_addr.wrapping_sub(image_base);
+    let page_before_image = image_base.wrapping_sub(page_addr);
+    let (skip, at) = if image_before_page < image.len() as u64 {
+        (image_before_page as usize, 0)
+    } else if page_before_image < PAGE_SIZE as u64 {
+        (0, page_before_image as usize)
+    } else {
+        return page;
+    };
+    let n = (image.len() - skip).min(PAGE_SIZE - at);
+    page[at..at + n].copy_from_slice(&image[skip..skip + n]);
+    page
 }
 
 #[cfg(test)]

@@ -1,13 +1,16 @@
 //! Property tests for the ISA layer: encode/decode round-trips over the
 //! whole operand space, interpreter arithmetic vs native Rust semantics,
 //! assembler `li` materialization, the decode-time branch classification,
-//! and the paged target memory against byte-wise writes.
+//! the paged target memory against byte-wise writes, and a memory mounted
+//! on a shared image against one the image was copied into.
 
 use bsim_isa::inst::{AluOp, BranchKind, LoadKind, MulOp, StoreKind};
 use bsim_isa::mem::PAGE_SIZE;
 use bsim_isa::reg::*;
 use bsim_isa::{Asm, BranchClass, Cpu, FReg, Inst, Memory, Reg, RunResult};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn reg() -> impl Strategy<Value = Reg> {
     (0u8..32).prop_map(Reg)
@@ -73,7 +76,117 @@ fn load_base() -> impl Strategy<Value = u64> {
     ]
 }
 
+/// One access of the mounted-memory oracle, placed once the image's
+/// length is known: near one of its edges or of a page-sized step into
+/// it, or anywhere from a page before it to a page after it.
+#[derive(Clone, Debug)]
+struct Access {
+    write: bool,
+    size: usize,
+    /// The edge `min(k pages, len)` to sit within nine bytes of, if any.
+    edge: Option<i64>,
+    near: i64,
+    anywhere: u64,
+    val: u64,
+}
+
+impl Access {
+    fn offset(&self, len: usize) -> i64 {
+        let (page, len) = (PAGE_SIZE as i64, len as i64);
+        match self.edge {
+            Some(k) => (k * page).min(len) + self.near,
+            None => (self.anywhere % (len + 2 * page + 40) as u64) as i64 - page - 20,
+        }
+    }
+}
+
+fn accesses() -> impl Strategy<Value = Vec<Access>> {
+    let size = prop_oneof![Just(1usize), Just(2), Just(4), Just(8)];
+    let edge = (0i64..10).prop_map(|k| (k < 5).then_some(k));
+    let access = (
+        any::<bool>(),
+        size,
+        edge,
+        -9i64..=9,
+        any::<u64>(),
+        any::<u64>(),
+    )
+        .prop_map(|(write, size, edge, near, anywhere, val)| Access {
+            write,
+            size,
+            edge,
+            near,
+            anywhere,
+            val,
+        });
+    prop::collection::vec(access, 0..60)
+}
+
+fn read(m: &Memory, addr: u64, size: usize) -> u64 {
+    match size {
+        1 => m.read_u8(addr) as u64,
+        2 => m.read_u16(addr) as u64,
+        4 => m.read_u32(addr) as u64,
+        _ => m.read_u64(addr),
+    }
+}
+
+/// The public stores are the 1- and 8-byte ones; 2 and 4 bytes go in as
+/// a `load` of that many, which is what a page-straddling store is anyway.
+fn write(m: &mut Memory, addr: u64, size: usize, val: u64) {
+    match size {
+        1 => m.write_u8(addr, val as u8),
+        8 => m.write_u64(addr, val),
+        _ => m.load(addr, &val.to_le_bytes()[..size]),
+    }
+}
+
 proptest! {
+    #[test]
+    fn mounted_image_reads_and_writes_like_a_loaded_copy(
+        base in load_base(),
+        aligned in any::<bool>(),
+        pages in 0usize..=3,
+        tail in 0usize..PAGE_SIZE,
+        seed in any::<u64>(),
+        ops in accesses(),
+    ) {
+        let base = if aligned { base & !(PAGE_SIZE as u64 - 1) } else { base };
+        let image: Arc<[u8]> = pattern(seed, pages * PAGE_SIZE + tail).into();
+        let mut mounted = Memory::mounted(base, Arc::clone(&image));
+        let mut copied = Memory::new();
+        copied.load(base, &image);
+        prop_assert_eq!(mounted.resident_pages(), 0, "mounting copies nothing");
+
+        let mut touched = BTreeSet::new();
+        let mut written_pages = BTreeSet::new();
+        for op in &ops {
+            let addr = base.wrapping_add(op.offset(image.len()) as u64);
+            let bytes = (0..op.size as u64).map(|i| addr.wrapping_add(i));
+            touched.extend(bytes.clone());
+            if op.write {
+                write(&mut mounted, addr, op.size, op.val);
+                write(&mut copied, addr, op.size, op.val);
+                written_pages.extend(bytes.map(|a| a / PAGE_SIZE as u64));
+            } else {
+                prop_assert_eq!(read(&mounted, addr, op.size), read(&copied, addr, op.size), "{:?}", op);
+            }
+        }
+        prop_assert_eq!(mounted.resident_pages(), written_pages.len(), "a memory owns the pages it wrote");
+
+        // Every byte an access touched and every byte of the image, with a
+        // margin: equal to the copy's, and the image itself still pristine
+        // under a second mount.
+        let pristine = Memory::mounted(base, Arc::clone(&image));
+        let span = (-40i64..image.len() as i64 + 40).map(|i| base.wrapping_add(i as u64));
+        for addr in touched.into_iter().chain(span) {
+            prop_assert_eq!(mounted.read_u8(addr), copied.read_u8(addr), "byte at {:#x}", addr);
+            let want = image.get(addr.wrapping_sub(base) as usize).copied().unwrap_or(0);
+            prop_assert_eq!(pristine.read_u8(addr), want, "pristine byte at {:#x}", addr);
+        }
+        prop_assert_eq!(pristine.resident_pages(), 0);
+    }
+
     #[test]
     fn lowering_classifies_control_flow_by_the_link_register(
         rd in link_biased(),

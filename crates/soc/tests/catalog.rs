@@ -22,7 +22,7 @@ fn catalog() -> Vec<SocConfig> {
 
 fn probe() -> bsim_isa::Program {
     let mut a = Asm::new();
-    let tbl = a.data_u64s([3, 5, 7, 11, 13, 17, 19, 23]);
+    let tbl = a.data_u64s(&[3, 5, 7, 11, 13, 17, 19, 23]);
     a.li(T0, tbl as i64);
     a.li(T1, 0); // sum
     a.li(T2, 0);

@@ -11,27 +11,45 @@
 //! cache line per node) and the traversal visits each node exactly once
 //! per run — cold misses all the way down, so no cache level (not even
 //! the MILK-V's 64 MiB LLC) can capture the working set. The ring is
-//! precomputed into the program's data image, so the timed region is the
-//! chase itself.
+//! the programs' data image, so the timed region is the chase itself.
+//!
+//! The ring is a constant of the suite — its bytes depend on [`NODES`],
+//! [`STRIDE`] and the data base only, not on `scale` and not on the
+//! stores — so it is one 40 MiB buffer per process ([`ring`]), built on
+//! first use, kept until exit and shared by every MM and MM_st program
+//! at every scale. A CPU reads it in place and owns only the pages
+//! MM_st's stores touch.
 
+use bsim_isa::asm::DATA_BASE;
 use bsim_isa::reg::*;
 use bsim_isa::{Asm, Program};
+use std::sync::{Arc, OnceLock};
 
 /// Ring geometry: 640 Ki nodes × 64 B = 40 MiB, visited at most once.
 const NODES: u64 = 640 * 1024;
 const STRIDE: u64 = 64;
 
+/// The pointer ring as a data image at [`DATA_BASE`]: node i's first
+/// doubleword holds the address of node i+1 (wrapping), the rest is zero.
+fn ring() -> Arc<[u8]> {
+    static RING: OnceLock<Arc<[u8]>> = OnceLock::new();
+    let build = || {
+        let mut ring: Arc<[u8]> = std::iter::repeat_n(0, (NODES * STRIDE) as usize).collect();
+        let bytes = Arc::get_mut(&mut ring).expect("not shared yet");
+        for (i, node) in (1..=NODES).zip(bytes.chunks_exact_mut(STRIDE as usize)) {
+            let next = DATA_BASE + (i % NODES) * STRIDE;
+            node[..8].copy_from_slice(&next.to_le_bytes());
+        }
+        ring
+    };
+    Arc::clone(RING.get_or_init(build))
+}
+
 fn mm_kernel(iters: i64, store_too: bool) -> Program {
     let mut a = Asm::new();
-    // Precomputed pointer ring in the data image: node i's first
-    // doubleword holds the address of node i+1 (wrapping).
-    a.data_align(64);
+    // The ring is the whole data section: its label is the section's start.
     let base = a.data_label("mm_ring");
-    a.data_u64s((0..NODES).flat_map(|i| {
-        let mut node = [0u64; (STRIDE / 8) as usize];
-        node[0] = base + ((i + 1) % NODES) * STRIDE;
-        node
-    }));
+    assert_eq!(base, DATA_BASE, "the ring is laid out for the data base");
 
     a.la(S6, "mm_ring");
     a.li(T0, 0);
@@ -46,7 +64,10 @@ fn mm_kernel(iters: i64, store_too: bool) -> Program {
     a.addi(T0, T0, 1);
     a.blt(T0, T1, "loop");
     a.exit(0);
-    a.assemble().expect("MM kernel")
+    Program {
+        data: ring(),
+        ..a.assemble().expect("MM kernel")
+    }
 }
 
 /// MM — non-cache-resident linked-list traversal (DRAM bound).
