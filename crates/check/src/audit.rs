@@ -271,6 +271,24 @@ pub const BANS: &[Ban] = &[
         in_tests: false,
         message: "a program's data image is mounted, not copied",
     },
+    Ban {
+        needles: &[
+            concat!("PlanSpec::", "Graph"),
+            concat!("Frame::", "Link"),
+            concat!("run_graph", "_demo"),
+            concat!("lint_graph", "_plan"),
+            concat!("plan_", "cores"),
+            concat!("analyze_", "partition"),
+            concat!("partition", "_lints"),
+            concat!("\"--graph", "-demo\""),
+        ],
+        with: "",
+        within: SHIPPED,
+        except: &[],
+        in_tests: true,
+        message: "bsim dist has one mode, the cell sweep: no process runs a partitioned \
+                  token graph, so nothing plans or lints one",
+    },
 ];
 
 /// Outcome of a workspace audit.

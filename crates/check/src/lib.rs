@@ -21,9 +21,6 @@
 //!   launcher/worker wire protocols, driven by the runtime through
 //!   [`proto::Tracker`] and exhaustively model-checked by
 //!   [`proto::explore`] (`PV0xx` codes),
-//! * [`dd`] — rank-level deadlock analysis of partitioned plans: token
-//!   cycles, missing back-pressure, fast-forward licensing holes
-//!   (`DD0xx` codes),
 //! * [`audit`] — a workspace source audit banning panicking calls,
 //!   `HashMap` iteration, and host clocks from deterministic paths
 //!   (`AU0xx` codes, `// bsim: allow(..)` waivers),
@@ -42,7 +39,6 @@
 //! Every diagnostic code is documented in `crates/check/README.md`.
 
 pub mod audit;
-pub mod dd;
 pub mod diag;
 pub mod graph;
 pub mod guard;

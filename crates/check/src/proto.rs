@@ -184,9 +184,8 @@ pub fn svc_protocol() -> ProtocolSpec {
 }
 
 /// The dist launcher/worker control protocol. Message names match
-/// `Frame::event` in `bsim-dist`. Link connections (`piping`/`relaying`)
-/// carry raw token frames (`Data`/`Run`) that bypass the control protocol;
-/// they are terminal here.
+/// `Frame::event` in `bsim-dist`; token frames (`Data`/`Run`) never
+/// travel on a control connection and are not in the alphabet.
 pub fn dist_protocol() -> ProtocolSpec {
     let worker = RoleSpec {
         name: "worker",
@@ -195,15 +194,13 @@ pub fn dist_protocol() -> ProtocolSpec {
             "connect",
             "await-plan",
             "executing",
-            "piping",
             "done",
             "failed",
             "lost",
         ],
-        terminal: vec!["piping", "done", "failed", "lost"],
+        terminal: vec!["done", "failed", "lost"],
         rules: vec![
             ts("connect", Ev::Local("hello"), "await-plan", "Hello"),
-            ts("connect", Ev::Local("link"), "piping", "Link"),
             t("connect", Ev::Eof, "lost"),
             t("connect", Ev::Torn, "lost"),
             t("await-plan", Ev::Recv("Plan"), "executing"),
@@ -219,18 +216,10 @@ pub fn dist_protocol() -> ProtocolSpec {
     let coordinator = RoleSpec {
         name: "coordinator",
         start: "accept",
-        states: vec![
-            "accept",
-            "collecting",
-            "relaying",
-            "closed",
-            "peer-failed",
-            "lost",
-        ],
-        terminal: vec!["relaying", "closed", "peer-failed", "lost"],
+        states: vec!["accept", "collecting", "closed", "peer-failed", "lost"],
+        terminal: vec!["closed", "peer-failed", "lost"],
         rules: vec![
             ts("accept", Ev::Recv("Hello"), "collecting", "Plan"),
-            t("accept", Ev::Recv("Link"), "relaying"),
             t("accept", Ev::Eof, "closed"),
             t("accept", Ev::Torn, "closed"),
             t("collecting", Ev::Recv("Cell"), "collecting"),
@@ -1003,8 +992,10 @@ mod tests {
         assert_eq!(coord.state(), "accept");
         // terminal states absorb teardown events
         let mut worker = Tracker::new(spec, "worker").unwrap();
-        worker.local("link").unwrap();
-        assert_eq!(worker.state(), "piping");
+        worker.local("hello").unwrap();
+        worker.recv("Plan").unwrap();
+        worker.local("done").unwrap();
+        assert_eq!(worker.state(), "done");
         assert!(worker.eof().unwrap().is_none());
     }
 
@@ -1121,7 +1112,7 @@ mod tests {
     #[test]
     fn alphabet_collects_all_messages() {
         let a = dist_protocol().alphabet();
-        for m in ["Hello", "Plan", "Link", "Cell", "Done", "Err"] {
+        for m in ["Hello", "Plan", "Cell", "Done", "Err"] {
             assert!(a.contains(&m), "missing {m}");
         }
     }

@@ -7,8 +7,8 @@
 //! [`Frame::Data`] for literal token batches and [`Frame::Run`] for
 //! run-length spans (the on-the-wire form of the quiescence
 //! fast-forward: a million idle cycles is 36 bytes, not 8 MB) — the
-//! rest are control-plane: handshake, plan distribution, link pairing,
-//! and result collection.
+//! rest are control-plane: handshake, plan distribution and result
+//! collection.
 //!
 //! Frames carry *channel-absolute* start cycles so every hop re-checks
 //! the token protocol: a frame landing at the wrong cycle is a protocol
@@ -44,17 +44,13 @@ pub(crate) const HEADER_LEN: usize = 12;
 pub enum Frame {
     /// Worker → coordinator handshake on the control connection.
     Hello { rank: u32 },
-    /// Coordinator → worker: the JSON partition plan ([`crate::plan`]).
+    /// Coordinator → worker: the JSON sweep plan ([`crate::plan`]).
     Plan { json: String },
     /// A literal batch of tokens for cycles `start..start + tokens.len()`.
     Data { start: u64, tokens: Vec<u64> },
     /// A run-length span: `n` copies of `fill` for cycles `start..start + n`.
     Run { start: u64, n: u64, fill: u64 },
-    /// First frame on a token-link connection: which cut wire this
-    /// stream carries and which endpoint the sender is.
-    Link { wire: u32, producer: bool },
-    /// Worker → coordinator: one completed result (sweep cell or final
-    /// partition state), by plan index.
+    /// Worker → coordinator: one completed sweep cell, by plan index.
     Cell { index: u32, json: String },
     /// Worker → coordinator: the plan is fully executed.
     Done,
@@ -74,7 +70,6 @@ impl Frame {
             Frame::Plan { .. } => "Plan",
             Frame::Data { .. } => "Data",
             Frame::Run { .. } => "Run",
-            Frame::Link { .. } => "Link",
             Frame::Cell { .. } => "Cell",
             Frame::Done => "Done",
             Frame::Err { .. } => "Err",
@@ -86,7 +81,8 @@ const TAG_HELLO: u8 = 1;
 const TAG_PLAN: u8 = 2;
 const TAG_DATA: u8 = 3;
 const TAG_RUN: u8 = 4;
-const TAG_LINK: u8 = 5;
+// Tag 5 is unassigned. Tags never move, so a frame's bytes stay what
+// they were, and an unassigned tag reads as a flipped header bit.
 const TAG_CELL: u8 = 6;
 const TAG_DONE: u8 = 7;
 const TAG_ERR: u8 = 8;
@@ -203,12 +199,6 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
             put_u64(&mut p, *fill);
             (TAG_RUN, p)
         }
-        Frame::Link { wire, producer } => {
-            let mut p = Vec::with_capacity(5);
-            put_u32(&mut p, *wire);
-            p.push(u8::from(*producer));
-            (TAG_LINK, p)
-        }
         Frame::Cell { index, json } => {
             let mut p = Vec::with_capacity(4 + json.len());
             put_u32(&mut p, *index);
@@ -312,10 +302,6 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
             n: take_u64(&payload, 8)?,
             fill: take_u64(&payload, 16)?,
         }),
-        TAG_LINK => Ok(Frame::Link {
-            wire: take_u32(&payload, 0)?,
-            producer: *payload.get(4).ok_or_else(|| bad("truncated Link".into()))? != 0,
-        }),
         TAG_CELL => Ok(Frame::Cell {
             index: take_u32(&payload, 0)?,
             json: take_str(&payload, 4)?,
@@ -349,10 +335,6 @@ mod tests {
                 start: 10,
                 n: 1 << 40,
                 fill: 0,
-            },
-            Frame::Link {
-                wire: 2,
-                producer: true,
             },
             Frame::Cell {
                 index: 5,
@@ -433,11 +415,15 @@ mod tests {
         let mut r = &head[..];
         let e = read_frame(&mut r).expect_err("oversized");
         assert_eq!(classify(&e), FrameError::Corrupt);
-        // Unknown tag under a valid magic/version: corrupt.
-        let head = header(99, b"");
-        let mut r = &head[..];
-        let e = read_frame(&mut r).expect_err("unknown tag");
-        assert_eq!(classify(&e), FrameError::Corrupt);
+        // Unknown tags under a valid magic/version — 99, and the
+        // unassigned 5 with a payload — are corrupt.
+        for (tag, payload) in [(99, &b""[..]), (5, &[2, 0, 0, 0, 1][..])] {
+            let mut wire = header(tag, payload);
+            wire.extend_from_slice(payload);
+            let e = read_frame(&mut &wire[..]).expect_err("unknown tag");
+            assert_eq!(classify(&e), FrameError::Corrupt, "tag {tag}: {e}");
+            assert!(e.to_string().contains("unknown frame tag"), "{e}");
+        }
     }
 
     #[test]
@@ -567,10 +553,6 @@ mod tests {
             Frame::Hello { rank: 0 },
             Frame::Plan {
                 json: String::new(),
-            },
-            Frame::Link {
-                wire: 0,
-                producer: true,
             },
             Frame::Cell {
                 index: 0,

@@ -22,13 +22,12 @@
 //!   then travels compressed: the senders emit constant-size
 //!   [`Frame::Run`](crate::frame::Frame::Run) frames.
 //!
-//! A partition holds no recovery state: a run that loses a rank fails
-//! typed (the launcher reports which rank died) and is re-run.
+//! No launcher runs a partition across processes. Over socket pairs in
+//! one process, `RankGraph` is the primitive behind the ledger's
+//! `dist.rankgraph_mcps` and `dist.cut_overhead_x` probes.
 
 use crate::link::{RemoteReceiver, RemoteSender};
 use bsim_engine::{TickModel, TokenChannel, TokenLink, Wire};
-use bsim_resilience::snapshot::{field, CkptError, Snapshot};
-use serde::Value;
 use std::io::{self, Read, Write};
 
 /// Where one port of a local model connects.
@@ -388,11 +387,11 @@ impl<M: TickModel> RankGraph<M> {
     }
 }
 
-/// The demo target for distributed runs: a bursty accumulator node.
-/// Active for the first `burst` cycles of every `period`-cycle window
-/// (mixing its input into its state and emitting a nonzero token),
-/// idle otherwise — which makes ring graphs of these nodes exercise
-/// both dense token traffic and long quiescent spans.
+/// The demo target the probes and tests partition: a bursty accumulator
+/// node. Active for the first `burst` cycles of every `period`-cycle
+/// window (mixing its input into its state and emitting a nonzero
+/// token), idle otherwise — which makes ring graphs of these nodes
+/// exercise both dense token traffic and long quiescent spans.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DemoNode {
     period: u64,
@@ -411,11 +410,6 @@ impl DemoNode {
             state: seed.wrapping_mul(0x9E3779B97F4A7C15) | 1,
             next_burst: 0,
         }
-    }
-
-    /// Final state word, for fingerprinting.
-    pub fn state(&self) -> u64 {
-        self.state
     }
 }
 
@@ -453,26 +447,6 @@ impl TickModel for DemoNode {
     }
 }
 
-impl Snapshot for DemoNode {
-    fn save(&self) -> Value {
-        Value::Map(vec![
-            ("period".into(), Value::U64(self.period)),
-            ("burst".into(), Value::U64(self.burst)),
-            ("state".into(), Value::U64(self.state)),
-            ("next_burst".into(), Value::U64(self.next_burst)),
-        ])
-    }
-
-    fn restore(value: &Value) -> Result<DemoNode, CkptError> {
-        Ok(DemoNode {
-            period: u64::restore(field(value, "period")?)?,
-            burst: u64::restore(field(value, "burst")?)?,
-            state: u64::restore(field(value, "state")?)?,
-            next_burst: u64::restore(field(value, "next_burst")?)?,
-        })
-    }
-}
-
 /// A ring of `n` [`DemoNode`]s, node `i` feeding `i + 1 mod n` over a
 /// `latency`-cycle wire — the same topology as the fault campaign's
 /// mixer ring and the paper's nearest-neighbor MPI patterns.
@@ -493,13 +467,6 @@ pub fn demo_ring(n: usize, seed: u64, latency: u64) -> (Vec<DemoNode>, Vec<Wire>
     (models, wires)
 }
 
-/// Byte-stable fingerprint of an ordered model-state sequence — the
-/// object two schedules must agree on bit-for-bit.
-pub fn fingerprint<M: Snapshot>(models: &[M]) -> String {
-    serde_json::to_string(&Value::Seq(models.iter().map(Snapshot::save).collect()))
-        .expect("shim renderer is total") // bsim: allow(AU002) invariant stated in the message
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,10 +479,9 @@ mod tests {
     const QUANTUM: usize = 16;
     const SEED: u64 = 0xB51D;
 
-    fn reference_fingerprint() -> String {
+    fn reference() -> Vec<DemoNode> {
         let (models, wires) = demo_ring(RING, SEED, LATENCY);
-        let finished = Harness::new(models, wires).run(CYCLES);
-        fingerprint(&finished)
+        Harness::new(models, wires).run(CYCLES)
     }
 
     /// Socket plumbing for a 2-rank split of the demo ring: returns
@@ -567,9 +533,10 @@ mod tests {
     }
 
     /// Runs the 2-rank partition with the given schedule and returns
-    /// `(global fingerprint, total skipped cycles)`. `segments` is the
-    /// list of target-cycle boundaries each rank runs to in turn.
-    fn partitioned_fingerprint(fast_forward: bool, segments: &[u64]) -> (String, u64) {
+    /// `(final models in global order, total skipped cycles)`.
+    /// `segments` is the list of target-cycle boundaries each rank runs
+    /// to in turn.
+    fn partitioned(fast_forward: bool, segments: &[u64]) -> (Vec<DemoNode>, u64) {
         let (models, wires) = demo_ring(RING, SEED, LATENCY);
         let assignment = [0usize, 0, 1, 1];
         let views = [
@@ -613,21 +580,23 @@ mod tests {
                 .expect("assignment covers the ring");
             all.push(finals[rank][local].clone());
         }
-        (fingerprint(&all), skipped)
+        (all, skipped)
     }
 
     #[test]
     fn partitioned_ring_matches_the_in_process_harness() {
-        let reference = reference_fingerprint();
-        let (plain, _) = partitioned_fingerprint(false, &[CYCLES]);
-        assert_eq!(plain, reference, "2-rank schedule is bit-identical");
+        let (plain, _) = partitioned(false, &[CYCLES]);
+        assert_eq!(plain, reference(), "2-rank schedule is bit-identical");
     }
 
     #[test]
     fn quiescence_fast_forward_crosses_the_wire_bit_identically() {
-        let reference = reference_fingerprint();
-        let (ffed, skipped) = partitioned_fingerprint(true, &[CYCLES]);
-        assert_eq!(ffed, reference, "fast-forward changes host work, not state");
+        let (ffed, skipped) = partitioned(true, &[CYCLES]);
+        assert_eq!(
+            ffed,
+            reference(),
+            "fast-forward changes host work, not state"
+        );
         assert!(
             skipped > CYCLES / 4,
             "the idle windows actually skip (got {skipped} of {CYCLES} per-rank cycles)"
@@ -636,8 +605,8 @@ mod tests {
 
     #[test]
     fn a_mid_run_boundary_is_invisible() {
-        let (segmented, _) = partitioned_fingerprint(true, &[250, CYCLES]);
-        assert_eq!(segmented, reference_fingerprint());
+        let (segmented, _) = partitioned(true, &[250, CYCLES]);
+        assert_eq!(segmented, reference());
     }
 
     #[test]

@@ -1,34 +1,38 @@
-//! # bsim-dist — multi-process scale-out
+//! # bsim-dist — multi-process cell sweeps
 //!
-//! FireSim spans big targets across FPGAs by cutting the target graph
-//! along its token links and carrying the cut links over the host
-//! network; determinism survives because the links are *token* links —
-//! every value crosses with ≥ 1 target-cycle of latency, so the
-//! computation is independent of host timing (DESIGN.md §13). This
-//! crate does the same across OS processes:
+//! `bsim dist` fans a sweep of independent figure, microbenchmark and
+//! tuning cells across worker processes, collects every result into the
+//! one result store, and survives a worker's death by re-planning the
+//! cells it had not delivered. Cells cross process boundaries as framed
+//! JSON over loopback control sockets; no target model state does.
 //!
 //! * [`frame`] — the length-prefixed binary wire protocol,
-//! * [`link`] — [`link::RemoteSender`]/[`link::RemoteReceiver`], the two
-//!   halves of a cut token link, implementing the engine's
-//!   [`bsim_engine::TokenLink`] surface over any byte stream (TCP, Unix
-//!   socket pairs) — including run-length `Run` frames so the quiescence
-//!   fast-forward works *across the wire*,
-//! * [`graph`] — a per-rank lockstep driver for a partitioned model
-//!   graph, bit-identical to the in-process [`bsim_engine::Harness`],
 //! * [`cells`] — [`cells::WireCell`], the serializable unit of sweep
 //!   work: what a worker process executes and what `bsim-svc` schedules
 //!   in-process,
 //! * [`key`] — cell identity: the content hash behind
 //!   [`WireCell::key`], the only thing a result store is indexed by,
-//! * [`plan`] — the partition plan a coordinator distributes, validated
-//!   by the `DL`-series lints in `bsim-check`,
-//! * [`launcher`] — spawns workers, distributes the plan, collects
+//! * [`plan`] — the sweep plan a coordinator hands each worker,
+//! * [`launcher`] — spawns workers, distributes the plans, collects
 //!   results into a [`bsim_resilience::ResultStore`], and — via
 //!   [`bsim_resilience::PeerWatchdog`] — respawns and re-plans when a
 //!   worker process dies,
 //! * [`worker`] — the worker-process entry point (`bsim dist-worker`),
 //! * [`faults`] — the process-kill survival scenario the `bsim faults`
 //!   matrix appends to the in-process campaign.
+//!
+//! Two modules carry FireSim's other scale-out mechanism, cutting a
+//! target graph along its token links (DESIGN.md §13), in one process
+//! only. They are what the ledger's `dist.rankgraph_mcps` and
+//! `dist.cut_overhead_x` probes time:
+//!
+//! * [`link`] — [`link::RemoteSender`]/[`link::RemoteReceiver`], the two
+//!   halves of a cut token link, implementing the engine's
+//!   [`bsim_engine::TokenLink`] surface over any byte stream — including
+//!   run-length `Run` frames so the quiescence fast-forward works
+//!   *across the wire*,
+//! * [`graph`] — a per-rank lockstep driver for a partitioned model
+//!   graph, bit-identical to the in-process [`bsim_engine::Harness`].
 
 pub mod cells;
 pub mod faults;

@@ -1,6 +1,6 @@
 //! The two halves of a cut token link.
 //!
-//! When a wire of the model graph is cut at a process boundary, the
+//! When a wire of the model graph is cut at a socket, the
 //! producer side keeps a [`RemoteSender`] and the consumer side a
 //! [`RemoteReceiver`]; together they behave like the
 //! [`bsim_engine::TokenChannel`] they replace, and each half implements
@@ -18,7 +18,7 @@
 //!   impossible.
 //! * **Run-length on the wire.** [`TokenLink::fast_forward`] spans and
 //!   all-equal batches travel as constant-size [`Frame::Run`] frames, so
-//!   PR 5's quiescence skip keeps its asymptotics across processes.
+//!   the quiescence skip keeps its asymptotics across the socket.
 //! * **Channel-absolute cycles.** Every frame names the cycle its first
 //!   token belongs to and the receiver verifies it against its own
 //!   cursor — host-timing races cannot silently reorder target time.

@@ -19,9 +19,13 @@
 //! memory model with token quantization; the hardware references use the
 //! real parts' memory (LPDDR4 / DDR4) — reproducing the central
 //! limitation the paper keeps returning to: *FireSim only has DDR3*.
+//!
+//! A [`Soc`] is one trace-driven timing object: cores, caches and DRAM
+//! advance inside [`Soc::consume_batch`], not as models exchanging
+//! tokens. The §3.2.2 token stall is the DRAM model rounding each
+//! completion up to its `token_quantum_cycles` (4 on the DDR3 preset).
 
 pub mod configs;
-pub mod partition;
 pub mod preflight;
 pub mod runner;
 

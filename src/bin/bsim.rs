@@ -26,28 +26,22 @@
 //!                                   # workers; --in-process skips it,
 //!                                   # --guard keeps the integrity rows);
 //!                                   # deny exits non-zero on any miss
-//! bsim check [--deny-warnings] [--json] [--list] [--proto] [--plans]
-//!            [--source] [platform ...]
+//! bsim check [--deny-warnings] [--json] [--list] [--proto] [--source]
+//!            [platform ...]
 //!                                   # static preflight: model-graph +
 //!                                   # config lints, before any cycle;
 //!                                   # --proto model-checks the svc/dist
-//!                                   # wire protocols, --plans lints a
-//!                                   # catalog of partition plans for
-//!                                   # cross-rank deadlock, --source
-//!                                   # audits the workspace sources
+//!                                   # wire protocols, --source audits
+//!                                   # the workspace sources
 //! bsim dist [--ranks N] [--figs 1,2] [--smoke] [--store FILE] [--json]
 //!           [--kill-rank R --kill-after K]
 //!                                   # fan a cell sweep across N worker
-//!                                   # processes over socket token links;
-//!                                   # --store answers what FILE holds and
-//!                                   # adds the rest; --kill-rank SIGKILLs
-//!                                   # a worker mid-sweep to exercise
+//!                                   # processes, each cell's result a
+//!                                   # frame on a control socket; --store
+//!                                   # answers what FILE holds and adds
+//!                                   # the rest; --kill-rank SIGKILLs a
+//!                                   # worker mid-sweep to exercise
 //!                                   # recovery
-//! bsim dist --graph-demo CYCLES [--ranks N] [--ring N] [--latency L]
-//!           [--quantum Q] [--seed N]
-//!                                   # partition the demo ring across N
-//!                                   # processes and prove the distributed
-//!                                   # schedule bit-identical to Harness
 //! bsim serve [--addr H:P] [--store FILE] [--workers N] [--budget N]
 //!            [--par seq|auto|N] [--dist-ranks N]
 //!                                   # bsimd: simulation-as-a-service
@@ -70,7 +64,7 @@ use silicon_bridge::core::experiments::{self, subfigures, FigureSpec, Sizes, FIG
 use silicon_bridge::core::table;
 use silicon_bridge::core::tuning::tune_milkv;
 use silicon_bridge::core::{run_grid_keyed, Parallelism, ResultStore, RetryPolicy};
-use silicon_bridge::dist::launcher::{run_graph_demo, run_sweep, KillSpec, LaunchOpts};
+use silicon_bridge::dist::launcher::{run_sweep, KillSpec, LaunchOpts};
 use silicon_bridge::dist::{faults as dist_faults, worker as dist_worker, WireCell};
 use silicon_bridge::mpi::NetConfig;
 use silicon_bridge::resilience::CellOutcome;
@@ -95,10 +89,9 @@ fn usage() -> ! {
          [--lanes N] [--sample]\n  \
          bsim micro <kernel> [platform]\n  bsim tune\n  \
          bsim faults [--seed N] [--deny-unsurvived] [--in-process] [--guard]\n  \
-         bsim check [--deny-warnings] [--json] [--list] [--proto] [--plans] [--source] [platform ...]\n  \
+         bsim check [--deny-warnings] [--json] [--list] [--proto] [--source] [platform ...]\n  \
          bsim scrub --store FILE\n  \
          bsim dist [--ranks N] [--figs 1,2] [--smoke] [--store FILE] [--json] [--kill-rank R --kill-after K]\n  \
-         bsim dist --graph-demo CYCLES [--ranks N] [--ring N] [--latency L] [--quantum Q] [--seed N]\n  \
          bsim serve [--addr H:P] [--store FILE] [--workers N] [--budget N] [--par seq|auto|N] [--dist-ranks N]\n       \
          [--conn-workers N] [--conn-backlog N] [--queue-cap N] [--deadline-ms N] [--io-timeout-secs N]\n  \
          bsim submit ADDR fig <id> [--smoke] [--seed N] [--wait]\n  \
@@ -140,7 +133,6 @@ fn flag_table(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
             ("--json", false),
             ("--list", false),
             ("--proto", false),
-            ("--plans", false),
             ("--source", false),
         ],
         "scrub" => &[("--store", true)],
@@ -152,11 +144,6 @@ fn flag_table(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
             ("--json", false),
             ("--kill-rank", true),
             ("--kill-after", true),
-            ("--graph-demo", true),
-            ("--ring", true),
-            ("--latency", true),
-            ("--quantum", true),
-            ("--seed", true),
         ],
         "serve" => &[
             ("--addr", true),
@@ -301,13 +288,9 @@ fn run_check(f: &Flags) -> ! {
              SV003   [result store] file version mismatch: stale entries ignored, not served\n  \
              SV004   [result store] torn/unreadable file quarantined on open\n  \
              SV005   [result store] entry checksum missing/mismatched: quarantined, not served\n  \
-             DL001-DL006 [partition plan] rank bounds, orphan models, empty ranks, cut latency\n          \
-             vs quantum, dangling relay endpoints\n  \
              PV001-PV007 [protocol] transition-table model checking: unreachable states,\n          \
              unhandled frames, joint deadlock, no quiesced path, table shape, fault\n          \
              handling, state-space truncation (--proto)\n  \
-             DD001-DD004 [distributed deadlock] cross-rank token cycles, sub-quantum cycle\n          \
-             slack, missing return path, fast-forward licensing holes (--plans)\n  \
              AU001-AU007 [source audit] panicking unwraps, expect on hot paths, HashMap-order\n          \
              results, host clocks in virtual-time crates, pub items nothing outside their\n          \
              crate mentions, host work on per-op paths, text a simplification removed\n          \
@@ -345,31 +328,6 @@ fn run_check(f: &Flags) -> ! {
             );
             report.merge(explored.report);
         }
-    }
-    if f.has("--plans") {
-        // Cross-rank deadlock analysis over a catalog of partition
-        // shapes the dist/soc layers actually produce: every ring size
-        // and rank split the demos reach, at the default 16-cycle link
-        // latency and quantum (latency >= quantum keeps the rank cycle
-        // out of the sub-quantum warning band).
-        let mut plans = 0usize;
-        for (cores, ranks) in [
-            (2, 1),
-            (2, 2),
-            (4, 1),
-            (4, 2),
-            (4, 4),
-            (6, 2),
-            (6, 3),
-            (8, 2),
-            (8, 4),
-            (8, 8),
-        ] {
-            let (_, r) = silicon_bridge::soc::partition::plan_cores(cores, ranks, 16, 16);
-            report.merge(r);
-            plans += 1;
-        }
-        println!("plans: {plans} partition shapes analyzed");
     }
     if f.has("--source") {
         let audit = check::audit::audit_workspace();
@@ -688,35 +646,13 @@ fn flush_store(store: &ResultStore) {
     }
 }
 
-/// `bsim dist`: the multi-process scale-out front end. The default mode
-/// fans a sweep of serializable cells across `--ranks` worker processes
-/// connected by socket token links; `--kill-rank`/`--kill-after` SIGKILL
-/// a worker mid-sweep so the recovery path (respawn + re-plan of what
-/// has not arrived) is exercisable from the shell. `--graph-demo`
-/// instead partitions the demo ring across the ranks and checks the
-/// distributed schedule against the in-process `Harness` bit for bit.
+/// `bsim dist`: the multi-process scale-out front end. It fans a sweep
+/// of serializable cells across `--ranks` worker processes, each result
+/// a frame on the worker's control socket; `--kill-rank`/`--kill-after`
+/// SIGKILL a worker mid-sweep so the recovery path (respawn + re-plan of
+/// what has not arrived) is exercisable from the shell.
 fn run_dist(f: &Flags) -> ! {
     let ranks = f.num("--ranks", 2usize).max(1);
-
-    if f.has("--graph-demo") {
-        let cycles = f.num("--graph-demo", 400);
-        let ring = f.num("--ring", 4usize).max(2);
-        let latency = f.num("--latency", 2).max(1);
-        let quantum = f.num("--quantum", 16usize).max(1);
-        let seed = f.num("--seed", 42);
-        let opts = LaunchOpts::processes(ranks, worker_argv());
-        let out = run_graph_demo(ring, latency, quantum, cycles, seed, &opts)
-            .unwrap_or_else(|e| fail(format!("graph demo failed: {e}")));
-        println!("in-process:  {}", out.reference);
-        println!("distributed: {}", out.fingerprint);
-        if out.identical() {
-            println!("bit-identical across {ranks} process(es) after {cycles} cycles");
-            std::process::exit(0)
-        }
-        eprintln!("FINGERPRINT MISMATCH: the distributed schedule diverged");
-        std::process::exit(1)
-    }
-
     let sizes = if f.has("--smoke") { "smoke" } else { "default" };
     let cells: Vec<WireCell> = match f.get("--figs") {
         Some(raw) => raw

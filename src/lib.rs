@@ -2,7 +2,7 @@
 //!
 //! A pure-Rust reproduction of *"Bridging Simulation and Silicon: A
 //! Study of RISC-V Hardware and FireSim Simulation"* (SC 2025): a
-//! token-based cycle-coupled simulation stack that models the paper's
+//! trace-driven cycle-level simulation stack that models the paper's
 //! FireSim targets (Rocket and BOOM SoCs with the DDR3-only FireSim
 //! memory system) and its silicon references (Banana Pi BPI-F3 /
 //! SpacemiT K1 and MILK-V Pioneer / SG2042), runs the paper's workloads
@@ -25,7 +25,7 @@
 //! | [`workloads`] | `bsim-workloads` | MicroBench, NPB, UME, MD |
 //! | [`core`] | `bsim-core` | relative-speedup metrics, figure generators, tuning |
 //! | [`svc`] | `bsim-svc` | `bsimd` service daemon + content-addressed result cache |
-//! | [`dist`] | `bsim-dist` | multi-process scale-out: socket token links, rank partitioning, process-loss recovery |
+//! | [`dist`] | `bsim-dist` | multi-process cell sweeps with process-loss recovery |
 //! | [`sweepx`] | `bsim-sweepx` | vectorized multi-lane config sweeps and SimPoint-style sampled simulation |
 //!
 //! See `examples/quickstart.rs` for a five-minute tour; `bsim fig N` and

