@@ -25,9 +25,10 @@
 //! over the whole workspace, has no parser to keep in sync with the
 //! language, and the waiver escape hatch keeps the false-positive cost at
 //! one comment. `bsim check --source` runs it over every `crates/*/src` and
-//! the root `src/`; AU005 additionally reads every other `.rs` file of the
-//! repository (tests — a crate's own integration tests included —
-//! examples, `benchmark/src`) as potential callers.
+//! the root `src/`, and AU007 rows that name `examples/` over the examples
+//! too; AU005 additionally reads every other `.rs` file of the repository
+//! (tests — a crate's own integration tests included — examples,
+//! `benchmark/src`) as potential callers.
 
 use crate::diag::{Diagnostic, Report};
 use std::fs;
@@ -290,6 +291,22 @@ pub const BANS: &[Ban] = &[
         message: "bsim dist has one mode, the cell sweep: no process runs a partitioned \
                   token graph, so nothing plans or lints one",
     },
+    Ban {
+        needles: &[
+            concat!("Trace", "Ring"),
+            concat!("Samp", "ler"),
+            concat!("sample_interval", "_cycles"),
+            concat!("trace_", "capacity"),
+            concat!("ff_", "stats"),
+            concat!("observe_", "retire"),
+        ],
+        with: "",
+        within: &["crates/", "src/", "examples/"],
+        except: &[],
+        in_tests: true,
+        message: "telemetry is the counters a report publishes: no timeline, no trace ring, \
+                  no per-op observed schedule, no core fast-forward tally",
+    },
 ];
 
 /// Outcome of a workspace audit.
@@ -419,10 +436,19 @@ fn crate_of(path: &str) -> Option<&str> {
     path.strip_prefix("crates/")?.split('/').next()
 }
 
+/// Whether `path` is shipped simulation code: `crates/*/src` and the
+/// root `src/`, not tests, benches, examples or the benchmark.
+fn shipped(path: &str) -> bool {
+    path.starts_with("src/")
+        || crate_of(path).is_some_and(|c| path.starts_with(&format!("crates/{c}/src/")))
+}
+
 /// Scan one file's source text, pushing findings into `report` and counting
 /// waived ones into `waived`. `path` is the repo-relative path used both for
-/// spans and for the hot-path / virtual-time scoping.
+/// spans and for the hot-path / virtual-time scoping. AU001–AU004 and AU006
+/// apply to shipped code only; AU007 to whatever files its rows cover.
 pub fn scan_source(path: &str, text: &str, report: &mut Report, waived: &mut usize) {
+    let is_shipped = shipped(path);
     let per_op = PER_OP_PATHS.contains(&path);
     let hot = per_op || HOT_PATHS.contains(&path);
     let vt = crate_of(path).is_some_and(|c| VIRTUAL_TIME_CRATES.contains(&c));
@@ -474,7 +500,7 @@ pub fn scan_source(path: &str, text: &str, report: &mut Report, waived: &mut usi
                 );
             }
         }
-        if in_test_here {
+        if in_test_here || !is_shipped {
             continue;
         }
 
@@ -766,15 +792,11 @@ pub fn audit_workspace() -> Audit {
         })
         .collect();
 
-    // AU001–AU004 are about shipped simulation code: `crates/*/src` and
-    // the root `src/`, not tests, benches, examples or the benchmark.
-    let shipped = |rel: &str| {
-        rel.starts_with("src/")
-            || crate_of(rel).is_some_and(|c| rel.starts_with(&format!("crates/{c}/src/")))
-    };
+    // Shipped code, plus the examples for the AU007 rows that cover them.
     let mut waived = 0usize;
     let mut scanned = 0usize;
-    for (rel, text) in sources.iter().filter(|(rel, _)| shipped(rel)) {
+    let scope = |rel: &str| shipped(rel) || rel.starts_with("examples/");
+    for (rel, text) in sources.iter().filter(|(rel, _)| scope(rel)) {
         scanned += 1;
         scan_source(rel, text, &mut report, &mut waived);
     }

@@ -113,8 +113,8 @@ fn every_catalog_platform_passes_clean() {
 }
 
 /// Every AU007 row, seeded: each needle of each row of [`BANS`] is
-/// planted in a file the row covers and must be reported with the row's
-/// message — and must not be where the row says the text belongs: a
+/// planted in each file or directory the row covers and must be reported
+/// with the row's message — and must not be where the row says the text belongs: a
 /// file it excepts, a file it does not cover, a comment, a waived line,
 /// a `#[cfg(test)]` region unless the row reaches into those, or (for a
 /// row about two things meeting) a line that holds only one of them.
@@ -125,12 +125,13 @@ fn every_au007_row_flags_its_seeded_text() {
         scan_source(path, text, &mut report, &mut waived);
         (report, waived)
     };
-    assert!(BANS.len() >= 13, "the table lost rows");
+    assert!(BANS.len() >= 14, "the table lost rows");
+    let seeded = |within: &str| match within {
+        file if file.ends_with(".rs") => file.to_string(),
+        dir => format!("{dir}seeded.rs"),
+    };
     for (row, ban) in BANS.iter().enumerate() {
-        let path = match ban.within[0] {
-            file if file.ends_with(".rs") => file.to_string(),
-            dir => format!("{dir}seeded.rs"),
-        };
+        let path = seeded(ban.within[0]);
         for needle in ban.needles {
             let at = format!("row {row} ({needle:?} in {path})");
             let line = format!("let _ = a{needle}b{});", ban.with);
@@ -141,6 +142,11 @@ fn every_au007_row_flags_its_seeded_text() {
             assert!(found[0].message.ends_with(ban.message), "{at}");
             assert_eq!(found[0].span, format!("{path}:2"), "{at}");
             assert!(report.has_errors(), "{at}: AU007 is an error");
+            for other in &ban.within[1..] {
+                let other = seeded(other);
+                let (report, _) = scan(&other, &format!("fn f() {{ {line} }}\n"));
+                assert!(report.has_code("AU007"), "{at}, also in {other}");
+            }
 
             let clean = |path: &str, text: String, why: &str| {
                 let (report, waived) = scan(path, &text);

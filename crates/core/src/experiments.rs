@@ -12,7 +12,7 @@ use bsim_mpi::{Launch, NetConfig, Recorded, Timed, WorldReport, WorldTrace};
 use bsim_resilience::retry::{CellOutcome, RetryPolicy};
 use bsim_resilience::snapshot::{restore_field, CkptError, Snapshot};
 use bsim_soc::{configs, RunReport, Soc, SocConfig};
-use bsim_telemetry::{CounterBlock, TelemetryConfig, TelemetrySnapshot};
+use bsim_telemetry::{TelemetryConfig, TelemetrySnapshot};
 use bsim_workloads::md::chain::{self, ChainConfig};
 use bsim_workloads::md::lj::{self, LjConfig};
 use bsim_workloads::microbench::{self, MicroKernel};
@@ -314,8 +314,8 @@ fn preflight_platforms(cfgs: &[SocConfig]) {
 }
 
 /// Outcome of a metered sweep: per-cell results in grid order plus the
-/// aggregate simulation rate across all workers — the `host.rate.*`
-/// figure the paper's 60 MHz/15 MHz hosting-rate discussion maps to.
+/// aggregate simulation rate across all workers — the figure the paper's
+/// 60 MHz/15 MHz hosting-rate discussion maps to.
 #[derive(Clone, Debug)]
 pub struct SweepRun<T> {
     /// Per-cell results, ordered by grid index.
@@ -328,23 +328,9 @@ pub struct SweepRun<T> {
     /// one shared trace pass on a lane sweep, 1 when every cell ran
     /// alone. Stamped by the grid runner.
     pub lanes: u64,
-    /// Trace segments fast-forwarded by sampled simulation across the
-    /// whole grid. The runner cannot see inside `T`, so it leaves 0 and
-    /// a caller whose cells carry sampling reports fills this in.
-    pub sampled_segments: u64,
 }
 
 impl<T> SweepRun<T> {
-    /// Publishes the aggregate rate under `host.rate.*` and the pool
-    /// shape under `host.sweep.*`.
-    pub fn publish(&self, block: &mut CounterBlock) {
-        self.rate.publish(block);
-        block.set_named("host.sweep.workers", self.workers as u64);
-        block.set_named("host.sweep.cells", self.results.len() as u64);
-        block.set_named("host.sweep.lanes", self.lanes);
-        block.set_named("host.sweep.sampled_segments", self.sampled_segments);
-    }
-
     /// One-line host-sweep summary for figure notes.
     pub fn describe(&self) -> String {
         format!(
@@ -430,7 +416,6 @@ where
         rate: meter.finish(),
         workers,
         lanes: chunks.iter().map(|c| c.as_ref().len()).max().unwrap_or(0) as u64,
-        sampled_segments: 0,
     }
 }
 
@@ -597,8 +582,8 @@ pub fn npb_seconds(cfg: SocConfig, ranks: usize, sizes: Sizes) -> [f64; 4] {
 
 /// **E8 (Figure 4), instrumented**: runs NPB CG on `cfg` with telemetry
 /// enabled and returns the full out-of-band export — branch, cache, DRAM,
-/// token-stall and per-rank MPI counters plus the sampled timeline. This
-/// is the observability path behind `examples/telemetry_gap.rs`.
+/// token-stall and per-rank MPI counters. This is the observability path
+/// behind `examples/telemetry_gap.rs`.
 pub fn cg_telemetry(cfg: SocConfig, ranks: usize, sizes: Sizes) -> TelemetrySnapshot {
     let cfg = cfg.with_telemetry(TelemetryConfig::counters());
     let r = cg::run(cfg, ranks, sizes.cg(), NetConfig::shared_memory());
@@ -1193,12 +1178,9 @@ mod tests {
         assert_eq!(sweep.results, (0..10u64).collect::<Vec<_>>());
         assert_eq!(sweep.rate.target_cycles, 1000);
         assert_eq!(sweep.workers, 4);
-        let mut block = CounterBlock::new(true);
-        sweep.publish(&mut block);
-        assert_eq!(block.get("host.rate.target_cycles"), Some(1000));
-        assert_eq!(block.get("host.sweep.workers"), Some(4));
-        assert_eq!(block.get("host.sweep.cells"), Some(10));
-        assert!(sweep.describe().contains("10 cells on 4 worker(s)"));
+        let note = sweep.describe();
+        assert!(note.contains("10 cells on 4 worker(s)"), "{note}");
+        assert!(note.contains("target-MHz aggregate"), "{note}");
     }
 
     #[test]
@@ -1379,6 +1361,20 @@ mod tests {
         let json = snap.to_json();
         assert!(json.contains("mem.dram.token_stall_cycles"));
         assert!(json.contains("mpi.rank0.wait_cycles"));
+        // Every deterministic counter, pinned by name: literals printed by
+        // the binary that still timed an observed SoC one micro-op at a
+        // time.
+        let mut det = snap.deterministic().counters;
+        det.sort_by(|x, y| x.name.cmp(&y.name));
+        let text: String = det
+            .iter()
+            .map(|c| format!("{}={}\n", c.name, c.value))
+            .collect();
+        assert_eq!(
+            (det.len(), crate::fnv1a(&text)),
+            (59, 12177588008766750538),
+            "{text}"
+        );
     }
 
     #[test]

@@ -57,3 +57,12 @@ pub use resilient::{run_grid_keyed, run_grid_resilient, ResilientSweep};
 // The resilience vocabulary the runners above speak, re-exported so
 // `bsim-core` users don't need a separate `bsim-resilience` import.
 pub use bsim_resilience::{CellOutcome, CkptError, ResultStore, RetryPolicy};
+
+/// FNV-1a 64 of `text`: the digest the counter pins in this crate's
+/// tests compare against.
+#[cfg(test)]
+pub(crate) fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}

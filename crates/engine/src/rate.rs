@@ -5,35 +5,17 @@
 //! ~15 MHz (≈ 135× slower than 2.0 GHz), which is why class-A NPB runs
 //! "take on the order of few hours" in simulation. [`SimRateMeter`]
 //! performs the same arithmetic for our software host so the bench
-//! harnesses can report it alongside every experiment.
-//!
-//! The accounting itself lives in a telemetry [`CounterBlock`]: cycle
-//! accumulation goes through a registered counter, and
-//! [`SimRate::publish`] publishes the result under the
-//! `host.rate.*` prefix so E15's 60 MHz/15 MHz discussion is
-//! reproducible from exported telemetry. Everything here is wall-clock
-//! derived and therefore host-dependent, hence the reserved `host.`
-//! prefix — deterministic exports and gap reports exclude it. The
-//! pre-telemetry `start`/`add_cycles`/`finish` API survives as a thin
-//! wrapper over the registry.
+//! harnesses can report it alongside every experiment. Everything here
+//! is wall-clock derived and therefore host-dependent.
 
-use bsim_telemetry::{CounterBlock, CounterId};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-
-/// Counter name for accumulated target cycles.
-const RATE_TARGET_CYCLES: &str = "host.rate.target_cycles";
-/// Counter name for elapsed host time, microseconds.
-const RATE_HOST_MICROS: &str = "host.rate.host_micros";
-/// Counter name for the effective rate in milli-MHz (kHz).
-const RATE_MILLI_MHZ: &str = "host.rate.milli_mhz";
 
 /// Measures simulated target cycles against host wall-clock time.
 #[derive(Clone, Debug)]
 pub struct SimRateMeter {
     started: Instant,
-    counters: CounterBlock,
-    cycles_id: CounterId,
+    target_cycles: u64,
 }
 
 /// A finished rate measurement.
@@ -48,29 +30,21 @@ pub struct SimRate {
 impl SimRateMeter {
     /// Starts the wall clock.
     pub fn start() -> SimRateMeter {
-        let mut counters = CounterBlock::new(true);
-        let cycles_id = counters.register(RATE_TARGET_CYCLES);
         SimRateMeter {
             started: Instant::now(), // bsim: allow(AU004) host-perf meter: host seconds by design
-            counters,
-            cycles_id,
+            target_cycles: 0,
         }
     }
 
     /// Adds simulated cycles.
     pub fn add_cycles(&mut self, cycles: u64) {
-        self.counters.add(self.cycles_id, cycles);
-    }
-
-    /// The meter's own counter registry (holds `host.rate.target_cycles`).
-    pub fn counters(&self) -> &CounterBlock {
-        &self.counters
+        self.target_cycles = self.target_cycles.wrapping_add(cycles);
     }
 
     /// Stops and reports.
     pub fn finish(self) -> SimRate {
         SimRate {
-            target_cycles: self.counters.get(RATE_TARGET_CYCLES).unwrap_or(0),
+            target_cycles: self.target_cycles,
             host_seconds: self.started.elapsed().as_secs_f64(),
         }
     }
@@ -88,16 +62,6 @@ impl SimRate {
     /// Slowdown relative to a target running at `target_ghz`.
     pub fn slowdown(&self, target_ghz: f64) -> f64 {
         target_ghz * 1000.0 / self.mhz()
-    }
-
-    /// Publishes this measurement under `host.rate.*`.
-    pub fn publish(&self, block: &mut CounterBlock) {
-        block.set_named(RATE_TARGET_CYCLES, self.target_cycles);
-        block.set_named(RATE_HOST_MICROS, (self.host_seconds * 1e6) as u64);
-        let mhz = self.mhz();
-        if mhz.is_finite() {
-            block.set_named(RATE_MILLI_MHZ, (mhz * 1000.0) as u64);
-        }
     }
 }
 
@@ -130,35 +94,9 @@ mod tests {
         let mut m = SimRateMeter::start();
         m.add_cycles(500);
         m.add_cycles(500);
-        assert_eq!(m.counters().get(RATE_TARGET_CYCLES), Some(1000));
         let r = m.finish();
         assert_eq!(r.target_cycles, 1000);
         assert!(r.host_seconds >= 0.0);
         assert!(r.mhz() > 0.0);
-    }
-
-    #[test]
-    fn a_finished_meter_publishes_host_rate_counters() {
-        let mut m = SimRateMeter::start();
-        m.add_cycles(12345);
-        let mut block = CounterBlock::new(true);
-        let r = m.finish();
-        r.publish(&mut block);
-        assert_eq!(block.get(RATE_TARGET_CYCLES), Some(12345));
-        assert!(block.get(RATE_HOST_MICROS).is_some());
-        assert_eq!(r.target_cycles, 12345);
-        // Host-dependent by construction: excluded from deterministic views.
-        assert_eq!(block.deterministic_counters().count(), 0);
-    }
-
-    #[test]
-    fn published_rate_arithmetic_round_trips() {
-        let r = SimRate {
-            target_cycles: 60_000_000,
-            host_seconds: 1.0,
-        };
-        let mut block = CounterBlock::new(true);
-        r.publish(&mut block);
-        assert_eq!(block.get(RATE_MILLI_MHZ), Some(60_000));
     }
 }

@@ -2,7 +2,7 @@
 //! random model graphs, including the telemetry export.
 
 use bsim_engine::{FaultPlan, Harness, TickModel, WatchdogConfig, Wire};
-use bsim_telemetry::{CounterBlock, Sampler, TelemetrySnapshot, TraceRing};
+use bsim_telemetry::{CounterBlock, TelemetrySnapshot};
 use proptest::prelude::*;
 
 struct Mixer {
@@ -110,7 +110,7 @@ proptest! {
             Harness::new(models, wires)
         };
         let export = |block: &CounterBlock| {
-            TelemetrySnapshot::capture(block, &Sampler::new(0), &TraceRing::off())
+            TelemetrySnapshot::capture(block)
                 .deterministic()
                 .to_json()
         };

@@ -185,10 +185,9 @@ impl Timing {
                 // order, so counters register in the same order — and
                 // exports carry the same bytes — however the events
                 // reached this lane.
-                let tel = soc.telemetry_mut();
-                if tel.enabled() {
+                let b = soc.counters_mut();
+                if b.enabled() {
                     let (send, wait) = (self.send_cycles[r], self.wait_cycles[r]);
-                    let b = tel.counters_mut();
                     // bsim: allow(AU006) once per rank, telemetry on
                     let name = |what: &str| format!("mpi.rank{r}.{what}");
                     b.set_named(&name("messages"), messages);

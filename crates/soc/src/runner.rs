@@ -3,7 +3,7 @@
 use crate::configs::{CoreModel, SocConfig};
 use bsim_isa::{Cpu, Program, RunResult};
 use bsim_mem::{Front, MemStats, MemoryHierarchy, Own};
-use bsim_telemetry::{Telemetry, TelemetrySnapshot};
+use bsim_telemetry::{CounterBlock, TelemetrySnapshot};
 use bsim_uarch::{CoreStats, InOrderCore, MicroOp, OooCore, TimingCore};
 use serde::{Deserialize, Serialize};
 
@@ -60,18 +60,6 @@ impl TimingCore for CoreInst {
     }
 }
 
-impl CoreInst {
-    /// `(skipped_cycles, spans)` the timing model bulk-advanced past
-    /// instead of stepping — the trace-driven analogue of the harness
-    /// quiescence fast-forward (see `TickModel::next_activity`).
-    fn ff_stats(&self) -> (u64, u64) {
-        match self {
-            CoreInst::InOrder(c) => c.ff_stats(),
-            CoreInst::Ooo(c) => c.ff_stats(),
-        }
-    }
-}
-
 /// Result of running a workload on an SoC.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RunReport {
@@ -110,7 +98,9 @@ pub struct Soc {
     cfg: SocConfig,
     cores: Vec<CoreInst>,
     hierarchy: MemoryHierarchy,
-    telemetry: Telemetry,
+    /// Where `report` publishes the run's counters; disabled unless the
+    /// config enabled telemetry.
+    counters: CounterBlock,
 }
 
 impl Soc {
@@ -141,12 +131,12 @@ impl Soc {
             })
             .collect();
         let hierarchy = MemoryHierarchy::new(cfg.hierarchy.clone());
-        let telemetry = Telemetry::new(cfg.telemetry);
+        let counters = CounterBlock::new(cfg.telemetry.enabled);
         Ok(Soc {
             cfg,
             cores,
             hierarchy,
-            telemetry,
+            counters,
         })
     }
 
@@ -155,10 +145,10 @@ impl Soc {
         &self.cfg
     }
 
-    /// The run's telemetry state, for out-of-band counters owned by
-    /// layers above the SoC (MPI ranks, the engine harness).
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
+    /// The run's counter block, for counters owned by layers above the
+    /// SoC (the MPI ranks' timing).
+    pub fn counters_mut(&mut self) -> &mut CounterBlock {
+        &mut self.counters
     }
 
     /// Feeds one micro-op to core `core_id`: a batch of one.
@@ -168,8 +158,7 @@ impl Soc {
     }
 
     /// Feeds `uops`, in order, to core `core_id`. Which core model runs
-    /// and whether telemetry observes each retire are decided once per
-    /// batch, not once per micro-op.
+    /// is decided once per batch, not once per micro-op.
     pub fn consume_batch(&mut self, core_id: usize, uops: &[MicroOp]) {
         self.consume_batch_with(core_id, uops, &mut Own);
     }
@@ -183,14 +172,7 @@ impl Soc {
         uops: &[MicroOp],
         front: &mut F,
     ) {
-        feed(
-            &mut self.cores[core_id],
-            &mut self.hierarchy,
-            &mut self.telemetry,
-            core_id,
-            uops,
-            front,
-        );
+        self.cores[core_id].consume_batch(uops, &mut self.hierarchy, core_id, front);
     }
 
     /// Current cycle count of core `core_id`.
@@ -215,34 +197,16 @@ impl Soc {
             core_stats.push(c.stats());
         }
         let mem_stats = self.hierarchy.stats();
-        if self.telemetry.enabled() {
+        let telemetry = self.counters.enabled().then(|| {
             for (i, s) in core_stats.iter().enumerate() {
                 // bsim: allow(AU006) once per report, telemetry on
-                s.publish(&format!("tile{i}"), self.telemetry.counters_mut());
+                s.publish(&format!("tile{i}"), &mut self.counters);
             }
-            mem_stats.publish("mem", self.telemetry.counters_mut());
-            self.telemetry
-                .counters_mut()
-                .set_named("soc.cycles", cycles);
-            self.telemetry
-                .counters_mut()
-                .set_named("soc.retired", retired);
-            // Host-side fast-forward accounting: cycles the timing models
-            // jumped past in bulk (stall spans, drain waits) rather than
-            // stepping. `host.` keeps it out of deterministic compares.
-            let (skipped, spans) = self
-                .cores
-                .iter()
-                .map(CoreInst::ff_stats)
-                .fold((0, 0), |(s, p), (ds, dp)| (s + ds, p + dp));
-            self.telemetry
-                .counters_mut()
-                .set_named("host.engine.skipped_cycles", skipped);
-            self.telemetry
-                .counters_mut()
-                .set_named("host.engine.ff_spans", spans);
-            self.telemetry.tick(cycles);
-        }
+            mem_stats.publish("mem", &mut self.counters);
+            self.counters.set_named("soc.cycles", cycles);
+            self.counters.set_named("soc.retired", retired);
+            TelemetrySnapshot::capture(&self.counters)
+        });
         RunReport {
             platform: self.cfg.name.clone(),
             cycles,
@@ -251,7 +215,7 @@ impl Soc {
             core_stats,
             mem_stats,
             exit_code,
-            telemetry: self.telemetry.snapshot(),
+            telemetry,
         }
     }
 
@@ -265,18 +229,17 @@ impl Soc {
         let mut cpu = Cpu::new(prog);
         let core = &mut self.cores[core_id];
         let hierarchy = &mut self.hierarchy;
-        let telemetry = &mut self.telemetry;
         // The interpreter never observes timing, so retired instructions
         // are lowered into a quantum and timed a quantum at a time.
         let mut quantum: Vec<MicroOp> = Vec::with_capacity(RUN_QUANTUM);
         let result = cpu.run_traced(fuel, |ret| {
             quantum.push(MicroOp::from_retired(ret));
             if quantum.len() == RUN_QUANTUM {
-                feed(core, hierarchy, telemetry, core_id, &quantum, &mut Own);
+                core.consume_batch(&quantum, hierarchy, core_id, &mut Own);
                 quantum.clear();
             }
         });
-        feed(core, hierarchy, telemetry, core_id, &quantum, &mut Own);
+        core.consume_batch(&quantum, hierarchy, core_id, &mut Own);
         let exit = match result {
             RunResult::Exited(code) => Some(code),
             RunResult::OutOfFuel => None,
@@ -292,50 +255,6 @@ impl Soc {
 /// the host's cache, large enough that the producer's loop and the
 /// timing loop each run hot in turn.
 pub const RUN_QUANTUM: usize = 1024;
-
-/// The body of [`Soc::consume_batch`], over the SoC's fields rather than
-/// `&mut Soc` so that `run_program`'s retire closure can call it.
-fn feed<F: Front>(
-    core: &mut CoreInst,
-    hierarchy: &mut MemoryHierarchy,
-    telemetry: &mut Telemetry,
-    core_id: usize,
-    uops: &[MicroOp],
-    front: &mut F,
-) {
-    if !telemetry.enabled() {
-        core.consume_batch(uops, hierarchy, core_id, front);
-        return;
-    }
-    for uop in uops {
-        core.consume_batch(std::slice::from_ref(uop), hierarchy, core_id, front);
-        let cycle = core.cycles();
-        observe_retire(telemetry, core, hierarchy, core_id, uop, cycle);
-    }
-}
-
-/// Records one committed instruction into the trace ring and, when a
-/// sample window boundary is crossed, refreshes the published counters so
-/// the timeline snapshot sees current values. Takes shared borrows of the
-/// core and hierarchy so it is callable from inside `run_traced`'s retire
-/// closure, where both are already mutably borrowed by the timing path.
-fn observe_retire(
-    telemetry: &mut Telemetry,
-    core: &CoreInst,
-    hierarchy: &MemoryHierarchy,
-    core_id: usize,
-    uop: &MicroOp,
-    cycle: u64,
-) {
-    telemetry.trace_mut().record(uop.pc, uop.class as u8, cycle);
-    if telemetry.sample_due(cycle) {
-        // bsim: allow(AU006) once per closed sample window, telemetry on
-        let tile = format!("tile{core_id}");
-        core.stats().publish(&tile, telemetry.counters_mut());
-        hierarchy.stats().publish("mem", telemetry.counters_mut());
-        telemetry.tick(cycle);
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -410,71 +329,16 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_export_has_nonzero_counters_timeline_and_trace() {
+    fn telemetry_export_has_nonzero_counters() {
         use bsim_telemetry::TelemetryConfig;
-        let tcfg = TelemetryConfig {
-            enabled: true,
-            sample_interval_cycles: 500,
-            trace_capacity: 64,
-            trace_sample_period: 1,
-        };
-        let mut soc = Soc::new(configs::rocket1(1).with_telemetry(tcfg));
+        let mut soc = Soc::new(configs::rocket1(1).with_telemetry(TelemetryConfig::counters()));
         let rep = soc.run_program(0, &kernel(1000), 1_000_000);
         let snap = rep.telemetry.expect("enabled telemetry exports a snapshot");
         assert!(snap.counter("tile0.retired").unwrap_or(0) > 0);
         assert!(snap.counter("tile0.branch.lookups").unwrap_or(0) > 0);
         assert!(snap.counter("mem.l1i.accesses").unwrap_or(0) > 0);
         assert_eq!(snap.counter("soc.cycles"), Some(rep.cycles));
-        assert!(
-            !snap.timeline.is_empty(),
-            "sampler should fire within {} cycles",
-            rep.cycles
-        );
-        assert_eq!(snap.trace.len(), 64, "period-1 trace fills its ring");
         assert!(snap.to_json().contains("tile0.retired"));
-    }
-
-    /// A strided-load kernel that misses every cache level: each load
-    /// touches a new 4 KiB-distant line, so the core spends most of its
-    /// cycles stalled on DRAM.
-    fn strided_loads(iters: i64) -> Program {
-        let mut a = Asm::new();
-        a.li(T0, 0x10_0000).li(T1, iters).li(T2, 0);
-        a.label("loop");
-        a.ld(T3, 0, T0);
-        a.addi(T4, T3, 1); // consume the load: scoreboard stalls to DRAM
-        a.addi(T0, T0, 2047);
-        a.addi(T0, T0, 2047);
-        a.addi(T2, T2, 1);
-        a.blt(T2, T1, "loop");
-        a.exit(0);
-        a.assemble().unwrap()
-    }
-
-    #[test]
-    fn memory_bound_run_reports_skipped_cycles_in_exports() {
-        use bsim_telemetry::TelemetryConfig;
-        let mut soc = Soc::new(configs::rocket1(1).with_telemetry(TelemetryConfig::counters()));
-        let rep = soc.run_program(0, &strided_loads(400), 10_000_000);
-        assert_eq!(rep.exit_code, Some(0));
-        let snap = rep.telemetry.expect("telemetry enabled");
-        let skipped = snap.counter("host.engine.skipped_cycles").unwrap_or(0);
-        let spans = snap.counter("host.engine.ff_spans").unwrap_or(0);
-        assert!(
-            skipped > rep.cycles / 4,
-            "a DRAM-bound kernel should fast-forward a large cycle share: \
-             skipped {skipped} of {} cycles",
-            rep.cycles
-        );
-        assert!(
-            spans > 0 && skipped >= spans,
-            "{spans} spans, {skipped} skipped"
-        );
-        // The counters ride the standard export paths.
-        assert!(snap.to_json().contains("host.engine.skipped_cycles"));
-        assert!(snap
-            .counters_csv()
-            .contains(&format!("host.engine.skipped_cycles,{skipped}\n")));
     }
 
     #[test]
@@ -482,7 +346,7 @@ mod tests {
         use bsim_telemetry::TelemetryConfig;
         let prog = kernel(800);
         let mut off = Soc::new(configs::rocket1(1));
-        let mut on = Soc::new(configs::rocket1(1).with_telemetry(TelemetryConfig::full()));
+        let mut on = Soc::new(configs::rocket1(1).with_telemetry(TelemetryConfig::counters()));
         let ro = off.run_program(0, &prog, 10_000_000);
         let rn = on.run_program(0, &prog, 10_000_000);
         assert!(ro.telemetry.is_none());
@@ -500,11 +364,9 @@ mod tests {
         // `report` drains the cores but must not consume anything:
         // calling it again without running more work has to produce the
         // same cycles, retired count, stats, and telemetry export —
-        // counters are published with set-not-add semantics and the
-        // timeline sampler must not emit a duplicate sample at the same
-        // cycle.
+        // counters are published with set-not-add semantics.
         use bsim_telemetry::TelemetryConfig;
-        let mut soc = Soc::new(configs::rocket1(1).with_telemetry(TelemetryConfig::full()));
+        let mut soc = Soc::new(configs::rocket1(1).with_telemetry(TelemetryConfig::counters()));
         let first = soc.run_program(0, &kernel(800), 10_000_000);
         let second = soc.report(first.exit_code);
         assert_eq!(first.cycles, second.cycles, "cycles must not double-count");
@@ -514,8 +376,6 @@ mod tests {
         assert_eq!(first.seconds, second.seconds);
         let (t1, t2) = (first.telemetry.unwrap(), second.telemetry.unwrap());
         assert_eq!(t1.counters, t2.counters, "set-not-add publish");
-        assert_eq!(t1.timeline, t2.timeline, "no duplicate boundary sample");
-        assert_eq!(t1.trace, t2.trace);
     }
 
     #[test]

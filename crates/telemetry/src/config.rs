@@ -2,54 +2,27 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Controls what a simulation records out-of-band.
+/// Controls whether a simulation publishes counters out-of-band.
 ///
-/// With `enabled: false` every telemetry call is a no-op against a single
+/// With `enabled: false` every counter call is a no-op against a single
 /// scratch cell, nothing is named, and exports are empty — the timing model
 /// itself never observes the difference (see the disabled-path tests in
 /// `bsim-soc`).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryConfig {
-    /// Master switch. Off ⇒ no counters, no timeline, no trace.
+    /// Master switch. Off ⇒ no counters.
     pub enabled: bool,
-    /// AutoCounter-style sampling window in target cycles; 0 disables the
-    /// timeline (cumulative counters are still recorded).
-    pub sample_interval_cycles: u64,
-    /// TracerV-lite ring-buffer capacity in entries; 0 disables tracing.
-    pub trace_capacity: usize,
-    /// Record every Nth committed instruction; 0 disables tracing.
-    pub trace_sample_period: u64,
 }
 
 impl TelemetryConfig {
     /// Everything off (the default).
     pub fn disabled() -> TelemetryConfig {
-        TelemetryConfig {
-            enabled: false,
-            sample_interval_cycles: 0,
-            trace_capacity: 0,
-            trace_sample_period: 0,
-        }
+        TelemetryConfig { enabled: false }
     }
 
-    /// Cumulative counters plus a timeline sampled every 10k cycles.
+    /// Final counter values, published when the run reports.
     pub fn counters() -> TelemetryConfig {
-        TelemetryConfig {
-            enabled: true,
-            sample_interval_cycles: 10_000,
-            trace_capacity: 0,
-            trace_sample_period: 0,
-        }
-    }
-
-    /// Counters, timeline, and a sampled committed-instruction trace.
-    pub fn full() -> TelemetryConfig {
-        TelemetryConfig {
-            enabled: true,
-            sample_interval_cycles: 10_000,
-            trace_capacity: 4096,
-            trace_sample_period: 64,
-        }
+        TelemetryConfig { enabled: true }
     }
 }
 

@@ -58,7 +58,9 @@ impl GapReport {
             .map(|name| {
                 let va = a.counter(name).unwrap_or(0);
                 let vb = b.counter(name).unwrap_or(0);
-                let log_ratio = ((vb + 1) as f64 / (va + 1) as f64).ln();
+                // The `+ 1` is in `f64`: a saturated counter (`u64::MAX`)
+                // has none in `u64`.
+                let log_ratio = ((vb as f64 + 1.0) / (va as f64 + 1.0)).ln();
                 GapRow {
                     counter: name.to_string(),
                     a: va,
@@ -113,15 +115,13 @@ impl GapReport {
 mod tests {
     use super::*;
     use crate::registry::CounterBlock;
-    use crate::sample::Sampler;
-    use crate::trace::TraceRing;
 
     fn snap(pairs: &[(&str, u64)]) -> TelemetrySnapshot {
         let mut b = CounterBlock::new(true);
         for (n, v) in pairs {
             b.set_named(n, *v);
         }
-        TelemetrySnapshot::capture(&b, &Sampler::new(0), &TraceRing::off())
+        TelemetrySnapshot::capture(&b)
     }
 
     #[test]
@@ -142,6 +142,18 @@ mod tests {
         assert_eq!(g.rows[0].counter, "only_in_a");
         assert_eq!(g.rows[0].b, 0);
         assert!(g.rows[0].log_ratio < 0.0);
+    }
+
+    #[test]
+    fn a_saturated_counter_has_a_finite_ratio() {
+        // A dead link pins `soc.cycles` to `u64::MAX`.
+        let a = snap(&[("soc.cycles", 41_925)]);
+        let b = snap(&[("soc.cycles", u64::MAX)]);
+        let g = GapReport::between("live", &a, "dead", &b);
+        let r = g.rows[0].log_ratio;
+        assert!(r.is_finite() && r > 0.0, "{r}");
+        let back = GapReport::between("dead", &b, "live", &a).rows[0].log_ratio;
+        assert!((back + r).abs() < 1e-12, "{back} vs {r}");
     }
 
     #[test]

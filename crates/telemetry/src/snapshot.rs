@@ -1,8 +1,6 @@
-//! Exportable snapshot of everything a run recorded.
+//! Exportable snapshot of a run's final counters.
 
 use crate::registry::{CounterBlock, HOST_PREFIX};
-use crate::sample::{Sample, Sampler};
-use crate::trace::{TraceEntry, TraceRing};
 use serde::{Deserialize, Serialize};
 
 /// One named counter value.
@@ -14,40 +12,18 @@ pub struct CounterEntry {
     pub value: u64,
 }
 
-/// Everything one run recorded: final counters, the sampled timeline,
-/// and the committed-instruction trace. Serializes to JSON via
+/// The final counters one run published. Serializes to JSON via
 /// [`TelemetrySnapshot::to_json`] and to CSV via
 /// [`TelemetrySnapshot::counters_csv`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     /// Final counter values in registration order.
     pub counters: Vec<CounterEntry>,
-    /// Sampling window used for the timeline (0 = no timeline).
-    pub sample_interval_cycles: u64,
-    /// AutoCounter-style timeline; each sample's `values` align
-    /// positionally with `counters`.
-    pub timeline: Vec<Sample>,
-    /// TracerV-lite sampled committed-instruction trace, oldest first.
-    pub trace: Vec<TraceEntry>,
 }
 
 impl TelemetrySnapshot {
-    /// An empty snapshot.
-    pub fn empty() -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            counters: Vec::new(),
-            sample_interval_cycles: 0,
-            timeline: Vec::new(),
-            trace: Vec::new(),
-        }
-    }
-
-    /// Captures the current state of a block + sampler + trace ring.
-    pub fn capture(
-        block: &CounterBlock,
-        sampler: &Sampler,
-        trace: &TraceRing,
-    ) -> TelemetrySnapshot {
+    /// Captures the current values of `block`.
+    pub fn capture(block: &CounterBlock) -> TelemetrySnapshot {
         TelemetrySnapshot {
             counters: block
                 .counters()
@@ -56,9 +32,6 @@ impl TelemetrySnapshot {
                     value,
                 })
                 .collect(),
-            sample_interval_cycles: sampler.interval(),
-            timeline: sampler.samples().to_vec(),
-            trace: trace.entries(),
         }
     }
 
@@ -70,41 +43,17 @@ impl TelemetrySnapshot {
             .map(|c| c.value)
     }
 
-    /// A copy with all host-dependent (`host.*`) counters removed, both
-    /// from the final values and from every timeline sample. Two runs of
-    /// the same target are byte-identical under this view regardless of
-    /// host thread count or wall-clock speed.
+    /// A copy with all host-dependent (`host.*`) counters removed. Two
+    /// runs of the same target are byte-identical under this view
+    /// regardless of host thread count or wall-clock speed.
     pub fn deterministic(&self) -> TelemetrySnapshot {
-        let keep: Vec<bool> = self
-            .counters
-            .iter()
-            .map(|c| !c.name.starts_with(HOST_PREFIX))
-            .collect();
-        let filter = |values: &[u64]| -> Vec<u64> {
-            values
-                .iter()
-                .zip(keep.iter())
-                .filter_map(|(v, k)| if *k { Some(*v) } else { None })
-                .collect()
-        };
         TelemetrySnapshot {
             counters: self
                 .counters
                 .iter()
-                .zip(keep.iter())
-                .filter(|(_, k)| **k)
-                .map(|(c, _)| c.clone())
+                .filter(|c| !c.name.starts_with(HOST_PREFIX))
+                .cloned()
                 .collect(),
-            sample_interval_cycles: self.sample_interval_cycles,
-            timeline: self
-                .timeline
-                .iter()
-                .map(|s| Sample {
-                    cycle: s.cycle,
-                    values: filter(&s.values),
-                })
-                .collect(),
-            trace: self.trace.clone(),
         }
     }
 
@@ -132,22 +81,17 @@ mod tests {
 
     fn snap() -> TelemetrySnapshot {
         let mut b = CounterBlock::new(true);
-        let c = b.register("tile0.l1d.misses");
-        b.add(c, 5);
+        b.add_named("tile0.l1d.misses", 5);
         b.set_named("host.rate.mhz", 60);
-        let mut s = Sampler::new(10);
-        s.maybe_sample(10, &b);
-        let mut t = TraceRing::new(4, 1);
-        t.record(0x80000000, 2, 9);
-        TelemetrySnapshot::capture(&b, &s, &t)
+        TelemetrySnapshot::capture(&b)
     }
 
     #[test]
     fn capture_round_trip() {
         let s = snap();
         assert_eq!(s.counter("tile0.l1d.misses"), Some(5));
-        assert_eq!(s.timeline.len(), 1);
-        assert_eq!(s.trace.len(), 1);
+        assert_eq!(s.counter("host.rate.mhz"), Some(60));
+        assert_eq!(s.counters.len(), 2);
     }
 
     #[test]
@@ -156,7 +100,6 @@ mod tests {
         let d = s.deterministic();
         assert_eq!(d.counters.len(), 1);
         assert!(d.counter("host.rate.mhz").is_none());
-        assert_eq!(d.timeline[0].values.len(), 1);
         // Byte-identical exports are the contract the proptest relies on.
         assert_eq!(d.to_json(), d.clone().to_json());
     }
@@ -174,6 +117,5 @@ mod tests {
         let s = snap();
         let json = s.to_json();
         assert!(json.contains("\"tile0.l1d.misses\""));
-        assert!(json.contains("\"timeline\""));
     }
 }

@@ -93,11 +93,6 @@ pub struct InOrderCore {
     refetch: bool,
     stats: CoreStats,
     l1i_hit_latency: u64,
-    /// Host-side fast-forward accounting: intermediate cycles covered by
-    /// bulk `stall_to` clock jumps rather than being stepped one by one.
-    ff_skipped_cycles: u64,
-    /// Contiguous multi-cycle jumps that produced those skips.
-    ff_spans: u64,
 }
 
 const LINE_MASK: u64 = !63;
@@ -118,36 +113,12 @@ impl InOrderCore {
             refetch: true,
             stats: CoreStats::default(),
             l1i_hit_latency: 1,
-            ff_skipped_cycles: 0,
-            ff_spans: 0,
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &InOrderConfig {
         &self.cfg
-    }
-
-    /// Fast-forward accounting: `(skipped_cycles, spans)` — target
-    /// cycles the core's clock jumped over in bulk (stall resolution)
-    /// instead of stepping, and how many such jumps happened. Feeds
-    /// `host.engine.skipped_cycles` in the SoC telemetry.
-    pub fn ff_stats(&self) -> (u64, u64) {
-        (self.ff_skipped_cycles, self.ff_spans)
-    }
-
-    /// Quiescence hint in `TickModel::next_activity` terms: the
-    /// earliest future cycle at which an already-issued
-    /// operation completes (store-buffer drain or an unpipelined unit
-    /// freeing). `None` when nothing is in flight — absent new work the
-    /// core is fully idle.
-    pub fn next_activity(&self) -> Option<u64> {
-        let drain = self.store_buffer.peek().map(|&Reverse(c)| c);
-        let unpiped = (self.unpipelined_free > self.cycle).then_some(self.unpipelined_free);
-        match (drain.filter(|&c| c > self.cycle), unpiped) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
     }
 
     fn new_issue_cycle(&mut self) {
@@ -167,11 +138,6 @@ impl InOrderCore {
         if d > 0 {
             self.cycle = t;
             self.issued_this_cycle = 0;
-            // A d-cycle jump steps one cycle and skips d-1 quiescent ones.
-            if d > 1 {
-                self.ff_skipped_cycles += d - 1;
-                self.ff_spans += 1;
-            }
         }
         d
     }

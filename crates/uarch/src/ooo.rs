@@ -160,12 +160,6 @@ pub struct OooCore {
     cur_fetch_line: u64,
     stats: CoreStats,
     l1i_hit_latency: u64,
-    /// Host-side fast-forward accounting: intermediate cycles covered by
-    /// bulk clock jumps (fetch stalls, ROB/branch-window drains) rather
-    /// than being stepped one by one.
-    ff_skipped_cycles: u64,
-    /// Contiguous multi-cycle jumps that produced those skips.
-    ff_spans: u64,
 }
 
 /// A FIFO of completion times in a ring sized once, from the config
@@ -255,43 +249,12 @@ impl OooCore {
             cur_fetch_line: u64::MAX,
             stats: CoreStats::default(),
             l1i_hit_latency: 1,
-            ff_skipped_cycles: 0,
-            ff_spans: 0,
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &OooConfig {
         &self.cfg
-    }
-
-    /// Fast-forward accounting: `(skipped_cycles, spans)` — target
-    /// cycles the core's clock jumped over in bulk (stall resolution)
-    /// instead of stepping, and how many such jumps happened. Feeds
-    /// `host.engine.skipped_cycles` in the SoC telemetry.
-    pub fn ff_stats(&self) -> (u64, u64) {
-        (self.ff_skipped_cycles, self.ff_spans)
-    }
-
-    /// Quiescence hint in `TickModel::next_activity` terms: the earliest
-    /// future cycle at which an in-flight op leaves the window (ROB head
-    /// retire, LDQ/STQ drain). `None` when the window is empty.
-    pub fn next_activity(&self) -> Option<u64> {
-        let now = self.cycles();
-        [self.rob.front(), self.ldq.front(), self.stq.front()]
-            .into_iter()
-            .flatten()
-            .filter(|&c| c > now)
-            .min()
-    }
-
-    /// Records a bulk clock jump of `d` cycles: one cycle is stepped,
-    /// `d - 1` quiescent ones are skipped.
-    fn note_jump(&mut self, d: u64) {
-        if d > 1 {
-            self.ff_skipped_cycles += d - 1;
-            self.ff_spans += 1;
-        }
     }
 
     /// Grabs the earliest-free unit from `units` (the first of equals),
@@ -337,7 +300,6 @@ impl OooCore {
     fn stall_dispatch(&mut self, dispatch: u64, until: u64) -> u64 {
         let d = until.saturating_sub(dispatch);
         self.stats.structural_stall_cycles += d;
-        self.note_jump(d);
         self.fetch_time = dispatch.max(until);
         self.dispatched_this_cycle = 0;
         self.fetch_time
@@ -365,7 +327,6 @@ impl TimingCore for OooCore {
                     self.stats.fetch_stall_cycles += extra;
                     self.fetch_time += extra;
                     self.dispatched_this_cycle = 0;
-                    self.note_jump(extra);
                 }
                 self.cur_fetch_line = line;
                 self.stats.fetch_lines += 1;

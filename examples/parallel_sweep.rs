@@ -1,16 +1,12 @@
 //! Parallel experiment sweeps: the platform×workload grid behind every
 //! figure fanned across host threads, with the aggregate simulation
-//! rate exported under `host.rate.*` — the software analogue of the
-//! paper's FireSim hosting rates (~60 MHz for Rocket, ~15 MHz for BOOM
-//! on an FPGA; §3.2.2).
+//! rate in the `host sweep:` note — the software analogue of the paper's
+//! FireSim hosting rates (~60 MHz for Rocket, ~15 MHz for BOOM on an
+//! FPGA; §3.2.2).
 //!
-//! Two guarantees to watch for in the output:
-//!
-//! 1. **Determinism** — the figure data is bit-identical whether the
-//!    grid runs on one worker or many; only host wall-clock and the
-//!    `host sweep:` note change.
-//! 2. **Honest telemetry** — `host.rate.*` and `host.sweep.*` counters
-//!    reflect the real schedule, not a formula.
+//! The guarantee to watch for in the output: the figure data is
+//! bit-identical whether the grid runs on one worker or many; only host
+//! wall-clock and the `host sweep:` note change.
 //!
 //! Run with:
 //! ```text
@@ -20,7 +16,6 @@
 use silicon_bridge::core::experiments::{figure, run_grid_metered, Sizes};
 use silicon_bridge::core::Parallelism;
 use silicon_bridge::soc::{configs, Soc};
-use silicon_bridge::telemetry::CounterBlock;
 use silicon_bridge::workloads::microbench;
 
 fn main() {
@@ -50,20 +45,6 @@ fn main() {
         println!();
     }
     println!("  {}", sweep.describe());
-
-    // The aggregate rate exports like any other out-of-band counter.
-    let mut block = CounterBlock::new(true);
-    sweep.publish(&mut block);
-    println!("\nexported host counters:");
-    for name in [
-        "host.rate.target_cycles",
-        "host.rate.host_micros",
-        "host.rate.milli_mhz",
-        "host.sweep.workers",
-        "host.sweep.cells",
-    ] {
-        println!("  {:26} {}", name, block.get(name).unwrap_or(0));
-    }
 
     // --- Part 2: a whole paper figure, sequential vs parallel. ---
     let sizes = Sizes {

@@ -46,10 +46,11 @@ fn main() {
         );
     }
 
-    println!("\nfull JSON exports are available via TelemetrySnapshot::to_json();");
     println!(
-        "e.g. the sim run carries {} counters and {} timeline samples.",
-        sim_snap.counters.len(),
-        sim_snap.timeline.len()
+        "\nthe sim run's {} counters export as JSON (TelemetrySnapshot::to_json) or CSV:",
+        sim_snap.counters.len()
     );
+    for line in sim_snap.counters_csv().lines().take(6) {
+        println!("  {line}");
+    }
 }
