@@ -171,7 +171,7 @@ pub const BANS: &[Ban] = &[
         within: &["crates/core/src/"],
         except: &[],
         in_tests: false,
-        message: "RetryPolicy::run is the one place a cell panic is caught",
+        message: "bsim_resilience::catch is the one place a cell panic is caught",
     },
     Ban {
         needles: &[concat!("Scenario", " {")],
@@ -306,6 +306,25 @@ pub const BANS: &[Ban] = &[
         in_tests: true,
         message: "telemetry is the counters a report publishes: no timeline, no trace ring, \
                   no per-op observed schedule, no core fast-forward tally",
+    },
+    Ban {
+        needles: &[
+            concat!("Retry", "Policy"),
+            concat!("max_", "attempts"),
+            concat!("Break", "er"),
+            concat!("Peer", "Watchdog"),
+            concat!("prewarm", "_dist"),
+            concat!("dist_", "ranks"),
+            concat!("Link", "Guard"),
+            concat!("\"--re", "tries\""),
+            concat!("\"--dist", "-ranks\""),
+        ],
+        with: "",
+        within: &["crates/", "src/", "examples/"],
+        except: &[],
+        in_tests: true,
+        message: "a failed cell fails once and a lost rank respawns after a fixed capped delay: \
+                  no retry policy, breaker, peer watchdog, daemon dist prewarm or link lint",
     },
 ];
 

@@ -1,14 +1,11 @@
 //! `GD0xx` — overload-protection ("guard") configuration lints.
 //!
-//! The bsim-guard admission controller (svc daemon connection pool,
-//! request deadlines, adaptive dist retry, checksummed links) is only
-//! protective when it is actually switched on: a pool of zero workers
-//! deadlocks every client, a zero deadline rejects every request, a
-//! retry policy without a backoff cap can hammer a struggling peer, and
-//! a remote link with checksums disabled turns silent corruption back
-//! into wrong results. Each of those is a *configuration* bug —
-//! decidable before the daemon accepts a byte — so they are lints, not
-//! runtime errors.
+//! The bsim-guard admission controller (svc daemon connection pool, job
+//! queue cap, request deadlines) is only protective when it is actually
+//! switched on: a pool of zero workers deadlocks every client, and a
+//! zero deadline rejects every request. Each of those is a
+//! *configuration* bug — decidable before the daemon accepts a byte — so
+//! they are lints, not runtime errors.
 //!
 //! The daemon builds a [`GuardSpec`] from its `DaemonConfig` and runs
 //! [`guard_lints`] as part of its spawn preflight; `bsim check --list`
@@ -18,29 +15,12 @@
 //! |---|---|---|
 //! | GD001 | error | connection pool has zero workers or zero backlog (unbounded or wedged) |
 //! | GD002 | error | request deadline is configured but zero — every request expires on arrival |
-//! | GD003 | warning | retries enabled without a backoff cap — retry storms are unbounded |
-//! | GD004 | warning | remote link carries frames with checksum verification disabled |
 
 use crate::diag::Diagnostic;
 use crate::lint::LintRegistry;
 
-/// One wire link as the guard lints see it: where it goes and whether
-/// frames on it are checksum-verified.
-#[derive(Clone, Debug)]
-pub struct LinkGuard {
-    /// Human label for spans (`"rank2.ctrl"`, `"store"`, ...).
-    pub name: String,
-    /// `true` when the peer is another process/host — where bit flips
-    /// are silent unless checksums catch them. In-process links may
-    /// reasonably skip the CRC.
-    pub remote: bool,
-    /// `true` when frames on this link are CRC-verified.
-    pub checksum: bool,
-}
-
-/// The guard-relevant slice of a daemon/launcher configuration,
-/// decoupled from the concrete config structs so svc and dist can both
-/// feed it without a dependency cycle.
+/// The guard-relevant slice of the daemon configuration, decoupled from
+/// `DaemonConfig` so this crate needs no dependency on svc.
 #[derive(Clone, Debug)]
 pub struct GuardSpec {
     /// Connection pool threads draining the accept backlog.
@@ -52,12 +32,6 @@ pub struct GuardSpec {
     /// Per-request deadline in ms; `None` means "no deadline" (legal),
     /// `Some(0)` means every request is born expired (GD002).
     pub deadline_ms: Option<u64>,
-    /// Maximum attempts of the retry policy (1 = no retries).
-    pub retry_max_attempts: u32,
-    /// Backoff cap in ms for the retry policy; `None` = uncapped.
-    pub retry_backoff_cap_ms: Option<u64>,
-    /// Every wire link this configuration will open.
-    pub links: Vec<LinkGuard>,
 }
 
 /// The GD-series registry. Codes stay stable; `bsim check --list`
@@ -116,45 +90,6 @@ pub fn guard_lints() -> LintRegistry<GuardSpec> {
                 }
             },
         )
-        .rule(
-            "GD003",
-            "retries need a backoff cap",
-            |g: &GuardSpec, span, out| {
-                if g.retry_max_attempts > 1 && g.retry_backoff_cap_ms.is_none() {
-                    out.push(
-                        Diagnostic::warning(
-                            "GD003",
-                            span,
-                            format!(
-                                "{} attempts with uncapped backoff: delays grow geometrically \
-                                 without bound",
-                                g.retry_max_attempts
-                            ),
-                        )
-                        .with_help("cap the backoff (bsim_resilience::Backoff::cap_ms)"),
-                    );
-                }
-            },
-        )
-        .rule(
-            "GD004",
-            "remote links must verify checksums",
-            |g: &GuardSpec, span, out| {
-                for link in &g.links {
-                    if link.remote && !link.checksum {
-                        out.push(
-                            Diagnostic::warning(
-                                "GD004",
-                                format!("{span}.{}", link.name),
-                                "remote link carries frames without CRC verification: \
-                                 wire corruption becomes silent wrong results",
-                            )
-                            .with_help("enable the frame CRC (dist wire protocol v2)"),
-                        );
-                    }
-                }
-            },
-        )
 }
 
 #[cfg(test)]
@@ -167,13 +102,6 @@ mod tests {
             conn_backlog: 32,
             queue_cap: 64,
             deadline_ms: Some(30_000),
-            retry_max_attempts: 3,
-            retry_backoff_cap_ms: Some(2_000),
-            links: vec![LinkGuard {
-                name: "rank0.ctrl".into(),
-                remote: true,
-                checksum: true,
-            }],
         }
     }
 
@@ -201,42 +129,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_deadline_and_uncapped_retry_are_flagged() {
+    fn a_zero_deadline_is_a_gd002_error() {
         let mut g = sane();
         g.deadline_ms = Some(0);
         let r = guard_lints().run(&g, "daemon");
         assert!(r.has_code("GD002") && r.has_errors(), "{r}");
-
-        let mut g = sane();
-        g.retry_backoff_cap_ms = None;
-        let r = guard_lints().run(&g, "daemon");
-        assert!(
-            r.has_code("GD003") && r.has_warnings() && !r.has_errors(),
-            "{r}"
-        );
-        // A single attempt never backs off, so no cap is needed.
-        g.retry_max_attempts = 1;
-        assert!(guard_lints().run(&g, "daemon").is_clean());
-    }
-
-    #[test]
-    fn only_remote_unchecksummed_links_trip_gd004() {
-        let mut g = sane();
-        g.links = vec![
-            LinkGuard {
-                name: "local".into(),
-                remote: false,
-                checksum: false,
-            },
-            LinkGuard {
-                name: "rank1.ctrl".into(),
-                remote: true,
-                checksum: false,
-            },
-        ];
-        let r = guard_lints().run(&g, "daemon");
-        let hits: Vec<_> = r.with_code("GD004").collect();
-        assert_eq!(hits.len(), 1, "{r}");
-        assert!(hits[0].span.contains("rank1.ctrl"), "{r}");
     }
 }

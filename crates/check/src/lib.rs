@@ -24,9 +24,9 @@
 //! * [`audit`] — a workspace source audit banning panicking calls,
 //!   `HashMap` iteration, and host clocks from deterministic paths
 //!   (`AU0xx` codes, `// bsim: allow(..)` waivers),
-//! * [`guard`] — overload-protection configuration lints over the
-//!   svc/dist admission, deadline, retry, and link-checksum settings
-//!   (`GD0xx` codes), run by the daemon's spawn preflight.
+//! * [`guard`] — overload-protection configuration lints over the svc
+//!   daemon's admission and deadline settings (`GD0xx` codes), run by
+//!   the daemon's spawn preflight.
 //!
 //! Platform-level rules live next to the types they judge: `SC0xx`
 //! SoC-consistency and `PF0xx` paper-fidelity rules in

@@ -21,7 +21,7 @@
 use bsim_engine::{FaultKind, FaultPlan, Harness, SimError, TickModel, WatchdogConfig, Wire};
 use bsim_mpi::{MpiWorld, NetConfig, RankCtx};
 use bsim_resilience::fault::FaultTarget;
-use bsim_resilience::retry::{CellOutcome, RetryPolicy};
+use bsim_resilience::retry::{catch, CellOutcome};
 use bsim_soc::configs;
 use bsim_telemetry::CounterBlock;
 use bsim_workloads::npb::ep;
@@ -444,7 +444,7 @@ fn link_dead(_: &Ctx) -> (String, bool) {
 /// deadlock" panic instead of hanging the host — the MPI-layer analog of
 /// the watchdog.
 fn rank_loss(_: &Ctx) -> (String, bool) {
-    let outcome = RetryPolicy::once().run(|| {
+    let outcome = catch(|| {
         MpiWorld::run(
             configs::rocket1(2),
             2,
@@ -458,7 +458,7 @@ fn rank_loss(_: &Ctx) -> (String, bool) {
         )
     });
     match outcome {
-        CellOutcome::Failed { diag, .. } => {
+        CellOutcome::Failed { diag } => {
             (format!("torn down: {diag}"), diag.contains("MPI deadlock"))
         }
         CellOutcome::Ok { .. } => ("unexpectedly completed".into(), false),

@@ -9,7 +9,7 @@
 use crate::metrics::relative_speedup;
 use bsim_engine::{SimRate, SimRateMeter};
 use bsim_mpi::{Launch, NetConfig, Recorded, Timed, WorldReport, WorldTrace};
-use bsim_resilience::retry::{CellOutcome, RetryPolicy};
+use bsim_resilience::retry::{catch, CellOutcome};
 use bsim_resilience::snapshot::{restore_field, CkptError, Snapshot};
 use bsim_soc::{configs, RunReport, Soc, SocConfig};
 use bsim_telemetry::{TelemetryConfig, TelemetrySnapshot};
@@ -261,10 +261,10 @@ impl Parallelism {
 /// for `i in 0..jobs` across a scoped worker pool (workers claim cells
 /// from a shared counter, so an expensive cell never serializes the
 /// cheap ones behind it) and returns the results **ordered by grid
-/// index**. `cell` must not panic — every caller runs its cells under a
-/// [`RetryPolicy`], whose catch is what keeps a poisoned cell from
-/// killing its worker thread and losing the cells that worker would
-/// have claimed next.
+/// index**. `cell` must not panic — every caller runs its cells under
+/// [`catch`], which is what keeps a poisoned cell from killing its
+/// worker thread and losing the cells that worker would have claimed
+/// next.
 pub(crate) fn drain_grid<R, F>(jobs: usize, par: Parallelism, cell: F) -> Vec<R>
 where
     R: Send,
@@ -366,10 +366,10 @@ fn singleton_chunks(jobs: usize) -> Vec<[usize; 1]> {
 /// chunked. The largest chunk is stamped on [`SweepRun::lanes`], and a
 /// [`SimRateMeter`] aggregates the cells' target cycles across workers.
 ///
-/// Every chunk runs even when one panics: each runs under
-/// [`RetryPolicy::once`], and the first failed chunk's message (in grid
-/// order) is re-raised only after the whole grid has drained. Callers
-/// that want the completed cells *back* instead of a panic use
+/// Every chunk runs even when one panics: each runs under [`catch`],
+/// and the first failed chunk's message (in grid order) is re-raised
+/// only after the whole grid has drained. Callers that want the
+/// completed cells *back* instead of a panic use
 /// [`crate::resilient::run_grid_resilient`].
 pub fn run_grid_chunks_metered<T, C, O, F>(chunks: &[C], par: Parallelism, f: F) -> SweepRun<T>
 where
@@ -380,15 +380,14 @@ where
 {
     let workers = par.workers(chunks.len());
     let mut meter = SimRateMeter::start();
-    let once = RetryPolicy::once();
-    let per_chunk = drain_grid(chunks.len(), par, |g| once.run(|| f(g, chunks[g].as_ref())));
+    let per_chunk = drain_grid(chunks.len(), par, |g| catch(|| f(g, chunks[g].as_ref())));
     let total: usize = chunks.iter().map(|c| c.as_ref().len()).sum();
     let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
     let mut cycles = 0u64;
     for (g, outs) in per_chunk.into_iter().enumerate() {
         let mut outs = match outs {
             CellOutcome::Ok { value, .. } => value.into_iter(),
-            CellOutcome::Failed { diag, .. } => panic!("{diag}"),
+            CellOutcome::Failed { diag } => panic!("{diag}"),
         };
         for &cell in chunks[g].as_ref() {
             let (t, c) = outs

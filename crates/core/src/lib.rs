@@ -15,7 +15,7 @@
 //!   configuration that matches best,
 //! * [`table`] — plain-text rendering of figure data, so the bench
 //!   harnesses print rows directly comparable to the paper's plots,
-//! * [`resilient`] — retrying/storing sweep runners for long
+//! * [`resilient`] — degrading/storing sweep runners for long
 //!   simulations: a poisoned cell degrades to a diagnosed failure row
 //!   and `bsim fig --store` replays completed subfigures from disk,
 //! * [`campaign`] — the `bsim faults` fault-injection campaign: the
@@ -56,7 +56,7 @@ pub use resilient::{run_grid_keyed, run_grid_resilient, ResilientSweep};
 
 // The resilience vocabulary the runners above speak, re-exported so
 // `bsim-core` users don't need a separate `bsim-resilience` import.
-pub use bsim_resilience::{CellOutcome, CkptError, ResultStore, RetryPolicy};
+pub use bsim_resilience::{CellOutcome, CkptError, ResultStore};
 
 /// FNV-1a 64 of `text`: the digest the counter pins in this crate's
 /// tests compare against.

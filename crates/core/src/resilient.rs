@@ -1,14 +1,14 @@
-//! Resilient sweep runners: retry, degrade, store, replay.
+//! Resilient sweep runners: degrade, store, replay.
 //!
 //! [`crate::run_grid_metered`] re-raises a poisoned cell's panic after
 //! the grid drains. Long sweeps want the opposite: keep every completed
-//! cell, retry the poisoned one with backoff, and degrade it to a
-//! diagnosed failure row instead of aborting hours of simulation —
-//! [`run_grid_resilient`]. [`run_grid_keyed`] adds a [`ResultStore`], so
-//! `bsim fig --store` replays completed subfigures byte-for-byte.
+//! cell and degrade the poisoned one to a diagnosed failure row instead
+//! of aborting hours of simulation — [`run_grid_resilient`].
+//! [`run_grid_keyed`] adds a [`ResultStore`], so `bsim fig --store`
+//! replays completed subfigures byte-for-byte.
 
 use crate::experiments::{drain_grid, Parallelism};
-use bsim_resilience::retry::{CellOutcome, RetryPolicy};
+use bsim_resilience::retry::{catch, CellOutcome};
 use bsim_resilience::snapshot::{CkptError, Snapshot};
 use bsim_resilience::ResultStore;
 use std::sync::Mutex;
@@ -24,7 +24,7 @@ pub struct ResilientSweep<T> {
 }
 
 impl<T> ResilientSweep<T> {
-    /// Cells that failed every attempt.
+    /// Cells that failed.
     pub fn failed(&self) -> usize {
         self.outcomes.iter().filter(|o| !o.is_ok()).count()
     }
@@ -36,33 +36,27 @@ impl<T> ResilientSweep<T> {
 }
 
 /// [`crate::run_grid_metered`] that survives poisoned cells: each cell runs
-/// under `policy` (catch + exponential backoff between attempts), and a
-/// cell that fails every attempt degrades to
+/// once under [`catch`], and a cell that panics degrades to
 /// [`CellOutcome::Failed`] with the panic message as its diagnostic —
 /// the other cells' results are kept, not unwound away.
-pub fn run_grid_resilient<T, F>(
-    jobs: usize,
-    par: Parallelism,
-    policy: &RetryPolicy,
-    f: F,
-) -> ResilientSweep<T>
+pub fn run_grid_resilient<T, F>(jobs: usize, par: Parallelism, f: F) -> ResilientSweep<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     ResilientSweep {
-        outcomes: drain_grid(jobs, par, |i| policy.run(|| f(i))),
+        outcomes: drain_grid(jobs, par, |i| catch(|| f(i))),
         restored: 0,
     }
 }
 
 /// [`run_grid_resilient`] over keyed cells and a result store — the one
 /// loop that skips a stored cell. Cell `i` is answered from `store` when
-/// `keys[i]` is there (`attempts == 0` marks it replayed) and otherwise
-/// runs `f(i)` under `policy`; a cell that succeeds is stored under its
+/// `keys[i]` is there (`restored` marks it replayed) and otherwise runs
+/// `f(i)` once under [`catch`]; a cell that succeeds is stored under its
 /// key and `on_put` fires at once — `bsim fig --store` flushes the file
 /// there, so a run killed mid-sweep still leaves every finished cell to
-/// the next one. A cell that fails every attempt degrades to a
+/// the next one. A cell that panics degrades to a
 /// [`CellOutcome::Failed`] row, is not stored, and runs again next time.
 ///
 /// What a key is made of is the caller's side of the contract: `bsim fig`
@@ -77,7 +71,6 @@ where
 pub fn run_grid_keyed<T, F>(
     keys: &[impl AsRef<str> + Sync],
     par: Parallelism,
-    policy: &RetryPolicy,
     store: &mut ResultStore,
     on_put: impl FnMut(&ResultStore) + Send,
     f: F,
@@ -90,12 +83,15 @@ where
     for key in keys {
         let stored = store.get(key.as_ref());
         let value = stored.as_ref().map(T::restore).transpose()?;
-        slots.push(value.map(|value| CellOutcome::Ok { value, attempts: 0 }));
+        slots.push(value.map(|value| CellOutcome::Ok {
+            value,
+            restored: true,
+        }));
     }
     let missing: Vec<usize> = (0..keys.len()).filter(|&i| slots[i].is_none()).collect();
     let sink = Mutex::new((store, on_put));
     let fresh = drain_grid(missing.len(), par, |k| {
-        let outcome = policy.run(|| f(missing[k]));
+        let outcome = catch(|| f(missing[k]));
         if let CellOutcome::Ok { value, .. } = &outcome {
             let mut sink = sink.lock().unwrap_or_else(|e| e.into_inner());
             let (store, on_put) = &mut *sink;
@@ -125,13 +121,22 @@ mod tests {
 
     #[test]
     fn resilient_grid_keeps_completed_cells_and_diagnoses_the_poisoned_one() {
-        let sweep = run_grid_resilient(6, Parallelism::Workers(3), &RetryPolicy::once(), |i| {
+        let poisoned_calls = AtomicUsize::new(0);
+        let sweep = run_grid_resilient(6, Parallelism::Workers(3), |i| {
+            if i == 4 {
+                poisoned_calls.fetch_add(1, Ordering::Relaxed);
+            }
             assert!(i != 4, "cell 4 is poisoned");
             i * 10
         });
         assert_eq!(sweep.outcomes.len(), 6);
         assert_eq!(sweep.failed(), 1);
         assert!(!sweep.all_ok());
+        assert_eq!(
+            poisoned_calls.load(Ordering::Relaxed),
+            1,
+            "a failed cell runs exactly once"
+        );
         for (i, o) in sweep.outcomes.iter().enumerate() {
             if i == 4 {
                 assert!(o.diag().unwrap().contains("cell 4 is poisoned"));
@@ -139,22 +144,6 @@ mod tests {
                 assert_eq!(o.value(), Some(&(i * 10)), "cell {i} result kept");
             }
         }
-    }
-
-    #[test]
-    fn retry_policy_recovers_a_flaky_cell_and_counts_retries() {
-        let tries = AtomicUsize::new(0);
-        let sweep = run_grid_resilient(1, Parallelism::Sequential, &RetryPolicy::default(), |_| {
-            // Fails twice, then succeeds: a host-transient stand-in.
-            assert!(tries.fetch_add(1, Ordering::Relaxed) >= 2, "transient");
-            7u64
-        });
-        assert!(sweep.all_ok());
-        let two_retries = CellOutcome::Ok {
-            value: 7,
-            attempts: 3,
-        };
-        assert_eq!(sweep.outcomes, [two_retries]);
     }
 
     /// A scratch store file no other test (or process) shares, absent.
@@ -173,21 +162,14 @@ mod tests {
         store
     }
 
-    /// `run_grid_keyed` over `t/cell<i>` keys, sequential, one attempt.
+    /// `run_grid_keyed` over `t/cell<i>` keys, sequential.
     fn keyed<T: Snapshot + Send>(
         store: &mut ResultStore,
         jobs: usize,
         f: impl Fn(usize) -> T + Sync,
     ) -> Result<ResilientSweep<T>, CkptError> {
         let keys: Vec<String> = (0..jobs).map(|i| format!("t/cell{i}")).collect();
-        run_grid_keyed(
-            &keys,
-            Parallelism::Sequential,
-            &RetryPolicy::once(),
-            store,
-            |_| {},
-            f,
-        )
+        run_grid_keyed(&keys, Parallelism::Sequential, store, |_| {}, f)
     }
 
     #[test]
@@ -268,14 +250,12 @@ mod tests {
         // Any distinct strings do here; `bsim fig` passes content hashes.
         let keys: Vec<String> = plan.iter().map(|spec| format!("t/{}", spec.key)).collect();
         let run = |i: usize| plan[i].run(tiny, Parallelism::Sequential);
-        let once = RetryPolicy::once();
         let path = scratch("figure");
         let mut store = open_clean(&path);
         let mut puts = 0usize;
         let first = run_grid_keyed(
             &keys,
             Parallelism::Sequential,
-            &once,
             &mut store,
             |_| puts += 1,
             run,
@@ -286,27 +266,20 @@ mod tests {
         assert!(store.get("t/fig6").is_some());
 
         // The next run, through the file: the subfigure is replayed from
-        // the store (attempts == 0), not re-simulated, and is
+        // the store (`restored`), not re-simulated, and is
         // byte-identical to the first run's.
         store.flush().unwrap();
         let mut reloaded = open_clean(&path);
         std::fs::remove_file(&path).ok();
-        let second: ResilientSweep<FigureData> = run_grid_keyed(
-            &keys,
-            Parallelism::Sequential,
-            &once,
-            &mut reloaded,
-            |_| {},
-            run,
-        )
-        .unwrap();
+        let second: ResilientSweep<FigureData> =
+            run_grid_keyed(&keys, Parallelism::Sequential, &mut reloaded, |_| {}, run).unwrap();
         assert_eq!(second.restored, 1);
         match (&first.outcomes[0], &second.outcomes[0]) {
             (
                 CellOutcome::Ok { value: a, .. },
                 CellOutcome::Ok {
                     value: b,
-                    attempts: 0,
+                    restored: true,
                 },
             ) => assert_eq!(a, b, "replayed figure must match the original"),
             other => panic!("unexpected outcomes: {other:?}"),

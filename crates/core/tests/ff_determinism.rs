@@ -5,7 +5,7 @@
 //! run results under seeded fault plans.
 
 use bsim_core::experiments::{subfigures, FigureData, Sizes, FIGURE_IDS};
-use bsim_core::{run_grid_keyed, CellOutcome, Parallelism, ResultStore, RetryPolicy};
+use bsim_core::{run_grid_keyed, CellOutcome, Parallelism, ResultStore};
 use bsim_engine::{CounterBlock, FaultKind, FaultPlan, Harness, TickModel, WatchdogConfig, Wire};
 use bsim_resilience::ckpt::CkptStore;
 use bsim_resilience::snapshot::{field, CkptError, Snapshot};
@@ -36,7 +36,6 @@ fn sweep(ids: &[&str], store: &mut ResultStore) -> Vec<(String, FigureData)> {
         let cells = run_grid_keyed(
             &keys,
             Parallelism::Sequential,
-            &RetryPolicy::once(),
             store,
             |_| {},
             |i| plan[i].run(tiny(), Parallelism::Sequential),
@@ -45,7 +44,7 @@ fn sweep(ids: &[&str], store: &mut ResultStore) -> Vec<(String, FigureData)> {
         for (key, outcome) in keys.iter().zip(cells.outcomes) {
             match outcome {
                 CellOutcome::Ok { value, .. } => out.push((key.to_string(), value)),
-                CellOutcome::Failed { diag, .. } => panic!("figure {id} cell {key}: {diag}"),
+                CellOutcome::Failed { diag } => panic!("figure {id} cell {key}: {diag}"),
             }
         }
     }

@@ -563,13 +563,15 @@ mod tests {
                 })
             })
             .collect();
-        let mut finals: Vec<Vec<DemoNode>> = Vec::new();
-        let mut skipped = 0;
-        for h in handles {
-            let g = h.join().expect("rank thread");
-            skipped += g.skipped();
-            finals.push(g.models().to_vec());
-        }
+        // Join every rank before any graph drops: a rank that finished
+        // first must keep its sockets open while the other still
+        // flushes its last tokens to it.
+        let graphs: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("rank thread"))
+            .collect();
+        let skipped = graphs.iter().map(|g| g.skipped()).sum();
+        let finals: Vec<Vec<DemoNode>> = graphs.iter().map(|g| g.models().to_vec()).collect();
 
         let mut all: Vec<DemoNode> = Vec::new();
         for (global, &rank) in assignment.iter().enumerate().take(RING) {

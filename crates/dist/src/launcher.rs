@@ -6,12 +6,12 @@
 //! tests), and serves each connection: `Hello` → [`PlanSpec`] → stream
 //! of `Cell` results → `Done`. Recovery is re-planning: every
 //! completed cell lands in the [`ResultStore`] the moment it arrives, so
-//! when a worker dies (socket EOF, nonzero exit, or silence past the
-//! [`PeerWatchdog`] budget) the replacement process is handed exactly
-//! the cells that are still missing — completed work is never re-run,
-//! and because every cell is deterministic and sequential inside
-//! ([`WireCell::run`]), the recovered sweep is byte-identical to an
-//! undisturbed one.
+//! when a worker dies (socket EOF, nonzero exit, or silence past
+//! [`LaunchOpts::silence_budget`]) the replacement process is handed
+//! exactly the cells that are still missing, after a short fixed delay
+//! ([`respawn_delay`]) — completed work is never re-run, and because
+//! every cell is deterministic and sequential inside ([`WireCell::run`]),
+//! the recovered sweep is byte-identical to an undisturbed one.
 
 use crate::cells::WireCell;
 use crate::frame::{read_frame, write_frame, Frame};
@@ -19,7 +19,7 @@ use crate::plan::PlanSpec;
 use crate::worker;
 use bsim_check::proto::{dist_cached, Tracker};
 use bsim_core::experiments::partition_cells;
-use bsim_resilience::{Backoff, Breaker, BreakerState, PeerWatchdog, ResultStore};
+use bsim_resilience::ResultStore;
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
@@ -27,7 +27,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How worker ranks become live workers.
 #[derive(Clone, Debug)]
@@ -208,6 +208,7 @@ fn spawn_worker(opts: &LaunchOpts, addr: &str, rank: usize) -> io::Result<Spawne
     }
 }
 
+#[derive(Debug)]
 enum Event {
     Cell {
         rank: usize,
@@ -224,6 +225,8 @@ enum Event {
 }
 
 struct SweepShared {
+    /// Ranks of this sweep: a `Hello` naming any other is refused.
+    ranks: usize,
     cells: Vec<WireCell>,
     assignment: Vec<usize>,
     done: Mutex<Vec<Option<Arc<str>>>>,
@@ -240,7 +243,9 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// protocol table: every received frame is gated by a `Recv` transition
 /// and read failures are `Eof`/`Torn` transitions, so a peer that
 /// departs from the model is reported as a [`Event::Gone`] with the
-/// violation text, never silently tolerated.
+/// violation text, never silently tolerated. So is a peer whose frames
+/// fit the table but not the sweep: a `Hello` for a rank the sweep does
+/// not have, or a `Cell` for an index its plan did not hold.
 fn serve_conn(
     mut stream: TcpStream,
     sweep: Arc<SweepShared>,
@@ -274,6 +279,13 @@ fn serve_conn(
         return;
     };
     let rank = rank as usize;
+    if rank >= sweep.ranks {
+        let _ = events.send(Event::Gone {
+            rank,
+            why: format!("hello from rank {rank} of a {}-rank sweep", sweep.ranks),
+        });
+        return;
+    }
     let plan = {
         let done = lock(&sweep.done);
         PlanSpec {
@@ -340,6 +352,17 @@ fn serve_conn(
         }
         match frame {
             Frame::Cell { index, json } => {
+                if plan
+                    .cells
+                    .binary_search_by_key(&index, |(i, _)| *i)
+                    .is_err()
+                {
+                    let _ = events.send(Event::Gone {
+                        rank,
+                        why: format!("cell {index} is not in rank {rank}'s plan"),
+                    });
+                    return;
+                }
                 let json = json.into();
                 let _ = events.send(Event::Cell { rank, index, json });
             }
@@ -423,6 +446,14 @@ impl Drop for Acceptor {
     }
 }
 
+/// The sleep before respawning a rank for its `n`-th loss in a row
+/// (`n >= 1`): 50 ms, doubling, capped at 2 s. The cap bounds the stall
+/// a flapping rank adds to a sweep; the doubling keeps a rank that dies
+/// on arrival from spinning the respawn budget away in milliseconds.
+fn respawn_delay(n: u32) -> Duration {
+    Duration::from_millis((50u64 << n.saturating_sub(1).min(6)).min(2_000))
+}
+
 /// Runs `cells` across `opts.ranks` worker processes. A cell `store`
 /// already holds under its [`WireCell::key`] at `seed` is answered from
 /// there and never shipped; a rank's result — the canonical rendering,
@@ -458,6 +489,7 @@ pub fn run_sweep(
     }
 
     let shared = Arc::new(SweepShared {
+        ranks,
         cells: cells.to_vec(),
         assignment: assignment.clone(),
         done: Mutex::new(done),
@@ -473,13 +505,10 @@ pub fn run_sweep(
     let mut children: HashMap<usize, Spawned> = HashMap::new();
     let mut losses: Vec<String> = Vec::new();
     let mut result = (|| -> io::Result<usize> {
-        let mut watchdog = PeerWatchdog::new(ranks, opts.silence_budget);
-        // Adaptive retry: every loss backs off with seeded jitter before
-        // the respawn, and a rank that keeps flapping trips its breaker
-        // so repeated trips sleep progressively longer (the replacement
-        // is the half-open probe; its first Cell closes the breaker).
-        let backoff = Backoff::new(0xB51D_6A2D);
-        let mut breakers: Vec<Breaker> = (0..ranks).map(|_| Breaker::new(3)).collect();
+        // Every frame from a rank counts as hearing from it.
+        let mut last_heard = vec![Instant::now(); ranks];
+        // Losses of each rank since its last delivered cell.
+        let mut streak = vec![0u32; ranks];
         let mut respawns = 0usize;
         let mut delivered = vec![0usize; ranks];
         let mut kill_pending = opts.kill;
@@ -502,8 +531,8 @@ pub fn run_sweep(
             };
             match events.recv_timeout(Duration::from_millis(50)) {
                 Ok(Event::Cell { rank, index, json }) => {
-                    watchdog.beat(rank);
-                    breakers[rank].record_success();
+                    last_heard[rank] = Instant::now();
+                    streak[rank] = 0;
                     store.put_bytes(&keys[index as usize], Arc::clone(&json));
                     lock(&shared.done)[index as usize] = Some(json);
                     delivered[rank] += 1;
@@ -517,7 +546,7 @@ pub fn run_sweep(
                     }
                 }
                 Ok(Event::Done { rank }) => {
-                    watchdog.beat(rank);
+                    last_heard[rank] = Instant::now();
                 }
                 Ok(Event::Gone { rank, why }) => {
                     if !rank_pending(rank) {
@@ -535,29 +564,21 @@ pub fn run_sweep(
                     if let Some(mut old) = children.remove(&rank) {
                         old.kill_and_reap();
                     }
-                    watchdog.lost(rank);
-                    let tripped = breakers[rank].record_failure() != BreakerState::Closed;
-                    let attempt = breakers[rank].consecutive_failures().saturating_sub(1)
-                        + breakers[rank].opens() as u32;
-                    std::thread::sleep(Duration::from_millis(backoff.delay_ms(attempt)));
-                    if tripped {
-                        // The respawn below is the breaker's one
-                        // half-open probe.
-                        breakers[rank].try_probe();
-                    }
+                    streak[rank] += 1;
+                    std::thread::sleep(respawn_delay(streak[rank]));
                     children.insert(rank, spawn_worker(opts, &acceptor.addr, rank)?);
-                    watchdog.revive(rank);
+                    last_heard[rank] = Instant::now();
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
-                    for rank in watchdog.dead() {
-                        if rank_pending(rank) {
+                    for (rank, heard) in last_heard.iter_mut().enumerate() {
+                        if heard.elapsed() > opts.silence_budget && rank_pending(rank) {
                             // Hung, not dead: kill it so the socket EOF
                             // drives the normal Gone → respawn path.
                             eprintln!("bsim dist: rank {rank} silent past budget; killing");
                             if let Some(child) = children.get_mut(&rank) {
                                 child.kill_and_reap();
                             }
-                            watchdog.beat(rank); // one kill per budget window
+                            *heard = Instant::now(); // one kill per budget window
                         }
                     }
                 }
@@ -663,6 +684,60 @@ mod tests {
             .results
             .iter()
             .all(|(_, json)| &**json == "\"cached\""));
+    }
+
+    #[test]
+    fn respawn_delay_doubles_from_50_ms_to_a_2_s_cap() {
+        let ms: Vec<u128> = (1..=8).map(|n| respawn_delay(n).as_millis()).collect();
+        assert_eq!(ms, [50, 100, 200, 400, 800, 1600, 2000, 2000]);
+    }
+
+    /// What `serve_conn` reports for a peer on a two-rank sweep of
+    /// [`micro_cells`] that says `Hello { rank }` and then sends `then`.
+    fn serve_one(rank: u32, then: Frame) -> Event {
+        let cells = micro_cells();
+        let sweep = Arc::new(SweepShared {
+            ranks: 2,
+            assignment: partition_cells(cells.len(), 2),
+            done: Mutex::new(vec![None; cells.len()]),
+            cells,
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        let (events, received) = mpsc::channel();
+        let server =
+            std::thread::spawn(move || serve_conn(conn, sweep, Arc::new(Mutex::new(None)), events));
+        write_frame(&mut peer, &Frame::Hello { rank }).unwrap();
+        // A refused hello gets no plan, and the write after it may fail.
+        let _ = read_frame(&mut peer);
+        let _ = write_frame(&mut peer, &then);
+        // Hang up, so a connection still waiting for frames ends too.
+        drop(peer);
+        server.join().unwrap();
+        received.recv().unwrap()
+    }
+
+    #[test]
+    fn a_peer_naming_a_rank_or_cell_outside_the_sweep_is_gone() {
+        let cell = |index| Frame::Cell {
+            index,
+            json: "1".into(),
+        };
+        let assignment = partition_cells(micro_cells().len(), 2);
+        let own = assignment.iter().position(|&r| r == 0).unwrap() as u32;
+        let other = assignment.iter().position(|&r| r == 1).unwrap() as u32;
+        assert!(
+            matches!(serve_one(0, cell(own)), Event::Cell { rank: 0, index, .. } if index == own),
+            "a cell of the rank's own plan is delivered"
+        );
+        for (rank, then) in [(9, Frame::Done), (0, cell(99)), (0, cell(other))] {
+            let event = serve_one(rank, then);
+            assert!(
+                matches!(event, Event::Gone { .. }),
+                "rank {rank}: {event:?}"
+            );
+        }
     }
 
     #[test]

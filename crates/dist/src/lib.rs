@@ -14,9 +14,9 @@
 //!   [`WireCell::key`], the only thing a result store is indexed by,
 //! * [`plan`] — the sweep plan a coordinator hands each worker,
 //! * [`launcher`] — spawns workers, distributes the plans, collects
-//!   results into a [`bsim_resilience::ResultStore`], and — via
-//!   [`bsim_resilience::PeerWatchdog`] — respawns and re-plans when a
-//!   worker process dies,
+//!   results into a [`bsim_resilience::ResultStore`], and respawns and
+//!   re-plans, after a short capped delay, when a worker process dies
+//!   or falls silent,
 //! * [`worker`] — the worker-process entry point (`bsim dist-worker`),
 //! * [`faults`] — the process-kill survival scenario the `bsim faults`
 //!   matrix appends to the in-process campaign.

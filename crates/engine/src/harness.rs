@@ -147,7 +147,6 @@ struct Aborted;
 /// cheap spins (the producer is usually one lock release away), then
 /// yields, then short parks — a starved thread costs ~0 CPU instead of
 /// pegging a core, and the park bound keeps poison-flag detection prompt.
-/// (Not a retry schedule: that is `bsim_resilience::Backoff`.)
 struct SpinWait {
     step: u32,
 }

@@ -134,7 +134,7 @@ pub struct FaultPlan {
 
 /// `splitmix64` step — the same tiny deterministic generator the
 /// workloads use for input synthesis; no dependence on host entropy.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);

@@ -23,14 +23,11 @@
 //!   canonical bytes behind a per-read CRC in a `CkptStore` file, with
 //!   quarantine on open and the offline [`scrub`]. `bsim fig`, `bsim
 //!   dist` and `bsim serve` share it through `--store`.
-//! * [`retry`] — [`RetryPolicy`], the one place a cell panic is caught,
-//!   and the [`CellOutcome`] rows resilient sweeps record instead of
-//!   aborting.
-//! * [`guard`] — bsim-guard hardening primitives: the [`crc32`] the
-//!   dist wire protocol and the result store stamp over payloads, the
-//!   seeded-jittered [`Backoff`] schedule both [`RetryPolicy`] and the
-//!   dist launcher sleep on, and the per-rank circuit [`Breaker`] the
-//!   launcher arms against flapping ranks.
+//! * [`retry`] — [`catch`], the one place a cell panic is caught: a cell
+//!   runs once, and a panicking one becomes the [`CellOutcome::Failed`]
+//!   row resilient sweeps record instead of aborting.
+//! * [`guard`] — the [`crc32`] the dist wire protocol and the result
+//!   store stamp over payloads.
 //!
 //! Config sanity is linted through `bsim-check` diagnostics under the
 //! `RS0xx` codes (see `crates/check/README.md`), and a guarded run's
@@ -44,7 +41,6 @@
 pub mod ckpt;
 pub mod fault;
 pub mod guard;
-pub mod peers;
 pub mod retry;
 pub mod snapshot;
 pub mod store;
@@ -52,9 +48,8 @@ pub mod watchdog;
 
 pub use ckpt::CkptStore;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use guard::{crc32, Backoff, Breaker, BreakerState};
-pub use peers::PeerWatchdog;
-pub use retry::{CellOutcome, RetryPolicy};
+pub use guard::crc32;
+pub use retry::{catch, CellOutcome};
 pub use snapshot::{CkptError, Snapshot};
 pub use store::{scrub, ResultStore, ScrubReport};
 pub use watchdog::{ChannelProgress, SimError, StallReport, ThreadProgress, WatchdogConfig};

@@ -6,7 +6,8 @@
 //! `/submit` body parses and preflights into an [`SvcRequest`]
 //! (rejected with SV/MG/CL/SC diagnostics before any worker time is
 //! spent), decomposes into content-addressed cells, and fans across
-//! `run_grid_resilient` with the configured retry policy.
+//! `run_grid_resilient`, which runs each cell once and turns a panic
+//! into a failure row.
 //!
 //! ## Exactly-once simulation
 //!
@@ -21,8 +22,8 @@
 //!    claim gone and therefore the store populated. Identical cells in
 //!    concurrent requests coalesce onto one simulation.
 //!
-//! A claim is released by a drop guard, so a panicking cell (retried by
-//! the policy) never wedges its key.
+//! A claim is released by a drop guard, so a panicking cell never wedges
+//! its key: the next request for it claims it afresh.
 //!
 //! ## A warm request costs a lookup
 //!
@@ -67,10 +68,8 @@ use crate::request::{Cell, SvcRequest};
 use crate::splice::reindent;
 use bsim_check::proto::Tracker;
 use bsim_check::Report;
-use bsim_core::{run_grid_resilient, CellOutcome, Parallelism, RetryPolicy};
+use bsim_core::{run_grid_resilient, CellOutcome, Parallelism};
 use bsim_dist::key::{json_str, STORE_SCHEMA};
-use bsim_dist::launcher::{run_sweep as dist_sweep, LaunchOpts, WorkerSpawn};
-use bsim_dist::WireCell;
 use bsim_resilience::store::{canonical, ResultStore};
 use bsim_telemetry::CounterBlock;
 use serde::Value;
@@ -147,13 +146,6 @@ pub struct DaemonConfig {
     pub budget: usize,
     /// Host parallelism for the cell fan *within* one job.
     pub par: Parallelism,
-    /// Retry/degrade policy for poisoned cells (PR 4 semantics).
-    pub retry: RetryPolicy,
-    /// Scale-out worker ranks per job; 0 keeps every cell in-process.
-    pub dist_ranks: usize,
-    /// argv spawned per rank (`bsim dist-worker`); empty runs the ranks
-    /// as in-process threads instead — same wire protocol, no processes.
-    pub dist_worker: Vec<String>,
     /// Connection pool threads draining the accept backlog. The old
     /// thread-per-connection daemon is `conn_workers = usize::MAX` in
     /// spirit; bounding it is the overload protection.
@@ -184,9 +176,6 @@ impl Default for DaemonConfig {
             workers: 2,
             budget: 64,
             par: Parallelism::Auto,
-            retry: RetryPolicy::once(),
-            dist_ranks: 0,
-            dist_worker: Vec::new(),
             conn_workers: 8,
             conn_backlog: 32,
             queue_cap: 64,
@@ -207,20 +196,6 @@ impl DaemonConfig {
             conn_backlog: self.conn_backlog,
             queue_cap: self.queue_cap,
             deadline_ms: self.deadline.map(|d| d.as_millis() as u64),
-            retry_max_attempts: self.retry.max_attempts,
-            // A cap no delay can reach is no cap.
-            retry_backoff_cap_ms: Some(self.retry.backoff.cap_ms).filter(|&cap| cap < u64::MAX),
-            links: (0..self.dist_ranks)
-                .map(|r| bsim_check::guard::LinkGuard {
-                    name: format!("rank{r}.ctrl"),
-                    // Thread-spawned ranks share this address space;
-                    // argv-spawned ones cross a process boundary where
-                    // only the frame CRC catches corruption.
-                    remote: !self.dist_worker.is_empty(),
-                    // Wire protocol v2 CRCs every frame, both spawns.
-                    checksum: true,
-                })
-                .collect(),
         }
     }
 
@@ -267,8 +242,6 @@ struct Job {
     cells: Vec<Cell>,
     /// How many cells the request decomposed into, for `/status`.
     cell_count: usize,
-    /// The request's seed: what `cells`' keys were taken at.
-    seed: u64,
     body: Option<String>,
     stats: Arc<JobStats>,
     /// Absolute expiry stamped at submit; cells past it fail fast.
@@ -510,7 +483,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
         // A panic anywhere in the job path (cell panics are already
-        // caught by the retry policy, but rendering or accounting could
+        // caught per cell, but rendering or accounting could
         // still blow up) must not strip this worker from the pool or
         // leave the job wedged in Running, which would hang a draining
         // /shutdown forever.
@@ -533,22 +506,17 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 fn run_job(shared: &Arc<Shared>, idx: usize) {
-    let (cells, seed, stats, deadline) = {
+    let (cells, stats, deadline) = {
         let mut jobs = lock(&shared.jobs);
         let job = &mut jobs.table[idx];
         job.state = JobState::Running;
         (
             std::mem::take(&mut job.cells),
-            job.seed,
             Arc::clone(&job.stats),
             job.deadline,
         )
     };
-    let expired = deadline.is_some_and(|d| Instant::now() >= d);
-    if shared.cfg.dist_ranks > 0 && !expired {
-        prewarm_dist(shared, &cells, seed);
-    }
-    let sweep = run_grid_resilient(cells.len(), shared.cfg.par, &shared.cfg.retry, |i| {
+    let sweep = run_grid_resilient(cells.len(), shared.cfg.par, |i| {
         exec_cell(shared, &stats, &cells[i], deadline)
     });
     let (state, body) = if sweep.all_ok() {
@@ -566,61 +534,9 @@ fn run_job(shared: &Arc<Shared>, idx: usize) {
     shared.jobs_cv.notify_all();
 }
 
-/// Scale-out dispatch: ship the job's not-yet-cached cells to the dist
-/// worker ranks and seed the result store with what comes back, so the
-/// in-process sweep below sees them as plain cache hits. Cell results
-/// are bit-identical across schedules by construction, so seeding the
-/// store from a rank is indistinguishable from simulating locally. The
-/// launcher fills a scratch store under the same [`WireCell::key`]s the
-/// job's cells carry, and its verified bytes move across as they are. On
-/// any dispatch failure the cells simply stay missing and run locally —
-/// scale-out is an accelerator, never a correctness dependency.
-fn prewarm_dist(shared: &Shared, cells: &[Cell], seed: u64) {
-    let todo: Vec<&Cell> = cells
-        .iter()
-        .filter(|c| lock(&shared.store).get_bytes(&c.key).is_none())
-        .collect();
-    if todo.is_empty() {
-        return;
-    }
-    let wire: Vec<WireCell> = todo.iter().map(|c| c.spec.clone()).collect();
-    let opts = LaunchOpts {
-        ranks: shared.cfg.dist_ranks,
-        spawn: if shared.cfg.dist_worker.is_empty() {
-            WorkerSpawn::Thread
-        } else {
-            WorkerSpawn::Process(shared.cfg.dist_worker.clone())
-        },
-        silence_budget: std::time::Duration::from_secs(120),
-        kill: None,
-        max_respawns: 3,
-        io_timeout: std::time::Duration::from_secs(120),
-        wire_fault: None,
-    };
-    let mut scratch = ResultStore::ephemeral();
-    match dist_sweep(&wire, seed, &opts, &mut scratch) {
-        Ok(outcome) => {
-            let mut seeded = 0usize;
-            for cell in &todo {
-                if let Some(bytes) = scratch.get_bytes(&cell.key) {
-                    lock(&shared.store).put_bytes(&cell.key, bytes);
-                    seeded += 1;
-                }
-            }
-            eprintln!(
-                "bsimd: dist ranks seeded {seeded}/{} cells (respawns: {})",
-                todo.len(),
-                outcome.respawns
-            );
-        }
-        Err(e) => {
-            eprintln!("bsimd: dist dispatch failed ({e}); falling back to local execution");
-        }
-    }
-}
-
 /// Releases an in-flight claim even when the cell panics mid-compute,
-/// so a retried cell can re-claim instead of deadlocking on itself.
+/// so a later request for the cell can claim it instead of waiting on
+/// the dead one forever.
 struct Claim<'a> {
     shared: &'a Shared,
     key: &'a str,
@@ -647,7 +563,7 @@ fn exec_cell(shared: &Shared, job: &JobStats, cell: &Cell, deadline: Option<Inst
     loop {
         // Deadline gate, re-checked after every coalesce wake: work
         // nobody is waiting for anymore fails fast with a typed
-        // diagnostic (the retry layer renders the panic message into
+        // diagnostic (the cell's catch renders the panic message into
         // the job's failure body) instead of occupying a worker.
         if deadline.is_some_and(|d| Instant::now() >= d) {
             shared.stats.deadline_expired.fetch_add(1, Ordering::SeqCst);
@@ -728,10 +644,9 @@ fn render_failure(cells: &[Cell], outcomes: &[CellOutcome<Arc<str>>]) -> String 
         .iter()
         .zip(outcomes)
         .filter_map(|(c, o)| match o {
-            CellOutcome::Failed { diag, attempts } => Some(Value::Map(vec![
+            CellOutcome::Failed { diag } => Some(Value::Map(vec![
                 ("key".into(), Value::Str(c.key.clone())),
                 ("label".into(), Value::Str(c.label.clone())),
-                ("attempts".into(), Value::U64(u64::from(*attempts))),
                 ("diag".into(), Value::Str(diag.clone())),
             ])),
             CellOutcome::Ok { .. } => None,
@@ -983,7 +898,6 @@ fn handle_submit(
     }
     let cells = request.cells();
     let cell_count = cells.len();
-    let seed = request.seed();
     // Deadline is stamped at admission: it bounds the whole queued +
     // running lifetime, which is what a waiting client experiences.
     let deadline = shared.cfg.deadline.map(|d| Instant::now() + d);
@@ -1009,7 +923,6 @@ fn handle_submit(
             state: JobState::Queued,
             cells,
             cell_count,
-            seed,
             body: None,
             stats: Arc::new(JobStats::default()),
             deadline,
@@ -1142,6 +1055,7 @@ fn handle_shutdown(shared: &Arc<Shared>, tracker: &mut Tracker<'_>, stream: &mut
 mod tests {
     use super::*;
     use crate::proto::roundtrip;
+    use bsim_dist::WireCell;
 
     fn daemon() -> Daemon {
         let (d, report) = Daemon::spawn(DaemonConfig::default()).unwrap();
@@ -1302,7 +1216,7 @@ mod tests {
                 .collect();
             let outcomes: Vec<CellOutcome<Arc<str>>> = trees
                 .iter()
-                .map(|t| CellOutcome::Ok { value: canonical(t).into(), attempts: 1 })
+                .map(|t| CellOutcome::Ok { value: canonical(t).into(), restored: false })
                 .collect();
             proptest::prop_assert_eq!(
                 render_body(&cells, &outcomes),
@@ -1355,44 +1269,6 @@ mod tests {
         assert!(body.contains("host.svc.cells.total"), "{body}");
         roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
         d.join();
-    }
-
-    #[test]
-    fn dist_dispatched_jobs_are_byte_identical_to_local_ones() {
-        let submit = "{\"kind\":\"sweep\",\"platforms\":[\"Rocket 1\"],\
-                      \"kernels\":[\"Cca\",\"EI\"],\"scale\":1}";
-        let fetch = |cfg: DaemonConfig| {
-            let (d, report) = Daemon::spawn(cfg).unwrap();
-            assert!(report.is_clean(), "{report}");
-            let (status, body) = roundtrip(&d.addr(), "POST", "/submit", submit).unwrap();
-            assert_eq!(status, 202, "{body}");
-            let job = body
-                .split('"')
-                .nth(3)
-                .expect("submit answers {\"job\": ...}")
-                .to_string();
-            let path = format!("/fetch/{job}");
-            let body = loop {
-                let (status, body) = roundtrip(&d.addr(), "GET", &path, "").unwrap();
-                match status {
-                    200 => break body,
-                    202 => std::thread::sleep(std::time::Duration::from_millis(20)),
-                    other => panic!("fetch answered {other}: {body}"),
-                }
-            };
-            roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
-            d.join();
-            body
-        };
-        let local = fetch(DaemonConfig::default());
-        let dist = fetch(DaemonConfig {
-            dist_ranks: 2,
-            ..DaemonConfig::default()
-        });
-        assert_eq!(
-            local, dist,
-            "rank-dispatched results serve byte-identically"
-        );
     }
 
     #[test]
@@ -1539,6 +1415,7 @@ mod tests {
             }
         };
         assert!(body.contains("request deadline exceeded"), "{body}");
+        assert!(!body.contains("\"attempts\""), "{body}");
         let (_, metrics) = roundtrip(&d.addr(), "GET", "/metrics", "").unwrap();
         assert!(
             metrics.contains("\"host.guard.deadline.expired\": 1"),
@@ -1553,24 +1430,11 @@ mod tests {
         let (d, report) = Daemon::spawn(DaemonConfig {
             conn_workers: 0,
             deadline: Some(Duration::ZERO),
-            retry: RetryPolicy {
-                max_attempts: 3,
-                backoff: bsim_resilience::Backoff {
-                    cap_ms: u64::MAX,
-                    ..bsim_resilience::Backoff::new(0)
-                },
-            },
             ..DaemonConfig::default()
         })
         .unwrap();
         assert!(report.has_code("GD001"), "{report}");
         assert!(report.has_code("GD002"), "{report}");
-        assert!(report.has_code("GD003"), "{report}");
-        let capped = DaemonConfig {
-            retry: RetryPolicy::default(),
-            ..DaemonConfig::default()
-        };
-        assert_eq!(capped.guard_spec().retry_backoff_cap_ms, Some(2_000));
         // Pool sizes clamp to one, so the degraded daemon still serves.
         let (status, _) = roundtrip(&d.addr(), "GET", "/metrics", "").unwrap();
         assert_eq!(status, 200);

@@ -219,15 +219,6 @@ impl SvcRequest {
         report
     }
 
-    /// The seed every cell of this request is keyed at.
-    pub fn seed(&self) -> u64 {
-        match self {
-            SvcRequest::Sweep { seed, .. }
-            | SvcRequest::Fig { seed, .. }
-            | SvcRequest::Tune { seed, .. } => *seed,
-        }
-    }
-
     /// How many cells [`SvcRequest::cells`] will produce. Only valid on
     /// a preflight-clean request.
     fn cell_count(&self) -> usize {
@@ -438,12 +429,15 @@ mod tests {
             SvcRequest::Tune { scale: 2, seed: 11 },
         ];
         for req in requests {
+            let (SvcRequest::Sweep { seed, .. }
+            | SvcRequest::Fig { seed, .. }
+            | SvcRequest::Tune { seed, .. }) = req;
             assert!(req.preflight(64).is_clean(), "{req:?}");
             let cells = req.cells();
             assert_eq!(cells.len(), req.cell_count(), "{req:?}");
             for cell in cells {
-                assert_eq!(cell.key, cell.spec.key(req.seed()), "{}", cell.label);
-                assert_ne!(cell.key, cell.spec.key(req.seed() + 1), "{}", cell.label);
+                assert_eq!(cell.key, cell.spec.key(seed), "{}", cell.label);
+                assert_ne!(cell.key, cell.spec.key(seed + 1), "{}", cell.label);
             }
         }
     }

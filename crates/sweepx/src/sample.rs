@@ -90,13 +90,15 @@ impl Default for SampleCfg {
 impl SampleCfg {
     /// CL085/CL086/CL087: sampling-budget soundness lints.
     ///
-    /// * **CL085** (error) — a degenerate budget (`max_clusters == 0` or
-    ///   `prog_segment_uops == 0`) cannot produce a plan at all.
+    /// * **CL085** (error) — a degenerate budget (`max_clusters == 0`,
+    ///   `prog_segment_uops == 0`, `phase_split == 0` or a non-positive
+    ///   `quiesce_tol`) cannot produce a plan at all.
     /// * **CL086** (warning) — fewer than 2 measured segments per
     ///   cluster leaves the stratum variance undefined, so the reported
     ///   error bound degrades to the conservative 100%-of-stratum form.
     /// * **CL087** (warning) — an extra-rate above 0.5 measures most of
-    ///   the trace in detail; sampling overhead exceeds its savings.
+    ///   the trace in detail, so sampling overhead exceeds its savings;
+    ///   a `quiesce_tol` above 0.5 accepts drifting strata as quiesced.
     pub fn lint(&self, span: &str) -> Report {
         let mut report = Report::new();
         if self.max_clusters == 0 {

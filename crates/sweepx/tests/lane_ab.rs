@@ -6,7 +6,7 @@
 //! sweep reports.
 
 use bsim_core::experiments::{figure, subfigures, FigureSpec, Parallelism, Sizes};
-use bsim_core::{run_grid_chunks_metered, run_grid_keyed, CellOutcome, ResultStore, RetryPolicy};
+use bsim_core::{run_grid_chunks_metered, run_grid_keyed, CellOutcome, ResultStore};
 use bsim_mpi::NetConfig;
 use bsim_resilience::fault::{FaultKind, FaultPlan, FaultTarget};
 use bsim_soc::{configs, SocConfig, TelemetryConfig};
@@ -260,7 +260,6 @@ fn sampled_error_and_reported_bound_stay_under_ten_percent_at_scale() {
 fn ckpt_resume_interops_between_lane_and_scalar_plans() {
     let sizes = Sizes::smoke();
     let par = Parallelism::Sequential;
-    let policy = RetryPolicy::once();
 
     let plan: Vec<&'static FigureSpec> = subfigures("6").collect();
     let keys: Vec<String> = plan
@@ -271,8 +270,8 @@ fn ckpt_resume_interops_between_lane_and_scalar_plans() {
     let path = std::env::temp_dir().join(format!("sweepx_lane_ab_{}.json", std::process::id()));
     std::fs::remove_file(&path).ok();
     let (mut store, _) = ResultStore::open(&path);
-    let lane_out = run_grid_keyed(&keys, par, &policy, &mut store, |_| {}, on_lanes)
-        .expect("lane plan stores cleanly");
+    let lane_out =
+        run_grid_keyed(&keys, par, &mut store, |_| {}, on_lanes).expect("lane plan stores cleanly");
     assert!(lane_out.all_ok());
     assert_eq!(store.len(), keys.len());
 
@@ -282,7 +281,7 @@ fn ckpt_resume_interops_between_lane_and_scalar_plans() {
     std::fs::remove_file(&path).ok();
 
     let scalar = |i: usize| plan[i].run(sizes, par);
-    let scalar_out = run_grid_keyed(&keys, par, &policy, &mut resumed, |_| {}, scalar)
+    let scalar_out = run_grid_keyed(&keys, par, &mut resumed, |_| {}, scalar)
         .expect("scalar plan replays cleanly");
     for ((sk, lo), so) in keys
         .iter()
@@ -290,8 +289,8 @@ fn ckpt_resume_interops_between_lane_and_scalar_plans() {
         .zip(&scalar_out.outcomes)
     {
         match so {
-            CellOutcome::Ok { value, attempts } => {
-                assert_eq!(*attempts, 0, "{sk} must restore from the lane run's store");
+            CellOutcome::Ok { value, restored } => {
+                assert!(*restored, "{sk} must restore from the lane run's store");
                 assert_eq!(
                     json(lo.value().expect("lane cell ok")),
                     json(value),

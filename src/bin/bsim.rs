@@ -4,7 +4,7 @@
 //! bsim list                         # platforms + experiments
 //! bsim table 1|2|4|5                # print a paper table
 //! bsim fig 1|2|3|4|5|6|7|all [--smoke|--paper] [--par seq|auto|N]
-//!          [--store FILE] [--retries N] [--lanes N] [--sample]
+//!          [--store FILE] [--lanes N] [--sample]
 //!                                   # regenerate a paper figure at the
 //!                                   # default, CI-smoke or near-paper
 //!                                   # workload sizes; --par
@@ -43,11 +43,10 @@
 //!                                   # worker mid-sweep to exercise
 //!                                   # recovery
 //! bsim serve [--addr H:P] [--store FILE] [--workers N] [--budget N]
-//!            [--par seq|auto|N] [--dist-ranks N]
+//!            [--par seq|auto|N]
 //!                                   # bsimd: simulation-as-a-service
 //!                                   # daemon with a content-addressed
-//!                                   # memoizing result store; --dist-ranks
-//!                                   # prewarms it via worker processes
+//!                                   # memoizing result store
 //! bsim submit ADDR fig <id> [--smoke] [--seed N] [--wait]
 //! bsim submit ADDR sweep --platforms A,B --kernels C,D
 //!             [--scale N] [--seed N] [--wait]
@@ -63,7 +62,7 @@ use silicon_bridge::core::campaign::{Ctx, SurvivalMatrix};
 use silicon_bridge::core::experiments::{self, subfigures, FigureSpec, Sizes, FIGURE_IDS};
 use silicon_bridge::core::table;
 use silicon_bridge::core::tuning::tune_milkv;
-use silicon_bridge::core::{run_grid_keyed, Parallelism, ResultStore, RetryPolicy};
+use silicon_bridge::core::{run_grid_keyed, Parallelism, ResultStore};
 use silicon_bridge::dist::launcher::{run_sweep, KillSpec, LaunchOpts};
 use silicon_bridge::dist::{faults as dist_faults, worker as dist_worker, WireCell};
 use silicon_bridge::mpi::NetConfig;
@@ -85,14 +84,14 @@ fn platform_or_exit(name: &str) -> SocConfig {
 fn usage() -> ! {
     eprintln!(
         "usage:\n  bsim list\n  bsim table <1|2|4|5>\n  \
-         bsim fig <1..7|all> [--smoke|--paper] [--par seq|auto|N] [--store FILE] [--retries N]\n       \
+         bsim fig <1..7|all> [--smoke|--paper] [--par seq|auto|N] [--store FILE]\n       \
          [--lanes N] [--sample]\n  \
          bsim micro <kernel> [platform]\n  bsim tune\n  \
          bsim faults [--seed N] [--deny-unsurvived] [--in-process] [--guard]\n  \
          bsim check [--deny-warnings] [--json] [--list] [--proto] [--source] [platform ...]\n  \
          bsim scrub --store FILE\n  \
          bsim dist [--ranks N] [--figs 1,2] [--smoke] [--store FILE] [--json] [--kill-rank R --kill-after K]\n  \
-         bsim serve [--addr H:P] [--store FILE] [--workers N] [--budget N] [--par seq|auto|N] [--dist-ranks N]\n       \
+         bsim serve [--addr H:P] [--store FILE] [--workers N] [--budget N] [--par seq|auto|N]\n       \
          [--conn-workers N] [--conn-backlog N] [--queue-cap N] [--deadline-ms N] [--io-timeout-secs N]\n  \
          bsim submit ADDR fig <id> [--smoke] [--seed N] [--wait]\n  \
          bsim submit ADDR sweep --platforms A,B --kernels C,D [--scale N] [--seed N] [--wait]\n  \
@@ -118,7 +117,6 @@ fn flag_table(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
             ("--paper", false),
             ("--par", true),
             ("--store", true),
-            ("--retries", true),
             ("--lanes", true),
             ("--sample", false),
         ],
@@ -151,7 +149,6 @@ fn flag_table(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
             ("--workers", true),
             ("--budget", true),
             ("--par", true),
-            ("--dist-ranks", true),
             ("--conn-workers", true),
             ("--conn-backlog", true),
             ("--queue-cap", true),
@@ -424,13 +421,6 @@ fn main() {
                 usage()
             }
             let at_least_one = |v: &str| v.parse::<u32>().ok().filter(|&n| n >= 1);
-            let policy = match f.flag_with("--retries", "an attempt count >= 1", at_least_one) {
-                Some(max_attempts) => RetryPolicy {
-                    max_attempts,
-                    ..RetryPolicy::default()
-                },
-                None => RetryPolicy::once(),
-            };
             // --lanes / --sample hand each subfigure's grid to the
             // bsim-sweepx record-once/replay-many executor instead of
             // simulating every cell on its own. A full replay prints the
@@ -459,28 +449,22 @@ fn main() {
                 .collect();
             let mut store = open_store(f.path("--store"));
             // One subfigure at a time: `--par` fans out inside each.
-            let sweep = run_grid_keyed(
-                &keys,
-                Parallelism::Sequential,
-                &policy,
-                &mut store,
-                flush_store,
-                run,
-            )
-            .unwrap_or_else(|e| fail(format!("result store error: {e}")));
+            let sweep =
+                run_grid_keyed(&keys, Parallelism::Sequential, &mut store, flush_store, run)
+                    .unwrap_or_else(|e| fail(format!("result store error: {e}")));
             let mut failed = 0usize;
             for ((spec, _), outcome) in plan.iter().zip(sweep.outcomes) {
                 let name = spec.key;
                 match outcome {
-                    CellOutcome::Ok { value, attempts } => {
-                        if attempts == 0 {
+                    CellOutcome::Ok { value, restored } => {
+                        if restored {
                             eprintln!("{name}: replayed from the result store");
                         }
                         println!("{}", table::render(&value));
                     }
-                    CellOutcome::Failed { diag, attempts } => {
+                    CellOutcome::Failed { diag } => {
                         failed += 1;
-                        eprintln!("{name}: FAILED after {attempts} attempt(s): {diag}");
+                        eprintln!("{name}: FAILED: {diag}");
                     }
                 }
             }
@@ -727,20 +711,12 @@ fn run_dist(f: &Flags) -> ! {
 /// the CI smoke test) can bind port 0 and scrape the real port.
 fn run_serve(f: &Flags) -> ! {
     let defaults = DaemonConfig::default();
-    let dist_ranks = f.num("--dist-ranks", 0);
     let cfg = DaemonConfig {
         addr: f.get("--addr").unwrap_or("127.0.0.1:4780").into(),
         store_path: f.path("--store"),
         workers: f.num("--workers", defaults.workers),
         budget: f.num("--budget", defaults.budget),
         par: f.par(Parallelism::Auto),
-        retry: defaults.retry,
-        dist_ranks,
-        dist_worker: if dist_ranks > 0 {
-            worker_argv()
-        } else {
-            Vec::new()
-        },
         conn_workers: f.num("--conn-workers", defaults.conn_workers),
         conn_backlog: f.num("--conn-backlog", defaults.conn_backlog),
         queue_cap: f.num("--queue-cap", defaults.queue_cap),

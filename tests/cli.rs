@@ -57,12 +57,16 @@ fn an_unknown_flag_exits_2_and_is_named() {
     let out = bsim(&["table", "4", "--smoke"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--smoke"), "{}", stderr(&out));
-    // Retired flags are refused like any typo, not ignored. The graph
-    // demo's flag is split so the tree holds none of its text.
+    // Retired flags are refused like any typo, not ignored. Their names
+    // are split so the tree holds none of their text.
     let graph_demo = concat!("--graph", "-demo");
+    let retries = concat!("--re", "tries");
+    let dist_ranks = concat!("--dist", "-ranks");
     for (args, flag) in [
         (&["dist", graph_demo, "100"][..], graph_demo),
         (&["check", "--plans"], "--plans"),
+        (&["fig", "5", "--smoke", retries, "2"], retries),
+        (&["serve", dist_ranks, "2"], dist_ranks),
     ] {
         let out = bsim(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -246,7 +250,9 @@ fn a_second_run_adds_to_an_existing_store() {
 }
 
 /// Every diagnostic code the crates can emit is documented by
-/// `bsim check --list`, as itself or inside an `XX001-XX009` range.
+/// `bsim check --list`, as itself or inside an `XX001-XX009` range, and
+/// by a table row of `crates/check/README.md`, which has a row for no
+/// other code.
 #[test]
 fn check_list_covers_every_diagnostic_code_in_the_sources() {
     /// `(offset, code)` of the `XX000`-shaped tokens of `text`; with
@@ -309,6 +315,27 @@ fn check_list_covers_every_diagnostic_code_in_the_sources() {
     assert!(
         missing.is_empty(),
         "not in `bsim check --list`: {missing:?}"
+    );
+
+    // `crates/check/README.md` has a table row for each of them, and for
+    // no code the crates do not emit.
+    let readme = std::fs::read_to_string(crates.join("check/README.md")).expect("README reads");
+    let mut documented: Vec<&str> = readme
+        .lines()
+        .filter_map(|line| line.strip_prefix("| "))
+        .filter_map(|row| Some(codes(row.get(..5)?, false).first()?.1))
+        .collect();
+    documented.sort_unstable();
+    documented.dedup();
+    let undocumented: Vec<_> = emitted.iter().filter(|c| !documented.contains(c)).collect();
+    assert!(
+        undocumented.is_empty(),
+        "no row in crates/check/README.md: {undocumented:?}"
+    );
+    let unemitted: Vec<_> = documented.iter().filter(|c| !emitted.contains(c)).collect();
+    assert!(
+        unemitted.is_empty(),
+        "a crates/check/README.md row no crate emits: {unemitted:?}"
     );
 }
 

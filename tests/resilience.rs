@@ -3,7 +3,7 @@
 
 use std::time::{Duration, Instant};
 
-use silicon_bridge::core::{run_grid_keyed, Parallelism, ResultStore, RetryPolicy};
+use silicon_bridge::core::{run_grid_keyed, Parallelism, ResultStore};
 use silicon_bridge::engine::{FaultKind, FaultPlan, Harness, SimError, TickModel, Wire};
 use silicon_bridge::resilience::fault::FaultTarget;
 use silicon_bridge::resilience::WatchdogConfig;
@@ -112,12 +112,11 @@ fn mid_sweep_checkpoint_resumes_bit_identical_run_reports() {
     let keys: Vec<String> = (0..platforms.len() * kernels.len())
         .map(|i| format!("grid/cell{i}"))
         .collect();
-    let once = RetryPolicy::once();
 
     // The reference sweep, fully simulated.
     let mut full = ResultStore::ephemeral();
     let par = Parallelism::Workers(2);
-    let baseline = run_grid_keyed(&keys, par, &once, &mut full, |_| {}, cell).unwrap();
+    let baseline = run_grid_keyed(&keys, par, &mut full, |_| {}, cell).unwrap();
     assert!(baseline.all_ok());
     assert_eq!(baseline.restored, 0);
 
@@ -135,8 +134,7 @@ fn mid_sweep_checkpoint_resumes_bit_identical_run_reports() {
     std::fs::remove_file(&path).ok();
     let par = Parallelism::Sequential; // different host schedule on purpose
     let mut saves = 0;
-    let resumed =
-        run_grid_keyed(&keys, par, &once, &mut resumed_store, |_| saves += 1, cell).unwrap();
+    let resumed = run_grid_keyed(&keys, par, &mut resumed_store, |_| saves += 1, cell).unwrap();
     assert!(resumed.all_ok());
     assert_eq!(resumed.restored, 2);
     assert_eq!(saves, 2, "only the two missing cells are simulated");
