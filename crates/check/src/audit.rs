@@ -326,6 +326,24 @@ pub const BANS: &[Ban] = &[
         message: "a failed cell fails once and a lost rank respawns after a fixed capped delay: \
                   no retry policy, breaker, peer watchdog, daemon dist prewarm or link lint",
     },
+    Ban {
+        needles: &[
+            concat!("run_with", "_telemetry"),
+            concat!("with_fast", "_forward"),
+            concat!("lint_", "schedule"),
+            concat!("Schedule", "Spec"),
+            concat!("count_by", "_kind"),
+            concat!("\"fault.", "injected."),
+            concat!("\"host.", "engine."),
+        ],
+        with: "",
+        within: &["crates/", "src/", "examples/"],
+        except: &[],
+        in_tests: true,
+        message: "the token engine keeps what the fault matrix runs: one sequential run that \
+                  always fast-forwards, a parallel run that never does, and no engine or \
+                  injected-fault counters or schedule lints",
+    },
 ];
 
 /// Outcome of a workspace audit.

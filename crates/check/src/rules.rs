@@ -339,74 +339,6 @@ pub fn ooo_lints() -> LintRegistry<OooConfig> {
         )
 }
 
-/// A harness run's host-schedule parameters, as seen by the engine
-/// lints: the token-exchange `quantum`, the smallest wire latency in
-/// the graph (the tightest channel window), how many models publish a
-/// `next_activity` quiescence hint, and whether fast-forward is on.
-/// Built by `bsim-engine`'s `Harness::lint_schedule`.
-#[derive(Clone, Debug)]
-pub struct ScheduleSpec {
-    /// Token-exchange batch size per lock acquisition.
-    pub quantum: usize,
-    /// Smallest wire latency in the model graph, in cycles.
-    pub min_latency: u64,
-    /// Models whose `next_activity()` returns a hint.
-    pub hinted_models: usize,
-    /// Whether the harness will use quiescence fast-forward.
-    pub fast_forward: bool,
-}
-
-/// `CL070`–`CL071`: engine host-schedule tuning.
-pub fn engine_lints() -> LintRegistry<ScheduleSpec> {
-    LintRegistry::new()
-        .rule(
-            "CL070",
-            "quantum exceeds the tightest channel window",
-            |s: &ScheduleSpec, span, out| {
-                if s.quantum as u64 > s.min_latency && s.min_latency > 0 {
-                    out.push(
-                        Diagnostic::warning(
-                            "CL070",
-                            span,
-                            format!(
-                                "quantum = {} exceeds the smallest channel latency ({}): \
-                                 channels must be auto-resized to latency + quantum to hold a batch",
-                                s.quantum, s.min_latency
-                            ),
-                        )
-                        .with_help(
-                            "a producer can only run `latency` cycles ahead of its consumer, so \
-                             batches beyond the smallest latency are latency-bound; the extra \
-                             quantum only grows channel buffers",
-                        ),
-                    );
-                }
-            },
-        )
-        .rule(
-            "CL071",
-            "quiescence hints present but fast-forward disabled",
-            |s, span, out| {
-                if s.hinted_models > 0 && !s.fast_forward {
-                    out.push(
-                        Diagnostic::warning(
-                            "CL071",
-                            span,
-                            format!(
-                                "{} model(s) publish next_activity() hints but fast-forward is off",
-                                s.hinted_models
-                            ),
-                        )
-                        .with_help(
-                            "results are bit-identical either way; enable fast-forward with \
-                             Harness::with_fast_forward(true) to skip quiescent ticks",
-                        ),
-                    );
-                }
-            },
-        )
-}
-
 /// Estimated DRAM access latency in core cycles — the CAS + RCD + controller
 /// path, the comparison point for `CL041` monotonicity.
 fn dram_latency_cycles(d: &DramConfig, core_freq_ghz: f64) -> u64 {
@@ -668,37 +600,6 @@ mod tests {
         assert!(lint_ooo(&o, "t").has_code("CL062"));
         o.int_units = 0;
         assert!(lint_ooo(&o, "t").has_code("CL063"));
-    }
-
-    #[test]
-    fn engine_schedule_lints() {
-        let good = ScheduleSpec {
-            quantum: 4,
-            min_latency: 4,
-            hinted_models: 2,
-            fast_forward: true,
-        };
-        assert!(engine_lints().run(&good, "t").is_clean());
-        let oversized = ScheduleSpec {
-            quantum: 64,
-            min_latency: 2,
-            ..good.clone()
-        };
-        let r = engine_lints().run(&oversized, "t");
-        assert!(r.has_code("CL070"), "{}", r.render());
-        assert!(!r.has_errors());
-        let wasted = ScheduleSpec {
-            fast_forward: false,
-            ..good.clone()
-        };
-        let r = engine_lints().run(&wasted, "t");
-        assert!(r.has_code("CL071"), "{}", r.render());
-        let unhinted = ScheduleSpec {
-            hinted_models: 0,
-            fast_forward: false,
-            ..good
-        };
-        assert!(engine_lints().run(&unhinted, "t").is_clean());
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl Ctx {
 pub struct FaultRow {
     /// Scenario name (row label).
     pub name: &'static str,
-    /// Injected fault, `FaultKind::label` spelling for the engine kinds.
+    /// Injected fault, the snake_case name of its kind.
     pub fault: &'static str,
     /// The typed expectation the scenario asserts.
     pub expected: &'static str,

@@ -4,17 +4,20 @@
 //! them, and advances all models in target-cycle lockstep. Two host
 //! schedules are provided:
 //!
-//! * [`Harness::run`] — sequential, one host thread,
+//! * [`Harness::run`] — sequential, one host thread, skipping the ticks
+//!   a [`TickModel::next_activity`] hint promises are no-ops,
 //! * [`Harness::run_parallel`] — one host thread per model, synchronized
 //!   *only* through the token channels (models spin when a channel has
-//!   no token yet / no slack left).
+//!   no token yet / no slack left), ticking every model every cycle;
+//!   [`Harness::run_guarded`] is the same schedule under fault injection
+//!   and a watchdog.
 //!
 //! Because every inter-model value crosses a channel with ≥ 1 cycle of
 //! latency, the token protocol makes the computation independent of the
-//! host schedule: both entry points produce bit-identical model state.
+//! host schedule: both schedules produce bit-identical model state.
 //! That property — host-time decoupling with target-time determinism —
 //! is the core of FireSim's simulation soundness, and is asserted by the
-//! tests here and by `ablation_engine` in the bench suite.
+//! tests here and by the `bsim faults` survival matrix.
 
 use crate::channel::TokenChannel;
 use bsim_check::graph::{GraphSpec, ModelSpec, WireSpec};
@@ -48,13 +51,14 @@ pub trait TickModel: Send {
     /// outputs. `None` (the default) makes no promise and the model is
     /// ticked every cycle.
     ///
-    /// The promise is what lets the harness *fast-forward*: it skips the
-    /// tick outright and synthesizes the zero tokens as run-length spans
-    /// (see `Harness::with_fast_forward`). A nonzero input token, or
-    /// reaching cycle `T`, ends the skip — the model is ticked for real
-    /// and asked again. The hint must be a pure function of model state:
-    /// it is re-evaluated after every real tick, never during a skip
-    /// (skipped ticks don't change state, by the promise above).
+    /// The promise is what lets the sequential [`Harness::run`]
+    /// *fast-forward*: it skips the tick outright, and when every model
+    /// is idle it synthesizes the zero tokens as run-length spans. A
+    /// nonzero input token, or reaching cycle `T`, ends the skip — the
+    /// model is ticked for real and asked again. The hint must be a pure
+    /// function of model state: it is re-evaluated after every real
+    /// tick, never during a skip (skipped ticks don't change state, by
+    /// the promise above). The parallel schedule ticks every cycle.
     fn next_activity(&self) -> Option<u64> {
         None
     }
@@ -79,11 +83,6 @@ pub struct Wire {
 pub struct Harness<M: TickModel> {
     models: Vec<M>,
     wires: Vec<Wire>,
-    /// Honor [`TickModel::next_activity`] hints (on by default). All
-    /// schedules are bit-identical with the flag on or off — hints only
-    /// license skipping ticks whose effect is known a priori — so this
-    /// is host configuration, like the quantum.
-    fast_forward: bool,
 }
 
 struct SharedChannel {
@@ -178,17 +177,6 @@ impl SpinWait {
     }
 }
 
-/// What one model thread hands back: per-wire `(wire, tokens, spins)`
-/// figures (inputs first, then outputs), the number of tick batches it
-/// actually executed, and its fast-forward figures (ticks skipped under
-/// a quiescence hint, and how many contiguous idle spans they formed).
-struct ThreadReport {
-    chan_counts: Vec<(usize, u64, u64)>,
-    batches: u64,
-    skipped: u64,
-    ff_spans: u64,
-}
-
 impl<M: TickModel> Harness<M> {
     /// Builds a harness, validating the wiring. Panics with the rendered
     /// static-analysis diagnostics on a malformed graph; use
@@ -230,46 +218,10 @@ impl<M: TickModel> Harness<M> {
             .filter(|d| d.severity == Severity::Error)
             .collect();
         if errors.is_empty() {
-            Ok(Harness {
-                models,
-                wires,
-                fast_forward: true,
-            })
+            Ok(Harness { models, wires })
         } else {
             Err(errors)
         }
-    }
-
-    /// Enables or disables quiescence fast-forward (default: enabled).
-    /// Purely a host-side switch: results are bit-identical either way;
-    /// only `host.engine.skipped_cycles` / `host.engine.ff_spans` and
-    /// the wall clock change.
-    pub fn with_fast_forward(mut self, on: bool) -> Harness<M> {
-        self.fast_forward = on;
-        self
-    }
-
-    /// Number of models currently publishing a
-    /// [`TickModel::next_activity`] hint.
-    pub fn hinted_models(&self) -> usize {
-        self.models
-            .iter()
-            .filter(|m| m.next_activity().is_some())
-            .count()
-    }
-
-    /// Runs the engine-schedule lints (`CL070`/`CL071`) against this
-    /// harness at the given quantum: a quantum past what the smallest
-    /// channel can buffer before auto-resize, and idleness hints that
-    /// fast-forward is configured to ignore.
-    pub fn lint_schedule(&self, quantum: usize) -> bsim_check::Report {
-        let spec = bsim_check::rules::ScheduleSpec {
-            quantum,
-            min_latency: self.wires.iter().map(|w| w.latency).min().unwrap_or(0),
-            hinted_models: self.hinted_models(),
-            fast_forward: self.fast_forward,
-        };
-        bsim_check::rules::engine_lints().run(&spec, "engine.schedule")
     }
 
     /// One channel per wire with `slack` cycles of run-ahead, holding
@@ -284,34 +236,15 @@ impl<M: TickModel> Harness<M> {
         })
     }
 
-    /// Target-deterministic per-channel counters: token and latency
-    /// figures are functions of the target graph only, so sequential and
-    /// parallel schedules export identical values. Host-schedule figures
-    /// (quantum, spin counts) go under the reserved `host.` prefix.
-    fn publish_target_counters(
-        &self,
-        tel: &mut CounterBlock,
-        cycles: u64,
-        tokens: &[u64],
-        n_models: u64,
-    ) {
-        tel.set_named("engine.cycles", cycles);
-        tel.set_named("engine.models", n_models);
-        for (wi, w) in self.wires.iter().enumerate() {
-            tel.set_named(&format!("engine.chan.{wi}.tokens"), tokens[wi]);
-            tel.set_named(&format!("engine.chan.{wi}.latency"), w.latency);
-        }
-    }
-
     /// Runs `cycles` target cycles sequentially and returns the models.
-    pub fn run(self, cycles: u64) -> Vec<M> {
-        self.run_with_telemetry(cycles, &mut CounterBlock::new(false))
-    }
-
-    /// [`Harness::run`], additionally publishing `engine.*` counters
-    /// (cycles, per-channel tokens/latency) and `host.engine.*` schedule
-    /// figures into `tel`.
-    pub fn run_with_telemetry(mut self, cycles: u64, tel: &mut CounterBlock) -> Vec<M> {
+    ///
+    /// Quiescence fast-forward works at two levels: a model whose
+    /// [`TickModel::next_activity`] promise covers the cycle and whose
+    /// inputs are all idle is not ticked, and when every model is idle
+    /// and every in-flight token is the idle token, the whole graph
+    /// advances to the nearest promise in one run-length step per
+    /// channel.
+    pub fn run(mut self, cycles: u64) -> Vec<M> {
         // Unshared channels — the sequential schedule needs no mutex —
         // and per-model wire lists, so the hot loop indexes its channels
         // directly instead of scanning every wire twice per model per
@@ -319,7 +252,6 @@ impl<M: TickModel> Harness<M> {
         let mut channels: Vec<TokenChannel<u64>> = self.reset_channels(1).collect();
         let n = self.models.len();
         let (ins, outs): (Vec<_>, Vec<_>) = (0..n).map(|mi| model_wires(&self.wires, mi)).unzip();
-        let mut tokens = vec![0u64; self.wires.len()];
         let mut inputs: Vec<Vec<u64>> = self
             .models
             .iter()
@@ -338,57 +270,37 @@ impl<M: TickModel> Harness<M> {
             .iter()
             .map(|m| m.next_activity().unwrap_or(0))
             .collect();
-        let mut was_idle = vec![false; n];
-        let mut skipped = 0u64;
-        let mut ff_spans = 0u64;
         let mut cycle = 0u64;
         while cycle < cycles {
             // Global quiescence: every model idle past this cycle and
             // every in-flight token already the idle token. Bulk-advance
             // virtual time, synthesizing the idle spans as run-length
             // channel operations instead of per-cycle push/pop.
-            if self.fast_forward {
-                let horizon = idle_until.iter().copied().min().unwrap_or(0);
-                if horizon > cycle
-                    && channels
-                        .iter()
-                        .all(|ch| ch.buffered_tokens().all(|&t| t == 0))
-                {
-                    let n_skip = horizon.min(cycles) - cycle;
-                    for ch in &mut channels {
-                        ch.fast_forward(n_skip, 0);
-                    }
-                    for t in tokens.iter_mut() {
-                        *t += n_skip;
-                    }
-                    skipped += n_skip * n as u64;
-                    ff_spans += 1;
-                    was_idle.iter_mut().for_each(|w| *w = true);
-                    cycle += n_skip;
-                    continue;
+            let horizon = idle_until.iter().copied().min().unwrap_or(0);
+            if horizon > cycle
+                && channels
+                    .iter()
+                    .all(|ch| ch.buffered_tokens().all(|&t| t == 0))
+            {
+                let n_skip = horizon.min(cycles) - cycle;
+                for ch in &mut channels {
+                    ch.fast_forward(n_skip, 0);
                 }
+                cycle += n_skip;
+                continue;
             }
             for mi in 0..n {
                 for &(wi, port) in &ins[mi] {
-                    inputs[mi][port] = channels[wi].pop(cycle).expect("sequential order is safe"); // bsim: allow(AU002) invariant stated in the message
-                    tokens[wi] += 1;
+                    // bsim: allow(AU002) invariant stated in the message
+                    inputs[mi][port] = channels[wi].pop(cycle).expect("sequential order is safe");
                 }
                 // A model alone may also skip: its promise covers any
                 // cycle before its horizon whose inputs are all idle.
-                let idle = self.fast_forward
-                    && cycle < idle_until[mi]
-                    && inputs[mi].iter().all(|&v| v == 0);
-                if idle {
+                if cycle < idle_until[mi] && inputs[mi].iter().all(|&v| v == 0) {
                     outputs[mi].fill(0);
-                    skipped += 1;
-                    if !was_idle[mi] {
-                        was_idle[mi] = true;
-                        ff_spans += 1;
-                    }
                 } else {
                     self.models[mi].tick(cycle, &inputs[mi], &mut outputs[mi]);
                     idle_until[mi] = self.models[mi].next_activity().unwrap_or(0);
-                    was_idle[mi] = false;
                 }
                 for &(wi, port, latency) in &outs[mi] {
                     channels[wi]
@@ -398,12 +310,6 @@ impl<M: TickModel> Harness<M> {
             }
             cycle += 1;
         }
-        self.publish_target_counters(tel, cycles, &tokens, n as u64);
-        tel.set_named("host.engine.threads", 1);
-        tel.set_named("host.engine.quantum", 1);
-        tel.set_named("host.engine.quanta", cycles);
-        tel.set_named("host.engine.skipped_cycles", skipped);
-        tel.set_named("host.engine.ff_spans", ff_spans);
         self.models
     }
 
@@ -419,7 +325,7 @@ impl<M: TickModel> Harness<M> {
     /// method re-raises the first panic payload — it never hangs.
     pub fn run_parallel(mut self, cycles: u64, quantum: usize) -> Vec<M> {
         match self.run_span(cycles, quantum.max(1), None) {
-            Ok(_) => self.models,
+            Ok(()) => self.models,
             Err(RunFailure::Panicked(payload)) => resume_unwind(payload),
             Err(RunFailure::Stalled(_)) => unreachable!("no watchdog was armed"),
         }
@@ -432,15 +338,8 @@ impl<M: TickModel> Harness<M> {
     /// a model dies or violates the token protocol. It never hangs and
     /// never unwinds into the caller.
     ///
-    /// Telemetry: planned fault counts land under
-    /// `fault.injected.<kind>`, and `host.resilience.watchdog_trips`
-    /// records whether the watchdog fired. Target counters (`engine.*`)
-    /// are identical to the sequential schedule's and only published
-    /// for completed runs (a torn-down run's counters are partial and
-    /// would poison cross-schedule comparisons); spin counts per channel
-    /// land under `host.engine.chan.*.stall_spins` and the executed
-    /// batch count under `host.engine.quanta` because they depend on
-    /// the host scheduler.
+    /// `tel` receives `host.resilience.watchdog_trips`: 1 when the
+    /// watchdog tore the run down, 0 otherwise.
     ///
     /// A model that blocks forever *inside* `tick()` cannot be torn
     /// down — threads cannot be killed — so the watchdog covers stalls
@@ -455,35 +354,15 @@ impl<M: TickModel> Harness<M> {
         watchdog: WatchdogConfig,
         tel: &mut CounterBlock,
     ) -> Result<Vec<M>, SimError> {
-        let quantum = quantum.max(1);
-        for (label, n) in faults.count_by_kind() {
-            tel.set_named(&format!("fault.injected.{label}"), n);
-        }
-        match self.run_span(cycles, quantum, Some((faults, watchdog))) {
-            Ok(stats) => {
-                let n = self.models.len() as u64;
-                tel.set_named("host.resilience.watchdog_trips", 0);
-                self.publish_target_counters(tel, cycles, &stats.tokens, n);
-                tel.set_named("host.engine.threads", n);
-                tel.set_named("host.engine.quantum", quantum as u64);
-                tel.set_named("host.engine.quanta", stats.quanta);
-                tel.set_named("host.engine.skipped_cycles", stats.skipped);
-                tel.set_named("host.engine.ff_spans", stats.ff_spans);
-                for (wi, s) in stats.spins.iter().enumerate() {
-                    tel.set_named(&format!("host.engine.chan.{wi}.stall_spins"), *s);
-                }
-                Ok(self.models)
-            }
-            Err(RunFailure::Stalled(report)) => {
-                tel.set_named("host.resilience.watchdog_trips", 1);
-                Err(SimError::Stalled(report))
-            }
-            Err(RunFailure::Panicked(payload)) => {
-                tel.set_named("host.resilience.watchdog_trips", 0);
-                Err(SimError::Panicked {
-                    message: panic_message(payload.as_ref()),
-                })
-            }
+        let outcome = self.run_span(cycles, quantum.max(1), Some((faults, watchdog)));
+        let tripped = matches!(outcome, Err(RunFailure::Stalled(_)));
+        tel.set_named("host.resilience.watchdog_trips", u64::from(tripped));
+        match outcome {
+            Ok(()) => Ok(self.models),
+            Err(RunFailure::Stalled(report)) => Err(SimError::Stalled(report)),
+            Err(RunFailure::Panicked(payload)) => Err(SimError::Panicked {
+                message: panic_message(payload.as_ref()),
+            }),
         }
     }
 
@@ -496,20 +375,18 @@ impl<M: TickModel> Harness<M> {
         cycles: u64,
         quantum: usize,
         guard: Option<(&FaultPlan, WatchdogConfig)>,
-    ) -> Result<SpanStats, RunFailure> {
+    ) -> Result<(), RunFailure> {
         let no_faults = FaultPlan::default();
         let (faults, watchdog) = match guard {
             Some((faults, watchdog)) => (faults, Some(watchdog)),
             None => (&no_faults, None),
         };
         let wires = &self.wires;
-        let fast_forward = self.fast_forward;
         let channels: Arc<Vec<SharedChannel>> = Arc::new(
             self.reset_channels(quantum)
                 .map(SharedChannel::wrap)
                 .collect(),
         );
-        let mut stats = SpanStats::new(wires.len());
         let abort = Arc::new(AbortFlag::new());
         let progress: Arc<Vec<AtomicU64>> =
             Arc::new(self.models.iter().map(|_| AtomicU64::new(0)).collect());
@@ -530,14 +407,14 @@ impl<M: TickModel> Harness<M> {
                     // Catch the panic here, not at the scope join: peers
                     // must see the poison flag while they are still
                     // spinning, or they would wait on tokens that will
-                    // never arrive.
+                    // never arrive. An `Aborted` return needs nothing
+                    // more: a peer already raised the flag.
                     let driven = catch_unwind(AssertUnwindSafe(|| {
                         drive_model(
                             model,
                             &DriveCtx {
                                 cycles,
                                 quantum,
-                                fast_forward,
                                 channels: &channels,
                                 my_in: &my_in,
                                 my_out: &my_out,
@@ -548,13 +425,8 @@ impl<M: TickModel> Harness<M> {
                             },
                         )
                     }));
-                    match driven {
-                        Ok(Ok(report)) => Some(report),
-                        Ok(Err(Aborted)) => None,
-                        Err(payload) => {
-                            abort.poison(payload);
-                            None
-                        }
+                    if let Err(payload) = driven {
+                        abort.poison(payload);
                     }
                 }));
             }
@@ -572,16 +444,9 @@ impl<M: TickModel> Harness<M> {
                 });
             }
             for h in handles {
-                let Ok(outcome) = h.join() else { continue };
-                if let Some(report) = outcome {
-                    for (wi, t, s) in report.chan_counts {
-                        stats.tokens[wi] += t;
-                        stats.spins[wi] += s;
-                    }
-                    stats.quanta += report.batches;
-                    stats.skipped += report.skipped;
-                    stats.ff_spans += report.ff_spans;
-                }
+                // A model thread catches its own panics, so a join
+                // cannot fail.
+                let _ = h.join();
             }
             // Model threads are joined; release the watchdog before the
             // scope waits for it.
@@ -599,7 +464,7 @@ impl<M: TickModel> Harness<M> {
             }
             return Err(RunFailure::Panicked(payload));
         }
-        Ok(stats)
+        Ok(())
     }
 }
 
@@ -615,28 +480,6 @@ enum RunFailure {
 /// Poison payload the watchdog uses to distinguish its own teardown
 /// from a real model panic.
 struct StallMarker;
-
-/// Aggregated per-wire token/spin counts, batch totals, and
-/// fast-forward figures of one parallel run.
-struct SpanStats {
-    tokens: Vec<u64>,
-    spins: Vec<u64>,
-    quanta: u64,
-    skipped: u64,
-    ff_spans: u64,
-}
-
-impl SpanStats {
-    fn new(wires: usize) -> SpanStats {
-        SpanStats {
-            tokens: vec![0; wires],
-            spins: vec![0; wires],
-            quanta: 0,
-            skipped: 0,
-            ff_spans: 0,
-        }
-    }
-}
 
 /// `(wire, input port)` of every wire into a model, in wire order.
 type InWires = Vec<(usize, usize)>;
@@ -796,7 +639,6 @@ impl ThreadFaults {
 struct DriveCtx<'a> {
     cycles: u64,
     quantum: usize,
-    fast_forward: bool,
     channels: &'a [SharedChannel],
     my_in: &'a [(usize, usize)],
     my_out: &'a [(usize, usize, u64)],
@@ -846,19 +688,10 @@ fn flush_pending(
 /// loops watch `abort` so a dead peer aborts the schedule instead of
 /// hanging it; `progress`/`epoch` feed the watchdog. Planned faults
 /// from `ctx.faults` are applied at their tick cycles.
-///
-/// Fast-forward runs per thread: a model promising idleness until `T`
-/// has its ticks skipped (zero outputs synthesized) for every cycle
-/// before `T` whose inputs are all idle tokens and that carries no
-/// scheduled fault — a fault inside an idle span splits the span, and
-/// the fault cycle executes as a real tick. Tokens still flow every
-/// cycle, so the channel protocol (and thus bit-identical results and
-/// schedule-invariant `engine.*` counters) is untouched.
-fn drive_model<M: TickModel>(model: &mut M, ctx: &DriveCtx<'_>) -> Result<ThreadReport, Aborted> {
+fn drive_model<M: TickModel>(model: &mut M, ctx: &DriveCtx<'_>) -> Result<(), Aborted> {
     let DriveCtx {
         cycles,
         quantum,
-        fast_forward,
         channels,
         my_in,
         my_out,
@@ -881,25 +714,11 @@ fn drive_model<M: TickModel>(model: &mut M, ctx: &DriveCtx<'_>) -> Result<Thread
     let mut outputs = vec![0u64; model.num_outputs()];
     // Tokens this model has produced so far: one per tick cycle.
     let mut out_pushed = vec![0u64; my_out.len()];
-    let mut chan_counts: Vec<(usize, u64, u64)> = my_in.iter().map(|&(wi, _)| (wi, 0, 0)).collect();
-    let out_base = chan_counts.len();
-    chan_counts.extend(my_out.iter().map(|&(wi, _, _)| (wi, 0, 0)));
     // Cursors into the sorted fault schedules.
     let mut stall_idx = 0;
     let mut flip_idx = vec![0usize; faults.out_faults.len()];
     let mut dup_idx = vec![0usize; faults.out_faults.len()];
     let mut cycle = 0u64;
-    let mut batches = 0u64;
-    let mut skipped = 0u64;
-    let mut ff_spans = 0u64;
-    let mut was_idle = false;
-    // Cached quiescence hint: `t < idle_until` means skipping tick(t) is
-    // sound when t's inputs are all zero. Re-evaluated after real ticks.
-    let mut idle_until = if fast_forward {
-        model.next_activity().unwrap_or(0)
-    } else {
-        0
-    };
     let mut spin = SpinWait::new();
 
     while cycle < cycles {
@@ -918,7 +737,6 @@ fn drive_model<M: TickModel>(model: &mut M, ctx: &DriveCtx<'_>) -> Result<Thread
                     Err(e) => panic!("token protocol violation: {e}"),
                 };
                 staged[ii].extend(&scratch[..got]);
-                chan_counts[ii].1 += got as u64;
             }
         }
         // The tickable batch is bounded by the worst-fed input port.
@@ -929,11 +747,6 @@ fn drive_model<M: TickModel>(model: &mut M, ctx: &DriveCtx<'_>) -> Result<Thread
             .unwrap_or(want)
             .min(want);
         if batch == 0 {
-            for (ii, s) in staged.iter().enumerate() {
-                if s.is_empty() {
-                    chan_counts[ii].2 += 1;
-                }
-            }
             // Keep our consumers fed while we stall, or two mutually
             // blocked threads could starve each other.
             flush_pending(channels, my_out, &mut pending, &mut out_pushed);
@@ -946,39 +759,16 @@ fn drive_model<M: TickModel>(model: &mut M, ctx: &DriveCtx<'_>) -> Result<Thread
         spin.reset();
         for k in 0..batch as u64 {
             let t = cycle + k;
-            let mut all_zero = true;
             for (ii, &(_, port)) in my_in.iter().enumerate() {
-                let token = staged[ii]
+                inputs[port] = staged[ii]
                     .pop_front()
                     .expect("batch bounded by stage depth"); // bsim: allow(AU002) invariant stated in the message
-                all_zero &= token == 0;
-                inputs[port] = token;
             }
-            let fault_here = (stall_idx < faults.stalls.len() && faults.stalls[stall_idx].0 == t)
-                || faults.out_faults.iter().enumerate().any(|(oi, of)| {
-                    (flip_idx[oi] < of.flips.len() && of.flips[flip_idx[oi]].0 == t)
-                        || (dup_idx[oi] < of.dups.len() && of.dups[dup_idx[oi]] == t)
-                });
-            if t < idle_until && all_zero && !fault_here {
-                // Quiescent cycle: the hint says this tick is a no-op
-                // that emits idle tokens. Skip it.
-                outputs.fill(0);
-                skipped += 1;
-                if !was_idle {
-                    was_idle = true;
-                    ff_spans += 1;
-                }
-            } else {
-                while stall_idx < faults.stalls.len() && faults.stalls[stall_idx].0 == t {
-                    std::thread::sleep(Duration::from_micros(faults.stalls[stall_idx].1));
-                    stall_idx += 1;
-                }
-                model.tick(t, &inputs, &mut outputs);
-                if fast_forward {
-                    idle_until = model.next_activity().unwrap_or(0);
-                }
-                was_idle = false;
+            while stall_idx < faults.stalls.len() && faults.stalls[stall_idx].0 == t {
+                std::thread::sleep(Duration::from_micros(faults.stalls[stall_idx].1));
+                stall_idx += 1;
             }
+            model.tick(t, &inputs, &mut outputs);
             for (oi, &(wi, port, _)) in my_out.iter().enumerate() {
                 let of = &faults.out_faults[oi];
                 let mut token = outputs[port];
@@ -1012,7 +802,6 @@ fn drive_model<M: TickModel>(model: &mut M, ctx: &DriveCtx<'_>) -> Result<Thread
             }
         }
         cycle += batch as u64;
-        batches += 1;
         progress.store(cycle, Ordering::Relaxed);
         epoch.fetch_add(1, Ordering::Relaxed);
         // Drain this batch's outputs before starting the next. A full
@@ -1021,11 +810,6 @@ fn drive_model<M: TickModel>(model: &mut M, ctx: &DriveCtx<'_>) -> Result<Thread
         while pending.iter().any(|p| !p.is_empty()) {
             let moved = flush_pending(channels, my_out, &mut pending, &mut out_pushed);
             if moved == 0 {
-                for (oi, p) in pending.iter().enumerate() {
-                    if !p.is_empty() {
-                        chan_counts[out_base + oi].2 += 1;
-                    }
-                }
                 if abort.is_poisoned() {
                     return Err(Aborted);
                 }
@@ -1035,12 +819,7 @@ fn drive_model<M: TickModel>(model: &mut M, ctx: &DriveCtx<'_>) -> Result<Thread
             }
         }
     }
-    Ok(ThreadReport {
-        chan_counts,
-        batches,
-        skipped,
-        ff_spans,
-    })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1076,24 +855,6 @@ mod tests {
                 .wrapping_add(inputs[0] ^ cycle ^ self.seed);
             outputs[0] = self.state >> 17;
         }
-    }
-
-    /// The parallel schedule with counters: a guarded run under an
-    /// empty fault plan.
-    fn run_parallel_counted<M: TickModel>(
-        h: Harness<M>,
-        cycles: u64,
-        quantum: usize,
-        tel: &mut CounterBlock,
-    ) -> Vec<M> {
-        h.run_guarded(
-            cycles,
-            quantum,
-            &FaultPlan::default(),
-            WatchdogConfig::default(),
-            tel,
-        )
-        .expect("a clean run completes")
     }
 
     fn ring(n: usize, latency: u64) -> (Vec<Mixer>, Vec<Wire>) {
@@ -1160,37 +921,20 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_target_counters_are_schedule_invariant() {
-        let (m1, w1) = ring(4, 2);
-        let (m2, w2) = ring(4, 2);
-        let mut seq_tel = CounterBlock::new(true);
-        let mut par_tel = CounterBlock::new(true);
-        let seq = Harness::new(m1, w1).run_with_telemetry(800, &mut seq_tel);
-        let par = run_parallel_counted(Harness::new(m2, w2), 800, 16, &mut par_tel);
-        assert_eq!(
-            seq.iter().map(|m| m.state).collect::<Vec<_>>(),
-            par.iter().map(|m| m.state).collect::<Vec<_>>()
-        );
-        assert_eq!(seq_tel.get("engine.cycles"), Some(800));
-        assert_eq!(seq_tel.get("engine.chan.0.tokens"), Some(800));
-        // Deterministic (non-host) counters must match across schedules.
-        assert_eq!(
-            seq_tel.deterministic_counters().collect::<Vec<_>>(),
-            par_tel.deterministic_counters().collect::<Vec<_>>()
-        );
-        // Host figures legitimately differ (thread count, quantum).
-        assert_eq!(seq_tel.get("host.engine.threads"), Some(1));
-        assert_eq!(par_tel.get("host.engine.threads"), Some(4));
-        assert!(par_tel.get("host.engine.chan.0.stall_spins").is_some());
-    }
-
-    #[test]
     fn disabled_telemetry_run_matches_plain_run() {
         let (m1, w1) = ring(3, 1);
         let (m2, w2) = ring(3, 1);
         let mut off = CounterBlock::new(false);
         let a = Harness::new(m1, w1).run(600);
-        let b = Harness::new(m2, w2).run_with_telemetry(600, &mut off);
+        let b = Harness::new(m2, w2)
+            .run_guarded(
+                600,
+                4,
+                &FaultPlan::default(),
+                WatchdogConfig::default(),
+                &mut off,
+            )
+            .expect("a clean run completes");
         assert_eq!(
             a.iter().map(|m| m.state).collect::<Vec<_>>(),
             b.iter().map(|m| m.state).collect::<Vec<_>>()
@@ -1248,46 +992,6 @@ mod tests {
         // Pre-fix this call never returns: models 1..3 spin on channels
         // model 0 will never feed again.
         let _ = Harness::new(models, wires).run_parallel(10_000, 4);
-    }
-
-    /// `host.engine.quanta` must report the batch schedule that actually
-    /// ran, not `cycles.div_ceil(quantum)`. A single self-looped model
-    /// has a deterministic schedule: its input channel always holds
-    /// exactly `latency` tokens when refilled, so every batch moves
-    /// `min(quantum, latency)` cycles.
-    #[test]
-    fn reported_quanta_match_real_batch_schedule() {
-        let self_ring = || {
-            (
-                vec![Mixer::new(7)],
-                vec![Wire {
-                    from_model: 0,
-                    from_port: 0,
-                    to_model: 0,
-                    to_port: 0,
-                    latency: 4,
-                }],
-            )
-        };
-        // quantum 8 > latency 4: batches are latency-bound at 4 cycles.
-        let (m, w) = self_ring();
-        let mut tel = CounterBlock::new(true);
-        run_parallel_counted(Harness::new(m, w), 100, 8, &mut tel);
-        assert_eq!(
-            tel.get("host.engine.quanta"),
-            Some(25),
-            "100 cycles in latency-bound batches of 4"
-        );
-        // quantum 2 < latency 4: batches are quantum-bound at 2 cycles.
-        let (m, w) = self_ring();
-        let mut tel = CounterBlock::new(true);
-        run_parallel_counted(Harness::new(m, w), 100, 2, &mut tel);
-        assert_eq!(
-            tel.get("host.engine.quanta"),
-            Some(50),
-            "100 cycles in quantum-bound batches of 2"
-        );
-        assert_eq!(tel.get("host.engine.quantum"), Some(2));
     }
 
     #[test]
@@ -1406,8 +1110,7 @@ mod tests {
             .run_guarded(500, 4, &plan, WatchdogConfig::default(), &mut tel)
             .expect("host-time faults must not kill the run");
         assert_eq!(states(&clean), states(&faulted));
-        assert_eq!(tel.get("fault.injected.model_stall"), Some(1));
-        assert_eq!(tel.get("fault.injected.host_thread_delay"), Some(1));
+        assert_eq!(tel.get("host.resilience.watchdog_trips"), Some(0));
     }
 
     #[test]
@@ -1515,7 +1218,7 @@ mod tests {
     /// the ring and then everything is quiescent until the next pulse.
     /// Both variants honor the `next_activity` contract: on any promised
     /// cycle with all-zero inputs, `tick` is a state no-op emitting zero.
-    #[derive(Debug, Clone, PartialEq)]
+    #[derive(Debug)]
     enum Burst {
         Pulse {
             period: u64,
@@ -1584,17 +1287,45 @@ mod tests {
         }
     }
 
+    /// A [`Burst`] that counts the ticks the harness delivers to it, so
+    /// a test sees skipping from the model's side. The count is not
+    /// model state: the hint and the compared states ignore it.
+    struct Counted {
+        burst: Burst,
+        ticks: u64,
+    }
+
+    impl TickModel for Counted {
+        fn num_inputs(&self) -> usize {
+            1
+        }
+        fn num_outputs(&self) -> usize {
+            1
+        }
+        fn tick(&mut self, cycle: u64, inputs: &[u64], outputs: &mut [u64]) {
+            self.ticks += 1;
+            self.burst.tick(cycle, inputs, outputs);
+        }
+        fn next_activity(&self) -> Option<u64> {
+            self.burst.next_activity()
+        }
+    }
+
     /// A mostly-idle ring: one pulse source plus `echoes` reactive hops.
-    fn burst_ring(echoes: usize, period: u64, latency: u64) -> (Vec<Burst>, Vec<Wire>) {
-        let mut models = vec![Burst::Pulse {
+    fn burst_ring(echoes: usize, period: u64, latency: u64) -> (Vec<Counted>, Vec<Wire>) {
+        let mut bursts = vec![Burst::Pulse {
             period,
             next_pulse: 0,
             state: 0x1234_5678,
         }];
-        models.extend((0..echoes).map(|i| Burst::Echo {
+        bursts.extend((0..echoes).map(|i| Burst::Echo {
             state: 0xE0 + i as u64,
         }));
-        let n = models.len();
+        let n = bursts.len();
+        let models = bursts
+            .into_iter()
+            .map(|burst| Counted { burst, ticks: 0 })
+            .collect();
         let wires: Vec<Wire> = (0..n)
             .map(|i| Wire {
                 from_model: i,
@@ -1607,136 +1338,74 @@ mod tests {
         (models, wires)
     }
 
-    fn burst_states(models: &[Burst]) -> Vec<u64> {
+    fn burst_states(models: &[Counted]) -> Vec<u64> {
         models
             .iter()
-            .map(|m| match m {
-                Burst::Pulse { state, .. } | Burst::Echo { state } => *state,
+            .map(|m| match m.burst {
+                Burst::Pulse { state, .. } | Burst::Echo { state } => state,
             })
             .collect()
     }
 
-    #[test]
-    fn sequential_fast_forward_is_bit_identical_and_skips() {
-        let (m1, w1) = burst_ring(3, 64, 1);
-        let (m2, w2) = burst_ring(3, 64, 1);
-        let mut tel_on = CounterBlock::new(true);
-        let mut tel_off = CounterBlock::new(true);
-        let on = Harness::new(m1, w1).run_with_telemetry(10_000, &mut tel_on);
-        let off = Harness::new(m2, w2)
-            .with_fast_forward(false)
-            .run_with_telemetry(10_000, &mut tel_off);
-        assert_eq!(burst_states(&on), burst_states(&off));
-        // Target counters are invariant under the host-side switch.
-        assert_eq!(
-            tel_on.deterministic_counters().collect::<Vec<_>>(),
-            tel_off.deterministic_counters().collect::<Vec<_>>()
-        );
-        assert_eq!(tel_on.get("engine.chan.0.tokens"), Some(10_000));
-        let skipped = tel_on.get("host.engine.skipped_cycles").unwrap();
-        assert!(
-            skipped > 4 * 10_000 / 2,
-            "a 64-cycle pulse period must leave most of {} model-cycles idle, skipped only {skipped}",
-            4 * 10_000
-        );
-        assert!(tel_on.get("host.engine.ff_spans").unwrap() > 0);
-        assert_eq!(tel_off.get("host.engine.skipped_cycles"), Some(0));
-        assert_eq!(tel_off.get("host.engine.ff_spans"), Some(0));
+    fn ticks(models: &[Counted]) -> u64 {
+        models.iter().map(|m| m.ticks).sum()
     }
 
+    /// The parallel schedule ticks every model every cycle, so it is the
+    /// unskipped reference the sequential schedule's skips must match.
     #[test]
-    fn parallel_fast_forward_matches_sequential_non_ff() {
-        let (m1, w1) = burst_ring(4, 32, 2);
-        let (m2, w2) = burst_ring(4, 32, 2);
-        let mut tel = CounterBlock::new(true);
-        let reference = Harness::new(m1, w1).with_fast_forward(false).run(5_000);
-        let par = run_parallel_counted(Harness::new(m2, w2), 5_000, 16, &mut tel);
-        assert_eq!(burst_states(&reference), burst_states(&par));
-        assert!(
-            tel.get("host.engine.skipped_cycles").unwrap() > 0,
-            "the parallel schedule must also skip quiescent ticks"
-        );
-        assert_eq!(tel.get("engine.chan.0.tokens"), Some(5_000));
+    fn sequential_fast_forward_is_bit_identical_and_skips() {
+        for (echoes, period, latency, quantum) in [(3, 64, 1, 8), (4, 32, 2, 16)] {
+            let (m1, w1) = burst_ring(echoes, period, latency);
+            let (m2, w2) = burst_ring(echoes, period, latency);
+            let seq = Harness::new(m1, w1).run(10_000);
+            let par = Harness::new(m2, w2).run_parallel(10_000, quantum);
+            assert_eq!(burst_states(&seq), burst_states(&par));
+            let model_cycles = (echoes as u64 + 1) * 10_000;
+            assert_eq!(
+                ticks(&par),
+                model_cycles,
+                "the parallel schedule never skips"
+            );
+            assert!(
+                ticks(&seq) < model_cycles / 2,
+                "a {period}-cycle pulse period must leave most of {model_cycles} \
+                 model-cycles idle, ticked {}",
+                ticks(&seq)
+            );
+        }
     }
 
     #[test]
     fn unhinted_models_are_never_skipped() {
-        // A Mixer declares no idleness, so a hinted/unhinted mix must
-        // degrade gracefully: nothing skips globally, hinted models
-        // still skip alone, results stay bit-identical.
-        let (mut m1, w1) = burst_ring(2, 16, 1);
-        let (mut m2, w2) = burst_ring(2, 16, 1);
-        // The wiring is a 3-ring; swapping one echo for an always-active
-        // pulse with period 1 models an unhinted-style busy neighbor
-        // while keeping the type homogeneous.
-        m1[2] = Burst::Pulse {
-            period: 1,
-            next_pulse: 0,
-            state: 7,
+        // Swapping one echo of a 3-ring for a pulse with period 1 gives
+        // it a neighbor that is busy every cycle, so nothing skips
+        // globally; the echo it does not feed still skips alone, and the
+        // result stays bit-identical to the parallel schedule's.
+        let busy = || {
+            let (mut models, wires) = burst_ring(2, 16, 1);
+            models[2].burst = Burst::Pulse {
+                period: 1,
+                next_pulse: 0,
+                state: 7,
+            };
+            (models, wires)
         };
-        m2[2] = m1[2].clone();
-        let on = Harness::new(m1, w1).run(2_000);
-        let off = Harness::new(m2, w2).with_fast_forward(false).run(2_000);
-        assert_eq!(burst_states(&on), burst_states(&off));
-    }
-
-    #[test]
-    fn fast_forward_composes_with_fault_injection() {
-        // Faults scheduled inside an otherwise-idle span must split the
-        // span (the fault cycle runs as a real tick) and corrupt the
-        // state identically with fast-forward on and off.
-        let plan = || {
-            FaultPlan::new(9)
-                .inject(
-                    FaultTarget::Wire(1),
-                    40, // mid idle span: pulses fire at 0, 64, ...
-                    FaultKind::PayloadBitFlip { bit: 4 },
-                )
-                .inject(
-                    FaultTarget::Model(1),
-                    100,
-                    FaultKind::ModelStall { micros: 1_000 },
-                )
-        };
-        let (m1, w1) = burst_ring(3, 64, 1);
-        let (m2, w2) = burst_ring(3, 64, 1);
-        let mut tel_on = CounterBlock::new(true);
-        let mut tel_off = CounterBlock::new(true);
-        let on = Harness::new(m1, w1)
-            .run_guarded(2_000, 8, &plan(), WatchdogConfig::default(), &mut tel_on)
-            .expect("faulted run completes");
-        let off = Harness::new(m2, w2)
-            .with_fast_forward(false)
-            .run_guarded(2_000, 8, &plan(), WatchdogConfig::default(), &mut tel_off)
-            .expect("faulted run completes");
+        let (m1, w1) = busy();
+        let (m2, w2) = busy();
+        let seq = Harness::new(m1, w1).run(2_000);
+        let par = Harness::new(m2, w2).run_parallel(2_000, 8);
+        assert_eq!(burst_states(&seq), burst_states(&par));
+        assert_eq!(seq[2].ticks, 2_000, "a busy model is ticked every cycle");
         assert_eq!(
-            burst_states(&on),
-            burst_states(&off),
-            "a fault inside a skipped span must split the span, not vanish"
+            seq[0].ticks, 2_000,
+            "the busy model feeds the pulse every cycle"
         );
-        assert!(tel_on.get("host.engine.skipped_cycles").unwrap() > 0);
-        // The injected flip makes cycle 40's input nonzero downstream,
-        // so the faulted run must differ from a clean one.
-        let (m3, w3) = burst_ring(3, 64, 1);
-        let clean = Harness::new(m3, w3).run(2_000);
-        assert_ne!(burst_states(&on), burst_states(&clean));
-    }
-
-    #[test]
-    fn schedule_lints_flag_oversized_quantum_and_wasted_hints() {
-        let (m, w) = burst_ring(2, 16, 2);
-        let h = Harness::new(m, w).with_fast_forward(false);
-        assert_eq!(h.hinted_models(), 3);
-        let report = h.lint_schedule(64);
-        assert!(report.has_code("CL070"), "{}", report.render());
-        assert!(report.has_code("CL071"), "{}", report.render());
-        assert!(!report.has_errors(), "schedule lints warn, never block");
-        let h = h.with_fast_forward(true);
-        let report = h.lint_schedule(2);
-        assert!(report.is_clean(), "{}", report.render());
-        // Unhinted graphs never trigger the wasted-hint warning.
-        let (m, w) = ring(3, 4);
-        let report = Harness::new(m, w).with_fast_forward(false).lint_schedule(4);
-        assert!(report.is_clean(), "{}", report.render());
+        assert!(
+            seq[1].ticks < 2_000 / 8,
+            "the echo fed once per 16 cycles skips alone, ticked {}",
+            seq[1].ticks
+        );
+        assert_eq!(par[1].ticks, 2_000);
     }
 }

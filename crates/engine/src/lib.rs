@@ -15,9 +15,10 @@
 //!
 //! * [`TokenChannel`] — a bounded, cycle-stamped token queue,
 //! * [`TickModel`] + [`Harness`] — target models wired by channels,
-//!   advanced in lockstep either sequentially or on parallel host
-//!   threads, with bit-identical results either way (the determinism
-//!   test that makes co-simulation trustworthy),
+//!   advanced in lockstep either sequentially (skipping the ticks a
+//!   quiescence hint promises are no-ops) or on parallel host threads,
+//!   with bit-identical results either way (the determinism test that
+//!   makes co-simulation trustworthy),
 //! * [`SimRateMeter`] — target-MHz / slowdown accounting mirroring the
 //!   paper's "60 MHz Rocket ≈ 25× slower than a 1.6 GHz system" and
 //!   "15 MHz BOOM ≈ 135× slower than 2.0 GHz" arithmetic.
@@ -34,7 +35,6 @@ pub use rate::{SimRate, SimRateMeter};
 // don't need a separate `bsim-resilience` import just to call it.
 pub use bsim_resilience::{FaultKind, FaultPlan, SimError, StallReport, WatchdogConfig};
 
-// The counter sink `run_with_telemetry` and friends write into, for the
-// same reason: callers shouldn't need `bsim-telemetry` just to read
-// `host.engine.*` back out.
+// The counter sink `run_guarded` writes its watchdog trip count into,
+// for the same reason.
 pub use bsim_telemetry::CounterBlock;

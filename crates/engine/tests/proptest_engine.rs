@@ -1,8 +1,7 @@
 //! Property tests for the token engine: host-schedule invisibility over
-//! random model graphs, including the telemetry export.
+//! random model graphs.
 
-use bsim_engine::{FaultPlan, Harness, TickModel, WatchdogConfig, Wire};
-use bsim_telemetry::{CounterBlock, TelemetrySnapshot};
+use bsim_engine::{CounterBlock, FaultPlan, Harness, TickModel, WatchdogConfig, Wire};
 use proptest::prelude::*;
 
 struct Mixer {
@@ -81,54 +80,6 @@ proptest! {
         let b: Vec<u64> = build().run_parallel(cycles, 8).iter().map(|m| m.state).collect();
         prop_assert_eq!(a, b);
     }
-
-    #[test]
-    fn telemetry_deterministic_export_is_byte_identical_across_schedules(
-        n in 2usize..6,
-        latency in 1u64..4,
-        cycles in 10u64..400,
-        seed in any::<u64>(),
-        quantum in 2usize..32,
-    ) {
-        // One host thread (sequential), n host threads with quantum 1,
-        // and n host threads with a random quantum must all export the
-        // same deterministic counter JSON, byte for byte. Host-dependent
-        // `host.*` counters (spins, quanta, threads) are stripped by
-        // `deterministic()` — everything else may not move.
-        let build = || {
-            let models: Vec<Mixer> =
-                (0..n).map(|i| Mixer { state: seed ^ (i as u64) << 8, inputs: 1 }).collect();
-            let wires: Vec<Wire> = (0..n)
-                .map(|i| Wire {
-                    from_model: i,
-                    from_port: 0,
-                    to_model: (i + 1) % n,
-                    to_port: 0,
-                    latency,
-                })
-                .collect();
-            Harness::new(models, wires)
-        };
-        let export = |block: &CounterBlock| {
-            TelemetrySnapshot::capture(block)
-                .deterministic()
-                .to_json()
-        };
-        let mut seq = CounterBlock::new(true);
-        build().run_with_telemetry(cycles, &mut seq);
-        let par = |quantum: usize| {
-            let mut tel = CounterBlock::new(true);
-            build()
-                .run_guarded(cycles, quantum, &FaultPlan::default(), WatchdogConfig::default(), &mut tel)
-                .expect("a clean run completes");
-            tel
-        };
-        let (par1, parq) = (par(1), par(quantum));
-        let j = export(&seq);
-        prop_assert!(j.contains("engine.cycles"));
-        prop_assert_eq!(&j, &export(&par1));
-        prop_assert_eq!(&j, &export(&parq));
-    }
 }
 
 #[test]
@@ -153,13 +104,20 @@ fn disabled_telemetry_records_nothing_and_preserves_results() {
     };
     let plain: Vec<u64> = build().run(200).iter().map(|m| m.state).collect();
     let mut off = CounterBlock::new(false);
-    let instrumented: Vec<u64> = build()
-        .run_with_telemetry(200, &mut off)
+    let guarded: Vec<u64> = build()
+        .run_guarded(
+            200,
+            4,
+            &FaultPlan::default(),
+            WatchdogConfig::default(),
+            &mut off,
+        )
+        .expect("a clean run completes")
         .iter()
         .map(|m| m.state)
         .collect();
     assert_eq!(
-        plain, instrumented,
+        plain, guarded,
         "disabled telemetry must not change simulation results"
     );
     assert!(

@@ -91,9 +91,8 @@ impl NetConfig {
         report
     }
 
-    /// The link after a `FaultKind::LinkDegrade` fault from the
-    /// resilience campaign: latency multiplied and bandwidth divided by
-    /// `factor`. `factor` is clamped to ≥ 1; degradation saturates
+    /// The link the fault campaign's `link-degrade` row runs on: latency
+    /// multiplied and bandwidth divided by `factor`. `factor` is clamped to ≥ 1; degradation saturates
     /// rather than overflowing.
     pub fn degrade(&self, factor: u32) -> NetConfig {
         let factor = factor.max(1);
@@ -105,9 +104,8 @@ impl NetConfig {
         }
     }
 
-    /// The link after a `FaultKind::LinkZeroLatency` fault from the
-    /// resilience campaign: the misconfiguration `NC002` exists to
-    /// catch.
+    /// The link the fault campaign's `link-zero-lat` row runs on: the
+    /// misconfiguration `NC002` exists to catch.
     pub fn zero_latency(&self) -> NetConfig {
         NetConfig {
             latency: 0,

@@ -6,12 +6,11 @@
 //! misconfigurations *before* cycle 0; this crate defends a run *at
 //! runtime*:
 //!
-//! * [`fault`] — a deterministic, seeded [`FaultPlan`] describing token
-//!   drops, duplicates, payload bit-flips, model stalls and host-thread
-//!   delays, applied by the engine at `TokenChannel`/`TickModel`
-//!   boundaries. Used by the built-in fault campaign (`bsim faults`) to
-//!   prove the harness survives — or fails loudly — under every fault
-//!   class.
+//! * [`fault`] — a deterministic [`FaultPlan`] describing token drops,
+//!   duplicates, payload bit-flips, model stalls and host-thread delays,
+//!   applied by the engine at `TokenChannel`/`TickModel` boundaries.
+//!   Used by the built-in fault campaign (`bsim faults`) to prove the
+//!   harness survives — or fails loudly — under every fault class.
 //! * [`watchdog`] — [`WatchdogConfig`] host-time budgets and the typed
 //!   [`SimError`] the guarded harness returns instead of hanging, with a
 //!   per-thread/per-channel [`StallReport`] progress snapshot.
@@ -29,10 +28,8 @@
 //! * [`guard`] — the [`crc32`] the dist wire protocol and the result
 //!   store stamp over payloads.
 //!
-//! Config sanity is linted through `bsim-check` diagnostics under the
-//! `RS0xx` codes (see `crates/check/README.md`), and a guarded run's
-//! runtime events flow through `bsim-telemetry` counters
-//! (`fault.injected.*`, `host.resilience.watchdog_trips`).
+//! A guarded run reports whether its watchdog fired through the
+//! `bsim-telemetry` counter `host.resilience.watchdog_trips`.
 //!
 //! This crate sits *below* the engine (the engine applies the plans and
 //! budgets), so it holds data types and policies only — the executable

@@ -9,7 +9,6 @@
 //! a [`StallReport`] snapshot (per-thread cycle, per-channel depths and
 //! last-moved token) instead of hanging.
 
-use bsim_check::{Diagnostic, Report};
 use std::fmt;
 use std::time::Duration;
 
@@ -42,41 +41,6 @@ impl WatchdogConfig {
             budget: Duration::from_millis(400),
             poll: Duration::from_millis(10),
         }
-    }
-
-    /// Static sanity lint (`RS01x` codes).
-    ///
-    /// * `RS010` (error): zero budget — the watchdog would trip on the
-    ///   first poll of any run, healthy or not.
-    /// * `RS011` (warning): poll interval at or above the budget — the
-    ///   effective trip latency doubles and short stalls are missed.
-    pub fn lint(&self, span: &str) -> Report {
-        let mut report = Report::new();
-        if self.budget.is_zero() {
-            report.push(
-                Diagnostic::error(
-                    "RS010",
-                    span,
-                    "watchdog budget is zero: every run trips on the first poll",
-                )
-                .with_help("give the budget at least a few hundred milliseconds"),
-            );
-        }
-        if !self.budget.is_zero() && self.poll >= self.budget {
-            report.push(
-                Diagnostic::warning(
-                    "RS011",
-                    span,
-                    format!(
-                        "poll interval ({:?}) is not smaller than the budget ({:?}): \
-                         trip latency degrades to budget + poll",
-                        self.poll, self.budget
-                    ),
-                )
-                .with_help("poll at least 4x faster than the budget"),
-            );
-        }
-        report
     }
 }
 
@@ -191,26 +155,6 @@ impl std::error::Error for SimError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lint_flags_zero_budget_and_slow_poll() {
-        let bad = WatchdogConfig {
-            budget: Duration::ZERO,
-            poll: Duration::from_millis(10),
-        };
-        let report = bad.lint("wd");
-        assert!(report.has_code("RS010") && report.has_errors());
-
-        let slow = WatchdogConfig {
-            budget: Duration::from_millis(100),
-            poll: Duration::from_millis(100),
-        };
-        let report = slow.lint("wd");
-        assert!(report.has_code("RS011") && !report.has_errors());
-
-        assert!(WatchdogConfig::default().lint("wd").is_clean());
-        assert!(WatchdogConfig::tight().lint("wd").is_clean());
-    }
 
     #[test]
     fn stall_report_renders_and_finds_the_starved_channel() {

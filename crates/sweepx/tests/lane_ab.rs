@@ -8,7 +8,6 @@
 use bsim_core::experiments::{figure, subfigures, FigureSpec, Parallelism, Sizes};
 use bsim_core::{run_grid_chunks_metered, run_grid_keyed, CellOutcome, ResultStore};
 use bsim_mpi::NetConfig;
-use bsim_resilience::fault::{FaultKind, FaultPlan, FaultTarget};
 use bsim_soc::{configs, SocConfig, TelemetryConfig};
 use bsim_sweepx::{cache_tuning_grid, replay_world, run_lanes, LaneOpts, SampleCfg};
 use bsim_workloads::npb::{cg, is, mg};
@@ -27,16 +26,6 @@ fn small_grid(ranks: usize) -> Vec<SocConfig> {
     tele.name = "Large BOOM (counters)".to_string();
     grid.push(tele);
     grid
-}
-
-/// Applies a [`FaultPlan`]'s link events to the world's [`NetConfig`],
-/// the way the MPI layer maps `LinkDegrade`/`LinkZeroLatency` faults.
-fn faulted_net(base: NetConfig, plan: &FaultPlan) -> NetConfig {
-    plan.link_events().fold(base, |net, ev| match ev.kind {
-        FaultKind::LinkDegrade { factor } => net.degrade(factor),
-        FaultKind::LinkZeroLatency => net.zero_latency(),
-        _ => net,
-    })
 }
 
 /// CG, IS, and MG each record once and replay bit-identical to their
@@ -102,10 +91,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Bit-identity must hold for *any* cache geometry in the sweepable
-    /// envelope, and for worlds whose link carries a seeded
-    /// [`FaultPlan`]'s degradation faults — replay shares the scalar
-    /// path's `NetConfig`, so a fault that stretches (or zeroes) the
-    /// link must stretch every lane exactly like every scalar cell. The
+    /// envelope, and for worlds on a degraded or zero-latency link (the
+    /// fault campaign's link rows) — replay shares the scalar path's
+    /// `NetConfig`, so a link that stretches (or zeroes) must stretch
+    /// every lane exactly like every scalar cell. The
     /// grid holds lanes that share a front end and lanes that do not: two
     /// BOOM lanes of one L1 geometry, a third that differs from the first
     /// only in L1 banks and hit latency, and an in-order pair.
@@ -140,16 +129,11 @@ proptest! {
             cfg.hierarchy.prefetch_degree = pf;
             grid.push(cfg);
         }
-        let plan = match fault {
-            0 => FaultPlan::new(seed),
-            1 => FaultPlan::new(seed).inject(
-                FaultTarget::Link,
-                0,
-                FaultKind::LinkDegrade { factor },
-            ),
-            _ => FaultPlan::new(seed).inject(FaultTarget::Link, 0, FaultKind::LinkZeroLatency),
+        let net = match fault {
+            0 => NetConfig::shared_memory(),
+            1 => NetConfig::shared_memory().degrade(factor),
+            _ => NetConfig::shared_memory().zero_latency(),
         };
-        let net = faulted_net(NetConfig::shared_memory(), &plan);
         // Big enough to overflow the smaller L1s, so lanes of different
         // L1 geometries decide differently.
         let wl = cg::CgConfig { n: 512, nnz_per_row: 6, iters: 2 };

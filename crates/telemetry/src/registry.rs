@@ -139,9 +139,9 @@ mod tests {
     #[test]
     fn host_counters_are_excluded_from_deterministic_view() {
         let mut b = CounterBlock::new(true);
-        b.set_named("engine.cycles", 100);
-        b.set_named("host.engine.spins", 12345);
+        b.set_named("dram.reads", 100);
+        b.set_named("host.svc.queue_depth", 12345);
         let det: Vec<_> = b.deterministic_counters().collect();
-        assert_eq!(det, vec![("engine.cycles", 100)]);
+        assert_eq!(det, vec![("dram.reads", 100)]);
     }
 }

@@ -100,7 +100,7 @@ mod tests {
         let d = s.deterministic();
         assert_eq!(d.counters.len(), 1);
         assert!(d.counter("host.rate.mhz").is_none());
-        // Byte-identical exports are the contract the proptest relies on.
+        // Byte-identical exports are what a cross-run comparison relies on.
         assert_eq!(d.to_json(), d.clone().to_json());
     }
 

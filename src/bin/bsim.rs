@@ -260,7 +260,6 @@ fn run_check(f: &Flags) -> ! {
             ("tlb", check::rules::tlb_lints().codes()),
             ("in-order core", check::rules::inorder_lints().codes()),
             ("ooo core", check::rules::ooo_lints().codes()),
-            ("engine schedule", check::rules::engine_lints().codes()),
             ("soc", silicon_bridge::soc::preflight::soc_lints().codes()),
             ("guard", check::guard::guard_lints().codes()),
         ];
@@ -276,9 +275,6 @@ fn run_check(f: &Flags) -> ! {
              NC001   [network] degenerate link bandwidth saturates to 'never delivers'\n  \
              NC002   [network] zero-latency link with finite bandwidth: timing model is vacuous\n  \
              WL001   [workloads] zero-valued workload size degenerates the benchmark\n  \
-             RS001-RS004 [fault plan] out-of-range fault targets/cycles, duplicate events,\n          \
-             bit index past the token width\n  \
-             RS010-RS011 [watchdog] zero stall budget, poll period at or above the budget\n  \
              SV000   [service] request body is not valid JSON / lacks required fields\n  \
              SV001   [service] request references an unknown figure, preset, platform, or kernel\n  \
              SV002   [service] request cell count exceeds the per-request budget\n  \

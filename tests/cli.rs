@@ -251,12 +251,12 @@ fn a_second_run_adds_to_an_existing_store() {
 
 /// Every diagnostic code the crates can emit is documented by
 /// `bsim check --list`, as itself or inside an `XX001-XX009` range, and
-/// by a table row of `crates/check/README.md`, which has a row for no
-/// other code.
+/// by a table row of `crates/check/README.md`; neither names a code no
+/// crate emits.
 #[test]
 fn check_list_covers_every_diagnostic_code_in_the_sources() {
-    /// `(offset, code)` of the `XX000`-shaped tokens of `text`; with
-    /// `quoted`, only `"XX000"` literals.
+    /// `(offset, code)` of the `XX000`-shaped words of `text` (so not
+    /// the `SG204` of `SG2042`); with `quoted`, only `"XX000"` literals.
     fn codes(text: &str, quoted: bool) -> Vec<(usize, &str)> {
         let bytes = text.as_bytes();
         let mut out = Vec::new();
@@ -264,8 +264,11 @@ fn check_list_covers_every_diagnostic_code_in_the_sources() {
             let word = &bytes[at..at + 5];
             let shaped = word[..2].iter().all(u8::is_ascii_uppercase)
                 && word[2..].iter().all(u8::is_ascii_digit);
-            let fenced = at > 0 && bytes[at - 1] == b'"' && bytes.get(at + 5) == Some(&b'"');
-            if shaped && (fenced || !quoted) {
+            let (before, after) = (at.checked_sub(1).map(|i| bytes[i]), bytes.get(at + 5));
+            let whole = !before.is_some_and(|b| b.is_ascii_alphanumeric())
+                && !after.is_some_and(u8::is_ascii_alphanumeric);
+            let fenced = before == Some(b'"') && after == Some(&b'"');
+            if shaped && whole && (fenced || !quoted) {
                 out.push((at, &text[at..at + 5]));
             }
         }
@@ -315,6 +318,17 @@ fn check_list_covers_every_diagnostic_code_in_the_sources() {
     assert!(
         missing.is_empty(),
         "not in `bsim check --list`: {missing:?}"
+    );
+    // Nor does the hard-coded part of `--list` outlive a deleted lint:
+    // every code it prints, range bounds included, is emitted.
+    let stale: Vec<_> = mentions
+        .iter()
+        .map(|&(_, code)| code)
+        .filter(|code| !emitted.contains(code))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "`bsim check --list` names codes no crate emits: {stale:?}"
     );
 
     // `crates/check/README.md` has a table row for each of them, and for
