@@ -344,6 +344,15 @@ pub const BANS: &[Ban] = &[
                   always fast-forwards, a parallel run that never does, and no engine or \
                   injected-fault counters or schedule lints",
     },
+    Ban {
+        needles: &[concat!("body", ".clone()"), concat!("sle", "ep(")],
+        with: "",
+        within: &["crates/svc/src/daemon.rs", "crates/svc/src/client.rs"],
+        except: &[],
+        in_tests: false,
+        message: "a finished job's body moves to the one fetch that delivers it, \
+                  and the daemon, not the client, paces a wait",
+    },
 ];
 
 /// Outcome of a workspace audit.

@@ -16,7 +16,8 @@ pub fn status(addr: &str, job: &str) -> io::Result<(u16, String)> {
     roundtrip(addr, "GET", &format!("/status/{job}"), "")
 }
 
-/// `GET /fetch/<job>`.
+/// `GET /fetch/<job>`: the document once, `202` if the job is still
+/// unfinished after the daemon's wait, `410` once delivered.
 pub fn fetch(addr: &str, job: &str) -> io::Result<(u16, String)> {
     roundtrip(addr, "GET", &format!("/fetch/{job}"), "")
 }
@@ -43,13 +44,13 @@ pub fn job_id(submit_body: &str) -> Option<String> {
     }
 }
 
-/// Polls `/fetch/<job>` until the job leaves the queue (HTTP != 202) or
-/// the timeout lapses. Returns the final `(status, body)`. The poll
-/// interval starts at 200 µs — a warm job is done within a millisecond —
-/// and doubles to a 10 ms cap for jobs that simulate.
+/// Fetches `/fetch/<job>` until the answer is not 202 or the timeout
+/// lapses, and returns that final `(status, body)`. The daemon paces the
+/// wait: it holds a fetch of an unfinished job until the job finishes,
+/// for up to a second, so this refetches at once and a warm job costs
+/// one fetch. The document is delivered once; a later fetch is `410`.
 pub fn wait(addr: &str, job: &str, timeout: Duration) -> io::Result<(u16, String)> {
     let deadline = Instant::now() + timeout;
-    let mut pause = Duration::from_micros(200);
     loop {
         let (status, body) = fetch(addr, job)?;
         if status != 202 {
@@ -61,8 +62,6 @@ pub fn wait(addr: &str, job: &str, timeout: Duration) -> io::Result<(u16, String
                 format!("job {job} still {body} after {timeout:?}"),
             ));
         }
-        std::thread::sleep(pause);
-        pause = (pause * 2).min(Duration::from_millis(10));
     }
 }
 

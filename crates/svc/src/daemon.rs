@@ -33,13 +33,17 @@
 //! those bytes re-indented into the document (`render_body`,
 //! `crate::splice`), and it leaves in one write ([`crate::proto`]). A
 //! job is found by the table slot its id encodes, and its cells are
-//! moved into the worker that runs it; the table keeps their count.
+//! moved into the worker that runs it; the table keeps their count. The
+//! finished document moves, in turn, to the one fetch that delivers it:
+//! the table keeps no body once it is sent. A fetch that finds its job
+//! unfinished waits for it on the jobs condvar, so a warm request is one
+//! submit and one fetch, with no client poll between them.
 //!
 //! ## Endpoints
 //!
 //! | `POST /submit`       | request JSON → `202 {"job": ...}` or `400` report |
 //! | `GET /status/<job>`  | state + per-request hit/simulated/coalesced counters |
-//! | `GET /fetch/<job>`   | the result document (`200`), `202` while running |
+//! | `GET /fetch/<job>`   | the result document (`200`, or `500` for a failed job), once; waits up to `FETCH_WAIT` for an unfinished job, then `202`; `410` once delivered |
 //! | `GET /metrics`       | every `host.svc.*` counter as JSON |
 //! | `POST /shutdown`     | drain in-flight work, flush store atomically |
 //!
@@ -97,6 +101,18 @@ fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// [`wait`] bounded by `timeout`, under the same poison-recovery policy.
+fn wait_timeout<'a, T>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, T>,
+    timeout: Duration,
+) -> MutexGuard<'a, T> {
+    match cv.wait_timeout(guard, timeout) {
+        Ok((guard, _)) => guard,
+        Err(poisoned) => poisoned.into_inner().0,
+    }
+}
+
 /// Per-connection error log line. The daemon keeps serving — a torn,
 /// half-closed, or misbehaving peer is that connection's problem, not
 /// the pool's — but the event is visible instead of silently dropped.
@@ -132,6 +148,12 @@ pub const COUNTERS: [&str; 18] = [
 /// purpose: shed load is transient (a burst outran the pool), so the
 /// honest advice is "come straight back".
 const RETRY_AFTER_SECS: u64 = 1;
+
+/// How long a fetch of an unfinished job waits for it before answering
+/// `202`. The daemon paces a client's wait: a job that finishes inside
+/// this window is answered the moment it does, and a longer one costs a
+/// refetch per window instead of a poll per few milliseconds.
+const FETCH_WAIT: Duration = Duration::from_secs(1);
 
 /// Daemon configuration, CLI-shaped.
 #[derive(Clone, Debug)]
@@ -242,6 +264,8 @@ struct Job {
     cells: Vec<Cell>,
     /// How many cells the request decomposed into, for `/status`.
     cell_count: usize,
+    /// The finished document, from when the job finishes until the one
+    /// fetch that delivers it takes it.
     body: Option<String>,
     stats: Arc<JobStats>,
     /// Absolute expiry stamped at submit; cells past it fail fast.
@@ -255,12 +279,14 @@ struct Jobs {
 }
 
 impl Jobs {
-    /// The job a wire id names. Ids are `job-<table index + 1>`, so the
-    /// id is parsed for its slot and the slot's own id must then equal
-    /// it — `job-01`, `job-+1` and `job-1x` name no job.
-    fn find(&self, id: &str) -> Option<&Job> {
+    /// The table slot of the job a wire id names. Ids are `job-<table
+    /// index + 1>`, so the id is parsed for its slot and the slot's own
+    /// id must then equal it — `job-01`, `job-+1` and `job-1x` name no
+    /// job.
+    fn slot(&self, id: &str) -> Option<usize> {
         let n: usize = id.strip_prefix("job-")?.parse().ok()?;
-        self.table.get(n.checked_sub(1)?).filter(|job| job.id == id)
+        let slot = n.checked_sub(1)?;
+        (self.table.get(slot)?.id == id).then_some(slot)
     }
 }
 
@@ -952,17 +978,12 @@ fn handle_status(
     id: &str,
 ) {
     let jobs = lock(&shared.jobs);
-    let Some(job) = jobs.find(id) else {
+    let Some(slot) = jobs.slot(id) else {
         drop(jobs);
-        respond_tracked(
-            tracker,
-            stream,
-            404,
-            "Not Found",
-            &json_line(&[("error", Value::Str(format!("unknown job {id:?}")))]),
-        );
+        respond_unknown_job(tracker, stream, id);
         return;
     };
+    let job = &jobs.table[slot];
     let body = json_line(&[
         ("job", Value::Str(job.id.clone())),
         ("state", Value::Str(job.state.label().into())),
@@ -981,35 +1002,57 @@ fn handle_status(
     respond_tracked(tracker, stream, 200, "OK", &body);
 }
 
+fn respond_unknown_job(tracker: &mut Tracker<'_>, stream: &mut TcpStream, id: &str) {
+    respond_tracked(
+        tracker,
+        stream,
+        404,
+        "Not Found",
+        &json_line(&[("error", Value::Str(format!("unknown job {id:?}")))]),
+    );
+}
+
+/// Delivers a finished job's document once: the body moves out of the
+/// table under the lock and is written after it is dropped. An
+/// unfinished job is waited for, up to [`FETCH_WAIT`], on the condvar
+/// every finishing job notifies.
 fn handle_fetch(shared: &Arc<Shared>, tracker: &mut Tracker<'_>, stream: &mut TcpStream, id: &str) {
-    let jobs = lock(&shared.jobs);
-    let Some(job) = jobs.find(id) else {
+    let give_up = Instant::now() + FETCH_WAIT;
+    let mut jobs = lock(&shared.jobs);
+    let Some(slot) = jobs.slot(id) else {
         drop(jobs);
-        respond_tracked(
-            tracker,
-            stream,
-            404,
-            "Not Found",
-            &json_line(&[("error", Value::Str(format!("unknown job {id:?}")))]),
-        );
+        respond_unknown_job(tracker, stream, id);
         return;
     };
-    let (state, body) = (job.state, job.body.clone());
-    let pending = json_line(&[
-        ("job", Value::Str(job.id.clone())),
-        ("state", Value::Str(state.label().into())),
-    ]);
+    let (state, body, job) = loop {
+        let job = &mut jobs.table[slot];
+        let left = give_up.saturating_duration_since(Instant::now());
+        if matches!(job.state, JobState::Queued | JobState::Running) && !left.is_zero() {
+            jobs = wait_timeout(&shared.jobs_cv, jobs, left);
+            continue;
+        }
+        break (job.state, job.body.take(), Value::Str(job.id.clone()));
+    };
     drop(jobs);
-    // A Done/Failed job always has a body, but a missing one must
-    // degrade to a served error, not a panicking connection thread.
-    let body = body.unwrap_or_else(|| {
-        json_line(&[("error", Value::Str("job finished without a body".into()))])
-    });
-    match state {
-        JobState::Done => respond_tracked(tracker, stream, 200, "OK", &body),
-        JobState::Failed => respond_tracked(tracker, stream, 500, "Internal Server Error", &body),
-        JobState::Queued | JobState::Running => {
+    let state_field = ("state", Value::Str(state.label().into()));
+    match (state, body) {
+        (JobState::Queued | JobState::Running, _) => {
+            let pending = json_line(&[("job", job), state_field]);
             respond_tracked(tracker, stream, 202, "Accepted", &pending)
+        }
+        (JobState::Done, Some(body)) => respond_tracked(tracker, stream, 200, "OK", &body),
+        (JobState::Failed, Some(body)) => {
+            respond_tracked(tracker, stream, 500, "Internal Server Error", &body)
+        }
+        (JobState::Done | JobState::Failed, None) => {
+            // A client that lost the delivering response resubmits, and
+            // every cell that finished is then a store hit.
+            let gone = json_line(&[
+                ("job", job),
+                state_field,
+                ("error", Value::Str("already fetched".into())),
+            ]);
+            respond_tracked(tracker, stream, 410, "Gone", &gone)
         }
     }
 }
@@ -1149,11 +1192,13 @@ mod tests {
         let warm = submit_and_fetch(&d, submit);
         assert_eq!(cold, warm);
         assert_eq!(simulated(), 1, "the second request is a hit");
-        // After the job finishes its cells stay counted, not kept.
+        // After the job finishes its cells stay counted, not kept, and
+        // after its fetch its body is not kept either.
         {
             let jobs = lock(&d.shared.jobs);
             assert!(jobs.table.iter().all(|j| j.cells.is_empty()));
             assert!(jobs.table.iter().all(|j| j.cell_count == 1));
+            assert!(jobs.table.iter().all(|j| j.body.is_none()));
         }
 
         let key = SvcRequest::parse(submit).unwrap().cells()[0].key.clone();
@@ -1172,6 +1217,93 @@ mod tests {
         assert_eq!(submit_and_fetch(&d, submit), cold);
         assert_eq!(simulated(), 2);
         assert_eq!(lock(&d.shared.store).len(), 1);
+        roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
+        d.join();
+    }
+
+    #[test]
+    fn a_body_is_delivered_once_and_its_status_stays() {
+        let submit = "{\"kind\":\"sweep\",\"platforms\":[\"Rocket 1\"],\
+                      \"kernels\":[\"Cca\"],\"scale\":1}";
+        let d = daemon();
+        submit_and_fetch(&d, submit);
+        let (status, body) = roundtrip(&d.addr(), "GET", "/fetch/job-1", "").unwrap();
+        assert_eq!(status, 410, "{body}");
+        assert_eq!(
+            body,
+            "{\"job\":\"job-1\",\"state\":\"done\",\"error\":\"already fetched\"}"
+        );
+        // Delivery takes the body, not the job: its status and counts stay.
+        let (status, body) = roundtrip(&d.addr(), "GET", "/status/job-1", "").unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"state\":\"done\""), "{body}");
+        assert!(body.contains("\"cells\":1"), "{body}");
+        assert!(body.contains("\"simulated\":1"), "{body}");
+        assert!(lock(&d.shared.jobs).table[0].body.is_none());
+        // Resubmitting is how a lost response is recovered: a store hit.
+        submit_and_fetch(&d, submit);
+        assert_eq!(d.shared.stats.cells_simulated.load(Ordering::SeqCst), 1);
+        roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
+        d.join();
+    }
+
+    /// A one-worker daemon whose only job is pinned `Running`: its cell
+    /// is claimed before it is submitted, so the worker waits on the
+    /// claim. Returns the daemon and the claimed key.
+    fn daemon_with_a_running_job() -> (Daemon, String) {
+        let submit = "{\"kind\":\"sweep\",\"platforms\":[\"Rocket 1\"],\
+                      \"kernels\":[\"Cca\"],\"scale\":1}";
+        let (d, report) = Daemon::spawn(DaemonConfig {
+            workers: 1,
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        assert!(report.is_clean(), "{report}");
+        let key = SvcRequest::parse(submit).unwrap().cells()[0].key.clone();
+        lock(&d.shared.inflight).insert(key.clone());
+        let (status, _) = roundtrip(&d.addr(), "POST", "/submit", submit).unwrap();
+        assert_eq!(status, 202);
+        while lock(&d.shared.jobs).table[0].state != JobState::Running {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        (d, key)
+    }
+
+    fn release(d: &Daemon, key: &str) {
+        lock(&d.shared.inflight).remove(key);
+        d.shared.inflight_cv.notify_all();
+    }
+
+    #[test]
+    fn a_fetch_waits_for_its_job_to_finish() {
+        let (d, key) = daemon_with_a_running_job();
+        let started = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                release(&d, &key);
+            });
+            // One fetch, issued while the cell is claimed: no 202 first.
+            let (status, body) = roundtrip(&d.addr(), "GET", "/fetch/job-1", "").unwrap();
+            assert_eq!(status, 200, "{body}");
+        });
+        assert!(started.elapsed() >= Duration::from_millis(50));
+        roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
+        d.join();
+    }
+
+    #[test]
+    fn a_fetch_answers_202_once_fetch_wait_has_passed() {
+        let (d, key) = daemon_with_a_running_job();
+        let started = Instant::now();
+        let (status, body) = roundtrip(&d.addr(), "GET", "/fetch/job-1", "").unwrap();
+        assert!(started.elapsed() >= FETCH_WAIT);
+        assert_eq!(status, 202, "{body}");
+        assert_eq!(body, "{\"job\":\"job-1\",\"state\":\"running\"}");
+        release(&d, &key);
+        let (status, body) =
+            crate::client::wait(&d.addr(), "job-1", Duration::from_secs(120)).unwrap();
+        assert_eq!(status, 200, "{body}");
         roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
         d.join();
     }
@@ -1365,15 +1497,12 @@ mod tests {
         );
         // Release the claim: both admitted jobs complete, and the
         // queued one serves byte-identically to the first.
-        lock(&d.shared.inflight).remove(&key);
-        d.shared.inflight_cv.notify_all();
-        let fetch = |job: &str| loop {
-            let (status, body) = roundtrip(&d.addr(), "GET", &format!("/fetch/{job}"), "").unwrap();
-            match status {
-                200 => break body,
-                202 => std::thread::sleep(Duration::from_millis(5)),
-                other => panic!("fetch answered {other}: {body}"),
-            }
+        release(&d, &key);
+        let fetch = |job: &str| {
+            let (status, body) =
+                crate::client::wait(&d.addr(), job, Duration::from_secs(120)).unwrap();
+            assert_eq!(status, 200, "{body}");
+            body
         };
         assert_eq!(fetch("job-1"), fetch("job-2"));
         let (_, metrics) = roundtrip(&d.addr(), "GET", "/metrics", "").unwrap();
@@ -1404,18 +1533,17 @@ mod tests {
         let (status, _) = roundtrip(&d.addr(), "POST", "/submit", submit).unwrap();
         assert_eq!(status, 202);
         std::thread::sleep(Duration::from_millis(80));
-        lock(&d.shared.inflight).remove(&key);
-        d.shared.inflight_cv.notify_all();
-        let body = loop {
-            let (status, body) = roundtrip(&d.addr(), "GET", "/fetch/job-1", "").unwrap();
-            match status {
-                500 => break body,
-                202 => std::thread::sleep(Duration::from_millis(5)),
-                other => panic!("an expired job must fail, got {other}: {body}"),
-            }
-        };
+        release(&d, &key);
+        let (status, body) =
+            crate::client::wait(&d.addr(), "job-1", Duration::from_secs(120)).unwrap();
+        assert_eq!(status, 500, "an expired job must fail: {body}");
         assert!(body.contains("request deadline exceeded"), "{body}");
         assert!(!body.contains("\"attempts\""), "{body}");
+        // A failure document is delivered once, like any other.
+        let (status, body) = roundtrip(&d.addr(), "GET", "/fetch/job-1", "").unwrap();
+        assert_eq!(status, 410, "{body}");
+        assert!(body.contains("\"state\":\"failed\""), "{body}");
+        assert!(lock(&d.shared.jobs).table[0].body.is_none());
         let (_, metrics) = roundtrip(&d.addr(), "GET", "/metrics", "").unwrap();
         assert!(
             metrics.contains("\"host.guard.deadline.expired\": 1"),

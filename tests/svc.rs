@@ -29,6 +29,19 @@ fn submit_and_wait(addr: &str, body: &str) -> (String, String) {
     (job, result)
 }
 
+/// `host.guard.conns.accepted`, counting the `/metrics` connection that
+/// reads it.
+fn accepted(addr: &str) -> u64 {
+    let (_, metrics) = client::metrics(addr).unwrap();
+    let name = "\"host.guard.conns.accepted\": ";
+    let at = metrics.find(name).expect("the counter is exported") + name.len();
+    let digits: String = metrics[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().unwrap()
+}
+
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("bsim-svc-e2e");
     std::fs::create_dir_all(&dir).unwrap();
@@ -45,11 +58,15 @@ fn second_request_is_cache_served_byte_identical() {
     let addr = daemon.addr();
 
     let (_, first) = submit_and_wait(&addr, SWEEP);
+    let accepted_before = accepted(&addr);
     let (job2, second) = submit_and_wait(&addr, SWEEP);
     assert_eq!(
         first, second,
         "cache-served response must be byte-identical"
     );
+    // A warm request is two connections, a submit and one fetch that the
+    // daemon holds until the job is done; the third is the /metrics read.
+    assert_eq!(accepted(&addr) - accepted_before, 3);
     assert!(first.contains("\"schema\": \"bsim-bench-v1\""), "{first}");
 
     // Zero re-simulated cells on the second request.
