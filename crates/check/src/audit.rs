@@ -353,6 +353,25 @@ pub const BANS: &[Ban] = &[
         message: "a finished job's body moves to the one fetch that delivers it, \
                   and the daemon, not the client, paces a wait",
     },
+    Ban {
+        needles: &[
+            concat!("Tick", "Model"),
+            concat!("Fault", "Plan"),
+            concat!("Fault", "Kind"),
+            concat!("run_", "guarded"),
+            concat!("Watchdog", "Config"),
+        ],
+        with: "",
+        within: &[
+            "crates/core/",
+            "crates/dist/src/faults.rs",
+            "crates/svc/src/faults.rs",
+            "src/",
+        ],
+        except: &[],
+        in_tests: true,
+        message: "the survival matrix tests the product path: no fault row drives the token engine",
+    },
 ];
 
 /// Outcome of a workspace audit.

@@ -4,46 +4,42 @@
 //! *typed expectation* are data, and `run` yields what was observed and
 //! whether it matched. [`ROWS`] holds the nine in-process rows, one per
 //! entry in the fault taxonomy (DESIGN.md); `bsim-dist` and `bsim-svc`
-//! add theirs and the root crate concatenates the tables. Crash-faults
-//! must fail loudly in their expected shape (watchdog trip,
-//! protocol-violation panic, MPI deadlock teardown), and survivable
-//! faults must complete — bit-identically for pure host-timing
-//! perturbations, visibly perturbed for payload corruption and link
-//! degradation. The verdicts render as a survival matrix;
+//! add theirs and the root crate concatenates the tables. Every
+//! in-process row runs the product's own concurrency, `MpiWorld`'s
+//! rank-per-thread turn scheduler, and injects its fault from the rank
+//! program. Crash-faults must fail loudly in their expected shape (MPI
+//! deadlock teardown, unmatched-message teardown at world end), and
+//! survivable faults must complete — bit-identically for pure
+//! host-timing perturbations, visibly perturbed for payload corruption
+//! and link degradation. The verdicts render as a survival matrix;
 //! `--deny-unsurvived` turns any expectation miss into a non-zero exit,
 //! which is what the CI `faults` job gates on.
 //!
-//! Determinism: every injection cycle and bit position derives from the
+//! Determinism: every injection round, bit and victim derives from the
 //! seed, and every expectation is exact — the matrix is reproducible
 //! run-to-run, which is the property that makes fault injection usable
 //! as a regression gate rather than a fuzzer.
 
-use bsim_engine::{FaultKind, FaultPlan, Harness, SimError, TickModel, WatchdogConfig, Wire};
-use bsim_mpi::{MpiWorld, NetConfig, RankCtx};
-use bsim_resilience::fault::FaultTarget;
+use bsim_mpi::{MpiWorld, NetConfig, RankCtx, WorldReport};
 use bsim_resilience::retry::{catch, CellOutcome};
 use bsim_soc::configs;
-use bsim_telemetry::CounterBlock;
+use bsim_uarch::MicroOp;
 use bsim_workloads::npb::ep;
-use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// What a [`FaultRow`] runs against.
 pub struct Ctx {
-    /// Seed every injection cycle, bit and victim derives from.
+    /// Seed every injection round, bit and victim derives from.
     pub seed: u64,
     /// `bsim dist-worker`-style argv, for rows with
     /// [`FaultRow::needs_processes`].
     pub worker_cmd: Vec<String>,
-    watchdog_trips: Cell<u64>,
 }
 
 impl Ctx {
     pub fn new(seed: u64, worker_cmd: Vec<String>) -> Ctx {
-        Ctx {
-            seed,
-            worker_cmd,
-            watchdog_trips: Cell::new(0),
-        }
+        Ctx { seed, worker_cmd }
     }
 }
 
@@ -121,8 +117,6 @@ pub struct SurvivalMatrix {
     pub seed: u64,
     /// One row per scenario.
     pub scenarios: Vec<Scenario>,
-    /// Watchdog trips observed across the campaign.
-    pub watchdog_trips: u64,
 }
 
 impl SurvivalMatrix {
@@ -131,7 +125,6 @@ impl SurvivalMatrix {
         SurvivalMatrix {
             seed: ctx.seed,
             scenarios,
-            watchdog_trips: ctx.watchdog_trips.get(),
         }
     }
 
@@ -164,90 +157,132 @@ impl SurvivalMatrix {
             out += &line(s.name, s.fault, s.expected, verdict, &s.observed);
         }
         out.push_str(&format!(
-            "{}/{} scenarios behaved as specified; {} watchdog trip(s)\n",
+            "{}/{} scenarios behaved as specified\n",
             self.scenarios.iter().filter(|s| s.pass).count(),
             self.scenarios.len(),
-            self.watchdog_trips
         ));
         out
     }
 }
 
-/// The deterministic ring model the engine-level scenarios run: state
-/// mixes its input token, so any dropped/duplicated/flipped token
-/// changes (or stalls) every downstream state — corruption cannot hide.
-struct Mixer {
-    state: u64,
-    salt: u64,
+/// The fault a ring run's victim rank injects from its own program, at
+/// the victim, round and bit [`ring`] derives from the seed.
+#[derive(Clone, Copy, PartialEq)]
+enum Fault {
+    /// Returns before round 0: its successor waits on a peer that never
+    /// sends, and the stall detector tears the world down.
+    Lost,
+    /// Skips its send of the round: as for a lost rank, one round later.
+    Drop,
+    /// Sends the round's message twice: every receive is matched, so the
+    /// copy is still in its mailbox at world end, and the world fails
+    /// naming it.
+    Duplicate,
+    /// Flips one bit of the round's payload: the run completes, and the
+    /// corruption must show in the final states.
+    BitFlip,
+    /// Sleeps 5 ms on the host before its send of the round: that
+    /// changes when its thread runs, never what the turn scheduler lets
+    /// any rank see, so the states and the world report must be
+    /// bit-identical — the decoupling FireSim's token protocol provides,
+    /// on the product path.
+    Stall,
+    /// Sleeps 10 ms on the host before its first op: as for a stall.
+    Delay,
 }
 
-impl TickModel for Mixer {
-    fn num_inputs(&self) -> usize {
-        1
-    }
-    fn num_outputs(&self) -> usize {
-        1
-    }
-    fn tick(&mut self, cycle: u64, inputs: &[u64], outputs: &mut [u64]) {
-        self.state = self
-            .state
-            .rotate_left(7)
-            .wrapping_add(inputs[0] ^ cycle.wrapping_mul(self.salt));
-        outputs[0] = self.state;
-    }
-}
+const RANKS: usize = 3;
+const ROUNDS: u32 = 16;
 
-const RING: usize = 3;
-const CYCLES: u64 = 3_000;
-const QUANTUM: usize = 16;
-
-fn ring(seed: u64) -> (Vec<Mixer>, Vec<Wire>) {
-    let models = (0..RING)
-        .map(|i| Mixer {
-            state: seed.wrapping_mul(i as u64 + 1),
-            salt: 0x9e37_79b9_7f4a_7c15 ^ (i as u64),
-        })
-        .collect();
-    let wires = (0..RING)
-        .map(|i| Wire {
-            from_model: i,
-            from_port: 0,
-            to_model: (i + 1) % RING,
-            to_port: 0,
-            latency: 1,
-        })
-        .collect();
-    (models, wires)
-}
-
-/// The ring's final states under `fault` (none: the baseline), guarded
-/// by the `tight` watchdog; a trip is counted on `ctx`.
-fn run_ring(ctx: &Ctx, fault: Option<(FaultTarget, u64, FaultKind)>) -> Result<Vec<u64>, SimError> {
-    let mut plan = FaultPlan::new(ctx.seed);
-    if let Some((target, cycle, kind)) = fault {
-        plan = plan.inject(target, cycle, kind);
-    }
-    let (models, wires) = ring(ctx.seed);
-    let mut tel = CounterBlock::new(true);
-    let out = Harness::new(models, wires)
-        .run_guarded(CYCLES, QUANTUM, &plan, WatchdogConfig::tight(), &mut tel)
-        .map(|ms| ms.iter().map(|m| m.state).collect());
-    let trips = tel.get("host.resilience.watchdog_trips").unwrap_or(0);
-    ctx.watchdog_trips.set(ctx.watchdog_trips.get() + trips);
-    out
-}
-
-fn baseline(ctx: &Ctx) -> Vec<u64> {
-    run_ring(ctx, None).expect("fault-free ring run completes")
-}
-
-/// The verdict for a ring run that took a shape its row has no arm for.
-fn unexpected(got: Result<Vec<u64>, SimError>) -> (String, bool) {
-    let observed = match got {
-        Ok(_) => "unexpectedly completed".into(),
-        Err(e) => format!("unexpected failure shape: {e}"),
+/// Every rank's final state and the world's report after a ring run
+/// under `fault` (none: the baseline). Each round a rank mixes its
+/// state, feeds its core two micro-ops addressed by it, sends it to
+/// `rank + 1` tagged with the round and mixes in what `rank - 1` sent, so
+/// a lost, repeated or flipped message stalls, strands or changes every
+/// state downstream.
+fn ring(seed: u64, fault: Option<Fault>) -> CellOutcome<(Vec<u64>, WorldReport)> {
+    let victim = seed as usize % RANKS;
+    let at = (seed as usize / RANKS) as u32 % ROUNDS;
+    let states: Vec<AtomicU64> = (0..RANKS).map(|_| AtomicU64::new(0)).collect();
+    let program = |ctx: &mut RankCtx| {
+        let me = ctx.rank();
+        let injects = |f| me == victim && fault == Some(f);
+        if injects(Fault::Lost) {
+            return;
+        }
+        if injects(Fault::Delay) {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let salt = 0x9e37_79b9_7f4a_7c15 ^ me as u64;
+        let mix = |state: u64, input: u64| state.rotate_left(7).wrapping_add(input ^ salt);
+        let mut state = seed.wrapping_mul(me as u64 + 1);
+        for round in 0..ROUNDS {
+            state = mix(state, u64::from(round));
+            let pc = 0x1_0000 + 8 * u64::from(round);
+            ctx.consume_batch(&[
+                MicroOp::load(pc, 0x8000_0000 + (state & 0xf_fff8), Some(5), None),
+                MicroOp::alu(pc + 4, Some(6), [Some(5), None, None]),
+            ]);
+            let now = fault.filter(|&f| round == at && injects(f));
+            if now == Some(Fault::Stall) {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let (payload, copies) = match now {
+                Some(Fault::Drop) => (state, 0),
+                Some(Fault::Duplicate) => (state, 2),
+                Some(Fault::BitFlip) => (state ^ 1 << (seed % 64), 1),
+                _ => (state, 1),
+            };
+            for _ in 0..copies {
+                ctx.send((me + 1) % RANKS, round, payload.to_le_bytes().to_vec());
+            }
+            let got = ctx.recv((me + RANKS - 1) % RANKS, round).try_into();
+            state = mix(state, u64::from_le_bytes(got.unwrap_or_default()));
+        }
+        states[me].store(state, Ordering::Relaxed);
     };
-    (observed, false)
+    catch(|| {
+        let net = NetConfig::shared_memory();
+        let report = MpiWorld::run(configs::rocket1(RANKS), RANKS, net, program);
+        let states = states.iter().map(|s| s.load(Ordering::Relaxed));
+        (states.collect(), report)
+    })
+}
+
+/// The verdict for a ring run that must be torn down with a diagnostic
+/// naming `cause`.
+fn torn_down(ctx: &Ctx, fault: Fault, cause: &str) -> (String, bool) {
+    match ring(ctx.seed, Some(fault)) {
+        CellOutcome::Failed { diag } => (format!("torn down: {diag}"), diag.contains(cause)),
+        CellOutcome::Ok { .. } => ("unexpectedly completed".into(), false),
+    }
+}
+
+/// The verdict for a ring run that must complete, against the baseline:
+/// a flipped bit must change the final states, a host sleep must change
+/// neither them nor the world report.
+fn completes(ctx: &Ctx, fault: Fault) -> (String, bool) {
+    let end = |fault| match ring(ctx.seed, fault) {
+        CellOutcome::Ok { value, .. } => Ok((value.0, format!("{:?}", value.1))),
+        CellOutcome::Failed { diag } => Err(format!("unexpected failure: {diag}")),
+    };
+    let (base, end) = match (end(None), end(Some(fault))) {
+        (Ok(base), Ok(end)) => (base, end),
+        (Err(diag), _) | (_, Err(diag)) => return (diag, false),
+    };
+    let word = |same: bool| if same { "same as" } else { "diverged from" };
+    let (states, report) = (end.0 == base.0, end.1 == base.1);
+    let observed = format!(
+        "completed; final states {} baseline, report {} baseline",
+        word(states),
+        word(report)
+    );
+    let pass = if fault == Fault::BitFlip {
+        !states
+    } else {
+        states && report
+    };
+    (observed, pass)
 }
 
 /// The tiny MPI workload the link-fault scenarios run.
@@ -263,48 +298,44 @@ fn ep_cycles(net: NetConfig) -> u64 {
     r.report.run.cycles
 }
 
-/// The nine in-process rows. Wall-clock is dominated by the deliberate
-/// teardowns (the token-drop watchdog budget and the MPI stall detector,
-/// ~1 s total at the `tight` setting).
+/// The nine in-process rows. Wall-clock is dominated by the link rows'
+/// EP runs and the deliberate host sleeps.
 pub static ROWS: [FaultRow; 9] = [
-    FaultRow::new(
-        "token-drop",
-        "token_drop",
-        "watchdog trips (SimError::Stalled)",
-        token_drop,
-    ),
+    FaultRow {
+        panics: true,
+        ..FaultRow::new(
+            "token-drop",
+            "token_drop",
+            "loud MPI deadlock teardown",
+            |ctx| torn_down(ctx, Fault::Drop, "MPI deadlock"),
+        )
+    },
     FaultRow {
         panics: true,
         ..FaultRow::new(
             "token-duplicate",
             "token_duplicate",
-            "loud protocol-violation failure",
-            token_duplicate,
+            "teardown at world end names the unmatched message",
+            |ctx| torn_down(ctx, Fault::Duplicate, "MPI unmatched message"),
         )
     },
     FaultRow::new(
         "bit-flip",
         "payload_bit_flip",
-        "survives; corruption visible",
-        bit_flip,
+        "completes; final states differ from baseline",
+        |ctx| completes(ctx, Fault::BitFlip),
     ),
     FaultRow::new(
         "model-stall",
         "model_stall",
-        "survives bit-identically",
-        |ctx| {
-            let stall = FaultKind::ModelStall { micros: 5_000 };
-            host_timing(ctx, (FaultTarget::Model(1), 50, stall))
-        },
+        "states and WorldReport bit-identical to baseline",
+        |ctx| completes(ctx, Fault::Stall),
     ),
     FaultRow::new(
         "host-delay",
         "host_thread_delay",
-        "survives bit-identically",
-        |ctx| {
-            let delay = FaultKind::HostThreadDelay { micros: 10_000 };
-            host_timing(ctx, (FaultTarget::Model(0), 0, delay))
-        },
+        "states and WorldReport bit-identical to baseline",
+        |ctx| completes(ctx, Fault::Delay),
     ),
     FaultRow::new(
         "link-degrade",
@@ -324,7 +355,7 @@ pub static ROWS: [FaultRow; 9] = [
             "rank-loss",
             "rank_loss",
             "loud MPI deadlock teardown",
-            rank_loss,
+            |ctx| torn_down(ctx, Fault::Lost, "MPI deadlock"),
         )
     },
     FaultRow::new(
@@ -334,81 +365,6 @@ pub static ROWS: [FaultRow; 9] = [
         link_zero_latency,
     ),
 ];
-
-/// The link is severed from the event cycle on, the consumer starves,
-/// and the watchdog converts the would-be hang into a typed stall within
-/// its host-time budget.
-fn token_drop(ctx: &Ctx) -> (String, bool) {
-    let fault = (
-        FaultTarget::Wire(1),
-        200 + ctx.seed % 64,
-        FaultKind::TokenDrop,
-    );
-    match run_ring(ctx, Some(fault)) {
-        Err(SimError::Stalled(report)) => (
-            format!(
-                "stalled as expected; {} thread(s) frozen near cycle {}",
-                report.threads.len(),
-                report
-                    .threads
-                    .iter()
-                    .map(|t| t.cycle)
-                    .max()
-                    .unwrap_or_default()
-            ),
-            true,
-        ),
-        other => unexpected(other),
-    }
-}
-
-/// Re-delivering an already-consumed cycle is a protocol violation; the
-/// harness fails loudly and typed, never silently reorders.
-fn token_duplicate(ctx: &Ctx) -> (String, bool) {
-    let fault = (
-        FaultTarget::Wire(0),
-        150 + ctx.seed % 32,
-        FaultKind::TokenDuplicate,
-    );
-    match run_ring(ctx, Some(fault)) {
-        Err(SimError::Panicked { message }) if message.contains("token protocol violation") => {
-            (format!("panicked as expected: {message}"), true)
-        }
-        other => unexpected(other),
-    }
-}
-
-/// The run survives, but the corruption must be visible in the final
-/// state — detectable, not masked.
-fn bit_flip(ctx: &Ctx) -> (String, bool) {
-    let flip = FaultKind::PayloadBitFlip {
-        bit: (ctx.seed % 64) as u32,
-    };
-    match run_ring(ctx, Some((FaultTarget::Wire(2), 100 + ctx.seed % 16, flip))) {
-        Ok(states) if states != baseline(ctx) => (
-            "completed with final state diverged from baseline".into(),
-            true,
-        ),
-        Ok(_) => ("completed but corruption was masked".into(), false),
-        other => unexpected(other),
-    }
-}
-
-/// A slow model thread or a delayed thread start changes *when* tokens
-/// move in host time, never *what* they carry — the decoupling the token
-/// protocol exists to provide. Bit-identical or the engine is broken.
-fn host_timing(ctx: &Ctx, fault: (FaultTarget, u64, FaultKind)) -> (String, bool) {
-    match run_ring(ctx, Some(fault)) {
-        Ok(states) if states == baseline(ctx) => {
-            ("completed; final state identical to baseline".into(), true)
-        }
-        Ok(_) => (
-            "completed but diverged — host timing leaked into target state".into(),
-            false,
-        ),
-        other => unexpected(other),
-    }
-}
 
 /// The workload survives on a slower link and its virtual runtime
 /// stretches.
@@ -439,32 +395,6 @@ fn link_dead(_: &Ctx) -> (String, bool) {
     )
 }
 
-/// A rank waits on a message that is never sent (its peer is gone). The
-/// MPI runtime's stall detector tears the world down with a typed "MPI
-/// deadlock" panic instead of hanging the host — the MPI-layer analog of
-/// the watchdog.
-fn rank_loss(_: &Ctx) -> (String, bool) {
-    let outcome = catch(|| {
-        MpiWorld::run(
-            configs::rocket1(2),
-            2,
-            NetConfig::shared_memory(),
-            |ctx: &mut RankCtx| {
-                if ctx.rank() == 0 {
-                    // The "lost" peer never answers.
-                    let _ = ctx.recv(1, 7);
-                }
-            },
-        )
-    });
-    match outcome {
-        CellOutcome::Failed { diag } => {
-            (format!("torn down: {diag}"), diag.contains("MPI deadlock"))
-        }
-        CellOutcome::Ok { .. } => ("unexpectedly completed".into(), false),
-    }
-}
-
 /// NC002: a survivable misconfiguration — the run completes, the lint is
 /// what makes the vacuous-model hazard visible.
 fn link_zero_latency(_: &Ctx) -> (String, bool) {
@@ -491,7 +421,8 @@ mod tests {
         let a = run_campaign(42);
         assert!(a.all_pass(), "matrix:\n{}", a.render());
         assert_eq!(a.scenarios.len(), 9);
-        assert_eq!(a.watchdog_trips, 1, "exactly the token-drop scenario trips");
+        let panicking: Vec<&str> = ROWS.iter().filter(|r| r.panics).map(|r| r.name).collect();
+        assert_eq!(panicking, ["token-drop", "token-duplicate", "rank-loss"]);
         let render = a.render();
         for label in [
             "token_drop",
@@ -535,7 +466,6 @@ mod tests {
                 row("a", "a fault label well past eighteen columns"),
                 row("bb", "f"),
             ],
-            watchdog_trips: 0,
         };
         let render = matrix.render();
         let lines: Vec<&str> = render.lines().skip(1).take(3).collect();

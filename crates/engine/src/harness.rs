@@ -17,7 +17,8 @@
 //! host schedule: both schedules produce bit-identical model state.
 //! That property — host-time decoupling with target-time determinism —
 //! is the core of FireSim's simulation soundness, and is asserted by the
-//! tests here and by the `bsim faults` survival matrix.
+//! tests here; the `bsim faults` matrix injects into `MpiWorld`, the
+//! concurrency the product ships, and no longer runs this harness.
 
 use crate::channel::TokenChannel;
 use bsim_check::graph::{GraphSpec, ModelSpec, WireSpec};

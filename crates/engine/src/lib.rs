@@ -22,6 +22,10 @@
 //! * [`SimRateMeter`] — target-MHz / slowdown accounting mirroring the
 //!   paper's "60 MHz Rocket ≈ 25× slower than a 1.6 GHz system" and
 //!   "15 MHz BOOM ≈ 135× slower than 2.0 GHz" arithmetic.
+//!
+//! No figure cell and no `bsim faults` row runs the harness (the matrix
+//! injects into `MpiWorld`): it, its fault injection and its watchdog
+//! serve their own tests and the ledger's `engine.*` / `dist.*` probes.
 
 pub mod channel;
 pub mod harness;
@@ -31,8 +35,8 @@ pub use channel::{ChannelError, TokenChannel, TokenLink};
 pub use harness::{Harness, TickModel, Wire};
 pub use rate::{SimRate, SimRateMeter};
 
-// Resilience vocabulary `run_guarded` speaks, so downstream crates
-// don't need a separate `bsim-resilience` import just to call it.
+// Resilience vocabulary `run_guarded` speaks, so its caller (the
+// ledger's probe) needs no `bsim-resilience` import just to call it.
 pub use bsim_resilience::{FaultKind, FaultPlan, SimError, StallReport, WatchdogConfig};
 
 // The counter sink `run_guarded` writes its watchdog trip count into,

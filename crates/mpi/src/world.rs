@@ -549,6 +549,25 @@ impl MpiWorld {
         })
         .unwrap_or_else(|_| panic!("MPI deadlock or rank failure (world poisoned)"));
 
+        // Every rank has returned, so a message still in a mailbox is one
+        // no receive will ever match: fail the world naming them, sorted
+        // (map order never reaches the message), rather than pass silently.
+        let mut unmatched: Vec<_> = shared
+            .mail
+            .lock()
+            .iter()
+            .filter(|(_, queue)| !queue.is_empty())
+            .map(|(&key, queue)| (key, queue.len()))
+            .collect();
+        if !unmatched.is_empty() {
+            unmatched.sort_unstable();
+            let list: Vec<String> = unmatched
+                .iter()
+                .map(|((src, dst, tag), n)| format!("({src}, {dst}, {tag}) × {n}"))
+                .collect();
+            panic!("MPI unmatched message(s) at world end: {}", list.join(", "));
+        }
+
         drop(shared);
         match Arc::try_unwrap(sink) {
             Ok(sink) => sink.into_inner(),
@@ -788,5 +807,36 @@ mod tests {
             let other = 1 - ctx.rank();
             let _ = ctx.recv(other, 0);
         });
+    }
+
+    /// Rank 0 sends tag 3 twice and tag 4 once; rank 1 takes one tag-3
+    /// message.
+    fn one_too_many(ctx: &mut RankCtx) {
+        if ctx.rank() == 0 {
+            ctx.send(1, 3, vec![1]);
+            ctx.send(1, 3, vec![2]);
+            ctx.send(1, 4, vec![3]);
+        } else {
+            let _ = ctx.recv(0, 3);
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "MPI unmatched message(s) at world end: (0, 1, 3) × 1, (0, 1, 4) × 1"
+    )]
+    fn an_unreceived_message_fails_a_timed_world() {
+        world(2, one_too_many);
+    }
+
+    #[test]
+    #[should_panic(expected = "unmatched")]
+    fn an_unreceived_message_fails_a_recording() {
+        MpiWorld::record(
+            configs::rocket1(2),
+            2,
+            NetConfig::shared_memory(),
+            one_too_many,
+        );
     }
 }

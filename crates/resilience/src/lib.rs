@@ -9,8 +9,8 @@
 //! * [`fault`] — a deterministic [`FaultPlan`] describing token drops,
 //!   duplicates, payload bit-flips, model stalls and host-thread delays,
 //!   applied by the engine at `TokenChannel`/`TickModel` boundaries.
-//!   Used by the built-in fault campaign (`bsim faults`) to prove the
-//!   harness survives — or fails loudly — under every fault class.
+//!   Only engine tests and a ledger probe use it (and the watchdog):
+//!   `bsim faults` injects from MPI rank programs, on the product path.
 //! * [`watchdog`] — [`WatchdogConfig`] host-time budgets and the typed
 //!   [`SimError`] the guarded harness returns instead of hanging, with a
 //!   per-thread/per-channel [`StallReport`] progress snapshot.

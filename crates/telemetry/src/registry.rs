@@ -9,8 +9,8 @@
 //! `tile0.l1d.misses`, `mem.dram.row_misses`, `mpi.rank3.wait_cycles`.
 //! The `host.` prefix is reserved for quantities that depend on the host
 //! machine or thread schedule (wall-clock rates, retries, watchdog
-//! trips); [`CounterBlock::deterministic_counters`] and the snapshot
-//! layer exclude them when comparing runs for determinism.
+//! trips); the snapshot layer excludes them when comparing runs for
+//! determinism.
 
 /// Prefix for host-dependent (non-deterministic) counters.
 pub(crate) const HOST_PREFIX: &str = "host.";
@@ -97,11 +97,6 @@ impl CounterBlock {
             .map(|n| n.as_str())
             .zip(self.cells.iter().copied())
     }
-
-    /// `(name, value)` pairs excluding host-dependent (`host.*`) counters.
-    pub fn deterministic_counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters().filter(|(n, _)| !n.starts_with(HOST_PREFIX))
-    }
 }
 
 #[cfg(test)]
@@ -134,14 +129,5 @@ mod tests {
         assert_eq!(b.len(), 0);
         assert_eq!(b.get("tile0.l1d.misses"), None);
         assert_eq!(b.counters().count(), 0);
-    }
-
-    #[test]
-    fn host_counters_are_excluded_from_deterministic_view() {
-        let mut b = CounterBlock::new(true);
-        b.set_named("dram.reads", 100);
-        b.set_named("host.svc.queue_depth", 12345);
-        let det: Vec<_> = b.deterministic_counters().collect();
-        assert_eq!(det, vec![("dram.reads", 100)]);
     }
 }

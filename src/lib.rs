@@ -77,7 +77,10 @@ mod tests {
             ["wire-bitflip", "slow-peer", "store-corrupt"]
         );
         assert_eq!(named(|r| r.needs_processes), ["process-kill"]);
-        assert_eq!(named(|r| r.panics), ["token-duplicate", "rank-loss"]);
+        assert_eq!(
+            named(|r| r.panics),
+            ["token-drop", "token-duplicate", "rank-loss"]
+        );
     }
 
     #[test]
