@@ -1,11 +1,16 @@
 //! bsim-guard data integrity: [`crc32`], the IEEE CRC32 the dist frame
-//! header and the result store both stamp over their payloads.
+//! header and the result store both stamp over their payloads. It reads
+//! eight bytes a step (slice-by-8: eight 256-entry tables, built at
+//! compile time), so re-verifying every stored entry on every read stays
+//! cheap; the value is the byte-at-a-time CRC's, bit for bit.
 
 /// The reflected IEEE CRC32 polynomial (zlib/Ethernet/PNG).
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the byte-at-a-time table; `TABLES[k][b]` is the CRC
+/// contribution of byte `b` followed by `k` zero bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -18,13 +23,23 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// IEEE CRC32 of `bytes` (the zlib `crc32` everyone can cross-check).
 ///
@@ -33,9 +48,23 @@ static CRC32_TABLE: [u32; 256] = crc32_table();
 /// frame, and strong enough that a single flipped bit anywhere in the
 /// payload is always detected.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -43,6 +72,28 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The byte-at-a-time loop `crc32` replaced: the oracle it must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// Deterministic filler (SplitMix64 bytes).
+    fn seeded(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -66,5 +117,24 @@ mod tests {
                 assert_ne!(crc32(&flipped), reference, "byte {byte} bit {bit}");
             }
         }
+    }
+
+    /// Every length around the 8-byte step, at every alignment of the
+    /// slice, and one long buffer: slice-by-8 equals the byte loop.
+    #[test]
+    fn crc32_equals_the_bytewise_reference() {
+        let buf = seeded(72 + 8, 0x5EED);
+        for start in 0..8 {
+            for len in 0..=72 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        let big = seeded(1 << 20, 42);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
     }
 }

@@ -27,9 +27,11 @@
 //!
 //! ## A warm request costs a lookup
 //!
-//! Nothing on the all-hit path builds a tree: keys come from one
-//! `bsim_dist::key` prefix hash per platform, each cell is one indexed,
-//! checksummed read that shares the store's allocation, the response is
+//! Nothing on the all-hit path builds a tree, and nothing is done per
+//! platform: each catalog platform is resolved, preflighted and keyed
+//! (its `bsim_dist::key` prefix hash) once per process, each cell is one
+//! indexed read, re-verified by a slice-by-8 CRC32, that shares the
+//! store's allocation, the response is
 //! those bytes re-indented into the document (`render_body`,
 //! `crate::splice`), and it leaves in one write ([`crate::proto`]). A
 //! job is found by the table slot its id encodes, and its cells are

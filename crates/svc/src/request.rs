@@ -22,14 +22,20 @@
 //! Platform configs named by a sweep additionally run the full SoC
 //! preflight, so MG/CL/SC findings reject the request up front exactly
 //! as `bsim check` would.
+//!
+//! The catalog is constant, so each of its platforms is resolved,
+//! preflighted and keyed once per process (`platform`): a request
+//! merges a platform's cached report and hashes only its cells' own
+//! fields.
 
 use bsim_check::{Diagnostic, Report};
 use bsim_core::experiments::{subfigures, Sizes, FIGURE_IDS};
 use bsim_dist::key::MicroKeyer;
 use bsim_dist::WireCell;
-use bsim_soc::{configs, preflight};
+use bsim_soc::{configs, preflight, SocConfig};
 use bsim_workloads::microbench;
 use serde::Value;
+use std::sync::OnceLock;
 
 /// A parsed, validated service request.
 #[derive(Clone, Debug, PartialEq)]
@@ -60,6 +66,33 @@ pub struct Cell {
     pub key: String,
     pub label: String,
     pub spec: WireCell,
+}
+
+/// A catalog platform as every request sees it: its config, its
+/// MG/CL/SC preflight, and the keyer holding its share of every cell key.
+struct Platform {
+    cfg: SocConfig,
+    preflight: Report,
+    keyer: MicroKeyer,
+}
+
+/// The catalog platform `name` names, case-insensitively (the rule of
+/// `configs::by_name`), built with the rest of the catalog on first use.
+fn platform(name: &str) -> Option<&'static Platform> {
+    static CATALOG: OnceLock<Vec<Platform>> = OnceLock::new();
+    CATALOG
+        .get_or_init(|| {
+            configs::catalog(1)
+                .into_iter()
+                .map(|cfg| Platform {
+                    preflight: preflight::preflight(&cfg),
+                    keyer: MicroKeyer::new(&cfg),
+                    cfg,
+                })
+                .collect()
+        })
+        .iter()
+        .find(|p| p.cfg.name.eq_ignore_ascii_case(name))
 }
 
 fn str_field(map: &Value, name: &str) -> Option<String> {
@@ -155,8 +188,8 @@ impl SvcRequest {
                 }
                 let mut resolved = Vec::new();
                 for name in platforms {
-                    match configs::by_name(name, 1) {
-                        Some(cfg) => resolved.push(cfg),
+                    match platform(name) {
+                        Some(p) => resolved.push(p),
                         None => report.push(
                             Diagnostic::error(
                                 "SV001",
@@ -181,7 +214,9 @@ impl SvcRequest {
                 }
                 // The same static pass `bsim check` runs: reject invalid
                 // platform configs before they reach a worker.
-                report.merge(preflight::preflight_all(resolved.iter()));
+                for p in resolved {
+                    report.merge(p.preflight.clone());
+                }
             }
             SvcRequest::Fig { id, sizes, .. } => {
                 if !FIGURE_IDS.contains(&id.as_str()) {
@@ -244,10 +279,10 @@ impl SvcRequest {
             } => {
                 let mut out = Vec::with_capacity(platforms.len() * kernels.len());
                 for name in platforms {
-                    let cfg = configs::by_name(name, 1).expect("platform was preflighted");
                     // `WireCell::key` of every cell below, with the
-                    // platform's share of the hash taken once.
-                    let keyer = MicroKeyer::new(&cfg);
+                    // platform's share of the hash taken once per process.
+                    let Platform { cfg, keyer, .. } =
+                        platform(name).expect("platform was preflighted");
                     for kernel in kernels {
                         out.push(Cell {
                             key: keyer.key(kernel, *scale, *seed),
@@ -402,6 +437,125 @@ mod tests {
         let cells = req.cells();
         assert_eq!(cells.len(), req.cell_count());
         assert!(cells.iter().any(|c| c.label == "fig3a"));
+    }
+
+    /// The per-process catalog answers exactly what resolving, linting
+    /// and keying each named platform afresh did: every cataloged name as
+    /// cataloged, lowercased and uppercased, and a platform named twice.
+    #[test]
+    fn the_catalog_memo_answers_what_by_name_and_preflight_all_did() {
+        // The unmemoized composition: resolve by name, lint what resolved.
+        fn fresh_preflight(platforms: &[String], kernels: &[String], budget: usize) -> Report {
+            let mut report = Report::new();
+            let mut resolved = Vec::new();
+            for name in platforms {
+                match configs::by_name(name, 1) {
+                    Some(cfg) => resolved.push(cfg),
+                    None => report.push(
+                        Diagnostic::error(
+                            "SV001",
+                            "request.platforms",
+                            format!("unknown platform {name:?}"),
+                        )
+                        .with_help("`bsim list` names the catalog"),
+                    ),
+                }
+            }
+            for name in kernels {
+                if microbench::find(name).is_none() {
+                    report.push(
+                        Diagnostic::error(
+                            "SV001",
+                            "request.kernels",
+                            format!("unknown kernel {name:?}"),
+                        )
+                        .with_help("`bsim list` names the suite"),
+                    );
+                }
+            }
+            report.merge(preflight::preflight_all(resolved.iter()));
+            let cells = platforms.len() * kernels.len();
+            if !report.has_errors() && cells > budget {
+                report.push(
+                    Diagnostic::error(
+                        "SV002",
+                        "request",
+                        format!("request decomposes into {cells} cells, budget is {budget}"),
+                    )
+                    .with_help("split the request, or raise `bsim serve --budget`"),
+                );
+            }
+            report
+        }
+
+        let kernels: Vec<String> = vec!["EM5".into(), "Cca".into()];
+        let mut requests: Vec<Vec<String>> = Vec::new();
+        for cfg in configs::catalog(1) {
+            for name in [
+                cfg.name.clone(),
+                cfg.name.to_lowercase(),
+                cfg.name.to_uppercase(),
+            ] {
+                requests.push(vec![name]);
+            }
+        }
+        assert_eq!(
+            requests.len(),
+            30,
+            "ten cataloged platforms, three spellings"
+        );
+        requests.push(vec![
+            "Rocket 1".into(),
+            "Large BOOM".into(),
+            "rocket 1".into(),
+        ]);
+
+        for platforms in requests {
+            let req = SvcRequest::Sweep {
+                platforms: platforms.clone(),
+                kernels: kernels.clone(),
+                scale: 3,
+                seed: 5,
+            };
+            let report = req.preflight(64);
+            assert_eq!(
+                report.diagnostics,
+                fresh_preflight(&platforms, &kernels, 64).diagnostics,
+                "{platforms:?}"
+            );
+            assert!(!report.has_errors(), "{platforms:?}: {report}");
+            let cells = req.cells();
+            assert_eq!(cells.len(), platforms.len() * kernels.len());
+            let expected = platforms.iter().flat_map(|name| {
+                let cfg = configs::by_name(name, 1).unwrap();
+                kernels.iter().map(move |kernel| {
+                    (
+                        bsim_dist::key::micro_cell_key(&cfg, kernel, 3, 5),
+                        format!("{}/{kernel}", cfg.name),
+                    )
+                })
+            });
+            for (cell, (key, label)) in cells.iter().zip(expected) {
+                assert_eq!(cell.key, key, "{label}");
+                assert_eq!(cell.label, label);
+            }
+        }
+
+        // Unknown names still fail where and as they did, one SV001 each.
+        let platforms: Vec<String> = vec!["Rocket 1".into(), "Pentium".into()];
+        let kernels: Vec<String> = vec!["EM5".into(), "BogoMips".into()];
+        let req = SvcRequest::Sweep {
+            platforms: platforms.clone(),
+            kernels: kernels.clone(),
+            scale: 1,
+            seed: 0,
+        };
+        let report = req.preflight(64);
+        assert_eq!(report.with_code("SV001").count(), 2, "{report}");
+        assert_eq!(
+            report.diagnostics,
+            fresh_preflight(&platforms, &kernels, 64).diagnostics
+        );
     }
 
     /// A request's cells carry `WireCell::key` at the request's seed and

@@ -9,8 +9,10 @@
 //! ```
 //! `micro-isa` and `apps-mpi` are the ledger's cell lists at its measured
 //! sizes; `sweep-lanes` records CG once, unsampled, and samples 16-lane
-//! `replay_world`s. The second argument is the number of passes (default
-//! 3); `ITIMER_PROF` fires once a kernel tick, ≈ 250 samples a CPU-second.
+//! `replay_world`s; `svc-mixed` prewarms an in-process daemon with the
+//! ledger's seven warm sweep bodies and samples warm round trips to it.
+//! The second argument is the number of passes (default 3); `ITIMER_PROF`
+//! fires once a kernel tick, ≈ 250 samples a CPU-second.
 //!
 //! `sweep-lanes` also prints, on stderr, the grid's front groups (lanes
 //! whose first member decides branches, TLB levels and L1 tags for the
@@ -23,6 +25,15 @@
 //! fixed cost (building its SoC, its memory system's tables) rather than
 //! simulating: that split is what found the MILK-V LLC's tables being
 //! zeroed for every cell.
+//!
+//! `svc-mixed` runs the daemon (one job worker, `Parallelism::Sequential`,
+//! an in-memory store) in this process, so its connection and job threads
+//! are sampled with the client's. A pass is `WARM_REQUESTS` warm
+//! `client::submit` → `client::wait` round trips, each body in turn, every
+//! response checked byte for byte against its prewarm response; the host
+//! µs per round trip go to stderr. None of them simulates: a pass is the
+//! warm path alone, request parse and preflight, cell keys, store reads,
+//! the spliced response and the wire.
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sampler {
@@ -105,13 +116,33 @@ mod sampler {
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn main() {
     use silicon_bridge::core::experiments::{microbench_cell, MpiWork, Sizes};
+    use silicon_bridge::core::Parallelism;
     use silicon_bridge::mpi::{NetConfig, Timed};
     use silicon_bridge::soc::configs::{banana_pi_hw, banana_pi_sim, milkv_hw, milkv_sim};
+    use silicon_bridge::svc::{client, Daemon, DaemonConfig};
     use silicon_bridge::sweepx::{cache_tuning_grid, front_groups, replay_world};
     use silicon_bridge::workloads::microbench;
     use std::cell::Cell;
     use std::hint::black_box;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
+
+    // The ledger's `svc-mixed` warm requests
+    // (`benchmark/src/workloads/svc_mixed.rs`): its first four platforms
+    // × a 12-kernel window of its 14 kernels, seven windows.
+    const SVC_PLATFORMS: [&str; 4] = [
+        "Rocket 1",
+        "Banana Pi Sim Model",
+        "Medium BOOM",
+        "Large BOOM",
+    ];
+    const SVC_KERNELS: [&str; 14] = [
+        "Cca", "CCh", "CS1", "DP1d", "ED1", "EM5", "MD", "STc", "CF1", "EI", "MI", "ML2", "Cce",
+        "EF",
+    ];
+    const WARM_KERNELS: usize = 12;
+    /// Round trips per `svc-mixed` pass: the ledger's requests per pass.
+    const WARM_REQUESTS: usize = 1500;
+    const TIMEOUT: Duration = Duration::from_secs(30);
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let passes = args.get(1).map_or(Ok(3), |n| n.parse::<usize>());
@@ -129,6 +160,9 @@ fn main() {
     let split = [const { Cell::new(0.0) }; 4];
     // Host seconds over every `sweep-lanes` replay.
     let replays = Cell::new(0.0);
+    // Host seconds over every `svc-mixed` round trip, and its daemon.
+    let round_trips = Cell::new(0.0);
+    let mut daemon: Option<Daemon> = None;
     let pass: Box<dyn Fn() + '_> = match args.first().map(String::as_str) {
         Some("micro-isa") => Box::new(|| {
             for kernel in microbench::evaluated().iter().filter(|k| k.name != "MM_st") {
@@ -169,8 +203,58 @@ fn main() {
                 replays.set(replays.get() + start.elapsed().as_secs_f64());
             })
         }
+        Some("svc-mixed") => {
+            let (spawned, report) = Daemon::spawn(DaemonConfig {
+                workers: 1,
+                par: Parallelism::Sequential,
+                ..DaemonConfig::default()
+            })
+            .expect("daemon spawn");
+            assert!(!report.has_errors(), "daemon preflight: {report}");
+            let addr = spawned.addr();
+            daemon = Some(spawned);
+            let quoted = |names: &[&str]| {
+                let names: Vec<String> = names.iter().map(|n| format!("\"{n}\"")).collect();
+                names.join(",")
+            };
+            let round_trip = move |addr: &str, body: &str| {
+                let (status, submitted) = client::submit(addr, body).expect("submit");
+                assert_eq!(status, 202, "submit: {submitted}");
+                let job = client::job_id(&submitted).expect("a job id");
+                let (status, response) = client::wait(addr, &job, TIMEOUT).expect("fetch");
+                assert_eq!(status, 200, "fetch: {response}");
+                response
+            };
+            // Prewarm: each body once, cold, before sampling starts.
+            let warm: Vec<(String, String)> = (0..SVC_KERNELS.len())
+                .step_by(2)
+                .map(|k| {
+                    let kernels: Vec<&str> = (0..WARM_KERNELS)
+                        .map(|i| SVC_KERNELS[(k + i) % SVC_KERNELS.len()])
+                        .collect();
+                    let body = format!(
+                        "{{\"kind\":\"sweep\",\"platforms\":[{}],\"kernels\":[{}],\"scale\":1,\"seed\":0}}",
+                        quoted(&SVC_PLATFORMS),
+                        quoted(&kernels)
+                    );
+                    let response = round_trip(&addr, &body);
+                    (body, response)
+                })
+                .collect();
+            let round_trips = &round_trips;
+            Box::new(move || {
+                let start = Instant::now();
+                for (body, prewarmed) in warm.iter().cycle().take(WARM_REQUESTS) {
+                    assert!(
+                        round_trip(&addr, body) == *prewarmed,
+                        "a warm response changed"
+                    );
+                }
+                round_trips.set(round_trips.get() + start.elapsed().as_secs_f64());
+            })
+        }
         _ => {
-            eprintln!("usage: hostprof <micro-isa|apps-mpi|sweep-lanes> [passes]");
+            eprintln!("usage: hostprof <micro-isa|apps-mpi|sweep-lanes|svc-mixed> [passes]");
             std::process::exit(2);
         }
     };
@@ -178,6 +262,15 @@ fn main() {
     sampler::start();
     (0..passes).for_each(|_| pass());
     sampler::stop_and_report();
+    if let Some(daemon) = daemon {
+        let addr = daemon.addr();
+        client::shutdown(&addr).expect("shutdown");
+        daemon.join();
+        eprintln!(
+            "host µs per warm round trip: {:.1}",
+            round_trips.get() / (passes * WARM_REQUESTS) as f64 * 1e6
+        );
+    }
     if replays.get() > 0.0 {
         eprintln!(
             "host seconds per replay: {:.3} s",
