@@ -12,7 +12,8 @@
 //! [`explore`] exhaustively enumerates the *joint* state space of the two
 //! roles (states × liveness × bounded in-flight message queues) with a DFS in
 //! the spirit of the mini-loom engine, both fault-free and under clean-EOF,
-//! torn-frame, and process-kill events, and checks:
+//! torn-frame, and process-kill events — a role entering a terminal state
+//! closes its end, so its peer reads a clean EOF — and checks:
 //!
 //! | code  | severity | meaning |
 //! |-------|----------|---------|
@@ -80,9 +81,11 @@ pub struct RoleSpec {
     pub name: &'static str,
     pub start: &'static str,
     pub states: Vec<&'static str>,
-    /// States in which the role considers the exchange finished. Clean EOF
-    /// and torn frames are silently absorbed in terminal states (the socket
-    /// is being torn down anyway).
+    /// States in which the role considers the connection finished. Clean
+    /// EOF and torn frames are silently absorbed in terminal states (the
+    /// socket is being torn down anyway), and a role that enters one has
+    /// closed its end: [`explore`] has the peer read a clean EOF after
+    /// whatever was already sent.
     pub terminal: Vec<&'static str>,
     pub rules: Vec<TransitionRule>,
 }
@@ -113,18 +116,28 @@ fn ts(state: &'static str, on: Ev, next: &'static str, send: &'static str) -> Tr
     }
 }
 
-/// The svc HTTP-lite exchange: one request per connection, one response.
+/// The svc HTTP-lite exchange: a connection carries any number of
+/// request/response exchanges, one at a time.
 ///
 /// Message names are abstract: `Submit`/`Status`/`Fetch`/`Metrics`/
 /// `Shutdown`/`Bad` classify the request line (see `Request::event` in
 /// `bsim-svc`), and `Ok`/`Busy`/`Reject` classify the response status
-/// (2xx / 429-and-503 / everything else). The `shed` locals model the
+/// (2xx / 429-and-503 / everything else). After a response both roles
+/// are back in their ready state, the client in `connect` and the daemon
+/// in `read`. The client ends the connection between exchanges
+/// (`Local(close)`), which the daemon reads as a clean EOF in `read`; a
+/// connection lost between exchanges is `closed`, one lost inside an
+/// exchange or torn anywhere is `lost`. The `shed` locals model the
 /// bsim-guard admission controller: any post-read state may answer
 /// Busy when the daemon is at capacity, and clients treat Busy as a
-/// clean close (retry later), never a protocol error. Accept-level
-/// shedding (backlog full) happens before a request byte is read, so
-/// it deliberately has no transition here — that connection never
-/// enters the exchange, the same shape as an OS-level reset.
+/// clean answer (retry later), never a protocol error.
+///
+/// The daemon's own closes have no row. Accept-level shedding (backlog
+/// full) happens before a request byte is read, and a kept connection
+/// is closed — by the idle bound, or after an answer that said
+/// `Connection: close` — before a byte of the next request is read. To
+/// the client both are the peer going away in `connect`, the shape of
+/// the kill events [`explore`] injects everywhere.
 pub fn svc_protocol() -> ProtocolSpec {
     let client = RoleSpec {
         name: "client",
@@ -138,11 +151,12 @@ pub fn svc_protocol() -> ProtocolSpec {
             ts("connect", Ev::Local("metrics"), "await", "Metrics"),
             ts("connect", Ev::Local("shutdown"), "await", "Shutdown"),
             ts("connect", Ev::Local("bad"), "await", "Bad"),
-            t("connect", Ev::Eof, "lost"),
+            t("connect", Ev::Local("close"), "closed"),
+            t("connect", Ev::Eof, "closed"),
             t("connect", Ev::Torn, "lost"),
-            t("await", Ev::Recv("Ok"), "closed"),
-            t("await", Ev::Recv("Busy"), "closed"),
-            t("await", Ev::Recv("Reject"), "closed"),
+            t("await", Ev::Recv("Ok"), "connect"),
+            t("await", Ev::Recv("Busy"), "connect"),
+            t("await", Ev::Recv("Reject"), "connect"),
             t("await", Ev::Eof, "lost"),
             t("await", Ev::Torn, "lost"),
         ],
@@ -158,21 +172,21 @@ pub fn svc_protocol() -> ProtocolSpec {
             t("read", Ev::Recv("Fetch"), "queried"),
             t("read", Ev::Recv("Metrics"), "queried"),
             t("read", Ev::Recv("Shutdown"), "admin"),
-            ts("read", Ev::Recv("Bad"), "closed", "Reject"),
-            t("read", Ev::Eof, "lost"),
+            ts("read", Ev::Recv("Bad"), "read", "Reject"),
+            t("read", Ev::Eof, "closed"),
             t("read", Ev::Torn, "lost"),
-            ts("submitted", Ev::Local("accept"), "closed", "Ok"),
-            ts("submitted", Ev::Local("reject"), "closed", "Reject"),
-            ts("submitted", Ev::Local("busy"), "closed", "Busy"),
+            ts("submitted", Ev::Local("accept"), "read", "Ok"),
+            ts("submitted", Ev::Local("reject"), "read", "Reject"),
+            ts("submitted", Ev::Local("busy"), "read", "Busy"),
             t("submitted", Ev::Eof, "lost"),
             t("submitted", Ev::Torn, "lost"),
-            ts("queried", Ev::Local("found"), "closed", "Ok"),
-            ts("queried", Ev::Local("missing"), "closed", "Reject"),
-            ts("queried", Ev::Local("shed"), "closed", "Busy"),
+            ts("queried", Ev::Local("found"), "read", "Ok"),
+            ts("queried", Ev::Local("missing"), "read", "Reject"),
+            ts("queried", Ev::Local("shed"), "read", "Busy"),
             t("queried", Ev::Eof, "lost"),
             t("queried", Ev::Torn, "lost"),
-            ts("admin", Ev::Local("ack"), "closed", "Ok"),
-            ts("admin", Ev::Local("shed"), "closed", "Busy"),
+            ts("admin", Ev::Local("ack"), "read", "Ok"),
+            ts("admin", Ev::Local("shed"), "read", "Busy"),
             t("admin", Ev::Eof, "lost"),
             t("admin", Ev::Torn, "lost"),
         ],
@@ -584,6 +598,24 @@ impl Compiled<'_> {
             !j.alive[i] || (self.roles[i].terminal[j.state[i] as usize] && j.q[i].is_empty())
         })
     }
+
+    /// Fires rule `r` of role `i` in `n`: the role moves, what it sends
+    /// joins a live peer's inbox, and a role that enters a terminal state
+    /// closes its end, so the peer then reads a clean EOF.
+    fn fire(&self, n: &mut Joint, i: usize, r: &CRule) {
+        let role = &self.roles[i];
+        let closes = !role.terminal[n.state[i] as usize] && role.terminal[r.next as usize];
+        n.state[i] = r.next;
+        let peer = 1 - i;
+        if n.alive[peer] {
+            if let Some(msg) = r.send {
+                n.q[peer].push(Item::Msg(msg));
+            }
+            if closes {
+                n.q[peer].push(Item::Eof);
+            }
+        }
+    }
 }
 
 /// Diagnostics deduplication shared across the fault-free and full passes.
@@ -653,12 +685,7 @@ fn run_pass(c: &Compiled<'_>, faults: bool, dedup: &mut Dedup, report: &mut Repo
                         if room {
                             let mut n = j.clone();
                             n.q[i].remove(0);
-                            n.state[i] = r.next;
-                            if let Some(msg) = r.send {
-                                if n.alive[peer] {
-                                    n.q[peer].push(Item::Msg(msg));
-                                }
-                            }
+                            c.fire(&mut n, i, r);
                             succs.push(n);
                         }
                     } else {
@@ -694,12 +721,7 @@ fn run_pass(c: &Compiled<'_>, faults: bool, dedup: &mut Dedup, report: &mut Repo
                     if let Some(r) = rule {
                         let mut n = j.clone();
                         n.q[i].remove(0);
-                        n.state[i] = r.next;
-                        if let Some(msg) = r.send {
-                            if n.alive[peer] {
-                                n.q[peer].push(Item::Msg(msg));
-                            }
-                        }
+                        c.fire(&mut n, i, r);
                         succs.push(n);
                     } else if role.terminal[si as usize] {
                         // Teardown events are absorbed in terminal states.
@@ -746,12 +768,7 @@ fn run_pass(c: &Compiled<'_>, faults: bool, dedup: &mut Dedup, report: &mut Repo
                     continue;
                 }
                 let mut n = j.clone();
-                n.state[i] = r.next;
-                if let Some(msg) = r.send {
-                    if n.alive[peer] {
-                        n.q[peer].push(Item::Msg(msg));
-                    }
-                }
+                c.fire(&mut n, i, r);
                 succs.push(n);
             }
         }
@@ -963,21 +980,29 @@ mod tests {
 
     #[test]
     fn tracker_drives_svc_submit_roundtrip() {
+        // One tracker per side for the whole connection: a submit and a
+        // fetch, then the client closes and the daemon reads a clean EOF.
         let spec = svc_cached();
         let mut client = Tracker::new(spec, "client").unwrap();
         let mut daemon = Tracker::new(spec, "daemon").unwrap();
-        let sent = client.local("submit").unwrap().expect("client must send");
-        assert_eq!(sent, "Submit");
-        assert!(daemon.recv(sent).unwrap().is_none());
-        assert_eq!(daemon.state(), "submitted");
-        let resp = daemon
-            .local("accept")
-            .unwrap()
-            .expect("daemon must respond");
-        assert_eq!(resp, "Ok");
-        assert!(daemon.is_terminal());
-        assert!(client.recv(resp).unwrap().is_none());
-        assert!(client.is_terminal());
+        for (request, state, answer) in [
+            ("submit", "submitted", "accept"),
+            ("fetch", "queried", "found"),
+        ] {
+            let sent = client.local(request).unwrap().expect("client must send");
+            assert!(daemon.recv(sent).unwrap().is_none());
+            assert_eq!(daemon.state(), state);
+            let resp = daemon.local(answer).unwrap().expect("daemon must respond");
+            assert_eq!(resp, "Ok");
+            assert_eq!(daemon.state(), "read");
+            assert!(client.recv(resp).unwrap().is_none());
+            assert_eq!(client.state(), "connect");
+        }
+        assert!(client.local("close").unwrap().is_none());
+        assert_eq!(client.state(), "closed");
+        assert!(daemon.eof().unwrap().is_none());
+        assert_eq!(daemon.state(), "closed");
+        assert!(client.is_terminal() && daemon.is_terminal());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! it. A checker that passes a broken table is worse than no checker —
 //! these tests are the checker's own regression harness.
 
-use bsim_check::proto::{dist_protocol, explore, Ev};
+use bsim_check::proto::{dist_protocol, explore, svc_protocol, Ev};
 
 #[test]
 fn baseline_tables_explore_clean() {
@@ -11,6 +11,24 @@ fn baseline_tables_explore_clean() {
     assert!(
         explored.report.is_clean(),
         "unmutated dist table must be clean:\n{}",
+        explored.report.render()
+    );
+}
+
+#[test]
+fn a_daemon_that_cannot_read_eof_after_a_response_is_caught() {
+    // Remove the daemon's `read --Eof--> closed` rule. After a response
+    // the daemon is back in `read` on a kept connection, and a client
+    // that then closes it is an EOF the daemon has no transition for
+    // (PV006).
+    let mut spec = svc_protocol();
+    spec.roles[1]
+        .rules
+        .retain(|r| !(r.state == "read" && r.on == Ev::Eof));
+    let explored = explore(&spec);
+    assert!(
+        explored.report.has_code("PV006"),
+        "expected PV006 for the dropped EOF handler:\n{}",
         explored.report.render()
     );
 }

@@ -39,7 +39,9 @@
 //! finished document moves, in turn, to the one fetch that delivers it:
 //! the table keeps no body once it is sent. A fetch that finds its job
 //! unfinished waits for it on the jobs condvar, so a warm request is one
-//! submit and one fetch, with no client poll between them.
+//! submit and one fetch, with no client poll between them — and both go
+//! over the client's kept connection, served by the pool thread that
+//! holds it: a closed-loop client opens one connection in all.
 //!
 //! ## Endpoints
 //!
@@ -61,7 +63,12 @@
 //! the accept loop only enqueues: accepted sockets land in a bounded
 //! backlog drained by a fixed pool of `conn_workers` connection
 //! threads, each read/write-timeout-armed so a slow-loris peer times
-//! out instead of pinning its worker. When the backlog is full the
+//! out instead of pinning its worker. A pool thread serves a connection's
+//! requests one after another for as long as it keeps it (see
+//! [`handle`]), but waits for the next request for at most
+//! `min(read timeout, FETCH_WAIT)`, and keeps no connection while an
+//! accepted one is waiting: an idle client cannot hold a pool thread
+//! from the backlog for longer than that. When the backlog is full the
 //! accept loop sheds inline with `503` + `Retry-After`; when the job
 //! queue is at `queue_cap` a well-formed `/submit` sheds with `429` +
 //! `Retry-After`. An optional per-request deadline rides each job into
@@ -80,7 +87,7 @@ use bsim_resilience::store::{canonical, ResultStore};
 use bsim_telemetry::CounterBlock;
 use serde::Value;
 use std::collections::{HashSet, VecDeque};
-use std::io::{self, BufReader};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -154,8 +161,10 @@ const RETRY_AFTER_SECS: u64 = 1;
 /// How long a fetch of an unfinished job waits for it before answering
 /// `202`. The daemon paces a client's wait: a job that finishes inside
 /// this window is answered the moment it does, and a longer one costs a
-/// refetch per window instead of a poll per few milliseconds.
-const FETCH_WAIT: Duration = Duration::from_secs(1);
+/// refetch per window instead of a poll per few milliseconds. It also
+/// bounds how long a pool thread waits for the next request on a kept
+/// connection ([`next_request`]).
+pub const FETCH_WAIT: Duration = Duration::from_secs(1);
 
 /// Daemon configuration, CLI-shaped.
 #[derive(Clone, Debug)]
@@ -467,8 +476,9 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     shared.conns_cv.notify_all();
 }
 
-/// One connection-pool thread: pop, arm timeouts, serve, repeat. Exits
-/// when the daemon is shutting down and the backlog is drained.
+/// One connection-pool thread: pop, arm timeouts, serve every request
+/// the connection carries, repeat. Exits when the daemon is shutting
+/// down and the backlog is drained.
 fn conn_loop(shared: &Arc<Shared>) {
     loop {
         let stream = {
@@ -491,9 +501,90 @@ fn conn_loop(shared: &Arc<Shared>) {
         if let Err(e) = shared.cfg.wire_timeouts().apply(&stream) {
             log_conn("arming socket timeouts", &e);
         }
-        handle(shared, stream);
+        serve(shared, stream);
         shared.stats.conns_active.fetch_sub(1, Ordering::SeqCst);
     }
+}
+
+/// Serves one connection: its requests one at a time, through one
+/// protocol tracker, for as long as [`handle`] keeps it and the next
+/// request starts within the idle bound ([`next_request`]).
+fn serve(shared: &Arc<Shared>, mut stream: TcpStream) {
+    let Some(mut tracker) = Tracker::new(bsim_check::proto::svc_cached(), "daemon") else {
+        // Unreachable for the built-in table; degrade to a served error.
+        respond(&mut stream, 500, "Internal Server Error", "{}");
+        return;
+    };
+    let mut reader = match stream.try_clone() {
+        Ok(peer) => BufReader::new(peer),
+        Err(e) => {
+            log_conn("cloning stream", &e);
+            return;
+        }
+    };
+    while handle(shared, &mut tracker, &mut reader, &mut stream)
+        && next_request(shared, &mut tracker, &mut reader)
+    {}
+}
+
+/// Waits, between two requests on a kept connection, for the first byte
+/// of the next one: for at most `min(read timeout, FETCH_WAIT)`, after
+/// which the full read timeout is armed again. A clean EOF, a reset or
+/// no byte in time closes the connection before any byte of another
+/// request was read, so a client may send that request again on a new
+/// connection without repeating work. The bound keeps an idle client
+/// from holding a pool thread while accepted connections wait for one.
+fn next_request(
+    shared: &Shared,
+    tracker: &mut Tracker<'_>,
+    reader: &mut BufReader<TcpStream>,
+) -> bool {
+    if !reader.buffer().is_empty() {
+        return true;
+    }
+    let full = shared.cfg.read_timeout;
+    let idle = if full.is_zero() {
+        FETCH_WAIT
+    } else {
+        full.min(FETCH_WAIT)
+    };
+    let rearm = idle != full;
+    if rearm {
+        if let Err(e) = reader.get_ref().set_read_timeout(Some(idle)) {
+            log_conn("arming the idle bound", &e);
+            return false;
+        }
+    }
+    let arrived = match reader.fill_buf() {
+        Ok([]) => {
+            let stepped = tracker.eof();
+            debug_assert!(stepped.is_ok(), "{stepped:?}");
+            false
+        }
+        Ok(_) => true,
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) =>
+        {
+            false
+        }
+        Err(e) => {
+            let stepped = tracker.torn();
+            debug_assert!(stepped.is_ok(), "{stepped:?}");
+            log_conn("awaiting the next request", &e);
+            false
+        }
+    };
+    if arrived && rearm {
+        let full = (!full.is_zero()).then_some(full);
+        if let Err(e) = reader.get_ref().set_read_timeout(full) {
+            log_conn("arming socket timeouts", &e);
+            return false;
+        }
+    }
+    arrived
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
@@ -733,48 +824,40 @@ fn metrics_json(shared: &Shared) -> String {
     serde_json::to_string_pretty(&doc).expect("shim renderer is total")
 }
 
+/// Writes a response that closes its connection.
 fn respond(stream: &mut TcpStream, status: u16, reason: &str, body: &str) {
-    if let Err(e) = proto::write_response(stream, status, reason, body) {
+    if let Err(e) = proto::write_response(stream, status, reason, body, false) {
         log_conn("writing response", &e);
     }
 }
 
-/// Respond *through* the protocol table: the daemon's current table state
-/// plus the response's message class name the `Local` transition that must
-/// exist for this response to be legal. A miss means the handler drifted
-/// from the model — logged (and asserted in debug builds), never served
-/// differently, so the model checker's view and the wire stay aligned.
-fn respond_tracked(
-    tracker: &mut Tracker<'_>,
-    stream: &mut TcpStream,
+/// The response a handler chose, before it is tracked and written.
+struct Reply {
     status: u16,
-    reason: &str,
-    body: &str,
-) {
-    track_response(tracker, status);
-    respond(stream, status, reason, body);
+    reason: &'static str,
+    body: String,
+    /// `Retry-After` seconds on a shed response, so well-behaved clients
+    /// back off instead of hammering a loaded daemon.
+    retry_after: Option<u64>,
 }
 
-/// [`respond_tracked`] for shed responses: the same table step, but the
-/// response carries a `Retry-After` header so well-behaved clients back
-/// off instead of hammering a loaded daemon.
-fn respond_tracked_retry(
-    tracker: &mut Tracker<'_>,
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    retry_after_secs: u64,
-    body: &str,
-) {
-    track_response(tracker, status);
-    if let Err(e) = proto::write_response_retry(stream, status, reason, retry_after_secs, body) {
-        log_conn("writing response", &e);
+impl Reply {
+    fn new(status: u16, reason: &'static str, body: String) -> Reply {
+        Reply {
+            status,
+            reason,
+            body,
+            retry_after: None,
+        }
     }
 }
 
 /// Steps the tracker for a response about to be served: the daemon's
 /// current table state plus the response's message class name the
-/// `Local` transition that must exist for this response to be legal.
+/// `Local` transition that must exist for this response to be legal. A
+/// miss means the handler drifted from the model — logged (and asserted
+/// in debug builds), never served differently, so the model checker's
+/// view and the wire stay aligned.
 fn track_response(tracker: &mut Tracker<'_>, status: u16) {
     let tag = match (tracker.state(), proto::response_event(status)) {
         ("submitted", "Ok") => "accept",
@@ -785,7 +868,7 @@ fn track_response(tracker: &mut Tracker<'_>, status: u16) {
         ("queried", _) => "missing",
         ("admin", "Busy") => "shed",
         ("admin", _) => "ack",
-        // Already terminal (the `Bad` transition responded on receipt).
+        // Back in `read`: the `Bad` transition responded on receipt.
         _ => "",
     };
     if !tag.is_empty() {
@@ -809,20 +892,20 @@ fn json_line(fields: &[(&str, Value)]) -> String {
     serde_json::to_string(&doc).expect("shim renderer is total") // bsim: allow(AU002) invariant stated in the message
 }
 
-fn handle(shared: &Arc<Shared>, mut stream: TcpStream) {
-    let Some(mut tracker) = Tracker::new(bsim_check::proto::svc_cached(), "daemon") else {
-        // Unreachable for the built-in table; degrade to a served error.
-        respond(&mut stream, 500, "Internal Server Error", "{}");
-        return;
-    };
-    let peer = match stream.try_clone() {
-        Ok(p) => p,
-        Err(e) => {
-            log_conn("cloning stream", &e);
-            return;
-        }
-    };
-    let req = match proto::read_request(&mut BufReader::new(peer)) {
+/// Reads one request off `reader`, answers it on `stream`, and returns
+/// whether the connection stays open for the next one. That is decided
+/// before the response is written, whose `Connection` header states it:
+/// the connection is kept unless the request said `Connection: close`,
+/// the answer sheds (`429`/`503`) or refuses the request (`400`, `413`,
+/// the `404` of an unknown endpoint), the daemon is draining, or an
+/// accepted connection is waiting for a pool thread.
+fn handle(
+    shared: &Arc<Shared>,
+    tracker: &mut Tracker<'_>,
+    reader: &mut BufReader<TcpStream>,
+    stream: &mut TcpStream,
+) -> bool {
+    let req = match proto::read_request(reader) {
         Ok(r) => r,
         Err(e) => {
             // A head that is malformed or over the wire limits is the
@@ -843,61 +926,73 @@ fn handle(shared: &Arc<Shared>, mut stream: TcpStream) {
             log_conn("reading request", &e);
             if let Some((status, reason)) = refusal {
                 let body = json_line(&[("error", Value::Str(e.to_string()))]);
-                respond(&mut stream, status, reason, &body);
+                respond(stream, status, reason, &body);
             }
-            return;
+            return false;
         }
     };
     // The table is the dispatcher: the request's message class must have a
-    // transition out of `read`, and handlers answer through the table too
-    // (`respond_tracked`), so model and implementation cannot drift.
+    // transition out of `read`, and every answer steps the table too
+    // (`track_response`), so model and implementation cannot drift.
     let ev = req.event();
     if let Err(v) = tracker.recv(ev) {
         debug_assert!(false, "request classification drifted from the table: {v}");
         eprintln!("svc: {v}");
-        respond(&mut stream, 400, "Bad Request", "{}");
-        return;
+        respond(stream, 400, "Bad Request", "{}");
+        return false;
     }
-    match ev {
-        "Submit" => handle_submit(shared, &mut tracker, &mut stream, &req.body),
+    let reply = match ev {
+        "Submit" => handle_submit(shared, &req.body),
         "Status" => handle_status(
             shared,
-            &mut tracker,
-            &mut stream,
             req.path.strip_prefix("/status/").unwrap_or_default(),
         ),
-        "Fetch" => handle_fetch(
-            shared,
-            &mut tracker,
-            &mut stream,
-            req.path.strip_prefix("/fetch/").unwrap_or_default(),
-        ),
-        "Metrics" => {
-            let body = metrics_json(shared);
-            respond_tracked(&mut tracker, &mut stream, 200, "OK", &body);
-        }
-        "Shutdown" => handle_shutdown(shared, &mut tracker, &mut stream),
-        // `Bad`: the Recv transition already moved the table to `closed`
-        // with a Reject-class send — exactly what a 404 is.
-        _ => respond(
-            &mut stream,
+        "Fetch" => handle_fetch(shared, req.path.strip_prefix("/fetch/").unwrap_or_default()),
+        "Metrics" => Reply::new(200, "OK", metrics_json(shared)),
+        "Shutdown" => handle_shutdown(shared),
+        // `Bad`: the Recv transition already answered it with a
+        // Reject-class send — exactly what a 404 is.
+        _ => Reply::new(
             404,
             "Not Found",
-            &json_line(&[(
+            json_line(&[(
                 "error",
                 Value::Str(format!("no endpoint {} {}", req.method, req.path)),
             )]),
         ),
+    };
+    track_response(tracker, reply.status);
+    debug_assert_eq!(
+        tracker.state(),
+        "read",
+        "handler left the table mid-exchange"
+    );
+    let keep = !req.close
+        && ev != "Bad"
+        && !matches!(reply.status, 400 | 413 | 429 | 503)
+        && !shared.shutdown.load(Ordering::SeqCst)
+        && lock(&shared.conns).is_empty();
+    let written = match reply.retry_after {
+        Some(secs) => {
+            proto::write_response_retry(stream, reply.status, reply.reason, secs, &reply.body)
+        }
+        None => proto::write_response(stream, reply.status, reply.reason, &reply.body, keep),
+    };
+    if ev == "Shutdown" {
+        // Unblock the accept loop: it re-checks the shutdown flag per
+        // connection, so one wake-up connection to ourselves ends it.
+        TcpStream::connect(shared.self_addr).ok();
     }
-    debug_assert!(tracker.is_terminal(), "handler left the table mid-exchange");
+    match written {
+        Ok(()) => keep,
+        Err(e) => {
+            log_conn("writing response", &e);
+            false
+        }
+    }
 }
 
-fn handle_submit(
-    shared: &Arc<Shared>,
-    tracker: &mut Tracker<'_>,
-    stream: &mut TcpStream,
-    body: &str,
-) {
+fn handle_submit(shared: &Arc<Shared>, body: &str) -> Reply {
     let checked = SvcRequest::parse(body).and_then(|r| {
         let report = r.preflight(shared.cfg.budget);
         if report.has_errors() {
@@ -910,19 +1005,15 @@ fn handle_submit(
         Ok(r) => r,
         Err(report) => {
             shared.stats.rejected.fetch_add(1, Ordering::SeqCst);
-            respond_tracked(tracker, stream, 400, "Bad Request", &report.to_json());
-            return;
+            return Reply::new(400, "Bad Request", report.to_json());
         }
     };
     if shared.shutdown.load(Ordering::SeqCst) {
-        respond_tracked(
-            tracker,
-            stream,
+        return Reply::new(
             503,
             "Service Unavailable",
-            &json_line(&[("error", Value::Str("daemon is draining".into()))]),
+            json_line(&[("error", Value::Str("daemon is draining".into()))]),
         );
-        return;
     }
     let cells = request.cells();
     let cell_count = cells.len();
@@ -934,15 +1025,14 @@ fn handle_submit(
         if jobs.queue.len() >= shared.cfg.queue_cap.max(1) {
             drop(jobs);
             shared.stats.requests_shed.fetch_add(1, Ordering::SeqCst);
-            respond_tracked_retry(
-                tracker,
-                stream,
-                429,
-                "Too Many Requests",
-                RETRY_AFTER_SECS,
-                &json_line(&[("error", Value::Str("job queue is at capacity".into()))]),
-            );
-            return;
+            return Reply {
+                retry_after: Some(RETRY_AFTER_SECS),
+                ..Reply::new(
+                    429,
+                    "Too Many Requests",
+                    json_line(&[("error", Value::Str("job queue is at capacity".into()))]),
+                )
+            };
         }
         let idx = jobs.table.len();
         let id = format!("job-{}", idx + 1);
@@ -960,30 +1050,21 @@ fn handle_submit(
         shared.jobs_cv.notify_all();
         id
     };
-    respond_tracked(
-        tracker,
-        stream,
+    Reply::new(
         202,
         "Accepted",
-        &json_line(&[
+        json_line(&[
             ("job", Value::Str(id)),
             ("cells", Value::U64(cell_count as u64)),
             ("state", Value::Str("queued".into())),
         ]),
-    );
+    )
 }
 
-fn handle_status(
-    shared: &Arc<Shared>,
-    tracker: &mut Tracker<'_>,
-    stream: &mut TcpStream,
-    id: &str,
-) {
+fn handle_status(shared: &Arc<Shared>, id: &str) -> Reply {
     let jobs = lock(&shared.jobs);
     let Some(slot) = jobs.slot(id) else {
-        drop(jobs);
-        respond_unknown_job(tracker, stream, id);
-        return;
+        return unknown_job(id);
     };
     let job = &jobs.table[slot];
     let body = json_line(&[
@@ -1000,31 +1081,26 @@ fn handle_status(
             Value::U64(job.stats.coalesced.load(Ordering::SeqCst)),
         ),
     ]);
-    drop(jobs);
-    respond_tracked(tracker, stream, 200, "OK", &body);
+    Reply::new(200, "OK", body)
 }
 
-fn respond_unknown_job(tracker: &mut Tracker<'_>, stream: &mut TcpStream, id: &str) {
-    respond_tracked(
-        tracker,
-        stream,
+fn unknown_job(id: &str) -> Reply {
+    Reply::new(
         404,
         "Not Found",
-        &json_line(&[("error", Value::Str(format!("unknown job {id:?}")))]),
-    );
+        json_line(&[("error", Value::Str(format!("unknown job {id:?}")))]),
+    )
 }
 
 /// Delivers a finished job's document once: the body moves out of the
 /// table under the lock and is written after it is dropped. An
 /// unfinished job is waited for, up to [`FETCH_WAIT`], on the condvar
 /// every finishing job notifies.
-fn handle_fetch(shared: &Arc<Shared>, tracker: &mut Tracker<'_>, stream: &mut TcpStream, id: &str) {
+fn handle_fetch(shared: &Arc<Shared>, id: &str) -> Reply {
     let give_up = Instant::now() + FETCH_WAIT;
     let mut jobs = lock(&shared.jobs);
     let Some(slot) = jobs.slot(id) else {
-        drop(jobs);
-        respond_unknown_job(tracker, stream, id);
-        return;
+        return unknown_job(id);
     };
     let (state, body, job) = loop {
         let job = &mut jobs.table[slot];
@@ -1039,13 +1115,10 @@ fn handle_fetch(shared: &Arc<Shared>, tracker: &mut Tracker<'_>, stream: &mut Tc
     let state_field = ("state", Value::Str(state.label().into()));
     match (state, body) {
         (JobState::Queued | JobState::Running, _) => {
-            let pending = json_line(&[("job", job), state_field]);
-            respond_tracked(tracker, stream, 202, "Accepted", &pending)
+            Reply::new(202, "Accepted", json_line(&[("job", job), state_field]))
         }
-        (JobState::Done, Some(body)) => respond_tracked(tracker, stream, 200, "OK", &body),
-        (JobState::Failed, Some(body)) => {
-            respond_tracked(tracker, stream, 500, "Internal Server Error", &body)
-        }
+        (JobState::Done, Some(body)) => Reply::new(200, "OK", body),
+        (JobState::Failed, Some(body)) => Reply::new(500, "Internal Server Error", body),
         (JobState::Done | JobState::Failed, None) => {
             // A client that lost the delivering response resubmits, and
             // every cell that finished is then a store hit.
@@ -1054,12 +1127,12 @@ fn handle_fetch(shared: &Arc<Shared>, tracker: &mut Tracker<'_>, stream: &mut Tc
                 state_field,
                 ("error", Value::Str("already fetched".into())),
             ]);
-            respond_tracked(tracker, stream, 410, "Gone", &gone)
+            Reply::new(410, "Gone", gone)
         }
     }
 }
 
-fn handle_shutdown(shared: &Arc<Shared>, tracker: &mut Tracker<'_>, stream: &mut TcpStream) {
+fn handle_shutdown(shared: &Arc<Shared>) -> Reply {
     shared.shutdown.store(true, Ordering::SeqCst);
     shared.jobs_cv.notify_all();
     // Drain: every queued job still runs to completion before the store
@@ -1090,10 +1163,7 @@ fn handle_shutdown(shared: &Arc<Shared>, tracker: &mut Tracker<'_>, stream: &mut
             ("error", Value::Str(e.to_string())),
         ]),
     };
-    respond_tracked(tracker, stream, 200, "OK", &body);
-    // Unblock the accept loop: it re-checks the shutdown flag per
-    // connection, so one wake-up connection to ourselves ends it.
-    TcpStream::connect(shared.self_addr).ok();
+    Reply::new(200, "OK", body)
 }
 
 #[cfg(test)]

@@ -1,9 +1,12 @@
 //! HTTP-lite wire framing over `std::net` — just enough of HTTP/1.1
-//! for `curl` to speak to the daemon: one request per connection, a
-//! `Content-Length`-framed JSON body each way, `Connection: close`.
-//! Hand-rolled on purpose: the workspace builds fully offline, so the
-//! wire layer uses nothing beyond the standard library and the
-//! in-tree serde_json shim.
+//! for `curl` to speak to the daemon: a `Content-Length`-framed JSON
+//! body each way, and persistent connections. A connection carries one
+//! exchange at a time, as many as both sides keep it for: every response
+//! says `Connection: keep-alive` or `Connection: close`, and a client
+//! sends its thread's next request to the same address on the last
+//! connection the daemon kept ([`roundtrip_with`]). Hand-rolled on
+//! purpose: the workspace builds fully offline, so the wire layer uses
+//! nothing beyond the standard library and the in-tree serde_json shim.
 //!
 //! A message — request or response, head and body — is formatted into
 //! one buffer and leaves through one `write_all` ([`send`]), the way
@@ -12,16 +15,21 @@
 //! peer's reader then wakes for a fragment.
 
 use bsim_check::proto::{svc_cached, Tracker, Violation};
+use std::cell::RefCell;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// A parsed request: method, path, and the (possibly empty) body.
+/// A parsed request: method, path, the (possibly empty) body, and
+/// whether it said `Connection: close`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Request {
     pub method: String,
     pub path: String,
     pub body: String,
+    /// The client closes after this exchange; the daemon answers
+    /// `Connection: close` and keeps nothing.
+    pub close: bool,
 }
 
 impl Request {
@@ -193,12 +201,20 @@ fn read_message(reader: &mut impl BufRead, max_body: usize) -> io::Result<Messag
     Ok((start, headers, body))
 }
 
+/// Whether a head's `Connection` header carries `token` (`close`,
+/// `keep-alive`), case-insensitively.
+fn connection_says(headers: &[(String, String)], token: &str) -> bool {
+    headers.iter().any(|(k, v)| {
+        k == "connection" && v.split(',').any(|t| t.trim().eq_ignore_ascii_case(token))
+    })
+}
+
 /// Reads one request from the stream: request line, headers (only
-/// `Content-Length` is interpreted), then exactly that many body bytes.
-/// A malformed head is `InvalidData` and an over-limit one
-/// `FileTooLarge`; the daemon answers those `400` / `413`.
+/// `Content-Length` and `Connection` are interpreted), then exactly that
+/// many body bytes. A malformed head is `InvalidData` and an over-limit
+/// one `FileTooLarge`; the daemon answers those `400` / `413`.
 pub(crate) fn read_request(reader: &mut impl BufRead) -> io::Result<Request> {
-    let (line, _, body) = read_message(reader, MAX_REQUEST_BODY)?;
+    let (line, headers, body) = read_message(reader, MAX_REQUEST_BODY)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| bad("empty request line"))?;
     let path = parts
@@ -208,6 +224,7 @@ pub(crate) fn read_request(reader: &mut impl BufRead) -> io::Result<Request> {
         method: method.to_string(),
         path: path.to_string(),
         body: String::from_utf8(body.unwrap_or_default()).map_err(|_| bad("body is not UTF-8"))?,
+        close: connection_says(&headers, "close"),
     })
 }
 
@@ -220,24 +237,29 @@ fn send(writer: &mut impl Write, head: String, body: &str) -> io::Result<()> {
     writer.flush()
 }
 
-/// Writes one response: status line, framing headers, JSON body.
+/// Writes one response: status line, framing headers, JSON body. `keep`
+/// is the daemon's decision, made before the write, to serve another
+/// request on this connection (`Connection: keep-alive`) or to close it
+/// after this response (`Connection: close`).
 pub(crate) fn write_response(
     writer: &mut impl Write,
     status: u16,
     reason: &str,
     body: &str,
+    keep: bool,
 ) -> io::Result<()> {
     let head = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
+         Content-Length: {}\r\nConnection: {}\r\n\r\n",
+        body.len(),
+        if keep { "keep-alive" } else { "close" }
     );
     send(writer, head, body)
 }
 
 /// Writes one shed response (`429`/`503`) carrying a `Retry-After`
 /// header, so clients under admission control know when to come back
-/// instead of hot-looping.
+/// instead of hot-looping. A shed connection is never kept.
 pub(crate) fn write_response_retry(
     writer: &mut impl Write,
     status: u16,
@@ -263,7 +285,7 @@ fn write_request(
 ) -> io::Result<()> {
     let head = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
+         Content-Length: {}\r\n\r\n",
         body.len()
     );
     send(writer, head, body)
@@ -280,7 +302,9 @@ pub type FullResponse = (u16, Vec<(String, String)>, String);
 /// response that carries body bytes without declaring `Content-Length`
 /// is rejected rather than silently reinterpreted — the daemon always
 /// frames, so an unframed non-empty body means the wire is not speaking
-/// this protocol.
+/// this protocol. An unframed response is empty only on a connection it
+/// says is closing: on a kept one, the bytes after it belong to no
+/// message yet, and waiting for its end would wait out the read timeout.
 pub fn read_response_full(reader: &mut impl BufRead) -> io::Result<FullResponse> {
     let (status_line, headers, body) = read_message(reader, MAX_RESPONSE_BODY)?;
     let status: u16 = status_line
@@ -290,6 +314,9 @@ pub fn read_response_full(reader: &mut impl BufRead) -> io::Result<FullResponse>
         .ok_or_else(|| bad(format!("bad status line {status_line:?}")))?;
     let body = match body {
         Some(body) => body,
+        None if !connection_says(&headers, "close") => {
+            return Err(bad("response without Content-Length on a kept connection"))
+        }
         None if reader.fill_buf()?.is_empty() => Vec::new(),
         None => return Err(bad("response body without Content-Length framing")),
     };
@@ -300,23 +327,44 @@ pub fn read_response_full(reader: &mut impl BufRead) -> io::Result<FullResponse>
     ))
 }
 
-/// Client side: one round trip — connect, send, read the framed
-/// response, under the default [`WireTimeouts`]. Returns
-/// `(status, body)`.
+/// Client side: one round trip under the default [`WireTimeouts`].
+/// Returns `(status, body)`.
 pub fn roundtrip(addr: &str, method: &str, path: &str, body: &str) -> io::Result<(u16, String)> {
     let (status, _, body) = roundtrip_with(addr, method, path, body, WireTimeouts::default())?;
     Ok((status, body))
 }
 
-/// Client side: one round trip — connect, send, read the framed
-/// response. Returns `(status, headers, body)`. The configured read
-/// *and* write timeouts keep a wedged daemon from hanging the client
-/// forever (the pre-guard wire had only a hardcoded 120 s read side).
+/// A connection the daemon said it keeps, its tracker in `connect`.
+struct Kept {
+    addr: String,
+    timeouts: WireTimeouts,
+    reader: BufReader<TcpStream>,
+    tracker: Tracker<'static>,
+}
+
+thread_local! {
+    /// This thread's last kept connection: its next round trip to the
+    /// same address goes out on it.
+    static KEPT: RefCell<Option<Kept>> = const { RefCell::new(None) };
+}
+
+/// Client side: one round trip — send, read the framed response.
+/// Returns `(status, headers, body)`. The configured read *and* write
+/// timeouts keep a wedged daemon from hanging the client forever (the
+/// pre-guard wire had only a hardcoded 120 s read side).
 ///
-/// The exchange drives the `client` role of the PV-checked protocol
-/// table: the request classification and the response handling are both
-/// table transitions, so a client move the model does not allow fails
-/// here as a typed error instead of silently diverging from the model.
+/// The request goes out on this thread's kept connection when it leads
+/// to `addr`, and on a new one otherwise. A kept connection the daemon
+/// closed between exchanges — it closes one only before reading a byte
+/// of the next request — fails before the first byte of a response, and
+/// the request is then sent once more on a new connection, which repeats
+/// no work. A response torn after its first byte is an error.
+///
+/// Each connection drives the `client` role of the PV-checked protocol
+/// table through one tracker: the request classification and the
+/// response handling are both table transitions, so a client move the
+/// model does not allow fails here as a typed error instead of silently
+/// diverging from the model.
 pub fn roundtrip_with(
     addr: &str,
     method: &str,
@@ -324,9 +372,6 @@ pub fn roundtrip_with(
     body: &str,
     timeouts: WireTimeouts,
 ) -> io::Result<FullResponse> {
-    let mut tracker = Tracker::new(svc_cached(), "client").ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidData, "svc table lacks a client role")
-    })?;
     let tag = match classify(method, path) {
         "Submit" => "submit",
         "Status" => "status",
@@ -335,28 +380,97 @@ pub fn roundtrip_with(
         "Shutdown" => "shutdown",
         _ => "bad",
     };
-    tracker.local(tag).map_err(drift)?;
-    let mut stream = TcpStream::connect(addr)?;
+    if let Some(mut conn) = KEPT.take().filter(|k| k.addr == addr) {
+        if conn.timeouts != timeouts {
+            timeouts.apply(conn.reader.get_ref())?;
+            conn.timeouts = timeouts;
+        }
+        match exchange(conn, tag, method, path, body) {
+            Err((e, true)) if closed_while_idle(&e) => {}
+            done => return done.map_err(|(e, _)| e),
+        }
+    }
+    let stream = TcpStream::connect(addr)?;
     timeouts.apply(&stream)?;
-    write_request(&mut stream, addr, method, path, body)?;
-    match read_response_full(&mut BufReader::new(stream)) {
+    let tracker = Tracker::new(svc_cached(), "client").ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidData, "svc table lacks a client role")
+    })?;
+    let conn = Kept {
+        addr: addr.to_string(),
+        timeouts,
+        reader: BufReader::new(stream),
+        tracker,
+    };
+    exchange(conn, tag, method, path, body).map_err(|(e, _)| e)
+}
+
+/// The errors a kept connection fails with when the daemon closed it
+/// between exchanges.
+fn closed_while_idle(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::UnexpectedEof
+            | io::ErrorKind::BrokenPipe
+            | io::ErrorKind::ConnectionReset
+            | io::ErrorKind::ConnectionAborted
+    )
+}
+
+/// One exchange on `conn`, which becomes this thread's kept connection
+/// when the response says `keep-alive`. An error carries whether it came
+/// before the first byte of the response.
+fn exchange(
+    mut conn: Kept,
+    tag: &str,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> Result<FullResponse, (io::Error, bool)> {
+    conn.tracker.local(tag).map_err(|v| (drift(v), false))?;
+    let response = send_and_await(&mut conn.reader, &conn.addr, method, path, body)
+        .map_err(|e| (e, true))
+        .and_then(|()| read_response_full(&mut conn.reader).map_err(|e| (e, false)));
+    match response {
         Ok((status, headers, body)) => {
-            tracker.recv(response_event(status)).map_err(drift)?;
-            debug_assert!(tracker.is_terminal());
+            conn.tracker
+                .recv(response_event(status))
+                .map_err(|v| (drift(v), false))?;
+            if connection_says(&headers, "keep-alive") {
+                KEPT.set(Some(conn));
+            } else {
+                let closed = conn.tracker.local("close");
+                debug_assert!(closed.is_ok(), "{closed:?}");
+            }
             Ok((status, headers, body))
         }
-        Err(e) => {
+        Err((e, before)) => {
             // Peer loss: clean EOF between frames vs anything torn. Both
             // are table transitions to `lost`; surface the io error.
             let stepped = if e.kind() == io::ErrorKind::UnexpectedEof {
-                tracker.eof()
+                conn.tracker.eof()
             } else {
-                tracker.torn()
+                conn.tracker.torn()
             };
             debug_assert!(stepped.is_ok(), "{stepped:?}");
-            Err(e)
+            Err((e, before))
         }
     }
+}
+
+/// Sends one request and waits for the first byte of its response; a
+/// connection that ends first is `UnexpectedEof`.
+fn send_and_await(
+    reader: &mut BufReader<TcpStream>,
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> io::Result<()> {
+    write_request(reader.get_mut(), addr, method, path, body)?;
+    if reader.fill_buf()?.is_empty() {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -428,7 +542,7 @@ mod tests {
 
     #[test]
     fn unframed_nonempty_response_body_is_an_error() {
-        let wire = "HTTP/1.1 200 OK\r\n\r\n{\"ok\":true}";
+        let wire = "HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n{\"ok\":true}";
         let err = read_response_full(&mut Cursor::new(wire.as_bytes())).unwrap_err();
         assert!(err.to_string().contains("without Content-Length"), "{err}");
     }
@@ -436,20 +550,122 @@ mod tests {
     #[test]
     fn unframed_empty_response_is_fine() {
         // A bodyless response (our 404s before a body was added, plain
-        // probes) needs no framing header.
-        let wire = "HTTP/1.1 204 No Content\r\n\r\n";
+        // probes) needs no framing header when the connection ends with it.
+        let wire = "HTTP/1.1 204 No Content\r\nConnection: close\r\n\r\n";
         let (status, _, body) = read_response_full(&mut Cursor::new(wire.as_bytes())).unwrap();
         assert_eq!(status, 204);
         assert_eq!(body, "");
     }
 
     #[test]
+    fn unframed_response_on_a_kept_connection_is_an_error() {
+        // On a kept connection nothing says where an unframed response
+        // ends: a typed error at once, not a wait for an EOF that never
+        // comes.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut server = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (client, _) = listener.accept().unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        server
+            .write_all(b"HTTP/1.1 204 No Content\r\nConnection: keep-alive\r\n\r\n")
+            .unwrap();
+        let err = read_response_full(&mut BufReader::new(client)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("kept connection"), "{err}");
+    }
+
+    #[test]
     fn framed_response_roundtrips() {
         let mut out = Vec::new();
-        write_response(&mut out, 200, "OK", "{\"job\":\"job-1\"}").unwrap();
-        let (status, _, body) = read_response_full(&mut Cursor::new(&out[..])).unwrap();
+        write_response(&mut out, 200, "OK", "{\"job\":\"job-1\"}", true).unwrap();
+        let (status, headers, body) = read_response_full(&mut Cursor::new(&out[..])).unwrap();
         assert_eq!(status, 200);
+        assert!(connection_says(&headers, "keep-alive"), "{headers:?}");
         assert_eq!(body, "{\"job\":\"job-1\"}");
+    }
+
+    /// A `GET /metrics` that gives up after 5 s rather than 120.
+    fn get(addr: &str) -> io::Result<FullResponse> {
+        let five = Duration::from_secs(5);
+        roundtrip_with(
+            addr,
+            "GET",
+            "/metrics",
+            "",
+            WireTimeouts {
+                read: five,
+                write: five,
+            },
+        )
+    }
+
+    /// Accepts one connection on `listener`, and on it reads one request
+    /// per answer and writes that answer; then drops the connection. A
+    /// client that never connects or never sends fails it within 10 s
+    /// rather than hanging the test.
+    fn serve_one(listener: &std::net::TcpListener, answers: &[&[u8]]) {
+        let patience = Duration::from_secs(10);
+        let deadline = std::time::Instant::now() + patience;
+        listener.set_nonblocking(true).unwrap();
+        let stream = loop {
+            match listener.accept() {
+                Ok((stream, _)) => break stream,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    assert!(std::time::Instant::now() < deadline, "no connection");
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Err(e) => panic!("{e}"),
+            }
+        };
+        stream.set_nonblocking(false).unwrap();
+        stream.set_read_timeout(Some(patience)).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        for answer in answers {
+            read_request(&mut reader).unwrap();
+            reader.get_mut().write_all(answer).unwrap();
+        }
+    }
+
+    const KEEP_ALIVE_OK: &[u8] =
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: keep-alive\r\n\r\n{}";
+
+    #[test]
+    fn a_response_torn_on_a_kept_connection_is_an_error_and_not_resent() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::scope(|s| {
+            s.spawn(|| serve_one(&listener, &[KEEP_ALIVE_OK, b"HTTP/1.1 2"]));
+            assert_eq!(get(&addr).unwrap().2, "{}");
+            // The second request goes out on the kept connection, and half
+            // a status line comes back: the daemon read it, so sending it
+            // again could repeat its work.
+            let err = get(&addr).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        });
+        listener.set_nonblocking(true).unwrap();
+        assert!(listener.accept().is_err(), "the request was sent again");
+    }
+
+    #[test]
+    fn a_kept_connection_closed_before_the_next_request_is_resent_once() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Keep-alive, then a close before the next request is read.
+                serve_one(&listener, &[KEEP_ALIVE_OK]);
+                serve_one(
+                    &listener,
+                    &[b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\nConnection: close\r\n\r\n2"],
+                );
+            });
+            assert_eq!(get(&addr).unwrap().2, "{}");
+            assert_eq!(get(&addr).unwrap().2, "2");
+        });
+        // A `close` answer leaves nothing kept.
+        assert!(KEPT.with_borrow(Option::is_none));
     }
 
     #[test]
@@ -522,18 +738,20 @@ mod tests {
     #[test]
     fn every_message_is_one_write() {
         let body = "{\"cells\":[1,2,3]}".repeat(4000);
-        let mut w = CountingWriter::default();
-        write_response(&mut w, 200, "OK", &body).unwrap();
-        assert_eq!(w.writes, 1, "response");
-        assert_eq!(
-            w.bytes,
-            format!(
-                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
-                 Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                body.len()
-            )
-            .into_bytes()
-        );
+        for (keep, connection) in [(true, "keep-alive"), (false, "close")] {
+            let mut w = CountingWriter::default();
+            write_response(&mut w, 200, "OK", &body, keep).unwrap();
+            assert_eq!(w.writes, 1, "response");
+            assert_eq!(
+                w.bytes,
+                format!(
+                    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                     Content-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
+                    body.len()
+                )
+                .into_bytes()
+            );
+        }
 
         let mut w = CountingWriter::default();
         write_response_retry(&mut w, 429, "Too Many Requests", 1, "{}").unwrap();
@@ -551,7 +769,7 @@ mod tests {
             w.bytes,
             format!(
                 "POST /submit HTTP/1.1\r\nHost: 127.0.0.1:9\r\nContent-Type: application/json\r\n\
-                 Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                 Content-Length: {}\r\n\r\n{body}",
                 body.len()
             )
             .into_bytes()
@@ -563,15 +781,23 @@ mod tests {
             ("POST", "/submit")
         );
         assert_eq!(req.body, body);
+        assert!(!req.close, "a client request leaves the connection open");
+        let closing = "GET /metrics HTTP/1.1\r\nConnection: Close\r\n\r\n";
+        assert!(
+            read_request(&mut Cursor::new(closing.as_bytes()))
+                .unwrap()
+                .close
+        );
     }
 
     #[test]
     fn response_carries_exact_framing() {
         let mut out = Vec::new();
-        write_response(&mut out, 202, "Accepted", "{\"job\":\"job-1\"}").unwrap();
+        write_response(&mut out, 202, "Accepted", "{\"job\":\"job-1\"}", true).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 202 Accepted\r\n"), "{text}");
         assert!(text.contains("Content-Length: 15\r\n"), "{text}");
+        assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\n{\"job\":\"job-1\"}"), "{text}");
     }
 }

@@ -31,9 +31,11 @@
 //! are sampled with the client's. A pass is `WARM_REQUESTS` warm
 //! `client::submit` → `client::wait` round trips, each body in turn, every
 //! response checked byte for byte against its prewarm response; the host
-//! µs per round trip go to stderr. None of them simulates: a pass is the
-//! warm path alone, request parse and preflight, cell keys, store reads,
-//! the spliced response and the wire.
+//! µs per round trip go to stderr, and so do the connections the daemon
+//! accepted per round trip (`host.guard.conns.accepted`: 0.00 when every
+//! round trip rides the client's kept connection). None of them
+//! simulates: a pass is the warm path alone, request parse and preflight,
+//! cell keys, store reads, the spliced response and the wire.
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sampler {
@@ -163,6 +165,19 @@ fn main() {
     // Host seconds over every `svc-mixed` round trip, and its daemon.
     let round_trips = Cell::new(0.0);
     let mut daemon: Option<Daemon> = None;
+    // The daemon's `host.guard.conns.accepted`, read over the client's
+    // connection as every round trip is.
+    let accepted = |addr: &str| -> u64 {
+        let (_, metrics) = client::metrics(addr).expect("metrics");
+        let name = "\"host.guard.conns.accepted\": ";
+        let at = metrics.find(name).expect("the counter is exported") + name.len();
+        let digits: String = metrics[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().expect("a count")
+    };
+    let accepted_before_passes = Cell::new(0);
     let pass: Box<dyn Fn() + '_> = match args.first().map(String::as_str) {
         Some("micro-isa") => Box::new(|| {
             for kernel in microbench::evaluated().iter().filter(|k| k.name != "MM_st") {
@@ -241,6 +256,7 @@ fn main() {
                     (body, response)
                 })
                 .collect();
+            accepted_before_passes.set(accepted(&addr));
             let round_trips = &round_trips;
             Box::new(move || {
                 let start = Instant::now();
@@ -264,11 +280,17 @@ fn main() {
     sampler::stop_and_report();
     if let Some(daemon) = daemon {
         let addr = daemon.addr();
+        let opened = accepted(&addr) - accepted_before_passes.get();
         client::shutdown(&addr).expect("shutdown");
         daemon.join();
+        let round_trips_made = (passes * WARM_REQUESTS) as f64;
         eprintln!(
             "host µs per warm round trip: {:.1}",
-            round_trips.get() / (passes * WARM_REQUESTS) as f64 * 1e6
+            round_trips.get() / round_trips_made * 1e6
+        );
+        eprintln!(
+            "connections accepted per warm round trip: {:.2}",
+            opened as f64 / round_trips_made
         );
     }
     if replays.get() > 0.0 {

@@ -8,11 +8,13 @@ use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use silicon_bridge::svc::daemon::FETCH_WAIT;
 use silicon_bridge::svc::{client, proto, Daemon, DaemonConfig, ResultStore, COUNTERS};
 
 const SWEEP: &str = r#"{"kind":"sweep","platforms":["Rocket 1"],"kernels":["EM5","STc"]}"#;
+const ONE_CELL: &str = r#"{"kind":"sweep","platforms":["Rocket 1"],"kernels":["Cca"],"scale":1}"#;
 
 fn ephemeral_daemon(cfg: DaemonConfig) -> Daemon {
     let (daemon, report) = Daemon::spawn(cfg).expect("bind ephemeral port");
@@ -29,8 +31,8 @@ fn submit_and_wait(addr: &str, body: &str) -> (String, String) {
     (job, result)
 }
 
-/// `host.guard.conns.accepted`, counting the `/metrics` connection that
-/// reads it.
+/// `host.guard.conns.accepted`, read over this thread's kept connection
+/// (a new one, and counted, if it has none).
 fn accepted(addr: &str) -> u64 {
     let (_, metrics) = client::metrics(addr).unwrap();
     let name = "\"host.guard.conns.accepted\": ";
@@ -64,9 +66,10 @@ fn second_request_is_cache_served_byte_identical() {
         first, second,
         "cache-served response must be byte-identical"
     );
-    // A warm request is two connections, a submit and one fetch that the
-    // daemon holds until the job is done; the third is the /metrics read.
-    assert_eq!(accepted(&addr) - accepted_before, 3);
+    // A warm request is a submit and one fetch that the daemon holds
+    // until the job is done, both on the connection the first request
+    // left open, as is the /metrics read: no new connection at all.
+    assert_eq!(accepted(&addr) - accepted_before, 0);
     assert!(first.contains("\"schema\": \"bsim-bench-v1\""), "{first}");
 
     // Zero re-simulated cells on the second request.
@@ -91,6 +94,83 @@ fn second_request_is_cache_served_byte_identical() {
     );
     assert!(metrics.contains("\"host.svc.cells.total\": 4"), "{metrics}");
 
+    client::shutdown(&addr).unwrap();
+    daemon.join();
+}
+
+/// One pool thread, held by client A's idle kept connection: client B,
+/// on another thread, is still answered once the idle bound
+/// (`FETCH_WAIT`) has passed, not after the 120 s read timeout, and A's
+/// next call goes out on a new connection.
+#[test]
+fn an_idle_kept_connection_yields_the_only_pool_thread_within_fetch_wait() {
+    let daemon = ephemeral_daemon(DaemonConfig {
+        conn_workers: 1,
+        ..DaemonConfig::default()
+    });
+    let addr = daemon.addr();
+    assert_eq!(client::metrics(&addr).unwrap().0, 200);
+    let idle_since = Instant::now();
+    let answered = std::thread::scope(|s| {
+        s.spawn(|| {
+            assert_eq!(client::metrics(&addr).unwrap().0, 200);
+            idle_since.elapsed()
+        })
+        .join()
+        .unwrap()
+    });
+    assert!(
+        answered < FETCH_WAIT + Duration::from_millis(500),
+        "B waited {answered:?}"
+    );
+    assert_eq!(client::metrics(&addr).unwrap().0, 200);
+    client::shutdown(&addr).unwrap();
+    daemon.join();
+}
+
+/// A request that says `Connection: close` is answered `Connection:
+/// close`, and the daemon then closes the socket.
+#[test]
+fn a_request_that_says_close_is_answered_close_and_closed() {
+    let daemon = ephemeral_daemon(DaemonConfig::default());
+    let addr = daemon.addr();
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    let (status, headers, _) = proto::read_response_full(&mut reader).unwrap();
+    assert_eq!(status, 200);
+    assert!(
+        headers
+            .iter()
+            .any(|(k, v)| k == "connection" && v == "close"),
+        "{headers:?}"
+    );
+    assert!(
+        reader.fill_buf().unwrap().is_empty(),
+        "the socket reads EOF"
+    );
+    client::shutdown(&addr).unwrap();
+    daemon.join();
+}
+
+/// A kept connection left idle past `FETCH_WAIT` is closed by the
+/// daemon; the next call finds it closed before sending anything the
+/// daemon read, and goes out once more on one new connection.
+#[test]
+fn a_call_after_the_daemon_idle_closed_its_connection_reconnects_once() {
+    let daemon = ephemeral_daemon(DaemonConfig::default());
+    let addr = daemon.addr();
+    let (job, _) = submit_and_wait(&addr, ONE_CELL);
+    let before = accepted(&addr);
+    std::thread::sleep(FETCH_WAIT + Duration::from_millis(300));
+    let (status, body) = client::status(&addr, &job).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(accepted(&addr), before + 1);
     client::shutdown(&addr).unwrap();
     daemon.join();
 }
