@@ -1,16 +1,17 @@
 //! bsim-guard data integrity: [`crc32`], the IEEE CRC32 the dist frame
 //! header and the result store both stamp over their payloads. It reads
-//! eight bytes a step (slice-by-8: eight 256-entry tables, built at
-//! compile time), so re-verifying every stored entry on every read stays
-//! cheap; the value is the byte-at-a-time CRC's, bit for bit.
+//! sixteen bytes a step (slice-by-16: sixteen 256-entry tables, built at
+//! compile time), so re-verifying every stored entry and every served
+//! fragment on every read stays cheap; the value is the byte-at-a-time
+//! CRC's, bit for bit.
 
 /// The reflected IEEE CRC32 polynomial (zlib/Ethernet/PNG).
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
 /// `TABLES[0]` is the byte-at-a-time table; `TABLES[k][b]` is the CRC
 /// contribution of byte `b` followed by `k` zero bytes.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -27,7 +28,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[k - 1][i];
@@ -39,29 +40,40 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 /// IEEE CRC32 of `bytes` (the zlib `crc32` everyone can cross-check).
 ///
-/// Used as the frame-payload checksum on the dist wire and the
-/// entry checksum in the svc result store: cheap enough to run on every
-/// frame, and strong enough that a single flipped bit anywhere in the
+/// Used as the frame-payload checksum on the dist wire, the entry
+/// checksum in the svc result store and the checksum of the daemon's
+/// served fragments: cheap enough to run on every frame and every read,
+/// and strong enough that a single flipped bit anywhere in the
 /// payload is always detected.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut crc = !0u32;
-    let mut chunks = bytes.chunks_exact(8);
+    let mut chunks = bytes.chunks_exact(16);
     for chunk in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        let word = |at: usize| {
+            u32::from_le_bytes([chunk[at], chunk[at + 1], chunk[at + 2], chunk[at + 3]])
+        };
+        let (a, b, c, d) = (crc ^ word(0), word(4), word(8), word(12));
+        crc = t[15][(a & 0xFF) as usize]
+            ^ t[14][((a >> 8) & 0xFF) as usize]
+            ^ t[13][((a >> 16) & 0xFF) as usize]
+            ^ t[12][(a >> 24) as usize]
+            ^ t[11][(b & 0xFF) as usize]
+            ^ t[10][((b >> 8) & 0xFF) as usize]
+            ^ t[9][((b >> 16) & 0xFF) as usize]
+            ^ t[8][(b >> 24) as usize]
+            ^ t[7][(c & 0xFF) as usize]
+            ^ t[6][((c >> 8) & 0xFF) as usize]
+            ^ t[5][((c >> 16) & 0xFF) as usize]
+            ^ t[4][(c >> 24) as usize]
+            ^ t[3][(d & 0xFF) as usize]
+            ^ t[2][((d >> 8) & 0xFF) as usize]
+            ^ t[1][((d >> 16) & 0xFF) as usize]
+            ^ t[0][(d >> 24) as usize];
     }
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
@@ -119,13 +131,13 @@ mod tests {
         }
     }
 
-    /// Every length around the 8-byte step, at every alignment of the
-    /// slice, and one long buffer: slice-by-8 equals the byte loop.
+    /// Every length around the 16-byte step, at every alignment of the
+    /// slice, and one long buffer: slice-by-16 equals the byte loop.
     #[test]
     fn crc32_equals_the_bytewise_reference() {
-        let buf = seeded(72 + 8, 0x5EED);
-        for start in 0..8 {
-            for len in 0..=72 {
+        let buf = seeded(144 + 16, 0x5EED);
+        for start in 0..16 {
+            for len in 0..=144 {
                 let bytes = &buf[start..start + len];
                 assert_eq!(
                     crc32(bytes),

@@ -29,11 +29,21 @@
 //!
 //! Nothing on the all-hit path builds a tree, and nothing is done per
 //! platform: each catalog platform is resolved, preflighted and keyed
-//! (its `bsim_dist::key` prefix hash) once per process, each cell is one
-//! indexed read, re-verified by a slice-by-8 CRC32, that shares the
-//! store's allocation, the response is
-//! those bytes re-indented into the document (`render_body`,
-//! `crate::splice`), and it leaves in one write ([`crate::proto`]). A
+//! (its `bsim_dist::key` prefix hash) once per process, and each cell is
+//! one indexed read, re-verified by CRC32, that shares the store's
+//! allocation. Nor is a cell re-indented per request: the daemon keeps
+//! each served cell's *fragment* — its result re-indented into the
+//! document (`crate::splice`) — beside its store entry, under the same
+//! lock, so the response is the skeleton with those fragments copied in
+//! (`render_body`), and it leaves in one write ([`crate::proto`]). A
+//! fragment is served only if it was rendered from the very allocation
+//! the store read just verified and its own bytes still match the CRC32
+//! taken when it was rendered; otherwise it is re-rendered from the
+//! verified bytes (`host.svc.cache.reindented` counts those renders).
+//! So a flipped byte in either copy is never served. The fragments are
+//! bounded by the store: at most one per key, replaced only when its
+//! source bytes are, never evicted, and only for cells this process has
+//! served — about 1.7× their compact bytes. A
 //! job is found by the table slot its id encodes, and its cells are
 //! moved into the worker that runs it; the table keeps their count. The
 //! finished document moves, in turn, to the one fetch that delivers it:
@@ -83,10 +93,11 @@ use bsim_check::proto::Tracker;
 use bsim_check::Report;
 use bsim_core::{run_grid_resilient, CellOutcome, Parallelism};
 use bsim_dist::key::{json_str, STORE_SCHEMA};
+use bsim_resilience::guard::crc32;
 use bsim_resilience::store::{canonical, ResultStore};
 use bsim_telemetry::CounterBlock;
 use serde::Value;
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -132,7 +143,7 @@ fn log_conn(context: &str, err: &io::Error) {
 /// Every counter `/metrics` exports. CI and the lifecycle tests assert
 /// each of these appears in the JSON export, so a renamed counter is a
 /// loud failure, not a silently vanished metric.
-pub const COUNTERS: [&str; 18] = [
+pub const COUNTERS: [&str; 19] = [
     "host.svc.requests.submitted",
     "host.svc.requests.rejected",
     "host.svc.requests.completed",
@@ -144,6 +155,7 @@ pub const COUNTERS: [&str; 18] = [
     "host.svc.cache.hits",
     "host.svc.cache.coalesced",
     "host.svc.cache.entries",
+    "host.svc.cache.reindented",
     "host.svc.rate.cells_per_sec",
     "host.guard.conns.accepted",
     "host.guard.conns.peak",
@@ -321,12 +333,89 @@ struct Stats {
     store_quarantined: AtomicU64,
 }
 
+/// A served cell's fragment: its result re-indented into the document,
+/// the store bytes it was rendered from, and the CRC32 of the fragment
+/// taken when it was rendered.
+struct Served {
+    source: Arc<str>,
+    crc: u32,
+    text: Arc<str>,
+}
+
+/// The result store and the fragments served from it, under one lock.
+struct Store {
+    results: ResultStore,
+    served: HashMap<String, Served>,
+    /// Fragments rendered, i.e. fragment misses
+    /// (`host.svc.cache.reindented`).
+    reindented: u64,
+}
+
+impl Store {
+    fn new(results: ResultStore) -> Store {
+        Store {
+            results,
+            served: HashMap::new(),
+            reindented: 0,
+        }
+    }
+
+    /// The fragment of `key`'s stored result, or `None` on a store miss:
+    /// the read re-verifies the store's bytes, and [`Store::serve`] the
+    /// fragment against them.
+    fn fragment(&mut self, key: &str) -> Option<Arc<str>> {
+        let bytes = self.results.get_bytes(key)?;
+        Some(self.serve(key, bytes))
+    }
+
+    /// Stores a simulated cell's canonical bytes and returns its fragment.
+    fn put(&mut self, key: &str, bytes: Arc<str>) -> Arc<str> {
+        self.results.put_bytes(key, Arc::clone(&bytes));
+        self.serve(key, bytes)
+    }
+
+    /// The fragment of `bytes`, the result stored under `key` as a read
+    /// just verified or a put just stored it: the kept one if it was
+    /// rendered from this very allocation and still matches its CRC32,
+    /// else a fresh rendering that replaces it.
+    fn serve(&mut self, key: &str, bytes: Arc<str>) -> Arc<str> {
+        if let Some(kept) = self.served.get(key) {
+            if Arc::ptr_eq(&kept.source, &bytes) && crc32(kept.text.as_bytes()) == kept.crc {
+                return Arc::clone(&kept.text);
+            }
+        }
+        // Indentation roughly doubles a compact rendering.
+        let mut text = String::with_capacity(2 * bytes.len());
+        reindent(&mut text, &bytes, 3);
+        let text: Arc<str> = text.into();
+        self.reindented += 1;
+        let served = Served {
+            source: bytes,
+            crc: crc32(text.as_bytes()),
+            text: Arc::clone(&text),
+        };
+        self.served.insert(key.to_string(), served);
+        text
+    }
+
+    /// Number of stored results (the `host.svc.cache.entries` gauge).
+    fn len(&self) -> usize {
+        self.results.len()
+    }
+
+    /// [`ResultStore::flip_resident_bit`], for the tests.
+    #[cfg(test)]
+    fn flip_resident_bit(&mut self, key: &str) {
+        self.results.flip_resident_bit(key);
+    }
+}
+
 struct Shared {
     cfg: DaemonConfig,
     self_addr: SocketAddr,
     jobs: Mutex<Jobs>,
     jobs_cv: Condvar,
-    store: Mutex<ResultStore>,
+    store: Mutex<Store>,
     inflight: Mutex<HashSet<String>>,
     inflight_cv: Condvar,
     /// Accepted-but-unserved connections, bounded at `conn_backlog`.
@@ -375,7 +464,7 @@ impl Daemon {
             self_addr: addr,
             jobs: Mutex::new(Jobs::default()),
             jobs_cv: Condvar::new(),
-            store: Mutex::new(store),
+            store: Mutex::new(Store::new(store)),
             inflight: Mutex::new(HashSet::new()),
             inflight_cv: Condvar::new(),
             conns: Mutex::new(VecDeque::new()),
@@ -668,15 +757,15 @@ impl Drop for Claim<'_> {
     }
 }
 
-/// Runs or looks up one cell and returns its canonical result bytes —
-/// on a hit the store's own allocation, CRC-verified by the read that
-/// returned it; on a miss the bytes just stored.
+/// Runs or looks up one cell and returns its served fragment — on a hit
+/// the one kept for the bytes the store's read just verified
+/// ([`Store::fragment`]); on a miss that of the bytes just stored.
 fn exec_cell(shared: &Shared, job: &JobStats, cell: &Cell, deadline: Option<Instant>) -> Arc<str> {
     shared.stats.cells_total.fetch_add(1, Ordering::SeqCst);
-    let hit = |bytes: Arc<str>| {
+    let hit = |fragment: Arc<str>| {
         shared.stats.cache_hits.fetch_add(1, Ordering::SeqCst);
         job.hits.fetch_add(1, Ordering::SeqCst);
-        bytes
+        fragment
     };
     let mut counted_wait = false;
     loop {
@@ -688,16 +777,16 @@ fn exec_cell(shared: &Shared, job: &JobStats, cell: &Cell, deadline: Option<Inst
             shared.stats.deadline_expired.fetch_add(1, Ordering::SeqCst);
             panic!("request deadline exceeded");
         }
-        if let Some(bytes) = lock(&shared.store).get_bytes(&cell.key) {
-            return hit(bytes);
+        if let Some(fragment) = lock(&shared.store).fragment(&cell.key) {
+            return hit(fragment);
         }
         let mut inflight = lock(&shared.inflight);
         if !inflight.contains(&cell.key) {
             // Re-check under the claim lock: a racing winner stores its
             // bytes *before* releasing its claim, so "no claim" +
             // "store miss" here proves nobody has simulated this key.
-            if let Some(bytes) = lock(&shared.store).get_bytes(&cell.key) {
-                return hit(bytes);
+            if let Some(fragment) = lock(&shared.store).fragment(&cell.key) {
+                return hit(fragment);
             }
             inflight.insert(cell.key.clone());
             break;
@@ -719,39 +808,38 @@ fn exec_cell(shared: &Shared, job: &JobStats, cell: &Cell, deadline: Option<Inst
         .spec
         .run(shared.cfg.par)
         .unwrap_or_else(|e| panic!("cell {}: {e}", cell.label));
-    let bytes: Arc<str> = canonical(&tree).into();
-    lock(&shared.store).put_bytes(&cell.key, Arc::clone(&bytes));
+    let fragment = lock(&shared.store).put(&cell.key, canonical(&tree).into());
     shared.stats.cells_simulated.fetch_add(1, Ordering::SeqCst);
     job.simulated.fetch_add(1, Ordering::SeqCst);
     drop(claim);
-    bytes
+    fragment
 }
 
 /// The result document: schema header plus one entry per cell, in
 /// request order — `{"schema", "cells": [{"key", "label", "result"}]}`
-/// as the pretty renderer prints it. Each result is spliced in from the
-/// canonical bytes [`exec_cell`] returned (re-indented, never parsed),
-/// so a cache-served response is byte-identical to the simulated one
-/// and carries the bytes the store verified.
+/// as the pretty renderer prints it. This writes the skeleton only and
+/// copies in each cell's fragment as [`exec_cell`] returned it (its
+/// stored bytes re-indented once, never parsed), so a cache-served
+/// response is byte-identical to the simulated one and carries the bytes
+/// the store verified.
 fn render_body(cells: &[Cell], outcomes: &[CellOutcome<Arc<str>>]) -> String {
-    let results: Vec<&str> = outcomes
+    let fragments: Vec<&str> = outcomes
         .iter()
         .map(|o| &**o.value().expect("render_body needs all_ok")) // bsim: allow(AU002) invariant stated in the message
         .collect();
-    // Indentation roughly doubles a compact rendering.
-    let compact: usize = results.iter().map(|r| r.len()).sum();
-    let mut out = String::with_capacity(2 * compact + 128 * cells.len() + 64);
+    let served: usize = fragments.iter().map(|f| f.len()).sum();
+    let mut out = String::with_capacity(served + 128 * cells.len() + 64);
     out.push_str("{\n  \"schema\": ");
     out.push_str(&json_str(STORE_SCHEMA));
     out.push_str(",\n  \"cells\": [");
-    for (i, (cell, result)) in cells.iter().zip(results).enumerate() {
+    for (i, (cell, fragment)) in cells.iter().zip(fragments).enumerate() {
         out.push_str(if i == 0 { "\n    {" } else { ",\n    {" });
         out.push_str("\n      \"key\": ");
         out.push_str(&json_str(&cell.key));
         out.push_str(",\n      \"label\": ");
         out.push_str(&json_str(&cell.label));
         out.push_str(",\n      \"result\": ");
-        reindent(&mut out, result, 3);
+        out.push_str(fragment);
         out.push_str("\n    }");
     }
     out.push_str(if cells.is_empty() { "]\n}" } else { "\n  ]\n}" });
@@ -802,7 +890,11 @@ fn metrics_json(shared: &Shared) -> String {
     block.set_named("host.svc.cells.simulated", get(&s.cells_simulated));
     block.set_named("host.svc.cache.hits", get(&s.cache_hits));
     block.set_named("host.svc.cache.coalesced", get(&s.coalesced));
-    block.set_named("host.svc.cache.entries", lock(&shared.store).len() as u64);
+    {
+        let store = lock(&shared.store);
+        block.set_named("host.svc.cache.entries", store.len() as u64);
+        block.set_named("host.svc.cache.reindented", store.reindented);
+    }
     let ms = shared.started.elapsed().as_millis().max(1) as u64;
     block.set_named(
         "host.svc.rate.cells_per_sec",
@@ -1150,7 +1242,7 @@ fn handle_shutdown(shared: &Arc<Shared>) -> Reply {
     }
     let (entries, flushed) = {
         let store = lock(&shared.store);
-        (store.len() as u64, store.flush())
+        (store.len() as u64, store.results.flush())
     };
     let body = match flushed {
         Ok(bytes) => json_line(&[
@@ -1294,6 +1386,55 @@ mod tests {
     }
 
     #[test]
+    fn a_flipped_fragment_byte_is_re_rendered_and_never_served() {
+        let submit = "{\"kind\":\"sweep\",\"platforms\":[\"Rocket 1\"],\
+                      \"kernels\":[\"Cca\"],\"scale\":1}";
+        let d = daemon();
+        let simulated = || d.shared.stats.cells_simulated.load(Ordering::SeqCst);
+        let reindented = || lock(&d.shared.store).reindented;
+        let cold = submit_and_fetch(&d, submit);
+        assert_eq!(submit_and_fetch(&d, submit), cold);
+        assert_eq!(reindented(), 1, "the simulated cell is rendered once");
+
+        // A bit gone bad in the kept fragment; its recorded CRC stays.
+        let key = SvcRequest::parse(submit).unwrap().cells()[0].key.clone();
+        {
+            let mut store = lock(&d.shared.store);
+            let kept = store.served.get_mut(&key).unwrap();
+            let mut text = kept.text.as_bytes().to_vec();
+            let at = text.iter().position(u8::is_ascii_digit).unwrap();
+            text[at] ^= 1;
+            kept.text = String::from_utf8(text).unwrap().into();
+        }
+        assert_eq!(
+            submit_and_fetch(&d, submit),
+            cold,
+            "the flipped fragment must never reach a response"
+        );
+        assert_eq!(
+            simulated(),
+            1,
+            "the stored bytes still verify: no recompute"
+        );
+        assert_eq!(reindented(), 2, "a fragment mismatch is one re-render");
+        // The re-render replaced the bad fragment: the next read is a hit.
+        assert_eq!(submit_and_fetch(&d, submit), cold);
+        assert_eq!(reindented(), 2);
+        roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
+        d.join();
+    }
+
+    #[test]
+    fn a_replaced_result_replaces_its_fragment() {
+        let mut store = Store::new(ResultStore::ephemeral());
+        let first = store.put("k", "[1]".into());
+        let second = store.put("k", "[2]".into());
+        assert_ne!(first, second, "rendered from the new bytes");
+        assert_eq!(store.fragment("k"), Some(second));
+        assert_eq!(store.reindented, 2);
+    }
+
+    #[test]
     fn a_body_is_delivered_once_and_its_status_stays() {
         let submit = "{\"kind\":\"sweep\",\"platforms\":[\"Rocket 1\"],\
                       \"kernels\":[\"Cca\"],\"scale\":1}";
@@ -1410,22 +1551,31 @@ mod tests {
             names in proptest::collection::vec(crate::splice::tests::Strings, 12),
         ) {
             // Keys and labels out of the same hostile alphabet as the
-            // trees' strings.
+            // trees' strings; the index keeps keys distinct.
             let cells: Vec<Cell> = (0..trees.len())
                 .map(|i| Cell {
-                    key: names[2 * i].clone(),
+                    key: format!("{i}{}", names[2 * i]),
                     label: names[2 * i + 1].clone(),
                     spec: WireCell::Tune { scale: 1 },
                 })
                 .collect();
-            let outcomes: Vec<CellOutcome<Arc<str>>> = trees
+            let ok = |value| CellOutcome::Ok { value, restored: false };
+            // Each document twice: fragments rendered as the cells are
+            // stored (a miss), then the kept ones served (a hit).
+            let mut store = Store::new(ResultStore::ephemeral());
+            let missed: Vec<CellOutcome<Arc<str>>> = cells
                 .iter()
-                .map(|t| CellOutcome::Ok { value: canonical(t).into(), restored: false })
+                .zip(&trees)
+                .map(|(c, t)| ok(store.put(&c.key, canonical(t).into())))
                 .collect();
-            proptest::prop_assert_eq!(
-                render_body(&cells, &outcomes),
-                render_body_from_trees(&cells, &trees)
-            );
+            let hit: Vec<CellOutcome<Arc<str>>> = cells
+                .iter()
+                .map(|c| ok(store.fragment(&c.key).unwrap()))
+                .collect();
+            proptest::prop_assert_eq!(store.reindented, cells.len() as u64);
+            let pretty = render_body_from_trees(&cells, &trees);
+            proptest::prop_assert_eq!(render_body(&cells, &missed), pretty.clone());
+            proptest::prop_assert_eq!(render_body(&cells, &hit), pretty);
         }
     }
 

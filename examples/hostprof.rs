@@ -33,7 +33,9 @@
 //! response checked byte for byte against its prewarm response; the host
 //! µs per round trip go to stderr, and so do the connections the daemon
 //! accepted per round trip (`host.guard.conns.accepted`: 0.00 when every
-//! round trip rides the client's kept connection). None of them
+//! round trip rides the client's kept connection) and the cells it
+//! re-indented per round trip (`host.svc.cache.reindented`: 0.00 when
+//! every cell is served from its kept fragment). None of them
 //! simulates: a pass is the warm path alone, request parse and preflight,
 //! cell keys, store reads, the spliced response and the wire.
 
@@ -165,19 +167,22 @@ fn main() {
     // Host seconds over every `svc-mixed` round trip, and its daemon.
     let round_trips = Cell::new(0.0);
     let mut daemon: Option<Daemon> = None;
-    // The daemon's `host.guard.conns.accepted`, read over the client's
-    // connection as every round trip is.
-    let accepted = |addr: &str| -> u64 {
+    // The daemon's `host.guard.conns.accepted` and
+    // `host.svc.cache.reindented`, read over the client's connection as
+    // every round trip is.
+    let counters = |addr: &str| -> [u64; 2] {
         let (_, metrics) = client::metrics(addr).expect("metrics");
-        let name = "\"host.guard.conns.accepted\": ";
-        let at = metrics.find(name).expect("the counter is exported") + name.len();
-        let digits: String = metrics[at..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        digits.parse().expect("a count")
+        ["host.guard.conns.accepted", "host.svc.cache.reindented"].map(|name| {
+            let name = format!("\"{name}\": ");
+            let at = metrics.find(&name).expect("the counter is exported") + name.len();
+            let digits: String = metrics[at..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            digits.parse().expect("a count")
+        })
     };
-    let accepted_before_passes = Cell::new(0);
+    let counters_before_passes = Cell::new([0; 2]);
     let pass: Box<dyn Fn() + '_> = match args.first().map(String::as_str) {
         Some("micro-isa") => Box::new(|| {
             for kernel in microbench::evaluated().iter().filter(|k| k.name != "MM_st") {
@@ -256,7 +261,7 @@ fn main() {
                     (body, response)
                 })
                 .collect();
-            accepted_before_passes.set(accepted(&addr));
+            counters_before_passes.set(counters(&addr));
             let round_trips = &round_trips;
             Box::new(move || {
                 let start = Instant::now();
@@ -280,7 +285,8 @@ fn main() {
     sampler::stop_and_report();
     if let Some(daemon) = daemon {
         let addr = daemon.addr();
-        let opened = accepted(&addr) - accepted_before_passes.get();
+        let [accepted, reindented] = counters(&addr);
+        let [accepted_before, reindented_before] = counters_before_passes.get();
         client::shutdown(&addr).expect("shutdown");
         daemon.join();
         let round_trips_made = (passes * WARM_REQUESTS) as f64;
@@ -290,7 +296,11 @@ fn main() {
         );
         eprintln!(
             "connections accepted per warm round trip: {:.2}",
-            opened as f64 / round_trips_made
+            (accepted - accepted_before) as f64 / round_trips_made
+        );
+        eprintln!(
+            "re-indents per warm round trip: {:.2}",
+            (reindented - reindented_before) as f64 / round_trips_made
         );
     }
     if replays.get() > 0.0 {
