@@ -243,6 +243,32 @@ pub const BANS: &[Ban] = &[
     },
     Ban {
         needles: &[
+            concat!("run_grid", "_keyed"),
+            concat!("run_grid", "_resilient"),
+            concat!("Resilient", "Sweep"),
+            concat!("exec", "_cell"),
+        ],
+        with: "",
+        within: SHIPPED,
+        except: &[],
+        in_tests: true,
+        message: "bsim fig, bsimd and bsim dist run their cells through one CellPool",
+    },
+    Ban {
+        needles: &[".get_bytes(", ".put_bytes(", "inflight"],
+        with: "",
+        within: &[
+            "src/bin/bsim.rs",
+            "crates/svc/src/daemon.rs",
+            "crates/dist/src/launcher.rs",
+        ],
+        except: &[],
+        in_tests: false,
+        message: "a command reaches the result store through the cell pool: \
+                  one probe, one claim, one put",
+    },
+    Ban {
+        needles: &[
             concat!("Harness", "Ckpt"),
             concat!("Rank", "Ckpt"),
             concat!("Sender", "Ckpt"),

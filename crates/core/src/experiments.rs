@@ -59,7 +59,7 @@ impl Snapshot for Series {
 
 /// Figures are stored whole: a `bsim fig --store` run replays completed
 /// subfigures from the store byte-for-byte instead of re-simulating
-/// their grids (see [`crate::resilient::run_grid_keyed`]).
+/// their grids (see [`crate::CellPool`]).
 impl Snapshot for FigureData {
     fn save(&self) -> Value {
         Value::Map(vec![
@@ -369,8 +369,7 @@ fn singleton_chunks(jobs: usize) -> Vec<[usize; 1]> {
 /// Every chunk runs even when one panics: each runs under [`catch`],
 /// and the first failed chunk's message (in grid order) is re-raised
 /// only after the whole grid has drained. Callers that want the
-/// completed cells *back* instead of a panic use
-/// [`crate::resilient::run_grid_resilient`].
+/// completed cells *back* instead of a panic use [`crate::CellPool`].
 pub fn run_grid_chunks_metered<T, C, O, F>(chunks: &[C], par: Parallelism, f: F) -> SweepRun<T>
 where
     T: Send,

@@ -15,9 +15,10 @@
 //!   configuration that matches best,
 //! * [`table`] — plain-text rendering of figure data, so the bench
 //!   harnesses print rows directly comparable to the paper's plots,
-//! * [`resilient`] — degrading/storing sweep runners for long
-//!   simulations: a poisoned cell degrades to a diagnosed failure row
-//!   and `bsim fig --store` replays completed subfigures from disk,
+//! * [`resilient`] — [`CellPool`], the one executor `bsim fig`,
+//!   `bsimd` and `bsim dist` answer keyed cells through: it probes the
+//!   result store first, runs each miss once under a claim, degrades a
+//!   poisoned cell to a diagnosed failure row and stores the rest,
 //! * [`campaign`] — the `bsim faults` fault-injection campaign: the
 //!   [`FaultRow`] type every row of the survival matrix is written as,
 //!   and the nine in-process rows.
@@ -52,11 +53,11 @@ pub use experiments::{
     SweepRun,
 };
 pub use metrics::relative_speedup;
-pub use resilient::{run_grid_keyed, run_grid_resilient, ResilientSweep};
+pub use resilient::{CellPool, PoolRun};
 
-// The resilience vocabulary the runners above speak, re-exported so
+// The resilience vocabulary the pool above speaks, re-exported so
 // `bsim-core` users don't need a separate `bsim-resilience` import.
-pub use bsim_resilience::{CellOutcome, CkptError, ResultStore};
+pub use bsim_resilience::{CellOutcome, CkptError, ResultStore, Snapshot};
 
 /// FNV-1a 64 of `text`: the digest the counter pins in this crate's
 /// tests compare against.

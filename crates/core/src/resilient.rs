@@ -1,133 +1,287 @@
-//! Resilient sweep runners: degrade, store, replay.
+//! The cell pool: the one way `bsim fig`, `bsimd` and `bsim dist` reach
+//! the result store.
 //!
-//! [`crate::run_grid_metered`] re-raises a poisoned cell's panic after
-//! the grid drains. Long sweeps want the opposite: keep every completed
-//! cell and degrade the poisoned one to a diagnosed failure row instead
-//! of aborting hours of simulation — [`run_grid_resilient`].
-//! [`run_grid_keyed`] adds a [`ResultStore`], so `bsim fig --store`
-//! replays completed subfigures byte-for-byte.
+//! A [`CellPool`] owns the [`ResultStore`], the keys being run and an
+//! `on_put` hook. [`CellPool::run`] probes every key before it schedules
+//! anything: a hit is the store's CRC-verified canonical bytes, never
+//! parsed. A miss re-probes under the claim lock, waits while another
+//! caller holds its key, then claims it and runs once under [`catch`].
+//! The holder stores the canonical bytes and fires `on_put` **before** a
+//! drop guard releases the claim, so a key runs at most once however
+//! many callers want it. A cell's `Err` or panic is a failure row, not
+//! stored. An optional deadline is checked before the probe, and by a
+//! miss before it claims and after every wait: an expired key fails with
+//! `request deadline exceeded`, no panic. `bsim dist` runs its misses in
+//! worker processes, so it uses [`CellPool::get`] and [`CellPool::put`],
+//! the read and the write `run` uses.
 
 use crate::experiments::{drain_grid, Parallelism};
 use bsim_resilience::retry::{catch, CellOutcome};
-use bsim_resilience::snapshot::{CkptError, Snapshot};
+use bsim_resilience::snapshot::CkptError;
+use bsim_resilience::store::canonical;
 use bsim_resilience::ResultStore;
-use std::sync::Mutex;
+use serde::Value;
+use std::collections::HashSet;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
-/// Outcome of a resilient sweep: one [`CellOutcome`] per grid cell, in
-/// grid order.
-#[derive(Clone, Debug)]
-pub struct ResilientSweep<T> {
-    /// Per-cell outcomes, ordered by grid index.
-    pub outcomes: Vec<CellOutcome<T>>,
-    /// Cells answered from a result store instead of simulated.
-    pub restored: usize,
+const DEADLINE_EXCEEDED: &str = "request deadline exceeded";
+
+/// Locks a pool mutex, recovering from poisoning: the store and the
+/// claim set stay structurally valid across a panic.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-impl<T> ResilientSweep<T> {
-    /// Cells that failed.
+fn expired(deadline: Option<Instant>) -> bool {
+    // bsim: allow(AU004) a caller's deadline is host time, not simulated time
+    deadline.is_some_and(|d| Instant::now() >= d)
+}
+
+fn answer(value: Arc<str>, restored: bool) -> CellOutcome<Arc<str>> {
+    CellOutcome::Ok { value, restored }
+}
+
+fn late() -> CellOutcome<Arc<str>> {
+    let diag = DEADLINE_EXCEEDED.into();
+    CellOutcome::Failed { diag }
+}
+
+/// The result store, the keys being run, and what happens after a put.
+pub struct CellPool {
+    store: Mutex<ResultStore>,
+    claims: Mutex<HashSet<String>>,
+    released: Condvar,
+    on_put: Box<dyn Fn(&ResultStore) + Send + Sync>,
+}
+
+/// What one [`CellPool::run`] answered.
+#[derive(Clone, Debug)]
+pub struct PoolRun {
+    /// Per key, in key order: its verified canonical bytes (`restored`
+    /// when the store held them), or why there are none.
+    pub outcomes: Vec<CellOutcome<Arc<str>>>,
+    /// Keys that found another caller's claim and waited on it.
+    pub waited: usize,
+    /// Keys failed by the deadline.
+    pub expired: usize,
+}
+
+impl PoolRun {
+    /// Keys answered from the store.
+    pub fn restored(&self) -> usize {
+        let restored = |o: &&CellOutcome<_>| matches!(o, CellOutcome::Ok { restored: true, .. });
+        self.outcomes.iter().filter(restored).count()
+    }
+
     pub fn failed(&self) -> usize {
         self.outcomes.iter().filter(|o| !o.is_ok()).count()
     }
 
-    /// True when every cell produced a value.
     pub fn all_ok(&self) -> bool {
         self.failed() == 0
     }
 }
 
-/// [`crate::run_grid_metered`] that survives poisoned cells: each cell runs
-/// once under [`catch`], and a cell that panics degrades to
-/// [`CellOutcome::Failed`] with the panic message as its diagnostic —
-/// the other cells' results are kept, not unwound away.
-pub fn run_grid_resilient<T, F>(jobs: usize, par: Parallelism, f: F) -> ResilientSweep<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    ResilientSweep {
-        outcomes: drain_grid(jobs, par, |i| catch(|| f(i))),
-        restored: 0,
+/// A held claim; dropping it releases the key and wakes its waiters.
+struct Claim<'a>(&'a CellPool, &'a str);
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        lock(&self.0.claims).remove(self.1);
+        self.0.released.notify_all();
     }
 }
 
-/// [`run_grid_resilient`] over keyed cells and a result store — the one
-/// loop that skips a stored cell. Cell `i` is answered from `store` when
-/// `keys[i]` is there (`restored` marks it replayed) and otherwise runs
-/// `f(i)` once under [`catch`]; a cell that succeeds is stored under its
-/// key and `on_put` fires at once — `bsim fig --store` flushes the file
-/// there, so a run killed mid-sweep still leaves every finished cell to
-/// the next one. A cell that panics degrades to a
-/// [`CellOutcome::Failed`] row, is not stored, and runs again next time.
-///
-/// What a key is made of is the caller's side of the contract: `bsim fig`
-/// passes each subfigure's `bsim_dist::WireCell::key`, which names the
-/// figure, the size preset and the code version but not the executor —
-/// scalar or lanes, any `par` — because that does not change the series.
-/// Under a parallel `par` cells are stored in completion order.
-///
-/// A stored entry that verifies but does not restore as a `T` is a loud
-/// [`CkptError`] before any cell runs, not a silent recompute — a store
-/// that has started lying should stop the run, not quietly waste it.
-pub fn run_grid_keyed<T, F>(
-    keys: &[impl AsRef<str> + Sync],
-    par: Parallelism,
-    store: &mut ResultStore,
-    on_put: impl FnMut(&ResultStore) + Send,
-    f: F,
-) -> Result<ResilientSweep<T>, CkptError>
-where
-    T: Snapshot + Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut slots: Vec<Option<CellOutcome<T>>> = Vec::with_capacity(keys.len());
-    for key in keys {
-        let stored = store.get(key.as_ref());
-        let value = stored.as_ref().map(T::restore).transpose()?;
-        slots.push(value.map(|value| CellOutcome::Ok {
-            value,
-            restored: true,
-        }));
+impl CellPool {
+    /// A pool over `store` whose puts fire nothing.
+    pub fn new(store: ResultStore) -> CellPool {
+        CellPool::with_on_put(store, |_| {})
     }
-    let missing: Vec<usize> = (0..keys.len()).filter(|&i| slots[i].is_none()).collect();
-    let sink = Mutex::new((store, on_put));
-    let fresh = drain_grid(missing.len(), par, |k| {
-        let outcome = catch(|| f(missing[k]));
-        if let CellOutcome::Ok { value, .. } = &outcome {
-            let mut sink = sink.lock().unwrap_or_else(|e| e.into_inner());
-            let (store, on_put) = &mut *sink;
-            store.put(keys[missing[k]].as_ref(), &value.save());
-            on_put(store);
+
+    /// A pool over `store` that calls `on_put` after every put, with the
+    /// store locked: `--store` commands flush the file there, so a run
+    /// killed midway leaves every finished cell to the next one.
+    pub fn with_on_put(
+        store: ResultStore,
+        on_put: impl Fn(&ResultStore) + Send + Sync + 'static,
+    ) -> CellPool {
+        CellPool {
+            store: Mutex::new(store),
+            claims: Mutex::new(HashSet::new()),
+            released: Condvar::new(),
+            on_put: Box::new(on_put),
         }
-        outcome
-    });
-    for (&i, outcome) in missing.iter().zip(fresh) {
-        slots[i] = Some(outcome);
     }
-    Ok(ResilientSweep {
-        outcomes: slots
-            .into_iter()
-            .map(|s| s.expect("every cell restored or simulated"))
-            .collect(),
-        restored: keys.len() - missing.len(),
-    })
+
+    /// The bytes stored under `key` if their checksum verifies: the very
+    /// allocation the store holds.
+    pub fn get(&self, key: &str) -> Option<Arc<str>> {
+        lock(&self.store).get_bytes(key)
+    }
+
+    /// Stores `bytes`, a result's [`canonical`] rendering, under `key`
+    /// and fires `on_put`.
+    pub fn put(&self, key: &str, bytes: Arc<str>) {
+        let mut store = lock(&self.store);
+        store.put_bytes(key, bytes);
+        (self.on_put)(&store);
+    }
+
+    /// Answers `keys`: hits from the store, each miss by `cell(i)` run
+    /// once across `par` workers and stored as its canonical bytes.
+    pub fn run<K, F>(
+        &self,
+        keys: &[K],
+        par: Parallelism,
+        deadline: Option<Instant>,
+        cell: F,
+    ) -> PoolRun
+    where
+        K: AsRef<str> + Sync,
+        F: Fn(usize) -> Result<Value, String> + Sync,
+    {
+        // A batch already past its deadline takes no hit: every key is a
+        // miss, and each fails in `answer_miss` before it claims.
+        let late = expired(deadline);
+        let stored = keys.iter().map(|key| {
+            if late {
+                return None;
+            }
+            Some(answer(self.get(key.as_ref())?, true))
+        });
+        let mut slots: Vec<Option<CellOutcome<Arc<str>>>> = stored.collect();
+        let misses: Vec<usize> = (0..keys.len()).filter(|&i| slots[i].is_none()).collect();
+        let answered = drain_grid(misses.len(), par, |m| {
+            self.answer_miss(keys[misses[m]].as_ref(), deadline, || cell(misses[m]))
+        });
+        let mut waited = 0;
+        for (&i, (outcome, waits)) in misses.iter().zip(answered) {
+            waited += usize::from(waits);
+            slots[i] = Some(outcome);
+        }
+        // Every slot is a hit or an answered miss.
+        let outcomes: Vec<_> = slots.into_iter().flatten().collect();
+        let expired = outcomes
+            .iter()
+            .filter(|o| o.diag() == Some(DEADLINE_EXCEEDED))
+            .count();
+        PoolRun {
+            outcomes,
+            waited,
+            expired,
+        }
+    }
+
+    /// Claims and runs one missed key, or answers it from the store when
+    /// another caller got there first; also whether it waited on a claim.
+    fn answer_miss(
+        &self,
+        key: &str,
+        deadline: Option<Instant>,
+        cell: impl FnOnce() -> Result<Value, String>,
+    ) -> (CellOutcome<Arc<str>>, bool) {
+        let mut waited = false;
+        let mut claims = lock(&self.claims);
+        loop {
+            if expired(deadline) {
+                return (late(), waited);
+            }
+            if !claims.contains(key) {
+                break;
+            }
+            waited = true;
+            claims = self
+                .released
+                .wait(claims)
+                .unwrap_or_else(|p| p.into_inner());
+        }
+        // A holder stores its bytes before it releases its claim, so no
+        // claim and no entry here proves nobody has run this key.
+        if let Some(value) = self.get(key) {
+            return (answer(value, true), waited);
+        }
+        claims.insert(key.to_string());
+        drop(claims);
+        let _claim = Claim(self, key);
+        let outcome = match catch(cell) {
+            CellOutcome::Ok {
+                value: Ok(tree), ..
+            } => {
+                let bytes: Arc<str> = canonical(&tree).into();
+                self.put(key, Arc::clone(&bytes));
+                answer(bytes, false)
+            }
+            CellOutcome::Ok {
+                value: Err(diag), ..
+            }
+            | CellOutcome::Failed { diag } => CellOutcome::Failed { diag },
+        };
+        (outcome, waited)
+    }
+
+    /// Keys claimed right now (the `host.svc.cells.inflight` gauge).
+    pub fn claims(&self) -> usize {
+        lock(&self.claims).len()
+    }
+
+    /// Stored entries (the `host.svc.cache.entries` gauge).
+    pub fn len(&self) -> usize {
+        lock(&self.store).len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    pub fn flush(&self) -> Result<u64, CkptError> {
+        lock(&self.store).flush()
+    }
+
+    /// [`ResultStore::flip_resident_bit`]: fault injection for tests.
+    pub fn flip_resident_bit(&self, key: &str) {
+        lock(&self.store).flip_resident_bit(key);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments::{subfigures, FigureData, Sizes};
-    use serde::Value;
+    use bsim_resilience::snapshot::Snapshot;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
+
+    /// `t/cell<i>` for each of `jobs` cells.
+    fn keys(jobs: usize) -> Vec<String> {
+        (0..jobs).map(|i| format!("t/cell{i}")).collect()
+    }
+
+    /// `pool.run` over [`keys`], sequential, no deadline.
+    fn keyed(
+        pool: &CellPool,
+        jobs: usize,
+        f: impl Fn(usize) -> Result<Value, String> + Sync,
+    ) -> PoolRun {
+        pool.run(&keys(jobs), Parallelism::Sequential, None, f)
+    }
+
+    /// The `u64` each outcome's bytes render.
+    fn vals(run: &PoolRun) -> Vec<u64> {
+        let value = |o: &CellOutcome<Arc<str>>| o.value().unwrap().parse().unwrap();
+        run.outcomes.iter().map(value).collect()
+    }
 
     #[test]
     fn resilient_grid_keeps_completed_cells_and_diagnoses_the_poisoned_one() {
         let poisoned_calls = AtomicUsize::new(0);
-        let sweep = run_grid_resilient(6, Parallelism::Workers(3), |i| {
+        let pool = CellPool::new(ResultStore::ephemeral());
+        let sweep = pool.run(&keys(6), Parallelism::Workers(3), None, |i| {
             if i == 4 {
                 poisoned_calls.fetch_add(1, Ordering::Relaxed);
             }
             assert!(i != 4, "cell 4 is poisoned");
-            i * 10
+            Ok((i as u64 * 10).save())
         });
         assert_eq!(sweep.outcomes.len(), 6);
         assert_eq!(sweep.failed(), 1);
@@ -141,7 +295,12 @@ mod tests {
             if i == 4 {
                 assert!(o.diag().unwrap().contains("cell 4 is poisoned"));
             } else {
-                assert_eq!(o.value(), Some(&(i * 10)), "cell {i} result kept");
+                let want = (i * 10).to_string();
+                assert_eq!(
+                    o.value().map(|v| &**v),
+                    Some(&*want),
+                    "cell {i} result kept"
+                );
             }
         }
     }
@@ -155,21 +314,11 @@ mod tests {
         path
     }
 
-    /// The store at `path`, which must open without findings.
-    fn open_clean(path: &std::path::Path) -> ResultStore {
+    /// A pool over the store at `path`, which must open without findings.
+    fn open_clean(path: &std::path::Path) -> CellPool {
         let (store, report) = ResultStore::open(path);
         assert!(report.is_clean(), "{report}");
-        store
-    }
-
-    /// `run_grid_keyed` over `t/cell<i>` keys, sequential.
-    fn keyed<T: Snapshot + Send>(
-        store: &mut ResultStore,
-        jobs: usize,
-        f: impl Fn(usize) -> T + Sync,
-    ) -> Result<ResilientSweep<T>, CkptError> {
-        let keys: Vec<String> = (0..jobs).map(|i| format!("t/cell{i}")).collect();
-        run_grid_keyed(&keys, Parallelism::Sequential, store, |_| {}, f)
+        CellPool::new(store)
     }
 
     #[test]
@@ -177,27 +326,24 @@ mod tests {
         let ran = AtomicUsize::new(0);
         let cell = |i: usize| {
             ran.fetch_add(1, Ordering::Relaxed);
-            (i as u64) * 3
+            Ok((i as u64 * 3).save())
         };
         let path = scratch("replay");
-        let mut store = open_clean(&path);
-        let first = keyed(&mut store, 5, cell).unwrap();
+        let pool = open_clean(&path);
+        let first = keyed(&pool, 5, cell);
         assert!(first.all_ok());
-        assert_eq!(first.restored, 0);
+        assert_eq!(first.restored(), 0);
         assert_eq!(ran.load(Ordering::Relaxed), 5);
 
         // Round-trip the store through its file, as the next `--store`
         // run would, then rerun: zero cells re-simulate and the values
         // are identical.
-        store.flush().unwrap();
-        let mut reloaded = open_clean(&path);
+        pool.flush().unwrap();
+        let reloaded = open_clean(&path);
         std::fs::remove_file(&path).ok();
-        let second = keyed(&mut reloaded, 5, cell).unwrap();
-        assert_eq!(second.restored, 5);
+        let second = keyed(&reloaded, 5, cell);
+        assert_eq!(second.restored(), 5);
         assert_eq!(ran.load(Ordering::Relaxed), 5, "nothing re-simulated");
-        let vals = |s: &ResilientSweep<u64>| -> Vec<u64> {
-            s.outcomes.iter().map(|o| *o.value().unwrap()).collect()
-        };
         assert_eq!(vals(&first), vals(&second));
     }
 
@@ -208,35 +354,25 @@ mod tests {
         let mut store = ResultStore::ephemeral();
         store.put("t/cell0", &10u64.save());
         store.put("t/cell2", &30u64.save());
+        let pool = CellPool::new(store);
         let ran = AtomicUsize::new(0);
-        let sweep = keyed(&mut store, 4, |i| {
+        let sweep = keyed(&pool, 4, |i| {
             ran.fetch_add(1, Ordering::Relaxed);
-            (i as u64 + 1) * 10
-        })
-        .unwrap();
-        assert_eq!(sweep.restored, 2);
+            Ok(((i as u64 + 1) * 10).save())
+        });
+        assert_eq!(sweep.restored(), 2);
         assert_eq!(ran.load(Ordering::Relaxed), 2);
-        let vals: Vec<u64> = sweep.outcomes.iter().map(|o| *o.value().unwrap()).collect();
-        assert_eq!(vals, [10, 20, 30, 40]);
-        assert_eq!(store.len(), 4);
+        assert_eq!(vals(&sweep), [10, 20, 30, 40]);
+        assert_eq!(pool.len(), 4);
         // A failed cell is not stored: the next run retries it.
-        let mut store2 = ResultStore::ephemeral();
-        let s2 = keyed(&mut store2, 2, |i| {
+        let pool2 = CellPool::new(ResultStore::ephemeral());
+        let s2 = keyed(&pool2, 2, |i| {
             assert!(i != 1, "poisoned");
-            5u64
-        })
-        .unwrap();
+            Ok(5u64.save())
+        });
         assert_eq!(s2.failed(), 1);
-        assert!(store2.get("t/cell0").is_some());
-        assert!(store2.get("t/cell1").is_none());
-    }
-
-    #[test]
-    fn malformed_checkpoint_entry_is_a_loud_error() {
-        let mut store = ResultStore::ephemeral();
-        store.put("t/cell0", &Value::Str("not a u64".into()));
-        let err = keyed(&mut store, 1, |_| 1u64).expect_err("a lying store must stop the run");
-        assert!(matches!(err, CkptError::WrongType { .. }));
+        assert!(pool2.get("t/cell0").is_some());
+        assert!(pool2.get("t/cell1").is_none());
     }
 
     #[test]
@@ -249,31 +385,32 @@ mod tests {
         let plan: Vec<_> = subfigures("6").collect();
         // Any distinct strings do here; `bsim fig` passes content hashes.
         let keys: Vec<String> = plan.iter().map(|spec| format!("t/{}", spec.key)).collect();
-        let run = |i: usize| plan[i].run(tiny, Parallelism::Sequential);
+        let run = |i: usize| Ok(plan[i].run(tiny, Parallelism::Sequential).save());
         let path = scratch("figure");
-        let mut store = open_clean(&path);
-        let mut puts = 0usize;
-        let first = run_grid_keyed(
-            &keys,
-            Parallelism::Sequential,
-            &mut store,
-            |_| puts += 1,
-            run,
-        )
-        .unwrap();
+        let (store, report) = ResultStore::open(&path);
+        assert!(report.is_clean(), "{report}");
+        let puts = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&puts);
+        let pool = CellPool::with_on_put(store, move |_| {
+            counted.fetch_add(1, Ordering::Relaxed);
+        });
+        let first = pool.run(&keys, Parallelism::Sequential, None, run);
         assert_eq!(first.outcomes.len(), 1);
-        assert_eq!(puts, 1, "on_put fires once per completed subfigure");
-        assert!(store.get("t/fig6").is_some());
+        assert_eq!(
+            puts.load(Ordering::Relaxed),
+            1,
+            "on_put fires once per completed subfigure"
+        );
+        assert!(pool.get("t/fig6").is_some());
 
         // The next run, through the file: the subfigure is replayed from
         // the store (`restored`), not re-simulated, and is
         // byte-identical to the first run's.
-        store.flush().unwrap();
-        let mut reloaded = open_clean(&path);
+        pool.flush().unwrap();
+        let reloaded = open_clean(&path);
         std::fs::remove_file(&path).ok();
-        let second: ResilientSweep<FigureData> =
-            run_grid_keyed(&keys, Parallelism::Sequential, &mut reloaded, |_| {}, run).unwrap();
-        assert_eq!(second.restored, 1);
+        let second = reloaded.run(&keys, Parallelism::Sequential, None, run);
+        assert_eq!(second.restored(), 1);
         match (&first.outcomes[0], &second.outcomes[0]) {
             (
                 CellOutcome::Ok { value: a, .. },
@@ -281,8 +418,139 @@ mod tests {
                     value: b,
                     restored: true,
                 },
-            ) => assert_eq!(a, b, "replayed figure must match the original"),
+            ) => {
+                assert_eq!(a, b, "replayed figure must match the original");
+                let figure = |bytes: &str| {
+                    FigureData::restore(&serde_json::from_str(bytes).unwrap()).unwrap()
+                };
+                assert_eq!(figure(a), figure(b));
+            }
             other => panic!("unexpected outcomes: {other:?}"),
         }
+    }
+
+    #[test]
+    fn an_all_hit_call_runs_no_closure() {
+        let pool = CellPool::new(ResultStore::ephemeral());
+        let first = keyed(&pool, 3, |i| Ok((i as u64).save()));
+        let second = keyed(&pool, 3, |_| panic!("a hit must not run its cell"));
+        assert_eq!(second.restored(), 3);
+        assert_eq!(vals(&first), vals(&second));
+        // A hit is the store's own allocation, not a copy of it.
+        for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
+            assert!(Arc::ptr_eq(a.value().unwrap(), b.value().unwrap()));
+        }
+    }
+
+    #[test]
+    fn two_callers_over_overlapping_keys_run_each_key_once() {
+        let pool = CellPool::new(ResultStore::ephemeral());
+        let runs: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
+        let cell = |i: usize| {
+            runs[i].fetch_add(1, Ordering::SeqCst);
+            // Long enough that the other caller finds the claim.
+            std::thread::sleep(Duration::from_millis(30));
+            Ok((i as u64 * 7).save())
+        };
+        let all = keys(4);
+        let (left, right) = std::thread::scope(|s| {
+            let left = s.spawn(|| pool.run(&all[..3], Parallelism::Workers(2), None, cell));
+            let right =
+                s.spawn(|| pool.run(&all[1..], Parallelism::Workers(2), None, |i| cell(i + 1)));
+            (left.join().unwrap(), right.join().unwrap())
+        });
+        for (i, runs) in runs.iter().enumerate() {
+            assert_eq!(runs.load(Ordering::SeqCst), 1, "cell {i} ran once");
+        }
+        assert!(left.all_ok() && right.all_ok());
+        assert_eq!(vals(&left)[1..], vals(&right)[..2]);
+        // A key the other caller ran is a hit here, waited on or not.
+        assert_eq!(left.restored() + right.restored(), 2);
+        assert_eq!(pool.claims(), 0);
+        assert_eq!(pool.len(), 4);
+    }
+
+    #[test]
+    fn a_panicking_cell_fails_unstored_and_releases_its_claim() {
+        let pool = CellPool::new(ResultStore::ephemeral());
+        let poisoned = keyed(&pool, 1, |_| panic!("cell poisoned"));
+        assert_eq!(poisoned.outcomes[0].diag(), Some("cell poisoned"));
+        assert!(pool.get("t/cell0").is_none(), "a failed cell is not stored");
+        assert_eq!(pool.claims(), 0, "its claim is released");
+        let healed = keyed(&pool, 1, |_| Ok(9u64.save()));
+        assert_eq!(healed.restored(), 0, "claimed and run afresh");
+        assert_eq!(vals(&healed), [9]);
+        assert!(pool.get("t/cell0").is_some());
+    }
+
+    thread_local! {
+        static PANICKED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// Whether a panic hook fired on this thread since the last call.
+    fn panicked_here() -> bool {
+        static HOOKED: std::sync::Once = std::sync::Once::new();
+        HOOKED.call_once(|| {
+            let loud = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                PANICKED.with(|p| p.set(true));
+                loud(info);
+            }));
+        });
+        PANICKED.with(|p| p.replace(false))
+    }
+
+    #[test]
+    fn errors_and_deadlines_fail_with_their_diagnostics_and_no_panic() {
+        panicked_here();
+        let pool = CellPool::new(ResultStore::ephemeral());
+        let refused = keyed(&pool, 1, |_| Err("cell x: unknown platform".into()));
+        assert_eq!(refused.outcomes[0].diag(), Some("cell x: unknown platform"));
+        assert!(pool.is_empty() && pool.claims() == 0);
+        assert!(!panicked_here(), "an Err is no panic");
+
+        // Expired before the probe: every key fails, a stored one too,
+        // and no cell runs.
+        pool.put("t/cell0", "1".into());
+        let late = Some(Instant::now());
+        let run = pool.run(&keys(2), Parallelism::Sequential, late, |_| {
+            panic!("an expired batch runs nothing")
+        });
+        assert_eq!((run.expired, run.failed()), (2, 2));
+        assert!(run
+            .outcomes
+            .iter()
+            .all(|o| o.diag() == Some(DEADLINE_EXCEEDED)));
+        assert!(!panicked_here(), "an expired deadline is no panic");
+
+        // Expired while waiting on another caller's claim: the waiter
+        // fails when it wakes, and the holder's result is still stored.
+        let (go, wait) = std::sync::mpsc::channel::<()>();
+        let wait = Mutex::new(wait);
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                keyed(&pool, 2, |_| {
+                    lock(&wait).recv().ok();
+                    Ok(2u64.save())
+                })
+            });
+            while pool.claims() == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let deadline = Some(Instant::now() + Duration::from_millis(100));
+            let releaser = s.spawn(move || {
+                std::thread::sleep(Duration::from_millis(300));
+                go.send(()).ok();
+            });
+            let run = pool.run(&keys(2)[1..], Parallelism::Sequential, deadline, |_| {
+                panic!("the waiter never runs the held key")
+            });
+            assert_eq!((run.waited, run.expired), (1, 1));
+            assert_eq!(run.outcomes[0].diag(), Some(DEADLINE_EXCEEDED));
+            assert!(!panicked_here(), "an expired wait is no panic");
+            releaser.join().unwrap();
+            assert!(holder.join().unwrap().all_ok());
+        });
+        assert!(pool.get("t/cell1").is_some());
     }
 }

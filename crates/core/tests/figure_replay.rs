@@ -3,8 +3,9 @@
 //! result store, which must not rewrite the store file.
 
 use bsim_core::experiments::{subfigures, FigureData, Sizes, FIGURE_IDS};
-use bsim_core::{run_grid_keyed, CellOutcome, Parallelism, ResultStore};
+use bsim_core::{CellOutcome, CellPool, Parallelism, ResultStore};
 use bsim_resilience::ckpt::CkptStore;
+use bsim_resilience::Snapshot;
 
 /// Sizes small enough to run every figure three times in one test.
 fn tiny() -> Sizes {
@@ -20,7 +21,7 @@ fn tiny() -> Sizes {
 /// Runs each figure id through the storing path and returns every
 /// `(key, value)` cell, panicking on any failed subfigure. [`tiny`] is
 /// no named preset, so the keys are this test's own.
-fn sweep(ids: &[&str], store: &mut ResultStore) -> Vec<(String, FigureData)> {
+fn sweep(ids: &[&str], store: &CellPool) -> Vec<(String, FigureData)> {
     let mut out = Vec::new();
     for id in ids {
         let plan: Vec<_> = subfigures(id).collect();
@@ -28,17 +29,16 @@ fn sweep(ids: &[&str], store: &mut ResultStore) -> Vec<(String, FigureData)> {
             .iter()
             .map(|spec| format!("tiny/{}", spec.key))
             .collect();
-        let cells = run_grid_keyed(
-            &keys,
-            Parallelism::Sequential,
-            store,
-            |_| {},
-            |i| plan[i].run(tiny(), Parallelism::Sequential),
-        )
-        .expect("stored entries are figures");
+        let cells = store.run(&keys, Parallelism::Sequential, None, |i| {
+            Ok(plan[i].run(tiny(), Parallelism::Sequential).save())
+        });
         for (key, outcome) in keys.iter().zip(cells.outcomes) {
             match outcome {
-                CellOutcome::Ok { value, .. } => out.push((key.to_string(), value)),
+                CellOutcome::Ok { value, .. } => {
+                    let tree = serde_json::from_str(&value).expect("stored bytes parse");
+                    let value = FigureData::restore(&tree).expect("stored entries are figures");
+                    out.push((key.to_string(), value))
+                }
                 CellOutcome::Failed { diag } => panic!("figure {id} cell {key}: {diag}"),
             }
         }
@@ -71,12 +71,12 @@ fn check_figures_byte_identical(ids: &[&str]) {
         std::process::id()
     ));
     std::fs::remove_file(&path).ok();
-    let (mut store, _) = ResultStore::open(&path);
-    let first = sweep(ids, &mut store);
+    let store = CellPool::new(ResultStore::open(&path).0);
+    let first = sweep(ids, &store);
     let first_json = dense_json(&first);
 
     // Fresh second run: identical bytes.
-    let second = sweep(ids, &mut ResultStore::ephemeral());
+    let second = sweep(ids, &CellPool::new(ResultStore::ephemeral()));
     assert_eq!(
         first_json,
         dense_json(&second),
@@ -87,9 +87,10 @@ fn check_figures_byte_identical(ids: &[&str]) {
     // store instead of re-simulating, byte-identically.
     store.flush().expect("store file is writable");
     let flushed = std::fs::read(&path).expect("store file was written");
-    let (mut reopened, report) = ResultStore::open(&path);
+    let (reopened, report) = ResultStore::open(&path);
     assert!(report.is_clean(), "{report}");
-    let replayed = sweep(ids, &mut reopened);
+    let reopened = CellPool::new(reopened);
+    let replayed = sweep(ids, &reopened);
     assert_eq!(
         first_json,
         dense_json(&replayed),

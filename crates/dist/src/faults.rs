@@ -20,6 +20,7 @@ use crate::frame;
 use crate::launcher::{run_sweep, KillSpec, LaunchOpts, SweepOutcome, WireFaultSpec, WorkerSpawn};
 use crate::worker;
 use bsim_core::campaign::{Ctx, FaultRow};
+use bsim_core::CellPool;
 use bsim_core::Parallelism;
 use bsim_resilience::ResultStore;
 use std::io;
@@ -93,7 +94,7 @@ fn sweep_against_reference(
             Err(why) => format!("error: {why}"),
         })
         .collect();
-    match run_sweep(&cells, 0, opts, &mut ResultStore::ephemeral()) {
+    match run_sweep(&cells, 0, opts, &CellPool::new(ResultStore::ephemeral())) {
         Ok(outcome) => {
             let identical = outcome
                 .results

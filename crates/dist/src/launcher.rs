@@ -5,9 +5,9 @@
 //! (real processes via `bsim dist-worker`, or in-process threads for
 //! tests), and serves each connection: `Hello` → [`PlanSpec`] → stream
 //! of `Cell` results → `Done`. Recovery is re-planning: every
-//! completed cell lands in the [`ResultStore`] the moment it arrives, so
-//! when a worker dies (socket EOF, nonzero exit, or silence past
-//! [`LaunchOpts::silence_budget`]) the replacement process is handed
+//! completed cell is stored through the [`CellPool`] the moment it
+//! arrives, so when a worker dies (socket EOF, nonzero exit, or silence
+//! past [`LaunchOpts::silence_budget`]) the replacement process is handed
 //! exactly the cells that are still missing, after a short fixed delay
 //! ([`respawn_delay`]) — completed work is never re-run, and because
 //! every cell is deterministic and sequential inside ([`WireCell::run`]),
@@ -19,7 +19,7 @@ use crate::plan::PlanSpec;
 use crate::worker;
 use bsim_check::proto::{dist_cached, Tracker};
 use bsim_core::experiments::partition_cells;
-use bsim_resilience::ResultStore;
+use bsim_core::CellPool;
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
@@ -454,17 +454,18 @@ fn respawn_delay(n: u32) -> Duration {
     Duration::from_millis((50u64 << n.saturating_sub(1).min(6)).min(2_000))
 }
 
-/// Runs `cells` across `opts.ranks` worker processes. A cell `store`
-/// already holds under its [`WireCell::key`] at `seed` is answered from
-/// there and never shipped; a rank's result — the canonical rendering,
-/// as the worker sent it — is stored under that key the moment it
-/// arrives, so what a killed launcher leaves in a flushed store is not
-/// run again, by this command or any other that reads the file.
+/// Runs `cells` across `opts.ranks` worker processes. A cell `pool`'s
+/// store already holds under its [`WireCell::key`] at `seed` is answered
+/// from there and never shipped; a rank's result — the canonical
+/// rendering, as the worker sent it — is put under that key the moment
+/// it arrives, firing the pool's `on_put` like a locally run cell, so
+/// what a killed launcher leaves in a flushed store is not run again, by
+/// this command or any other that reads the file.
 pub fn run_sweep(
     cells: &[WireCell],
     seed: u64,
     opts: &LaunchOpts,
-    store: &mut ResultStore,
+    pool: &CellPool,
 ) -> io::Result<SweepOutcome> {
     assert!(opts.ranks >= 1, "a sweep needs at least one worker");
     assert!(
@@ -474,7 +475,7 @@ pub fn run_sweep(
     let ranks = opts.ranks.min(cells.len()).max(1);
     let assignment = partition_cells(cells.len(), ranks);
     let keys: Vec<String> = cells.iter().map(|c| c.key(seed)).collect();
-    let done: Vec<Option<Arc<str>>> = keys.iter().map(|k| store.get_bytes(k)).collect();
+    let done: Vec<Option<Arc<str>>> = keys.iter().map(|k| pool.get(k)).collect();
     if done.iter().all(Option::is_some) {
         return Ok(SweepOutcome {
             results: cells
@@ -533,7 +534,7 @@ pub fn run_sweep(
                 Ok(Event::Cell { rank, index, json }) => {
                     last_heard[rank] = Instant::now();
                     streak[rank] = 0;
-                    store.put_bytes(&keys[index as usize], Arc::clone(&json));
+                    pool.put(&keys[index as usize], Arc::clone(&json));
                     lock(&shared.done)[index as usize] = Some(json);
                     delivered[rank] += 1;
                     if let Some(kill) = kill_pending {
@@ -626,6 +627,8 @@ pub fn run_sweep(
 mod tests {
     use super::*;
     use bsim_core::Parallelism;
+    use bsim_resilience::ResultStore;
+    use std::sync::atomic::AtomicUsize;
 
     fn micro_cells() -> Vec<WireCell> {
         // Two cheap kernels × two platforms: enough cells for two ranks
@@ -652,9 +655,9 @@ mod tests {
                     .expect("shim renderer is total")
             })
             .collect();
-        let mut store = ResultStore::ephemeral();
+        let store = CellPool::new(ResultStore::ephemeral());
         let outcome =
-            run_sweep(&cells, 0, &LaunchOpts::threads(2), &mut store).expect("sweep completes");
+            run_sweep(&cells, 0, &LaunchOpts::threads(2), &store).expect("sweep completes");
         assert_eq!(outcome.ranks, 2);
         assert_eq!(outcome.respawns, 0);
         assert_eq!(outcome.results.len(), local.len());
@@ -665,9 +668,33 @@ mod tests {
         // and nothing else.
         assert_eq!(store.len(), cells.len());
         for (cell, l) in cells.iter().zip(&local) {
-            assert_eq!(store.get_bytes(&cell.key(0)).as_deref(), Some(l.as_str()));
-            assert!(store.get_bytes(&cell.label()).is_none());
+            assert_eq!(store.get(&cell.key(0)).as_deref(), Some(l.as_str()));
+            assert!(store.get(&cell.label()).is_none());
         }
+    }
+
+    #[test]
+    fn each_delivered_cell_is_put_once_and_a_stored_one_never() {
+        let cells = micro_cells();
+        let mut store = ResultStore::ephemeral();
+        store.put_bytes(&cells[0].key(0), "\"cached\"".into());
+        let puts = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&puts);
+        let pool = CellPool::with_on_put(store, move |_| {
+            counted.fetch_add(1, Ordering::SeqCst);
+        });
+        let outcome =
+            run_sweep(&cells, 0, &LaunchOpts::threads(2), &pool).expect("sweep completes");
+        assert_eq!(
+            &*outcome.results[0].1, "\"cached\"",
+            "answered, not shipped"
+        );
+        assert_eq!(
+            puts.load(Ordering::SeqCst),
+            cells.len() - 1,
+            "one put per delivered cell, none for the stored one"
+        );
+        assert_eq!(pool.len(), cells.len());
     }
 
     #[test]
@@ -678,7 +705,7 @@ mod tests {
             store.put_bytes(&cell.key(7), "\"cached\"".into());
         }
         // All cells cached: no listener, no workers, instant return.
-        let outcome = run_sweep(&cells, 7, &LaunchOpts::threads(2), &mut store)
+        let outcome = run_sweep(&cells, 7, &LaunchOpts::threads(2), &CellPool::new(store))
             .expect("cache satisfies the sweep");
         assert!(outcome
             .results
@@ -747,10 +774,10 @@ mod tests {
             kernel: "Cca".into(),
             scale: 1,
         }];
-        let mut store = ResultStore::ephemeral();
+        let store = CellPool::new(ResultStore::ephemeral());
         let mut opts = LaunchOpts::threads(1);
         opts.max_respawns = 2;
-        let err = run_sweep(&cells, 0, &opts, &mut store).expect_err("cell can never run");
+        let err = run_sweep(&cells, 0, &opts, &store).expect_err("cell can never run");
         assert!(store.is_empty(), "a cell that cannot run stores nothing");
         assert!(err.to_string().contains("respawn budget"), "{err}");
     }

@@ -13,8 +13,8 @@
 //! * [`key`] — cell identity: the content hash behind
 //!   [`WireCell::key`], the only thing a result store is indexed by,
 //! * [`plan`] — the sweep plan a coordinator hands each worker,
-//! * [`launcher`] — spawns workers, distributes the plans, collects
-//!   results into a [`bsim_resilience::ResultStore`], and respawns and
+//! * [`launcher`] — spawns workers, distributes the plans, stores
+//!   results through a [`bsim_core::CellPool`], and respawns and
 //!   re-plans, after a short capped delay, when a worker process dies
 //!   or falls silent,
 //! * [`worker`] — the worker-process entry point (`bsim dist-worker`),

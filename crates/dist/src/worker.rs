@@ -16,6 +16,7 @@ use crate::launcher::arm_io;
 use crate::plan::PlanSpec;
 use bsim_check::proto::{dist_cached, Tracker, Violation};
 use bsim_core::Parallelism;
+use bsim_resilience::store::canonical;
 use std::io;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -120,7 +121,7 @@ pub(crate) fn run_with(addr: &str, rank: usize, io_timeout: Duration) -> io::Res
                     &mut control,
                     &Frame::Cell {
                         index: *index,
-                        json: serde_json::to_string(&tree).expect("shim renderer is total"),
+                        json: canonical(&tree),
                     },
                 )?
             }

@@ -2,28 +2,20 @@
 //!
 //! A [`Daemon`] owns a std-TCP accept loop speaking the HTTP-lite
 //! framing of [`crate::proto`], an async job queue drained by a pool of
-//! worker threads, and the content-addressed [`ResultStore`]. A
-//! `/submit` body parses and preflights into an [`SvcRequest`]
-//! (rejected with SV/MG/CL/SC diagnostics before any worker time is
-//! spent), decomposes into content-addressed cells, and fans across
-//! `run_grid_resilient`, which runs each cell once and turns a panic
-//! into a failure row.
+//! worker threads, and a [`CellPool`] over the content-addressed
+//! [`ResultStore`]. A `/submit` body parses and preflights into an
+//! [`SvcRequest`] (rejected with SV/MG/CL/SC diagnostics before any
+//! worker time is spent), decomposes into content-addressed cells, and
+//! goes to the pool as one batch of keys.
 //!
 //! ## Exactly-once simulation
 //!
-//! Each cell key is simulated at most once, ever:
-//!
-//! 1. a cell first probes the store — a hit is the store's own
-//!    canonical bytes, CRC-verified by the read that returns them;
-//! 2. on a miss it must *claim* the key in the in-flight set. Claiming
-//!    re-checks the store under the in-flight lock, and a finished cell
-//!    stores its bytes **before** releasing its claim — so a competitor
-//!    either sees the claim (and waits on the condvar), or sees the
-//!    claim gone and therefore the store populated. Identical cells in
-//!    concurrent requests coalesce onto one simulation.
-//!
-//! A claim is released by a drop guard, so a panicking cell never wedges
-//! its key: the next request for it claims it afresh.
+//! Each cell key is simulated at most once, ever: the pool answers a hit
+//! from the store's own CRC-verified bytes, and runs a miss under a claim
+//! on its key that it releases only after the result is stored, so
+//! identical cells in concurrent requests coalesce onto one simulation
+//! (`bsim_core::resilient` states the invariant). A cell that fails or
+//! panics is a failure row, and the next request for it runs it afresh.
 //!
 //! ## A warm request costs a lookup
 //!
@@ -33,11 +25,11 @@
 //! one indexed read, re-verified by CRC32, that shares the store's
 //! allocation. Nor is a cell re-indented per request: the daemon keeps
 //! each served cell's *fragment* — its result re-indented into the
-//! document (`crate::splice`) — beside its store entry, under the same
-//! lock, so the response is the skeleton with those fragments copied in
+//! document (`crate::splice`) — keyed like its store entry, so the
+//! response is the skeleton with those fragments copied in
 //! (`render_body`), and it leaves in one write ([`crate::proto`]). A
 //! fragment is served only if it was rendered from the very allocation
-//! the store read just verified and its own bytes still match the CRC32
+//! the pool's read just verified and its own bytes still match the CRC32
 //! taken when it was rendered; otherwise it is re-rendered from the
 //! verified bytes (`host.svc.cache.reindented` counts those renders).
 //! So a flipped byte in either copy is never served. The fragments are
@@ -82,7 +74,7 @@
 //! accept loop sheds inline with `503` + `Retry-After`; when the job
 //! queue is at `queue_cap` a well-formed `/submit` sheds with `429` +
 //! `Retry-After`. An optional per-request deadline rides each job into
-//! sweep execution: expired cells fail fast with a typed diagnostic
+//! the pool: expired cells fail fast with a typed diagnostic
 //! instead of burning workers on work nobody is waiting for. All of it
 //! is visible as `host.guard.*` counters in `/metrics`.
 
@@ -91,13 +83,13 @@ use crate::request::{Cell, SvcRequest};
 use crate::splice::reindent;
 use bsim_check::proto::Tracker;
 use bsim_check::Report;
-use bsim_core::{run_grid_resilient, CellOutcome, Parallelism};
+use bsim_core::{CellOutcome, CellPool, Parallelism};
 use bsim_dist::key::{json_str, STORE_SCHEMA};
 use bsim_resilience::guard::crc32;
-use bsim_resilience::store::{canonical, ResultStore};
+use bsim_resilience::ResultStore;
 use bsim_telemetry::CounterBlock;
 use serde::Value;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -149,7 +141,7 @@ pub const COUNTERS: [&str; 19] = [
     "host.svc.requests.completed",
     "host.svc.requests.failed",
     "host.svc.queue.depth",
-    "host.svc.cells.inflight",
+    "host.svc.cells.inflight", // bsim: allow(AU007) the gauge's name, not a claim set
     "host.svc.cells.total",
     "host.svc.cells.simulated",
     "host.svc.cache.hits",
@@ -272,12 +264,12 @@ impl JobState {
     }
 }
 
-/// Per-request accounting, shared with the worker closure.
-#[derive(Default)]
-struct JobStats {
-    hits: AtomicU64,
-    simulated: AtomicU64,
-    coalesced: AtomicU64,
+/// How a finished job's cells were answered, for `/status`.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    hits: u64,
+    simulated: u64,
+    coalesced: u64,
 }
 
 struct Job {
@@ -290,7 +282,7 @@ struct Job {
     /// The finished document, from when the job finishes until the one
     /// fetch that delivers it takes it.
     body: Option<String>,
-    stats: Arc<JobStats>,
+    tally: Tally,
     /// Absolute expiry stamped at submit; cells past it fail fast.
     deadline: Option<Instant>,
 }
@@ -342,42 +334,20 @@ struct Served {
     text: Arc<str>,
 }
 
-/// The result store and the fragments served from it, under one lock.
-struct Store {
-    results: ResultStore,
+/// The fragments served from the pool's results, at most one per key.
+#[derive(Default)]
+struct Fragments {
     served: HashMap<String, Served>,
     /// Fragments rendered, i.e. fragment misses
     /// (`host.svc.cache.reindented`).
     reindented: u64,
 }
 
-impl Store {
-    fn new(results: ResultStore) -> Store {
-        Store {
-            results,
-            served: HashMap::new(),
-            reindented: 0,
-        }
-    }
-
-    /// The fragment of `key`'s stored result, or `None` on a store miss:
-    /// the read re-verifies the store's bytes, and [`Store::serve`] the
-    /// fragment against them.
-    fn fragment(&mut self, key: &str) -> Option<Arc<str>> {
-        let bytes = self.results.get_bytes(key)?;
-        Some(self.serve(key, bytes))
-    }
-
-    /// Stores a simulated cell's canonical bytes and returns its fragment.
-    fn put(&mut self, key: &str, bytes: Arc<str>) -> Arc<str> {
-        self.results.put_bytes(key, Arc::clone(&bytes));
-        self.serve(key, bytes)
-    }
-
-    /// The fragment of `bytes`, the result stored under `key` as a read
-    /// just verified or a put just stored it: the kept one if it was
-    /// rendered from this very allocation and still matches its CRC32,
-    /// else a fresh rendering that replaces it.
+impl Fragments {
+    /// The fragment of `bytes`, the result stored under `key` as the
+    /// pool's read just verified or its put just stored it: the kept one
+    /// if it was rendered from this very allocation and still matches its
+    /// CRC32, else a fresh rendering that replaces it.
     fn serve(&mut self, key: &str, bytes: Arc<str>) -> Arc<str> {
         if let Some(kept) = self.served.get(key) {
             if Arc::ptr_eq(&kept.source, &bytes) && crc32(kept.text.as_bytes()) == kept.crc {
@@ -397,17 +367,6 @@ impl Store {
         self.served.insert(key.to_string(), served);
         text
     }
-
-    /// Number of stored results (the `host.svc.cache.entries` gauge).
-    fn len(&self) -> usize {
-        self.results.len()
-    }
-
-    /// [`ResultStore::flip_resident_bit`], for the tests.
-    #[cfg(test)]
-    fn flip_resident_bit(&mut self, key: &str) {
-        self.results.flip_resident_bit(key);
-    }
 }
 
 struct Shared {
@@ -415,9 +374,8 @@ struct Shared {
     self_addr: SocketAddr,
     jobs: Mutex<Jobs>,
     jobs_cv: Condvar,
-    store: Mutex<Store>,
-    inflight: Mutex<HashSet<String>>,
-    inflight_cv: Condvar,
+    pool: CellPool,
+    fragments: Mutex<Fragments>,
     /// Accepted-but-unserved connections, bounded at `conn_backlog`.
     conns: Mutex<VecDeque<TcpStream>>,
     conns_cv: Condvar,
@@ -433,8 +391,8 @@ pub struct Daemon {
     accept: JoinHandle<()>,
     conn_pool: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    /// Tests pin races deterministically through the live state (claim
-    /// an inflight key, watch the backlog drain); production code only
+    /// Tests pin races deterministically through the live state (hold a
+    /// cell's claim, watch the backlog drain); production code only
     /// reaches it through the wire.
     #[cfg_attr(not(test), allow(dead_code))]
     shared: Arc<Shared>,
@@ -464,9 +422,8 @@ impl Daemon {
             self_addr: addr,
             jobs: Mutex::new(Jobs::default()),
             jobs_cv: Condvar::new(),
-            store: Mutex::new(Store::new(store)),
-            inflight: Mutex::new(HashSet::new()),
-            inflight_cv: Condvar::new(),
+            pool: CellPool::new(store),
+            fragments: Mutex::new(Fragments::default()),
             conns: Mutex::new(VecDeque::new()),
             conns_cv: Condvar::new(),
             stats: Stats::default(),
@@ -714,119 +671,68 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 fn run_job(shared: &Arc<Shared>, idx: usize) {
-    let (cells, stats, deadline) = {
+    let (cells, deadline) = {
         let mut jobs = lock(&shared.jobs);
         let job = &mut jobs.table[idx];
         job.state = JobState::Running;
-        (
-            std::mem::take(&mut job.cells),
-            Arc::clone(&job.stats),
-            job.deadline,
-        )
+        (std::mem::take(&mut job.cells), job.deadline)
     };
-    let sweep = run_grid_resilient(cells.len(), shared.cfg.par, |i| {
-        exec_cell(shared, &stats, &cells[i], deadline)
+    let keys: Vec<&str> = cells.iter().map(|c| c.key.as_str()).collect();
+    // A preflight-clean request names only things this binary has; a
+    // cell that still cannot run fails like any other poisoned cell.
+    let run = shared.pool.run(&keys, shared.cfg.par, deadline, |i| {
+        let cell = &cells[i];
+        cell.spec
+            .run(shared.cfg.par)
+            .map_err(|e| format!("cell {}: {e}", cell.label))
     });
-    let (state, body) = if sweep.all_ok() {
-        shared.stats.completed.fetch_add(1, Ordering::SeqCst);
-        (JobState::Done, render_body(&cells, &sweep.outcomes))
+    let (total, hits) = (cells.len() as u64, run.restored() as u64);
+    let tally = Tally {
+        hits,
+        simulated: total - hits - run.failed() as u64,
+        coalesced: run.waited as u64,
+    };
+    let s = &shared.stats;
+    s.cells_total.fetch_add(total, Ordering::SeqCst);
+    s.cache_hits.fetch_add(tally.hits, Ordering::SeqCst);
+    s.cells_simulated
+        .fetch_add(tally.simulated, Ordering::SeqCst);
+    s.coalesced.fetch_add(tally.coalesced, Ordering::SeqCst);
+    s.deadline_expired
+        .fetch_add(run.expired as u64, Ordering::SeqCst);
+    let (state, body) = if run.all_ok() {
+        s.completed.fetch_add(1, Ordering::SeqCst);
+        let fragments: Vec<Arc<str>> = {
+            let mut kept = lock(&shared.fragments);
+            let served = cells.iter().zip(run.outcomes);
+            served
+                .filter_map(|(cell, outcome)| match outcome {
+                    CellOutcome::Ok { value, .. } => Some(kept.serve(&cell.key, value)),
+                    CellOutcome::Failed { .. } => None,
+                })
+                .collect()
+        };
+        (JobState::Done, render_body(&cells, &fragments))
     } else {
-        shared.stats.failed.fetch_add(1, Ordering::SeqCst);
-        (JobState::Failed, render_failure(&cells, &sweep.outcomes))
+        s.failed.fetch_add(1, Ordering::SeqCst);
+        (JobState::Failed, render_failure(&cells, &run.outcomes))
     };
     let mut jobs = lock(&shared.jobs);
     let job = &mut jobs.table[idx];
     job.state = state;
     job.body = Some(body);
+    job.tally = tally;
     // Wake both idle workers and a draining /shutdown handler.
     shared.jobs_cv.notify_all();
-}
-
-/// Releases an in-flight claim even when the cell panics mid-compute,
-/// so a later request for the cell can claim it instead of waiting on
-/// the dead one forever.
-struct Claim<'a> {
-    shared: &'a Shared,
-    key: &'a str,
-}
-
-impl Drop for Claim<'_> {
-    fn drop(&mut self) {
-        lock(&self.shared.inflight).remove(self.key);
-        self.shared.inflight_cv.notify_all();
-    }
-}
-
-/// Runs or looks up one cell and returns its served fragment — on a hit
-/// the one kept for the bytes the store's read just verified
-/// ([`Store::fragment`]); on a miss that of the bytes just stored.
-fn exec_cell(shared: &Shared, job: &JobStats, cell: &Cell, deadline: Option<Instant>) -> Arc<str> {
-    shared.stats.cells_total.fetch_add(1, Ordering::SeqCst);
-    let hit = |fragment: Arc<str>| {
-        shared.stats.cache_hits.fetch_add(1, Ordering::SeqCst);
-        job.hits.fetch_add(1, Ordering::SeqCst);
-        fragment
-    };
-    let mut counted_wait = false;
-    loop {
-        // Deadline gate, re-checked after every coalesce wake: work
-        // nobody is waiting for anymore fails fast with a typed
-        // diagnostic (the cell's catch renders the panic message into
-        // the job's failure body) instead of occupying a worker.
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            shared.stats.deadline_expired.fetch_add(1, Ordering::SeqCst);
-            panic!("request deadline exceeded");
-        }
-        if let Some(fragment) = lock(&shared.store).fragment(&cell.key) {
-            return hit(fragment);
-        }
-        let mut inflight = lock(&shared.inflight);
-        if !inflight.contains(&cell.key) {
-            // Re-check under the claim lock: a racing winner stores its
-            // bytes *before* releasing its claim, so "no claim" +
-            // "store miss" here proves nobody has simulated this key.
-            if let Some(fragment) = lock(&shared.store).fragment(&cell.key) {
-                return hit(fragment);
-            }
-            inflight.insert(cell.key.clone());
-            break;
-        }
-        if !counted_wait {
-            counted_wait = true;
-            shared.stats.coalesced.fetch_add(1, Ordering::SeqCst);
-            job.coalesced.fetch_add(1, Ordering::SeqCst);
-        }
-        let _unused: MutexGuard<'_, _> = wait(&shared.inflight_cv, inflight);
-    }
-    let claim = Claim {
-        shared,
-        key: &cell.key,
-    };
-    // A preflight-clean request names only things this binary has; a
-    // cell that still cannot run fails like any other poisoned cell.
-    let tree = cell
-        .spec
-        .run(shared.cfg.par)
-        .unwrap_or_else(|e| panic!("cell {}: {e}", cell.label));
-    let fragment = lock(&shared.store).put(&cell.key, canonical(&tree).into());
-    shared.stats.cells_simulated.fetch_add(1, Ordering::SeqCst);
-    job.simulated.fetch_add(1, Ordering::SeqCst);
-    drop(claim);
-    fragment
 }
 
 /// The result document: schema header plus one entry per cell, in
 /// request order — `{"schema", "cells": [{"key", "label", "result"}]}`
 /// as the pretty renderer prints it. This writes the skeleton only and
-/// copies in each cell's fragment as [`exec_cell`] returned it (its
-/// stored bytes re-indented once, never parsed), so a cache-served
-/// response is byte-identical to the simulated one and carries the bytes
-/// the store verified.
-fn render_body(cells: &[Cell], outcomes: &[CellOutcome<Arc<str>>]) -> String {
-    let fragments: Vec<&str> = outcomes
-        .iter()
-        .map(|o| &**o.value().expect("render_body needs all_ok")) // bsim: allow(AU002) invariant stated in the message
-        .collect();
+/// copies in each cell's fragment (its stored bytes re-indented once,
+/// never parsed), so a cache-served response is byte-identical to the
+/// simulated one and carries the bytes the store verified.
+fn render_body(cells: &[Cell], fragments: &[Arc<str>]) -> String {
     let served: usize = fragments.iter().map(|f| f.len()).sum();
     let mut out = String::with_capacity(served + 128 * cells.len() + 64);
     out.push_str("{\n  \"schema\": ");
@@ -882,19 +788,17 @@ fn metrics_json(shared: &Shared) -> String {
         "host.svc.queue.depth",
         lock(&shared.jobs).queue.len() as u64,
     );
-    block.set_named(
-        "host.svc.cells.inflight",
-        lock(&shared.inflight).len() as u64,
-    );
+    // bsim: allow(AU007) the gauge's name, not a claim set
+    block.set_named("host.svc.cells.inflight", shared.pool.claims() as u64);
     block.set_named("host.svc.cells.total", get(&s.cells_total));
     block.set_named("host.svc.cells.simulated", get(&s.cells_simulated));
     block.set_named("host.svc.cache.hits", get(&s.cache_hits));
     block.set_named("host.svc.cache.coalesced", get(&s.coalesced));
-    {
-        let store = lock(&shared.store);
-        block.set_named("host.svc.cache.entries", store.len() as u64);
-        block.set_named("host.svc.cache.reindented", store.reindented);
-    }
+    block.set_named("host.svc.cache.entries", shared.pool.len() as u64);
+    block.set_named(
+        "host.svc.cache.reindented",
+        lock(&shared.fragments).reindented,
+    );
     let ms = shared.started.elapsed().as_millis().max(1) as u64;
     block.set_named(
         "host.svc.rate.cells_per_sec",
@@ -1134,7 +1038,7 @@ fn handle_submit(shared: &Arc<Shared>, body: &str) -> Reply {
             cells,
             cell_count,
             body: None,
-            stats: Arc::new(JobStats::default()),
+            tally: Tally::default(),
             deadline,
         });
         jobs.queue.push_back(idx);
@@ -1163,15 +1067,9 @@ fn handle_status(shared: &Arc<Shared>, id: &str) -> Reply {
         ("job", Value::Str(job.id.clone())),
         ("state", Value::Str(job.state.label().into())),
         ("cells", Value::U64(job.cell_count as u64)),
-        ("hits", Value::U64(job.stats.hits.load(Ordering::SeqCst))),
-        (
-            "simulated",
-            Value::U64(job.stats.simulated.load(Ordering::SeqCst)),
-        ),
-        (
-            "coalesced",
-            Value::U64(job.stats.coalesced.load(Ordering::SeqCst)),
-        ),
+        ("hits", Value::U64(job.tally.hits)),
+        ("simulated", Value::U64(job.tally.simulated)),
+        ("coalesced", Value::U64(job.tally.coalesced)),
     ]);
     Reply::new(200, "OK", body)
 }
@@ -1240,10 +1138,7 @@ fn handle_shutdown(shared: &Arc<Shared>) -> Reply {
             jobs = wait(&shared.jobs_cv, jobs);
         }
     }
-    let (entries, flushed) = {
-        let store = lock(&shared.store);
-        (store.len() as u64, store.results.flush())
-    };
+    let (entries, flushed) = (shared.pool.len() as u64, shared.pool.flush());
     let body = match flushed {
         Ok(bytes) => json_line(&[
             ("ok", Value::Bool(true)),
@@ -1263,6 +1158,7 @@ mod tests {
     use super::*;
     use crate::proto::roundtrip;
     use bsim_dist::WireCell;
+    use bsim_resilience::store::canonical;
 
     fn daemon() -> Daemon {
         let (d, report) = Daemon::spawn(DaemonConfig::default()).unwrap();
@@ -1366,7 +1262,7 @@ mod tests {
         }
 
         let key = SvcRequest::parse(submit).unwrap().cells()[0].key.clone();
-        lock(&d.shared.store).flip_resident_bit(&key);
+        d.shared.pool.flip_resident_bit(&key);
         let healed = submit_and_fetch(&d, submit);
         assert_eq!(
             healed, cold,
@@ -1380,7 +1276,7 @@ mod tests {
         // The recompute replaced the bad entry: the next read is a hit.
         assert_eq!(submit_and_fetch(&d, submit), cold);
         assert_eq!(simulated(), 2);
-        assert_eq!(lock(&d.shared.store).len(), 1);
+        assert_eq!(d.shared.pool.len(), 1);
         roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
         d.join();
     }
@@ -1391,7 +1287,7 @@ mod tests {
                       \"kernels\":[\"Cca\"],\"scale\":1}";
         let d = daemon();
         let simulated = || d.shared.stats.cells_simulated.load(Ordering::SeqCst);
-        let reindented = || lock(&d.shared.store).reindented;
+        let reindented = || lock(&d.shared.fragments).reindented;
         let cold = submit_and_fetch(&d, submit);
         assert_eq!(submit_and_fetch(&d, submit), cold);
         assert_eq!(reindented(), 1, "the simulated cell is rendered once");
@@ -1399,8 +1295,8 @@ mod tests {
         // A bit gone bad in the kept fragment; its recorded CRC stays.
         let key = SvcRequest::parse(submit).unwrap().cells()[0].key.clone();
         {
-            let mut store = lock(&d.shared.store);
-            let kept = store.served.get_mut(&key).unwrap();
+            let mut fragments = lock(&d.shared.fragments);
+            let kept = fragments.served.get_mut(&key).unwrap();
             let mut text = kept.text.as_bytes().to_vec();
             let at = text.iter().position(u8::is_ascii_digit).unwrap();
             text[at] ^= 1;
@@ -1426,12 +1322,34 @@ mod tests {
 
     #[test]
     fn a_replaced_result_replaces_its_fragment() {
-        let mut store = Store::new(ResultStore::ephemeral());
-        let first = store.put("k", "[1]".into());
-        let second = store.put("k", "[2]".into());
+        let mut fragments = Fragments::default();
+        let first = fragments.serve("k", "[1]".into());
+        let replaced: Arc<str> = "[2]".into();
+        let second = fragments.serve("k", Arc::clone(&replaced));
         assert_ne!(first, second, "rendered from the new bytes");
-        assert_eq!(store.fragment("k"), Some(second));
-        assert_eq!(store.reindented, 2);
+        assert_eq!(fragments.serve("k", replaced), second);
+        assert_eq!(fragments.reindented, 2);
+    }
+
+    #[test]
+    fn fragments_never_outnumber_the_stored_keys() {
+        let d = daemon();
+        let sweep = |kernels: &str| {
+            format!(
+                "{{\"kind\":\"sweep\",\"platforms\":[\"Rocket 1\"],\
+                 \"kernels\":[{kernels}],\"scale\":1}}"
+            )
+        };
+        // Four submits over two distinct cells.
+        for kernels in ["\"Cca\"", "\"Cca\",\"EI\"", "\"EI\"", "\"Cca\""] {
+            submit_and_fetch(&d, &sweep(kernels));
+            let kept = lock(&d.shared.fragments).served.len();
+            assert!(kept <= d.shared.pool.len(), "{kept} fragments");
+        }
+        assert_eq!(lock(&d.shared.fragments).served.len(), 2);
+        assert_eq!(d.shared.pool.len(), 2);
+        roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
+        d.join();
     }
 
     #[test]
@@ -1460,10 +1378,45 @@ mod tests {
         d.join();
     }
 
+    /// The claim on `submit`'s one cell, held by another caller of the
+    /// daemon's pool that is running the cell: it stores the result and
+    /// releases the claim once [`Held::release`] lets the cell finish.
+    struct Held {
+        go: std::sync::mpsc::Sender<()>,
+        caller: JoinHandle<()>,
+    }
+
+    impl Held {
+        fn release(self) {
+            self.go.send(()).ok();
+            self.caller.join().unwrap();
+        }
+    }
+
+    fn hold(d: &Daemon, submit: &str) -> Held {
+        let cell = SvcRequest::parse(submit).unwrap().cells().remove(0);
+        let shared = Arc::clone(&d.shared);
+        let (go, wait) = std::sync::mpsc::channel::<()>();
+        let wait = Mutex::new(wait);
+        let caller = std::thread::spawn(move || {
+            let run = shared
+                .pool
+                .run(&[&cell.key], Parallelism::Sequential, None, |_| {
+                    lock(&wait).recv().ok();
+                    cell.spec.run(Parallelism::Sequential)
+                });
+            assert!(run.all_ok(), "{:?}", run.outcomes);
+        });
+        while d.shared.pool.claims() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        Held { go, caller }
+    }
+
     /// A one-worker daemon whose only job is pinned `Running`: its cell
     /// is claimed before it is submitted, so the worker waits on the
-    /// claim. Returns the daemon and the claimed key.
-    fn daemon_with_a_running_job() -> (Daemon, String) {
+    /// claim. Returns the daemon and the held claim.
+    fn daemon_with_a_running_job() -> (Daemon, Held) {
         let submit = "{\"kind\":\"sweep\",\"platforms\":[\"Rocket 1\"],\
                       \"kernels\":[\"Cca\"],\"scale\":1}";
         let (d, report) = Daemon::spawn(DaemonConfig {
@@ -1472,29 +1425,23 @@ mod tests {
         })
         .unwrap();
         assert!(report.is_clean(), "{report}");
-        let key = SvcRequest::parse(submit).unwrap().cells()[0].key.clone();
-        lock(&d.shared.inflight).insert(key.clone());
+        let held = hold(&d, submit);
         let (status, _) = roundtrip(&d.addr(), "POST", "/submit", submit).unwrap();
         assert_eq!(status, 202);
         while lock(&d.shared.jobs).table[0].state != JobState::Running {
             std::thread::sleep(Duration::from_millis(2));
         }
-        (d, key)
-    }
-
-    fn release(d: &Daemon, key: &str) {
-        lock(&d.shared.inflight).remove(key);
-        d.shared.inflight_cv.notify_all();
+        (d, held)
     }
 
     #[test]
     fn a_fetch_waits_for_its_job_to_finish() {
-        let (d, key) = daemon_with_a_running_job();
+        let (d, held) = daemon_with_a_running_job();
         let started = Instant::now();
         std::thread::scope(|s| {
-            s.spawn(|| {
+            s.spawn(move || {
                 std::thread::sleep(Duration::from_millis(50));
-                release(&d, &key);
+                held.release();
             });
             // One fetch, issued while the cell is claimed: no 202 first.
             let (status, body) = roundtrip(&d.addr(), "GET", "/fetch/job-1", "").unwrap();
@@ -1507,13 +1454,13 @@ mod tests {
 
     #[test]
     fn a_fetch_answers_202_once_fetch_wait_has_passed() {
-        let (d, key) = daemon_with_a_running_job();
+        let (d, held) = daemon_with_a_running_job();
         let started = Instant::now();
         let (status, body) = roundtrip(&d.addr(), "GET", "/fetch/job-1", "").unwrap();
         assert!(started.elapsed() >= FETCH_WAIT);
         assert_eq!(status, 202, "{body}");
         assert_eq!(body, "{\"job\":\"job-1\",\"state\":\"running\"}");
-        release(&d, &key);
+        held.release();
         let (status, body) =
             crate::client::wait(&d.addr(), "job-1", Duration::from_secs(120)).unwrap();
         assert_eq!(status, 200, "{body}");
@@ -1559,20 +1506,20 @@ mod tests {
                     spec: WireCell::Tune { scale: 1 },
                 })
                 .collect();
-            let ok = |value| CellOutcome::Ok { value, restored: false };
             // Each document twice: fragments rendered as the cells are
             // stored (a miss), then the kept ones served (a hit).
-            let mut store = Store::new(ResultStore::ephemeral());
-            let missed: Vec<CellOutcome<Arc<str>>> = cells
-                .iter()
-                .zip(&trees)
-                .map(|(c, t)| ok(store.put(&c.key, canonical(t).into())))
-                .collect();
-            let hit: Vec<CellOutcome<Arc<str>>> = cells
-                .iter()
-                .map(|c| ok(store.fragment(&c.key).unwrap()))
-                .collect();
-            proptest::prop_assert_eq!(store.reindented, cells.len() as u64);
+            let stored: Vec<Arc<str>> = trees.iter().map(|t| canonical(t).into()).collect();
+            let mut fragments = Fragments::default();
+            let serve = |fragments: &mut Fragments| -> Vec<Arc<str>> {
+                cells
+                    .iter()
+                    .zip(&stored)
+                    .map(|(c, bytes)| fragments.serve(&c.key, Arc::clone(bytes)))
+                    .collect()
+            };
+            let missed = serve(&mut fragments);
+            let hit = serve(&mut fragments);
+            proptest::prop_assert_eq!(fragments.reindented, cells.len() as u64);
             let pretty = render_body_from_trees(&cells, &trees);
             proptest::prop_assert_eq!(render_body(&cells, &missed), pretty.clone());
             proptest::prop_assert_eq!(render_body(&cells, &hit), pretty);
@@ -1694,8 +1641,7 @@ mod tests {
         // Pre-claim the cell every copy of this request resolves to, so
         // the single job worker blocks in the coalesce wait — pinning
         // job 1 in Running and job 2 in the queue, deterministically.
-        let key = SvcRequest::parse(submit).unwrap().cells()[0].key.clone();
-        lock(&d.shared.inflight).insert(key.clone());
+        let held = hold(&d, submit);
         let (s1, _) = roundtrip(&d.addr(), "POST", "/submit", submit).unwrap();
         assert_eq!(s1, 202);
         while !lock(&d.shared.jobs).queue.is_empty() {
@@ -1719,7 +1665,7 @@ mod tests {
         );
         // Release the claim: both admitted jobs complete, and the
         // queued one serves byte-identically to the first.
-        release(&d, &key);
+        held.release();
         let fetch = |job: &str| {
             let (status, body) =
                 crate::client::wait(&d.addr(), job, Duration::from_secs(120)).unwrap();
@@ -1750,12 +1696,11 @@ mod tests {
         // Hold the job's cell claim until well past the deadline; the
         // woken worker re-checks expiry and fails fast instead of
         // simulating work nobody is waiting for.
-        let key = SvcRequest::parse(submit).unwrap().cells()[0].key.clone();
-        lock(&d.shared.inflight).insert(key.clone());
+        let held = hold(&d, submit);
         let (status, _) = roundtrip(&d.addr(), "POST", "/submit", submit).unwrap();
         assert_eq!(status, 202);
         std::thread::sleep(Duration::from_millis(80));
-        release(&d, &key);
+        held.release();
         let (status, body) =
             crate::client::wait(&d.addr(), "job-1", Duration::from_secs(120)).unwrap();
         assert_eq!(status, 500, "an expired job must fail: {body}");

@@ -6,11 +6,12 @@
 //! over std-TCP HTTP-lite, preflights them through `bsim-check`,
 //! decomposes them into **content-addressed cells** — keyed by
 //! `bsim_dist::WireCell::key`, a stable hash of (canonicalized platform
-//! config × workload × seed × code/schema version) — and fans the misses
-//! across `run_grid_resilient` workers while hits and identical
-//! in-flight cells are served from the memoizing [`ResultStore`]. Key
-//! and store are the ones `bsim fig --store` and `bsim dist --store`
-//! use, so a file filled by either serves a daemon and the reverse.
+//! config × workload × seed × code/schema version) — and hands them to a
+//! `bsim_core::CellPool`, which runs the misses once while hits and
+//! identical in-flight cells are served from the memoizing
+//! [`ResultStore`]. Key, pool and store are the ones `bsim fig --store`
+//! and `bsim dist --store` use, so a file filled by either serves a
+//! daemon and the reverse (`tests/store.rs`).
 //!
 //! Layering:
 //!
@@ -19,7 +20,7 @@
 //! | `splice` | compact → pretty re-indenter: responses are spliced from stored bytes, not rendered from trees |
 //! | [`proto`] | hand-rolled HTTP-lite framing (`curl`-compatible, no network deps) |
 //! | [`request`] | wire shapes, SV000–SV002 preflight, decomposition into keyed `bsim_dist::WireCell`s |
-//! | [`daemon`] | job queue, worker pool, exactly-once cell execution, `/shutdown` drain |
+//! | [`daemon`] | job queue, worker pool, served fragments, `/shutdown` drain |
 //! | [`client`] | one-call helpers for the CLI and tests |
 //! | [`faults`] | the store-corruption row for the `bsim faults` matrix |
 //!

@@ -6,7 +6,7 @@
 //! sweep reports.
 
 use bsim_core::experiments::{figure, subfigures, FigureSpec, Parallelism, Sizes};
-use bsim_core::{run_grid_chunks_metered, run_grid_keyed, CellOutcome, ResultStore};
+use bsim_core::{run_grid_chunks_metered, CellOutcome, CellPool, ResultStore, Snapshot};
 use bsim_mpi::NetConfig;
 use bsim_soc::{configs, SocConfig, TelemetryConfig};
 use bsim_sweepx::{cache_tuning_grid, replay_world, run_lanes, LaneOpts, SampleCfg};
@@ -250,23 +250,21 @@ fn ckpt_resume_interops_between_lane_and_scalar_plans() {
         .iter()
         .map(|spec| format!("smoke/{}", spec.key))
         .collect();
-    let on_lanes = |i: usize| run_lanes(&plan[i].grid(sizes), par, &LaneOpts::default());
+    let on_lanes = |i: usize| Ok(run_lanes(&plan[i].grid(sizes), par, &LaneOpts::default()).save());
     let path = std::env::temp_dir().join(format!("sweepx_lane_ab_{}.json", std::process::id()));
     std::fs::remove_file(&path).ok();
-    let (mut store, _) = ResultStore::open(&path);
-    let lane_out =
-        run_grid_keyed(&keys, par, &mut store, |_| {}, on_lanes).expect("lane plan stores cleanly");
+    let store = CellPool::new(ResultStore::open(&path).0);
+    let lane_out = store.run(&keys, par, None, on_lanes);
     assert!(lane_out.all_ok());
     assert_eq!(store.len(), keys.len());
 
     store.flush().expect("store persists");
-    let (mut resumed, report) = ResultStore::open(&path);
+    let (resumed, report) = ResultStore::open(&path);
     assert!(report.is_clean(), "{report}");
     std::fs::remove_file(&path).ok();
 
-    let scalar = |i: usize| plan[i].run(sizes, par);
-    let scalar_out = run_grid_keyed(&keys, par, &mut resumed, |_| {}, scalar)
-        .expect("scalar plan replays cleanly");
+    let scalar = |i: usize| Ok(plan[i].run(sizes, par).save());
+    let scalar_out = CellPool::new(resumed).run(&keys, par, None, scalar);
     for ((sk, lo), so) in keys
         .iter()
         .zip(&lane_out.outcomes)
@@ -276,8 +274,8 @@ fn ckpt_resume_interops_between_lane_and_scalar_plans() {
             CellOutcome::Ok { value, restored } => {
                 assert!(*restored, "{sk} must restore from the lane run's store");
                 assert_eq!(
-                    json(lo.value().expect("lane cell ok")),
-                    json(value),
+                    lo.value().expect("lane cell ok"),
+                    value,
                     "{sk} resumed bytes drifted"
                 );
             }

@@ -59,14 +59,16 @@
 
 use silicon_bridge::check;
 use silicon_bridge::core::campaign::{Ctx, SurvivalMatrix};
-use silicon_bridge::core::experiments::{self, subfigures, FigureSpec, Sizes, FIGURE_IDS};
+use silicon_bridge::core::experiments::{
+    self, subfigures, FigureData, FigureSpec, Sizes, FIGURE_IDS,
+};
 use silicon_bridge::core::table;
 use silicon_bridge::core::tuning::tune_milkv;
-use silicon_bridge::core::{run_grid_keyed, Parallelism, ResultStore};
+use silicon_bridge::core::{CellPool, Parallelism, ResultStore};
 use silicon_bridge::dist::launcher::{run_sweep, KillSpec, LaunchOpts};
 use silicon_bridge::dist::{faults as dist_faults, worker as dist_worker, WireCell};
 use silicon_bridge::mpi::NetConfig;
-use silicon_bridge::resilience::CellOutcome;
+use silicon_bridge::resilience::{CellOutcome, Snapshot};
 use silicon_bridge::soc::{configs, Soc, SocConfig};
 use silicon_bridge::svc::{client, Daemon, DaemonConfig};
 use silicon_bridge::sweepx::{run_lanes, LaneOpts, SampleCfg};
@@ -81,24 +83,26 @@ fn platform_or_exit(name: &str) -> SocConfig {
         .unwrap_or_else(|| fail(format!("unknown platform {name}; try `bsim list`")))
 }
 
+/// What `bsim` prints for a bad invocation: one entry per subcommand,
+/// whose continuation lines are indented past the `bsim`.
+const USAGE: &str = "usage:\n  bsim list\n  bsim table <1|2|4|5>\n  \
+     bsim fig <1..7|all> [--smoke|--paper] [--par seq|auto|N] [--store FILE]\n       \
+     [--lanes N] [--sample]\n  \
+     bsim micro <kernel> [platform]\n  bsim tune\n  \
+     bsim faults [--seed N] [--deny-unsurvived] [--in-process] [--guard]\n  \
+     bsim check [--deny-warnings] [--json] [--list] [--proto] [--source] [platform ...]\n  \
+     bsim scrub --store FILE\n  \
+     bsim dist [--ranks N] [--figs 1,2] [--smoke] [--store FILE] [--json] [--kill-rank R --kill-after K]\n  \
+     bsim serve [--addr H:P] [--store FILE] [--workers N] [--budget N] [--par seq|auto|N]\n       \
+     [--conn-workers N] [--conn-backlog N] [--queue-cap N] [--deadline-ms N] [--io-timeout-secs N]\n  \
+     bsim submit ADDR fig <id> [--smoke] [--seed N] [--wait]\n  \
+     bsim submit ADDR sweep --platforms A,B --kernels C,D [--scale N] [--seed N] [--wait]\n  \
+     bsim submit ADDR tune [--scale N] [--seed N] [--wait]\n  \
+     bsim status ADDR [JOB]\n  \
+     bsim fetch ADDR JOB";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage:\n  bsim list\n  bsim table <1|2|4|5>\n  \
-         bsim fig <1..7|all> [--smoke|--paper] [--par seq|auto|N] [--store FILE]\n       \
-         [--lanes N] [--sample]\n  \
-         bsim micro <kernel> [platform]\n  bsim tune\n  \
-         bsim faults [--seed N] [--deny-unsurvived] [--in-process] [--guard]\n  \
-         bsim check [--deny-warnings] [--json] [--list] [--proto] [--source] [platform ...]\n  \
-         bsim scrub --store FILE\n  \
-         bsim dist [--ranks N] [--figs 1,2] [--smoke] [--store FILE] [--json] [--kill-rank R --kill-after K]\n  \
-         bsim serve [--addr H:P] [--store FILE] [--workers N] [--budget N] [--par seq|auto|N]\n       \
-         [--conn-workers N] [--conn-backlog N] [--queue-cap N] [--deadline-ms N] [--io-timeout-secs N]\n  \
-         bsim submit ADDR fig <id> [--smoke] [--seed N] [--wait]\n  \
-         bsim submit ADDR sweep --platforms A,B --kernels C,D [--scale N] [--seed N] [--wait]\n  \
-         bsim submit ADDR tune [--scale N] [--seed N] [--wait]\n  \
-         bsim status ADDR [JOB]\n  \
-         bsim fetch ADDR JOB"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2)
 }
 
@@ -443,11 +447,15 @@ fn main() {
                     None => cell.key(0),
                 })
                 .collect();
-            let mut store = open_store(f.path("--store"));
+            let pool = CellPool::with_on_put(open_store(f.path("--store")), flush_store);
+            // A stored entry that verifies but is no figure is a store
+            // that has started lying: stop before anything is simulated.
+            let stored = keys.iter().filter_map(|key| pool.get(key));
+            if let Some(Err(e)) = stored.map(|bytes| figure(&bytes)).find(Result::is_err) {
+                fail(format!("result store error: {e}"))
+            }
             // One subfigure at a time: `--par` fans out inside each.
-            let sweep =
-                run_grid_keyed(&keys, Parallelism::Sequential, &mut store, flush_store, run)
-                    .unwrap_or_else(|e| fail(format!("result store error: {e}")));
+            let sweep = pool.run(&keys, Parallelism::Sequential, None, |i| Ok(run(i).save()));
             let mut failed = 0usize;
             for ((spec, _), outcome) in plan.iter().zip(sweep.outcomes) {
                 let name = spec.key;
@@ -456,6 +464,8 @@ fn main() {
                         if restored {
                             eprintln!("{name}: replayed from the result store");
                         }
+                        let value = figure(&value)
+                            .unwrap_or_else(|e| fail(format!("result store error: {e}")));
                         println!("{}", table::render(&value));
                     }
                     CellOutcome::Failed { diag } => {
@@ -618,8 +628,16 @@ fn open_store(path: Option<std::path::PathBuf>) -> ResultStore {
     store
 }
 
-/// Flushes `store` to its file, if it has one. A store that cannot be
-/// written costs the next run its hits, not this run its results.
+/// A subfigure's stored bytes as the figure they render.
+fn figure(bytes: &str) -> Result<FigureData, String> {
+    let tree = serde_json::from_str(bytes).map_err(|e| e.to_string())?;
+    FigureData::restore(&tree).map_err(|e| e.to_string())
+}
+
+/// Flushes `store` to its file, if it has one: the `on_put` of every
+/// command's pool, so a run killed midway leaves what it finished. A
+/// store that cannot be written costs the next run its hits, not this
+/// run its results.
 fn flush_store(store: &ResultStore) {
     if let Err(e) = store.flush() {
         eprintln!("warning: cannot write the result store: {e}");
@@ -667,12 +685,11 @@ fn run_dist(f: &Flags) -> ! {
 
     // Seed 0: the keys `bsim fig --store` and a default `bsim submit`
     // look the same cells up under.
-    let mut store = open_store(f.path("--store"));
-    let outcome = run_sweep(&cells, 0, &opts, &mut store).unwrap_or_else(|e| {
+    let pool = CellPool::with_on_put(open_store(f.path("--store")), flush_store);
+    let outcome = run_sweep(&cells, 0, &opts, &pool).unwrap_or_else(|e| {
         eprintln!("dist sweep failed: {e}");
         std::process::exit(1);
     });
-    flush_store(&store);
 
     if f.has("--json") {
         use serde::Value;
@@ -797,4 +814,53 @@ fn run_submit(f: &Flags) -> ! {
         &job,
         std::time::Duration::from_secs(600),
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each subcommand's entry in [`USAGE`] — its `bsim <sub>` lines and
+    /// their continuations — with the `--flags` it names, sorted.
+    fn usage_flags() -> Vec<(&'static str, Vec<&'static str>)> {
+        let mut entries: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in USAGE.lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("bsim ") {
+                let sub = rest.split_whitespace().next().unwrap_or_default();
+                if !entries.iter().any(|(s, _)| *s == sub) {
+                    entries.push((sub, Vec::new()));
+                }
+            }
+            let Some((_, flags)) = entries.last_mut() else {
+                continue;
+            };
+            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            flags.extend(words.filter(|w| w.starts_with("--")));
+        }
+        for (_, flags) in &mut entries {
+            flags.sort_unstable();
+            flags.dedup();
+        }
+        entries
+    }
+
+    #[test]
+    fn the_usage_names_exactly_the_flags_each_subcommand_accepts() {
+        let entries = usage_flags();
+        for (sub, named) in &entries {
+            let table = flag_table(sub).unwrap_or_else(|| panic!("usage names `bsim {sub}`"));
+            let mut accepted: Vec<&str> = table.iter().map(|(flag, _)| *flag).collect();
+            accepted.sort_unstable();
+            assert_eq!(named, &accepted, "bsim {sub}");
+        }
+        let listed: Vec<&str> = entries.iter().map(|(sub, _)| *sub).collect();
+        assert_eq!(
+            listed,
+            [
+                "list", "table", "fig", "micro", "tune", "faults", "check", "scrub", "dist",
+                "serve", "submit", "status", "fetch"
+            ],
+            "every subcommand but the hidden dist-worker has a usage entry"
+        );
+    }
 }

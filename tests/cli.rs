@@ -8,6 +8,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use silicon_bridge::core::experiments::Sizes;
+use silicon_bridge::dist::WireCell;
 use silicon_bridge::resilience::ResultStore;
 
 fn bsim(args: &[&str]) -> Output {
@@ -246,6 +247,32 @@ fn a_second_run_adds_to_an_existing_store() {
     let again = fig_with_store(&["5", "--smoke"], &store);
     assert_eq!((again.replayed, again.entries), (1, 3));
     assert_eq!(again.tables, first.tables);
+    std::fs::remove_file(&store).ok();
+}
+
+/// A stored entry that verifies but is no figure is a store that has
+/// started lying: `bsim fig` stops with a loud error before it simulates
+/// a missing subfigure, and leaves the file as it was.
+#[test]
+fn a_stored_entry_that_is_no_figure_stops_the_run_before_anything_runs() {
+    let store = scratch_store("lying");
+    let (mut lying, _) = ResultStore::open(&store);
+    let fig3b = &WireCell::figure_cells("3", "smoke")[1];
+    lying.put(&fig3b.key(0), &serde::Value::Str("not a figure".into()));
+    lying.flush().expect("store file is writable");
+
+    let store_arg = store.to_str().expect("temp paths are UTF-8");
+    let out = bsim(&["fig", "3", "--smoke", "--store", store_arg]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("result store error"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    let (after, report) = ResultStore::open(&store);
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(after.len(), 1, "figure 3a was not simulated and stored");
     std::fs::remove_file(&store).ok();
 }
 

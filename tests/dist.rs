@@ -5,7 +5,7 @@
 
 use std::process::Command;
 
-use silicon_bridge::core::{Ctx, Parallelism};
+use silicon_bridge::core::{CellPool, Ctx, Parallelism};
 use silicon_bridge::dist::faults::{self, kill_sweep_cells};
 use silicon_bridge::dist::launcher::{run_sweep, LaunchOpts};
 use silicon_bridge::resilience::ResultStore;
@@ -31,7 +31,8 @@ fn a_two_process_sweep_is_byte_identical_to_the_in_process_path() {
         .collect();
 
     let opts = LaunchOpts::processes(2, worker_argv());
-    let out = run_sweep(&cells, 0, &opts, &mut ResultStore::ephemeral()).expect("sweep completes");
+    let pool = CellPool::new(ResultStore::ephemeral());
+    let out = run_sweep(&cells, 0, &opts, &pool).expect("sweep completes");
     assert_eq!(out.ranks, 2);
     assert_eq!(out.results.len(), cells.len());
     for ((cell, want), (label, got)) in cells.iter().zip(&local).zip(&out.results) {

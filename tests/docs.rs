@@ -7,6 +7,11 @@
 //! from the repository root, from the citing document's directory, or as
 //! the trailing `/<path>` of a file in the repository (so `timing.rs`
 //! and `mpi/src/timing.rs` both name `crates/mpi/src/timing.rs`).
+//!
+//! They cite real flags too: every `--flag` of an inline `bsim <sub> …`
+//! span in README, DESIGN, EXPERIMENTS and `crates/check/README.md` is
+//! listed in `<sub>`'s entry of the usage `bsim` prints, which a unit
+//! test in `src/bin/bsim.rs` holds to the flags the parser accepts.
 //! CHANGES.md and ROADMAP.md are history and are not read.
 
 use std::fs;
@@ -41,9 +46,9 @@ fn files(root: &Path, dir: &Path, out: &mut Vec<String>) {
     }
 }
 
-/// The inline code spans of a Markdown text that look like file paths;
-/// fenced code blocks are skipped.
-fn cited_paths(text: &str) -> Vec<String> {
+/// The inline code spans of a Markdown text; fenced code blocks are
+/// skipped.
+fn code_spans(text: &str) -> Vec<String> {
     let mut prose = String::new();
     let mut fenced = false;
     for line in text.lines() {
@@ -54,18 +59,25 @@ fn cited_paths(text: &str) -> Vec<String> {
             prose.push('\n');
         }
     }
-    let is_path_char = |c: char| c.is_ascii_alphanumeric() || "_.-/".contains(c);
     prose
         .split('`')
         .skip(1)
         .step_by(2)
+        .map(str::to_string)
+        .collect()
+}
+
+/// The inline code spans of a Markdown text that look like file paths.
+fn cited_paths(text: &str) -> Vec<String> {
+    let is_path_char = |c: char| c.is_ascii_alphanumeric() || "_.-/".contains(c);
+    code_spans(text)
+        .into_iter()
         .filter(|span| span.chars().all(is_path_char))
         .filter(|span| {
             EXTENSIONS
                 .iter()
                 .any(|ext| span.ends_with(ext) && span != ext)
         })
-        .map(str::to_string)
         .collect()
 }
 
@@ -92,6 +104,89 @@ fn every_cited_path_resolves() {
         missing.is_empty(),
         "cited paths that resolve nowhere:\n{}",
         missing.join("\n")
+    );
+}
+
+/// The `--flag` words of `text`, in order.
+fn flags(text: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut rest = text;
+    while let Some(at) = rest.find("--") {
+        let word = &rest[at..];
+        let end = 2 + word[2..]
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .unwrap_or(word.len() - 2);
+        if end > 2 {
+            out.push(&word[..end]);
+        }
+        rest = &word[end..];
+    }
+    out
+}
+
+/// What `bsim` prints for a bad invocation, as `(subcommand, entry)`:
+/// an entry is a `bsim <sub>` line and the indented lines continuing it.
+fn usage_entries() -> Vec<(String, String)> {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bsim"))
+        .output()
+        .expect("bsim runs");
+    let usage = String::from_utf8(out.stderr).expect("usage is UTF-8");
+    let mut entries: Vec<(String, String)> = Vec::new();
+    for line in usage.lines() {
+        if let Some(rest) = line.trim_start().strip_prefix("bsim ") {
+            let sub = rest.split_whitespace().next().unwrap_or_default();
+            entries.push((sub.to_string(), line.to_string()));
+        } else if let Some((_, entry)) = entries.last_mut() {
+            entry.push_str(line);
+        }
+    }
+    entries
+}
+
+/// Every `bsim <sub> … --flag` a document cites in inline code names a
+/// flag `<sub>`'s usage entry lists.
+#[test]
+fn every_cited_flag_is_in_its_subcommands_usage() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let usage = usage_entries();
+    assert!(usage.iter().any(|(sub, _)| sub == "fig"), "{usage:?}");
+    let mut unknown = Vec::new();
+    for doc in [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        "crates/check/README.md",
+    ] {
+        let text = fs::read_to_string(root.join(doc)).expect("the doc exists");
+        for span in code_spans(&text) {
+            let Some(rest) = span.strip_prefix("bsim ") else {
+                continue;
+            };
+            let sub = rest.split_whitespace().next().unwrap_or_default();
+            let listed: Vec<&str> = usage
+                .iter()
+                .filter(|(name, _)| name == sub)
+                .flat_map(|(_, entry)| flags(entry))
+                .collect();
+            for flag in flags(rest) {
+                if !listed.contains(&flag) {
+                    unknown.push(format!("{doc}: `{span}`: {flag}"));
+                }
+            }
+        }
+    }
+    assert!(
+        unknown.is_empty(),
+        "cited flags the usage does not list:\n{}",
+        unknown.join("\n")
+    );
+}
+
+#[test]
+fn cited_flags_are_read_word_by_word() {
+    assert_eq!(
+        flags("fig 5 [--smoke|--paper] --store F --kill-rank R --"),
+        ["--smoke", "--paper", "--store", "--kill-rank"]
     );
 }
 

@@ -3,10 +3,10 @@
 
 use std::time::{Duration, Instant};
 
-use silicon_bridge::core::{run_grid_keyed, Parallelism, ResultStore};
+use silicon_bridge::core::{CellPool, Parallelism, ResultStore};
 use silicon_bridge::engine::{FaultKind, FaultPlan, Harness, SimError, TickModel, Wire};
 use silicon_bridge::resilience::fault::FaultTarget;
-use silicon_bridge::resilience::WatchdogConfig;
+use silicon_bridge::resilience::{Snapshot, WatchdogConfig};
 use silicon_bridge::soc::{configs, Soc};
 use silicon_bridge::telemetry::CounterBlock;
 use silicon_bridge::workloads::microbench;
@@ -98,7 +98,7 @@ fn mid_sweep_checkpoint_resumes_bit_identical_run_reports() {
         .filter(|k| ["EM5", "STc"].contains(&k.name))
         .collect();
     assert_eq!(kernels.len(), 2);
-    let cell = |i: usize| -> Cell {
+    let cell = |i: usize| {
         let cfg = platforms[i / kernels.len()].clone();
         let k = &kernels[i % kernels.len()];
         let rep = Soc::new(cfg).run_program(0, &k.build(1), u64::MAX);
@@ -106,18 +106,19 @@ fn mid_sweep_checkpoint_resumes_bit_identical_run_reports() {
             rep.cycles > 0 && rep.retired > 0,
             "cell {i} simulated nothing"
         );
-        (rep.cycles, (rep.retired, rep.exit_code.map(|c| c as u64)))
+        let value: Cell = (rep.cycles, (rep.retired, rep.exit_code.map(|c| c as u64)));
+        Ok(value.save())
     };
     let keys: Vec<String> = (0..platforms.len() * kernels.len())
         .map(|i| format!("grid/cell{i}"))
         .collect();
 
     // The reference sweep, fully simulated.
-    let mut full = ResultStore::ephemeral();
+    let full = CellPool::new(ResultStore::ephemeral());
     let par = Parallelism::Workers(2);
-    let baseline = run_grid_keyed(&keys, par, &mut full, |_| {}, cell).unwrap();
+    let baseline = full.run(&keys, par, None, cell);
     assert!(baseline.all_ok());
-    assert_eq!(baseline.restored, 0);
+    assert_eq!(baseline.restored(), 0);
 
     // Simulate a run killed after two cells: only their entries
     // survive, round-tripped through the store file.
@@ -125,27 +126,32 @@ fn mid_sweep_checkpoint_resumes_bit_identical_run_reports() {
     std::fs::remove_file(&path).ok();
     let (mut partial, _) = ResultStore::open(&path);
     for i in [0usize, 2] {
-        partial.put_bytes(&keys[i], full.get_bytes(&keys[i]).unwrap());
+        partial.put_bytes(&keys[i], full.get(&keys[i]).unwrap());
     }
     partial.flush().unwrap();
-    let (mut resumed_store, report) = ResultStore::open(&path);
+    let (resumed_store, report) = ResultStore::open(&path);
     assert!(report.is_clean(), "{report}");
     std::fs::remove_file(&path).ok();
     let par = Parallelism::Sequential; // different host schedule on purpose
-    let mut saves = 0;
-    let resumed = run_grid_keyed(&keys, par, &mut resumed_store, |_| saves += 1, cell).unwrap();
+    let saves = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let counted = std::sync::Arc::clone(&saves);
+    let resumed_store = CellPool::with_on_put(resumed_store, move |_| {
+        counted.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    });
+    let resumed = resumed_store.run(&keys, par, None, cell);
     assert!(resumed.all_ok());
-    assert_eq!(resumed.restored, 2);
+    assert_eq!(resumed.restored(), 2);
+    let saves = saves.load(std::sync::atomic::Ordering::SeqCst);
     assert_eq!(saves, 2, "only the two missing cells are simulated");
 
     // Bit-identical whether the cell was replayed from disk or
     // re-simulated, and so is what the two runs leave in their stores.
     for (i, (a, b)) in baseline.outcomes.iter().zip(&resumed.outcomes).enumerate() {
         assert_eq!(a.value(), b.value(), "cell {i} diverged");
-        assert!(full.get_bytes(&keys[i]).is_some());
+        assert!(full.get(&keys[i]).is_some());
         assert_eq!(
-            full.get_bytes(&keys[i]),
-            resumed_store.get_bytes(&keys[i]),
+            full.get(&keys[i]),
+            resumed_store.get(&keys[i]),
             "cell {i} stored bytes diverged"
         );
     }

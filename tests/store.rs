@@ -1,12 +1,13 @@
-//! One cell identity, one result store: a file filled by the dist
-//! launcher answers a daemon and a file filled by a daemon answers the
-//! launcher, because both key a cell by `WireCell::key` and keep its
-//! result in a `ResultStore`. (`bsim fig --store` is the third reader
-//! and writer; `tests/cli.rs` drives it.)
+//! One cell identity, one result store: a file filled by any of `bsim
+//! fig`, the dist launcher and a daemon answers the other two, because
+//! all three key a cell by `WireCell::key` and reach the `ResultStore`
+//! through one `CellPool`.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use silicon_bridge::core::experiments::{subfigures, Sizes};
+use silicon_bridge::core::{CellPool, Parallelism, Snapshot};
 use silicon_bridge::dist::launcher::{run_sweep, LaunchOpts};
 use silicon_bridge::dist::WireCell;
 use silicon_bridge::resilience::{scrub, ResultStore};
@@ -21,10 +22,10 @@ fn scratch(name: &str) -> PathBuf {
     path
 }
 
-fn open_clean(path: &Path) -> ResultStore {
+fn open_clean(path: &Path) -> CellPool {
     let (store, report) = ResultStore::open(path);
     assert!(report.is_clean(), "{}: {report}", path.display());
-    store
+    CellPool::new(store)
 }
 
 /// Every entry of the file at `path` verifies; returns how many.
@@ -40,6 +41,17 @@ fn scrubbed_ok(path: &Path) -> usize {
 /// flushes) and returns the response with the lines carrying the figure
 /// note — a wall-clock host rate — dropped, and the `/metrics` document.
 fn ask_a_daemon(store_path: Option<PathBuf>) -> (String, String) {
+    let (result, metrics) = ask_a_daemon_whole(store_path);
+    let result = result
+        .lines()
+        .filter(|l| !l.contains("\"note\":"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    (result, metrics)
+}
+
+/// [`ask_a_daemon`], the response whole.
+fn ask_a_daemon_whole(store_path: Option<PathBuf>) -> (String, String) {
     let (daemon, report) = Daemon::spawn(DaemonConfig {
         store_path,
         ..DaemonConfig::default()
@@ -55,11 +67,6 @@ fn ask_a_daemon(store_path: Option<PathBuf>) -> (String, String) {
     let (_, metrics) = client::metrics(&addr).unwrap();
     client::shutdown(&addr).unwrap();
     daemon.join();
-    let result = result
-        .lines()
-        .filter(|l| !l.contains("\"note\":"))
-        .map(|l| format!("{l}\n"))
-        .collect();
     (result, metrics)
 }
 
@@ -67,8 +74,8 @@ fn ask_a_daemon(store_path: Option<PathBuf>) -> (String, String) {
 fn a_store_the_launcher_filled_answers_a_daemon() {
     let path = scratch("dist-to-daemon");
     let cells = WireCell::figure_cells("5", "smoke");
-    let mut store = open_clean(&path);
-    let swept = run_sweep(&cells, 0, &LaunchOpts::threads(2), &mut store).expect("sweep completes");
+    let store = open_clean(&path);
+    let swept = run_sweep(&cells, 0, &LaunchOpts::threads(2), &store).expect("sweep completes");
     assert_eq!(swept.results.len(), cells.len());
     store.flush().expect("store file is writable");
     assert_eq!(scrubbed_ok(&path), cells.len());
@@ -101,16 +108,70 @@ fn a_store_a_daemon_filled_answers_the_launcher() {
 
     // No rank can start: a sweep that returns was answered by the store.
     let no_worker = LaunchOpts::processes(2, vec!["/nonexistent/bsim-dist-worker".into()]);
-    let mut store = open_clean(&path);
-    let swept = run_sweep(&cells, 0, &no_worker, &mut store).expect("the store holds every cell");
+    let store = open_clean(&path);
+    let swept = run_sweep(&cells, 0, &no_worker, &store).expect("the store holds every cell");
     assert_eq!(swept.respawns, 0);
     assert_eq!(store.len(), cells.len(), "nothing to add");
     for (cell, (label, result)) in cells.iter().zip(&swept.results) {
         assert_eq!(label, &cell.label());
-        assert_eq!(Some(result), store.get_bytes(&cell.key(0)).as_ref());
+        assert_eq!(Some(result), store.get(&cell.key(0)).as_ref());
     }
     // At another seed the same file holds nothing for these cells.
-    assert!(cells.iter().all(|c| store.get_bytes(&c.key(1)).is_none()));
+    assert!(cells.iter().all(|c| store.get(&c.key(1)).is_none()));
+    std::fs::remove_file(&path).ok();
+}
+
+/// A file filled through the pool as `bsim fig 5 --smoke --store F`
+/// fills it answers the launcher with no worker spawned and a daemon
+/// with nothing simulated, and both hand back the bytes `bsim fig`
+/// stored.
+#[test]
+fn a_store_bsim_fig_filled_answers_the_launcher_and_a_daemon() {
+    let path = scratch("fig-to-all");
+    let cells = WireCell::figure_cells("5", "smoke");
+    let keys: Vec<String> = cells.iter().map(|c| c.key(0)).collect();
+    let plan: Vec<_> = subfigures("5").collect();
+    let (store, report) = ResultStore::open(&path);
+    assert!(report.is_clean(), "{report}");
+    let fig = CellPool::with_on_put(store, |store| {
+        store.flush().expect("store file is writable");
+    });
+    let filled = fig.run(&keys, Parallelism::Sequential, None, |i| {
+        Ok(plan[i].run(Sizes::smoke(), Parallelism::Sequential).save())
+    });
+    assert!(filled.all_ok() && filled.restored() == 0);
+    drop(fig);
+    let stored: Vec<_> = filled.outcomes.iter().map(|o| o.value().unwrap()).collect();
+    assert_eq!(scrubbed_ok(&path), cells.len());
+
+    let no_worker = LaunchOpts::processes(2, vec!["/nonexistent/bsim-dist-worker".into()]);
+    let swept =
+        run_sweep(&cells, 0, &no_worker, &open_clean(&path)).expect("the store holds every cell");
+    assert_eq!(swept.respawns, 0);
+    for ((_, result), bytes) in swept.results.iter().zip(&stored) {
+        assert_eq!(result, *bytes);
+    }
+
+    let (answer, metrics) = ask_a_daemon_whole(Some(path.clone()));
+    assert!(
+        metrics.contains("\"host.svc.cells.simulated\": 0"),
+        "the daemon re-simulated what bsim fig stored: {metrics}"
+    );
+    let tree: serde::Value = serde_json::from_str(&answer).unwrap();
+    let serde::Value::Map(doc) = tree else {
+        panic!("{answer}")
+    };
+    let Some((_, serde::Value::Seq(served))) = doc.iter().find(|(k, _)| k == "cells") else {
+        panic!("{answer}")
+    };
+    assert_eq!(served.len(), stored.len());
+    for (entry, bytes) in served.iter().zip(&stored) {
+        let serde::Value::Map(fields) = entry else {
+            panic!("{answer}")
+        };
+        let (_, result) = fields.iter().find(|(k, _)| k == "result").unwrap();
+        assert_eq!(serde_json::to_string(result).unwrap(), &***bytes);
+    }
     std::fs::remove_file(&path).ok();
 }
 
