@@ -398,6 +398,20 @@ pub const BANS: &[Ban] = &[
         in_tests: true,
         message: "the survival matrix tests the product path: no fault row drives the token engine",
     },
+    Ban {
+        needles: &[
+            concat!("27", ".7"),
+            concat!("0.35", "-0.37"),
+            concat!("0.35", "–0.37"),
+            concat!("0.28", "-0.43"),
+            concat!("0.28", "–0.43"),
+        ],
+        with: "",
+        within: &["crates/", "src/", "tests/", "examples/"],
+        except: &["crates/core/src/claims.rs"],
+        in_tests: true,
+        message: "a paper value lives in PAPER_CLAIMS: read the claim's `paper`, do not restate it",
+    },
 ];
 
 /// Outcome of a workspace audit.
@@ -883,10 +897,12 @@ pub fn audit_workspace() -> Audit {
         })
         .collect();
 
-    // Shipped code, plus the examples for the AU007 rows that cover them.
+    // Shipped code, plus the examples and root tests for the AU007 rows
+    // that cover them.
     let mut waived = 0usize;
     let mut scanned = 0usize;
-    let scope = |rel: &str| shipped(rel) || rel.starts_with("examples/");
+    let scope =
+        |rel: &str| shipped(rel) || rel.starts_with("examples/") || rel.starts_with("tests/");
     for (rel, text) in sources.iter().filter(|(rel, _)| scope(rel)) {
         scanned += 1;
         scan_source(rel, text, &mut report, &mut waived);

@@ -4,7 +4,7 @@
 //! turns one into [`FigureData`]: labeled points per series, directly
 //! renderable with [`crate::table::render`] and serializable to JSON.
 //! `bsim fig N` / `bsim table N` print the same rows/series the paper
-//! plots; EXPERIMENTS.md records the paper-vs-measured comparison.
+//! plots; [`crate::claims`] scores the paper's claims on them.
 
 use crate::metrics::relative_speedup;
 use bsim_engine::{SimRate, SimRateMeter};
@@ -570,12 +570,6 @@ impl MpiWork {
     pub fn record(self, sizes: &Sizes, cfg: SocConfig, ranks: usize) -> WorldTrace {
         self.launch::<Recorded>(sizes, cfg, ranks).1
     }
-}
-
-/// Runs the four NPB kernels on one platform, returning seconds per
-/// benchmark in `[CG, EP, IS, MG]` order.
-pub fn npb_seconds(cfg: SocConfig, ranks: usize, sizes: Sizes) -> [f64; 4] {
-    MpiWork::NPB.map(|w| cfg.seconds(w.run(&sizes, cfg.clone(), ranks)))
 }
 
 /// **E8 (Figure 4), instrumented**: runs NPB CG on `cfg` with telemetry
@@ -1328,9 +1322,10 @@ mod tests {
 
     #[test]
     fn npb_smoke_runs_on_one_platform() {
-        let s = npb_seconds(configs::rocket1(1), 1, Sizes::smoke());
-        for (i, v) in s.iter().enumerate() {
-            assert!(*v > 0.0, "benchmark {i} produced no time");
+        let cfg = configs::rocket1(1);
+        for w in MpiWork::NPB {
+            let s = cfg.seconds(w.run(&Sizes::smoke(), cfg.clone(), 1));
+            assert!(s > 0.0, "{w:?} produced no time");
         }
     }
 
@@ -1378,19 +1373,23 @@ mod tests {
     #[test]
     fn fig4b_shape_ep_is_closest_to_parity() {
         // §5.2.2: "the EP benchmark demonstrated near performance parity"
-        // while CG/IS/MG run slower on the simulation model.
-        let fig = figure("fig4b1").run(Sizes::smoke(), Parallelism::Sequential);
-        let milkv = fig
-            .series
-            .iter()
-            .find(|s| s.name == "MILK-V Sim Model")
-            .unwrap();
-        let get = |n: &str| milkv.points.iter().find(|(l, _)| l == n).unwrap().1;
-        let (cg, ep) = (get("CG"), get("EP"));
-        assert!(
-            (ep.ln().abs()) < (cg.ln().abs()) + 0.35,
-            "EP ({ep:.2}) should be closer to 1.0 than CG ({cg:.2})"
-        );
-        assert!(ep > 0.4 && ep < 2.0, "EP must be near parity, got {ep:.2}");
+        // while CG/IS/MG run slower on the simulation model. Scored by
+        // the claims table on freshly simulated subfigures.
+        let runs = ["fig4b1", "fig4b4"].map(|key| {
+            (
+                key,
+                figure(key).run(Sizes::smoke(), Parallelism::Sequential),
+            )
+        });
+        let figs = runs.each_ref().map(|(key, fig)| (*key, &fig.series[..]));
+        for id in ["f4-ep-closest", "f4-ep-parity"] {
+            let score = crate::claims::claim(id).score(&figs).unwrap();
+            assert_eq!(
+                score.verdict,
+                crate::claims::Verdict::Met,
+                "{id}: {}",
+                score.measured
+            );
+        }
     }
 }

@@ -10,6 +10,8 @@
 //! * [`experiments`] — one generator per table/figure: Figure 1/2
 //!   (microbenchmarks), Figure 3/4 (NPB), Figure 5 (UME), Figures 6/7
 //!   (LAMMPS LJ and Chain), Tables 4/5 (platform catalogs),
+//! * [`claims`] — [`claims::PAPER_CLAIMS`], each §5 claim of Figures 1–7
+//!   once, with the check that scores it on a set of figures (`bsim score`),
 //! * [`tuning`] — the paper's §4 methodology: run the microbenchmark
 //!   suite against a hardware target and pick/adjust the simulation
 //!   configuration that matches best,
@@ -41,6 +43,7 @@
 //! ```
 
 pub mod campaign;
+pub mod claims;
 pub mod experiments;
 pub mod metrics;
 pub mod resilient;

@@ -5,13 +5,15 @@
 //! Sweeps BOOM window sizes and L1 capacities over a latency-bound and a
 //! compute-bound workload, showing where each parameter matters — the
 //! same trade-off reasoning the paper applies in §5.2.2 when doubling
-//! the L1 recovers 27.7% of CG runtime but does nothing for IS/MG.
+//! the L1 recovers part of CG's runtime but does little for IS/MG (the
+//! footer prints the paper's value, claim `f4-tuning-cg`).
 //!
 //! Run with:
 //! ```text
 //! cargo run --release --example design_space
 //! ```
 
+use silicon_bridge::core::claims::claim;
 use silicon_bridge::mpi::NetConfig;
 use silicon_bridge::soc::{configs, CoreModel, SocConfig};
 use silicon_bridge::workloads::npb::{cg, ep};
@@ -86,6 +88,8 @@ fn main() {
     println!(
         "\nExpected shape: CG (latency-bound gathers) improves with the machine size and\n\
          the memory-side tuning, EP (compute-bound) only with core width — the §5.2.2\n\
-         trade-off. Run `cargo run --release --example cache_tuning` for the full story."
+         trade-off (paper: CG {} from the L1). Run `cargo run --release --example\n\
+         cache_tuning` for the full story.",
+        claim("f4-tuning-cg").paper
     );
 }

@@ -17,6 +17,10 @@
 //!                                   # and replays up to N configs as
 //!                                   # parallel lanes, --sample adds
 //!                                   # SimPoint-style sampled timing
+//! bsim score [--smoke|--paper] [--par seq|auto|N] [--store FILE]
+//!                                   # run every figure as `fig all` does
+//!                                   # and score each paper claim on it:
+//!                                   # EXPERIMENTS.md's generated block
 //! bsim micro <kernel> [platform]    # run one microbenchmark
 //! bsim tune                         # the §4 model-selection loop
 //! bsim faults [--seed N] [--deny-unsurvived] [--in-process] [--guard]
@@ -60,10 +64,10 @@
 use silicon_bridge::check;
 use silicon_bridge::core::campaign::{Ctx, SurvivalMatrix};
 use silicon_bridge::core::experiments::{
-    self, subfigures, FigureData, FigureSpec, Sizes, FIGURE_IDS,
+    self, subfigures, FigureData, FigureSpec, Series, Sizes, FIGURE_IDS,
 };
-use silicon_bridge::core::table;
 use silicon_bridge::core::tuning::tune_milkv;
+use silicon_bridge::core::{claims, table};
 use silicon_bridge::core::{CellPool, Parallelism, ResultStore};
 use silicon_bridge::dist::launcher::{run_sweep, KillSpec, LaunchOpts};
 use silicon_bridge::dist::{faults as dist_faults, worker as dist_worker, WireCell};
@@ -88,6 +92,7 @@ fn platform_or_exit(name: &str) -> SocConfig {
 const USAGE: &str = "usage:\n  bsim list\n  bsim table <1|2|4|5>\n  \
      bsim fig <1..7|all> [--smoke|--paper] [--par seq|auto|N] [--store FILE]\n       \
      [--lanes N] [--sample]\n  \
+     bsim score [--smoke|--paper] [--par seq|auto|N] [--store FILE]\n  \
      bsim micro <kernel> [platform]\n  bsim tune\n  \
      bsim faults [--seed N] [--deny-unsurvived] [--in-process] [--guard]\n  \
      bsim check [--deny-warnings] [--json] [--list] [--proto] [--source] [platform ...]\n  \
@@ -123,6 +128,12 @@ fn flag_table(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
             ("--store", true),
             ("--lanes", true),
             ("--sample", false),
+        ],
+        "score" => &[
+            ("--smoke", false),
+            ("--paper", false),
+            ("--par", true),
+            ("--store", true),
         ],
         "faults" => &[
             ("--seed", true),
@@ -400,83 +411,43 @@ fn main() {
             };
         }
         "fig" => {
-            let preset = match (f.has("--smoke"), f.has("--paper")) {
-                (true, true) => fail("--smoke and --paper are exclusive"),
-                (true, false) => "smoke",
-                (false, true) => "paper",
-                (false, false) => "default",
-            };
-            let sizes = Sizes::parse(preset).expect("the three presets are named");
-            let par = f.par(Parallelism::Sequential);
             let Some(&id) = f.pos.first() else { usage() };
-            // `all` is every subfigure of the table, in plan order; each
-            // goes with the `WireCell::Fig` a `bsim submit fig` or `bsim
-            // dist --figs` of the same preset would run.
-            let plan: Vec<(&'static FigureSpec, WireCell)> = FIGURE_IDS
-                .iter()
-                .filter(|fid| id == "all" || **fid == id)
-                .flat_map(|id| subfigures(id).zip(WireCell::figure_cells(id, preset)))
-                .collect();
-            if plan.is_empty() {
-                usage()
-            }
-            let at_least_one = |v: &str| v.parse::<u32>().ok().filter(|&n| n >= 1);
-            // --lanes / --sample hand each subfigure's grid to the
-            // bsim-sweepx record-once/replay-many executor instead of
-            // simulating every cell on its own. A full replay prints the
-            // scalar run's series, so the executor (like --par) is no
-            // part of a cell's key and one store serves both; a sampled
-            // replay is an estimate, keyed by the budget it ran under.
-            let lanes = f
-                .flag_with("--lanes", "a lane count >= 1", at_least_one)
-                .map(|n| n as usize);
-            let sample = f.has("--sample").then(SampleCfg::default);
-            let lane_opts = (lanes.is_some() || sample.is_some()).then(|| LaneOpts {
-                lanes: lanes.unwrap_or(LaneOpts::default().lanes),
-                sample,
-            });
-            let run = |i: usize| match &lane_opts {
-                Some(opts) => run_lanes(&plan[i].0.grid(sizes), par, opts),
-                None => plan[i].0.run(sizes, par),
-            };
-            // Seed 0 is what `bsim submit` and `bsim dist` key at.
-            let keys: Vec<String> = plan
-                .iter()
-                .map(|(_, cell)| match &sample {
-                    Some(cfg) => cell.key_sampled(0, cfg),
-                    None => cell.key(0),
-                })
-                .collect();
-            let pool = CellPool::with_on_put(open_store(f.path("--store")), flush_store);
-            // A stored entry that verifies but is no figure is a store
-            // that has started lying: stop before anything is simulated.
-            let stored = keys.iter().filter_map(|key| pool.get(key));
-            if let Some(Err(e)) = stored.map(|bytes| figure(&bytes)).find(Result::is_err) {
-                fail(format!("result store error: {e}"))
-            }
-            // One subfigure at a time: `--par` fans out inside each.
-            let sweep = pool.run(&keys, Parallelism::Sequential, None, |i| Ok(run(i).save()));
             let mut failed = 0usize;
-            for ((spec, _), outcome) in plan.iter().zip(sweep.outcomes) {
-                let name = spec.key;
+            for (spec, outcome) in run_plan(&f, id) {
                 match outcome {
-                    CellOutcome::Ok { value, restored } => {
-                        if restored {
-                            eprintln!("{name}: replayed from the result store");
-                        }
-                        let value = figure(&value)
-                            .unwrap_or_else(|e| fail(format!("result store error: {e}")));
-                        println!("{}", table::render(&value));
-                    }
-                    CellOutcome::Failed { diag } => {
+                    Ok(fig) => println!("{}", table::render(&fig)),
+                    Err(diag) => {
                         failed += 1;
-                        eprintln!("{name}: FAILED: {diag}");
+                        eprintln!("{}: FAILED: {diag}", spec.key);
                     }
                 }
             }
             if failed > 0 {
                 eprintln!("{failed} subfigure(s) failed; completed ones were kept");
                 std::process::exit(1);
+            }
+        }
+        "score" => {
+            if !f.pos.is_empty() {
+                usage()
+            }
+            let figs: Vec<(&str, FigureData)> = run_plan(&f, "all")
+                .into_iter()
+                .map(|(spec, outcome)| {
+                    let fig = outcome.unwrap_or_else(|diag| {
+                        eprintln!("{}: FAILED: {diag}", spec.key);
+                        std::process::exit(1)
+                    });
+                    (spec.key, fig)
+                })
+                .collect();
+            let view: Vec<(&str, &[Series])> = figs
+                .iter()
+                .map(|(key, fig)| (*key, &fig.series[..]))
+                .collect();
+            match claims::markdown(&view, preset(&f)) {
+                Ok(block) => print!("{block}"),
+                Err(e) => fail(format!("bsim score: {e}")),
             }
         }
         "faults" => {
@@ -626,6 +597,87 @@ fn open_store(path: Option<std::path::PathBuf>) -> ResultStore {
         eprint!("{}", report.render());
     }
     store
+}
+
+/// The size preset `--smoke` / `--paper` name, `default` without either.
+fn preset(f: &Flags) -> &'static str {
+    match (f.has("--smoke"), f.has("--paper")) {
+        (true, true) => fail("--smoke and --paper are exclusive"),
+        (true, false) => "smoke",
+        (false, true) => "paper",
+        (false, false) => "default",
+    }
+}
+
+/// `bsim fig` and `bsim score`: every subfigure of figure `id` (`all`:
+/// of every figure) at the flags' preset, in plan order, each replayed
+/// from the result store or run through the one cell pool.
+fn run_plan(f: &Flags, id: &str) -> Vec<(&'static FigureSpec, Result<FigureData, String>)> {
+    let preset = preset(f);
+    let sizes = Sizes::parse(preset).expect("the three presets are named");
+    let par = f.par(Parallelism::Sequential);
+    // `all` is every subfigure of the table, in plan order; each goes
+    // with the `WireCell::Fig` a `bsim submit fig` or `bsim dist --figs`
+    // of the same preset would run.
+    let plan: Vec<(&'static FigureSpec, WireCell)> = FIGURE_IDS
+        .iter()
+        .filter(|fid| id == "all" || **fid == id)
+        .flat_map(|id| subfigures(id).zip(WireCell::figure_cells(id, preset)))
+        .collect();
+    if plan.is_empty() {
+        usage()
+    }
+    let at_least_one = |v: &str| v.parse::<u32>().ok().filter(|&n| n >= 1);
+    // --lanes / --sample hand each subfigure's grid to the bsim-sweepx
+    // record-once/replay-many executor instead of simulating every cell
+    // on its own. A full replay prints the scalar run's series, so the
+    // executor (like --par) is no part of a cell's key and one store
+    // serves both; a sampled replay is an estimate, keyed by the budget
+    // it ran under.
+    let lanes = f
+        .flag_with("--lanes", "a lane count >= 1", at_least_one)
+        .map(|n| n as usize);
+    let sample = f.has("--sample").then(SampleCfg::default);
+    let lane_opts = (lanes.is_some() || sample.is_some()).then(|| LaneOpts {
+        lanes: lanes.unwrap_or(LaneOpts::default().lanes),
+        sample,
+    });
+    let run = |i: usize| match &lane_opts {
+        Some(opts) => run_lanes(&plan[i].0.grid(sizes), par, opts),
+        None => plan[i].0.run(sizes, par),
+    };
+    // Seed 0 is what `bsim submit` and `bsim dist` key at.
+    let keys: Vec<String> = plan
+        .iter()
+        .map(|(_, cell)| match &sample {
+            Some(cfg) => cell.key_sampled(0, cfg),
+            None => cell.key(0),
+        })
+        .collect();
+    let pool = CellPool::with_on_put(open_store(f.path("--store")), flush_store);
+    // A stored entry that verifies but is no figure is a store that has
+    // started lying: stop before anything is simulated.
+    let stored = keys.iter().filter_map(|key| pool.get(key));
+    if let Some(Err(e)) = stored.map(|bytes| figure(&bytes)).find(Result::is_err) {
+        fail(format!("result store error: {e}"))
+    }
+    // One subfigure at a time: `--par` fans out inside each.
+    let sweep = pool.run(&keys, Parallelism::Sequential, None, |i| Ok(run(i).save()));
+    plan.iter()
+        .zip(sweep.outcomes)
+        .map(|((spec, _), outcome)| {
+            let fig = match outcome {
+                CellOutcome::Ok { value, restored } => {
+                    if restored {
+                        eprintln!("{}: replayed from the result store", spec.key);
+                    }
+                    figure(&value).unwrap_or_else(|e| fail(format!("result store error: {e}")))
+                }
+                CellOutcome::Failed { diag } => return (*spec, Err(diag)),
+            };
+            (*spec, Ok(fig))
+        })
+        .collect()
 }
 
 /// A subfigure's stored bytes as the figure they render.
@@ -857,8 +909,8 @@ mod tests {
         assert_eq!(
             listed,
             [
-                "list", "table", "fig", "micro", "tune", "faults", "check", "scrub", "dist",
-                "serve", "submit", "status", "fetch"
+                "list", "table", "fig", "score", "micro", "tune", "faults", "check", "scrub",
+                "dist", "serve", "submit", "status", "fetch"
             ],
             "every subcommand but the hidden dist-worker has a usage entry"
         );

@@ -279,7 +279,8 @@ fn a_stored_entry_that_is_no_figure_stops_the_run_before_anything_runs() {
 /// Every diagnostic code the crates can emit is documented by
 /// `bsim check --list`, as itself or inside an `XX001-XX009` range, and
 /// by a table row of `crates/check/README.md`; neither names a code no
-/// crate emits.
+/// crate emits, and every code README, DESIGN, EXPERIMENTS and
+/// `crates/check/README.md` cite is one the list names.
 #[test]
 fn check_list_covers_every_diagnostic_code_in_the_sources() {
     /// `(offset, code)` of the `XX000`-shaped words of `text` (so not
@@ -346,6 +347,29 @@ fn check_list_covers_every_diagnostic_code_in_the_sources() {
         missing.is_empty(),
         "not in `bsim check --list`: {missing:?}"
     );
+    // Nor do the documents cite a code the list does not name.
+    let root = crates.parent().expect("crates/ has a parent");
+    for doc in [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        "crates/check/README.md",
+    ] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("the doc reads");
+        let unlisted: Vec<&str> = codes(&text, false)
+            .into_iter()
+            .map(|(_, code)| code)
+            .filter(|code| {
+                !covered
+                    .iter()
+                    .any(|(lo, hi)| lo[..2] == code[..2] && (lo..=hi).contains(&code))
+            })
+            .collect();
+        assert!(
+            unlisted.is_empty(),
+            "{doc} cites codes `bsim check --list` does not name: {unlisted:?}"
+        );
+    }
     // Nor does the hard-coded part of `--list` outlive a deleted lint:
     // every code it prints, range bounds included, is emitted.
     let stale: Vec<_> = mentions

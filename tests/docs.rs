@@ -13,7 +13,12 @@
 //! listed in `<sub>`'s entry of the usage `bsim` prints, which a unit
 //! test in `src/bin/bsim.rs` holds to the flags the parser accepts.
 //! CHANGES.md and ROADMAP.md are history and are not read.
+//!
+//! EXPERIMENTS.md's claim tables are the block `bsim score` prints, one
+//! row per `PAPER_CLAIMS` entry in table order; CI's release job diffs
+//! the whole block against a fresh `bsim score`.
 
+use silicon_bridge::core::claims::{BLOCK, PAPER_CLAIMS};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -195,4 +200,21 @@ fn cited_paths_are_read_from_inline_code_only() {
     let text = "See `crates/a.rs` and `cargo test -p x`, `x.rs::f`, `.rs`,\n\
                 ```bash\nls `not/this.rs`\n```\nand `README.md`.\n";
     assert_eq!(cited_paths(text), ["crates/a.rs", "README.md"]);
+}
+
+#[test]
+fn experiments_scores_every_paper_claim_once_in_table_order() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let text = fs::read_to_string(root.join("EXPERIMENTS.md")).expect("the doc exists");
+    let (begin, end) = BLOCK;
+    let start = text
+        .find(begin)
+        .expect("EXPERIMENTS.md has the bsim score block");
+    let stop = text[start..].find(end).expect("the block is closed") + start;
+    let rows: Vec<&str> = text[start..stop]
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+        .collect();
+    let claims: Vec<&str> = PAPER_CLAIMS.iter().map(|c| c.id).collect();
+    assert_eq!(rows, claims, "regenerate the block with `bsim score`");
 }
