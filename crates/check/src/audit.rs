@@ -412,6 +412,21 @@ pub const BANS: &[Ban] = &[
         in_tests: true,
         message: "a paper value lives in PAPER_CLAIMS: read the claim's `paper`, do not restate it",
     },
+    Ban {
+        needles: &[
+            concat!("key", "_sampled"),
+            concat!("sampled", "_cell_key"),
+            concat!("Sample", "Agg"),
+            concat!("Lane", "Opts"),
+            concat!("\"--sam", "ple\""),
+        ],
+        with: "",
+        within: SHIPPED,
+        except: &[],
+        in_tests: true,
+        message: "a figure is a function of its cells: no figure executor estimates one, \
+                  and no store key holds an estimate",
+    },
 ];
 
 /// Outcome of a workspace audit.

@@ -7,7 +7,7 @@
 //! plots; [`crate::claims`] scores the paper's claims on them.
 
 use crate::metrics::relative_speedup;
-use bsim_engine::{SimRate, SimRateMeter};
+use crate::rate::{SimRate, SimRateMeter};
 use bsim_mpi::{Launch, NetConfig, Recorded, Timed, WorldReport, WorldTrace};
 use bsim_resilience::retry::{catch, CellOutcome};
 use bsim_resilience::snapshot::{restore_field, CkptError, Snapshot};
@@ -324,14 +324,10 @@ pub struct SweepRun<T> {
     pub rate: SimRate,
     /// Worker threads the sweep actually used.
     pub workers: usize,
-    /// Maximum cells scheduled as one chunk — the configs ticked through
-    /// one shared trace pass on a lane sweep, 1 when every cell ran
-    /// alone. Stamped by the grid runner.
-    pub lanes: u64,
 }
 
 impl<T> SweepRun<T> {
-    /// One-line host-sweep summary for figure notes.
+    /// One-line host-sweep summary; host-dependent, so never a figure's.
     pub fn describe(&self) -> String {
         format!(
             "host sweep: {} cells on {} worker(s), {:.2} target-MHz aggregate",
@@ -363,8 +359,8 @@ fn singleton_chunks(jobs: usize) -> Vec<[usize; 1]> {
 /// runs chunk `g` and yields one `(result, cycles)` per cell of
 /// `chunks[g]`, in chunk order; results come back **ordered by grid
 /// index**, so figures remain bit-identical however the cells were
-/// chunked. The largest chunk is stamped on [`SweepRun::lanes`], and a
-/// [`SimRateMeter`] aggregates the cells' target cycles across workers.
+/// chunked. A [`SimRateMeter`] aggregates the cells' target cycles
+/// across workers.
 ///
 /// Every chunk runs even when one panics: each runs under [`catch`],
 /// and the first failed chunk's message (in grid order) is re-raised
@@ -413,7 +409,6 @@ where
         results,
         rate: meter.finish(),
         workers,
-        lanes: chunks.iter().map(|c| c.as_ref().len()).max().unwrap_or(0) as u64,
     }
 }
 
@@ -824,7 +819,8 @@ pub struct GridCell {
 /// it builds and its cells in result order. How the cells get their
 /// cycles is the executor's business ([`FigureGrid::run`] for scalar
 /// cells, `bsim_sweepx::run_lanes` for record-once/replay-N lane
-/// groups); the grid layout, the note and the series assembly are not.
+/// groups); the grid layout, the note and the series assembly are not,
+/// so the figure is a function of the cells' cycles alone.
 pub struct FigureGrid {
     spec: &'static FigureSpec,
     /// The workload sizes every cell runs at.
@@ -884,7 +880,7 @@ impl FigureSpec {
 
     /// The subfigure at `sizes`, one scalar simulation per cell.
     pub fn run(&'static self, sizes: Sizes, par: Parallelism) -> FigureData {
-        self.grid(sizes).run(par)
+        self.grid(sizes).run(par).0
     }
 }
 
@@ -912,51 +908,41 @@ impl FigureGrid {
         }
     }
 
-    /// The figure with every cell simulated on its own.
-    pub fn run(&self, par: Parallelism) -> FigureData {
-        self.run_chunked(
-            par,
-            &singleton_chunks(self.cells.len()),
-            |cell| vec![(self.run_cell(cell[0]), ())],
-            |_| String::new(),
-        )
+    /// The figure with every cell simulated on its own, and the host
+    /// rate the sweep ran at.
+    pub fn run(&self, par: Parallelism) -> (FigureData, SimRate) {
+        self.run_chunked(par, &singleton_chunks(self.cells.len()), |cell| {
+            vec![self.run_cell(cell[0])]
+        })
     }
 
     /// Runs the grid `chunks` at a time and assembles the figure. `exec`
     /// gets one chunk's cell indices and returns, per cell and in chunk
-    /// order, its simulated cycles plus whatever else the executor
-    /// tracks; `tail` turns the finished sweep into the executor's
-    /// suffix of the figure note.
-    pub fn run_chunked<C, S>(
+    /// order, its simulated cycles. The figure depends on those cycles
+    /// only; the host rate comes back beside it.
+    pub fn run_chunked<C>(
         &self,
         par: Parallelism,
         chunks: &[C],
-        exec: impl Fn(&[usize]) -> Vec<(u64, S)> + Sync,
-        tail: impl FnOnce(&SweepRun<(f64, S)>) -> String,
-    ) -> FigureData
+        exec: impl Fn(&[usize]) -> Vec<u64> + Sync,
+    ) -> (FigureData, SimRate)
     where
         C: AsRef<[usize]> + Sync,
-        S: Send,
     {
         preflight_platforms(&self.platforms);
         let sweep = run_grid_chunks_metered(chunks, par, |_, cells| {
             cells
                 .iter()
                 .zip(exec(cells))
-                .map(|(&i, (cycles, extra))| ((self.cfg(i).seconds(cycles), extra), cycles))
+                .map(|(&i, cycles)| (self.cfg(i).seconds(cycles), cycles))
                 .collect::<Vec<_>>()
         });
-        let secs: Vec<f64> = sweep.results.iter().map(|(s, _)| *s).collect();
-        FigureData {
+        let fig = FigureData {
             title: self.spec.title.to_string(),
-            note: Some(format!(
-                "{}; {}{}",
-                self.note_head(),
-                sweep.describe(),
-                tail(&sweep)
-            )),
-            series: self.series(&secs),
-        }
+            note: Some(self.note_head()),
+            series: self.series(&sweep.results),
+        };
+        (fig, sweep.rate)
     }
 
     fn note_head(&self) -> String {
@@ -1254,18 +1240,13 @@ mod tests {
     }
 
     #[test]
-    fn chunked_grid_orders_by_cell_and_stamps_the_largest_chunk() {
+    fn chunked_grid_orders_by_cell() {
         let chunks = vec![vec![3, 0], vec![2], vec![1, 4]];
         let sweep = run_grid_chunks_metered(&chunks, Parallelism::Workers(2), |g, cells| {
             cells.iter().map(|&c| ((g, c), 10)).collect::<Vec<_>>()
         });
         assert_eq!(sweep.results, [(0, 0), (2, 1), (1, 2), (0, 3), (2, 4)]);
         assert_eq!(sweep.rate.target_cycles, 50);
-        assert_eq!(sweep.lanes, 2);
-        assert_eq!(
-            run_grid_metered(3, Parallelism::Sequential, |i| (i, 1)).lanes,
-            1
-        );
     }
 
     #[test]
@@ -1286,9 +1267,8 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_bit_identical_to_sequential() {
-        // The sweep runner must order by grid index, so the figure's
-        // series/points cannot depend on the worker count. (Notes carry
-        // host-rate figures and legitimately differ.)
+        // The sweep runner must order by grid index, so the figure
+        // cannot depend on the worker count, its note included.
         let tiny = Sizes {
             lj_cells: 2,
             md_steps: 2,
@@ -1296,12 +1276,7 @@ mod tests {
         };
         let seq = figure("fig6").run(tiny, Parallelism::Sequential);
         let par = figure("fig6").run(tiny, Parallelism::Auto);
-        assert_eq!(seq.title, par.title);
-        assert_eq!(seq.series.len(), par.series.len());
-        for (a, b) in seq.series.iter().zip(par.series.iter()) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.points, b.points, "series {} moved", a.name);
-        }
+        assert_eq!(seq, par);
     }
 
     #[test]

@@ -21,6 +21,9 @@
 //!   `bsimd` and `bsim dist` answer keyed cells through: it probes the
 //!   result store first, runs each miss once under a claim, degrades a
 //!   poisoned cell to a diagnosed failure row and stores the rest,
+//! * [`rate`] — [`SimRateMeter`], target cycles per host second: the
+//!   software analogue of the paper's FireSim hosting rates, printed on
+//!   stderr and never part of a figure,
 //! * [`campaign`] — the `bsim faults` fault-injection campaign: the
 //!   [`FaultRow`] type every row of the survival matrix is written as,
 //!   and the nine in-process rows.
@@ -46,6 +49,7 @@ pub mod campaign;
 pub mod claims;
 pub mod experiments;
 pub mod metrics;
+pub mod rate;
 pub mod resilient;
 pub mod table;
 pub mod tuning;
@@ -56,6 +60,7 @@ pub use experiments::{
     SweepRun,
 };
 pub use metrics::relative_speedup;
+pub use rate::{SimRate, SimRateMeter};
 pub use resilient::{CellPool, PoolRun};
 
 // The resilience vocabulary the pool above speaks, re-exported so

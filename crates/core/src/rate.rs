@@ -4,9 +4,10 @@
 //! (≈ 25× slower than the 1.6 GHz silicon) and the BOOM target at
 //! ~15 MHz (≈ 135× slower than 2.0 GHz), which is why class-A NPB runs
 //! "take on the order of few hours" in simulation. [`SimRateMeter`]
-//! performs the same arithmetic for our software host so the bench
-//! harnesses can report it alongside every experiment. Everything here
-//! is wall-clock derived and therefore host-dependent.
+//! performs the same arithmetic for our software host, so `bsim fig`
+//! can report it on stderr for every subfigure it simulates. Everything
+//! here is wall-clock derived and therefore host-dependent, which is why
+//! no figure carries it.
 
 use serde::{Deserialize, Serialize};
 use std::time::Instant;

@@ -46,21 +46,18 @@ fn sweep(ids: &[&str], store: &CellPool) -> Vec<(String, FigureData)> {
     out
 }
 
-/// Figure cells as checkpoint JSON with the `note` field cleared: notes
-/// carry host-rate text (`… target-MHz aggregate`) and are the one
-/// documented host-dependent field; everything else must be byte-stable.
+/// Figure cells as checkpoint JSON, whole: a figure is a function of its
+/// cells, so every field, the note included, must be byte-stable.
 fn dense_json(cells: &[(String, FigureData)]) -> String {
     let mut store = CkptStore::new();
     for (key, value) in cells {
-        let mut value = value.clone();
-        value.note = None;
-        store.put(key, &value);
+        store.put(key, value);
     }
     store.to_json()
 }
 
 /// Fresh reruns and `--store` replays must serialize each figure key
-/// to byte-identical JSON (modulo the host-rate note). The
+/// to byte-identical JSON. The
 /// figure paths are trace-driven, so their fast-forward (the cores'
 /// bulk `stall_to` clock jumps) is always on; byte-stable JSON across
 /// runs is what proves the jumps never leak into results.

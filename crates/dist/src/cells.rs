@@ -70,13 +70,6 @@ impl WireCell {
         runnable.unwrap_or_else(|| key::unrunnable_cell_key(&self.label(), seed))
     }
 
-    /// [`WireCell::key`] for the result a *sampled* executor estimates
-    /// (`bsim fig --sample`): `sample` is the sampler's configuration,
-    /// which changes the digits and therefore the key.
-    pub fn key_sampled(&self, seed: u64, sample: &impl Serialize) -> String {
-        key::sampled_cell_key(&self.key(seed), sample.to_value())
-    }
-
     /// A human-readable display name (`fig:3/smoke/0`, `micro:...`) for
     /// logs and result listings; never a store key.
     pub fn label(&self) -> String {
@@ -291,18 +284,6 @@ mod tests {
         assert_ne!(tune.key(0), WireCell::Tune { scale: 2 }.key(0), "scale");
         assert_ne!(tune.key(0), tune.key(1), "seed");
         assert_eq!(tune.key(9), key::tune_cell_key(1, 9));
-    }
-
-    #[test]
-    fn a_sampled_result_is_keyed_apart_by_its_budget() {
-        let cell = fig("3", "smoke", 0);
-        let budget = |n: u64| Value::Map(vec![("max_clusters".into(), Value::U64(n))]);
-        let sampled = cell.key_sampled(0, &budget(8));
-        assert_ne!(sampled, cell.key(0), "an estimate is not the exact result");
-        assert_eq!(sampled, cell.key_sampled(0, &budget(8)));
-        assert_ne!(sampled, cell.key_sampled(0, &budget(9)), "budget");
-        assert_ne!(sampled, cell.key_sampled(1, &budget(8)), "seed");
-        assert_ne!(sampled, fig("3", "smoke", 1).key_sampled(0, &budget(8)));
     }
 
     /// Host knobs have no way into a key: it is a function of the cell

@@ -218,20 +218,6 @@ pub(crate) fn tune_cell_key(scale: u32, seed: u64) -> String {
     ))
 }
 
-/// Key for a cell's result as a sampled executor *estimates* it: the
-/// exact key × the sampler's configuration, so an estimate never
-/// answers for the exact result, nor for an estimate under another
-/// budget.
-pub(crate) fn sampled_cell_key(exact: &str, sample: Value) -> String {
-    key_of(&versioned(
-        "sampled",
-        vec![
-            ("exact".into(), Value::Str(exact.into())),
-            ("sample".into(), sample),
-        ],
-    ))
-}
-
 /// Key for a cell that names nothing this binary has (an unknown
 /// figure, subfigure or platform). Such a cell cannot run, so nothing
 /// is ever stored under its key; it only has to differ from every
@@ -438,8 +424,8 @@ mod tests {
         let now = key_of(&tree);
         assert_eq!(now, key_of(&at_code_version(tree.clone(), CODE_VERSION)));
         assert_ne!(now, key_of(&at_code_version(tree, CODE_VERSION + 1)));
-        // `versioned` is the only way to a fig, tune, sampled or
-        // unrunnable key, and the micro prefix spells the same field.
+        // `versioned` is the only way to a fig, tune or unrunnable
+        // key, and the micro prefix spells the same field.
         let cfg = configs::rocket1(1);
         let micro = generic_micro_tree(&cfg, "EM5", 1, 0);
         assert_eq!(micro_cell_key(&cfg, "EM5", 1, 0), key_of(&micro));

@@ -18,10 +18,7 @@
 //!   advanced in lockstep either sequentially (skipping the ticks a
 //!   quiescence hint promises are no-ops) or on parallel host threads,
 //!   with bit-identical results either way (the determinism test that
-//!   makes co-simulation trustworthy),
-//! * [`SimRateMeter`] — target-MHz / slowdown accounting mirroring the
-//!   paper's "60 MHz Rocket ≈ 25× slower than a 1.6 GHz system" and
-//!   "15 MHz BOOM ≈ 135× slower than 2.0 GHz" arithmetic.
+//!   makes co-simulation trustworthy).
 //!
 //! No figure cell and no `bsim faults` row runs the harness (the matrix
 //! injects into `MpiWorld`): it, its fault injection and its watchdog
@@ -29,11 +26,9 @@
 
 pub mod channel;
 pub mod harness;
-pub mod rate;
 
 pub use channel::{ChannelError, TokenChannel, TokenLink};
 pub use harness::{Harness, TickModel, Wire};
-pub use rate::{SimRate, SimRateMeter};
 
 // Resilience vocabulary `run_guarded` speaks, so its caller (the
 // ledger's probe) needs no `bsim-resilience` import just to call it.

@@ -30,14 +30,17 @@
 //!   compiler overhead); [`replay_world`] refuses a lane that does not,
 //!   and the CL081 lint flags plans that degenerate to singletons.
 //! * **SimPoint-style sampling** ([`SampleCfg`], [`SamplePlan`]) cuts
-//!   the trace into segments, clusters their op-mix/stride signatures
-//!   with a k-means-lite pass, runs detailed timing only on cluster
-//!   representatives, fast-forwards the rest, and reports stratified
-//!   error bounds in a [`SampleReport`] (CL085–CL087 lint the budget).
+//!   a recorded world into segments, clusters their op-mix/stride
+//!   signatures with a k-means-lite pass, runs detailed timing only on
+//!   cluster representatives, fast-forwards the rest, and reports
+//!   stratified error bounds in a [`SampleReport`] (CL085–CL087 lint the
+//!   budget). It is a library path of [`replay_world`] only: no figure
+//!   runs it, because its reported bound does not hold its observed
+//!   error.
 //!
 //! [`run_lanes`] is the lane executor for `bsim_core`'s figure table
-//! (`bsim fig --lanes N [--sample]`). Wall-clock for the lane and
-//! sampled paths is measured by the ledger (`benchmark/`, metrics
+//! (`bsim fig --lanes N`). Wall-clock for the lane and sampled paths is
+//! measured by the ledger (`benchmark/`, metrics
 //! `sweepx.lane_vs_scalar`, `sweepx.replay_{full,sampled}_ms`); the
 //! sampled error and its reported bound are gated at calibrated scale
 //! by the release-only test in `tests/lane_ab.rs`.
@@ -48,7 +51,7 @@ pub mod prog;
 pub mod replay;
 pub mod sample;
 
-pub use figure::{run_lanes, LaneOpts};
+pub use figure::run_lanes;
 pub use lane::{cache_tuning_grid, front_groups, lint_lane_plan, partition, LaneGroup, TraceKey};
 pub use replay::{replay_world, LaneOutcome};
 pub use sample::{SampleCfg, SampleMetric, SamplePlan, SampleReport};

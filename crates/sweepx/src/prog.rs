@@ -12,7 +12,6 @@
 //! full replay is bit-identical to the scalar path.
 
 use crate::replay::replay;
-use crate::sample::{SampleCfg, SampleReport};
 use bsim_isa::{Cpu, Program, RunResult};
 use bsim_mpi::{Ev, NetConfig};
 use bsim_soc::{RunReport, SocConfig};
@@ -44,36 +43,20 @@ pub(crate) fn record_program(prog: &Program, fuel: u64) -> ProgTrace {
 }
 
 /// Replays a recorded program trace over every config as parallel
-/// lanes, on core 0 of each. With a [`SampleCfg`], the stream is cut
-/// into fixed-size segments and non-representative segments
-/// fast-forward each lane's clock by its stratum estimate.
-pub(crate) fn replay_program(
-    trace: &ProgTrace,
-    cfgs: &[SocConfig],
-    sample: Option<&SampleCfg>,
-) -> Vec<(RunReport, Option<SampleReport>)> {
-    // The segments sampling clusters are `prog_segment_uops` long;
-    // unsampled, the whole stream is one.
-    let n = trace.uops.len();
-    let step = sample.map_or(n, |cfg| cfg.prog_segment_uops).max(1);
-    let events: Vec<Ev> = (0..n)
-        .step_by(step)
-        .map(|start| Ev::Consume {
-            rank: 0,
-            start,
-            len: step.min(n - start),
-        })
-        .collect();
+/// lanes, on core 0 of each: the whole stream is one `Consume` segment.
+pub(crate) fn replay_program(trace: &ProgTrace, cfgs: &[SocConfig]) -> Vec<RunReport> {
+    let events = [Ev::Consume {
+        rank: 0,
+        start: 0,
+        len: trace.uops.len(),
+    }];
     // No event of this stream reads the link model.
     let net = NetConfig::shared_memory();
-    replay(&events, &trace.uops, 1, cfgs, net, sample)
+    replay(&events, &trace.uops, 1, cfgs, net, None)
         .into_iter()
-        .map(|lane| {
-            let run = RunReport {
-                exit_code: trace.exit_code,
-                ..lane.report.run
-            };
-            (run, lane.sample)
+        .map(|lane| RunReport {
+            exit_code: trace.exit_code,
+            ..lane.report.run
         })
         .collect()
 }
@@ -107,8 +90,8 @@ mod tests {
             configs::large_boom(1),
             configs::milkv_sim(1),
         ];
-        let lanes = replay_program(&trace, &cfgs, None);
-        for (cfg, (rep, _)) in cfgs.iter().zip(&lanes) {
+        let lanes = replay_program(&trace, &cfgs);
+        for (cfg, rep) in cfgs.iter().zip(&lanes) {
             let scalar = Soc::new(cfg.clone()).run_program(0, &prog, u64::MAX);
             assert_eq!(
                 serde_json::to_string(rep).expect("reports serialize"),
@@ -116,31 +99,6 @@ mod tests {
                 "lane '{}' must be bit-identical to the scalar run",
                 cfg.name
             );
-        }
-    }
-
-    #[test]
-    fn sampled_program_replay_stays_within_bounds() {
-        let k = &microbench::evaluated()[3];
-        let prog = k.build(2);
-        let trace = record_program(&prog, u64::MAX);
-        let cfgs = [configs::rocket1(1), configs::medium_boom(1)];
-        let full = replay_program(&trace, &cfgs, None);
-        let cfg = SampleCfg {
-            prog_segment_uops: 512,
-            ..SampleCfg::default()
-        };
-        let sampled = replay_program(&trace, &cfgs, Some(&cfg));
-        for ((f, _), (s, rep)) in full.iter().zip(&sampled) {
-            let rep = rep.as_ref().expect("sampling was on");
-            let rel = (s.cycles as f64 - f.cycles as f64).abs() / f.cycles as f64;
-            assert!(
-                rel < 0.3,
-                "sampled {} vs full {} ({rel:.3})",
-                s.cycles,
-                f.cycles
-            );
-            assert_eq!(rep.total_uops, trace.uops.len() as u64);
         }
     }
 }

@@ -4,8 +4,7 @@
 //! fixed instruction intervals and runs detailed timing only on one
 //! representative per cluster. This crate's traces are already cut into
 //! natural segments — one [`crate::Ev::Consume`] event per traced
-//! workload region on the MPI path, fixed-size micro-op chunks on the
-//! program path — so the BBV analog is a per-segment *phase signature*:
+//! workload region of a recorded MPI world — so the BBV analog is a per-segment *phase signature*:
 //! the op-class mix, branch-taken rate, a memory-stride feature, and
 //! the segment length. Segments are clustered with a small k-means
 //! (deterministic strided init, fixed iteration count), refined by
@@ -32,7 +31,6 @@
 use bsim_check::{Diagnostic, Report};
 use bsim_isa::OpClass;
 use bsim_uarch::MicroOp;
-use serde::Serialize;
 
 /// Number of features in a phase signature.
 const SIG_DIM: usize = 8;
@@ -42,10 +40,8 @@ const SIG_DIM: usize = 8;
 /// log2 length.
 pub type Signature = [f64; SIG_DIM];
 
-/// Sampling budget knobs. Every one of them changes the estimate, so a
-/// sampled result is stored under a key that folds the whole struct in
-/// (`bsim_dist::WireCell::key_sampled`).
-#[derive(Clone, Copy, Debug, Serialize)]
+/// Sampling budget knobs. Every one of them changes the estimate.
+#[derive(Clone, Copy, Debug)]
 pub struct SampleCfg {
     /// Cluster-count cap; the effective k is
     /// `min(max_clusters, ceil(sqrt(segments)))`.
@@ -66,9 +62,6 @@ pub struct SampleCfg {
     /// two steady rates at period 2, which defeats consecutive-rate
     /// quiescence unless even and odd occurrences are separate strata.
     pub phase_split: usize,
-    /// Program-path segment size in micro-ops (the MPI path uses the
-    /// trace's natural `Consume` segments instead).
-    pub prog_segment_uops: usize,
     /// Deterministic seed folded into the k-means init stride.
     pub seed: u64,
 }
@@ -81,7 +74,6 @@ impl Default for SampleCfg {
             extra_rate: 0.05,
             quiesce_tol: 0.05,
             phase_split: 2,
-            prog_segment_uops: 2048,
             seed: 0x5EED,
         }
     }
@@ -91,8 +83,8 @@ impl SampleCfg {
     /// CL085/CL086/CL087: sampling-budget soundness lints.
     ///
     /// * **CL085** (error) — a degenerate budget (`max_clusters == 0`,
-    ///   `prog_segment_uops == 0`, `phase_split == 0` or a non-positive
-    ///   `quiesce_tol`) cannot produce a plan at all.
+    ///   `phase_split == 0` or a non-positive `quiesce_tol`) cannot
+    ///   produce a plan at all.
     /// * **CL086** (warning) — fewer than 2 measured segments per
     ///   cluster leaves the stratum variance undefined, so the reported
     ///   error bound degrades to the conservative 100%-of-stratum form.
@@ -105,12 +97,6 @@ impl SampleCfg {
             report.push(
                 Diagnostic::error("CL085", span, "max_clusters is 0: no stratum can exist")
                     .with_help("use at least 1 cluster (k is capped at sqrt(segments) anyway)"),
-            );
-        }
-        if self.prog_segment_uops == 0 {
-            report.push(
-                Diagnostic::error("CL085", span, "prog_segment_uops is 0: segments are empty")
-                    .with_help("use a positive program-path segment size (default 2048)"),
             );
         }
         if self.phase_split == 0 {
@@ -724,7 +710,7 @@ mod tests {
         assert!(SampleCfg::default().lint("s").is_clean());
         let degenerate = SampleCfg {
             max_clusters: 0,
-            prog_segment_uops: 0,
+            phase_split: 0,
             ..SampleCfg::default()
         };
         let r = degenerate.lint("s");

@@ -1,12 +1,12 @@
 //! Parallel experiment sweeps: the platform×workload grid behind every
 //! figure fanned across host threads, with the aggregate simulation
-//! rate in the `host sweep:` note — the software analogue of the paper's
+//! rate each sweep hands back — the software analogue of the paper's
 //! FireSim hosting rates (~60 MHz for Rocket, ~15 MHz for BOOM on an
 //! FPGA; §3.2.2).
 //!
-//! The guarantee to watch for in the output: the figure data is
-//! bit-identical whether the grid runs on one worker or many; only host
-//! wall-clock and the `host sweep:` note change.
+//! The guarantee to watch for in the output: the figure is bit-identical
+//! whether the grid runs on one worker or many; only host wall-clock and
+//! the host rate beside the figure change.
 //!
 //! Run with:
 //! ```text
@@ -15,6 +15,7 @@
 
 use silicon_bridge::core::experiments::{figure, run_grid_metered, Sizes};
 use silicon_bridge::core::Parallelism;
+use silicon_bridge::core::SimRate;
 use silicon_bridge::soc::{configs, Soc};
 use silicon_bridge::workloads::microbench;
 
@@ -52,22 +53,16 @@ fn main() {
         md_steps: 2,
         ..Sizes::smoke()
     };
-    let t0 = std::time::Instant::now();
-    let seq = figure("fig6").run(sizes, Parallelism::Sequential);
-    let t_seq = t0.elapsed();
-    let t0 = std::time::Instant::now();
-    let auto = figure("fig6").run(sizes, Parallelism::Auto);
-    let t_auto = t0.elapsed();
-
-    let identical = seq.series == auto.series;
+    let grid = figure("fig6").grid(sizes);
+    let (seq, seq_rate) = grid.run(Parallelism::Sequential);
+    let (auto, auto_rate) = grid.run(Parallelism::Auto);
+    let rate = |r: SimRate| format!("{:.2} s at {:.2} target-MHz", r.host_seconds, r.mhz());
+    let identical = seq == auto;
     println!(
-        "\nFigure 6 (smoke sizes): sequential {:.2} s, parallel {:.2} s, \
-         series bit-identical: {identical}",
-        t_seq.as_secs_f64(),
-        t_auto.as_secs_f64()
+        "\nFigure 6 (smoke sizes): sequential {}, parallel {}, \
+         figure bit-identical: {identical}",
+        rate(seq_rate),
+        rate(auto_rate)
     );
     assert!(identical, "the sweep schedule leaked into figure data");
-    if let Some(note) = &auto.note {
-        println!("figure note: {note}");
-    }
 }

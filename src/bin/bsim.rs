@@ -4,7 +4,7 @@
 //! bsim list                         # platforms + experiments
 //! bsim table 1|2|4|5                # print a paper table
 //! bsim fig 1|2|3|4|5|6|7|all [--smoke|--paper] [--par seq|auto|N]
-//!          [--store FILE] [--lanes N] [--sample]
+//!          [--store FILE] [--lanes N]
 //!                                   # regenerate a paper figure at the
 //!                                   # default, CI-smoke or near-paper
 //!                                   # workload sizes; --par
@@ -15,8 +15,9 @@
 //!                                   # result store dist and serve use);
 //!                                   # --lanes records each workload once
 //!                                   # and replays up to N configs as
-//!                                   # parallel lanes, --sample adds
-//!                                   # SimPoint-style sampled timing
+//!                                   # parallel lanes; stderr carries
+//!                                   # each simulated subfigure's host
+//!                                   # rate
 //! bsim score [--smoke|--paper] [--par seq|auto|N] [--store FILE]
 //!                                   # run every figure as `fig all` does
 //!                                   # and score each paper claim on it:
@@ -75,7 +76,7 @@ use silicon_bridge::mpi::NetConfig;
 use silicon_bridge::resilience::{CellOutcome, Snapshot};
 use silicon_bridge::soc::{configs, Soc, SocConfig};
 use silicon_bridge::svc::{client, Daemon, DaemonConfig};
-use silicon_bridge::sweepx::{run_lanes, LaneOpts, SampleCfg};
+use silicon_bridge::sweepx::run_lanes;
 use silicon_bridge::workloads::microbench;
 
 fn platforms() -> Vec<SocConfig> {
@@ -90,8 +91,7 @@ fn platform_or_exit(name: &str) -> SocConfig {
 /// What `bsim` prints for a bad invocation: one entry per subcommand,
 /// whose continuation lines are indented past the `bsim`.
 const USAGE: &str = "usage:\n  bsim list\n  bsim table <1|2|4|5>\n  \
-     bsim fig <1..7|all> [--smoke|--paper] [--par seq|auto|N] [--store FILE]\n       \
-     [--lanes N] [--sample]\n  \
+     bsim fig <1..7|all> [--smoke|--paper] [--par seq|auto|N] [--store FILE] [--lanes N]\n  \
      bsim score [--smoke|--paper] [--par seq|auto|N] [--store FILE]\n  \
      bsim micro <kernel> [platform]\n  bsim tune\n  \
      bsim faults [--seed N] [--deny-unsurvived] [--in-process] [--guard]\n  \
@@ -127,7 +127,6 @@ fn flag_table(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
             ("--par", true),
             ("--store", true),
             ("--lanes", true),
-            ("--sample", false),
         ],
         "score" => &[
             ("--smoke", false),
@@ -628,32 +627,31 @@ fn run_plan(f: &Flags, id: &str) -> Vec<(&'static FigureSpec, Result<FigureData,
         usage()
     }
     let at_least_one = |v: &str| v.parse::<u32>().ok().filter(|&n| n >= 1);
-    // --lanes / --sample hand each subfigure's grid to the bsim-sweepx
+    // --lanes hands each subfigure's grid to the bsim-sweepx
     // record-once/replay-many executor instead of simulating every cell
-    // on its own. A full replay prints the scalar run's series, so the
+    // on its own. A replay prints the scalar run's figure, so the
     // executor (like --par) is no part of a cell's key and one store
-    // serves both; a sampled replay is an estimate, keyed by the budget
-    // it ran under.
+    // serves both. The host rate depends on the host, --par and
+    // --lanes, so it goes to stderr and never into the figure.
     let lanes = f
         .flag_with("--lanes", "a lane count >= 1", at_least_one)
         .map(|n| n as usize);
-    let sample = f.has("--sample").then(SampleCfg::default);
-    let lane_opts = (lanes.is_some() || sample.is_some()).then(|| LaneOpts {
-        lanes: lanes.unwrap_or(LaneOpts::default().lanes),
-        sample,
-    });
-    let run = |i: usize| match &lane_opts {
-        Some(opts) => run_lanes(&plan[i].0.grid(sizes), par, opts),
-        None => plan[i].0.run(sizes, par),
+    let run = |i: usize| {
+        let grid = plan[i].0.grid(sizes);
+        let (fig, rate) = match lanes {
+            Some(lanes) => run_lanes(&grid, par, lanes),
+            None => grid.run(par),
+        };
+        eprintln!(
+            "{}: host sweep: {} cells, {:.2} target-MHz aggregate",
+            plan[i].0.key,
+            grid.cells.len(),
+            rate.mhz()
+        );
+        fig
     };
     // Seed 0 is what `bsim submit` and `bsim dist` key at.
-    let keys: Vec<String> = plan
-        .iter()
-        .map(|(_, cell)| match &sample {
-            Some(cfg) => cell.key_sampled(0, cfg),
-            None => cell.key(0),
-        })
-        .collect();
+    let keys: Vec<String> = plan.iter().map(|(_, cell)| cell.key(0)).collect();
     let pool = CellPool::with_on_put(open_store(f.path("--store")), flush_store);
     // A stored entry that verifies but is no figure is a store that has
     // started lying: stop before anything is simulated.

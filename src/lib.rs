@@ -19,11 +19,11 @@
 //! | [`mem`] | `bsim-mem` | caches, bus, LLC models, FR-FCFS DRAM timing |
 //! | [`telemetry`] | `bsim-telemetry` | AutoCounter-style out-of-band counters and gap reports |
 //! | [`check`] | `bsim-check` | static model-graph analysis and config lints (preflight) |
-//! | [`engine`] | `bsim-engine` | token channels, lockstep harness, sim-rate meter |
+//! | [`engine`] | `bsim-engine` | token channels and lockstep harness |
 //! | [`soc`] | `bsim-soc` | platform catalog (Tables 4/5) and the runnable SoC |
 //! | [`mpi`] | `bsim-mpi` | deterministic virtual-time MPI over simulated cores |
 //! | [`workloads`] | `bsim-workloads` | MicroBench, NPB, UME, MD |
-//! | [`core`] | `bsim-core` | relative-speedup metrics, figure generators, tuning |
+//! | [`core`] | `bsim-core` | relative-speedup metrics, figure generators, sim-rate meter, tuning |
 //! | [`svc`] | `bsim-svc` | `bsimd` service daemon + content-addressed result cache |
 //! | [`dist`] | `bsim-dist` | multi-process cell sweeps with process-loss recovery |
 //! | [`sweepx`] | `bsim-sweepx` | vectorized multi-lane config sweeps and SimPoint-style sampled simulation |

@@ -35,9 +35,10 @@ Medium BOOM      2.0 GHz  4/2           64    16/16    64x4          4         1
 Large BOOM       2.0 GHz  8/3           96    24/24    64x8          4         128-bit
 "#;
 
-/// `bsim fig 5 --smoke` without its note line, whose `host sweep:` part
-/// carries a wall-clock rate.
+/// `bsim fig 5 --smoke`, whole: the figure is a function of its cells,
+/// so no host rate is in it.
 const FIG5_SMOKE: &str = r#"== Figure 5: UME — simulation models vs hardware ==
+   (6^3-zone mesh (paper: 32^3), kernels: gather + inverted + face-area)
                Banana Pi (hw) runtime [s]  Banana Pi Sim Model runtime [s]          MILK-V (hw) runtime [s]     MILK-V Sim Model runtime [s]           Banana Pi rel. speedup              MILK-V rel. speedup
 1 ranks                             0.000                            0.000                            0.000                            0.000                            0.729                            0.655
 2 ranks                             0.000                            0.000                            0.000                            0.000                            0.716                            0.670
@@ -63,11 +64,13 @@ fn an_unknown_flag_exits_2_and_is_named() {
     let graph_demo = concat!("--graph", "-demo");
     let retries = concat!("--re", "tries");
     let dist_ranks = concat!("--dist", "-ranks");
+    let sample = concat!("--sam", "ple");
     for (args, flag) in [
         (&["dist", graph_demo, "100"][..], graph_demo),
         (&["check", "--plans"], "--plans"),
         (&["fig", "5", "--smoke", retries, "2"], retries),
         (&["serve", dist_ranks, "2"], dist_ranks),
+        (&["fig", "3", "--smoke", sample], sample),
     ] {
         let out = bsim(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -111,12 +114,7 @@ fn table_4_prints_the_golden_bytes() {
 fn fig_5_smoke_prints_the_golden_bytes() {
     let out = bsim(&["fig", "5", "--smoke"]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let printed: String = stdout(&out)
-        .lines()
-        .filter(|l| !l.contains("host sweep:"))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    assert_eq!(printed, FIG5_SMOKE);
+    assert_eq!(stdout(&out), FIG5_SMOKE);
     // The two presets cannot both apply.
     let out = bsim(&["fig", "5", "--smoke", "--paper"]);
     assert_eq!(out.status.code(), Some(2));
@@ -143,10 +141,12 @@ fn scratch_store(name: &str) -> PathBuf {
 
 /// One `bsim fig <args> --store <store>` run that must exit 0.
 struct FigRun {
-    /// stdout minus the note lines carrying a wall-clock `host sweep:` rate.
+    /// stdout, whole.
     tables: String,
     /// How many subfigures stderr reports as replayed from the store.
     replayed: usize,
+    /// How many subfigures stderr reports a simulation's host rate for.
+    simulated: usize,
     /// Entries the store file holds afterwards, every one verified.
     entries: usize,
 }
@@ -160,16 +160,12 @@ fn fig_with_store(args: &[&str], store: &Path) -> FigRun {
         report.is_clean(),
         "{args:?} left a store with findings: {report}"
     );
+    let stderr = stderr(&out);
+    let count = |pick: fn(&str) -> bool| stderr.lines().filter(|l| pick(l)).count();
     FigRun {
-        tables: stdout(&out)
-            .lines()
-            .filter(|l| !l.contains("host sweep:"))
-            .map(|l| format!("{l}\n"))
-            .collect(),
-        replayed: stderr(&out)
-            .lines()
-            .filter(|l| l.ends_with("replayed from the result store"))
-            .count(),
+        tables: stdout(&out),
+        replayed: count(|l| l.ends_with(": replayed from the result store")),
+        simulated: count(|l| l.contains(": host sweep: ") && l.ends_with(" target-MHz aggregate")),
         entries: opened.len(),
     }
 }
@@ -181,6 +177,10 @@ fn a_store_filled_at_smoke_does_not_answer_another_preset() {
     let store = scratch_store("preset");
     let smoke = fig_with_store(&["5", "--smoke"], &store);
     assert_eq!((smoke.replayed, smoke.entries), (0, 1));
+    assert_eq!(
+        smoke.simulated, 1,
+        "a simulated subfigure reports its host rate"
+    );
     assert_eq!(smoke.tables, FIG5_SMOKE);
 
     let default = fig_with_store(&["5"], &store);
@@ -191,9 +191,11 @@ fn a_store_filled_at_smoke_does_not_answer_another_preset() {
         "default sizes print their own table"
     );
 
-    // Each preset then hits its own entry, byte for byte.
+    // Each preset then hits its own entry, byte for byte, and a replay
+    // simulates nothing, so it has no host rate to report.
     let again = fig_with_store(&["5", "--smoke"], &store);
     assert_eq!((again.replayed, again.entries), (1, 2));
+    assert_eq!(again.simulated, 0, "a replay reported a host rate");
     assert_eq!(again.tables, FIG5_SMOKE);
     let again = fig_with_store(&["5"], &store);
     assert_eq!((again.replayed, again.entries), (1, 2));
@@ -201,37 +203,17 @@ fn a_store_filled_at_smoke_does_not_answer_another_preset() {
     std::fs::remove_file(&store).ok();
 }
 
-/// A sampled run's digits are an estimate: they are stored apart from
-/// the exact run's and neither answers for the other, whichever filled
-/// the store first. Figure 3 is where the two visibly differ at smoke.
+/// The executor is no part of a cell's key: a `--lanes` run replays what
+/// the scalar run stored, and prints the same bytes.
 #[test]
-fn sampled_and_exact_results_never_answer_for_each_other() {
-    let exact_first = scratch_store("exact-first");
-    let exact = fig_with_store(&["3", "--smoke"], &exact_first);
+fn lane_and_scalar_results_answer_for_each_other() {
+    let store = scratch_store("lanes");
+    let exact = fig_with_store(&["3", "--smoke"], &store);
     assert_eq!((exact.replayed, exact.entries), (0, 2));
-    let sampled = fig_with_store(&["3", "--smoke", "--sample"], &exact_first);
-    assert_eq!(sampled.replayed, 0, "exact digits passed for an estimate");
-    assert_eq!(sampled.entries, 4);
-    assert_ne!(
-        sampled.tables, exact.tables,
-        "fig 3 no longer tells them apart"
-    );
-
-    let sampled_first = scratch_store("sampled-first");
-    let estimate = fig_with_store(&["3", "--smoke", "--sample"], &sampled_first);
-    assert_eq!((estimate.replayed, estimate.entries), (0, 2));
-    assert_eq!(estimate.tables, sampled.tables);
-    let rerun = fig_with_store(&["3", "--smoke"], &sampled_first);
-    assert_eq!(rerun.replayed, 0, "an estimate passed for the exact result");
-    assert_eq!(rerun.entries, 4);
-    assert_eq!(rerun.tables, exact.tables);
-
-    // The executor is not part of the key: lanes replay the scalar run.
-    let lanes = fig_with_store(&["3", "--smoke", "--lanes", "8"], &exact_first);
-    assert_eq!((lanes.replayed, lanes.entries), (2, 4));
+    let lanes = fig_with_store(&["3", "--smoke", "--lanes", "8"], &store);
+    assert_eq!((lanes.replayed, lanes.simulated, lanes.entries), (2, 0, 2));
     assert_eq!(lanes.tables, exact.tables);
-    std::fs::remove_file(&exact_first).ok();
-    std::fs::remove_file(&sampled_first).ok();
+    std::fs::remove_file(&store).ok();
 }
 
 /// `--store` opens what is there: a second command on the same file adds

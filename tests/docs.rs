@@ -9,9 +9,10 @@
 //! and `mpi/src/timing.rs` both name `crates/mpi/src/timing.rs`).
 //!
 //! They cite real flags too: every `--flag` of an inline `bsim <sub> …`
-//! span in README, DESIGN, EXPERIMENTS and `crates/check/README.md` is
-//! listed in `<sub>`'s entry of the usage `bsim` prints, which a unit
-//! test in `src/bin/bsim.rs` holds to the flags the parser accepts.
+//! span in any of them is listed in `<sub>`'s entry of the usage `bsim`
+//! prints, which a unit test in `src/bin/bsim.rs` holds to the flags the
+//! parser accepts — so a retired flag (`bsim fig`'s sampled mode, say)
+//! cannot stay cited as a live one.
 //! CHANGES.md and ROADMAP.md are history and are not read.
 //!
 //! EXPERIMENTS.md's claim tables are the block `bsim score` prints, one
@@ -156,12 +157,7 @@ fn every_cited_flag_is_in_its_subcommands_usage() {
     let usage = usage_entries();
     assert!(usage.iter().any(|(sub, _)| sub == "fig"), "{usage:?}");
     let mut unknown = Vec::new();
-    for doc in [
-        "README.md",
-        "DESIGN.md",
-        "EXPERIMENTS.md",
-        "crates/check/README.md",
-    ] {
+    for doc in DOCS {
         let text = fs::read_to_string(root.join(doc)).expect("the doc exists");
         for span in code_spans(&text) {
             let Some(rest) = span.strip_prefix("bsim ") else {

@@ -38,20 +38,8 @@ fn scrubbed_ok(path: &Path) -> usize {
 }
 
 /// Submits [`FIG5`] to a daemon on `store_path`, shuts it down (which
-/// flushes) and returns the response with the lines carrying the figure
-/// note — a wall-clock host rate — dropped, and the `/metrics` document.
+/// flushes) and returns the response, whole, and the `/metrics` document.
 fn ask_a_daemon(store_path: Option<PathBuf>) -> (String, String) {
-    let (result, metrics) = ask_a_daemon_whole(store_path);
-    let result = result
-        .lines()
-        .filter(|l| !l.contains("\"note\":"))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    (result, metrics)
-}
-
-/// [`ask_a_daemon`], the response whole.
-fn ask_a_daemon_whole(store_path: Option<PathBuf>) -> (String, String) {
     let (daemon, report) = Daemon::spawn(DaemonConfig {
         store_path,
         ..DaemonConfig::default()
@@ -152,7 +140,7 @@ fn a_store_bsim_fig_filled_answers_the_launcher_and_a_daemon() {
         assert_eq!(result, *bytes);
     }
 
-    let (answer, metrics) = ask_a_daemon_whole(Some(path.clone()));
+    let (answer, metrics) = ask_a_daemon(Some(path.clone()));
     assert!(
         metrics.contains("\"host.svc.cells.simulated\": 0"),
         "the daemon re-simulated what bsim fig stored: {metrics}"
