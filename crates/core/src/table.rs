@@ -35,7 +35,7 @@ pub fn render(fig: &FigureData) -> String {
         for s in &fig.series {
             match s.points.get(i) {
                 Some((_, v)) => {
-                    let _ = write!(out, "  {:>col_w$.3}", v);
+                    let _ = write!(out, "  {:>col_w$}", cell(*v));
                 }
                 None => {
                     let _ = write!(out, "  {:>col_w$}", "-");
@@ -45,6 +45,18 @@ pub fn render(fig: &FigureData) -> String {
         let _ = writeln!(out);
     }
     out
+}
+
+/// One cell's digits: three decimals, except that a non-zero value
+/// below 0.01 in magnitude keeps three significant digits, so a
+/// millisecond runtime does not print as `0.000`.
+fn cell(v: f64) -> String {
+    if v != 0.0 && v.abs() < 0.01 {
+        let decimals = 2 - v.abs().log10().floor() as i32;
+        format!("{v:.*}", decimals as usize)
+    } else {
+        format!("{v:.3}")
+    }
 }
 
 #[cfg(test)]
@@ -76,5 +88,19 @@ mod tests {
         let row: Vec<&str> = s.lines().filter(|l| l.starts_with("one")).collect();
         assert_eq!(row.len(), 1);
         assert!(row[0].contains("1.000") && row[0].contains("2.000"));
+    }
+
+    #[test]
+    fn a_small_cell_keeps_three_significant_digits() {
+        assert_eq!(cell(0.00123456), "0.00123");
+        assert_eq!(cell(0.0004567), "0.000457");
+        assert_eq!(cell(-0.005), "-0.00500");
+        assert_eq!(cell(0.00999), "0.00999");
+        // Every other cell keeps three decimals.
+        assert_eq!(cell(0.0), "0.000");
+        assert_eq!(cell(0.01), "0.010");
+        assert_eq!(cell(0.7291), "0.729");
+        assert_eq!(cell(12.5), "12.500");
+        assert_eq!(cell(f64::NAN), "NaN");
     }
 }

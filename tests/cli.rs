@@ -40,9 +40,9 @@ Large BOOM       2.0 GHz  8/3           96    24/24    64x8          4         1
 const FIG5_SMOKE: &str = r#"== Figure 5: UME — simulation models vs hardware ==
    (6^3-zone mesh (paper: 32^3), kernels: gather + inverted + face-area)
                Banana Pi (hw) runtime [s]  Banana Pi Sim Model runtime [s]          MILK-V (hw) runtime [s]     MILK-V Sim Model runtime [s]           Banana Pi rel. speedup              MILK-V rel. speedup
-1 ranks                             0.000                            0.000                            0.000                            0.000                            0.729                            0.655
-2 ranks                             0.000                            0.000                            0.000                            0.000                            0.716                            0.670
-4 ranks                             0.000                            0.000                            0.000                            0.000                            0.771                            0.682
+1 ranks                         0.0000947                         0.000130                        0.0000732                         0.000112                            0.729                            0.655
+2 ranks                         0.0000888                         0.000124                        0.0000604                        0.0000901                            0.716                            0.670
+4 ranks                         0.0000703                        0.0000912                        0.0000576                        0.0000844                            0.771                            0.682
 
 "#;
 

@@ -15,6 +15,12 @@
 //! cannot stay cited as a live one.
 //! CHANGES.md and ROADMAP.md are history and are not read.
 //!
+//! DESIGN.md's crate inventory (§3) is the workspace, each `crates/*`
+//! directory named once; every `DESIGN.md §N` citation, and every bare
+//! `§N` inside DESIGN.md that is not a `paper §N`, names a heading
+//! DESIGN.md has. EXPERIMENTS.md and DESIGN.md stay under a byte bound,
+//! so each stays a document a reader can hold at once.
+//!
 //! EXPERIMENTS.md's claim tables are the block `bsim score` prints, one
 //! row per `PAPER_CLAIMS` entry in table order; CI's release job diffs
 //! the whole block against a fresh `bsim score`.
@@ -213,4 +219,147 @@ fn experiments_scores_every_paper_claim_once_in_table_order() {
         .collect();
     let claims: Vec<&str> = PAPER_CLAIMS.iter().map(|c| c.id).collect();
     assert_eq!(rows, claims, "regenerate the block with `bsim score`");
+}
+
+/// The byte bounds of the two documents that grow with every PR.
+const BOUNDS: &[(&str, usize)] = &[("EXPERIMENTS.md", 30 * 1024), ("DESIGN.md", 45 * 1024)];
+
+#[test]
+fn experiments_and_design_stay_under_their_bounds() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    for &(doc, bound) in BOUNDS {
+        let len = fs::metadata(root.join(doc)).expect("the doc exists").len() as usize;
+        assert!(
+            len <= bound,
+            "{doc} is {len} bytes, over its {bound}-byte bound: it holds current results \
+             and the current layout only; a PR's pairs table and its narrative go in \
+             CHANGES.md, a measured negative result is one line of EXPERIMENTS.md's \
+             \"Ruled out\""
+        );
+    }
+}
+
+/// The section numbers of DESIGN.md's numbered headings: `## 3. Title`
+/// is `3`, `### 10.2 Title` is `10.2`.
+fn design_sections(text: &str) -> Vec<String> {
+    text.lines()
+        .filter(|line| line.starts_with("## ") || line.starts_with("### "))
+        .filter_map(|line| {
+            let number = line.trim_start_matches('#').split_whitespace().next()?;
+            let number = number.trim_end_matches('.');
+            number
+                .chars()
+                .all(|c| c.is_ascii_digit() || c == '.')
+                .then(|| number.to_string())
+        })
+        .collect()
+}
+
+/// The section numbers `text` cites as `§N` or `§N.M`; with `own`
+/// (DESIGN.md reading itself) every `§` not preceded by `paper `,
+/// otherwise only those a `DESIGN` or `DESIGN.md` (a Markdown link
+/// included) comes right before.
+fn cited_sections(text: &str, own: bool) -> Vec<String> {
+    let mut out = Vec::new();
+    for (at, _) in text.match_indices('§') {
+        let before = text[..at].trim_end_matches(|c: char| "`]) ".contains(c));
+        let cites = if own {
+            !before.ends_with("paper")
+        } else {
+            before.ends_with("DESIGN") || before.ends_with("DESIGN.md")
+        };
+        let rest = &text[at + '§'.len_utf8()..];
+        let number = rest
+            .split(|c: char| !(c.is_ascii_digit() || c == '.'))
+            .next()
+            .unwrap_or_default()
+            .trim_end_matches('.');
+        if cites && !number.is_empty() {
+            out.push(number.to_string());
+        }
+    }
+    out
+}
+
+#[test]
+fn cited_sections_are_read_after_design_only() {
+    // `\u{a7}` is the section sign, escaped so this file cites nothing.
+    let text = "DESIGN.md \u{a7}5, DESIGN \u{a7}10.4. [`DESIGN.md`](DESIGN.md) \u{a7}2 \
+                and \u{a7}7; paper \u{a7}3.2.2";
+    assert_eq!(cited_sections(text, false), ["5", "10.4", "2"]);
+    assert_eq!(cited_sections(text, true), ["5", "10.4", "2", "7"]);
+    assert_eq!(
+        design_sections("# T\n## 2. A\n### 2.1 B\n## Notes\n#### 9 c\n"),
+        ["2", "2.1"]
+    );
+}
+
+/// Every `DESIGN.md §N` in the repository's `.rs`, `.md` and `.yml`
+/// files names a numbered heading of DESIGN.md, so renumbering a
+/// section cannot leave a pointer behind. CHANGES.md and ROADMAP.md
+/// are history and exempt.
+#[test]
+fn every_design_section_citation_resolves() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let design = fs::read_to_string(root.join("DESIGN.md")).expect("the doc exists");
+    let sections = design_sections(&design);
+    assert!(sections.len() > 10, "{sections:?}");
+    let mut tree = Vec::new();
+    files(&root, &root, &mut tree);
+    let mut dangling = Vec::new();
+    let mut cited = 0;
+    for file in tree {
+        let exempt = ["CHANGES.md", "ROADMAP.md"].contains(&file.as_str());
+        if exempt || ![".rs", ".md", ".yml"].iter().any(|ext| file.ends_with(ext)) {
+            continue;
+        }
+        let Ok(text) = fs::read_to_string(root.join(&file)) else {
+            continue;
+        };
+        for number in cited_sections(&text, file == "DESIGN.md") {
+            cited += 1;
+            if !sections.contains(&number) {
+                dangling.push(format!("{file}: §{number}"));
+            }
+        }
+    }
+    assert!(cited > 10, "the scan found only {cited} citations");
+    assert!(
+        dangling.is_empty(),
+        "DESIGN.md has no such section:\n{}",
+        dangling.join("\n")
+    );
+}
+
+/// DESIGN.md §3 is the workspace: every `crates/*` directory is named
+/// there exactly once, as `` `crates/<name>` ``, and no other crate is.
+#[test]
+fn the_design_inventory_is_the_workspace() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let design = fs::read_to_string(root.join("DESIGN.md")).expect("the doc exists");
+    let start = design
+        .find("\n## 3. ")
+        .expect("DESIGN.md has a §3 inventory");
+    let section = &design[start + 1..];
+    let section = &section[..section[1..]
+        .find("\n## ")
+        .map_or(section.len(), |end| end + 1)];
+    let mut named: Vec<&str> = section
+        .split("`crates/")
+        .skip(1)
+        .filter_map(|rest| rest.split('`').next())
+        .filter(|name| !name.is_empty() && !name.contains('/'))
+        .collect();
+    named.sort_unstable();
+    let mut crates: Vec<String> = fs::read_dir(root.join("crates"))
+        .expect("crates/ reads")
+        .flatten()
+        .filter(|entry| entry.path().is_dir())
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .collect();
+    crates.sort_unstable();
+    assert_eq!(
+        named, crates,
+        "DESIGN.md §3 must name each `crates/*` directory once"
+    );
 }
