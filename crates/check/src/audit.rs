@@ -427,6 +427,22 @@ pub const BANS: &[Ban] = &[
         message: "a figure is a function of its cells: no figure executor estimates one, \
                   and no store key holds an estimate",
     },
+    Ban {
+        needles: &[
+            concat!("run_", "lanes"),
+            concat!("run_", "chunked"),
+            concat!("run_grid_", "chunks_metered"),
+            concat!("record_", "program"),
+            concat!("replay_", "program"),
+            concat!("\"--la", "nes\""),
+        ],
+        with: "",
+        within: SHIPPED,
+        except: &[],
+        in_tests: true,
+        message: "a figure has one executor, FigureGrid::run: every cell simulated on its own, \
+                  no lane-replay path and no chunked grid runner beside it",
+    },
 ];
 
 /// Outcome of a workspace audit.

@@ -338,73 +338,34 @@ impl<T> SweepRun<T> {
     }
 }
 
-/// [`run_grid_chunks_metered`] with every cell its own chunk.
+/// The metered grid runner: `f(i)` runs cell `i` and yields its result
+/// and simulated cycles. Results come back **ordered by grid index**,
+/// so figures remain bit-identical whatever the worker count, and a
+/// [`SimRateMeter`] aggregates the cells' target cycles across workers.
+///
+/// Every cell runs even when one panics: each runs under [`catch`],
+/// and the first failed cell's message (in grid order) is re-raised
+/// only after the whole grid has drained. Callers that want the
+/// completed cells *back* instead of a panic use [`crate::CellPool`].
 pub fn run_grid_metered<T, F>(jobs: usize, par: Parallelism, f: F) -> SweepRun<T>
 where
     T: Send,
     F: Fn(usize) -> (T, u64) + Sync,
 {
-    run_grid_chunks_metered(&singleton_chunks(jobs), par, |_, cell| [f(cell[0])])
-}
-
-/// The chunking of a `jobs`-cell grid that schedules every cell alone.
-fn singleton_chunks(jobs: usize) -> Vec<[usize; 1]> {
-    (0..jobs).map(|i| [i]).collect()
-}
-
-/// The metered grid runner. The scheduling unit is a *chunk* of grid
-/// cells: a scalar sweep's chunks are single cells, a lane sweep's are
-/// lane groups, which must stay together on one worker because their
-/// cells share a recorded trace and one SoA timing pass. `f(g, cells)`
-/// runs chunk `g` and yields one `(result, cycles)` per cell of
-/// `chunks[g]`, in chunk order; results come back **ordered by grid
-/// index**, so figures remain bit-identical however the cells were
-/// chunked. A [`SimRateMeter`] aggregates the cells' target cycles
-/// across workers.
-///
-/// Every chunk runs even when one panics: each runs under [`catch`],
-/// and the first failed chunk's message (in grid order) is re-raised
-/// only after the whole grid has drained. Callers that want the
-/// completed cells *back* instead of a panic use [`crate::CellPool`].
-pub fn run_grid_chunks_metered<T, C, O, F>(chunks: &[C], par: Parallelism, f: F) -> SweepRun<T>
-where
-    T: Send,
-    C: AsRef<[usize]> + Sync,
-    O: IntoIterator<Item = (T, u64)> + Send,
-    F: Fn(usize, &[usize]) -> O + Sync,
-{
-    let workers = par.workers(chunks.len());
+    let workers = par.workers(jobs);
     let mut meter = SimRateMeter::start();
-    let per_chunk = drain_grid(chunks.len(), par, |g| catch(|| f(g, chunks[g].as_ref())));
-    let total: usize = chunks.iter().map(|c| c.as_ref().len()).sum();
-    let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
     let mut cycles = 0u64;
-    for (g, outs) in per_chunk.into_iter().enumerate() {
-        let mut outs = match outs {
-            CellOutcome::Ok { value, .. } => value.into_iter(),
-            CellOutcome::Failed { diag } => panic!("{diag}"),
-        };
-        for &cell in chunks[g].as_ref() {
-            let (t, c) = outs
-                .next()
-                .unwrap_or_else(|| panic!("chunk {g} must yield one result per cell"));
-            cycles += c;
-            assert!(
-                slots[cell].replace(t).is_none(),
-                "cell {cell} appears in more than one chunk"
-            );
-        }
-        assert!(
-            outs.next().is_none(),
-            "chunk {g} must yield one result per cell"
-        );
-    }
-    meter.add_cycles(cycles);
-    let results = slots
+    let results = drain_grid(jobs, par, |i| catch(|| f(i)))
         .into_iter()
-        .enumerate()
-        .map(|(i, s)| s.unwrap_or_else(|| panic!("cell {i} missing from every chunk")))
+        .map(|outcome| match outcome {
+            CellOutcome::Ok { value: (t, c), .. } => {
+                cycles += c;
+                t
+            }
+            CellOutcome::Failed { diag } => panic!("{diag}"),
+        })
         .collect();
+    meter.add_cycles(cycles);
     SweepRun {
         results,
         rate: meter.finish(),
@@ -434,8 +395,8 @@ pub enum MpiWork {
     Chain,
 }
 
-/// The one `Sizes` → workload-config mapping: every figure cell, scalar
-/// run or lane recording, sizes its workload here.
+/// The one `Sizes` → workload-config mapping: every figure cell and
+/// every recording sizes its workload here.
 impl Sizes {
     fn cg(&self) -> cg::CgConfig {
         cg::CgConfig {
@@ -561,7 +522,8 @@ impl MpiWork {
 
     /// The recording of the same problem [`MpiWork::run`] times,
     /// shareable by every config with `cfg`'s trace-shaping knobs: a
-    /// lane replay of it gives each of them `run`'s cycles.
+    /// `bsim_sweepx::replay_world` of it gives each of them `run`'s
+    /// cycles.
     pub fn record(self, sizes: &Sizes, cfg: SocConfig, ranks: usize) -> WorldTrace {
         self.launch::<Recorded>(sizes, cfg, ranks).1
     }
@@ -608,8 +570,8 @@ enum Family {
 }
 
 /// One paper subfigure, as data. [`FIGURES`] is the only place that
-/// names a figure's key, title and platforms; scalar and lane sweeps,
-/// the service and the dist workers all read it.
+/// names a figure's key, title and platforms; `bsim fig`, the service
+/// and the dist workers all read it.
 pub struct FigureSpec {
     /// The `bsim fig <id>` this subfigure belongs to.
     pub id: &'static str,
@@ -816,11 +778,10 @@ pub struct GridCell {
 }
 
 /// A subfigure instantiated at concrete [`Sizes`]: the platform configs
-/// it builds and its cells in result order. How the cells get their
-/// cycles is the executor's business ([`FigureGrid::run`] for scalar
-/// cells, `bsim_sweepx::run_lanes` for record-once/replay-N lane
-/// groups); the grid layout, the note and the series assembly are not,
-/// so the figure is a function of the cells' cycles alone.
+/// it builds and its cells in result order. [`FigureGrid::run`]
+/// simulates each cell on its own; the grid layout, the note and the
+/// series assembly read nothing else, so the figure is a function of
+/// the cells' cycles alone.
 pub struct FigureGrid {
     spec: &'static FigureSpec,
     /// The workload sizes every cell runs at.
@@ -890,8 +851,7 @@ impl FigureGrid {
         &self.platforms[self.cells[i].platform]
     }
 
-    /// Simulates cell `i` on its own, returning the simulated cycles —
-    /// the scalar reference lane replays are bit-identical to.
+    /// Simulates cell `i` on its own, returning the simulated cycles.
     fn run_cell(&self, i: usize) -> u64 {
         let cfg = self.cfg(i).clone();
         match self.cells[i].work {
@@ -909,33 +869,13 @@ impl FigureGrid {
     }
 
     /// The figure with every cell simulated on its own, and the host
-    /// rate the sweep ran at.
+    /// rate the sweep ran at. The figure depends on the cells' cycles
+    /// only.
     pub fn run(&self, par: Parallelism) -> (FigureData, SimRate) {
-        self.run_chunked(par, &singleton_chunks(self.cells.len()), |cell| {
-            vec![self.run_cell(cell[0])]
-        })
-    }
-
-    /// Runs the grid `chunks` at a time and assembles the figure. `exec`
-    /// gets one chunk's cell indices and returns, per cell and in chunk
-    /// order, its simulated cycles. The figure depends on those cycles
-    /// only; the host rate comes back beside it.
-    pub fn run_chunked<C>(
-        &self,
-        par: Parallelism,
-        chunks: &[C],
-        exec: impl Fn(&[usize]) -> Vec<u64> + Sync,
-    ) -> (FigureData, SimRate)
-    where
-        C: AsRef<[usize]> + Sync,
-    {
         preflight_platforms(&self.platforms);
-        let sweep = run_grid_chunks_metered(chunks, par, |_, cells| {
-            cells
-                .iter()
-                .zip(exec(cells))
-                .map(|(&i, cycles)| (self.cfg(i).seconds(cycles), cycles))
-                .collect::<Vec<_>>()
+        let sweep = run_grid_metered(self.cells.len(), par, |i| {
+            let cycles = self.run_cell(i);
+            (self.cfg(i).seconds(cycles), cycles)
         });
         let fig = FigureData {
             title: self.spec.title.to_string(),
@@ -1241,11 +1181,12 @@ mod tests {
 
     #[test]
     fn chunked_grid_orders_by_cell() {
-        let chunks = vec![vec![3, 0], vec![2], vec![1, 4]];
-        let sweep = run_grid_chunks_metered(&chunks, Parallelism::Workers(2), |g, cells| {
-            cells.iter().map(|&c| ((g, c), 10)).collect::<Vec<_>>()
+        // Later cells finish first; results still come back in grid order.
+        let sweep = run_grid_metered(5, Parallelism::Workers(2), |i| {
+            std::thread::sleep(std::time::Duration::from_millis(5 * (5 - i as u64)));
+            (i, 10u64)
         });
-        assert_eq!(sweep.results, [(0, 0), (2, 1), (1, 2), (0, 3), (2, 4)]);
+        assert_eq!(sweep.results, [0, 1, 2, 3, 4]);
         assert_eq!(sweep.rate.target_cycles, 50);
     }
 

@@ -56,8 +56,7 @@ pub mod tuning;
 
 pub use campaign::{Ctx, FaultRow, Scenario, SurvivalMatrix};
 pub use experiments::{
-    partition_cells, run_grid_chunks_metered, run_grid_metered, FigureData, Parallelism, Series,
-    SweepRun,
+    partition_cells, run_grid_metered, FigureData, Parallelism, Series, SweepRun,
 };
 pub use metrics::relative_speedup;
 pub use rate::{SimRate, SimRateMeter};

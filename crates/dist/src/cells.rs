@@ -52,8 +52,8 @@ impl WireCell {
     /// What identifies this cell's result: the content hash of the work
     /// it names, `seed`, and the schema/code version ([`crate::key`]) —
     /// the only thing a result store is ever indexed by. Host knobs
-    /// (`Parallelism`, lane count) cannot reach it: they do not change
-    /// the result.
+    /// (`Parallelism`, dist rank count) cannot reach it: they do not
+    /// change the result.
     pub fn key(&self, seed: u64) -> String {
         let runnable = match self {
             WireCell::Fig { id, sizes, index } => subfigures(id)

@@ -30,7 +30,7 @@
 //!
 //! Any *semantic* knob change — a cache way, the clock, the kernel
 //! name, the size preset, the seed — lands in the rendered text and
-//! therefore changes the key; host-side knobs (worker count, lane
+//! therefore changes the key; host-side knobs (worker count, rank
 //! count) have no field to land in. The unit tests pin both directions.
 //!
 //! ## Prefix and streaming suffix

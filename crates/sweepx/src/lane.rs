@@ -107,10 +107,9 @@ pub struct LaneGroup {
 /// Groups grid cells (by index) under equal keys, at most `max_lanes`
 /// cells per group. Groups appear in first-appearance order of their
 /// key and cells keep grid order within a group, so the grouping is a
-/// deterministic function of the grid — every worker, checkpoint
-/// restore, and A/B rerun computes the same chunking. (A linear scan
-/// over a `Vec` rather than a hash map: group count is tiny and the
-/// order must not depend on hasher state.)
+/// deterministic function of the grid. (A linear scan over a `Vec`
+/// rather than a hash map: group count is tiny and the order must not
+/// depend on hasher state.)
 pub(crate) fn group_by_key<K: PartialEq>(
     keys: impl IntoIterator<Item = K>,
     max_lanes: usize,
@@ -175,7 +174,7 @@ pub fn lint_lane_plan(cfgs: &[SocConfig], ranks: usize, max_lanes: usize, span: 
                 span,
                 format!("lane cap {max_lanes} disables multi-lane grouping"),
             )
-            .with_help("pass --lanes 2 or more to amortize trace decode across configs"),
+            .with_help("a cap of 2 or more lanes amortizes trace decode across configs"),
         );
         return report;
     }

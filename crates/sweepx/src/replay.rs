@@ -30,7 +30,6 @@ use crate::sample::{signature, SampleCfg, SamplePlan, SampleReport, Strata};
 use bsim_mpi::{Ev, NetConfig, Timing, WorldReport, WorldTrace};
 use bsim_soc::front::FrontRecord;
 use bsim_soc::SocConfig;
-use bsim_uarch::MicroOp;
 
 /// Micro-ops fed to one lane before moving to the next: small enough
 /// for the shared quantum to stay cache-hot across lanes, large enough
@@ -74,18 +73,31 @@ pub struct LaneOutcome {
     pub sample: Option<SampleReport>,
 }
 
-/// Replays the `events` of a `ranks`-rank world on one fresh lane per
-/// config; `uops` is the arena their Consume segments slice into.
-pub(crate) fn replay(
-    events: &[Ev],
-    uops: &[MicroOp],
-    ranks: usize,
+/// Replays `trace` over every config in `cfgs` as parallel lanes.
+///
+/// Panics when a lane's trace-shaping knobs disagree with the trace
+/// and on malformed traces.
+pub fn replay_world(
+    trace: &WorldTrace,
     cfgs: &[SocConfig],
     net: NetConfig,
     sample: Option<&SampleCfg>,
 ) -> Vec<LaneOutcome> {
+    for cfg in cfgs {
+        assert!(
+            trace.compatible(cfg.simd_lanes, cfg.compiler_overhead_per_mille),
+            "config '{}' does not match the trace key {:?}",
+            cfg.name,
+            TraceKey {
+                ranks: trace.ranks,
+                simd_lanes: trace.simd_lanes,
+                compiler_overhead_per_mille: trace.compiler_overhead_per_mille
+            },
+        );
+    }
+    let (events, uops) = (&trace.events[..], &trace.uops[..]);
     let mut lanes: Vec<Timing> = (cfgs.iter())
-        .map(|cfg| Timing::new(cfg, ranks, net))
+        .map(|cfg| Timing::new(cfg, trace.ranks, net))
         .collect();
     let (roles, mut records) = roles(cfgs);
     // Sampling plan over the stream's segments (one per Consume event),
@@ -168,31 +180,6 @@ pub(crate) fn replay(
             LaneOutcome { report, sample }
         })
         .collect()
-}
-
-/// Replays `trace` over every config in `cfgs` as parallel lanes.
-///
-/// Panics when a lane's trace-shaping knobs disagree with the trace
-/// and on malformed traces.
-pub fn replay_world(
-    trace: &WorldTrace,
-    cfgs: &[SocConfig],
-    net: NetConfig,
-    sample: Option<&SampleCfg>,
-) -> Vec<LaneOutcome> {
-    for cfg in cfgs {
-        assert!(
-            trace.compatible(cfg.simd_lanes, cfg.compiler_overhead_per_mille),
-            "config '{}' does not match the trace key {:?}",
-            cfg.name,
-            TraceKey {
-                ranks: trace.ranks,
-                simd_lanes: trace.simd_lanes,
-                compiler_overhead_per_mille: trace.compiler_overhead_per_mille
-            },
-        );
-    }
-    replay(&trace.events, &trace.uops, trace.ranks, cfgs, net, sample)
 }
 
 #[cfg(test)]

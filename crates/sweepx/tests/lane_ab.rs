@@ -1,20 +1,15 @@
 //! End-to-end A/B coverage for the multi-lane sweep kernel: bit-identity
-//! against scalar runs across workloads, seeded config grids, and
-//! fault-degraded links; sampled-replay determinism and error bounds;
-//! lane/scalar figure parity and checkpoint/resume interop for every
-//! paper subfigure; and the sampled-segment counts a lane sweep
-//! reports.
+//! against scalar runs across workloads, seeded config grids,
+//! fault-degraded links and the cells of every MPI paper subfigure;
+//! sampled-replay determinism and error bounds; and the sampled-segment
+//! counts a lane sweep reports.
 
-use bsim_core::experiments::{figure, subfigures, FigureSpec, Parallelism, Sizes};
-use bsim_core::{run_grid_chunks_metered, CellOutcome, CellPool, ResultStore, Snapshot};
+use bsim_core::experiments::{figure, MpiWork, Sizes, Work};
 use bsim_mpi::NetConfig;
 use bsim_soc::{configs, SocConfig, TelemetryConfig};
-use bsim_sweepx::{cache_tuning_grid, replay_world, run_lanes, SampleCfg};
+use bsim_sweepx::{cache_tuning_grid, replay_world, SampleCfg, TraceKey};
 use bsim_workloads::npb::{cg, is, mg};
 use proptest::prelude::*;
-
-/// Configs per lane group, as `bsim fig --lanes 8` runs them.
-const LANES: usize = 8;
 
 fn json<T: serde::Serialize>(v: &T) -> String {
     serde_json::to_string(v).expect("reports serialize")
@@ -238,57 +233,8 @@ fn sampled_error_and_reported_bound_stay_under_ten_percent_at_scale() {
     );
 }
 
-/// The executor is no part of a cell's key — a full lane replay and a
-/// scalar run print the same series — so `--store` interoperates: a
-/// store filled by the lane executor (through `flush`/`open`, the CLI's
-/// on-disk round trip) answers the scalar run of the same keys without
-/// resimulating a single cell.
-#[test]
-fn ckpt_resume_interops_between_lane_and_scalar_plans() {
-    let sizes = Sizes::smoke();
-    let par = Parallelism::Sequential;
-
-    let plan: Vec<&'static FigureSpec> = subfigures("6").collect();
-    let keys: Vec<String> = plan
-        .iter()
-        .map(|spec| format!("smoke/{}", spec.key))
-        .collect();
-    let on_lanes = |i: usize| Ok(run_lanes(&plan[i].grid(sizes), par, LANES).0.save());
-    let path = std::env::temp_dir().join(format!("sweepx_lane_ab_{}.json", std::process::id()));
-    std::fs::remove_file(&path).ok();
-    let store = CellPool::new(ResultStore::open(&path).0);
-    let lane_out = store.run(&keys, par, None, on_lanes);
-    assert!(lane_out.all_ok());
-    assert_eq!(store.len(), keys.len());
-
-    store.flush().expect("store persists");
-    let (resumed, report) = ResultStore::open(&path);
-    assert!(report.is_clean(), "{report}");
-    std::fs::remove_file(&path).ok();
-
-    let scalar = |i: usize| Ok(plan[i].run(sizes, par).save());
-    let scalar_out = CellPool::new(resumed).run(&keys, par, None, scalar);
-    for ((sk, lo), so) in keys
-        .iter()
-        .zip(&lane_out.outcomes)
-        .zip(&scalar_out.outcomes)
-    {
-        match so {
-            CellOutcome::Ok { value, restored } => {
-                assert!(*restored, "{sk} must restore from the lane run's store");
-                assert_eq!(
-                    lo.value().expect("lane cell ok"),
-                    value,
-                    "{sk} resumed bytes drifted"
-                );
-            }
-            other => panic!("{sk} did not resume: {other:?}"),
-        }
-    }
-}
-
-/// A lane-chunked sampled sweep's cells report the segments they
-/// fast-forwarded.
+/// A sampled lane sweep's cells report the segments they
+/// fast-forwarded, and the counts ride each lane's JSON export.
 #[test]
 fn lane_sweep_counters_ride_the_json_and_csv_exports() {
     let ranks = 2;
@@ -301,58 +247,58 @@ fn lane_sweep_counters_ride_the_json_and_csv_exports() {
     };
     let (_, trace) = cg::record(cfgs[0].clone(), ranks, wl, net);
     let scfg = SampleCfg::default();
-    let chunks = vec![(0..cfgs.len()).collect::<Vec<_>>()];
-    let sweep = run_grid_chunks_metered(&chunks, Parallelism::Sequential, |_, cells| {
-        let group: Vec<SocConfig> = cells.iter().map(|&c| cfgs[c].clone()).collect();
-        replay_world(&trace, &group, net, Some(&scfg))
-            .into_iter()
-            .map(|o| {
-                let cycles = o.report.run.cycles;
-                (o.sample, cycles)
-            })
-            .collect::<Vec<_>>()
-    });
-    let sampled_segments: usize = sweep
-        .results
-        .iter()
-        .flatten()
-        .map(|rep| rep.segments - rep.measured_segments)
-        .sum();
+    let mut sampled_segments = 0;
+    for lane in replay_world(&trace, &cfgs, net, Some(&scfg)) {
+        let rep = lane.sample.expect("sampling was on");
+        sampled_segments += rep.segments - rep.measured_segments;
+        let exported = json(&rep);
+        let field = format!("\"measured_segments\":{}", rep.measured_segments);
+        assert!(exported.contains(&field), "{exported}");
+    }
     assert!(
         sampled_segments > 0,
         "a sampled sweep must fast-forward some segments"
     );
 }
 
-/// The lane-executed figure must equal the scalar one whole — title,
-/// note and, bit for bit, every series — for each subfigure of the
-/// table.
-fn assert_lane_scalar_parity(keys: &[&str]) {
-    let sizes = Sizes::smoke();
-    let par = Parallelism::Sequential;
-    for key in keys {
-        let spec = figure(key);
-        let scalar = spec.run(sizes, par);
-        let (lanes, _) = run_lanes(&spec.grid(sizes), par, LANES);
-        assert_eq!(scalar, lanes, "{key} moved on lanes");
-        assert!(!scalar.series.is_empty(), "{key} plotted nothing");
-    }
-}
-
+/// Every MPI subfigure's cells, grouped by workload and [`TraceKey`]:
+/// one recording per group, replayed on every member's config, gives
+/// each cell the cycles `MpiWork::run` simulates for it alone.
 #[test]
 fn lane_series_match_scalar_for_the_npb_and_app_subfigures() {
-    assert_lane_scalar_parity(&[
+    let net = NetConfig::shared_memory();
+    for key in [
         "fig3a", "fig3b", "fig4a", "fig4b1", "fig4b4", "fig5", "fig6", "fig7",
-    ]);
-}
-
-/// Figures 1–2 run 39 kernels × 3–5 platforms twice: seconds in release,
-/// minutes in debug. Every platform of a kernel lanes onto one recording,
-/// so these are the grids where in-order and out-of-order lanes, lanes
-/// that share a front end and lanes that decide alone meet. CI's `sweepx`
-/// job runs this in release.
-#[test]
-#[ignore = "fig1/fig2 sweeps are slow in debug; run with --ignored in release"]
-fn lane_series_match_scalar_for_the_microbench_subfigures() {
-    assert_lane_scalar_parity(&["fig1", "fig2"]);
+    ] {
+        let grid = figure(key).grid(Sizes::smoke());
+        let mut groups: Vec<((MpiWork, TraceKey), Vec<usize>)> = Vec::new();
+        for (i, cell) in grid.cells.iter().enumerate() {
+            let Work::Mpi(work) = cell.work else {
+                panic!("{key} is an MPI subfigure")
+            };
+            let group = (work, TraceKey::of(grid.cfg(i), grid.cfg(i).cores));
+            match groups.iter_mut().find(|(g, _)| *g == group) {
+                Some((_, cells)) => cells.push(i),
+                None => groups.push((group, vec![i])),
+            }
+        }
+        assert!(
+            groups.iter().any(|(_, cells)| cells.len() > 1),
+            "{key}: no two cells share a recording"
+        );
+        for ((work, trace_key), cells) in groups {
+            let cfgs: Vec<SocConfig> = cells.iter().map(|&i| grid.cfg(i).clone()).collect();
+            let trace = work.record(&grid.sizes, cfgs[0].clone(), trace_key.ranks);
+            for (cfg, lane) in cfgs.iter().zip(replay_world(&trace, &cfgs, net, None)) {
+                let scalar = work.run(&grid.sizes, cfg.clone(), trace_key.ranks);
+                assert_eq!(
+                    lane.report.run.cycles,
+                    scalar,
+                    "{key}: {} on '{}' drifted from its scalar run",
+                    work.label(),
+                    cfg.name
+                );
+            }
+        }
+    }
 }

@@ -4,7 +4,7 @@
 //! bsim list                         # platforms + experiments
 //! bsim table 1|2|4|5                # print a paper table
 //! bsim fig 1|2|3|4|5|6|7|all [--smoke|--paper] [--par seq|auto|N]
-//!          [--store FILE] [--lanes N]
+//!          [--store FILE]
 //!                                   # regenerate a paper figure at the
 //!                                   # default, CI-smoke or near-paper
 //!                                   # workload sizes; --par
@@ -13,11 +13,8 @@
 //!                                   # replays the subfigures FILE holds
 //!                                   # and adds the ones it computes (the
 //!                                   # result store dist and serve use);
-//!                                   # --lanes records each workload once
-//!                                   # and replays up to N configs as
-//!                                   # parallel lanes; stderr carries
-//!                                   # each simulated subfigure's host
-//!                                   # rate
+//!                                   # stderr carries each simulated
+//!                                   # subfigure's host rate
 //! bsim score [--smoke|--paper] [--par seq|auto|N] [--store FILE]
 //!                                   # run every figure as `fig all` does
 //!                                   # and score each paper claim on it:
@@ -76,7 +73,6 @@ use silicon_bridge::mpi::NetConfig;
 use silicon_bridge::resilience::{CellOutcome, Snapshot};
 use silicon_bridge::soc::{configs, Soc, SocConfig};
 use silicon_bridge::svc::{client, Daemon, DaemonConfig};
-use silicon_bridge::sweepx::run_lanes;
 use silicon_bridge::workloads::microbench;
 
 fn platforms() -> Vec<SocConfig> {
@@ -91,7 +87,7 @@ fn platform_or_exit(name: &str) -> SocConfig {
 /// What `bsim` prints for a bad invocation: one entry per subcommand,
 /// whose continuation lines are indented past the `bsim`.
 const USAGE: &str = "usage:\n  bsim list\n  bsim table <1|2|4|5>\n  \
-     bsim fig <1..7|all> [--smoke|--paper] [--par seq|auto|N] [--store FILE] [--lanes N]\n  \
+     bsim fig <1..7|all> [--smoke|--paper] [--par seq|auto|N] [--store FILE]\n  \
      bsim score [--smoke|--paper] [--par seq|auto|N] [--store FILE]\n  \
      bsim micro <kernel> [platform]\n  bsim tune\n  \
      bsim faults [--seed N] [--deny-unsurvived] [--in-process] [--guard]\n  \
@@ -121,14 +117,7 @@ fn fail(msg: impl std::fmt::Display) -> ! {
 fn flag_table(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
     Some(match cmd {
         "list" | "table" | "micro" | "tune" | "status" | "fetch" | "dist-worker" => &[],
-        "fig" => &[
-            ("--smoke", false),
-            ("--paper", false),
-            ("--par", true),
-            ("--store", true),
-            ("--lanes", true),
-        ],
-        "score" => &[
+        "fig" | "score" => &[
             ("--smoke", false),
             ("--paper", false),
             ("--par", true),
@@ -626,22 +615,11 @@ fn run_plan(f: &Flags, id: &str) -> Vec<(&'static FigureSpec, Result<FigureData,
     if plan.is_empty() {
         usage()
     }
-    let at_least_one = |v: &str| v.parse::<u32>().ok().filter(|&n| n >= 1);
-    // --lanes hands each subfigure's grid to the bsim-sweepx
-    // record-once/replay-many executor instead of simulating every cell
-    // on its own. A replay prints the scalar run's figure, so the
-    // executor (like --par) is no part of a cell's key and one store
-    // serves both. The host rate depends on the host, --par and
-    // --lanes, so it goes to stderr and never into the figure.
-    let lanes = f
-        .flag_with("--lanes", "a lane count >= 1", at_least_one)
-        .map(|n| n as usize);
+    // The host rate depends on the host and --par, so it goes to stderr
+    // and never into the figure.
     let run = |i: usize| {
         let grid = plan[i].0.grid(sizes);
-        let (fig, rate) = match lanes {
-            Some(lanes) => run_lanes(&grid, par, lanes),
-            None => grid.run(par),
-        };
+        let (fig, rate) = grid.run(par);
         eprintln!(
             "{}: host sweep: {} cells, {:.2} target-MHz aggregate",
             plan[i].0.key,

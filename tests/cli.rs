@@ -65,12 +65,14 @@ fn an_unknown_flag_exits_2_and_is_named() {
     let retries = concat!("--re", "tries");
     let dist_ranks = concat!("--dist", "-ranks");
     let sample = concat!("--sam", "ple");
+    let lanes = concat!("--la", "nes");
     for (args, flag) in [
         (&["dist", graph_demo, "100"][..], graph_demo),
         (&["check", "--plans"], "--plans"),
         (&["fig", "5", "--smoke", retries, "2"], retries),
         (&["serve", dist_ranks, "2"], dist_ranks),
         (&["fig", "3", "--smoke", sample], sample),
+        (&["fig", "3", "--smoke", lanes, "8"], lanes),
     ] {
         let out = bsim(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -82,17 +84,17 @@ fn an_unknown_flag_exits_2_and_is_named() {
 #[test]
 fn a_flag_missing_its_value_exits_2() {
     for args in [
-        &["fig", "5", "--smoke", "--lanes"][..],
-        &["fig", "5", "--lanes", "--smoke"],
+        &["fig", "5", "--smoke", "--par"][..],
+        &["fig", "5", "--par", "--smoke"],
     ] {
         let out = bsim(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
-        assert!(stderr(&out).contains("--lanes"), "{}", stderr(&out));
-        assert!(stdout(&out).is_empty(), "{args:?} ran scalar instead");
+        assert!(stderr(&out).contains("--par"), "{}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{args:?} ran");
     }
-    let out = bsim(&["fig", "5", "--smoke", "--lanes", "zero"]);
+    let out = bsim(&["fig", "5", "--smoke", "--par", "zero"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("--lanes takes"), "{}", stderr(&out));
+    assert!(stderr(&out).contains("--par takes"), "{}", stderr(&out));
 }
 
 #[test]
@@ -203,19 +205,6 @@ fn a_store_filled_at_smoke_does_not_answer_another_preset() {
     std::fs::remove_file(&store).ok();
 }
 
-/// The executor is no part of a cell's key: a `--lanes` run replays what
-/// the scalar run stored, and prints the same bytes.
-#[test]
-fn lane_and_scalar_results_answer_for_each_other() {
-    let store = scratch_store("lanes");
-    let exact = fig_with_store(&["3", "--smoke"], &store);
-    assert_eq!((exact.replayed, exact.entries), (0, 2));
-    let lanes = fig_with_store(&["3", "--smoke", "--lanes", "8"], &store);
-    assert_eq!((lanes.replayed, lanes.simulated, lanes.entries), (2, 0, 2));
-    assert_eq!(lanes.tables, exact.tables);
-    std::fs::remove_file(&store).ok();
-}
-
 /// `--store` opens what is there: a second command on the same file adds
 /// to it and the first command's result is still served afterwards.
 #[test]
@@ -223,7 +212,7 @@ fn a_second_run_adds_to_an_existing_store() {
     let store = scratch_store("append");
     let first = fig_with_store(&["5", "--smoke"], &store);
     assert_eq!((first.replayed, first.entries), (0, 1));
-    let other = fig_with_store(&["3", "--smoke", "--lanes", "8"], &store);
+    let other = fig_with_store(&["3", "--smoke"], &store);
     assert_eq!(other.replayed, 0);
     assert_eq!(other.entries, 3, "figure 3's two subfigures join figure 5");
     let again = fig_with_store(&["5", "--smoke"], &store);
