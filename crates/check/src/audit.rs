@@ -216,11 +216,7 @@ pub const BANS: &[Ban] = &[
     Ban {
         needles: CKPT_STORE,
         with: "",
-        within: &[
-            "src/bin/bsim.rs",
-            "crates/dist/src/launcher.rs",
-            "crates/core/src/resilient.rs",
-        ],
+        within: &["src/bin/bsim.rs", "crates/core/src/resilient.rs"],
         except: &[],
         in_tests: true,
         message: CKPT_STORE_MESSAGE,
@@ -252,16 +248,12 @@ pub const BANS: &[Ban] = &[
         within: SHIPPED,
         except: &[],
         in_tests: true,
-        message: "bsim fig, bsimd and bsim dist run their cells through one CellPool",
+        message: "bsim fig and bsimd run their cells through one CellPool",
     },
     Ban {
         needles: &[".get_bytes(", ".put_bytes(", "inflight"],
         with: "",
-        within: &[
-            "src/bin/bsim.rs",
-            "crates/svc/src/daemon.rs",
-            "crates/dist/src/launcher.rs",
-        ],
+        within: &["src/bin/bsim.rs", "crates/svc/src/daemon.rs"],
         except: &[],
         in_tests: false,
         message: "a command reaches the result store through the cell pool: \
@@ -314,8 +306,7 @@ pub const BANS: &[Ban] = &[
         within: SHIPPED,
         except: &[],
         in_tests: true,
-        message: "bsim dist has one mode, the cell sweep: no process runs a partitioned \
-                  token graph, so nothing plans or lints one",
+        message: "no process runs a partitioned token graph, so nothing plans or lints one",
     },
     Ban {
         needles: &[
@@ -349,7 +340,7 @@ pub const BANS: &[Ban] = &[
         within: &["crates/", "src/", "examples/"],
         except: &[],
         in_tests: true,
-        message: "a failed cell fails once and a lost rank respawns after a fixed capped delay: \
+        message: "a failed cell fails once: \
                   no retry policy, breaker, peer watchdog, daemon dist prewarm or link lint",
     },
     Ban {
@@ -388,12 +379,7 @@ pub const BANS: &[Ban] = &[
             concat!("Watchdog", "Config"),
         ],
         with: "",
-        within: &[
-            "crates/core/",
-            "crates/dist/src/faults.rs",
-            "crates/svc/src/faults.rs",
-            "src/",
-        ],
+        within: &["crates/core/", "crates/svc/src/faults.rs", "src/"],
         except: &[],
         in_tests: true,
         message: "the survival matrix tests the product path: no fault row drives the token engine",
@@ -442,6 +428,23 @@ pub const BANS: &[Ban] = &[
         in_tests: true,
         message: "a figure has one executor, FigureGrid::run: every cell simulated on its own, \
                   no lane-replay path and no chunked grid runner beside it",
+    },
+    Ban {
+        needles: &[
+            concat!("run_", "sweep"),
+            concat!("Launch", "Opts"),
+            concat!("Worker", "Spawn"),
+            concat!("partition", "_cells"),
+            concat!("needs_", "processes"),
+            concat!("\"dist", "-worker\""),
+            concat!("\"--in-", "process\""),
+        ],
+        with: "",
+        within: SHIPPED,
+        except: &[],
+        in_tests: true,
+        message: "a cell runs in the process that asked for it: no launcher spawns workers, \
+                  and no fault row needs one",
     },
 ];
 

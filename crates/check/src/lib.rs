@@ -17,8 +17,8 @@
 //!   (`CL0xx` codes),
 //! * [`diag`] — the typed [`Diagnostic`]/[`Report`] values everything
 //!   returns instead of panicking mid-run,
-//! * [`proto`] — typed transition tables for the svc HTTP-lite and dist
-//!   launcher/worker wire protocols, driven by the runtime through
+//! * [`proto`] — a typed transition table for the svc HTTP-lite wire
+//!   protocol, driven by the runtime through
 //!   [`proto::Tracker`] and exhaustively model-checked by
 //!   [`proto::explore`] (`PV0xx` codes),
 //! * [`audit`] — a workspace source audit banning panicking calls,

@@ -1,13 +1,12 @@
 //! PV-series protocol model checking.
 //!
-//! The svc HTTP-lite exchange and the dist launcher/worker wire protocol are
-//! encoded here as explicit typed transition tables ([`ProtocolSpec`]). The
-//! runtime code in `bsim-svc` and `bsim-dist` *drives* these tables through a
-//! [`Tracker`] — every frame received and every response chosen is first
-//! checked against the table, so the model and the implementation cannot
-//! drift: an implementation move the table does not allow surfaces as a
-//! [`Violation`] at runtime, and a table hole surfaces as a PV diagnostic at
-//! `bsim check --proto` time.
+//! The svc HTTP-lite exchange is encoded here as an explicit typed
+//! transition table ([`ProtocolSpec`]). The runtime code in `bsim-svc`
+//! *drives* this table through a [`Tracker`] — every message received and
+//! every response chosen is first checked against the table, so the model
+//! and the implementation cannot drift: an implementation move the table
+//! does not allow surfaces as a [`Violation`] at runtime, and a table hole
+//! surfaces as a PV diagnostic at `bsim check --proto` time.
 //!
 //! [`explore`] exhaustively enumerates the *joint* state space of the two
 //! roles (states × liveness × bounded in-flight message queues) with a DFS in
@@ -197,68 +196,10 @@ pub fn svc_protocol() -> ProtocolSpec {
     }
 }
 
-/// The dist launcher/worker control protocol. Message names match
-/// `Frame::event` in `bsim-dist`; token frames (`Data`/`Run`) never
-/// travel on a control connection and are not in the alphabet.
-pub fn dist_protocol() -> ProtocolSpec {
-    let worker = RoleSpec {
-        name: "worker",
-        start: "connect",
-        states: vec![
-            "connect",
-            "await-plan",
-            "executing",
-            "done",
-            "failed",
-            "lost",
-        ],
-        terminal: vec!["done", "failed", "lost"],
-        rules: vec![
-            ts("connect", Ev::Local("hello"), "await-plan", "Hello"),
-            t("connect", Ev::Eof, "lost"),
-            t("connect", Ev::Torn, "lost"),
-            t("await-plan", Ev::Recv("Plan"), "executing"),
-            t("await-plan", Ev::Eof, "lost"),
-            t("await-plan", Ev::Torn, "lost"),
-            ts("executing", Ev::Local("cell"), "executing", "Cell"),
-            ts("executing", Ev::Local("done"), "done", "Done"),
-            ts("executing", Ev::Local("error"), "failed", "Err"),
-            t("executing", Ev::Eof, "lost"),
-            t("executing", Ev::Torn, "lost"),
-        ],
-    };
-    let coordinator = RoleSpec {
-        name: "coordinator",
-        start: "accept",
-        states: vec!["accept", "collecting", "closed", "peer-failed", "lost"],
-        terminal: vec!["closed", "peer-failed", "lost"],
-        rules: vec![
-            ts("accept", Ev::Recv("Hello"), "collecting", "Plan"),
-            t("accept", Ev::Eof, "closed"),
-            t("accept", Ev::Torn, "closed"),
-            t("collecting", Ev::Recv("Cell"), "collecting"),
-            t("collecting", Ev::Recv("Done"), "closed"),
-            t("collecting", Ev::Recv("Err"), "peer-failed"),
-            t("collecting", Ev::Eof, "lost"),
-            t("collecting", Ev::Torn, "lost"),
-        ],
-    };
-    ProtocolSpec {
-        name: "dist",
-        roles: [worker, coordinator],
-    }
-}
-
 /// Cached svc table for runtime trackers.
 pub fn svc_cached() -> &'static ProtocolSpec {
     static SPEC: OnceLock<ProtocolSpec> = OnceLock::new();
     SPEC.get_or_init(svc_protocol)
-}
-
-/// Cached dist table for runtime trackers.
-pub fn dist_cached() -> &'static ProtocolSpec {
-    static SPEC: OnceLock<ProtocolSpec> = OnceLock::new();
-    SPEC.get_or_init(dist_protocol)
 }
 
 impl RoleSpec {
@@ -413,14 +354,6 @@ impl<'a> Tracker<'a> {
 
     pub fn state(&self) -> &'static str {
         self.state
-    }
-
-    pub fn role(&self) -> &'static str {
-        self.spec.roles[self.role].name
-    }
-
-    pub fn is_terminal(&self) -> bool {
-        self.spec.roles[self.role].is_terminal(self.state)
     }
 
     fn step(
@@ -960,22 +893,14 @@ mod tests {
             "{}",
             svc_protocol().validate().render()
         );
-        assert!(dist_protocol().validate().is_clean());
     }
 
     #[test]
     fn builtin_tables_explore_clean() {
-        for spec in [svc_protocol(), dist_protocol()] {
-            let e = explore(&spec);
-            assert!(e.report.is_clean(), "{}:\n{}", spec.name, e.report.render());
-            assert!(
-                e.states > 10,
-                "{} explored only {} states",
-                spec.name,
-                e.states
-            );
-            assert!(e.transitions > e.states, "exploration should branch");
-        }
+        let e = explore(&svc_protocol());
+        assert!(e.report.is_clean(), "{}", e.report.render());
+        assert!(e.states > 10, "explored only {} states", e.states);
+        assert!(e.transitions > e.states, "exploration should branch");
     }
 
     #[test]
@@ -1002,26 +927,24 @@ mod tests {
         assert_eq!(client.state(), "closed");
         assert!(daemon.eof().unwrap().is_none());
         assert_eq!(daemon.state(), "closed");
-        assert!(client.is_terminal() && daemon.is_terminal());
     }
 
     #[test]
     fn tracker_rejects_out_of_table_moves() {
-        let spec = dist_cached();
-        let mut coord = Tracker::new(spec, "coordinator").unwrap();
-        let v = coord.recv("Cell").unwrap_err();
-        assert_eq!(v.role, "coordinator");
-        assert_eq!(v.state, "accept");
-        assert!(v.to_string().contains("Recv(Cell)"), "{v}");
+        let spec = svc_cached();
+        let mut daemon = Tracker::new(spec, "daemon").unwrap();
+        let v = daemon.recv("Ok").unwrap_err();
+        assert_eq!(v.role, "daemon");
+        assert_eq!(v.state, "read");
+        assert!(v.to_string().contains("Recv(Ok)"), "{v}");
         // state unchanged after a violation
-        assert_eq!(coord.state(), "accept");
+        assert_eq!(daemon.state(), "read");
         // terminal states absorb teardown events
-        let mut worker = Tracker::new(spec, "worker").unwrap();
-        worker.local("hello").unwrap();
-        worker.recv("Plan").unwrap();
-        worker.local("done").unwrap();
-        assert_eq!(worker.state(), "done");
-        assert!(worker.eof().unwrap().is_none());
+        let mut client = Tracker::new(spec, "client").unwrap();
+        client.local("submit").unwrap();
+        client.torn().unwrap();
+        assert_eq!(client.state(), "lost");
+        assert!(client.eof().unwrap().is_none());
     }
 
     #[test]
@@ -1136,9 +1059,12 @@ mod tests {
 
     #[test]
     fn alphabet_collects_all_messages() {
-        let a = dist_protocol().alphabet();
-        for m in ["Hello", "Plan", "Cell", "Done", "Err"] {
+        let a = svc_protocol().alphabet();
+        for m in [
+            "Submit", "Status", "Fetch", "Metrics", "Shutdown", "Bad", "Ok", "Busy", "Reject",
+        ] {
             assert!(a.contains(&m), "missing {m}");
         }
+        assert_eq!(a.len(), 9, "{a:?}");
     }
 }

@@ -3,14 +3,21 @@
 //! it. A checker that passes a broken table is worse than no checker —
 //! these tests are the checker's own regression harness.
 
-use bsim_check::proto::{dist_protocol, explore, svc_protocol, Ev};
+use bsim_check::proto::{explore, svc_protocol, Ev, ProtocolSpec};
+
+/// The svc table with every rule of role `role` that `drop` picks removed.
+fn svc_without(role: usize, drop: impl Fn(&str, Ev) -> bool) -> ProtocolSpec {
+    let mut spec = svc_protocol();
+    spec.roles[role].rules.retain(|r| !drop(r.state, r.on));
+    spec
+}
 
 #[test]
 fn baseline_tables_explore_clean() {
-    let explored = explore(&dist_protocol());
+    let explored = explore(&svc_protocol());
     assert!(
         explored.report.is_clean(),
-        "unmutated dist table must be clean:\n{}",
+        "unmutated svc table must be clean:\n{}",
         explored.report.render()
     );
 }
@@ -21,10 +28,7 @@ fn a_daemon_that_cannot_read_eof_after_a_response_is_caught() {
     // the daemon is back in `read` on a kept connection, and a client
     // that then closes it is an EOF the daemon has no transition for
     // (PV006).
-    let mut spec = svc_protocol();
-    spec.roles[1]
-        .rules
-        .retain(|r| !(r.state == "read" && r.on == Ev::Eof));
+    let spec = svc_without(1, |state, on| state == "read" && on == Ev::Eof);
     let explored = explore(&spec);
     assert!(
         explored.report.has_code("PV006"),
@@ -34,54 +38,45 @@ fn a_daemon_that_cannot_read_eof_after_a_response_is_caught() {
 }
 
 #[test]
-fn dropping_the_done_handler_is_caught() {
-    // Remove the coordinator's `collecting --Done--> closed` rule: a
-    // worker that finishes its plan now sends a frame the coordinator
-    // has no transition for. The explorer must flag the unhandled
-    // message (PV002) — and losing the only clean-completion path also
-    // strands the joint state space short of quiescence (PV004).
-    let mut spec = dist_protocol();
-    spec.roles[1]
-        .rules
-        .retain(|r| !(r.state == "collecting" && r.on == Ev::Recv("Done")));
+fn a_client_that_cannot_read_busy_is_caught() {
+    // Remove the client's `await --Recv(Busy)--> connect` rule: a daemon
+    // at capacity now sheds with a message the waiting client has no
+    // transition for. The explorer must flag the unhandled message.
+    let spec = svc_without(0, |state, on| state == "await" && on == Ev::Recv("Busy"));
     let explored = explore(&spec);
     assert!(
         explored.report.has_code("PV002"),
-        "expected PV002 for the dropped Done handler:\n{}",
+        "expected PV002 for the dropped Busy handler:\n{}",
         explored.report.render()
     );
 }
 
 #[test]
-fn dropping_the_err_handler_is_caught() {
-    // Same mutation for the failure path: a worker's `Err` frame must
-    // always have a coordinator transition, or a failing worker wedges
-    // its connection instead of surfacing the failure.
-    let mut spec = dist_protocol();
-    spec.roles[1]
-        .rules
-        .retain(|r| !(r.state == "collecting" && r.on == Ev::Recv("Err")));
+fn a_daemon_that_cannot_refuse_a_bad_request_is_caught() {
+    // Same mutation on the other role: a malformed request line must
+    // always have a daemon transition, or a bad client wedges its
+    // connection instead of getting its refusal.
+    let spec = svc_without(1, |state, on| state == "read" && on == Ev::Recv("Bad"));
     let explored = explore(&spec);
     assert!(
         explored.report.has_code("PV002"),
-        "expected PV002 for the dropped Err handler:\n{}",
+        "expected PV002 for the dropped Bad handler:\n{}",
         explored.report.render()
     );
 }
 
 #[test]
-fn a_worker_that_can_never_finish_is_caught() {
-    // Remove the worker's `done` and `error` moves: the executing state
-    // can still stream cells forever but has no way to complete, so no
+fn a_connection_that_can_never_close_is_caught() {
+    // Remove every way out of the client's ready state: its `close` and
+    // its `Eof` exits. Exchanges can still go round forever, but no
     // fault-free run reaches a quiesced joint state (PV004).
-    let mut spec = dist_protocol();
-    spec.roles[0]
-        .rules
-        .retain(|r| !(r.on == Ev::Local("done") || r.on == Ev::Local("error")));
+    let spec = svc_without(0, |state, on| {
+        state == "connect" && (on == Ev::Local("close") || on == Ev::Eof)
+    });
     let explored = explore(&spec);
     assert!(
         explored.report.has_code("PV004"),
-        "expected PV004 when the worker cannot complete:\n{}",
+        "expected PV004 when the connection cannot close:\n{}",
         explored.report.render()
     );
 }

@@ -3,11 +3,10 @@
 //! A scenario is a [`FaultRow`]: its name, the injected fault and the
 //! *typed expectation* are data, and `run` yields what was observed and
 //! whether it matched. [`ROWS`] holds the nine in-process rows, one per
-//! entry in the fault taxonomy (DESIGN.md); `bsim-dist` and `bsim-svc`
-//! add theirs and the root crate concatenates the tables. Every
-//! in-process row runs the product's own concurrency, `MpiWorld`'s
-//! rank-per-thread turn scheduler, and injects its fault from the rank
-//! program. Crash-faults must fail loudly in their expected shape (MPI
+//! entry in the fault taxonomy (DESIGN.md); `bsim-svc` adds its one and
+//! the root crate concatenates the tables. Every in-process row runs
+//! the product's own concurrency, `MpiWorld`'s rank-per-thread turn
+//! scheduler, and injects its fault from the rank program. Crash-faults must fail loudly in their expected shape (MPI
 //! deadlock teardown, unmatched-message teardown at world end), and
 //! survivable faults must complete — bit-identically for pure
 //! host-timing perturbations, visibly perturbed for payload corruption
@@ -28,21 +27,6 @@ use bsim_workloads::npb::ep;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// What a [`FaultRow`] runs against.
-pub struct Ctx {
-    /// Seed every injection round, bit and victim derives from.
-    pub seed: u64,
-    /// `bsim dist-worker`-style argv, for rows with
-    /// [`FaultRow::needs_processes`].
-    pub worker_cmd: Vec<String>,
-}
-
-impl Ctx {
-    pub fn new(seed: u64, worker_cmd: Vec<String>) -> Ctx {
-        Ctx { seed, worker_cmd }
-    }
-}
-
 /// One row of the `bsim faults` survival matrix, as data.
 pub struct FaultRow {
     /// Scenario name (row label).
@@ -51,40 +35,34 @@ pub struct FaultRow {
     pub fault: &'static str,
     /// The typed expectation the scenario asserts.
     pub expected: &'static str,
-    /// Spawns real worker processes; `--in-process` leaves it out.
-    pub needs_processes: bool,
-    /// A bsim-guard integrity row; `--guard` keeps only these.
-    pub guard: bool,
     /// The expected outcome is a panic the row catches — the CLI silences
     /// the panic hook while it runs.
     pub panics: bool,
-    /// Runs the scenario: what happened, in one line, and whether it
-    /// matched `expected`.
-    pub run: fn(&Ctx) -> (String, bool),
+    /// Runs the scenario at a seed: what happened, in one line, and
+    /// whether it matched `expected`.
+    pub run: fn(u64) -> (String, bool),
 }
 
 impl FaultRow {
-    /// An in-process row outside the guard set that catches no panic.
+    /// A row that catches no panic.
     pub const fn new(
         name: &'static str,
         fault: &'static str,
         expected: &'static str,
-        run: fn(&Ctx) -> (String, bool),
+        run: fn(u64) -> (String, bool),
     ) -> FaultRow {
         FaultRow {
             name,
             fault,
             expected,
-            needs_processes: false,
-            guard: false,
             panics: false,
             run,
         }
     }
 
-    /// Runs the row and records its verdict.
-    pub fn scenario(&self, ctx: &Ctx) -> Scenario {
-        let (observed, pass) = (self.run)(ctx);
+    /// Runs the row at `seed` and records its verdict.
+    pub fn scenario(&self, seed: u64) -> Scenario {
+        let (observed, pass) = (self.run)(seed);
         Scenario {
             name: self.name,
             fault: self.fault,
@@ -120,12 +98,9 @@ pub struct SurvivalMatrix {
 }
 
 impl SurvivalMatrix {
-    /// The matrix of `scenarios`, all run against `ctx`.
-    pub fn new(ctx: &Ctx, scenarios: Vec<Scenario>) -> SurvivalMatrix {
-        SurvivalMatrix {
-            seed: ctx.seed,
-            scenarios,
-        }
+    /// The matrix of `scenarios`, all run at `seed`.
+    pub fn new(seed: u64, scenarios: Vec<Scenario>) -> SurvivalMatrix {
+        SurvivalMatrix { seed, scenarios }
     }
 
     /// True when every scenario behaved as its taxonomy entry predicts.
@@ -251,8 +226,8 @@ fn ring(seed: u64, fault: Option<Fault>) -> CellOutcome<(Vec<u64>, WorldReport)>
 
 /// The verdict for a ring run that must be torn down with a diagnostic
 /// naming `cause`.
-fn torn_down(ctx: &Ctx, fault: Fault, cause: &str) -> (String, bool) {
-    match ring(ctx.seed, Some(fault)) {
+fn torn_down(seed: u64, fault: Fault, cause: &str) -> (String, bool) {
+    match ring(seed, Some(fault)) {
         CellOutcome::Failed { diag } => (format!("torn down: {diag}"), diag.contains(cause)),
         CellOutcome::Ok { .. } => ("unexpectedly completed".into(), false),
     }
@@ -261,8 +236,8 @@ fn torn_down(ctx: &Ctx, fault: Fault, cause: &str) -> (String, bool) {
 /// The verdict for a ring run that must complete, against the baseline:
 /// a flipped bit must change the final states, a host sleep must change
 /// neither them nor the world report.
-fn completes(ctx: &Ctx, fault: Fault) -> (String, bool) {
-    let end = |fault| match ring(ctx.seed, fault) {
+fn completes(seed: u64, fault: Fault) -> (String, bool) {
+    let end = |fault| match ring(seed, fault) {
         CellOutcome::Ok { value, .. } => Ok((value.0, format!("{:?}", value.1))),
         CellOutcome::Failed { diag } => Err(format!("unexpected failure: {diag}")),
     };
@@ -307,7 +282,7 @@ pub static ROWS: [FaultRow; 9] = [
             "token-drop",
             "token_drop",
             "loud MPI deadlock teardown",
-            |ctx| torn_down(ctx, Fault::Drop, "MPI deadlock"),
+            |seed| torn_down(seed, Fault::Drop, "MPI deadlock"),
         )
     },
     FaultRow {
@@ -316,26 +291,26 @@ pub static ROWS: [FaultRow; 9] = [
             "token-duplicate",
             "token_duplicate",
             "teardown at world end names the unmatched message",
-            |ctx| torn_down(ctx, Fault::Duplicate, "MPI unmatched message"),
+            |seed| torn_down(seed, Fault::Duplicate, "MPI unmatched message"),
         )
     },
     FaultRow::new(
         "bit-flip",
         "payload_bit_flip",
         "completes; final states differ from baseline",
-        |ctx| completes(ctx, Fault::BitFlip),
+        |seed| completes(seed, Fault::BitFlip),
     ),
     FaultRow::new(
         "model-stall",
         "model_stall",
         "states and WorldReport bit-identical to baseline",
-        |ctx| completes(ctx, Fault::Stall),
+        |seed| completes(seed, Fault::Stall),
     ),
     FaultRow::new(
         "host-delay",
         "host_thread_delay",
         "states and WorldReport bit-identical to baseline",
-        |ctx| completes(ctx, Fault::Delay),
+        |seed| completes(seed, Fault::Delay),
     ),
     FaultRow::new(
         "link-degrade",
@@ -355,7 +330,7 @@ pub static ROWS: [FaultRow; 9] = [
             "rank-loss",
             "rank_loss",
             "loud MPI deadlock teardown",
-            |ctx| torn_down(ctx, Fault::Lost, "MPI deadlock"),
+            |seed| torn_down(seed, Fault::Lost, "MPI deadlock"),
         )
     },
     FaultRow::new(
@@ -368,7 +343,7 @@ pub static ROWS: [FaultRow; 9] = [
 
 /// The workload survives on a slower link and its virtual runtime
 /// stretches.
-fn link_degrade(_: &Ctx) -> (String, bool) {
+fn link_degrade(_: u64) -> (String, bool) {
     let base_cycles = ep_cycles(NetConfig::shared_memory());
     let slow_cycles = ep_cycles(NetConfig::shared_memory().degrade(8));
     (
@@ -382,7 +357,7 @@ fn link_degrade(_: &Ctx) -> (String, bool) {
 /// pin to MAX instead of wrapping — the run completes with an unmissably
 /// absurd cycle count, and NC001 is what flags the config before a cycle
 /// is simulated.
-fn link_dead(_: &Ctx) -> (String, bool) {
+fn link_dead(_: u64) -> (String, bool) {
     let dead = NetConfig {
         bytes_per_cycle: 0.0,
         ..NetConfig::shared_memory()
@@ -397,7 +372,7 @@ fn link_dead(_: &Ctx) -> (String, bool) {
 
 /// NC002: a survivable misconfiguration — the run completes, the lint is
 /// what makes the vacuous-model hazard visible.
-fn link_zero_latency(_: &Ctx) -> (String, bool) {
+fn link_zero_latency(_: u64) -> (String, bool) {
     let zero = NetConfig::shared_memory().zero_latency();
     let nc002 = zero.lint("campaign.zero").has_code("NC002");
     let zero_cycles = ep_cycles(zero);
@@ -412,8 +387,7 @@ mod tests {
     use super::*;
 
     fn run_campaign(seed: u64) -> SurvivalMatrix {
-        let ctx = Ctx::new(seed, Vec::new());
-        SurvivalMatrix::new(&ctx, ROWS.iter().map(|row| row.scenario(&ctx)).collect())
+        SurvivalMatrix::new(seed, ROWS.iter().map(|row| row.scenario(seed)).collect())
     }
 
     #[test]

@@ -570,8 +570,8 @@ enum Family {
 }
 
 /// One paper subfigure, as data. [`FIGURES`] is the only place that
-/// names a figure's key, title and platforms; `bsim fig`, the service
-/// and the dist workers all read it.
+/// names a figure's key, title and platforms; `bsim fig` and the
+/// service both read it.
 pub struct FigureSpec {
     /// The `bsim fig <id>` this subfigure belongs to.
     pub id: &'static str,
@@ -1018,43 +1018,9 @@ pub fn table5() -> String {
     out
 }
 
-/// Assigns `cells` sweep cells to `ranks` workers, round-robin. A
-/// contiguous block layout (worker `w` takes cells `w * cells / ranks
-/// .. (w + 1) * cells / ranks`) suits model graphs, where neighbor
-/// traffic dominates; sweep cells are independent and their costs are
-/// *ordered* — figure plans put the heavy multi-rank subfigures next to
-/// each other — so striding spreads the expensive neighbors across
-/// workers instead of handing one worker the whole hot block. The
-/// assignment is pure arithmetic on indices: every launcher, worker, and
-/// resumed recovery computes the same map.
-pub fn partition_cells(cells: usize, ranks: usize) -> Vec<usize> {
-    assert!(ranks >= 1, "a sweep needs at least one worker");
-    (0..cells).map(|i| i % ranks).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn partition_cells_is_balanced_and_deterministic() {
-        let a = partition_cells(10, 3);
-        assert_eq!(a, vec![0, 1, 2, 0, 1, 2, 0, 1, 2, 0]);
-        assert_eq!(a, partition_cells(10, 3));
-        for ranks in 1..=5 {
-            let counts = (0..ranks)
-                .map(|r| {
-                    partition_cells(11, ranks)
-                        .iter()
-                        .filter(|&&x| x == r)
-                        .count()
-                })
-                .collect::<Vec<_>>();
-            let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
-            assert!(max - min <= 1, "{counts:?}");
-        }
-        assert!(partition_cells(0, 2).is_empty());
-    }
 
     #[test]
     fn table4_lists_all_five_models() {

@@ -17,8 +17,8 @@
 //!   configuration that matches best,
 //! * [`table`] — plain-text rendering of figure data, so the bench
 //!   harnesses print rows directly comparable to the paper's plots,
-//! * [`resilient`] — [`CellPool`], the one executor `bsim fig`,
-//!   `bsimd` and `bsim dist` answer keyed cells through: it probes the
+//! * [`resilient`] — [`CellPool`], the one executor `bsim fig` and
+//!   `bsimd` answer keyed cells through: it probes the
 //!   result store first, runs each miss once under a claim, degrades a
 //!   poisoned cell to a diagnosed failure row and stores the rest,
 //! * [`rate`] — [`SimRateMeter`], target cycles per host second: the
@@ -54,10 +54,8 @@ pub mod resilient;
 pub mod table;
 pub mod tuning;
 
-pub use campaign::{Ctx, FaultRow, Scenario, SurvivalMatrix};
-pub use experiments::{
-    partition_cells, run_grid_metered, FigureData, Parallelism, Series, SweepRun,
-};
+pub use campaign::{FaultRow, Scenario, SurvivalMatrix};
+pub use experiments::{run_grid_metered, FigureData, Parallelism, Series, SweepRun};
 pub use metrics::relative_speedup;
 pub use rate::{SimRate, SimRateMeter};
 pub use resilient::{CellPool, PoolRun};

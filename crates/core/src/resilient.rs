@@ -1,5 +1,5 @@
-//! The cell pool: the one way `bsim fig`, `bsimd` and `bsim dist` reach
-//! the result store.
+//! The cell pool: the one way `bsim fig` and `bsimd` reach the result
+//! store.
 //!
 //! A [`CellPool`] owns the [`ResultStore`], the keys being run and an
 //! `on_put` hook. [`CellPool::run`] probes every key before it schedules
@@ -11,9 +11,7 @@
 //! many callers want it. A cell's `Err` or panic is a failure row, not
 //! stored. An optional deadline is checked before the probe, and by a
 //! miss before it claims and after every wait: an expired key fails with
-//! `request deadline exceeded`, no panic. `bsim dist` runs its misses in
-//! worker processes, so it uses [`CellPool::get`] and [`CellPool::put`],
-//! the read and the write `run` uses.
+//! `request deadline exceeded`, no panic.
 
 use crate::experiments::{drain_grid, Parallelism};
 use bsim_resilience::retry::{catch, CellOutcome};
@@ -122,7 +120,7 @@ impl CellPool {
 
     /// Stores `bytes`, a result's [`canonical`] rendering, under `key`
     /// and fires `on_put`.
-    pub fn put(&self, key: &str, bytes: Arc<str>) {
+    fn put(&self, key: &str, bytes: Arc<str>) {
         let mut store = lock(&self.store);
         store.put_bytes(key, bytes);
         (self.on_put)(&store);

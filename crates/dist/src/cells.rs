@@ -1,18 +1,14 @@
-//! The serializable unit of sweep work a worker process executes.
+//! The one unit of sweep work.
 //!
-//! [`WireCell`] is the one cell type of the tree: `bsim-svc` schedules
-//! it inside one process and a worker on the far side of a socket
-//! receives the same thing as *data*. It names the work (platform by
-//! catalog name, figure by id/sizes/index) instead of carrying live
-//! config structs, travels as a JSON tree inside a
-//! [`crate::frame::Frame::Plan`], and [`WireCell::run`] reconstructs
-//! the real objects wherever it executes. [`WireCell::key`] is what
-//! identifies its result in a store ([`crate::key`]).
+//! [`WireCell`] is the one cell type of the tree: `bsim fig` and
+//! `bsim-svc` run it through the cell pool. It names the work (platform
+//! by catalog name, figure by id/sizes/index) instead of carrying live
+//! config structs, and [`WireCell::run`] reconstructs the real objects.
+//! [`WireCell::key`] is what identifies its result in a store
+//! ([`crate::key`]).
 //!
-//! Results are bit-identical across host worker counts by construction
-//! — which is why no host knob reaches the key, and what lets the
-//! launcher compare a 2-process sweep byte-for-byte against the
-//! in-process schedule.
+//! Results are bit-identical across host worker counts by construction,
+//! which is why no host knob reaches the key.
 
 use crate::key::{self, MicroKeyer};
 use bsim_core::experiments::{self, subfigures, Parallelism, Sizes};
@@ -40,19 +36,11 @@ pub enum WireCell {
     Tune { scale: u32 },
 }
 
-fn str_field(v: &Value, name: &str) -> Option<String> {
-    v.get(name)?.as_str().map(str::to_string)
-}
-
-fn u64_field(v: &Value, name: &str) -> Option<u64> {
-    v.get(name)?.as_u64()
-}
-
 impl WireCell {
     /// What identifies this cell's result: the content hash of the work
     /// it names, `seed`, and the schema/code version ([`crate::key`]) —
     /// the only thing a result store is ever indexed by. Host knobs
-    /// (`Parallelism`, dist rank count) cannot reach it: they do not
+    /// (`Parallelism`, worker count) cannot reach it: they do not
     /// change the result.
     pub fn key(&self, seed: u64) -> String {
         let runnable = match self {
@@ -81,53 +69,6 @@ impl WireCell {
                 scale,
             } => format!("micro:{platform}/{kernel}/x{scale}"),
             WireCell::Tune { scale } => format!("tune:x{scale}"),
-        }
-    }
-
-    /// The JSON tree shipped inside the plan.
-    pub fn encode(&self) -> Value {
-        match self {
-            WireCell::Fig { id, sizes, index } => Value::Map(vec![
-                ("kind".into(), Value::Str("fig".into())),
-                ("id".into(), Value::Str(id.clone())),
-                ("sizes".into(), Value::Str(sizes.clone())),
-                ("index".into(), Value::U64(*index as u64)),
-            ]),
-            WireCell::Micro {
-                platform,
-                kernel,
-                scale,
-            } => Value::Map(vec![
-                ("kind".into(), Value::Str("micro".into())),
-                ("platform".into(), Value::Str(platform.clone())),
-                ("kernel".into(), Value::Str(kernel.clone())),
-                ("scale".into(), Value::U64(u64::from(*scale))),
-            ]),
-            WireCell::Tune { scale } => Value::Map(vec![
-                ("kind".into(), Value::Str("tune".into())),
-                ("scale".into(), Value::U64(u64::from(*scale))),
-            ]),
-        }
-    }
-
-    /// Parses a plan tree back. `None` on any malformed shape — the
-    /// worker turns that into an `Err` frame, never a panic.
-    pub fn decode(v: &Value) -> Option<WireCell> {
-        match str_field(v, "kind")?.as_str() {
-            "fig" => Some(WireCell::Fig {
-                id: str_field(v, "id")?,
-                sizes: str_field(v, "sizes")?,
-                index: u64_field(v, "index")? as usize,
-            }),
-            "micro" => Some(WireCell::Micro {
-                platform: str_field(v, "platform")?,
-                kernel: str_field(v, "kernel")?,
-                scale: u32::try_from(u64_field(v, "scale")?).ok()?,
-            }),
-            "tune" => Some(WireCell::Tune {
-                scale: u32::try_from(u64_field(v, "scale")?).ok()?,
-            }),
-            _ => None,
         }
     }
 
@@ -186,37 +127,6 @@ impl WireCell {
 mod tests {
     use super::*;
     use bsim_core::experiments::FIGURE_IDS;
-
-    #[test]
-    fn cells_roundtrip_through_their_wire_form() {
-        let cells = vec![
-            WireCell::Fig {
-                id: "3".into(),
-                sizes: "smoke".into(),
-                index: 1,
-            },
-            WireCell::Micro {
-                platform: "Rocket".into(),
-                kernel: "Cca".into(),
-                scale: 2,
-            },
-            WireCell::Tune { scale: 1 },
-        ];
-        for cell in cells {
-            let json = serde_json::to_string(&cell.encode()).expect("shim renderer is total");
-            let back = WireCell::decode(&serde_json::from_str(&json).expect("valid json"))
-                .expect("decodes");
-            assert_eq!(back, cell);
-        }
-        assert_eq!(WireCell::decode(&Value::Map(vec![])), None);
-        assert_eq!(
-            WireCell::decode(&Value::Map(vec![(
-                "kind".into(),
-                Value::Str("warp".into())
-            )])),
-            None
-        );
-    }
 
     #[test]
     fn figure_cells_cover_every_declared_subfigure() {

@@ -1,14 +1,13 @@
 //! The wire protocol: length-prefixed binary frames with an integrity
 //! header.
 //!
-//! Every byte that crosses a process boundary is one [`Frame`]:
+//! Every byte on a cut token link ([`crate::link`]) is one [`Frame`]:
 //! `[magic: u16 LE][version: u8][tag: u8][len: u32 LE][crc32: u32 LE]`
 //! `[payload: len bytes]`. Two frame kinds carry token traffic —
 //! [`Frame::Data`] for literal token batches and [`Frame::Run`] for
 //! run-length spans (the on-the-wire form of the quiescence
-//! fast-forward: a million idle cycles is 36 bytes, not 8 MB) — the
-//! rest are control-plane: handshake, plan distribution and result
-//! collection.
+//! fast-forward: a million idle cycles is 36 bytes, not 8 MB) — and
+//! [`Frame::Err`] carries a peer's fatal error.
 //!
 //! Frames carry *channel-absolute* start cycles so every hop re-checks
 //! the token protocol: a frame landing at the wrong cycle is a protocol
@@ -37,54 +36,25 @@ const MAGIC: u16 = 0xB51D;
 const PROTO_VERSION: u8 = 2;
 
 /// Total bytes preceding the payload: magic + version + tag + len + crc.
-pub(crate) const HEADER_LEN: usize = 12;
+const HEADER_LEN: usize = 12;
 
-/// One message on a distributed-simulation socket.
+/// One message on a cut token link.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Frame {
-    /// Worker → coordinator handshake on the control connection.
-    Hello { rank: u32 },
-    /// Coordinator → worker: the JSON sweep plan ([`crate::plan`]).
-    Plan { json: String },
     /// A literal batch of tokens for cycles `start..start + tokens.len()`.
     Data { start: u64, tokens: Vec<u64> },
     /// A run-length span: `n` copies of `fill` for cycles `start..start + n`.
     Run { start: u64, n: u64, fill: u64 },
-    /// Worker → coordinator: one completed sweep cell, by plan index.
-    Cell { index: u32, json: String },
-    /// Worker → coordinator: the plan is fully executed.
-    Done,
     /// Either direction: fatal error, human-readable.
     Err { msg: String },
 }
 
-impl Frame {
-    /// The protocol-table message name of this frame, as used by the PV
-    /// model in `bsim_check::proto::dist_protocol`. `Data`/`Run` are
-    /// token-link traffic and never appear on the control connection the
-    /// table models; they keep their own names so a misrouted token
-    /// frame shows up as an off-alphabet event, not a silent accept.
-    pub fn event(&self) -> &'static str {
-        match self {
-            Frame::Hello { .. } => "Hello",
-            Frame::Plan { .. } => "Plan",
-            Frame::Data { .. } => "Data",
-            Frame::Run { .. } => "Run",
-            Frame::Cell { .. } => "Cell",
-            Frame::Done => "Done",
-            Frame::Err { .. } => "Err",
-        }
-    }
-}
-
-const TAG_HELLO: u8 = 1;
-const TAG_PLAN: u8 = 2;
+// Tags never move, so a frame's bytes stay what they were. Tag 5 was
+// never assigned, and 1, 2, 6 and 7 are retired (the launcher's
+// handshake, plan, cell and done frames); an unassigned tag reads as a
+// flipped header bit.
 const TAG_DATA: u8 = 3;
 const TAG_RUN: u8 = 4;
-// Tag 5 is unassigned. Tags never move, so a frame's bytes stay what
-// they were, and an unassigned tag reads as a flipped header bit.
-const TAG_CELL: u8 = 6;
-const TAG_DONE: u8 = 7;
 const TAG_ERR: u8 = 8;
 
 fn bad(msg: String) -> io::Error {
@@ -146,19 +116,8 @@ pub fn classify(e: &io::Error) -> FrameError {
     }
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn take_u32(payload: &[u8], at: usize) -> io::Result<u32> {
-    payload
-        .get(at..at + 4)
-        .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte slice"))) // bsim: allow(AU002) slice width is structural
-        .ok_or_else(|| bad("truncated frame payload".into()))
 }
 
 fn take_u64(payload: &[u8], at: usize) -> io::Result<u64> {
@@ -178,12 +137,6 @@ fn take_str(payload: &[u8], at: usize) -> io::Result<String> {
 /// direction of each cut wire is its own connection).
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     let (tag, payload) = match frame {
-        Frame::Hello { rank } => {
-            let mut p = Vec::with_capacity(4);
-            put_u32(&mut p, *rank);
-            (TAG_HELLO, p)
-        }
-        Frame::Plan { json } => (TAG_PLAN, json.as_bytes().to_vec()),
         Frame::Data { start, tokens } => {
             let mut p = Vec::with_capacity(8 + tokens.len() * 8);
             put_u64(&mut p, *start);
@@ -199,13 +152,6 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
             put_u64(&mut p, *fill);
             (TAG_RUN, p)
         }
-        Frame::Cell { index, json } => {
-            let mut p = Vec::with_capacity(4 + json.len());
-            put_u32(&mut p, *index);
-            p.extend_from_slice(json.as_bytes());
-            (TAG_CELL, p)
-        }
-        Frame::Done => (TAG_DONE, Vec::new()),
         Frame::Err { msg } => (TAG_ERR, msg.as_bytes().to_vec()),
     };
     if payload.len() > MAX_FRAME {
@@ -218,15 +164,14 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.push(PROTO_VERSION);
     out.push(tag);
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc32(&payload));
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
     w.write_all(&out)
 }
 
 /// Reads one frame, blocking. EOF *between* frames surfaces as
-/// `UnexpectedEof` with message `"peer closed"` — the launcher treats
-/// that as the peer's death; EOF *inside* a frame is a torn write and
+/// `UnexpectedEof` with message `"peer closed"` — the peer's death; EOF *inside* a frame is a torn write and
 /// reads as a protocol error; a bad magic, unsupported version, or
 /// CRC32 mismatch is a [`FrameError::Corrupt`] integrity failure. A
 /// socket read timeout propagates with its own kind so guard deadlines
@@ -280,12 +225,6 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
         )));
     }
     match tag {
-        TAG_HELLO => Ok(Frame::Hello {
-            rank: take_u32(&payload, 0)?,
-        }),
-        TAG_PLAN => Ok(Frame::Plan {
-            json: take_str(&payload, 0)?,
-        }),
         TAG_DATA => {
             let start = take_u64(&payload, 0)?;
             if !(payload.len() - 8).is_multiple_of(8) {
@@ -302,11 +241,6 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
             n: take_u64(&payload, 8)?,
             fill: take_u64(&payload, 16)?,
         }),
-        TAG_CELL => Ok(Frame::Cell {
-            index: take_u32(&payload, 0)?,
-            json: take_str(&payload, 4)?,
-        }),
-        TAG_DONE => Ok(Frame::Done),
         TAG_ERR => Ok(Frame::Err {
             msg: take_str(&payload, 0)?,
         }),
@@ -323,10 +257,6 @@ mod tests {
     #[test]
     fn every_variant_roundtrips() {
         let frames = vec![
-            Frame::Hello { rank: 3 },
-            Frame::Plan {
-                json: r#"{"mode":"sweep"}"#.into(),
-            },
             Frame::Data {
                 start: 7,
                 tokens: vec![1, 0, u64::MAX],
@@ -336,13 +266,8 @@ mod tests {
                 n: 1 << 40,
                 fill: 0,
             },
-            Frame::Cell {
-                index: 5,
-                json: "{}".into(),
-            },
-            Frame::Done,
             Frame::Err {
-                msg: "worker 1: kernel not found".into(),
+                msg: "rank 1: link closed".into(),
             },
         ];
         let mut wire = Vec::new();
@@ -410,7 +335,7 @@ mod tests {
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
         assert_eq!(classify(&e), FrameError::Torn);
         // Absurd length prefix under a valid magic/version: corrupt.
-        let mut head = header(TAG_PLAN, b"");
+        let mut head = header(TAG_ERR, b"");
         head[4..8].copy_from_slice(&((MAX_FRAME + 1) as u32).to_le_bytes());
         let mut r = &head[..];
         let e = read_frame(&mut r).expect_err("oversized");
@@ -429,14 +354,14 @@ mod tests {
     #[test]
     fn integrity_failures_are_typed_corrupt_distinct_from_torn() {
         // Bad magic.
-        let mut head = header(TAG_DONE, b"");
+        let mut head = header(TAG_ERR, b"");
         head[0] ^= 0xFF;
         let e = read_frame(&mut &head[..]).expect_err("bad magic");
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
         assert_eq!(classify(&e), FrameError::Corrupt);
         assert!(e.to_string().contains("magic"), "{e}");
         // Foreign protocol version.
-        let mut head = header(TAG_DONE, b"");
+        let mut head = header(TAG_ERR, b"");
         head[2] = PROTO_VERSION + 1;
         let e = read_frame(&mut &head[..]).expect_err("bad version");
         assert_eq!(classify(&e), FrameError::Corrupt);
@@ -445,9 +370,9 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(
             &mut wire,
-            &Frame::Cell {
-                index: 7,
-                json: r#"{"cycles":123456}"#.into(),
+            &Frame::Data {
+                start: 7,
+                tokens: vec![123_456, 0, 1],
             },
         )
         .expect("vec write");
@@ -480,10 +405,6 @@ mod tests {
         // decoder. Every round must end in a typed error or clean EOF —
         // never a panic, never an unbounded allocation.
         let frames = vec![
-            Frame::Hello { rank: 1 },
-            Frame::Plan {
-                json: r#"{"mode":"sweep","cells":3}"#.into(),
-            },
             Frame::Data {
                 start: 64,
                 tokens: (0..32).collect(),
@@ -493,11 +414,9 @@ mod tests {
                 n: 1 << 30,
                 fill: 0,
             },
-            Frame::Cell {
-                index: 2,
-                json: r#"{"platform":"milkv","cycles":987654}"#.into(),
+            Frame::Err {
+                msg: r#"rank 2: {"platform":"milkv","cycles":987654}"#.into(),
             },
-            Frame::Done,
         ];
         let mut clean = Vec::new();
         for f in &frames {
@@ -543,47 +462,22 @@ mod tests {
     }
 
     #[test]
-    fn control_frame_events_are_in_the_protocol_alphabet() {
-        // The runtime gates control-plane frames through the PV table by
-        // name; a frame whose `event()` drifted from the table would be
-        // rejected as off-alphabet at runtime. Data/Run are token-link
-        // traffic the control table deliberately does not model.
-        let alphabet = bsim_check::proto::dist_protocol().alphabet();
-        let control = [
-            Frame::Hello { rank: 0 },
-            Frame::Plan {
-                json: String::new(),
-            },
-            Frame::Cell {
-                index: 0,
-                json: String::new(),
-            },
-            Frame::Done,
-            Frame::Err { msg: String::new() },
-        ];
-        for f in &control {
-            assert!(
-                alphabet.contains(&f.event()),
-                "{} is missing from the dist protocol alphabet",
-                f.event()
-            );
-        }
-        for f in &[
-            Frame::Data {
-                start: 0,
-                tokens: vec![],
-            },
-            Frame::Run {
-                start: 0,
-                n: 0,
-                fill: 0,
-            },
+    fn a_retired_tag_decodes_to_a_typed_error_never_a_value() {
+        // Tags 1, 2, 6 and 7 carried the launcher's handshake, plan, cell
+        // and done frames. A frame in that old shape, whole and with a
+        // valid CRC, is now an unknown tag: corrupt, never a frame.
+        for (tag, payload) in [
+            (1, &[3, 0, 0, 0][..]),
+            (2, &br#"{"mode":"sweep"}"#[..]),
+            (6, &[5, 0, 0, 0, b'{', b'}'][..]),
+            (7, &b""[..]),
         ] {
-            assert!(
-                !alphabet.contains(&f.event()),
-                "token traffic {} must stay off the control alphabet",
-                f.event()
-            );
+            let mut wire = header(tag, payload);
+            wire.extend_from_slice(payload);
+            let e = read_frame(&mut &wire[..]).expect_err("retired tag");
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "tag {tag}");
+            assert_eq!(classify(&e), FrameError::Corrupt, "tag {tag}: {e}");
+            assert!(e.to_string().contains("unknown frame tag"), "{e}");
         }
     }
 }

@@ -3,8 +3,8 @@
 //! seed × code/schema version). [`crate::WireCell::key`] is the one way
 //! to a key and a key is the only thing that indexes a
 //! `bsim_resilience::ResultStore`, so identical cells collide in the
-//! store whichever command asked for them — `bsim fig`, `bsim dist` or
-//! a `bsim submit` — and are served instead of re-simulated. Labels
+//! store whichever command asked for them — `bsim fig` or a `bsim
+//! submit` — and are served instead of re-simulated. Labels
 //! (`fig3a`, `fig:3/smoke/0`, `Rocket 1/EM5`) are display names.
 //!
 //! ## Canonical form

@@ -199,9 +199,8 @@ impl<R: Read> RemoteReceiver<R> {
         self.produced += count;
     }
 
-    /// Blocks for one token frame and buffers it. Control frames on a
-    /// token link, cycle mismatches, and `Err` frames are protocol
-    /// errors.
+    /// Blocks for one token frame and buffers it. Cycle mismatches and
+    /// `Err` frames are protocol errors.
     pub fn recv(&mut self) -> io::Result<()> {
         match read_frame(&mut self.r)? {
             Frame::Data { start, tokens } => {
@@ -227,10 +226,6 @@ impl<R: Read> RemoteReceiver<R> {
                 Ok(())
             }
             Frame::Err { msg } => Err(io::Error::other(format!("peer reported: {msg}"))),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected control frame on a token link: {other:?}"),
-            )),
         }
     }
 

@@ -1,9 +1,8 @@
 //! The content-addressed result store: canonical result bytes keyed by
 //! the cell hashes of `bsim_dist::WireCell::key`, persisted in the
 //! versioned [`CkptStore`] JSON format. It is the one place a cell's
-//! result is kept: `bsim fig --store`, `bsim dist --store` and
-//! `bsim serve --store` all read and write it, so a file filled by any
-//! of them answers the other two.
+//! result is kept: `bsim fig --store` and `bsim serve --store` both read
+//! and write it, so a file filled by either answers the other.
 //!
 //! ## Entries are the bytes their checksum covers
 //!

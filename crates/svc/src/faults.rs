@@ -6,25 +6,21 @@
 //! flipped bits served as a result — and a [`scrub`] pass leaves a file
 //! that opens clean.
 
-use bsim_core::campaign::{Ctx, FaultRow};
+use bsim_core::campaign::FaultRow;
 use bsim_resilience::{scrub, ResultStore};
 use serde::Value;
 use std::path::{Path, PathBuf};
 
-/// In-process-safe: a temp file.
-pub static ROWS: [FaultRow; 1] = [FaultRow {
-    guard: true,
-    ..FaultRow::new(
-        "store-corrupt",
-        "one bit flipped in the result store file",
-        "checksum quarantines, never serves; scrub opens clean",
-        store_corrupt,
-    )
-}];
+/// The one service row; it works on a temp file.
+pub static ROWS: [FaultRow; 1] = [FaultRow::new(
+    "store-corrupt",
+    "one bit flipped in the result store file",
+    "checksum quarantines, never serves; scrub opens clean",
+    store_corrupt,
+)];
 
 /// Stages the corruption in a temp file and cleans up after itself.
-fn store_corrupt(ctx: &Ctx) -> (String, bool) {
-    let seed = ctx.seed;
+fn store_corrupt(seed: u64) -> (String, bool) {
     let path = std::env::temp_dir().join(format!(
         "bsim-guard-store-corrupt-{}-{seed}.json",
         std::process::id()
@@ -92,7 +88,7 @@ mod tests {
     #[test]
     fn seeded_store_corruption_is_always_survived() {
         for seed in [0, 1, 7, 42, 1_000_003] {
-            let scenario = ROWS[0].scenario(&Ctx::new(seed, Vec::new()));
+            let scenario = ROWS[0].scenario(seed);
             assert_eq!(scenario.name, "store-corrupt");
             assert!(scenario.pass, "seed {seed}: {}", scenario.observed);
         }

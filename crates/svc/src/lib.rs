@@ -10,8 +10,8 @@
 //! `bsim_core::CellPool`, which runs the misses once while hits and
 //! identical in-flight cells are served from the memoizing
 //! [`ResultStore`]. Key, pool and store are the ones `bsim fig --store`
-//! and `bsim dist --store` use, so a file filled by either serves a
-//! daemon and the reverse (`tests/store.rs`).
+//! uses, so a file it filled serves a daemon and the reverse
+//! (`tests/store.rs`).
 //!
 //! Layering:
 //!

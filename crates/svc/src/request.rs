@@ -560,7 +560,7 @@ mod tests {
 
     /// A request's cells carry `WireCell::key` at the request's seed and
     /// nothing else — the sweep's per-platform `MicroKeyer` included —
-    /// so what a daemon stores is found by `bsim fig` and `bsim dist`.
+    /// so what a daemon stores is found by `bsim fig`.
     #[test]
     fn every_cell_is_keyed_by_its_wire_cell_at_the_request_seed() {
         let requests = [

@@ -12,7 +12,7 @@
 //!                                   # across N host threads; --store
 //!                                   # replays the subfigures FILE holds
 //!                                   # and adds the ones it computes (the
-//!                                   # result store dist and serve use);
+//!                                   # result store serve uses);
 //!                                   # stderr carries each simulated
 //!                                   # subfigure's host rate
 //! bsim score [--smoke|--paper] [--par seq|auto|N] [--store FILE]
@@ -21,29 +21,17 @@
 //!                                   # EXPERIMENTS.md's generated block
 //! bsim micro <kernel> [platform]    # run one microbenchmark
 //! bsim tune                         # the §4 model-selection loop
-//! bsim faults [--seed N] [--deny-unsurvived] [--in-process] [--guard]
+//! bsim faults [--seed N] [--deny-unsurvived]
 //!                                   # fault-injection campaign: prints
-//!                                   # the survival matrix (plus a
-//!                                   # process-kill row spawning real
-//!                                   # workers; --in-process skips it,
-//!                                   # --guard keeps the integrity rows);
-//!                                   # deny exits non-zero on any miss
+//!                                   # the survival matrix; deny exits
+//!                                   # non-zero on any miss
 //! bsim check [--deny-warnings] [--json] [--list] [--proto] [--source]
 //!            [platform ...]
 //!                                   # static preflight: model-graph +
 //!                                   # config lints, before any cycle;
-//!                                   # --proto model-checks the svc/dist
-//!                                   # wire protocols, --source audits
+//!                                   # --proto model-checks the svc
+//!                                   # wire protocol, --source audits
 //!                                   # the workspace sources
-//! bsim dist [--ranks N] [--figs 1,2] [--smoke] [--store FILE] [--json]
-//!           [--kill-rank R --kill-after K]
-//!                                   # fan a cell sweep across N worker
-//!                                   # processes, each cell's result a
-//!                                   # frame on a control socket; --store
-//!                                   # answers what FILE holds and adds
-//!                                   # the rest; --kill-rank SIGKILLs a
-//!                                   # worker mid-sweep to exercise
-//!                                   # recovery
 //! bsim serve [--addr H:P] [--store FILE] [--workers N] [--budget N]
 //!            [--par seq|auto|N]
 //!                                   # bsimd: simulation-as-a-service
@@ -60,15 +48,14 @@
 //! ```
 
 use silicon_bridge::check;
-use silicon_bridge::core::campaign::{Ctx, SurvivalMatrix};
+use silicon_bridge::core::campaign::SurvivalMatrix;
 use silicon_bridge::core::experiments::{
     self, subfigures, FigureData, FigureSpec, Series, Sizes, FIGURE_IDS,
 };
 use silicon_bridge::core::tuning::tune_milkv;
 use silicon_bridge::core::{claims, table};
 use silicon_bridge::core::{CellPool, Parallelism, ResultStore};
-use silicon_bridge::dist::launcher::{run_sweep, KillSpec, LaunchOpts};
-use silicon_bridge::dist::{faults as dist_faults, worker as dist_worker, WireCell};
+use silicon_bridge::dist::WireCell;
 use silicon_bridge::mpi::NetConfig;
 use silicon_bridge::resilience::{CellOutcome, Snapshot};
 use silicon_bridge::soc::{configs, Soc, SocConfig};
@@ -90,10 +77,9 @@ const USAGE: &str = "usage:\n  bsim list\n  bsim table <1|2|4|5>\n  \
      bsim fig <1..7|all> [--smoke|--paper] [--par seq|auto|N] [--store FILE]\n  \
      bsim score [--smoke|--paper] [--par seq|auto|N] [--store FILE]\n  \
      bsim micro <kernel> [platform]\n  bsim tune\n  \
-     bsim faults [--seed N] [--deny-unsurvived] [--in-process] [--guard]\n  \
+     bsim faults [--seed N] [--deny-unsurvived]\n  \
      bsim check [--deny-warnings] [--json] [--list] [--proto] [--source] [platform ...]\n  \
      bsim scrub --store FILE\n  \
-     bsim dist [--ranks N] [--figs 1,2] [--smoke] [--store FILE] [--json] [--kill-rank R --kill-after K]\n  \
      bsim serve [--addr H:P] [--store FILE] [--workers N] [--budget N] [--par seq|auto|N]\n       \
      [--conn-workers N] [--conn-backlog N] [--queue-cap N] [--deadline-ms N] [--io-timeout-secs N]\n  \
      bsim submit ADDR fig <id> [--smoke] [--seed N] [--wait]\n  \
@@ -116,19 +102,14 @@ fn fail(msg: impl std::fmt::Display) -> ! {
 /// The flags each subcommand accepts, as `(flag, takes_value)`.
 fn flag_table(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
     Some(match cmd {
-        "list" | "table" | "micro" | "tune" | "status" | "fetch" | "dist-worker" => &[],
+        "list" | "table" | "micro" | "tune" | "status" | "fetch" => &[],
         "fig" | "score" => &[
             ("--smoke", false),
             ("--paper", false),
             ("--par", true),
             ("--store", true),
         ],
-        "faults" => &[
-            ("--seed", true),
-            ("--deny-unsurvived", false),
-            ("--in-process", false),
-            ("--guard", false),
-        ],
+        "faults" => &[("--seed", true), ("--deny-unsurvived", false)],
         "check" => &[
             ("--deny-warnings", false),
             ("--json", false),
@@ -137,15 +118,6 @@ fn flag_table(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
             ("--source", false),
         ],
         "scrub" => &[("--store", true)],
-        "dist" => &[
-            ("--ranks", true),
-            ("--figs", true),
-            ("--smoke", false),
-            ("--store", true),
-            ("--json", false),
-            ("--kill-rank", true),
-            ("--kill-after", true),
-        ],
         "serve" => &[
             ("--addr", true),
             ("--store", true),
@@ -239,16 +211,6 @@ impl<'a> Flags<'a> {
     }
 }
 
-/// The argv a dist launcher spawns per rank: this very binary, re-entered
-/// through the hidden `dist-worker` subcommand.
-fn worker_argv() -> Vec<String> {
-    let exe = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.to_str().map(String::from))
-        .unwrap_or_else(|| "bsim".into());
-    vec![exe, "dist-worker".into()]
-}
-
 /// `bsim check`: the static analysis pass, standalone. Lints every named
 /// platform (or just the ones given), the stock network links, and the
 /// workload size presets, then renders rustc-style diagnostics (or JSON)
@@ -314,16 +276,15 @@ fn run_check(f: &Flags) -> ! {
         report.merge(Sizes::paper().lint("sizes.paper"));
     }
     if f.has("--proto") {
-        // Exhaustively model-check the wire-protocol transition tables
-        // the svc and dist runtimes drive.
-        for spec in [check::proto::svc_protocol(), check::proto::dist_protocol()] {
-            let explored = check::proto::explore(&spec);
-            println!(
-                "proto {}: {} joint states, {} transitions explored",
-                spec.name, explored.states, explored.transitions
-            );
-            report.merge(explored.report);
-        }
+        // Exhaustively model-check the wire-protocol transition table
+        // the svc runtime drives.
+        let spec = check::proto::svc_protocol();
+        let explored = check::proto::explore(&spec);
+        println!(
+            "proto {}: {} joint states, {} transitions explored",
+            spec.name, explored.states, explored.transitions
+        );
+        report.merge(explored.report);
     }
     if f.has("--source") {
         let audit = check::audit::audit_workspace();
@@ -439,15 +400,8 @@ fn main() {
             }
         }
         "faults" => {
-            let ctx = Ctx::new(f.num("--seed", 42u64), worker_argv());
-            // `--guard` keeps only the bsim-guard integrity rows (the CI
-            // guard job's fast path); `--in-process` drops the rows that
-            // spawn worker processes, for environments where spawning is
-            // off the table.
-            let (guard_only, in_process) = (f.has("--guard"), f.has("--in-process"));
+            let seed = f.num("--seed", 42u64);
             let scenarios = silicon_bridge::fault_rows()
-                .filter(|row| row.guard || !guard_only)
-                .filter(|row| !(row.needs_processes && in_process))
                 .map(|row| {
                     // A panic the row expects and catches would still
                     // print its message and backtrace; keep stderr for
@@ -455,15 +409,15 @@ fn main() {
                     if row.panics {
                         let loud = std::panic::take_hook();
                         std::panic::set_hook(Box::new(|_| {}));
-                        let scenario = row.scenario(&ctx);
+                        let scenario = row.scenario(seed);
                         std::panic::set_hook(loud);
                         scenario
                     } else {
-                        row.scenario(&ctx)
+                        row.scenario(seed)
                     }
                 })
                 .collect();
-            let matrix = SurvivalMatrix::new(&ctx, scenarios);
+            let matrix = SurvivalMatrix::new(seed, scenarios);
             print!("{}", matrix.render());
             if f.has("--deny-unsurvived") && !matrix.all_pass() {
                 std::process::exit(1);
@@ -530,17 +484,6 @@ fn main() {
             let clean = scrubbed.quarantined.is_empty() && report.is_clean();
             std::process::exit(if clean { 0 } else { 1 })
         }
-        "dist" => run_dist(&f),
-        // Hidden: the worker half of `bsim dist`. The launcher spawns
-        // `bsim dist-worker` per rank with the rendezvous address and
-        // rank number in the environment.
-        "dist-worker" => match dist_worker::run_from_env() {
-            Ok(()) => std::process::exit(0),
-            Err(e) => {
-                eprintln!("dist-worker: {e}");
-                std::process::exit(1)
-            }
-        },
         "serve" => run_serve(&f),
         "submit" => run_submit(&f),
         "status" => {
@@ -605,8 +548,8 @@ fn run_plan(f: &Flags, id: &str) -> Vec<(&'static FigureSpec, Result<FigureData,
     let sizes = Sizes::parse(preset).expect("the three presets are named");
     let par = f.par(Parallelism::Sequential);
     // `all` is every subfigure of the table, in plan order; each goes
-    // with the `WireCell::Fig` a `bsim submit fig` or `bsim dist --figs`
-    // of the same preset would run.
+    // with the `WireCell::Fig` a `bsim submit fig` of the same preset
+    // would run.
     let plan: Vec<(&'static FigureSpec, WireCell)> = FIGURE_IDS
         .iter()
         .filter(|fid| id == "all" || **fid == id)
@@ -628,7 +571,7 @@ fn run_plan(f: &Flags, id: &str) -> Vec<(&'static FigureSpec, Result<FigureData,
         );
         fig
     };
-    // Seed 0 is what `bsim submit` and `bsim dist` key at.
+    // Seed 0 is what `bsim submit` keys at.
     let keys: Vec<String> = plan.iter().map(|(_, cell)| cell.key(0)).collect();
     let pool = CellPool::with_on_put(open_store(f.path("--store")), flush_store);
     // A stored entry that verifies but is no figure is a store that has
@@ -670,81 +613,6 @@ fn flush_store(store: &ResultStore) {
     if let Err(e) = store.flush() {
         eprintln!("warning: cannot write the result store: {e}");
     }
-}
-
-/// `bsim dist`: the multi-process scale-out front end. It fans a sweep
-/// of serializable cells across `--ranks` worker processes, each result
-/// a frame on the worker's control socket; `--kill-rank`/`--kill-after`
-/// SIGKILL a worker mid-sweep so the recovery path (respawn + re-plan of
-/// what has not arrived) is exercisable from the shell.
-fn run_dist(f: &Flags) -> ! {
-    let ranks = f.num("--ranks", 2usize).max(1);
-    let sizes = if f.has("--smoke") { "smoke" } else { "default" };
-    let cells: Vec<WireCell> = match f.get("--figs") {
-        Some(raw) => raw
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .flat_map(|id| {
-                let cells = WireCell::figure_cells(id.trim(), sizes);
-                if cells.is_empty() {
-                    fail(format!("unknown figure {id}; try `bsim list`"));
-                }
-                cells
-            })
-            .collect(),
-        // The default sweep is the same platform×kernel grid the
-        // process-kill fault scenario uses: small, and wide enough to
-        // give every rank real work.
-        None => dist_faults::kill_sweep_cells(),
-    };
-
-    let mut opts = LaunchOpts::processes(ranks, worker_argv());
-    if let Some(rank) = f.flag::<usize>("--kill-rank", "a rank number") {
-        if rank >= ranks {
-            fail(format!(
-                "--kill-rank {rank} is out of range for --ranks {ranks}"
-            ));
-        }
-        opts.kill = Some(KillSpec {
-            rank,
-            after_cells: f.num("--kill-after", 1usize).max(1),
-        });
-    }
-
-    // Seed 0: the keys `bsim fig --store` and a default `bsim submit`
-    // look the same cells up under.
-    let pool = CellPool::with_on_put(open_store(f.path("--store")), flush_store);
-    let outcome = run_sweep(&cells, 0, &opts, &pool).unwrap_or_else(|e| {
-        eprintln!("dist sweep failed: {e}");
-        std::process::exit(1);
-    });
-
-    if f.has("--json") {
-        use serde::Value;
-        let map: Vec<(String, Value)> = outcome
-            .results
-            .iter()
-            .map(|(label, json)| {
-                let tree = serde_json::from_str(json).unwrap_or(Value::Str(json.to_string()));
-                (label.clone(), tree)
-            })
-            .collect();
-        println!(
-            "{}",
-            serde_json::to_string(&Value::Map(map)).expect("shim renderer is total")
-        );
-    } else {
-        for (label, json) in &outcome.results {
-            println!("{label}: {} bytes", json.len());
-        }
-    }
-    eprintln!(
-        "{} cell(s) across {} rank(s), {} respawn(s)",
-        outcome.results.len(),
-        outcome.ranks,
-        outcome.respawns
-    );
-    std::process::exit(0)
 }
 
 /// `bsim serve`: run bsimd in the foreground until a `/shutdown`
@@ -886,9 +754,13 @@ mod tests {
             listed,
             [
                 "list", "table", "fig", "score", "micro", "tune", "faults", "check", "scrub",
-                "dist", "serve", "submit", "status", "fetch"
+                "serve", "submit", "status", "fetch"
             ],
-            "every subcommand but the hidden dist-worker has a usage entry"
+            "every subcommand has a usage entry"
         );
+        // The retired scale-out subcommands have no entry and no parser.
+        for retired in ["dist", concat!("dist", "-worker")] {
+            assert!(flag_table(retired).is_none(), "bsim {retired}");
+        }
     }
 }

@@ -25,7 +25,7 @@
 //! | [`workloads`] | `bsim-workloads` | MicroBench, NPB, UME, MD |
 //! | [`core`] | `bsim-core` | relative-speedup metrics, figure generators, sim-rate meter, tuning |
 //! | [`svc`] | `bsim-svc` | `bsimd` service daemon + content-addressed result cache |
-//! | [`dist`] | `bsim-dist` | multi-process cell sweeps with process-loss recovery |
+//! | [`dist`] | `bsim-dist` | cell identity, the frame codec and the cut token link |
 //! | [`sweepx`] | `bsim-sweepx` | vectorized multi-lane config sweeps and SimPoint-style sampled simulation |
 //!
 //! See `examples/quickstart.rs` for a five-minute tour; `bsim fig N` and
@@ -51,36 +51,24 @@ pub use bsim_workloads as workloads;
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 
 /// Every row of the `bsim faults` survival matrix, in print order: the
-/// in-process campaign, then the scale-out rows, then the service row.
+/// in-process campaign, then the service row.
 pub fn fault_rows() -> impl Iterator<Item = &'static core::FaultRow> {
-    core::campaign::ROWS
-        .iter()
-        .chain(&dist::faults::ROWS)
-        .chain(&svc::faults::ROWS)
+    core::campaign::ROWS.iter().chain(&svc::faults::ROWS)
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn the_fault_table_has_thirteen_uniquely_named_rows() {
+    fn the_fault_table_has_ten_uniquely_named_rows() {
         let rows: Vec<_> = crate::fault_rows().collect();
-        assert_eq!(rows.len(), 13);
+        assert_eq!(rows.len(), 10);
         let mut names: Vec<_> = rows.iter().map(|r| r.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 13, "row names must be unique");
-        let named = |pick: fn(&crate::core::FaultRow) -> bool| -> Vec<_> {
-            rows.iter().filter(|r| pick(r)).map(|r| r.name).collect()
-        };
-        assert_eq!(
-            named(|r| r.guard),
-            ["wire-bitflip", "slow-peer", "store-corrupt"]
-        );
-        assert_eq!(named(|r| r.needs_processes), ["process-kill"]);
-        assert_eq!(
-            named(|r| r.panics),
-            ["token-drop", "token-duplicate", "rank-loss"]
-        );
+        assert_eq!(names.len(), 10, "row names must be unique");
+        assert_eq!(rows.last().map(|r| r.name), Some("store-corrupt"));
+        let panicking: Vec<_> = rows.iter().filter(|r| r.panics).map(|r| r.name).collect();
+        assert_eq!(panicking, ["token-drop", "token-duplicate", "rank-loss"]);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The `bsim` command line as a user meets it: typos are refused before
-//! anything runs, the retired `bench` subcommand is gone, and what
+//! anything runs, the retired `bench`, `dist` and `dist-worker`
+//! subcommands are gone, and what
 //! `table`/`fig` print is pinned to the bytes captured at the commit
 //! before the flag parser became table-driven, and `fig --store` serves
 //! a result only to the configuration that produced it.
@@ -61,14 +62,12 @@ fn an_unknown_flag_exits_2_and_is_named() {
     assert!(stderr(&out).contains("--smoke"), "{}", stderr(&out));
     // Retired flags are refused like any typo, not ignored. Their names
     // are split so the tree holds none of their text.
-    let graph_demo = concat!("--graph", "-demo");
     let retries = concat!("--re", "tries");
     let dist_ranks = concat!("--dist", "-ranks");
     let sample = concat!("--sam", "ple");
     let lanes = concat!("--la", "nes");
     for (args, flag) in [
-        (&["dist", graph_demo, "100"][..], graph_demo),
-        (&["check", "--plans"], "--plans"),
+        (&["check", "--plans"][..], "--plans"),
         (&["fig", "5", "--smoke", retries, "2"], retries),
         (&["serve", dist_ranks, "2"], dist_ranks),
         (&["fig", "3", "--smoke", sample], sample),
@@ -77,6 +76,21 @@ fn an_unknown_flag_exits_2_and_is_named() {
         let out = bsim(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(stderr(&out).contains(flag), "{args:?}: {}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{args:?} ran");
+    }
+    // So are the retired scale-out subcommands, and the fault matrix's
+    // filters that went with them.
+    let worker = concat!("dist", "-worker");
+    let in_process = concat!("--in-", "process");
+    for args in [
+        &["dist"][..],
+        &["dist", "--ranks", "2"],
+        &[worker],
+        &["faults", in_process],
+        &["faults", "--guard"],
+    ] {
+        let out = bsim(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(stdout(&out).is_empty(), "{args:?} ran");
     }
 }
@@ -375,12 +389,11 @@ fn check_list_covers_every_diagnostic_code_in_the_sources() {
     );
 }
 
-/// `bsim faults --in-process` prints the fault table minus the rows that
-/// spawn processes, in table order, and the panics its rows expect and
-/// catch stay off stderr.
+/// `bsim faults` prints every row of the fault table, in table order,
+/// and the panics its rows expect and catch stay off stderr.
 #[test]
-fn faults_in_process_prints_the_table_rows_quietly() {
-    let out = bsim(&["faults", "--in-process", "--seed", "42"]);
+fn faults_prints_every_table_row_quietly() {
+    let out = bsim(&["faults", "--deny-unsurvived", "--seed", "42"]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let printed = stdout(&out);
     let names: Vec<&str> = printed
@@ -389,13 +402,12 @@ fn faults_in_process_prints_the_table_rows_quietly() {
         .filter_map(|l| l.split_whitespace().next())
         .collect();
     let want: Vec<&str> = silicon_bridge::fault_rows()
-        .filter(|row| !row.needs_processes)
         .map(|row| row.name)
-        .chain(["12/12"])
+        .chain(["10/10"])
         .collect();
     assert_eq!(names, want, "{printed}");
     assert!(
-        printed.ends_with("12/12 scenarios behaved as specified\n"),
+        printed.ends_with("10/10 scenarios behaved as specified\n"),
         "{printed}"
     );
     assert!(!stderr(&out).contains("panicked at"), "{}", stderr(&out));

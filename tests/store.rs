@@ -1,14 +1,13 @@
-//! One cell identity, one result store: a file filled by any of `bsim
-//! fig`, the dist launcher and a daemon answers the other two, because
-//! all three key a cell by `WireCell::key` and reach the `ResultStore`
-//! through one `CellPool`.
+//! One cell identity, one result store: a file filled by `bsim fig
+//! --store` answers a daemon, and one a daemon filled answers `bsim fig
+//! --store`, because both key a cell by `WireCell::key` and reach the
+//! `ResultStore` through one `CellPool`.
 
 use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 use std::time::Duration;
 
-use silicon_bridge::core::experiments::{subfigures, Sizes};
-use silicon_bridge::core::{CellPool, Parallelism, Snapshot};
-use silicon_bridge::dist::launcher::{run_sweep, LaunchOpts};
+use silicon_bridge::core::CellPool;
 use silicon_bridge::dist::WireCell;
 use silicon_bridge::resilience::{scrub, ResultStore};
 use silicon_bridge::svc::{client, Daemon, DaemonConfig};
@@ -58,20 +57,46 @@ fn ask_a_daemon(store_path: Option<PathBuf>) -> (String, String) {
     (result, metrics)
 }
 
+/// `bsim fig 5 --smoke`, with `--store path` when given.
+fn bsim_fig5(store: Option<&Path>) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_bsim"));
+    cmd.args(["fig", "5", "--smoke"]);
+    if let Some(path) = store {
+        cmd.arg("--store").arg(path);
+    }
+    let out = cmd.output().expect("bsim runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out
+}
+
+/// `bsim fig 5 --smoke --store F` into a fresh scratch file `F`,
+/// checked entry by entry; returns `F`.
+fn a_store_bsim_fig_filled(name: &str) -> PathBuf {
+    let path = scratch(name);
+    bsim_fig5(Some(&path));
+    assert_eq!(
+        scrubbed_ok(&path),
+        WireCell::figure_cells("5", "smoke").len()
+    );
+    path
+}
+
+/// A file `bsim fig 5 --smoke --store F` filled answers a daemon with
+/// nothing simulated, every cell a hit, and a cold daemon computes the
+/// same answer.
 #[test]
-fn a_store_the_launcher_filled_answers_a_daemon() {
-    let path = scratch("dist-to-daemon");
+fn a_store_bsim_fig_filled_answers_a_daemon() {
+    let path = a_store_bsim_fig_filled("fig-to-daemon");
     let cells = WireCell::figure_cells("5", "smoke");
-    let store = open_clean(&path);
-    let swept = run_sweep(&cells, 0, &LaunchOpts::threads(2), &store).expect("sweep completes");
-    assert_eq!(swept.results.len(), cells.len());
-    store.flush().expect("store file is writable");
-    assert_eq!(scrubbed_ok(&path), cells.len());
 
     let (warm, metrics) = ask_a_daemon(Some(path.clone()));
     assert!(
         metrics.contains("\"host.svc.cells.simulated\": 0"),
-        "the daemon re-simulated what the launcher stored: {metrics}"
+        "the daemon re-simulated what bsim fig stored: {metrics}"
     );
     assert!(
         metrics.contains(&format!("\"host.svc.cache.hits\": {}", cells.len())),
@@ -82,63 +107,23 @@ fn a_store_the_launcher_filled_answers_a_daemon() {
         metrics.contains("\"host.svc.cells.simulated\": 1"),
         "{metrics}"
     );
-    assert_eq!(warm, cold, "a rank's result is the daemon's own");
+    assert_eq!(warm, cold, "a stored result is the daemon's own");
     assert_eq!(scrubbed_ok(&path), cells.len());
     std::fs::remove_file(&path).ok();
 }
 
+/// A daemon on a file `bsim fig 5 --smoke --store F` filled serves, cell
+/// for cell, the very bytes `bsim fig` stored.
 #[test]
-fn a_store_a_daemon_filled_answers_the_launcher() {
-    let path = scratch("daemon-to-dist");
-    ask_a_daemon(Some(path.clone()));
+fn a_store_bsim_fig_filled_hands_a_daemon_the_bytes_it_stored() {
+    let path = a_store_bsim_fig_filled("fig-bytes-to-daemon");
     let cells = WireCell::figure_cells("5", "smoke");
-    assert_eq!(scrubbed_ok(&path), cells.len());
-
-    // No rank can start: a sweep that returns was answered by the store.
-    let no_worker = LaunchOpts::processes(2, vec!["/nonexistent/bsim-dist-worker".into()]);
     let store = open_clean(&path);
-    let swept = run_sweep(&cells, 0, &no_worker, &store).expect("the store holds every cell");
-    assert_eq!(swept.respawns, 0);
-    assert_eq!(store.len(), cells.len(), "nothing to add");
-    for (cell, (label, result)) in cells.iter().zip(&swept.results) {
-        assert_eq!(label, &cell.label());
-        assert_eq!(Some(result), store.get(&cell.key(0)).as_ref());
-    }
-    // At another seed the same file holds nothing for these cells.
-    assert!(cells.iter().all(|c| store.get(&c.key(1)).is_none()));
-    std::fs::remove_file(&path).ok();
-}
-
-/// A file filled through the pool as `bsim fig 5 --smoke --store F`
-/// fills it answers the launcher with no worker spawned and a daemon
-/// with nothing simulated, and both hand back the bytes `bsim fig`
-/// stored.
-#[test]
-fn a_store_bsim_fig_filled_answers_the_launcher_and_a_daemon() {
-    let path = scratch("fig-to-all");
-    let cells = WireCell::figure_cells("5", "smoke");
-    let keys: Vec<String> = cells.iter().map(|c| c.key(0)).collect();
-    let plan: Vec<_> = subfigures("5").collect();
-    let (store, report) = ResultStore::open(&path);
-    assert!(report.is_clean(), "{report}");
-    let fig = CellPool::with_on_put(store, |store| {
-        store.flush().expect("store file is writable");
-    });
-    let filled = fig.run(&keys, Parallelism::Sequential, None, |i| {
-        Ok(plan[i].run(Sizes::smoke(), Parallelism::Sequential).save())
-    });
-    assert!(filled.all_ok() && filled.restored() == 0);
-    drop(fig);
-    let stored: Vec<_> = filled.outcomes.iter().map(|o| o.value().unwrap()).collect();
-    assert_eq!(scrubbed_ok(&path), cells.len());
-
-    let no_worker = LaunchOpts::processes(2, vec!["/nonexistent/bsim-dist-worker".into()]);
-    let swept =
-        run_sweep(&cells, 0, &no_worker, &open_clean(&path)).expect("the store holds every cell");
-    assert_eq!(swept.respawns, 0);
-    for ((_, result), bytes) in swept.results.iter().zip(&stored) {
-        assert_eq!(result, *bytes);
-    }
+    let stored: Vec<_> = cells
+        .iter()
+        .map(|c| store.get(&c.key(0)).unwrap())
+        .collect();
+    drop(store);
 
     let (answer, metrics) = ask_a_daemon(Some(path.clone()));
     assert!(
@@ -158,8 +143,35 @@ fn a_store_bsim_fig_filled_answers_the_launcher_and_a_daemon() {
             panic!("{answer}")
         };
         let (_, result) = fields.iter().find(|(k, _)| k == "result").unwrap();
-        assert_eq!(serde_json::to_string(result).unwrap(), &***bytes);
+        assert_eq!(serde_json::to_string(result).unwrap(), &**bytes);
     }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A file a daemon filled answers `bsim fig --store` subfigure for
+/// subfigure, with nothing simulated, nothing added and the table a
+/// storeless run prints.
+#[test]
+fn a_store_a_daemon_filled_answers_bsim_fig() {
+    let path = scratch("daemon-to-fig");
+    ask_a_daemon(Some(path.clone()));
+    let cells = WireCell::figure_cells("5", "smoke");
+    assert_eq!(scrubbed_ok(&path), cells.len());
+
+    let replay = bsim_fig5(Some(&path));
+    let log = String::from_utf8_lossy(&replay.stderr);
+    let replayed = log
+        .lines()
+        .filter(|l| l.ends_with(": replayed from the result store"))
+        .count();
+    assert_eq!(replayed, cells.len(), "{log}");
+    assert!(!log.contains("host sweep:"), "bsim fig simulated: {log}");
+    assert_eq!(replay.stdout, bsim_fig5(None).stdout);
+
+    let store = open_clean(&path);
+    assert_eq!(store.len(), cells.len(), "nothing to add");
+    // At another seed the same file holds nothing for these cells.
+    assert!(cells.iter().all(|c| store.get(&c.key(1)).is_none()));
     std::fs::remove_file(&path).ok();
 }
 
