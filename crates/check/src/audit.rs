@@ -446,6 +446,25 @@ pub const BANS: &[Ban] = &[
         message: "a cell runs in the process that asked for it: no launcher spawns workers, \
                   and no fault row needs one",
     },
+    Ban {
+        needles: &[
+            concat!("Guard", "Spec"),
+            concat!("guard", "_lints"),
+            concat!("Wire", "Timeouts"),
+            concat!("DEADLINE", "_EXCEEDED"),
+            concat!("\"--deadline", "-ms\""),
+            concat!("\"--queue", "-cap\""),
+            concat!("\"--conn", "-workers\""),
+            concat!("\"--conn", "-backlog\""),
+            concat!("\"--io-timeout", "-secs\""),
+        ],
+        with: "",
+        within: &["src/", "crates/", "examples/"],
+        except: &[],
+        in_tests: true,
+        message: "the daemon's admission limits and wire timeout are constants: no flag, \
+                  field or lint sets them, and no request carries a deadline",
+    },
 ];
 
 /// Outcome of a workspace audit.

@@ -23,10 +23,7 @@
 //!   [`proto::explore`] (`PV0xx` codes),
 //! * [`audit`] — a workspace source audit banning panicking calls,
 //!   `HashMap` iteration, and host clocks from deterministic paths
-//!   (`AU0xx` codes, `// bsim: allow(..)` waivers),
-//! * [`guard`] — overload-protection configuration lints over the svc
-//!   daemon's admission and deadline settings (`GD0xx` codes), run by
-//!   the daemon's spawn preflight.
+//!   (`AU0xx` codes, `// bsim: allow(..)` waivers).
 //!
 //! Platform-level rules live next to the types they judge: `SC0xx`
 //! SoC-consistency and `PF0xx` paper-fidelity rules in
@@ -41,7 +38,6 @@
 pub mod audit;
 pub mod diag;
 pub mod graph;
-pub mod guard;
 pub mod lint;
 pub mod proto;
 pub mod rules;

@@ -9,9 +9,7 @@
 //! The holder stores the canonical bytes and fires `on_put` **before** a
 //! drop guard releases the claim, so a key runs at most once however
 //! many callers want it. A cell's `Err` or panic is a failure row, not
-//! stored. An optional deadline is checked before the probe, and by a
-//! miss before it claims and after every wait: an expired key fails with
-//! `request deadline exceeded`, no panic.
+//! stored.
 
 use crate::experiments::{drain_grid, Parallelism};
 use bsim_resilience::retry::{catch, CellOutcome};
@@ -21,9 +19,6 @@ use bsim_resilience::ResultStore;
 use serde::Value;
 use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
-
-const DEADLINE_EXCEEDED: &str = "request deadline exceeded";
 
 /// Locks a pool mutex, recovering from poisoning: the store and the
 /// claim set stay structurally valid across a panic.
@@ -31,18 +26,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn expired(deadline: Option<Instant>) -> bool {
-    // bsim: allow(AU004) a caller's deadline is host time, not simulated time
-    deadline.is_some_and(|d| Instant::now() >= d)
-}
-
 fn answer(value: Arc<str>, restored: bool) -> CellOutcome<Arc<str>> {
     CellOutcome::Ok { value, restored }
-}
-
-fn late() -> CellOutcome<Arc<str>> {
-    let diag = DEADLINE_EXCEEDED.into();
-    CellOutcome::Failed { diag }
 }
 
 /// The result store, the keys being run, and what happens after a put.
@@ -61,8 +46,6 @@ pub struct PoolRun {
     pub outcomes: Vec<CellOutcome<Arc<str>>>,
     /// Keys that found another caller's claim and waited on it.
     pub waited: usize,
-    /// Keys failed by the deadline.
-    pub expired: usize,
 }
 
 impl PoolRun {
@@ -128,30 +111,18 @@ impl CellPool {
 
     /// Answers `keys`: hits from the store, each miss by `cell(i)` run
     /// once across `par` workers and stored as its canonical bytes.
-    pub fn run<K, F>(
-        &self,
-        keys: &[K],
-        par: Parallelism,
-        deadline: Option<Instant>,
-        cell: F,
-    ) -> PoolRun
+    pub fn run<K, F>(&self, keys: &[K], par: Parallelism, cell: F) -> PoolRun
     where
         K: AsRef<str> + Sync,
         F: Fn(usize) -> Result<Value, String> + Sync,
     {
-        // A batch already past its deadline takes no hit: every key is a
-        // miss, and each fails in `answer_miss` before it claims.
-        let late = expired(deadline);
-        let stored = keys.iter().map(|key| {
-            if late {
-                return None;
-            }
-            Some(answer(self.get(key.as_ref())?, true))
-        });
+        let stored = keys
+            .iter()
+            .map(|key| Some(answer(self.get(key.as_ref())?, true)));
         let mut slots: Vec<Option<CellOutcome<Arc<str>>>> = stored.collect();
         let misses: Vec<usize> = (0..keys.len()).filter(|&i| slots[i].is_none()).collect();
         let answered = drain_grid(misses.len(), par, |m| {
-            self.answer_miss(keys[misses[m]].as_ref(), deadline, || cell(misses[m]))
+            self.answer_miss(keys[misses[m]].as_ref(), || cell(misses[m]))
         });
         let mut waited = 0;
         for (&i, (outcome, waits)) in misses.iter().zip(answered) {
@@ -159,16 +130,8 @@ impl CellPool {
             slots[i] = Some(outcome);
         }
         // Every slot is a hit or an answered miss.
-        let outcomes: Vec<_> = slots.into_iter().flatten().collect();
-        let expired = outcomes
-            .iter()
-            .filter(|o| o.diag() == Some(DEADLINE_EXCEEDED))
-            .count();
-        PoolRun {
-            outcomes,
-            waited,
-            expired,
-        }
+        let outcomes = slots.into_iter().flatten().collect();
+        PoolRun { outcomes, waited }
     }
 
     /// Claims and runs one missed key, or answers it from the store when
@@ -176,18 +139,11 @@ impl CellPool {
     fn answer_miss(
         &self,
         key: &str,
-        deadline: Option<Instant>,
         cell: impl FnOnce() -> Result<Value, String>,
     ) -> (CellOutcome<Arc<str>>, bool) {
         let mut waited = false;
         let mut claims = lock(&self.claims);
-        loop {
-            if expired(deadline) {
-                return (late(), waited);
-            }
-            if !claims.contains(key) {
-                break;
-            }
+        while claims.contains(key) {
             waited = true;
             claims = self
                 .released
@@ -255,13 +211,13 @@ mod tests {
         (0..jobs).map(|i| format!("t/cell{i}")).collect()
     }
 
-    /// `pool.run` over [`keys`], sequential, no deadline.
+    /// `pool.run` over [`keys`], sequential.
     fn keyed(
         pool: &CellPool,
         jobs: usize,
         f: impl Fn(usize) -> Result<Value, String> + Sync,
     ) -> PoolRun {
-        pool.run(&keys(jobs), Parallelism::Sequential, None, f)
+        pool.run(&keys(jobs), Parallelism::Sequential, f)
     }
 
     /// The `u64` each outcome's bytes render.
@@ -274,7 +230,7 @@ mod tests {
     fn resilient_grid_keeps_completed_cells_and_diagnoses_the_poisoned_one() {
         let poisoned_calls = AtomicUsize::new(0);
         let pool = CellPool::new(ResultStore::ephemeral());
-        let sweep = pool.run(&keys(6), Parallelism::Workers(3), None, |i| {
+        let sweep = pool.run(&keys(6), Parallelism::Workers(3), |i| {
             if i == 4 {
                 poisoned_calls.fetch_add(1, Ordering::Relaxed);
             }
@@ -392,7 +348,7 @@ mod tests {
         let pool = CellPool::with_on_put(store, move |_| {
             counted.fetch_add(1, Ordering::Relaxed);
         });
-        let first = pool.run(&keys, Parallelism::Sequential, None, run);
+        let first = pool.run(&keys, Parallelism::Sequential, run);
         assert_eq!(first.outcomes.len(), 1);
         assert_eq!(
             puts.load(Ordering::Relaxed),
@@ -407,7 +363,7 @@ mod tests {
         pool.flush().unwrap();
         let reloaded = open_clean(&path);
         std::fs::remove_file(&path).ok();
-        let second = reloaded.run(&keys, Parallelism::Sequential, None, run);
+        let second = reloaded.run(&keys, Parallelism::Sequential, run);
         assert_eq!(second.restored(), 1);
         match (&first.outcomes[0], &second.outcomes[0]) {
             (
@@ -452,9 +408,8 @@ mod tests {
         };
         let all = keys(4);
         let (left, right) = std::thread::scope(|s| {
-            let left = s.spawn(|| pool.run(&all[..3], Parallelism::Workers(2), None, cell));
-            let right =
-                s.spawn(|| pool.run(&all[1..], Parallelism::Workers(2), None, |i| cell(i + 1)));
+            let left = s.spawn(|| pool.run(&all[..3], Parallelism::Workers(2), cell));
+            let right = s.spawn(|| pool.run(&all[1..], Parallelism::Workers(2), |i| cell(i + 1)));
             (left.join().unwrap(), right.join().unwrap())
         });
         for (i, runs) in runs.iter().enumerate() {
@@ -499,56 +454,12 @@ mod tests {
     }
 
     #[test]
-    fn errors_and_deadlines_fail_with_their_diagnostics_and_no_panic() {
+    fn an_erring_cell_fails_with_its_diagnostic_and_no_panic() {
         panicked_here();
         let pool = CellPool::new(ResultStore::ephemeral());
         let refused = keyed(&pool, 1, |_| Err("cell x: unknown platform".into()));
         assert_eq!(refused.outcomes[0].diag(), Some("cell x: unknown platform"));
         assert!(pool.is_empty() && pool.claims() == 0);
         assert!(!panicked_here(), "an Err is no panic");
-
-        // Expired before the probe: every key fails, a stored one too,
-        // and no cell runs.
-        pool.put("t/cell0", "1".into());
-        let late = Some(Instant::now());
-        let run = pool.run(&keys(2), Parallelism::Sequential, late, |_| {
-            panic!("an expired batch runs nothing")
-        });
-        assert_eq!((run.expired, run.failed()), (2, 2));
-        assert!(run
-            .outcomes
-            .iter()
-            .all(|o| o.diag() == Some(DEADLINE_EXCEEDED)));
-        assert!(!panicked_here(), "an expired deadline is no panic");
-
-        // Expired while waiting on another caller's claim: the waiter
-        // fails when it wakes, and the holder's result is still stored.
-        let (go, wait) = std::sync::mpsc::channel::<()>();
-        let wait = Mutex::new(wait);
-        std::thread::scope(|s| {
-            let holder = s.spawn(|| {
-                keyed(&pool, 2, |_| {
-                    lock(&wait).recv().ok();
-                    Ok(2u64.save())
-                })
-            });
-            while pool.claims() == 0 {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let deadline = Some(Instant::now() + Duration::from_millis(100));
-            let releaser = s.spawn(move || {
-                std::thread::sleep(Duration::from_millis(300));
-                go.send(()).ok();
-            });
-            let run = pool.run(&keys(2)[1..], Parallelism::Sequential, deadline, |_| {
-                panic!("the waiter never runs the held key")
-            });
-            assert_eq!((run.waited, run.expired), (1, 1));
-            assert_eq!(run.outcomes[0].diag(), Some(DEADLINE_EXCEEDED));
-            assert!(!panicked_here(), "an expired wait is no panic");
-            releaser.join().unwrap();
-            assert!(holder.join().unwrap().all_ok());
-        });
-        assert!(pool.get("t/cell1").is_some());
     }
 }

@@ -29,7 +29,7 @@ fn sweep(ids: &[&str], store: &CellPool) -> Vec<(String, FigureData)> {
             .iter()
             .map(|spec| format!("tiny/{}", spec.key))
             .collect();
-        let cells = store.run(&keys, Parallelism::Sequential, None, |i| {
+        let cells = store.run(&keys, Parallelism::Sequential, |i| {
             Ok(plan[i].run(tiny(), Parallelism::Sequential).save())
         });
         for (key, outcome) in keys.iter().zip(cells.outcomes) {

@@ -36,10 +36,11 @@
 //! bounded by the store: at most one per key, replaced only when its
 //! source bytes are, never evicted, and only for cells this process has
 //! served — about 1.7× their compact bytes. A
-//! job is found by the table slot its id encodes, and its cells are
+//! live job is found by the number its id encodes, and its cells are
 //! moved into the worker that runs it; the table keeps their count. The
-//! finished document moves, in turn, to the one fetch that delivers it:
-//! the table keeps no body once it is sent. A fetch that finds its job
+//! finished job, document and all, leaves the table with the one fetch
+//! that delivers it: the table holds only jobs not yet delivered, and an
+//! id it issued and no longer holds answers `410`. A fetch that finds its job
 //! unfinished waits for it on the jobs condvar, so a warm request is one
 //! submit and one fetch, with no client poll between them — and both go
 //! over the client's kept connection, served by the pool thread that
@@ -48,7 +49,7 @@
 //! ## Endpoints
 //!
 //! | `POST /submit`       | request JSON → `202 {"job": ...}` or `400` report |
-//! | `GET /status/<job>`  | state + per-request hit/simulated/coalesced counters |
+//! | `GET /status/<job>`  | state + per-request hit/simulated/coalesced counters; `410` once delivered |
 //! | `GET /fetch/<job>`   | the result document (`200`, or `500` for a failed job), once; waits up to `FETCH_WAIT` for an unfinished job, then `202`; `410` once delivered |
 //! | `GET /metrics`       | every `host.svc.*` counter as JSON |
 //! | `POST /shutdown`     | drain in-flight work, flush store atomically |
@@ -60,23 +61,20 @@
 //!
 //! ## Admission control (bsim-guard)
 //!
-//! The pre-guard daemon spawned one unbounded handler thread per
-//! accepted connection — a connection burst *was* a thread burst. Now
-//! the accept loop only enqueues: accepted sockets land in a bounded
-//! backlog drained by a fixed pool of `conn_workers` connection
-//! threads, each read/write-timeout-armed so a slow-loris peer times
-//! out instead of pinning its worker. A pool thread serves a connection's
+//! The accept loop only enqueues: accepted sockets land in a backlog of
+//! [`CONN_BACKLOG`] drained by a fixed pool of [`CONN_WORKERS`]
+//! connection threads, and every socket is armed with
+//! [`proto::WIRE_TIMEOUT`] each way, so a slow-loris peer times out
+//! instead of pinning its thread. A pool thread serves a connection's
 //! requests one after another for as long as it keeps it (see
 //! [`handle`]), but waits for the next request for at most
-//! `min(read timeout, FETCH_WAIT)`, and keeps no connection while an
-//! accepted one is waiting: an idle client cannot hold a pool thread
-//! from the backlog for longer than that. When the backlog is full the
-//! accept loop sheds inline with `503` + `Retry-After`; when the job
-//! queue is at `queue_cap` a well-formed `/submit` sheds with `429` +
-//! `Retry-After`. An optional per-request deadline rides each job into
-//! the pool: expired cells fail fast with a typed diagnostic
-//! instead of burning workers on work nobody is waiting for. All of it
-//! is visible as `host.guard.*` counters in `/metrics`.
+//! [`FETCH_WAIT`], and keeps no connection while an accepted one is
+//! waiting: an idle client cannot hold a pool thread from the backlog
+//! for longer than that. When the backlog is full the accept loop sheds
+//! inline with `503` + `Retry-After`; when [`QUEUE_CAP`] jobs are queued
+//! a well-formed `/submit` sheds with `429` + `Retry-After`. These are
+//! constants, not settings. All of it is visible as `host.guard.*`
+//! counters in `/metrics`.
 
 use crate::proto;
 use crate::request::{Cell, SvcRequest};
@@ -89,7 +87,7 @@ use bsim_resilience::guard::crc32;
 use bsim_resilience::ResultStore;
 use bsim_telemetry::CounterBlock;
 use serde::Value;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -135,7 +133,7 @@ fn log_conn(context: &str, err: &io::Error) {
 /// Every counter `/metrics` exports. CI and the lifecycle tests assert
 /// each of these appears in the JSON export, so a renamed counter is a
 /// loud failure, not a silently vanished metric.
-pub const COUNTERS: [&str; 19] = [
+pub const COUNTERS: [&str; 17] = [
     "host.svc.requests.submitted",
     "host.svc.requests.rejected",
     "host.svc.requests.completed",
@@ -153,8 +151,6 @@ pub const COUNTERS: [&str; 19] = [
     "host.guard.conns.peak",
     "host.guard.conns.shed",
     "host.guard.requests.shed",
-    "host.guard.deadline.expired",
-    "host.guard.store.quarantined",
 ];
 
 /// `Retry-After` seconds advertised on every shed response. Small on
@@ -170,6 +166,21 @@ const RETRY_AFTER_SECS: u64 = 1;
 /// connection ([`next_request`]).
 pub const FETCH_WAIT: Duration = Duration::from_secs(1);
 
+// A kept connection's idle wait re-arms the socket's read timeout, so it
+// must be the shorter of the two.
+const _: () = assert!(FETCH_WAIT.as_secs() < proto::WIRE_TIMEOUT.as_secs());
+
+/// Connection pool threads draining the accept backlog.
+pub const CONN_WORKERS: usize = 8;
+
+/// Accepted connections queued ahead of the pool; past them the accept
+/// loop sheds inline with `503` + `Retry-After`.
+pub const CONN_BACKLOG: usize = 32;
+
+/// Queued jobs admitted before a well-formed `/submit` sheds with `429`
+/// + `Retry-After`.
+pub const QUEUE_CAP: usize = 64;
+
 /// Daemon configuration, CLI-shaped.
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
@@ -183,84 +194,42 @@ pub struct DaemonConfig {
     pub budget: usize,
     /// Host parallelism for the cell fan *within* one job.
     pub par: Parallelism,
-    /// Connection pool threads draining the accept backlog. The old
-    /// thread-per-connection daemon is `conn_workers = usize::MAX` in
-    /// spirit; bounding it is the overload protection.
-    pub conn_workers: usize,
-    /// Accepted connections queued ahead of the pool; beyond this the
-    /// accept loop sheds inline with `503` + `Retry-After`.
-    pub conn_backlog: usize,
-    /// Queued jobs admitted before a well-formed `/submit` sheds with
-    /// `429` + `Retry-After`.
-    pub queue_cap: usize,
-    /// Optional per-request deadline, stamped at submit time and
-    /// enforced inside sweep execution; `None` runs unbounded.
-    pub deadline: Option<Duration>,
-    /// Socket read timeout armed on every pooled connection; zero means
-    /// unbounded (see [`proto::WireTimeouts`]).
-    pub read_timeout: Duration,
-    /// Socket write timeout armed on every pooled connection; zero
-    /// means unbounded.
-    pub write_timeout: Duration,
 }
 
 impl Default for DaemonConfig {
     fn default() -> DaemonConfig {
-        let wire = proto::WireTimeouts::default();
         DaemonConfig {
             addr: "127.0.0.1:0".into(),
             store_path: None,
             workers: 2,
             budget: 64,
             par: Parallelism::Auto,
-            conn_workers: 8,
-            conn_backlog: 32,
-            queue_cap: 64,
-            deadline: None,
-            read_timeout: wire.read,
-            write_timeout: wire.write,
         }
     }
 }
 
-impl DaemonConfig {
-    /// The guard-lint view of this configuration, preflighted by
-    /// [`Daemon::spawn`] so a misconfigured admission controller is a
-    /// `GD0xx` diagnostic before the first byte is accepted.
-    fn guard_spec(&self) -> bsim_check::guard::GuardSpec {
-        bsim_check::guard::GuardSpec {
-            conn_workers: self.conn_workers,
-            conn_backlog: self.conn_backlog,
-            queue_cap: self.queue_cap,
-            deadline_ms: self.deadline.map(|d| d.as_millis() as u64),
-        }
-    }
-
-    /// The socket timeouts pooled connections are armed with.
-    fn wire_timeouts(&self) -> proto::WireTimeouts {
-        proto::WireTimeouts {
-            read: self.read_timeout,
-            write: self.write_timeout,
-        }
-    }
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Where a job is; a finished one holds its document until the one
+/// fetch that delivers it takes the job out of the table.
+#[derive(Debug, PartialEq, Eq)]
 enum JobState {
     Queued,
     Running,
-    Done,
-    Failed,
+    Done(String),
+    Failed(String),
 }
 
 impl JobState {
-    fn label(self) -> &'static str {
+    fn label(&self) -> &'static str {
         match self {
             JobState::Queued => "queued",
             JobState::Running => "running",
-            JobState::Done => "done",
-            JobState::Failed => "failed",
+            JobState::Done(_) => "done",
+            JobState::Failed(_) => "failed",
         }
+    }
+
+    fn finished(&self) -> bool {
+        matches!(self, JobState::Done(_) | JobState::Failed(_))
     }
 }
 
@@ -273,35 +242,32 @@ struct Tally {
 }
 
 struct Job {
-    id: String,
     state: JobState,
     /// Taken by the worker that starts the job.
     cells: Vec<Cell>,
     /// How many cells the request decomposed into, for `/status`.
     cell_count: usize,
-    /// The finished document, from when the job finishes until the one
-    /// fetch that delivers it takes it.
-    body: Option<String>,
     tally: Tally,
-    /// Absolute expiry stamped at submit; cells past it fail fast.
-    deadline: Option<Instant>,
 }
 
 #[derive(Default)]
 struct Jobs {
-    queue: VecDeque<usize>,
-    table: Vec<Job>,
+    /// Numbers of the queued jobs, oldest first.
+    queue: VecDeque<u64>,
+    /// Jobs issued and not yet delivered, by number.
+    live: BTreeMap<u64, Job>,
+    /// Jobs issued so far: the next one is `job-<issued + 1>`.
+    issued: u64,
 }
 
 impl Jobs {
-    /// The table slot of the job a wire id names. Ids are `job-<table
-    /// index + 1>`, so the id is parsed for its slot and the slot's own
-    /// id must then equal it — `job-01`, `job-+1` and `job-1x` name no
-    /// job.
-    fn slot(&self, id: &str) -> Option<usize> {
-        let n: usize = id.strip_prefix("job-")?.parse().ok()?;
-        let slot = n.checked_sub(1)?;
-        (self.table.get(slot)?.id == id).then_some(slot)
+    /// The number of the issued job a wire id names. Ids are `job-<N>`
+    /// for N from 1, so the id is parsed for N and must then be N's own
+    /// spelling — `job-01`, `job-+1` and `job-1x` name no job.
+    fn number(&self, id: &str) -> Option<u64> {
+        let digits = id.strip_prefix("job-")?;
+        let n: u64 = digits.parse().ok()?;
+        (n >= 1 && n <= self.issued && n.to_string() == digits).then_some(n)
     }
 }
 
@@ -321,8 +287,6 @@ struct Stats {
     conns_peak: AtomicU64,
     conns_shed: AtomicU64,
     requests_shed: AtomicU64,
-    deadline_expired: AtomicU64,
-    store_quarantined: AtomicU64,
 }
 
 /// A served cell's fragment: its result re-indented into the document,
@@ -376,7 +340,7 @@ struct Shared {
     jobs_cv: Condvar,
     pool: CellPool,
     fragments: Mutex<Fragments>,
-    /// Accepted-but-unserved connections, bounded at `conn_backlog`.
+    /// Accepted-but-unserved connections, bounded at [`CONN_BACKLOG`].
     conns: Mutex<VecDeque<TcpStream>>,
     conns_cv: Condvar,
     stats: Stats,
@@ -401,20 +365,13 @@ pub struct Daemon {
 impl Daemon {
     /// Binds, opens (and possibly quarantines/verifies) the store, and
     /// starts the job workers, connection pool, and accept loop. The
-    /// [`Report`] carries any SV003–SV005 store findings plus the
-    /// `GD0xx` guard-config preflight — the daemon still starts (pool
-    /// sizes are clamped to at least 1), so a degraded configuration is
-    /// loud but not fatal.
+    /// [`Report`] carries any SV003–SV005 store findings: the daemon
+    /// still starts, serving what verified.
     pub fn spawn(cfg: DaemonConfig) -> io::Result<(Daemon, Report)> {
-        let (store, mut report) = match &cfg.store_path {
+        let (store, report) = match &cfg.store_path {
             Some(path) => ResultStore::open(path),
             None => (ResultStore::ephemeral(), Report::new()),
         };
-        bsim_check::guard::guard_lints().run_into(&cfg.guard_spec(), "daemon.guard", &mut report);
-        let quarantined = ["SV003", "SV004", "SV005"]
-            .iter()
-            .map(|c| report.with_code(c).count())
-            .sum::<usize>() as u64;
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -430,17 +387,13 @@ impl Daemon {
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
         });
-        shared
-            .stats
-            .store_quarantined
-            .store(quarantined, Ordering::SeqCst);
         let workers = (0..shared.cfg.workers.max(1))
             .map(|_| {
                 let sh = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&sh))
             })
             .collect();
-        let conn_pool = (0..shared.cfg.conn_workers.max(1))
+        let conn_pool = (0..CONN_WORKERS)
             .map(|_| {
                 let sh = Arc::clone(&shared);
                 std::thread::spawn(move || conn_loop(&sh))
@@ -482,7 +435,7 @@ impl Daemon {
 
 /// The accept loop only ever *enqueues or sheds* — it never reads a
 /// byte. A slow or hostile peer therefore cannot stall accepting, and a
-/// connection burst is bounded by `conn_backlog` plus the pool instead
+/// connection burst is bounded by [`CONN_BACKLOG`] plus the pool instead
 /// of becoming a thread burst.
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     for conn in listener.incoming() {
@@ -493,7 +446,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         shared.stats.conns_accepted.fetch_add(1, Ordering::SeqCst);
         {
             let mut conns = lock(&shared.conns);
-            if conns.len() < shared.cfg.conn_backlog.max(1) {
+            if conns.len() < CONN_BACKLOG {
                 conns.push_back(stream);
                 drop(conns);
                 shared.conns_cv.notify_one();
@@ -505,7 +458,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         // driven — in the PV model this connection never enters the
         // exchange, the same shape as an OS-level reset.
         shared.stats.conns_shed.fetch_add(1, Ordering::SeqCst);
-        shared.cfg.wire_timeouts().apply(&stream).ok();
+        proto::arm(&stream).ok();
         let body = json_line(&[("error", Value::Str("connection backlog is full".into()))]);
         if let Err(e) = proto::write_response_retry(
             &mut stream,
@@ -544,7 +497,7 @@ fn conn_loop(shared: &Arc<Shared>) {
         // Arm both socket directions before the first read: a slow-loris
         // peer times out with a typed io error instead of pinning this
         // pool thread forever.
-        if let Err(e) = shared.cfg.wire_timeouts().apply(&stream) {
+        if let Err(e) = proto::arm(&stream) {
             log_conn("arming socket timeouts", &e);
         }
         serve(shared, stream);
@@ -569,37 +522,24 @@ fn serve(shared: &Arc<Shared>, mut stream: TcpStream) {
         }
     };
     while handle(shared, &mut tracker, &mut reader, &mut stream)
-        && next_request(shared, &mut tracker, &mut reader)
+        && next_request(&mut tracker, &mut reader)
     {}
 }
 
 /// Waits, between two requests on a kept connection, for the first byte
-/// of the next one: for at most `min(read timeout, FETCH_WAIT)`, after
-/// which the full read timeout is armed again. A clean EOF, a reset or
-/// no byte in time closes the connection before any byte of another
+/// of the next one: for at most [`FETCH_WAIT`], after which the full
+/// [`proto::WIRE_TIMEOUT`] is armed again. A clean EOF, a reset or no
+/// byte in time closes the connection before any byte of another
 /// request was read, so a client may send that request again on a new
 /// connection without repeating work. The bound keeps an idle client
 /// from holding a pool thread while accepted connections wait for one.
-fn next_request(
-    shared: &Shared,
-    tracker: &mut Tracker<'_>,
-    reader: &mut BufReader<TcpStream>,
-) -> bool {
+fn next_request(tracker: &mut Tracker<'_>, reader: &mut BufReader<TcpStream>) -> bool {
     if !reader.buffer().is_empty() {
         return true;
     }
-    let full = shared.cfg.read_timeout;
-    let idle = if full.is_zero() {
-        FETCH_WAIT
-    } else {
-        full.min(FETCH_WAIT)
-    };
-    let rearm = idle != full;
-    if rearm {
-        if let Err(e) = reader.get_ref().set_read_timeout(Some(idle)) {
-            log_conn("arming the idle bound", &e);
-            return false;
-        }
+    if let Err(e) = reader.get_ref().set_read_timeout(Some(FETCH_WAIT)) {
+        log_conn("arming the idle bound", &e);
+        return false;
     }
     let arrived = match reader.fill_buf() {
         Ok([]) => {
@@ -623,9 +563,8 @@ fn next_request(
             false
         }
     };
-    if arrived && rearm {
-        let full = (!full.is_zero()).then_some(full);
-        if let Err(e) = reader.get_ref().set_read_timeout(full) {
+    if arrived {
+        if let Err(e) = reader.get_ref().set_read_timeout(Some(proto::WIRE_TIMEOUT)) {
             log_conn("arming socket timeouts", &e);
             return false;
         }
@@ -635,11 +574,11 @@ fn next_request(
 
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        let idx = {
+        let n = {
             let mut jobs = lock(&shared.jobs);
             loop {
-                if let Some(i) = jobs.queue.pop_front() {
-                    break i;
+                if let Some(n) = jobs.queue.pop_front() {
+                    break n;
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
@@ -653,34 +592,42 @@ fn worker_loop(shared: &Arc<Shared>) {
         // leave the job wedged in Running, which would hang a draining
         // /shutdown forever.
         if let Err(payload) =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(shared, idx)))
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(shared, n)))
         {
             let msg = bsim_resilience::retry::panic_message(payload.as_ref());
-            eprintln!("bsimd: job {} panicked: {msg}", idx + 1);
+            eprintln!("bsimd: job-{n} panicked: {msg}");
             shared.stats.failed.fetch_add(1, Ordering::SeqCst);
-            let mut jobs = lock(&shared.jobs);
-            let job = &mut jobs.table[idx];
-            job.state = JobState::Failed;
-            job.body = Some(json_line(&[(
-                "error",
-                Value::Str(format!("job panicked: {msg}")),
-            )]));
-            shared.jobs_cv.notify_all();
+            let body = json_line(&[("error", Value::Str(format!("job panicked: {msg}")))]);
+            finish(shared, n, JobState::Failed(body), Tally::default());
         }
     }
 }
 
-fn run_job(shared: &Arc<Shared>, idx: usize) {
-    let (cells, deadline) = {
+/// Settles live job `n` in its finished `state` and wakes whoever waits
+/// on it: a fetch, or a draining `/shutdown`.
+fn finish(shared: &Shared, n: u64, state: JobState, tally: Tally) {
+    let mut jobs = lock(&shared.jobs);
+    // A job leaves the table only once finished, so it is still there.
+    if let Some(job) = jobs.live.get_mut(&n) {
+        job.state = state;
+        job.tally = tally;
+    }
+    shared.jobs_cv.notify_all();
+}
+
+fn run_job(shared: &Arc<Shared>, n: u64) {
+    let cells = {
         let mut jobs = lock(&shared.jobs);
-        let job = &mut jobs.table[idx];
+        let Some(job) = jobs.live.get_mut(&n) else {
+            return;
+        };
         job.state = JobState::Running;
-        (std::mem::take(&mut job.cells), job.deadline)
+        std::mem::take(&mut job.cells)
     };
     let keys: Vec<&str> = cells.iter().map(|c| c.key.as_str()).collect();
     // A preflight-clean request names only things this binary has; a
     // cell that still cannot run fails like any other poisoned cell.
-    let run = shared.pool.run(&keys, shared.cfg.par, deadline, |i| {
+    let run = shared.pool.run(&keys, shared.cfg.par, |i| {
         let cell = &cells[i];
         cell.spec
             .run(shared.cfg.par)
@@ -698,9 +645,7 @@ fn run_job(shared: &Arc<Shared>, idx: usize) {
     s.cells_simulated
         .fetch_add(tally.simulated, Ordering::SeqCst);
     s.coalesced.fetch_add(tally.coalesced, Ordering::SeqCst);
-    s.deadline_expired
-        .fetch_add(run.expired as u64, Ordering::SeqCst);
-    let (state, body) = if run.all_ok() {
+    let state = if run.all_ok() {
         s.completed.fetch_add(1, Ordering::SeqCst);
         let fragments: Vec<Arc<str>> = {
             let mut kept = lock(&shared.fragments);
@@ -712,18 +657,12 @@ fn run_job(shared: &Arc<Shared>, idx: usize) {
                 })
                 .collect()
         };
-        (JobState::Done, render_body(&cells, &fragments))
+        JobState::Done(render_body(&cells, &fragments))
     } else {
         s.failed.fetch_add(1, Ordering::SeqCst);
-        (JobState::Failed, render_failure(&cells, &run.outcomes))
+        JobState::Failed(render_failure(&cells, &run.outcomes))
     };
-    let mut jobs = lock(&shared.jobs);
-    let job = &mut jobs.table[idx];
-    job.state = state;
-    job.body = Some(body);
-    job.tally = tally;
-    // Wake both idle workers and a draining /shutdown handler.
-    shared.jobs_cv.notify_all();
+    finish(shared, n, state, tally);
 }
 
 /// The result document: schema header plus one entry per cell, in
@@ -808,8 +747,6 @@ fn metrics_json(shared: &Shared) -> String {
     block.set_named("host.guard.conns.peak", get(&s.conns_peak));
     block.set_named("host.guard.conns.shed", get(&s.conns_shed));
     block.set_named("host.guard.requests.shed", get(&s.requests_shed));
-    block.set_named("host.guard.deadline.expired", get(&s.deadline_expired));
-    block.set_named("host.guard.store.quarantined", get(&s.store_quarantined));
     let doc = Value::Map(
         block
             .counters()
@@ -1013,12 +950,9 @@ fn handle_submit(shared: &Arc<Shared>, body: &str) -> Reply {
     }
     let cells = request.cells();
     let cell_count = cells.len();
-    // Deadline is stamped at admission: it bounds the whole queued +
-    // running lifetime, which is what a waiting client experiences.
-    let deadline = shared.cfg.deadline.map(|d| Instant::now() + d);
     let id = {
         let mut jobs = lock(&shared.jobs);
-        if jobs.queue.len() >= shared.cfg.queue_cap.max(1) {
+        if jobs.queue.len() >= QUEUE_CAP {
             drop(jobs);
             shared.stats.requests_shed.fetch_add(1, Ordering::SeqCst);
             return Reply {
@@ -1030,21 +964,19 @@ fn handle_submit(shared: &Arc<Shared>, body: &str) -> Reply {
                 )
             };
         }
-        let idx = jobs.table.len();
-        let id = format!("job-{}", idx + 1);
-        jobs.table.push(Job {
-            id: id.clone(),
+        jobs.issued += 1;
+        let n = jobs.issued;
+        let job = Job {
             state: JobState::Queued,
             cells,
             cell_count,
-            body: None,
             tally: Tally::default(),
-            deadline,
-        });
-        jobs.queue.push_back(idx);
+        };
+        jobs.live.insert(n, job);
+        jobs.queue.push_back(n);
         shared.stats.submitted.fetch_add(1, Ordering::SeqCst);
         shared.jobs_cv.notify_all();
-        id
+        format!("job-{n}")
     };
     Reply::new(
         202,
@@ -1059,12 +991,14 @@ fn handle_submit(shared: &Arc<Shared>, body: &str) -> Reply {
 
 fn handle_status(shared: &Arc<Shared>, id: &str) -> Reply {
     let jobs = lock(&shared.jobs);
-    let Some(slot) = jobs.slot(id) else {
+    let Some(n) = jobs.number(id) else {
         return unknown_job(id);
     };
-    let job = &jobs.table[slot];
+    let Some(job) = jobs.live.get(&n) else {
+        return delivered(id);
+    };
     let body = json_line(&[
-        ("job", Value::Str(job.id.clone())),
+        ("job", Value::Str(id.into())),
         ("state", Value::Str(job.state.label().into())),
         ("cells", Value::U64(job.cell_count as u64)),
         ("hits", Value::U64(job.tally.hits)),
@@ -1082,43 +1016,50 @@ fn unknown_job(id: &str) -> Reply {
     )
 }
 
-/// Delivers a finished job's document once: the body moves out of the
-/// table under the lock and is written after it is dropped. An
+/// The answer for an issued job that has left the table. A client that
+/// lost the delivering response resubmits, and every cell that finished
+/// is then a store hit.
+fn delivered(id: &str) -> Reply {
+    let gone = json_line(&[
+        ("job", Value::Str(id.into())),
+        ("error", Value::Str("already fetched".into())),
+    ]);
+    Reply::new(410, "Gone", gone)
+}
+
+/// Delivers a finished job's document once: the job leaves the table
+/// under the lock and its document is written after it is dropped. An
 /// unfinished job is waited for, up to [`FETCH_WAIT`], on the condvar
 /// every finishing job notifies.
 fn handle_fetch(shared: &Arc<Shared>, id: &str) -> Reply {
     let give_up = Instant::now() + FETCH_WAIT;
     let mut jobs = lock(&shared.jobs);
-    let Some(slot) = jobs.slot(id) else {
+    let Some(n) = jobs.number(id) else {
         return unknown_job(id);
     };
-    let (state, body, job) = loop {
-        let job = &mut jobs.table[slot];
+    loop {
+        let Some(job) = jobs.live.get(&n) else {
+            return delivered(id);
+        };
+        if job.state.finished() {
+            break;
+        }
         let left = give_up.saturating_duration_since(Instant::now());
-        if matches!(job.state, JobState::Queued | JobState::Running) && !left.is_zero() {
-            jobs = wait_timeout(&shared.jobs_cv, jobs, left);
-            continue;
+        if left.is_zero() {
+            let state = ("state", Value::Str(job.state.label().into()));
+            return Reply::new(
+                202,
+                "Accepted",
+                json_line(&[("job", Value::Str(id.into())), state]),
+            );
         }
-        break (job.state, job.body.take(), Value::Str(job.id.clone()));
-    };
-    drop(jobs);
-    let state_field = ("state", Value::Str(state.label().into()));
-    match (state, body) {
-        (JobState::Queued | JobState::Running, _) => {
-            Reply::new(202, "Accepted", json_line(&[("job", job), state_field]))
-        }
-        (JobState::Done, Some(body)) => Reply::new(200, "OK", body),
-        (JobState::Failed, Some(body)) => Reply::new(500, "Internal Server Error", body),
-        (JobState::Done | JobState::Failed, None) => {
-            // A client that lost the delivering response resubmits, and
-            // every cell that finished is then a store hit.
-            let gone = json_line(&[
-                ("job", job),
-                state_field,
-                ("error", Value::Str("already fetched".into())),
-            ]);
-            Reply::new(410, "Gone", gone)
-        }
+        jobs = wait_timeout(&shared.jobs_cv, jobs, left);
+    }
+    match jobs.live.remove(&n).map(|job| job.state) {
+        Some(JobState::Done(body)) => Reply::new(200, "OK", body),
+        Some(JobState::Failed(body)) => Reply::new(500, "Internal Server Error", body),
+        // Found finished just above, under this same lock.
+        _ => delivered(id),
     }
 }
 
@@ -1129,12 +1070,7 @@ fn handle_shutdown(shared: &Arc<Shared>) -> Reply {
     // flushes — a `/shutdown` never abandons accepted work.
     {
         let mut jobs = lock(&shared.jobs);
-        while !jobs.queue.is_empty()
-            || jobs
-                .table
-                .iter()
-                .any(|j| matches!(j.state, JobState::Queued | JobState::Running))
-        {
+        while jobs.live.values().any(|j| !j.state.finished()) {
             jobs = wait(&shared.jobs_cv, jobs);
         }
     }
@@ -1200,9 +1136,9 @@ mod tests {
         let (status, body) = roundtrip(&d.addr(), "POST", "/submit", submit).unwrap();
         assert_eq!(status, 202, "{body}");
         assert!(body.contains("\"job\":\"job-1\""), "{body}");
-        // The id is parsed for its table slot, and the slot must then
-        // carry that very id: other spellings of 1, a slot before the
-        // first or past the last, and a number no `usize` holds are all
+        // The id is parsed for its number, which must then be spelled
+        // just so and issued: other spellings of 1, a number before the
+        // first or past the last, and a number no `u64` holds are all
         // unknown jobs.
         for id in [
             "job-01",
@@ -1252,14 +1188,8 @@ mod tests {
         let warm = submit_and_fetch(&d, submit);
         assert_eq!(cold, warm);
         assert_eq!(simulated(), 1, "the second request is a hit");
-        // After the job finishes its cells stay counted, not kept, and
-        // after its fetch its body is not kept either.
-        {
-            let jobs = lock(&d.shared.jobs);
-            assert!(jobs.table.iter().all(|j| j.cells.is_empty()));
-            assert!(jobs.table.iter().all(|j| j.cell_count == 1));
-            assert!(jobs.table.iter().all(|j| j.body.is_none()));
-        }
+        // A delivered job leaves the table, document and all.
+        assert!(lock(&d.shared.jobs).live.is_empty());
 
         let key = SvcRequest::parse(submit).unwrap().cells()[0].key.clone();
         d.shared.pool.flip_resident_bit(&key);
@@ -1353,27 +1283,79 @@ mod tests {
     }
 
     #[test]
-    fn a_body_is_delivered_once_and_its_status_stays() {
+    fn a_body_is_delivered_once_and_its_status_is_410() {
         let submit = "{\"kind\":\"sweep\",\"platforms\":[\"Rocket 1\"],\
                       \"kernels\":[\"Cca\"],\"scale\":1}";
         let d = daemon();
         submit_and_fetch(&d, submit);
-        let (status, body) = roundtrip(&d.addr(), "GET", "/fetch/job-1", "").unwrap();
-        assert_eq!(status, 410, "{body}");
-        assert_eq!(
-            body,
-            "{\"job\":\"job-1\",\"state\":\"done\",\"error\":\"already fetched\"}"
-        );
-        // Delivery takes the body, not the job: its status and counts stay.
-        let (status, body) = roundtrip(&d.addr(), "GET", "/status/job-1", "").unwrap();
-        assert_eq!(status, 200, "{body}");
-        assert!(body.contains("\"state\":\"done\""), "{body}");
-        assert!(body.contains("\"cells\":1"), "{body}");
-        assert!(body.contains("\"simulated\":1"), "{body}");
-        assert!(lock(&d.shared.jobs).table[0].body.is_none());
+        // Delivery takes the job out of the table: both endpoints know
+        // the id was issued, and neither has anything left to say of it.
+        let gone = "{\"job\":\"job-1\",\"error\":\"already fetched\"}";
+        for endpoint in ["fetch", "status"] {
+            let path = format!("/{endpoint}/job-1");
+            let (status, body) = roundtrip(&d.addr(), "GET", &path, "").unwrap();
+            assert_eq!((status, body.as_str()), (410, gone), "{path}");
+        }
+        // An id never issued is still unknown.
+        let (status, body) = roundtrip(&d.addr(), "GET", "/status/job-2", "").unwrap();
+        assert_eq!(status, 404, "{body}");
         // Resubmitting is how a lost response is recovered: a store hit.
         submit_and_fetch(&d, submit);
         assert_eq!(d.shared.stats.cells_simulated.load(Ordering::SeqCst), 1);
+        roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
+        d.join();
+    }
+
+    #[test]
+    fn a_failed_job_is_delivered_once_as_500() {
+        let d = daemon();
+        // A cell preflight would have refused, queued past it: its job
+        // fails like any job whose cell errs.
+        let cell = Cell {
+            key: "t/unknown-platform".into(),
+            label: "Pentium Cca".into(),
+            spec: WireCell::Micro {
+                platform: "Pentium".into(),
+                kernel: "Cca".into(),
+                scale: 1,
+            },
+        };
+        {
+            let mut jobs = lock(&d.shared.jobs);
+            jobs.issued += 1;
+            let job = Job {
+                state: JobState::Queued,
+                cells: vec![cell],
+                cell_count: 1,
+                tally: Tally::default(),
+            };
+            jobs.live.insert(1, job);
+            jobs.queue.push_back(1);
+            d.shared.jobs_cv.notify_all();
+        }
+        let (status, body) =
+            crate::client::wait(&d.addr(), "job-1", Duration::from_secs(120)).unwrap();
+        assert_eq!(status, 500, "{body}");
+        assert!(body.contains("unknown platform"), "{body}");
+        let (status, body) = roundtrip(&d.addr(), "GET", "/fetch/job-1", "").unwrap();
+        assert_eq!(status, 410, "{body}");
+        assert!(lock(&d.shared.jobs).live.is_empty());
+        roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
+        d.join();
+    }
+
+    #[test]
+    fn delivered_jobs_leave_the_table() {
+        let submit = "{\"kind\":\"sweep\",\"platforms\":[\"Rocket 1\"],\
+                      \"kernels\":[\"Cca\"],\"scale\":1}";
+        let d = daemon();
+        for _ in 0..100 {
+            submit_and_fetch(&d, submit);
+        }
+        {
+            let jobs = lock(&d.shared.jobs);
+            assert_eq!((jobs.live.len(), jobs.issued), (0, 100));
+        }
         roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
         d.join();
     }
@@ -1399,12 +1381,10 @@ mod tests {
         let (go, wait) = std::sync::mpsc::channel::<()>();
         let wait = Mutex::new(wait);
         let caller = std::thread::spawn(move || {
-            let run = shared
-                .pool
-                .run(&[&cell.key], Parallelism::Sequential, None, |_| {
-                    lock(&wait).recv().ok();
-                    cell.spec.run(Parallelism::Sequential)
-                });
+            let run = shared.pool.run(&[&cell.key], Parallelism::Sequential, |_| {
+                lock(&wait).recv().ok();
+                cell.spec.run(Parallelism::Sequential)
+            });
             assert!(run.all_ok(), "{:?}", run.outcomes);
         });
         while d.shared.pool.claims() == 0 {
@@ -1428,7 +1408,7 @@ mod tests {
         let held = hold(&d, submit);
         let (status, _) = roundtrip(&d.addr(), "POST", "/submit", submit).unwrap();
         assert_eq!(status, 202);
-        while lock(&d.shared.jobs).table[0].state != JobState::Running {
+        while lock(&d.shared.jobs).live[&1].state != JobState::Running {
             std::thread::sleep(Duration::from_millis(2));
         }
         (d, held)
@@ -1575,24 +1555,22 @@ mod tests {
     #[test]
     fn bursts_beyond_the_backlog_shed_with_retry_after() {
         use std::net::TcpStream;
-        let (d, report) = Daemon::spawn(DaemonConfig {
-            conn_workers: 1,
-            conn_backlog: 1,
-            ..DaemonConfig::default()
-        })
-        .unwrap();
-        assert!(report.is_clean(), "{report}");
-        // Pin the single pool worker with a connection that never sends
-        // a byte, then park a second one in the one-slot backlog.
-        let pinned = TcpStream::connect(d.addr()).unwrap();
-        while d.shared.stats.conns_active.load(Ordering::SeqCst) == 0 {
+        let d = daemon();
+        // Pin every pool thread with a connection that never sends a
+        // byte, then fill the backlog behind them.
+        let pinned: Vec<TcpStream> = (0..CONN_WORKERS)
+            .map(|_| TcpStream::connect(d.addr()).unwrap())
+            .collect();
+        while d.shared.stats.conns_active.load(Ordering::SeqCst) < CONN_WORKERS as u64 {
             std::thread::sleep(Duration::from_millis(2));
         }
-        let parked = TcpStream::connect(d.addr()).unwrap();
-        while lock(&d.shared.conns).is_empty() {
+        let parked: Vec<TcpStream> = (0..CONN_BACKLOG)
+            .map(|_| TcpStream::connect(d.addr()).unwrap())
+            .collect();
+        while lock(&d.shared.conns).len() < CONN_BACKLOG {
             std::thread::sleep(Duration::from_millis(2));
         }
-        // The third connection overflows the backlog: the accept loop
+        // The next connection overflows the backlog: the accept loop
         // sheds it with 503 + Retry-After without reading a byte.
         let shed = TcpStream::connect(d.addr()).unwrap();
         let (status, headers, body) = proto::read_response_full(&mut BufReader::new(shed)).unwrap();
@@ -1620,8 +1598,8 @@ mod tests {
             "{metrics}"
         );
         assert!(
-            metrics.contains("\"host.guard.conns.peak\": 1"),
-            "one pool worker caps concurrency at one: {metrics}"
+            metrics.contains(&format!("\"host.guard.conns.peak\": {CONN_WORKERS}")),
+            "the pool caps concurrency: {metrics}"
         );
         roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
         d.join();
@@ -1631,108 +1609,41 @@ mod tests {
     fn a_full_job_queue_sheds_submits_with_429_and_admits_identically() {
         let submit = "{\"kind\":\"sweep\",\"platforms\":[\"Rocket 1\"],\
                       \"kernels\":[\"Cca\"],\"scale\":1}";
-        let (d, report) = Daemon::spawn(DaemonConfig {
-            workers: 1,
-            queue_cap: 1,
-            ..DaemonConfig::default()
-        })
-        .unwrap();
-        assert!(report.is_clean(), "{report}");
-        // Pre-claim the cell every copy of this request resolves to, so
-        // the single job worker blocks in the coalesce wait — pinning
-        // job 1 in Running and job 2 in the queue, deterministically.
-        let held = hold(&d, submit);
-        let (s1, _) = roundtrip(&d.addr(), "POST", "/submit", submit).unwrap();
-        assert_eq!(s1, 202);
-        while !lock(&d.shared.jobs).queue.is_empty() {
-            std::thread::sleep(Duration::from_millis(2));
+        // The single job worker waits on the held claim with job 1, so
+        // every later submit stays queued, deterministically.
+        let (d, held) = daemon_with_a_running_job();
+        for _ in 0..QUEUE_CAP {
+            let (status, body) = roundtrip(&d.addr(), "POST", "/submit", submit).unwrap();
+            assert_eq!(status, 202, "{body}");
         }
-        let (s2, _) = roundtrip(&d.addr(), "POST", "/submit", submit).unwrap();
-        assert_eq!(s2, 202);
-        // Queue is now at queue_cap: the next well-formed submit sheds.
-        let (s3, headers, body) = proto::roundtrip_with(
-            &d.addr(),
-            "POST",
-            "/submit",
-            submit,
-            proto::WireTimeouts::default(),
-        )
-        .unwrap();
-        assert_eq!(s3, 429, "{body}");
+        assert_eq!(lock(&d.shared.jobs).queue.len(), QUEUE_CAP);
+        // The queue is full: the next well-formed submit sheds.
+        let (status, headers, body) =
+            proto::roundtrip_with(&d.addr(), "POST", "/submit", submit).unwrap();
+        assert_eq!(status, 429, "{body}");
         assert!(
             headers.iter().any(|(k, v)| k == "retry-after" && v == "1"),
             "{headers:?}"
         );
-        // Release the claim: both admitted jobs complete, and the
-        // queued one serves byte-identically to the first.
+        // Release the claim: every admitted job completes, and each
+        // serves byte-identically to the first.
         held.release();
-        let fetch = |job: &str| {
+        let fetch = |n: usize| {
+            let job = format!("job-{n}");
             let (status, body) =
-                crate::client::wait(&d.addr(), job, Duration::from_secs(120)).unwrap();
-            assert_eq!(status, 200, "{body}");
+                crate::client::wait(&d.addr(), &job, Duration::from_secs(120)).unwrap();
+            assert_eq!(status, 200, "{job}: {body}");
             body
         };
-        assert_eq!(fetch("job-1"), fetch("job-2"));
+        let first = fetch(1);
+        for n in 2..=QUEUE_CAP + 1 {
+            assert_eq!(fetch(n), first, "job-{n}");
+        }
         let (_, metrics) = roundtrip(&d.addr(), "GET", "/metrics", "").unwrap();
         assert!(
             metrics.contains("\"host.guard.requests.shed\": 1"),
             "{metrics}"
         );
-        roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
-        d.join();
-    }
-
-    #[test]
-    fn expired_deadlines_fail_fast_with_a_typed_diagnostic() {
-        let submit = "{\"kind\":\"sweep\",\"platforms\":[\"Rocket 1\"],\
-                      \"kernels\":[\"Cca\"],\"scale\":1}";
-        let (d, report) = Daemon::spawn(DaemonConfig {
-            workers: 1,
-            deadline: Some(Duration::from_millis(50)),
-            ..DaemonConfig::default()
-        })
-        .unwrap();
-        assert!(report.is_clean(), "{report}");
-        // Hold the job's cell claim until well past the deadline; the
-        // woken worker re-checks expiry and fails fast instead of
-        // simulating work nobody is waiting for.
-        let held = hold(&d, submit);
-        let (status, _) = roundtrip(&d.addr(), "POST", "/submit", submit).unwrap();
-        assert_eq!(status, 202);
-        std::thread::sleep(Duration::from_millis(80));
-        held.release();
-        let (status, body) =
-            crate::client::wait(&d.addr(), "job-1", Duration::from_secs(120)).unwrap();
-        assert_eq!(status, 500, "an expired job must fail: {body}");
-        assert!(body.contains("request deadline exceeded"), "{body}");
-        assert!(!body.contains("\"attempts\""), "{body}");
-        // A failure document is delivered once, like any other.
-        let (status, body) = roundtrip(&d.addr(), "GET", "/fetch/job-1", "").unwrap();
-        assert_eq!(status, 410, "{body}");
-        assert!(body.contains("\"state\":\"failed\""), "{body}");
-        assert!(lock(&d.shared.jobs).table[0].body.is_none());
-        let (_, metrics) = roundtrip(&d.addr(), "GET", "/metrics", "").unwrap();
-        assert!(
-            metrics.contains("\"host.guard.deadline.expired\": 1"),
-            "{metrics}"
-        );
-        roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
-        d.join();
-    }
-
-    #[test]
-    fn spawn_preflights_guard_misconfiguration_but_still_serves() {
-        let (d, report) = Daemon::spawn(DaemonConfig {
-            conn_workers: 0,
-            deadline: Some(Duration::ZERO),
-            ..DaemonConfig::default()
-        })
-        .unwrap();
-        assert!(report.has_code("GD001"), "{report}");
-        assert!(report.has_code("GD002"), "{report}");
-        // Pool sizes clamp to one, so the degraded daemon still serves.
-        let (status, _) = roundtrip(&d.addr(), "GET", "/metrics", "").unwrap();
-        assert_eq!(status, 200);
         roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
         d.join();
     }

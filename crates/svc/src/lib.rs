@@ -37,5 +37,4 @@ mod splice;
 pub use bsim_dist::key::micro_cell_key;
 pub use bsim_resilience::{scrub, ResultStore, ScrubReport};
 pub use daemon::{Daemon, DaemonConfig, COUNTERS};
-pub use proto::WireTimeouts;
 pub use request::SvcRequest;

@@ -7,6 +7,8 @@
 //! connection the daemon kept ([`roundtrip_with`]). Hand-rolled on
 //! purpose: the workspace builds fully offline, so the wire layer uses
 //! nothing beyond the standard library and the in-tree serde_json shim.
+//! Both sides arm every socket with one [`WIRE_TIMEOUT`] each way: a
+//! constant, like the wire limits, not a setting.
 //!
 //! A message — request or response, head and body — is formatted into
 //! one buffer and leaves through one `write_all` ([`send`]), the way
@@ -64,45 +66,16 @@ pub(crate) fn response_event(status: u16) -> &'static str {
     }
 }
 
-/// Socket timeouts for one wire direction pair. Applied on **both**
-/// sides of the svc protocol (client round trips and pooled daemon
-/// connections) so a slow-loris peer — one that connects and then
-/// trickles or withholds bytes — cannot pin a worker thread forever.
-///
-/// A zero duration means "unbounded" (std rejects zero timeouts);
-/// the GD002 guard lint flags configs that disable the protection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WireTimeouts {
-    /// Read timeout for the whole request/response read.
-    pub read: Duration,
-    /// Write timeout for sending the request/response.
-    pub write: Duration,
-}
+/// The socket read and write timeout both sides of the protocol arm on
+/// every connection — client round trips and pooled daemon connections —
+/// so a slow-loris peer, one that connects and then trickles or
+/// withholds bytes, cannot pin a thread forever.
+pub(crate) const WIRE_TIMEOUT: Duration = Duration::from_secs(120);
 
-impl Default for WireTimeouts {
-    /// The pre-guard hardcoded value, now symmetric: 120 s each way.
-    fn default() -> WireTimeouts {
-        WireTimeouts {
-            read: Duration::from_secs(120),
-            write: Duration::from_secs(120),
-        }
-    }
-}
-
-impl WireTimeouts {
-    /// Applies both timeouts to a connected socket.
-    pub fn apply(&self, stream: &TcpStream) -> io::Result<()> {
-        stream.set_read_timeout(if self.read.is_zero() {
-            None
-        } else {
-            Some(self.read)
-        })?;
-        stream.set_write_timeout(if self.write.is_zero() {
-            None
-        } else {
-            Some(self.write)
-        })
-    }
+/// Arms [`WIRE_TIMEOUT`] on both directions of a connected socket.
+pub(crate) fn arm(stream: &TcpStream) -> io::Result<()> {
+    stream.set_read_timeout(Some(WIRE_TIMEOUT))?;
+    stream.set_write_timeout(Some(WIRE_TIMEOUT))
 }
 
 fn drift(v: Violation) -> io::Error {
@@ -327,17 +300,16 @@ pub fn read_response_full(reader: &mut impl BufRead) -> io::Result<FullResponse>
     ))
 }
 
-/// Client side: one round trip under the default [`WireTimeouts`].
+/// Client side: one round trip ([`roundtrip_with`] without the headers).
 /// Returns `(status, body)`.
 pub fn roundtrip(addr: &str, method: &str, path: &str, body: &str) -> io::Result<(u16, String)> {
-    let (status, _, body) = roundtrip_with(addr, method, path, body, WireTimeouts::default())?;
+    let (status, _, body) = roundtrip_with(addr, method, path, body)?;
     Ok((status, body))
 }
 
 /// A connection the daemon said it keeps, its tracker in `connect`.
 struct Kept {
     addr: String,
-    timeouts: WireTimeouts,
     reader: BufReader<TcpStream>,
     tracker: Tracker<'static>,
 }
@@ -349,9 +321,8 @@ thread_local! {
 }
 
 /// Client side: one round trip — send, read the framed response.
-/// Returns `(status, headers, body)`. The configured read *and* write
-/// timeouts keep a wedged daemon from hanging the client forever (the
-/// pre-guard wire had only a hardcoded 120 s read side).
+/// Returns `(status, headers, body)`. [`WIRE_TIMEOUT`] on the read *and*
+/// write side keeps a wedged daemon from hanging the client forever.
 ///
 /// The request goes out on this thread's kept connection when it leads
 /// to `addr`, and on a new one otherwise. A kept connection the daemon
@@ -370,7 +341,6 @@ pub fn roundtrip_with(
     method: &str,
     path: &str,
     body: &str,
-    timeouts: WireTimeouts,
 ) -> io::Result<FullResponse> {
     let tag = match classify(method, path) {
         "Submit" => "submit",
@@ -380,24 +350,19 @@ pub fn roundtrip_with(
         "Shutdown" => "shutdown",
         _ => "bad",
     };
-    if let Some(mut conn) = KEPT.take().filter(|k| k.addr == addr) {
-        if conn.timeouts != timeouts {
-            timeouts.apply(conn.reader.get_ref())?;
-            conn.timeouts = timeouts;
-        }
+    if let Some(conn) = KEPT.take().filter(|k| k.addr == addr) {
         match exchange(conn, tag, method, path, body) {
             Err((e, true)) if closed_while_idle(&e) => {}
             done => return done.map_err(|(e, _)| e),
         }
     }
     let stream = TcpStream::connect(addr)?;
-    timeouts.apply(&stream)?;
+    arm(&stream)?;
     let tracker = Tracker::new(svc_cached(), "client").ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidData, "svc table lacks a client role")
     })?;
     let conn = Kept {
         addr: addr.to_string(),
-        timeouts,
         reader: BufReader::new(stream),
         tracker,
     };
@@ -586,19 +551,8 @@ mod tests {
         assert_eq!(body, "{\"job\":\"job-1\"}");
     }
 
-    /// A `GET /metrics` that gives up after 5 s rather than 120.
     fn get(addr: &str) -> io::Result<FullResponse> {
-        let five = Duration::from_secs(5);
-        roundtrip_with(
-            addr,
-            "GET",
-            "/metrics",
-            "",
-            WireTimeouts {
-                read: five,
-                write: five,
-            },
-        )
+        roundtrip_with(addr, "GET", "/metrics", "")
     }
 
     /// Accepts one connection on `listener`, and on it reads one request
@@ -695,26 +649,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_wire_timeouts_mean_unbounded_not_an_error() {
-        // std rejects Some(ZERO) timeouts; the guard maps zero to None.
+    fn both_directions_are_armed_with_120_s() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let zero = WireTimeouts {
-            read: Duration::ZERO,
-            write: Duration::ZERO,
-        };
-        zero.apply(&stream).unwrap();
-        assert_eq!(stream.read_timeout().unwrap(), None);
-        assert_eq!(stream.write_timeout().unwrap(), None);
-        WireTimeouts::default().apply(&stream).unwrap();
-        assert_eq!(
-            stream.read_timeout().unwrap(),
-            Some(Duration::from_secs(120))
-        );
-        assert_eq!(
-            stream.write_timeout().unwrap(),
-            Some(Duration::from_secs(120))
-        );
+        arm(&stream).unwrap();
+        let limit = Some(Duration::from_secs(120));
+        assert_eq!(stream.read_timeout().unwrap(), limit);
+        assert_eq!(stream.write_timeout().unwrap(), limit);
     }
 
     /// Counts `write` calls and takes whatever it is given.

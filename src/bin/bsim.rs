@@ -80,8 +80,7 @@ const USAGE: &str = "usage:\n  bsim list\n  bsim table <1|2|4|5>\n  \
      bsim faults [--seed N] [--deny-unsurvived]\n  \
      bsim check [--deny-warnings] [--json] [--list] [--proto] [--source] [platform ...]\n  \
      bsim scrub --store FILE\n  \
-     bsim serve [--addr H:P] [--store FILE] [--workers N] [--budget N] [--par seq|auto|N]\n       \
-     [--conn-workers N] [--conn-backlog N] [--queue-cap N] [--deadline-ms N] [--io-timeout-secs N]\n  \
+     bsim serve [--addr H:P] [--store FILE] [--workers N] [--budget N] [--par seq|auto|N]\n  \
      bsim submit ADDR fig <id> [--smoke] [--seed N] [--wait]\n  \
      bsim submit ADDR sweep --platforms A,B --kernels C,D [--scale N] [--seed N] [--wait]\n  \
      bsim submit ADDR tune [--scale N] [--seed N] [--wait]\n  \
@@ -124,11 +123,6 @@ fn flag_table(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
             ("--workers", true),
             ("--budget", true),
             ("--par", true),
-            ("--conn-workers", true),
-            ("--conn-backlog", true),
-            ("--queue-cap", true),
-            ("--deadline-ms", true),
-            ("--io-timeout-secs", true),
         ],
         "submit" => &[
             ("--smoke", false),
@@ -192,13 +186,10 @@ impl<'a> Flags<'a> {
             .map(|v| parse(v).unwrap_or_else(|| fail(format!("{flag} takes {what}"))))
     }
 
-    fn flag<T: std::str::FromStr>(&self, flag: &str, what: &str) -> Option<T> {
-        self.flag_with(flag, what, |v| v.parse().ok())
-    }
-
     /// A numeric flag's value, or `default` when the flag is absent.
     fn num<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
-        self.flag(flag, "a non-negative integer").unwrap_or(default)
+        self.flag_with(flag, "a non-negative integer", |v| v.parse().ok())
+            .unwrap_or(default)
     }
 
     fn par(&self, default: Parallelism) -> Parallelism {
@@ -226,7 +217,6 @@ fn run_check(f: &Flags) -> ! {
             ("in-order core", check::rules::inorder_lints().codes()),
             ("ooo core", check::rules::ooo_lints().codes()),
             ("soc", silicon_bridge::soc::preflight::soc_lints().codes()),
-            ("guard", check::guard::guard_lints().codes()),
         ];
         for (group, codes) in regs {
             for (code, summary) in codes {
@@ -581,7 +571,7 @@ fn run_plan(f: &Flags, id: &str) -> Vec<(&'static FigureSpec, Result<FigureData,
         fail(format!("result store error: {e}"))
     }
     // One subfigure at a time: `--par` fans out inside each.
-    let sweep = pool.run(&keys, Parallelism::Sequential, None, |i| Ok(run(i).save()));
+    let sweep = pool.run(&keys, Parallelism::Sequential, |i| Ok(run(i).save()));
     plan.iter()
         .zip(sweep.outcomes)
         .map(|((spec, _), outcome)| {
@@ -626,21 +616,6 @@ fn run_serve(f: &Flags) -> ! {
         workers: f.num("--workers", defaults.workers),
         budget: f.num("--budget", defaults.budget),
         par: f.par(Parallelism::Auto),
-        conn_workers: f.num("--conn-workers", defaults.conn_workers),
-        conn_backlog: f.num("--conn-backlog", defaults.conn_backlog),
-        queue_cap: f.num("--queue-cap", defaults.queue_cap),
-        // A deadline is opt-in: absent flag = no deadline. `0` is left
-        // to the GD002 preflight to reject loudly rather than silently
-        // dropped here.
-        deadline: f
-            .flag("--deadline-ms", "a non-negative integer")
-            .map(std::time::Duration::from_millis),
-        read_timeout: std::time::Duration::from_secs(
-            f.num("--io-timeout-secs", defaults.read_timeout.as_secs()),
-        ),
-        write_timeout: std::time::Duration::from_secs(
-            f.num("--io-timeout-secs", defaults.write_timeout.as_secs()),
-        ),
     };
     match Daemon::spawn(cfg) {
         Ok((daemon, report)) => {

@@ -78,6 +78,20 @@ fn an_unknown_flag_exits_2_and_is_named() {
         assert!(stderr(&out).contains(flag), "{args:?}: {}", stderr(&out));
         assert!(stdout(&out).is_empty(), "{args:?} ran");
     }
+    // The daemon's admission limits are constants: no flag sets them.
+    for flag in [
+        concat!("--conn", "-workers"),
+        concat!("--conn", "-backlog"),
+        concat!("--queue", "-cap"),
+        concat!("--deadline", "-ms"),
+        concat!("--io-timeout", "-secs"),
+    ] {
+        let out = bsim(&["serve", flag, "1"]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let unknown = format!("unknown flag {flag}");
+        assert!(stderr(&out).contains(&unknown), "{flag}: {}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{flag} ran");
+    }
     // So are the retired scale-out subcommands, and the fault matrix's
     // filters that went with them.
     let worker = concat!("dist", "-worker");

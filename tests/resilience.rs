@@ -116,7 +116,7 @@ fn mid_sweep_checkpoint_resumes_bit_identical_run_reports() {
     // The reference sweep, fully simulated.
     let full = CellPool::new(ResultStore::ephemeral());
     let par = Parallelism::Workers(2);
-    let baseline = full.run(&keys, par, None, cell);
+    let baseline = full.run(&keys, par, cell);
     assert!(baseline.all_ok());
     assert_eq!(baseline.restored(), 0);
 
@@ -138,7 +138,7 @@ fn mid_sweep_checkpoint_resumes_bit_identical_run_reports() {
     let resumed_store = CellPool::with_on_put(resumed_store, move |_| {
         counted.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
     });
-    let resumed = resumed_store.run(&keys, par, None, cell);
+    let resumed = resumed_store.run(&keys, par, cell);
     assert!(resumed.all_ok());
     assert_eq!(resumed.restored(), 2);
     let saves = saves.load(std::sync::atomic::Ordering::SeqCst);

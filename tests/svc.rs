@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use silicon_bridge::svc::daemon::FETCH_WAIT;
+use silicon_bridge::svc::daemon::{CONN_BACKLOG, CONN_WORKERS, FETCH_WAIT, QUEUE_CAP};
 use silicon_bridge::svc::{client, proto, Daemon, DaemonConfig, ResultStore, COUNTERS};
 
 const SWEEP: &str = r#"{"kind":"sweep","platforms":["Rocket 1"],"kernels":["EM5","STc"]}"#;
@@ -61,7 +61,7 @@ fn second_request_is_cache_served_byte_identical() {
 
     let (_, first) = submit_and_wait(&addr, SWEEP);
     let accepted_before = accepted(&addr);
-    let (job2, second) = submit_and_wait(&addr, SWEEP);
+    let (_, second) = submit_and_wait(&addr, SWEEP);
     assert_eq!(
         first, second,
         "cache-served response must be byte-identical"
@@ -72,11 +72,25 @@ fn second_request_is_cache_served_byte_identical() {
     assert_eq!(accepted(&addr) - accepted_before, 0);
     assert!(first.contains("\"schema\": \"bsim-bench-v1\""), "{first}");
 
-    // Zero re-simulated cells on the second request.
-    let (status, job_status) = client::status(&addr, &job2).unwrap();
-    assert_eq!(status, 200);
+    // Zero re-simulated cells on a warm request, read from /status while
+    // the job is done and not yet delivered. Once delivered, it has left
+    // the table.
+    let (status, ticket) = client::submit(&addr, SWEEP).unwrap();
+    assert_eq!(status, 202, "{ticket}");
+    let job = client::job_id(&ticket).expect("submit returns a job id");
+    let job_status = loop {
+        let (status, body) = client::status(&addr, &job).unwrap();
+        assert_eq!(status, 200, "{body}");
+        if body.contains("\"state\":\"done\"") {
+            break body;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
     assert!(job_status.contains("\"hits\":2"), "{job_status}");
     assert!(job_status.contains("\"simulated\":0"), "{job_status}");
+    let (status, third) = client::wait(&addr, &job, Duration::from_secs(120)).unwrap();
+    assert_eq!((status, &third), (200, &first));
+    assert_eq!(client::status(&addr, &job).unwrap().0, 410);
 
     // Global counters ride the telemetry export, every one present.
     let (status, metrics) = client::metrics(&addr).unwrap();
@@ -87,43 +101,56 @@ fn second_request_is_cache_served_byte_identical() {
             "{name} missing: {metrics}"
         );
     }
-    assert!(metrics.contains("\"host.svc.cache.hits\": 2"), "{metrics}");
+    assert!(metrics.contains("\"host.svc.cache.hits\": 4"), "{metrics}");
     assert!(
         metrics.contains("\"host.svc.cells.simulated\": 2"),
         "{metrics}"
     );
-    assert!(metrics.contains("\"host.svc.cells.total\": 4"), "{metrics}");
+    assert!(metrics.contains("\"host.svc.cells.total\": 6"), "{metrics}");
 
     client::shutdown(&addr).unwrap();
     daemon.join();
 }
 
-/// One pool thread, held by client A's idle kept connection: client B,
-/// on another thread, is still answered once the idle bound
-/// (`FETCH_WAIT`) has passed, not after the 120 s read timeout, and A's
-/// next call goes out on a new connection.
+/// Every pool thread held by an idle kept connection, one per client
+/// thread: client B, on another thread, is still answered once the idle
+/// bound (`FETCH_WAIT`) has passed, not after the 120 s read timeout,
+/// and each idle client's next call goes out on a new connection.
 #[test]
 fn an_idle_kept_connection_yields_the_only_pool_thread_within_fetch_wait() {
-    let daemon = ephemeral_daemon(DaemonConfig {
-        conn_workers: 1,
-        ..DaemonConfig::default()
-    });
+    use std::sync::{mpsc, Barrier};
+    let daemon = ephemeral_daemon(DaemonConfig::default());
     let addr = daemon.addr();
-    assert_eq!(client::metrics(&addr).unwrap().0, 200);
-    let idle_since = Instant::now();
-    let answered = std::thread::scope(|s| {
-        s.spawn(|| {
-            assert_eq!(client::metrics(&addr).unwrap().0, 200);
-            idle_since.elapsed()
-        })
-        .join()
-        .unwrap()
+    let answered = Barrier::new(CONN_WORKERS + 1);
+    std::thread::scope(|s| {
+        // One at a time, so each kept connection has its own pool thread
+        // before the next one arrives.
+        let (kept, each_kept) = mpsc::channel();
+        for _ in 0..CONN_WORKERS {
+            let kept = kept.clone();
+            let (addr, answered) = (&addr, &answered);
+            s.spawn(move || {
+                assert_eq!(client::metrics(addr).unwrap().0, 200);
+                kept.send(()).unwrap();
+                answered.wait();
+                assert_eq!(client::metrics(addr).unwrap().0, 200);
+            });
+            each_kept.recv().unwrap();
+        }
+        let (idle_since, addr) = (Instant::now(), &addr);
+        let b = s
+            .spawn(move || {
+                assert_eq!(client::metrics(addr).unwrap().0, 200);
+                idle_since.elapsed()
+            })
+            .join();
+        answered.wait();
+        let waited = b.unwrap();
+        assert!(
+            waited < FETCH_WAIT + Duration::from_millis(500),
+            "B waited {waited:?}"
+        );
     });
-    assert!(
-        answered < FETCH_WAIT + Duration::from_millis(500),
-        "B waited {answered:?}"
-    );
-    assert_eq!(client::metrics(&addr).unwrap().0, 200);
     client::shutdown(&addr).unwrap();
     daemon.join();
 }
@@ -168,8 +195,10 @@ fn a_call_after_the_daemon_idle_closed_its_connection_reconnects_once() {
     let (job, _) = submit_and_wait(&addr, ONE_CELL);
     let before = accepted(&addr);
     std::thread::sleep(FETCH_WAIT + Duration::from_millis(300));
+    // The job was delivered, so its status is a 410: what counts is
+    // that the call was answered, over one new connection.
     let (status, body) = client::status(&addr, &job).unwrap();
-    assert_eq!(status, 200, "{body}");
+    assert_eq!(status, 410, "{body}");
     assert_eq!(accepted(&addr), before + 1);
     client::shutdown(&addr).unwrap();
     daemon.join();
@@ -272,34 +301,32 @@ fn shutdown_drains_inflight_work_and_flushes_store() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Tentpole: a 4× oversubscribed burst. Deterministic 503 shedding at
-/// the connection layer (one pool worker, one backlog slot, six
-/// overflow connections), then a burst of eight submits against a
-/// one-worker/one-slot job queue where shed submits honor Retry-After
-/// and resubmit — and every admitted request completes byte-identical
-/// to the same sweep on an unloaded sequential daemon.
+/// A 4× oversubscribed burst at the shipped limits. Deterministic 503
+/// shedding at the connection layer (every pool thread pinned, the
+/// backlog full, six overflow connections), then a burst of four times
+/// the one-worker job queue's capacity where shed submits honor
+/// Retry-After and resubmit — and every admitted request completes
+/// byte-identical to the same sweep on an unloaded daemon.
 #[test]
 fn oversubscribed_bursts_shed_and_admitted_work_is_byte_identical() {
-    use silicon_bridge::svc::proto;
-    use std::io::BufReader;
-    use std::net::TcpStream;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    // -- Connection layer: pin the single pool worker with an idle
-    // connection, park another in the one-slot backlog, and every
-    // further connection is shed 503 + Retry-After by the accept loop
-    // without a byte read.
+    // -- Connection layer: pin every pool thread with an idle
+    // connection, fill the backlog behind them, and every further
+    // connection is shed 503 + Retry-After by the accept loop without a
+    // byte read.
     let daemon = ephemeral_daemon(DaemonConfig {
-        conn_workers: 1,
-        conn_backlog: 1,
         workers: 1,
         ..DaemonConfig::default()
     });
     let addr = daemon.addr();
-    let pinned = TcpStream::connect(&addr).unwrap();
-    std::thread::sleep(Duration::from_millis(300));
-    let parked = TcpStream::connect(&addr).unwrap();
-    std::thread::sleep(Duration::from_millis(300));
+    let connect = |n: usize| -> Vec<TcpStream> {
+        let conns = (0..n).map(|_| TcpStream::connect(&addr).unwrap()).collect();
+        std::thread::sleep(Duration::from_millis(300));
+        conns
+    };
+    let pinned = connect(CONN_WORKERS);
+    let parked = connect(CONN_BACKLOG);
     for _ in 0..6 {
         let conn = TcpStream::connect(&addr).unwrap();
         let (status, headers, body) = proto::read_response_full(&mut BufReader::new(conn)).unwrap();
@@ -313,7 +340,8 @@ fn oversubscribed_bursts_shed_and_admitted_work_is_byte_identical() {
     drop(parked);
     std::thread::sleep(Duration::from_millis(300));
     // The freed pool serves normally, the six sheds are on the books,
-    // and the pool cap held: one worker never ran two connections.
+    // and the pool cap held: never more connections served at once than
+    // there are pool threads.
     let (_, first) = submit_and_wait(&addr, SWEEP);
     let (_, metrics) = client::metrics(&addr).unwrap();
     assert!(
@@ -321,60 +349,62 @@ fn oversubscribed_bursts_shed_and_admitted_work_is_byte_identical() {
         "{metrics}"
     );
     assert!(
-        metrics.contains("\"host.guard.conns.peak\": 1"),
+        metrics.contains(&format!("\"host.guard.conns.peak\": {CONN_WORKERS}")),
         "{metrics}"
     );
     client::shutdown(&addr).unwrap();
     daemon.join();
 
-    // -- Queue layer: eight distinct single-cell sweeps (4× the
-    // worker+queue capacity) in one concurrent burst. A 429 carries
+    // -- Queue layer: four times the worker + queue capacity, over eight
+    // distinct single-cell sweeps, in one concurrent burst: each client
+    // thread submits its share before it fetches any. A 429 carries
     // Retry-After and the client resubmits until admitted.
     const KERNELS: [&str; 8] = ["Cca", "CCh", "ED1", "EI", "EM5", "MD", "ML2", "DP1d"];
+    let per_kernel = 4 * (1 + QUEUE_CAP) / KERNELS.len();
     let body_for =
         |k: &str| format!(r#"{{"kind":"sweep","platforms":["Rocket 1"],"kernels":["{k}"]}}"#);
     let busy = ephemeral_daemon(DaemonConfig {
         workers: 1,
-        queue_cap: 1,
         ..DaemonConfig::default()
     });
     let busy_addr = busy.addr();
     let sheds = AtomicU64::new(0);
-    let burst: Vec<(String, String)> = std::thread::scope(|scope| {
+    let admit = |body: &str| -> String {
+        for _ in 0..600 {
+            let (status, headers, response) =
+                proto::roundtrip_with(&busy_addr, "POST", "/submit", body).unwrap();
+            if status == 202 {
+                return client::job_id(&response).expect("ticket");
+            }
+            assert_eq!(status, 429, "{response}");
+            assert!(
+                headers.iter().any(|(k, _)| k == "retry-after"),
+                "{headers:?}"
+            );
+            sheds.fetch_add(1, Ordering::Relaxed);
+            // Honor Retry-After in spirit, scaled down to keep the test
+            // quick.
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        panic!("submit for {body} was never admitted");
+    };
+    let burst: Vec<(String, Vec<String>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = KERNELS
             .iter()
             .map(|k| {
-                let addr = busy_addr.clone();
-                let body = body_for(k);
-                let sheds = &sheds;
+                let (body, admit, addr) = (body_for(k), &admit, &busy_addr);
                 scope.spawn(move || {
-                    for _ in 0..600 {
-                        let (status, headers, response) = proto::roundtrip_with(
-                            &addr,
-                            "POST",
-                            "/submit",
-                            &body,
-                            proto::WireTimeouts::default(),
-                        )
-                        .unwrap();
-                        if status == 202 {
-                            let job = client::job_id(&response).expect("ticket");
+                    let jobs: Vec<String> = (0..per_kernel).map(|_| admit(&body)).collect();
+                    let results = jobs
+                        .iter()
+                        .map(|job| {
                             let (status, result) =
-                                client::wait(&addr, &job, Duration::from_secs(120)).unwrap();
+                                client::wait(addr, job, Duration::from_secs(120)).unwrap();
                             assert_eq!(status, 200, "{result}");
-                            return (body, result);
-                        }
-                        assert_eq!(status, 429, "{response}");
-                        assert!(
-                            headers.iter().any(|(k, _)| k == "retry-after"),
-                            "{headers:?}"
-                        );
-                        sheds.fetch_add(1, Ordering::Relaxed);
-                        // Honor Retry-After in spirit, scaled down to
-                        // keep the test quick.
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    panic!("submit for {body} was never admitted");
+                            result
+                        })
+                        .collect();
+                    (body, results)
                 })
             })
             .collect();
@@ -390,18 +420,20 @@ fn oversubscribed_bursts_shed_and_admitted_work_is_byte_identical() {
     busy.join();
 
     // -- Byte-identity: every burst response matches the same request
-    // served sequentially on a fresh, unloaded daemon (and the SWEEP
-    // from the connection-layer phase agrees too).
+    // served on a fresh, unloaded daemon (and the SWEEP from the
+    // connection-layer phase agrees too).
     let calm = ephemeral_daemon(DaemonConfig::default());
     let calm_addr = calm.addr();
     let (_, calm_sweep) = submit_and_wait(&calm_addr, SWEEP);
     assert_eq!(first, calm_sweep, "cross-daemon sweep differs");
-    for (body, burst_result) in &burst {
+    for (body, burst_results) in &burst {
         let (_, calm_result) = submit_and_wait(&calm_addr, body);
-        assert_eq!(
-            burst_result, &calm_result,
-            "burst-admitted result differs for {body}"
-        );
+        for burst_result in burst_results {
+            assert_eq!(
+                burst_result, &calm_result,
+                "burst-admitted result differs for {body}"
+            );
+        }
     }
     client::shutdown(&calm_addr).unwrap();
     calm.join();
