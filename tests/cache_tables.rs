@@ -7,6 +7,12 @@
 //! `ML2_BW_st`) and train the prefetcher (`milkv_hw`'s `ML2_BW_ld`); the
 //! Banana Pi cell has no LLC; the four-rank cell probes and invalidates
 //! the other cores' L1Ds on every store.
+//!
+//! The out-of-order core's counters are pinned the same way: every
+//! `CoreStats` field of both MILK-V platforms on two branch kernels, a
+//! load-bandwidth kernel and `MM`, printed by the last binary that kept
+//! the ROB as an eagerly drained ring. `rob_high_water` is the field a
+//! change to the ROB bookkeeping gets wrong first.
 
 use silicon_bridge::core::experiments::{microbench_cell, MpiWork, Sizes};
 use silicon_bridge::mpi::Timed;
@@ -131,6 +137,84 @@ const CG_4_RANKS: (u64, &str) = (
      bus_busy_cycles: 3648, prefetches: 0 }",
 );
 
+/// `(kernel, platform, core_stats)` of a scale-1 MicroBench cell's one core.
+type CorePin = (&'static str, fn(usize) -> SocConfig, &'static str);
+
+const OOO_CORES: [CorePin; 8] = [
+    (
+        "Cca",
+        milkv_hw,
+        "CoreStats { cycles: 60172, retired: 240005, branches: 120000, \
+         mispredicts: 3, fetch_stall_cycles: 127, data_stall_cycles: \
+         2399573, structural_stall_cycles: 59979, tlb_stall_cycles: 0, \
+         loads: 0, stores: 0, branch_lookups: 120000, fetch_lines: 4, \
+         rob_high_water: 52, lsq_high_water: 0 }",
+    ),
+    (
+        "Cce",
+        milkv_hw,
+        "CoreStats { cycles: 120204, retired: 330005, branches: 120000, \
+         mispredicts: 5, fetch_stall_cycles: 131, data_stall_cycles: \
+         6988358, structural_stall_cycles: 119952, tlb_stall_cycles: 0, \
+         loads: 0, stores: 0, branch_lookups: 120000, fetch_lines: 6, \
+         rob_high_water: 70, lsq_high_water: 0 }",
+    ),
+    (
+        "ML2_BW_ld",
+        milkv_hw,
+        "CoreStats { cycles: 336433, retired: 360009, branches: 18000, \
+         mispredicts: 2, fetch_stall_cycles: 72330, data_stall_cycles: \
+         89259, structural_stall_cycles: 10779208, tlb_stall_cycles: 1280, \
+         loads: 144000, stores: 0, branch_lookups: 18000, fetch_lines: \
+         36001, rob_high_water: 160, lsq_high_water: 32 }",
+    ),
+    (
+        "MM",
+        milkv_hw,
+        "CoreStats { cycles: 6920543, retired: 400007, branches: 40000, \
+         mispredicts: 2, fetch_stall_cycles: 2946, data_stall_cycles: \
+         878421251, structural_stall_cycles: 6917529, tlb_stall_cycles: \
+         200000, loads: 320000, stores: 0, branch_lookups: 40000, \
+         fetch_lines: 4, rob_high_water: 160, lsq_high_water: 1 }",
+    ),
+    (
+        "Cca",
+        milkv_sim,
+        "CoreStats { cycles: 120187, retired: 240005, branches: 120000, \
+         mispredicts: 3, fetch_stall_cycles: 144, data_stall_cycles: \
+         3299611, structural_stall_cycles: 119975, tlb_stall_cycles: 0, \
+         loads: 0, stores: 0, branch_lookups: 120000, fetch_lines: 4, \
+         rob_high_water: 36, lsq_high_water: 0 }",
+    ),
+    (
+        "Cce",
+        milkv_sim,
+        "CoreStats { cycles: 150220, retired: 330005, branches: 120000, \
+         mispredicts: 5, fetch_stall_cycles: 148, data_stall_cycles: \
+         5668936, structural_stall_cycles: 119964, tlb_stall_cycles: 0, \
+         loads: 0, stores: 0, branch_lookups: 120000, fetch_lines: 6, \
+         rob_high_water: 47, lsq_high_water: 0 }",
+    ),
+    (
+        "ML2_BW_ld",
+        milkv_sim,
+        "CoreStats { cycles: 348748, retired: 360009, branches: 18000, \
+         mispredicts: 2, fetch_stall_cycles: 72331, data_stall_cycles: \
+         71340, structural_stall_cycles: 2892318, tlb_stall_cycles: 1280, \
+         loads: 144000, stores: 0, branch_lookups: 18000, fetch_lines: \
+         36001, rob_high_water: 96, lsq_high_water: 24 }",
+    ),
+    (
+        "MM",
+        milkv_sim,
+        "CoreStats { cycles: 36596644, retired: 400007, branches: 40000, \
+         mispredicts: 2, fetch_stall_cycles: 8637, data_stall_cycles: \
+         2776778304, structural_stall_cycles: 36574616, tlb_stall_cycles: \
+         200000, loads: 320000, stores: 0, branch_lookups: 40000, \
+         fetch_lines: 4, rob_high_water: 96, lsq_high_water: 1 }",
+    ),
+];
+
 fn check((kernel, platform, cycles, mem_stats): Pin) {
     let cfg = platform(1);
     let what = format!("{kernel} on {}", cfg.name);
@@ -161,4 +245,19 @@ fn a_four_rank_milkv_cell_reports_what_it_did() {
         (world.run.cycles, format!("{:?}", world.run.mem_stats)),
         (cycles, mem_stats.to_string())
     );
+}
+
+#[test]
+fn milkv_ooo_cores_count_what_the_eager_rob_counted() {
+    for (kernel, platform, core_stats) in OOO_CORES {
+        let cfg = platform(1);
+        let what = format!("{kernel} on {}", cfg.name);
+        let rep = microbench_cell(cfg, kernel, 1).expect("a suite kernel");
+        assert_eq!(rep.exit_code, Some(0), "{what}");
+        assert_eq!(
+            format!("{:?}", rep.core_stats),
+            format!("[{core_stats}]"),
+            "{what}"
+        );
+    }
 }
