@@ -144,8 +144,10 @@ pub struct OooCore {
     fetch_time: u64,
     dispatched_this_cycle: u32,
     reg_ready: [u64; 64],
-    /// In-flight ops' retire times, program order.
-    rob: Ring,
+    /// Retire times of the last `rob` ops, one slot per op count modulo
+    /// the ROB size; `rob[at]` is the oldest, the one a new op replaces.
+    rob: Box<[u64]>,
+    at: usize,
     ldq: Ring,
     stq: Ring,
     branches_in_flight: Ring, // resolve times
@@ -192,12 +194,6 @@ impl Ring {
     }
 
     #[inline]
-    fn back(&self) -> Option<u64> {
-        let mask = self.slots.len() - 1;
-        (self.len > 0).then(|| self.slots[(self.head + self.len - 1) & mask])
-    }
-
-    #[inline]
     fn push_back(&mut self, t: u64) {
         // An overwritten entry would silently change timing.
         assert!(self.len < self.slots.len(), "ring sized below its queue");
@@ -233,7 +229,8 @@ impl OooCore {
             int_free: vec![0; cfg.int_units as usize],
             mem_free: vec![0; cfg.mem_ports as usize],
             fp_free: vec![0; cfg.fp_units as usize],
-            rob: Ring::new(cfg.rob),
+            rob: vec![0; (cfg.rob as usize).max(1)].into_boxed_slice(),
+            at: 0,
             ldq: Ring::new(cfg.ldq),
             stq: Ring::new(cfg.stq),
             // A branch that stalls on a full window is pushed before the
@@ -338,20 +335,26 @@ impl TimingCore for OooCore {
             let mut dispatch = self.fetch_time;
 
             // ---- ROB space -------------------------------------------------
-            self.rob.drain_through(dispatch);
-            if self.rob.len() >= self.cfg.rob as usize {
-                if let Some(head) = self.rob.front() {
-                    dispatch = self.stall_dispatch(dispatch, head);
-                    self.rob.drain_through(dispatch);
-                }
+            // Retire times never decrease and neither does `dispatch`, so
+            // the ROB is full exactly when the op `rob` places back has
+            // not retired by `dispatch`, and that op is the one to wait for.
+            let oldest = self.rob[self.at];
+            if oldest > dispatch {
+                dispatch = self.stall_dispatch(dispatch, oldest);
             }
+            let rob_dispatch = dispatch;
 
             // ---- branch-count limit ----------------------------------------
+            // Drained only at its cap: a drain pops a prefix at a monotone
+            // `dispatch`, so a late drain pops what the earlier ones would.
             if uop.branch.is_some() {
-                self.branches_in_flight.drain_through(dispatch);
-                if self.branches_in_flight.len() >= self.cfg.max_branches as usize {
-                    if let Some(resolve) = self.branches_in_flight.front() {
-                        dispatch = self.stall_dispatch(dispatch, resolve);
+                let cap = self.cfg.max_branches as usize;
+                if self.branches_in_flight.len() >= cap {
+                    self.branches_in_flight.drain_through(dispatch);
+                    if self.branches_in_flight.len() >= cap {
+                        if let Some(resolve) = self.branches_in_flight.front() {
+                            dispatch = self.stall_dispatch(dispatch, resolve);
+                        }
                     }
                 }
             }
@@ -428,8 +431,24 @@ impl TimingCore for OooCore {
                 self.retired_in_group = 0;
             }
             self.last_retire = retire;
-            self.rob.push_back(retire);
-            self.stats.rob_high_water = self.stats.rob_high_water.max(self.rob.len() as u64);
+            self.rob[self.at] = retire;
+            // Occupancy grows by at most one per op, and it reaches
+            // `high + 1` when the op `high` places back is still in flight
+            // at the ROB stage's `dispatch`.
+            let high = self.stats.rob_high_water as usize;
+            if high < self.rob.len() {
+                let slot = match self.at.checked_sub(high) {
+                    Some(slot) => slot,
+                    None => self.at + self.rob.len() - high,
+                };
+                if self.rob[slot] > rob_dispatch {
+                    self.stats.rob_high_water += 1;
+                }
+            }
+            self.at += 1;
+            if self.at == self.rob.len() {
+                self.at = 0;
+            }
 
             // ---- control flow ------------------------------------------------
             if let Some((class, taken)) = uop.branch {
@@ -459,13 +478,10 @@ impl TimingCore for OooCore {
     }
 
     fn finish(&mut self) -> u64 {
-        let rob_drain = self.rob.back().unwrap_or(0);
+        // The last op's retire time is `last_retire`, so the ROB drains
+        // by then.
         let stq_drain = self.stq.iter().max().unwrap_or(0);
-        let t = self
-            .fetch_time
-            .max(rob_drain)
-            .max(stq_drain)
-            .max(self.last_retire);
+        let t = self.fetch_time.max(stq_drain).max(self.last_retire);
         self.fetch_time = t;
         self.stats.cycles = t;
         t
@@ -495,11 +511,14 @@ impl TimingCore for OooCore {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use bsim_mem::{BusConfig, CacheConfig, DramConfig, HierarchyConfig};
 
-    fn mem() -> MemoryHierarchy {
+    pub(super) fn mem() -> MemoryHierarchy {
         MemoryHierarchy::new(HierarchyConfig {
             cores: 1,
             l1i: CacheConfig {

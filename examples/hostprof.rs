@@ -16,8 +16,9 @@
 //!
 //! `sweep-lanes` also prints, on stderr, the grid's front groups (lanes
 //! whose first member decides branches, TLB levels and L1 tags for the
-//! rest) and the host seconds per replay, so a profile of the lane loop
-//! starts from what a leading lane and a following lane cost.
+//! rest), the host seconds per replay and the host nanoseconds per lane
+//! micro-op (every lane's retired micro-ops), so a profile of the lane
+//! loop starts from what a leading lane and a following lane cost.
 //!
 //! `micro-isa` also prints, on stderr, the host seconds a pass spends per
 //! platform. The four platforms run the same kernels, mostly L1- and
@@ -162,8 +163,9 @@ fn main() {
     let platforms = [banana_pi_hw, banana_pi_sim, milkv_hw, milkv_sim];
     // Host seconds per platform over every `micro-isa` pass.
     let split = [const { Cell::new(0.0) }; 4];
-    // Host seconds over every `sweep-lanes` replay.
+    // Host seconds and lane micro-ops over every `sweep-lanes` replay.
     let replays = Cell::new(0.0);
+    let lane_uops = Cell::new(0u64);
     // Host seconds over every `svc-mixed` round trip, and its daemon.
     let round_trips = Cell::new(0.0);
     let mut daemon: Option<Daemon> = None;
@@ -216,11 +218,13 @@ fn main() {
             );
             let trace = MpiWork::Cg.record(&sizes, grid[0].clone(), 2);
             let net = NetConfig::shared_memory();
-            let replays = &replays;
+            let (replays, lane_uops) = (&replays, &lane_uops);
             Box::new(move || {
                 let start = Instant::now();
-                drop(black_box(replay_world(&trace, &grid, net, None)));
+                let lanes = black_box(replay_world(&trace, &grid, net, None));
                 replays.set(replays.get() + start.elapsed().as_secs_f64());
+                let retired: u64 = lanes.iter().map(|lane| lane.report.run.retired).sum();
+                lane_uops.set(lane_uops.get() + retired);
             })
         }
         Some("svc-mixed") => {
@@ -305,8 +309,9 @@ fn main() {
     }
     if replays.get() > 0.0 {
         eprintln!(
-            "host seconds per replay: {:.3} s",
-            replays.get() / passes as f64
+            "host seconds per replay: {:.3} s, host ns per lane micro-op: {:.1}",
+            replays.get() / passes as f64,
+            replays.get() / lane_uops.get() as f64 * 1e9
         );
     }
     if split.iter().any(|s| s.get() > 0.0) {

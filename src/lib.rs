@@ -32,6 +32,8 @@
 //! `bsim table N` (`src/bin/bsim.rs`) regenerate Figures 1–7 and
 //! Tables 1/2/4/5.
 
+pub mod bench;
+
 pub use bsim_check as check;
 pub use bsim_core as core;
 pub use bsim_dist as dist;
