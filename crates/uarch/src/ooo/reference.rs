@@ -116,7 +116,7 @@ impl RefOooCore {
         let complete = match uop.class {
             OpClass::Load | OpClass::Store => {
                 let store = uop.class == OpClass::Store;
-                let addr = uop.mem_addr.unwrap();
+                let addr = uop.mem_addr.expect("a load or store carries its address");
                 let tlb_extra = self.tlb.translate(front, addr) as u64;
                 self.stats.tlb_stall_cycles += tlb_extra;
                 let (q, cap) = if store {

@@ -75,8 +75,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The `q`-quantile of `xs` by linear interpolation between order
-/// statistics (the median is `q = 0.5`).
+/// The `q`-quantile of `xs`, which must not be empty, by linear
+/// interpolation between order statistics (the median is `q = 0.5`).
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
     let mut sorted = xs.to_vec();
     sorted.sort_by(f64::total_cmp);
@@ -296,8 +296,8 @@ fn row(v: &Value) -> Result<Row, String> {
     })
 }
 
-/// Appends `row` to the file at `path`, creating it with one row.
-/// Existing rows must parse; they are kept byte for byte in value.
+/// Appends `row` to the file at `path`, creating it with one row. The
+/// existing rows and the new one must parse, or nothing is written.
 pub fn append(path: &Path, row: &Row) -> Result<(), String> {
     let mut rows = match std::fs::read_to_string(path) {
         Ok(text) => parse(&text).map_err(|e| format!("{}: {e}", path.display()))?,
@@ -306,6 +306,7 @@ pub fn append(path: &Path, row: &Row) -> Result<(), String> {
     };
     rows.push(row.clone());
     let text = serde_json::to_string_pretty(&rows).map_err(|e| e.to_string())? + "\n";
+    parse(&text).map_err(|e| format!("the new row: {e}"))?;
     std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
