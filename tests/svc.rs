@@ -185,6 +185,65 @@ fn a_request_that_says_close_is_answered_close_and_closed() {
     daemon.join();
 }
 
+/// The keep-alive rule on raw sockets: an answered request keeps its
+/// connection for the next one, and a refused one — an unknown endpoint
+/// (`404`), a malformed head (`400`), an over-limit body (`413`) — is
+/// answered `Connection: close` and the socket then reads EOF.
+#[test]
+fn an_answer_keeps_its_connection_and_a_refusal_closes_it() {
+    fn open(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    }
+    fn answer(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, wire: &[u8]) -> u16 {
+        stream.write_all(wire).unwrap();
+        let (status, headers, _) = proto::read_response_full(reader).unwrap();
+        let connection: Vec<&str> = headers
+            .iter()
+            .filter(|(k, _)| k == "connection")
+            .map(|(_, v)| v.as_str())
+            .collect();
+        let expected = if status == 200 { "keep-alive" } else { "close" };
+        assert_eq!(connection, [expected], "{status}: {headers:?}");
+        status
+    }
+
+    let daemon = ephemeral_daemon(DaemonConfig::default());
+    let addr = daemon.addr();
+    let metrics = b"GET /metrics HTTP/1.1\r\n\r\n";
+    let (mut stream, mut reader) = open(&addr);
+    assert_eq!(answer(&mut stream, &mut reader, metrics), 200);
+    assert_eq!(
+        answer(&mut stream, &mut reader, metrics),
+        200,
+        "a second request on the kept socket is answered"
+    );
+    drop((stream, reader));
+
+    for (wire, refused) in [
+        (&b"GET /nope HTTP/1.1\r\n\r\n"[..], 404),
+        (b"GET\r\n\r\n", 400),
+        (
+            b"POST /submit HTTP/1.1\r\nContent-Length: 1000000000000\r\n\r\n",
+            413,
+        ),
+    ] {
+        let (mut stream, mut reader) = open(&addr);
+        assert_eq!(answer(&mut stream, &mut reader, wire), refused);
+        assert!(
+            reader.fill_buf().unwrap().is_empty(),
+            "{refused}: the socket reads EOF"
+        );
+    }
+    assert_serving(&addr, "three refusals");
+    client::shutdown(&addr).unwrap();
+    daemon.join();
+}
+
 /// A kept connection left idle past `FETCH_WAIT` is closed by the
 /// daemon; the next call finds it closed before sending anything the
 /// daemon read, and goes out once more on one new connection.
