@@ -465,6 +465,22 @@ pub const BANS: &[Ban] = &[
         message: "the daemon's admission limits and wire timeout are constants: no flag, \
                   field or lint sets them, and no request carries a deadline",
     },
+    Ban {
+        needles: &[
+            concat!("Track", "er"),
+            concat!("svc_", "protocol"),
+            concat!("svc_", "cached"),
+            concat!("Protocol", "Spec"),
+            concat!("response", "_event"),
+            concat!("\"--pro", "to\""),
+        ],
+        with: "",
+        within: &["src/", "crates/", "examples/"],
+        except: &[],
+        in_tests: true,
+        message: "the wire is what tests/svc.rs pins: no protocol table, tracker or model \
+                  checker shadows the daemon or its client",
+    },
 ];
 
 /// Outcome of a workspace audit.

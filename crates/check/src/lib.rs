@@ -17,10 +17,6 @@
 //!   (`CL0xx` codes),
 //! * [`diag`] — the typed [`Diagnostic`]/[`Report`] values everything
 //!   returns instead of panicking mid-run,
-//! * [`proto`] — a typed transition table for the svc HTTP-lite wire
-//!   protocol, driven by the runtime through
-//!   [`proto::Tracker`] and exhaustively model-checked by
-//!   [`proto::explore`] (`PV0xx` codes),
 //! * [`audit`] — a workspace source audit banning panicking calls,
 //!   `HashMap` iteration, and host clocks from deterministic paths
 //!   (`AU0xx` codes, `// bsim: allow(..)` waivers).
@@ -39,7 +35,6 @@ pub mod audit;
 pub mod diag;
 pub mod graph;
 pub mod lint;
-pub mod proto;
 pub mod rules;
 
 pub use diag::{Diagnostic, Report, Severity};

@@ -116,8 +116,8 @@ pub fn choose_best_model(
     }
 }
 
-/// The paper's own §4 selection, as `bsim tune`, the service's `tune`
-/// request and the dist workers all run it: eight probe kernels
+/// The paper's own §4 selection, as `bsim tune` and the service's `tune`
+/// request both run it: eight probe kernels
 /// spanning the MicroBench categories rank the stock Small/Medium/Large
 /// BOOM against the MILK-V hardware.
 pub fn tune_milkv(scale: u32) -> TuningOutcome {

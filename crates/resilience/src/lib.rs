@@ -16,12 +16,12 @@
 //!   per-thread/per-channel [`StallReport`] progress snapshot.
 //! * [`snapshot`] — the [`Snapshot`] trait (serde-`Value`-based
 //!   save/restore) cell results implement so a [`ResultStore`] can keep
-//!   them and dist workers can ship final model states.
+//!   them.
 //! * [`ckpt`] — the versioned on-disk [`CkptStore`] file format.
 //! * [`store`] — [`ResultStore`], the one place a cell's result is kept:
 //!   canonical bytes behind a per-read CRC in a `CkptStore` file, with
 //!   quarantine on open and the offline [`scrub`]. `bsim fig`, `bsim
-//!   dist` and `bsim serve` share it through `--store`.
+//!   score` and `bsim serve` share it through `--store`.
 //! * [`retry`] — [`catch`], the one place a cell panic is caught: a cell
 //!   runs once, and a panicking one becomes the [`CellOutcome::Failed`]
 //!   row resilient sweeps record instead of aborting.

@@ -39,8 +39,10 @@
 //! live job is found by the number its id encodes, and its cells are
 //! moved into the worker that runs it; the table keeps their count. The
 //! finished job, document and all, leaves the table with the one fetch
-//! that delivers it: the table holds only jobs not yet delivered, and an
-//! id it issued and no longer holds answers `410`. A fetch that finds its job
+//! that delivers it, or once [`DONE_CAP`] newer finished jobs wait for
+//! theirs: the table holds only jobs not yet delivered, at most that many
+//! of them finished, and an id it issued and no longer holds answers
+//! `410`. A fetch that finds its job
 //! unfinished waits for it on the jobs condvar, so a warm request is one
 //! submit and one fetch, with no client poll between them — and both go
 //! over the client's kept connection, served by the pool thread that
@@ -49,8 +51,8 @@
 //! ## Endpoints
 //!
 //! | `POST /submit`       | request JSON → `202 {"job": ...}` or `400` report |
-//! | `GET /status/<job>`  | state + per-request hit/simulated/coalesced counters; `410` once delivered |
-//! | `GET /fetch/<job>`   | the result document (`200`, or `500` for a failed job), once; waits up to `FETCH_WAIT` for an unfinished job, then `202`; `410` once delivered |
+//! | `GET /status/<job>`  | state + per-request hit/simulated/coalesced counters; `410` once delivered or evicted |
+//! | `GET /fetch/<job>`   | the result document (`200`, or `500` for a failed job), once; waits up to `FETCH_WAIT` for an unfinished job, then `202`; `410` once delivered or evicted |
 //! | `GET /metrics`       | every `host.svc.*` counter as JSON |
 //! | `POST /shutdown`     | drain in-flight work, flush store atomically |
 //!
@@ -79,7 +81,6 @@
 use crate::proto;
 use crate::request::{Cell, SvcRequest};
 use crate::splice::reindent;
-use bsim_check::proto::Tracker;
 use bsim_check::Report;
 use bsim_core::{CellOutcome, CellPool, Parallelism};
 use bsim_dist::key::{json_str, STORE_SCHEMA};
@@ -181,6 +182,10 @@ pub const CONN_BACKLOG: usize = 32;
 /// + `Retry-After`.
 pub const QUEUE_CAP: usize = 64;
 
+/// Finished jobs held for their fetch; finishing one more takes the
+/// oldest of them out of the table, and its id then answers `410`.
+pub const DONE_CAP: usize = 256;
+
 /// Daemon configuration, CLI-shaped.
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
@@ -209,7 +214,8 @@ impl Default for DaemonConfig {
 }
 
 /// Where a job is; a finished one holds its document until the one
-/// fetch that delivers it takes the job out of the table.
+/// fetch that delivers it takes the job out of the table, or until
+/// [`DONE_CAP`] newer finished jobs evict it.
 #[derive(Debug, PartialEq, Eq)]
 enum JobState {
     Queued,
@@ -268,6 +274,17 @@ impl Jobs {
         let digits = id.strip_prefix("job-")?;
         let n: u64 = digits.parse().ok()?;
         (n >= 1 && n <= self.issued && n.to_string() == digits).then_some(n)
+    }
+
+    /// Takes the oldest finished job out of the table once more than
+    /// [`DONE_CAP`] finished jobs wait for their fetch.
+    fn evict_past_cap(&mut self) {
+        let mut done = self.live.iter().filter(|(_, job)| job.state.finished());
+        if let Some((&oldest, _)) = done.next() {
+            if done.count() >= DONE_CAP {
+                self.live.remove(&oldest);
+            }
+        }
     }
 }
 
@@ -453,10 +470,8 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                 continue;
             }
         }
-        // Backlog full: shed inline with an honest 503 + Retry-After.
-        // No request byte has been read, so no protocol tracker is
-        // driven — in the PV model this connection never enters the
-        // exchange, the same shape as an OS-level reset.
+        // Backlog full: shed inline with an honest 503 + Retry-After,
+        // before any request byte has been read.
         shared.stats.conns_shed.fetch_add(1, Ordering::SeqCst);
         proto::arm(&stream).ok();
         let body = json_line(&[("error", Value::Str("connection backlog is full".into()))]);
@@ -505,15 +520,10 @@ fn conn_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Serves one connection: its requests one at a time, through one
-/// protocol tracker, for as long as [`handle`] keeps it and the next
-/// request starts within the idle bound ([`next_request`]).
+/// Serves one connection: its requests one at a time, for as long as
+/// [`handle`] keeps it and the next request starts within the idle bound
+/// ([`next_request`]).
 fn serve(shared: &Arc<Shared>, mut stream: TcpStream) {
-    let Some(mut tracker) = Tracker::new(bsim_check::proto::svc_cached(), "daemon") else {
-        // Unreachable for the built-in table; degrade to a served error.
-        respond(&mut stream, 500, "Internal Server Error", "{}");
-        return;
-    };
     let mut reader = match stream.try_clone() {
         Ok(peer) => BufReader::new(peer),
         Err(e) => {
@@ -521,9 +531,7 @@ fn serve(shared: &Arc<Shared>, mut stream: TcpStream) {
             return;
         }
     };
-    while handle(shared, &mut tracker, &mut reader, &mut stream)
-        && next_request(&mut tracker, &mut reader)
-    {}
+    while handle(shared, &mut reader, &mut stream) && next_request(&mut reader) {}
 }
 
 /// Waits, between two requests on a kept connection, for the first byte
@@ -533,7 +541,7 @@ fn serve(shared: &Arc<Shared>, mut stream: TcpStream) {
 /// request was read, so a client may send that request again on a new
 /// connection without repeating work. The bound keeps an idle client
 /// from holding a pool thread while accepted connections wait for one.
-fn next_request(tracker: &mut Tracker<'_>, reader: &mut BufReader<TcpStream>) -> bool {
+fn next_request(reader: &mut BufReader<TcpStream>) -> bool {
     if !reader.buffer().is_empty() {
         return true;
     }
@@ -542,11 +550,7 @@ fn next_request(tracker: &mut Tracker<'_>, reader: &mut BufReader<TcpStream>) ->
         return false;
     }
     let arrived = match reader.fill_buf() {
-        Ok([]) => {
-            let stepped = tracker.eof();
-            debug_assert!(stepped.is_ok(), "{stepped:?}");
-            false
-        }
+        Ok([]) => false,
         Ok(_) => true,
         Err(e)
             if matches!(
@@ -557,8 +561,6 @@ fn next_request(tracker: &mut Tracker<'_>, reader: &mut BufReader<TcpStream>) ->
             false
         }
         Err(e) => {
-            let stepped = tracker.torn();
-            debug_assert!(stepped.is_ok(), "{stepped:?}");
             log_conn("awaiting the next request", &e);
             false
         }
@@ -603,8 +605,9 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Settles live job `n` in its finished `state` and wakes whoever waits
-/// on it: a fetch, or a draining `/shutdown`.
+/// Settles live job `n` in its finished `state`, evicting the oldest
+/// finished job past [`DONE_CAP`], and wakes whoever waits on it: a
+/// fetch, or a draining `/shutdown`.
 fn finish(shared: &Shared, n: u64, state: JobState, tally: Tally) {
     let mut jobs = lock(&shared.jobs);
     // A job leaves the table only once finished, so it is still there.
@@ -612,6 +615,7 @@ fn finish(shared: &Shared, n: u64, state: JobState, tally: Tally) {
         job.state = state;
         job.tally = tally;
     }
+    jobs.evict_past_cap();
     shared.jobs_cv.notify_all();
 }
 
@@ -764,7 +768,7 @@ fn respond(stream: &mut TcpStream, status: u16, reason: &str, body: &str) {
     }
 }
 
-/// The response a handler chose, before it is tracked and written.
+/// The response a handler chose, before it is written.
 struct Reply {
     status: u16,
     reason: &'static str,
@@ -781,36 +785,6 @@ impl Reply {
             reason,
             body,
             retry_after: None,
-        }
-    }
-}
-
-/// Steps the tracker for a response about to be served: the daemon's
-/// current table state plus the response's message class name the
-/// `Local` transition that must exist for this response to be legal. A
-/// miss means the handler drifted from the model — logged (and asserted
-/// in debug builds), never served differently, so the model checker's
-/// view and the wire stay aligned.
-fn track_response(tracker: &mut Tracker<'_>, status: u16) {
-    let tag = match (tracker.state(), proto::response_event(status)) {
-        ("submitted", "Ok") => "accept",
-        ("submitted", "Busy") => "busy",
-        ("submitted", _) => "reject",
-        ("queried", "Ok") => "found",
-        ("queried", "Busy") => "shed",
-        ("queried", _) => "missing",
-        ("admin", "Busy") => "shed",
-        ("admin", _) => "ack",
-        // Back in `read`: the `Bad` transition responded on receipt.
-        _ => "",
-    };
-    if !tag.is_empty() {
-        match tracker.local(tag) {
-            Ok(send) => debug_assert_eq!(send, Some(proto::response_event(status))),
-            Err(v) => {
-                debug_assert!(false, "response drifted from the protocol table: {v}");
-                eprintln!("svc: {v}");
-            }
         }
     }
 }
@@ -832,31 +806,20 @@ fn json_line(fields: &[(&str, Value)]) -> String {
 /// the answer sheds (`429`/`503`) or refuses the request (`400`, `413`,
 /// the `404` of an unknown endpoint), the daemon is draining, or an
 /// accepted connection is waiting for a pool thread.
-fn handle(
-    shared: &Arc<Shared>,
-    tracker: &mut Tracker<'_>,
-    reader: &mut BufReader<TcpStream>,
-    stream: &mut TcpStream,
-) -> bool {
+fn handle(shared: &Arc<Shared>, reader: &mut BufReader<TcpStream>, stream: &mut TcpStream) -> bool {
     let req = match proto::read_request(reader) {
         Ok(r) => r,
         Err(e) => {
-            // A head that is malformed or over the wire limits is the
-            // table's `Bad` message, answered with its Reject-class
-            // response. Anything else is a torn or half-closed
-            // connection: nothing to respond to, and nothing worth
-            // panicking over — a table transition to `lost`, logged, and
-            // the daemon keeps serving.
-            let (stepped, refusal) = match e.kind() {
-                io::ErrorKind::InvalidData => (tracker.recv("Bad"), Some((400, "Bad Request"))),
-                io::ErrorKind::FileTooLarge => {
-                    (tracker.recv("Bad"), Some((413, "Content Too Large")))
-                }
-                io::ErrorKind::UnexpectedEof => (tracker.eof(), None),
-                _ => (tracker.torn(), None),
-            };
-            debug_assert!(stepped.is_ok(), "{stepped:?}");
+            // A head that is malformed or over the wire limits is refused.
+            // Anything else is a torn or half-closed connection: nothing
+            // to respond to, and nothing worth panicking over — logged,
+            // and the daemon keeps serving.
             log_conn("reading request", &e);
+            let refusal = match e.kind() {
+                io::ErrorKind::InvalidData => Some((400, "Bad Request")),
+                io::ErrorKind::FileTooLarge => Some((413, "Content Too Large")),
+                _ => None,
+            };
             if let Some((status, reason)) = refusal {
                 let body = json_line(&[("error", Value::Str(e.to_string()))]);
                 respond(stream, status, reason, &body);
@@ -864,28 +827,14 @@ fn handle(
             return false;
         }
     };
-    // The table is the dispatcher: the request's message class must have a
-    // transition out of `read`, and every answer steps the table too
-    // (`track_response`), so model and implementation cannot drift.
-    let ev = req.event();
-    if let Err(v) = tracker.recv(ev) {
-        debug_assert!(false, "request classification drifted from the table: {v}");
-        eprintln!("svc: {v}");
-        respond(stream, 400, "Bad Request", "{}");
-        return false;
-    }
-    let reply = match ev {
-        "Submit" => handle_submit(shared, &req.body),
-        "Status" => handle_status(
-            shared,
-            req.path.strip_prefix("/status/").unwrap_or_default(),
-        ),
-        "Fetch" => handle_fetch(shared, req.path.strip_prefix("/fetch/").unwrap_or_default()),
-        "Metrics" => Reply::new(200, "OK", metrics_json(shared)),
-        "Shutdown" => handle_shutdown(shared),
-        // `Bad`: the Recv transition already answered it with a
-        // Reject-class send — exactly what a 404 is.
-        _ => Reply::new(
+    let endpoint = Endpoint::of(&req.method, &req.path);
+    let reply = match endpoint {
+        Endpoint::Submit => handle_submit(shared, &req.body),
+        Endpoint::Status(id) => handle_status(shared, id),
+        Endpoint::Fetch(id) => handle_fetch(shared, id),
+        Endpoint::Metrics => Reply::new(200, "OK", metrics_json(shared)),
+        Endpoint::Shutdown => handle_shutdown(shared),
+        Endpoint::Unknown => Reply::new(
             404,
             "Not Found",
             json_line(&[(
@@ -894,14 +843,8 @@ fn handle(
             )]),
         ),
     };
-    track_response(tracker, reply.status);
-    debug_assert_eq!(
-        tracker.state(),
-        "read",
-        "handler left the table mid-exchange"
-    );
     let keep = !req.close
-        && ev != "Bad"
+        && !matches!(endpoint, Endpoint::Unknown)
         && !matches!(reply.status, 400 | 413 | 429 | 503)
         && !shared.shutdown.load(Ordering::SeqCst)
         && lock(&shared.conns).is_empty();
@@ -911,7 +854,7 @@ fn handle(
         }
         None => proto::write_response(stream, reply.status, reply.reason, &reply.body, keep),
     };
-    if ev == "Shutdown" {
+    if matches!(endpoint, Endpoint::Shutdown) {
         // Unblock the accept loop: it re-checks the shutdown flag per
         // connection, so one wake-up connection to ourselves ends it.
         TcpStream::connect(shared.self_addr).ok();
@@ -921,6 +864,39 @@ fn handle(
         Err(e) => {
             log_conn("writing response", &e);
             false
+        }
+    }
+}
+
+/// What a request asks of the daemon, named by its method and path.
+enum Endpoint<'a> {
+    Submit,
+    /// `GET /status/<job>`, with the job id.
+    Status(&'a str),
+    /// `GET /fetch/<job>`, with the job id.
+    Fetch(&'a str),
+    Metrics,
+    Shutdown,
+    /// No endpoint: answered `404`, and the connection closes.
+    Unknown,
+}
+
+impl<'a> Endpoint<'a> {
+    fn of(method: &str, path: &'a str) -> Endpoint<'a> {
+        match (method, path) {
+            ("POST", "/submit") => Endpoint::Submit,
+            ("POST", "/shutdown") => Endpoint::Shutdown,
+            ("GET", "/metrics") => Endpoint::Metrics,
+            ("GET", _) => {
+                if let Some(id) = path.strip_prefix("/status/") {
+                    Endpoint::Status(id)
+                } else if let Some(id) = path.strip_prefix("/fetch/") {
+                    Endpoint::Fetch(id)
+                } else {
+                    Endpoint::Unknown
+                }
+            }
+            _ => Endpoint::Unknown,
         }
     }
 }
@@ -995,7 +971,7 @@ fn handle_status(shared: &Arc<Shared>, id: &str) -> Reply {
         return unknown_job(id);
     };
     let Some(job) = jobs.live.get(&n) else {
-        return delivered(id);
+        return gone(id);
     };
     let body = json_line(&[
         ("job", Value::Str(id.into())),
@@ -1016,15 +992,16 @@ fn unknown_job(id: &str) -> Reply {
     )
 }
 
-/// The answer for an issued job that has left the table. A client that
-/// lost the delivering response resubmits, and every cell that finished
-/// is then a store hit.
-fn delivered(id: &str) -> Reply {
-    let gone = json_line(&[
+/// The answer for an issued job that has left the table: fetched, or
+/// evicted unfetched past [`DONE_CAP`]. A client that lost the
+/// delivering response resubmits, and every cell that finished is then
+/// a store hit.
+fn gone(id: &str) -> Reply {
+    let body = json_line(&[
         ("job", Value::Str(id.into())),
-        ("error", Value::Str("already fetched".into())),
+        ("error", Value::Str("already fetched or evicted".into())),
     ]);
-    Reply::new(410, "Gone", gone)
+    Reply::new(410, "Gone", body)
 }
 
 /// Delivers a finished job's document once: the job leaves the table
@@ -1039,7 +1016,7 @@ fn handle_fetch(shared: &Arc<Shared>, id: &str) -> Reply {
     };
     loop {
         let Some(job) = jobs.live.get(&n) else {
-            return delivered(id);
+            return gone(id);
         };
         if job.state.finished() {
             break;
@@ -1059,7 +1036,7 @@ fn handle_fetch(shared: &Arc<Shared>, id: &str) -> Reply {
         Some(JobState::Done(body)) => Reply::new(200, "OK", body),
         Some(JobState::Failed(body)) => Reply::new(500, "Internal Server Error", body),
         // Found finished just above, under this same lock.
-        _ => delivered(id),
+        _ => gone(id),
     }
 }
 
@@ -1290,7 +1267,7 @@ mod tests {
         submit_and_fetch(&d, submit);
         // Delivery takes the job out of the table: both endpoints know
         // the id was issued, and neither has anything left to say of it.
-        let gone = "{\"job\":\"job-1\",\"error\":\"already fetched\"}";
+        let gone = "{\"job\":\"job-1\",\"error\":\"already fetched or evicted\"}";
         for endpoint in ["fetch", "status"] {
             let path = format!("/{endpoint}/job-1");
             let (status, body) = roundtrip(&d.addr(), "GET", &path, "").unwrap();
@@ -1356,6 +1333,67 @@ mod tests {
             let jobs = lock(&d.shared.jobs);
             assert_eq!((jobs.live.len(), jobs.issued), (0, 100));
         }
+        roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
+        d.join();
+    }
+
+    #[test]
+    fn finished_jobs_nobody_fetches_are_evicted_past_the_cap() {
+        let d = daemon();
+        // DONE_CAP + 1 jobs to finish, and one more left queued: issued
+        // into the table directly, so no worker takes them.
+        let last = DONE_CAP as u64 + 2;
+        {
+            let mut jobs = lock(&d.shared.jobs);
+            for n in 1..=last {
+                jobs.issued += 1;
+                let job = Job {
+                    state: JobState::Queued,
+                    cells: Vec::new(),
+                    cell_count: 0,
+                    tally: Tally::default(),
+                };
+                jobs.live.insert(n, job);
+            }
+        }
+        for n in 1..last {
+            finish(
+                &d.shared,
+                n,
+                JobState::Done(format!("{n}")),
+                Tally::default(),
+            );
+        }
+        {
+            let jobs = lock(&d.shared.jobs);
+            let done = jobs.live.values().filter(|j| j.state.finished()).count();
+            assert_eq!(done, DONE_CAP, "the table holds at most the cap");
+            assert!(!jobs.live.contains_key(&1), "the oldest finished job went");
+            assert_eq!(
+                jobs.live[&last].state,
+                JobState::Queued,
+                "an unfinished job stays"
+            );
+        }
+        // The evicted id answers 410 on both endpoints, as a fetched one does.
+        let gone = "{\"job\":\"job-1\",\"error\":\"already fetched or evicted\"}";
+        for endpoint in ["fetch", "status"] {
+            let path = format!("/{endpoint}/job-1");
+            let (status, body) = roundtrip(&d.addr(), "GET", &path, "").unwrap();
+            assert_eq!((status, body.as_str()), (410, gone), "{path}");
+        }
+        // A fetch frees a slot: finishing the queued job then evicts nothing.
+        let (status, body) = roundtrip(&d.addr(), "GET", "/fetch/job-2", "").unwrap();
+        assert_eq!((status, body.as_str()), (200, "2"));
+        finish(
+            &d.shared,
+            last,
+            JobState::Done(format!("{last}")),
+            Tally::default(),
+        );
+        assert_eq!(lock(&d.shared.jobs).live.len(), DONE_CAP);
+        let (status, body) = roundtrip(&d.addr(), "GET", "/fetch/job-3", "").unwrap();
+        assert_eq!((status, body.as_str()), (200, "3"));
         roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
         d.join();
     }

@@ -16,7 +16,6 @@
 //! onto a `TcpStream` costs one `write(2)` per format piece, and the
 //! peer's reader then wakes for a fragment.
 
-use bsim_check::proto::{svc_cached, Tracker, Violation};
 use std::cell::RefCell;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -25,45 +24,13 @@ use std::time::Duration;
 /// A parsed request: method, path, the (possibly empty) body, and
 /// whether it said `Connection: close`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     pub method: String,
     pub path: String,
     pub body: String,
     /// The client closes after this exchange; the daemon answers
     /// `Connection: close` and keeps nothing.
     pub close: bool,
-}
-
-impl Request {
-    /// The protocol-table message this request is, as named by the PV
-    /// model in `bsim_check::proto::svc_protocol`. Total: anything the
-    /// table does not know is `Bad`, which the daemon answers with a
-    /// `Reject`-class response.
-    pub fn event(&self) -> &'static str {
-        classify(&self.method, &self.path)
-    }
-}
-
-fn classify(method: &str, path: &str) -> &'static str {
-    match (method, path) {
-        ("POST", "/submit") => "Submit",
-        ("GET", p) if p.starts_with("/status/") => "Status",
-        ("GET", p) if p.starts_with("/fetch/") => "Fetch",
-        ("GET", "/metrics") => "Metrics",
-        ("POST", "/shutdown") => "Shutdown",
-        _ => "Bad",
-    }
-}
-
-/// The protocol-table message class of a response status: 2xx is `Ok`,
-/// 429/503 are `Busy` (shed/drain/overload — retry later), everything
-/// else is `Reject`.
-pub(crate) fn response_event(status: u16) -> &'static str {
-    match status {
-        200..=299 => "Ok",
-        429 | 503 => "Busy",
-        _ => "Reject",
-    }
 }
 
 /// The socket read and write timeout both sides of the protocol arm on
@@ -76,10 +43,6 @@ pub(crate) const WIRE_TIMEOUT: Duration = Duration::from_secs(120);
 pub(crate) fn arm(stream: &TcpStream) -> io::Result<()> {
     stream.set_read_timeout(Some(WIRE_TIMEOUT))?;
     stream.set_write_timeout(Some(WIRE_TIMEOUT))
-}
-
-fn drift(v: Violation) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, v.to_string())
 }
 
 fn bad(detail: impl Into<String>) -> io::Error {
@@ -307,11 +270,10 @@ pub fn roundtrip(addr: &str, method: &str, path: &str, body: &str) -> io::Result
     Ok((status, body))
 }
 
-/// A connection the daemon said it keeps, its tracker in `connect`.
+/// A connection the daemon said it keeps.
 struct Kept {
     addr: String,
     reader: BufReader<TcpStream>,
-    tracker: Tracker<'static>,
 }
 
 thread_local! {
@@ -330,43 +292,25 @@ thread_local! {
 /// of the next request — fails before the first byte of a response, and
 /// the request is then sent once more on a new connection, which repeats
 /// no work. A response torn after its first byte is an error.
-///
-/// Each connection drives the `client` role of the PV-checked protocol
-/// table through one tracker: the request classification and the
-/// response handling are both table transitions, so a client move the
-/// model does not allow fails here as a typed error instead of silently
-/// diverging from the model.
 pub fn roundtrip_with(
     addr: &str,
     method: &str,
     path: &str,
     body: &str,
 ) -> io::Result<FullResponse> {
-    let tag = match classify(method, path) {
-        "Submit" => "submit",
-        "Status" => "status",
-        "Fetch" => "fetch",
-        "Metrics" => "metrics",
-        "Shutdown" => "shutdown",
-        _ => "bad",
-    };
     if let Some(conn) = KEPT.take().filter(|k| k.addr == addr) {
-        match exchange(conn, tag, method, path, body) {
+        match exchange(conn, method, path, body) {
             Err((e, true)) if closed_while_idle(&e) => {}
             done => return done.map_err(|(e, _)| e),
         }
     }
     let stream = TcpStream::connect(addr)?;
     arm(&stream)?;
-    let tracker = Tracker::new(svc_cached(), "client").ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidData, "svc table lacks a client role")
-    })?;
     let conn = Kept {
         addr: addr.to_string(),
         reader: BufReader::new(stream),
-        tracker,
     };
-    exchange(conn, tag, method, path, body).map_err(|(e, _)| e)
+    exchange(conn, method, path, body).map_err(|(e, _)| e)
 }
 
 /// The errors a kept connection fails with when the daemon closed it
@@ -386,40 +330,16 @@ fn closed_while_idle(e: &io::Error) -> bool {
 /// before the first byte of the response.
 fn exchange(
     mut conn: Kept,
-    tag: &str,
     method: &str,
     path: &str,
     body: &str,
 ) -> Result<FullResponse, (io::Error, bool)> {
-    conn.tracker.local(tag).map_err(|v| (drift(v), false))?;
-    let response = send_and_await(&mut conn.reader, &conn.addr, method, path, body)
-        .map_err(|e| (e, true))
-        .and_then(|()| read_response_full(&mut conn.reader).map_err(|e| (e, false)));
-    match response {
-        Ok((status, headers, body)) => {
-            conn.tracker
-                .recv(response_event(status))
-                .map_err(|v| (drift(v), false))?;
-            if connection_says(&headers, "keep-alive") {
-                KEPT.set(Some(conn));
-            } else {
-                let closed = conn.tracker.local("close");
-                debug_assert!(closed.is_ok(), "{closed:?}");
-            }
-            Ok((status, headers, body))
-        }
-        Err((e, before)) => {
-            // Peer loss: clean EOF between frames vs anything torn. Both
-            // are table transitions to `lost`; surface the io error.
-            let stepped = if e.kind() == io::ErrorKind::UnexpectedEof {
-                conn.tracker.eof()
-            } else {
-                conn.tracker.torn()
-            };
-            debug_assert!(stepped.is_ok(), "{stepped:?}");
-            Err((e, before))
-        }
+    send_and_await(&mut conn.reader, &conn.addr, method, path, body).map_err(|e| (e, true))?;
+    let (status, headers, body) = read_response_full(&mut conn.reader).map_err(|e| (e, false))?;
+    if connection_says(&headers, "keep-alive") {
+        KEPT.set(Some(conn));
     }
+    Ok((status, headers, body))
 }
 
 /// Sends one request and waits for the first byte of its response; a
@@ -643,9 +563,6 @@ mod tests {
             Some("2")
         );
         assert_eq!(body, "{\"error\":\"shed\"}");
-        // Both shed statuses are Busy-class for the protocol table.
-        assert_eq!(response_event(429), "Busy");
-        assert_eq!(response_event(503), "Busy");
     }
 
     #[test]

@@ -57,10 +57,9 @@ pub enum SvcRequest {
     Tune { scale: u32, seed: u64 },
 }
 
-/// One schedulable unit of work: the [`WireCell`] that (re)computes it
-/// — the same cell a dist worker would be shipped — with its
-/// [`WireCell::key`] at the request's seed and a human-readable label
-/// for responses.
+/// One schedulable unit of work: the [`WireCell`] that (re)computes it,
+/// with its [`WireCell::key`] at the request's seed and a human-readable
+/// label for responses.
 #[derive(Clone, Debug)]
 pub struct Cell {
     pub key: String,

@@ -25,13 +25,12 @@
 //!                                   # fault-injection campaign: prints
 //!                                   # the survival matrix; deny exits
 //!                                   # non-zero on any miss
-//! bsim check [--deny-warnings] [--json] [--list] [--proto] [--source]
+//! bsim check [--deny-warnings] [--json] [--list] [--source]
 //!            [platform ...]
 //!                                   # static preflight: model-graph +
 //!                                   # config lints, before any cycle;
-//!                                   # --proto model-checks the svc
-//!                                   # wire protocol, --source audits
-//!                                   # the workspace sources
+//!                                   # --source audits the workspace
+//!                                   # sources
 //! bsim serve [--addr H:P] [--store FILE] [--workers N] [--budget N]
 //!            [--par seq|auto|N]
 //!                                   # bsimd: simulation-as-a-service
@@ -78,7 +77,7 @@ const USAGE: &str = "usage:\n  bsim list\n  bsim table <1|2|4|5>\n  \
      bsim score [--smoke|--paper] [--par seq|auto|N] [--store FILE]\n  \
      bsim micro <kernel> [platform]\n  bsim tune\n  \
      bsim faults [--seed N] [--deny-unsurvived]\n  \
-     bsim check [--deny-warnings] [--json] [--list] [--proto] [--source] [platform ...]\n  \
+     bsim check [--deny-warnings] [--json] [--list] [--source] [platform ...]\n  \
      bsim scrub --store FILE\n  \
      bsim serve [--addr H:P] [--store FILE] [--workers N] [--budget N] [--par seq|auto|N]\n  \
      bsim submit ADDR fig <id> [--smoke] [--seed N] [--wait]\n  \
@@ -113,7 +112,6 @@ fn flag_table(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
             ("--deny-warnings", false),
             ("--json", false),
             ("--list", false),
-            ("--proto", false),
             ("--source", false),
         ],
         "scrub" => &[("--store", true)],
@@ -236,9 +234,6 @@ fn run_check(f: &Flags) -> ! {
              SV003   [result store] file version mismatch: stale entries ignored, not served\n  \
              SV004   [result store] torn/unreadable file quarantined on open\n  \
              SV005   [result store] entry checksum missing/mismatched: quarantined, not served\n  \
-             PV001-PV007 [protocol] transition-table model checking: unreachable states,\n          \
-             unhandled frames, joint deadlock, no quiesced path, table shape, fault\n          \
-             handling, state-space truncation (--proto)\n  \
              AU001-AU007 [source audit] panicking unwraps, expect on hot paths, HashMap-order\n          \
              results, host clocks in virtual-time crates, pub items nothing outside their\n          \
              crate mentions, host work on per-op paths, text a simplification removed\n          \
@@ -264,17 +259,6 @@ fn run_check(f: &Flags) -> ! {
         report.merge(Sizes::default().lint("sizes.default"));
         report.merge(Sizes::smoke().lint("sizes.smoke"));
         report.merge(Sizes::paper().lint("sizes.paper"));
-    }
-    if f.has("--proto") {
-        // Exhaustively model-check the wire-protocol transition table
-        // the svc runtime drives.
-        let spec = check::proto::svc_protocol();
-        let explored = check::proto::explore(&spec);
-        println!(
-            "proto {}: {} joint states, {} transitions explored",
-            spec.name, explored.states, explored.transitions
-        );
-        report.merge(explored.report);
     }
     if f.has("--source") {
         let audit = check::audit::audit_workspace();

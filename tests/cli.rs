@@ -66,8 +66,10 @@ fn an_unknown_flag_exits_2_and_is_named() {
     let dist_ranks = concat!("--dist", "-ranks");
     let sample = concat!("--sam", "ple");
     let lanes = concat!("--la", "nes");
+    let proto = concat!("--pro", "to");
     for (args, flag) in [
         (&["check", "--plans"][..], "--plans"),
+        (&["check", proto], proto),
         (&["fig", "5", "--smoke", retries, "2"], retries),
         (&["serve", dist_ranks, "2"], dist_ranks),
         (&["fig", "3", "--smoke", sample], sample),
