@@ -39,10 +39,10 @@
 //! live job is found by the number its id encodes, and its cells are
 //! moved into the worker that runs it; the table keeps their count. The
 //! finished job, document and all, leaves the table with the one fetch
-//! that delivers it, or once [`DONE_CAP`] newer finished jobs wait for
-//! theirs: the table holds only jobs not yet delivered, at most that many
-//! of them finished, and an id it issued and no longer holds answers
-//! `410`. A fetch that finds its job
+//! that delivers it, or once `DONE_CAP` (256) jobs that finished after
+//! it wait for theirs: the table holds only jobs not yet delivered, at
+//! most that many of them finished, and an id it issued and no longer
+//! holds answers `410`. A fetch that finds its job
 //! unfinished waits for it on the jobs condvar, so a warm request is one
 //! submit and one fetch, with no client poll between them — and both go
 //! over the client's kept connection, served by the pool thread that
@@ -182,9 +182,9 @@ pub const CONN_BACKLOG: usize = 32;
 /// + `Retry-After`.
 pub const QUEUE_CAP: usize = 64;
 
-/// Finished jobs held for their fetch; finishing one more takes the
-/// oldest of them out of the table, and its id then answers `410`.
-pub const DONE_CAP: usize = 256;
+/// Finished jobs held for their fetch; finishing one more takes the one
+/// that finished first out of the table, and its id then answers `410`.
+pub(crate) const DONE_CAP: usize = 256;
 
 /// Daemon configuration, CLI-shaped.
 #[derive(Clone, Debug)]
@@ -215,7 +215,7 @@ impl Default for DaemonConfig {
 
 /// Where a job is; a finished one holds its document until the one
 /// fetch that delivers it takes the job out of the table, or until
-/// [`DONE_CAP`] newer finished jobs evict it.
+/// [`DONE_CAP`] jobs that finished after it evict it.
 #[derive(Debug, PartialEq, Eq)]
 enum JobState {
     Queued,
@@ -262,6 +262,9 @@ struct Jobs {
     queue: VecDeque<u64>,
     /// Jobs issued and not yet delivered, by number.
     live: BTreeMap<u64, Job>,
+    /// Numbers of the finished jobs waiting for their fetch, in the
+    /// order they finished.
+    done: VecDeque<u64>,
     /// Jobs issued so far: the next one is `job-<issued + 1>`.
     issued: u64,
 }
@@ -276,15 +279,30 @@ impl Jobs {
         (n >= 1 && n <= self.issued && n.to_string() == digits).then_some(n)
     }
 
-    /// Takes the oldest finished job out of the table once more than
-    /// [`DONE_CAP`] finished jobs wait for their fetch.
-    fn evict_past_cap(&mut self) {
-        let mut done = self.live.iter().filter(|(_, job)| job.state.finished());
-        if let Some((&oldest, _)) = done.next() {
-            if done.count() >= DONE_CAP {
+    /// Settles live job `n` in its finished `state` and, once more than
+    /// [`DONE_CAP`] finished jobs wait for their fetch, takes the one
+    /// that finished first out of the table; `n` itself finished last.
+    fn finish(&mut self, n: u64, state: JobState, tally: Tally) {
+        // A job leaves the table only once finished, so it is still there.
+        let Some(job) = self.live.get_mut(&n) else {
+            return;
+        };
+        if !job.state.finished() {
+            self.done.push_back(n);
+        }
+        job.state = state;
+        job.tally = tally;
+        if self.done.len() > DONE_CAP {
+            if let Some(oldest) = self.done.pop_front() {
                 self.live.remove(&oldest);
             }
         }
+    }
+
+    /// Takes finished job `n` out of the table for its fetch.
+    fn deliver(&mut self, n: u64) -> Option<JobState> {
+        self.done.retain(|&m| m != n);
+        self.live.remove(&n).map(|job| job.state)
     }
 }
 
@@ -605,17 +623,11 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Settles live job `n` in its finished `state`, evicting the oldest
+/// Settles live job `n` in its finished `state`, evicting the first
 /// finished job past [`DONE_CAP`], and wakes whoever waits on it: a
 /// fetch, or a draining `/shutdown`.
 fn finish(shared: &Shared, n: u64, state: JobState, tally: Tally) {
-    let mut jobs = lock(&shared.jobs);
-    // A job leaves the table only once finished, so it is still there.
-    if let Some(job) = jobs.live.get_mut(&n) {
-        job.state = state;
-        job.tally = tally;
-    }
-    jobs.evict_past_cap();
+    lock(&shared.jobs).finish(n, state, tally);
     shared.jobs_cv.notify_all();
 }
 
@@ -1032,7 +1044,7 @@ fn handle_fetch(shared: &Arc<Shared>, id: &str) -> Reply {
         }
         jobs = wait_timeout(&shared.jobs_cv, jobs, left);
     }
-    match jobs.live.remove(&n).map(|job| job.state) {
+    match jobs.deliver(n) {
         Some(JobState::Done(body)) => Reply::new(200, "OK", body),
         Some(JobState::Failed(body)) => Reply::new(500, "Internal Server Error", body),
         // Found finished just above, under this same lock.
@@ -1337,25 +1349,28 @@ mod tests {
         d.join();
     }
 
+    /// Issues jobs 1..=`last` into the table directly, queued but not
+    /// in the queue, so no worker takes them and the test finishes them.
+    fn issue_unqueued(d: &Daemon, last: u64) {
+        let mut jobs = lock(&d.shared.jobs);
+        for n in 1..=last {
+            jobs.issued += 1;
+            let job = Job {
+                state: JobState::Queued,
+                cells: Vec::new(),
+                cell_count: 0,
+                tally: Tally::default(),
+            };
+            jobs.live.insert(n, job);
+        }
+    }
+
     #[test]
     fn finished_jobs_nobody_fetches_are_evicted_past_the_cap() {
         let d = daemon();
-        // DONE_CAP + 1 jobs to finish, and one more left queued: issued
-        // into the table directly, so no worker takes them.
+        // DONE_CAP + 1 jobs to finish, and one more left queued.
         let last = DONE_CAP as u64 + 2;
-        {
-            let mut jobs = lock(&d.shared.jobs);
-            for n in 1..=last {
-                jobs.issued += 1;
-                let job = Job {
-                    state: JobState::Queued,
-                    cells: Vec::new(),
-                    cell_count: 0,
-                    tally: Tally::default(),
-                };
-                jobs.live.insert(n, job);
-            }
-        }
+        issue_unqueued(&d, last);
         for n in 1..last {
             finish(
                 &d.shared,
@@ -1394,6 +1409,42 @@ mod tests {
         assert_eq!(lock(&d.shared.jobs).live.len(), DONE_CAP);
         let (status, body) = roundtrip(&d.addr(), "GET", "/fetch/job-3", "").unwrap();
         assert_eq!((status, body.as_str()), (200, "3"));
+        roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
+        d.join();
+    }
+
+    #[test]
+    fn the_cap_evicts_in_finishing_order_not_by_number() {
+        let d = daemon();
+        let last = DONE_CAP as u64 + 1;
+        issue_unqueued(&d, last);
+        // Job 1 runs long and is waited for; the DONE_CAP jobs after it
+        // finish first and nobody fetches them.
+        let addr = d.addr();
+        let waiter = std::thread::spawn(move || {
+            crate::client::wait(&addr, "job-1", Duration::from_secs(120)).unwrap()
+        });
+        for n in 2..=last {
+            finish(
+                &d.shared,
+                n,
+                JobState::Done(format!("{n}")),
+                Tally::default(),
+            );
+        }
+        finish(&d.shared, 1, JobState::Done("1".into()), Tally::default());
+        // The job that finished last is delivered; the first to finish went.
+        assert_eq!(waiter.join().unwrap(), (200, "1".to_string()));
+        let (status, body) = roundtrip(&d.addr(), "GET", "/fetch/job-2", "").unwrap();
+        assert_eq!(status, 410, "{body}");
+        let (status, body) = roundtrip(&d.addr(), "GET", "/fetch/job-3", "").unwrap();
+        assert_eq!((status, body.as_str()), (200, "3"));
+        let jobs = lock(&d.shared.jobs);
+        assert_eq!(
+            (jobs.live.len(), jobs.done.len()),
+            (DONE_CAP - 2, DONE_CAP - 2)
+        );
+        drop(jobs);
         roundtrip(&d.addr(), "POST", "/shutdown", "").unwrap();
         d.join();
     }

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use silicon_bridge::svc::daemon::{CONN_BACKLOG, CONN_WORKERS, DONE_CAP, FETCH_WAIT, QUEUE_CAP};
+use silicon_bridge::svc::daemon::{CONN_BACKLOG, CONN_WORKERS, FETCH_WAIT, QUEUE_CAP};
 use silicon_bridge::svc::{client, proto, Daemon, DaemonConfig, ResultStore, COUNTERS};
 
 const SWEEP: &str = r#"{"kind":"sweep","platforms":["Rocket 1"],"kernels":["EM5","STc"]}"#;
@@ -240,40 +240,6 @@ fn an_answer_keeps_its_connection_and_a_refusal_closes_it() {
         );
     }
     assert_serving(&addr, "three refusals");
-    client::shutdown(&addr).unwrap();
-    daemon.join();
-}
-
-/// The job table is bounded: once `DONE_CAP` finished jobs wait for
-/// their fetch, finishing one more evicts the oldest, whose id then
-/// answers `410` as a fetched one does; the next oldest is still served.
-#[test]
-fn a_finished_job_nobody_fetches_is_evicted_past_done_cap() {
-    let daemon = ephemeral_daemon(DaemonConfig::default());
-    let addr = daemon.addr();
-    let mut jobs = Vec::new();
-    for _ in 0..=DONE_CAP {
-        let (status, response) = client::submit(&addr, ONE_CELL).unwrap();
-        assert_eq!(status, 202, "{response}");
-        let job = client::job_id(&response).expect("submit returns a job id");
-        // Finished before the next submit, so the finishing order is the
-        // submission order and the queue never sheds.
-        while !client::status(&addr, &job).unwrap().1.contains("\"done\"") {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        jobs.push(job);
-    }
-    let gone = format!(
-        "{{\"job\":\"{}\",\"error\":\"already fetched or evicted\"}}",
-        jobs[0]
-    );
-    assert_eq!(
-        client::status(&addr, &jobs[0]).unwrap(),
-        (410, gone.clone())
-    );
-    assert_eq!(client::fetch(&addr, &jobs[0]).unwrap(), (410, gone));
-    let (status, body) = client::fetch(&addr, &jobs[1]).unwrap();
-    assert_eq!(status, 200, "{body}");
     client::shutdown(&addr).unwrap();
     daemon.join();
 }
