@@ -61,9 +61,9 @@ const HOST_WORK: &[&str] = &[
 const HOT_PATHS: &[&str] = &[
     "crates/engine/src/channel.rs",
     "crates/engine/src/harness.rs",
-    "crates/dist/src/frame.rs",
-    "crates/dist/src/link.rs",
-    "crates/dist/src/graph.rs",
+    "crates/engine/src/link.rs",
+    "crates/engine/src/graph.rs",
+    "crates/core/src/frame.rs",
     "crates/svc/src/proto.rs",
     "crates/svc/src/daemon.rs",
 ];
@@ -102,7 +102,6 @@ const VIRTUAL_TIME_CRATES: &[&str] = &[
     "workloads",
     "mpi",
     "core",
-    "sweepx",
 ];
 
 const ITER_METHODS: &[&str] = &[
@@ -169,9 +168,9 @@ pub const BANS: &[Ban] = &[
         needles: &[concat!("catch", "_unwind")],
         with: "",
         within: &["crates/core/src/"],
-        except: &[],
+        except: &["crates/core/src/retry.rs"],
         in_tests: false,
-        message: "bsim_resilience::catch is the one place a cell panic is caught",
+        message: "bsim_core::catch is the one place a cell panic is caught",
     },
     Ban {
         needles: &[concat!("Scenario", " {")],
@@ -480,6 +479,19 @@ pub const BANS: &[Ban] = &[
         in_tests: true,
         message: "the wire is what tests/svc.rs pins: no protocol table, tracker or model \
                   checker shadows the daemon or its client",
+    },
+    Ban {
+        needles: &[
+            concat!("bsim_", "resilience"),
+            concat!("bsim_", "dist"),
+            concat!("bsim_", "sweepx"),
+        ],
+        with: "",
+        within: &["crates/", "src/", "tests/", "examples/"],
+        except: &[],
+        in_tests: true,
+        message: "the store, cell and lane code lives in bsim_core and the rank graph, link, \
+                  fault plan and watchdog in bsim_engine: no crate re-exports them",
     },
 ];
 
@@ -1060,7 +1072,7 @@ mod tests {
     #[test]
     fn expect_only_flags_hot_paths() {
         let text = format!("fn f() {{ x{EXPECT}\"y\"); }}\n");
-        let (r, _) = scan("crates/dist/src/frame.rs", &text);
+        let (r, _) = scan("crates/core/src/frame.rs", &text);
         assert!(r.has_code("AU002") && !r.has_errors(), "{}", r.render());
         let (r, _) = scan("crates/workloads/src/x.rs", &text);
         assert!(r.is_clean(), "{}", r.render());
@@ -1187,6 +1199,28 @@ mod tests {
             !audit.report.has_errors(),
             "unwaived AU001 findings:\n{}",
             errs.join("\n")
+        );
+    }
+
+    #[test]
+    fn every_path_the_audit_names_is_on_disk() {
+        let root = workspace_root().expect("the tests run inside the workspace");
+        let crates = VIRTUAL_TIME_CRATES
+            .iter()
+            .map(|c| format!("crates/{c}/src"));
+        let files = HOT_PATHS.iter().chain(PER_OP_PATHS).map(|p| p.to_string());
+        let rows = BANS
+            .iter()
+            .flat_map(|b| b.within.iter().chain(b.except))
+            .map(|p| p.to_string());
+        let stale: Vec<String> = files
+            .chain(crates)
+            .chain(rows)
+            .filter(|p| !root.join(p).exists())
+            .collect();
+        assert!(
+            stale.is_empty(),
+            "the audit names paths that are gone: {stale:?}"
         );
     }
 }

@@ -102,7 +102,7 @@ impl<T: ?Sized + 'static> LintRegistry<T> {
     }
 
     /// [`LintRegistry::run`], appending into an existing report.
-    pub fn run_into(&self, target: &T, span: &str, out: &mut Report) {
+    pub(crate) fn run_into(&self, target: &T, span: &str, out: &mut Report) {
         for lint in &self.lints {
             lint.check(target, span, out);
         }

@@ -19,8 +19,8 @@
 //! run-to-run, which is the property that makes fault injection usable
 //! as a regression gate rather than a fuzzer.
 
+use crate::retry::{catch, CellOutcome};
 use bsim_mpi::{MpiWorld, NetConfig, RankCtx, WorldReport};
-use bsim_resilience::retry::{catch, CellOutcome};
 use bsim_soc::configs;
 use bsim_uarch::MicroOp;
 use bsim_workloads::npb::ep;

@@ -10,10 +10,10 @@
 //! Results are bit-identical across host worker counts by construction,
 //! which is why no host knob reaches the key.
 
+use crate::experiments::{self, subfigures, Parallelism, Sizes};
 use crate::key::{self, MicroKeyer};
-use bsim_core::experiments::{self, subfigures, Parallelism, Sizes};
-use bsim_core::tuning::tune_milkv;
-use bsim_resilience::snapshot::Snapshot;
+use crate::snapshot::Snapshot;
+use crate::tuning::tune_milkv;
 use bsim_soc::configs;
 use serde::{Serialize, Value};
 
@@ -126,7 +126,7 @@ impl WireCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsim_core::experiments::FIGURE_IDS;
+    use crate::experiments::FIGURE_IDS;
 
     #[test]
     fn figure_cells_cover_every_declared_subfigure() {

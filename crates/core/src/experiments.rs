@@ -8,9 +8,9 @@
 
 use crate::metrics::relative_speedup;
 use crate::rate::{SimRate, SimRateMeter};
+use crate::retry::{catch, CellOutcome};
+use crate::snapshot::{restore_field, CkptError, Snapshot};
 use bsim_mpi::{Launch, NetConfig, Recorded, Timed, WorldReport, WorldTrace};
-use bsim_resilience::retry::{catch, CellOutcome};
-use bsim_resilience::snapshot::{restore_field, CkptError, Snapshot};
 use bsim_soc::{configs, RunReport, Soc, SocConfig};
 use bsim_telemetry::{TelemetryConfig, TelemetrySnapshot};
 use bsim_workloads::md::chain::{self, ChainConfig};
@@ -522,7 +522,7 @@ impl MpiWork {
 
     /// The recording of the same problem [`MpiWork::run`] times,
     /// shareable by every config with `cfg`'s trace-shaping knobs: a
-    /// `bsim_sweepx::replay_world` of it gives each of them `run`'s
+    /// [`crate::replay_world`] of it gives each of them `run`'s
     /// cycles.
     pub fn record(self, sizes: &Sizes, cfg: SocConfig, ranks: usize) -> WorldTrace {
         self.launch::<Recorded>(sizes, cfg, ranks).1
@@ -577,7 +577,7 @@ pub struct FigureSpec {
     pub id: &'static str,
     /// Name (`fig3a`, `fig4b4`, …): what `bsim fig`, a service response
     /// and the figure golden file call the subfigure. A display name,
-    /// never a store key — `bsim_dist::WireCell::key` hashes it together
+    /// never a store key — [`crate::WireCell::key`] hashes it together
     /// with the size preset, seed and code version.
     pub key: &'static str,
     /// Title (e.g. "Figure 1: MicroBench — Rocket models vs Banana Pi hardware").

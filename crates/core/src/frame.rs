@@ -1,7 +1,7 @@
 //! The wire protocol: length-prefixed binary frames with an integrity
 //! header.
 //!
-//! Every byte on a cut token link ([`crate::link`]) is one [`Frame`]:
+//! Every byte on a cut token link (`bsim_engine::link`) is one [`Frame`]:
 //! `[magic: u16 LE][version: u8][tag: u8][len: u32 LE][crc32: u32 LE]`
 //! `[payload: len bytes]`. Two frame kinds carry token traffic —
 //! [`Frame::Data`] for literal token batches and [`Frame::Run`] for
@@ -14,13 +14,15 @@
 //! violation surfaced as [`std::io::ErrorKind::InvalidData`], never a
 //! silently reordered simulation.
 //!
-//! Failure taxonomy (see [`FrameError`] / [`classify`]): clean EOF
-//! between frames is **peer loss**; EOF inside a frame is a **torn**
-//! write; a frame that arrives whole but fails the magic, version, or
-//! CRC32 check is **corrupt** — three distinct conditions with three
-//! distinct recovery stories, never conflated.
+//! Failure taxonomy: clean EOF between frames is **peer loss**
+//! ([`io::ErrorKind::UnexpectedEof`]); EOF inside a frame is a **torn**
+//! write ([`io::ErrorKind::InvalidData`]); a frame that arrives whole
+//! but fails the magic, version, or CRC32 check is **corrupt**
+//! (`InvalidData` whose message starts with `corrupt frame: `) — three
+//! distinct conditions, never conflated; the tests classify every read
+//! error into one of them.
 
-use bsim_resilience::crc32;
+use crate::crc32;
 use std::io::{self, Read, Write};
 
 /// Upper bound on a frame payload. Nothing legitimate comes close; a
@@ -61,59 +63,12 @@ fn bad(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Prefix every integrity failure so [`classify`] can tell corruption
+/// Prefix every integrity failure so a reader can tell corruption
 /// apart from a torn write without a new `io::ErrorKind`.
 const CORRUPT_PREFIX: &str = "corrupt frame: ";
 
 fn corrupt(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("{CORRUPT_PREFIX}{msg}"))
-}
-
-/// The typed failure classes a frame read can produce.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrameError {
-    /// Clean EOF between frames: the peer is gone, nothing was torn.
-    PeerClosed,
-    /// EOF or structural garbage inside a frame: a torn write.
-    Torn,
-    /// The frame arrived whole but failed the magic, version, or CRC32
-    /// check — data integrity, not framing.
-    Corrupt,
-    /// The socket's guard timeout expired before a frame arrived.
-    Timeout,
-    /// Any other transport error.
-    Io,
-}
-
-impl FrameError {
-    /// Stable lowercase label for telemetry and loss reporting.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FrameError::PeerClosed => "peer_closed",
-            FrameError::Torn => "torn",
-            FrameError::Corrupt => "corrupt",
-            FrameError::Timeout => "timeout",
-            FrameError::Io => "io",
-        }
-    }
-}
-
-/// Classifies an error returned by [`read_frame`] (or a write on the
-/// same socket) into the [`FrameError`] taxonomy. Total: anything the
-/// frame layer did not type lands in [`FrameError::Io`].
-pub fn classify(e: &io::Error) -> FrameError {
-    match e.kind() {
-        io::ErrorKind::UnexpectedEof => FrameError::PeerClosed,
-        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => FrameError::Timeout,
-        io::ErrorKind::InvalidData => {
-            if e.to_string().starts_with(CORRUPT_PREFIX) {
-                FrameError::Corrupt
-            } else {
-                FrameError::Torn
-            }
-        }
-        _ => FrameError::Io,
-    }
 }
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
@@ -173,7 +128,7 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
 /// Reads one frame, blocking. EOF *between* frames surfaces as
 /// `UnexpectedEof` with message `"peer closed"` — the peer's death; EOF *inside* a frame is a torn write and
 /// reads as a protocol error; a bad magic, unsupported version, or
-/// CRC32 mismatch is a [`FrameError::Corrupt`] integrity failure. A
+/// CRC32 mismatch is a corrupt-frame integrity failure. A
 /// socket read timeout propagates with its own kind so guard deadlines
 /// stay a typed condition, not a mislabeled tear.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
@@ -253,6 +208,40 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The typed failure classes a frame read can produce.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum FrameError {
+        /// Clean EOF between frames: the peer is gone, nothing was torn.
+        PeerClosed,
+        /// EOF or structural garbage inside a frame: a torn write.
+        Torn,
+        /// The frame arrived whole but failed the magic, version, or CRC32
+        /// check — data integrity, not framing.
+        Corrupt,
+        /// The socket's guard timeout expired before a frame arrived.
+        Timeout,
+        /// Any other transport error.
+        Io,
+    }
+
+    /// Classifies an error returned by [`read_frame`] (or a write on the
+    /// same socket) into the [`FrameError`] taxonomy. Total: anything the
+    /// frame layer did not type lands in [`FrameError::Io`].
+    fn classify(e: &io::Error) -> FrameError {
+        match e.kind() {
+            io::ErrorKind::UnexpectedEof => FrameError::PeerClosed,
+            io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => FrameError::Timeout,
+            io::ErrorKind::InvalidData => {
+                if e.to_string().starts_with(CORRUPT_PREFIX) {
+                    FrameError::Corrupt
+                } else {
+                    FrameError::Torn
+                }
+            }
+            _ => FrameError::Io,
+        }
+    }
 
     #[test]
     fn every_variant_roundtrips() {

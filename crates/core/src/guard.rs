@@ -1,4 +1,4 @@
-//! bsim-guard data integrity: [`crc32`], the IEEE CRC32 the dist frame
+//! bsim-guard data integrity: [`crc32`], the IEEE CRC32 the frame
 //! header and the result store both stamp over their payloads. It reads
 //! sixteen bytes a step (slice-by-16: sixteen 256-entry tables, built at
 //! compile time), so re-verifying every stored entry and every served
@@ -44,7 +44,7 @@ static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 /// IEEE CRC32 of `bytes` (the zlib `crc32` everyone can cross-check).
 ///
-/// Used as the frame-payload checksum on the dist wire, the entry
+/// Used as the frame-payload checksum of [`crate::frame`], the entry
 /// checksum in the svc result store and the checksum of the daemon's
 /// served fragments: cheap enough to run on every frame and every read,
 /// and strong enough that a single flipped bit anywhere in the

@@ -2,7 +2,7 @@
 //! cell computes* — (canonicalized platform config × workload × sizes ×
 //! seed × code/schema version). [`crate::WireCell::key`] is the one way
 //! to a key and a key is the only thing that indexes a
-//! `bsim_resilience::ResultStore`, so identical cells collide in the
+//! [`crate::ResultStore`], so identical cells collide in the
 //! store whichever command asked for them — `bsim fig` or a `bsim
 //! submit` — and are served instead of re-simulated. Labels
 //! (`fig3a`, `fig:3/smoke/0`, `Rocket 1/EM5`) are display names.
@@ -443,7 +443,7 @@ mod tests {
     fn the_code_version_is_bumped_with_the_golden() {
         const GOLDEN: &[u8] = include_bytes!("../../core/tests/figures_smoke.golden.json");
         assert_eq!(
-            (CODE_VERSION, bsim_resilience::crc32(GOLDEN)),
+            (CODE_VERSION, crate::crc32(GOLDEN)),
             (1, 0xa722_0cca),
             "the figure golden changed: bump CODE_VERSION and pin the new pair"
         );

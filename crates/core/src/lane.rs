@@ -1,7 +1,7 @@
 //! Lane-group partitioning: which platform configs may share one
 //! recorded trace, and which lanes of a replay may share a front end.
 //!
-//! A [`crate::WorldTrace`] is valid for every config whose *trace-shaping*
+//! A [`bsim_mpi::WorldTrace`] is valid for every config whose *trace-shaping*
 //! knobs match the recording run: the MPI rank count, the vector width
 //! (`simd_lanes` changes how many dynamic ops the auto-vectorized trace
 //! regions emit), and the compiler-overhead dial (same reason). Every
@@ -10,7 +10,7 @@
 //! exactly the trace-shaping triple; [`partition`] groups a config grid
 //! by it so the sweep kernel ticks each group through one trace pass.
 //!
-//! Inside one replay, lanes with equal [`FrontKey`]s make the same
+//! Inside one replay, lanes with equal `FrontKey`s make the same
 //! branch, TLB and L1 tag decisions (`bsim_mem::front`), so
 //! [`front_groups`] picks the lanes whose first member decides for all.
 
@@ -79,7 +79,7 @@ impl FrontKey {
     }
 }
 
-/// The lanes of a replay grouped by [`FrontKey`]: indices into `cfgs`,
+/// The lanes of a replay grouped by `FrontKey`: indices into `cfgs`,
 /// groups in first-appearance order and ascending within a group, so a
 /// group's first lane runs before the others in every quantum. A lane
 /// without a key is a group of its own.

@@ -28,6 +28,37 @@
 //!   [`FaultRow`] type every row of the survival matrix is written as,
 //!   and the nine in-process rows.
 //!
+//! Cell identity and the result store, which `bsim fig`, `bsim score`
+//! and `bsimd` share:
+//!
+//! * [`cells`] — [`WireCell`], the one unit of sweep work the pool runs,
+//! * [`key`] — the content hash behind [`WireCell::key`], the only thing
+//!   a result store is indexed by,
+//! * [`store`] — [`ResultStore`], the one place a cell's result is kept:
+//!   canonical bytes behind a per-read CRC in a [`CkptStore`] file
+//!   ([`ckpt`]), with quarantine on open and the offline [`scrub`],
+//! * [`snapshot`] — the [`Snapshot`] save/restore trait cell results
+//!   implement,
+//! * [`retry`] — [`catch`], the one place a cell panic is caught: a
+//!   panicking cell becomes a [`CellOutcome::Failed`] row,
+//! * [`guard`] — the [`crc32`] the store and the frame header stamp,
+//! * [`frame`] — the length-prefixed, CRC-checked binary frame codec.
+//!
+//! Multi-lane replay and sampled simulation, for callers that sweep one
+//! recorded workload over many configs (the ledger's `sweep-lanes`
+//! workload, `examples/hostprof.rs`); no figure runs them, because
+//! replaying a figure's lane groups measured no faster end to end
+//! (EXPERIMENTS.md "Ruled out"):
+//!
+//! * [`lane`] — which configs may share one recording ([`TraceKey`],
+//!   [`lane::partition`]) and which lanes may share a front end
+//!   ([`front_groups`]); CL081 flags plans that degenerate to singletons,
+//! * [`replay`] — [`replay_world`] ticks N configs through one
+//!   `bsim_mpi::WorldTrace`, bit-identical to a scalar run per lane,
+//! * [`sample`] — SimPoint-style sampling ([`SampleCfg`]), a library
+//!   path of [`replay_world`] only, with stratified error bounds in a
+//!   [`sample::SampleReport`] (CL085–CL087 lint the budget).
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -46,23 +77,40 @@
 //! ```
 
 pub mod campaign;
+pub mod cells;
+pub mod ckpt;
 pub mod claims;
 pub mod experiments;
+pub mod frame;
+pub mod guard;
+pub mod key;
+pub mod lane;
 pub mod metrics;
 pub mod rate;
+pub mod replay;
 pub mod resilient;
+pub mod retry;
+pub mod sample;
+pub mod snapshot;
+pub mod store;
 pub mod table;
 pub mod tuning;
 
 pub use campaign::{FaultRow, Scenario, SurvivalMatrix};
+pub use cells::WireCell;
+pub use ckpt::CkptStore;
 pub use experiments::{run_grid_metered, FigureData, Parallelism, Series, SweepRun};
+pub use frame::Frame;
+pub use guard::crc32;
+pub use lane::{cache_tuning_grid, front_groups, lint_lane_plan, TraceKey};
 pub use metrics::relative_speedup;
 pub use rate::{SimRate, SimRateMeter};
+pub use replay::replay_world;
 pub use resilient::{CellPool, PoolRun};
-
-// The resilience vocabulary the pool above speaks, re-exported so
-// `bsim-core` users don't need a separate `bsim-resilience` import.
-pub use bsim_resilience::{CellOutcome, CkptError, ResultStore, Snapshot};
+pub use retry::{catch, CellOutcome};
+pub use sample::SampleCfg;
+pub use snapshot::Snapshot;
+pub use store::{scrub, ResultStore};
 
 /// FNV-1a 64 of `text`: the digest the counter pins in this crate's
 /// tests compare against.

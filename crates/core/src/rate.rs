@@ -38,7 +38,7 @@ impl SimRateMeter {
     }
 
     /// Adds simulated cycles.
-    pub fn add_cycles(&mut self, cycles: u64) {
+    pub(crate) fn add_cycles(&mut self, cycles: u64) {
         self.target_cycles = self.target_cycles.wrapping_add(cycles);
     }
 

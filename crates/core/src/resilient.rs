@@ -12,10 +12,10 @@
 //! stored.
 
 use crate::experiments::{drain_grid, Parallelism};
-use bsim_resilience::retry::{catch, CellOutcome};
-use bsim_resilience::snapshot::CkptError;
-use bsim_resilience::store::canonical;
-use bsim_resilience::ResultStore;
+use crate::retry::{catch, CellOutcome};
+use crate::snapshot::CkptError;
+use crate::store::canonical;
+use crate::ResultStore;
 use serde::Value;
 use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -202,7 +202,7 @@ impl CellPool {
 mod tests {
     use super::*;
     use crate::experiments::{subfigures, FigureData, Sizes};
-    use bsim_resilience::snapshot::Snapshot;
+    use crate::snapshot::Snapshot;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 

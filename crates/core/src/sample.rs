@@ -2,8 +2,8 @@
 //!
 //! The classic SimPoint recipe clusters basic-block vectors (BBVs) of
 //! fixed instruction intervals and runs detailed timing only on one
-//! representative per cluster. This crate's traces are already cut into
-//! natural segments — one [`crate::Ev::Consume`] event per traced
+//! representative per cluster. The traces here are already cut into
+//! natural segments — one [`bsim_mpi::Ev::Consume`] event per traced
 //! workload region of a recorded MPI world — so the BBV analog is a per-segment *phase signature*:
 //! the op-class mix, branch-taken rate, a memory-stride feature, and
 //! the segment length. Segments are clustered with a small k-means

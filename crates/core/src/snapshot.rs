@@ -82,7 +82,7 @@ pub fn field<'a>(value: &'a Value, field_name: &str) -> Result<&'a Value, CkptEr
 }
 
 /// Fetch `value[field]` as `T` via its `Snapshot` impl.
-pub fn restore_field<T: Snapshot>(value: &Value, field_name: &str) -> Result<T, CkptError> {
+pub(crate) fn restore_field<T: Snapshot>(value: &Value, field_name: &str) -> Result<T, CkptError> {
     T::restore(field(value, field_name)?)
 }
 

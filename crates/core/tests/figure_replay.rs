@@ -3,9 +3,7 @@
 //! result store, which must not rewrite the store file.
 
 use bsim_core::experiments::{subfigures, FigureData, Sizes, FIGURE_IDS};
-use bsim_core::{CellOutcome, CellPool, Parallelism, ResultStore};
-use bsim_resilience::ckpt::CkptStore;
-use bsim_resilience::Snapshot;
+use bsim_core::{CellOutcome, CellPool, CkptStore, Parallelism, ResultStore, Snapshot};
 
 /// Sizes small enough to run every figure three times in one test.
 fn tiny() -> Sizes {

@@ -6,12 +6,12 @@
 //! `figures_smoke.golden.json` (a `CkptStore` of `Vec<Series>` per
 //! subfigure key). A deliberate model change regenerates the file with
 //! `cargo test --release -p bsim-core --test figures_golden -- --ignored bless`
-//! — and makes every stored result stale, so `bsim-dist`'s
+//! — and makes every stored result stale, so `key.rs`'s
 //! `the_code_version_is_bumped_with_the_golden` then fails until
 //! `CODE_VERSION` is bumped with it.
 
 use bsim_core::experiments::{figure, Parallelism, Series, Sizes, FIGURES};
-use bsim_resilience::CkptStore;
+use bsim_core::CkptStore;
 use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {

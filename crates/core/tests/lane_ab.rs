@@ -5,9 +5,9 @@
 //! counts a lane sweep reports.
 
 use bsim_core::experiments::{figure, MpiWork, Sizes, Work};
+use bsim_core::{cache_tuning_grid, replay_world, SampleCfg, TraceKey};
 use bsim_mpi::NetConfig;
 use bsim_soc::{configs, SocConfig, TelemetryConfig};
-use bsim_sweepx::{cache_tuning_grid, replay_world, SampleCfg, TraceKey};
 use bsim_workloads::npb::{cg, is, mg};
 use proptest::prelude::*;
 

@@ -43,7 +43,7 @@ impl std::error::Error for ChannelError {}
 /// the cycle-stamped batch push/pop pair plus the run-length
 /// fast-forward primitive, with both endpoint cursors observable.
 ///
-/// [`TokenChannel`] is the in-process implementation; `bsim-dist`
+/// [`TokenChannel`] is the in-process implementation; [`crate::link`]
 /// implements the same surface over `TcpStream`/Unix-socket pairs, so a
 /// model driver neither knows nor cares whether its peer lives in the
 /// same address space or another OS process. The semantic contract is
@@ -196,7 +196,7 @@ impl<T> TokenChannel<T> {
     }
 
     /// The buffered tokens in pop order (oldest first).
-    pub fn buffered_tokens(&self) -> impl Iterator<Item = &T> {
+    pub(crate) fn buffered_tokens(&self) -> impl Iterator<Item = &T> {
         self.queue.iter()
     }
 

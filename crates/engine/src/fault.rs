@@ -103,14 +103,14 @@ impl FaultPlan {
     }
 
     /// Events targeting wire `wi`.
-    pub fn wire_events(&self, wi: usize) -> impl Iterator<Item = &FaultEvent> {
+    pub(crate) fn wire_events(&self, wi: usize) -> impl Iterator<Item = &FaultEvent> {
         self.events
             .iter()
             .filter(move |e| e.target == FaultTarget::Wire(wi))
     }
 
     /// Events targeting model `mi`.
-    pub fn model_events(&self, mi: usize) -> impl Iterator<Item = &FaultEvent> {
+    pub(crate) fn model_events(&self, mi: usize) -> impl Iterator<Item = &FaultEvent> {
         self.events
             .iter()
             .filter(move |e| e.target == FaultTarget::Model(mi))

@@ -1,7 +1,7 @@
 //! Lockstep execution of one rank's partition of a model graph.
 //!
 //! [`RankGraph`] is the distributed sibling of the engine's
-//! [`Harness`](bsim_engine::Harness): it owns the models assigned to
+//! [`Harness`](crate::Harness): it owns the models assigned to
 //! one rank, in-process [`TokenChannel`]s for the wires whose endpoints
 //! both live here, and [`RemoteSender`]/[`RemoteReceiver`] halves for
 //! the cut wires. The determinism argument is the paper's: every
@@ -20,14 +20,14 @@
 //!   *arrived* traffic (the leading all-zero run of each remote
 //!   in-link), never by a guess about what a peer will send. The skip
 //!   then travels compressed: the senders emit constant-size
-//!   [`Frame::Run`](crate::frame::Frame::Run) frames.
+//!   [`Frame::Run`](bsim_core::frame::Frame::Run) frames.
 //!
 //! No launcher runs a partition across processes. Over socket pairs in
 //! one process, `RankGraph` is the primitive behind the ledger's
 //! `dist.rankgraph_mcps` and `dist.cut_overhead_x` probes.
 
 use crate::link::{RemoteReceiver, RemoteSender};
-use bsim_engine::{TickModel, TokenChannel, TokenLink, Wire};
+use crate::{TickModel, TokenChannel, TokenLink, Wire};
 use std::io::{self, Read, Write};
 
 /// Where one port of a local model connects.
@@ -189,7 +189,7 @@ impl<M: TickModel> RankGraph<M> {
                 cut.latency >= 1,
                 "a zero-latency cut wire cannot cross a socket"
             );
-            txs.push(RemoteSender::new(stream, cut.latency, quantum));
+            txs.push(RemoteSender::new(stream, cut.latency));
             claim(&mut out_ports, cut.model, cut.port, Port::Remote(i));
         }
 
@@ -470,7 +470,7 @@ pub fn demo_ring(n: usize, seed: u64, latency: u64) -> (Vec<DemoNode>, Vec<Wire>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsim_engine::Harness;
+    use crate::Harness;
     use std::os::unix::net::UnixStream;
 
     const RING: usize = 4;

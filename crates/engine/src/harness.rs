@@ -21,13 +21,11 @@
 //! concurrency the product ships, and no longer runs this harness.
 
 use crate::channel::TokenChannel;
+use crate::fault::{FaultKind, FaultPlan};
+use crate::watchdog::{ChannelProgress, SimError, StallReport, ThreadProgress, WatchdogConfig};
 use bsim_check::graph::{GraphSpec, ModelSpec, WireSpec};
 use bsim_check::{Diagnostic, Severity};
-use bsim_resilience::fault::{FaultKind, FaultPlan};
-use bsim_resilience::retry::panic_message;
-use bsim_resilience::watchdog::{
-    ChannelProgress, SimError, StallReport, ThreadProgress, WatchdogConfig,
-};
+use bsim_core::retry::panic_message;
 use bsim_telemetry::CounterBlock;
 use parking_lot::Mutex;
 use std::any::Any;
@@ -1062,7 +1060,7 @@ mod tests {
         assert!(diags.iter().any(|d| d.code == "MG003"));
     }
 
-    use bsim_resilience::fault::FaultTarget;
+    use crate::fault::FaultTarget;
 
     fn states(models: &[Mixer]) -> Vec<u64> {
         models.iter().map(|m| m.state).collect()

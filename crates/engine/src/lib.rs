@@ -20,20 +20,40 @@
 //!   with bit-identical results either way (the determinism test that
 //!   makes co-simulation trustworthy).
 //!
+//! Around them, what only the engine's own tests and the ledger's
+//! `engine.*` / `dist.*` probes call:
+//!
+//! * [`fault`] — a deterministic [`FaultPlan`] of token drops,
+//!   duplicates, payload bit-flips, model stalls and host-thread delays,
+//!   applied at `TokenChannel`/`TickModel` boundaries,
+//! * [`watchdog`] — [`WatchdogConfig`] host-time budgets and the typed
+//!   [`SimError`] the guarded harness returns instead of hanging, with a
+//!   per-thread/per-channel [`watchdog::StallReport`] progress snapshot;
+//!   a guarded run counts its trips in `host.resilience.watchdog_trips`,
+//! * [`link`] — [`link::RemoteSender`]/[`link::RemoteReceiver`], the two
+//!   halves of a cut token link over any byte stream, speaking
+//!   `bsim_core::frame` — including run-length `Run` frames, so the
+//!   quiescence fast-forward works *across the wire*,
+//! * [`graph`] — [`graph::RankGraph`], a per-rank lockstep driver for a
+//!   partitioned model graph (FireSim's scale-out cut, DESIGN.md §9, in
+//!   one process), bit-identical to the in-process [`Harness`].
+//!
 //! No figure cell and no `bsim faults` row runs the harness (the matrix
-//! injects into `MpiWorld`): it, its fault injection and its watchdog
-//! serve their own tests and the ledger's `engine.*` / `dist.*` probes.
+//! injects into `MpiWorld`).
 
 pub mod channel;
+pub mod fault;
+pub mod graph;
 pub mod harness;
+pub mod link;
+pub mod watchdog;
 
 pub use channel::{ChannelError, TokenChannel, TokenLink};
+pub use fault::{FaultKind, FaultPlan};
 pub use harness::{Harness, TickModel, Wire};
-
-// Resilience vocabulary `run_guarded` speaks, so its caller (the
-// ledger's probe) needs no `bsim-resilience` import just to call it.
-pub use bsim_resilience::{FaultKind, FaultPlan, SimError, StallReport, WatchdogConfig};
+pub use watchdog::{SimError, WatchdogConfig};
 
 // The counter sink `run_guarded` writes its watchdog trip count into,
-// for the same reason.
+// so its caller (the ledger's probe) needs no `bsim-telemetry` import
+// just to call it.
 pub use bsim_telemetry::CounterBlock;

@@ -3,7 +3,7 @@
 //! When a wire of the model graph is cut at a socket, the
 //! producer side keeps a [`RemoteSender`] and the consumer side a
 //! [`RemoteReceiver`]; together they behave like the
-//! [`bsim_engine::TokenChannel`] they replace, and each half implements
+//! [`crate::TokenChannel`] they replace, and each half implements
 //! the engine's [`TokenLink`] trait so drivers are written against one
 //! surface for both the in-process and the socket case.
 //!
@@ -23,8 +23,8 @@
 //!   token belongs to and the receiver verifies it against its own
 //!   cursor — host-timing races cannot silently reorder target time.
 
-use crate::frame::{read_frame, write_frame, Frame};
-use bsim_engine::{ChannelError, TokenLink};
+use crate::{ChannelError, TokenLink};
+use bsim_core::frame::{read_frame, write_frame, Frame};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
@@ -47,29 +47,20 @@ pub struct RemoteSender<W: Write> {
     outbox: VecDeque<Seg>,
     /// Cycles currently buffered in `outbox`.
     unflushed: u64,
-    quantum: usize,
 }
 
 impl<W: Write> RemoteSender<W> {
     /// A fresh link with `reset` cycles of latency already in flight as
     /// zero tokens (the receiver synthesizes them; nothing crosses the
     /// wire). The first accepted push cycle is `reset`.
-    pub fn new(w: W, reset: u64, quantum: usize) -> RemoteSender<W> {
-        assert!(quantum >= 1, "a quantum of zero would flush nothing");
+    pub fn new(w: W, reset: u64) -> RemoteSender<W> {
         RemoteSender {
             w,
             next_cycle: reset,
             outbox_start: reset,
             outbox: VecDeque::new(),
             unflushed: 0,
-            quantum,
         }
-    }
-
-    /// True once a quantum's worth of cycles is buffered — the driver's
-    /// cue to [`RemoteSender::flush`].
-    pub fn due(&self) -> bool {
-        self.unflushed as usize >= self.quantum
     }
 
     /// Writes everything buffered to the stream. All-equal literal
@@ -347,7 +338,7 @@ mod tests {
     #[test]
     fn fast_forward_over_a_socketpair_mirrors_the_in_process_contract() {
         let (a, b) = UnixStream::pair().expect("socketpair");
-        let mut tx = RemoteSender::new(a, 0, 64);
+        let mut tx = RemoteSender::new(a, 0);
         let mut rx = RemoteReceiver::new(b, 0);
 
         assert_eq!(tx.push_batch(0, &[10, 11]), Ok(2));
@@ -375,12 +366,14 @@ mod tests {
             .collect();
         let expect = reference.clone();
         let producer = std::thread::spawn(move || {
-            let mut tx = RemoteSender::new(a, 0, 64);
+            let mut tx = RemoteSender::new(a, 0);
             let mut at = 0u64;
-            for chunk in reference.chunks(7) {
+            // Flush every ten batches (70 cycles), so frames and the
+            // receiver's 13-token pops never line up.
+            for (i, chunk) in reference.chunks(7).enumerate() {
                 tx.push_batch(at, chunk).expect("cycle cursor tracks");
                 at += chunk.len() as u64;
-                if tx.due() {
+                if i % 10 == 9 {
                     tx.flush().expect("socket write");
                 }
             }
@@ -403,7 +396,7 @@ mod tests {
     #[test]
     fn reset_window_and_cycle_checks_match_the_channel() {
         let (a, b) = UnixStream::pair().expect("socketpair");
-        let mut tx = RemoteSender::new(a, 3, 8);
+        let mut tx = RemoteSender::new(a, 3);
         let mut rx = RemoteReceiver::new(b, 3);
         // Pushes start after the reset window, pops at zero — exactly a
         // latency-3 TokenChannel.

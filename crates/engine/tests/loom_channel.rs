@@ -4,7 +4,7 @@
 //! Compiled only under `RUSTFLAGS="--cfg loom"`:
 //!
 //! ```text
-//! RUSTFLAGS="--cfg loom" cargo test -p bsim-check --release --test loom_channel
+//! RUSTFLAGS="--cfg loom" cargo test -p bsim-engine --release --test loom_channel
 //! ```
 //!
 //! Each `loom::model` closure is executed once per distinct thread

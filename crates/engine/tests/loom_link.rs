@@ -5,7 +5,7 @@
 //! Compiled only under `RUSTFLAGS="--cfg loom"`:
 //!
 //! ```text
-//! RUSTFLAGS="--cfg loom" cargo test -p bsim-dist --release --test loom_link
+//! RUSTFLAGS="--cfg loom" cargo test -p bsim-engine --release --test loom_link
 //! ```
 //!
 //! The property: under *every* schedule the receiver observes exactly
@@ -19,7 +19,7 @@
 
 #![cfg(loom)]
 
-use bsim_dist::link::{RemoteReceiver, RemoteSender};
+use bsim_engine::link::{RemoteReceiver, RemoteSender};
 use bsim_engine::TokenLink;
 use loom::sync::{Arc, Mutex};
 use loom::thread;
@@ -83,7 +83,7 @@ fn flush_racing_fast_forward_verification_is_order_safe() {
         let rx_end = pipe.clone();
 
         let producer = thread::spawn(move || {
-            let mut tx = RemoteSender::new(pipe, RESET, 4);
+            let mut tx = RemoteSender::new(pipe, RESET);
             // Two pushed idle cycles, a four-cycle quiescence span, then
             // the first live token: cycles 2..8 are zeros, cycle 8 is 7.
             tx.push_batch(RESET, &[0, 0]).unwrap();

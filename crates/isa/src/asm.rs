@@ -985,7 +985,7 @@ impl Asm {
 // Re-export SP so kernels can set up a stack without importing reg directly.
 pub use crate::reg::SP as STACK_REG;
 
-/// Convenience: sets up `sp` at [`STACK_TOP`] as a prologue.
+/// Convenience: sets up `sp` at `STACK_TOP` as a prologue.
 pub fn with_stack(a: &mut Asm) {
     a.li(SP, STACK_TOP as i64);
 }

@@ -93,7 +93,7 @@ const CHUNK_SETS: usize = 16;
 /// present, then one dirty byte per way, eight to a word. An L1 that
 /// follows another lane's tag decisions (`crate::front`) keeps only the
 /// ready words, `ways` to a record. Records live in
-/// chunks of [`CHUNK_SETS`] consecutive sets, and a chunk holds words only
+/// chunks of `CHUNK_SETS` consecutive sets, and a chunk holds words only
 /// once a line has been filled into it: a cache holds records only for
 /// the chunks it has filled, so building one allocates no set tables and
 /// the MILK-V LLC (four 16 MiB slices) costs what a workload touches, up

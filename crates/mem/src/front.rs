@@ -22,8 +22,8 @@
 //!
 //! A record is one byte per decision, in program order, and dirty victim
 //! lines in a side list. A core's own decisions are the byte its
-//! predictor or TLB returns; an L1 decision is a way, tagged [`MISS`] on a
-//! fill and [`DIRTY`] when the fill evicted a dirty line. A hit is noted
+//! predictor or TLB returns; an L1 decision is a way, tagged `MISS` on a
+//! fill and `DIRTY` when the fill evicted a dirty line. A hit is noted
 //! when it happens and a miss when its fill does: nothing between the two
 //! decides anything.
 

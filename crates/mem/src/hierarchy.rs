@@ -156,7 +156,7 @@ impl MemoryHierarchy {
     /// caller (who passes a constant `kind`): one tag probe, the bank
     /// claim, the LRU touch, the hit counters and, for a store, the
     /// invalidation of the other L1Ds. Anything else goes out of line to
-    /// [`MemoryHierarchy::access_full`], which is the complete access and
+    /// `MemoryHierarchy::access_full`, which is the complete access and
     /// yields the same outcome and state for a resident line too.
     #[inline(always)]
     pub fn access_with<F: Front>(

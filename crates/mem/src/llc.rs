@@ -6,9 +6,9 @@
 //! 64 MiB LLC as four 16 MiB slices, one per memory channel. Both
 //! behaviours are captured here:
 //!
-//! * [`LlcModel::FiresimSram`] — tag-array lookup with a single flat
+//! * [`LlcStyle::FiresimSram`] — tag-array lookup with a single flat
 //!   latency, regardless of hit/miss path details,
-//! * [`LlcModel::Silicon`] — separate tag and data latencies plus banked
+//! * [`LlcStyle::Silicon`] — separate tag and data latencies plus banked
 //!   contention, approximating a real multi-megabyte NUCA-ish LLC.
 
 use crate::cache::{Cache, CacheConfig};

@@ -18,7 +18,7 @@
 //! core model and frequency are free to differ. That is what lets a
 //! design-space sweep run the rank programs **once**, keep the stream as
 //! a [`WorldTrace`] — micro-op segments in one shared arena — and time
-//! it on N configs (`bsim-sweepx`), with each lane's report equal to
+//! it on N configs (`bsim_core::replay`), with each lane's report equal to
 //! what [`crate::MpiWorld::run`] gives on that lane's config.
 
 use bsim_uarch::MicroOp;

@@ -16,7 +16,7 @@
 //!   published as `mpi.rank{r}.*` when the rank finishes.
 //!
 //! [`crate::MpiWorld::run`] applies each event to one lane as its rank
-//! program produces it; `bsim_sweepx::replay_world` applies a recorded
+//! program produces it; `bsim_core::replay_world` applies a recorded
 //! [`crate::WorldTrace`] to one lane per config. Lanes share no timing
 //! state, so a lane's report does not depend on how many ran beside it or
 //! on whether the events came from a live world or from a recording;

@@ -105,7 +105,7 @@ pub struct Soc {
 
 impl Soc {
     /// Instantiates the platform after a mandatory static preflight
-    /// (see [`crate::preflight`]). Panics with the rendered diagnostics
+    /// (see [`crate::preflight()`]). Panics with the rendered diagnostics
     /// if the config has errors; use [`Soc::try_new`] for a typed
     /// result. Warnings do not block — the §4 tuning loop deliberately
     /// drifts configs — but errors mean the run would hang or lie.

@@ -21,7 +21,7 @@
 //!
 //! Nothing on the all-hit path builds a tree, and nothing is done per
 //! platform: each catalog platform is resolved, preflighted and keyed
-//! (its `bsim_dist::key` prefix hash) once per process, and each cell is
+//! (its `bsim_core::key` prefix hash) once per process, and each cell is
 //! one indexed read, re-verified by CRC32, that shares the store's
 //! allocation. Nor is a cell re-indented per request: the daemon keeps
 //! each served cell's *fragment* — its result re-indented into the
@@ -66,10 +66,10 @@
 //! The accept loop only enqueues: accepted sockets land in a backlog of
 //! [`CONN_BACKLOG`] drained by a fixed pool of [`CONN_WORKERS`]
 //! connection threads, and every socket is armed with
-//! [`proto::WIRE_TIMEOUT`] each way, so a slow-loris peer times out
+//! `proto::WIRE_TIMEOUT` each way, so a slow-loris peer times out
 //! instead of pinning its thread. A pool thread serves a connection's
 //! requests one after another for as long as it keeps it (see
-//! [`handle`]), but waits for the next request for at most
+//! `handle`), but waits for the next request for at most
 //! [`FETCH_WAIT`], and keeps no connection while an accepted one is
 //! waiting: an idle client cannot hold a pool thread from the backlog
 //! for longer than that. When the backlog is full the accept loop sheds
@@ -82,10 +82,10 @@ use crate::proto;
 use crate::request::{Cell, SvcRequest};
 use crate::splice::reindent;
 use bsim_check::Report;
+use bsim_core::guard::crc32;
+use bsim_core::key::{json_str, STORE_SCHEMA};
+use bsim_core::ResultStore;
 use bsim_core::{CellOutcome, CellPool, Parallelism};
-use bsim_dist::key::{json_str, STORE_SCHEMA};
-use bsim_resilience::guard::crc32;
-use bsim_resilience::ResultStore;
 use bsim_telemetry::CounterBlock;
 use serde::Value;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -164,7 +164,7 @@ const RETRY_AFTER_SECS: u64 = 1;
 /// this window is answered the moment it does, and a longer one costs a
 /// refetch per window instead of a poll per few milliseconds. It also
 /// bounds how long a pool thread waits for the next request on a kept
-/// connection ([`next_request`]).
+/// connection (`next_request`).
 pub const FETCH_WAIT: Duration = Duration::from_secs(1);
 
 // A kept connection's idle wait re-arms the socket's read timeout, so it
@@ -614,7 +614,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         if let Err(payload) =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(shared, n)))
         {
-            let msg = bsim_resilience::retry::panic_message(payload.as_ref());
+            let msg = bsim_core::retry::panic_message(payload.as_ref());
             eprintln!("bsimd: job-{n} panicked: {msg}");
             shared.stats.failed.fetch_add(1, Ordering::SeqCst);
             let body = json_line(&[("error", Value::Str(format!("job panicked: {msg}")))]);
@@ -1082,8 +1082,8 @@ fn handle_shutdown(shared: &Arc<Shared>) -> Reply {
 mod tests {
     use super::*;
     use crate::proto::roundtrip;
-    use bsim_dist::WireCell;
-    use bsim_resilience::store::canonical;
+    use bsim_core::store::canonical;
+    use bsim_core::WireCell;
 
     fn daemon() -> Daemon {
         let (d, report) = Daemon::spawn(DaemonConfig::default()).unwrap();

@@ -7,7 +7,7 @@
 //! that opens clean.
 
 use bsim_core::campaign::FaultRow;
-use bsim_resilience::{scrub, ResultStore};
+use bsim_core::{scrub, ResultStore};
 use serde::Value;
 use std::path::{Path, PathBuf};
 

@@ -5,13 +5,13 @@
 //! twice. `bsimd` (a [`Daemon`]) accepts figure/sweep/tune requests
 //! over std-TCP HTTP-lite, preflights them through `bsim-check`,
 //! decomposes them into **content-addressed cells** — keyed by
-//! `bsim_dist::WireCell::key`, a stable hash of (canonicalized platform
+//! `bsim_core::WireCell::key`, a stable hash of (canonicalized platform
 //! config × workload × seed × code/schema version) — and hands them to a
 //! `bsim_core::CellPool`, which runs the misses once while hits and
 //! identical in-flight cells are served from the memoizing
-//! [`ResultStore`]. Key, pool and store are the ones `bsim fig --store`
-//! uses, so a file it filled serves a daemon and the reverse
-//! (`tests/store.rs`).
+//! `bsim_core::ResultStore`. Key, pool and store are the ones
+//! `bsim fig --store` uses, so a file it filled serves a daemon and the
+//! reverse (`tests/store.rs`).
 //!
 //! Layering:
 //!
@@ -19,7 +19,7 @@
 //! |---|---|
 //! | `splice` | compact → pretty re-indenter: responses are spliced from stored bytes, not rendered from trees |
 //! | [`proto`] | hand-rolled HTTP-lite framing (`curl`-compatible, no network deps) |
-//! | [`request`] | wire shapes, SV000–SV002 preflight, decomposition into keyed `bsim_dist::WireCell`s |
+//! | [`request`] | wire shapes, SV000–SV002 preflight, decomposition into keyed `bsim_core::WireCell`s |
 //! | [`daemon`] | job queue, worker pool, served fragments, `/shutdown` drain |
 //! | [`client`] | one-call helpers for the CLI and tests |
 //! | [`faults`] | the store-corruption row for the `bsim faults` matrix |
@@ -34,7 +34,5 @@ pub mod proto;
 pub mod request;
 mod splice;
 
-pub use bsim_dist::key::micro_cell_key;
-pub use bsim_resilience::{scrub, ResultStore, ScrubReport};
 pub use daemon::{Daemon, DaemonConfig, COUNTERS};
 pub use request::SvcRequest;

@@ -7,12 +7,12 @@
 //! connection the daemon kept ([`roundtrip_with`]). Hand-rolled on
 //! purpose: the workspace builds fully offline, so the wire layer uses
 //! nothing beyond the standard library and the in-tree serde_json shim.
-//! Both sides arm every socket with one [`WIRE_TIMEOUT`] each way: a
+//! Both sides arm every socket with one `WIRE_TIMEOUT` each way: a
 //! constant, like the wire limits, not a setting.
 //!
 //! A message — request or response, head and body — is formatted into
-//! one buffer and leaves through one `write_all` ([`send`]), the way
-//! `bsim_dist::frame::write_frame` sends a frame: formatting straight
+//! one buffer and leaves through one `write_all` (`send`), the way
+//! `bsim_core::frame::write_frame` sends a frame: formatting straight
 //! onto a `TcpStream` costs one `write(2)` per format piece, and the
 //! peer's reader then wakes for a fragment.
 
@@ -63,7 +63,7 @@ const MAX_HEAD_LINE: u64 = 8 << 10;
 const MAX_HEADERS: usize = 64;
 /// Largest request body the daemon reads.
 const MAX_REQUEST_BODY: usize = 1 << 20;
-/// Largest response body a client reads: `bsim_dist::frame`'s cap.
+/// Largest response body a client reads: `bsim_core::frame`'s cap.
 const MAX_RESPONSE_BODY: usize = 64 << 20;
 /// Most of a declared body length reserved before any of it arrived.
 const BODY_PREALLOC: usize = 64 << 10;
@@ -234,7 +234,7 @@ pub type FullResponse = (u16, Vec<(String, String)>, String);
 /// Reads one framed response: status line, headers — returned as
 /// `(lowercased-name, value)` pairs; the shed path's `Retry-After`
 /// rides there — and body. A malformed `Content-Length` is a typed
-/// error (same contract as the server-side [`read_request`]), and a
+/// error (same contract as the server-side `read_request`), and a
 /// response that carries body bytes without declaring `Content-Length`
 /// is rejected rather than silently reinterpreted — the daemon always
 /// frames, so an unframed non-empty body means the wire is not speaking
@@ -283,7 +283,7 @@ thread_local! {
 }
 
 /// Client side: one round trip — send, read the framed response.
-/// Returns `(status, headers, body)`. [`WIRE_TIMEOUT`] on the read *and*
+/// Returns `(status, headers, body)`. `WIRE_TIMEOUT` on the read *and*
 /// write side keeps a wedged daemon from hanging the client forever.
 ///
 /// The request goes out on this thread's kept connection when it leads

@@ -30,8 +30,8 @@
 
 use bsim_check::{Diagnostic, Report};
 use bsim_core::experiments::{subfigures, Sizes, FIGURE_IDS};
-use bsim_dist::key::MicroKeyer;
-use bsim_dist::WireCell;
+use bsim_core::key::MicroKeyer;
+use bsim_core::WireCell;
 use bsim_soc::{configs, preflight, SocConfig};
 use bsim_workloads::microbench;
 use serde::Value;
@@ -529,7 +529,7 @@ mod tests {
                 let cfg = configs::by_name(name, 1).unwrap();
                 kernels.iter().map(move |kernel| {
                     (
-                        bsim_dist::key::micro_cell_key(&cfg, kernel, 3, 5),
+                        bsim_core::key::micro_cell_key(&cfg, kernel, 3, 5),
                         format!("{}/{kernel}", cfg.name),
                     )
                 })

@@ -6,7 +6,9 @@
 //! entry, derive the same keys for the same cells, and write the same
 //! file back.
 
-use bsim_svc::{micro_cell_key, ResultStore, SvcRequest};
+use bsim_core::key::micro_cell_key;
+use bsim_core::ResultStore;
+use bsim_svc::SvcRequest;
 use serde::Value;
 use std::path::PathBuf;
 

@@ -89,7 +89,7 @@ pub fn run(soc: SocConfig, ranks: usize, cfg: ChainConfig, net: NetConfig) -> Ch
 
 /// Runs the polymer chain once with timing disabled, capturing the rank
 /// programs as a timing-free [`WorldTrace`] for multi-lane replay
-/// (`bsim-sweepx`).
+/// (`bsim_core::replay`).
 pub fn record(
     soc: SocConfig,
     ranks: usize,

@@ -110,7 +110,7 @@ pub fn run(soc: SocConfig, ranks: usize, cfg: LjConfig, net: NetConfig) -> LjRes
 
 /// Runs the LJ melt once with timing disabled, capturing the rank
 /// programs as a timing-free [`WorldTrace`] for multi-lane replay
-/// (`bsim-sweepx`).
+/// (`bsim_core::replay`).
 pub fn record(
     soc: SocConfig,
     ranks: usize,

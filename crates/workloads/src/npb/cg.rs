@@ -128,7 +128,7 @@ pub fn run(soc: SocConfig, ranks: usize, cfg: CgConfig, net: NetConfig) -> CgRes
 }
 
 /// Runs CG once with timing disabled, capturing the rank programs as a
-/// timing-free [`WorldTrace`] for multi-lane replay (`bsim-sweepx`).
+/// timing-free [`WorldTrace`] for multi-lane replay (`bsim_core::replay`).
 /// The returned result's report carries no meaningful timing; its
 /// functional fields (residuals) are exact.
 pub fn record(

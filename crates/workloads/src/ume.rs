@@ -159,7 +159,7 @@ pub fn run(soc: SocConfig, ranks: usize, cfg: UmeConfig, net: NetConfig) -> UmeR
 }
 
 /// Runs UME once with timing disabled, capturing the rank programs as a
-/// timing-free [`WorldTrace`] for multi-lane replay (`bsim-sweepx`).
+/// timing-free [`WorldTrace`] for multi-lane replay (`bsim_core::replay`).
 pub fn record(
     soc: SocConfig,
     ranks: usize,

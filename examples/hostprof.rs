@@ -121,11 +121,10 @@ mod sampler {
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn main() {
     use silicon_bridge::core::experiments::{microbench_cell, MpiWork, Sizes};
-    use silicon_bridge::core::Parallelism;
+    use silicon_bridge::core::{cache_tuning_grid, front_groups, replay_world, Parallelism};
     use silicon_bridge::mpi::{NetConfig, Timed};
     use silicon_bridge::soc::configs::{banana_pi_hw, banana_pi_sim, milkv_hw, milkv_sim};
     use silicon_bridge::svc::{client, Daemon, DaemonConfig};
-    use silicon_bridge::sweepx::{cache_tuning_grid, front_groups, replay_world};
     use silicon_bridge::workloads::microbench;
     use std::cell::Cell;
     use std::hint::black_box;

@@ -269,7 +269,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length bounds for [`vec`], inclusive on both ends.
+    /// Length bounds for [`vec()`], inclusive on both ends.
     pub trait IntoSizeRange {
         fn bounds(self) -> (usize, usize);
     }

@@ -53,10 +53,8 @@ use silicon_bridge::core::experiments::{
 };
 use silicon_bridge::core::tuning::tune_milkv;
 use silicon_bridge::core::{claims, table};
-use silicon_bridge::core::{CellPool, Parallelism, ResultStore};
-use silicon_bridge::dist::WireCell;
+use silicon_bridge::core::{CellOutcome, CellPool, Parallelism, ResultStore, Snapshot, WireCell};
 use silicon_bridge::mpi::NetConfig;
-use silicon_bridge::resilience::{CellOutcome, Snapshot};
 use silicon_bridge::soc::{configs, Soc, SocConfig};
 use silicon_bridge::svc::{client, Daemon, DaemonConfig};
 use silicon_bridge::workloads::microbench;
@@ -436,7 +434,7 @@ fn main() {
             let Some(path) = f.get("--store") else {
                 usage()
             };
-            let (scrubbed, report) = silicon_bridge::resilience::scrub(std::path::Path::new(path));
+            let (scrubbed, report) = silicon_bridge::core::scrub(std::path::Path::new(path));
             if !report.is_clean() {
                 eprint!("{}", report.render());
             }

@@ -19,14 +19,16 @@
 //! | [`mem`] | `bsim-mem` | caches, bus, LLC models, FR-FCFS DRAM timing |
 //! | [`telemetry`] | `bsim-telemetry` | AutoCounter-style out-of-band counters and gap reports |
 //! | [`check`] | `bsim-check` | static model-graph analysis and config lints (preflight) |
-//! | [`engine`] | `bsim-engine` | token channels and lockstep harness |
+//! | [`engine`] | `bsim-engine` | token channels, lockstep harness, fault injection, watchdog, cut token link |
 //! | [`soc`] | `bsim-soc` | platform catalog (Tables 4/5) and the runnable SoC |
 //! | [`mpi`] | `bsim-mpi` | deterministic virtual-time MPI over simulated cores |
 //! | [`workloads`] | `bsim-workloads` | MicroBench, NPB, UME, MD |
-//! | [`core`] | `bsim-core` | relative-speedup metrics, figure generators, sim-rate meter, tuning |
-//! | [`svc`] | `bsim-svc` | `bsimd` service daemon + content-addressed result cache |
-//! | [`dist`] | `bsim-dist` | cell identity, the frame codec and the cut token link |
-//! | [`sweepx`] | `bsim-sweepx` | vectorized multi-lane config sweeps and SimPoint-style sampled simulation |
+//! | [`core`] | `bsim-core` | relative-speedup metrics, figure generators, tuning, cell identity, result store, multi-lane replay and sampling |
+//! | [`svc`] | `bsim-svc` | `bsimd` service daemon over the result store |
+//!
+//! [`dist`] and [`sweepx`] are no crates: they hold, one `pub use` each,
+//! the paths the ledger (`benchmark/src`) names under them, and [`svc`]
+//! adds the two store items it names there.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour; `bsim fig N` and
 //! `bsim table N` (`src/bin/bsim.rs`) regenerate Figures 1–7 and
@@ -36,18 +38,38 @@ pub mod bench;
 
 pub use bsim_check as check;
 pub use bsim_core as core;
-pub use bsim_dist as dist;
 pub use bsim_engine as engine;
 pub use bsim_isa as isa;
 pub use bsim_mem as mem;
 pub use bsim_mpi as mpi;
-pub use bsim_resilience as resilience;
 pub use bsim_soc as soc;
-pub use bsim_svc as svc;
-pub use bsim_sweepx as sweepx;
 pub use bsim_telemetry as telemetry;
 pub use bsim_uarch as uarch;
 pub use bsim_workloads as workloads;
+
+/// The ledger's paths to the frame codec and the rank graph.
+pub mod dist {
+    pub use bsim_core::frame;
+    pub use bsim_core::frame::Frame;
+    pub use bsim_engine::graph;
+    pub use bsim_engine::graph::RankGraph;
+}
+
+/// The service daemon, and the ledger's paths to the store items it
+/// answers from.
+pub mod svc {
+    pub use bsim_core::key::micro_cell_key;
+    pub use bsim_core::store::ResultStore;
+    pub use bsim_svc::*;
+}
+
+/// The ledger's paths to multi-lane replay and sampled simulation.
+pub mod sweepx {
+    pub use bsim_core::lane::cache_tuning_grid;
+    pub use bsim_core::lane::lint_lane_plan;
+    pub use bsim_core::replay::replay_world;
+    pub use bsim_core::sample::SampleCfg;
+}
 
 /// Crate version, for reports.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");

@@ -9,8 +9,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use silicon_bridge::core::experiments::Sizes;
-use silicon_bridge::dist::WireCell;
-use silicon_bridge::resilience::ResultStore;
+use silicon_bridge::core::{ResultStore, WireCell};
 
 fn bsim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bsim"))

@@ -7,9 +7,9 @@
 //! Each case checks a timed `MpiWorld::run` and a one-lane
 //! `replay_world` of `MpiWorld::record` of the same program.
 
+use silicon_bridge::core::replay_world;
 use silicon_bridge::mpi::{MpiWorld, NetConfig, RankCtx, ReduceOp, WorldReport};
 use silicon_bridge::soc::{configs, SocConfig, TelemetryConfig};
-use silicon_bridge::sweepx::replay_world;
 use silicon_bridge::workloads::trace::{rank_base, with_trace};
 
 /// A streaming load / fused-multiply-add / store loop over `lines`

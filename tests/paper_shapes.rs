@@ -10,9 +10,8 @@
 
 use silicon_bridge::core::claims::{claim, Score, Verdict, PAPER_CLAIMS};
 use silicon_bridge::core::experiments::{figure, Series, Sizes, FIGURES};
-use silicon_bridge::core::Parallelism;
+use silicon_bridge::core::{CkptStore, Parallelism};
 use silicon_bridge::mpi::NetConfig;
-use silicon_bridge::resilience::CkptStore;
 use silicon_bridge::soc::configs;
 use silicon_bridge::workloads::npb::ep;
 use std::path::Path;

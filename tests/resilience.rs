@@ -3,10 +3,11 @@
 
 use std::time::{Duration, Instant};
 
-use silicon_bridge::core::{CellPool, Parallelism, ResultStore};
-use silicon_bridge::engine::{FaultKind, FaultPlan, Harness, SimError, TickModel, Wire};
-use silicon_bridge::resilience::fault::FaultTarget;
-use silicon_bridge::resilience::{Snapshot, WatchdogConfig};
+use silicon_bridge::core::{CellPool, Parallelism, ResultStore, Snapshot};
+use silicon_bridge::engine::fault::FaultTarget;
+use silicon_bridge::engine::{
+    FaultKind, FaultPlan, Harness, SimError, TickModel, WatchdogConfig, Wire,
+};
 use silicon_bridge::soc::{configs, Soc};
 use silicon_bridge::telemetry::CounterBlock;
 use silicon_bridge::workloads::microbench;

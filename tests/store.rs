@@ -7,9 +7,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::time::Duration;
 
-use silicon_bridge::core::CellPool;
-use silicon_bridge::dist::WireCell;
-use silicon_bridge::resilience::{scrub, ResultStore};
+use silicon_bridge::core::{scrub, CellPool, ResultStore, WireCell};
 use silicon_bridge::svc::{client, Daemon, DaemonConfig};
 
 const FIG5: &str = r#"{"kind":"fig","id":"5","sizes":"smoke"}"#;

@@ -10,9 +10,9 @@
 //! micro-ops were streamed; they move only if a workload's trace does.
 
 use silicon_bridge::core::experiments::{MpiWork, Sizes};
+use silicon_bridge::core::replay_world;
 use silicon_bridge::mpi::{Ev, MpiWorld, NetConfig, RankCtx, Timed, WorldReport, WorldTrace};
 use silicon_bridge::soc::{configs, RUN_QUANTUM};
-use silicon_bridge::sweepx::replay_world;
 use silicon_bridge::workloads::trace::{rank_base, with_trace};
 
 /// FNV-1a over every field of every event, in order.
