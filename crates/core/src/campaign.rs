@@ -22,7 +22,7 @@
 use crate::retry::{catch, CellOutcome};
 use bsim_mpi::{MpiWorld, NetConfig, RankCtx, WorldReport};
 use bsim_soc::configs;
-use bsim_uarch::MicroOp;
+use bsim_uarch::{MicroOp, Ureg};
 use bsim_workloads::npb::ep;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -195,8 +195,8 @@ fn ring(seed: u64, fault: Option<Fault>) -> CellOutcome<(Vec<u64>, WorldReport)>
             state = mix(state, u64::from(round));
             let pc = 0x1_0000 + 8 * u64::from(round);
             ctx.consume_batch(&[
-                MicroOp::load(pc, 0x8000_0000 + (state & 0xf_fff8), Some(5), None),
-                MicroOp::alu(pc + 4, Some(6), [Some(5), None, None]),
+                MicroOp::load(pc, 0x8000_0000 + (state & 0xf_fff8), Ureg::new(5), None),
+                MicroOp::alu(pc + 4, Ureg::new(6), [Ureg::new(5), None, None]),
             ]);
             let now = fault.filter(|&f| round == at && injects(f));
             if now == Some(Fault::Stall) {

@@ -584,14 +584,14 @@ impl Strata {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsim_uarch::MicroOp;
+    use bsim_uarch::{MicroOp, Ureg};
 
     fn op(class: OpClass, addr: Option<u64>) -> MicroOp {
         MicroOp {
             pc: 0,
             next_pc: 4,
             class,
-            dest: Some(1),
+            dest: Ureg::new(1),
             srcs: [None; 3],
             mem_addr: addr,
             is_store: matches!(class, OpClass::Store),

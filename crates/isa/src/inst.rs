@@ -7,7 +7,7 @@
 //! `decode(encode(i)) == i` holds for every [`Inst`] value with in-range
 //! immediates — both are enforced by property tests.
 
-use crate::reg::{FReg, Reg};
+use crate::reg::{FReg, Reg, Ureg};
 use std::fmt;
 
 /// Coarse operation class, used by the timing models to choose functional
@@ -64,10 +64,10 @@ pub enum BranchClass {
 pub struct Lowered {
     /// Operation class ([`Inst::class`]).
     pub class: OpClass,
-    /// Destination register in unified numbering ([`Inst::dest`]).
-    pub dest: Option<u8>,
-    /// Source registers in unified numbering ([`Inst::sources`]).
-    pub srcs: [Option<u8>; 3],
+    /// Destination register ([`Inst::dest`]).
+    pub dest: Option<Ureg>,
+    /// Source registers ([`Inst::sources`]).
+    pub srcs: [Option<Ureg>; 3],
     /// Control-flow class, for instructions that redirect the PC.
     pub branch: Option<BranchClass>,
 }
@@ -1189,12 +1189,12 @@ impl Inst {
         }
     }
 
-    /// Destination register, numbered 0–31 for integer and 32–63 for FP
-    /// registers, or `None` (includes writes to `x0`, which are discarded).
-    pub fn dest(self) -> Option<u8> {
+    /// Destination register in the unified numbering ([`Ureg`]), or
+    /// `None` (includes writes to `x0`, which are discarded).
+    pub fn dest(self) -> Option<Ureg> {
         use Inst::*;
-        let ireg = |r: Reg| if r.0 == 0 { None } else { Some(r.0) };
-        let freg = |r: FReg| Some(32 + r.0);
+        let ireg = Ureg::x;
+        let freg = |r: FReg| Some(Ureg::f(r));
         match self {
             Lui { rd, .. }
             | Auipc { rd, .. }
@@ -1226,11 +1226,11 @@ impl Inst {
         }
     }
 
-    /// Source registers in the unified 0–63 numbering (x0 omitted).
-    pub fn sources(self) -> [Option<u8>; 3] {
+    /// Source registers in the unified numbering ([`Ureg`]; x0 omitted).
+    pub fn sources(self) -> [Option<Ureg>; 3] {
         use Inst::*;
-        let ireg = |r: Reg| if r.0 == 0 { None } else { Some(r.0) };
-        let freg = |r: FReg| Some(32 + r.0);
+        let ireg = Ureg::x;
+        let freg = |r: FReg| Some(Ureg::f(r));
         match self {
             Lui { .. } | Auipc { .. } | Jal { .. } | Fence | Ecall | Ebreak => [None; 3],
             Jalr { rs1, .. }
@@ -1249,7 +1249,7 @@ impl Inst {
             Fsd { rs1, rs2, .. } => [ireg(rs1), freg(rs2), None],
             FpOp { rs1, rs2, .. } => [freg(rs1), freg(rs2), None],
             Fsqrt { rs1, .. } | Fsin { rs1, .. } => [freg(rs1), None, None],
-            Fmadd { rs1, rs2, rs3, .. } => [freg(rs1), freg(rs2), Some(32 + rs3.0)],
+            Fmadd { rs1, rs2, rs3, .. } => [freg(rs1), freg(rs2), freg(rs3)],
             FpCmp { rs1, rs2, .. } => [freg(rs1), freg(rs2), None],
             FcvtDL { rs1, .. } | FcvtDW { rs1, .. } | FmvDX { rs1, .. } => [ireg(rs1), None, None],
             FcvtLD { rs1, .. } | FcvtWD { rs1, .. } | FmvXD { rs1, .. } => [freg(rs1), None, None],
@@ -1537,7 +1537,7 @@ mod tests {
             rs1: SP,
             offset: 0,
         };
-        assert_eq!(i.dest(), Some(32));
+        assert_eq!(i.dest(), Ureg::new(32));
     }
 
     #[test]

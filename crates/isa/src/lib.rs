@@ -34,4 +34,4 @@ pub use asm::{Asm, Program};
 pub use inst::{BranchClass, DecodeError, Inst, Lowered, OpClass};
 pub use interp::{Cpu, Retired, RunResult, Trap};
 pub use mem::Memory;
-pub use reg::{FReg, Reg};
+pub use reg::{FReg, Reg, Ureg};

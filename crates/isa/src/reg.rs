@@ -6,6 +6,7 @@
 // bsim: allow-file(AU005) the ABI register names are a table; kernels use a subset
 
 use std::fmt;
+use std::num::NonZeroU8;
 
 /// An integer (x) register, `x0`..`x31`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,6 +63,54 @@ impl FReg {
             "fs8", "fs9", "fs10", "fs11", "ft8", "ft9", "ft10", "ft11",
         ];
         NAMES[self.0 as usize]
+    }
+}
+
+/// A register operand in the unified numbering the timing models read:
+/// x1–x31 are 1–31 and f0–f31 are 32–63. `x0` has no `Ureg`: its writes
+/// are discarded and it always reads zero, so it carries no dependence.
+/// That leaves 0 as the niche, so `Option<Ureg>` is one byte and `None`
+/// is the byte 0.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Ureg(NonZeroU8);
+
+impl Ureg {
+    /// The unified register numbered `n`, or `None` for 0 (`x0`).
+    /// Panics at 64 and above.
+    #[inline]
+    pub const fn new(n: u8) -> Option<Ureg> {
+        assert!(n < 64, "unified register index out of range");
+        match NonZeroU8::new(n) {
+            Some(n) => Some(Ureg(n)),
+            None => None,
+        }
+    }
+
+    /// Integer register `r`, or `None` for `x0`.
+    #[inline]
+    pub const fn x(r: Reg) -> Option<Ureg> {
+        Ureg::new(r.0)
+    }
+
+    /// Floating-point register `r`: `f0` is 32.
+    #[inline]
+    pub const fn f(r: FReg) -> Ureg {
+        match Ureg::new(32 | r.0) {
+            Some(u) => u,
+            None => unreachable!(),
+        }
+    }
+
+    /// The unified number, 1–63.
+    #[inline]
+    pub const fn num(self) -> u8 {
+        self.0.get()
+    }
+
+    /// The unified number as an index into a 64-entry table.
+    #[inline]
+    pub const fn index(self) -> usize {
+        self.0.get() as usize
     }
 }
 
@@ -216,6 +265,21 @@ mod tests {
     #[should_panic]
     fn reg_out_of_range_panics() {
         let _ = Reg::new(32);
+    }
+
+    #[test]
+    fn unified_numbering_omits_x0_and_puts_fp_at_32() {
+        assert_eq!(Ureg::x(ZERO), None);
+        assert_eq!(Ureg::x(T6).map(Ureg::num), Some(31));
+        assert_eq!(Ureg::f(FT0).num(), 32);
+        assert_eq!(Ureg::f(FT11).index(), 63);
+        assert_eq!(Ureg::new(40), Some(Ureg::f(FS0)));
+    }
+
+    #[test]
+    #[should_panic]
+    fn ureg_out_of_range_panics() {
+        let _ = Ureg::new(64);
     }
 
     #[test]

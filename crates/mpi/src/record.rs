@@ -197,6 +197,7 @@ mod tests {
     use super::*;
     use crate::{MpiWorld, NetConfig, RankCtx, Timing};
     use bsim_soc::{configs, SocConfig};
+    use bsim_uarch::Ureg;
 
     /// Rank `rank`'s `seg`-th segment: a strided load / ALU / store loop
     /// in which every micro-op has its own address, so a slice of the
@@ -207,9 +208,13 @@ mod tests {
         (0..trips)
             .flat_map(|i| {
                 [
-                    MicroOp::load(0x8_0000, base + i * 64, Some(9), None),
-                    MicroOp::alu(0x8_0004, Some(10), [Some(9), None, None]),
-                    MicroOp::store(0x8_0008, base + 0x8_0000 + i * 64, [Some(10), None, None]),
+                    MicroOp::load(0x8_0000, base + i * 64, Ureg::new(9), None),
+                    MicroOp::alu(0x8_0004, Ureg::new(10), [Ureg::new(9), None, None]),
+                    MicroOp::store(
+                        0x8_0008,
+                        base + 0x8_0000 + i * 64,
+                        [Ureg::new(10), None, None],
+                    ),
                 ]
             })
             .collect()

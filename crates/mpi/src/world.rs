@@ -763,7 +763,7 @@ mod tests {
     #[test]
     fn compute_feeds_the_shared_soc() {
         let rep = world(2, |ctx| {
-            let uop = MicroOp::alu(0x1_0000, Some(5), [None; 3]);
+            let uop = MicroOp::alu(0x1_0000, bsim_uarch::Ureg::new(5), [None; 3]);
             ctx.consume_batch(&[uop; 500]);
             ctx.barrier();
         });

@@ -403,7 +403,7 @@ mod tests {
     #[test]
     fn multi_core_soc_tracks_independent_clocks() {
         let mut soc = Soc::new(configs::rocket1(2));
-        let uop = bsim_uarch::MicroOp::alu(0x1_0000, Some(5), [None; 3]);
+        let uop = bsim_uarch::MicroOp::alu(0x1_0000, bsim_uarch::Ureg::new(5), [None; 3]);
         for _ in 0..100 {
             soc.consume(0, &uop);
         }

@@ -9,6 +9,7 @@ use bsim_mem::{FrontRecord, MemoryHierarchy, Own};
 use bsim_soc::{configs, RunReport, Soc, SocConfig, TelemetryConfig};
 use bsim_uarch::{
     BranchClass, CoreStats, InOrderConfig, InOrderCore, MicroOp, OooConfig, OooCore, TimingCore,
+    Ureg,
 };
 
 /// A seeded micro-op stream with everything the cores branch on: ALU and
@@ -28,8 +29,8 @@ fn stream(seed: u64, n: usize) -> Vec<MicroOp> {
     while uops.len() < n {
         let r = next();
         let pc = 0x1_0000 + (r >> 40) % 96 * 4 + (r >> 8) % 12 * 64;
-        let reg = |v: u64| Some((5 + v % 20) as u8);
-        let srcs = [reg(r >> 3), (r & 4 != 0).then_some(7), None];
+        let reg = |v: u64| Ureg::new((5 + v % 20) as u8);
+        let srcs = [reg(r >> 3), Ureg::new(7).filter(|_| r & 4 != 0), None];
         let data = 0x10_0000 + (r >> 20) % 3 * 0x4_0000 + (r >> 12) % 640 * 8;
         uops.push(match r % 16 {
             0..=4 => MicroOp::alu(pc, reg(r >> 9), srcs),
@@ -48,14 +49,14 @@ fn stream(seed: u64, n: usize) -> Vec<MicroOp> {
                 class: OpClass::Jump,
                 next_pc: pc + 0x400,
                 branch: Some((BranchClass::Call, true)),
-                ..MicroOp::alu(pc, Some(1), [None; 3])
+                ..MicroOp::alu(pc, Ureg::new(1), [None; 3])
             },
             14 => MicroOp {
                 class: OpClass::Jump,
                 // Right for half of the returns, wrong for the rest.
                 next_pc: pc - 0x400 + 4 * (r >> 7 & 1),
                 branch: Some((BranchClass::Return, true)),
-                ..MicroOp::alu(pc + 0x400, None, [Some(1), None, None])
+                ..MicroOp::alu(pc + 0x400, None, [Ureg::new(1), None, None])
             },
             _ => MicroOp {
                 class: OpClass::Jump,

@@ -81,7 +81,9 @@ pub struct InOrderCore {
     cfg: InOrderConfig,
     cycle: u64,
     issued_this_cycle: u32,
-    reg_ready: [u64; 64],
+    /// Ready cycle per unified register. Slot 0, x0's, is never written
+    /// (no `Ureg` is 0), so an absent source reads 0 there.
+    pub(crate) reg_ready: [u64; 64],
     /// Outstanding store completion times, earliest first — admission
     /// needs only the front, so drains are O(log n) pops instead of a
     /// full `retain` + `min` scan per store.
@@ -203,7 +205,7 @@ impl TimingCore for InOrderCore {
                         issue + 1 + tlb_extra,
                     );
                     if let Some(d) = uop.dest {
-                        self.reg_ready[d as usize] = out.complete_at;
+                        self.reg_ready[d.index()] = out.complete_at;
                     }
                     self.stats.loads += 1;
                 }
@@ -239,7 +241,7 @@ impl TimingCore for InOrderCore {
                 }
                 _ => {
                     if let Some(d) = uop.dest {
-                        self.reg_ready[d as usize] = issue + latency;
+                        self.reg_ready[d.index()] = issue + latency;
                     }
                     if OpLatencies::unpipelined(uop.class) {
                         self.unpipelined_free = issue + latency;
@@ -310,6 +312,7 @@ impl TimingCore for InOrderCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Ureg;
     use bsim_mem::{BusConfig, CacheConfig, DramConfig, HierarchyConfig};
 
     fn mem(cores: usize) -> MemoryHierarchy {
@@ -356,9 +359,9 @@ mod tests {
             .map(|i| {
                 let pc = 0x1_0000 + 4 * (i as u64 % 16); // loop: warm icache
                 if dependent {
-                    MicroOp::alu(pc, Some(5), [Some(5), None, None])
+                    MicroOp::alu(pc, Ureg::new(5), [Ureg::new(5), None, None])
                 } else {
-                    MicroOp::alu(pc, Some((5 + i % 8) as u8), [None, None, None])
+                    MicroOp::alu(pc, Ureg::new((5 + i % 8) as u8), [None, None, None])
                 }
             })
             .collect()
@@ -413,8 +416,8 @@ mod tests {
     fn load_use_interlock_stalls() {
         // load -> immediately use result.
         let uops = vec![
-            MicroOp::load(0x1_0000, 0x10_0000, Some(5), None),
-            MicroOp::alu(0x1_0004, Some(6), [Some(5), None, None]),
+            MicroOp::load(0x1_0000, 0x10_0000, Ureg::new(5), None),
+            MicroOp::alu(0x1_0004, Ureg::new(6), [Ureg::new(5), None, None]),
         ];
         let (_, s) = run(InOrderConfig::rocket(), &uops);
         assert!(s.data_stall_cycles > 0, "consumer must wait for the load");
@@ -468,7 +471,7 @@ mod tests {
                 pc: 0x1_0000 + 4 * (i % 16),
                 next_pc: 0x1_0004 + 4 * (i % 16),
                 class: OpClass::IntDiv,
-                dest: Some((5 + i % 4) as u8),
+                dest: Ureg::new((5 + i % 4) as u8),
                 srcs: [None, None, None],
                 mem_addr: None,
                 is_store: false,

@@ -38,7 +38,7 @@ pub use ooo::{OooConfig, OooCore};
 pub use predictor::{BoomPredictor, RocketPredictor};
 pub use stats::CoreStats;
 pub use tlb::{Tlb, TlbConfig};
-pub use uop::{BranchClass, MicroOp};
+pub use uop::{BranchClass, MicroOp, Ureg};
 
 use bsim_mem::{Front, MemoryHierarchy, Own};
 

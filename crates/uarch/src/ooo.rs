@@ -143,6 +143,8 @@ pub struct OooCore {
     /// Cycle at which the front-end can deliver the next micro-op.
     fetch_time: u64,
     dispatched_this_cycle: u32,
+    /// Ready cycle per unified register. Slot 0, x0's, is never written
+    /// (no `Ureg` is 0), so an absent source reads 0 there.
     reg_ready: [u64; 64],
     /// Retire times of the last `rob` ops, one slot per op count modulo
     /// the ROB size; `rob[at]` is the oldest, the one a new op replaces.
@@ -420,7 +422,7 @@ impl TimingCore for OooCore {
             };
 
             if let Some(d) = uop.dest {
-                self.reg_ready[d as usize] = complete;
+                self.reg_ready[d.index()] = complete;
             }
 
             // ---- in-order retire --------------------------------------------
@@ -516,6 +518,7 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Ureg;
     use bsim_mem::{BusConfig, CacheConfig, DramConfig, HierarchyConfig};
 
     pub(super) fn mem() -> MemoryHierarchy {
@@ -572,7 +575,7 @@ mod tests {
             .map(|i| {
                 MicroOp::alu(
                     0x1_0000 + 4 * (i as u64 % 16),
-                    Some((5 + i % 16) as u8),
+                    Ureg::new((5 + i % 16) as u8),
                     [None; 3],
                 )
             })
@@ -584,8 +587,8 @@ mod tests {
             .map(|i| {
                 MicroOp::alu(
                     0x1_0000 + 4 * (i as u64 % 16),
-                    Some(5),
-                    [Some(5), None, None],
+                    Ureg::new(5),
+                    [Ureg::new(5), None, None],
                 )
             })
             .collect()
@@ -629,7 +632,7 @@ mod tests {
                 MicroOp::load(
                     0x1_0000 + 4 * (i % 16),
                     0x100_0000 + i * 65536,
-                    Some(5),
+                    Ureg::new(5),
                     None,
                 )
             })

@@ -8,7 +8,7 @@ use crate::latency::OpLatencies;
 use crate::predictor::{BoomPredictor, BranchPredictor};
 use crate::stats::CoreStats;
 use crate::tlb::Tlb;
-use crate::uop::{BranchClass, MicroOp};
+use crate::uop::{BranchClass, MicroOp, Ureg};
 use crate::TimingCore;
 use bsim_isa::OpClass;
 use bsim_mem::{AccessKind, MemoryHierarchy, Own};
@@ -173,7 +173,7 @@ impl RefOooCore {
         };
 
         if let Some(d) = uop.dest {
-            self.reg_ready[d as usize] = complete;
+            self.reg_ready[d.index()] = complete;
         }
 
         self.retired_in_group += 1;
@@ -285,7 +285,11 @@ struct Mix {
 /// branches that are sometimes hard to predict, over a few fetch lines.
 fn op(rng: &mut Rng, mix: &Mix) -> MicroOp {
     let pc = 0x1_0000 + 4 * rng.below(48);
-    let reg = |rng: &mut Rng| (rng.below(3) != 0).then(|| 1 + rng.below(12) as u8);
+    let reg = |rng: &mut Rng| {
+        (rng.below(3) != 0)
+            .then(|| 1 + rng.below(12) as u8)
+            .and_then(Ureg::new)
+    };
     let srcs = [reg(rng), reg(rng), None];
     let addr = if mix.misses && rng.below(4) == 0 {
         0x100_0000 + 64 * rng.below(1 << 16)
@@ -352,4 +356,39 @@ fn the_retire_history_counts_what_the_eager_rings_counted() {
         full > 1000 && partial > 200,
         "streams must both fill the ROB and not: {full} vs {partial}"
     );
+}
+
+#[test]
+fn no_stream_writes_the_x0_slot_an_absent_source_reads() {
+    use crate::{InOrderConfig, InOrderCore};
+    for seed in 1..=16u64 {
+        let mut rng = Rng(0x2545_F491_4F6C_DD1D ^ seed);
+        let mix = Mix {
+            misses: seed % 2 == 0,
+            long_ops: true,
+        };
+        let cfg = shrunken(&mut rng, &mix);
+        let mut ooo = OooCore::new(cfg.clone());
+        let mut reference = RefOooCore::new(cfg);
+        let mut inorder = InOrderCore::new(InOrderConfig::rocket());
+        let mut mems = [(); 3].map(|_| super::tests::mem());
+        for _ in 0..20 {
+            let batch: Vec<MicroOp> = (0..rng.below(200)).map(|_| op(&mut rng, &mix)).collect();
+            ooo.consume_batch(&batch, &mut mems[0], 0, &mut Own);
+            inorder.consume_batch(&batch, &mut mems[1], 0, &mut Own);
+            batch
+                .iter()
+                .for_each(|u| reference.consume(u, &mut mems[2]));
+        }
+        assert!(
+            ooo.reg_ready.iter().any(|&t| t > 0),
+            "seed {seed}: no op wrote a register"
+        );
+        let x0 = [
+            ooo.reg_ready[0],
+            inorder.reg_ready[0],
+            reference.reg_ready[0],
+        ];
+        assert_eq!(x0, [0; 3], "seed {seed}");
+    }
 }

@@ -2,11 +2,13 @@
 //!
 //! A [`MicroOp`] is everything a timing model needs to know about one
 //! dynamic instruction: its class (functional unit + latency), its
-//! register dependences (unified 0–63 numbering: x1–x31 are 1–31,
-//! f0–f31 are 32–63), its effective address if it touches memory, and
-//! its control-flow outcome if it redirects the PC.
+//! register dependences (one byte each, [`Ureg`]: x1–x31 are 1–31,
+//! f0–f31 are 32–63, and `None` is x0's 0), its effective address if it
+//! touches memory, and its control-flow outcome if it redirects the PC.
+//! The whole op is 40 bytes, which is what a recorded arena holds per
+//! op.
 
-pub use bsim_isa::BranchClass;
+pub use bsim_isa::{BranchClass, Ureg};
 use bsim_isa::{OpClass, Retired};
 
 /// One dynamic micro-op.
@@ -19,10 +21,10 @@ pub struct MicroOp {
     pub next_pc: u64,
     /// Operation class.
     pub class: OpClass,
-    /// Destination register in unified numbering.
-    pub dest: Option<u8>,
-    /// Source registers in unified numbering.
-    pub srcs: [Option<u8>; 3],
+    /// Destination register.
+    pub dest: Option<Ureg>,
+    /// Source registers.
+    pub srcs: [Option<Ureg>; 3],
     /// Effective address, for loads and stores.
     pub mem_addr: Option<u64>,
     /// True when the memory access is a store.
@@ -51,7 +53,7 @@ impl MicroOp {
     }
 
     /// A plain ALU op with explicit dependences (trace frontend helper).
-    pub fn alu(pc: u64, dest: Option<u8>, srcs: [Option<u8>; 3]) -> MicroOp {
+    pub fn alu(pc: u64, dest: Option<Ureg>, srcs: [Option<Ureg>; 3]) -> MicroOp {
         MicroOp {
             pc,
             next_pc: pc + 4,
@@ -65,7 +67,7 @@ impl MicroOp {
     }
 
     /// A load micro-op (trace frontend helper).
-    pub fn load(pc: u64, addr: u64, dest: Option<u8>, src: Option<u8>) -> MicroOp {
+    pub fn load(pc: u64, addr: u64, dest: Option<Ureg>, src: Option<Ureg>) -> MicroOp {
         MicroOp {
             pc,
             next_pc: pc + 4,
@@ -79,7 +81,7 @@ impl MicroOp {
     }
 
     /// A store micro-op (trace frontend helper).
-    pub fn store(pc: u64, addr: u64, srcs: [Option<u8>; 3]) -> MicroOp {
+    pub fn store(pc: u64, addr: u64, srcs: [Option<Ureg>; 3]) -> MicroOp {
         MicroOp {
             pc,
             next_pc: pc + 4,
@@ -93,7 +95,7 @@ impl MicroOp {
     }
 
     /// A conditional-branch micro-op (trace frontend helper).
-    pub fn cond_branch(pc: u64, taken: bool, target: u64, srcs: [Option<u8>; 3]) -> MicroOp {
+    pub fn cond_branch(pc: u64, taken: bool, target: u64, srcs: [Option<Ureg>; 3]) -> MicroOp {
         MicroOp {
             pc,
             next_pc: if taken { target } else { pc + 4 },
@@ -107,10 +109,12 @@ impl MicroOp {
     }
 
     /// Cycle the last source operand is ready, given each register's
-    /// ready cycle (0 with no sources).
+    /// ready cycle (0 with no sources). An absent source reads slot 0,
+    /// x0's, which no op writes (a `Ureg` is never 0), so it stays 0 and
+    /// the read needs no branch.
     #[inline]
     pub(crate) fn srcs_ready(&self, reg_ready: &[u64; 64]) -> u64 {
-        let ready_of = |src: Option<u8>| src.map_or(0, |r| reg_ready[r as usize]);
+        let ready_of = |src: Option<Ureg>| reg_ready[src.map_or(0, Ureg::index)];
         ready_of(self.srcs[0])
             .max(ready_of(self.srcs[1]))
             .max(ready_of(self.srcs[2]))
@@ -177,16 +181,24 @@ mod tests {
         let ld = uops.iter().find(|u| u.mem_addr.is_some()).unwrap();
         assert_eq!(ld.mem_addr, Some(addr));
         assert!(!ld.is_store);
-        assert_eq!(ld.dest, Some(T1.num()));
+        assert_eq!(ld.dest, Ureg::x(T1));
+    }
+
+    #[test]
+    fn a_micro_op_is_40_bytes_and_an_operand_one() {
+        // The recorded arena (`WorldTrace::uops`) holds ops by value, so
+        // this is its size per op.
+        assert_eq!(std::mem::size_of::<MicroOp>(), 40);
+        assert_eq!(std::mem::size_of::<Option<Ureg>>(), 1);
     }
 
     #[test]
     fn trace_helpers_build_consistent_uops() {
-        let b = MicroOp::cond_branch(0x100, true, 0x80, [Some(5), None, None]);
+        let b = MicroOp::cond_branch(0x100, true, 0x80, [Ureg::new(5), None, None]);
         assert_eq!(b.next_pc, 0x80);
         let b2 = MicroOp::cond_branch(0x100, false, 0x80, [None; 3]);
         assert_eq!(b2.next_pc, 0x104);
-        let s = MicroOp::store(0, 0xFF, [Some(1), Some(2), None]);
+        let s = MicroOp::store(0, 0xFF, [Ureg::new(1), Ureg::new(2), None]);
         assert!(s.is_store && s.mem_addr.is_some());
     }
 }

@@ -2,7 +2,7 @@
 //! and predictor sanity over random micro-op streams.
 
 use bsim_mem::{BusConfig, CacheConfig, DramConfig, HierarchyConfig, MemoryHierarchy};
-use bsim_uarch::{InOrderConfig, InOrderCore, MicroOp, OooConfig, OooCore, TimingCore};
+use bsim_uarch::{InOrderConfig, InOrderCore, MicroOp, OooConfig, OooCore, TimingCore, Ureg};
 use proptest::prelude::*;
 
 fn mem(cores: usize) -> MemoryHierarchy {
@@ -53,10 +53,11 @@ fn uop_stream() -> impl Strategy<Value = Vec<MicroOp>> {
                 .enumerate()
                 .map(|(i, (kind, addr, flag, reg))| {
                     let pc = 0x1_0000 + 4 * (i as u64 % 64);
+                    let reg = Ureg::new(8 + reg);
                     match kind {
-                        0 => MicroOp::alu(pc, Some(8 + reg), [flag.then_some(8 + reg), None, None]),
-                        1 => MicroOp::load(pc, addr, Some(8 + reg), None),
-                        2 => MicroOp::store(pc, addr, [Some(8 + reg), None, None]),
+                        0 => MicroOp::alu(pc, reg, [reg.filter(|_| flag), None, None]),
+                        1 => MicroOp::load(pc, addr, reg, None),
+                        2 => MicroOp::store(pc, addr, [reg, None, None]),
                         _ => MicroOp::cond_branch(pc, flag, 0x1_0000, [None; 3]),
                     }
                 })

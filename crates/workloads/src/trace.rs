@@ -16,15 +16,25 @@
 
 use bsim_isa::OpClass;
 use bsim_soc::RUN_QUANTUM;
-use bsim_uarch::MicroOp;
+use bsim_uarch::{MicroOp, Ureg};
 
 /// Base of the synthetic PC regions for trace-generated code.
 const TRACE_PC: u64 = 0x0008_0000;
 
 /// Integer scratch registers used by generated ops (x8..x15).
-const INT_REGS: [u8; 8] = [8, 9, 10, 11, 12, 13, 14, 15];
+const INT_REGS: [Ureg; 8] = [r(8), r(9), r(10), r(11), r(12), r(13), r(14), r(15)];
 /// FP scratch registers (f8..f15 in unified numbering: 40..47).
-const FP_REGS: [u8; 8] = [40, 41, 42, 43, 44, 45, 46, 47];
+const FP_REGS: [Ureg; 8] = [r(40), r(41), r(42), r(43), r(44), r(45), r(46), r(47)];
+
+/// Unified register `n`. Only the constants above call it, so it runs
+/// at compile time, and an `n` of 0 (x0, which no operand names) fails
+/// the build.
+const fn r(n: u8) -> Ureg {
+    match Ureg::new(n) {
+        Some(r) => r,
+        None => panic!("x0 is not an operand"),
+    }
+}
 
 /// What takes a generator's quanta.
 type Flush<'a> = dyn FnMut(&[MicroOp]) + 'a;
@@ -56,7 +66,7 @@ pub struct TraceGen<'a> {
     /// Destination of the most recent load; the next chained flop
     /// consumes it, putting load latency on the dependence chain the way
     /// `acc += v * p[col]` does.
-    last_load_reg: Option<u8>,
+    last_load_reg: Option<Ureg>,
 }
 
 impl<'a> TraceGen<'a> {
@@ -144,7 +154,7 @@ impl<'a> TraceGen<'a> {
     }
 
     #[inline]
-    fn next_reg(&mut self, regs: &[u8; 8]) -> u8 {
+    fn next_reg(&mut self, regs: &[Ureg; 8]) -> Ureg {
         self.rr = (self.rr + 1) % 8;
         regs[self.rr]
     }
@@ -385,7 +395,7 @@ mod tests {
                 h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
             }
         };
-        let reg = |r: Option<u8>| r.map_or(0xFF, u64::from);
+        let reg = |r: Option<Ureg>| r.map_or(0xFF, |r| u64::from(r.num()));
         for u in uops {
             word(u.pc);
             word(u.next_pc);

@@ -5,7 +5,7 @@
 
 use bsim_isa::{BranchClass, Cpu, Inst, Retired, RunResult};
 use bsim_soc::{configs, Soc};
-use bsim_uarch::MicroOp;
+use bsim_uarch::{MicroOp, Ureg};
 use bsim_workloads::microbench;
 
 /// The branch classification `from_retired` used to match out of the
@@ -57,7 +57,7 @@ fn digest(h: &mut u64, u: &MicroOp) {
             *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
         }
     };
-    let reg = |r: Option<u8>| r.map_or(0xFF, u64::from);
+    let reg = |r: Option<Ureg>| r.map_or(0xFF, |r| u64::from(r.num()));
     word(u.pc);
     word(u.next_pc);
     word(u.class as u64);

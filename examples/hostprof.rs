@@ -10,8 +10,10 @@
 //! `micro-isa` and `apps-mpi` are the ledger's cell lists at its measured
 //! sizes; `sweep-lanes` records CG once, unsampled, and samples 16-lane
 //! `replay_world`s; `svc-mixed` prewarms an in-process daemon with the
-//! ledger's seven warm sweep bodies and samples warm round trips to it.
-//! The second argument is the number of passes (default 3); `ITIMER_PROF`
+//! ledger's seven warm sweep bodies and samples warm round trips to it;
+//! `fig N` runs every subfigure of `bsim fig N` in turn, sequentially and
+//! at default sizes, as `bsim fig N` does without flags.
+//! The next argument is the number of passes (default 3); `ITIMER_PROF`
 //! fires once a kernel tick, ≈ 250 samples a CPU-second.
 //!
 //! `sweep-lanes` also prints, on stderr, the grid's front groups (lanes
@@ -120,7 +122,7 @@ mod sampler {
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn main() {
-    use silicon_bridge::core::experiments::{microbench_cell, MpiWork, Sizes};
+    use silicon_bridge::core::experiments::{microbench_cell, subfigures, MpiWork, Sizes};
     use silicon_bridge::core::{cache_tuning_grid, front_groups, replay_world, Parallelism};
     use silicon_bridge::mpi::{NetConfig, Timed};
     use silicon_bridge::soc::configs::{banana_pi_hw, banana_pi_sim, milkv_hw, milkv_sim};
@@ -149,7 +151,13 @@ fn main() {
     const TIMEOUT: Duration = Duration::from_secs(30);
 
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let passes = args.get(1).map_or(Ok(3), |n| n.parse::<usize>());
+    // `fig` takes the figure's id as its own second word.
+    let (target, rest) = match args.split_first() {
+        Some((fig, [id, rest @ ..])) if fig == "fig" => (format!("fig {id}"), rest),
+        Some((target, rest)) => (target.clone(), rest),
+        None => (String::new(), &[][..]),
+    };
+    let passes = rest.first().map_or(Ok(3), |n| n.parse::<usize>());
     // The ledger's measured sizes (`benchmark/src/workloads/`).
     let sizes = Sizes {
         cg_iters: 12,
@@ -184,8 +192,12 @@ fn main() {
         })
     };
     let counters_before_passes = Cell::new([0; 2]);
-    let pass: Box<dyn Fn() + '_> = match args.first().map(String::as_str) {
-        Some("micro-isa") => Box::new(|| {
+    // `fig N`'s subfigures; empty for every other target.
+    let figure: Vec<_> = target
+        .strip_prefix("fig ")
+        .map_or(Vec::new(), |id| subfigures(id).collect());
+    let pass: Box<dyn Fn() + '_> = match target.as_str() {
+        "micro-isa" => Box::new(|| {
             for kernel in microbench::evaluated().iter().filter(|k| k.name != "MM_st") {
                 for (platform, seconds) in platforms.iter().zip(&split) {
                     let start = Instant::now();
@@ -194,7 +206,7 @@ fn main() {
                 }
             }
         }),
-        Some("apps-mpi") => Box::new(move || {
+        "apps-mpi" => Box::new(move || {
             use MpiWork::*;
             for work in [Cg, Ep, Is, Mg, Ume, Lj, Chain] {
                 for platform in [banana_pi_sim, milkv_sim] {
@@ -204,7 +216,7 @@ fn main() {
                 }
             }
         }),
-        Some("sweep-lanes") => {
+        "sweep-lanes" => {
             let grid = cache_tuning_grid(2, 16);
             let groups = front_groups(&grid);
             let members: Vec<String> = groups.iter().map(|g| g.len().to_string()).collect();
@@ -226,7 +238,7 @@ fn main() {
                 lane_uops.set(lane_uops.get() + retired);
             })
         }
-        Some("svc-mixed") => {
+        "svc-mixed" => {
             let (spawned, report) = Daemon::spawn(DaemonConfig {
                 workers: 1,
                 par: Parallelism::Sequential,
@@ -277,8 +289,13 @@ fn main() {
                 round_trips.set(round_trips.get() + start.elapsed().as_secs_f64());
             })
         }
+        _ if !figure.is_empty() => Box::new(move || {
+            for spec in &figure {
+                black_box(spec.run(Sizes::default(), Parallelism::Sequential));
+            }
+        }),
         _ => {
-            eprintln!("usage: hostprof <micro-isa|apps-mpi|sweep-lanes|svc-mixed> [passes]");
+            eprintln!("usage: hostprof <micro-isa|apps-mpi|sweep-lanes|svc-mixed|fig N> [passes]");
             std::process::exit(2);
         }
     };
