@@ -493,6 +493,28 @@ pub const BANS: &[Ban] = &[
         message: "the store, cell and lane code lives in bsim_core and the rank graph, link, \
                   fault plan and watchdog in bsim_engine: no crate re-exports them",
     },
+    Ban {
+        needles: &[concat!("fn ", "bless")],
+        with: "",
+        within: &["crates/", "src/", "tests/", "examples/"],
+        except: &["tests/golden.rs"],
+        in_tests: true,
+        message: "a simulated number is pinned in tests/golden.json, and tests/golden.rs holds \
+                  the one bless that rewrites it",
+    },
+    Ban {
+        needles: &[
+            concat!("SMOKE_", "VERDICTS"),
+            concat!("FIG5_", "SMOKE"),
+            concat!("OOO_", "CORES"),
+        ],
+        with: "",
+        within: &["tests/", "crates/"],
+        except: &[],
+        in_tests: true,
+        message: "a test reads a pinned simulated number from tests/golden.json, \
+                  not from a literal of its own",
+    },
 ];
 
 /// Outcome of a workspace audit.
@@ -978,12 +1000,16 @@ pub fn audit_workspace() -> Audit {
         })
         .collect();
 
-    // Shipped code, plus the examples and root tests for the AU007 rows
-    // that cover them.
+    // Shipped code, plus the examples and the root and crate tests for
+    // the AU007 rows that cover them.
     let mut waived = 0usize;
     let mut scanned = 0usize;
-    let scope =
-        |rel: &str| shipped(rel) || rel.starts_with("examples/") || rel.starts_with("tests/");
+    let scope = |rel: &str| {
+        shipped(rel)
+            || rel.starts_with("examples/")
+            || rel.starts_with("tests/")
+            || crate_of(rel).is_some_and(|c| rel.starts_with(&format!("crates/{c}/tests/")))
+    };
     for (rel, text) in sources.iter().filter(|(rel, _)| scope(rel)) {
         scanned += 1;
         scan_source(rel, text, &mut report, &mut waived);

@@ -7,8 +7,8 @@
 //! a file format, not a cache: it vouches for nothing it holds. Cell
 //! results are kept in a [`crate::ResultStore`], which wraps this format
 //! with a checksum per entry and is keyed by cell content hashes; what
-//! uses a bare `CkptStore` is the figure golden file and harness
-//! checkpoint tests.
+//! uses a bare `CkptStore` is the golden store (`tests/golden.json`)
+//! and harness checkpoint tests.
 //!
 //! ## Format (v1)
 //!

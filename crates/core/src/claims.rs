@@ -5,8 +5,8 @@
 //! check over points of [`crate::experiments::FIGURES`]' subfigures.
 //! `bsim score` evaluates every row on the figures it computes (or
 //! replays from a result store) and prints the Markdown block
-//! EXPERIMENTS.md carries; `tests/paper_shapes.rs` evaluates every row
-//! on the smoke figure golden and pins its verdict.
+//! EXPERIMENTS.md carries; the golden store (`tests/golden.rs`) scores
+//! every row on its smoke figures and pins the verdict.
 //!
 //! A check yields a *distance*, in log-ratio units (0 when it holds;
 //! 0.1 is about 10 % off), and a [`Verdict`]: met when it holds,

@@ -61,7 +61,7 @@ pub const STORE_SCHEMA: &str = "bsim-bench-v1";
 /// model change makes previously stored results stale — old entries
 /// then simply stop colliding instead of being served wrongly, in every
 /// store any command filled. `the_code_version_is_bumped_with_the_golden`
-/// below fails when the figure golden is re-blessed without a bump.
+/// below fails when the golden store is re-blessed without a bump.
 const CODE_VERSION: u64 = 1;
 
 /// `text` as a JSON string literal, in the renderer's own escaping.
@@ -435,17 +435,18 @@ mod tests {
         );
     }
 
-    /// `CODE_VERSION` and the checksum of the figure golden move
-    /// together. Re-blessing `figures_smoke.golden.json` means a model
-    /// change moved simulated numbers, so every stored result is stale:
-    /// bump `CODE_VERSION`, then update the pair below.
+    /// `CODE_VERSION` and the checksum of the golden store move
+    /// together. Re-blessing `tests/golden.json` (the root crate's
+    /// `tests/golden.rs`) means a model change moved simulated numbers,
+    /// so every stored result is stale: bump `CODE_VERSION`, then update
+    /// the pair below.
     #[test]
     fn the_code_version_is_bumped_with_the_golden() {
-        const GOLDEN: &[u8] = include_bytes!("../../core/tests/figures_smoke.golden.json");
+        const GOLDEN: &[u8] = include_bytes!("../../../tests/golden.json");
         assert_eq!(
             (CODE_VERSION, crate::crc32(GOLDEN)),
-            (1, 0xa722_0cca),
-            "the figure golden changed: bump CODE_VERSION and pin the new pair"
+            (1, 0xacc8_3cb1),
+            "the golden store changed: bump CODE_VERSION and pin the new pair"
         );
     }
 

@@ -111,12 +111,3 @@ pub use retry::{catch, CellOutcome};
 pub use sample::SampleCfg;
 pub use snapshot::Snapshot;
 pub use store::{scrub, ResultStore};
-
-/// FNV-1a 64 of `text`: the digest the counter pins in this crate's
-/// tests compare against.
-#[cfg(test)]
-pub(crate) fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
-}

@@ -219,18 +219,6 @@ mod tests {
             stall.b > 0,
             "FireSim DDR3 model must pay quantization stalls"
         );
-        // Every row's values, pinned: literals printed by the binary that
-        // still timed an observed SoC one micro-op at a time.
-        let rows: String = gap
-            .rows
-            .iter()
-            .map(|r| format!("{}={}/{}\n", r.counter, r.a, r.b))
-            .collect();
-        assert_eq!(
-            (gap.rows.len(), crate::fnv1a(&rows)),
-            (34, 3623794010178257046),
-            "{rows}"
-        );
     }
 
     #[test]

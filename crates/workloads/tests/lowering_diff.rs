@@ -4,7 +4,6 @@
 //! replaced, which lives on here as the reference.
 
 use bsim_isa::{BranchClass, Cpu, Inst, Retired, RunResult};
-use bsim_soc::{configs, Soc};
 use bsim_uarch::{MicroOp, Ureg};
 use bsim_workloads::microbench;
 
@@ -115,48 +114,5 @@ fn micro_op_streams_equal_the_reference_stream() {
             n > 100_000 && branches > 1_000,
             "{name}: {n} uops, {branches} branches"
         );
-    }
-}
-
-#[test]
-fn run_program_reports_equal_the_parent_commits() {
-    // [cycles, retired, mispredicts, data_stall_cycles, l1d_misses,
-    // dram_reads, dram_writes] of `Soc::run_program` at scale 1, captured
-    // at the commit before the lowering moved to decode time.
-    let pinned: [(&str, &str, [u64; 7]); 6] = [
-        ("Cca", "rocket1", [240144, 240005, 9, 0, 0, 1, 0]),
-        ("Cca", "milkv_sim", [120187, 240005, 3, 3299611, 0, 1, 0]),
-        ("STc", "rocket1", [520318, 400006, 9, 0, 1, 1, 1]),
-        ("STc", "milkv_sim", [320297, 400006, 2, 1, 1, 1, 1]),
-        (
-            "MM",
-            "rocket1",
-            [30079421, 400007, 9, 29679143, 320000, 320002, 0],
-        ),
-        (
-            "MM",
-            "milkv_sim",
-            [36596644, 400007, 2, 2776778304, 320000, 320002, 0],
-        ),
-    ];
-    for (kernel, platform, want) in pinned {
-        let cfg = match platform {
-            "rocket1" => configs::rocket1(1),
-            _ => configs::milkv_sim(1),
-        };
-        let prog = microbench::find(kernel).expect("kernel").build(1);
-        let rep = Soc::new(cfg).run_program(0, &prog, u64::MAX);
-        let (core, mem) = (&rep.core_stats[0], &rep.mem_stats);
-        let got = [
-            rep.cycles,
-            rep.retired,
-            core.mispredicts,
-            core.data_stall_cycles,
-            mem.l1d_misses,
-            mem.dram_reads,
-            mem.dram_writes,
-        ];
-        assert_eq!(rep.exit_code, Some(0), "{kernel} on {platform}");
-        assert_eq!(got, want, "{kernel} on {platform}");
     }
 }

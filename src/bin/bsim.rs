@@ -434,6 +434,10 @@ fn main() {
             let Some(path) = f.get("--store") else {
                 usage()
             };
+            // A store that is not there is a mistyped path, not a clean one.
+            if !std::path::Path::new(path).exists() {
+                fail(format!("bsim scrub: no result store at {path}"))
+            }
             let (scrubbed, report) = silicon_bridge::core::scrub(std::path::Path::new(path));
             if !report.is_clean() {
                 eprint!("{}", report.render());

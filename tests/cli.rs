@@ -1,15 +1,16 @@
 //! The `bsim` command line as a user meets it: typos are refused before
 //! anything runs, the retired `bench`, `dist` and `dist-worker`
-//! subcommands are gone, and what
-//! `table`/`fig` print is pinned to the bytes captured at the commit
-//! before the flag parser became table-driven, and `fig --store` serves
-//! a result only to the configuration that produced it.
+//! subcommands are gone, `table 4` prints the bytes captured at the
+//! commit before the flag parser became table-driven, `fig 5 --smoke`
+//! prints the golden store's `fig5` (`tests/golden.rs`), `fig --store`
+//! serves a result only to the configuration that produced it, and
+//! `scrub` refuses a store that is not there.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use silicon_bridge::core::experiments::Sizes;
-use silicon_bridge::core::{ResultStore, WireCell};
+use silicon_bridge::core::{table, CkptStore, FigureData, ResultStore, WireCell};
 
 fn bsim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bsim"))
@@ -35,16 +36,18 @@ Medium BOOM      2.0 GHz  4/2           64    16/16    64x4          4         1
 Large BOOM       2.0 GHz  8/3           96    24/24    64x8          4         128-bit
 "#;
 
-/// `bsim fig 5 --smoke`, whole: the figure is a function of its cells,
+/// `bsim fig 5 --smoke`, whole: the golden store's `fig5` rendered as
+/// the table `bsim fig` prints. The figure is a function of its cells,
 /// so no host rate is in it.
-const FIG5_SMOKE: &str = r#"== Figure 5: UME — simulation models vs hardware ==
-   (6^3-zone mesh (paper: 32^3), kernels: gather + inverted + face-area)
-               Banana Pi (hw) runtime [s]  Banana Pi Sim Model runtime [s]          MILK-V (hw) runtime [s]     MILK-V Sim Model runtime [s]           Banana Pi rel. speedup              MILK-V rel. speedup
-1 ranks                         0.0000947                         0.000130                        0.0000732                         0.000112                            0.729                            0.655
-2 ranks                         0.0000888                         0.000124                        0.0000604                        0.0000901                            0.716                            0.670
-4 ranks                         0.0000703                        0.0000912                        0.0000576                        0.0000844                            0.771                            0.682
-
-"#;
+fn fig5_smoke() -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden.json");
+    let golden = CkptStore::load(&path).expect("the golden store loads");
+    let fig: FigureData = golden
+        .get("fig5")
+        .expect("a figure entry is well-formed")
+        .expect("the golden store pins fig5");
+    format!("{}\n", table::render(&fig))
+}
 
 #[test]
 fn an_unknown_flag_exits_2_and_is_named() {
@@ -145,7 +148,7 @@ fn table_4_prints_the_golden_bytes() {
 fn fig_5_smoke_prints_the_golden_bytes() {
     let out = bsim(&["fig", "5", "--smoke"]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    assert_eq!(stdout(&out), FIG5_SMOKE);
+    assert_eq!(stdout(&out), fig5_smoke());
     // The two presets cannot both apply.
     let out = bsim(&["fig", "5", "--smoke", "--paper"]);
     assert_eq!(out.status.code(), Some(2));
@@ -212,26 +215,37 @@ fn a_store_filled_at_smoke_does_not_answer_another_preset() {
         smoke.simulated, 1,
         "a simulated subfigure reports its host rate"
     );
-    assert_eq!(smoke.tables, FIG5_SMOKE);
+    let fig5 = fig5_smoke();
+    assert_eq!(smoke.tables, fig5);
 
     let default = fig_with_store(&["5"], &store);
     assert_eq!(default.replayed, 0, "the smoke result answered for default");
     assert_eq!(default.entries, 2, "the default result is stored beside it");
-    assert_ne!(
-        default.tables, FIG5_SMOKE,
-        "default sizes print their own table"
-    );
+    assert_ne!(default.tables, fig5, "default sizes print their own table");
 
     // Each preset then hits its own entry, byte for byte, and a replay
     // simulates nothing, so it has no host rate to report.
     let again = fig_with_store(&["5", "--smoke"], &store);
     assert_eq!((again.replayed, again.entries), (1, 2));
     assert_eq!(again.simulated, 0, "a replay reported a host rate");
-    assert_eq!(again.tables, FIG5_SMOKE);
+    assert_eq!(again.tables, fig5);
     let again = fig_with_store(&["5"], &store);
     assert_eq!((again.replayed, again.entries), (1, 2));
     assert_eq!(again.tables, default.tables);
     std::fs::remove_file(&store).ok();
+}
+
+/// A mistyped path is no clean store: `scrub` of an absent file fails
+/// naming it and creates nothing, where `fig --store` starts a new one.
+#[test]
+fn scrub_of_an_absent_store_fails_naming_it() {
+    let store = scratch_store("absent");
+    let arg = store.to_str().expect("temp paths are UTF-8");
+    let out = bsim(&["scrub", "--store", arg]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains(arg), "{}", stderr(&out));
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    assert!(!store.exists(), "scrub created the store");
 }
 
 /// `--store` opens what is there: a second command on the same file adds

@@ -1,80 +1,41 @@
-//! The paper's claims against the pipeline. Every row of
-//! `core::claims::PAPER_CLAIMS` is scored on the smoke figure golden
-//! (`crates/core/tests/figures_smoke.golden.json`, which
-//! `figures_golden.rs` holds to what the binary computes) and its
-//! verdict pinned here, so no claim test simulates what the golden
-//! already pins. The named tests below score the rows behind one §5
-//! finding each, so a moved verdict names the finding it breaks. A
-//! changed verdict is a changed model: re-pin it in the same change that
-//! re-blesses the golden, and say which claim moved.
+//! The paper's claims against the pipeline. `tests/golden.rs` pins
+//! every row of `core::claims::PAPER_CLAIMS` scored on its smoke figures
+//! (the `claims` entry of `tests/golden.json`), so no claim test
+//! simulates what the golden store already pins. The named tests below
+//! score the rows behind one §5 finding each against that entry, so a
+//! moved verdict names the finding it breaks.
 
-use silicon_bridge::core::claims::{claim, Score, Verdict, PAPER_CLAIMS};
+use silicon_bridge::core::claims::{claim, Score, Verdict};
 use silicon_bridge::core::experiments::{figure, Series, Sizes, FIGURES};
-use silicon_bridge::core::{CkptStore, Parallelism};
+use silicon_bridge::core::{CkptStore, FigureData, Parallelism};
 use silicon_bridge::mpi::NetConfig;
 use silicon_bridge::soc::configs;
 use silicon_bridge::workloads::npb::ep;
 use std::path::Path;
 use std::sync::OnceLock;
-use Verdict::{Deviates, Met, Partial};
+use Verdict::Met;
 
-/// Every claim's verdict at `Sizes::smoke()`, in table order.
-const SMOKE_VERDICTS: [(&str, Verdict); 38] = [
-    ("f1-memory-band", Partial),
-    ("f1-mm-lowest", Met),
-    ("f1-compute-below", Partial),
-    ("f1-fast-compute", Met),
-    ("f1-fast-cache", Met),
-    ("f1-fast-memory", Partial),
-    ("f2-memory-band", Partial),
-    ("f2-large-boom-best", Met),
-    ("f2-cr-best", Met),
-    ("f2-ex-chains", Met),
-    ("f2-ei-parity", Met),
-    ("f2-mip", Deviates),
-    ("f2-conflict", Partial),
-    ("f2-cache-similar", Partial),
-    ("f3-rocket12", Met),
-    ("f3-bpi-improves", Met),
-    ("f3-ep-slower", Met),
-    ("f3-fast-closest", Met),
-    ("f3-fast-mg", Deviates),
-    ("f4-large-boom-closest", Met),
-    ("f4-ep-close", Met),
-    ("f4-npb-slower", Met),
-    ("f4-tuning-cg", Deviates),
-    ("f4-tuning-is-mg", Met),
-    ("f4-tuning-cg-4", Partial),
-    ("f4-multicore-gap", Partial),
-    ("f4-mg-gap", Met),
-    ("f4-ep-parity", Met),
-    ("f4-ep-closest", Met),
-    ("f5-scaling", Met),
-    ("f5-bpi-close", Met),
-    ("f5-milkv-gap", Partial),
-    ("f6-bpi-gap", Partial),
-    ("f6-milkv-gap", Partial),
-    ("f6-scaling", Met),
-    ("f7-bpi-gap", Partial),
-    ("f7-milkv-gap", Partial),
-    ("f7-scaling", Met),
-];
-
-/// Every subfigure of the smoke golden, in `FIGURES` order.
-fn smoke_golden() -> &'static [(&'static str, Vec<Series>)] {
-    static GOLDEN: OnceLock<Vec<(&'static str, Vec<Series>)>> = OnceLock::new();
+/// The golden store, loaded once.
+fn golden() -> &'static CkptStore {
+    static GOLDEN: OnceLock<CkptStore> = OnceLock::new();
     GOLDEN.get_or_init(|| {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("crates/core/tests/figures_smoke.golden.json");
-        let golden = CkptStore::load(&path).expect("golden file loads");
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden.json");
+        CkptStore::load(&path).expect("the golden store loads")
+    })
+}
+
+/// Every subfigure of the golden store, in `FIGURES` order.
+fn smoke_golden() -> &'static [(&'static str, Vec<Series>)] {
+    static FIGS: OnceLock<Vec<(&'static str, Vec<Series>)>> = OnceLock::new();
+    FIGS.get_or_init(|| {
         FIGURES
             .iter()
             .map(|spec| {
-                let series = golden.get(spec.key).expect("golden entry is well-formed");
-                (
-                    spec.key,
-                    series.unwrap_or_else(|| panic!("{} missing from the golden", spec.key)),
-                )
+                let fig: FigureData = golden()
+                    .get(spec.key)
+                    .expect("golden entry is well-formed")
+                    .unwrap_or_else(|| panic!("{} missing from the golden", spec.key));
+                (spec.key, fig.series)
             })
             .collect()
     })
@@ -91,25 +52,26 @@ fn smoke_score(id: &str) -> Score {
         .unwrap_or_else(|e| panic!("{id}: {e}"))
 }
 
-/// Each of `ids` scores its pinned verdict on the smoke golden.
+/// Each of `ids` scores the verdict the golden store pins for it.
 fn assert_pinned(ids: &[&str]) {
+    let pinned = golden()
+        .entries()
+        .find(|(key, _)| *key == "claims")
+        .expect("the golden store pins the claims")
+        .1;
     for id in ids {
-        let (_, pinned) = SMOKE_VERDICTS
-            .iter()
-            .find(|(p, _)| p == id)
-            .unwrap_or_else(|| panic!("{id} has no pinned verdict"));
         let score = smoke_score(id);
-        assert_eq!(score.verdict, *pinned, "{id}: {}", score.measured);
+        let want = pinned
+            .get(id)
+            .and_then(|v| v.as_str())
+            .unwrap_or_else(|| panic!("{id} has no pinned verdict"));
+        assert_eq!(
+            format!("{:?}", score.verdict),
+            want,
+            "{id}: {}",
+            score.measured
+        );
     }
-}
-
-#[test]
-fn every_claim_scores_its_pinned_verdict_on_the_smoke_golden() {
-    let scored: Vec<(&str, Verdict)> = PAPER_CLAIMS
-        .iter()
-        .map(|c| (c.id, smoke_score(c.id).verdict))
-        .collect();
-    assert_eq!(scored, SMOKE_VERDICTS);
 }
 
 /// §5.1 / Figure 1: the memory microbenchmarks (MM) show the largest gap
