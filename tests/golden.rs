@@ -1,13 +1,16 @@
 //! The golden store: every simulated number a test pins, in one file.
 //!
-//! [`table`] names each pinned observation and computes it through the
-//! public API as a JSON tree: a subfigure's whole `FigureData` at
-//! `Sizes::smoke()`, a MicroBench cell's whole `RunReport`, an MPI
-//! world's `WorldReport`, a recording's events, a counter export, the
-//! paper claims' verdicts. `golden.json` beside this file is a
-//! `CkptStore` of those trees keyed by pin name. Each test below runs
-//! the one compare loop, [`check`], over a group of pins and names every
-//! pin that moved with the lines that moved in it.
+//! `pins/mod.rs` holds the store's table: it names each pinned
+//! observation and computes it through the public API as a JSON tree: a
+//! subfigure's whole `FigureData` at `Sizes::smoke()`, a MicroBench
+//! cell's whole `RunReport`, an MPI world's `WorldReport`, a recording's
+//! events, a counter export, the paper claims' verdicts. `golden.json`
+//! beside this file is a `CkptStore` of those trees keyed by pin name.
+//! Each test below runs the one compare loop, `pins::check`, over a group
+//! of pins and names every pin that moved with the lines that moved in
+//! it; the MicroBench cells' groups are checked by the tests that first
+//! pinned them, in `cache_tables.rs`, `program_image.rs` and
+//! `lowering_diff.rs`.
 //!
 //! A deliberate model change re-blesses the whole store with
 //! `cargo test --release --test golden -- --ignored bless`, and then
@@ -21,293 +24,10 @@
 //! resident pages (`program_image.rs`), inequalities.
 
 mod common;
+mod pins;
 
-use serde::{Serialize, Value};
-use silicon_bridge::core::claims::PAPER_CLAIMS;
-use silicon_bridge::core::experiments::{cg_telemetry, microbench_cell, MpiWork, Sizes, FIGURES};
-use silicon_bridge::core::snapshot::CkptError;
-use silicon_bridge::core::tuning::choose_best_model;
-use silicon_bridge::core::{CkptStore, FigureData, Parallelism, Series, Snapshot};
-use silicon_bridge::mpi::{MpiWorld, NetConfig, Timed};
-use silicon_bridge::soc::{configs, SocConfig, TelemetryConfig};
-use silicon_bridge::workloads::microbench;
-use std::path::PathBuf;
-
-fn store_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden.json")
-}
-
-/// The tests that share one run of the compare loop.
-#[derive(Clone, Copy, PartialEq)]
-enum Group {
-    Figures,
-    /// Figures 1–2: minutes in debug, so their test is `#[ignore]`d.
-    MicrobenchFigures,
-    Claims,
-    Cells,
-    Worlds,
-    Recordings,
-    Counters,
-}
-
-/// One named observation of the simulator.
-struct Pin {
-    name: String,
-    group: Group,
-    /// The observation. The store it gets is the one being compared
-    /// against or blessed: only the claims read it, for its figures.
-    observe: Box<dyn Fn(&CkptStore) -> Value>,
-}
-
-fn pin(name: String, group: Group, observe: impl Fn(&CkptStore) -> Value + 'static) -> Pin {
-    Pin {
-        name,
-        group,
-        observe: Box::new(observe),
-    }
-}
-
-type Platform = fn(usize) -> SocConfig;
-
-/// Scale-1 MicroBench cells, by platform. Between them the MILK-V cells
-/// hit and miss the LLC, write dirty L2 victims into it, evict dirty LLC
-/// lines to DRAM (`ML2_BW_st` on `milkv_sim`) and train the prefetcher
-/// (`ML2_BW_ld` on `milkv_hw`); the Banana Pi cell has no LLC; `Cca`,
-/// `Cce`, `ML2_BW_ld` and `MM` exercise the out-of-order core's ROB and
-/// LSQ (`rob_high_water` is the field a ROB change gets wrong first);
-/// `MM` and `MM_st` read the shared pointer ring; `Cca`, `STc` and `MM`
-/// on both core kinds cover the decode-time lowering.
-const CELLS: [(&str, Platform, &[&str]); 4] = [
-    ("rocket1", configs::rocket1, &["Cca", "STc", "MM"]),
-    (
-        "milkv_hw",
-        configs::milkv_hw,
-        &[
-            "Cca",
-            "Cce",
-            "EM5",
-            "MC",
-            "ML2_BW_ld",
-            "ML2_BW_st",
-            "MM",
-            "MM_st",
-        ],
-    ),
-    (
-        "milkv_sim",
-        configs::milkv_sim,
-        &[
-            "Cca",
-            "Cce",
-            "CCh_st",
-            "EM5",
-            "MC",
-            "ML2_BW_ld",
-            "ML2_BW_st",
-            "MM",
-            "STc",
-        ],
-    ),
-    ("banana_pi_hw", configs::banana_pi_hw, &["ML2_BW_st"]),
-];
-
-/// The MPI workloads whose recordings are pinned, on `rocket1(2)`.
-const RECORDED: [MpiWork; 5] = [
-    MpiWork::Cg,
-    MpiWork::Is,
-    MpiWork::Mg,
-    MpiWork::Ume,
-    MpiWork::Lj,
-];
-
-/// Every pin, in store order: the figures come before the claims that
-/// are scored on them.
-fn table() -> Vec<Pin> {
-    let mut pins = Vec::new();
-    for spec in &FIGURES {
-        let group = match spec.id {
-            "1" | "2" => Group::MicrobenchFigures,
-            _ => Group::Figures,
-        };
-        pins.push(pin(spec.key.into(), group, move |_| {
-            spec.run(Sizes::smoke(), Parallelism::Sequential).save()
-        }));
-    }
-    pins.push(pin("claims".into(), Group::Claims, claims));
-
-    for (platform, cfg, kernels) in CELLS {
-        for &kernel in kernels {
-            pins.push(pin(
-                format!("micro {kernel} {platform}"),
-                Group::Cells,
-                move |_| {
-                    let rep = microbench_cell(cfg(1), kernel, 1).expect("a suite kernel");
-                    assert_eq!(rep.exit_code, Some(0), "{kernel} on {platform}");
-                    rep.to_value()
-                },
-            ));
-        }
-    }
-
-    // Four ranks probe and invalidate the other cores' L1Ds on every store.
-    pins.push(pin("mpi CG x4 milkv_sim".into(), Group::Worlds, |_| {
-        let sizes = Sizes::smoke();
-        let (world, ()) = MpiWork::Cg.launch::<Timed>(&sizes, configs::milkv_sim(4), 4);
-        world.to_value()
-    }));
-    let platforms: [(&str, Platform); 2] = [
-        ("rocket1", configs::rocket1),
-        ("large_boom", configs::large_boom),
-    ];
-    let links = [
-        ("shm", NetConfig::shared_memory()),
-        ("eth", NetConfig::ethernet_10g()),
-    ];
-    for (platform, cfg) in platforms {
-        for ranks in [2, 4] {
-            for (link, net) in links {
-                pins.push(pin(
-                    format!("mpi every-event x{ranks} {link} {platform}"),
-                    Group::Worlds,
-                    move |_| {
-                        let cfg = cfg(ranks).with_telemetry(TelemetryConfig::counters());
-                        let report = MpiWorld::run(cfg, ranks, net, common::every_event);
-                        common::observed(&report)
-                    },
-                ));
-            }
-        }
-    }
-
-    for work in RECORDED {
-        pins.push(pin(
-            format!("recording {} x2 rocket1", work.label()),
-            Group::Recordings,
-            move |_| {
-                let trace = work.record(&Sizes::smoke(), configs::rocket1(2), 2);
-                let events = trace.events.iter().map(|ev| format!("{ev:?}"));
-                Value::Map(vec![
-                    (
-                        "events".into(),
-                        Value::Seq(events.map(Value::Str).collect()),
-                    ),
-                    ("uops".into(), Value::U64(trace.uops.len() as u64)),
-                ])
-            },
-        ));
-    }
-
-    pins.push(pin(
-        "telemetry CG x2 large_boom".into(),
-        Group::Counters,
-        |_| {
-            let snap = cg_telemetry(configs::large_boom(2), 2, Sizes::smoke());
-            let mut det = snap.deterministic().counters;
-            det.sort_by(|x, y| x.name.cmp(&y.name));
-            Value::Map(
-                det.into_iter()
-                    .map(|c| (c.name, Value::U64(c.value)))
-                    .collect(),
-            )
-        },
-    ));
-    pins.push(pin(
-        "gap milkv_hw large_boom".into(),
-        Group::Counters,
-        |_| {
-            let probes: Vec<_> = microbench::evaluated()
-                .into_iter()
-                .filter(|k| ["Cca", "ED1", "EI", "MD", "DP1d"].contains(&k.name))
-                .collect();
-            let out =
-                choose_best_model(&[configs::large_boom(1)], &configs::milkv_hw(1), &probes, 1);
-            out.attribution
-                .expect("a tuning run attributes its gap")
-                .to_value()
-        },
-    ));
-    pins
-}
-
-/// Every paper claim's verdict, scored on `store`'s smoke figures.
-fn claims(store: &CkptStore) -> Value {
-    let figs: Vec<(&str, Vec<Series>)> = FIGURES
-        .iter()
-        .map(|spec| {
-            let fig: FigureData = store
-                .get(spec.key)
-                .expect("a figure entry is well-formed")
-                .unwrap_or_else(|| panic!("{} is not in the golden store", spec.key));
-            (spec.key, fig.series)
-        })
-        .collect();
-    let view: Vec<(&str, &[Series])> = figs.iter().map(|(key, s)| (*key, &s[..])).collect();
-    Value::Map(
-        PAPER_CLAIMS
-            .iter()
-            .map(|c| {
-                let score = c.score(&view).unwrap_or_else(|e| panic!("{}: {e}", c.id));
-                (c.id.to_string(), Value::Str(format!("{:?}", score.verdict)))
-            })
-            .collect(),
-    )
-}
-
-/// A stored tree as it is: the store's entries are JSON, not typed state.
-struct Entry(Value);
-
-impl Snapshot for Entry {
-    fn save(&self) -> Value {
-        self.0.clone()
-    }
-    fn restore(value: &Value) -> Result<Entry, CkptError> {
-        Ok(Entry(value.clone()))
-    }
-}
-
-fn load() -> CkptStore {
-    CkptStore::load(&store_path()).expect("the golden store loads")
-}
-
-fn render(tree: &Value) -> String {
-    serde_json::to_string_pretty(tree).expect("shim renderer is total")
-}
-
-/// The lines of `want` and `got` that differ, position by position.
-fn diff(want: &str, got: &str) -> String {
-    let (want, got): (Vec<&str>, Vec<&str>) = (want.lines().collect(), got.lines().collect());
-    let mut out = String::new();
-    for i in 0..want.len().max(got.len()) {
-        let (w, g) = (want.get(i), got.get(i));
-        if w != g {
-            w.into_iter().for_each(|w| out += &format!("  - {w}\n"));
-            g.into_iter().for_each(|g| out += &format!("  + {g}\n"));
-        }
-    }
-    out
-}
-
-/// The compare loop: each pin of `group` against its stored tree.
-fn check(group: Group) {
-    let store = load();
-    let moved: Vec<String> = table()
-        .into_iter()
-        .filter(|pin| pin.group == group)
-        .filter_map(|pin| {
-            let Entry(want) = store
-                .get(&pin.name)
-                .expect("an entry is a tree")
-                .unwrap_or_else(|| panic!("{} is not in the golden store: bless it", pin.name));
-            let (want, got) = (render(&want), render(&(pin.observe)(&store)));
-            (want != got).then(|| format!("{}:\n{}", pin.name, diff(&want, &got)))
-        })
-        .collect();
-    assert!(
-        moved.is_empty(),
-        "moved from tests/golden.json:\n{}",
-        moved.concat()
-    );
-}
+use pins::{check, load, store_path, table, Entry, Group};
+use silicon_bridge::core::CkptStore;
 
 #[test]
 fn figures() {
@@ -324,11 +44,6 @@ fn microbench_figures() {
 #[test]
 fn claims_on_the_smoke_figures() {
     check(Group::Claims);
-}
-
-#[test]
-fn microbench_cells() {
-    check(Group::Cells);
 }
 
 #[test]

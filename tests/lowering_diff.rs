@@ -1,11 +1,16 @@
 //! Differential tests for the decode-time lowering: the MicroBench path
 //! (`Cpu::new` lowers each static instruction once, `MicroOp::from_retired`
 //! copies the result) against the per-dynamic-instruction derivation it
-//! replaced, which lives on here as the reference.
+//! replaced, which lives on here as the reference. What `Soc::run_program`
+//! reports for the lowered kernels is checked against the golden store.
 
-use bsim_isa::{BranchClass, Cpu, Inst, Retired, RunResult};
-use bsim_uarch::{MicroOp, Ureg};
-use bsim_workloads::microbench;
+mod common;
+mod pins;
+
+use pins::{check, Group};
+use silicon_bridge::isa::{BranchClass, Cpu, Inst, Retired, RunResult};
+use silicon_bridge::uarch::{MicroOp, Ureg};
+use silicon_bridge::workloads::microbench;
 
 /// The branch classification `from_retired` used to match out of the
 /// instruction on every retirement.
@@ -115,4 +120,12 @@ fn micro_op_streams_equal_the_reference_stream() {
             "{name}: {n} uops, {branches} branches"
         );
     }
+}
+
+/// `Cca`, `STc` and `MM` on both core kinds (`rocket1`, `milkv_sim`):
+/// their golden entries equal what the commit before the lowering moved
+/// to decode time reported.
+#[test]
+fn run_program_reports_equal_the_parent_commits() {
+    check(Group::LoweredCells);
 }

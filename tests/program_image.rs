@@ -2,8 +2,14 @@
 //! MM_st) share one 40 MiB buffer per process, a CPU reads it in place
 //! and owns only the pages it stores to, and two threads running over
 //! the one ring each report what a lone run reports. What those cells
-//! report is pinned in `tests/golden.rs`.
+//! report is pinned in the golden store, whose entries equal what the
+//! binary of the commit before the ring was shared (every image copied
+//! into every CPU) printed.
 
+mod common;
+mod pins;
+
+use pins::{check, Group};
 use silicon_bridge::isa::mem::PAGE_SIZE;
 use silicon_bridge::isa::{Cpu, Program, RunResult};
 use silicon_bridge::soc::{configs, Soc};
@@ -23,6 +29,11 @@ fn cell(kernel: &str) -> (u64, u64, u64, u64) {
     assert_eq!(rep.exit_code, Some(0), "{kernel}");
     let mem = rep.mem_stats;
     (rep.cycles, rep.retired, mem.dram_reads, mem.dram_writes)
+}
+
+#[test]
+fn ring_kernels_report_what_they_did_with_a_copied_image() {
+    check(Group::RingCells);
 }
 
 #[test]
