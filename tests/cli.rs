@@ -2,15 +2,19 @@
 //! anything runs, the retired `bench`, `dist` and `dist-worker`
 //! subcommands are gone, `table 4` prints the bytes captured at the
 //! commit before the flag parser became table-driven, `fig 5 --smoke`
-//! prints the golden store's `fig5` (`tests/golden.rs`), `fig --store`
-//! serves a result only to the configuration that produced it, and
-//! `scrub` refuses a store that is not there.
+//! prints the golden store's `cli fig 5 --smoke` lines
+//! (`tests/golden.rs`), `fig --store` serves a result only to the
+//! configuration that produced it, and `scrub` refuses a store that is
+//! not there.
+
+mod common;
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use serde::Value;
 use silicon_bridge::core::experiments::Sizes;
-use silicon_bridge::core::{table, CkptStore, FigureData, ResultStore, WireCell};
+use silicon_bridge::core::{ResultStore, WireCell};
 
 fn bsim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bsim"))
@@ -36,17 +40,18 @@ Medium BOOM      2.0 GHz  4/2           64    16/16    64x4          4         1
 Large BOOM       2.0 GHz  8/3           96    24/24    64x8          4         128-bit
 "#;
 
-/// `bsim fig 5 --smoke`, whole: the golden store's `fig5` rendered as
-/// the table `bsim fig` prints. The figure is a function of its cells,
+/// `bsim fig 5 --smoke`, whole: the golden store's `cli fig 5 --smoke`
+/// entry, one string per line. The figure is a function of its cells,
 /// so no host rate is in it.
 fn fig5_smoke() -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden.json");
-    let golden = CkptStore::load(&path).expect("the golden store loads");
-    let fig: FigureData = golden
-        .get("fig5")
-        .expect("a figure entry is well-formed")
-        .expect("the golden store pins fig5");
-    format!("{}\n", table::render(&fig))
+    let golden = common::golden();
+    let Value::Seq(lines) = common::stored(&golden, "cli fig 5 --smoke") else {
+        panic!("the fig 5 entry is a list of lines");
+    };
+    lines
+        .iter()
+        .map(|line| format!("{}\n", line.as_str().expect("a line is a string")))
+        .collect()
 }
 
 #[test]

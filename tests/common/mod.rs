@@ -1,9 +1,81 @@
-//! The synthetic MPI world `tests/golden.rs` pins and `tests/mpi_timing.rs`
-//! replays: one rank program that produces every `Ev` variant.
+//! What the golden harness (`tests/golden.rs`) shares with the tests
+//! that read its store: where the store is, how an entry is read and
+//! compared, the smoke figures' view the claims are scored on, and the
+//! synthetic MPI world the store pins and `tests/mpi_timing.rs` replays.
+
+// Each test binary uses a part of this module.
+#![allow(dead_code)]
 
 use serde::{Serialize, Value};
+use silicon_bridge::core::claims::{Claim, Score};
+use silicon_bridge::core::experiments::FIGURES;
+use silicon_bridge::core::{CkptStore, FigureData, Series};
 use silicon_bridge::mpi::{RankCtx, ReduceOp, WorldReport};
 use silicon_bridge::workloads::trace::{rank_base, with_trace};
+use std::path::PathBuf;
+
+/// The golden store: a `CkptStore` of JSON trees keyed by pin name.
+pub fn store_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden.json")
+}
+
+pub fn golden() -> CkptStore {
+    CkptStore::load(&store_path()).expect("the golden store loads")
+}
+
+/// The tree `store` holds for the pin `name`.
+pub fn stored<'a>(store: &'a CkptStore, name: &str) -> &'a Value {
+    store
+        .entries()
+        .find(|(key, _)| *key == name)
+        .unwrap_or_else(|| panic!("{name} is not in the golden store: bless it"))
+        .1
+}
+
+fn render(tree: &Value) -> String {
+    serde_json::to_string_pretty(tree).expect("shim renderer is total")
+}
+
+/// How `got` moved from what `store` holds for `name`: the lines that
+/// differ, position by position, or `None` where it did not move.
+pub fn moved(store: &CkptStore, name: &str, got: &Value) -> Option<String> {
+    let (want, got) = (render(stored(store, name)), render(got));
+    if want == got {
+        return None;
+    }
+    let (want, got): (Vec<&str>, Vec<&str>) = (want.lines().collect(), got.lines().collect());
+    let mut out = format!("{name}:\n");
+    for i in 0..want.len().max(got.len()) {
+        let (w, g) = (want.get(i), got.get(i));
+        if w != g {
+            w.into_iter().for_each(|w| out += &format!("  - {w}\n"));
+            g.into_iter().for_each(|g| out += &format!("  + {g}\n"));
+        }
+    }
+    Some(out)
+}
+
+/// Every subfigure `store` holds, in `FIGURES` order.
+pub fn smoke_figures(store: &CkptStore) -> Vec<(&'static str, Vec<Series>)> {
+    FIGURES
+        .iter()
+        .map(|spec| {
+            let fig: FigureData = store
+                .get(spec.key)
+                .expect("a figure entry is well-formed")
+                .unwrap_or_else(|| panic!("{} is not in the golden store", spec.key));
+            (spec.key, fig.series)
+        })
+        .collect()
+}
+
+/// `claim` scored on `figs`.
+pub fn score(figs: &[(&str, Vec<Series>)], claim: &Claim) -> Score {
+    let view: Vec<(&str, &[Series])> = figs.iter().map(|(key, s)| (*key, &s[..])).collect();
+    claim
+        .score(&view)
+        .unwrap_or_else(|e| panic!("{}: {e}", claim.id))
+}
 
 /// A streaming load / fused-multiply-add / store loop over `lines`
 /// cache lines of the rank's private segment, starting at `offset`.

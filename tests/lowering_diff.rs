@@ -7,7 +7,7 @@
 mod common;
 mod pins;
 
-use pins::{check, Group};
+use pins::check;
 use silicon_bridge::isa::{BranchClass, Cpu, Inst, Retired, RunResult};
 use silicon_bridge::uarch::{MicroOp, Ureg};
 use silicon_bridge::workloads::microbench;
@@ -127,5 +127,12 @@ fn micro_op_streams_equal_the_reference_stream() {
 /// to decode time reported.
 #[test]
 fn run_program_reports_equal_the_parent_commits() {
-    check(Group::LoweredCells);
+    check(&[
+        "micro Cca rocket1",
+        "micro STc rocket1",
+        "micro MM rocket1",
+        "micro Cca milkv_sim",
+        "micro STc milkv_sim",
+        "micro MM milkv_sim",
+    ]);
 }

@@ -5,62 +5,24 @@
 //! score the rows behind one §5 finding each against that entry, so a
 //! moved verdict names the finding it breaks.
 
-use silicon_bridge::core::claims::{claim, Score, Verdict};
-use silicon_bridge::core::experiments::{figure, Series, Sizes, FIGURES};
-use silicon_bridge::core::{CkptStore, FigureData, Parallelism};
+mod common;
+
+use silicon_bridge::core::claims::{claim, Verdict};
+use silicon_bridge::core::experiments::{figure, Sizes};
+use silicon_bridge::core::Parallelism;
 use silicon_bridge::mpi::NetConfig;
 use silicon_bridge::soc::configs;
 use silicon_bridge::workloads::npb::ep;
-use std::path::Path;
-use std::sync::OnceLock;
 use Verdict::Met;
 
-/// The golden store, loaded once.
-fn golden() -> &'static CkptStore {
-    static GOLDEN: OnceLock<CkptStore> = OnceLock::new();
-    GOLDEN.get_or_init(|| {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden.json");
-        CkptStore::load(&path).expect("the golden store loads")
-    })
-}
-
-/// Every subfigure of the golden store, in `FIGURES` order.
-fn smoke_golden() -> &'static [(&'static str, Vec<Series>)] {
-    static FIGS: OnceLock<Vec<(&'static str, Vec<Series>)>> = OnceLock::new();
-    FIGS.get_or_init(|| {
-        FIGURES
-            .iter()
-            .map(|spec| {
-                let fig: FigureData = golden()
-                    .get(spec.key)
-                    .expect("golden entry is well-formed")
-                    .unwrap_or_else(|| panic!("{} missing from the golden", spec.key));
-                (spec.key, fig.series)
-            })
-            .collect()
-    })
-}
-
-/// The claim `id` scored on the smoke golden.
-fn smoke_score(id: &str) -> Score {
-    let view: Vec<(&str, &[Series])> = smoke_golden()
-        .iter()
-        .map(|(key, s)| (*key, &s[..]))
-        .collect();
-    claim(id)
-        .score(&view)
-        .unwrap_or_else(|e| panic!("{id}: {e}"))
-}
-
-/// Each of `ids` scores the verdict the golden store pins for it.
+/// Each of `ids`, scored on the golden store's smoke figures, has the
+/// verdict the store's `claims` entry pins for it.
 fn assert_pinned(ids: &[&str]) {
-    let pinned = golden()
-        .entries()
-        .find(|(key, _)| *key == "claims")
-        .expect("the golden store pins the claims")
-        .1;
+    let golden = common::golden();
+    let figs = common::smoke_figures(&golden);
+    let pinned = common::stored(&golden, "claims");
     for id in ids {
-        let score = smoke_score(id);
+        let score = common::score(&figs, claim(id));
         let want = pinned
             .get(id)
             .and_then(|v| v.as_str())

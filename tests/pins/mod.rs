@@ -1,68 +1,32 @@
 //! The table of the golden store (`tests/golden.json`) and its compare
-//! loop, shared by the tests that check its entries. `tests/golden.rs`
-//! holds the store's own tests and its one bless.
+//! loop. `tests/golden.rs` holds the store's own tests and its one bless.
 //!
 //! [`table`] names each pinned observation and computes it through the
-//! public API as a JSON tree. Each pin belongs to one [`Group`], and each
-//! group is checked by one test, through [`check`].
+//! public API as a JSON tree. A test checks the pins it names, through
+//! [`check`]; `golden.rs` holds that every pin is named by one test.
 
 use crate::common;
 use serde::{Serialize, Value};
 use silicon_bridge::core::claims::PAPER_CLAIMS;
 use silicon_bridge::core::experiments::{cg_telemetry, microbench_cell, MpiWork, Sizes, FIGURES};
-use silicon_bridge::core::snapshot::CkptError;
 use silicon_bridge::core::tuning::choose_best_model;
-use silicon_bridge::core::{CkptStore, FigureData, Parallelism, Series, Snapshot};
+use silicon_bridge::core::{table, CkptStore, FigureData, Parallelism, Snapshot};
 use silicon_bridge::mpi::{MpiWorld, NetConfig, Timed};
 use silicon_bridge::soc::{configs, SocConfig, TelemetryConfig};
 use silicon_bridge::workloads::microbench;
-use std::path::PathBuf;
-
-pub fn store_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden.json")
-}
-
-/// The pins one test checks, in one run of the compare loop.
-#[derive(Clone, Copy, PartialEq)]
-pub enum Group {
-    /// `golden.rs::figures`.
-    Figures,
-    /// `golden.rs::microbench_figures`: figures 1–2 take minutes in debug,
-    /// so their test is `#[ignore]`d.
-    MicrobenchFigures,
-    /// `golden.rs::claims_on_the_smoke_figures`.
-    Claims,
-    /// `cache_tables.rs::milkv_cells_report_what_the_parallel_tables_reported`.
-    MilkvCells,
-    /// `cache_tables.rs::a_banana_pi_cell_without_an_llc_reports_what_it_did`.
-    BananaPiCell,
-    /// `cache_tables.rs::milkv_ooo_cores_count_what_the_eager_rob_counted`.
-    OooCores,
-    /// `program_image.rs::ring_kernels_report_what_they_did_with_a_copied_image`.
-    RingCells,
-    /// `lowering_diff.rs::run_program_reports_equal_the_parent_commits`.
-    LoweredCells,
-    /// `golden.rs::mpi_worlds`.
-    Worlds,
-    /// `golden.rs::recordings`.
-    Recordings,
-    /// `golden.rs::counter_exports`.
-    Counters,
-}
 
 /// One named observation of the simulator.
 pub struct Pin {
     pub name: String,
-    group: Group,
     /// The observation. The store it gets is the one being compared
-    /// against or blessed: only the claims read it, for its figures.
+    /// against or blessed: only the claims and fig 5's printed table
+    /// read it, for its figures.
     pub observe: Box<dyn Fn(&CkptStore) -> Value>,
 }
 
-fn pin(name: String, group: Group, observe: impl Fn(&CkptStore) -> Value + 'static) -> Pin {
+fn pin(name: String, observe: impl Fn(&CkptStore) -> Value + 'static) -> Pin {
     Pin {
         name,
-        group,
         observe: Box::new(observe),
     }
 }
@@ -111,20 +75,6 @@ const CELLS: [(&str, Platform, &[&str]); 4] = [
     ("banana_pi_hw", configs::banana_pi_hw, &["ML2_BW_st"]),
 ];
 
-/// The one group that checks a cell. Where two tests' cells overlap, the
-/// ring and the lowering keep theirs: the out-of-order cores' test gets
-/// neither `MM` nor `Cca` on `milkv_sim`, and `ML2_BW_ld` on `milkv_hw`
-/// is a MILK-V cache cell.
-fn cell_group(platform: &str, kernel: &str) -> Group {
-    match (platform, kernel) {
-        ("banana_pi_hw", _) => Group::BananaPiCell,
-        ("milkv_hw", "MM" | "MM_st") => Group::RingCells,
-        ("rocket1", _) | ("milkv_sim", "Cca" | "STc" | "MM") => Group::LoweredCells,
-        ("milkv_hw", "Cca" | "Cce") | ("milkv_sim", "Cce" | "ML2_BW_ld") => Group::OooCores,
-        _ => Group::MilkvCells,
-    }
-}
-
 /// The MPI workloads whose recordings are pinned, on `rocket1(2)`.
 const RECORDED: [MpiWork; 5] = [
     MpiWork::Cg,
@@ -135,36 +85,29 @@ const RECORDED: [MpiWork; 5] = [
 ];
 
 /// Every pin, in store order: the figures come before the claims that
-/// are scored on them.
+/// are scored on them and the table that prints one.
 pub fn table() -> Vec<Pin> {
     let mut pins = Vec::new();
     for spec in &FIGURES {
-        let group = match spec.id {
-            "1" | "2" => Group::MicrobenchFigures,
-            _ => Group::Figures,
-        };
-        pins.push(pin(spec.key.into(), group, move |_| {
+        pins.push(pin(spec.key.into(), move |_| {
             spec.run(Sizes::smoke(), Parallelism::Sequential).save()
         }));
     }
-    pins.push(pin("claims".into(), Group::Claims, claims));
+    pins.push(pin("claims".into(), claims));
+    pins.push(pin("cli fig 5 --smoke".into(), fig5_stdout));
 
     for (platform, cfg, kernels) in CELLS {
         for &kernel in kernels {
-            pins.push(pin(
-                format!("micro {kernel} {platform}"),
-                cell_group(platform, kernel),
-                move |_| {
-                    let rep = microbench_cell(cfg(1), kernel, 1).expect("a suite kernel");
-                    assert_eq!(rep.exit_code, Some(0), "{kernel} on {platform}");
-                    rep.to_value()
-                },
-            ));
+            pins.push(pin(format!("micro {kernel} {platform}"), move |_| {
+                let rep = microbench_cell(cfg(1), kernel, 1).expect("a suite kernel");
+                assert_eq!(rep.exit_code, Some(0), "{kernel} on {platform}");
+                rep.to_value()
+            }));
         }
     }
 
     // Four ranks probe and invalidate the other cores' L1Ds on every store.
-    pins.push(pin("mpi CG x4 milkv_sim".into(), Group::Worlds, |_| {
+    pins.push(pin("mpi CG x4 milkv_sim".into(), |_| {
         let sizes = Sizes::smoke();
         let (world, ()) = MpiWork::Cg.launch::<Timed>(&sizes, configs::milkv_sim(4), 4);
         world.to_value()
@@ -182,7 +125,6 @@ pub fn table() -> Vec<Pin> {
             for (link, net) in links {
                 pins.push(pin(
                     format!("mpi every-event x{ranks} {link} {platform}"),
-                    Group::Worlds,
                     move |_| {
                         let cfg = cfg(ranks).with_telemetry(TelemetryConfig::counters());
                         let report = MpiWorld::run(cfg, ranks, net, common::every_event);
@@ -196,7 +138,6 @@ pub fn table() -> Vec<Pin> {
     for work in RECORDED {
         pins.push(pin(
             format!("recording {} x2 rocket1", work.label()),
-            Group::Recordings,
             move |_| {
                 let trace = work.record(&Sizes::smoke(), configs::rocket1(2), 2);
                 let events = trace.events.iter().map(|ev| format!("{ev:?}"));
@@ -211,110 +152,66 @@ pub fn table() -> Vec<Pin> {
         ));
     }
 
-    pins.push(pin(
-        "telemetry CG x2 large_boom".into(),
-        Group::Counters,
-        |_| {
-            let snap = cg_telemetry(configs::large_boom(2), 2, Sizes::smoke());
-            let mut det = snap.deterministic().counters;
-            det.sort_by(|x, y| x.name.cmp(&y.name));
-            Value::Map(
-                det.into_iter()
-                    .map(|c| (c.name, Value::U64(c.value)))
-                    .collect(),
-            )
-        },
-    ));
-    pins.push(pin(
-        "gap milkv_hw large_boom".into(),
-        Group::Counters,
-        |_| {
-            let probes: Vec<_> = microbench::evaluated()
-                .into_iter()
-                .filter(|k| ["Cca", "ED1", "EI", "MD", "DP1d"].contains(&k.name))
-                .collect();
-            let out =
-                choose_best_model(&[configs::large_boom(1)], &configs::milkv_hw(1), &probes, 1);
-            out.attribution
-                .expect("a tuning run attributes its gap")
-                .to_value()
-        },
-    ));
+    pins.push(pin("telemetry CG x2 large_boom".into(), |_| {
+        let snap = cg_telemetry(configs::large_boom(2), 2, Sizes::smoke());
+        let mut det = snap.deterministic().counters;
+        det.sort_by(|x, y| x.name.cmp(&y.name));
+        Value::Map(
+            det.into_iter()
+                .map(|c| (c.name, Value::U64(c.value)))
+                .collect(),
+        )
+    }));
+    pins.push(pin("gap milkv_hw large_boom".into(), |_| {
+        let probes: Vec<_> = microbench::evaluated()
+            .into_iter()
+            .filter(|k| ["Cca", "ED1", "EI", "MD", "DP1d"].contains(&k.name))
+            .collect();
+        let out = choose_best_model(&[configs::large_boom(1)], &configs::milkv_hw(1), &probes, 1);
+        out.attribution
+            .expect("a tuning run attributes its gap")
+            .to_value()
+    }));
     pins
 }
 
 /// Every paper claim's verdict, scored on `store`'s smoke figures.
 fn claims(store: &CkptStore) -> Value {
-    let figs: Vec<(&str, Vec<Series>)> = FIGURES
-        .iter()
-        .map(|spec| {
-            let fig: FigureData = store
-                .get(spec.key)
-                .expect("a figure entry is well-formed")
-                .unwrap_or_else(|| panic!("{} is not in the golden store", spec.key));
-            (spec.key, fig.series)
-        })
-        .collect();
-    let view: Vec<(&str, &[Series])> = figs.iter().map(|(key, s)| (*key, &s[..])).collect();
+    let figs = common::smoke_figures(store);
     Value::Map(
         PAPER_CLAIMS
             .iter()
             .map(|c| {
-                let score = c.score(&view).unwrap_or_else(|e| panic!("{}: {e}", c.id));
-                (c.id.to_string(), Value::Str(format!("{:?}", score.verdict)))
+                let verdict = common::score(&figs, c).verdict;
+                (c.id.to_string(), Value::Str(format!("{verdict:?}")))
             })
             .collect(),
     )
 }
 
-/// A stored tree as it is: the store's entries are JSON, not typed state.
-pub struct Entry(pub Value);
+/// What `bsim fig 5 --smoke` prints for `store`'s `fig5`, line by line:
+/// the table's layout is pinned with its numbers.
+fn fig5_stdout(store: &CkptStore) -> Value {
+    let fig: FigureData = store
+        .get("fig5")
+        .expect("a figure entry is well-formed")
+        .expect("fig5 is pinned before its table");
+    let text = format!("{}\n", table::render(&fig));
+    Value::Seq(text.lines().map(|l| Value::Str(l.into())).collect())
+}
 
-impl Snapshot for Entry {
-    fn save(&self) -> Value {
-        self.0.clone()
+/// The compare loop: each pin `names` names against its stored tree.
+/// Every pin that moved is named with the lines that moved in it.
+pub fn check(names: &[&str]) {
+    let pins = table();
+    if let Some(name) = names.iter().find(|n| !pins.iter().any(|p| p.name == **n)) {
+        panic!("{name} is no pin of the table");
     }
-    fn restore(value: &Value) -> Result<Entry, CkptError> {
-        Ok(Entry(value.clone()))
-    }
-}
-
-pub fn load() -> CkptStore {
-    CkptStore::load(&store_path()).expect("the golden store loads")
-}
-
-fn render(tree: &Value) -> String {
-    serde_json::to_string_pretty(tree).expect("shim renderer is total")
-}
-
-/// The lines of `want` and `got` that differ, position by position.
-fn diff(want: &str, got: &str) -> String {
-    let (want, got): (Vec<&str>, Vec<&str>) = (want.lines().collect(), got.lines().collect());
-    let mut out = String::new();
-    for i in 0..want.len().max(got.len()) {
-        let (w, g) = (want.get(i), got.get(i));
-        if w != g {
-            w.into_iter().for_each(|w| out += &format!("  - {w}\n"));
-            g.into_iter().for_each(|g| out += &format!("  + {g}\n"));
-        }
-    }
-    out
-}
-
-/// The compare loop: each pin of `group` against its stored tree.
-pub fn check(group: Group) {
-    let store = load();
-    let moved: Vec<String> = table()
-        .into_iter()
-        .filter(|pin| pin.group == group)
-        .filter_map(|pin| {
-            let Entry(want) = store
-                .get(&pin.name)
-                .expect("an entry is a tree")
-                .unwrap_or_else(|| panic!("{} is not in the golden store: bless it", pin.name));
-            let (want, got) = (render(&want), render(&(pin.observe)(&store)));
-            (want != got).then(|| format!("{}:\n{}", pin.name, diff(&want, &got)))
-        })
+    let store = common::golden();
+    let moved: Vec<String> = pins
+        .iter()
+        .filter(|pin| names.contains(&pin.name.as_str()))
+        .filter_map(|pin| common::moved(&store, &pin.name, &(pin.observe)(&store)))
         .collect();
     assert!(
         moved.is_empty(),
