@@ -320,8 +320,30 @@ pub const BANS: &[Ban] = &[
         within: &["crates/", "src/", "examples/"],
         except: &[],
         in_tests: true,
-        message: "telemetry is the counters a report publishes: no timeline, no trace ring, \
+        message: "telemetry is the cycle stacks a report carries: no timeline, no trace ring, \
                   no per-op observed schedule, no core fast-forward tally",
+    },
+    Ban {
+        needles: &[
+            concat!("Gap", "Report"),
+            concat!("counters", "_csv"),
+            concat!("counters", "_mut"),
+        ],
+        with: "",
+        within: &["crates/", "src/", "examples/"],
+        except: &[],
+        in_tests: true,
+        message: "a gap is explained by cycle stacks: no counter export beside them, \
+                  no counter ranking",
+    },
+    Ban {
+        needles: &[concat!("fn pub", "lish")],
+        with: "",
+        within: &["crates/uarch/src/stats.rs", "crates/mem/src/stats.rs"],
+        except: &[],
+        in_tests: true,
+        message: "core and memory statistics ride the report; nothing republishes them \
+                  as named counters",
     },
     Ban {
         needles: &[

@@ -101,7 +101,7 @@ impl WireCell {
                 let out = tune_milkv(*scale);
                 Ok(Value::Map(vec![
                     ("best".into(), Value::Str(out.best().to_string())),
-                    ("explanation".into(), Value::Str(out.explanation(10))),
+                    ("explanation".into(), Value::Str(out.explanation())),
                 ]))
             }
         }

@@ -12,7 +12,6 @@ use crate::retry::{catch, CellOutcome};
 use crate::snapshot::{restore_field, CkptError, Snapshot};
 use bsim_mpi::{Launch, NetConfig, Recorded, Timed, WorldReport, WorldTrace};
 use bsim_soc::{configs, RunReport, Soc, SocConfig};
-use bsim_telemetry::{TelemetryConfig, TelemetrySnapshot};
 use bsim_workloads::md::chain::{self, ChainConfig};
 use bsim_workloads::md::lj::{self, LjConfig};
 use bsim_workloads::microbench::{self, MicroKernel};
@@ -527,19 +526,6 @@ impl MpiWork {
     pub fn record(self, sizes: &Sizes, cfg: SocConfig, ranks: usize) -> WorldTrace {
         self.launch::<Recorded>(sizes, cfg, ranks).1
     }
-}
-
-/// **E8 (Figure 4), instrumented**: runs NPB CG on `cfg` with telemetry
-/// enabled and returns the full out-of-band export — branch, cache, DRAM,
-/// token-stall and per-rank MPI counters. This is the observability path
-/// behind `examples/telemetry_gap.rs`.
-pub fn cg_telemetry(cfg: SocConfig, ranks: usize, sizes: Sizes) -> TelemetrySnapshot {
-    let cfg = cfg.with_telemetry(TelemetryConfig::counters());
-    let r = cg::run(cfg, ranks, sizes.cg(), NetConfig::shared_memory());
-    r.report
-        .run
-        .telemetry
-        .expect("telemetry enabled on the SoC config")
 }
 
 /// A catalog platform constructor (`configs::rocket1`, …), applied to a
@@ -1209,33 +1195,6 @@ mod tests {
             let s = cfg.seconds(w.run(&Sizes::smoke(), cfg.clone(), 1));
             assert!(s > 0.0, "{w:?} produced no time");
         }
-    }
-
-    #[test]
-    fn cg_telemetry_exports_every_counter_family() {
-        // Acceptance check for the instrumented E8 path: CG on a FireSim
-        // BOOM config must export non-zero branch, cache, DRAM,
-        // token-stall and MPI counters, and serialize to JSON.
-        let snap = cg_telemetry(configs::large_boom(2), 2, Sizes::smoke());
-        let nz = |n: &str| snap.counter(n).unwrap_or(0) > 0;
-        assert!(nz("tile0.branch.lookups"), "branch counters");
-        assert!(
-            nz("mem.l1d.accesses") && nz("mem.l1d.misses"),
-            "cache counters"
-        );
-        assert!(nz("mem.dram.reads"), "DRAM counters");
-        assert!(
-            nz("mem.dram.token_stall_cycles"),
-            "token quantization stalls"
-        );
-        assert!(nz("mpi.wait_cycles"), "MPI wait counters");
-        assert!(
-            snap.counter("mpi.rank1.wait_cycles").is_some(),
-            "per-rank MPI counters"
-        );
-        let json = snap.to_json();
-        assert!(json.contains("mem.dram.token_stall_cycles"));
-        assert!(json.contains("mpi.rank0.wait_cycles"));
     }
 
     #[test]

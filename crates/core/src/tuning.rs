@@ -12,8 +12,7 @@
 //! tuning Large into the MILK-V Simulation Model.
 
 use crate::metrics::{deviation_from_parity, relative_speedup};
-use bsim_soc::{configs, Soc, SocConfig};
-use bsim_telemetry::{GapReport, TelemetryConfig, TelemetrySnapshot};
+use bsim_soc::{configs, Bucket, CycleStack, Soc, SocConfig, TelemetryConfig};
 use bsim_workloads::microbench::{self, MicroKernel};
 use serde::{Deserialize, Serialize};
 
@@ -24,9 +23,9 @@ pub struct TuningOutcome {
     pub ranking: Vec<(String, f64)>,
     /// Per-candidate, per-kernel relative speedups.
     pub details: Vec<(String, Vec<(String, f64)>)>,
-    /// Counter-level attribution of the remaining target-vs-best gap
-    /// (which counter moved), from a telemetry re-run of both configs.
-    pub attribution: Option<GapReport>,
+    /// Each platform's cycle stack summed over the kernels: the target's
+    /// first, then each candidate's in the order given.
+    pub stacks: Vec<(String, CycleStack)>,
 }
 
 impl TuningOutcome {
@@ -35,43 +34,53 @@ impl TuningOutcome {
         &self.ranking[0].0
     }
 
-    /// Renders the ranking plus the top counter deltas that explain the
-    /// residual gap — the printable form of the §4 tuning step.
-    pub fn explanation(&self, top: usize) -> String {
+    /// Renders the ranking, then the target's and the best candidate's
+    /// cycle stacks with each bucket's delta: the deltas sum to the gap
+    /// in cycles. The printable form of the §4 tuning step.
+    pub fn explanation(&self) -> String {
         let mut out = String::from("model ranking (mean |ln rel-speedup|, best first):\n");
         for (name, score) in &self.ranking {
             out.push_str(&format!("  {name:<24} {score:.4}\n"));
         }
-        if let Some(gap) = &self.attribution {
-            out.push_str(&gap.render(top));
+        let (target, a) = &self.stacks[0];
+        let (best, b) = self.stacks[1..]
+            .iter()
+            .find(|(name, _)| name == self.best())
+            .expect("the best candidate has a stack");
+        out.push_str(&format!(
+            "cycle stacks over the kernels (delta = {best} - {target}):\n  {:<10} {:>16} {:>16} {:>14}\n",
+            "bucket", target, best, "delta"
+        ));
+        let mut row = |name: &str, x: u64, y: u64| {
+            let delta = y as i64 - x as i64;
+            out.push_str(&format!("  {name:<10} {x:>16} {y:>16} {delta:>+14}\n"));
+        };
+        for bucket in Bucket::ALL {
+            if a.get(bucket) > 0 || b.get(bucket) > 0 {
+                row(bucket.name(), a.get(bucket), b.get(bucket));
+            }
         }
+        row("total", a.total(), b.total());
         out
     }
 }
 
-/// Runs `kernels` back-to-back on a single telemetry-enabled instance of
-/// `cfg` and returns the accumulated counter export.
-fn telemetry_profile(cfg: &SocConfig, kernels: &[MicroKernel], scale: u32) -> TelemetrySnapshot {
-    assert!(!kernels.is_empty());
-    let mut soc = Soc::new(cfg.clone().with_telemetry(TelemetryConfig::counters()));
-    let mut last = None;
-    for k in kernels {
-        last = Some(soc.run_program(0, &k.build(scale), u64::MAX));
+/// Runs each of `progs` on a fresh `cfg`: the seconds of each, and the
+/// cycle stacks of all of them summed.
+fn profile(cfg: &SocConfig, progs: &[bsim_isa::Program]) -> (Vec<f64>, CycleStack) {
+    let observed = cfg.clone().with_telemetry(TelemetryConfig::counters());
+    let mut stack = CycleStack::default();
+    let mut secs = Vec::with_capacity(progs.len());
+    for prog in progs {
+        let rep = Soc::new(observed.clone()).run_program(0, prog, u64::MAX);
+        for core in rep.telemetry.expect("telemetry enabled") {
+            for b in Bucket::ALL {
+                stack.charge(b, core.get(b));
+            }
+        }
+        secs.push(rep.seconds);
     }
-    last.expect("at least one kernel")
-        .telemetry
-        .expect("telemetry enabled")
-}
-
-/// The "which counter moved" step of the §4 loop: profiles both platforms
-/// over the same kernels and ranks every counter by its relative delta.
-fn attribute_gap(a: &SocConfig, b: &SocConfig, kernels: &[MicroKernel], scale: u32) -> GapReport {
-    GapReport::between(
-        &a.name,
-        &telemetry_profile(a, kernels, scale),
-        &b.name,
-        &telemetry_profile(b, kernels, scale),
-    )
+    (secs, stack)
 }
 
 /// Runs `kernels` on `target` and all `candidates`; ranks candidates by
@@ -83,36 +92,31 @@ pub fn choose_best_model(
     scale: u32,
 ) -> TuningOutcome {
     assert!(!candidates.is_empty() && !kernels.is_empty());
-    let mut target_secs = Vec::with_capacity(kernels.len());
     let progs: Vec<_> = kernels.iter().map(|k| k.build(scale)).collect();
-    for prog in &progs {
-        let rep = Soc::new(target.clone()).run_program(0, prog, u64::MAX);
-        target_secs.push(rep.seconds);
-    }
+    let (target_secs, target_stack) = profile(target, &progs);
     let mut ranking = Vec::new();
     let mut details = Vec::new();
+    let mut stacks = vec![(target.name.clone(), target_stack)];
     for cand in candidates {
-        let mut rels = Vec::with_capacity(kernels.len());
-        let mut per_kernel = Vec::new();
-        for (ki, prog) in progs.iter().enumerate() {
-            let rep = Soc::new(cand.clone()).run_program(0, prog, u64::MAX);
-            let rel = relative_speedup(target_secs[ki], rep.seconds);
-            rels.push(rel);
-            per_kernel.push((kernels[ki].name.to_string(), rel));
-        }
+        let (secs, stack) = profile(cand, &progs);
+        let rels: Vec<f64> = target_secs
+            .iter()
+            .zip(&secs)
+            .map(|(&t, &c)| relative_speedup(t, c))
+            .collect();
+        let per_kernel = kernels.iter().zip(&rels);
+        let per_kernel = per_kernel
+            .map(|(k, &rel)| (k.name.to_string(), rel))
+            .collect();
         ranking.push((cand.name.clone(), deviation_from_parity(&rels)));
         details.push((cand.name.clone(), per_kernel));
+        stacks.push((cand.name.clone(), stack));
     }
     ranking.sort_by(|a, b| a.1.total_cmp(&b.1));
-    let best_cfg = candidates
-        .iter()
-        .find(|c| c.name == ranking[0].0)
-        .expect("best candidate is one of the candidates");
-    let attribution = Some(attribute_gap(target, best_cfg, kernels, scale));
     TuningOutcome {
         ranking,
         details,
-        attribution,
+        stacks,
     }
 }
 
@@ -193,35 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn attribution_surfaces_memory_counters_for_the_boom_gap() {
-        // milkv_hw (DDR4-3200, big LLC) vs Large BOOM (FireSim DDR3-2000,
-        // token quantization): the ranked deltas must include memory-system
-        // counters — the paper's §5/§6 DRAM/LLC attribution.
-        let gap = attribute_gap(
-            &configs::milkv_hw(1),
-            &configs::large_boom(1),
-            &probe_kernels(),
-            1,
-        );
-        assert!(!gap.rows.is_empty());
-        assert!(
-            gap.top(10).iter().any(|r| r.counter.starts_with("mem.")),
-            "top deltas must mention the memory system: {}",
-            gap.render(10)
-        );
-        let stall = gap
-            .rows
-            .iter()
-            .find(|r| r.counter == "mem.dram.token_stall_cycles")
-            .expect("token-stall counter present");
-        assert_eq!(stall.a, 0, "silicon has no token quantization");
-        assert!(
-            stall.b > 0,
-            "FireSim DDR3 model must pay quantization stalls"
-        );
-    }
-
-    #[test]
     fn tuning_outcome_explains_which_counter_moved() {
         let out = choose_best_model(
             &[configs::large_boom(1)],
@@ -229,11 +204,24 @@ mod tests {
             &probe_kernels(),
             1,
         );
-        let text = out.explanation(5);
+        let text = out.explanation();
         assert!(text.contains("Large BOOM"));
-        assert!(
-            text.contains("gap report"),
-            "explanation embeds the counter diff:\n{text}"
+        // The deltas sum to the gap, which the total row states.
+        let delta =
+            |line: &str| -> i64 { line.split_whitespace().last().unwrap().parse().unwrap() };
+        let rows: Vec<&str> = text
+            .lines()
+            .skip_while(|l| !l.contains("bucket"))
+            .skip(1)
+            .collect();
+        let (total, buckets) = rows.split_last().expect("a total row");
+        assert!(total.trim_start().starts_with("total"), "{text}");
+        assert_eq!(
+            buckets.iter().map(|l| delta(l)).sum::<i64>(),
+            delta(total),
+            "{text}"
         );
+        let (a, b) = (&out.stacks[0].1, &out.stacks[1].1);
+        assert_eq!(delta(total), b.total() as i64 - a.total() as i64);
     }
 }

@@ -16,8 +16,8 @@ fn json<T: serde::Serialize>(v: &T) -> String {
 }
 
 /// A small cache-geometry grid around Large BOOM, including one config
-/// with hardware telemetry counters enabled — instrumentation must not
-/// perturb lane timing.
+/// that publishes its cycle stacks: a lane's stacks must equal its scalar
+/// run's, and publishing them must not perturb lane timing.
 fn small_grid(ranks: usize) -> Vec<SocConfig> {
     let mut grid = cache_tuning_grid(ranks, 3);
     let mut tele = configs::large_boom(ranks).with_telemetry(TelemetryConfig::counters());
@@ -27,7 +27,7 @@ fn small_grid(ranks: usize) -> Vec<SocConfig> {
 }
 
 /// CG, IS, and MG each record once and replay bit-identical to their
-/// scalar runs across a mixed grid (telemetry-instrumented lane
+/// scalar runs across a mixed grid (the lane publishing its cycle stacks
 /// included).
 #[test]
 fn lane_replay_matches_scalar_across_npb_workloads() {

@@ -199,7 +199,7 @@ impl DramModel {
 
     /// Cumulative cycles completions lost to token-quantum rounding —
     /// the §3.2.2 quantization cost (always 0 when the quantum is 1).
-    pub fn token_stall_cycles(&self) -> u64 {
+    pub(crate) fn token_stall_cycles(&self) -> u64 {
         self.token_stall_cycles
     }
 

@@ -1,6 +1,5 @@
 //! Aggregate memory-system statistics.
 
-use bsim_telemetry::CounterBlock;
 use serde::{Deserialize, Serialize};
 
 /// Hit/miss and traffic counters for one simulated memory hierarchy.
@@ -83,30 +82,6 @@ impl MemStats {
             prefetches: self.prefetches - earlier.prefetches,
         }
     }
-
-    /// Publishes every counter into `block` under `prefix` (use `"mem"`,
-    /// or a tile/cluster name in multi-hierarchy setups).
-    pub fn publish(&self, prefix: &str, block: &mut CounterBlock) {
-        let mut put = |name: &str, v: u64| block.set_named(&format!("{prefix}.{name}"), v);
-        put("l1d.accesses", self.l1d_accesses);
-        put("l1d.misses", self.l1d_misses);
-        put("l1i.accesses", self.l1i_accesses);
-        put("l1i.misses", self.l1i_misses);
-        put("l2.accesses", self.l2_accesses);
-        put("l2.misses", self.l2_misses);
-        put("llc.accesses", self.llc_accesses);
-        put("llc.misses", self.llc_misses);
-        put("dram.reads", self.dram_reads);
-        put("dram.writes", self.dram_writes);
-        put("dram.row_hits", self.dram_row_hits);
-        put("dram.row_misses", self.dram_row_misses);
-        put("dram.token_stall_cycles", self.dram_token_stall_cycles);
-        put("writebacks", self.writebacks);
-        put("bank_conflict_cycles", self.bank_conflict_cycles);
-        put("mshr_stall_cycles", self.mshr_stall_cycles);
-        put("bus.busy_cycles", self.bus_busy_cycles);
-        put("prefetches", self.prefetches);
-    }
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -143,20 +118,5 @@ mod tests {
         assert_eq!(d.l1d_accesses, 15);
         assert_eq!(d.l1d_misses, 3);
         assert!((d.l1d_miss_rate() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn publish_covers_dram_and_bus() {
-        let s = MemStats {
-            dram_reads: 10,
-            dram_row_misses: 4,
-            bus_busy_cycles: 123,
-            ..Default::default()
-        };
-        let mut block = CounterBlock::new(true);
-        s.publish("mem", &mut block);
-        assert_eq!(block.get("mem.dram.reads"), Some(10));
-        assert_eq!(block.get("mem.dram.row_misses"), Some(4));
-        assert_eq!(block.get("mem.bus.busy_cycles"), Some(123));
     }
 }

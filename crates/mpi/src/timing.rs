@@ -12,8 +12,8 @@
 //!   `max(arrival, local) + o_recv`;
 //! * a collective releases every rank at `collective_cost(latest entry,
 //!   ranks, largest contribution)`, computed when the last rank enters;
-//! * the cycles a rank spends sending and waiting are counted and
-//!   published as `mpi.rank{r}.*` when the rank finishes.
+//! * each advance is charged to the rank's cycle stack: a charge to
+//!   base, a send to MPI send, a receive or collective exit to MPI wait.
 //!
 //! [`crate::MpiWorld::run`] applies each event to one lane as its rank
 //! program produces it; `bsim_core::replay_world` applies a recorded
@@ -27,7 +27,7 @@ use crate::net::NetConfig;
 use crate::record::{Ev, EvSink};
 use crate::world::WorldReport;
 use bsim_mem::{Front, Own};
-use bsim_soc::{Soc, SocConfig};
+use bsim_soc::{Bucket, Soc, SocConfig};
 use bsim_uarch::MicroOp;
 use std::collections::{HashMap, VecDeque};
 
@@ -57,12 +57,9 @@ pub struct Timing {
     /// oldest first; `retired` counts the ones before them.
     colls: VecDeque<Coll>,
     retired: usize,
-    /// Per rank: collectives entered / left, cycles spent sending /
-    /// waiting.
+    /// Per rank: collectives entered / left.
     entered: Vec<usize>,
     exited: Vec<usize>,
-    send_cycles: Vec<u64>,
-    wait_cycles: Vec<u64>,
     messages: u64,
     bytes: u64,
     /// The rank whose [`Ev::Consume`] was the last event applied: the
@@ -81,8 +78,6 @@ impl Timing {
             retired: 0,
             entered: vec![0; ranks],
             exited: vec![0; ranks],
-            send_cycles: vec![0; ranks],
-            wait_cycles: vec![0; ranks],
             messages: 0,
             bytes: 0,
             open: None,
@@ -116,7 +111,7 @@ impl Timing {
                 soc.consume_batch_with(r, &uops[start..start + len], front);
                 self.open = Some(rank);
             }
-            Ev::Charge { cycles, .. } => soc.advance_core(r, local + cycles),
+            Ev::Charge { cycles, .. } => soc.advance_core(r, local + cycles, Bucket::Base),
             Ev::Send {
                 rank,
                 dst,
@@ -124,8 +119,7 @@ impl Timing {
                 nbytes,
             } => {
                 let busy = net.o_send + net.transfer_cycles(nbytes);
-                soc.advance_core(r, local + busy);
-                self.send_cycles[r] += busy;
+                soc.advance_core(r, local + busy, Bucket::MpiSend);
                 let arrival = net.arrival(local, nbytes);
                 self.mail
                     .entry((rank, dst, tag))
@@ -142,8 +136,7 @@ impl Timing {
                     // bsim: allow(AU002)
                     .expect("malformed event stream: recv with no matching send");
                 let done = arrival.max(local) + net.o_recv;
-                soc.advance_core(r, done);
-                self.wait_cycles[r] += done.saturating_sub(local);
+                soc.advance_core(r, done, Bucket::MpiWait);
             }
             Ev::CollEnter { bytes, .. } => {
                 let g = self.entered[r] - self.retired;
@@ -165,8 +158,7 @@ impl Timing {
                     coll.entered == ranks,
                     "malformed event stream: collective exit before all ranks entered"
                 );
-                soc.advance_core(r, coll.release);
-                self.wait_cycles[r] += coll.release.saturating_sub(local);
+                soc.advance_core(r, coll.release, Bucket::MpiWait);
                 self.exited[r] += 1;
                 coll.exited += 1;
                 if coll.exited == ranks {
@@ -181,23 +173,6 @@ impl Timing {
             } => {
                 self.messages += messages;
                 self.bytes += bytes;
-                // Published here, at the rank's place in the global
-                // order, so counters register in the same order — and
-                // exports carry the same bytes — however the events
-                // reached this lane.
-                let b = soc.counters_mut();
-                if b.enabled() {
-                    let (send, wait) = (self.send_cycles[r], self.wait_cycles[r]);
-                    // bsim: allow(AU006) once per rank, telemetry on
-                    let name = |what: &str| format!("mpi.rank{r}.{what}");
-                    b.set_named(&name("messages"), messages);
-                    b.set_named(&name("bytes"), bytes);
-                    b.set_named(&name("send_cycles"), send);
-                    b.set_named(&name("wait_cycles"), wait);
-                    b.add_named("mpi.messages", messages);
-                    b.add_named("mpi.bytes", bytes);
-                    b.add_named("mpi.wait_cycles", wait);
-                }
             }
         }
     }

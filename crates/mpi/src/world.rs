@@ -773,6 +773,7 @@ mod tests {
 
     #[test]
     fn telemetry_reports_per_rank_mpi_counters() {
+        use bsim_soc::Bucket;
         let cfg = configs::rocket1(2).with_telemetry(bsim_soc::TelemetryConfig::counters());
         let rep = MpiWorld::run(cfg, 2, NetConfig::shared_memory(), |ctx| {
             if ctx.rank() == 0 {
@@ -783,20 +784,20 @@ mod tests {
             }
             ctx.barrier();
         });
-        let snap = rep
+        let stacks = rep
             .run
             .telemetry
             .expect("telemetry enabled on the SoC config");
-        assert_eq!(snap.counter("mpi.rank0.messages"), Some(1));
-        assert_eq!(snap.counter("mpi.rank0.bytes"), Some(256));
-        assert!(snap.counter("mpi.rank0.send_cycles").unwrap_or(0) > 0);
-        assert_eq!(snap.counter("mpi.rank1.messages"), Some(0));
+        assert!(stacks[0].get(Bucket::Base) >= 50_000, "the charge is base");
+        assert!(stacks[0].get(Bucket::MpiSend) > 0);
+        assert_eq!(stacks[1].get(Bucket::MpiSend), 0);
         assert!(
-            snap.counter("mpi.rank1.wait_cycles").unwrap_or(0) >= 50_000,
+            stacks[1].get(Bucket::MpiWait) >= 50_000,
             "receiver waits out the sender's head start"
         );
-        assert_eq!(snap.counter("mpi.messages"), Some(rep.messages));
-        assert_eq!(snap.counter("mpi.bytes"), Some(rep.bytes));
+        for (stack, cycles) in stacks.iter().zip(&rep.rank_cycles) {
+            assert_eq!(stack.total(), *cycles);
+        }
     }
 
     #[test]

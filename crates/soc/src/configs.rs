@@ -45,9 +45,10 @@ pub struct SocConfig {
     /// older codegen retires measurably more instructions on the same
     /// C/C++ kernels.
     pub compiler_overhead_per_mille: u32,
-    /// Out-of-band counters (AutoCounter analogue), published when the
-    /// run reports. Disabled by default in every named config; enable with
-    /// [`SocConfig::with_telemetry`]. Never affects simulated timing.
+    /// Whether the report carries each core's cycle stack (the
+    /// AutoCounter analogue). Disabled by default in every named config;
+    /// enable with [`SocConfig::with_telemetry`]. Never affects simulated
+    /// timing.
     pub telemetry: TelemetryConfig,
 }
 

@@ -32,7 +32,7 @@ pub mod runner;
 /// Where a timing loop's branch, TLB and L1 tag decisions come from; the
 /// lane loop above the SoC shares them between lanes through it.
 pub use bsim_mem::front;
-pub use bsim_telemetry::{GapReport, TelemetryConfig, TelemetrySnapshot};
+pub use bsim_telemetry::{Bucket, CycleStack, TelemetryConfig};
 pub use configs::{CoreModel, SocConfig};
 pub use preflight::{preflight, preflight_all};
 pub use runner::{RunReport, Soc, RUN_QUANTUM};

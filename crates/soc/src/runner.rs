@@ -3,7 +3,7 @@
 use crate::configs::{CoreModel, SocConfig};
 use bsim_isa::{Cpu, Program, RunResult};
 use bsim_mem::{Front, MemStats, MemoryHierarchy, Own};
-use bsim_telemetry::{CounterBlock, TelemetrySnapshot};
+use bsim_telemetry::{Bucket, CycleStack};
 use bsim_uarch::{CoreStats, InOrderCore, MicroOp, OooCore, TimingCore};
 use serde::{Deserialize, Serialize};
 
@@ -52,10 +52,16 @@ impl TimingCore for CoreInst {
             CoreInst::Ooo(c) => c.stats(),
         }
     }
-    fn advance_to(&mut self, cycle: u64) {
+    fn stack(&self) -> CycleStack {
         match self {
-            CoreInst::InOrder(c) => c.advance_to(cycle),
-            CoreInst::Ooo(c) => c.advance_to(cycle),
+            CoreInst::InOrder(c) => c.stack(),
+            CoreInst::Ooo(c) => c.stack(),
+        }
+    }
+    fn advance_to(&mut self, cycle: u64, bucket: Bucket) {
+        match self {
+            CoreInst::InOrder(c) => c.advance_to(cycle, bucket),
+            CoreInst::Ooo(c) => c.advance_to(cycle, bucket),
         }
     }
 }
@@ -77,9 +83,10 @@ pub struct RunReport {
     pub mem_stats: MemStats,
     /// Functional exit code, when the workload was an ISA program.
     pub exit_code: Option<i64>,
-    /// Out-of-band telemetry export; `None` unless the platform config
-    /// enabled it (see [`SocConfig::with_telemetry`]).
-    pub telemetry: Option<TelemetrySnapshot>,
+    /// Each core's cycle stack (index = core id), each summing to its
+    /// core's cycles; `None` unless the platform config enabled
+    /// telemetry (see [`SocConfig::with_telemetry`]).
+    pub telemetry: Option<Vec<CycleStack>>,
 }
 
 impl RunReport {
@@ -98,9 +105,6 @@ pub struct Soc {
     cfg: SocConfig,
     cores: Vec<CoreInst>,
     hierarchy: MemoryHierarchy,
-    /// Where `report` publishes the run's counters; disabled unless the
-    /// config enabled telemetry.
-    counters: CounterBlock,
 }
 
 impl Soc {
@@ -131,24 +135,16 @@ impl Soc {
             })
             .collect();
         let hierarchy = MemoryHierarchy::new(cfg.hierarchy.clone());
-        let counters = CounterBlock::new(cfg.telemetry.enabled);
         Ok(Soc {
             cfg,
             cores,
             hierarchy,
-            counters,
         })
     }
 
     /// The platform configuration.
     pub fn config(&self) -> &SocConfig {
         &self.cfg
-    }
-
-    /// The run's counter block, for counters owned by layers above the
-    /// SoC (the MPI ranks' timing).
-    pub fn counters_mut(&mut self) -> &mut CounterBlock {
-        &mut self.counters
     }
 
     /// Feeds one micro-op to core `core_id`: a batch of one.
@@ -180,9 +176,10 @@ impl Soc {
         self.cores[core_id].cycles()
     }
 
-    /// Advances core `core_id`'s clock (MPI wait accounting).
-    pub fn advance_core(&mut self, core_id: usize, cycle: u64) {
-        self.cores[core_id].advance_to(cycle);
+    /// Advances core `core_id`'s clock to at least `cycle`, charging the
+    /// advance to `bucket` (the MPI layer's charges, sends and waits).
+    pub fn advance_core(&mut self, core_id: usize, cycle: u64, bucket: Bucket) {
+        self.cores[core_id].advance_to(cycle, bucket);
     }
 
     /// Drains all cores and produces a report. The SoC remains usable;
@@ -197,15 +194,17 @@ impl Soc {
             core_stats.push(c.stats());
         }
         let mem_stats = self.hierarchy.stats();
-        let telemetry = self.counters.enabled().then(|| {
-            for (i, s) in core_stats.iter().enumerate() {
-                // bsim: allow(AU006) once per report, telemetry on
-                s.publish(&format!("tile{i}"), &mut self.counters);
+        let telemetry = self.cfg.telemetry.enabled.then(|| {
+            let stacks: Vec<CycleStack> = self.cores.iter().map(|c| c.stack()).collect();
+            for (core, (stack, stats)) in stacks.iter().zip(&core_stats).enumerate() {
+                assert!(
+                    stack.total() == stats.cycles,
+                    "core {core}'s cycle stack sums to {}, not to its {} cycles",
+                    stack.total(),
+                    stats.cycles
+                );
             }
-            mem_stats.publish("mem", &mut self.counters);
-            self.counters.set_named("soc.cycles", cycles);
-            self.counters.set_named("soc.retired", retired);
-            TelemetrySnapshot::capture(&self.counters)
+            stacks
         });
         RunReport {
             platform: self.cfg.name.clone(),
@@ -331,14 +330,13 @@ mod tests {
     #[test]
     fn telemetry_export_has_nonzero_counters() {
         use bsim_telemetry::TelemetryConfig;
-        let mut soc = Soc::new(configs::rocket1(1).with_telemetry(TelemetryConfig::counters()));
+        let mut soc = Soc::new(configs::rocket1(2).with_telemetry(TelemetryConfig::counters()));
         let rep = soc.run_program(0, &kernel(1000), 1_000_000);
-        let snap = rep.telemetry.expect("enabled telemetry exports a snapshot");
-        assert!(snap.counter("tile0.retired").unwrap_or(0) > 0);
-        assert!(snap.counter("tile0.branch.lookups").unwrap_or(0) > 0);
-        assert!(snap.counter("mem.l1i.accesses").unwrap_or(0) > 0);
-        assert_eq!(snap.counter("soc.cycles"), Some(rep.cycles));
-        assert!(snap.to_json().contains("tile0.retired"));
+        let stacks = rep.telemetry.expect("enabled telemetry publishes stacks");
+        assert_eq!(stacks.len(), 2);
+        assert_eq!(stacks[0].total(), rep.cycles);
+        assert!(stacks[0].get(Bucket::Base) > 0);
+        assert_eq!(stacks[1].total(), 0, "core 1 ran nothing");
     }
 
     #[test]
@@ -363,8 +361,7 @@ mod tests {
     fn report_is_idempotent() {
         // `report` drains the cores but must not consume anything:
         // calling it again without running more work has to produce the
-        // same cycles, retired count, stats, and telemetry export —
-        // counters are published with set-not-add semantics.
+        // same cycles, retired count, stats, and cycle stacks.
         use bsim_telemetry::TelemetryConfig;
         let mut soc = Soc::new(configs::rocket1(1).with_telemetry(TelemetryConfig::counters()));
         let first = soc.run_program(0, &kernel(800), 10_000_000);
@@ -374,8 +371,10 @@ mod tests {
         assert_eq!(first.core_stats, second.core_stats);
         assert_eq!(first.mem_stats, second.mem_stats);
         assert_eq!(first.seconds, second.seconds);
-        let (t1, t2) = (first.telemetry.unwrap(), second.telemetry.unwrap());
-        assert_eq!(t1.counters, t2.counters, "set-not-add publish");
+        assert_eq!(
+            first.telemetry, second.telemetry,
+            "a drained core charges nothing"
+        );
     }
 
     #[test]
@@ -409,7 +408,7 @@ mod tests {
         }
         assert!(soc.core_cycles(0) >= 99);
         assert_eq!(soc.core_cycles(1), 0);
-        soc.advance_core(1, 50);
+        soc.advance_core(1, 50, Bucket::MpiWait);
         assert_eq!(soc.core_cycles(1), 50);
     }
 }

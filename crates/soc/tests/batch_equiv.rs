@@ -6,7 +6,7 @@
 
 use bsim_isa::OpClass;
 use bsim_mem::{FrontRecord, MemoryHierarchy, Own};
-use bsim_soc::{configs, RunReport, Soc, SocConfig, TelemetryConfig};
+use bsim_soc::{configs, CycleStack, RunReport, Soc, SocConfig, TelemetryConfig};
 use bsim_uarch::{
     BranchClass, CoreStats, InOrderConfig, InOrderCore, MicroOp, OooConfig, OooCore, TimingCore,
     Ureg,
@@ -92,20 +92,28 @@ fn hierarchy(cfg: &SocConfig) -> MemoryHierarchy {
 }
 
 /// Runs `uops` through `core` one by one, returning its final state.
-fn one_by_one(mut core: impl TimingCore, cfg: &SocConfig, uops: &[MicroOp]) -> (u64, CoreStats) {
+fn one_by_one(
+    mut core: impl TimingCore,
+    cfg: &SocConfig,
+    uops: &[MicroOp],
+) -> (u64, CoreStats, CycleStack) {
     let mut mem = hierarchy(cfg);
     for u in uops {
         core.consume(u, &mut mem, 0);
     }
-    (core.finish(), core.stats())
+    (core.finish(), core.stats(), core.stack())
 }
 
-fn batched(mut core: impl TimingCore, cfg: &SocConfig, parts: &[&[MicroOp]]) -> (u64, CoreStats) {
+fn batched(
+    mut core: impl TimingCore,
+    cfg: &SocConfig,
+    parts: &[&[MicroOp]],
+) -> (u64, CoreStats, CycleStack) {
     let mut mem = hierarchy(cfg);
     for part in parts {
         core.consume_batch(part, &mut mem, 0, &mut Own);
     }
-    (core.finish(), core.stats())
+    (core.finish(), core.stats(), core.stack())
 }
 
 /// Index of the first micro-op `mispredicts` counts, found by replay.
@@ -155,7 +163,7 @@ fn ooo_batches_equal_single_consumes() {
     }
 }
 
-/// Everything a report says, telemetry export included.
+/// Everything a report says, the cores' cycle stacks included.
 fn facts(r: RunReport) -> impl PartialEq + std::fmt::Debug {
     (
         (r.cycles, r.retired, r.seconds.to_bits()),
@@ -191,8 +199,9 @@ fn soc_batches_equal_single_consumes_with_telemetry_off_and_on() {
             for cut in cuts(4000, 2000) {
                 let want = run(&cut, false);
                 assert_eq!(want.telemetry.is_some(), cfg.telemetry.enabled);
-                if let Some(t) = &want.telemetry {
-                    assert_eq!(t.counter("soc.cycles"), Some(want.cycles));
+                if let Some(stacks) = &want.telemetry {
+                    let most = stacks.iter().map(|s| s.total()).max();
+                    assert_eq!(most, Some(want.cycles), "the slowest core's stack");
                 }
                 let what = format!("{}, {} batches a core", cfg.name, cut.len() + 1);
                 assert_eq!(facts(run(&cut, true)), facts(want), "{what}");

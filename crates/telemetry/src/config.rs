@@ -2,15 +2,14 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Controls whether a simulation publishes counters out-of-band.
+/// Controls whether a run's report carries its cores' cycle stacks.
 ///
-/// With `enabled: false` every counter call is a no-op against a single
-/// scratch cell, nothing is named, and exports are empty — the timing model
-/// itself never observes the difference (see the disabled-path tests in
-/// `bsim-soc`).
+/// The cores keep their stacks either way; the switch only decides
+/// whether the report publishes them, so the timing model never observes
+/// it (see the disabled-path tests in `bsim-soc`).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryConfig {
-    /// Master switch. Off ⇒ no counters.
+    /// Master switch. Off ⇒ the report carries no stacks.
     pub enabled: bool,
 }
 
@@ -20,7 +19,7 @@ impl TelemetryConfig {
         TelemetryConfig { enabled: false }
     }
 
-    /// Final counter values, published when the run reports.
+    /// Each core's cycle stack, published when the run reports.
     pub fn counters() -> TelemetryConfig {
         TelemetryConfig { enabled: true }
     }

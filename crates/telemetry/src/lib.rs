@@ -1,27 +1,20 @@
-//! Out-of-band performance counters for the simulation stack.
+//! Telemetry: each core's cycle stack, and the host's named counters.
 //!
 //! FireSim attributes simulation-vs-silicon gaps by reading performance
 //! counters out-of-band, without perturbing the target. This crate is the
-//! software-simulation analogue, read at the end of a run:
+//! software-simulation analogue:
 //!
-//! * [`CounterBlock`] — hierarchically named `u64` counters; a disabled
-//!   block (see [`TelemetryConfig`]) is a no-op that exports nothing. An
-//!   observed SoC publishes its core, memory and MPI statistics into one
-//!   block when it reports.
-//! * [`TelemetrySnapshot`] — JSON/CSV export of a block's final values.
-//! * [`GapReport`] — diffs two runs counter-by-counter and ranks the
-//!   largest relative deltas, mechanizing the paper's §5 attribution.
-//!
-//! Counters whose name starts with `host.` (wall-clock rates, retry and
-//! watchdog tallies) may differ between hosts or thread counts and are
-//! excluded from deterministic exports and gap reports.
+//! * [`CycleStack`] — where one core's cycles went, by [`Bucket`]. Every
+//!   core keeps one and charges each advance of its clock to one bucket,
+//!   so the stack sums to the core's cycles. A report carries the stacks
+//!   when its [`TelemetryConfig`] is on.
+//! * [`CounterBlock`] — hierarchically named `u64` counters for the host
+//!   side: the token engine's run tallies and the service's `/metrics`.
 
 pub mod config;
-pub mod gap;
 pub mod registry;
-pub mod snapshot;
+pub mod stack;
 
 pub use config::TelemetryConfig;
-pub use gap::{GapReport, GapRow};
 pub use registry::CounterBlock;
-pub use snapshot::{CounterEntry, TelemetrySnapshot};
+pub use stack::{Bucket, CycleStack};

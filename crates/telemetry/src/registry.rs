@@ -1,19 +1,13 @@
 //! The counter registry: hierarchically named `u64` cells.
 //!
-//! A model publishes its finished statistics into a [`CounterBlock`] by
-//! name when it reports. A disabled block keeps no names and ignores
-//! every update, so publishing code is identical in both modes and a
-//! disabled run exports nothing.
+//! The token engine tallies a run into a [`CounterBlock`] and the
+//! service daemon serves one at `/metrics`. A disabled block keeps no
+//! names and ignores every update, so the code that counts is identical
+//! in both modes and a disabled block exports nothing.
 //!
-//! Names are dotted paths mirroring the model hierarchy, e.g.
-//! `tile0.l1d.misses`, `mem.dram.row_misses`, `mpi.rank3.wait_cycles`.
-//! The `host.` prefix is reserved for quantities that depend on the host
-//! machine or thread schedule (wall-clock rates, retries, watchdog
-//! trips); the snapshot layer excludes them when comparing runs for
-//! determinism.
-
-/// Prefix for host-dependent (non-deterministic) counters.
-pub(crate) const HOST_PREFIX: &str = "host.";
+//! Names are dotted paths, e.g. `cells.simulated`. The `host.` prefix is
+//! reserved for quantities that depend on the host machine or thread
+//! schedule (wall-clock rates, retries, watchdog trips).
 
 /// A set of named counters, in registration order.
 #[derive(Clone, Debug)]
@@ -64,13 +58,6 @@ impl CounterBlock {
         }
     }
 
-    /// Register-or-find `name` and add `n` to it.
-    pub fn add_named(&mut self, name: &str, n: u64) {
-        if let Some(cell) = self.cell(name) {
-            *cell = cell.wrapping_add(n);
-        }
-    }
-
     /// Current value of a counter by name (`None` if never registered or
     /// the block is disabled).
     pub fn get(&self, name: &str) -> Option<u64> {
@@ -106,11 +93,10 @@ mod tests {
     #[test]
     fn add_and_read_back() {
         let mut b = CounterBlock::new(true);
-        b.add_named("tile0.l1d.misses", 3);
-        b.add_named("tile0.l1d.misses", 4);
-        assert_eq!(b.get("tile0.l1d.misses"), Some(7));
-        b.set_named("tile0.l1d.misses", 2);
-        assert_eq!(b.get("tile0.l1d.misses"), Some(2));
+        b.set_named("cells.simulated", 7);
+        assert_eq!(b.get("cells.simulated"), Some(7));
+        b.set_named("cells.simulated", 2);
+        assert_eq!(b.get("cells.simulated"), Some(2));
     }
 
     #[test]
@@ -124,10 +110,9 @@ mod tests {
     #[test]
     fn disabled_block_records_nothing() {
         let mut b = CounterBlock::new(false);
-        b.add_named("tile0.l1d.misses", 99);
-        b.set_named("dram.reads", 5);
+        b.set_named("cells.simulated", 5);
         assert_eq!(b.len(), 0);
-        assert_eq!(b.get("tile0.l1d.misses"), None);
+        assert_eq!(b.get("cells.simulated"), None);
         assert_eq!(b.counters().count(), 0);
     }
 }

@@ -20,9 +20,10 @@ use crate::predictor::{BranchPredictor, RocketPredictor};
 use crate::stats::CoreStats;
 use crate::tlb::{Tlb, TlbConfig};
 use crate::uop::MicroOp;
-use crate::TimingCore;
+use crate::{served_by, TimingCore};
 use bsim_isa::OpClass;
 use bsim_mem::{AccessKind, Front, MemoryHierarchy};
+use bsim_telemetry::{Bucket, CycleStack};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -84,6 +85,10 @@ pub struct InOrderCore {
     /// Ready cycle per unified register. Slot 0, x0's, is never written
     /// (no `Ureg` is 0), so an absent source reads 0 there.
     pub(crate) reg_ready: [u64; 64],
+    /// Beside each `reg_ready`, what a stall for it is charged to: the
+    /// producer's bucket, after the TLB cycles of a load.
+    /// A TLB latency past `u16::MAX` saturates; the level takes the rest.
+    reg_cause: [(Bucket, u16); 64],
     /// Outstanding store completion times, earliest first — admission
     /// needs only the front, so drains are O(log n) pops instead of a
     /// full `retain` + `min` scan per store.
@@ -94,6 +99,7 @@ pub struct InOrderCore {
     cur_fetch_line: u64,
     refetch: bool,
     stats: CoreStats,
+    stack: CycleStack,
     l1i_hit_latency: u64,
 }
 
@@ -109,11 +115,13 @@ impl InOrderCore {
             cycle: 0,
             issued_this_cycle: 0,
             reg_ready: [0; 64],
+            reg_cause: [(Bucket::Base, 0); 64],
             store_buffer: BinaryHeap::new(),
             unpipelined_free: 0,
             cur_fetch_line: u64::MAX,
             refetch: true,
             stats: CoreStats::default(),
+            stack: CycleStack::default(),
             l1i_hit_latency: 1,
         }
     }
@@ -125,6 +133,7 @@ impl InOrderCore {
 
     fn new_issue_cycle(&mut self) {
         self.cycle += 1;
+        self.stack.charge(Bucket::Base, 1);
         self.issued_this_cycle = 0;
     }
 
@@ -135,9 +144,11 @@ impl InOrderCore {
         }
     }
 
-    fn stall_to(&mut self, t: u64) -> u64 {
+    /// Stalls issue until `t`, charging the stall to `bucket`.
+    fn stall_to(&mut self, t: u64, bucket: Bucket) -> u64 {
         let d = t.saturating_sub(self.cycle);
         if d > 0 {
+            self.stack.charge(bucket, d);
             self.cycle = t;
             self.issued_this_cycle = 0;
         }
@@ -163,7 +174,7 @@ impl TimingCore for InOrderCore {
                     .saturating_sub(self.cycle + self.l1i_hit_latency);
                 if extra > 0 {
                     self.stats.fetch_stall_cycles += extra;
-                    self.stall_to(self.cycle + extra);
+                    self.stall_to(self.cycle + extra, Bucket::Frontend);
                 }
                 self.cur_fetch_line = line;
                 self.refetch = false;
@@ -176,12 +187,24 @@ impl TimingCore for InOrderCore {
             }
 
             // ---- operand readiness (scoreboard interlock) --------------
+            // The stall is charged to the latest source's producer: a
+            // load's TLB cycles first, then the level that served it.
             let ready = uop.srcs_ready(&self.reg_ready);
-            self.stats.data_stall_cycles += self.stall_to(ready);
+            if ready > self.cycle {
+                let (level, tlb) = uop
+                    .srcs
+                    .into_iter()
+                    .flatten()
+                    .find(|r| self.reg_ready[r.index()] == ready)
+                    .map_or((Bucket::Base, 0), |r| self.reg_cause[r.index()]);
+                let walk_end = ready.min(self.cycle + tlb as u64);
+                let walk = self.stall_to(walk_end, Bucket::Tlb);
+                self.stats.data_stall_cycles += walk + self.stall_to(ready, level);
+            }
 
             // ---- unpipelined units -------------------------------------
             if OpLatencies::unpipelined(uop.class) {
-                let d = self.stall_to(self.unpipelined_free);
+                let d = self.stall_to(self.unpipelined_free, Bucket::Base);
                 self.stats.structural_stall_cycles += d;
             }
 
@@ -206,6 +229,8 @@ impl TimingCore for InOrderCore {
                     );
                     if let Some(d) = uop.dest {
                         self.reg_ready[d.index()] = out.complete_at;
+                        self.reg_cause[d.index()] =
+                            (served_by(out.level), tlb_extra.min(u16::MAX as u64) as u16);
                     }
                     self.stats.loads += 1;
                 }
@@ -220,7 +245,7 @@ impl TimingCore for InOrderCore {
                     self.drain_stores(issue);
                     if self.store_buffer.len() >= self.cfg.store_buffer as usize {
                         if let Some(&Reverse(earliest)) = self.store_buffer.peek() {
-                            let d = self.stall_to(earliest);
+                            let d = self.stall_to(earliest, Bucket::Base);
                             self.stats.structural_stall_cycles += d;
                             self.drain_stores(self.cycle);
                         }
@@ -242,6 +267,7 @@ impl TimingCore for InOrderCore {
                 _ => {
                     if let Some(d) = uop.dest {
                         self.reg_ready[d.index()] = issue + latency;
+                        self.reg_cause[d.index()] = (Bucket::Base, 0);
                     }
                     if OpLatencies::unpipelined(uop.class) {
                         self.unpipelined_free = issue + latency;
@@ -260,7 +286,10 @@ impl TimingCore for InOrderCore {
                     .predict(front, uop.pc, class, taken, uop.next_pc);
                 if !correct {
                     self.stats.mispredicts += 1;
-                    self.cycle = issue + self.cfg.mispredict_penalty();
+                    let redirect = issue + self.cfg.mispredict_penalty();
+                    self.stack
+                        .charge(Bucket::Frontend, redirect.saturating_sub(self.cycle));
+                    self.cycle = redirect;
                     self.issued_this_cycle = 0;
                     self.refetch = true;
                 } else if taken {
@@ -282,7 +311,9 @@ impl TimingCore for InOrderCore {
             .map(|&Reverse(c)| c)
             .max()
             .unwrap_or(0);
-        self.cycle = self.cycle.max(drain).max(self.unpipelined_free);
+        let end = self.cycle.max(drain).max(self.unpipelined_free);
+        self.stack.charge(Bucket::Base, end - self.cycle);
+        self.cycle = end;
         self.stats.cycles = self.cycle;
         self.cycle
     }
@@ -301,11 +332,12 @@ impl TimingCore for InOrderCore {
         s
     }
 
-    fn advance_to(&mut self, cycle: u64) {
-        if cycle > self.cycle {
-            self.cycle = cycle;
-            self.issued_this_cycle = 0;
-        }
+    fn stack(&self) -> CycleStack {
+        self.stack
+    }
+
+    fn advance_to(&mut self, cycle: u64, bucket: Bucket) {
+        self.stall_to(cycle, bucket);
     }
 }
 
@@ -489,9 +521,11 @@ mod tests {
     #[test]
     fn advance_to_moves_clock_forward_only() {
         let mut core = InOrderCore::new(InOrderConfig::rocket());
-        core.advance_to(500);
+        core.advance_to(500, Bucket::MpiWait);
         assert_eq!(core.cycles(), 500);
-        core.advance_to(100);
+        core.advance_to(100, Bucket::Base);
         assert_eq!(core.cycles(), 500);
+        assert_eq!(core.stack().get(Bucket::MpiWait), 500);
+        assert_eq!(core.stack().total(), 500);
     }
 }

@@ -40,7 +40,19 @@ pub use stats::CoreStats;
 pub use tlb::{Tlb, TlbConfig};
 pub use uop::{BranchClass, MicroOp, Ureg};
 
-use bsim_mem::{Front, MemoryHierarchy, Own};
+use bsim_mem::{Front, HitLevel, MemoryHierarchy, Own};
+use bsim_telemetry::{Bucket, CycleStack};
+
+/// The bucket a load's cycles go to: the level that served it.
+#[inline(always)]
+fn served_by(level: HitLevel) -> Bucket {
+    match level {
+        HitLevel::L1 => Bucket::L1,
+        HitLevel::L2 => Bucket::L2,
+        HitLevel::Llc => Bucket::Llc,
+        HitLevel::Dram => Bucket::Dram,
+    }
+}
 
 /// A timing core: consumes micro-ops, owns a cycle counter.
 pub trait TimingCore {
@@ -76,7 +88,11 @@ pub trait TimingCore {
     /// Detailed statistics.
     fn stats(&self) -> CoreStats;
 
-    /// Advances the local clock to at least `cycle` (used by the MPI layer
-    /// to charge communication wait time to a core).
-    fn advance_to(&mut self, cycle: u64);
+    /// Where the cycles went: sums to [`TimingCore::cycles`].
+    fn stack(&self) -> CycleStack;
+
+    /// Advances the local clock to at least `cycle`, charging the advance
+    /// to `bucket` (how the MPI layer charges computation it does not
+    /// time op by op, sends and waits to a core).
+    fn advance_to(&mut self, cycle: u64, bucket: Bucket);
 }

@@ -25,9 +25,10 @@ use crate::predictor::{BoomPredictor, BranchPredictor};
 use crate::stats::CoreStats;
 use crate::tlb::{Tlb, TlbConfig};
 use crate::uop::MicroOp;
-use crate::TimingCore;
+use crate::{served_by, TimingCore};
 use bsim_isa::OpClass;
 use bsim_mem::{AccessKind, Front, MemoryHierarchy};
+use bsim_telemetry::{Bucket, CycleStack};
 use serde::{Deserialize, Serialize};
 
 /// Out-of-order core parameters.
@@ -163,6 +164,7 @@ pub struct OooCore {
     tlb: Tlb,
     cur_fetch_line: u64,
     stats: CoreStats,
+    stack: CycleStack,
     l1i_hit_latency: u64,
 }
 
@@ -222,6 +224,14 @@ impl Ring {
 
 const LINE_MASK: u64 = !63;
 
+/// Moves `clock` to `t` if that is later, charging the move to `bucket`.
+#[inline(always)]
+fn tick(stack: &mut CycleStack, clock: &mut u64, t: u64, bucket: Bucket) {
+    let now = t.max(*clock);
+    stack.charge(bucket, now - *clock);
+    *clock = now;
+}
+
 impl OooCore {
     /// Builds an idle core.
     pub fn new(cfg: OooConfig) -> OooCore {
@@ -247,6 +257,7 @@ impl OooCore {
             retired_in_group: 0,
             cur_fetch_line: u64::MAX,
             stats: CoreStats::default(),
+            stack: CycleStack::default(),
             l1i_hit_latency: 1,
         }
     }
@@ -313,6 +324,9 @@ impl TimingCore for OooCore {
         core_id: usize,
         front: &mut F,
     ) {
+        // The clock, `max(fetch_time, last_retire)`, as far as `stack` has
+        // charged it; each site that moves it below charges the move.
+        let mut clock = self.cycles();
         for uop in uops {
             // ---- front end -----------------------------------------------
             let line = uop.pc & LINE_MASK;
@@ -326,6 +340,12 @@ impl TimingCore for OooCore {
                     self.stats.fetch_stall_cycles += extra;
                     self.fetch_time += extra;
                     self.dispatched_this_cycle = 0;
+                    tick(
+                        &mut self.stack,
+                        &mut clock,
+                        self.fetch_time,
+                        Bucket::Frontend,
+                    );
                 }
                 self.cur_fetch_line = line;
                 self.stats.fetch_lines += 1;
@@ -333,6 +353,7 @@ impl TimingCore for OooCore {
             if self.dispatched_this_cycle >= self.cfg.decode_width {
                 self.fetch_time += 1;
                 self.dispatched_this_cycle = 0;
+                tick(&mut self.stack, &mut clock, self.fetch_time, Bucket::Base);
             }
             let mut dispatch = self.fetch_time;
 
@@ -367,7 +388,9 @@ impl TimingCore for OooCore {
             self.stats.data_stall_cycles += ready.saturating_sub(dispatch + 1);
 
             // ---- issue + execute ---------------------------------------------
-            let complete = match uop.class {
+            // With what the op's retire is charged to: a load's level and
+            // TLB cycles, anything else's base.
+            let (complete, level, tlb) = match uop.class {
                 OpClass::Load => {
                     // Every `MicroOp` constructor gives loads and stores
                     // their address (`MicroOp::load`/`store`, `from_retired`).
@@ -383,7 +406,7 @@ impl TimingCore for OooCore {
                     self.ldq.push_back(out.complete_at);
                     self.note_lsq_occupancy();
                     self.stats.loads += 1;
-                    out.complete_at
+                    (out.complete_at, served_by(out.level), tlb_extra)
                 }
                 OpClass::Store => {
                     // bsim: allow(AU002) same invariant as the load arm
@@ -401,7 +424,7 @@ impl TimingCore for OooCore {
                     // A store completes (for ROB purposes) once address+data
                     // are ready; the write drains from the STQ in the
                     // background.
-                    issue + 1
+                    (issue + 1, Bucket::Base, 0)
                 }
                 class => {
                     let latency = self.cfg.latencies.of(class) as u64;
@@ -417,7 +440,7 @@ impl TimingCore for OooCore {
                         issue = issue.max(self.unpipelined_free);
                         self.unpipelined_free = issue + latency;
                     }
-                    issue + latency
+                    (issue + latency, Bucket::Base, 0)
                 }
             };
 
@@ -433,6 +456,18 @@ impl TimingCore for OooCore {
                 self.retired_in_group = 0;
             }
             self.last_retire = retire;
+            // Every earlier op has retired by the clock, so only this op
+            // moves it here: by its own latency, a load's TLB cycles
+            // first, or by the one cycle a full retire group adds.
+            let advance = retire.saturating_sub(clock);
+            clock += advance;
+            if level == Bucket::Base || retire > complete {
+                self.stack.charge(Bucket::Base, advance);
+            } else {
+                let walk = advance.min(tlb);
+                self.stack.charge(Bucket::Tlb, walk);
+                self.stack.charge(level, advance - walk);
+            }
             self.rob[self.at] = retire;
             // Occupancy grows by at most one per op, and it reaches
             // `high + 1` when the op `high` places back is still in flight
@@ -467,6 +502,12 @@ impl TimingCore for OooCore {
                     // Wrong-path fetch until resolution; refill after.
                     self.fetch_time = complete + self.cfg.mispredict_penalty as u64;
                     self.dispatched_this_cycle = 0;
+                    tick(
+                        &mut self.stack,
+                        &mut clock,
+                        self.fetch_time,
+                        Bucket::Frontend,
+                    );
                     self.cur_fetch_line = u64::MAX;
                 } else if taken && uop.next_pc & LINE_MASK != uop.pc & LINE_MASK {
                     self.cur_fetch_line = u64::MAX;
@@ -477,6 +518,7 @@ impl TimingCore for OooCore {
 
             self.stats.retired += 1;
         }
+        debug_assert_eq!(clock, self.cycles(), "a clock move went uncharged");
     }
 
     fn finish(&mut self) -> u64 {
@@ -484,6 +526,7 @@ impl TimingCore for OooCore {
         // by then.
         let stq_drain = self.stq.iter().max().unwrap_or(0);
         let t = self.fetch_time.max(stq_drain).max(self.last_retire);
+        self.stack.charge(Bucket::Base, t - self.cycles());
         self.fetch_time = t;
         self.stats.cycles = t;
         t
@@ -503,12 +546,18 @@ impl TimingCore for OooCore {
         s
     }
 
-    fn advance_to(&mut self, cycle: u64) {
+    fn stack(&self) -> CycleStack {
+        self.stack
+    }
+
+    fn advance_to(&mut self, cycle: u64, bucket: Bucket) {
+        let before = self.cycles();
         if cycle > self.fetch_time {
             self.fetch_time = cycle;
             self.dispatched_this_cycle = 0;
         }
         self.last_retire = self.last_retire.max(cycle);
+        self.stack.charge(bucket, self.cycles() - before);
     }
 }
 

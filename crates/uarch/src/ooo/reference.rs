@@ -12,6 +12,7 @@ use crate::uop::{BranchClass, MicroOp, Ureg};
 use crate::TimingCore;
 use bsim_isa::OpClass;
 use bsim_mem::{AccessKind, MemoryHierarchy, Own};
+use bsim_telemetry::Bucket;
 
 /// `OooCore` as it was: the ROB a ring of retire times and the branch
 /// window a ring of resolve times, each drained at every dispatch.
@@ -346,11 +347,13 @@ fn the_retire_history_counts_what_the_eager_rings_counted() {
             // clock, sometimes behind it.
             let cycle = core.cycles() + rng.below(300);
             let cycle = cycle.saturating_sub(rng.below(2) * 200);
-            core.advance_to(cycle);
+            core.advance_to(cycle, Bucket::MpiWait);
             reference.advance_to(cycle);
+            assert_eq!(core.stack().total(), core.cycles(), "{what}");
         }
         assert_eq!(core.finish(), reference.finish(), "{what}");
         assert_eq!(core.stats(), reference.stats(), "{what}");
+        assert_eq!(core.stack().total(), core.cycles(), "{what}");
     }
     assert!(
         full > 1000 && partial > 200,

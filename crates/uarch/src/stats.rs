@@ -1,6 +1,5 @@
 //! Per-core timing statistics.
 
-use bsim_telemetry::CounterBlock;
 use serde::{Deserialize, Serialize};
 
 /// Counters accumulated by a timing core.
@@ -45,25 +44,6 @@ impl CoreStats {
             self.retired as f64 / self.cycles as f64
         }
     }
-
-    /// Publishes every counter into `block` under `prefix` (e.g. `tile0`).
-    pub fn publish(&self, prefix: &str, block: &mut CounterBlock) {
-        let mut put = |name: &str, v: u64| block.set_named(&format!("{prefix}.{name}"), v);
-        put("cycles", self.cycles);
-        put("retired", self.retired);
-        put("branch.lookups", self.branch_lookups);
-        put("branch.conditional", self.branches);
-        put("branch.mispredicts", self.mispredicts);
-        put("fetch.lines", self.fetch_lines);
-        put("fetch.stall_cycles", self.fetch_stall_cycles);
-        put("stall.data_cycles", self.data_stall_cycles);
-        put("stall.structural_cycles", self.structural_stall_cycles);
-        put("stall.tlb_cycles", self.tlb_stall_cycles);
-        put("lsu.loads", self.loads);
-        put("lsu.stores", self.stores);
-        put("rob.high_water", self.rob_high_water);
-        put("lsq.high_water", self.lsq_high_water);
-    }
 }
 
 #[cfg(test)]
@@ -79,20 +59,5 @@ mod tests {
             ..Default::default()
         };
         assert!((s.ipc() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn publish_prefixes_every_counter() {
-        let s = CoreStats {
-            cycles: 100,
-            retired: 150,
-            mispredicts: 7,
-            ..Default::default()
-        };
-        let mut block = CounterBlock::new(true);
-        s.publish("tile3", &mut block);
-        assert_eq!(block.get("tile3.cycles"), Some(100));
-        assert_eq!(block.get("tile3.branch.mispredicts"), Some(7));
-        assert_eq!(block.get("tile3.rob.high_water"), Some(0));
     }
 }

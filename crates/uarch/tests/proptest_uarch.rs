@@ -78,8 +78,10 @@ proptest! {
             core.consume(u, &mut m, 0);
             prop_assert!(core.cycles() >= last, "clock went backwards");
             last = core.cycles();
+            prop_assert_eq!(core.stack().total(), last, "the stack is the clock");
         }
         let total = core.finish();
+        prop_assert_eq!(core.stack().total(), total);
         prop_assert!(total >= uops.len() as u64 / 2, "single-issue cannot do > 1 IPC overall");
         prop_assert_eq!(core.retired(), uops.len() as u64);
     }
@@ -90,8 +92,10 @@ proptest! {
         let mut m = mem(1);
         for u in &uops {
             core.consume(u, &mut m, 0);
+            prop_assert_eq!(core.stack().total(), core.cycles(), "the stack is the clock");
         }
         let total = core.finish();
+        prop_assert_eq!(core.stack().total(), total);
         prop_assert_eq!(core.retired(), uops.len() as u64);
         // Generous upper bound: nothing should cost > 10k cycles per uop.
         prop_assert!(total < 10_000 * uops.len() as u64 + 10_000);

@@ -95,39 +95,56 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(2)
 }
 
-/// The flags each subcommand accepts, as `(flag, takes_value)`.
-fn flag_table(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
+/// A subcommand's flags, as `(flag, takes_value)`.
+type FlagTable = &'static [(&'static str, bool)];
+
+/// The flags each subcommand accepts, and the most positional arguments
+/// it takes.
+fn flag_table(cmd: &str) -> Option<(FlagTable, usize)> {
+    const PLAN: FlagTable = &[
+        ("--smoke", false),
+        ("--paper", false),
+        ("--par", true),
+        ("--store", true),
+    ];
     Some(match cmd {
-        "list" | "table" | "micro" | "tune" | "status" | "fetch" => &[],
-        "fig" | "score" => &[
-            ("--smoke", false),
-            ("--paper", false),
-            ("--par", true),
-            ("--store", true),
-        ],
-        "faults" => &[("--seed", true), ("--deny-unsurvived", false)],
-        "check" => &[
-            ("--deny-warnings", false),
-            ("--json", false),
-            ("--list", false),
-            ("--source", false),
-        ],
-        "scrub" => &[("--store", true)],
-        "serve" => &[
-            ("--addr", true),
-            ("--store", true),
-            ("--workers", true),
-            ("--budget", true),
-            ("--par", true),
-        ],
-        "submit" => &[
-            ("--smoke", false),
-            ("--seed", true),
-            ("--wait", false),
-            ("--platforms", true),
-            ("--kernels", true),
-            ("--scale", true),
-        ],
+        "list" | "tune" => (&[], 0),
+        "table" => (&[], 1),
+        "micro" | "status" | "fetch" => (&[], 2),
+        "fig" => (PLAN, 1),
+        "score" => (PLAN, 0),
+        "faults" => (&[("--seed", true), ("--deny-unsurvived", false)], 0),
+        "check" => (
+            &[
+                ("--deny-warnings", false),
+                ("--json", false),
+                ("--list", false),
+                ("--source", false),
+            ],
+            usize::MAX,
+        ),
+        "scrub" => (&[("--store", true)], 0),
+        "serve" => (
+            &[
+                ("--addr", true),
+                ("--store", true),
+                ("--workers", true),
+                ("--budget", true),
+                ("--par", true),
+            ],
+            0,
+        ),
+        "submit" => (
+            &[
+                ("--smoke", false),
+                ("--seed", true),
+                ("--wait", false),
+                ("--platforms", true),
+                ("--kernels", true),
+                ("--scale", true),
+            ],
+            3,
+        ),
         _ => return None,
     })
 }
@@ -139,9 +156,10 @@ struct Flags<'a> {
     pos: Vec<&'a str>,
 }
 
-/// Splits `args` by `table`; an unknown `--flag` or a flag missing its
-/// value exits 2 naming it, so a typo never runs with defaults.
-fn parse_flags<'a>(cmd: &str, args: &'a [String], table: &[(&str, bool)]) -> Flags<'a> {
+/// Splits `args` by `table`; an unknown `--flag`, a flag missing its
+/// value or a positional argument past the `most` the subcommand takes
+/// exits 2 naming it, so a typo never runs with defaults.
+fn parse_flags<'a>(cmd: &str, args: &'a [String], table: FlagTable, most: usize) -> Flags<'a> {
     let mut flags = Flags {
         given: Vec::new(),
         pos: Vec::new(),
@@ -161,6 +179,9 @@ fn parse_flags<'a>(cmd: &str, args: &'a [String], table: &[(&str, bool)]) -> Fla
             None => "",
         };
         flags.given.push((arg, value));
+    }
+    if let Some(extra) = flags.pos.get(most) {
+        fail(format!("bsim {cmd}: unexpected argument {extra}"))
     }
     flags
 }
@@ -283,10 +304,10 @@ fn run_check(f: &Flags) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("");
-    let Some(table) = flag_table(cmd) else {
+    let Some((table, most)) = flag_table(cmd) else {
         usage()
     };
-    let f = parse_flags(cmd, &args[1..], table);
+    let f = parse_flags(cmd, &args[1..], table, most);
     match cmd {
         "list" => {
             println!("platforms:");
@@ -349,9 +370,6 @@ fn main() {
             }
         }
         "score" => {
-            if !f.pos.is_empty() {
-                usage()
-            }
             let figs: Vec<(&str, FigureData)> = run_plan(&f, "all")
                 .into_iter()
                 .map(|(spec, outcome)| {
@@ -423,7 +441,7 @@ fn main() {
         }
         "tune" => {
             let out = tune_milkv(1);
-            print!("{}", out.explanation(10));
+            print!("{}", out.explanation());
             println!("selected: {}", out.best());
         }
         "check" => run_check(&f),
@@ -705,7 +723,7 @@ mod tests {
     fn the_usage_names_exactly_the_flags_each_subcommand_accepts() {
         let entries = usage_flags();
         for (sub, named) in &entries {
-            let table = flag_table(sub).unwrap_or_else(|| panic!("usage names `bsim {sub}`"));
+            let (table, _) = flag_table(sub).unwrap_or_else(|| panic!("usage names `bsim {sub}`"));
             let mut accepted: Vec<&str> = table.iter().map(|(flag, _)| *flag).collect();
             accepted.sort_unstable();
             assert_eq!(named, &accepted, "bsim {sub}");

@@ -17,7 +17,7 @@
 //! | [`isa`] | `bsim-isa` | RV64IM(+D) encoder/decoder, assembler, interpreter |
 //! | [`uarch`] | `bsim-uarch` | in-order (Rocket-like) and OoO (BOOM-like) timing cores |
 //! | [`mem`] | `bsim-mem` | caches, bus, LLC models, FR-FCFS DRAM timing |
-//! | [`telemetry`] | `bsim-telemetry` | AutoCounter-style out-of-band counters and gap reports |
+//! | [`telemetry`] | `bsim-telemetry` | per-core cycle stacks (the AutoCounter analogue) and named host counters |
 //! | [`check`] | `bsim-check` | static model-graph analysis and config lints (preflight) |
 //! | [`engine`] | `bsim-engine` | token channels, lockstep harness, fault injection, watchdog, cut token link |
 //! | [`soc`] | `bsim-soc` | platform catalog (Tables 4/5) and the runnable SoC |

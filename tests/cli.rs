@@ -119,6 +119,25 @@ fn an_unknown_flag_exits_2_and_is_named() {
 }
 
 #[test]
+fn a_surplus_positional_argument_exits_2_and_is_named() {
+    for args in [
+        &["tune", "extra"][..],
+        &["list", "extra"],
+        &["table", "4", "extra"],
+        &["micro", "Cca", "Rocket 1", "extra"],
+        &["fig", "5", "extra", "--smoke"],
+        &["score", "extra"],
+        &["status", "127.0.0.1:9", "job-1", "extra"],
+    ] {
+        let out = bsim(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let named = "unexpected argument extra";
+        assert!(stderr(&out).contains(named), "{args:?}: {}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{args:?} ran");
+    }
+}
+
+#[test]
 fn a_flag_missing_its_value_exits_2() {
     for args in [
         &["fig", "5", "--smoke", "--par"][..],

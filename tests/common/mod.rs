@@ -11,6 +11,7 @@ use silicon_bridge::core::claims::{Claim, Score};
 use silicon_bridge::core::experiments::FIGURES;
 use silicon_bridge::core::{CkptStore, FigureData, Series};
 use silicon_bridge::mpi::{RankCtx, ReduceOp, WorldReport};
+use silicon_bridge::soc::Bucket;
 use silicon_bridge::workloads::trace::{rank_base, with_trace};
 use std::path::PathBuf;
 
@@ -135,26 +136,24 @@ pub fn every_event(ctx: &mut RankCtx) {
 }
 
 /// What a run of [`every_event`] reports: its `WorldReport` without the
-/// counter export, which holds host counters, and each rank's MPI send
-/// and wait cycles from that export.
+/// cycle stacks, and each rank's MPI send and wait cycles from them.
 pub fn observed(report: &WorldReport) -> Value {
-    let snap = report
+    let stacks = report
         .run
         .telemetry
         .as_ref()
         .expect("telemetry enabled on the SoC config");
-    let per_rank = |what: &str| {
-        let cycles = (0..report.rank_cycles.len()).map(|r| {
-            snap.counter(&format!("mpi.rank{r}.{what}"))
-                .expect("every finished rank publishes its counters")
-        });
+    let per_rank = |bucket: Bucket| {
+        let cycles = stacks[..report.rank_cycles.len()]
+            .iter()
+            .map(|s| s.get(bucket));
         Value::Seq(cycles.map(Value::U64).collect())
     };
     let mut world = report.clone();
     world.run.telemetry = None;
     Value::Map(vec![
         ("report".into(), world.to_value()),
-        ("send_cycles".into(), per_rank("send_cycles")),
-        ("wait_cycles".into(), per_rank("wait_cycles")),
+        ("send_cycles".into(), per_rank(Bucket::MpiSend)),
+        ("wait_cycles".into(), per_rank(Bucket::MpiWait)),
     ])
 }

@@ -4,14 +4,15 @@
 //! observation and computes it through the public API as a JSON tree: a
 //! subfigure's whole `FigureData` at `Sizes::smoke()` and the table
 //! `bsim fig 5 --smoke` prints, a MicroBench cell's whole `RunReport`,
-//! an MPI world's `WorldReport`, a recording's events, a counter export,
-//! the paper claims' verdicts. `golden.json` beside this file is a
-//! `CkptStore` of those trees keyed by pin name. A test checks the pins
-//! it names through the one compare loop, `pins::check`, which names
-//! every pin that moved with the lines that moved in it. The tests below
-//! check the figures, worlds, recordings and counters; the MicroBench
-//! cells are checked by the tests that first pinned them, in
-//! `cache_tables.rs`, `program_image.rs` and `lowering_diff.rs`.
+//! an MPI world's `WorldReport` (one of them with its cycle stacks), a
+//! recording's events, a tuning run's `TuningOutcome`, the paper claims'
+//! verdicts. `golden.json` beside this file is a `CkptStore` of those
+//! trees keyed by pin name. A test checks the pins it names through the
+//! one compare loop, `pins::check`, which names every pin that moved with
+//! the lines that moved in it. The tests below check the figures, worlds,
+//! recordings, stacks and the tuning run; the MicroBench cells are
+//! checked by the tests that first pinned them, in `cache_tables.rs`,
+//! `program_image.rs` and `lowering_diff.rs`.
 //!
 //! A deliberate model change re-blesses the whole store with
 //! `cargo test --release --test golden -- --ignored bless`, and then
@@ -91,7 +92,7 @@ fn recordings() {
 
 #[test]
 fn counter_exports() {
-    check(&["telemetry CG x2 large_boom", "gap milkv_hw large_boom"]);
+    check(&["stacks CG x2 large_boom", "tune milkv_hw large_boom"]);
 }
 
 /// A stale entry or an unblessed pin fails here by name.

@@ -6,7 +6,8 @@
 //! store's `mpi every-event …` entries (`tests/golden.rs` checks them
 //! against a timed run), so each replay is compared with its stored
 //! entry and a change to the send / receive / collective timing fails
-//! whether it is made to the timed run, the replay, or both.
+//! whether it is made to the timed run, the replay, or both. Each rank's
+//! whole cycle stack is compared with a live run's.
 
 mod common;
 
@@ -26,7 +27,12 @@ fn replays_what_it_timed(platform: fn(usize) -> SocConfig, name: &str) {
         .filter_map(|(ranks, (link, net))| {
             let cfg = platform(ranks).with_telemetry(TelemetryConfig::counters());
             let (_, trace) = MpiWorld::record(cfg.clone(), ranks, net, common::every_event);
-            let lanes = replay_world(&trace, &[cfg], net, None);
+            let lanes = replay_world(&trace, std::slice::from_ref(&cfg), net, None);
+            let live = MpiWorld::run(cfg, ranks, net, common::every_event);
+            assert_eq!(
+                lanes[0].report.run.telemetry, live.run.telemetry,
+                "x{ranks} {link} {name}: the replay's cycle stacks"
+            );
             let pin = format!("mpi every-event x{ranks} {link} {name}");
             common::moved(&golden, &pin, &common::observed(&lanes[0].report))
         })

@@ -8,10 +8,10 @@
 mod common;
 
 use silicon_bridge::core::claims::{claim, Verdict};
-use silicon_bridge::core::experiments::{figure, Sizes};
+use silicon_bridge::core::experiments::{figure, microbench_cell, Sizes};
 use silicon_bridge::core::Parallelism;
 use silicon_bridge::mpi::NetConfig;
-use silicon_bridge::soc::configs;
+use silicon_bridge::soc::{configs, Bucket, CycleStack, TelemetryConfig};
 use silicon_bridge::workloads::npb::ep;
 use Verdict::Met;
 
@@ -117,4 +117,33 @@ fn full_stack_is_deterministic() {
     let b = ep::run(configs::milkv_sim(4), 4, cfg, net);
     assert_eq!(a.report.run.cycles, b.report.run.cycles);
     assert_eq!(a.report.rank_cycles, b.report.rank_cycles);
+}
+
+/// §5 blames each gap on the component a kernel stresses, and the cycle
+/// stack names that component: an integer dependency chain is base, an
+/// L2-resident linked list is L2, a DRAM-resident one is DRAM, and the
+/// instruction-cache kernel spends a larger share in the front end than
+/// the chain does.
+#[test]
+fn cycle_stacks_blame_the_component_each_kernel_stresses() {
+    let largest = |s: &CycleStack| Bucket::ALL.into_iter().rev().max_by_key(|b| s.get(*b));
+    let frontend = |s: &CycleStack| s.get(Bucket::Frontend) as f64 / s.total() as f64;
+    for cfg in [configs::rocket1, configs::large_boom] {
+        let cfg = cfg(1).with_telemetry(TelemetryConfig::counters());
+        let stack = |kernel: &str| -> CycleStack {
+            let rep = microbench_cell(cfg.clone(), kernel, 1).expect("a suite kernel");
+            rep.telemetry.expect("telemetry enabled")[0]
+        };
+        let [em1, ml2, mm, mip] = ["EM1", "ML2", "MM", "MIP"].map(stack);
+        let at = |kernel: &str, s: &CycleStack| format!("{kernel} on {}: {s:?}", cfg.name);
+        assert_eq!(largest(&em1), Some(Bucket::Base), "{}", at("EM1", &em1));
+        assert_eq!(largest(&ml2), Some(Bucket::L2), "{}", at("ML2", &ml2));
+        assert_eq!(largest(&mm), Some(Bucket::Dram), "{}", at("MM", &mm));
+        assert!(
+            frontend(&mip) > frontend(&em1),
+            "{}\n{}",
+            at("MIP", &mip),
+            at("EM1", &em1)
+        );
+    }
 }

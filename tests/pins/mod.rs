@@ -8,7 +8,7 @@
 use crate::common;
 use serde::{Serialize, Value};
 use silicon_bridge::core::claims::PAPER_CLAIMS;
-use silicon_bridge::core::experiments::{cg_telemetry, microbench_cell, MpiWork, Sizes, FIGURES};
+use silicon_bridge::core::experiments::{microbench_cell, MpiWork, Sizes, FIGURES};
 use silicon_bridge::core::tuning::choose_best_model;
 use silicon_bridge::core::{table, CkptStore, FigureData, Parallelism, Snapshot};
 use silicon_bridge::mpi::{MpiWorld, NetConfig, Timed};
@@ -152,25 +152,19 @@ pub fn table() -> Vec<Pin> {
         ));
     }
 
-    pins.push(pin("telemetry CG x2 large_boom".into(), |_| {
-        let snap = cg_telemetry(configs::large_boom(2), 2, Sizes::smoke());
-        let mut det = snap.deterministic().counters;
-        det.sort_by(|x, y| x.name.cmp(&y.name));
-        Value::Map(
-            det.into_iter()
-                .map(|c| (c.name, Value::U64(c.value)))
-                .collect(),
-        )
+    // The cores' cycle stacks: two ranks on an out-of-order core, with
+    // DRAM token stalls and MPI sends and waits.
+    pins.push(pin("stacks CG x2 large_boom".into(), |_| {
+        let cfg = configs::large_boom(2).with_telemetry(TelemetryConfig::counters());
+        let (world, ()) = MpiWork::Cg.launch::<Timed>(&Sizes::smoke(), cfg, 2);
+        world.to_value()
     }));
-    pins.push(pin("gap milkv_hw large_boom".into(), |_| {
+    pins.push(pin("tune milkv_hw large_boom".into(), |_| {
         let probes: Vec<_> = microbench::evaluated()
             .into_iter()
             .filter(|k| ["Cca", "ED1", "EI", "MD", "DP1d"].contains(&k.name))
             .collect();
-        let out = choose_best_model(&[configs::large_boom(1)], &configs::milkv_hw(1), &probes, 1);
-        out.attribution
-            .expect("a tuning run attributes its gap")
-            .to_value()
+        choose_best_model(&[configs::large_boom(1)], &configs::milkv_hw(1), &probes, 1).to_value()
     }));
     pins
 }

@@ -92,7 +92,7 @@ fn second_request_is_cache_served_byte_identical() {
     assert_eq!((status, &third), (200, &first));
     assert_eq!(client::status(&addr, &job).unwrap().0, 410);
 
-    // Global counters ride the telemetry export, every one present.
+    // Global counters ride `/metrics`, every one present.
     let (status, metrics) = client::metrics(&addr).unwrap();
     assert_eq!(status, 200);
     for name in COUNTERS {
