@@ -139,8 +139,11 @@ impl SvcRequest {
         let seed = u64_field(&tree, "seed", 0)
             .ok_or_else(|| malformed("'seed' must be a non-negative integer"))?;
         let scale = || -> Result<u32, Report> {
+            // A kernel built at scale 0 is its scale-1 program, so a
+            // scale-0 cell would be the scale-1 cell under a second key.
             let s = u64_field(&tree, "scale", 1)
-                .ok_or_else(|| malformed("'scale' must be a non-negative integer"))?;
+                .filter(|&s| s > 0)
+                .ok_or_else(|| malformed("'scale' must be a positive integer"))?;
             u32::try_from(s).map_err(|_| malformed("'scale' does not fit in 32 bits"))
         };
         match kind.as_str() {
@@ -360,6 +363,18 @@ mod tests {
         ] {
             let report = SvcRequest::parse(body).unwrap_err();
             assert!(report.has_code("SV000"), "{body} -> {report}");
+        }
+    }
+
+    #[test]
+    fn scale_0_is_refused_for_both_kinds_that_take_a_scale() {
+        for body in [
+            r#"{"kind":"sweep","platforms":["Rocket 1"],"kernels":["EM5"],"scale":0}"#,
+            r#"{"kind":"tune","scale":0}"#,
+        ] {
+            let report = SvcRequest::parse(body).unwrap_err();
+            assert!(report.has_code("SV000"), "{body} -> {report}");
+            assert!(report.to_string().contains("'scale'"), "{report}");
         }
     }
 

@@ -15,14 +15,20 @@
 //! written. `--a-commit` and `--b-commit` name the commits the two
 //! binaries were built from (default: this checkout's `HEAD`).
 //!
+//! Each run's peak resident set is the child's `ru_maxrss`, which
+//! `wait4` returns with its exit status (Linux; elsewhere none is
+//! recorded). The verdict is on wall time alone.
+//!
 //! Prints the pairs as a Markdown table, with medians, quartiles,
 //! per-pair ratios, wins and the verdict against `--bar`
-//! (`silicon_bridge::bench`), and appends the row with every wall time,
-//! the commits, the commands, `nproc`, the CPU model and the date.
+//! (`silicon_bridge::bench`), and the median peak RSS of each arm, and
+//! appends the row with every wall time and peak, the commits, the
+//! commands, `nproc`, the CPU model and the date.
 
 use silicon_bridge::bench::{self, Host, Row, Run};
+use std::io::Read;
 use std::path::Path;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 const USAGE: &str = "usage: pairs --name NAME --n N --bar FRACTION --a \"CMD\" --b \"CMD\" \
@@ -124,20 +130,52 @@ fn run(command: &str) -> Run {
         fail("an empty command")
     };
     let start = Instant::now();
-    let out = Command::new(program)
+    let mut child = Command::new(program)
         .args(rest)
         .stdin(Stdio::null())
+        .stdout(Stdio::piped())
         .stderr(Stdio::null())
-        .output()
+        .spawn()
         .unwrap_or_else(|e| fail(&format!("{program}: {e}")));
+    let mut stdout = Vec::new();
+    let read = child.stdout.take().expect("piped").read_to_end(&mut stdout);
+    let (success, maxrss_mb) = reap(child);
     let wall_s = (start.elapsed().as_secs_f64() * 1e3).round() / 1e3;
-    if !out.status.success() {
-        fail(&format!("`{command}` exited {}", out.status));
+    if !success || read.is_err() {
+        fail(&format!("`{command}` failed"));
     }
     Run {
         wall_s,
-        stdout_fnv1a: bench::fnv1a(&out.stdout),
+        maxrss_mb,
+        stdout_fnv1a: bench::fnv1a(&stdout),
     }
+}
+
+/// Waits for `child`: whether it exited 0, and its peak resident MB.
+#[cfg(target_os = "linux")]
+fn reap(child: Child) -> (bool, Option<f64>) {
+    extern "C" {
+        fn wait4(pid: i32, status: *mut i32, options: i32, usage: *mut [i64; 18]) -> i32;
+    }
+    // `struct rusage` on 64-bit Linux: two `timeval`s, then 14 `long`s,
+    // the first of which, `usage[4]`, is `ru_maxrss` in KiB.
+    let (pid, mut status, mut usage) = (child.id() as i32, 0, [0i64; 18]);
+    // SAFETY: both pointers are valid for writes for the whole call. The
+    // child is reaped here, so `Child` is dropped without a wait of its own.
+    let rc = unsafe { wait4(pid, &mut status, 0, &mut usage) };
+    drop(child);
+    if rc != pid {
+        fail(&format!("wait4: {}", std::io::Error::last_os_error()));
+    }
+    // MB as the ledger's `peak_rss_mb` counts them: KiB / 1024.
+    let mb = (usage[4] as f64 / 1024.0 * 1e3).round() / 1e3;
+    (status == 0, Some(mb))
+}
+
+#[cfg(not(target_os = "linux"))]
+fn reap(mut child: Child) -> (bool, Option<f64>) {
+    let status = child.wait().unwrap_or_else(|e| fail(&format!("wait: {e}")));
+    (status.success(), None)
 }
 
 fn git_head(root: &Path) -> String {

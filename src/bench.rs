@@ -8,6 +8,10 @@
 //! cannot be made into a row. `examples/pairs.rs` runs the pairs and
 //! appends the row; tier-1 parses every committed file with [`parse`].
 //!
+//! Each run's peak resident set rides beside its wall time where the
+//! host reports it (`maxrss_mb`; rows written before it was recorded
+//! have none). It is reported, not judged.
+//!
 //! The verdict is a function of the walls, so [`parse`] recomputes it:
 //! the second arm is `faster` when it wins at least nine pairs in ten,
 //! its median is below the first arm's by more than the bar (a fraction
@@ -19,7 +23,7 @@ use serde::{Serialize, Value};
 use std::path::Path;
 
 /// One arm of a comparison.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Arm {
     /// The commit the arm's binary was built from.
     pub commit: String,
@@ -27,6 +31,23 @@ pub struct Arm {
     pub command: String,
     /// Wall seconds of each run, pair by pair.
     pub wall_s: Vec<f64>,
+    /// Peak resident MB of each run, pair by pair; empty where it was
+    /// not recorded, and then left out of the JSON.
+    pub maxrss_mb: Vec<f64>,
+}
+
+impl Serialize for Arm {
+    fn to_value(&self) -> Value {
+        let mut fields = vec![
+            ("commit".to_string(), self.commit.to_value()),
+            ("command".to_string(), self.command.to_value()),
+            ("wall_s".to_string(), self.wall_s.to_value()),
+        ];
+        if !self.maxrss_mb.is_empty() {
+            fields.push(("maxrss_mb".to_string(), self.maxrss_mb.to_value()));
+        }
+        Value::Map(fields)
+    }
 }
 
 /// One comparison, as it is stored.
@@ -61,10 +82,12 @@ pub struct Host {
     pub cpu: String,
 }
 
-/// One run of a command: its wall time and the digest of its stdout.
+/// One run of a command: its wall time, its peak resident MB where the
+/// host reports it, and the digest of its stdout.
 #[derive(Clone, Copy, Debug)]
 pub struct Run {
     pub wall_s: f64,
+    pub maxrss_mb: Option<f64>,
     pub stdout_fnv1a: u64,
 }
 
@@ -128,6 +151,19 @@ impl Row {
         }
         let walls = |runs: &[Run]| runs.iter().map(|r| r.wall_s).collect::<Vec<_>>();
         let (a_wall, b_wall) = (walls(a), walls(b));
+        // Recorded for both arms or for neither.
+        let peaks = a
+            .iter()
+            .chain(b)
+            .map(|r| r.maxrss_mb)
+            .collect::<Option<Vec<_>>>();
+        let (a_rss, b_rss) = match peaks {
+            Some(mut peaks) => {
+                let b_rss = peaks.split_off(a.len());
+                (peaks, b_rss)
+            }
+            None => (Vec::new(), Vec::new()),
+        };
         Ok(Row {
             date: host.date,
             nproc: host.nproc,
@@ -138,11 +174,13 @@ impl Row {
                 commit: a_commit.to_string(),
                 command: a_command.to_string(),
                 wall_s: a_wall,
+                maxrss_mb: a_rss,
             },
             b: Arm {
                 commit: b_commit.to_string(),
                 command: b_command.to_string(),
                 wall_s: b_wall,
+                maxrss_mb: b_rss,
             },
             stdout_fnv1a: format!("{digest:016x}"),
             bar,
@@ -179,6 +217,14 @@ impl Row {
             self.bar * 100.0,
             self.verdict
         );
+        let (a, b) = (&self.a.maxrss_mb, &self.b.maxrss_mb);
+        if !a.is_empty() {
+            out += &format!(
+                "peak RSS: a median {:.1} MB; b median {:.1} MB\n",
+                quantile(a, 0.5),
+                quantile(b, 0.5)
+            );
+        }
         out
     }
 }
@@ -223,24 +269,39 @@ fn count(v: &Value, key: &str) -> Result<u64, String> {
     }
 }
 
-fn arm(v: &Value, n: u64) -> Result<Arm, String> {
-    keys(v, &["commit", "command", "wall_s"])?;
-    let walls = v
-        .get("wall_s")
+/// `n` positive numbers under `key`.
+fn positives(v: &Value, key: &str, n: u64) -> Result<Vec<f64>, String> {
+    let xs = v
+        .get(key)
         .and_then(Value::as_seq)
-        .ok_or("wall_s: not an array")?;
-    let wall_s = walls
+        .ok_or(format!("{key}: not an array"))?;
+    let xs = xs
         .iter()
-        .map(|w| w.as_f64().filter(|w| w.is_finite() && *w > 0.0))
+        .map(|x| x.as_f64().filter(|x| x.is_finite() && *x > 0.0))
         .collect::<Option<Vec<f64>>>()
-        .ok_or("wall_s: not all positive seconds")?;
-    if wall_s.len() as u64 != n {
-        return Err(format!("{} walls for n = {n}", wall_s.len()));
+        .ok_or(format!("{key}: not all positive"))?;
+    if xs.len() as u64 != n {
+        return Err(format!("{} {key} for n = {n}", xs.len()));
     }
+    Ok(xs)
+}
+
+fn arm(v: &Value, n: u64) -> Result<Arm, String> {
+    // A row written before peaks were recorded has no `maxrss_mb`.
+    let recorded = v.get("maxrss_mb").is_some();
+    keys(
+        v,
+        &["commit", "command", "wall_s", "maxrss_mb"][..3 + recorded as usize],
+    )?;
     Ok(Arm {
         commit: text(v, "commit")?,
         command: text(v, "command")?,
-        wall_s,
+        wall_s: positives(v, "wall_s", n)?,
+        maxrss_mb: if recorded {
+            positives(v, "maxrss_mb", n)?
+        } else {
+            Vec::new()
+        },
     })
 }
 
@@ -270,6 +331,9 @@ fn row(v: &Value) -> Result<Row, String> {
             .map_or(Err(format!("{key}: missing")), |a| arm(a, n))
     };
     let (a, b) = (side("a")?, side("b")?);
+    if a.maxrss_mb.is_empty() != b.maxrss_mb.is_empty() {
+        return Err("maxrss_mb: recorded for one arm only".into());
+    }
     let digest = text(v, "stdout_fnv1a")?;
     if digest.len() != 16 || !digest.bytes().all(|c| c.is_ascii_hexdigit()) {
         return Err(format!("stdout_fnv1a {digest}: not 16 hex digits"));
@@ -325,6 +389,7 @@ mod tests {
     fn runs(walls: &[f64], digest: u64) -> Vec<Run> {
         let run = |&wall_s| Run {
             wall_s,
+            maxrss_mb: None,
             stdout_fnv1a: digest,
         };
         walls.iter().map(run).collect()
@@ -359,6 +424,52 @@ mod tests {
         (one_loss[0], one_loss[1]) = (10.5, 10.5);
         assert_eq!(verdict(&a, &one_loss, 0.1), "level", "8 wins of 10");
         assert_eq!(verdict(&a, &a, 0.0), "level");
+    }
+
+    #[test]
+    fn peak_rss_rides_beside_the_walls_and_old_rows_still_parse() {
+        let with_peak = |walls: &[f64], mb: f64| {
+            let mut rs = runs(walls, 3);
+            rs.iter_mut().for_each(|r| r.maxrss_mb = Some(mb));
+            rs
+        };
+        let (a, b) = (with_peak(&[2.0, 2.2], 70.0), with_peak(&[2.1, 2.0], 50.0));
+        let row = Row::new(host(), ("p", "x"), ("c", "x"), &a, &b, 0.1).unwrap();
+        assert_eq!(row.a.maxrss_mb, [70.0; 2]);
+        assert_eq!(row.b.maxrss_mb, [50.0; 2]);
+        assert!(row
+            .table()
+            .contains("peak RSS: a median 70.0 MB; b median 50.0 MB"));
+        let text = serde_json::to_string_pretty(&[&row]).unwrap();
+        assert_eq!(parse(&text).unwrap(), std::slice::from_ref(&row));
+        assert_eq!(row.verdict, "level", "the peak is not judged");
+
+        // A row written before the peak was recorded has no such key, and
+        // re-writes without one.
+        let old = Row::new(
+            host(),
+            ("p", "x"),
+            ("c", "x"),
+            &runs(&[2.0, 2.2], 3),
+            &runs(&[2.1, 2.0], 3),
+            0.1,
+        )
+        .unwrap();
+        let old_text = serde_json::to_string_pretty(&[&old]).unwrap();
+        assert!(!old_text.contains("maxrss_mb"));
+        assert_eq!(parse(&old_text).unwrap(), std::slice::from_ref(&old));
+        assert!(!old.table().contains("peak RSS"));
+
+        // Peaks for one arm alone, a count that is not n, or a zero, do
+        // not parse.
+        let refused = |edit: &dyn Fn(&mut Row)| {
+            let mut bad = row.clone();
+            edit(&mut bad);
+            parse(&serde_json::to_string_pretty(&[bad]).unwrap()).unwrap_err()
+        };
+        assert!(refused(&|r| r.a.maxrss_mb.clear()).contains("one arm only"));
+        assert!(refused(&|r| r.a.maxrss_mb.push(70.0)).contains("maxrss_mb"));
+        assert!(refused(&|r| r.b.maxrss_mb[1] = 0.0).contains("maxrss_mb"));
     }
 
     #[test]

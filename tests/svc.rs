@@ -331,6 +331,36 @@ fn preflight_rejects_on_the_wire() {
     daemon.join();
 }
 
+/// A kernel built at scale 0 is its scale-1 program, so the daemon
+/// refuses scale 0 rather than keying the scale-1 cell a second time, and
+/// `bsim submit` exits 1 printing the daemon's report.
+#[test]
+fn bsim_submit_at_scale_0_fails_with_the_daemons_message() {
+    let daemon = ephemeral_daemon(DaemonConfig::default());
+    let addr = daemon.addr();
+    for request in [
+        &["sweep", "--platforms", "Rocket 1", "--kernels", "Cca"][..],
+        &["tune"][..],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_bsim"))
+            .args(["submit", &addr])
+            .args(request)
+            .args(["--scale", "0", "--wait"])
+            .output()
+            .expect("run bsim submit");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{request:?}: {stdout}");
+        assert!(
+            stdout.contains("SV000") && stdout.contains("'scale' must be a positive integer"),
+            "{request:?}: {stdout}"
+        );
+    }
+    let (_, metrics) = client::metrics(&addr).unwrap();
+    assert!(metrics.contains("\"host.svc.cells.total\": 0"), "{metrics}");
+    client::shutdown(&addr).unwrap();
+    daemon.join();
+}
+
 /// Satellite: `/shutdown` drains accepted work and flushes the store
 /// atomically — the file on disk afterwards is a complete store that
 /// opens clean and holds every simulated cell.
