@@ -8,7 +8,9 @@
 //!
 //! Every level (L1I, L1D, L2, LLC slice) is one [`Cache`] with one layout:
 //! a set is one record, and a cache holds records only for the chunks of
-//! sets it has filled, so building a SoC allocates no set tables.
+//! sets it has filled, so building a SoC allocates no set tables. A way's
+//! LRU stamp and dirty bit share one 32-bit slot: stamps are 31 bits, and
+//! a clock that reaches the top renumbers every set's stamps by rank.
 
 use serde::{Deserialize, Serialize};
 
@@ -78,6 +80,11 @@ impl Lookup {
 /// is exactly "invalid".
 const VALID: u64 = 1 << 63;
 
+/// The largest LRU stamp: a slot holds its way's stamp above the dirty
+/// bit, so a stamp has 31 bits. The clock never passes it; once there,
+/// the next operation that stamps renumbers every record first.
+const STAMP_MAX: u32 = (1 << 31) - 1;
+
 /// Entries of the way memo (a power of two); sets alias modulo this.
 const MEMO: usize = 256;
 
@@ -89,16 +96,25 @@ const CHUNK_SETS: usize = 16;
 /// A single cache instance (one level, one shared array).
 ///
 /// A set is one record of `u64` words: its `ways` keys (`tag | VALID`,
-/// 0 = invalid), then the ways' LRU stamps, then the cycles their data is
-/// present, then one dirty byte per way, eight to a word. An L1 that
-/// follows another lane's tag decisions (`crate::front`) keeps only the
-/// ready words, `ways` to a record. Records live in
-/// chunks of `CHUNK_SETS` consecutive sets, and a chunk holds words only
-/// once a line has been filled into it: a cache holds records only for
-/// the chunks it has filled, so building one allocates no set tables and
-/// the MILK-V LLC (four 16 MiB slices) costs what a workload touches, up
-/// to 26 MB. A never-filled chunk is an empty slice, which a probe's
-/// bounds check reads as a miss.
+/// 0 = invalid), then one 32-bit slot per way, two to a word (way `2k`
+/// in the low half), then the cycles the ways' data is present. A slot
+/// is the way's LRU stamp shifted left by one, its dirty bit in bit 0,
+/// and sits next to the keys a probe has just read. That is 40 words at
+/// 16 ways, 20 at 8. An L1 that follows another lane's tag decisions
+/// (`crate::front`) keeps only the ready words, `ways` to a record.
+/// Records live in chunks of `CHUNK_SETS` consecutive sets, and a chunk
+/// holds words only once a line has been filled into it: a cache holds
+/// records only for the chunks it has filled, so building one allocates
+/// no set tables and the MILK-V LLC (four 16 MiB slices) costs what a
+/// workload touches, up to 21 MB. A never-filled chunk is an empty
+/// slice, which a probe's bounds check reads as a miss.
+///
+/// Each hit or fill stamps its way with the next tick of a 31-bit clock,
+/// so the stamps of a set's valid ways are distinct and order them by
+/// last use. When the clock reaches `STAMP_MAX`, the next operation
+/// first rewrites every record's stamps as their ranks `1..=ways` (ties
+/// by way) and restarts the clock at `ways`: the order within each set,
+/// and so every victim, is what unbounded stamps would give.
 ///
 /// A probe compares the set's keys against one wanted word: first the
 /// way the memo remembers for the set, then all ways at once with a
@@ -115,7 +131,8 @@ pub struct Cache {
     /// hint: a probe trusts it after comparing that way's key, so an
     /// entry left by an aliasing set or an evicted line costs one compare.
     memo: [u8; MEMO],
-    lru_clock: u64,
+    /// The newest stamp in any record; at most `STAMP_MAX`.
+    lru_clock: u32,
     ways: usize,
     /// Words of one set record.
     record: usize,
@@ -136,6 +153,8 @@ struct Place {
     chunk: usize,
     /// First word of the set's record in its chunk.
     base: usize,
+    /// First ready word of the set's record in its chunk.
+    ready: usize,
     ways: usize,
     /// The way the memo remembers for the set: compared first.
     hint: u8,
@@ -179,14 +198,84 @@ fn probe(records: &[u64], at: Place, want: u64) -> Option<usize> {
     }
 }
 
+/// The word of `way`'s slot in a record whose slots start at `slots`,
+/// and the slot's bit offset in it.
+#[inline(always)]
+fn slot_at(slots: usize, way: usize) -> (usize, u32) {
+    (slots + way / 2, (way % 2 * 32) as u32)
+}
+
+/// The slot of `way` in `slots`, a record's slot words.
+#[inline(always)]
+fn slot(slots: &[u64], way: usize) -> u32 {
+    let (word, shift) = slot_at(0, way);
+    (slots[word] >> shift) as u32
+}
+
+/// Overwrites the slot of `way` in `slots` with `value`.
+#[inline(always)]
+fn set_slot(slots: &mut [u64], way: usize, value: u32) {
+    let (word, shift) = slot_at(0, way);
+    slots[word] = slots[word] & !(u64::from(u32::MAX) << shift) | u64::from(value) << shift;
+}
+
 /// Hit bookkeeping for `way` of the set at `at` in `records`: LRU
 /// `stamp`, dirty mark on a store; returns when the line's data is present.
 #[inline(always)]
-fn touch(records: &mut [u64], at: Place, way: usize, stamp: u64, is_store: bool) -> u64 {
+fn touch(records: &mut [u64], at: Place, way: usize, stamp: u32, is_store: bool) -> u64 {
     let (base, ways) = (at.base, at.ways);
-    records[base + ways + way] = stamp;
-    records[base + 3 * ways + way / 8] |= (is_store as u64) << (way % 8 * 8);
-    records[base + 2 * ways + way]
+    let (word, shift) = slot_at(base + ways, way);
+    // Keep the dirty bit, replace the stamp above it.
+    let marks = u64::from(stamp) << 1 | u64::from(is_store);
+    records[word] = records[word] & !(u64::from(!1u32) << shift) | marks << shift;
+    records[at.ready + way]
+}
+
+/// The rank of `way` in a set with these `keys` and slot words. The way
+/// a fill replaces ranks least: the first invalid way, else the least
+/// recently used. An invalid way's rank is its index, a valid way's its
+/// slot above that. A valid way's stamp is at least 1, so every invalid
+/// way ranks first, and valid ways' stamps are distinct, so the dirty bit
+/// below a stamp never decides.
+#[inline(always)]
+fn rank(keys: &[u64], slots: &[u64], way: usize) -> u64 {
+    let valid = 0u64.wrapping_sub(u64::from(keys[way] != 0));
+    u64::from(slot(slots, way)) << 8 & valid | way as u64
+}
+
+/// The way with the least [`rank`], branch-free. A power-of-two way
+/// count `N` takes the minimum as a tree of depth log2 `N`, so a fill
+/// into an LLC set waits on 4 compares, not 16.
+#[inline(always)]
+fn victim_of<const N: usize>(keys: &[u64], slots: &[u64]) -> usize {
+    let (keys, slots) = (&keys[..N], &slots[..N / 2]);
+    let mut ranks: [u64; N] = std::array::from_fn(|w| rank(keys, slots, w));
+    let mut n = N;
+    while n > 1 {
+        n /= 2;
+        for i in 0..n {
+            ranks[i] = ranks[2 * i].min(ranks[2 * i + 1]);
+        }
+    }
+    (ranks[0] & 0xff) as usize
+}
+
+/// The way a fill into a set with these `keys` and slot words replaces:
+/// [`victim_of`] at the way counts of the unrolled scans, a linear
+/// minimum of the ranks at any other.
+#[inline(always)]
+fn victim(keys: &[u64], slots: &[u64]) -> usize {
+    match keys.len() {
+        4 => victim_of::<4>(keys, slots),
+        8 => victim_of::<8>(keys, slots),
+        16 => victim_of::<16>(keys, slots),
+        ways => {
+            let least = (0..ways)
+                .map(|w| rank(keys, slots, w))
+                .fold(u64::MAX, u64::min);
+            (least & 0xff) as usize
+        }
+    }
 }
 
 /// A chunk's records at its first fill: `words` zeros, every way invalid.
@@ -202,7 +291,7 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Cache {
         cfg.validate();
         let (sets, ways) = (cfg.sets as usize, cfg.ways as usize);
-        let record = 3 * ways + ways.div_ceil(8);
+        let record = 2 * ways + ways.div_ceil(2);
         Cache {
             chunks: vec![Box::default(); sets.div_ceil(CHUNK_SETS)],
             bank_free_at: vec![0; cfg.banks as usize],
@@ -233,6 +322,7 @@ impl Cache {
             set,
             chunk: set / CHUNK_SETS,
             base: set % CHUNK_SETS * self.record,
+            ready: set % CHUNK_SETS * self.record + self.record - self.ways,
             ways: self.ways,
             hint: self.memo[set % MEMO],
         };
@@ -274,6 +364,7 @@ impl Cache {
     #[inline]
     pub(crate) fn access_quiet(&mut self, addr: u64, is_store: bool) -> Option<u64> {
         let (at, want) = self.locate(addr);
+        self.make_room();
         self.lru_clock += 1;
         let records: &mut [u64] = &mut self.chunks[at.chunk];
         let way = probe(records, at, want)?;
@@ -284,7 +375,7 @@ impl Cache {
     /// [`Cache::access`] for a line that is resident, and nothing at all
     /// for one that is not: `Some((start, ready_at))` after the same
     /// bank claim, LRU touch and dirty mark `access` makes on a hit,
-    /// `None` with the cache untouched on a miss.
+    /// `None` on a miss, which changes no line, stamp order or bank.
     #[inline(always)]
     pub(crate) fn access_resident(
         &mut self,
@@ -293,6 +384,7 @@ impl Cache {
         now: u64,
     ) -> Option<(u64, u64)> {
         let (at, want) = self.locate(addr);
+        self.make_room();
         let records: &mut [u64] = &mut self.chunks[at.chunk];
         let way = probe(records, at, want)?;
         self.lru_clock += 1;
@@ -308,46 +400,70 @@ impl Cache {
     pub fn fill(&mut self, addr: u64, is_store: bool, ready_at: u64) -> Option<u64> {
         let (at, want) = self.locate(addr);
         let ways = at.ways;
+        self.make_room();
         self.lru_clock += 1;
         let chunk = &mut self.chunks[at.chunk];
         // Already present (e.g. a racing fill from another core's miss)?
         if let Some(way) = probe(chunk, at, want) {
             self.memo[at.set % MEMO] = way as u8;
             let present = touch(chunk, at, way, self.lru_clock, is_store);
-            chunk[at.base + 2 * ways + way] = present.min(ready_at);
+            chunk[at.ready + way] = present.min(ready_at);
             return None;
         }
         if chunk.is_empty() {
             *chunk = materialise(self.chunk_words);
         }
         let (keys, rest) = chunk[at.base..at.base + self.record].split_at_mut(ways);
-        let (lru, rest) = rest.split_at_mut(ways);
-        let (ready, dirty) = rest.split_at_mut(ways);
-        // Choose victim: first invalid way, else LRU.
-        let mut victim = 0;
-        let mut best_lru = u64::MAX;
-        for w in 0..ways {
-            if keys[w] == 0 {
-                victim = w;
-                break;
-            }
-            if lru[w] < best_lru {
-                best_lru = lru[w];
-                victim = w;
-            }
-        }
-        let (word, shift) = (victim / 8, victim % 8 * 8);
+        let (slots, ready) = rest.split_at_mut(ways.div_ceil(2));
+        let victim = victim(keys, slots);
         let old = keys[victim];
-        let evicted = (old != 0 && dirty[word] >> shift & 0xff != 0).then(|| {
+        let evicted = (old != 0 && slot(slots, victim) & 1 != 0).then(|| {
             // Reconstruct the victim's base address from tag+set.
             (old & !VALID) << self.tag_shift | (at.set as u64) << self.offset_bits
         });
         keys[victim] = want;
-        dirty[word] = dirty[word] & !(0xff << shift) | (is_store as u64) << shift;
-        lru[victim] = self.lru_clock;
+        set_slot(slots, victim, self.lru_clock << 1 | u32::from(is_store));
         ready[victim] = ready_at;
         self.memo[at.set % MEMO] = victim as u8;
         evicted
+    }
+
+    /// Leaves room for one more stamp: a clock at `STAMP_MAX` renumbers
+    /// first. Every operation that may stamp a way calls it before it
+    /// borrows a chunk.
+    #[inline(always)]
+    fn make_room(&mut self) {
+        if self.lru_clock == STAMP_MAX {
+            self.renumber();
+        }
+    }
+
+    /// Rewrites every materialised record's stamps as their ranks in the
+    /// set, `1..=ways` with ties broken by way, keeping each dirty bit,
+    /// and restarts the clock at `ways`. Within a set the valid ways keep
+    /// their order, and every stamp the clock writes next is newer.
+    #[cold]
+    #[inline(never)]
+    fn renumber(&mut self) {
+        let ways = self.ways;
+        let mut order: Vec<usize> = Vec::with_capacity(ways);
+        for chunk in self.chunks.iter_mut().filter(|c| !c.is_empty()) {
+            debug_assert_eq!(
+                chunk.len(),
+                self.chunk_words,
+                "a follower's L1 stamps no way"
+            );
+            for record in chunk.chunks_exact_mut(self.record) {
+                let slots = &mut record[ways..ways + ways.div_ceil(2)];
+                order.clear();
+                order.extend(0..ways);
+                order.sort_by_key(|&w| slot(slots, w) >> 1);
+                for (rank, &w) in (1..).zip(&order) {
+                    set_slot(slots, w, rank << 1 | slot(slots, w) & 1);
+                }
+            }
+        }
+        self.lru_clock = ways as u32;
     }
 
     /// The way the last hit or fill in the set of `addr` used: after an
@@ -723,12 +839,15 @@ mod tests {
     }
 
     /// Proptest-style equivalence: for every probe shape (1/2/3/12/32
-    /// ways take the generic scan, 4/8/16 the unrolled ones; more than 8
-    /// ways keep their dirty bytes in a second word) with and without
-    /// bank interleaving, in a cache of less than one chunk and one of
-    /// sixteen chunks, 50k seeded random operations must drive the
-    /// chunked record store and the reference through identical hit/miss,
-    /// timing, writeback, invalidation and residency sequences.
+    /// ways take the generic scan, 4/8/16 the unrolled ones; an odd way
+    /// count leaves half a slot word spare) with and without bank
+    /// interleaving, in a cache of less than one chunk and one of sixteen
+    /// chunks, 50k seeded random operations must drive the chunked record
+    /// store and the reference, with its unbounded `u64` stamps, through
+    /// identical hit/miss, timing, writeback, invalidation and residency
+    /// sequences. Two of the three seeds renumber the stamps at a fixed
+    /// interval as a clock at `STAMP_MAX` would, which must change no
+    /// decision; only the third can compare the clocks.
     #[test]
     fn soa_layout_matches_aos_reference_model() {
         let shapes = [1, 2, 3, 4, 8, 12, 16, 32].into_iter().enumerate();
@@ -736,8 +855,13 @@ mod tests {
             let banks = if i % 2 == 0 { 1 } else { 4 };
             [(4, ways, banks), (256, ways, 4 / banks)]
         });
+        let runs = [
+            (1u64, None),
+            (0xDEAD_BEEF, Some(997)),
+            (0x1234_5678_9ABC, Some(61)),
+        ];
         for (sets, ways, banks) in geometries {
-            for seed in [1u64, 0xDEAD_BEEF, 0x1234_5678_9ABC] {
+            for (seed, renumber_every) in runs {
                 let cfg = CacheConfig {
                     sets,
                     ways,
@@ -749,6 +873,9 @@ mod tests {
                 let mut aos = RefCache::new(cfg);
                 let mut rng = seed | 1;
                 for step in 0..50_000u64 {
+                    if renumber_every.is_some_and(|n| step % n == n - 1) {
+                        soa.renumber();
+                    }
                     rng = rng
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
@@ -799,9 +926,63 @@ mod tests {
                     aos.lines.iter().filter(|l| l.1).count(),
                     "{what}"
                 );
-                assert_eq!(soa.lru_clock, aos.lru_clock, "{what}");
+                if renumber_every.is_none() {
+                    assert_eq!(u64::from(soa.lru_clock), aos.lru_clock, "{what}");
+                }
             }
         }
+    }
+
+    /// A clock that crosses `STAMP_MAX` renumbers and picks the victims
+    /// unbounded stamps pick: the least recently used line goes, and a
+    /// dirty one is written back, on either side of the wrap.
+    #[test]
+    fn the_clock_wraps_without_changing_a_victim() {
+        let cfg = CacheConfig {
+            sets: 1,
+            ways: 4,
+            ..small()
+        };
+        let mut c = Cache::new(cfg);
+        c.lru_clock = STAMP_MAX - 2;
+        let line = |i: u64| i * 64;
+        // Lines 0..4 fill the set; 0 and 2 are dirty. The second fill
+        // stamps STAMP_MAX, so the third renumbers first: the clock
+        // restarts at the way count.
+        for i in 0..4 {
+            assert_eq!(c.fill(line(i), i % 2 == 0, 0), None);
+        }
+        assert_eq!(c.lru_clock, 4 + 2);
+        // Touching 0 leaves 1 2 3 0 from oldest, so 1 goes.
+        assert!(c.access(line(0), false, 0).hit());
+        assert_eq!(c.fill(line(4), false, 0), None);
+        assert!(!c.contains(line(1)));
+        // Then 2 (dirty), 3, 0 (dirty) in turn.
+        assert_eq!(c.fill(line(5), false, 0), Some(line(2)));
+        assert_eq!(c.fill(line(6), false, 0), None);
+        assert_eq!(c.fill(line(7), false, 0), Some(line(0)));
+        assert_eq!(c.valid_lines(), 4);
+
+        // A wrap in the middle of a run of stores keeps every dirty bit.
+        let mut c = Cache::new(cfg);
+        c.lru_clock = STAMP_MAX - 3;
+        for i in 0..4 {
+            c.fill(line(i), true, 0);
+        }
+        c.access(line(3), false, 0);
+        assert_eq!(c.lru_clock, 4 + 2, "the clock restarted at the way count");
+        let evicted: Vec<_> = (4..8).filter_map(|i| c.fill(line(i), false, 0)).collect();
+        assert_eq!(evicted, [0, 1, 2, 3].map(line));
+    }
+
+    /// A set record is `ways` keys, a 32-bit slot per way and `ways`
+    /// ready words: 20 words at 8 ways, 40 at 16 (the MILK-V LLC's).
+    #[test]
+    fn a_set_record_is_two_words_and_a_half_per_way() {
+        let words = |ways| Cache::new(CacheConfig { ways, ..small() }).record;
+        assert_eq!(words(8), 20);
+        assert_eq!(words(16), 40);
+        assert_eq!(words(3), 8);
     }
 
     /// A MILK-V LLC slice (16 384 sets × 16 ways, 1 024 chunks) holds no

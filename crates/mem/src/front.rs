@@ -4,7 +4,7 @@
 //! micro-op stream alone, never of time: whether a branch was predicted
 //! correctly, at which level a TLB lookup hit, and the L1 tag step of an
 //! access (hit or miss, the way, a dirty victim). The predictor, the TLB
-//! and the L1 keys, LRU stamps, dirty bytes and memo evolve by the same
+//! and the L1 keys, LRU stamps, dirty bits and memo evolve by the same
 //! steps in any lane that sees the same stream through the same core
 //! model and L1 geometry. LRU stamps are a counter, not a clock, and
 //! every core of a SoC reaches the hierarchy in the stream's order. What
